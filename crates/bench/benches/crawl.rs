@@ -2,6 +2,7 @@
 //! page materialization, and the measured crawl.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use origin_bench::CrawlSpec;
 use origin_browser::{BrowserKind, PageLoader, UniverseEnv};
 use origin_netsim::SimRng;
 use origin_webgen::{Dataset, DatasetConfig};
@@ -82,106 +83,85 @@ fn bench_full_characterization(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("sites_150", |b| {
         b.iter(|| {
-            let r = origin_bench::run_crawl(150, 0x0516);
+            let r = CrawlSpec::new(150, 0x0516).run();
             (r.characterization.pages, r.plan.total_sites)
         })
     });
     g.finish();
 }
 
-fn bench_crawl_scaling(c: &mut Criterion) {
-    // Thread-scaling of the sharded crawl (fixed sites + seed, so
-    // every thread count computes the byte-identical result and the
-    // ratio of times is pure parallel speedup).
-    let mut g = c.benchmark_group("crawl_scaling");
-    g.sample_size(10);
-    for &threads in &[1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let r = origin_bench::run_crawl_threads(400, 0x0516, threads);
-                    (r.characterization.pages, r.plan.total_sites)
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-fn bench_crawl_faulted(c: &mut Criterion) {
-    // The crawl under fault injection. `none` measures the pure
-    // plumbing overhead of threading a zero profile through every page
-    // load (must be within noise of the clean crawl above); `mixed` is
-    // the acceptance profile with all three fault classes firing.
+/// The whole crawl along each axis of [`CrawlSpec`]. Every variant is
+/// the same call with one field changed, so the groups are data:
+///
+/// - `crawl_scaling`: thread-scaling of the sharded crawl (fixed sites
+///   and seed, so every thread count computes the byte-identical result
+///   and the ratio of times is pure parallel speedup);
+/// - `crawl_faulted`: `none` measures the pure plumbing overhead of
+///   threading a zero profile through every page load (must be within
+///   noise of `clean`); `mixed` is the acceptance profile with all
+///   three fault classes firing;
+/// - `crawl_mixed` / `crawl_h3`: `share_0.00` again is plumbing only;
+///   the nonzero legacy shares add the h1 machine drive, ALPN
+///   bookkeeping and the per-connection redundancy probes, the nonzero
+///   h3 shares Alt-Svc learning, QUIC handshakes, QPACK encoding and
+///   CID rotation on every upgraded connection.
+fn bench_crawl_variants(c: &mut Criterion) {
     use origin_netsim::FaultProfile;
-    let mut g = c.benchmark_group("crawl_faulted");
-    g.sample_size(10);
+    let base = CrawlSpec {
+        threads: 2,
+        ..CrawlSpec::new(150, 0x0516)
+    };
     let mixed = FaultProfile::parse("drop=0.01,h421=0.005,middlebox=0.1").unwrap();
-    for (label, profile) in [
+    let faults = [
         ("clean", None),
         ("none", Some(FaultProfile::none())),
         ("mixed", Some(mixed)),
-    ] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &profile,
-            |b, profile| {
+    ];
+    let share = |s: f64| format!("share_{s:.2}");
+    let mut group = |name: &str, variants: Vec<(String, CrawlSpec)>| {
+        let mut g = c.benchmark_group(name);
+        g.sample_size(10);
+        for (id, spec) in variants {
+            g.bench_with_input(BenchmarkId::from_parameter(id), &spec, |b, spec| {
                 b.iter(|| {
-                    let r = origin_bench::run_crawl_faulted(150, 0x0516, 2, None, profile.as_ref());
-                    (r.characterization.pages, r.metrics.counter("fault.retries"))
+                    let r = spec.run();
+                    (r.characterization.pages, r.plan.total_sites)
                 })
+            });
+        }
+        g.finish();
+    };
+    let scaling = [1, 2, 4, 8].map(|threads| {
+        let spec = CrawlSpec::new(400, 0x0516);
+        (threads.to_string(), CrawlSpec { threads, ..spec })
+    });
+    group("crawl_scaling", scaling.into());
+    let faulted = faults.map(|(label, faults)| {
+        (
+            label.into(),
+            CrawlSpec {
+                faults,
+                ..base.clone()
             },
-        );
-    }
-    g.finish();
-}
-
-fn bench_crawl_mixed(c: &mut Criterion) {
-    // The mixed-protocol crawl across legacy shares. `share_0.00`
-    // measures the pure plumbing overhead of threading the share
-    // through every page load (must be within noise of the clean
-    // crawl); the nonzero shares add the h1 machine drive, ALPN
-    // bookkeeping, and the per-connection redundancy probes.
-    let mut g = c.benchmark_group("crawl_mixed");
-    g.sample_size(10);
-    for &share in &[0.0f64, 0.25, 0.5] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("share_{share:.2}")),
-            &share,
-            |b, &share| {
-                b.iter(|| {
-                    let r = origin_bench::run_crawl_mixed(150, 0x0516, 2, None, None, share);
-                    (r.characterization.pages, r.metrics.counter("h1.requests"))
-                })
+        )
+    });
+    group("crawl_faulted", faulted.into());
+    let legacy = [0.0, 0.25, 0.5].map(|legacy_share| {
+        let spec = base.clone();
+        (
+            share(legacy_share),
+            CrawlSpec {
+                legacy_share,
+                ..spec
             },
-        );
-    }
-    g.finish();
-}
-
-fn bench_crawl_h3(c: &mut Criterion) {
-    // The crawl across h3 shares. `share_0.00` measures the pure
-    // plumbing overhead of threading the share through every page
-    // load (must be within noise of the clean crawl); the nonzero
-    // shares add Alt-Svc learning, QUIC handshakes, QPACK encoding,
-    // and CID rotation on every upgraded connection.
-    let mut g = c.benchmark_group("crawl_h3");
-    g.sample_size(10);
-    for &share in &[0.0f64, 0.5, 1.0] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("share_{share:.2}")),
-            &share,
-            |b, &share| {
-                b.iter(|| {
-                    let r = origin_bench::run_crawl_h3(150, 0x0516, 2, None, None, 0.0, share);
-                    (r.characterization.pages, r.metrics.counter("h3.requests"))
-                })
-            },
-        );
-    }
-    g.finish();
+        )
+    });
+    group("crawl_mixed", legacy.into());
+    let h3 = [0.0, 0.5, 1.0].map(|h3_share| {
+        let spec = base.clone();
+        (share(h3_share), CrawlSpec { h3_share, ..spec })
+    });
+    group("crawl_h3", h3.into());
 }
 
 fn bench_pool_decide(c: &mut Criterion) {
@@ -260,10 +240,7 @@ criterion_group!(
     bench_page_materialization,
     bench_page_load,
     bench_full_characterization,
-    bench_crawl_scaling,
-    bench_crawl_faulted,
-    bench_crawl_mixed,
-    bench_crawl_h3,
+    bench_crawl_variants,
     bench_pool_decide
 );
 criterion_main!(benches);

@@ -58,8 +58,8 @@
 //! With no `--only`, everything is produced in paper order.
 
 use origin_bench::{
-    asn_label, run_crawl_h3, run_crawl_observed, run_crawl_traced, trace_site, CrawlResults,
-    H3Report, ObsConfig, RedundancyReport, ResilienceReport,
+    asn_label, trace_site, CrawlResults, CrawlSpec, H3Report, ObsConfig, RedundancyReport,
+    ResilienceReport,
 };
 use origin_browser::{BrowserKind, PageLoader, UniverseEnv};
 use origin_cdn::{
@@ -75,19 +75,16 @@ use origin_tls::CtLogSet;
 use origin_trace::{Sampler, Tracer};
 
 struct Args {
-    sites: u32,
-    seed: u64,
-    threads: usize,
+    /// The crawl the flags describe (`sampler` and `obs` are filled
+    /// in by `main` from the output flags below).
+    spec: CrawlSpec,
     only: Vec<String>,
     json: Option<String>,
     metrics: Option<String>,
     trace: Option<String>,
     sample: Sampler,
-    faults: Option<FaultProfile>,
     faults_report: Option<String>,
-    legacy_share: f64,
     redundancy_report: Option<String>,
-    h3_share: f64,
     h3_report: Option<String>,
     timeline: Option<String>,
     window_ms: Option<u64>,
@@ -151,21 +148,51 @@ fn parse_value<T: std::str::FromStr>(
     }
 }
 
+/// The crawl `repro` runs when no flag says otherwise. Threads default
+/// to all available cores; results are identical either way.
+fn default_spec() -> CrawlSpec {
+    CrawlSpec::new(4_000, 0x0516)
+}
+
+/// Parse `flag` into `spec` if it is one of the flags that shape the
+/// crawl itself — shared by the main mode and `repro watch`. Returns
+/// `false` (consuming nothing) for any other flag.
+fn parse_crawl_flag(
+    spec: &mut CrawlSpec,
+    flag: &str,
+    it: &mut impl Iterator<Item = String>,
+) -> bool {
+    let share = |&p: &f64| (0.0..=1.0).contains(&p);
+    match flag {
+        "--sites" => spec.sites = parse_value(flag, it.next(), |&n: &u32| n > 0),
+        "--seed" => spec.seed = parse_value(flag, it.next(), |_| true),
+        "--threads" => spec.threads = parse_value(flag, it.next(), |&n: &usize| n > 0),
+        "--faults" => {
+            let raw = it
+                .next()
+                .unwrap_or_else(|| die("--faults requires a profile spec"));
+            spec.faults = Some(
+                FaultProfile::parse(&raw)
+                    .unwrap_or_else(|e| die(&format!("invalid --faults spec: {e}"))),
+            );
+        }
+        "--legacy-share" => spec.legacy_share = parse_value(flag, it.next(), share),
+        "--h3-share" => spec.h3_share = parse_value(flag, it.next(), share),
+        _ => return false,
+    }
+    true
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
-        sites: 4_000,
-        seed: 0x0516,
-        threads: 0,
+        spec: default_spec(),
         only: Vec::new(),
         json: None,
         metrics: None,
         trace: None,
         sample: Sampler::new(16),
-        faults: None,
         faults_report: None,
-        legacy_share: 0.0,
         redundancy_report: None,
-        h3_share: 0.0,
         h3_report: None,
         timeline: None,
         window_ms: None,
@@ -176,10 +203,10 @@ fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.into_iter().peekable();
     while let Some(a) = it.next() {
+        if parse_crawl_flag(&mut args.spec, &a, &mut it) {
+            continue;
+        }
         match a.as_str() {
-            "--sites" => args.sites = parse_value("--sites", it.next(), |&n: &u32| n > 0),
-            "--seed" => args.seed = parse_value("--seed", it.next(), |_| true),
-            "--threads" => args.threads = parse_value("--threads", it.next(), |&n: &usize| n > 0),
             "--json" => {
                 args.json = Some(it.next().unwrap_or_else(|| die("--json requires a path")))
             }
@@ -197,35 +224,17 @@ fn parse_args() -> Args {
                 args.sample = Sampler::parse(&raw)
                     .unwrap_or_else(|| die(&format!("invalid value {raw:?} for --sample")));
             }
-            "--faults" => {
-                let raw = it
-                    .next()
-                    .unwrap_or_else(|| die("--faults requires a profile spec"));
-                args.faults = Some(
-                    FaultProfile::parse(&raw)
-                        .unwrap_or_else(|e| die(&format!("invalid --faults spec: {e}"))),
-                );
-            }
             "--faults-report" => {
                 args.faults_report = Some(
                     it.next()
                         .unwrap_or_else(|| die("--faults-report requires a path")),
                 )
             }
-            "--legacy-share" => {
-                args.legacy_share = parse_value("--legacy-share", it.next(), |&p: &f64| {
-                    (0.0..=1.0).contains(&p)
-                })
-            }
             "--redundancy-report" => {
                 args.redundancy_report = Some(
                     it.next()
                         .unwrap_or_else(|| die("--redundancy-report requires a path")),
                 )
-            }
-            "--h3-share" => {
-                args.h3_share =
-                    parse_value("--h3-share", it.next(), |&p: &f64| (0.0..=1.0).contains(&p))
             }
             "--h3-report" => {
                 args.h3_report = Some(
@@ -284,11 +293,7 @@ fn parse_args() -> Args {
             other => die(&format!("unknown argument {other:?}")),
         }
     }
-    // Default to all available cores; results are identical either way.
-    if args.threads == 0 {
-        args.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    }
-    if args.faults_report.is_some() && args.faults.is_none() {
+    if args.faults_report.is_some() && args.spec.faults.is_none() {
         die("--faults-report requires --faults");
     }
     if args.window_ms.is_some() && args.timeline.is_none() {
@@ -375,46 +380,42 @@ fn main() {
         // A fault profile always needs the crawl: the resilience
         // report is drawn from it. Likewise the redundancy report and
         // the streaming-observability outputs.
-        || args.faults.is_some()
+        || args.spec.faults.is_some()
         || args.redundancy_report.is_some()
         || args.h3_report.is_some()
         || args.timeline.is_some()
         || args.flight_recorder.is_some();
-    let obs = obs_config(&args);
+    // The one crawl the flags describe. The report baselines below
+    // derive from `args.spec`, its untraced, unobserved twin.
+    let spec = CrawlSpec {
+        sampler: run_trace.is_some().then_some(args.sample),
+        obs: obs_config(&args),
+        ..args.spec.clone()
+    };
 
     let mut crawl = needs_crawl.then(|| {
         eprintln!(
             "# crawling {} synthetic sites (seed {:#x}, {} threads{}{}{})…",
-            args.sites,
-            args.seed,
-            args.threads,
-            args.faults
+            spec.sites,
+            spec.seed,
+            spec.threads,
+            spec.faults
                 .as_ref()
                 .map(|p| format!(", faults {}", p.spec()))
                 .unwrap_or_default(),
-            if args.legacy_share > 0.0 {
-                format!(", legacy share {:.2}", args.legacy_share)
+            if spec.legacy_share > 0.0 {
+                format!(", legacy share {:.2}", spec.legacy_share)
             } else {
                 String::new()
             },
-            if args.h3_share > 0.0 {
-                format!(", h3 share {:.2}", args.h3_share)
+            if spec.h3_share > 0.0 {
+                format!(", h3 share {:.2}", spec.h3_share)
             } else {
                 String::new()
             }
         );
         let t = std::time::Instant::now();
-        let sampler = run_trace.is_some().then_some(args.sample);
-        let r = run_crawl_observed(
-            args.sites,
-            args.seed,
-            args.threads,
-            sampler.as_ref(),
-            args.faults.as_ref(),
-            args.legacy_share,
-            args.h3_share,
-            obs.as_ref(),
-        );
+        let r = spec.run();
         ms_crawl += t.elapsed().as_secs_f64() * 1_000.0;
         r
     });
@@ -451,7 +452,7 @@ fn main() {
             timed(&mut ms_characterize, || figure1(r));
         }
         if want(&args, "f2") {
-            timed(&mut ms_model, || figure2(args.seed));
+            timed(&mut ms_model, || figure2(spec.seed));
         }
         if want(&args, "f3") {
             timed(&mut ms_model, || figure3(r));
@@ -491,7 +492,7 @@ fn main() {
     .iter()
     .any(|id| want(&args, id));
     if needs_sample {
-        let mut rng = SimRng::seed_from_u64(args.seed ^ 0x5000);
+        let mut rng = SimRng::seed_from_u64(spec.seed ^ 0x5000);
         let group = SampleGroup::build(5_000, &mut rng);
         eprintln!(
             "# sample group: {} candidates, {} removed (subpage-only), {} in study",
@@ -521,19 +522,19 @@ fn main() {
         }
         if want(&args, "f7a") {
             timed(&mut ms_active, || {
-                figure7(&group, args.seed, args.threads, true, &mut registry)
+                figure7(&group, spec.seed, spec.threads, true, &mut registry)
             });
         }
         if want(&args, "f7b") {
             timed(&mut ms_active, || {
-                figure7(&group, args.seed, args.threads, false, &mut registry)
+                figure7(&group, spec.seed, spec.threads, false, &mut registry)
             });
         }
         if want(&args, "passive-ip") {
             timed(&mut ms_passive, || {
                 passive(
                     &group,
-                    args.seed,
+                    spec.seed,
                     DeploymentMode::IpAligned,
                     &mut registry,
                     run_trace.as_mut(),
@@ -544,7 +545,7 @@ fn main() {
             timed(&mut ms_passive, || {
                 passive(
                     &group,
-                    args.seed,
+                    spec.seed,
                     DeploymentMode::OriginFrames,
                     &mut registry,
                     run_trace.as_mut(),
@@ -552,43 +553,39 @@ fn main() {
             });
         }
         if want(&args, "f8") {
-            timed(&mut ms_passive, || figure8(&group, args.seed));
+            timed(&mut ms_passive, || figure8(&group, spec.seed));
         }
         if want(&args, "f9") {
             timed(&mut ms_active, || {
-                figure9_bottom(&group, args.seed, args.threads, &mut registry)
+                figure9_bottom(&group, spec.seed, spec.threads, &mut registry)
             });
         }
         if want(&args, "incident") {
-            timed(&mut ms_passive, || incident(&group, args.seed));
+            timed(&mut ms_passive, || incident(&group, spec.seed));
         }
         if want(&args, "privacy") {
             timed(&mut ms_active, || {
-                privacy(&group, args.seed, args.threads, &mut registry)
+                privacy(&group, spec.seed, spec.threads, &mut registry)
             });
         }
     }
     if want(&args, "scheduling") {
-        scheduling(args.seed);
+        scheduling(spec.seed);
     }
     // Resilience report: re-run the same crawl clean and compare.
     // Everything in the report is simulated time and counters, so the
     // bytes are identical for any thread count.
-    if let (Some(profile), Some(faulted)) = (&args.faults, &crawl) {
+    if let (Some(profile), Some(faulted)) = (&spec.faults, &crawl) {
         eprintln!("# re-crawling clean for the resilience baseline…");
         let t = std::time::Instant::now();
         // Same universe (including any legacy or h3 share), no
         // faults: the report isolates the profile's cost, nothing
         // else.
-        let clean = run_crawl_h3(
-            args.sites,
-            args.seed,
-            args.threads,
-            None,
-            None,
-            args.legacy_share,
-            args.h3_share,
-        );
+        let clean = CrawlSpec {
+            faults: None,
+            ..args.spec.clone()
+        }
+        .run();
         ms_crawl += t.elapsed().as_secs_f64() * 1_000.0;
         let report = ResilienceReport::build(&clean, faulted, profile);
         eprintln!(
@@ -622,7 +619,7 @@ fn main() {
     // coalescing rules would have merged, per policy. Deterministic
     // for any thread count.
     if let (Some(path), Some(r)) = (&args.redundancy_report, &crawl) {
-        let report = RedundancyReport::build(r, args.legacy_share);
+        let report = RedundancyReport::build(r, spec.legacy_share);
         eprintln!(
             "# redundancy [share {:.2}]: {} legacy pages, {} h1 connections ({} keep-alive reuses, {} close-delimited) | redundant: {}",
             report.legacy_share,
@@ -648,17 +645,13 @@ fn main() {
     if let (Some(path), Some(r)) = (&args.h3_report, &crawl) {
         eprintln!("# re-crawling with h3 share 0 for the h2 baseline…");
         let t = std::time::Instant::now();
-        let baseline = run_crawl_h3(
-            args.sites,
-            args.seed,
-            args.threads,
-            None,
-            args.faults.as_ref(),
-            args.legacy_share,
-            0.0,
-        );
+        let baseline = CrawlSpec {
+            h3_share: 0.0,
+            ..args.spec.clone()
+        }
+        .run();
         ms_crawl += t.elapsed().as_secs_f64() * 1_000.0;
-        let report = H3Report::build(&baseline, r, args.h3_share);
+        let report = H3Report::build(&baseline, r, spec.h3_share);
         eprintln!(
             "# h3 [share {:.2}]: {} h3 pages, {} quic connections ({} 1-rtt, {} 0-rtt, {} rejected) | median PLT {:.1} → {:.1} ms ({:+.2}%) | 0-rtt share {:.4}",
             report.h3_share,
@@ -879,16 +872,14 @@ fn cmd_serve(argv: &[String]) {
 /// range as a deterministic ASCII dashboard.
 fn cmd_watch(argv: &[String]) {
     let mut range: Option<(u32, u32)> = None;
-    let mut sites: u32 = 4_000;
-    let mut seed: u64 = 0x0516;
-    let mut threads: usize = 0;
+    let mut spec = default_spec();
     let mut window_ms: Option<u64> = None;
-    let mut faults: Option<FaultProfile> = None;
-    let mut legacy_share: f64 = 0.0;
-    let mut h3_share: f64 = 0.0;
     let mut out: Option<String> = None;
     let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
+        if parse_crawl_flag(&mut spec, &a, &mut it) {
+            continue;
+        }
         match a.as_str() {
             "--site-range" => {
                 let raw = it
@@ -904,27 +895,7 @@ fn cmd_watch(argv: &[String]) {
                     )),
                 };
             }
-            "--sites" => sites = parse_value("--sites", it.next(), |&n: &u32| n > 0),
-            "--seed" => seed = parse_value("--seed", it.next(), |_| true),
-            "--threads" => threads = parse_value("--threads", it.next(), |&n: &usize| n > 0),
             "--window" => window_ms = Some(parse_value("--window", it.next(), |&ms: &u64| ms > 0)),
-            "--faults" => {
-                let raw = it
-                    .next()
-                    .unwrap_or_else(|| die("--faults requires a profile spec"));
-                faults = Some(
-                    FaultProfile::parse(&raw)
-                        .unwrap_or_else(|e| die(&format!("invalid --faults spec: {e}"))),
-                );
-            }
-            "--legacy-share" => {
-                legacy_share = parse_value("--legacy-share", it.next(), |&p: &f64| {
-                    (0.0..=1.0).contains(&p)
-                })
-            }
-            "--h3-share" => {
-                h3_share = parse_value("--h3-share", it.next(), |&p: &f64| (0.0..=1.0).contains(&p))
-            }
             "--out" => out = Some(it.next().unwrap_or_else(|| die("--out requires a path"))),
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -934,32 +905,19 @@ fn cmd_watch(argv: &[String]) {
         }
     }
     let (lo, hi) = range.unwrap_or_else(|| die("repro watch requires --site-range A-B"));
+    let sites = spec.sites;
     if hi >= sites {
         die(&format!(
             "--site-range {lo}-{hi} exceeds the dataset ({sites} sites; ranks 0..={})",
             sites - 1
         ));
     }
-    if threads == 0 {
-        threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    }
-    let obs = ObsConfig {
+    spec.obs = Some(ObsConfig {
         window: window_ms.map(SimDuration::from_millis),
-        fault_abort: None,
-        panic_dump: None,
-        flight_capacity: None,
-    };
-    let r = run_crawl_observed(
-        sites,
-        seed,
-        threads,
-        None,
-        faults.as_ref(),
-        legacy_share,
-        h3_share,
-        Some(&obs),
-    );
-    let timeline = r
+        ..ObsConfig::default()
+    });
+    let timeline = spec
+        .run()
         .timeline
         .expect("observed crawl always produces a timeline");
     let body = origin_obs::dashboard::render(&timeline, lo, hi);
@@ -1035,8 +993,11 @@ fn cmd_trace(argv: &[String]) {
             if format != "perfetto" {
                 die(&format!("--sample only exports perfetto, not {format}"));
             }
-            let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let r = run_crawl_traced(sites, seed, threads, Some(&sampler));
+            let r = CrawlSpec {
+                sampler: Some(sampler),
+                ..CrawlSpec::new(sites, seed)
+            }
+            .run();
             (
                 origin_trace::to_chrome_json(&r.trace),
                 format!("sampled 1/{} crawl trace", sampler.denom()),

@@ -1,10 +1,12 @@
 //! Shared experiment harness for the `repro` binary and the Criterion
 //! benches.
 //!
-//! [`run_crawl`] performs the full §3 crawl + §4 model over a
+//! [`CrawlSpec::run`] performs the full §3 crawl + §4 model over a
 //! synthetic dataset and returns every series the paper's tables and
 //! figures need; the deployment experiments (§5) are run separately
-//! through `origin-cdn`.
+//! through `origin-cdn`. A [`CrawlSpec`] is a plain struct: start from
+//! [`CrawlSpec::new`] and name the fields that differ, e.g.
+//! `CrawlSpec { legacy_share: 0.25, ..CrawlSpec::new(6000, 0x0516) }`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -200,277 +202,355 @@ impl ShardAccum {
     }
 }
 
-/// Crawl + model one site into `acc`. Every site is self-contained —
-/// flushed DNS (fresh browser session), resolver-stat deltas, and an
-/// RNG seeded purely from the site's own `page_seed` — so no state
-/// crosses site boundaries, which is what makes sharding over threads
-/// exact rather than approximate.
+/// One crawl worker's state: the loader, the session environment and
+/// the recycled buffers every visit of the worker's chunks goes through.
 ///
 /// The `env` is *reused* across a worker's sites purely as a cache
 /// carrier: everything it memoizes (host facts) is a pure function of
 /// the immutable dataset, and everything per-visit (DNS cache,
-/// rotation serials, stats) is flushed here. A fresh env per site
+/// rotation serials, stats) is flushed per site. A fresh env per site
 /// produces byte-identical output, just slower. The `scratch` and
 /// `arena` likewise carry only buffer capacity between visits — page
 /// materialization and the load recycle their working memory through
 /// them instead of re-allocating it per site.
-#[allow(clippy::too_many_arguments)] // one site, its world, and the recycled buffers
-fn crawl_site(
-    dataset: &Dataset,
-    loader: &PageLoader,
-    env: &mut UniverseEnv,
-    site: &SiteConfig,
-    acc: &mut ShardAccum,
-    sampler: Option<&Sampler>,
-    faults: Option<&FaultProfile>,
-    scratch: &mut origin_webgen::PageScratch,
-    arena: &mut VisitArena,
-) {
-    let page = dataset.page_for_with(site, scratch);
+struct Worker<'d> {
+    dataset: &'d Dataset,
+    spec: &'d CrawlSpec,
+    loader: PageLoader,
+    env: UniverseEnv<'d>,
+    scratch: origin_webgen::PageScratch,
+    arena: VisitArena,
+}
 
-    // §3: measured crawl (fresh browser session per page).
-    env.flush_dns();
-    let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-    // Fault injection, like tracing, is a per-site affair: the session
-    // draws from its own RNG, seeded purely from the site, so sharding
-    // stays exact under any profile (and an all-zero profile draws
-    // nothing at all).
-    let mut fault_session = faults.map(|p| FaultSession::new(*p, site.page_seed ^ 0xFA017CE5));
-    // Streaming observability rides in the shard accumulator: give the
-    // flight recorder its visit context and reset the per-visit
-    // observation scratch before the load fills both.
-    if let Some(o) = acc.obs.as_mut() {
-        o.flight.begin_visit(site.rank);
-        o.flight
-            .record(0, "visit.begin", site.rank as u64, site.root_host.as_str());
-        o.visit.clear();
+impl<'d> Worker<'d> {
+    fn new(dataset: &'d Dataset, spec: &'d CrawlSpec) -> Self {
+        let mut env = UniverseEnv::new(dataset);
+        // A nonzero `middlebox` rate models the mid-deployment world
+        // the incident actually hit: provider-hosted servers advertise
+        // ORIGIN (which the Chromium-policy crawl ignores for
+        // coalescing, so clean-path decisions are unchanged), and a
+        // fraction of fresh connections cross the hostile middlebox.
+        if spec.faults.is_some_and(|p| p.middlebox > 0.0) {
+            env.origin_enabled_asns = PROVIDERS.iter().map(|p| p.asn).collect();
+        }
+        Worker {
+            dataset,
+            spec,
+            loader: PageLoader::new(BrowserKind::Chromium),
+            env,
+            scratch: origin_webgen::PageScratch::new(),
+            arena: VisitArena::new(),
+        }
     }
-    // Tracing observes the simulation without touching its RNG, so a
-    // traced load returns the same PageLoad as an untraced one; the
-    // sample set is a pure function of each site's rank.
-    let load = if sampler.is_some_and(|s| s.keep(site.rank)) {
-        acc.trace.begin_visit(
-            site.rank as u64,
-            &format!("site-{} {}", site.rank, site.root_host.as_str()),
+
+    /// Crawl + model one site into `acc`. Every site is self-contained
+    /// — flushed DNS (fresh browser session), resolver-stat deltas, and
+    /// an RNG seeded purely from the site's own `page_seed` — so no
+    /// state crosses site boundaries, which is what makes sharding over
+    /// threads exact rather than approximate.
+    ///
+    /// The call sequence below is the one `benchmark/src/crawl.rs`
+    /// replays span by span; keep the two in step.
+    fn crawl_site(&mut self, site: &SiteConfig, acc: &mut ShardAccum) {
+        let dataset = self.dataset;
+        let page = dataset.page_for_with(site, &mut self.scratch);
+
+        // §3: measured crawl (fresh browser session per page).
+        self.env.flush_dns();
+        let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+        // Fault injection, like tracing, is a per-site affair: the
+        // session draws from its own RNG, seeded purely from the site,
+        // so sharding stays exact under any profile (and an all-zero
+        // profile draws nothing at all).
+        let faults = self.spec.faults;
+        let mut fault_session = faults.map(|p| FaultSession::new(p, site.page_seed ^ 0xFA017CE5));
+        // Streaming observability rides in the shard accumulator: give
+        // the flight recorder its visit context and reset the
+        // per-visit observation scratch before the load fills both.
+        let sinks = match acc.obs.as_mut() {
+            Some(o) => {
+                o.flight.begin_visit(site.rank);
+                o.flight
+                    .record(0, "visit.begin", site.rank as u64, site.root_host.as_str());
+                o.visit.clear();
+                VisitSinks {
+                    flight: Some(&mut o.flight),
+                    visit: Some(&mut o.visit),
+                }
+            }
+            None => VisitSinks::default(),
+        };
+        // Tracing observes the simulation without touching its RNG, so
+        // a traced load returns the same PageLoad as an untraced one;
+        // the sample set is a pure function of each site's rank.
+        let traced = self.spec.sampler.is_some_and(|s| s.keep(site.rank));
+        if traced {
+            acc.trace.begin_visit(
+                site.rank as u64,
+                &format!("site-{} {}", site.rank, site.root_host.as_str()),
+            );
+        }
+        let load = self.loader.load_observed(
+            &page,
+            &mut self.env,
+            &mut rng,
+            fault_session.as_mut(),
+            Some(&mut acc.metrics),
+            traced.then_some(&mut acc.trace),
+            &mut self.arena,
+            sinks,
         );
-        loader.load_observed(
-            &page,
-            env,
-            &mut rng,
-            fault_session.as_mut(),
-            Some(&mut acc.metrics),
-            Some(&mut acc.trace),
-            arena,
-            sinks_of(acc.obs.as_mut()),
-        )
-    } else {
-        loader.load_observed(
-            &page,
-            env,
-            &mut rng,
-            fault_session.as_mut(),
-            Some(&mut acc.metrics),
-            None,
-            arena,
-            sinks_of(acc.obs.as_mut()),
-        )
-    };
-    let resolver_stats = env.take_resolver_stats();
-    resolver_stats.record_into(&mut acc.metrics);
-    acc.characterization.add(&page, &load);
-    acc.measured
-        .push(load.dns_queries(), load.tls_connections(), load.plt());
+        let resolver_stats = self.env.take_resolver_stats();
+        resolver_stats.record_into(&mut acc.metrics);
+        acc.characterization.add(&page, &load);
+        acc.measured
+            .push(load.dns_queries(), load.tls_connections(), load.plt());
 
-    // §4.2: model predictions via timeline reconstruction (counts
-    // only — the reconstructed timelines themselves are not kept).
-    // One fused walk produces all three groupings.
-    let [ip, origin, cdn] = predict_counts3(&page, &load, DEPLOYMENT_CDN_ASN);
-    acc.model_ip
-        .push(ip.dns_queries, ip.tls_connections, ip.plt_ms);
-    acc.model_origin
-        .push(origin.dns_queries, origin.tls_connections, origin.plt_ms);
-    acc.model_cdn_plt.push(cdn.plt_ms);
+        // §4.2: model predictions via timeline reconstruction (counts
+        // only — the reconstructed timelines themselves are not kept).
+        // One fused walk produces all three groupings.
+        let [ip, origin, cdn] = predict_counts3(&page, &load, DEPLOYMENT_CDN_ASN);
+        acc.model_ip
+            .push(ip.dns_queries, ip.tls_connections, ip.plt_ms);
+        acc.model_origin
+            .push(origin.dns_queries, origin.tls_connections, origin.plt_ms);
+        acc.model_cdn_plt.push(cdn.plt_ms);
 
-    // Complete the visit's observation with the pieces the loader
-    // can't see — resolver stats and model predictions — then fold it
-    // into the timeline and arm the fault-abort trigger.
-    if let Some(o) = acc.obs.as_mut() {
-        let v = &mut o.visit;
-        resolver_stats.record_obs(v);
-        v.model_ip_tls = ip.tls_connections;
-        v.model_origin_tls = origin.tls_connections;
-        v.plt_ideal_ip_us = origin_web::har::ms_to_us(ip.plt_ms);
-        v.plt_ideal_origin_us = origin_web::har::ms_to_us(origin.plt_ms);
-        o.flight
-            .record(v.plt_us, "visit.end", v.plt_us, site.root_host.as_str());
-        o.timeline.record_visit(v);
-        if o.fault_abort
-            .is_some_and(|threshold| v.fault_events >= threshold)
-        {
-            o.flight.capture_trigger();
+        // Complete the visit's observation with the pieces the loader
+        // can't see — resolver stats and model predictions — then fold
+        // it into the timeline and arm the fault-abort trigger.
+        if let Some(o) = acc.obs.as_mut() {
+            let v = &mut o.visit;
+            resolver_stats.record_obs(v);
+            v.model_ip_tls = ip.tls_connections;
+            v.model_origin_tls = origin.tls_connections;
+            v.plt_ideal_ip_us = origin_web::har::ms_to_us(ip.plt_ms);
+            v.plt_ideal_origin_us = origin_web::har::ms_to_us(origin.plt_ms);
+            o.flight
+                .record(v.plt_us, "visit.end", v.plt_us, site.root_host.as_str());
+            o.timeline.record_visit(v);
+            if o.fault_abort
+                .is_some_and(|threshold| v.fault_events >= threshold)
+            {
+                o.flight.capture_trigger();
+            }
         }
-    }
 
-    // §4.3: certificate plan. `plan_site` always passes the root host
-    // as the closure's first argument, so its registrable suffix and
-    // ASN hoist out of the per-resource loop.
-    let cert = dataset.universe.cert_for(&site.root_host);
-    let universe = &dataset.universe;
-    let root_reg = site.root_host.registrable_str();
-    let root_asn = universe.asn_of_host(&site.root_host);
-    let site_plan = plan_site(&page, cert, |a, b| {
-        debug_assert_eq!(a, &site.root_host);
-        if root_reg == b.registrable_str() {
-            return true;
-        }
-        root_asn != 0 && root_asn == universe.asn_of_host(b)
-    });
-    acc.plan.add(&site_plan);
-    let provider_label = site
-        .provider
-        .map(|i| PROVIDERS[i].org)
-        .unwrap_or("Self-hosted");
-    acc.effective.add(provider_label, &site_plan);
+        // §4.3: certificate plan. `plan_site` always passes the root
+        // host as the closure's first argument, so its registrable
+        // suffix and ASN hoist out of the per-resource loop.
+        let cert = dataset.universe.cert_for(&site.root_host);
+        let universe = &dataset.universe;
+        let root_reg = site.root_host.registrable_str();
+        let root_asn = universe.asn_of_host(&site.root_host);
+        let site_plan = plan_site(&page, cert, |a, b| {
+            debug_assert_eq!(a, &site.root_host);
+            if root_reg == b.registrable_str() {
+                return true;
+            }
+            root_asn != 0 && root_asn == universe.asn_of_host(b)
+        });
+        acc.plan.add(&site_plan);
+        let provider_label = site
+            .provider
+            .map(|i| PROVIDERS[i].org)
+            .unwrap_or("Self-hosted");
+        acc.effective.add(provider_label, &site_plan);
 
-    // Hand the visit's buffers back for the worker's next site.
-    scratch.recycle(page);
-    arena.recycle(load);
-}
-
-/// Run the crawl + model over `sites` generated ranks, using all
-/// available cores. Results are bit-identical for any thread count;
-/// see [`run_crawl_threads`].
-pub fn run_crawl(sites: u32, seed: u64) -> CrawlResults {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    run_crawl_threads(sites, seed, threads)
-}
-
-/// Run the crawl + model over `sites` generated ranks on `threads`
-/// worker threads.
-///
-/// The site list is cut into contiguous rank-ordered chunks (a few per
-/// thread, so a slow chunk doesn't idle the other workers); workers
-/// claim chunks off a shared counter, crawl each site into a
-/// per-chunk `ShardAccum`, and the chunks are merged back in rank
-/// order. Because each site's RNG is seeded only from its own
-/// `page_seed` and each page load runs in its own session environment,
-/// the merged output is byte-identical to a sequential crawl — the
-/// thread count changes wall-clock time and nothing else.
-pub fn run_crawl_threads(sites: u32, seed: u64, threads: usize) -> CrawlResults {
-    run_crawl_traced(sites, seed, threads, None)
-}
-
-/// [`run_crawl_threads`] plus deterministic trace collection: visits
-/// whose rank the `sampler` keeps are loaded through
-/// [`PageLoader::load_traced`] into per-shard [`Tracer`] buffers that
-/// merge along the rank-ordered chunk spine. Passing `None` disables
-/// tracing entirely (and costs nothing).
-pub fn run_crawl_traced(
-    sites: u32,
-    seed: u64,
-    threads: usize,
-    sampler: Option<&Sampler>,
-) -> CrawlResults {
-    run_crawl_faulted(sites, seed, threads, sampler, None)
-}
-
-/// [`run_crawl_traced`] plus deterministic fault injection: every page
-/// visit runs under a per-site [`FaultSession`] derived from `faults`,
-/// suffering 421s on coalesced requests, §6.7 middlebox teardowns and
-/// packet drops, and paying the client-side recovery costs. When the
-/// profile's `middlebox` rate is nonzero the crawl models the
-/// mid-deployment world the incident actually hit: provider-hosted
-/// servers advertise ORIGIN (which the Chromium-policy crawl ignores
-/// for coalescing, so clean-path decisions are unchanged), and a
-/// fraction of fresh connections cross the hostile middlebox.
-///
-/// For any fixed profile the merged output is byte-identical at any
-/// thread count; the all-zero profile (and `None`) reproduces a clean
-/// crawl exactly, `fault.*` keys and all (they never materialize).
-pub fn run_crawl_faulted(
-    sites: u32,
-    seed: u64,
-    threads: usize,
-    sampler: Option<&Sampler>,
-    faults: Option<&FaultProfile>,
-) -> CrawlResults {
-    run_crawl_mixed(sites, seed, threads, sampler, faults, 0.0)
-}
-
-/// [`run_crawl_faulted`] over a mixed-protocol universe: a
-/// `legacy_share` fraction of sites is regenerated as legacy HTTP/1.1
-/// deployments (domain-sharded assets, no h2 in the server's ALPN
-/// advertisement; see `origin_webgen::DatasetConfig::legacy_share`).
-/// At `0.0` this *is* [`run_crawl_faulted`] — same dataset, same
-/// bytes — and every entry point above bottoms out here.
-///
-/// Legacy visits drive the sans-IO `origin-h1` machine per request and
-/// feed the `h1.*` counters, including the per-policy
-/// `h1.redundant.*` counts a [`RedundancyReport`] is built from.
-pub fn run_crawl_mixed(
-    sites: u32,
-    seed: u64,
-    threads: usize,
-    sampler: Option<&Sampler>,
-    faults: Option<&FaultProfile>,
-    legacy_share: f64,
-) -> CrawlResults {
-    run_crawl_h3(sites, seed, threads, sampler, faults, legacy_share, 0.0)
-}
-
-/// [`run_crawl_mixed`] over an HTTP/3 universe: an `h3_share` fraction
-/// of (non-legacy) sites deploys QUIC (Alt-Svc advertisement, 0-RTT
-/// resumption, QPACK, connection-ID rotation; see
-/// `origin_webgen::DatasetConfig::h3_share`). At `0.0` this *is*
-/// [`run_crawl_mixed`] — same dataset, same bytes.
-///
-/// H3 visits feed the `h3.*` counters an [`H3Report`] is built from.
-#[allow(clippy::too_many_arguments)] // one more universe axis than run_crawl_mixed
-pub fn run_crawl_h3(
-    sites: u32,
-    seed: u64,
-    threads: usize,
-    sampler: Option<&Sampler>,
-    faults: Option<&FaultProfile>,
-    legacy_share: f64,
-    h3_share: f64,
-) -> CrawlResults {
-    run_crawl_observed(
-        sites,
-        seed,
-        threads,
-        sampler,
-        faults,
-        legacy_share,
-        h3_share,
-        None,
-    )
-}
-
-/// Borrow a shard's observability sinks for one page load (the merge
-/// identity — both sinks absent — when the crawl runs unobserved).
-fn sinks_of(obs: Option<&mut ObsAccum>) -> VisitSinks<'_> {
-    match obs {
-        Some(o) => VisitSinks {
-            flight: Some(&mut o.flight),
-            visit: Some(&mut o.visit),
-        },
-        None => VisitSinks::default(),
+        // Hand the visit's buffers back for the worker's next site.
+        self.scratch.recycle(page);
+        self.arena.recycle(load);
     }
 }
 
-/// [`run_crawl_mixed`] plus streaming observability: when `obs` is set,
-/// every visit feeds a tumbling-window [`Timeline`] on the open-loop
-/// simulated timeline and a bounded per-worker [`FlightRecorder`], and
-/// the merged results carry both (see [`CrawlResults::timeline`]).
+/// One crawl, fully specified. A plain owned struct: build it with
+/// [`CrawlSpec::new`] and struct-update syntax, then [`CrawlSpec::run`].
 ///
-/// The timeline's window-keyed merge is commutative and associative, so
-/// the observed output — like everything else here — is byte-identical
-/// at any thread count. Passing `None` makes this exactly
-/// [`run_crawl_mixed`]: no observation state is allocated, no `obs.*`
-/// counters materialize, and every exported byte matches an unobserved
-/// crawl. Every crawl entry point bottoms out here.
-#[allow(clippy::too_many_arguments)] // the full crawl matrix: world, policies, observation
+/// Whatever the other fields say, the merged output is byte-identical
+/// at any `threads`; and every optional subsystem left at its default
+/// (`None` / share `0.0`) is byte-invisible — no state allocated, no
+/// RNG draw, no `fault.*` / `h1.*` / `h3.*` / `obs.*` key materialized.
+#[derive(Debug, Clone)]
+pub struct CrawlSpec {
+    /// Tranco ranks to generate.
+    pub sites: u32,
+    /// Dataset seed.
+    pub seed: u64,
+    /// Worker threads (wall clock only).
+    pub threads: usize,
+    /// Trace the visits whose rank this sampler keeps into per-shard
+    /// [`Tracer`] buffers merged along the rank-ordered chunk spine.
+    pub sampler: Option<Sampler>,
+    /// Run every visit under a per-site [`FaultSession`] of this
+    /// profile — 421s on coalesced requests, §6.7 middlebox teardowns,
+    /// packet drops — paying the client-side recovery costs.
+    pub faults: Option<FaultProfile>,
+    /// Fraction of sites regenerated as legacy HTTP/1.1 deployments
+    /// (see `origin_webgen::DatasetConfig::legacy_share`). Legacy
+    /// visits drive the sans-IO `origin-h1` machine and feed the
+    /// `h1.*` counters a [`RedundancyReport`] is built from.
+    pub legacy_share: f64,
+    /// Fraction of non-legacy sites deploying HTTP/3 (see
+    /// `origin_webgen::DatasetConfig::h3_share`). H3 visits feed the
+    /// `h3.*` counters an [`H3Report`] is built from.
+    pub h3_share: f64,
+    /// Feed a tumbling-window [`Timeline`] and a bounded per-worker
+    /// [`FlightRecorder`] (see [`CrawlResults::timeline`]).
+    pub obs: Option<ObsConfig>,
+}
+
+impl CrawlSpec {
+    /// The clean pure-h2 crawl of `sites` ranks on all available
+    /// cores: no tracing, no faults, no observation.
+    pub fn new(sites: u32, seed: u64) -> Self {
+        CrawlSpec {
+            sites,
+            seed,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            sampler: None,
+            faults: None,
+            legacy_share: 0.0,
+            h3_share: 0.0,
+            obs: None,
+        }
+    }
+
+    /// Run the crawl + model.
+    ///
+    /// The site list is cut into contiguous rank-ordered chunks (a few
+    /// per thread, so a slow chunk doesn't idle the other workers);
+    /// workers claim chunks off a shared counter, crawl each site into
+    /// a per-chunk `ShardAccum`, and the chunks are merged back in rank
+    /// order. Because each site's RNG is seeded only from its own
+    /// `page_seed` and each page load runs in its own session
+    /// environment, the merged output is byte-identical to a
+    /// sequential crawl — the thread count changes wall-clock time and
+    /// nothing else. The timeline's window-keyed merge is commutative
+    /// and associative, so that holds for the observed output too.
+    pub fn run(&self) -> CrawlResults {
+        let sites = self.sites;
+        let obs = self.obs.as_ref();
+        let threads = self.threads.max(1);
+        let config = DatasetConfig {
+            sites,
+            seed: self.seed,
+            legacy_share: self.legacy_share,
+            h3_share: self.h3_share,
+            ..Default::default()
+        };
+        let dataset = Dataset::generate(config);
+        let site_cfgs: Vec<SiteConfig> = dataset.successful_sites().cloned().collect();
+
+        // Over-split so chunk-duration variance load-balances; contiguous
+        // chunks keep the rank order trivially reconstructable.
+        let n_chunks = (threads * 4).min(site_cfgs.len()).max(1);
+        let chunk_size = site_cfgs.len().div_ceil(n_chunks);
+        let next_chunk = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<ShardAccum>>> =
+            (0..n_chunks).map(|_| Mutex::new(None)).collect();
+
+        std::thread::scope(|scope| {
+            for _ in 0..threads.min(n_chunks) {
+                scope.spawn(|| {
+                    let mut worker = Worker::new(&dataset, self);
+                    loop {
+                        let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+                        if chunk >= n_chunks {
+                            break;
+                        }
+                        // Ceil-sized chunks can overrun the tail: clamp,
+                        // leaving trailing chunks empty (merge identity).
+                        let start = (chunk * chunk_size).min(site_cfgs.len());
+                        let end = (start + chunk_size).min(site_cfgs.len());
+                        let mut acc = ShardAccum::new(sites, config.tranco_total, obs);
+                        let mut run = |acc: &mut ShardAccum| {
+                            for site in &site_cfgs[start..end] {
+                                worker.crawl_site(site, acc);
+                            }
+                        };
+                        match obs.and_then(|o| o.panic_dump.as_ref()) {
+                            // Crash forensics: if a visit panics, dump the
+                            // worker's ring — ending with the events of the
+                            // visit that died — before propagating.
+                            Some(dump_path) => {
+                                let caught =
+                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                        run(&mut acc)
+                                    }));
+                                if let Err(payload) = caught {
+                                    if let Some(o) = acc.obs.as_ref() {
+                                        let _ = std::fs::write(
+                                            dump_path,
+                                            o.flight.panic_snapshot_json(),
+                                        );
+                                    }
+                                    std::panic::resume_unwind(payload);
+                                }
+                            }
+                            None => run(&mut acc),
+                        }
+                        *slots[chunk]
+                            .lock()
+                            .expect("crawl shard slot poisoned by a worker panic") = Some(acc);
+                    }
+                });
+            }
+        });
+
+        // Rank-ordered merge: chunk 0, 1, 2, … — the deterministic spine.
+        // (The timeline and flight merges are order-free anyway; riding the
+        // same spine costs nothing and keeps one mental model.)
+        let mut total = ShardAccum::new(sites, config.tranco_total, obs);
+        for slot in slots {
+            let acc = slot
+                .into_inner()
+                .expect("crawl shard slot poisoned by a worker panic")
+                .expect("every chunk was claimed and completed");
+            total.merge(acc);
+        }
+
+        // Crawl-wide totals recorded once, after the rank-ordered merge.
+        total.characterization.record_into(&mut total.metrics);
+        total.plan.record_into(&mut total.metrics);
+        // Observability counters exist only on observed runs, so an
+        // unobserved export stays byte-identical to the pre-obs schema —
+        // the same absent-subsystem rule `fault.*`/`h1.*` follow.
+        if let Some(o) = &total.obs {
+            total
+                .metrics
+                .add("obs.flight_events", o.flight.events_recorded());
+            total.metrics.add("obs.visits", o.timeline.total_visits());
+            total
+                .metrics
+                .add("obs.windows", o.timeline.num_windows() as u64);
+        }
+
+        let (timeline, flight) = match total.obs {
+            Some(o) => (Some(o.timeline), Some(o.flight)),
+            None => (None, None),
+        };
+        CrawlResults {
+            dataset,
+            characterization: total.characterization,
+            measured: total.measured,
+            model_ip: total.model_ip,
+            model_origin: total.model_origin,
+            model_cdn_plt: total.model_cdn_plt,
+            plan: total.plan,
+            effective: total.effective,
+            metrics: total.metrics,
+            trace: total.trace,
+            timeline,
+            flight,
+        }
+    }
+}
+
+/// [`CrawlSpec::run`] behind the positional signature the frozen
+/// harness under `benchmark/` calls. It has no other caller in the
+/// workspace and is kept byte-for-byte until a `benchmark` PR moves
+/// the harness onto [`CrawlSpec`]; use the struct everywhere else.
+#[allow(clippy::too_many_arguments)]
 pub fn run_crawl_observed(
     sites: u32,
     seed: u64,
@@ -481,139 +561,17 @@ pub fn run_crawl_observed(
     h3_share: f64,
     obs: Option<&ObsConfig>,
 ) -> CrawlResults {
-    let threads = threads.max(1);
-    let origin_advertised = faults.is_some_and(|p| p.middlebox > 0.0);
-    let config = DatasetConfig {
+    CrawlSpec {
         sites,
         seed,
+        threads,
+        sampler: sampler.copied(),
+        faults: faults.copied(),
         legacy_share,
         h3_share,
-        ..Default::default()
-    };
-    let dataset = Dataset::generate(config);
-    let site_cfgs: Vec<SiteConfig> = dataset.successful_sites().cloned().collect();
-
-    // Over-split so chunk-duration variance load-balances; contiguous
-    // chunks keep the rank order trivially reconstructable.
-    let n_chunks = (threads * 4).min(site_cfgs.len()).max(1);
-    let chunk_size = site_cfgs.len().div_ceil(n_chunks);
-    let next_chunk = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ShardAccum>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) {
-            scope.spawn(|| {
-                let loader = PageLoader::new(BrowserKind::Chromium);
-                // One env per worker: its host-fact cache warms over
-                // the whole run; crawl_site flushes all per-visit
-                // state, so sharding stays exact (see crawl_site).
-                let mut env = UniverseEnv::new(&dataset);
-                // Per-worker recycled buffers: page materialization
-                // scratch and the loader's visit arena (capacity-only
-                // state; see crawl_site).
-                let mut scratch = origin_webgen::PageScratch::new();
-                let mut arena = VisitArena::new();
-                if origin_advertised {
-                    env.origin_enabled_asns = PROVIDERS.iter().map(|p| p.asn).collect();
-                }
-                loop {
-                    let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= n_chunks {
-                        break;
-                    }
-                    // Ceil-sized chunks can overrun the tail: clamp,
-                    // leaving trailing chunks empty (merge identity).
-                    let start = (chunk * chunk_size).min(site_cfgs.len());
-                    let end = (start + chunk_size).min(site_cfgs.len());
-                    let mut acc = ShardAccum::new(sites, config.tranco_total, obs);
-                    let mut run = |acc: &mut ShardAccum| {
-                        for site in &site_cfgs[start..end] {
-                            crawl_site(
-                                &dataset,
-                                &loader,
-                                &mut env,
-                                site,
-                                acc,
-                                sampler,
-                                faults,
-                                &mut scratch,
-                                &mut arena,
-                            );
-                        }
-                    };
-                    match obs.and_then(|o| o.panic_dump.as_ref()) {
-                        // Crash forensics: if a visit panics, dump the
-                        // worker's ring — ending with the events of the
-                        // visit that died — before propagating.
-                        Some(dump_path) => {
-                            let caught =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run(&mut acc)
-                                }));
-                            if let Err(payload) = caught {
-                                if let Some(o) = acc.obs.as_ref() {
-                                    let _ =
-                                        std::fs::write(dump_path, o.flight.panic_snapshot_json());
-                                }
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                        None => run(&mut acc),
-                    }
-                    *slots[chunk]
-                        .lock()
-                        .expect("crawl shard slot poisoned by a worker panic") = Some(acc);
-                }
-            });
-        }
-    });
-
-    // Rank-ordered merge: chunk 0, 1, 2, … — the deterministic spine.
-    // (The timeline and flight merges are order-free anyway; riding the
-    // same spine costs nothing and keeps one mental model.)
-    let mut total = ShardAccum::new(sites, config.tranco_total, obs);
-    for slot in slots {
-        let acc = slot
-            .into_inner()
-            .expect("crawl shard slot poisoned by a worker panic")
-            .expect("every chunk was claimed and completed");
-        total.merge(acc);
+        obs: obs.cloned(),
     }
-
-    // Crawl-wide totals recorded once, after the rank-ordered merge.
-    total.characterization.record_into(&mut total.metrics);
-    total.plan.record_into(&mut total.metrics);
-    // Observability counters exist only on observed runs, so an
-    // unobserved export stays byte-identical to the pre-obs schema —
-    // the same absent-subsystem rule `fault.*`/`h1.*` follow.
-    if let Some(o) = &total.obs {
-        total
-            .metrics
-            .add("obs.flight_events", o.flight.events_recorded());
-        total.metrics.add("obs.visits", o.timeline.total_visits());
-        total
-            .metrics
-            .add("obs.windows", o.timeline.num_windows() as u64);
-    }
-
-    let (timeline, flight) = match total.obs {
-        Some(o) => (Some(o.timeline), Some(o.flight)),
-        None => (None, None),
-    };
-    CrawlResults {
-        dataset,
-        characterization: total.characterization,
-        measured: total.measured,
-        model_ip: total.model_ip,
-        model_origin: total.model_origin,
-        model_cdn_plt: total.model_cdn_plt,
-        plan: total.plan,
-        effective: total.effective,
-        metrics: total.metrics,
-        trace: total.trace,
-        timeline,
-        flight,
-    }
+    .run()
 }
 
 /// The `fault.*` counter names a resilience report carries, in export
@@ -742,7 +700,7 @@ impl ResilienceReport {
 /// the h2 coalescing rules of each policy have merged onto a
 /// connection already in the pool?
 ///
-/// Built from a single [`run_crawl_mixed`] result — the loader probes
+/// Built from a single mixed-universe [`CrawlSpec::run`] result — the loader probes
 /// the pool with the protocol gates removed (`redundant_if_h2`) at the
 /// moment each legacy connection is opened, so the counts are exact,
 /// per-policy, and deterministic. In a pure-h2 universe
@@ -865,8 +823,8 @@ pub const H3_COUNTERS: [&str; 16] = [
 /// deploying QUIC on an `h3_share` fraction of origins changed in
 /// page load time, connection setup, and resumption behaviour.
 ///
-/// Built from a baseline [`run_crawl_mixed`] (h3 share 0) and an
-/// [`run_crawl_h3`] over the same `(sites, seed)` — the §4 best-case
+/// Built from a baseline crawl (h3 share 0) and an h3 crawl over the
+/// same `(sites, seed)` and otherwise equal [`CrawlSpec`] — the §4 best-case
 /// question re-asked under h3 semantics: 0-RTT resumption and shared
 /// address validation make the *setup* cheaper, but coalescing is
 /// still gated on certificate coverage, and RFC 8336 ORIGIN frames
@@ -1008,7 +966,16 @@ pub fn trace_site(sites: u32, seed: u64, rank: u32) -> Option<(origin_web::PageL
         rank as u64,
         &format!("site-{} {}", rank, site.root_host.as_str()),
     );
-    let load = loader.load_traced(&page, &mut env, &mut rng, None, &mut trace);
+    let load = loader.load_observed(
+        &page,
+        &mut env,
+        &mut rng,
+        None,
+        None,
+        Some(&mut trace),
+        &mut VisitArena::new(),
+        VisitSinks::default(),
+    );
     Some((load, trace))
 }
 
@@ -1033,9 +1000,25 @@ pub fn asn_label(asn: u32) -> String {
 mod tests {
     use super::*;
 
+    /// `spec` on two workers: enough to cross a shard boundary.
+    fn two(spec: CrawlSpec) -> CrawlResults {
+        CrawlSpec { threads: 2, ..spec }.run()
+    }
+
+    /// `spec` on one worker and on four.
+    fn one_and_four(spec: CrawlSpec) -> [CrawlResults; 2] {
+        [1, 4].map(|threads| {
+            CrawlSpec {
+                threads,
+                ..spec.clone()
+            }
+            .run()
+        })
+    }
+
     #[test]
     fn small_crawl_produces_all_series() {
-        let r = run_crawl(150, 0xBEEF);
+        let r = CrawlSpec::new(150, 0xBEEF).run();
         assert!(r.characterization.pages > 50);
         assert_eq!(r.measured.dns.len(), r.characterization.pages as usize);
         assert_eq!(r.model_ip.plt.len(), r.measured.plt.len());
@@ -1128,9 +1111,12 @@ mod tests {
 
     #[test]
     fn faulted_crawl_fires_and_reports() {
-        let clean = run_crawl_threads(150, 0xBEEF, 2);
+        let clean = two(CrawlSpec::new(150, 0xBEEF));
         let profile = FaultProfile::parse("drop=0.02,h421=0.02,middlebox=0.2").unwrap();
-        let faulted = run_crawl_faulted(150, 0xBEEF, 2, None, Some(&profile));
+        let faulted = two(CrawlSpec {
+            faults: Some(profile),
+            ..CrawlSpec::new(150, 0xBEEF)
+        });
         // The profile actually bites: recoveries happened and they cost
         // page load time and coalescing.
         assert!(faulted.metrics.counter("fault.retries") > 0);
@@ -1154,8 +1140,11 @@ mod tests {
 
     #[test]
     fn zero_profile_crawl_matches_clean_crawl() {
-        let clean = run_crawl_threads(120, 0xBEEF, 2);
-        let zero = run_crawl_faulted(120, 0xBEEF, 2, None, Some(&FaultProfile::none()));
+        let clean = two(CrawlSpec::new(120, 0xBEEF));
+        let zero = two(CrawlSpec {
+            faults: Some(FaultProfile::none()),
+            ..CrawlSpec::new(120, 0xBEEF)
+        });
         assert_eq!(clean.measured.plt, zero.measured.plt);
         assert_eq!(clean.metrics.to_json(), zero.metrics.to_json());
         let report = ResilienceReport::build(&clean, &zero, &FaultProfile::none());
@@ -1165,30 +1154,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_legacy_share_is_byte_identical_to_the_pure_crawl() {
-        // `--legacy-share 0` must not perturb a single output byte:
-        // same loads, same metrics JSON (no `h1.*` keys), zero report.
-        let pure = run_crawl_threads(120, 0xBEEF, 2);
-        let mixed = run_crawl_mixed(120, 0xBEEF, 2, None, None, 0.0);
-        assert_eq!(pure.measured.plt, mixed.measured.plt);
-        assert_eq!(pure.metrics.to_json(), mixed.metrics.to_json());
-        assert!(pure
-            .metrics
-            .counters()
-            .all(|(name, _)| !name.starts_with("h1.")));
-        let report = RedundancyReport::build(&mixed, 0.0);
-        assert_eq!(report.legacy_pages, 0);
-        assert_eq!(report.h1_connections, 0);
-        assert!(report.redundant.iter().all(|&(_, v)| v == 0));
-        assert_eq!(report.redundant_share("ideal_origin"), 0.0);
-    }
-
-    #[test]
     fn redundancy_grows_with_the_legacy_share() {
         // More legacy sites → more h1 connections → strictly more
         // connections the h2 rules would have merged, per policy.
-        let quarter = run_crawl_mixed(150, 0xBEEF, 2, None, None, 0.25);
-        let half = run_crawl_mixed(150, 0xBEEF, 2, None, None, 0.5);
+        let quarter = two(CrawlSpec {
+            legacy_share: 0.25,
+            ..CrawlSpec::new(150, 0xBEEF)
+        });
+        let half = two(CrawlSpec {
+            legacy_share: 0.5,
+            ..CrawlSpec::new(150, 0xBEEF)
+        });
         let r25 = RedundancyReport::build(&quarter, 0.25);
         let r50 = RedundancyReport::build(&half, 0.5);
         assert!(r25.legacy_pages > 0);
@@ -1216,8 +1192,10 @@ mod tests {
         // The mixed universe keeps the crawl's core guarantee: the
         // thread count changes wall-clock time and nothing else —
         // metrics and the redundancy report are byte-identical.
-        let one = run_crawl_mixed(120, 0x0516, 1, None, None, 0.25);
-        let four = run_crawl_mixed(120, 0x0516, 4, None, None, 0.25);
+        let [one, four] = one_and_four(CrawlSpec {
+            legacy_share: 0.25,
+            ..CrawlSpec::new(120, 0x0516)
+        });
         assert_eq!(one.measured.plt, four.measured.plt);
         assert_eq!(one.metrics.to_json(), four.metrics.to_json());
         assert_eq!(
@@ -1227,28 +1205,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_h3_share_is_byte_identical_to_the_pure_crawl() {
-        // `--h3-share 0` must not perturb a single output byte: same
-        // loads, same metrics JSON (no `h3.*` keys), zero report.
-        let pure = run_crawl_threads(120, 0xBEEF, 2);
-        let h3 = run_crawl_h3(120, 0xBEEF, 2, None, None, 0.0, 0.0);
-        assert_eq!(pure.measured.plt, h3.measured.plt);
-        assert_eq!(pure.metrics.to_json(), h3.metrics.to_json());
-        assert!(pure
-            .metrics
-            .counters()
-            .all(|(name, _)| !name.starts_with("h3.")));
-        let report = H3Report::build(&pure, &h3, 0.0);
-        assert_eq!(report.h3_pages, 0);
-        assert!(report.counters.iter().all(|&(_, v)| v == 0));
-        assert_eq!(report.plt_delta_pct(), 0.0);
-        assert_eq!(report.zero_rtt_share(), 0.0);
-    }
-
-    #[test]
     fn h3_crawl_fires_and_reports() {
-        let baseline = run_crawl_threads(150, 0xBEEF, 2);
-        let h3 = run_crawl_h3(150, 0xBEEF, 2, None, None, 0.0, 0.6);
+        let baseline = two(CrawlSpec::new(150, 0xBEEF));
+        let h3 = two(CrawlSpec {
+            h3_share: 0.6,
+            ..CrawlSpec::new(150, 0xBEEF)
+        });
         // The QUIC path actually runs: Alt-Svc scopes are learned,
         // connections upgrade, and resumption fires.
         assert!(h3.metrics.counter("h3.pages") > 0);
@@ -1287,10 +1249,11 @@ mod tests {
         // The h3 universe keeps the crawl's core guarantee: the
         // thread count changes wall-clock time and nothing else —
         // metrics and the h3 report are byte-identical.
-        let base_one = run_crawl_threads(120, 0x0516, 1);
-        let base_four = run_crawl_threads(120, 0x0516, 4);
-        let one = run_crawl_h3(120, 0x0516, 1, None, None, 0.0, 0.5);
-        let four = run_crawl_h3(120, 0x0516, 4, None, None, 0.0, 0.5);
+        let [base_one, base_four] = one_and_four(CrawlSpec::new(120, 0x0516));
+        let [one, four] = one_and_four(CrawlSpec {
+            h3_share: 0.5,
+            ..CrawlSpec::new(120, 0x0516)
+        });
         assert_eq!(one.measured.plt, four.measured.plt);
         assert_eq!(one.metrics.to_json(), four.metrics.to_json());
         assert_eq!(
@@ -1306,8 +1269,15 @@ mod tests {
         // connection advertises nothing), but every page still lands
         // and the zero-rate profile is invisible.
         let profile = FaultProfile::parse("drop=0.02,h421=0.02,middlebox=0.2").unwrap();
-        let clean = run_crawl_h3(150, 0xBEEF, 2, None, None, 0.0, 0.6);
-        let faulted = run_crawl_h3(150, 0xBEEF, 2, None, Some(&profile), 0.0, 0.6);
+        let clean = two(CrawlSpec {
+            h3_share: 0.6,
+            ..CrawlSpec::new(150, 0xBEEF)
+        });
+        let faulted = two(CrawlSpec {
+            faults: Some(profile),
+            h3_share: 0.6,
+            ..CrawlSpec::new(150, 0xBEEF)
+        });
         assert_eq!(
             clean.characterization.pages, faulted.characterization.pages,
             "every page recovers: the crawl never loses a site to a fault"
@@ -1325,7 +1295,11 @@ mod tests {
         );
         // A zero-rate profile is byte-invisible on the h3 universe,
         // exactly as it is on the pure one.
-        let zero = run_crawl_h3(150, 0xBEEF, 2, None, Some(&FaultProfile::none()), 0.0, 0.6);
+        let zero = two(CrawlSpec {
+            faults: Some(FaultProfile::none()),
+            h3_share: 0.6,
+            ..CrawlSpec::new(150, 0xBEEF)
+        });
         assert_eq!(clean.measured.plt, zero.measured.plt);
         assert_eq!(clean.metrics.to_json(), zero.metrics.to_json());
     }

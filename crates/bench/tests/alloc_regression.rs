@@ -77,7 +77,7 @@ fn steady_state_crawl_allocations_stay_bounded() {
         let page = dataset.page_for_with(site, &mut scratch);
         env.flush_dns();
         let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-        let load = loader.load_faulted_with(
+        let load = loader.load_observed(
             &page,
             &mut env,
             &mut rng,
@@ -85,6 +85,7 @@ fn steady_state_crawl_allocations_stay_bounded() {
             Some(&mut metrics),
             None,
             &mut arena,
+            origin_obs::VisitSinks::default(),
         );
         env.take_resolver_stats().record_into(&mut metrics);
         scratch.recycle(page);
@@ -99,7 +100,7 @@ fn steady_state_crawl_allocations_stay_bounded() {
         let a1 = allocs();
         env.flush_dns();
         let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-        let load = loader.load_faulted_with(
+        let load = loader.load_observed(
             &page,
             &mut env,
             &mut rng,
@@ -107,6 +108,7 @@ fn steady_state_crawl_allocations_stay_bounded() {
             Some(&mut metrics),
             None,
             &mut arena,
+            origin_obs::VisitSinks::default(),
         );
         let a2 = allocs();
         env.take_resolver_stats().record_into(&mut metrics);

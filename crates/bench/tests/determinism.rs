@@ -4,9 +4,7 @@
 //! workers — this is what makes `repro --threads N` artifacts
 //! byte-comparable across machines.
 
-use origin_bench::{
-    run_crawl_faulted, run_crawl_threads, run_crawl_traced, trace_site, CrawlResults,
-};
+use origin_bench::{trace_site, CrawlResults, CrawlSpec};
 use origin_cdn::{ActiveMeasurement, SampleGroup, Treatment};
 use origin_netsim::{FaultProfile, SimRng};
 use origin_trace::{to_chrome_json, EventKind, Sampler};
@@ -64,28 +62,43 @@ fn assert_results_equal(a: &CrawlResults, b: &CrawlResults, label: &str) {
     );
 }
 
-#[test]
-fn crawl_identical_across_thread_counts() {
-    let one = run_crawl_threads(SITES, SEED, 1);
-    let two = run_crawl_threads(SITES, SEED, 2);
-    let eight = run_crawl_threads(SITES, SEED, 8);
-    assert_results_equal(&one, &two, "1 vs 2 threads");
-    assert_results_equal(&one, &eight, "1 vs 8 threads");
+/// `spec` at 1, 2 and 8 worker threads.
+fn at_1_2_8(spec: CrawlSpec) -> [CrawlResults; 3] {
+    [1, 2, 8].map(|threads| {
+        CrawlSpec {
+            threads,
+            ..spec.clone()
+        }
+        .run()
+    })
+}
+
+/// `spec` on two threads (enough to cross a shard boundary).
+fn on_two(spec: CrawlSpec) -> CrawlResults {
+    CrawlSpec { threads: 2, ..spec }.run()
+}
+
+fn pure() -> CrawlSpec {
+    CrawlSpec::new(SITES, SEED)
+}
+
+/// Every series and table, and the serialized registry — counters,
+/// histograms, AND the simulated phase totals — agree across the runs.
+/// The registry bytes are what lets CI `cmp` two `--metrics` exports
+/// and what makes the perf-gate baseline machine-independent (the lib
+/// never records wall-clock runtime_ms, so the raw JSON compares).
+fn assert_thread_invariant([one, two, eight]: &[CrawlResults; 3], what: &str) {
+    assert_results_equal(one, two, &format!("{what} 1 vs 2 threads"));
+    assert_results_equal(one, eight, &format!("{what} 1 vs 8 threads"));
+    let json = one.metrics.to_json();
+    assert!(!json.is_empty());
+    assert_eq!(json, two.metrics.to_json(), "{what} metrics: 1 vs 2");
+    assert_eq!(json, eight.metrics.to_json(), "{what} metrics: 1 vs 8");
 }
 
 #[test]
-fn crawl_metrics_json_identical_across_thread_counts() {
-    // The serialized registry — counters, histograms, AND the
-    // simulated phase totals — must be byte-identical for any thread
-    // count. This is what lets CI `cmp` two `--metrics` exports and
-    // what makes the perf-gate baseline machine-independent. The lib
-    // never records wall-clock runtime_ms, so the raw JSON compares.
-    let one = run_crawl_threads(SITES, SEED, 1).metrics.to_json();
-    let two = run_crawl_threads(SITES, SEED, 2).metrics.to_json();
-    let eight = run_crawl_threads(SITES, SEED, 8).metrics.to_json();
-    assert!(!one.is_empty());
-    assert_eq!(one, two, "metrics JSON: 1 vs 2 threads");
-    assert_eq!(one, eight, "metrics JSON: 1 vs 8 threads");
+fn crawl_identical_across_thread_counts() {
+    assert_thread_invariant(&at_1_2_8(pure()), "clean");
 }
 
 #[test]
@@ -95,18 +108,13 @@ fn faulted_crawl_identical_across_thread_counts() {
     // profile, the merged output — series, tables, AND the fault.*
     // counters — is byte-identical at any thread count.
     let profile = FaultProfile::parse("drop=0.01,h421=0.02,middlebox=0.15").unwrap();
-    let one = run_crawl_faulted(SITES, SEED, 1, None, Some(&profile));
-    let two = run_crawl_faulted(SITES, SEED, 2, None, Some(&profile));
-    let eight = run_crawl_faulted(SITES, SEED, 8, None, Some(&profile));
-    assert!(
-        one.metrics.counter("fault.retries") > 0,
-        "profile never fired"
-    );
-    assert_results_equal(&one, &two, "faulted 1 vs 2 threads");
-    assert_results_equal(&one, &eight, "faulted 1 vs 8 threads");
-    let json = one.metrics.to_json();
-    assert_eq!(json, two.metrics.to_json(), "faulted metrics: 1 vs 2");
-    assert_eq!(json, eight.metrics.to_json(), "faulted metrics: 1 vs 8");
+    let runs = at_1_2_8(CrawlSpec {
+        faults: Some(profile),
+        ..pure()
+    });
+    let retries = runs[0].metrics.counter("fault.retries");
+    assert!(retries > 0, "profile never fired");
+    assert_thread_invariant(&runs, "faulted");
 }
 
 #[test]
@@ -116,31 +124,13 @@ fn h3_crawl_identical_across_thread_counts() {
     // guarantee survives the QUIC upgrade path: for any fixed share,
     // the merged output — series, tables, AND the h3.* counters — is
     // byte-identical at any thread count.
-    use origin_bench::run_crawl_h3;
-    let one = run_crawl_h3(SITES, SEED, 1, None, None, 0.0, 0.5);
-    let two = run_crawl_h3(SITES, SEED, 2, None, None, 0.0, 0.5);
-    let eight = run_crawl_h3(SITES, SEED, 8, None, None, 0.0, 0.5);
-    assert!(
-        one.metrics.counter("h3.connections") > 0,
-        "no connection ever upgraded to QUIC"
-    );
-    assert_results_equal(&one, &two, "h3 1 vs 2 threads");
-    assert_results_equal(&one, &eight, "h3 1 vs 8 threads");
-    let json = one.metrics.to_json();
-    assert_eq!(json, two.metrics.to_json(), "h3 metrics: 1 vs 2");
-    assert_eq!(json, eight.metrics.to_json(), "h3 metrics: 1 vs 8");
-}
-
-#[test]
-fn zero_h3_share_reproduces_the_pure_crawl() {
-    // `--h3-share 0` must be indistinguishable from a build without
-    // the h3 crate: no h3.* key materializes, no RNG draw happens,
-    // and every series matches, so the committed reports stay valid.
-    use origin_bench::run_crawl_h3;
-    let pure = run_crawl_threads(SITES, SEED, 2);
-    let zero = run_crawl_h3(SITES, SEED, 2, None, None, 0.0, 0.0);
-    assert_results_equal(&pure, &zero, "pure vs h3 share 0");
-    assert_eq!(pure.metrics.to_json(), zero.metrics.to_json());
+    let runs = at_1_2_8(CrawlSpec {
+        h3_share: 0.5,
+        ..pure()
+    });
+    let quic = runs[0].metrics.counter("h3.connections");
+    assert!(quic > 0, "no connection ever upgraded to QUIC");
+    assert_thread_invariant(&runs, "h3");
 }
 
 #[test]
@@ -148,15 +138,22 @@ fn zero_fault_profile_reproduces_the_clean_crawl() {
     // `--faults` with an all-zero profile must be indistinguishable
     // from no `--faults` at all: no fault.* key materializes and every
     // series matches, so the committed clean reports stay valid.
-    let clean = run_crawl_threads(SITES, SEED, 2);
-    let zero = run_crawl_faulted(SITES, SEED, 2, None, Some(&FaultProfile::none()));
+    let clean = on_two(pure());
+    let zero = on_two(CrawlSpec {
+        faults: Some(FaultProfile::none()),
+        ..pure()
+    });
     assert_results_equal(&clean, &zero, "clean vs zero profile");
     assert_eq!(clean.metrics.to_json(), zero.metrics.to_json());
 }
 
 #[test]
 fn crawl_metrics_cover_every_pipeline_stage() {
-    let r = run_crawl_threads(SITES, SEED, 1);
+    let r = CrawlSpec {
+        threads: 1,
+        ..pure()
+    }
+    .run();
     for key in [
         "crawl.pages",
         "browser.requests",
@@ -199,10 +196,10 @@ fn trace_json_identical_across_thread_counts() {
     // The whole point of deriving span/flow IDs from (visit, sequence)
     // and merging tracers along the rank-ordered shard spine: the
     // exported Chrome trace JSON is byte-identical for any --threads.
-    let sampler = Sampler::new(4);
-    let one = run_crawl_traced(SITES, SEED, 1, Some(&sampler));
-    let two = run_crawl_traced(SITES, SEED, 2, Some(&sampler));
-    let eight = run_crawl_traced(SITES, SEED, 8, Some(&sampler));
+    let [one, two, eight] = at_1_2_8(CrawlSpec {
+        sampler: Some(Sampler::new(4)),
+        ..pure()
+    });
     assert!(!one.trace.is_empty(), "sampled crawl produced no events");
     let json = to_chrome_json(&one.trace);
     assert_eq!(json, to_chrome_json(&two.trace), "trace: 1 vs 2 threads");
@@ -213,8 +210,11 @@ fn trace_json_identical_across_thread_counts() {
 fn tracing_does_not_perturb_the_simulation() {
     // A traced crawl must measure exactly what an untraced crawl
     // measures: tracing reads simulation state, never the RNG.
-    let traced = run_crawl_traced(SITES, SEED, 2, Some(&Sampler::new(2)));
-    let untraced = run_crawl_threads(SITES, SEED, 2);
+    let traced = on_two(CrawlSpec {
+        sampler: Some(Sampler::new(2)),
+        ..pure()
+    });
+    let untraced = on_two(pure());
     assert_eq!(traced.measured.plt, untraced.measured.plt);
     assert_eq!(traced.measured.dns, untraced.measured.dns);
     assert_eq!(traced.model_origin.plt, untraced.model_origin.plt);

@@ -5,7 +5,7 @@
 //! (`fault.*` / `h1.*` / `h3.*` / `obs.*` keys exist only when the subsystem
 //! actually did something) holds.
 
-use origin_bench::{run_crawl_mixed, run_crawl_observed, ObsConfig};
+use origin_bench::{CrawlSpec, ObsConfig};
 use origin_netsim::{FaultProfile, SimDuration};
 
 const SITES: u32 = 200;
@@ -13,18 +13,22 @@ const SEED: u64 = 0xD373;
 
 const PROFILE: &str = "drop=0.01,h421=0.02,middlebox=0.15";
 
-fn observed(threads: usize, obs: &ObsConfig) -> origin_bench::CrawlResults {
-    let profile = FaultProfile::parse(PROFILE).unwrap();
-    run_crawl_observed(
-        SITES,
-        SEED,
+/// The quarter-legacy universe under the reference-style profile.
+fn faulted_mixed(threads: usize) -> CrawlSpec {
+    CrawlSpec {
         threads,
-        None,
-        Some(&profile),
-        0.25,
-        0.0,
-        Some(obs),
-    )
+        faults: Some(FaultProfile::parse(PROFILE).unwrap()),
+        legacy_share: 0.25,
+        ..CrawlSpec::new(SITES, SEED)
+    }
+}
+
+fn observed(threads: usize, obs: &ObsConfig) -> origin_bench::CrawlResults {
+    CrawlSpec {
+        obs: Some(obs.clone()),
+        ..faulted_mixed(threads)
+    }
+    .run()
 }
 
 #[test]
@@ -63,8 +67,7 @@ fn observation_does_not_perturb_the_crawl() {
     // Observation reads completed loads; it must never touch the
     // simulation. An observed crawl measures exactly what an
     // unobserved one does, and only the observed run carries obs.*.
-    let profile = FaultProfile::parse(PROFILE).unwrap();
-    let plain = run_crawl_mixed(SITES, SEED, 2, None, Some(&profile), 0.25);
+    let plain = faulted_mixed(2).run();
     let obs = ObsConfig::default();
     let seen = observed(2, &obs);
     assert_eq!(plain.measured.plt, seen.measured.plt);
@@ -157,8 +160,13 @@ fn never_firing_fault_profile_is_byte_identical_to_clean() {
     // crawl byte for byte — stronger than the all-zero-profile test,
     // because the fault session objects exist and draw nothing.
     let tiny = FaultProfile::parse("drop=0.0000000001").unwrap();
-    let clean = run_crawl_mixed(SITES, SEED, 2, None, None, 0.25);
-    let silent = run_crawl_mixed(SITES, SEED, 2, None, Some(&tiny), 0.25);
+    let [clean, silent] = [None, Some(tiny)].map(|faults| {
+        CrawlSpec {
+            faults,
+            ..faulted_mixed(2)
+        }
+        .run()
+    });
     assert_eq!(clean.measured.plt, silent.measured.plt);
     let clean_json = clean.metrics.to_json();
     assert_eq!(clean_json, silent.metrics.to_json());
@@ -173,7 +181,7 @@ fn absent_subsystems_export_no_keys() {
     // One clean all-h2 crawl: no fault injection, no legacy sites, no
     // observation. None of the optional families may materialize —
     // this is what keeps the committed baseline schema stable.
-    let r = run_crawl_mixed(SITES, SEED, 2, None, None, 0.0);
+    let r = CrawlSpec::new(SITES, SEED).run();
     let json = r.metrics.to_json();
     for family in ["\"fault.", "\"h1.", "\"h3.", "\"obs."] {
         assert!(

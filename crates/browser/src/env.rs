@@ -141,10 +141,7 @@ impl HostFactCache {
             0
         } else {
             // Stable per-host class (FNV over the name), as before.
-            let h = host.as_str().bytes().fold(0xcbf29ce484222325u64, |acc, b| {
-                (acc ^ b as u64).wrapping_mul(0x100000001b3)
-            });
-            if h % 2 == 0 {
+            if origin_netsim::rng::fnv1a64(host.as_str().as_bytes()).is_multiple_of(2) {
                 1
             } else {
                 2

@@ -19,11 +19,11 @@ use origin_h3::{H3Conn, H3Counts, H3RequestStats, H3Session};
 use origin_netsim::fault::{FaultInjector, NonCompliantMiddlebox, PacketFate};
 use origin_netsim::link::INIT_CWND;
 use origin_netsim::{
-    FaultProfile, HandshakeModel, Middlebox, MiddleboxVerdict, SimDuration, SimRng, SimTime,
-    TlsVersion,
+    FaultProfile, HandshakeModel, LinkProfile, Middlebox, MiddleboxVerdict, SimDuration, SimRng,
+    SimTime, TlsVersion,
 };
 use origin_web::har::{PageLoad, Phase, RequestTiming};
-use origin_web::{Page, Protocol};
+use origin_web::{Page, Protocol, Resource};
 use std::net::{IpAddr, Ipv4Addr};
 
 /// RFC 8336 ORIGIN frame type code — what the §6.7 middlebox keys on.
@@ -175,6 +175,51 @@ struct H1Stats {
     redundant: [u64; 5],
 }
 
+/// The protocol machine riding one pooled connection. Every connection
+/// enters the pool as `H2` — h2 needs no per-connection machine here —
+/// and is upgraded in place the first time a request needs one: a
+/// legacy page's HTTP/1.1 request, or a request riding a connection the
+/// pool marks `quic`. Legacy and h3 pages are disjoint, so a slot is
+/// only ever upgraded once.
+enum Transport {
+    H2,
+    H1(H1Connection),
+    /// Boxed: QPACK tables and the CID registry make this several times
+    /// the size of the other variants, and most slots are `H2`.
+    Quic(Box<H3Conn>),
+}
+
+impl Transport {
+    fn h1(&mut self) -> &mut H1Connection {
+        if let Transport::H2 = self {
+            *self = Transport::H1(H1Connection::new(H1Role::Client));
+        }
+        match self {
+            Transport::H1(machine) => machine,
+            _ => unreachable!("a QUIC connection never carries a legacy HTTP/1.1 request"),
+        }
+    }
+
+    fn quic(&mut self) -> &mut H3Conn {
+        if let Transport::H2 = self {
+            *self = Transport::Quic(Box::new(H3Conn::new()));
+        }
+        match self {
+            Transport::Quic(machine) => machine,
+            _ => unreachable!("an HTTP/1.1 connection is never marked quic"),
+        }
+    }
+}
+
+/// The loader's side of one pooled connection, slot-for-slot with
+/// [`ConnectionPool::connections`].
+struct ConnState {
+    /// Simulated time (µs) the connection started opening — the anchor
+    /// for coalescing flow arrows.
+    open_us: u64,
+    transport: Transport,
+}
+
 /// Per-visit working memory, recycled across page loads.
 ///
 /// A cold load allocates a connection pool (five index maps), the
@@ -195,16 +240,10 @@ pub struct VisitArena {
     pool: ConnectionPool,
     ready: Vec<f64>,
     child_seq: Vec<u32>,
-    conn_open_us: Vec<u64>,
     timings: Vec<RequestTiming>,
-    /// One slot per pooled connection: the HTTP/1.1 state machine
-    /// driving it, for connections a legacy page opened over h1.
-    /// `None` for h2 connections (and everything on a pure-h2 page).
-    h1_sessions: Vec<Option<H1Connection>>,
-    /// One slot per pooled connection: the QPACK/connection-ID
-    /// machinery of a QUIC connection. `None` for TCP connections
-    /// (and everything outside an h3 universe).
-    h3_conns: Vec<Option<H3Conn>>,
+    /// One slot per pooled connection, pushed in lock-step with the
+    /// pool by `Visit::admit`.
+    conns: Vec<ConnState>,
     /// The visit's h3 memory: Alt-Svc scopes, session tickets,
     /// validated addresses. Reset per visit (fresh browser session);
     /// never touched on non-h3 pages.
@@ -281,128 +320,74 @@ impl PageLoader {
         }
     }
 
-    /// Simulate one page load. The environment's DNS cache should be
-    /// flushed beforehand to match the paper's fresh-session method.
+    /// Simulate one page load with every option of
+    /// [`PageLoader::load_observed`] at its default: no faults, no
+    /// telemetry, a throw-away arena. The environment's DNS cache
+    /// should be flushed beforehand to match the paper's fresh-session
+    /// method.
     pub fn load(&self, page: &Page, env: &mut dyn WebEnv, rng: &mut SimRng) -> PageLoad {
-        self.load_instrumented(page, env, rng, None)
-    }
-
-    /// Like [`PageLoader::load`] but also folds the load's work
-    /// counters and simulated phase times into `metrics`.
-    ///
-    /// Everything recorded is derived from the returned [`PageLoad`]
-    /// alone, per page, so the registry contents are independent of
-    /// how pages are sharded across crawl workers. Per-request
-    /// floating-point phase values are rounded to integer microseconds
-    /// *before* accumulation — summing f64s across differently-chunked
-    /// shards would not be associative.
-    pub fn load_instrumented(
-        &self,
-        page: &Page,
-        env: &mut dyn WebEnv,
-        rng: &mut SimRng,
-        metrics: Option<&mut origin_metrics::Registry>,
-    ) -> PageLoad {
-        self.load_faulted(page, env, rng, None, metrics, None)
-    }
-
-    /// [`PageLoader::load_instrumented`] plus span tracing: DNS
-    /// queries, TCP/TLS establishment with SAN validation, per-request
-    /// phase spans on the serving connection's track, coalescing
-    /// decisions annotated with the policy rule that allowed them, and
-    /// flow events linking each coalesced request back to the opening
-    /// of the connection it reused.
-    ///
-    /// The caller owns the visit context: call
-    /// [`origin_trace::Tracer::begin_visit`] with the site's rank
-    /// before loading. Tracing reads the same state the simulation
-    /// computes and never draws from `rng`, so a traced load returns
-    /// a [`PageLoad`] identical to an untraced one.
-    pub fn load_traced(
-        &self,
-        page: &Page,
-        env: &mut dyn WebEnv,
-        rng: &mut SimRng,
-        metrics: Option<&mut origin_metrics::Registry>,
-        tracer: &mut origin_trace::Tracer,
-    ) -> PageLoad {
-        self.load_faulted(page, env, rng, None, metrics, Some(tracer))
-    }
-
-    /// The full-featured entry point: [`PageLoader::load_traced`] plus
-    /// deterministic fault injection. With `faults` set, the load
-    /// suffers the session's profile and performs the client-side
-    /// recovery the paper implies — 421 → evict + replay on a
-    /// dedicated connection, middlebox teardown → reconnect with
-    /// ORIGIN suppressed, packet drop → bounded exponential-backoff
-    /// retransmit — and the per-visit `fault.*` counter deltas are
-    /// folded into `metrics`. Zero-valued fault counters are never
-    /// materialized, so an all-zero profile leaves the registry
-    /// byte-identical to a clean run's.
-    pub fn load_faulted(
-        &self,
-        page: &Page,
-        env: &mut dyn WebEnv,
-        rng: &mut SimRng,
-        faults: Option<&mut FaultSession>,
-        metrics: Option<&mut origin_metrics::Registry>,
-        tracer: Option<&mut origin_trace::Tracer>,
-    ) -> PageLoad {
-        self.load_faulted_with(
-            page,
-            env,
-            rng,
-            faults,
-            metrics,
-            tracer,
-            &mut VisitArena::new(),
-        )
-    }
-
-    /// [`PageLoader::load_faulted`] drawing working memory from a
-    /// caller-owned [`VisitArena`] instead of allocating per visit.
-    /// The returned load is byte-identical either way; crawl workers
-    /// hold one arena each and recycle loads back into it.
-    #[allow(clippy::too_many_arguments)] // the full-featured entry point plus its arena
-    pub fn load_faulted_with(
-        &self,
-        page: &Page,
-        env: &mut dyn WebEnv,
-        rng: &mut SimRng,
-        faults: Option<&mut FaultSession>,
-        metrics: Option<&mut origin_metrics::Registry>,
-        tracer: Option<&mut origin_trace::Tracer>,
-        arena: &mut VisitArena,
-    ) -> PageLoad {
         self.load_observed(
             page,
             env,
             rng,
-            faults,
-            metrics,
-            tracer,
-            arena,
+            None,
+            None,
+            None,
+            &mut VisitArena::new(),
             origin_obs::VisitSinks::default(),
         )
     }
 
-    /// [`PageLoader::load_faulted_with`] plus streaming observability:
-    /// with `sinks.flight` set, the load's notable events — connection
-    /// opens, injected faults and their recoveries, h1 close-delimited
-    /// teardowns, NXDOMAIN lookups — are appended to the caller's
-    /// bounded [`origin_obs::FlightRecorder`] as they happen; with
-    /// `sinks.visit` set, the completed load's per-visit observation
-    /// (request/connection/fault/h1 counters, PLT, handshake and byte
-    /// events with trace-span exemplar references) is derived into the
-    /// caller's [`origin_obs::VisitObs`].
+    /// Simulate one page load; the one full-featured entry point.
+    /// Every request runs the five-stage visit pipeline (resolve →
+    /// decide → open → transfer → timing; DESIGN.md "Visit pipeline").
+    /// Each optional argument switches on one independent concern:
     ///
-    /// The caller owns the visit context: call
-    /// [`origin_obs::FlightRecorder::begin_visit`] with the site's
-    /// rank before loading, and [`origin_obs::VisitObs::clear`] the
-    /// observation between visits. Observation reads the same state
-    /// the simulation computes and never draws from `rng`, so an
-    /// observed load returns a [`PageLoad`] identical to an
-    /// unobserved one.
+    /// - `faults` — deterministic fault injection. The load suffers
+    ///   the session's profile and performs the client-side recovery
+    ///   the paper implies: 421 → evict + replay on a dedicated
+    ///   connection, middlebox teardown → reconnect with ORIGIN
+    ///   suppressed, packet drop → bounded exponential-backoff
+    ///   retransmit. Every fault decision and repair cost draws from
+    ///   the session's own RNG, never from `rng` (see
+    ///   [`FaultSession`]).
+    /// - `metrics` — the load's work counters and simulated phase
+    ///   times. Everything recorded is derived per page from the
+    ///   finished load, so registry contents are independent of how
+    ///   pages are sharded across crawl workers; per-request f64 phase
+    ///   values are rounded to integer microseconds *before*
+    ///   accumulation (summing f64s across differently-chunked shards
+    ///   would not be associative). Zero-valued `fault.*`, `h1.*` and
+    ///   `h3.*` counters are never materialized, so an all-zero fault
+    ///   profile or a pure-h2 page leaves the registry byte-identical
+    ///   to a run without that subsystem.
+    /// - `tracer` — span tracing: DNS queries, TCP/TLS or QUIC
+    ///   establishment with SAN validation, per-request phase spans on
+    ///   the serving connection's track, coalescing decisions
+    ///   annotated with the policy rule that allowed them, and flow
+    ///   events linking each coalesced request back to the opening of
+    ///   the connection it reused. The caller owns the visit context:
+    ///   call [`origin_trace::Tracer::begin_visit`] with the site's
+    ///   rank before loading.
+    /// - `sinks.flight` — the load's notable events (connection opens,
+    ///   injected faults and their recoveries, h1 close-delimited
+    ///   teardowns, NXDOMAIN lookups) appended to the caller's bounded
+    ///   [`origin_obs::FlightRecorder`] as they happen; call
+    ///   [`origin_obs::FlightRecorder::begin_visit`] first.
+    /// - `sinks.visit` — the completed load's per-visit observation
+    ///   (request/connection/fault/h1 counters, PLT, handshake and
+    ///   byte events with trace-span exemplar references);
+    ///   [`origin_obs::VisitObs::clear`] it between visits.
+    ///
+    /// Tracing and observation read the state the simulation computes
+    /// and never draw from `rng`, so the returned [`PageLoad`] is
+    /// identical whichever sinks are attached. `arena` carries buffer
+    /// *capacity* only between visits (see [`VisitArena`]): crawl
+    /// workers hold one each and recycle loads back into it, and the
+    /// load is byte-identical through a warm or a fresh one.
+    ///
+    /// The positional signature is pinned by the frozen harness under
+    /// `benchmark/`.
     #[allow(clippy::too_many_arguments)]
     pub fn load_observed(
         &self,
@@ -416,19 +401,37 @@ impl PageLoader {
         sinks: origin_obs::VisitSinks<'_>,
     ) -> PageLoad {
         let before = faults.as_deref().map(|f| f.counts).unwrap_or_default();
-        let mut h1 = H1Stats::default();
-        let mut h3 = H3Stats::default();
-        let load = self.load_inner(
+        let n = page.resources.len();
+        arena.pool.clear();
+        arena.conns.clear();
+        arena.h3_session.recycle();
+        arena.timings.clear();
+        arena.timings.reserve(n);
+        // ready[i]: time resource i finished, gating its children.
+        arena.ready.clear();
+        arena.ready.resize(n, 0.0f64);
+        // Count children seen per parent for stagger offsets.
+        arena.child_seq.clear();
+        arena.child_seq.resize(n, 0u32);
+        let (h1, h3) = Visit {
+            config: &self.config,
             page,
             env,
             rng,
+            faults: faults.as_deref_mut(),
             tracer,
-            faults.as_deref_mut(),
+            flight: sinks.flight,
             arena,
-            &mut h1,
-            &mut h3,
-            sinks.flight,
-        );
+            h1: H1Stats::default(),
+            h3: H3Stats::default(),
+        }
+        .run();
+        let load = PageLoad {
+            rank: page.rank,
+            root_host: page.root_host.clone(),
+            requests: std::mem::take(&mut arena.timings),
+        };
+
         let delta = faults.as_deref().map(|f| f.counts.since(&before));
         if let Some(v) = sinks.visit {
             observe_visit(v, page, &load, &h1, delta.as_ref());
@@ -443,43 +446,123 @@ impl PageLoader {
         }
         load
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn load_inner(
-        &self,
-        page: &Page,
-        env: &mut dyn WebEnv,
-        rng: &mut SimRng,
-        mut tracer: Option<&mut origin_trace::Tracer>,
-        mut faults: Option<&mut FaultSession>,
-        arena: &mut VisitArena,
-        h1: &mut H1Stats,
-        h3: &mut H3Stats,
-        mut flight: Option<&mut origin_obs::FlightRecorder>,
-    ) -> PageLoad {
-        let n = page.resources.len();
-        h1.pages += u64::from(page.legacy);
-        h3.pages += u64::from(page.h3);
-        arena.pool.clear();
-        arena.h1_sessions.clear();
-        arena.h3_conns.clear();
-        arena.h3_session.recycle();
-        let mut timings = std::mem::take(&mut arena.timings);
-        timings.clear();
-        timings.reserve(n);
-        // start_available[i]: earliest time resource i can dispatch.
-        arena.ready.clear();
-        arena.ready.resize(n, 0.0f64);
-        // Count children seen per parent for stagger offsets.
-        arena.child_seq.clear();
-        arena.child_seq.resize(n, 0u32);
+/// One page visit in flight: the world every pipeline stage reads and
+/// writes. Built by [`PageLoader::load_observed`] over its own
+/// arguments; consumed by [`Visit::run`].
+///
+/// Two RNGs are in reach and the stages keep them apart: `rng` is the
+/// simulation stream (page skeleton, DNS, handshakes, think times),
+/// `faults.rng` pays for every fault decision and every repair. The
+/// `tracer` and `flight` sinks only ever read.
+struct Visit<'a> {
+    config: &'a BrowserConfig,
+    page: &'a Page,
+    env: &'a mut dyn WebEnv,
+    rng: &'a mut SimRng,
+    faults: Option<&'a mut FaultSession>,
+    tracer: Option<&'a mut origin_trace::Tracer>,
+    flight: Option<&'a mut origin_obs::FlightRecorder>,
+    arena: &'a mut VisitArena,
+    h1: H1Stats,
+    h3: H3Stats,
+}
+
+/// One request's passage through the pipeline: the facts fixed at
+/// dispatch plus what the stages learn on the way.
+struct Request<'p> {
+    res: &'p Resource,
+    link: LinkProfile,
+    partition: PoolPartition,
+    /// Only secure h2 resources on a page whose origins deploy h3 can
+    /// upgrade to QUIC. Never true outside an h3 universe, so the
+    /// pure-h2 paths are untouched at `h3_share = 0`.
+    h3_eligible: bool,
+    /// A legacy page's HTTP/1.1 requests drive the sans-IO state
+    /// machine; the gate is the page's legacy flag — never the
+    /// protocol alone — so the default universe's sampled-H11 traffic
+    /// keeps its exact pre-mixed-universe behaviour.
+    legacy_h1: bool,
+    /// The DNS answer; empty until (and unless) the request resolves.
+    addrs: std::sync::Arc<[IpAddr]>,
+    /// Setup time wasted on failed attempts (421 round trip,
+    /// middlebox-torn handshake) before the request could proceed;
+    /// charged as blocked time, like a browser waterfall would show.
+    fault_penalty_ms: f64,
+    reuse_label: &'static str,
+    rule_label: Option<&'static str>,
+    /// Trace annotations from the transfer stage: the QPACK view of an
+    /// h3 request, the framing and keep-alive cycle of an h1 request.
+    h3_qpack: Option<H3RequestStats>,
+    h1_framing: Option<(&'static str, u64)>,
+    /// The record under construction. It starts as the *unserved*
+    /// record — no network resources, protocol N/A — which is exactly
+    /// what an N/A skip or an NXDOMAIN returns; [`Visit::finish`]
+    /// stamps protocol and address on the requests that get served.
+    t: RequestTiming,
+}
+
+impl<'p> Request<'p> {
+    fn dispatch(page: &'p Page, idx: usize, start: f64, env: &dyn WebEnv) -> Self {
+        let res = &page.resources[idx];
+        let host = res.host.clone();
+        let (asn, link) = env.request_facts(&host);
+        Request {
+            res,
+            link,
+            partition: PoolPartition::from(res.fetch_mode),
+            h3_eligible: page.h3 && res.secure && res.protocol == Protocol::H2,
+            legacy_h1: page.legacy && res.protocol == Protocol::H11,
+            addrs: empty_addrs(),
+            fault_penalty_ms: 0.0,
+            reuse_label: "new",
+            rule_label: None,
+            h3_qpack: None,
+            h1_framing: None,
+            t: RequestTiming {
+                resource_index: idx,
+                host,
+                ip: PLACEHOLDER_IP,
+                asn,
+                start,
+                phase: Phase::default(),
+                did_dns: false,
+                new_connection: false,
+                coalesced: false,
+                protocol: Protocol::NA,
+                cert_issuer: None,
+                secure: res.secure,
+                extra_connections: 0,
+                extra_dns: 0,
+            },
+        }
+    }
+
+    /// When the request can ask the pool for a connection (ms).
+    fn after_dns(&self) -> f64 {
+        self.t.start + self.t.phase.dns
+    }
+
+    /// When connection setup can begin: after DNS and after whatever
+    /// failed attempts the faults cost (ms).
+    fn setup_start(&self) -> f64 {
+        self.after_dns() + self.fault_penalty_ms
+    }
+}
+
+impl Visit<'_> {
+    /// Walk the resource tree in discovery order, dispatching each
+    /// resource when its parent and the main thread allow, and return
+    /// the visit's protocol stats.
+    fn run(mut self) -> (H1Stats, H3Stats) {
+        let page = self.page;
+        self.h1.pages = u64::from(page.legacy);
+        self.h3.pages = u64::from(page.h3);
         // The browser main thread parses/executes resources serially;
         // this is the CPU floor under PLT that coalescing cannot
         // remove (and the reason §6.1 warns against assuming "faster").
         let mut main_thread_free = 0.0f64;
-        // Simulated time (µs) each pooled connection started opening —
-        // the anchor for coalescing flow arrows.
-        arena.conn_open_us.clear();
 
         for (idx, res) in page.resources.iter().enumerate() {
             let parent = if idx == 0 {
@@ -493,14 +576,14 @@ impl PageLoader {
                 // parent — the dependency-graph computation the §4.1
                 // reconstruction leaves untouched. Scripts and style
                 // sheets cost more than images.
-                let seq = arena.child_seq[p];
-                arena.child_seq[p] += 1;
+                let seq = self.arena.child_seq[p];
+                self.arena.child_seq[p] += 1;
                 let parent_cpu = if page.resources[p].content_type.is_render_blocking() {
-                    rng.log_normal(40.0, 0.8)
+                    self.rng.log_normal(40.0, 0.8)
                 } else {
-                    rng.log_normal(8.0, 0.5)
+                    self.rng.log_normal(8.0, 0.5)
                 };
-                let dep_ready = arena.ready[p]
+                let dep_ready = self.arena.ready[p]
                     + parent_cpu
                     + self.config.dispatch_delay_ms * (1.0 + seq as f64 * 6.0);
                 // The main thread must also have worked through the
@@ -512,601 +595,617 @@ impl PageLoader {
 
             // Main-thread slice consumed handling this resource (a
             // queue of CPU work, not a ratchet on start times).
-            main_thread_free += rng.log_normal(9.0, 0.5);
-            let timing = self.run_request(
-                page,
-                idx,
-                start,
-                &mut arena.pool,
-                env,
-                rng,
-                tracer.as_deref_mut(),
-                faults.as_deref_mut(),
-                &mut arena.conn_open_us,
-                &mut arena.h1_sessions,
-                h1,
-                &mut arena.h3_session,
-                &mut arena.h3_conns,
-                h3,
-                flight.as_deref_mut(),
-            );
-            arena.ready[idx] = timing.end();
-            timings.push(timing);
+            main_thread_free += self.rng.log_normal(9.0, 0.5);
+            let timing = self.run_request(idx, start);
+            self.arena.ready[idx] = timing.end();
+            self.arena.timings.push(timing);
         }
 
         if page.h3 {
             // Fold the visit's session counters and per-connection
             // QPACK/CID totals into the stats the registry sees.
-            h3.counts = arena.h3_session.counts;
-            for conn in arena.h3_conns.iter().flatten() {
-                h3.qpack_instructions += conn.qpack_instructions();
-                h3.qpack_evictions += conn.qpack_evictions();
-                h3.cids_issued += conn.cids_issued();
-                h3.cids_retired += conn.cids_retired();
+            self.h3.counts = self.arena.h3_session.counts;
+            for state in self.arena.conns.iter() {
+                if let Transport::Quic(conn) = &state.transport {
+                    self.h3.qpack_instructions += conn.qpack_instructions();
+                    self.h3.qpack_evictions += conn.qpack_evictions();
+                    self.h3.cids_issued += conn.cids_issued();
+                    self.h3.cids_retired += conn.cids_retired();
+                }
             }
         }
-
-        PageLoad {
-            rank: page.rank,
-            root_host: page.root_host.clone(),
-            requests: timings,
-        }
+        (self.h1, self.h3)
     }
 
-    #[allow(clippy::too_many_arguments)] // one request, its world, and an observer
-    fn run_request(
-        &self,
-        page: &Page,
-        idx: usize,
-        start: f64,
-        pool: &mut ConnectionPool,
-        env: &mut dyn WebEnv,
-        rng: &mut SimRng,
-        mut tracer: Option<&mut origin_trace::Tracer>,
-        mut faults: Option<&mut FaultSession>,
-        conn_open_us: &mut Vec<u64>,
-        h1_sessions: &mut Vec<Option<H1Connection>>,
-        h1: &mut H1Stats,
-        h3_session: &mut H3Session,
-        h3_conns: &mut Vec<Option<H3Conn>>,
-        h3: &mut H3Stats,
-        mut flight: Option<&mut origin_obs::FlightRecorder>,
-    ) -> RequestTiming {
-        let res = &page.resources[idx];
-        // h3 participation gate: only secure h2 resources on a page
-        // whose origins deploy h3 can upgrade to QUIC. Never true
-        // outside an h3 universe, so the pure-h2 paths below are
-        // untouched at `h3_share = 0`.
-        let h3_eligible = page.h3 && res.secure && res.protocol == Protocol::H2;
-        // A legacy page's HTTP/1.1 requests drive the sans-IO state
-        // machine; the gate is the page's legacy flag — never the
-        // protocol alone — so the default universe's sampled-H11
-        // traffic keeps its exact pre-mixed-universe behaviour.
-        let legacy_h1 = page.legacy && res.protocol == Protocol::H11;
-        let host = res.host.clone();
-        let (asn, link) = env.request_facts(&host);
-        let placeholder_ip = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
-
+    /// One request through the five stages.
+    fn run_request(&mut self, idx: usize, start: f64) -> RequestTiming {
+        let mut rq = Request::dispatch(self.page, idx, start, &*self.env);
         // Failed/aborted requests (Table 3's N/A rows) consume no
         // network resources.
-        if res.protocol == Protocol::NA {
-            if let Some(t) = tracer.as_deref_mut() {
+        if rq.res.protocol == Protocol::NA {
+            if let Some(t) = self.tracer.as_deref_mut() {
                 t.set_tid(0);
                 t.instant_at(
                     "req.skipped",
                     "request",
                     ms_us(start),
-                    vec![("host", host.as_str().into()), ("reason", "n/a".into())],
+                    vec![
+                        ("host", rq.t.host.as_str().into()),
+                        ("reason", "n/a".into()),
+                    ],
                 );
             }
-            return RequestTiming {
-                resource_index: idx,
-                host,
-                ip: placeholder_ip,
-                asn,
-                start,
-                phase: Phase::default(),
-                did_dns: false,
-                new_connection: false,
-                coalesced: false,
-                protocol: Protocol::NA,
-                cert_issuer: None,
-                secure: res.secure,
-                extra_connections: 0,
-                extra_dns: 0,
-            };
+            return rq.t;
+        }
+        if !self.resolve(&mut rq) {
+            return rq.t;
+        }
+        let decision = self.decide(&mut rq);
+        let conn_idx = self.open(&mut rq, decision);
+        self.transfer(&mut rq, conn_idx);
+        self.finish(rq, conn_idx)
+    }
+
+    /// How the pool would connect `rq` at time `at` given DNS answer
+    /// `addrs` (empty: before, or without, resolving).
+    fn ask_pool(&self, rq: &Request<'_>, addrs: &[IpAddr], at: f64) -> ReuseDecision {
+        let host = &rq.t.host;
+        self.arena.pool.decide(
+            self.config.kind,
+            host,
+            addrs,
+            rq.partition,
+            self.config.max_h1_per_host,
+            at,
+            |ch| self.env.colocated(ch, host),
+        )
+    }
+
+    /// Stage 1 — resolve: probe the pool for a connection that serves
+    /// the name without DNS, else query. Draws from `rng` only (the
+    /// resolver's latency, then the speculative-query race). Returns
+    /// `false` on NXDOMAIN, leaving `rq.t` the failed record.
+    fn resolve(&mut self, rq: &mut Request<'_>) -> bool {
+        let kind = self.config.kind;
+        let host = &rq.t.host;
+        let start = rq.t.start;
+        // Would an existing connection serve without DNS? The ideal
+        // models skip the query for coalesced names; real browsers
+        // always resolve first (§6.8) unless configured to trust the
+        // ORIGIN set.
+        let trusts_origin = self.config.trust_origin_without_dns && kind.uses_origin_frame();
+        let skip_dns = (trusts_origin || !kind.dns_before_coalesce()) && {
+            let probe = self.ask_pool(rq, &[], start);
+            trusts_origin && matches!(probe, ReuseDecision::Coalesce(_))
+                || !kind.dns_before_coalesce() && probe != ReuseDecision::New
+        };
+        if skip_dns {
+            return true;
         }
 
         let now = SimTime::from_micros((start.max(0.0) * 1_000.0) as u64);
-        let partition = PoolPartition::from(res.fetch_mode);
-
-        // Would an existing connection serve without DNS? The ideal
-        // models skip the query for coalesced names; real browsers
-        // always resolve first (§6.8).
-        let mut dns_ms = 0.0;
-        let mut did_dns = false;
-        let mut extra_dns = 0u8;
-        let mut addrs: std::sync::Arc<[IpAddr]> = empty_addrs();
-        let origin_trusted = self.config.trust_origin_without_dns
-            && self.config.kind.uses_origin_frame()
-            && matches!(
-                pool.decide(
-                    self.config.kind,
-                    &host,
-                    &[],
-                    partition,
-                    self.config.max_h1_per_host,
-                    start,
-                    |ch| env.colocated(ch, &host),
-                ),
-                ReuseDecision::Coalesce(_)
-            );
-        let skip_dns_probe = origin_trusted
-            || !self.config.kind.dns_before_coalesce()
-                && !matches!(
-                    pool.decide(
-                        self.config.kind,
-                        &host,
-                        &[],
-                        partition,
-                        self.config.max_h1_per_host,
-                        start,
-                        |ch| env.colocated(ch, &host),
-                    ),
-                    ReuseDecision::New
-                );
-        if !skip_dns_probe {
-            let answer = match tracer.as_deref_mut() {
-                Some(t) => {
-                    t.set_tid(0);
-                    t.set_now_us(ms_us(start));
-                    env.resolve_traced(&host, now, rng, t)
-                }
-                None => env.resolve(&host, now, rng),
-            };
-            match answer {
-                Some(ans) => {
-                    dns_ms = ans.latency.as_millis_f64();
-                    did_dns = !ans.from_cache;
-                    addrs = ans.addresses;
-                }
-                None => {
-                    // NXDOMAIN: the request fails after the lookup.
-                    if let Some(rec) = flight.as_deref_mut() {
-                        rec.record(ms_us(start), "dns.nxdomain", idx as u64, host.as_str());
-                    }
-                    if let Some(t) = tracer.as_deref_mut() {
-                        t.complete(
-                            &format!("req {} {}", idx, host.as_str()),
-                            "request",
-                            ms_us(start),
-                            ms_us(15.0),
-                            vec![
-                                ("host", host.as_str().into()),
-                                ("outcome", "nxdomain".into()),
-                            ],
-                        );
-                    }
-                    return RequestTiming {
-                        resource_index: idx,
-                        host,
-                        ip: placeholder_ip,
-                        asn,
-                        start,
-                        phase: Phase {
-                            dns: 15.0,
-                            ..Default::default()
-                        },
-                        did_dns: true,
-                        new_connection: false,
-                        coalesced: false,
-                        protocol: Protocol::NA,
-                        cert_issuer: None,
-                        secure: res.secure,
-                        extra_connections: 0,
-                        extra_dns: 0,
-                    };
-                }
+        let answer = match self.tracer.as_deref_mut() {
+            Some(t) => {
+                t.set_tid(0);
+                t.set_now_us(ms_us(start));
+                self.env.resolve_traced(host, now, self.rng, t)
             }
-            if did_dns && rng.chance(self.config.speculative_dns_rate) {
-                extra_dns = 1;
-            }
-        }
-
-        let mut decision = pool.decide(
-            self.config.kind,
-            &host,
-            &addrs,
-            partition,
-            self.config.max_h1_per_host,
-            start + dns_ms,
-            |ch| env.colocated(ch, &host),
-        );
-
-        // Setup time wasted on failed attempts (421 round trip,
-        // middlebox-torn handshake) before the request could proceed;
-        // charged as blocked time, like a browser waterfall would show.
-        let mut fault_penalty_ms = 0.0;
-        let mut replayed_after_421 = false;
-        if let (Some(f), ReuseDecision::Coalesce(i)) = (faults.as_deref_mut(), decision) {
-            if f.rng.chance(f.profile.h421_for(host.as_str())) {
-                // The server behind the coalesced connection refused
-                // this authority: one full round trip learns that via
-                // `421 Misdirected Request`. Evict the mapping so no
-                // later request repeats the mistake, then replay on a
-                // dedicated connection.
-                let rtt_ms = link.rtt.as_millis_f64();
-                pool.evict_coalesce(&host, i);
-                f.counts.misdirected_421 += 1;
-                f.counts.pool_evictions += 1;
-                f.counts.retries += 1;
-                if let Some(rec) = flight.as_deref_mut() {
-                    rec.record(ms_us(start + dns_ms), "fault.421", i as u64, host.as_str());
-                }
-                if let Some(t) = tracer.as_deref_mut() {
-                    t.set_tid(1 + i as u64);
-                    t.instant_at(
-                        "fault.421",
-                        "fault",
-                        ms_us(start + dns_ms),
-                        vec![("host", host.as_str().into()), ("conn", (i as u64).into())],
-                    );
-                    t.instant_at(
-                        "fault.evict",
-                        "fault",
-                        ms_us(start + dns_ms + rtt_ms),
-                        vec![("host", host.as_str().into()), ("conn", (i as u64).into())],
-                    );
-                }
-                fault_penalty_ms += rtt_ms;
-                replayed_after_421 = true;
-                decision = ReuseDecision::New;
-            }
-        }
-
-        let mut phase = Phase {
-            dns: dns_ms,
-            ..Default::default()
+            None => self.env.resolve(host, now, self.rng),
         };
-        let mut new_connection = false;
-        let mut coalesced = false;
-        let mut extra_connections = 0u8;
-        let mut cert_issuer = None;
-        let mut reuse_label = "new";
-        let mut rule_label: Option<&'static str> = None;
+        let Some(ans) = answer else {
+            // NXDOMAIN: the request fails after the lookup.
+            if let Some(rec) = self.flight.as_deref_mut() {
+                rec.record(
+                    ms_us(start),
+                    "dns.nxdomain",
+                    rq.t.resource_index as u64,
+                    host.as_str(),
+                );
+            }
+            if let Some(t) = self.tracer.as_deref_mut() {
+                t.complete(
+                    &format!("req {} {}", rq.t.resource_index, host.as_str()),
+                    "request",
+                    ms_us(start),
+                    ms_us(NXDOMAIN_MS),
+                    vec![
+                        ("host", host.as_str().into()),
+                        ("outcome", "nxdomain".into()),
+                    ],
+                );
+            }
+            rq.t.phase.dns = NXDOMAIN_MS;
+            rq.t.did_dns = true;
+            return false;
+        };
+        rq.t.phase.dns = ans.latency.as_millis_f64();
+        rq.t.did_dns = !ans.from_cache;
+        rq.addrs = ans.addresses;
+        if rq.t.did_dns && self.rng.chance(self.config.speculative_dns_rate) {
+            rq.t.extra_dns = 1;
+        }
+        true
+    }
+
+    /// Stage 2 — decide: ask the pool how the request gets a
+    /// connection. Draws nothing from `rng`; a coalesced ride may draw
+    /// a 421 from the fault RNG, which turns the decision into `New`.
+    fn decide(&mut self, rq: &mut Request<'_>) -> ReuseDecision {
+        let host = &rq.t.host;
+        let decision = self.ask_pool(rq, &rq.addrs, rq.after_dns());
+        let (Some(f), ReuseDecision::Coalesce(i)) = (self.faults.as_deref_mut(), decision) else {
+            return decision;
+        };
+        if !f.rng.chance(f.profile.h421_for(host.as_str())) {
+            return decision;
+        }
+        // The server behind the coalesced connection refused this
+        // authority: one full round trip learns that via `421
+        // Misdirected Request`. Evict the mapping so no later request
+        // repeats the mistake, then replay on a dedicated connection.
+        let rtt_ms = rq.link.rtt.as_millis_f64();
+        self.arena.pool.evict_coalesce(host, i);
+        f.counts.misdirected_421 += 1;
+        f.counts.pool_evictions += 1;
+        f.counts.retries += 1;
+        if let Some(rec) = self.flight.as_deref_mut() {
+            rec.record(ms_us(rq.after_dns()), "fault.421", i as u64, host.as_str());
+        }
+        if let Some(t) = self.tracer.as_deref_mut() {
+            t.set_tid(1 + i as u64);
+            t.instant_at(
+                "fault.421",
+                "fault",
+                ms_us(rq.after_dns()),
+                vec![("host", host.as_str().into()), ("conn", (i as u64).into())],
+            );
+            t.instant_at(
+                "fault.evict",
+                "fault",
+                ms_us(rq.after_dns() + rtt_ms),
+                vec![("host", host.as_str().into()), ("conn", (i as u64).into())],
+            );
+        }
+        rq.fault_penalty_ms += rtt_ms;
+        rq.reuse_label = "replay-421";
+        ReuseDecision::New
+    }
+
+    /// Stage 3 — open: attach the request to the connection the
+    /// decision names, or establish a new one (TCP+TLS, or QUIC in a
+    /// certificate scope that already advertised h3). Returns the
+    /// serving connection's pool index.
+    fn open(&mut self, rq: &mut Request<'_>, decision: ReuseDecision) -> usize {
         let conn_idx = match decision {
             ReuseDecision::SameHost(i) => {
-                reuse_label = "same-host";
-                let c = pool.get_mut(i);
+                rq.reuse_label = "same-host";
+                let c = &self.arena.pool.connections()[i];
                 // Real browsers queue behind a busy H1.1 connection;
                 // the ideal models are timing-blind best cases.
                 if self.config.kind.models_races()
                     && !c.multiplexes()
-                    && c.busy_until > start + dns_ms
+                    && c.busy_until > rq.after_dns()
                 {
-                    phase.blocked += c.busy_until - (start + dns_ms);
+                    rq.t.phase.blocked += c.busy_until - rq.after_dns();
                 }
                 i
             }
             ReuseDecision::Coalesce(i) => {
-                coalesced = true;
-                reuse_label = "coalesced";
-                let rule = pool.explain_coalesce(self.config.kind, &host, &addrs, i);
-                rule_label = Some(rule);
-                if let Some(t) = tracer.as_deref_mut() {
+                rq.t.coalesced = true;
+                rq.reuse_label = "coalesced";
+                let rule =
+                    self.arena
+                        .pool
+                        .explain_coalesce(self.config.kind, &rq.t.host, &rq.addrs, i);
+                rq.rule_label = Some(rule);
+                if let Some(t) = self.tracer.as_deref_mut() {
                     // Flow arrow from the reused connection's opening
                     // to this request's dispatch, plus an instant
                     // naming the rule that allowed the reuse.
                     let conn_tid = 1 + i as u64;
-                    let open_ts = conn_open_us.get(i).copied().unwrap_or(0);
+                    let open_ts = self.arena.conns.get(i).map_or(0, |c| c.open_us);
                     let id = t.next_id();
                     t.flow_start(id, "coalesce", "flow", open_ts, conn_tid);
                     t.set_tid(conn_tid);
-                    t.flow_end(id, "coalesce", "flow", ms_us(start + dns_ms));
+                    t.flow_end(id, "coalesce", "flow", ms_us(rq.after_dns()));
                     t.instant_at(
                         "coalesce",
                         "request",
-                        ms_us(start + dns_ms),
+                        ms_us(rq.after_dns()),
                         vec![
                             ("rule", rule.into()),
                             ("conn", (i as u64).into()),
-                            ("conn_host", pool.connections()[i].host.as_str().into()),
+                            (
+                                "conn_host",
+                                self.arena.pool.connections()[i].host.as_str().into(),
+                            ),
                         ],
                     );
                 }
                 i
             }
             ReuseDecision::New => {
-                new_connection = true;
-                let ip = addrs.first().copied().unwrap_or(placeholder_ip);
-                let cert = env.cert_shared(&host);
-                let quic_cert = match &cert {
-                    Some(c) if h3_eligible && h3_session.knows_h3(c.serial) => Some(c.clone()),
-                    _ => None,
-                };
-                if let Some(qc) = quic_cert {
-                    open_quic_connection(
-                        qc,
-                        &host,
-                        ip,
-                        &addrs,
-                        partition,
-                        res.protocol,
-                        start + dns_ms + fault_penalty_ms,
-                        &link,
-                        rng,
-                        pool,
-                        conn_open_us,
-                        h1_sessions,
-                        h3_conns,
-                        h3_session,
-                        &mut phase,
-                        &mut cert_issuer,
-                        tracer.as_deref_mut(),
-                        flight.as_deref_mut(),
-                    )
-                } else {
-                    // ALPN (RFC 7301) selects what the fresh connection
-                    // speaks: the client always offers `h2, http/1.1`,
-                    // the origin's advertisement — its deployment fact —
-                    // wins. Pure computation, so running it on every
-                    // setup perturbs nothing.
-                    let alpn = origin_tls::alpn_negotiate(
-                        origin_tls::alpn::CLIENT_OFFER,
-                        origin_tls::alpn::server_advertisement(res.protocol == Protocol::H2),
-                    );
-                    debug_assert_eq!(
-                        alpn == Some(origin_tls::AlpnProtocol::H2),
-                        res.protocol == Protocol::H2,
-                        "negotiated ALPN must agree with the deployed protocol"
-                    );
-                    // CDN edges negotiate TLS 1.3; roughly half the tail
-                    // origins still ran TLS 1.2 (2-RTT handshakes) at the
-                    // paper's Feb-2021 snapshot.
-                    let is_tail_path = link.rtt > origin_netsim::SimDuration::from_millis(40);
-                    let tls = if is_tail_path && rng.chance(0.65) {
-                        TlsVersion::Tls12
-                    } else {
-                        TlsVersion::Tls13
-                    };
-                    let hs = HandshakeModel::for_certificate(
-                        tls,
-                        cert.as_ref().map(|c| c.wire_size()).unwrap_or(1_500),
-                    );
-                    let mut cost = hs.connect(&link, rng);
-                    let mut origin_set = env.origin_set_for(&host);
-                    // Whether the middlebox teardown below also ate
-                    // the origin's `alt-svc: h3` advertisement (the
-                    // reconnect suppresses optional frames/headers).
-                    let mut altsvc_suppressed = false;
-                    if let Some(f) = faults.as_deref_mut() {
-                        if origin_set.is_some()
-                            && f.rng.chance(f.profile.middlebox)
-                            && f.middlebox.inspect(ORIGIN_FRAME_TYPE) == MiddleboxVerdict::TearDown
-                        {
-                            // §6.7: the handshake succeeded, then the
-                            // ORIGIN frame the edge sent on the fresh
-                            // connection tripped an on-path middlebox,
-                            // which tore the connection down. The wasted
-                            // setup is charged as blocked time and the
-                            // client reconnects with ORIGIN advertisement
-                            // suppressed (the fail-open the CDN shipped).
-                            let wasted = cost.tcp.as_millis_f64()
-                                + if res.secure {
-                                    cost.tls.as_millis_f64()
-                                } else {
-                                    0.0
-                                };
-                            if let Some(rec) = flight.as_deref_mut() {
-                                rec.record(
-                                    ms_us(start + dns_ms + fault_penalty_ms + wasted),
-                                    "fault.middlebox_teardown",
-                                    u64::from(ORIGIN_FRAME_TYPE),
-                                    host.as_str(),
-                                );
-                            }
-                            if let Some(t) = tracer.as_deref_mut() {
-                                t.set_tid(1 + pool.len() as u64);
-                                t.instant_at(
-                                    "fault.middlebox_teardown",
-                                    "fault",
-                                    ms_us(start + dns_ms + fault_penalty_ms + wasted),
-                                    vec![
-                                        ("host", host.as_str().into()),
-                                        ("frame_type", u64::from(ORIGIN_FRAME_TYPE).into()),
-                                        ("origin_suppressed", true.into()),
-                                    ],
-                                );
-                            }
-                            fault_penalty_ms += wasted;
-                            cost = hs.connect(&link, &mut f.rng);
-                            origin_set = None;
-                            altsvc_suppressed = true;
-                            f.counts.middlebox_teardowns += 1;
-                            f.counts.origin_suppressed += 1;
-                            f.counts.retries += 1;
-                        }
+                rq.t.new_connection = true;
+                let ip = rq.addrs.first().copied().unwrap_or(PLACEHOLDER_IP);
+                match self.env.cert_shared(&rq.t.host) {
+                    Some(c) if rq.h3_eligible && self.arena.h3_session.knows_h3(c.serial) => {
+                        self.open_quic(rq, ip, c)
                     }
-                    let setup_start = start + dns_ms + fault_penalty_ms;
-                    phase.connect = cost.tcp.as_millis_f64();
-                    if res.secure {
-                        phase.ssl = cost.tls.as_millis_f64();
-                    } else {
-                        phase.ssl = 0.0;
-                    }
-                    if rng.chance(self.config.happy_eyeballs_dup_rate) {
-                        extra_connections = 1;
-                    }
-                    cert_issuer = cert.as_ref().map(|c| c.issuer.clone());
-                    if let Some(t) = tracer.as_deref_mut() {
-                        let conn_no = pool.len();
-                        let conn_tid = 1 + conn_no as u64;
-                        t.name_thread(conn_tid, &format!("conn {} {}", conn_no, host.as_str()));
-                        t.set_tid(conn_tid);
-                        t.complete(
-                            "tcp.connect",
-                            "net",
-                            ms_us(setup_start),
-                            ms_us(phase.connect),
-                            vec![("ip", ip.to_string().into())],
-                        );
-                        if res.secure {
-                            let hs_start = setup_start + phase.connect;
-                            let mut hs_args: Vec<(&'static str, origin_trace::ArgValue)> = vec![
-                                (
-                                    "version",
-                                    match tls {
-                                        TlsVersion::Tls12 => "TLS 1.2",
-                                        TlsVersion::Tls13 => "TLS 1.3",
-                                        TlsVersion::Tls13ZeroRtt => "TLS 1.3 0-RTT",
-                                    }
-                                    .into(),
-                                ),
-                                ("sni", host.as_str().into()),
-                                ("issuer", cert_issuer.clone().unwrap_or_default().into()),
-                            ];
-                            // Annotated only on legacy pages so pure-h2
-                            // traces stay byte-identical to the committed
-                            // baselines.
-                            if page.legacy {
-                                hs_args.push((
-                                    "alpn",
-                                    alpn.map(|p| p.to_string())
-                                        .unwrap_or_else(|| "none".into())
-                                        .into(),
-                                ));
-                            }
-                            t.complete(
-                                "tls.handshake",
-                                "tls",
-                                ms_us(hs_start),
-                                ms_us(phase.ssl),
-                                hs_args,
-                            );
-                            // The SAN check the pool's coalescing logic
-                            // relies on: the presented certificate covers
-                            // the requested name.
-                            t.instant_at(
-                                "tls.san_validated",
-                                "tls",
-                                ms_us(hs_start + phase.ssl),
-                                vec![
-                                    ("host", host.as_str().into()),
-                                    (
-                                        "covered",
-                                        cert.as_ref()
-                                            .map(|c| c.covers(&host))
-                                            .unwrap_or(false)
-                                            .into(),
-                                    ),
-                                ],
-                            );
-                        }
-                    }
-                    if legacy_h1 {
-                        h1.connections_opened += 1;
-                        // This connection opens because HTTP/1.1 cannot
-                        // multiplex or coalesce. Before it enters the
-                        // pool, ask each policy whether its *h2* rules
-                        // would have merged the request onto an existing
-                        // connection — Sander et al.'s redundant
-                        // connections, the setups an all-h2 deployment
-                        // would have avoided.
-                        for (slot, (kind, _)) in REDUNDANCY_KINDS.iter().enumerate() {
-                            if pool.redundant_if_h2(*kind, &host, &addrs, partition, |ch| {
-                                env.colocated(ch, &host)
-                            }) {
-                                h1.redundant[slot] += 1;
-                            }
-                        }
-                    }
-                    if h3_eligible {
-                        if let Some(c) = cert.as_ref() {
-                            // The h2 response from an h3 origin
-                            // advertises `alt-svc: h3` for its whole
-                            // certificate scope, and a TLS 1.3
-                            // handshake banks a session ticket the
-                            // scope's QUIC handshakes can redeem.
-                            h3_session.learn_alt_svc(c.serial, altsvc_suppressed);
-                            if tls == TlsVersion::Tls13 {
-                                h3_session.bank_ticket(host.as_str(), c.serial);
-                            }
-                        }
-                    }
-                    let conn = PooledConnection {
-                        host: host.clone(),
-                        ip,
-                        available_set: addrs.clone(),
-                        cert: cert.unwrap_or_else(|| {
-                            // Plain-HTTP hosts have no certificate; a
-                            // subject-only stand-in keeps the pool typed.
-                            std::sync::Arc::new(
-                                origin_tls::CertificateBuilder::new(host.clone()).build(),
-                            )
-                        }),
-                        origin_set,
-                        protocol: res.protocol,
-                        partition,
-                        bytes_transferred: 0,
-                        in_flight: 0,
-                        busy_until: 0.0,
-                        closed: false,
-                        quic: false,
-                    };
-                    let i = pool.insert(conn);
-                    conn_open_us.push(ms_us(setup_start));
-                    h1_sessions.push(None);
-                    h3_conns.push(None);
-                    if let Some(rec) = flight.as_deref_mut() {
-                        rec.record(ms_us(setup_start), "conn.open", i as u64, host.as_str());
-                    }
-                    i
+                    cert => self.open_tcp(rq, ip, cert),
                 }
             }
         };
-        phase.blocked += fault_penalty_ms;
-        if replayed_after_421 {
-            reuse_label = "replay-421";
-        }
+        rq.t.phase.blocked += rq.fault_penalty_ms;
+        conn_idx
+    }
 
-        // Transfer phases.
-        let conn = pool.get_mut(conn_idx);
+    /// Establish a TCP(+TLS) connection: ALPN, handshake cost from
+    /// `rng`, the §6.7 middlebox teardown and its reconnect from the
+    /// fault RNG, then the happy-eyeballs race from `rng`.
+    fn open_tcp(
+        &mut self,
+        rq: &mut Request<'_>,
+        ip: IpAddr,
+        cert: Option<std::sync::Arc<origin_tls::Certificate>>,
+    ) -> usize {
+        let res = rq.res;
+        // ALPN (RFC 7301) selects what the fresh connection speaks:
+        // the client always offers `h2, http/1.1`, the origin's
+        // advertisement — its deployment fact — wins. Pure
+        // computation, so running it on every setup perturbs nothing.
+        let alpn = origin_tls::alpn_negotiate(
+            origin_tls::alpn::CLIENT_OFFER,
+            origin_tls::alpn::server_advertisement(res.protocol == Protocol::H2),
+        );
+        debug_assert_eq!(
+            alpn == Some(origin_tls::AlpnProtocol::H2),
+            res.protocol == Protocol::H2,
+            "negotiated ALPN must agree with the deployed protocol"
+        );
+        // CDN edges negotiate TLS 1.3; roughly half the tail origins
+        // still ran TLS 1.2 (2-RTT handshakes) at the paper's Feb-2021
+        // snapshot.
+        let is_tail_path = rq.link.rtt > SimDuration::from_millis(40);
+        let tls = if is_tail_path && self.rng.chance(0.65) {
+            TlsVersion::Tls12
+        } else {
+            TlsVersion::Tls13
+        };
+        let hs = HandshakeModel::for_certificate(
+            tls,
+            cert.as_ref().map(|c| c.wire_size()).unwrap_or(1_500),
+        );
+        let mut cost = hs.connect(&rq.link, self.rng);
+        let mut origin_set = self.env.origin_set_for(&rq.t.host);
+        // Whether the middlebox teardown below also ate the origin's
+        // `alt-svc: h3` advertisement (the reconnect suppresses
+        // optional frames/headers).
+        let mut altsvc_suppressed = false;
+        if let Some(f) = self.faults.as_deref_mut() {
+            if origin_set.is_some()
+                && f.rng.chance(f.profile.middlebox)
+                && f.middlebox.inspect(ORIGIN_FRAME_TYPE) == MiddleboxVerdict::TearDown
+            {
+                // §6.7: the handshake succeeded, then the ORIGIN frame
+                // the edge sent on the fresh connection tripped an
+                // on-path middlebox, which tore the connection down.
+                // The wasted setup is charged as blocked time and the
+                // client reconnects with ORIGIN advertisement
+                // suppressed (the fail-open the CDN shipped).
+                let wasted = cost.tcp.as_millis_f64()
+                    + if res.secure {
+                        cost.tls.as_millis_f64()
+                    } else {
+                        0.0
+                    };
+                let torn_at = ms_us(rq.setup_start() + wasted);
+                if let Some(rec) = self.flight.as_deref_mut() {
+                    rec.record(
+                        torn_at,
+                        "fault.middlebox_teardown",
+                        u64::from(ORIGIN_FRAME_TYPE),
+                        rq.t.host.as_str(),
+                    );
+                }
+                if let Some(t) = self.tracer.as_deref_mut() {
+                    t.set_tid(1 + self.arena.pool.len() as u64);
+                    t.instant_at(
+                        "fault.middlebox_teardown",
+                        "fault",
+                        torn_at,
+                        vec![
+                            ("host", rq.t.host.as_str().into()),
+                            ("frame_type", u64::from(ORIGIN_FRAME_TYPE).into()),
+                            ("origin_suppressed", true.into()),
+                        ],
+                    );
+                }
+                rq.fault_penalty_ms += wasted;
+                cost = hs.connect(&rq.link, &mut f.rng);
+                origin_set = None;
+                altsvc_suppressed = true;
+                f.counts.middlebox_teardowns += 1;
+                f.counts.origin_suppressed += 1;
+                f.counts.retries += 1;
+            }
+        }
+        rq.t.phase.connect = cost.tcp.as_millis_f64();
+        rq.t.phase.ssl = if res.secure {
+            cost.tls.as_millis_f64()
+        } else {
+            0.0
+        };
+        if self.rng.chance(self.config.happy_eyeballs_dup_rate) {
+            rq.t.extra_connections = 1;
+        }
+        rq.t.cert_issuer = cert.as_ref().map(|c| c.issuer.clone());
+        self.trace_tcp_open(rq, ip, tls, alpn, cert.as_deref());
+        if rq.legacy_h1 {
+            self.h1.connections_opened += 1;
+            // This connection opens because HTTP/1.1 cannot multiplex
+            // or coalesce. Before it enters the pool, ask each policy
+            // whether its *h2* rules would have merged the request
+            // onto an existing connection — Sander et al.'s redundant
+            // connections, the setups an all-h2 deployment would have
+            // avoided.
+            for (slot, (kind, _)) in REDUNDANCY_KINDS.iter().enumerate() {
+                if self.arena.pool.redundant_if_h2(
+                    *kind,
+                    &rq.t.host,
+                    &rq.addrs,
+                    rq.partition,
+                    |ch| self.env.colocated(ch, &rq.t.host),
+                ) {
+                    self.h1.redundant[slot] += 1;
+                }
+            }
+        }
+        if rq.h3_eligible {
+            if let Some(c) = cert.as_ref() {
+                // The h2 response from an h3 origin advertises
+                // `alt-svc: h3` for its whole certificate scope, and a
+                // TLS 1.3 handshake banks a session ticket the scope's
+                // QUIC handshakes can redeem.
+                let session = &mut self.arena.h3_session;
+                session.learn_alt_svc(c.serial, altsvc_suppressed);
+                if tls == TlsVersion::Tls13 {
+                    session.bank_ticket(rq.t.host.as_str(), c.serial);
+                }
+            }
+        }
+        let cert = cert.unwrap_or_else(|| {
+            // Plain-HTTP hosts have no certificate; a subject-only
+            // stand-in keeps the pool typed.
+            std::sync::Arc::new(origin_tls::CertificateBuilder::new(rq.t.host.clone()).build())
+        });
+        self.admit(rq, ip, cert, origin_set, false)
+    }
+
+    /// The spans of one TCP(+TLS) establishment, on the track of the
+    /// connection about to enter the pool.
+    fn trace_tcp_open(
+        &mut self,
+        rq: &Request<'_>,
+        ip: IpAddr,
+        tls: TlsVersion,
+        alpn: Option<origin_tls::AlpnProtocol>,
+        cert: Option<&origin_tls::Certificate>,
+    ) {
+        let Some(t) = self.tracer.as_deref_mut() else {
+            return;
+        };
+        let host = &rq.t.host;
+        let phase = &rq.t.phase;
+        let conn_no = self.arena.pool.len();
+        let conn_tid = 1 + conn_no as u64;
+        t.name_thread(conn_tid, &format!("conn {} {}", conn_no, host.as_str()));
+        t.set_tid(conn_tid);
+        t.complete(
+            "tcp.connect",
+            "net",
+            ms_us(rq.setup_start()),
+            ms_us(phase.connect),
+            vec![("ip", ip.to_string().into())],
+        );
+        if !rq.res.secure {
+            return;
+        }
+        let hs_start = rq.setup_start() + phase.connect;
+        let mut hs_args: Vec<(&'static str, origin_trace::ArgValue)> = vec![
+            (
+                "version",
+                match tls {
+                    TlsVersion::Tls12 => "TLS 1.2",
+                    TlsVersion::Tls13 => "TLS 1.3",
+                    TlsVersion::Tls13ZeroRtt => "TLS 1.3 0-RTT",
+                }
+                .into(),
+            ),
+            ("sni", host.as_str().into()),
+            (
+                "issuer",
+                rq.t.cert_issuer.clone().unwrap_or_default().into(),
+            ),
+        ];
+        // Annotated only on legacy pages so pure-h2 traces stay
+        // byte-identical to the committed baselines.
+        if self.page.legacy {
+            hs_args.push((
+                "alpn",
+                alpn.map(|p| p.to_string())
+                    .unwrap_or_else(|| "none".into())
+                    .into(),
+            ));
+        }
+        t.complete(
+            "tls.handshake",
+            "tls",
+            ms_us(hs_start),
+            ms_us(phase.ssl),
+            hs_args,
+        );
+        // The SAN check the pool's coalescing logic relies on: the
+        // presented certificate covers the requested name.
+        t.instant_at(
+            "tls.san_validated",
+            "tls",
+            ms_us(hs_start + phase.ssl),
+            vec![
+                ("host", host.as_str().into()),
+                ("covered", cert.is_some_and(|c| c.covers(host)).into()),
+            ],
+        );
+    }
+
+    /// Open one QUIC connection in a certificate scope that has already
+    /// advertised h3 this visit; the handshake draws from `rng`. QUIC
+    /// folds transport and TLS establishment into one exchange, so
+    /// there is no TCP round trip: the whole handshake cost (0-RTT
+    /// resumption, full 1-RTT, or the anti-amplification stall a
+    /// bloated chain forces) lands in the `ssl` phase and `connect`
+    /// stays zero. The pooled connection carries no ORIGIN set — RFC
+    /// 8336 frames are h2-only — so SAN/IP matching alone gates
+    /// coalescing onto it.
+    fn open_quic(
+        &mut self,
+        rq: &mut Request<'_>,
+        ip: IpAddr,
+        cert: std::sync::Arc<origin_tls::Certificate>,
+    ) -> usize {
+        let host = &rq.t.host;
+        let outcome = self.arena.h3_session.connect(
+            host.as_str(),
+            cert.serial,
+            cert.wire_size(),
+            ip,
+            &rq.link,
+            self.rng,
+        );
+        rq.t.phase.connect = 0.0;
+        rq.t.phase.ssl = outcome.cost.as_millis_f64();
+        rq.t.cert_issuer = Some(cert.issuer.clone());
+        if let Some(t) = self.tracer.as_deref_mut() {
+            let conn_no = self.arena.pool.len();
+            let conn_tid = 1 + conn_no as u64;
+            t.name_thread(conn_tid, &format!("conn {} {}", conn_no, host.as_str()));
+            t.set_tid(conn_tid);
+            t.complete(
+                "quic.handshake",
+                "tls",
+                ms_us(rq.setup_start()),
+                ms_us(rq.t.phase.ssl),
+                vec![
+                    ("mode", outcome.mode.label().into()),
+                    ("sni", host.as_str().into()),
+                    ("issuer", cert.issuer.clone().into()),
+                    (
+                        "amplification_rtts",
+                        u64::from(outcome.amplification_rtts).into(),
+                    ),
+                    ("cross_host", outcome.cross_host.into()),
+                ],
+            );
+            // The same SAN check every TCP+TLS setup records: h3
+            // coalescing hangs off certificate coverage exactly like
+            // h2's.
+            t.instant_at(
+                "tls.san_validated",
+                "tls",
+                ms_us(rq.setup_start() + rq.t.phase.ssl),
+                vec![
+                    ("host", host.as_str().into()),
+                    ("covered", cert.covers(host).into()),
+                ],
+            );
+        }
+        self.admit(rq, ip, cert, None, true)
+    }
+
+    /// Enter a freshly established connection into the pool and its
+    /// [`ConnState`] slot — the one place the two grow, in lock-step.
+    fn admit(
+        &mut self,
+        rq: &Request<'_>,
+        ip: IpAddr,
+        cert: std::sync::Arc<origin_tls::Certificate>,
+        origin_set: Option<origin_h2::OriginSet>,
+        quic: bool,
+    ) -> usize {
+        let open_us = ms_us(rq.setup_start());
+        let i = self.arena.pool.insert(PooledConnection {
+            host: rq.t.host.clone(),
+            ip,
+            available_set: rq.addrs.clone(),
+            cert,
+            origin_set,
+            protocol: rq.res.protocol,
+            partition: rq.partition,
+            bytes_transferred: 0,
+            in_flight: 0,
+            busy_until: 0.0,
+            closed: false,
+            quic,
+        });
+        self.arena.conns.push(ConnState {
+            open_us,
+            transport: Transport::H2,
+        });
+        debug_assert_eq!(self.arena.conns.len(), self.arena.pool.len());
+        if let Some(rec) = self.flight.as_deref_mut() {
+            let code = if quic { "quic.open" } else { "conn.open" };
+            rec.record(open_us, code, i as u64, rq.t.host.as_str());
+        }
+        i
+    }
+
+    /// Stage 4 — transfer: send/wait/receive on the serving
+    /// connection. The think time draws from `rng`; packet fates and
+    /// every retransmit backoff draw from the fault RNG. Then the
+    /// connection's protocol machine (QPACK for QUIC, the sans-IO
+    /// state machine for legacy HTTP/1.1) runs the exchange.
+    fn transfer(&mut self, rq: &mut Request<'_>, conn_idx: usize) {
+        let res = rq.res;
+        let start = rq.t.start;
+        let conn = self.arena.pool.get_mut(conn_idx);
         let warm_cwnd = if conn.bytes_transferred > 0 {
-            link.cwnd_after(conn.bytes_transferred, INIT_CWND)
+            rq.link.cwnd_after(conn.bytes_transferred, INIT_CWND)
         } else {
             INIT_CWND
         };
+        let phase = &mut rq.t.phase;
         phase.send = 0.3;
-        phase.wait = origin_webgen::dist::sample_wait_ms(rng);
-        phase.receive = link.transfer_time(res.size, warm_cwnd).as_millis_f64();
-        if let Some(f) = faults {
+        phase.wait = origin_webgen::dist::sample_wait_ms(self.rng);
+        phase.receive = rq.link.transfer_time(res.size, warm_cwnd).as_millis_f64();
+        if let Some(f) = self.faults.as_deref_mut() {
             // Bounded deterministic retry: each drop/corrupt verdict
             // costs an exponentially growing backoff plus one RTT to
             // retransmit, all charged to the receive phase. After
             // MAX_TRANSFER_RETRIES the transfer is force-delivered so
             // the crawl terminates under any profile.
             for attempt in 0..MAX_TRANSFER_RETRIES {
-                let fate = f.injector.apply(&mut f.rng);
-                if fate == PacketFate::Delivered {
-                    break;
-                }
-                match fate {
-                    PacketFate::Dropped => f.counts.drops += 1,
-                    PacketFate::Corrupted => f.counts.corruptions += 1,
-                    PacketFate::Delivered => unreachable!(),
-                }
+                let fate_label = match f.injector.apply(&mut f.rng) {
+                    PacketFate::Delivered => break,
+                    PacketFate::Dropped => {
+                        f.counts.drops += 1;
+                        "dropped"
+                    }
+                    PacketFate::Corrupted => {
+                        f.counts.corruptions += 1;
+                        "corrupted"
+                    }
+                };
                 f.counts.retries += 1;
                 let backoff = RETRY_BASE_MS * f64::from(1u32 << attempt);
-                let redo = backoff + link.rtt.as_millis_f64();
-                if let Some(rec) = flight.as_deref_mut() {
+                let redo = backoff + rq.link.rtt.as_millis_f64();
+                if let Some(rec) = self.flight.as_deref_mut() {
                     rec.record(
                         ms_us(start + phase.total()),
                         "fault.backoff",
                         u64::from(attempt + 1),
-                        host.as_str(),
+                        rq.t.host.as_str(),
                     );
                 }
-                if let Some(t) = tracer.as_deref_mut() {
+                if let Some(t) = self.tracer.as_deref_mut() {
                     t.set_tid(1 + conn_idx as u64);
                     t.complete(
                         "fault.backoff",
@@ -1115,15 +1214,7 @@ impl PageLoader {
                         ms_us(redo),
                         vec![
                             ("attempt", u64::from(attempt + 1).into()),
-                            (
-                                "fate",
-                                match fate {
-                                    PacketFate::Dropped => "dropped",
-                                    PacketFate::Corrupted => "corrupted",
-                                    PacketFate::Delivered => unreachable!(),
-                                }
-                                .into(),
-                            ),
+                            ("fate", fate_label.into()),
                         ],
                     );
                 }
@@ -1137,83 +1228,94 @@ impl PageLoader {
             conn.busy_until = start + phase.total();
         }
 
-        // Drive the sans-IO HTTP/1.1 machine through one full
-        // request/response cycle for legacy traffic: heads, framing
-        // and keep-alive are validated even though the simulation
-        // only charges timings. Coalesced rides are excluded — only
-        // the ideal (protocol-blind) models ever coalesce h1, and
-        // they model structure, not wire protocol.
         // Requests riding a QUIC connection drive its QPACK
         // encoder/decoder pair (static/dynamic compression replaces
         // HPACK) and periodic connection-ID rotation. Only h3 pages
         // ever mark a connection `quic`, so this block is dead at
         // `h3_share = 0`.
-        let mut h3_qpack: Option<H3RequestStats> = None;
         if conn.quic {
-            h3.requests += 1;
-            let sess = h3_conns[conn_idx].get_or_insert_with(H3Conn::new);
-            h3_qpack = Some(sess.drive_request(host.as_str(), &res.path));
+            self.h3.requests += 1;
+            let machine = self.arena.conns[conn_idx].transport.quic();
+            rq.h3_qpack = Some(machine.drive_request(rq.t.host.as_str(), &res.path));
         }
-
-        let mut h1_framing: Option<(&'static str, u64)> = None;
-        if legacy_h1 {
-            h1.requests += 1;
-        }
-        if legacy_h1 && !coalesced {
-            if !new_connection {
-                h1.keepalive_reuse += 1;
-            }
-            let sess =
-                h1_sessions[conn_idx].get_or_insert_with(|| H1Connection::new(H1Role::Client));
-            if sess.cycles_completed() > 0 {
-                sess.start_next_cycle()
-                    .expect("pooled HTTP/1.1 connection must be idle and kept alive");
-            }
-            sess.send(&H1Event::Request(H1Request::get(&res.path, host.as_str())))
-                .expect("request head from Idle");
-            sess.send(&H1Event::EndOfMessage)
-                .expect("bodyless GET completes");
-            if close_delimited_response(&res.path) {
-                // No Content-Length: the body runs until the server
-                // closes. The connection leaves the reusable pool —
-                // `closed` frees its per-host slot, and the next
-                // request to this host pays a fresh setup.
-                sess.receive(&H1Event::Response(H1Response::close_delimited()))
-                    .expect("response head after request");
-                if res.size > 0 {
-                    sess.receive(&H1Event::Data(res.size))
-                        .expect("close-delimited body data");
-                }
-                sess.receive(&H1Event::ConnectionClosed)
-                    .expect("close ends a close-delimited body");
-                conn.closed = true;
-                h1.close_delimited += 1;
-                if let Some(rec) = flight {
-                    rec.record(
-                        ms_us(start + phase.total()),
-                        H1Event::ConnectionClosed.code(),
-                        sess.cycles_completed(),
-                        host.as_str(),
-                    );
-                }
-                h1_framing = Some(("close-delimited", sess.cycles_completed()));
-            } else {
-                sess.receive(&H1Event::Response(H1Response::with_content_length(
-                    res.size,
-                )))
-                .expect("response head after request");
-                if res.size > 0 {
-                    sess.receive(&H1Event::Data(res.size)).expect("sized body");
-                }
-                sess.receive(&H1Event::EndOfMessage)
-                    .expect("sized body completes");
-                h1_framing = Some(("content-length", sess.cycles_completed()));
+        if rq.legacy_h1 {
+            self.h1.requests += 1;
+            // Coalesced rides are excluded — only the ideal
+            // (protocol-blind) models ever coalesce h1, and they model
+            // structure, not wire protocol.
+            if !rq.t.coalesced {
+                self.drive_h1(rq, conn_idx);
             }
         }
+    }
 
-        let ip = conn.ip;
+    /// Drive the sans-IO HTTP/1.1 machine through one full
+    /// request/response cycle for legacy traffic: heads, framing and
+    /// keep-alive are validated even though the simulation only
+    /// charges timings. Draws from no RNG.
+    fn drive_h1(&mut self, rq: &mut Request<'_>, conn_idx: usize) {
+        let res = rq.res;
+        let host = rq.t.host.as_str();
+        if !rq.t.new_connection {
+            self.h1.keepalive_reuse += 1;
+        }
+        let machine = self.arena.conns[conn_idx].transport.h1();
+        if machine.cycles_completed() > 0 {
+            machine
+                .start_next_cycle()
+                .expect("pooled HTTP/1.1 connection must be idle and kept alive");
+        }
+        machine
+            .send(&H1Event::Request(H1Request::get(&res.path, host)))
+            .expect("request head from Idle");
+        machine
+            .send(&H1Event::EndOfMessage)
+            .expect("bodyless GET completes");
+        // Without a Content-Length the body runs until the server
+        // closes, and the connection leaves the reusable pool: `closed`
+        // frees its per-host slot, and the next request to this host
+        // pays a fresh setup.
+        let closes = close_delimited_response(&res.path);
+        let (head, end) = if closes {
+            (H1Response::close_delimited(), H1Event::ConnectionClosed)
+        } else {
+            (
+                H1Response::with_content_length(res.size),
+                H1Event::EndOfMessage,
+            )
+        };
+        machine
+            .receive(&H1Event::Response(head))
+            .expect("response head after request");
+        if res.size > 0 {
+            machine
+                .receive(&H1Event::Data(res.size))
+                .expect("body data under either framing");
+        }
+        machine
+            .receive(&end)
+            .expect("the terminator its framing calls for ends the body");
+        let mut framing = "content-length";
+        if closes {
+            framing = "close-delimited";
+            self.arena.pool.get_mut(conn_idx).closed = true;
+            self.h1.close_delimited += 1;
+            if let Some(rec) = self.flight.as_deref_mut() {
+                rec.record(
+                    ms_us(rq.t.start + rq.t.phase.total()),
+                    end.code(),
+                    machine.cycles_completed(),
+                    host,
+                );
+            }
+        }
+        rq.h1_framing = Some((framing, machine.cycles_completed()));
+    }
 
-        if let Some(t) = tracer {
+    /// Stage 5 — timing: emit the request's spans and complete its
+    /// record. Reads only.
+    fn finish(&mut self, rq: Request<'_>, conn_idx: usize) -> RequestTiming {
+        if let Some(t) = self.tracer.as_deref_mut() {
             // The request span and its phase children live on the
             // serving connection's track. Offsets accumulate in
             // quantised integer microseconds — the same arithmetic the
@@ -1221,36 +1323,27 @@ impl PageLoader {
             // equals the request's recorded end exactly.
             let conn_tid = 1 + conn_idx as u64;
             t.set_tid(conn_tid);
-            let start_ts = ms_us(start);
+            let start_ts = ms_us(rq.t.start);
             let mut args: Vec<(&'static str, origin_trace::ArgValue)> = vec![
-                ("host", host.as_str().into()),
-                ("protocol", res.protocol.label().into()),
-                ("reuse", reuse_label.into()),
+                ("host", rq.t.host.as_str().into()),
+                ("protocol", rq.res.protocol.label().into()),
+                ("reuse", rq.reuse_label.into()),
                 ("conn", (conn_idx as u64).into()),
             ];
-            if let Some(rule) = rule_label {
+            if let Some(rule) = rq.rule_label {
                 args.push(("rule", rule.into()));
             }
-            let phase_names = [
-                "phase.blocked",
-                "phase.dns",
-                "phase.connect",
-                "phase.ssl",
-                "phase.send",
-                "phase.wait",
-                "phase.receive",
-            ];
             t.complete(
-                &format!("req {} {}", idx, host.as_str()),
+                &format!("req {} {}", rq.t.resource_index, rq.t.host.as_str()),
                 "request",
                 start_ts,
-                phase.total_us(),
+                rq.t.phase.total_us(),
                 args,
             );
             // h3 requests additionally record the QPACK view: how
             // many bytes the header block and its table-mutating
             // instructions took on this connection's streams.
-            if let Some(q) = h3_qpack {
+            if let Some(q) = rq.h3_qpack {
                 t.instant_at(
                     "h3.request",
                     "h3",
@@ -1265,7 +1358,7 @@ impl PageLoader {
             // Legacy requests additionally record the h1 machine's
             // view: the response framing and which keep-alive cycle
             // of its connection this request rode.
-            if let Some((framing, cycle)) = h1_framing {
+            if let Some((framing, cycle)) = rq.h1_framing {
                 t.instant_at(
                     "h1.request",
                     "h1",
@@ -1278,7 +1371,7 @@ impl PageLoader {
                 );
             }
             let mut off = start_ts;
-            for (name, dur) in phase_names.iter().zip(phase.quantised_us()) {
+            for (name, dur) in PHASE_SPAN_NAMES.iter().zip(rq.t.phase.quantised_us()) {
                 if dur > 0 {
                     t.complete(name, "phase", off, dur, Vec::new());
                 }
@@ -1286,117 +1379,33 @@ impl PageLoader {
             }
         }
 
-        RequestTiming {
-            resource_index: idx,
-            host,
-            ip,
-            asn: if ip == placeholder_ip {
-                asn
-            } else {
-                env.asn_of_ip(&ip).max(asn)
-            },
-            start,
-            phase,
-            did_dns,
-            new_connection,
-            coalesced,
-            protocol: res.protocol,
-            cert_issuer,
-            secure: res.secure,
-            extra_connections,
-            extra_dns,
+        let ip = self.arena.pool.connections()[conn_idx].ip;
+        let mut timing = rq.t;
+        timing.protocol = rq.res.protocol;
+        timing.ip = ip;
+        if ip != PLACEHOLDER_IP {
+            timing.asn = self.env.asn_of_ip(&ip).max(timing.asn);
         }
+        timing
     }
 }
 
-/// Open one QUIC connection in a certificate scope that has already
-/// advertised h3 this visit. QUIC folds transport and TLS
-/// establishment into one exchange, so there is no TCP round trip:
-/// the whole handshake cost (0-RTT resumption, full 1-RTT, or the
-/// anti-amplification stall a bloated chain forces) lands in the
-/// `ssl` phase and `connect` stays zero. The pooled connection
-/// carries no ORIGIN set — RFC 8336 frames are h2-only — so SAN/IP
-/// matching alone gates coalescing onto it.
-#[allow(clippy::too_many_arguments)] // one connection, its world, and an observer
-fn open_quic_connection(
-    cert: std::sync::Arc<origin_tls::Certificate>,
-    host: &origin_dns::DnsName,
-    ip: IpAddr,
-    addrs: &std::sync::Arc<[IpAddr]>,
-    partition: PoolPartition,
-    protocol: Protocol,
-    setup_start: f64,
-    link: &origin_netsim::LinkProfile,
-    rng: &mut SimRng,
-    pool: &mut ConnectionPool,
-    conn_open_us: &mut Vec<u64>,
-    h1_sessions: &mut Vec<Option<H1Connection>>,
-    h3_conns: &mut Vec<Option<H3Conn>>,
-    h3_session: &mut H3Session,
-    phase: &mut Phase,
-    cert_issuer: &mut Option<String>,
-    tracer: Option<&mut origin_trace::Tracer>,
-    flight: Option<&mut origin_obs::FlightRecorder>,
-) -> usize {
-    let outcome = h3_session.connect(host.as_str(), cert.serial, cert.wire_size(), ip, link, rng);
-    phase.connect = 0.0;
-    phase.ssl = outcome.cost.as_millis_f64();
-    *cert_issuer = Some(cert.issuer.clone());
-    if let Some(t) = tracer {
-        let conn_no = pool.len();
-        let conn_tid = 1 + conn_no as u64;
-        t.name_thread(conn_tid, &format!("conn {} {}", conn_no, host.as_str()));
-        t.set_tid(conn_tid);
-        t.complete(
-            "quic.handshake",
-            "tls",
-            ms_us(setup_start),
-            ms_us(phase.ssl),
-            vec![
-                ("mode", outcome.mode.label().into()),
-                ("sni", host.as_str().into()),
-                ("issuer", cert.issuer.clone().into()),
-                (
-                    "amplification_rtts",
-                    u64::from(outcome.amplification_rtts).into(),
-                ),
-                ("cross_host", outcome.cross_host.into()),
-            ],
-        );
-        // The same SAN check every TCP+TLS setup records: h3
-        // coalescing hangs off certificate coverage exactly like h2's.
-        t.instant_at(
-            "tls.san_validated",
-            "tls",
-            ms_us(setup_start + phase.ssl),
-            vec![
-                ("host", host.as_str().into()),
-                ("covered", cert.covers(host).into()),
-            ],
-        );
-    }
-    let i = pool.insert(PooledConnection {
-        host: host.clone(),
-        ip,
-        available_set: addrs.clone(),
-        cert,
-        origin_set: None,
-        protocol,
-        partition,
-        bytes_transferred: 0,
-        in_flight: 0,
-        busy_until: 0.0,
-        closed: false,
-        quic: true,
-    });
-    conn_open_us.push(ms_us(setup_start));
-    h1_sessions.push(None);
-    h3_conns.push(None);
-    if let Some(rec) = flight {
-        rec.record(ms_us(setup_start), "quic.open", i as u64, host.as_str());
-    }
-    i
-}
+/// Span names of the seven request phases, in HAR order.
+const PHASE_SPAN_NAMES: [&str; 7] = [
+    "phase.blocked",
+    "phase.dns",
+    "phase.connect",
+    "phase.ssl",
+    "phase.send",
+    "phase.wait",
+    "phase.receive",
+];
+
+/// Address recorded for requests that never reached one.
+const PLACEHOLDER_IP: IpAddr = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
+
+/// What a failed lookup costs before the request gives up (ms).
+const NXDOMAIN_MS: f64 = 15.0;
 
 /// Quantise simulated milliseconds to integer microseconds for trace
 /// timestamps — identical to [`origin_web::har::ms_to_us`] and
@@ -1419,12 +1428,7 @@ fn empty_addrs() -> std::sync::Arc<[IpAddr]> {
 /// response in sixteen — a pure function of the page, so every thread
 /// count and every visit agrees on which connections tear down.
 fn close_delimited_response(path: &str) -> bool {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in path.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h & 15 == 0
+    origin_netsim::rng::fnv1a64(path.as_bytes()) & 15 == 0
 }
 
 /// Upper bounds (inclusive) for the per-page connection histogram.
@@ -1635,6 +1639,19 @@ mod tests {
         })
     }
 
+    /// A clean, untraced load through `arena`, counted into `metrics`.
+    fn metered(
+        loader: &PageLoader,
+        page: &Page,
+        env: &mut UniverseEnv,
+        rng: &mut SimRng,
+        metrics: &mut origin_metrics::Registry,
+        arena: &mut VisitArena,
+    ) -> PageLoad {
+        let sinks = origin_obs::VisitSinks::default();
+        loader.load_observed(page, env, rng, None, Some(metrics), None, arena, sinks)
+    }
+
     fn load_first_page(kind: BrowserKind, d: &Dataset) -> PageLoad {
         let site = d
             .sites()
@@ -1788,7 +1805,16 @@ mod tests {
         let mut tracer = origin_trace::Tracer::new();
         tracer.begin_visit(site.rank as u64, "test visit");
         let mut metrics = origin_metrics::Registry::new();
-        let traced = loader.load_traced(&page, &mut env, &mut rng, Some(&mut metrics), &mut tracer);
+        let traced = loader.load_observed(
+            &page,
+            &mut env,
+            &mut rng,
+            None,
+            Some(&mut metrics),
+            Some(&mut tracer),
+            &mut VisitArena::new(),
+            origin_obs::VisitSinks::default(),
+        );
         assert_eq!(traced, untraced);
 
         // The HAR export's PLT and the metrics registry's per-visit
@@ -1858,7 +1884,14 @@ mod tests {
         let loader = PageLoader::new(BrowserKind::Firefox);
         let mut rng = SimRng::seed_from_u64(99);
         let mut metrics = origin_metrics::Registry::new();
-        loader.load_instrumented(&page, &mut env, &mut rng, Some(&mut metrics));
+        metered(
+            &loader,
+            &page,
+            &mut env,
+            &mut rng,
+            &mut metrics,
+            &mut VisitArena::new(),
+        );
         assert!(metrics.counters().all(|(name, _)| !name.starts_with("h1.")));
         assert!(metrics.counters().all(|(name, _)| !name.starts_with("h3.")));
     }
@@ -1882,15 +1915,7 @@ mod tests {
             assert!(page.h3, "share 1.0 makes every site deploy h3");
             env.flush_dns();
             let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-            let load = loader.load_faulted_with(
-                &page,
-                &mut env,
-                &mut rng,
-                None,
-                Some(&mut metrics),
-                None,
-                &mut arena,
-            );
+            let load = metered(&loader, &page, &mut env, &mut rng, &mut metrics, &mut arena);
             pages += 1;
             arena.recycle(load);
         }
@@ -1917,46 +1942,6 @@ mod tests {
     }
 
     #[test]
-    fn h3_visit_is_deterministic_and_arena_invariant() {
-        let d = Dataset::generate(DatasetConfig {
-            sites: 20,
-            tranco_total: 500_000,
-            seed: 7,
-            legacy_share: 0.0,
-            h3_share: 1.0,
-        });
-        let loader = PageLoader::new(BrowserKind::Firefox);
-        let run = |arena: &mut VisitArena| {
-            let mut env = UniverseEnv::new(&d);
-            let mut metrics = origin_metrics::Registry::new();
-            let mut digest = Vec::new();
-            for site in d.sites().iter().filter(|s| !s.failed).take(8) {
-                let page = d.page_for(site);
-                env.flush_dns();
-                let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-                let load = loader.load_faulted_with(
-                    &page,
-                    &mut env,
-                    &mut rng,
-                    None,
-                    Some(&mut metrics),
-                    None,
-                    arena,
-                );
-                digest.push((load.plt_us(), load.request_count()));
-                arena.recycle(load);
-            }
-            (digest, metrics.to_json())
-        };
-        let fresh = run(&mut VisitArena::new());
-        let mut reused = VisitArena::new();
-        let first = run(&mut reused);
-        let second = run(&mut reused);
-        assert_eq!(fresh, first);
-        assert_eq!(first, second, "arena reuse must not leak h3 state");
-    }
-
-    #[test]
     fn legacy_pages_drive_the_h1_machine() {
         let d = Dataset::generate(DatasetConfig {
             sites: 40,
@@ -1977,15 +1962,7 @@ mod tests {
             assert!(page.legacy, "share 1.0 makes every site legacy");
             env.flush_dns();
             let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-            let load = loader.load_faulted_with(
-                &page,
-                &mut env,
-                &mut rng,
-                None,
-                Some(&mut metrics),
-                None,
-                &mut arena,
-            );
+            let load = metered(&loader, &page, &mut env, &mut rng, &mut metrics, &mut arena);
             for r in &load.requests {
                 if r.protocol == Protocol::H11 {
                     h11_requests += 1;
@@ -2021,44 +1998,45 @@ mod tests {
         assert!(metrics.counter("h1.close_delimited") > 0);
     }
 
+    /// A recycled arena carries the h1 machines, the QUIC/QPACK state
+    /// and the h3 session memory of its last visit in one `ConnState`
+    /// vector; none of it may leak into the next visit, in either
+    /// mixed universe.
     #[test]
-    fn legacy_load_is_deterministic_and_arena_invariant() {
-        let d = Dataset::generate(DatasetConfig {
-            sites: 20,
-            tranco_total: 500_000,
-            seed: 7,
-            legacy_share: 0.5,
-            h3_share: 0.0,
-        });
-        let loader = PageLoader::new(BrowserKind::Firefox);
-        let run = |arena: &mut VisitArena| {
-            let mut env = UniverseEnv::new(&d);
-            let mut metrics = origin_metrics::Registry::new();
-            let mut loads = Vec::new();
-            for site in d.sites().iter().filter(|s| !s.failed).take(8) {
-                let page = d.page_for(site);
-                env.flush_dns();
-                let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-                loads.push(loader.load_faulted_with(
-                    &page,
-                    &mut env,
-                    &mut rng,
-                    None,
-                    Some(&mut metrics),
-                    None,
-                    arena,
-                ));
-            }
-            (loads, metrics.to_json())
-        };
-        let (a_loads, a_json) = run(&mut VisitArena::new());
-        let mut arena = VisitArena::new();
-        let (b_loads, b_json) = run(&mut arena);
-        let (c_loads, c_json) = run(&mut arena); // warm arena, reused sessions cleared
-        assert_eq!(a_loads, b_loads);
-        assert_eq!(a_json, b_json);
-        assert_eq!(a_loads, c_loads);
-        assert_eq!(a_json, c_json);
+    fn protocol_state_does_not_leak_through_the_arena() {
+        for (legacy_share, h3_share) in [(0.5, 0.0), (0.0, 1.0)] {
+            let d = Dataset::generate(DatasetConfig {
+                sites: 20,
+                tranco_total: 500_000,
+                seed: 7,
+                legacy_share,
+                h3_share,
+            });
+            let loader = PageLoader::new(BrowserKind::Firefox);
+            let run = |arena: &mut VisitArena| {
+                let mut env = UniverseEnv::new(&d);
+                let mut metrics = origin_metrics::Registry::new();
+                let mut loads = Vec::new();
+                for site in d.sites().iter().filter(|s| !s.failed).take(8) {
+                    let page = d.page_for(site);
+                    env.flush_dns();
+                    let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+                    let load = metered(&loader, &page, &mut env, &mut rng, &mut metrics, arena);
+                    loads.push(load.clone());
+                    arena.recycle(load);
+                }
+                (loads, metrics.to_json())
+            };
+            let fresh = run(&mut VisitArena::new());
+            let mut reused = VisitArena::new();
+            let first = run(&mut reused);
+            let second = run(&mut reused); // warm arena, last visit's state cleared
+            assert_eq!(fresh, first, "shares {legacy_share}/{h3_share}");
+            assert_eq!(
+                first, second,
+                "shares {legacy_share}/{h3_share}: state leaked"
+            );
+        }
     }
 
     /// Arena reuse must be observationally invisible: a worker that
@@ -2082,7 +2060,7 @@ mod tests {
             let page = d.page_for(site);
             env.flush_dns();
             let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-            fresh.push(loader.load_faulted_with(
+            fresh.push(loader.load_observed(
                 &page,
                 &mut env,
                 &mut rng,
@@ -2090,6 +2068,7 @@ mod tests {
                 None,
                 None,
                 &mut VisitArena::new(),
+                origin_obs::VisitSinks::default(),
             ));
         }
 
@@ -2099,8 +2078,16 @@ mod tests {
             let page = d.page_for(site);
             env.flush_dns();
             let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-            let load =
-                loader.load_faulted_with(&page, &mut env, &mut rng, None, None, None, &mut arena);
+            let load = loader.load_observed(
+                &page,
+                &mut env,
+                &mut rng,
+                None,
+                None,
+                None,
+                &mut arena,
+                origin_obs::VisitSinks::default(),
+            );
             assert_eq!(&load, expect);
             arena.recycle(load);
         }

@@ -4,7 +4,7 @@
 //! teardown with ORIGIN suppression, bounded retransmit backoff, and
 //! the all-zero-profile identity that keeps clean reports reproducible.
 
-use origin_browser::{BrowserKind, FaultSession, PageLoader, WebEnv};
+use origin_browser::{BrowserKind, FaultSession, PageLoader, VisitArena, WebEnv};
 use origin_dns::name::name;
 use origin_dns::record::v4;
 use origin_dns::{DnsName, QueryAnswer};
@@ -94,6 +94,26 @@ fn loader() -> PageLoader {
     l
 }
 
+/// One visit of `page` (simulation seed 7) with the given sinks.
+fn load_with(
+    page: &Page,
+    env: &mut MiniEnv,
+    faults: Option<&mut FaultSession>,
+    metrics: Option<&mut origin_metrics::Registry>,
+    tracer: Option<&mut origin_trace::Tracer>,
+) -> origin_web::PageLoad {
+    loader().load_observed(
+        page,
+        env,
+        &mut SimRng::seed_from_u64(7),
+        faults,
+        metrics,
+        tracer,
+        &mut VisitArena::new(),
+        origin_obs::VisitSinks::default(),
+    )
+}
+
 #[test]
 fn clean_load_coalesces_the_subresource() {
     let page = two_host_page();
@@ -115,10 +135,9 @@ fn golden_421_evict_replay_waterfall() {
     let mut metrics = origin_metrics::Registry::new();
     let mut tracer = origin_trace::Tracer::new();
     tracer.begin_visit(1, "fault fixture");
-    let pl = loader().load_faulted(
+    let pl = load_with(
         &page,
         &mut env,
-        &mut SimRng::seed_from_u64(7),
         Some(&mut faults),
         Some(&mut metrics),
         Some(&mut tracer),
@@ -198,14 +217,7 @@ fn middlebox_teardown_reconnects_with_origin_suppressed() {
     env.advertise_origin = true;
     let mut faults = FaultSession::new(FaultProfile::parse("middlebox=1").unwrap(), 0xBEEF);
     let mut metrics = origin_metrics::Registry::new();
-    let pl = loader().load_faulted(
-        &page,
-        &mut env,
-        &mut SimRng::seed_from_u64(7),
-        Some(&mut faults),
-        Some(&mut metrics),
-        None,
-    );
+    let pl = load_with(&page, &mut env, Some(&mut faults), Some(&mut metrics), None);
     // Only the root opens a connection (img coalesces — ORIGIN is
     // advertised but Chromium coalesces on IP, and the torn-down
     // connection was replaced before any request used it), so exactly
@@ -233,14 +245,7 @@ fn full_drop_profile_hits_the_retry_bound_and_terminates() {
     let mut clean_env = MiniEnv::new();
     let clean = loader().load(&page, &mut clean_env, &mut SimRng::seed_from_u64(7));
     let mut faults = FaultSession::new(FaultProfile::parse("drop=1").unwrap(), 0xBEEF);
-    let pl = loader().load_faulted(
-        &page,
-        &mut env,
-        &mut SimRng::seed_from_u64(7),
-        Some(&mut faults),
-        None,
-        None,
-    );
+    let pl = load_with(&page, &mut env, Some(&mut faults), None, None);
     // Every transfer burns the full retry budget, then force-delivers.
     assert_eq!(faults.counts.drops, 3 * pl.requests.len() as u64);
     assert_eq!(faults.counts.retries, faults.counts.drops);
@@ -269,14 +274,7 @@ fn drop_faults_preserve_the_clean_skeleton() {
     let clean = loader().load(&page, &mut clean_env, &mut SimRng::seed_from_u64(7));
     let mut env = MiniEnv::new();
     let mut faults = FaultSession::new(FaultProfile::parse("drop=0.5").unwrap(), 0xBEEF);
-    let faulted = loader().load_faulted(
-        &page,
-        &mut env,
-        &mut SimRng::seed_from_u64(7),
-        Some(&mut faults),
-        None,
-        None,
-    );
+    let faulted = load_with(&page, &mut env, Some(&mut faults), None, None);
     for (f, c) in faulted.requests.iter().zip(&clean.requests) {
         assert_eq!(f.host, c.host);
         assert_eq!(f.coalesced, c.coalesced);
@@ -294,23 +292,11 @@ fn zero_profile_is_byte_identical_to_clean() {
     let page = two_host_page();
     let mut clean_env = MiniEnv::new();
     let mut clean_metrics = origin_metrics::Registry::new();
-    let clean = loader().load_instrumented(
-        &page,
-        &mut clean_env,
-        &mut SimRng::seed_from_u64(7),
-        Some(&mut clean_metrics),
-    );
+    let clean = load_with(&page, &mut clean_env, None, Some(&mut clean_metrics), None);
     let mut env = MiniEnv::new();
     let mut faults = FaultSession::new(FaultProfile::none(), 0xBEEF);
     let mut metrics = origin_metrics::Registry::new();
-    let faulted = loader().load_faulted(
-        &page,
-        &mut env,
-        &mut SimRng::seed_from_u64(7),
-        Some(&mut faults),
-        Some(&mut metrics),
-        None,
-    );
+    let faulted = load_with(&page, &mut env, Some(&mut faults), Some(&mut metrics), None);
     assert_eq!(clean, faulted);
     assert_eq!(faults.counts, origin_browser::FaultCounts::default());
     // No fault.* key may materialize — the serialized registries must

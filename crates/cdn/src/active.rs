@@ -8,13 +8,14 @@
 
 use crate::edge::EdgeServer;
 use crate::env::{CdnEnv, DeploymentMode};
-use crate::sample::{SampleGroup, Treatment, THIRD_PARTY_HOST};
-use origin_browser::{BrowserKind, PageLoader};
+use crate::sample::{SampleGroup, SampleSite, Treatment, THIRD_PARTY_HOST};
+use origin_browser::{BrowserKind, PageLoader, VisitArena};
 use origin_dns::name::name;
+use origin_dns::DnsName;
 use origin_metrics::Registry;
 use origin_netsim::SimRng;
+use origin_obs::VisitSinks;
 use origin_stats::{Cdf, Histogram};
-use origin_web::Page;
 
 /// Outcome of one arm of the active measurement.
 #[derive(Debug, Clone)]
@@ -47,7 +48,31 @@ impl ActiveResult {
         self.metrics.merge(&other.metrics);
     }
 
-    fn record_visit(&mut self, page: &Page, load: &origin_web::PageLoad) {
+    /// Visit `site` once with a fresh browser session and fold the
+    /// load into this arm's results.
+    fn visit(
+        &mut self,
+        loader: &PageLoader,
+        env: &mut CdnEnv<'_>,
+        site: &SampleSite,
+        seed: u64,
+        third_party: &DnsName,
+    ) {
+        let page = site.page();
+        let mut rng = SimRng::seed_from_u64(seed ^ site.page_seed);
+        let load = loader.load_observed(
+            &page,
+            env,
+            &mut rng,
+            None,
+            Some(&mut self.metrics),
+            None,
+            &mut VisitArena::new(),
+            VisitSinks::default(),
+        );
+        self.new_connections
+            .add(load.new_connections_to(third_party));
+        self.plt_ms.push(load.plt());
         self.metrics.inc("cdn.active.visits");
         let coalesced_bytes: u64 = load
             .requests
@@ -123,15 +148,7 @@ impl ActiveMeasurement {
         let mut result = ActiveResult::empty();
         let third_party = name(THIRD_PARTY_HOST);
         for site in group.arm(treatment) {
-            let page = site.page();
-            let mut rng = SimRng::seed_from_u64(seed ^ site.page_seed);
-            let load =
-                loader.load_instrumented(&page, &mut env, &mut rng, Some(&mut result.metrics));
-            result
-                .new_connections
-                .add(load.new_connections_to(&third_party));
-            result.plt_ms.push(load.plt());
-            result.record_visit(&page, &load);
+            result.visit(&loader, &mut env, site, seed, &third_party);
         }
         result
     }
@@ -186,19 +203,7 @@ impl ActiveMeasurement {
                         let end = (start + chunk_size).min(sites.len());
                         let mut result = ActiveResult::empty();
                         for site in &sites[start..end] {
-                            let page = site.page();
-                            let mut rng = SimRng::seed_from_u64(seed ^ site.page_seed);
-                            let load = loader.load_instrumented(
-                                &page,
-                                &mut env,
-                                &mut rng,
-                                Some(&mut result.metrics),
-                            );
-                            result
-                                .new_connections
-                                .add(load.new_connections_to(&third_party));
-                            result.plt_ms.push(load.plt());
-                            result.record_visit(&page, &load);
+                            result.visit(&loader, &mut env, site, seed, &third_party);
                         }
                         *slots[chunk]
                             .lock()

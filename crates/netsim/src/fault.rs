@@ -11,7 +11,7 @@
 //!    when it sees an ORIGIN frame. [`Middlebox`] models any on-path
 //!    device that inspects frame type codes.
 
-use crate::rng::SimRng;
+use crate::rng::{fnv1a64, SimRng};
 
 /// Probabilistic packet-level fault injection.
 #[derive(Debug, Clone)]
@@ -142,7 +142,7 @@ impl FaultProfile {
         if self.h421 == 0.0 {
             return 0.0;
         }
-        let scale = 0.5 + (fnv1a(authority.as_bytes()) % 1024) as f64 / 1024.0;
+        let scale = 0.5 + (fnv1a64(authority.as_bytes()) % 1024) as f64 / 1024.0;
         sanitize_probability(self.h421 * scale)
     }
 
@@ -150,15 +150,6 @@ impl FaultProfile {
     pub fn injector(&self) -> FaultInjector {
         FaultInjector::new(self.drop, self.corrupt)
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Outcome of passing one packet through a [`FaultInjector`].

@@ -29,46 +29,57 @@
 # perf-gate job uses, with wall-clock `runtime_ms` stripped so the
 # committed file is machine-independent.
 #
+#   usage: refresh_reports.sh [root]
+#
+# Artifacts land in <root>/reports/ (default: the repository, i.e. the
+# committed files). scripts/check_reports.sh passes a temp dir and
+# compares instead of overwriting. The run happens *inside* <root>
+# with relative `reports/…` paths because repro_full.log echoes the
+# `--json` path it was given.
+#
 # Requires jq. Run from anywhere; commits nothing.
 set -euo pipefail
-cd "$(dirname "$0")/.."
+repo=$(cd "$(dirname "$0")/.." && pwd)
+repro=$repo/target/release/repro
 
-cargo build --release -p origin-bench
+(cd "$repo" && cargo build --release -p origin-bench)
+mkdir -p "${1:-$repo}/reports"
+cd "${1:-$repo}"
 
 echo "refresh: full reference run (6000 sites)…" >&2
-target/release/repro --sites 6000 --threads 1 --json reports/series.json \
+"$repro" --sites 6000 --threads 1 --json reports/series.json \
     >reports/repro_full.txt 2>reports/repro_full.log
 
 echo "refresh: metrics baseline (perf-gate flags)…" >&2
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
-target/release/repro --sites 500 --metrics "$tmp" >/dev/null 2>&1
+"$repro" --sites 500 --metrics "$tmp" >/dev/null 2>&1
 jq -S 'del(.runtime_ms)' "$tmp" >reports/metrics_baseline.json
 
 echo "refresh: reference span trace (rank-3 visit)…" >&2
-target/release/repro trace --site 3 --out reports/trace_site3.json 2>/dev/null
+"$repro" trace --site 3 --out reports/trace_site3.json 2>/dev/null
 jq -e '.traceEvents | length > 0' reports/trace_site3.json >/dev/null
 
 echo "refresh: resilience report (reference fault profile)…" >&2
-target/release/repro --sites 2000 --faults drop=0.01,h421=0.005,middlebox=0.1 \
+"$repro" --sites 2000 --faults drop=0.01,h421=0.005,middlebox=0.1 \
     --faults-report reports/faults_reference.json --only t1 >/dev/null 2>&1
 jq -e '.fault_counters."fault.retries" > 0' reports/faults_reference.json >/dev/null
 
 echo "refresh: redundancy report (reference mixed universe, 25% legacy)…" >&2
-target/release/repro --sites 2000 --legacy-share 0.25 \
+"$repro" --sites 2000 --legacy-share 0.25 \
     --redundancy-report reports/redundancy_reference.json --only t3 >/dev/null 2>&1
 jq -e '.h1.connections_opened > 0' reports/redundancy_reference.json >/dev/null
 
 echo "refresh: timeline reference (observed mixed faulted universe)…" >&2
-target/release/repro --sites 2000 --threads 1 --legacy-share 0.25 \
+"$repro" --sites 2000 --threads 1 --legacy-share 0.25 \
     --faults drop=0.01,h421=0.005,middlebox=0.1 \
     --timeline reports/timeline_reference.json --only t1 >/dev/null 2>&1
 # The fresh reference must clear its own SLO gate (drift layer is a
 # self-compare here; the thresholds are the real check).
-scripts/check_slo.sh reports/timeline_reference.json reports/timeline_reference.json >/dev/null
+"$repo/scripts/check_slo.sh" reports/timeline_reference.json reports/timeline_reference.json >/dev/null
 
 echo "refresh: h3 report (reference h3 universe, 50% share)…" >&2
-target/release/repro --sites 2000 --h3-share 0.5 \
+"$repro" --sites 2000 --h3-share 0.5 \
     --h3-report reports/h3_reference.json --only t3 >/dev/null 2>&1
 jq -e '.h3_counters."h3.connections" > 0' reports/h3_reference.json >/dev/null
 

@@ -461,12 +461,12 @@ mod reconstruct_props {
 /// the merged output is byte-identical at 1, 2, and 8 workers.
 #[test]
 fn faulted_crawls_terminate_and_stay_deterministic() {
-    use origin_bench::run_crawl_faulted;
+    use origin_bench::CrawlSpec;
     use respect_origin::netsim::FaultProfile;
     const SITES: u32 = 80;
     const SEED: u64 = 0xFA17;
 
-    let clean = run_crawl_faulted(SITES, SEED, 2, None, None);
+    let clean = CrawlSpec::new(SITES, SEED).run();
     let mut rng = SimRng::seed_from_u64(0x5EED_FA17);
     let mut profiles = vec![
         FaultProfile::none(),
@@ -482,9 +482,14 @@ fn faulted_crawls_terminate_and_stay_deterministic() {
         });
     }
     for profile in &profiles {
-        let one = run_crawl_faulted(SITES, SEED, 1, None, Some(profile));
-        let two = run_crawl_faulted(SITES, SEED, 2, None, Some(profile));
-        let eight = run_crawl_faulted(SITES, SEED, 8, None, Some(profile));
+        let [one, two, eight] = [1, 2, 8].map(|threads| {
+            CrawlSpec {
+                threads,
+                faults: Some(*profile),
+                ..CrawlSpec::new(SITES, SEED)
+            }
+            .run()
+        });
         // A 421 replay or retransmit retry must never double-count the
         // request: the crawl sees exactly the clean request set.
         assert_eq!(
@@ -529,20 +534,25 @@ fn faulted_crawls_terminate_and_stay_deterministic() {
 /// byte-identical at 1, 2, and 8 workers.
 #[test]
 fn mixed_crawls_terminate_and_stay_deterministic() {
-    use origin_bench::{run_crawl_mixed, RedundancyReport};
+    use origin_bench::{CrawlSpec, RedundancyReport};
     const SITES: u32 = 80;
     const SEED: u64 = 0x11FA;
 
-    let clean = run_crawl_mixed(SITES, SEED, 2, None, None, 0.0);
+    let clean = CrawlSpec::new(SITES, SEED).run();
     let mut rng = SimRng::seed_from_u64(0x5EED_11FA);
     let mut shares = vec![0.0, 1.0];
     for _ in 0..3 {
         shares.push(rng.range_f64(0.05, 0.95));
     }
     for &share in &shares {
-        let one = run_crawl_mixed(SITES, SEED, 1, None, None, share);
-        let two = run_crawl_mixed(SITES, SEED, 2, None, None, share);
-        let eight = run_crawl_mixed(SITES, SEED, 8, None, None, share);
+        let [one, two, eight] = [1, 2, 8].map(|threads| {
+            CrawlSpec {
+                threads,
+                legacy_share: share,
+                ..CrawlSpec::new(SITES, SEED)
+            }
+            .run()
+        });
         // Re-hosting assets onto legacy shards changes where requests
         // go, never how many there are.
         assert_eq!(
@@ -591,20 +601,25 @@ fn mixed_crawls_terminate_and_stay_deterministic() {
 /// workers.
 #[test]
 fn h3_crawls_terminate_and_stay_deterministic() {
-    use origin_bench::{run_crawl_h3, H3Report};
+    use origin_bench::{CrawlSpec, H3Report};
     const SITES: u32 = 80;
     const SEED: u64 = 0x4833;
 
-    let clean = run_crawl_h3(SITES, SEED, 2, None, None, 0.0, 0.0);
+    let clean = CrawlSpec::new(SITES, SEED).run();
     let mut rng = SimRng::seed_from_u64(0x5EED_4833);
     let mut shares = vec![0.0, 1.0];
     for _ in 0..3 {
         shares.push(rng.range_f64(0.05, 0.95));
     }
     for &share in &shares {
-        let one = run_crawl_h3(SITES, SEED, 1, None, None, 0.0, share);
-        let two = run_crawl_h3(SITES, SEED, 2, None, None, 0.0, share);
-        let eight = run_crawl_h3(SITES, SEED, 8, None, None, 0.0, share);
+        let [one, two, eight] = [1, 2, 8].map(|threads| {
+            CrawlSpec {
+                threads,
+                h3_share: share,
+                ..CrawlSpec::new(SITES, SEED)
+            }
+            .run()
+        });
         // Upgrading connections to QUIC changes how requests travel,
         // never how many there are.
         assert_eq!(
