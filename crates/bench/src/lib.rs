@@ -205,14 +205,14 @@ impl ShardAccum {
 /// One crawl worker's state: the loader, the session environment and
 /// the recycled buffers every visit of the worker's chunks goes through.
 ///
-/// The `env` is *reused* across a worker's sites purely as a cache
-/// carrier: everything it memoizes (host facts) is a pure function of
-/// the immutable dataset, and everything per-visit (DNS cache,
-/// rotation serials, stats) is flushed per site. A fresh env per site
-/// produces byte-identical output, just slower. The `scratch` and
-/// `arena` likewise carry only buffer capacity between visits — page
-/// materialization and the load recycle their working memory through
-/// them instead of re-allocating it per site.
+/// Between visits a worker keeps capacity, never keys (DESIGN.md §12):
+/// `scratch`, `arena` (connection pool, protocol state, timing buffers)
+/// and the env's resolver are emptied per site, so a worker is as large
+/// and resets as fast after a million sites as after its largest one.
+/// The one table that keeps its keys is the env's host-fact cache: a
+/// pure function of the immutable dataset, bounded by its distinct
+/// hostnames. A fresh env and arena per site produce byte-identical
+/// output, just slower.
 struct Worker<'d> {
     dataset: &'d Dataset,
     spec: &'d CrawlSpec,
@@ -439,7 +439,7 @@ impl CrawlSpec {
             ..Default::default()
         };
         let dataset = Dataset::generate(config);
-        let site_cfgs: Vec<SiteConfig> = dataset.successful_sites().cloned().collect();
+        let site_cfgs: Vec<&SiteConfig> = dataset.successful_sites().collect();
 
         // Over-split so chunk-duration variance load-balances; contiguous
         // chunks keep the rank order trivially reconstructable.
@@ -464,7 +464,7 @@ impl CrawlSpec {
                         let end = (start + chunk_size).min(site_cfgs.len());
                         let mut acc = ShardAccum::new(sites, config.tranco_total, obs);
                         let mut run = |acc: &mut ShardAccum| {
-                            for site in &site_cfgs[start..end] {
+                            for &site in &site_cfgs[start..end] {
                                 worker.crawl_site(site, acc);
                             }
                         };

@@ -8,9 +8,13 @@
 //! The ceilings document the arena work this crate's crawl loop
 //! relies on: before scratch/arena recycling the same loop averaged
 //! ~306 allocations per page build and ~206 per load; the recycled
-//! path measures ~6 and ~94. The bounds below carry headroom for
-//! allocator-placement jitter, not for regressions — an accidental
-//! per-visit `Vec`/`String` revival trips them immediately.
+//! path measured ~6 and ~94 when it landed, 2 and 74 before the pool
+//! and the resolver cache stopped interning hostnames, and measures 2
+//! and 45 since (an interner allocated twice per hostname a worker had
+//! not met before, and a crawl keeps meeting new ones). The bounds
+//! below carry headroom for allocator-placement jitter, not for
+//! regressions — an accidental per-visit `Vec`/`String` revival trips
+//! them immediately.
 //!
 //! Allocation counts are only meaningful if no other test mutates the
 //! counters concurrently, so this file holds exactly one `#[test]`.
@@ -70,7 +74,7 @@ fn steady_state_crawl_allocations_stay_bounded() {
     let mut scratch = PageScratch::new();
     let mut arena = VisitArena::new();
 
-    // Warm-up: let every recycled buffer, interner and cache reach its
+    // Warm-up: let every recycled buffer and cache reach its
     // steady-state capacity before counting.
     let (head, tail) = site_cfgs.split_at(site_cfgs.len() / 4);
     for site in head {

@@ -79,7 +79,6 @@ pub trait WebEnv {
 /// measured.
 pub struct UniverseEnv<'a> {
     dataset: &'a Dataset,
-    resolver_cache_flushed: bool,
     resolver: ResolverState,
     /// When set, servers hosted by these provider ASes advertise an
     /// origin set covering all page hosts they serve (used by the §4
@@ -169,7 +168,6 @@ impl<'a> UniverseEnv<'a> {
     pub fn new(dataset: &'a Dataset) -> Self {
         UniverseEnv {
             dataset,
-            resolver_cache_flushed: false,
             resolver: ResolverState::new(origin_dns::Transport::Udp53),
             origin_enabled_asns: Vec::new(),
             cache: RefCell::new(HostFactCache::default()),
@@ -183,7 +181,6 @@ impl<'a> UniverseEnv<'a> {
     /// Clear the DNS cache (fresh browser session per page, §3.1).
     pub fn flush_dns(&mut self) {
         self.resolver.flush_cache();
-        self.resolver_cache_flushed = true;
     }
 
     /// The resolver's counters (plaintext exposure etc.).
@@ -287,6 +284,13 @@ fn link_profile(class: u8) -> LinkProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UniverseEnv<'_> {
+        /// See [`ResolverState::footprint`].
+        pub(crate) fn resolver_footprint(&self) -> [(usize, usize); 2] {
+            self.resolver.footprint()
+        }
+    }
     use origin_dns::name::name;
     use origin_webgen::DatasetConfig;
 

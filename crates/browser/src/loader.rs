@@ -222,19 +222,19 @@ struct ConnState {
 
 /// Per-visit working memory, recycled across page loads.
 ///
-/// A cold load allocates a connection pool (five index maps), the
-/// timing vector and three per-resource buffers on every visit; a
-/// crawl does that millions of times. A `VisitArena` owned by each
-/// crawl worker keeps those allocations warm: every buffer is
-/// `clear()`ed — capacity retained — at the start of the next load,
-/// and [`VisitArena::recycle`] returns a consumed [`PageLoad`]'s
-/// request storage to the arena.
+/// A cold load allocates a connection pool (two index maps and their
+/// bucket store), the timing vector and three per-resource buffers on
+/// every visit; a crawl does that millions of times. A `VisitArena`
+/// owned by each crawl worker keeps those allocations warm: every
+/// buffer is `clear()`ed — capacity retained — at the start of the
+/// next load, and [`VisitArena::recycle`] returns a consumed
+/// [`PageLoad`]'s request storage to the arena.
 ///
-/// Determinism: the arena carries *capacity* only. Every value
-/// written during a load is a pure function of the page, the
-/// environment and the RNG, so loads through a warm arena are
-/// byte-identical to loads through a fresh one (asserted by
-/// `arena_reuse_is_output_invisible`).
+/// The arena carries *capacity* only, never keys: every value written
+/// during a load is a pure function of page, environment and RNG, so
+/// a warm arena loads byte-identically to a fresh one
+/// (`arena_reuse_is_output_invisible`) and is as large, and resets as
+/// fast, as its largest visit (`worker_state_is_bounded_by_the_largest_visit`).
 #[derive(Default)]
 pub struct VisitArena {
     pool: ConnectionPool,
@@ -1998,12 +1998,123 @@ mod tests {
         assert!(metrics.counter("h1.close_delimited") > 0);
     }
 
+    /// An arena that has carried 500+ visits of a mixed, faulted
+    /// universe — the compared tests' own hostnames among them, legacy
+    /// peers that closed connections, 421s that evicted coalesced
+    /// mappings — and so has held every kind of key a reset must drop.
+    fn worn_arena() -> VisitArena {
+        let d = Dataset::generate(DatasetConfig {
+            sites: 900,
+            tranco_total: 500_000,
+            seed: 11,
+            legacy_share: 0.3,
+            h3_share: 0.3,
+        });
+        let profile = FaultProfile {
+            h421: 0.2,
+            ..Default::default()
+        };
+        let loader = PageLoader::new(BrowserKind::Firefox);
+        let mut env = UniverseEnv::new(&d);
+        let mut arena = VisitArena::new();
+        let mut metrics = origin_metrics::Registry::new();
+        let mut visits = 0;
+        for site in d.successful_sites() {
+            let page = d.page_for(site);
+            env.flush_dns();
+            let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+            let mut faults = FaultSession::new(profile, site.page_seed);
+            let load = loader.load_observed(
+                &page,
+                &mut env,
+                &mut rng,
+                Some(&mut faults),
+                Some(&mut metrics),
+                None,
+                &mut arena,
+                origin_obs::VisitSinks::default(),
+            );
+            arena.recycle(load);
+            visits += 1;
+        }
+        assert!(visits >= 500, "only {visits} warm-up visits");
+        assert!(metrics.counter("fault.pool_evictions") > 0);
+        assert!(metrics.counter("h1.close_delimited") > 0);
+        arena
+    }
+
+    /// Between visits a worker keeps capacity, never keys: after 1,500
+    /// distinct sites through one arena and one environment, a reset
+    /// leaves the pool and the resolver empty, and what they retain is
+    /// sized by the largest single visit, not by the crawl. Counts
+    /// only — no clock.
+    #[test]
+    fn worker_state_is_bounded_by_the_largest_visit() {
+        let d = Dataset::generate(DatasetConfig {
+            sites: 2_500,
+            tranco_total: 500_000,
+            seed: 5,
+            ..Default::default()
+        });
+        let loader = PageLoader::new(BrowserKind::Chromium);
+        let mut env = UniverseEnv::new(&d);
+        let mut arena = VisitArena::new();
+        let footprint = |arena: &VisitArena, env: &UniverseEnv| {
+            let mut all = arena.pool.footprint().to_vec();
+            all.extend(env.resolver_footprint());
+            all
+        };
+        let mut peak_keys = vec![0usize; footprint(&arena, &env).len()];
+        let mut visits = 0;
+        for site in d.successful_sites() {
+            let page = d.page_for(site);
+            env.flush_dns();
+            let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+            let load = loader.load_observed(
+                &page,
+                &mut env,
+                &mut rng,
+                None,
+                None,
+                None,
+                &mut arena,
+                origin_obs::VisitSinks::default(),
+            );
+            arena.recycle(load);
+            for (peak, (keys, _)) in peak_keys.iter_mut().zip(footprint(&arena, &env)) {
+                *peak = (*peak).max(keys);
+            }
+            visits += 1;
+        }
+        assert!(visits >= 1_500, "only {visits} visits");
+
+        arena.pool.clear();
+        env.flush_dns();
+        for (i, ((keys, capacity), peak)) in footprint(&arena, &env)
+            .into_iter()
+            .zip(peak_keys)
+            .enumerate()
+        {
+            assert_eq!(keys, 0, "structure {i} kept keys across the reset");
+            // Amortized growth at most doubles; the smallest table or
+            // vector holds 3-4 slots.
+            assert!(
+                capacity <= (2 * peak).max(4),
+                "structure {i} retains {capacity} slots after {visits} visits; \
+                 its largest visit held {peak} keys"
+            );
+        }
+    }
+
     /// A recycled arena carries the h1 machines, the QUIC/QPACK state
     /// and the h3 session memory of its last visit in one `ConnState`
     /// vector; none of it may leak into the next visit, in either
     /// mixed universe.
     #[test]
     fn protocol_state_does_not_leak_through_the_arena() {
+        // One arena for the whole test: worn before the first universe,
+        // and carrying the first universe's leftovers into the second.
+        let mut reused = worn_arena();
         for (legacy_share, h3_share) in [(0.5, 0.0), (0.0, 1.0)] {
             let d = Dataset::generate(DatasetConfig {
                 sites: 20,
@@ -2028,7 +2139,6 @@ mod tests {
                 (loads, metrics.to_json())
             };
             let fresh = run(&mut VisitArena::new());
-            let mut reused = VisitArena::new();
             let first = run(&mut reused);
             let second = run(&mut reused); // warm arena, last visit's state cleared
             assert_eq!(fresh, first, "shares {legacy_share}/{h3_share}");
@@ -2040,8 +2150,9 @@ mod tests {
     }
 
     /// Arena reuse must be observationally invisible: a worker that
-    /// recycles one [`VisitArena`] across visits produces `PageLoad`s
-    /// identical to a worker that builds a fresh arena per visit.
+    /// recycles one [`VisitArena`] across visits — hundreds of them,
+    /// over the same hostnames — produces `PageLoad`s identical to a
+    /// worker that builds a fresh arena per visit.
     #[test]
     fn arena_reuse_is_output_invisible() {
         let d = dataset();
@@ -2073,7 +2184,7 @@ mod tests {
         }
 
         let mut env = UniverseEnv::new(&d);
-        let mut arena = VisitArena::new();
+        let mut arena = worn_arena();
         for (site, expect) in sites.iter().zip(&fresh) {
             let page = d.page_for(site);
             env.flush_dns();

@@ -1,24 +1,29 @@
 //! The browser connection pool.
 //!
 //! `decide` runs up to three times per simulated request, so the pool
-//! keeps lookup indexes beside the connection list: hostnames are
-//! interned into a pool-local [`HostTable`], each connection's SAN
-//! list is pre-compiled at insert into exact-name and
-//! wildcard-parent buckets, and DNS-answer addresses map to the
-//! connections holding them. A decision then touches only the
+//! keeps lookup indexes beside the connection list: each connection's
+//! SAN list is pre-compiled at insert into exact-name and
+//! wildcard-parent buckets. A decision then touches only the
 //! connections that could possibly match instead of scanning
 //! `conns × SANs`. [`ConnectionPool::decide_linear`] keeps the
 //! original full-scan logic as the reference implementation; the
 //! indexed path must (and, under `debug_assertions`, is checked to)
 //! return exactly the same decision, which is what keeps every
 //! downstream byte identical.
+//!
+//! Index keys are `DnsName`s the connections already own (a clone is a
+//! refcount bump) and buckets are linked runs in one per-visit vector,
+//! so a cleared pool holds capacity and no keys: it is as large as its
+//! worker's largest visit, never as large as the crawl (DESIGN.md §12).
 
 use crate::policy::BrowserKind;
 use origin_dns::DnsName;
 use origin_h2::OriginSet;
-use origin_intern::{FxHashMap, HostId, HostTable};
+use origin_intern::FxHashMap;
 use origin_tls::Certificate;
 use origin_web::{FetchMode, Protocol};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
 /// Connection pools are partitioned by credentials mode: a CORS-
@@ -89,6 +94,28 @@ impl PooledConnection {
     pub fn multiplexes(&self) -> bool {
         self.protocol == Protocol::H2
     }
+
+    /// Does `policy` find the evidence it wants to put `host` (DNS
+    /// answer `addrs`) here: the connected or, transitively, any
+    /// available-set address; an ORIGIN-frame entry; or (the §4
+    /// ideal-ORIGIN model assumes perfect deployment) none at all?
+    fn has_evidence(&self, policy: BrowserKind, host: &DnsName, addrs: &[IpAddr]) -> bool {
+        let ip_match = || {
+            if policy.ip_transitive() {
+                self.available_set.iter().any(|a| addrs.contains(a))
+            } else {
+                addrs.contains(&self.ip)
+            }
+        };
+        let origin_set = self.origin_set.as_ref();
+        match policy {
+            BrowserKind::Chromium | BrowserKind::Firefox | BrowserKind::IdealIp => ip_match(),
+            BrowserKind::FirefoxOrigin => {
+                origin_set.is_some_and(|s| s.allows_https_host(host.as_str())) || ip_match()
+            }
+            BrowserKind::IdealOrigin => true,
+        }
+    }
 }
 
 /// How a request got (or didn't get) a connection.
@@ -102,19 +129,93 @@ pub enum ReuseDecision {
     New,
 }
 
+/// End-of-run marker in [`Member::next`] and the empty [`Bucket`].
+const NIL: u32 = u32::MAX;
+
+/// One index bucket: [`Member`]s linked in insertion order.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+impl Default for Bucket {
+    fn default() -> Self {
+        Bucket {
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+/// One bucket entry: a connection index and the bucket's next entry.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    conn: u32,
+    next: u32,
+}
+
+/// Everything indexed under one exact hostname: one hash finds it all.
+#[derive(Debug, Clone, Copy, Default)]
+struct NameEntry {
+    /// Connections opened for this hostname (TLS SNI).
+    hosts: Bucket,
+    /// Connections whose certificate carries this name as an exact SAN.
+    sans: Bucket,
+    /// Connections that answered this hostname `421 Misdirected
+    /// Request`: the pair is barred from coalescing for the rest of the
+    /// page load (mirrors Firefox's 421 handling). Same-host reuse is
+    /// unaffected — a 421 indicts the mapping, not the connection.
+    evicted: Bucket,
+}
+
+/// A wildcard SAN (`*.cdn.com`) that hashes, compares and borrows as
+/// the parent it covers (`cdn.com`), which is what requests probe with:
+/// a refcount bump on the SAN where a parent string would allocate.
+#[derive(Debug)]
+struct WildcardKey(DnsName);
+
+impl WildcardKey {
+    fn new(san: &DnsName) -> Option<Self> {
+        san.is_wildcard().then(|| WildcardKey(san.clone()))
+    }
+
+    fn parent(&self) -> &str {
+        &self.0.as_str()["*.".len()..]
+    }
+}
+
+impl Borrow<str> for WildcardKey {
+    fn borrow(&self) -> &str {
+        self.parent()
+    }
+}
+
+impl Hash for WildcardKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parent().hash(state)
+    }
+}
+
+impl PartialEq for WildcardKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parent() == other.parent()
+    }
+}
+
+impl Eq for WildcardKey {}
+
 /// The pool and its reuse logic.
 ///
 /// Index invariants (maintained by [`ConnectionPool::insert`], relied
 /// on by [`ConnectionPool::decide`]):
-/// - every bucket holds connection indices in ascending insertion
-///   order, so iterating a bucket (or an ordered merge of buckets)
+/// - every bucket links connection indices in ascending insertion
+///   order, so walking a bucket (or an ordered merge of buckets)
 ///   visits candidates in exactly the order the linear scan would;
-/// - `exact_san[h]` ∪ `wildcard_san[parent(h)]` is precisely the set
-///   of connections whose certificate covers hostname `h` (RFC 6125
-///   matching: an exact SAN equals the name, a wildcard SAN covers
-///   exactly the names sharing its parent);
-/// - `by_ip[a]` is the set of connections with `a` in their DNS
-///   available set.
+/// - `by_name[h].sans` ∪ `wildcard_san[parent(h)]` is precisely the
+///   set of connections whose certificate covers hostname `h` (RFC
+///   6125 matching: an exact SAN equals the name, a wildcard SAN
+///   covers exactly the names sharing its parent).
 ///
 /// The identity fields consulted by the indexes (`host`, `cert`,
 /// `available_set`) are never mutated after insert — the loader only
@@ -123,18 +224,24 @@ pub enum ReuseDecision {
 #[derive(Debug, Default)]
 pub struct ConnectionPool {
     conns: Vec<PooledConnection>,
-    hosts: HostTable,
-    by_host: FxHashMap<HostId, Vec<u32>>,
-    exact_san: FxHashMap<HostId, Vec<u32>>,
-    wildcard_san: FxHashMap<HostId, Vec<u32>>,
-    by_ip: FxHashMap<IpAddr, Vec<u32>>,
-    /// Coalesced (host → connection) mappings that drew a `421
-    /// Misdirected Request`: the server behind the connection refused
-    /// to serve that authority, so the pair is barred from coalescing
-    /// for the rest of the page load (mirrors Firefox's 421 handling).
-    /// Same-host reuse is unaffected — a 421 indicts the mapping, not
-    /// the connection.
-    evicted: FxHashMap<HostId, Vec<u32>>,
+    /// Backing store of every bucket of every index below.
+    members: Vec<Member>,
+    by_name: FxHashMap<DnsName, NameEntry>,
+    wildcard_san: FxHashMap<WildcardKey, Bucket>,
+}
+
+/// Append `conn` to `bucket` unless it is already the last entry: an
+/// insert offers its connection to a bucket in one burst, so the tail
+/// check keeps a certificate's duplicate SANs out of the index.
+fn link(members: &mut Vec<Member>, bucket: &mut Bucket, conn: u32) {
+    let at = u32::try_from(members.len()).expect("pool outgrew u32 indices");
+    match members.get_mut(bucket.tail as usize) {
+        Some(last) if last.conn == conn => return,
+        Some(last) => last.next = at,
+        None => bucket.head = at,
+    }
+    bucket.tail = at;
+    members.push(Member { conn, next: NIL });
 }
 
 impl ConnectionPool {
@@ -163,30 +270,14 @@ impl ConnectionPool {
         &mut self.conns[idx]
     }
 
-    /// Empty the pool for the next page visit while keeping every
-    /// allocation warm: the connection vector, the index maps *and*
-    /// their per-key buckets retain capacity, and the host intern
-    /// table is kept entirely — interning is append-only and ids
-    /// never leak into output, so a table warmed by earlier visits is
-    /// indistinguishable from a fresh one (a stale key over an empty
-    /// bucket behaves exactly like an absent key).
+    /// Empty the pool for the next page visit: keys go, capacity stays.
+    /// Costs what the visit just finished put in, whatever the worker
+    /// crawled before; no decision can tell the result from a fresh pool.
     pub fn clear(&mut self) {
         self.conns.clear();
-        for bucket in self.by_host.values_mut() {
-            bucket.clear();
-        }
-        for bucket in self.exact_san.values_mut() {
-            bucket.clear();
-        }
-        for bucket in self.wildcard_san.values_mut() {
-            bucket.clear();
-        }
-        for bucket in self.by_ip.values_mut() {
-            bucket.clear();
-        }
-        for bucket in self.evicted.values_mut() {
-            bucket.clear();
-        }
+        self.members.clear();
+        self.by_name.clear();
+        self.wildcard_san.clear();
     }
 
     /// Insert a connection; returns its index. The certificate's SAN
@@ -194,32 +285,28 @@ impl ConnectionPool {
     /// later decision ever walks it.
     pub fn insert(&mut self, conn: PooledConnection) -> usize {
         let idx = u32::try_from(self.conns.len()).expect("pool outgrew u32 indices");
-        let host_id = self.hosts.intern(conn.host.as_str());
-        self.by_host.entry(host_id).or_default().push(idx);
+        let members = &mut self.members;
+        let same_host = self.by_name.entry(conn.host.clone()).or_default();
+        link(members, &mut same_host.hosts, idx);
         for san in &conn.cert.sans {
-            let (map, key) = if san.is_wildcard() {
-                let Some(parent) = san.parent_str() else {
-                    continue; // a bare "*" SAN can never match
-                };
-                (&mut self.wildcard_san, parent)
-            } else {
-                (&mut self.exact_san, san.as_str())
+            let bucket = match WildcardKey::new(san) {
+                Some(key) => self.wildcard_san.entry(key).or_default(),
+                None => &mut self.by_name.entry(san.clone()).or_default().sans,
             };
-            let bucket = map.entry(self.hosts.intern(key)).or_default();
-            // Duplicate SAN entries on one cert must not duplicate
-            // the index entry.
-            if bucket.last() != Some(&idx) {
-                bucket.push(idx);
-            }
-        }
-        for ip in conn.available_set.iter() {
-            let bucket = self.by_ip.entry(*ip).or_default();
-            if bucket.last() != Some(&idx) {
-                bucket.push(idx);
-            }
+            link(members, bucket, idx);
         }
         self.conns.push(conn);
         idx as usize
+    }
+
+    /// The connection indices of `bucket`, in insertion order.
+    fn members(&self, bucket: Bucket) -> impl Iterator<Item = u32> + '_ {
+        let mut at = bucket.head;
+        std::iter::from_fn(move || {
+            let m = self.members.get(at as usize)?;
+            at = m.next;
+            Some(m.conn)
+        })
     }
 
     /// Record a `421 Misdirected Request` for `host` on connection
@@ -227,23 +314,29 @@ impl ConnectionPool {
     /// offered again by [`ConnectionPool::decide`] (either path). The
     /// caller replays the request, normally on a dedicated connection.
     pub fn evict_coalesce(&mut self, host: &DnsName, idx: usize) {
-        let host_id = self.hosts.intern(host.as_str());
         let idx = u32::try_from(idx).expect("pool outgrew u32 indices");
-        let bucket = self.evicted.entry(host_id).or_default();
-        if !bucket.contains(&idx) {
-            bucket.push(idx);
+        if !self.is_evicted(self.evicted_for(host), idx) {
+            let entry = self.by_name.entry(host.clone()).or_default();
+            link(&mut self.members, &mut entry.evicted, idx);
         }
     }
 
     /// Number of evicted (host, connection) coalesce mappings.
     pub fn evicted_mappings(&self) -> usize {
-        self.evicted.values().map(Vec::len).sum()
+        self.by_name
+            .values()
+            .map(|e| self.members(e.evicted).count())
+            .sum()
     }
 
-    fn is_evicted(&self, host_id: Option<HostId>, idx: u32) -> bool {
-        host_id
-            .and_then(|id| self.evicted.get(&id))
-            .is_some_and(|b| b.contains(&idx))
+    /// The connections barred from coalescing `host` (one lookup per
+    /// decision; [`ConnectionPool::is_evicted`] probes it per candidate).
+    fn evicted_for(&self, host: &DnsName) -> Bucket {
+        self.by_name.get(host).copied().unwrap_or_default().evicted
+    }
+
+    fn is_evicted(&self, evicted: Bucket, idx: u32) -> bool {
+        self.members(evicted).any(|i| i == idx)
     }
 
     /// Decide how a request to `host` (with DNS answer `addrs`, in
@@ -308,18 +401,13 @@ impl ConnectionPool {
         // serialization, and timing — "the number of TLS handshakes
         // is equal to the number of separate services" (§4.2).
         let is_ideal = matches!(policy, BrowserKind::IdealIp | BrowserKind::IdealOrigin);
-        fn bucket_of(map: &FxHashMap<HostId, Vec<u32>>, key: Option<HostId>) -> &[u32] {
-            key.and_then(|id| map.get(&id))
-                .map_or(&[], |b| b.as_slice())
-        }
 
         // 1. Same-host reuse (keep-alive): H2 always multiplexes; an
-        //    H1.1 connection is only reusable when idle. A hostname
-        //    the interner has never seen has no connections at all.
-        let host_id = self.hosts.get(host.as_str());
-        let same_host = bucket_of(&self.by_host, host_id);
+        //    H1.1 connection is only reusable when idle. One probe
+        //    finds everything indexed under the exact hostname.
+        let named = self.by_name.get(host).copied().unwrap_or_default();
         let mut h1_same_host = 0u32;
-        for &i in same_host {
+        for i in self.members(named.hosts) {
             let c = &self.conns[i as usize];
             if c.closed || (!is_ideal && c.partition != partition) {
                 continue;
@@ -336,9 +424,9 @@ impl ConnectionPool {
             // All six H1.1 slots busy: queue behind the least loaded
             // (modelled as same-host reuse with blocking charged by
             // the loader).
-            if let Some((i, _)) = same_host
-                .iter()
-                .map(|&i| (i as usize, &self.conns[i as usize]))
+            if let Some((i, _)) = self
+                .members(named.hosts)
+                .map(|i| (i as usize, &self.conns[i as usize]))
                 .filter(|(_, c)| !c.closed && c.partition == partition)
                 .min_by(|(_, a), (_, b)| {
                     a.busy_until
@@ -359,45 +447,31 @@ impl ConnectionPool {
         // (wildcard entries), merged in ascending insertion order to
         // reproduce the linear scan's first match.
         if !is_ideal {
-            let exact = bucket_of(&self.exact_san, host_id);
-            let wild = bucket_of(
-                &self.wildcard_san,
-                host.parent_str().and_then(|p| self.hosts.get(p)),
-            );
-            let (mut a, mut b) = (0usize, 0usize);
+            let wild = host.parent_str().and_then(|p| self.wildcard_san.get(p));
+            let (mut exact, mut wild) = (named.sans.head, wild.map_or(NIL, |b| b.head));
             loop {
-                let i = match (exact.get(a), wild.get(b)) {
-                    (Some(&x), Some(&y)) if x == y => {
-                        a += 1;
-                        b += 1;
-                        x
-                    }
-                    (Some(&x), Some(&y)) if x < y => {
-                        a += 1;
-                        x
-                    }
-                    (Some(_), Some(&y)) => {
-                        b += 1;
-                        y
-                    }
-                    (Some(&x), None) => {
-                        a += 1;
-                        x
-                    }
-                    (None, Some(&y)) => {
-                        b += 1;
-                        y
-                    }
-                    (None, None) => break,
-                };
+                let x = self.members.get(exact as usize);
+                let y = self.members.get(wild as usize);
+                // Lower index first; `NIL` stands for a spent bucket.
+                let i = x.map_or(NIL, |m| m.conn).min(y.map_or(NIL, |m| m.conn));
+                if i == NIL {
+                    break;
+                }
+                // Step past `i` in whichever bucket(s) hold it.
+                if let Some(m) = x.filter(|m| m.conn == i) {
+                    exact = m.next;
+                }
+                if let Some(m) = y.filter(|m| m.conn == i) {
+                    wild = m.next;
+                }
                 let c = &self.conns[i as usize];
                 debug_assert!(c.cert.covers(host), "SAN index out of sync with cert");
-                if c.partition != partition || !c.multiplexes() || self.is_evicted(host_id, i) {
+                if c.partition != partition || !c.multiplexes() || self.is_evicted(named.evicted, i)
+                {
                     continue;
                 }
-                if let Some(d) = Self::coalesce_check(policy, c, host, addrs, colocated, i as usize)
-                {
-                    return d;
+                if colocated(&c.host) && c.has_evidence(policy, host, addrs) {
+                    return ReuseDecision::Coalesce(i as usize);
                 }
             }
             return ReuseDecision::New;
@@ -405,70 +479,18 @@ impl ConnectionPool {
 
         // The ideal models skip the certificate requirement (§4
         // assumes the least-effort SAN modifications are applied), so
-        // the SAN index cannot narrow them. IdealIp still needs an
-        // address overlap — the by-ip index names its candidates —
-        // while IdealOrigin coalesces on colocation alone and must
-        // consider every connection.
-        match policy {
-            BrowserKind::IdealIp => {
-                let mut candidates: Vec<u32> = addrs
-                    .iter()
-                    .filter_map(|a| self.by_ip.get(a))
-                    .flatten()
-                    .copied()
-                    .collect();
-                candidates.sort_unstable();
-                candidates.dedup();
-                for i in candidates {
-                    let c = &self.conns[i as usize];
-                    if !c.closed && !self.is_evicted(host_id, i) && colocated(&c.host) {
-                        return ReuseDecision::Coalesce(i as usize);
-                    }
-                }
-            }
-            _ => {
-                for (i, c) in self.conns.iter().enumerate() {
-                    if !c.closed && !self.is_evicted(host_id, i as u32) && colocated(&c.host) {
-                        return ReuseDecision::Coalesce(i);
-                    }
-                }
+        // the SAN index cannot narrow them: every connection is a
+        // candidate, on colocation plus (IdealIp) an address overlap.
+        for (i, c) in self.conns.iter().enumerate() {
+            if !c.closed
+                && !self.is_evicted(named.evicted, i as u32)
+                && colocated(&c.host)
+                && c.has_evidence(policy, host, addrs)
+            {
+                return ReuseDecision::Coalesce(i);
             }
         }
         ReuseDecision::New
-    }
-
-    /// The step-2 per-candidate policy check shared by the indexed
-    /// non-ideal path: IP evidence (exact or transitive) or an ORIGIN
-    /// frame, after the server-side colocation gate.
-    fn coalesce_check(
-        policy: BrowserKind,
-        c: &PooledConnection,
-        host: &DnsName,
-        addrs: &[IpAddr],
-        colocated: &impl Fn(&DnsName) -> bool,
-        idx: usize,
-    ) -> Option<ReuseDecision> {
-        if !colocated(&c.host) {
-            return None;
-        }
-        let ip_match = if policy.ip_transitive() {
-            c.available_set.iter().any(|a| addrs.contains(a))
-        } else {
-            addrs.contains(&c.ip)
-        };
-        let origin_match = policy.uses_origin_frame()
-            && c.origin_set
-                .as_ref()
-                .map(|s| s.allows_https_host(host.as_str()))
-                .unwrap_or(false);
-        let allowed = match policy {
-            BrowserKind::Chromium | BrowserKind::Firefox => ip_match,
-            BrowserKind::FirefoxOrigin => origin_match || ip_match,
-            BrowserKind::IdealIp | BrowserKind::IdealOrigin => {
-                unreachable!("ideal policies take the dedicated paths")
-            }
-        };
-        allowed.then_some(ReuseDecision::Coalesce(idx))
     }
 
     /// The original full-scan decision logic, kept as the reference
@@ -522,9 +544,9 @@ impl ConnectionPool {
         // 2. Cross-host coalescing (HTTP/2 only, same partition, cert
         //    must cover the new name, server must actually serve it,
         //    and the mapping must not have been evicted by a 421).
-        let host_id = self.hosts.get(host.as_str());
+        let evicted = self.evicted_for(host);
         for (i, c) in self.conns.iter().enumerate() {
-            if c.closed || self.is_evicted(host_id, i as u32) {
+            if c.closed || self.is_evicted(evicted, i as u32) {
                 continue;
             }
             if !is_ideal && (c.partition != partition || !c.multiplexes()) {
@@ -620,37 +642,19 @@ impl ConnectionPool {
         colocated: impl Fn(&DnsName) -> bool,
     ) -> bool {
         let is_ideal = matches!(policy, BrowserKind::IdealIp | BrowserKind::IdealOrigin);
-        let host_id = self.hosts.get(host.as_str());
+        let evicted = self.evicted_for(host);
         for (i, c) in self.conns.iter().enumerate() {
             // Same-host: an h2 connection would simply multiplex.
             if &c.host == host && (is_ideal || c.partition == partition) {
                 return true;
             }
-            if self.is_evicted(host_id, i as u32) {
+            if self.is_evicted(evicted, i as u32) {
                 continue;
             }
             if !is_ideal && (c.partition != partition || !c.cert.covers(host)) {
                 continue;
             }
-            if !colocated(&c.host) {
-                continue;
-            }
-            let ip_match = if policy.ip_transitive() {
-                c.available_set.iter().any(|a| addrs.contains(a))
-            } else {
-                addrs.contains(&c.ip)
-            };
-            let origin_match = policy.uses_origin_frame()
-                && c.origin_set
-                    .as_ref()
-                    .map(|s| s.allows_https_host(host.as_str()))
-                    .unwrap_or(false);
-            let merged = match policy {
-                BrowserKind::Chromium | BrowserKind::Firefox | BrowserKind::IdealIp => ip_match,
-                BrowserKind::FirefoxOrigin => origin_match || ip_match,
-                BrowserKind::IdealOrigin => true,
-            };
-            if merged {
+            if colocated(&c.host) && c.has_evidence(policy, host, addrs) {
                 return true;
             }
         }
@@ -661,9 +665,24 @@ impl ConnectionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
     use origin_dns::name::name;
     use origin_dns::record::v4;
     use origin_tls::CertificateBuilder;
+
+    impl ConnectionPool {
+        /// `(keys held, capacity retained)` of the connection list, the
+        /// bucket store and the two index maps — what the loader's
+        /// footprint test bounds by the largest single visit.
+        pub(crate) fn footprint(&self) -> [(usize, usize); 4] {
+            [
+                (self.conns.len(), self.conns.capacity()),
+                (self.members.len(), self.members.capacity()),
+                (self.by_name.len(), self.by_name.capacity()),
+                (self.wildcard_san.len(), self.wildcard_san.capacity()),
+            ]
+        }
+    }
 
     fn conn(host: &str, ip: IpAddr, set: Vec<IpAddr>, sans: &[&str]) -> PooledConnection {
         let mut b = CertificateBuilder::new(name(host));
@@ -1225,6 +1244,12 @@ mod tests {
         // partitions, busy H1.1 connections) the indexed decision
         // equals the linear reference for every policy, host and
         // answer. Seeded SimRng, so failures replay exactly.
+        //
+        // One pool is `clear()`ed and refilled round after round from
+        // the same small vocabulary of hostnames, wildcard parents and
+        // addresses, and must decide exactly like a pool built fresh
+        // for the round: a bucket, an eviction or a link order that
+        // survived the clear would show as a difference.
         use origin_netsim::SimRng;
         let hosts = [
             "a.com",
@@ -1260,8 +1285,12 @@ mod tests {
         ];
         let ips: Vec<IpAddr> = (1..=6).map(|d| v4(10, 0, 0, d)).collect();
         let mut rng = SimRng::seed_from_u64(0x5EED_C0DE);
+        let mut pool = ConnectionPool::new();
         for trial in 0..150u32 {
-            let mut pool = ConnectionPool::new();
+            pool.clear();
+            assert!(pool.is_empty());
+            assert_eq!(pool.evicted_mappings(), 0);
+            let mut fresh = ConnectionPool::new();
             let n = 1 + rng.index(7);
             for _ in 0..n {
                 let host = *rng.choose(&hosts);
@@ -1287,6 +1316,7 @@ mod tests {
                 if rng.chance(0.2) {
                     c.origin_set = Some(OriginSet::from_hosts([host, *rng.choose(&hosts)]));
                 }
+                fresh.insert(c.clone());
                 pool.insert(c);
             }
             // Random 421 evictions must be honored identically by
@@ -1297,8 +1327,10 @@ mod tests {
                 #[allow(clippy::explicit_auto_deref)]
                 let host = name(*rng.choose(&hosts));
                 let idx = rng.index(pool.len());
+                fresh.evict_coalesce(&host, idx);
                 pool.evict_coalesce(&host, idx);
             }
+            assert_eq!(pool.evicted_mappings(), fresh.evicted_mappings());
             for _ in 0..12 {
                 let policy = *rng.choose(&policies);
                 let host = name(hosts[rng.index(hosts.len())]);
@@ -1315,8 +1347,10 @@ mod tests {
                 let indexed = pool.decide(policy, &host, &answer, partition, 2, start, colocated);
                 let linear =
                     pool.decide_linear(policy, &host, &answer, partition, 2, start, colocated);
+                let rebuilt = fresh.decide(policy, &host, &answer, partition, 2, start, colocated);
                 assert_eq!(
-                    indexed, linear,
+                    (indexed, indexed),
+                    (linear, rebuilt),
                     "trial {trial}: {policy:?} {host} answer {answer:?} partition {partition:?}"
                 );
             }

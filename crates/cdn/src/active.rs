@@ -54,6 +54,7 @@ impl ActiveResult {
         &mut self,
         loader: &PageLoader,
         env: &mut CdnEnv<'_>,
+        arena: &mut VisitArena,
         site: &SampleSite,
         seed: u64,
         third_party: &DnsName,
@@ -67,7 +68,7 @@ impl ActiveResult {
             None,
             Some(&mut self.metrics),
             None,
-            &mut VisitArena::new(),
+            arena,
             VisitSinks::default(),
         );
         self.new_connections
@@ -82,6 +83,7 @@ impl ActiveResult {
             .sum();
         self.metrics
             .add("cdn.active.coalesced_bytes", coalesced_bytes);
+        arena.recycle(load);
     }
 
     /// Fraction of visits with exactly `n` new connections.
@@ -145,10 +147,11 @@ impl ActiveMeasurement {
     pub fn run(&self, group: &SampleGroup, treatment: Treatment, seed: u64) -> ActiveResult {
         let mut env = CdnEnv::new(group, self.mode);
         let loader = PageLoader::new(self.browser);
+        let mut arena = VisitArena::new();
         let mut result = ActiveResult::empty();
         let third_party = name(THIRD_PARTY_HOST);
         for site in group.arm(treatment) {
-            result.visit(&loader, &mut env, site, seed, &third_party);
+            result.visit(&loader, &mut env, &mut arena, site, seed, &third_party);
         }
         result
     }
@@ -191,6 +194,7 @@ impl ActiveMeasurement {
                 scope.spawn(|| {
                     let mut env = CdnEnv::new(group, self.mode);
                     let loader = PageLoader::new(self.browser);
+                    let mut arena = VisitArena::new();
                     loop {
                         let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
                         if chunk >= n_chunks {
@@ -203,7 +207,7 @@ impl ActiveMeasurement {
                         let end = (start + chunk_size).min(sites.len());
                         let mut result = ActiveResult::empty();
                         for site in &sites[start..end] {
-                            result.visit(&loader, &mut env, site, seed, &third_party);
+                            result.visit(&loader, &mut env, &mut arena, site, seed, &third_party);
                         }
                         *slots[chunk]
                             .lock()

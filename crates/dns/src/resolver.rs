@@ -2,7 +2,7 @@
 
 use crate::name::DnsName;
 use crate::zone::{Answer, SerialKey, ZoneSet};
-use origin_intern::{FxHashMap, HostTable};
+use origin_intern::FxHashMap;
 use origin_netsim::{SimDuration, SimRng, SimTime};
 
 /// The transport a client uses for its DNS queries. The paper's
@@ -101,14 +101,10 @@ struct CacheEntry {
 /// resolver round trip (configurable base latency with exponential
 /// tail jitter, reflecting real-world recursive lookup behaviour).
 pub struct ResolverState {
-    /// Interner for queried hostnames: the cache below is keyed by the
-    /// dense interned id, so repeat queries hash one `u32` instead of
-    /// a whole hostname, and expiry/replace churn never reallocates
-    /// keys. The interner survives [`ResolverState::flush_cache`] —
-    /// ids stay stable for the session and the cache itself is
-    /// emptied, so no stale entry can be observed.
-    hosts: HostTable,
-    cache: FxHashMap<u32, CacheEntry>,
+    /// Keyed by the queried name itself (a refcount bump on the caller's
+    /// `DnsName`), so a flush leaves no name behind: a session reused
+    /// across a whole crawl stays as small as its largest visit.
+    cache: FxHashMap<DnsName, CacheEntry>,
     /// Per-session round-robin serials overlaying the shared zones.
     serials: FxHashMap<SerialKey, u32>,
     /// Transport used for network queries.
@@ -126,7 +122,6 @@ impl ResolverState {
     /// work, as the paper's cache-flushed crawls saw.
     pub fn new(transport: Transport) -> Self {
         ResolverState {
-            hosts: HostTable::new(),
             cache: FxHashMap::default(),
             serials: FxHashMap::default(),
             transport,
@@ -162,6 +157,15 @@ impl ResolverState {
         self.serials.clear();
     }
 
+    /// `(keys held, capacity retained)` of the cache and the serials.
+    #[doc(hidden)]
+    pub fn footprint(&self) -> [(usize, usize); 2] {
+        [
+            (self.cache.len(), self.cache.capacity()),
+            (self.serials.len(), self.serials.capacity()),
+        ]
+    }
+
     /// Resolve `name` against `zones` at simulated time `now`.
     ///
     /// Returns `None` on NXDOMAIN. Cache entries expire strictly after
@@ -173,8 +177,7 @@ impl ResolverState {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<QueryAnswer> {
-        let key = self.hosts.intern(name.as_str()).0;
-        if let Some(entry) = self.cache.get(&key) {
+        if let Some(entry) = self.cache.get(name) {
             if entry.expires > now {
                 self.stats.cache_hits += 1;
                 return Some(QueryAnswer {
@@ -183,7 +186,7 @@ impl ResolverState {
                     latency: SimDuration::ZERO,
                 });
             }
-            self.cache.remove(&key);
+            self.cache.remove(name);
         }
         self.stats.network_queries += 1;
         if self.transport.is_plaintext() {
@@ -197,7 +200,7 @@ impl ResolverState {
             }) => {
                 let addresses: std::sync::Arc<[std::net::IpAddr]> = addresses.into();
                 self.cache.insert(
-                    key,
+                    name.clone(),
                     CacheEntry {
                         addresses: addresses.clone(),
                         expires: now + SimDuration::from_secs(ttl_secs as u64),

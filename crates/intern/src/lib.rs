@@ -1,18 +1,19 @@
 //! Hostname interning for the per-request hot path.
 //!
-//! The simulator handles the same few thousand hostnames millions of
-//! times per crawl. Comparing and hashing them as `String`s puts a
-//! string hash (and often an allocation) on every pool lookup,
-//! resolver-cache probe and colocation check. A [`HostTable`] maps
-//! each distinct hostname to a dense [`HostId`] exactly once; from
-//! then on equality is an integer compare and map keys are `u32`s.
+//! A [`HostTable`] maps each distinct hostname to a dense [`HostId`]
+//! exactly once; from then on equality is an integer compare and facts
+//! about a name live in a `Vec` indexed by its id. The table only
+//! grows, so it suits a key set bounded by something other than its
+//! owner's lifetime (the crawl env's host-fact cache: the dataset's
+//! names) and nothing that is reset per visit — a crawl meets new
+//! hostnames on every site, which is why the connection pool and the
+//! resolver cache key by the refcounted `DnsName` itself instead.
 //!
 //! Determinism: ids are assigned in first-intern order, so a table is
 //! a pure function of the sequence of names offered to it. No id ever
-//! leaks into persisted output — exports always go through
-//! [`HostTable::name`] back to the string — so differently-sharded
-//! runs (whose per-worker tables intern in different orders) still
-//! produce byte-identical reports.
+//! leaks into persisted output — there is no way back from an id to
+//! its string — so differently-sharded runs (whose per-worker tables
+//! intern in different orders) still produce byte-identical reports.
 //!
 //! The module also provides [`FxHasher`], the deterministic
 //! multiply-xor hasher used by Firefox and rustc, as a drop-in
@@ -41,11 +42,10 @@ impl HostId {
     }
 }
 
-/// An append-only intern table: hostname → [`HostId`] and back.
+/// An append-only intern table: hostname → [`HostId`].
 #[derive(Debug, Default, Clone)]
 pub struct HostTable {
     ids: FxHashMap<Box<str>, u32>,
-    names: Vec<Box<str>>,
 }
 
 impl HostTable {
@@ -60,10 +60,8 @@ impl HostTable {
         if let Some(&id) = self.ids.get(name) {
             return HostId(id);
         }
-        let id = u32::try_from(self.names.len()).expect("more than u32::MAX interned hostnames");
-        let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.ids.insert(boxed, id);
+        let id = u32::try_from(self.ids.len()).expect("more than u32::MAX interned hostnames");
+        self.ids.insert(name.into(), id);
         HostId(id)
     }
 
@@ -72,22 +70,14 @@ impl HostTable {
         self.ids.get(name).map(|&id| HostId(id))
     }
 
-    /// The hostname behind `id`.
-    ///
-    /// Panics when `id` was not minted by this table — mixing tables
-    /// is a logic error, not a recoverable condition.
-    pub fn name(&self, id: HostId) -> &str {
-        &self.names[id.index()]
-    }
-
     /// Number of interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ids.len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ids.is_empty()
     }
 }
 
@@ -173,8 +163,8 @@ mod tests {
         assert_eq!(a, HostId(0));
         assert_eq!(b, HostId(1));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.name(a), "www.example.com");
-        assert_eq!(t.name(b), "cdn.example.com");
+        assert_eq!(t.get("www.example.com"), Some(a));
+        assert_eq!(t.get("cdn.example.com"), Some(b));
     }
 
     #[test]
@@ -196,11 +186,10 @@ mod tests {
         for n in ["c.com", "a.com", "b.com"] {
             t2.intern(n);
         }
-        // Same names, different order → different ids; identity is
-        // only ever resolved back through `name`.
-        assert_eq!(t1.name(t1.get("c.com").unwrap()), "c.com");
-        assert_eq!(t2.name(t2.get("c.com").unwrap()), "c.com");
-        assert_ne!(t1.get("c.com"), t2.get("c.com"));
+        // Same names, different order → different ids: an id means
+        // something only to the table that minted it.
+        assert_eq!(t1.get("c.com"), Some(HostId(2)));
+        assert_eq!(t2.get("c.com"), Some(HostId(0)));
     }
 
     #[test]
