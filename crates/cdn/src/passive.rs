@@ -17,7 +17,6 @@ use crate::sample::{SampleGroup, Treatment, THIRD_PARTY_HOST};
 use origin_netsim::SimRng;
 use origin_web::FetchMode;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// One sampled log record (the paper's privacy-reduced schema).
@@ -198,18 +197,14 @@ impl PassivePipeline {
     /// given seed regardless of worker count (visits are partitioned
     /// by index and each visit derives its own RNG).
     pub fn run(&self, group: &SampleGroup, seed: u64) -> PassiveReport {
-        let report = Arc::new(Mutex::new(PassiveReport::default()));
         let (tx, rx) = mpsc::channel::<LogRecord>();
 
         // Collector thread: consumes sampled records and aggregates —
         // the paper's restricted-access query side.
-        let collector_report = Arc::clone(&report);
         let collector = thread::spawn(move || {
+            let mut r = PassiveReport::default();
             let mut seen_coalesced_conns = std::collections::HashSet::new();
             for rec in rx {
-                let mut r = collector_report
-                    .lock()
-                    .expect("passive report lock poisoned by a worker panic");
                 r.sampled_records += 1;
                 if rec.host == THIRD_PARTY_HOST {
                     if rec.host_differs_from_sni {
@@ -227,108 +222,88 @@ impl PassivePipeline {
                     }
                 }
             }
+            r
         });
 
-        // Edge workers: partition visits by index.
-        let visits = self.config.visits;
+        // Edge workers: partition visits by index. Each returns its
+        // `(experiment, control)` visit counts.
         let workers = self.config.workers.max(1);
-        thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let report = Arc::clone(&report);
-                let group_sites = &group.sites;
-                let pipeline = &*self;
-                scope.spawn(move || {
-                    let mut conn_counter: u64 = (w as u64) << 48;
-                    for v in (w as u64..visits).step_by(workers) {
-                        let mut rng =
-                            SimRng::seed_from_u64(seed ^ v.wrapping_mul(0x9e3779b97f4a7c15));
-                        let site = &group_sites[rng.index(group_sites.len())];
-                        let t = rng.unit() * pipeline.config.window_secs;
-                        {
-                            let mut r = report
-                                .lock()
-                                .expect("passive report lock poisoned by a worker panic");
-                            match site.treatment {
-                                Treatment::Experiment => r.experiment_visits += 1,
-                                Treatment::Control => r.control_visits += 1,
-                            }
-                        }
-                        // The site connection itself.
-                        conn_counter += 1;
-                        let site_conn = conn_counter;
-                        let coalesces = pipeline.visit_coalesces(
-                            site.treatment,
-                            site.third_party_fetch,
-                            &mut rng,
-                        );
-                        let mut site_arrivals: u32 = 1;
-                        let emit = |rec: LogRecord, rng: &mut SimRng| {
-                            if rng.chance(pipeline.config.sample_rate) {
-                                let _ = tx.send(rec);
-                            }
-                        };
-                        emit(
-                            LogRecord {
-                                conn_id: site_conn,
-                                referer_domain: site.host.to_string(),
-                                sni: site.host.to_string(),
-                                host: site.host.to_string(),
-                                arrival_order: site_arrivals,
-                                treatment: site.treatment,
-                                host_differs_from_sni: false,
-                                t_secs: t,
-                            },
-                            &mut rng,
-                        );
-                        // Third-party requests.
-                        if coalesces {
-                            for _ in 0..site.third_party_requests {
-                                site_arrivals += 1;
-                                emit(
-                                    LogRecord {
-                                        conn_id: site_conn,
-                                        referer_domain: site.host.to_string(),
-                                        sni: site.host.to_string(),
-                                        host: THIRD_PARTY_HOST.to_string(),
-                                        arrival_order: site_arrivals,
-                                        treatment: site.treatment,
-                                        host_differs_from_sni: true,
-                                        t_secs: t,
-                                    },
-                                    &mut rng,
-                                );
-                            }
-                        } else {
-                            conn_counter += 1;
-                            let tp_conn = conn_counter;
-                            for k in 0..site.third_party_requests {
-                                emit(
-                                    LogRecord {
-                                        conn_id: tp_conn,
-                                        referer_domain: site.host.to_string(),
-                                        sni: THIRD_PARTY_HOST.to_string(),
-                                        host: THIRD_PARTY_HOST.to_string(),
-                                        arrival_order: k + 1,
-                                        treatment: site.treatment,
-                                        host_differs_from_sni: false,
-                                        t_secs: t,
-                                    },
-                                    &mut rng,
-                                );
-                            }
-                        }
-                    }
-                    drop(tx);
-                });
-            }
+        let (experiment_visits, control_visits) = thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let tx = tx.clone();
+                    scope.spawn(move || self.edge_worker(group, seed, w, workers, tx))
+                })
+                .collect();
             drop(tx);
+            handles.into_iter().fold((0, 0), |(exp, ctl), h| {
+                let (e, c) = h.join().expect("edge worker panicked");
+                (exp + e, ctl + c)
+            })
         });
-        collector.join().expect("collector thread");
-        Arc::try_unwrap(report)
-            .expect("all workers done")
-            .into_inner()
-            .expect("report lock not poisoned")
+        let mut report = collector.join().expect("collector thread");
+        report.experiment_visits = experiment_visits;
+        report.control_visits = control_visits;
+        report
+    }
+
+    /// One edge worker: simulate visits `w, w + workers, …`, sending
+    /// the sampled share of their requests to the collector. Returns the
+    /// `(experiment, control)` visits it processed.
+    fn edge_worker(
+        &self,
+        group: &SampleGroup,
+        seed: u64,
+        w: usize,
+        workers: usize,
+        tx: mpsc::Sender<LogRecord>,
+    ) -> (u64, u64) {
+        let (mut experiment_visits, mut control_visits) = (0u64, 0u64);
+        let mut conn_counter: u64 = (w as u64) << 48;
+        for v in (w as u64..self.config.visits).step_by(workers) {
+            let mut rng = SimRng::seed_from_u64(seed ^ v.wrapping_mul(0x9e3779b97f4a7c15));
+            let site = &group.sites[rng.index(group.sites.len())];
+            let t = rng.unit() * self.config.window_secs;
+            match site.treatment {
+                Treatment::Experiment => experiment_visits += 1,
+                Treatment::Control => control_visits += 1,
+            }
+            // The site connection itself.
+            conn_counter += 1;
+            let site_conn = conn_counter;
+            let coalesces = self.visit_coalesces(site.treatment, site.third_party_fetch, &mut rng);
+            // The sampling draw comes first: requests that are not
+            // sampled (99% of them) never build a record (building one draws
+            // nothing, so the draw order is the same either way).
+            let mut emit = |conn_id: u64, sni: &str, host: &str, arrival_order: u32| {
+                if rng.chance(self.config.sample_rate) {
+                    let _ = tx.send(LogRecord {
+                        conn_id,
+                        referer_domain: site.host.to_string(),
+                        sni: sni.to_string(),
+                        host: host.to_string(),
+                        arrival_order,
+                        treatment: site.treatment,
+                        host_differs_from_sni: sni != host,
+                        t_secs: t,
+                    });
+                }
+            };
+            let site_host = site.host.as_str();
+            emit(site_conn, site_host, site_host, 1);
+            // Third-party requests.
+            if coalesces {
+                for k in 0..site.third_party_requests {
+                    emit(site_conn, site_host, THIRD_PARTY_HOST, k + 2);
+                }
+            } else {
+                conn_counter += 1;
+                for k in 0..site.third_party_requests {
+                    emit(conn_counter, THIRD_PARTY_HOST, THIRD_PARTY_HOST, k + 1);
+                }
+            }
+        }
+        (experiment_visits, control_visits)
     }
 }
 
@@ -416,5 +391,8 @@ mod tests {
         assert_eq!(a.experiment_tp_connections, b.experiment_tp_connections);
         assert_eq!(a.control_tp_connections, b.control_tp_connections);
         assert_eq!(a.sampled_records, b.sampled_records);
+        assert_eq!(a.coalesced_connections, b.coalesced_connections);
+        assert_eq!(a.experiment_visits, b.experiment_visits);
+        assert_eq!(a.control_visits, b.control_visits);
     }
 }

@@ -14,7 +14,7 @@
 //!    guarantee than the rank-ordered merges the one-shot reports use.
 //!
 //! Memory is `O(windows × series)` — each window holds a fixed counter
-//! array and a handful of sparse sketches — never `O(visits)`.
+//! array and a handful of bounded sketches — never `O(visits)`.
 //!
 //! See `DESIGN.md` §15 for the window model, sketch error bound, and
 //! flight-recorder semantics.

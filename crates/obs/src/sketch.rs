@@ -11,16 +11,22 @@
 //! ```
 //!
 //! (nearest-rank definition of `exact`; the `+ 1` absorbs integer
-//! truncation). Buckets are stored sparsely in a `BTreeMap`, so a
-//! sketch costs memory proportional to the number of *distinct
-//! magnitudes seen*, not the number of samples, and iteration order is
-//! value order — merges and exports are deterministic for free.
+//! truncation).
+//!
+//! Storage is one contiguous run of buckets: `base` is the smallest
+//! occupied bucket index and `counts[i]` belongs to bucket `base + i`,
+//! up to the largest occupied bucket. Filing a sample is an index and
+//! an add; the run only grows when a sample lands outside it, and
+//! [`bucket_index`] never exceeds 495, so a sketch holds at most 496
+//! slots however many samples it sees. Both ends of the run are always
+//! occupied, which makes the layout a function of the recorded
+//! multiset alone: derived `Eq` is canonical under any record or merge
+//! order. Exemplar slots are allocated on the first exemplar, so
+//! sketches that never carry one pay for counts only.
 //!
 //! Each bucket may carry an [`Exemplar`] linking the largest sample
 //! that landed in it back to an `origin-trace` span, so an outlier
 //! percentile is one hop from its waterfall.
-
-use std::collections::BTreeMap;
 
 /// Number of linear sub-buckets per power-of-two octave. The relative
 /// bucket error is `1 / SUBBUCKETS`.
@@ -84,8 +90,14 @@ pub fn bucket_upper(idx: u16) -> u64 {
 /// A mergeable quantile sketch over `u64` samples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuantileSketch {
-    buckets: BTreeMap<u16, u64>,
-    exemplars: BTreeMap<u16, Exemplar>,
+    /// Bucket index of `counts[0]` (0 while the sketch is empty).
+    base: u16,
+    /// Per-bucket sample counts over `[base, base + len)`; first and
+    /// last are nonzero.
+    counts: Vec<u64>,
+    /// Parallel to `counts` once any sample carried an exemplar; empty
+    /// until then.
+    exemplars: Vec<Option<Exemplar>>,
     count: u64,
     max: u64,
 }
@@ -96,19 +108,48 @@ impl QuantileSketch {
         Self::default()
     }
 
+    /// Slot of bucket `idx`, extending the run to cover it first. The
+    /// caller makes the slot nonzero, which keeps both ends occupied.
+    fn slot(&mut self, idx: u16) -> usize {
+        if self.counts.is_empty() {
+            self.base = idx;
+        }
+        if idx < self.base {
+            let grow = usize::from(self.base - idx);
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            if !self.exemplars.is_empty() {
+                self.exemplars.splice(0..0, std::iter::repeat_n(None, grow));
+            }
+            self.base = idx;
+        }
+        let slot = usize::from(idx - self.base);
+        if slot >= self.counts.len() {
+            self.counts.resize(slot + 1, 0);
+            if !self.exemplars.is_empty() {
+                self.exemplars.resize(slot + 1, None);
+            }
+        }
+        slot
+    }
+
+    /// Merge `e` into the exemplar of `slot`.
+    fn keep_exemplar(&mut self, slot: usize, e: Exemplar) {
+        if self.exemplars.is_empty() {
+            self.exemplars.resize(self.counts.len(), None);
+        }
+        let kept = &mut self.exemplars[slot];
+        *kept = Some(kept.map_or(e, |prev| prev.merge(e)));
+    }
+
     /// Record one sample, optionally with an exemplar linking it to a
     /// trace span.
     pub fn record(&mut self, value: u64, exemplar: Option<Exemplar>) {
-        let idx = bucket_index(value);
-        *self.buckets.entry(idx).or_insert(0) += 1;
+        let slot = self.slot(bucket_index(value));
+        self.counts[slot] += 1;
         self.count += 1;
         self.max = self.max.max(value);
         if let Some(e) = exemplar {
-            let merged = match self.exemplars.get(&idx) {
-                Some(prev) => prev.merge(e),
-                None => e,
-            };
-            self.exemplars.insert(idx, merged);
+            self.keep_exemplar(slot, e);
         }
     }
 
@@ -122,9 +163,9 @@ impl QuantileSketch {
         self.max
     }
 
-    /// Number of occupied buckets (the sketch's memory footprint).
+    /// Number of occupied buckets.
     pub fn occupied_buckets(&self) -> usize {
-        self.buckets.len()
+        self.counts.iter().filter(|&&n| n > 0).count()
     }
 
     /// Nearest-rank quantile estimate: the upper bound of the bucket
@@ -137,43 +178,51 @@ impl QuantileSketch {
         }
     }
 
-    /// The bucket index the quantile estimate comes from, or `None`
-    /// when the sketch is empty.
-    pub fn quantile_bucket(&self, q: f64) -> Option<u16> {
+    /// Slot of the bucket the quantile estimate comes from.
+    fn quantile_slot(&self, q: f64) -> Option<usize> {
         if self.count == 0 {
             return None;
         }
         let k = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        // `counts` sums to `count >= k`, so some slot reaches `k`.
         let mut cum = 0u64;
-        for (&idx, &n) in &self.buckets {
+        self.counts.iter().position(|&n| {
             cum += n;
-            if cum >= k {
-                return Some(idx);
-            }
-        }
-        self.buckets.last_key_value().map(|(&idx, _)| idx)
+            cum >= k
+        })
+    }
+
+    /// The bucket index the quantile estimate comes from, or `None`
+    /// when the sketch is empty.
+    pub fn quantile_bucket(&self, q: f64) -> Option<u16> {
+        self.quantile_slot(q).map(|slot| self.base + slot as u16)
     }
 
     /// The exemplar attached to the bucket a quantile falls in, if any
     /// sample in that bucket carried one.
     pub fn quantile_exemplar(&self, q: f64) -> Option<Exemplar> {
-        self.quantile_bucket(q)
-            .and_then(|idx| self.exemplars.get(&idx).copied())
+        let slot = self.quantile_slot(q)?;
+        self.exemplars.get(slot).copied().flatten()
     }
 
     /// Fold another sketch in. Bucket counts add, exemplars merge by
     /// the deterministic [`Exemplar::merge`] rule, so the operation is
     /// commutative and associative.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        let Some(last) = other.counts.len().checked_sub(1) else {
+            return;
+        };
+        // Cover the other run's (occupied) ends, then add slot by slot
+        // at the offset between the two bases.
+        let shift = self.slot(other.base);
+        self.slot(other.base + last as u16);
+        for (mine, theirs) in self.counts[shift..].iter_mut().zip(&other.counts) {
+            *mine += theirs;
         }
-        for (&idx, &e) in &other.exemplars {
-            let merged = match self.exemplars.get(&idx) {
-                Some(prev) => prev.merge(e),
-                None => e,
-            };
-            self.exemplars.insert(idx, merged);
+        for (i, e) in other.exemplars.iter().enumerate() {
+            if let Some(e) = *e {
+                self.keep_exemplar(shift + i, e);
+            }
         }
         self.count += other.count;
         self.max = self.max.max(other.max);
@@ -241,6 +290,34 @@ mod tests {
         assert_eq!(a.merge(b).merge(c), c.merge(b.merge(a)));
         assert_eq!(a.merge(c).value, 11);
         assert_eq!(a.merge(b).rank, 2);
+    }
+
+    #[test]
+    fn run_spans_exactly_the_occupied_buckets() {
+        // The widest possible sketch: 496 slots, whichever end came
+        // first, and a sketch without exemplars allocates none.
+        let (mut up, mut down) = (QuantileSketch::new(), QuantileSketch::new());
+        for v in [0, 1_000, u64::MAX] {
+            up.record(v, None);
+        }
+        for v in [u64::MAX, 1_000, 0] {
+            down.record(v, None);
+        }
+        assert_eq!(up, down);
+        assert_eq!((up.base, up.counts.len()), (0, 496));
+        assert_eq!((up.counts[0], up.counts[495]), (1, 1));
+        assert_eq!(up.occupied_buckets(), 3);
+        assert!(up.exemplars.is_empty());
+
+        // Merging widens to the union and keeps both ends occupied.
+        let mut mid = QuantileSketch::new();
+        mid.record(1_000, None);
+        let mut low = QuantileSketch::new();
+        low.record(5, None);
+        mid.merge(&low);
+        mid.merge(&QuantileSketch::new());
+        assert_eq!(mid.base, 5);
+        assert_eq!(usize::from(bucket_index(1_000)), 5 + mid.counts.len() - 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Windows are tumbling: window `i` covers `[i·W, (i+1)·W)` simulated
 //! time. Each window holds a fixed array of counters plus a handful of
-//! sparse [`QuantileSketch`]es, so aggregator memory is
+//! bounded [`QuantileSketch`]es, so aggregator memory is
 //! `O(windows × series)` regardless of how many visits stream through.
 //! Merging two timelines is a window-keyed union with commutative cell
 //! addition: associative and shard-order-invariant by construction
@@ -429,8 +429,8 @@ impl Timeline {
         SimTime::from_micros(rank as u64 * self.spacing.as_micros())
     }
 
-    fn cell(&mut self, t: SimTime) -> &mut WindowCell {
-        let idx = t.window_index(self.window);
+    /// The cell events of window `idx` are filed in.
+    fn cell(&mut self, idx: u64) -> &mut WindowCell {
         if idx > self.max_seen {
             self.max_seen = idx;
         }
@@ -475,7 +475,11 @@ impl Timeline {
     /// instead of the rank-derived epoch — the open-loop serving
     /// engine records visits at their simulated arrival time.
     pub fn record_visit_at(&mut self, epoch: SimTime, v: &VisitObs) {
-        let cell = self.cell(epoch);
+        let window = self.window;
+        // A visit's events almost always share its epoch's window, so
+        // the map is walked again only when the window index moves.
+        let mut idx = epoch.window_index(window);
+        let mut cell = self.cell(idx);
         cell.counters[C_VISITS] += 1;
         cell.counters[C_REQUESTS] += v.requests;
         cell.counters[C_COALESCED] += v.coalesced_requests;
@@ -505,8 +509,12 @@ impl Timeline {
         cell.plt_ideal_ip.record(v.plt_ideal_ip_us, None);
         cell.plt_ideal_origin.record(v.plt_ideal_origin_us, None);
         for &(t_us, dur_us, span) in &v.handshakes {
-            let at = epoch + SimDuration::from_micros(t_us);
-            self.cell(at).handshake.record(
+            let at = (epoch + SimDuration::from_micros(t_us)).window_index(window);
+            if at != idx {
+                idx = at;
+                cell = self.cell(idx);
+            }
+            cell.handshake.record(
                 dur_us,
                 Some(Exemplar {
                     value: dur_us,
@@ -516,8 +524,11 @@ impl Timeline {
             );
         }
         for &(t_us, size, span) in &v.bytes {
-            let at = epoch + SimDuration::from_micros(t_us);
-            let cell = self.cell(at);
+            let at = (epoch + SimDuration::from_micros(t_us)).window_index(window);
+            if at != idx {
+                idx = at;
+                cell = self.cell(idx);
+            }
             cell.bytes.record(
                 size,
                 Some(Exemplar {
@@ -536,9 +547,12 @@ impl Timeline {
     /// timelines re-fold against the merged (global) horizon, so the
     /// folded set is the same for any partition of the inputs.
     pub fn merge(&mut self, other: &Timeline) {
-        debug_assert_eq!(self.window, other.window);
-        debug_assert_eq!(self.spacing, other.spacing);
-        debug_assert_eq!(self.retain, other.retain);
+        // A mismatch would mis-bin silently; checked once per merge.
+        assert_eq!(
+            (self.window, self.spacing, self.retain),
+            (other.window, other.spacing, other.retain),
+            "merged timelines must share (window, spacing, retention)"
+        );
         self.folded.merge(&other.folded);
         self.folded_before = self.folded_before.max(other.folded_before);
         for (&idx, cell) in &other.windows {
@@ -792,6 +806,60 @@ mod tests {
         assert_eq!(t.total_visits(), 2);
         assert_eq!(t.folded().visits(), 1, "straggler folded, not revived");
         assert!(t.num_windows() <= 4);
+    }
+
+    #[test]
+    fn events_hopping_between_windows_land_in_their_own_cells() {
+        let secs = |s: f64| (s * 1e6) as u64;
+        let mut t = Timeline::new(SimDuration::from_secs(1), DEFAULT_SPACING).with_retention(2);
+        // Horizon at window 10: windows below 9 are already folded.
+        t.record_visit_at(SimTime::from_secs(10), &light_visit(1, 1_000));
+        // One visit whose epoch (7.2 s) is behind the horizon and whose
+        // events hop, out of order, over windows 7 and 8 (folded) and
+        // 9 and 10 (live).
+        let v = VisitObs {
+            handshakes: vec![
+                (secs(3.0), 10, 1), // w10
+                (secs(0.1), 20, 2), // w7
+                (secs(2.0), 30, 3), // w9
+                (secs(3.1), 40, 4), // w10
+                (secs(1.0), 50, 5), // w8
+            ],
+            bytes: vec![
+                (secs(2.1), 100, 6), // w9
+                (secs(0.2), 200, 7), // w7
+                (secs(3.2), 400, 8), // w10
+                (secs(2.2), 800, 9), // w9
+            ],
+            ..light_visit(2, 2_000)
+        };
+        t.record_visit_at(SimTime::from_micros(secs(7.2)), &v);
+        let shape = |c: &WindowCell| {
+            (
+                c.visits(),
+                c.handshake().count(),
+                c.bytes().count(),
+                c.counters[C_BYTES_TOTAL],
+            )
+        };
+        let live: Vec<_> = t.windows().map(|(i, c)| (i, shape(c))).collect();
+        assert_eq!(live, [(9, (0, 1, 2, 900)), (10, (1, 2, 1, 400))]);
+        assert_eq!(shape(t.folded()), (1, 2, 1, 200));
+        assert_eq!(t.folded().handshake().max(), 50);
+
+        // Moving the horizon to window 11 folds window 9 behind it.
+        t.record_visit_at(SimTime::from_secs(11), &light_visit(3, 3_000));
+        let live: Vec<_> = t.windows().map(|(i, c)| (i, shape(c))).collect();
+        assert_eq!(live, [(10, (1, 2, 1, 400)), (11, (1, 0, 0, 0))]);
+        assert_eq!(shape(t.folded()), (1, 3, 3, 1_100));
+    }
+
+    #[test]
+    #[should_panic(expected = "must share (window, spacing, retention)")]
+    fn merging_differently_configured_timelines_panics() {
+        let mut a = Timeline::new(DEFAULT_WINDOW, DEFAULT_SPACING);
+        let b = Timeline::new(SimDuration::from_secs(1), DEFAULT_SPACING);
+        a.merge(&b);
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //! percentiles, and merge associativity / shard-order invariance for
 //! sketches and timelines.
 
+use std::collections::BTreeMap;
+
+use origin_obs::sketch::bucket_index;
 use origin_obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
 use origin_obs::{Exemplar, QuantileSketch, Timeline, VisitObs};
 
@@ -109,6 +112,143 @@ fn sketch_merge_is_associative_and_commutative() {
     }
 }
 
+/// Reference model: the sparse two-`BTreeMap` sketch `QuantileSketch`
+/// used before its buckets became one contiguous run. Kept verbatim as
+/// the oracle the dense layout is checked against.
+#[derive(Default)]
+struct OracleSketch {
+    buckets: BTreeMap<u16, u64>,
+    exemplars: BTreeMap<u16, Exemplar>,
+    count: u64,
+    max: u64,
+}
+
+impl OracleSketch {
+    fn record(&mut self, value: u64, exemplar: Option<Exemplar>) {
+        let idx = bucket_index(value);
+        *self.buckets.entry(idx).or_insert(0) += 1;
+        self.count += 1;
+        self.max = self.max.max(value);
+        if let Some(e) = exemplar {
+            let merged = match self.exemplars.get(&idx) {
+                Some(prev) => prev.merge(e),
+                None => e,
+            };
+            self.exemplars.insert(idx, merged);
+        }
+    }
+
+    fn quantile_bucket(&self, q: f64) -> Option<u16> {
+        if self.count == 0 {
+            return None;
+        }
+        let k = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut cum = 0u64;
+        for (&idx, &n) in &self.buckets {
+            cum += n;
+            if cum >= k {
+                return Some(idx);
+            }
+        }
+        self.buckets.last_key_value().map(|(&idx, _)| idx)
+    }
+
+    fn quantile_exemplar(&self, q: f64) -> Option<Exemplar> {
+        self.quantile_bucket(q)
+            .and_then(|idx| self.exemplars.get(&idx).copied())
+    }
+}
+
+type Sample = (u64, Option<Exemplar>);
+
+fn sketch_of(samples: &[Sample]) -> QuantileSketch {
+    let mut s = QuantileSketch::new();
+    for &(v, e) in samples {
+        s.record(v, e);
+    }
+    s
+}
+
+/// Fisher–Yates on the property generator.
+fn shuffle<T>(gen: &mut Gen, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, gen.below(i as u64 + 1) as usize);
+    }
+}
+
+/// `sketch` answers every query the way the oracle does for `samples`.
+fn assert_matches_oracle(sketch: &QuantileSketch, samples: &[Sample], what: &str) {
+    let mut oracle = OracleSketch::default();
+    for &(v, e) in samples {
+        oracle.record(v, e);
+    }
+    assert_eq!(sketch.count(), oracle.count, "{what}: count");
+    assert_eq!(sketch.max(), oracle.max, "{what}: max");
+    assert_eq!(
+        sketch.occupied_buckets(),
+        oracle.buckets.len(),
+        "{what}: occupied buckets"
+    );
+    for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+        assert_eq!(
+            sketch.quantile_bucket(q),
+            oracle.quantile_bucket(q),
+            "{what}: quantile_bucket({q})"
+        );
+        assert_eq!(
+            sketch.quantile_exemplar(q),
+            oracle.quantile_exemplar(q),
+            "{what}: quantile_exemplar({q})"
+        );
+    }
+}
+
+#[test]
+fn contiguous_sketch_agrees_with_the_btreemap_oracle() {
+    for seed in 0..24u64 {
+        let mut gen = Gen::new(0x5CE7 ^ seed);
+        let n = 1 + gen.below(400) as usize;
+        let with_exemplars = seed % 2 == 0;
+        let mut random: Vec<Sample> = (0..n)
+            .map(|_| {
+                let v = gen.next() >> gen.below(64);
+                let e = (with_exemplars && gen.below(3) > 0).then(|| Exemplar {
+                    value: v,
+                    rank: gen.below(50) as u32,
+                    span_id: gen.below(1 << 20),
+                });
+                (v, e)
+            })
+            .collect();
+        let mut ascending = random.clone();
+        ascending.sort_by_key(|&(v, _)| v);
+        let descending: Vec<Sample> = ascending.iter().rev().copied().collect();
+        let extremes: Vec<Sample> = (0..n).map(|i| ([0, u64::MAX, 7, 8][i % 4], None)).collect();
+
+        // Every build order of one multiset is the same sketch, equal
+        // to the oracle: appends, prepends (descending) and both.
+        let reference = sketch_of(&random);
+        assert_matches_oracle(&reference, &random, "random");
+        assert_eq!(sketch_of(&ascending), reference, "seed {seed}: ascending");
+        assert_eq!(sketch_of(&descending), reference, "seed {seed}: descending");
+        assert_matches_oracle(&sketch_of(&extremes), &extremes, "extremes");
+
+        // Random 2–5-way partitions merged in shuffled order.
+        let ways = 2 + gen.below(4) as usize;
+        shuffle(&mut gen, &mut random);
+        let mut parts: Vec<QuantileSketch> = (0..ways)
+            .map(|w| sketch_of(&random[w * n / ways..(w + 1) * n / ways]))
+            .collect();
+        shuffle(&mut gen, &mut parts);
+        let mut merged = QuantileSketch::new();
+        for part in &parts {
+            merged.merge(part);
+        }
+        assert_eq!(merged, reference, "seed {seed}: {ways}-way merge");
+        assert_matches_oracle(&merged, &random, "merged");
+    }
+}
+
 fn random_visit(gen: &mut Gen, rank: u32) -> VisitObs {
     let requests = 1 + gen.below(40);
     let mut v = VisitObs {
@@ -209,7 +349,7 @@ fn timeline_memory_is_windows_times_series_not_visits() {
     // 4s windows, regardless of 50k visits streamed through.
     assert!(t.num_windows() <= 8, "windows: {}", t.num_windows());
     let totals = t.totals();
-    // Sparse sketches: bounded by distinct log2 sub-buckets, not samples.
+    // Bounded by distinct log2 sub-buckets, not samples.
     assert!(totals.plt().occupied_buckets() < 300);
     assert!(totals.bytes().occupied_buckets() < 300);
 }

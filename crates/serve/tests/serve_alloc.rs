@@ -47,8 +47,9 @@ fn allocs() -> u64 {
 
 /// Marginal allocations per steady-state visit. Measured well under 1
 /// (the hot path is allocation-free; the only growth is new timeline
-/// windows amortized over thousands of visits); the ceiling leaves
-/// room for BTreeMap node sizes, not for per-visit state.
+/// windows amortized over thousands of visits, each bringing its
+/// sketches' bucket runs); the ceiling leaves room for window-map
+/// nodes and `Vec` growth, not for per-visit state.
 const MAX_MARGINAL_ALLOCS_PER_VISIT: f64 = 4.0;
 
 fn run(plans: &[origin_serve::SitePlan], visits: u64) -> u64 {

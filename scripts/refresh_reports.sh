@@ -22,6 +22,12 @@
 #   reports/h3_reference.json     h2-vs-h3 comparison for the
 #                                 reference h3 universe (50% h3 share;
 #                                 EXPERIMENTS.md h3)
+#   reports/serve_timeline_reference.json
+#   reports/serve_metrics_reference.json
+#                                 per-arm timeline and runtime-stripped
+#                                 metrics of a retained `repro serve`
+#                                 rollout run — the byte-identity pin
+#                                 for the serve record path
 #
 # The full reference run matches EXPERIMENTS.md (6,000 sites, seed
 # 0x0516, one thread — thread count only affects wall clock, but the
@@ -82,5 +88,12 @@ echo "refresh: h3 report (reference h3 universe, 50% share)…" >&2
 "$repro" --sites 2000 --h3-share 0.5 \
     --h3-report reports/h3_reference.json --only t3 >/dev/null 2>&1
 jq -e '.h3_counters."h3.connections" > 0' reports/h3_reference.json >/dev/null
+
+echo "refresh: serve references (50k visits, rollout 0.5, 16 retained windows)…" >&2
+"$repro" serve --visits 50000 --sites 2000 --rollout 0.5 --rollout-ramp-secs 600 \
+    --retain-windows 16 --threads 1 \
+    --timeline reports/serve_timeline_reference.json --metrics "$tmp" >/dev/null 2>&1
+jq -S 'del(.runtime_ms)' "$tmp" >reports/serve_metrics_reference.json
+jq -e '.arms.origin.totals.counters.visits > 0' reports/serve_timeline_reference.json >/dev/null
 
 echo "refresh: done — review the diff, then commit reports/" >&2
