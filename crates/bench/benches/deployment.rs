@@ -39,7 +39,7 @@ fn bench_active(c: &mut Criterion) {
     ] {
         grp.bench_with_input(BenchmarkId::from_parameter(label), &m, |b, m| {
             b.iter(|| {
-                let r = m.run(&g, Treatment::Experiment, 42);
+                let r = m.run_threads(&g, Treatment::Experiment, 42, 1);
                 r.new_connections.total()
             })
         });

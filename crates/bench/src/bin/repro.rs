@@ -1,61 +1,28 @@
 //! Regenerate every table and figure of the paper.
 //!
-//! ```text
-//! repro [--sites N] [--seed S] [--threads N] [--json <path>]
-//!       [--metrics <path>] [--only <id>...]
-//! ```
+//! Four modes, one line each in [`USAGE`]; README.md documents every
+//! flag. The main mode runs the rows of [`EXPERIMENTS`] — one §3 crawl
+//! (+ §4 model) and one §5 sample group feed them all — then writes
+//! the reports the output flags ask for:
 //!
-//! `--threads` shards the crawl and the §5 active measurements over
-//! worker threads (default: available parallelism). Output is
-//! bit-identical for any thread count.
+//! - `--only <id>...` selects rows by the table's `id` column
+//!   (`--only bogus` prints them); without it every row runs, in table
+//!   order — the paper's order.
+//! - `--threads` shards the crawl and the §5 active measurements
+//!   (default: available parallelism). Everything `repro` prints or
+//!   writes is byte-identical at any thread count, except the
+//!   wall-clock `runtime_ms` section of `--metrics` (strip it with
+//!   `jq 'del(.runtime_ms)'` before comparing).
+//! - Every optional subsystem left off (`--faults`, `--legacy-share`,
+//!   `--h3-share`, `--trace`, `--timeline`, `--flight-recorder`) is
+//!   byte-invisible in every other output.
 //!
-//! `--json` additionally writes the raw figure series (CDF samples
-//! for Figures 3/4/9, the Figure 8 time series) to a JSON file for
-//! external plotting.
+//! `repro trace` exports one visit, `repro watch` renders the windowed
+//! time series of a rank range as an ASCII dashboard, `repro serve`
+//! runs the open-loop serving engine.
 //!
-//! `--metrics` writes the merged metrics registry (work counters,
-//! histograms, simulated phase totals) as JSON. Everything except the
-//! `runtime_ms` section is deterministic — byte-identical across runs
-//! and thread counts; strip the wall-clock section with
-//! `jq 'del(.runtime_ms)'` before comparing.
-//!
-//! `--faults drop=0.01,h421=0.005,middlebox=0.1` runs the crawl under
-//! deterministic fault injection (see `origin_netsim::FaultProfile`):
-//! every table and figure then describes the degraded web, a clean
-//! baseline crawl is run alongside, and a resilience report (PLT
-//! inflation, coalescing degradation, `fault.*` recovery counters) is
-//! printed to stderr — and written as JSON to the `--faults-report`
-//! path when given. Still byte-identical for any `--threads`.
-//!
-//! `--legacy-share P` regenerates a deterministic fraction `P` of
-//! sites as legacy HTTP/1.1 deployments (domain-sharded assets, no h2
-//! in the server's ALPN advertisement). Legacy visits drive the
-//! sans-IO `origin-h1` machine, never coalesce, and obey the 6-per-
-//! host connection cap. `--redundancy-report <path>` writes the
-//! Sander et al. redundant-connections analysis — per-policy counts
-//! of h1 connections the h2 coalescing rules would have merged — as
-//! deterministic JSON. At `--legacy-share 0` (the default) output is
-//! byte-identical to a build without the flag.
-//!
-//! `--timeline <path>` streams the crawl through the `origin-obs`
-//! tumbling-window aggregator and writes the time-series JSON
-//! (per-window counters, rates, and quantile sketches with trace
-//! exemplars; see DESIGN.md §15). `--window MS` overrides the window
-//! width. `--flight-recorder <path>` arms the bounded flight recorder:
-//! with `--fault-abort N`, the first (lowest-ranked) visit whose
-//! injected-fault count reaches N has its events snapshotted to the
-//! path and the run exits with status 3. All observability output is
-//! byte-identical for any `--threads`, and a run without these flags
-//! produces byte-identical output to a build without them.
-//!
-//! `repro watch --site-range A-B` renders the windows covering a rank
-//! range as a deterministic ASCII dashboard (sparklines + per-window
-//! rows) instead of the paper tables.
-//!
-//! ids: t1 t2 t3 t4 t5 t6 t7 t8 t9 f1 f2 f3 f4 f5 f6 f7a f7b f8 f9
-//!      passive-ip passive-origin incident ct privacy scheduling
-//!
-//! With no `--only`, everything is produced in paper order.
+//! Exit status: 0 on success, 1 when an output file could not be
+//! written, 2 on a usage error, 3 on a `--fault-abort` trigger.
 
 use origin_bench::{
     asn_label, trace_site, CrawlResults, CrawlSpec, H3Report, ObsConfig, RedundancyReport,
@@ -63,20 +30,23 @@ use origin_bench::{
 };
 use origin_browser::{BrowserKind, PageLoader, UniverseEnv};
 use origin_cdn::{
-    ActiveMeasurement, DeploymentMode, LongitudinalRun, MiddleboxIncident, PassivePipeline,
-    SampleGroup, Treatment,
+    ActiveMeasurement, ActiveResult, DeploymentMode, LongitudinalRun, MiddleboxIncident,
+    PassivePipeline, SampleGroup,
 };
 use origin_core::model::{predict, CoalescingGrouping};
 use origin_metrics::Registry;
 use origin_netsim::{FaultProfile, SimDuration, SimRng};
 use origin_stats::table::{pct_change, TextTable};
-use origin_stats::Cdf;
+use origin_stats::{Cdf, TopEntry};
 use origin_tls::CtLogSet;
 use origin_trace::{Sampler, Tracer};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 struct Args {
     /// The crawl the flags describe (`sampler` and `obs` are filled
-    /// in by `main` from the output flags below).
+    /// in by `cmd_paper` from the output flags below).
     spec: CrawlSpec,
     only: Vec<String>,
     json: Option<String>,
@@ -90,48 +60,190 @@ struct Args {
     window_ms: Option<u64>,
     fault_abort: Option<u64>,
     flight_recorder: Option<String>,
-    flight_capacity: Option<usize>,
 }
 
-const USAGE: &str = "usage: repro [--sites N] [--seed S] [--threads N] [--json path] [--metrics path] [--trace path [--sample 1/N]] [--faults spec [--faults-report path]] [--legacy-share P [--redundancy-report path]] [--h3-share P [--h3-report path]] [--timeline path [--window MS]] [--flight-recorder path [--fault-abort N] [--flight-capacity N]] [--only id...]
+const USAGE: &str = "usage: repro [--sites N] [--seed S] [--threads N] [--json path] [--metrics path] [--trace path [--sample 1/N]] [--faults spec [--faults-report path]] [--legacy-share P [--redundancy-report path]] [--h3-share P [--h3-report path]] [--timeline path [--window MS]] [--flight-recorder path [--fault-abort N]] [--only id...]
        repro trace --site RANK [--format perfetto|har|ascii] [--sites N] [--seed S] [--out path]
        repro watch --site-range A-B [--sites N] [--seed S] [--threads N] [--window MS] [--faults spec] [--legacy-share P] [--h3-share P] [--out path]
        repro serve --visits N [--sites N] [--seed S] [--serve-seed S] [--threads N] [--rate R] [--rollout P [--rollout-ramp-secs S]] [--pool-budget N] [--edge-cap N] [--idle-timeout-secs S] [--window MS] [--retain-windows N] [--metrics path] [--timeline path]
        fault spec: comma-separated key=rate, keys drop corrupt h421 middlebox (e.g. drop=0.01,h421=0.005,middlebox=0.1)";
 
-/// Every id `--only` accepts.
-const ALL_IDS: &[&str] = &[
-    "t1",
-    "t2",
-    "t3",
-    "t4",
-    "t5",
-    "t6",
-    "t7",
-    "t8",
-    "t9",
-    "f1",
-    "f2",
-    "f3",
-    "f4",
-    "f5",
-    "f6",
-    "f7a",
-    "f7b",
-    "f8",
-    "f9",
-    "passive-ip",
-    "passive-origin",
-    "incident",
-    "ct",
-    "privacy",
-    "scheduling",
-];
+/// What an experiment is computed from.
+#[derive(PartialEq)]
+enum Needs {
+    /// The §3 crawl + §4 model ([`Ctx::crawl`]).
+    Crawl,
+    /// The §5 sample group ([`Ctx::group`]), built — and wire-checked
+    /// — before the first such row runs.
+    Sample,
+    Neither,
+}
+
+/// One row of the paper's evaluation.
+struct Experiment {
+    /// The name `--only` selects the row by. Two rows may share one
+    /// (`f9` is drawn half from the crawl, half from the sample group).
+    id: &'static str,
+    needs: Needs,
+    /// The `runtime_ms` bucket the row's wall clock is charged to.
+    phase: Option<&'static str>,
+    run: fn(&mut Ctx),
+}
+
+const fn row(
+    id: &'static str,
+    needs: Needs,
+    phase: Option<&'static str>,
+    run: fn(&mut Ctx),
+) -> Experiment {
+    Experiment {
+        id,
+        needs,
+        phase,
+        run,
+    }
+}
+
+/// Everything `repro` can print, in print order. The `--only`
+/// vocabulary, whether the crawl and the sample group are needed at
+/// all, and the per-phase wall clock are all read off this table.
+const EXPERIMENTS: &[Experiment] = {
+    use Needs::*;
+    const CHARACTERIZE: Option<&str> = Some("characterize");
+    const MODEL: Option<&str> = Some("model");
+    const CERTPLAN: Option<&str> = Some("certplan");
+    const ACTIVE: Option<&str> = Some("active");
+    const PASSIVE: Option<&str> = Some("passive");
+    &[
+        row("t1", Crawl, CHARACTERIZE, |c| table1(c.crawl())),
+        row("t2", Crawl, CHARACTERIZE, |c| table2(c.crawl())),
+        row("t3", Crawl, CHARACTERIZE, |c| table3(c.crawl())),
+        row("t4", Crawl, CHARACTERIZE, |c| table4(c.crawl())),
+        row("t5", Crawl, CHARACTERIZE, |c| table5(c.crawl())),
+        row("t6", Crawl, CHARACTERIZE, |c| table6(c.crawl())),
+        row("t7", Crawl, CHARACTERIZE, |c| table7(c.crawl())),
+        row("f1", Crawl, CHARACTERIZE, |c| figure1(c.crawl())),
+        row("f2", Crawl, MODEL, |c| figure2(c.seed)),
+        row("f3", Crawl, MODEL, |c| figure3(c.crawl())),
+        row("f4", Crawl, CERTPLAN, |c| figure4(c.crawl())),
+        row("f5", Crawl, CERTPLAN, |c| figure5(c.crawl())),
+        row("t8", Crawl, CERTPLAN, |c| table8(c.crawl())),
+        row("t9", Crawl, CERTPLAN, |c| table9(c.crawl())),
+        row("f9", Crawl, MODEL, |c| figure9_top(c.crawl())),
+        row("ct", Crawl, CERTPLAN, |c| ct_impact(c.crawl())),
+        row("f6", Sample, ACTIVE, |c| figure6(c.group())),
+        row("f7a", Sample, ACTIVE, |c| figure7(c, true)),
+        row("f7b", Sample, ACTIVE, |c| figure7(c, false)),
+        row("passive-ip", Sample, PASSIVE, |c| {
+            passive(c, DeploymentMode::IpAligned)
+        }),
+        row("passive-origin", Sample, PASSIVE, |c| {
+            passive(c, DeploymentMode::OriginFrames)
+        }),
+        row("f8", Sample, PASSIVE, |c| figure8(c.group(), c.seed)),
+        row("f9", Sample, ACTIVE, figure9_bottom),
+        row("incident", Sample, PASSIVE, |c| incident(c.group(), c.seed)),
+        row("privacy", Sample, ACTIVE, privacy),
+        row("scheduling", Neither, None, |c| scheduling(c.seed)),
+    ]
+};
+
+/// What the rows of [`EXPERIMENTS`] read and report into.
+struct Ctx {
+    seed: u64,
+    threads: usize,
+    crawl: Option<CrawlResults>,
+    group: Option<SampleGroup>,
+    registry: Registry,
+    /// Whole-run trace buffer; filled along the way when `--trace` is
+    /// given, exported at the end.
+    trace: Option<Tracer>,
+    /// Wall clock per driver phase (the `runtime_ms` export); the
+    /// deterministic counterpart is the registry's `sim.*` section.
+    phase_ms: BTreeMap<&'static str, f64>,
+}
+
+impl Ctx {
+    fn crawl(&self) -> &CrawlResults {
+        self.crawl
+            .as_ref()
+            .expect("the driver crawls before running a Crawl row")
+    }
+
+    fn group(&self) -> &SampleGroup {
+        self.group
+            .as_ref()
+            .expect("the driver builds the sample group before running a Sample row")
+    }
+
+    /// Run both arms of the §5 active measurement `m` over the sample
+    /// group, folding their work counters into the registry.
+    fn measure(&mut self, m: &ActiveMeasurement, seed: u64) -> (ActiveResult, ActiveResult) {
+        let (exp, ctl) = m.run_both_threads(self.group(), seed, self.threads);
+        self.registry.merge(&exp.metrics);
+        self.registry.merge(&ctl.metrics);
+        (exp, ctl)
+    }
+
+    /// Add the wall clock since `since` to `phase`.
+    fn charge(&mut self, phase: &'static str, since: Instant) {
+        *self.phase_ms.entry(phase).or_default() += since.elapsed().as_secs_f64() * 1_000.0;
+    }
+
+    /// Build the §5 sample group and run the deterministic wire phase:
+    /// real origin-h2 exchanges against the edge — the registry's only
+    /// source of `h2.*` counters.
+    fn build_sample(&mut self) {
+        let mut rng = SimRng::seed_from_u64(self.seed ^ 0x5000);
+        let group = SampleGroup::build(5_000, &mut rng);
+        eprintln!(
+            "# sample group: {} candidates, {} removed (subpage-only), {} in study",
+            5_000,
+            group.removed_subpage_only,
+            group.sites.len()
+        );
+        let wire_n = group.sites.len().min(200);
+        let wire = ActiveMeasurement::origin_experiment().wire_spot_check(
+            &group,
+            wire_n,
+            Some(&mut self.registry),
+            self.trace.as_mut(),
+        );
+        eprintln!("# wire spot check: {wire}/{wire_n} sites consistent with the analytic model");
+        self.group = Some(group);
+    }
+}
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("{USAGE}");
     std::process::exit(2)
+}
+
+/// The last arm of every flag parser: `--help`, or a usage error
+/// naming the mode (`" for repro serve"`; empty in the main mode).
+fn help_or_die(arg: &str, mode: &str) -> ! {
+    if arg == "--help" || arg == "-h" {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
+    die(&format!("unknown argument {arg:?}{mode}"))
+}
+
+/// Set once an output file could not be written; `main` turns it into
+/// exit status 1 after every other artifact has been attempted.
+static WRITE_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Write one output file. `true` means written — the caller says what
+/// it was; a failure is reported here and fails the run (not the
+/// artifacts still to come).
+fn write_artifact(path: &str, bytes: impl AsRef<[u8]>) -> bool {
+    let written = std::fs::write(path, bytes);
+    if let Err(e) = &written {
+        eprintln!("# failed to write {path}: {e}");
+        WRITE_FAILED.store(true, Ordering::Relaxed);
+    }
+    written.is_ok()
 }
 
 /// The required value of flag `flag`, parsed; malformed or missing
@@ -146,6 +258,21 @@ fn parse_value<T: std::str::FromStr>(
         Ok(v) if check(&v) => v,
         _ => die(&format!("invalid value {raw:?} for {flag}")),
     }
+}
+
+/// The required path operand of output flag `flag` (always `Some`:
+/// shaped for the `Option` field it is assigned to).
+fn path_value(flag: &str, it: &mut impl Iterator<Item = String>) -> Option<String> {
+    Some(
+        it.next()
+            .unwrap_or_else(|| die(&format!("{flag} requires a path"))),
+    )
+}
+
+/// The required `1/N` operand of `--sample`.
+fn sampler_value(it: &mut impl Iterator<Item = String>) -> Sampler {
+    let raw = it.next().unwrap_or_else(|| die("--sample requires 1/N"));
+    Sampler::parse(&raw).unwrap_or_else(|| die(&format!("invalid value {raw:?} for --sample")))
 }
 
 /// The crawl `repro` runs when no flag says otherwise. Threads default
@@ -183,7 +310,7 @@ fn parse_crawl_flag(
     true
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Args {
     let mut args = Args {
         spec: default_spec(),
         only: Vec::new(),
@@ -198,99 +325,49 @@ fn parse_args() -> Args {
         window_ms: None,
         fault_abort: None,
         flight_recorder: None,
-        flight_capacity: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.into_iter().peekable();
+    let mut it = argv.iter().cloned().peekable();
     while let Some(a) = it.next() {
         if parse_crawl_flag(&mut args.spec, &a, &mut it) {
             continue;
         }
         match a.as_str() {
-            "--json" => {
-                args.json = Some(it.next().unwrap_or_else(|| die("--json requires a path")))
-            }
-            "--metrics" => {
-                args.metrics = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--metrics requires a path")),
-                )
-            }
-            "--trace" => {
-                args.trace = Some(it.next().unwrap_or_else(|| die("--trace requires a path")))
-            }
-            "--sample" => {
-                let raw = it.next().unwrap_or_else(|| die("--sample requires 1/N"));
-                args.sample = Sampler::parse(&raw)
-                    .unwrap_or_else(|| die(&format!("invalid value {raw:?} for --sample")));
-            }
-            "--faults-report" => {
-                args.faults_report = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--faults-report requires a path")),
-                )
-            }
-            "--redundancy-report" => {
-                args.redundancy_report = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--redundancy-report requires a path")),
-                )
-            }
-            "--h3-report" => {
-                args.h3_report = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--h3-report requires a path")),
-                )
-            }
-            "--timeline" => {
-                args.timeline = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--timeline requires a path")),
-                )
-            }
-            "--window" => {
-                args.window_ms = Some(parse_value("--window", it.next(), |&ms: &u64| ms > 0))
-            }
+            "--json" => args.json = path_value(&a, &mut it),
+            "--metrics" => args.metrics = path_value(&a, &mut it),
+            "--trace" => args.trace = path_value(&a, &mut it),
+            "--sample" => args.sample = sampler_value(&mut it),
+            "--faults-report" => args.faults_report = path_value(&a, &mut it),
+            "--redundancy-report" => args.redundancy_report = path_value(&a, &mut it),
+            "--h3-report" => args.h3_report = path_value(&a, &mut it),
+            "--timeline" => args.timeline = path_value(&a, &mut it),
+            "--window" => args.window_ms = Some(parse_value(&a, it.next(), |&ms: &u64| ms > 0)),
             "--fault-abort" => {
-                args.fault_abort = Some(parse_value("--fault-abort", it.next(), |&n: &u64| n > 0))
+                args.fault_abort = Some(parse_value(&a, it.next(), |&n: &u64| n > 0))
             }
-            "--flight-recorder" => {
-                args.flight_recorder = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--flight-recorder requires a path")),
-                )
-            }
-            "--flight-capacity" => {
-                args.flight_capacity =
-                    Some(parse_value("--flight-capacity", it.next(), |&n: &usize| {
-                        n > 0
-                    }))
-            }
+            "--flight-recorder" => args.flight_recorder = path_value(&a, &mut it),
             "--only" => {
                 // Consume ids up to (but not including) the next flag.
-                while let Some(tok) = it.peek() {
-                    if tok.starts_with("--") {
-                        break;
-                    }
-                    let id = tok.to_lowercase();
-                    if !ALL_IDS.contains(&id.as_str()) {
+                while let Some(id) = it.next_if(|tok| !tok.starts_with("--")) {
+                    let id = id.to_lowercase();
+                    if !EXPERIMENTS.iter().any(|e| e.id == id) {
+                        let mut known: Vec<&str> = Vec::new();
+                        for e in EXPERIMENTS {
+                            if !known.contains(&e.id) {
+                                known.push(e.id);
+                            }
+                        }
                         die(&format!(
                             "unknown --only id {id:?} (known: {})",
-                            ALL_IDS.join(" ")
+                            known.join(" ")
                         ));
                     }
                     args.only.push(id);
-                    it.next();
                 }
                 if args.only.is_empty() {
                     die("--only requires at least one id");
                 }
             }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument {other:?}")),
+            other => help_or_die(other, ""),
         }
     }
     if args.faults_report.is_some() && args.spec.faults.is_none() {
@@ -301,9 +378,6 @@ fn parse_args() -> Args {
     }
     if args.fault_abort.is_some() && args.flight_recorder.is_none() {
         die("--fault-abort requires --flight-recorder");
-    }
-    if args.flight_capacity.is_some() && args.flight_recorder.is_none() {
-        die("--flight-capacity requires --flight-recorder");
     }
     args
 }
@@ -321,263 +395,116 @@ fn obs_config(args: &Args) -> Option<ObsConfig> {
         // recorder path (normal completion overwrites it with the
         // trigger snapshot, if any).
         panic_dump: args.flight_recorder.as_ref().map(std::path::PathBuf::from),
-        flight_capacity: args.flight_capacity,
     })
 }
 
-fn want(args: &Args, id: &str) -> bool {
-    args.only.is_empty() || args.only.iter().any(|o| o == id)
-}
-
-/// Run `f` and add its wall-clock cost (ms) to `acc` — the
-/// `runtime_ms` side of the metrics export, never compared for
-/// determinism.
-fn timed(acc: &mut f64, f: impl FnOnce()) {
-    let t = std::time::Instant::now();
-    f();
-    *acc += t.elapsed().as_secs_f64() * 1_000.0;
-}
-
 fn main() {
-    // `repro trace …` is a separate mode: one site, one exporter.
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("trace") {
-        cmd_trace(&argv[1..]);
-        return;
+    let mut fault_aborted = false;
+    match argv.first().map(String::as_str) {
+        // One site, one exporter.
+        Some("trace") => cmd_trace(&argv[1..]),
+        // The live-series dashboard for a rank range.
+        Some("watch") => cmd_watch(&argv[1..]),
+        // The open-loop serving engine instead of the one-shot crawl.
+        Some("serve") => cmd_serve(&argv[1..]),
+        _ => fault_aborted = cmd_paper(&parse_args(&argv)),
     }
-    // `repro watch …` renders the live-series dashboard for a rank
-    // range instead of the paper tables.
-    if argv.first().map(String::as_str) == Some("watch") {
-        cmd_watch(&argv[1..]);
-        return;
+    // Statuses last, after every requested artifact was attempted.
+    if WRITE_FAILED.load(Ordering::Relaxed) {
+        std::process::exit(1);
     }
-    // `repro serve …` runs the open-loop serving engine instead of
-    // the one-shot crawl.
-    if argv.first().map(String::as_str) == Some("serve") {
-        cmd_serve(&argv[1..]);
-        return;
+    if fault_aborted {
+        std::process::exit(3);
     }
-    let args = parse_args();
-    let mut registry = Registry::new();
-    // Whole-run trace buffer; filled along the way when `--trace` is
-    // given, exported at the end.
-    let mut run_trace: Option<Tracer> = args.trace.as_ref().map(|_| Tracer::new());
-    let t_total = std::time::Instant::now();
-    // Wall-clock per driver phase; the deterministic counterpart is
-    // the registry's `sim.*` phase section.
-    let mut ms_crawl = 0.0;
-    let mut ms_characterize = 0.0;
-    let mut ms_model = 0.0;
-    let mut ms_certplan = 0.0;
-    let mut ms_active = 0.0;
-    let mut ms_passive = 0.0;
-    let needs_crawl = [
-        "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "f1", "f2", "f3", "f4", "f5", "f9",
-        "ct",
-    ]
-    .iter()
-    .any(|id| want(&args, id))
+}
+
+/// The main mode: run the rows of [`EXPERIMENTS`] the flags select,
+/// then write the requested reports. Returns whether a `--fault-abort`
+/// threshold tripped.
+fn cmd_paper(args: &Args) -> bool {
+    let t_total = Instant::now();
+    // The one crawl the flags describe. The report baselines below
+    // derive from `args.spec`, its untraced, unobserved twin.
+    let spec = CrawlSpec {
+        sampler: args.trace.is_some().then_some(args.sample),
+        obs: obs_config(args),
+        ..args.spec.clone()
+    };
+    let mut ctx = Ctx {
+        seed: spec.seed,
+        threads: spec.threads,
+        crawl: None,
+        group: None,
+        registry: Registry::new(),
+        trace: args.trace.as_ref().map(|_| Tracer::new()),
+        phase_ms: BTreeMap::new(),
+    };
+    // The rows `--only` selects: all of them when it is absent.
+    let selected = || {
+        EXPERIMENTS
+            .iter()
+            .filter(|e| args.only.is_empty() || args.only.iter().any(|id| id == e.id))
+    };
+    let needs_crawl = selected().any(|e| e.needs == Needs::Crawl)
         // A fault profile always needs the crawl: the resilience
         // report is drawn from it. Likewise the redundancy report and
         // the streaming-observability outputs.
-        || args.spec.faults.is_some()
+        || spec.faults.is_some()
         || args.redundancy_report.is_some()
         || args.h3_report.is_some()
         || args.timeline.is_some()
         || args.flight_recorder.is_some();
-    // The one crawl the flags describe. The report baselines below
-    // derive from `args.spec`, its untraced, unobserved twin.
-    let spec = CrawlSpec {
-        sampler: run_trace.is_some().then_some(args.sample),
-        obs: obs_config(&args),
-        ..args.spec.clone()
-    };
-
-    let mut crawl = needs_crawl.then(|| {
+    if needs_crawl {
+        let share_note = |what: &str, p: f64| {
+            if p > 0.0 {
+                format!(", {what} share {p:.2}")
+            } else {
+                String::new()
+            }
+        };
         eprintln!(
             "# crawling {} synthetic sites (seed {:#x}, {} threads{}{}{})…",
             spec.sites,
             spec.seed,
             spec.threads,
             spec.faults
-                .as_ref()
                 .map(|p| format!(", faults {}", p.spec()))
                 .unwrap_or_default(),
-            if spec.legacy_share > 0.0 {
-                format!(", legacy share {:.2}", spec.legacy_share)
-            } else {
-                String::new()
-            },
-            if spec.h3_share > 0.0 {
-                format!(", h3 share {:.2}", spec.h3_share)
-            } else {
-                String::new()
-            }
+            share_note("legacy", spec.legacy_share),
+            share_note("h3", spec.h3_share),
         );
-        let t = std::time::Instant::now();
-        let r = spec.run();
-        ms_crawl += t.elapsed().as_secs_f64() * 1_000.0;
-        r
-    });
-    // Move the sampled crawl spans into the run trace buffer (the
-    // trace's shard merge already put them in rank order).
-    if let (Some(t), Some(r)) = (&mut run_trace, &mut crawl) {
-        t.merge(std::mem::replace(&mut r.trace, Tracer::new()));
+        let t = Instant::now();
+        let mut r = spec.run();
+        ctx.charge("crawl", t);
+        // Move the sampled crawl spans into the run trace buffer (the
+        // trace's shard merge already put them in rank order).
+        if let Some(t) = &mut ctx.trace {
+            t.merge(std::mem::replace(&mut r.trace, Tracer::new()));
+        }
+        ctx.registry.merge(&r.metrics);
+        ctx.crawl = Some(r);
     }
 
-    if let Some(r) = &crawl {
-        registry.merge(&r.metrics);
-        if want(&args, "t1") {
-            timed(&mut ms_characterize, || table1(r));
+    for e in selected() {
+        if e.needs == Needs::Sample && ctx.group.is_none() {
+            ctx.build_sample();
         }
-        if want(&args, "t2") {
-            timed(&mut ms_characterize, || table2(r));
-        }
-        if want(&args, "t3") {
-            timed(&mut ms_characterize, || table3(r));
-        }
-        if want(&args, "t4") {
-            timed(&mut ms_characterize, || table4(r));
-        }
-        if want(&args, "t5") {
-            timed(&mut ms_characterize, || table5(r));
-        }
-        if want(&args, "t6") {
-            timed(&mut ms_characterize, || table6(r));
-        }
-        if want(&args, "t7") {
-            timed(&mut ms_characterize, || table7(r));
-        }
-        if want(&args, "f1") {
-            timed(&mut ms_characterize, || figure1(r));
-        }
-        if want(&args, "f2") {
-            timed(&mut ms_model, || figure2(spec.seed));
-        }
-        if want(&args, "f3") {
-            timed(&mut ms_model, || figure3(r));
-        }
-        if want(&args, "f4") {
-            timed(&mut ms_certplan, || figure4(r));
-        }
-        if want(&args, "f5") {
-            timed(&mut ms_certplan, || figure5(r));
-        }
-        if want(&args, "t8") {
-            timed(&mut ms_certplan, || table8(r));
-        }
-        if want(&args, "t9") {
-            timed(&mut ms_certplan, || table9(r));
-        }
-        if want(&args, "f9") {
-            timed(&mut ms_model, || figure9_top(r));
-        }
-        if want(&args, "ct") {
-            timed(&mut ms_certplan, || ct_impact(r));
+        let t = Instant::now();
+        (e.run)(&mut ctx);
+        if let Some(phase) = e.phase {
+            ctx.charge(phase, t);
         }
     }
 
-    // §5 deployment experiments.
-    let needs_sample = [
-        "f6",
-        "f7a",
-        "f7b",
-        "f8",
-        "f9",
-        "passive-ip",
-        "passive-origin",
-        "incident",
-        "privacy",
-    ]
-    .iter()
-    .any(|id| want(&args, id));
-    if needs_sample {
-        let mut rng = SimRng::seed_from_u64(spec.seed ^ 0x5000);
-        let group = SampleGroup::build(5_000, &mut rng);
-        eprintln!(
-            "# sample group: {} candidates, {} removed (subpage-only), {} in study",
-            5_000,
-            group.removed_subpage_only,
-            group.sites.len()
-        );
-        // Deterministic wire phase: real origin-h2 exchanges against
-        // the edge — the registry's only source of `h2.*` counters.
-        let wire_n = group.sites.len().min(200);
-        let wire = match &mut run_trace {
-            Some(t) => ActiveMeasurement::origin_experiment().wire_spot_check_traced(
-                &group,
-                wire_n,
-                Some(&mut registry),
-                t,
-            ),
-            None => ActiveMeasurement::origin_experiment().wire_spot_check_metrics(
-                &group,
-                wire_n,
-                Some(&mut registry),
-            ),
-        };
-        eprintln!("# wire spot check: {wire}/{wire_n} sites consistent with the analytic model");
-        if want(&args, "f6") {
-            timed(&mut ms_active, || figure6(&group));
-        }
-        if want(&args, "f7a") {
-            timed(&mut ms_active, || {
-                figure7(&group, spec.seed, spec.threads, true, &mut registry)
-            });
-        }
-        if want(&args, "f7b") {
-            timed(&mut ms_active, || {
-                figure7(&group, spec.seed, spec.threads, false, &mut registry)
-            });
-        }
-        if want(&args, "passive-ip") {
-            timed(&mut ms_passive, || {
-                passive(
-                    &group,
-                    spec.seed,
-                    DeploymentMode::IpAligned,
-                    &mut registry,
-                    run_trace.as_mut(),
-                )
-            });
-        }
-        if want(&args, "passive-origin") {
-            timed(&mut ms_passive, || {
-                passive(
-                    &group,
-                    spec.seed,
-                    DeploymentMode::OriginFrames,
-                    &mut registry,
-                    run_trace.as_mut(),
-                )
-            });
-        }
-        if want(&args, "f8") {
-            timed(&mut ms_passive, || figure8(&group, spec.seed));
-        }
-        if want(&args, "f9") {
-            timed(&mut ms_active, || {
-                figure9_bottom(&group, spec.seed, spec.threads, &mut registry)
-            });
-        }
-        if want(&args, "incident") {
-            timed(&mut ms_passive, || incident(&group, spec.seed));
-        }
-        if want(&args, "privacy") {
-            timed(&mut ms_active, || {
-                privacy(&group, spec.seed, spec.threads, &mut registry)
-            });
-        }
-    }
-    if want(&args, "scheduling") {
-        scheduling(spec.seed);
-    }
+    // The tables are printed; the reports below read the crawl itself.
+    let crawl = ctx.crawl.take();
     // Resilience report: re-run the same crawl clean and compare.
     // Everything in the report is simulated time and counters, so the
     // bytes are identical for any thread count.
     if let (Some(profile), Some(faulted)) = (&spec.faults, &crawl) {
         eprintln!("# re-crawling clean for the resilience baseline…");
-        let t = std::time::Instant::now();
+        let t = Instant::now();
         // Same universe (including any legacy or h3 share), no
         // faults: the report isolates the profile's cost, nothing
         // else.
@@ -586,7 +513,7 @@ fn main() {
             ..args.spec.clone()
         }
         .run();
-        ms_crawl += t.elapsed().as_secs_f64() * 1_000.0;
+        ctx.charge("crawl", t);
         let report = ResilienceReport::build(&clean, faulted, profile);
         eprintln!(
             "# resilience [{}]: median PLT {:.1} → {:.1} ms ({:+.2}%) | coalescing rate {:.4} → {:.4} (−{:.2}%) | connections {} → {}",
@@ -609,9 +536,8 @@ fn main() {
             faulted.metrics.counter("fault.retries"),
         );
         if let Some(path) = &args.faults_report {
-            match std::fs::write(path, report.to_json()) {
-                Ok(()) => eprintln!("# wrote resilience report to {path}"),
-                Err(e) => eprintln!("# failed to write {path}: {e}"),
+            if write_artifact(path, report.to_json()) {
+                eprintln!("# wrote resilience report to {path}");
             }
         }
     }
@@ -634,9 +560,8 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(", "),
         );
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => eprintln!("# wrote redundancy report to {path}"),
-            Err(e) => eprintln!("# failed to write {path}: {e}"),
+        if write_artifact(path, report.to_json()) {
+            eprintln!("# wrote redundancy report to {path}");
         }
     }
     // H2-vs-h3 comparison (the §4 best-case question under QUIC
@@ -644,13 +569,13 @@ fn main() {
     // and report what deploying h3 changed.
     if let (Some(path), Some(r)) = (&args.h3_report, &crawl) {
         eprintln!("# re-crawling with h3 share 0 for the h2 baseline…");
-        let t = std::time::Instant::now();
+        let t = Instant::now();
         let baseline = CrawlSpec {
             h3_share: 0.0,
             ..args.spec.clone()
         }
         .run();
-        ms_crawl += t.elapsed().as_secs_f64() * 1_000.0;
+        ctx.charge("crawl", t);
         let report = H3Report::build(&baseline, r, spec.h3_share);
         eprintln!(
             "# h3 [share {:.2}]: {} h3 pages, {} quic connections ({} 1-rtt, {} 0-rtt, {} rejected) | median PLT {:.1} → {:.1} ms ({:+.2}%) | 0-rtt share {:.4}",
@@ -665,88 +590,69 @@ fn main() {
             report.plt_delta_pct(),
             report.zero_rtt_share(),
         );
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => eprintln!("# wrote h3 report to {path}"),
-            Err(e) => eprintln!("# failed to write {path}: {e}"),
+        if write_artifact(path, report.to_json()) {
+            eprintln!("# wrote h3 report to {path}");
         }
     }
     // Streaming-observability exports: the windowed time series and,
     // when a fault-abort threshold was hit, the flight-recorder
     // snapshot of the lowest-ranked triggering visit.
     let mut fault_aborted = false;
-    if let (Some(path), Some(r)) = (&args.timeline, &crawl) {
-        if let Some(tl) = &r.timeline {
-            match std::fs::write(path, tl.to_json()) {
-                Ok(()) => eprintln!(
-                    "# wrote timeline to {path} ({} windows, {} visits, window {}ms)",
-                    tl.num_windows(),
-                    tl.total_visits(),
-                    tl.window_width().as_micros() / 1_000
-                ),
-                Err(e) => eprintln!("# failed to write {path}: {e}"),
-            }
+    let observed = crawl.as_ref();
+    if let (Some(path), Some(tl)) = (&args.timeline, observed.and_then(|r| r.timeline.as_ref())) {
+        if write_artifact(path, tl.to_json()) {
+            eprintln!(
+                "# wrote timeline to {path} ({} windows, {} visits, window {}ms)",
+                tl.num_windows(),
+                tl.total_visits(),
+                tl.window_width().as_micros() / 1_000
+            );
         }
     }
-    if let (Some(path), Some(r)) = (&args.flight_recorder, &crawl) {
-        if let Some(rec) = &r.flight {
-            let threshold = args.fault_abort.unwrap_or(0);
-            match rec.trigger_snapshot_json(threshold) {
-                Some(snapshot) => {
-                    fault_aborted = true;
-                    let rank = rec.trigger().map(|t| t.rank).unwrap_or(0);
-                    match std::fs::write(path, snapshot) {
-                        Ok(()) => eprintln!(
-                            "# fault-abort: visit rank {rank} reached {threshold} fault events; wrote flight snapshot to {path}"
-                        ),
-                        Err(e) => eprintln!("# failed to write {path}: {e}"),
-                    }
+    if let (Some(path), Some(rec)) = (
+        &args.flight_recorder,
+        observed.and_then(|r| r.flight.as_ref()),
+    ) {
+        let threshold = args.fault_abort.unwrap_or(0);
+        match rec.trigger_snapshot_json(threshold) {
+            Some(snapshot) => {
+                fault_aborted = true;
+                let rank = rec.trigger().map(|t| t.rank).unwrap_or(0);
+                if write_artifact(path, snapshot) {
+                    eprintln!("# fault-abort: visit rank {rank} reached {threshold} fault events; wrote flight snapshot to {path}");
                 }
-                None => eprintln!(
-                    "# flight recorder: {} events observed, no visit reached the abort threshold",
-                    rec.events_recorded()
-                ),
             }
+            None => eprintln!(
+                "# flight recorder: {} events observed, no visit reached the abort threshold",
+                rec.events_recorded()
+            ),
         }
     }
     if let (Some(path), Some(r)) = (&args.json, &crawl) {
         export_json(path, r);
     }
-    if let (Some(path), Some(t)) = (&args.trace, &run_trace) {
-        match std::fs::write(path, origin_trace::to_chrome_json(t)) {
-            Ok(()) => eprintln!(
+    if let (Some(path), Some(t)) = (&args.trace, &ctx.trace) {
+        if write_artifact(path, origin_trace::to_chrome_json(t)) {
+            eprintln!(
                 "# wrote trace to {path} ({} events, sample 1/{})",
                 t.len(),
                 args.sample.denom()
-            ),
-            Err(e) => eprintln!("# failed to write {path}: {e}"),
+            );
         }
     }
     if let Some(path) = &args.metrics {
-        for (name, ms) in [
-            ("crawl", ms_crawl),
-            ("characterize", ms_characterize),
-            ("model", ms_model),
-            ("certplan", ms_certplan),
-            ("active", ms_active),
-            ("passive", ms_passive),
-        ] {
-            if ms > 0.0 {
-                registry.set_runtime_ms(name, ms);
-            }
+        for (name, ms) in &ctx.phase_ms {
+            ctx.registry.set_runtime_ms(name, *ms);
         }
-        registry.set_runtime_ms("total", t_total.elapsed().as_secs_f64() * 1_000.0);
-        match std::fs::write(path, registry.to_json()) {
-            Ok(()) => eprintln!("# wrote metrics to {path}"),
-            Err(e) => eprintln!("# failed to write {path}: {e}"),
+        ctx.registry
+            .set_runtime_ms("total", t_total.elapsed().as_secs_f64() * 1_000.0);
+        if write_artifact(path, ctx.registry.to_json()) {
+            eprintln!("# wrote metrics to {path}");
         }
     }
-    // Abort status last, after every requested artifact is on disk.
-    if fault_aborted {
-        std::process::exit(3);
-    }
+    fault_aborted
 }
 
-/// `repro watch --site-range A-B [--sites N] [--seed S] [--threads N]
 /// `repro serve --visits N …`: run the open-loop serving engine
 /// (DESIGN.md §16) — Poisson/diurnal session arrivals, pooled
 /// multi-visit sessions, live ORIGIN rollout A/B — and print the
@@ -755,91 +661,57 @@ fn main() {
 /// writes the per-arm window series. Output is byte-identical at any
 /// `--threads`; the wall-clock serving rate goes to stderr only.
 fn cmd_serve(argv: &[String]) {
-    let mut cfg = origin_serve::ServeConfig::default();
-    let mut sites: u32 = 4_000;
-    let mut dataset_seed: u64 = 0x0516;
-    let mut threads: usize = 0;
+    let mut cfg = origin_serve::ServeConfig {
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        ..Default::default()
+    };
+    cfg.dataset.sites = 4_000;
     let mut metrics_out: Option<String> = None;
     let mut timeline_out: Option<String> = None;
     let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--visits" => cfg.visits = parse_value("--visits", it.next(), |&n: &u64| n > 0),
-            "--sites" => sites = parse_value("--sites", it.next(), |&n: &u32| n > 0),
-            "--seed" => dataset_seed = parse_value("--seed", it.next(), |_| true),
-            "--serve-seed" => cfg.seed = parse_value("--serve-seed", it.next(), |_| true),
-            "--threads" => threads = parse_value("--threads", it.next(), |&n: &usize| n > 0),
-            "--rate" => {
-                cfg.peak_rate_per_sec = parse_value("--rate", it.next(), |&r: &f64| r > 0.0)
-            }
+            "--visits" => cfg.visits = parse_value(&a, it.next(), |&n: &u64| n > 0),
+            "--sites" => cfg.dataset.sites = parse_value(&a, it.next(), |&n: &u32| n > 0),
+            "--seed" => cfg.dataset.seed = parse_value(&a, it.next(), |_| true),
+            "--serve-seed" => cfg.seed = parse_value(&a, it.next(), |_| true),
+            "--threads" => cfg.threads = parse_value(&a, it.next(), |&n: &usize| n > 0),
+            "--rate" => cfg.peak_rate_per_sec = parse_value(&a, it.next(), |&r: &f64| r > 0.0),
             "--rollout" => {
-                cfg.rollout =
-                    parse_value("--rollout", it.next(), |&p: &f64| (0.0..=1.0).contains(&p))
+                cfg.rollout = parse_value(&a, it.next(), |&p: &f64| (0.0..=1.0).contains(&p))
             }
             "--rollout-ramp-secs" => {
-                cfg.rollout_ramp = SimDuration::from_secs(parse_value(
-                    "--rollout-ramp-secs",
-                    it.next(),
-                    |_: &u64| true,
-                ))
+                cfg.rollout_ramp =
+                    SimDuration::from_secs(parse_value(&a, it.next(), |_: &u64| true))
             }
-            "--pool-budget" => {
-                cfg.pool_budget = parse_value("--pool-budget", it.next(), |_: &usize| true)
-            }
-            "--edge-cap" => cfg.edge_cap = parse_value("--edge-cap", it.next(), |&n: &usize| n > 0),
+            "--pool-budget" => cfg.pool_budget = parse_value(&a, it.next(), |_: &usize| true),
+            "--edge-cap" => cfg.edge_cap = parse_value(&a, it.next(), |&n: &usize| n > 0),
             "--idle-timeout-secs" => {
-                cfg.idle_timeout = SimDuration::from_secs(parse_value(
-                    "--idle-timeout-secs",
-                    it.next(),
-                    |&s: &u64| s > 0,
-                ))
+                cfg.idle_timeout =
+                    SimDuration::from_secs(parse_value(&a, it.next(), |&s: &u64| s > 0))
             }
             "--window" => {
                 cfg.window =
-                    SimDuration::from_millis(parse_value("--window", it.next(), |&ms: &u64| ms > 0))
+                    SimDuration::from_millis(parse_value(&a, it.next(), |&ms: &u64| ms > 0))
             }
             "--retain-windows" => {
-                cfg.retain_windows =
-                    Some(parse_value("--retain-windows", it.next(), |&n: &u64| n > 0))
+                cfg.retain_windows = Some(parse_value(&a, it.next(), |&n: &u64| n > 0))
             }
-            "--metrics" => {
-                metrics_out = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--metrics requires a path")),
-                )
-            }
-            "--timeline" => {
-                timeline_out = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--timeline requires a path")),
-                )
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument {other:?} for repro serve")),
+            "--metrics" => metrics_out = path_value(&a, &mut it),
+            "--timeline" => timeline_out = path_value(&a, &mut it),
+            other => help_or_die(other, " for repro serve"),
         }
     }
-    if threads == 0 {
-        threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    }
-    cfg.threads = threads;
-    cfg.dataset = origin_webgen::DatasetConfig {
-        sites,
-        seed: dataset_seed,
-        ..origin_webgen::DatasetConfig::default()
-    };
 
     eprintln!(
         "# serving {} visits over {} sites ({} threads, rollout {:.2})…",
-        cfg.visits, sites, threads, cfg.rollout
+        cfg.visits, cfg.dataset.sites, cfg.threads, cfg.rollout
     );
-    let t_gen = std::time::Instant::now();
+    let t_gen = Instant::now();
     let dataset = origin_webgen::Dataset::generate(cfg.dataset);
     let plans = origin_serve::plan::compile_dataset(&dataset);
     let ms_gen = t_gen.elapsed().as_secs_f64() * 1_000.0;
-    let t_serve = std::time::Instant::now();
+    let t_serve = Instant::now();
     let mut report = origin_serve::engine::run_serve_on(&cfg, &plans);
     let ms_serve = t_serve.elapsed().as_secs_f64() * 1_000.0;
     eprintln!(
@@ -851,22 +723,21 @@ fn cmd_serve(argv: &[String]) {
 
     print!("{}", report.summary());
     if let Some(path) = timeline_out {
-        match std::fs::write(&path, report.timeline_json()) {
-            Ok(()) => eprintln!("# wrote per-arm timeline to {path}"),
-            Err(e) => die(&format!("failed to write {path}: {e}")),
+        if write_artifact(&path, report.timeline_json()) {
+            eprintln!("# wrote per-arm timeline to {path}");
         }
     }
     if let Some(path) = metrics_out {
         report.metrics.set_runtime_ms("dataset", ms_gen);
         report.metrics.set_runtime_ms("serve", ms_serve);
         report.metrics.set_runtime_ms("total", ms_gen + ms_serve);
-        match std::fs::write(&path, report.metrics.to_json()) {
-            Ok(()) => eprintln!("# wrote metrics to {path}"),
-            Err(e) => die(&format!("failed to write {path}: {e}")),
+        if write_artifact(&path, report.metrics.to_json()) {
+            eprintln!("# wrote metrics to {path}");
         }
     }
 }
 
+/// `repro watch --site-range A-B [--sites N] [--seed S] [--threads N]
 /// [--window MS] [--faults spec] [--legacy-share P] [--h3-share P] [--out path]`:
 /// run the observed crawl and render the windows covering the rank
 /// range as a deterministic ASCII dashboard.
@@ -895,13 +766,9 @@ fn cmd_watch(argv: &[String]) {
                     )),
                 };
             }
-            "--window" => window_ms = Some(parse_value("--window", it.next(), |&ms: &u64| ms > 0)),
-            "--out" => out = Some(it.next().unwrap_or_else(|| die("--out requires a path"))),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument {other:?} for repro watch")),
+            "--window" => window_ms = Some(parse_value(&a, it.next(), |&ms: &u64| ms > 0)),
+            "--out" => out = path_value(&a, &mut it),
+            other => help_or_die(other, " for repro watch"),
         }
     }
     let (lo, hi) = range.unwrap_or_else(|| die("repro watch requires --site-range A-B"));
@@ -921,12 +788,12 @@ fn cmd_watch(argv: &[String]) {
         .timeline
         .expect("observed crawl always produces a timeline");
     let body = origin_obs::dashboard::render(&timeline, lo, hi);
-    match out {
-        Some(path) => match std::fs::write(&path, &body) {
-            Ok(()) => eprintln!("# wrote dashboard to {path}"),
-            Err(e) => die(&format!("failed to write {path}: {e}")),
-        },
-        None => print!("{body}"),
+    let Some(path) = out else {
+        print!("{body}");
+        return;
+    };
+    if write_artifact(&path, &body) {
+        eprintln!("# wrote dashboard to {path}");
     }
 }
 
@@ -943,14 +810,8 @@ fn cmd_trace(argv: &[String]) {
     let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--site" => site = Some(parse_value("--site", it.next(), |&n: &u32| n > 0)),
-            "--sample" => {
-                let raw = it.next().unwrap_or_else(|| die("--sample requires 1/N"));
-                sample = Some(
-                    Sampler::parse(&raw)
-                        .unwrap_or_else(|| die(&format!("invalid value {raw:?} for --sample"))),
-                );
-            }
+            "--site" => site = Some(parse_value(&a, it.next(), |&n: &u32| n > 0)),
+            "--sample" => sample = Some(sampler_value(&mut it)),
             "--format" => {
                 format = it
                     .next()
@@ -961,14 +822,10 @@ fn cmd_trace(argv: &[String]) {
                     ));
                 }
             }
-            "--sites" => sites = parse_value("--sites", it.next(), |&n: &u32| n > 0),
-            "--seed" => seed = parse_value("--seed", it.next(), |_| true),
-            "--out" => out = Some(it.next().unwrap_or_else(|| die("--out requires a path"))),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument {other:?} for repro trace")),
+            "--sites" => sites = parse_value(&a, it.next(), |&n: &u32| n > 0),
+            "--seed" => seed = parse_value(&a, it.next(), |_| true),
+            "--out" => out = path_value(&a, &mut it),
+            other => help_or_die(other, " for repro trace"),
         }
     }
     let (body, what) = match site {
@@ -1004,17 +861,15 @@ fn cmd_trace(argv: &[String]) {
             )
         }
     };
-    match out {
-        Some(path) => match std::fs::write(&path, &body) {
-            Ok(()) => eprintln!("# wrote {what} to {path}"),
-            Err(e) => die(&format!("failed to write {path}: {e}")),
-        },
-        None => {
-            print!("{body}");
-            if !body.ends_with('\n') {
-                println!();
-            }
+    let Some(path) = out else {
+        print!("{body}");
+        if !body.ends_with('\n') {
+            println!();
         }
+        return;
+    };
+    if write_artifact(&path, &body) {
+        eprintln!("# wrote {what} to {path}");
     }
 }
 
@@ -1051,6 +906,7 @@ fn jarr_f64(xs: &[f64]) -> String {
 /// arrays.
 fn export_json(path: &str, r: &CrawlResults) {
     let (existing, ideal) = r.plan.figure4();
+    let step = |&(x, p): &(f64, f64)| format!("[{},{}]", jf(x), jf(p));
     let value = format!(
         concat!(
             "{{\"figure1\":{},",
@@ -1073,21 +929,16 @@ fn export_json(path: &str, r: &CrawlResults) {
         jarr_f64(&r.model_ip.tls),
         jarr_f64(&r.model_origin.dns),
         jarr_f64(&r.model_origin.tls),
-        jarr(&existing.steps(), |&(x, p)| format!(
-            "[{},{}]",
-            jf(x),
-            jf(p)
-        )),
-        jarr(&ideal.steps(), |&(x, p)| format!("[{},{}]", jf(x), jf(p))),
+        jarr(&existing.steps(), step),
+        jarr(&ideal.steps(), step),
         jarr(&r.plan.figure5(), |&(e, i, c)| format!("[{e},{i},{c}]")),
         jarr_f64(&r.measured.plt),
         jarr_f64(&r.model_ip.plt),
         jarr_f64(&r.model_origin.plt),
         jarr_f64(&r.model_cdn_plt),
     );
-    match std::fs::write(path, value) {
-        Ok(()) => eprintln!("# wrote figure series to {path}"),
-        Err(e) => eprintln!("# failed to write {path}: {e}"),
+    if write_artifact(path, value) {
+        eprintln!("# wrote figure series to {path}");
     }
 }
 
@@ -1106,12 +957,9 @@ fn scheduling(seed: u64) {
 /// §6.2: quantify the cleartext signals coalescing removes. Each new
 /// TLS connection exposes one plaintext SNI (no ECH in 2021/22) and
 /// each network DNS query over UDP-53 exposes the queried name.
-fn privacy(group: &SampleGroup, seed: u64, threads: usize, registry: &mut Registry) {
+fn privacy(c: &mut Ctx) {
     let mut exposure = |mode: DeploymentMode, browser: BrowserKind| -> (u64, u64) {
-        let m = ActiveMeasurement { mode, browser };
-        let (exp, ctl) = m.run_both_threads(group, seed ^ 0x9417AC, threads);
-        registry.merge(&exp.metrics);
-        registry.merge(&ctl.metrics);
+        let (exp, _) = c.measure(&ActiveMeasurement { mode, browser }, c.seed ^ 0x9417AC);
         // SNI exposures = total new TLS connections across visits.
         let snis: u64 = exp.new_connections.bins().map(|(v, c)| v * c).sum();
         // One render-blocking plaintext DNS query per connection plus
@@ -1151,14 +999,7 @@ fn table1(r: &CrawlResults) {
         ]);
     }
     if let Some(s) = r.characterization.request_summary() {
-        t.row(&[
-            "μ".to_string(),
-            String::new(),
-            format!("{:.0}", s.mean),
-            String::new(),
-            String::new(),
-            String::new(),
-        ]);
+        t.row(&["μ".to_string(), String::new(), format!("{:.0}", s.mean)]);
     }
     println!("{}", t.render());
 }
@@ -1194,18 +1035,25 @@ fn table2(r: &CrawlResults) {
     );
 }
 
-fn table3(r: &CrawlResults) {
-    let mut t = TextTable::new(
-        "Table 3: requests by application protocol / encryption",
-        &["Protocol", "# Requests", "%"],
-    );
-    for e in r.characterization.protocol_requests.top(10) {
+/// The key / count / percent table of a top-k list (Tables 3, 4, 5, 7).
+fn topk_table<K: ToString>(title: &str, header: &[&str], top: &[TopEntry<K>]) -> TextTable {
+    let mut t = TextTable::new(title, header);
+    for e in top {
         t.row(&[
             e.key.to_string(),
             e.count.to_string(),
             format!("{:.2}", e.percent),
         ]);
     }
+    t
+}
+
+fn table3(r: &CrawlResults) {
+    let mut t = topk_table(
+        "Table 3: requests by application protocol / encryption",
+        &["Protocol", "# Requests", "%"],
+        &r.characterization.protocol_requests.top(10),
+    );
     let secure = r.characterization.secure_fraction();
     t.row(&[
         "Secure".into(),
@@ -1221,32 +1069,20 @@ fn table3(r: &CrawlResults) {
 }
 
 fn table4(r: &CrawlResults) {
-    let mut t = TextTable::new(
+    let t = topk_table(
         "Table 4: top certificate issuers by validations",
         &["Certificate Issuer", "# Validations", "%"],
+        &r.characterization.issuers.top(10),
     );
-    for e in r.characterization.issuers.top(10) {
-        t.row(&[
-            e.key.clone(),
-            e.count.to_string(),
-            format!("{:.2}", e.percent),
-        ]);
-    }
     println!("{}", t.render());
 }
 
 fn table5(r: &CrawlResults) {
-    let mut t = TextTable::new(
+    let t = topk_table(
         "Table 5: requests by top content types",
         &["Content Type", "# Req", "%"],
+        &r.characterization.content_types.top(12),
     );
-    for e in r.characterization.content_types.top(12) {
-        t.row(&[
-            e.key.to_string(),
-            e.count.to_string(),
-            format!("{:.2}", e.percent),
-        ]);
-    }
     println!("{}", t.render());
 }
 
@@ -1271,17 +1107,11 @@ fn table6(r: &CrawlResults) {
 }
 
 fn table7(r: &CrawlResults) {
-    let mut t = TextTable::new(
+    let t = topk_table(
         "Table 7: top-10 subresource hostnames",
         &["Hostname", "#Req", "%"],
+        &r.characterization.hostnames.top(10),
     );
-    for e in r.characterization.hostnames.top(10) {
-        t.row(&[
-            e.key.clone(),
-            e.count.to_string(),
-            format!("{:.2}", e.percent),
-        ]);
-    }
     println!("{}", t.render());
 }
 
@@ -1326,7 +1156,8 @@ fn figure2(seed: u64) {
     );
 }
 
-fn print_cdf_quantiles(label: &str, cdf: &Cdf) {
+fn print_cdf_quantiles(label: &str, samples: &[f64]) {
+    let cdf = Cdf::from_samples(samples);
     let q = |p: f64| cdf.quantile(p).unwrap_or(0.0);
     println!(
         "{label:<38} p25={:>7.1} median={:>7.1} p75={:>7.1} p90={:>8.1}",
@@ -1339,23 +1170,17 @@ fn print_cdf_quantiles(label: &str, cdf: &Cdf) {
 
 fn figure3(r: &CrawlResults) {
     println!("Figure 3: measured vs ideal DNS / TLS counts (CDF quantiles)");
-    print_cdf_quantiles("Measured DNS Requests", &Cdf::from_samples(&r.measured.dns));
-    print_cdf_quantiles("Measured TLS Requests", &Cdf::from_samples(&r.measured.tls));
-    print_cdf_quantiles(
-        "Ideal Modelled IP Coalescing (DNS)",
-        &Cdf::from_samples(&r.model_ip.dns),
-    );
-    print_cdf_quantiles(
-        "Ideal Modelled IP Coalescing (TLS)",
-        &Cdf::from_samples(&r.model_ip.tls),
-    );
+    print_cdf_quantiles("Measured DNS Requests", &r.measured.dns);
+    print_cdf_quantiles("Measured TLS Requests", &r.measured.tls);
+    print_cdf_quantiles("Ideal Modelled IP Coalescing (DNS)", &r.model_ip.dns);
+    print_cdf_quantiles("Ideal Modelled IP Coalescing (TLS)", &r.model_ip.tls);
     print_cdf_quantiles(
         "Ideal Modelled Origin Coalescing (DNS)",
-        &Cdf::from_samples(&r.model_origin.dns),
+        &r.model_origin.dns,
     );
     print_cdf_quantiles(
         "Ideal Modelled Origin Coalescing (TLS)",
-        &Cdf::from_samples(&r.model_origin.tls),
+        &r.model_origin.tls,
     );
     let (m_dns, m_tls, _) = r.measured.medians();
     let (i_dns, i_tls, _) = r.model_ip.medians();
@@ -1454,16 +1279,10 @@ fn table9(r: &CrawlResults) {
 
 fn figure9_top(r: &CrawlResults) {
     println!("Figure 9 (top): modelled PLT CDFs");
-    print_cdf_quantiles("Measured", &Cdf::from_samples(&r.measured.plt));
-    print_cdf_quantiles("I.M. IP Coalescing", &Cdf::from_samples(&r.model_ip.plt));
-    print_cdf_quantiles(
-        "I.M. Origin Coalescing",
-        &Cdf::from_samples(&r.model_origin.plt),
-    );
-    print_cdf_quantiles(
-        "I.M. CDN Origin Coalescing",
-        &Cdf::from_samples(&r.model_cdn_plt),
-    );
+    print_cdf_quantiles("Measured", &r.measured.plt);
+    print_cdf_quantiles("I.M. IP Coalescing", &r.model_ip.plt);
+    print_cdf_quantiles("I.M. Origin Coalescing", &r.model_origin.plt);
+    print_cdf_quantiles("I.M. CDN Origin Coalescing", &r.model_cdn_plt);
     let m = origin_stats::median(&r.measured.plt).unwrap_or(0.0);
     let ip = origin_stats::median(&r.model_ip.plt).unwrap_or(0.0);
     let or = origin_stats::median(&r.model_origin.plt).unwrap_or(0.0);
@@ -1478,7 +1297,6 @@ fn figure9_top(r: &CrawlResults) {
 
 fn ct_impact(r: &CrawlResults) {
     let changed = r.plan.total_sites - r.plan.unchanged_sites;
-    let hours = CtLogSet::burst_as_hours_of_global_issuance(changed);
     // Scale the changed-site count up to the paper's dataset size.
     let scale = 315_796.0 / r.plan.total_sites.max(1) as f64;
     let scaled = (changed as f64 * scale) as u64;
@@ -1490,7 +1308,6 @@ fn ct_impact(r: &CrawlResults) {
         "scaled to the paper's 315,796 sites: {scaled} ≈ {:.2} hours of global issuance (paper: 37.59% → one-time burst ≪ daily volume)\n",
         CtLogSet::burst_as_hours_of_global_issuance(scaled)
     );
-    let _ = hours;
 }
 
 fn figure6(group: &SampleGroup) {
@@ -1513,7 +1330,7 @@ fn figure6(group: &SampleGroup) {
     );
 }
 
-fn figure7(group: &SampleGroup, seed: u64, threads: usize, ip: bool, registry: &mut Registry) {
+fn figure7(c: &mut Ctx, ip: bool) {
     let (label, m) = if ip {
         (
             "Figure 7a: IP-based coalescing (Firefox v91)",
@@ -1525,9 +1342,7 @@ fn figure7(group: &SampleGroup, seed: u64, threads: usize, ip: bool, registry: &
             ActiveMeasurement::origin_experiment(),
         )
     };
-    let (exp, ctl) = m.run_both_threads(group, seed, threads);
-    registry.merge(&exp.metrics);
-    registry.merge(&ctl.metrics);
+    let (exp, ctl) = c.measure(&m, c.seed);
     println!("{label}");
     println!("new_conns  experiment_cdf  control_cdf");
     let (ecdf, ccdf) = (exp.cdf(), ctl.cdf());
@@ -1550,43 +1365,25 @@ fn figure7(group: &SampleGroup, seed: u64, threads: usize, ip: bool, registry: &
 /// own band above [`ActiveMeasurement::WIRE_PID_BASE`]'s.
 const PASSIVE_PID_BASE: u64 = 1 << 23;
 
-fn passive(
-    group: &SampleGroup,
-    seed: u64,
-    mode: DeploymentMode,
-    registry: &mut Registry,
-    trace: Option<&mut Tracer>,
-) {
-    let p = PassivePipeline::new(mode);
-    let r = p.run(group, seed);
-    r.record_into(registry);
-    if let Some(t) = trace {
-        let pid = PASSIVE_PID_BASE
-            + match mode {
-                DeploymentMode::Baseline => 0,
-                DeploymentMode::IpAligned => 1,
-                DeploymentMode::OriginFrames => 2,
-            };
-        r.record_trace(t, pid);
-    }
-    let label = match mode {
-        DeploymentMode::IpAligned => "§5.2 passive (IP alignment)",
-        DeploymentMode::OriginFrames => "§5.3 passive (ORIGIN frames)",
-        DeploymentMode::Baseline => "baseline passive",
+fn passive(c: &mut Ctx, mode: DeploymentMode) {
+    let (band, label, paper) = match mode {
+        DeploymentMode::Baseline => (0, "baseline passive", "0%"),
+        DeploymentMode::IpAligned => (1, "§5.2 passive (IP alignment)", "56%"),
+        DeploymentMode::OriginFrames => (2, "§5.3 passive (ORIGIN frames)", "≈50%"),
     };
+    let r = PassivePipeline::new(mode).run(c.group(), c.seed);
+    r.record_into(&mut c.registry);
+    if let Some(t) = &mut c.trace {
+        r.record_trace(t, PASSIVE_PID_BASE + band);
+    }
     println!("{label}: sampled {} records", r.sampled_records);
     println!(
         "new TLS connections to third party per sampled visit: experiment {} / control {}",
         r.experiment_tp_connections, r.control_tp_connections
     );
     println!(
-        "rate reduction: {:.1}% (paper: {}) | coalesced connections observed: {}\n",
+        "rate reduction: {:.1}% (paper: {paper}) | coalesced connections observed: {}\n",
         r.tp_connection_reduction() * 100.0,
-        match mode {
-            DeploymentMode::IpAligned => "56%",
-            DeploymentMode::OriginFrames => "≈50%",
-            DeploymentMode::Baseline => "0%",
-        },
         r.coalesced_connections
     );
 }
@@ -1617,14 +1414,11 @@ fn figure8(group: &SampleGroup, seed: u64) {
     );
 }
 
-fn figure9_bottom(group: &SampleGroup, seed: u64, threads: usize, registry: &mut Registry) {
-    let (exp, ctl) =
-        ActiveMeasurement::origin_experiment().run_both_threads(group, seed ^ 0xF9, threads);
-    registry.merge(&exp.metrics);
-    registry.merge(&ctl.metrics);
+fn figure9_bottom(c: &mut Ctx) {
+    let (exp, ctl) = c.measure(&ActiveMeasurement::origin_experiment(), c.seed ^ 0xF9);
     println!("Figure 9 (bottom): measured PLT at the deployment CDN");
-    print_cdf_quantiles("Control", &Cdf::from_samples(&ctl.plt_ms));
-    print_cdf_quantiles("Experiment", &Cdf::from_samples(&exp.plt_ms));
+    print_cdf_quantiles("Control", &ctl.plt_ms);
+    print_cdf_quantiles("Experiment", &exp.plt_ms);
     println!(
         "median PLT change: {} (paper: ≈−1%, 'no worse')\n",
         pct_change(origin_stats::percent_change(
@@ -1658,5 +1452,4 @@ fn incident(group: &SampleGroup, seed: u64) {
         exp2.torn_down + ctl2.torn_down,
         exp2.attempts + ctl2.attempts
     );
-    let _ = Treatment::Experiment;
 }

@@ -25,8 +25,6 @@ use origin_obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
 use origin_obs::{FlightRecorder, Timeline, VisitObs, VisitSinks};
 use origin_trace::{Sampler, Tracer};
 use origin_webgen::{Dataset, DatasetConfig, SiteConfig, PROVIDERS};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The AS used for the "deployment-CDN only" model line in Figure 9.
 pub const DEPLOYMENT_CDN_ASN: u32 = 13335;
@@ -119,10 +117,6 @@ pub struct ObsConfig {
     /// Write the current visit's flight events here if a crawl worker
     /// panics (best-effort crash forensics).
     pub panic_dump: Option<std::path::PathBuf>,
-    /// Flight-recorder ring capacity; `None` uses
-    /// [`origin_obs::flight::DEFAULT_CAPACITY`]. Long serving runs
-    /// want a deeper ring than the crawl default.
-    pub flight_capacity: Option<usize>,
 }
 
 /// Per-shard streaming-observability accumulators, plus the reused
@@ -138,11 +132,7 @@ impl ObsAccum {
     fn new(config: &ObsConfig) -> Self {
         ObsAccum {
             timeline: Timeline::new(config.window.unwrap_or(DEFAULT_WINDOW), DEFAULT_SPACING),
-            flight: FlightRecorder::new(
-                config
-                    .flight_capacity
-                    .unwrap_or(origin_obs::flight::DEFAULT_CAPACITY),
-            ),
+            flight: FlightRecorder::new(origin_obs::flight::DEFAULT_CAPACITY),
             visit: VisitObs::default(),
             fault_abort: config.fault_abort,
         }
@@ -417,11 +407,10 @@ impl CrawlSpec {
 
     /// Run the crawl + model.
     ///
-    /// The site list is cut into contiguous rank-ordered chunks (a few
-    /// per thread, so a slow chunk doesn't idle the other workers);
-    /// workers claim chunks off a shared counter, crawl each site into
-    /// a per-chunk `ShardAccum`, and the chunks are merged back in rank
-    /// order. Because each site's RNG is seeded only from its own
+    /// [`origin_netsim::fold_chunks`] cuts the site list into contiguous
+    /// rank-ordered chunks; workers crawl each site of a claimed chunk
+    /// into a per-chunk `ShardAccum`, and the chunks are merged back in
+    /// rank order. Because each site's RNG is seeded only from its own
     /// `page_seed` and each page load runs in its own session
     /// environment, the merged output is byte-identical to a
     /// sequential crawl — the thread count changes wall-clock time and
@@ -430,7 +419,6 @@ impl CrawlSpec {
     pub fn run(&self) -> CrawlResults {
         let sites = self.sites;
         let obs = self.obs.as_ref();
-        let threads = self.threads.max(1);
         let config = DatasetConfig {
             sites,
             seed: self.seed,
@@ -441,73 +429,42 @@ impl CrawlSpec {
         let dataset = Dataset::generate(config);
         let site_cfgs: Vec<&SiteConfig> = dataset.successful_sites().collect();
 
-        // Over-split so chunk-duration variance load-balances; contiguous
-        // chunks keep the rank order trivially reconstructable.
-        let n_chunks = (threads * 4).min(site_cfgs.len()).max(1);
-        let chunk_size = site_cfgs.len().div_ceil(n_chunks);
-        let next_chunk = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ShardAccum>>> =
-            (0..n_chunks).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(n_chunks) {
-                scope.spawn(|| {
-                    let mut worker = Worker::new(&dataset, self);
-                    loop {
-                        let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= n_chunks {
-                            break;
-                        }
-                        // Ceil-sized chunks can overrun the tail: clamp,
-                        // leaving trailing chunks empty (merge identity).
-                        let start = (chunk * chunk_size).min(site_cfgs.len());
-                        let end = (start + chunk_size).min(site_cfgs.len());
-                        let mut acc = ShardAccum::new(sites, config.tranco_total, obs);
-                        let mut run = |acc: &mut ShardAccum| {
-                            for &site in &site_cfgs[start..end] {
-                                worker.crawl_site(site, acc);
-                            }
-                        };
-                        match obs.and_then(|o| o.panic_dump.as_ref()) {
-                            // Crash forensics: if a visit panics, dump the
-                            // worker's ring — ending with the events of the
-                            // visit that died — before propagating.
-                            Some(dump_path) => {
-                                let caught =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        run(&mut acc)
-                                    }));
-                                if let Err(payload) = caught {
-                                    if let Some(o) = acc.obs.as_ref() {
-                                        let _ = std::fs::write(
-                                            dump_path,
-                                            o.flight.panic_snapshot_json(),
-                                        );
-                                    }
-                                    std::panic::resume_unwind(payload);
-                                }
-                            }
-                            None => run(&mut acc),
-                        }
-                        *slots[chunk]
-                            .lock()
-                            .expect("crawl shard slot poisoned by a worker panic") = Some(acc);
-                    }
-                });
-            }
-        });
-
         // Rank-ordered merge: chunk 0, 1, 2, … — the deterministic spine.
         // (The timeline and flight merges are order-free anyway; riding the
         // same spine costs nothing and keeps one mental model.)
         let mut total = ShardAccum::new(sites, config.tranco_total, obs);
-        for slot in slots {
-            let acc = slot
-                .into_inner()
-                .expect("crawl shard slot poisoned by a worker panic")
-                .expect("every chunk was claimed and completed");
-            total.merge(acc);
-        }
+        origin_netsim::fold_chunks(
+            &site_cfgs,
+            self.threads,
+            || Worker::new(&dataset, self),
+            |worker, chunk| {
+                let mut acc = ShardAccum::new(sites, config.tranco_total, obs);
+                let mut run = |acc: &mut ShardAccum| {
+                    for &site in chunk {
+                        worker.crawl_site(site, acc);
+                    }
+                };
+                match obs.and_then(|o| o.panic_dump.as_ref()) {
+                    // Crash forensics: if a visit panics, dump the
+                    // worker's ring — ending with the events of the
+                    // visit that died — before propagating.
+                    Some(dump_path) => {
+                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            run(&mut acc)
+                        }));
+                        if let Err(payload) = caught {
+                            if let Some(o) = acc.obs.as_ref() {
+                                let _ = std::fs::write(dump_path, o.flight.panic_snapshot_json());
+                            }
+                            std::panic::resume_unwind(payload);
+                        }
+                    }
+                    None => run(&mut acc),
+                }
+                acc
+            },
+            |acc| total.merge(acc),
+        );
 
         // Crawl-wide totals recorded once, after the rank-ordered merge.
         total.characterization.record_into(&mut total.metrics);
@@ -525,10 +482,7 @@ impl CrawlSpec {
                 .add("obs.windows", o.timeline.num_windows() as u64);
         }
 
-        let (timeline, flight) = match total.obs {
-            Some(o) => (Some(o.timeline), Some(o.flight)),
-            None => (None, None),
-        };
+        let (timeline, flight) = total.obs.map(|o| (o.timeline, o.flight)).unzip();
         CrawlResults {
             dataset,
             characterization: total.characterization,
@@ -641,11 +595,7 @@ impl ResilienceReport {
 
     /// Median PLT inflation of the faulted run, in percent.
     pub fn plt_inflation_pct(&self) -> f64 {
-        if self.clean.0 > 0.0 {
-            (self.faulted.0 - self.clean.0) / self.clean.0 * 100.0
-        } else {
-            0.0
-        }
+        origin_stats::percent_change(self.clean.0, self.faulted.0)
     }
 
     /// Relative loss of coalescing (percent of the clean rate).
@@ -889,11 +839,7 @@ impl H3Report {
     /// Median-PLT change of the h3 run relative to the baseline, in
     /// percent (negative = h3 made pages faster).
     pub fn plt_delta_pct(&self) -> f64 {
-        if self.baseline.2 > 0.0 {
-            (self.h3_run.2 - self.baseline.2) / self.baseline.2 * 100.0
-        } else {
-            0.0
-        }
+        origin_stats::percent_change(self.baseline.2, self.h3_run.2)
     }
 
     /// Fraction of QUIC connections that resumed with 0-RTT.

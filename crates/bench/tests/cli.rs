@@ -1,0 +1,102 @@
+//! The `repro` binary from the outside: the `--only` vocabulary is the
+//! experiment table, rows pull in exactly the inputs they need, and
+//! the exit status tells a CI gate whether its artifact exists.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--sites", "200", "--threads", "2"])
+        .args(args)
+        .output()
+        .expect("repro runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The ids the usage error for an unknown `--only` id lists.
+fn known_ids() -> Vec<String> {
+    let out = repro(&["--only", "bogus"]);
+    assert_eq!(out.status.code(), Some(2), "unknown id is a usage error");
+    let err = stderr(&out);
+    let list = err
+        .split_once("(known: ")
+        .and_then(|(_, rest)| rest.split_once(')'))
+        .expect("the error names the known ids")
+        .0;
+    list.split(' ').map(str::to_string).collect()
+}
+
+#[test]
+fn every_listed_id_is_accepted_and_prints_something() {
+    let ids = known_ids();
+    for id in [
+        "t1",
+        "t9",
+        "f1",
+        "f7a",
+        "f9",
+        "passive-origin",
+        "scheduling",
+    ] {
+        assert_eq!(
+            ids.iter().filter(|i| *i == id).count(),
+            1,
+            "{id} in {ids:?}"
+        );
+    }
+    for id in &ids {
+        let out = repro(&["--only", id]);
+        assert_eq!(out.status.code(), Some(0), "--only {id}: {}", stderr(&out));
+        assert!(!out.stdout.is_empty(), "--only {id} printed nothing");
+    }
+}
+
+#[test]
+fn f9_is_drawn_from_the_crawl_and_from_the_sample_group() {
+    let out = repro(&["--only", "f9"]);
+    let (text, log) = (stdout(&out), stderr(&out));
+    assert!(text.contains("Figure 9 (top): modelled PLT CDFs"), "{text}");
+    assert!(text.contains("Figure 9 (bottom): measured PLT"), "{text}");
+    assert!(log.contains("# crawling") && log.contains("# sample group"));
+    assert!(!text.contains("Table 1"), "only f9 was asked for");
+}
+
+#[test]
+fn scheduling_needs_neither_the_crawl_nor_the_sample_group() {
+    let out = repro(&["--only", "scheduling"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stdout(&out).starts_with("§6.1 scheduling fidelity"));
+    let log = stderr(&out);
+    assert!(!log.contains("# crawling"), "{log}");
+    assert!(!log.contains("# sample group"), "{log}");
+}
+
+#[test]
+fn an_unwritable_artifact_fails_the_run() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let good = dir.join("metrics.json");
+    let bad = dir.join("no-such-dir").join("metrics.json");
+
+    let out = repro(&["--only", "t1", "--metrics", good.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stderr(&out).contains("# wrote metrics to "));
+    assert!(std::fs::read_to_string(&good)
+        .expect("metrics written")
+        .contains("\"runtime_ms\""));
+
+    let out = repro(&["--only", "t1", "--metrics", bad.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("# failed to write "));
+    // The tables still came out: only the status reports the failure.
+    assert!(stdout(&out).contains("Table 1"));
+
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}

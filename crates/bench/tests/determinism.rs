@@ -6,8 +6,9 @@
 
 use origin_bench::{trace_site, CrawlResults, CrawlSpec};
 use origin_cdn::{ActiveMeasurement, SampleGroup, Treatment};
+use origin_metrics::Registry;
 use origin_netsim::{FaultProfile, SimRng};
-use origin_trace::{to_chrome_json, EventKind, Sampler};
+use origin_trace::{to_chrome_json, EventKind, Sampler, Tracer};
 
 const SITES: u32 = 300;
 const SEED: u64 = 0xD373;
@@ -175,20 +176,32 @@ fn active_measurement_identical_across_thread_counts() {
     let mut rng = SimRng::seed_from_u64(0xAC7);
     let group = SampleGroup::build(600, &mut rng);
     let m = ActiveMeasurement::origin_experiment();
-    let seq = m.run(&group, Treatment::Experiment, 42);
     let one = m.run_threads(&group, Treatment::Experiment, 42, 1);
     let four = m.run_threads(&group, Treatment::Experiment, 42, 4);
-    assert_eq!(seq.plt_ms, one.plt_ms, "sequential vs 1 thread");
-    assert_eq!(seq.plt_ms, four.plt_ms, "sequential vs 4 threads");
-    assert_eq!(seq.fraction_with(0), four.fraction_with(0));
-    assert_eq!(seq.cdf(), four.cdf());
+    assert_eq!(one.plt_ms, four.plt_ms, "1 vs 4 threads");
+    assert_eq!(one.fraction_with(0), four.fraction_with(0));
+    assert_eq!(one.cdf(), four.cdf());
     // Per-visit metrics shard and merge on the same rank-ordered
     // spine as the sample vectors.
-    let json = seq.metrics.to_json();
-    assert!(!json.is_empty());
-    assert_eq!(json, one.metrics.to_json(), "metrics: sequential vs 1");
-    assert_eq!(json, four.metrics.to_json(), "metrics: sequential vs 4");
-    assert!(seq.metrics.counter("cdn.active.visits") > 0);
+    let json = one.metrics.to_json();
+    assert_eq!(json, four.metrics.to_json(), "metrics: 1 vs 4 threads");
+    assert!(one.metrics.counter("cdn.active.visits") > 0);
+}
+
+#[test]
+fn tracing_the_wire_check_does_not_perturb_it() {
+    let mut rng = SimRng::seed_from_u64(0xAC7);
+    let group = SampleGroup::build(600, &mut rng);
+    let m = ActiveMeasurement::origin_experiment();
+    let (mut plain, mut traced) = (Registry::new(), Registry::new());
+    let mut tracer = Tracer::new();
+    let want = m.wire_spot_check(&group, 40, Some(&mut plain), None);
+    let got = m.wire_spot_check(&group, 40, Some(&mut traced), Some(&mut tracer));
+    assert_eq!(want, 40);
+    assert_eq!(want, got);
+    assert_eq!(plain, traced);
+    assert!(plain.counter("h2.origin_frames_accepted") > 0);
+    assert!(!tracer.is_empty(), "the traced check recorded no events");
 }
 
 #[test]

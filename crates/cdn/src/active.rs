@@ -18,7 +18,7 @@ use origin_obs::VisitSinks;
 use origin_stats::{Cdf, Histogram};
 
 /// Outcome of one arm of the active measurement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ActiveResult {
     /// Distribution of new connections to the third party per visit.
     pub new_connections: Histogram,
@@ -30,14 +30,6 @@ pub struct ActiveResult {
 }
 
 impl ActiveResult {
-    fn empty() -> Self {
-        ActiveResult {
-            new_connections: Histogram::new(),
-            plt_ms: Vec::new(),
-            metrics: Registry::new(),
-        }
-    }
-
     /// Fold another shard's arm results into this one. PLTs
     /// concatenate in call order, so merging visit-ordered shards in
     /// order reproduces the sequential series; the histogram and
@@ -143,33 +135,11 @@ impl ActiveMeasurement {
     }
 
     /// Visit every site in one arm once with a fresh browser session
-    /// and count new connections to the third party.
-    pub fn run(&self, group: &SampleGroup, treatment: Treatment, seed: u64) -> ActiveResult {
-        let mut env = CdnEnv::new(group, self.mode);
-        let loader = PageLoader::new(self.browser);
-        let mut arena = VisitArena::new();
-        let mut result = ActiveResult::empty();
-        let third_party = name(THIRD_PARTY_HOST);
-        for site in group.arm(treatment) {
-            result.visit(&loader, &mut env, &mut arena, site, seed, &third_party);
-        }
-        result
-    }
-
-    /// Run both arms.
-    pub fn run_both(&self, group: &SampleGroup, seed: u64) -> (ActiveResult, ActiveResult) {
-        (
-            self.run(group, Treatment::Experiment, seed),
-            self.run(group, Treatment::Control, seed),
-        )
-    }
-
-    /// Like [`ActiveMeasurement::run`] but sharded over `threads`
-    /// worker threads. Each visit runs in a fresh browser session with
-    /// an RNG seeded only from `seed ^ site.page_seed`, so sites are
-    /// independent; workers claim contiguous visit-ordered chunks and
-    /// the chunks merge back in order — the result is byte-identical
-    /// to the sequential run for any thread count.
+    /// and count new connections to the third party, on `threads`
+    /// workers. Each visit's RNG is seeded only from `seed ^
+    /// site.page_seed` and [`origin_netsim::fold_chunks`] merges the
+    /// visit-ordered chunks back in order, so the result is
+    /// byte-identical for any thread count.
     pub fn run_threads(
         &self,
         group: &SampleGroup,
@@ -177,55 +147,28 @@ impl ActiveMeasurement {
         seed: u64,
         threads: usize,
     ) -> ActiveResult {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-
-        let threads = threads.max(1);
         let sites: Vec<_> = group.arm(treatment).collect();
-        let n_chunks = (threads * 4).min(sites.len()).max(1);
-        let chunk_size = sites.len().div_ceil(n_chunks);
-        let next_chunk = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ActiveResult>>> =
-            (0..n_chunks).map(|_| Mutex::new(None)).collect();
         let third_party = name(THIRD_PARTY_HOST);
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(n_chunks) {
-                scope.spawn(|| {
-                    let mut env = CdnEnv::new(group, self.mode);
-                    let loader = PageLoader::new(self.browser);
-                    let mut arena = VisitArena::new();
-                    loop {
-                        let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= n_chunks {
-                            break;
-                        }
-                        // Ceil-sized chunks can overrun the tail:
-                        // clamp, leaving trailing chunks empty
-                        // (merge identity).
-                        let start = (chunk * chunk_size).min(sites.len());
-                        let end = (start + chunk_size).min(sites.len());
-                        let mut result = ActiveResult::empty();
-                        for site in &sites[start..end] {
-                            result.visit(&loader, &mut env, &mut arena, site, seed, &third_party);
-                        }
-                        *slots[chunk]
-                            .lock()
-                            .expect("active-measurement shard slot poisoned by a worker panic") =
-                            Some(result);
-                    }
-                });
-            }
-        });
-
-        let mut total = ActiveResult::empty();
-        for slot in slots {
-            let r = slot
-                .into_inner()
-                .expect("active-measurement shard slot poisoned by a worker panic")
-                .expect("every chunk completed");
-            total.merge(r);
-        }
+        let mut total = ActiveResult::default();
+        origin_netsim::fold_chunks(
+            &sites,
+            threads,
+            || {
+                (
+                    CdnEnv::new(group, self.mode),
+                    PageLoader::new(self.browser),
+                    VisitArena::new(),
+                )
+            },
+            |(env, loader, arena), chunk| {
+                let mut result = ActiveResult::default();
+                for site in chunk {
+                    result.visit(loader, env, arena, site, seed, &third_party);
+                }
+                result
+            },
+            |result| total.merge(result),
+        );
         total
     }
 
@@ -237,13 +180,15 @@ impl ActiveMeasurement {
         seed: u64,
         threads: usize,
     ) -> (ActiveResult, ActiveResult) {
-        (
-            self.run_threads(group, Treatment::Experiment, seed, threads),
-            self.run_threads(group, Treatment::Control, seed, threads),
-        )
+        let arm = |treatment| self.run_threads(group, treatment, seed, threads);
+        (arm(Treatment::Experiment), arm(Treatment::Control))
     }
 
-    /// Wire-level spot check: for `n` sites per arm, run a real
+    /// Logical-process base for wire-check trace events; site ranks
+    /// stay far below this.
+    pub const WIRE_PID_BASE: u64 = 1 << 22;
+
+    /// Wire-level spot check: for the first `n` sites, run a real
     /// `origin-h2` exchange against an [`EdgeServer`] and verify the
     /// client's resulting origin state matches what the analytic
     /// environment advertises — the consistency the paper relied on
@@ -251,76 +196,20 @@ impl ActiveMeasurement {
     /// or handled correctly" before deploying globally (§5.3).
     ///
     /// Returns the number of sites whose wire behaviour matched.
-    pub fn wire_spot_check(&self, group: &SampleGroup, n: usize) -> usize {
-        self.wire_spot_check_metrics(group, n, None)
-    }
-
-    /// Like [`ActiveMeasurement::wire_spot_check`] but also folds the
-    /// client- and edge-side h2 frame work into `metrics` — the only
-    /// place real ORIGIN frames cross a wire in the pipeline, and thus
-    /// the source of the registry's `h2.*` counters.
-    pub fn wire_spot_check_metrics(
-        &self,
-        group: &SampleGroup,
-        n: usize,
-        metrics: Option<&mut Registry>,
-    ) -> usize {
-        self.wire_spot_check_inner(group, n, metrics, None)
-    }
-
-    /// Like [`ActiveMeasurement::wire_spot_check_metrics`] but also
-    /// traces the client side of every exchange: one logical process
-    /// per checked site (in the reserved `pid` band above real Tranco
-    /// ranks), with `h2.frame` / `h2.origin.accept` instants from
-    /// [`origin_h2::Connection::recv_traced`] stamped by wire round.
-    /// The loop is sequential and rank-ordered, so the trace is
-    /// independent of `--threads`.
-    pub fn wire_spot_check_traced(
-        &self,
-        group: &SampleGroup,
-        n: usize,
-        metrics: Option<&mut Registry>,
-        tracer: &mut origin_trace::Tracer,
-    ) -> usize {
-        self.wire_spot_check_inner(group, n, metrics, Some(tracer))
-    }
-
-    /// Logical-process base for wire-check trace events; site ranks
-    /// stay far below this.
-    pub const WIRE_PID_BASE: u64 = 1 << 22;
-
-    /// Like [`ActiveMeasurement::wire_spot_check_metrics`] but also
-    /// appends one `h2.wire` flight event per checked connection side
-    /// to `flight`, attributed to the check's reserved visit band.
-    /// The loop is sequential and rank-ordered, so the recorder's
-    /// contents are independent of `--threads`.
-    pub fn wire_spot_check_observed(
-        &self,
-        group: &SampleGroup,
-        n: usize,
-        metrics: Option<&mut Registry>,
-        flight: &mut origin_obs::FlightRecorder,
-    ) -> usize {
-        self.wire_spot_check_full(group, n, metrics, None, Some(flight))
-    }
-
-    fn wire_spot_check_inner(
-        &self,
-        group: &SampleGroup,
-        n: usize,
-        metrics: Option<&mut Registry>,
-        tracer: Option<&mut origin_trace::Tracer>,
-    ) -> usize {
-        self.wire_spot_check_full(group, n, metrics, tracer, None)
-    }
-
-    fn wire_spot_check_full(
+    /// `metrics` receives the client- and edge-side h2 frame work — the
+    /// only place real ORIGIN frames cross a wire in the pipeline, and
+    /// thus the source of the registry's `h2.*` counters. `tracer`
+    /// receives the client side of every exchange: one logical process
+    /// per checked site (the `pid` band above real Tranco ranks) with
+    /// the [`origin_h2::Connection::recv_traced`] instants stamped by
+    /// wire round. The loop is sequential and rank-ordered, so both
+    /// are independent of `--threads`.
+    pub fn wire_spot_check(
         &self,
         group: &SampleGroup,
         n: usize,
         mut metrics: Option<&mut Registry>,
         mut tracer: Option<&mut origin_trace::Tracer>,
-        mut flight: Option<&mut origin_obs::FlightRecorder>,
     ) -> usize {
         use origin_h2::{Connection, Settings};
         let origin_mode = self.mode == DeploymentMode::OriginFrames;
@@ -370,15 +259,19 @@ impl ActiveMeasurement {
                 edge.conn.record_metrics(metrics);
                 metrics.inc("cdn.wire_checks");
             }
-            if let Some(rec) = flight.as_deref_mut() {
-                rec.begin_visit((Self::WIRE_PID_BASE + site_no as u64) as u32);
-                // Stamp with the final exchange round, matching the
-                // traced variant's clock.
-                client.record_flight(round, rec);
-                edge.conn.record_flight(round, rec);
-            }
         }
         matched
+    }
+
+    /// [`ActiveMeasurement::wire_spot_check`] untraced, under the name
+    /// the frozen harness under `benchmark/` calls.
+    pub fn wire_spot_check_metrics(
+        &self,
+        group: &SampleGroup,
+        n: usize,
+        metrics: Option<&mut Registry>,
+    ) -> usize {
+        self.wire_spot_check(group, n, metrics, None)
     }
 }
 
@@ -394,7 +287,7 @@ mod tests {
     #[test]
     fn ip_experiment_coalesces_experiment_arm() {
         let g = group();
-        let (exp, ctl) = ActiveMeasurement::ip_experiment().run_both(&g, 42);
+        let (exp, ctl) = ActiveMeasurement::ip_experiment().run_both_threads(&g, 42, 1);
         // Figure 7a shapes: experiment ≈70% zero; control ≈9% zero
         // with ≈83% exactly one.
         let exp_zero = exp.fraction_with(0);
@@ -409,7 +302,7 @@ mod tests {
     #[test]
     fn origin_experiment_coalesces_without_ip_alignment() {
         let g = group();
-        let (exp, ctl) = ActiveMeasurement::origin_experiment().run_both(&g, 43);
+        let (exp, ctl) = ActiveMeasurement::origin_experiment().run_both_threads(&g, 43, 1);
         let exp_zero = exp.fraction_with(0);
         let ctl_zero = ctl.fraction_with(0);
         assert!(exp_zero > 0.5, "experiment zero-conn fraction {exp_zero}");
@@ -426,7 +319,7 @@ mod tests {
             mode: DeploymentMode::Baseline,
             browser: BrowserKind::Firefox,
         };
-        let (exp, ctl) = m.run_both(&g, 44);
+        let (exp, ctl) = m.run_both_threads(&g, 44, 1);
         // Without alignment or ORIGIN frames both arms open real
         // connections to the third party.
         assert!(exp.fraction_with(0) < 0.15);
@@ -439,28 +332,28 @@ mod tests {
         // appropriate" — experiment PLT within a few percent of
         // control.
         let g = group();
-        let (exp, ctl) = ActiveMeasurement::origin_experiment().run_both(&g, 45);
+        let (exp, ctl) = ActiveMeasurement::origin_experiment().run_both_threads(&g, 45, 1);
         let (e, c) = (exp.median_plt(), ctl.median_plt());
         assert!(e <= c * 1.03, "experiment {e} vs control {c}");
     }
 
     #[test]
-    fn wire_spot_check_agrees_with_model() {
+    fn spot_check_on_the_wire_agrees_with_model() {
         let g = group();
         let m = ActiveMeasurement::origin_experiment();
-        assert_eq!(m.wire_spot_check(&g, 60), 60);
+        assert_eq!(m.wire_spot_check(&g, 60, None, None), 60);
         // Pre-deployment: no ORIGIN frames on the wire either.
         let m = ActiveMeasurement {
             mode: DeploymentMode::Baseline,
             browser: BrowserKind::Firefox,
         };
-        assert_eq!(m.wire_spot_check(&g, 60), 60);
+        assert_eq!(m.wire_spot_check(&g, 60, None, None), 60);
     }
 
     #[test]
     fn cdf_is_complete() {
         let g = group();
-        let (exp, _) = ActiveMeasurement::origin_experiment().run_both(&g, 46);
+        let (exp, _) = ActiveMeasurement::origin_experiment().run_both_threads(&g, 46, 1);
         let cdf = exp.cdf();
         assert_eq!(cdf.len() as u64, exp.new_connections.total());
         assert_eq!(cdf.eval(exp.max_connections() as f64), 1.0);

@@ -9,15 +9,8 @@
 //! shard — and every rerun — sees the identical assignment without
 //! any shared mutable state.
 
+use origin_netsim::rng::splitmix64;
 use origin_netsim::{SimDuration, SimTime};
-
-/// SplitMix64 finalizer, used as a stateless per-edge hash.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A linear ramp of ORIGIN-frame advertisement across the edge fleet.
 ///
@@ -77,7 +70,7 @@ impl Rollout {
         if self.target == 0.0 {
             return false;
         }
-        let score = mix(self.seed ^ u64::from(edge)) as f64 / (u64::MAX as f64 + 1.0);
+        let score = splitmix64(self.seed ^ u64::from(edge)) as f64 / (u64::MAX as f64 + 1.0);
         score < self.share(t)
     }
 }

@@ -317,17 +317,6 @@ impl Connection {
         );
     }
 
-    /// Append this connection's wire totals to a flight recorder as a
-    /// single `h2.wire` event: value is frames decoded, detail is the
-    /// endpoint role.
-    pub fn record_flight(&self, t_us: u64, rec: &mut origin_obs::FlightRecorder) {
-        let role = match self.role {
-            Role::Client => "client",
-            Role::Server => "server",
-        };
-        rec.record(t_us, "h2.wire", self.stats.frames_decoded, role);
-    }
-
     fn send_settings(&mut self) {
         Frame::Settings {
             ack: false,

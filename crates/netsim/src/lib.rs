@@ -23,6 +23,8 @@
 //!   §6.7 non-compliant middlebox that tears down connections carrying
 //!   unknown HTTP/2 frame types.
 //! - [`rng`] — seeded RNG plumbing so all randomness is reproducible.
+//! - [`shard`] — [`fold_chunks`], the order-preserving chunk scheduler
+//!   the parallel crawl and active-measurement phases run on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +34,7 @@ pub mod event;
 pub mod fault;
 pub mod link;
 pub mod rng;
+pub mod shard;
 pub mod tcp;
 pub mod time;
 
@@ -40,5 +43,6 @@ pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultProfile, Middlebox, MiddleboxVerdict, PacketFate};
 pub use link::LinkProfile;
 pub use rng::SimRng;
+pub use shard::fold_chunks;
 pub use tcp::{ConnectionCost, HandshakeModel, TlsVersion};
 pub use time::{SimDuration, SimTime};

@@ -214,11 +214,22 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// One SplitMix64 step: advance `x` by the golden-ratio increment and
+/// finalize. Besides seeding [`SimRng`], it is the workspace's
+/// stateless integer hash (per-session seeds, per-edge rollout scores,
+/// per-host object sizes).
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    splitmix64_finalize(x.wrapping_add(0x9e37_79b9_7f4a_7c15))
+}
+
+/// The SplitMix64 output finalizer alone, for callers that have
+/// already spread their input (e.g. `seed ^ rank · golden`).
+#[inline]
+pub fn splitmix64_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -263,6 +274,21 @@ mod tests {
         let root = SimRng::seed_from_u64(42);
         assert_eq!(root.derive("dns").next_u64(), 0xaecd_c1b3_567b_89ce);
         assert_eq!(root.derive("").next_u64(), 0xf7f9_5478_4c80_7c40);
+    }
+
+    #[test]
+    fn splitmix64_outputs_are_pinned() {
+        // Computed from the private copies this function replaced
+        // (serve engine/plan, cdn rollout, webgen legacy/h3 draws):
+        // every serve report and dataset assignment hashes through it.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+        assert_eq!(splitmix64(0x0516), 0x215f_db01_5bbf_aab4);
+        assert_eq!(splitmix64(u64::MAX), 0xe4d9_7177_1b65_2c20);
+        assert_eq!(splitmix64_finalize(0), 0);
+        assert_eq!(splitmix64_finalize(1), 0x5692_161d_100b_05e5);
+        assert_eq!(splitmix64_finalize(0x0516), 0x8cf2_cd0e_84e4_ddb7);
+        assert_eq!(splitmix64_finalize(u64::MAX), 0xb4d0_55fc_f2cb_bd7b);
     }
 
     #[test]

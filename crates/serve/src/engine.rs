@@ -27,6 +27,7 @@
 use origin_browser::{PoolChurn, SessionPool};
 use origin_cdn::Rollout;
 use origin_metrics::Registry;
+use origin_netsim::rng::splitmix64;
 use origin_netsim::{EventQueue, SimDuration, SimRng, SimTime};
 use origin_obs::{Timeline, VisitObs};
 use origin_webgen::Dataset;
@@ -41,18 +42,10 @@ const HANDSHAKE_RTTS: u64 = 2;
 /// Cap on visits per session (tail guard on the geometric draw).
 const MAX_SESSION_VISITS: u64 = 64;
 
-/// SplitMix64 finalizer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The per-session RNG: pure in `(seed, session_id)` so shard
 /// placement cannot perturb a session's behaviour.
 fn session_rng(seed: u64, id: u64) -> SimRng {
-    SimRng::seed_from_u64(mix(seed ^ id.wrapping_mul(0xA24B_AED4_963E_E407)))
+    SimRng::seed_from_u64(splitmix64(seed ^ id.wrapping_mul(0xA24B_AED4_963E_E407)))
 }
 
 /// Visits a session will make: 1 + geometric-ish tail with the

@@ -9,6 +9,7 @@
 //! visit with zero per-visit allocation. `O(sites)` memory, built
 //! before serving starts, shared read-only by every worker shard.
 
+use origin_netsim::rng::splitmix64;
 use origin_webgen::dataset::ServiceRef;
 use origin_webgen::{Dataset, SiteConfig};
 
@@ -17,14 +18,6 @@ use origin_webgen::{Dataset, SiteConfig};
 /// origin, 2 = far origin.
 const RTT_MS: [f64; 3] = [32.0, 95.0, 210.0];
 const MBPS: [f64; 3] = [60.0, 25.0, 18.0];
-
-/// SplitMix64 finalizer for per-host deterministic variation.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// One host's serving profile within a site plan.
 #[derive(Debug, Clone, Copy)]
@@ -191,7 +184,7 @@ pub fn compile_site(site: &SiteConfig) -> SitePlan {
 /// Deterministic per-host payload size: requests × a host-stable
 /// object size in [16 KiB, 48 KiB).
 fn host_bytes(page_seed: u64, host_idx: usize, requests: u32) -> u64 {
-    let object = 16_384 + mix(page_seed ^ (host_idx as u64) << 17) % 32_768;
+    let object = 16_384 + splitmix64(page_seed ^ (host_idx as u64) << 17) % 32_768;
     u64::from(requests) * object
 }
 

@@ -32,7 +32,7 @@ pub use cdf::Cdf;
 pub use hist::Histogram;
 pub use series::TimeSeries;
 pub use summary::Summary;
-pub use topk::TopK;
+pub use topk::{TopEntry, TopK};
 
 /// Compute the `q`-quantile (0.0 ..= 1.0) of a slice using linear
 /// interpolation between closest ranks (type-7 estimator, the same

@@ -8,6 +8,7 @@ use crate::universe::{tail_asn, ProviderDef, Universe, PROVIDERS};
 use origin_dns::name::name;
 use origin_dns::record::Rotation;
 use origin_dns::DnsName;
+use origin_netsim::rng::splitmix64_finalize;
 use origin_netsim::SimRng;
 use origin_tls::KnownIssuer;
 use origin_web::{ContentType, FetchMode, Page, Protocol, Resource};
@@ -54,35 +55,25 @@ impl Default for DatasetConfig {
     }
 }
 
-/// Deterministic legacy assignment: splitmix64 over `(seed, rank)`
-/// mapped to `[0, 1)` and compared against the share. Consuming no
-/// RNG draws keeps every existing draw sequence — and therefore every
-/// committed report — untouched at any share.
+/// A uniform draw in `[0, 1)` that is a pure hash of `(seed, rank)`.
+/// Consuming no RNG draws keeps every existing draw sequence — and
+/// therefore every committed report — untouched at any share.
+fn site_unit(seed: u64, rank: u32) -> f64 {
+    let z = splitmix64_finalize(seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Deterministic legacy assignment: the site's [`site_unit`] compared
+/// against the share.
 fn is_legacy_site(seed: u64, rank: u32, legacy_share: f64) -> bool {
-    if legacy_share <= 0.0 {
-        return false;
-    }
-    let mut z = seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let unit = (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    unit < legacy_share
+    legacy_share > 0.0 && site_unit(seed, rank) < legacy_share
 }
 
 /// Deterministic h3 deployment assignment: the same draw-free hash as
 /// [`is_legacy_site`] under a distinct seed salt, so the two
 /// populations are independent and neither perturbs any RNG stream.
 fn is_h3_site(seed: u64, rank: u32, h3_share: f64) -> bool {
-    if h3_share <= 0.0 {
-        return false;
-    }
-    let mut z = (seed ^ 0x4833_5F51_C0A1_E5CE) ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let unit = (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    unit < h3_share
+    h3_share > 0.0 && site_unit(seed ^ 0x4833_5F51_C0A1_E5CE, rank) < h3_share
 }
 
 /// A reference to a third-party service used by a page.

@@ -25,7 +25,7 @@ fn main() {
 
     // §5.2 — IP-based coalescing via DNS alignment.
     println!("\n== §5.2 IP-based coalescing (August 2021) ==");
-    let (exp, ctl) = ActiveMeasurement::ip_experiment().run_both(&group, 42);
+    let (exp, ctl) = ActiveMeasurement::ip_experiment().run_both_threads(&group, 42, 1);
     println!(
         "active (Firefox v91): zero new connections to the third party: experiment {:.0}%, control {:.0}% (paper: 70% / 9%)",
         exp.fraction_with(0) * 100.0,
@@ -39,7 +39,7 @@ fn main() {
 
     // §5.3 — ORIGIN frames, DNS reverted.
     println!("\n== §5.3 ORIGIN frame coalescing (January 2022) ==");
-    let (exp, ctl) = ActiveMeasurement::origin_experiment().run_both(&group, 43);
+    let (exp, ctl) = ActiveMeasurement::origin_experiment().run_both_threads(&group, 43, 1);
     println!(
         "active (Firefox v96): zero new connections: experiment {:.0}%, control {:.0}% (paper: 64% / 6%)",
         exp.fraction_with(0) * 100.0,

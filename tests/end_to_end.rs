@@ -133,7 +133,7 @@ fn deployment_consistent_with_model() {
     let group = SampleGroup::build(2_000, &mut rng);
     assert!(group.equal_byte_check());
 
-    let (exp, ctl) = ActiveMeasurement::origin_experiment().run_both(&group, 1);
+    let (exp, ctl) = ActiveMeasurement::origin_experiment().run_both_threads(&group, 1, 1);
     assert!(exp.fraction_with(0) > 0.5);
     assert!(ctl.fraction_with(0) < 0.2);
 
