@@ -16,6 +16,13 @@
 //! regressions — an accidental per-visit `Vec`/`String` revival trips
 //! them immediately.
 //!
+//! A traced load adds nothing to that on a warm tracer: recording an
+//! event is a few stores into arenas that already grew, where the
+//! owned-`String`, `Vec`-of-args buffer it replaced allocated ~1,750
+//! times per traced visit. The same loop with `Some(&mut tracer)`
+//! must stay within [`MAX_TRACED_EXTRA_ALLOCS_PER_VISIT`] of the
+//! untraced count.
+//!
 //! Allocation counts are only meaningful if no other test mutates the
 //! counters concurrently, so this file holds exactly one `#[test]`.
 
@@ -53,11 +60,12 @@ fn allocs() -> u64 {
 }
 
 /// Per-visit allocation ceilings on the steady-state (warm scratch /
-/// warm arena) crawl path. Measured ~6 page / ~94 load on the commit
-/// that introduced recycling; the margin absorbs hash-map growth
-/// timing, not behaviour change.
-const MAX_PAGE_ALLOCS_PER_VISIT: u64 = 32;
-const MAX_LOAD_ALLOCS_PER_VISIT: u64 = 150;
+/// warm arena) crawl path. Measured 2 page / 45 load; the margin
+/// absorbs hash-map growth timing, not behaviour change.
+const MAX_PAGE_ALLOCS_PER_VISIT: u64 = 8;
+const MAX_LOAD_ALLOCS_PER_VISIT: u64 = 64;
+/// What tracing a visit may add to its load's allocations.
+const MAX_TRACED_EXTRA_ALLOCS_PER_VISIT: u64 = 8;
 
 #[test]
 fn steady_state_crawl_allocations_stay_bounded() {
@@ -74,43 +82,25 @@ fn steady_state_crawl_allocations_stay_bounded() {
     let mut scratch = PageScratch::new();
     let mut arena = VisitArena::new();
 
-    // Warm-up: let every recycled buffer and cache reach its
-    // steady-state capacity before counting.
-    let (head, tail) = site_cfgs.split_at(site_cfgs.len() / 4);
-    for site in head {
-        let page = dataset.page_for_with(site, &mut scratch);
-        env.flush_dns();
-        let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-        let load = loader.load_observed(
-            &page,
-            &mut env,
-            &mut rng,
-            None,
-            Some(&mut metrics),
-            None,
-            &mut arena,
-            origin_obs::VisitSinks::default(),
-        );
-        env.take_resolver_stats().record_into(&mut metrics);
-        scratch.recycle(page);
-        arena.recycle(load);
-    }
-
-    let mut page_allocs = 0u64;
-    let mut load_allocs = 0u64;
-    for site in tail {
+    // One visit; returns the allocations of its page build and of its
+    // load (with `begin_visit`, when traced: the label is borrowed, as
+    // every value a call site hands the tracer is).
+    let mut visit = |site: &SiteConfig, mut tracer: Option<&mut origin_trace::Tracer>| {
         let a0 = allocs();
         let page = dataset.page_for_with(site, &mut scratch);
         let a1 = allocs();
         env.flush_dns();
         let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+        if let Some(t) = tracer.as_deref_mut() {
+            t.begin_visit(u64::from(site.rank), site.root_host.as_str());
+        }
         let load = loader.load_observed(
             &page,
             &mut env,
             &mut rng,
             None,
             Some(&mut metrics),
-            None,
+            tracer,
             &mut arena,
             origin_obs::VisitSinks::default(),
         );
@@ -118,13 +108,38 @@ fn steady_state_crawl_allocations_stay_bounded() {
         env.take_resolver_stats().record_into(&mut metrics);
         scratch.recycle(page);
         arena.recycle(load);
-        page_allocs += a1 - a0;
-        load_allocs += a2 - a1;
+        (a1 - a0, a2 - a1)
+    };
+
+    // Warm-up: let every recycled buffer and cache reach its
+    // steady-state capacity before counting.
+    let (head, tail) = site_cfgs.split_at(site_cfgs.len() / 4);
+    for site in head {
+        visit(site, None);
     }
+    let mut page_allocs = 0u64;
+    let mut load_allocs = 0u64;
+    for site in tail {
+        let (page, load) = visit(site, None);
+        page_allocs += page;
+        load_allocs += load;
+    }
+
+    // The same two passes traced, so the tracer is warm too: the
+    // head's visits are already in it when counting starts.
+    let mut tracer = origin_trace::Tracer::new();
+    for site in head {
+        visit(site, Some(&mut tracer));
+    }
+    let traced_allocs: u64 = tail.iter().map(|s| visit(s, Some(&mut tracer)).1).sum();
 
     let n = tail.len() as u64;
     let per_page = page_allocs / n;
     let per_load = load_allocs / n;
+    let per_traced_load = traced_allocs / n;
+    println!(
+        "allocations per visit: page {per_page}, load {per_load}, traced load {per_traced_load}"
+    );
     assert!(
         per_page <= MAX_PAGE_ALLOCS_PER_VISIT,
         "page build allocates {per_page}/visit (ceiling {MAX_PAGE_ALLOCS_PER_VISIT}): \
@@ -134,5 +149,11 @@ fn steady_state_crawl_allocations_stay_bounded() {
         per_load <= MAX_LOAD_ALLOCS_PER_VISIT,
         "page load allocates {per_load}/visit (ceiling {MAX_LOAD_ALLOCS_PER_VISIT}): \
          a VisitArena buffer stopped being recycled"
+    );
+    assert!(
+        per_traced_load <= per_load + MAX_TRACED_EXTRA_ALLOCS_PER_VISIT,
+        "a traced load allocates {per_traced_load}/visit against {per_load} untraced \
+         (allowed extra {MAX_TRACED_EXTRA_ALLOCS_PER_VISIT}): an emission site went back to \
+         building a `String` or a `Vec` per event"
     );
 }

@@ -100,3 +100,18 @@ fn an_unwritable_artifact_fails_the_run() {
 
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
+
+#[test]
+fn a_zero_sampling_denominator_is_a_usage_error() {
+    // "One in zero" reads as *none*; it must not silently mean *all*.
+    for raw in ["1/0", "0"] {
+        let out = repro(&["--only", "t1", "--sample", raw]);
+        assert_eq!(out.status.code(), Some(2), "--sample {raw}");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("invalid value {raw:?} for --sample")),
+            "{err}"
+        );
+        assert!(stdout(&out).is_empty(), "nothing ran");
+    }
+}

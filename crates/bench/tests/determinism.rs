@@ -246,19 +246,13 @@ fn site_trace_links_coalesced_requests_with_flows() {
         .expect("some top-50 site coalesces under Chromium policy");
     let starts: Vec<u64> = trace
         .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::FlowStart { id } => Some(id),
-            _ => None,
-        })
+        .filter(|e| e.kind() == EventKind::FlowStart)
+        .map(|e| e.flow_id())
         .collect();
     let ends: Vec<u64> = trace
         .events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::FlowEnd { id } => Some(id),
-            _ => None,
-        })
+        .filter(|e| e.kind() == EventKind::FlowEnd)
+        .map(|e| e.flow_id())
         .collect();
     assert_eq!(starts.len(), load.coalesced_requests() as usize);
     assert_eq!(starts, ends, "every flow arrow has both ends");

@@ -63,3 +63,18 @@ fn positional_adapter_cannot_drift_from_crawl_spec() {
     );
     assert_eq!(digests(&positional), digests(&s.run()));
 }
+
+/// What buffering that trace costs: one fixed-size record per event
+/// plus its values (strings copied once, names and keys not at all).
+/// The owned `String`/`Vec` event it replaced took ~230 bytes.
+#[test]
+fn crawl_mixed_trace_stays_under_64_bytes_an_event() {
+    let r = crawl_mixed(1).run();
+    let events = r.trace.len();
+    assert!(events > 10_000, "only {events} events traced");
+    let per_event = r.trace.footprint().iter().sum::<usize>() as f64 / events as f64;
+    assert!(
+        per_event <= 64.0,
+        "{per_event:.1} bytes/event over {events} events"
+    );
+}

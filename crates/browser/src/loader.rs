@@ -22,6 +22,7 @@ use origin_netsim::{
     FaultProfile, HandshakeModel, LinkProfile, Middlebox, MiddleboxVerdict, SimDuration, SimRng,
     SimTime, TlsVersion,
 };
+use origin_trace::{Arg, Site};
 use origin_web::har::{PageLoad, Phase, RequestTiming};
 use origin_web::{Page, Protocol, Resource};
 use std::net::{IpAddr, Ipv4Addr};
@@ -624,15 +625,12 @@ impl Visit<'_> {
         // network resources.
         if rq.res.protocol == Protocol::NA {
             if let Some(t) = self.tracer.as_deref_mut() {
+                static SKIPPED: Site = Site::new("req.skipped", "request", &["host", "reason"]);
                 t.set_tid(0);
                 t.instant_at(
-                    "req.skipped",
-                    "request",
+                    &SKIPPED,
                     ms_us(start),
-                    vec![
-                        ("host", rq.t.host.as_str().into()),
-                        ("reason", "n/a".into()),
-                    ],
+                    &[Arg::Str(rq.t.host.as_str()), Arg::Str("n/a")],
                 );
             }
             return rq.t;
@@ -703,15 +701,13 @@ impl Visit<'_> {
                 );
             }
             if let Some(t) = self.tracer.as_deref_mut() {
-                t.complete(
-                    &format!("req {} {}", rq.t.resource_index, host.as_str()),
-                    "request",
+                static REQ_FAILED: Site = Site::new("req", "request", &["host", "outcome"]);
+                t.complete_indexed(
+                    &REQ_FAILED,
+                    (rq.t.resource_index as u64, host.as_str()),
                     ms_us(start),
                     ms_us(NXDOMAIN_MS),
-                    vec![
-                        ("host", host.as_str().into()),
-                        ("outcome", "nxdomain".into()),
-                    ],
+                    &[Arg::Str(host.as_str()), Arg::Str("nxdomain")],
                 );
             }
             rq.t.phase.dns = NXDOMAIN_MS;
@@ -752,19 +748,12 @@ impl Visit<'_> {
             rec.record(ms_us(rq.after_dns()), "fault.421", i as u64, host.as_str());
         }
         if let Some(t) = self.tracer.as_deref_mut() {
-            t.set_tid(1 + i as u64);
-            t.instant_at(
-                "fault.421",
-                "fault",
-                ms_us(rq.after_dns()),
-                vec![("host", host.as_str().into()), ("conn", (i as u64).into())],
-            );
-            t.instant_at(
-                "fault.evict",
-                "fault",
-                ms_us(rq.after_dns() + rtt_ms),
-                vec![("host", host.as_str().into()), ("conn", (i as u64).into())],
-            );
+            static FAULT_421: Site = Site::new("fault.421", "fault", &["host", "conn"]);
+            static FAULT_EVICT: Site = Site::new("fault.evict", "fault", &["host", "conn"]);
+            let args = [Arg::Str(host.as_str()), Arg::U64(i as u64)];
+            t.set_tid(1 + i as u32);
+            t.instant_at(&FAULT_421, ms_us(rq.after_dns()), &args);
+            t.instant_at(&FAULT_EVICT, ms_us(rq.after_dns() + rtt_ms), &args);
         }
         rq.fault_penalty_ms += rtt_ms;
         rq.reuse_label = "replay-421";
@@ -802,23 +791,22 @@ impl Visit<'_> {
                     // Flow arrow from the reused connection's opening
                     // to this request's dispatch, plus an instant
                     // naming the rule that allowed the reuse.
-                    let conn_tid = 1 + i as u64;
+                    static FLOW: Site = Site::new("coalesce", "flow", &[]);
+                    static COALESCE: Site =
+                        Site::new("coalesce", "request", &["rule", "conn", "conn_host"]);
+                    let conn_tid = 1 + i as u32;
                     let open_ts = self.arena.conns.get(i).map_or(0, |c| c.open_us);
                     let id = t.next_id();
-                    t.flow_start(id, "coalesce", "flow", open_ts, conn_tid);
+                    t.flow_start(id, &FLOW, open_ts, conn_tid);
                     t.set_tid(conn_tid);
-                    t.flow_end(id, "coalesce", "flow", ms_us(rq.after_dns()));
+                    t.flow_end(id, &FLOW, ms_us(rq.after_dns()));
                     t.instant_at(
-                        "coalesce",
-                        "request",
+                        &COALESCE,
                         ms_us(rq.after_dns()),
-                        vec![
-                            ("rule", rule.into()),
-                            ("conn", (i as u64).into()),
-                            (
-                                "conn_host",
-                                self.arena.pool.connections()[i].host.as_str().into(),
-                            ),
+                        &[
+                            Arg::Str(rule),
+                            Arg::U64(i as u64),
+                            Arg::Str(self.arena.pool.connections()[i].host.as_str()),
                         ],
                     );
                 }
@@ -908,15 +896,19 @@ impl Visit<'_> {
                     );
                 }
                 if let Some(t) = self.tracer.as_deref_mut() {
-                    t.set_tid(1 + self.arena.pool.len() as u64);
-                    t.instant_at(
+                    static TEARDOWN: Site = Site::new(
                         "fault.middlebox_teardown",
                         "fault",
+                        &["host", "frame_type", "origin_suppressed"],
+                    );
+                    t.set_tid(1 + self.arena.pool.len() as u32);
+                    t.instant_at(
+                        &TEARDOWN,
                         torn_at,
-                        vec![
-                            ("host", rq.t.host.as_str().into()),
-                            ("frame_type", u64::from(ORIGIN_FRAME_TYPE).into()),
-                            ("origin_suppressed", true.into()),
+                        &[
+                            Arg::Str(rq.t.host.as_str()),
+                            Arg::U64(u64::from(ORIGIN_FRAME_TYPE)),
+                            Arg::Bool(true),
                         ],
                     );
                 }
@@ -994,65 +986,50 @@ impl Visit<'_> {
         let Some(t) = self.tracer.as_deref_mut() else {
             return;
         };
+        static TCP_CONNECT: Site = Site::new("tcp.connect", "net", &["ip"]);
+        static TLS_HANDSHAKE: Site = Site::new(
+            "tls.handshake",
+            "tls",
+            &["version", "sni", "issuer", "alpn"],
+        );
         let host = &rq.t.host;
         let phase = &rq.t.phase;
         let conn_no = self.arena.pool.len();
-        let conn_tid = 1 + conn_no as u64;
-        t.name_thread(conn_tid, &format!("conn {} {}", conn_no, host.as_str()));
+        let conn_tid = 1 + conn_no as u32;
+        t.name_conn(conn_tid, conn_no as u64, host.as_str());
         t.set_tid(conn_tid);
         t.complete(
-            "tcp.connect",
-            "net",
+            &TCP_CONNECT,
             ms_us(rq.setup_start()),
             ms_us(phase.connect),
-            vec![("ip", ip.to_string().into())],
+            &[Arg::Ip(ip)],
         );
         if !rq.res.secure {
             return;
         }
         let hs_start = rq.setup_start() + phase.connect;
-        let mut hs_args: Vec<(&'static str, origin_trace::ArgValue)> = vec![
-            (
-                "version",
-                match tls {
-                    TlsVersion::Tls12 => "TLS 1.2",
-                    TlsVersion::Tls13 => "TLS 1.3",
-                    TlsVersion::Tls13ZeroRtt => "TLS 1.3 0-RTT",
-                }
-                .into(),
-            ),
-            ("sni", host.as_str().into()),
-            (
-                "issuer",
-                rq.t.cert_issuer.clone().unwrap_or_default().into(),
-            ),
+        let hs_args = [
+            Arg::Str(match tls {
+                TlsVersion::Tls12 => "TLS 1.2",
+                TlsVersion::Tls13 => "TLS 1.3",
+                TlsVersion::Tls13ZeroRtt => "TLS 1.3 0-RTT",
+            }),
+            Arg::Str(host.as_str()),
+            Arg::Str(rq.t.cert_issuer.as_deref().unwrap_or_default()),
+            Arg::Str(alpn.map_or("none", |p| p.name())),
         ];
-        // Annotated only on legacy pages so pure-h2 traces stay
-        // byte-identical to the committed baselines.
-        if self.page.legacy {
-            hs_args.push((
-                "alpn",
-                alpn.map(|p| p.to_string())
-                    .unwrap_or_else(|| "none".into())
-                    .into(),
-            ));
-        }
-        t.complete(
-            "tls.handshake",
-            "tls",
-            ms_us(hs_start),
-            ms_us(phase.ssl),
-            hs_args,
-        );
+        // `alpn` is annotated only on legacy pages so pure-h2 traces
+        // stay byte-identical to the committed baselines.
+        let hs_args = &hs_args[..if self.page.legacy { 4 } else { 3 }];
+        t.complete(&TLS_HANDSHAKE, ms_us(hs_start), ms_us(phase.ssl), hs_args);
         // The SAN check the pool's coalescing logic relies on: the
         // presented certificate covers the requested name.
         t.instant_at(
-            "tls.san_validated",
-            "tls",
+            &SAN_VALIDATED,
             ms_us(hs_start + phase.ssl),
-            vec![
-                ("host", host.as_str().into()),
-                ("covered", cert.is_some_and(|c| c.covers(host)).into()),
+            &[
+                Arg::Str(host.as_str()),
+                Arg::Bool(cert.is_some_and(|c| c.covers(host))),
             ],
         );
     }
@@ -1085,37 +1062,34 @@ impl Visit<'_> {
         rq.t.phase.ssl = outcome.cost.as_millis_f64();
         rq.t.cert_issuer = Some(cert.issuer.clone());
         if let Some(t) = self.tracer.as_deref_mut() {
-            let conn_no = self.arena.pool.len();
-            let conn_tid = 1 + conn_no as u64;
-            t.name_thread(conn_tid, &format!("conn {} {}", conn_no, host.as_str()));
-            t.set_tid(conn_tid);
-            t.complete(
+            static QUIC_HANDSHAKE: Site = Site::new(
                 "quic.handshake",
                 "tls",
+                &["mode", "sni", "issuer", "amplification_rtts", "cross_host"],
+            );
+            let conn_no = self.arena.pool.len();
+            let conn_tid = 1 + conn_no as u32;
+            t.name_conn(conn_tid, conn_no as u64, host.as_str());
+            t.set_tid(conn_tid);
+            t.complete(
+                &QUIC_HANDSHAKE,
                 ms_us(rq.setup_start()),
                 ms_us(rq.t.phase.ssl),
-                vec![
-                    ("mode", outcome.mode.label().into()),
-                    ("sni", host.as_str().into()),
-                    ("issuer", cert.issuer.clone().into()),
-                    (
-                        "amplification_rtts",
-                        u64::from(outcome.amplification_rtts).into(),
-                    ),
-                    ("cross_host", outcome.cross_host.into()),
+                &[
+                    Arg::Str(outcome.mode.label()),
+                    Arg::Str(host.as_str()),
+                    Arg::Str(cert.issuer.as_str()),
+                    Arg::U64(u64::from(outcome.amplification_rtts)),
+                    Arg::Bool(outcome.cross_host),
                 ],
             );
             // The same SAN check every TCP+TLS setup records: h3
             // coalescing hangs off certificate coverage exactly like
             // h2's.
             t.instant_at(
-                "tls.san_validated",
-                "tls",
+                &SAN_VALIDATED,
                 ms_us(rq.setup_start() + rq.t.phase.ssl),
-                vec![
-                    ("host", host.as_str().into()),
-                    ("covered", cert.covers(host).into()),
-                ],
+                &[Arg::Str(host.as_str()), Arg::Bool(cert.covers(host))],
             );
         }
         self.admit(rq, ip, cert, None, true)
@@ -1206,16 +1180,14 @@ impl Visit<'_> {
                     );
                 }
                 if let Some(t) = self.tracer.as_deref_mut() {
-                    t.set_tid(1 + conn_idx as u64);
+                    static BACKOFF: Site =
+                        Site::new("fault.backoff", "fault", &["attempt", "fate"]);
+                    t.set_tid(1 + conn_idx as u32);
                     t.complete(
-                        "fault.backoff",
-                        "fault",
+                        &BACKOFF,
                         ms_us(start + phase.total()),
                         ms_us(redo),
-                        vec![
-                            ("attempt", u64::from(attempt + 1).into()),
-                            ("fate", fate_label.into()),
-                        ],
+                        &[Arg::U64(u64::from(attempt + 1)), Arg::Str(fate_label)],
                     );
                 }
                 phase.receive += redo;
@@ -1321,37 +1293,47 @@ impl Visit<'_> {
             // quantised integer microseconds — the same arithmetic the
             // HAR export and metrics registry use — so the span end
             // equals the request's recorded end exactly.
-            let conn_tid = 1 + conn_idx as u64;
-            t.set_tid(conn_tid);
-            let start_ts = ms_us(rq.t.start);
-            let mut args: Vec<(&'static str, origin_trace::ArgValue)> = vec![
-                ("host", rq.t.host.as_str().into()),
-                ("protocol", rq.res.protocol.label().into()),
-                ("reuse", rq.reuse_label.into()),
-                ("conn", (conn_idx as u64).into()),
-            ];
-            if let Some(rule) = rq.rule_label {
-                args.push(("rule", rule.into()));
-            }
-            t.complete(
-                &format!("req {} {}", rq.t.resource_index, rq.t.host.as_str()),
+            static REQ: Site = Site::new(
+                "req",
                 "request",
+                &["host", "protocol", "reuse", "conn", "rule"],
+            );
+            static H3_REQUEST: Site = Site::new(
+                "h3.request",
+                "h3",
+                &["section_bytes", "instruction_bytes", "conn"],
+            );
+            static H1_REQUEST: Site = Site::new("h1.request", "h1", &["framing", "cycle", "conn"]);
+            t.set_tid(1 + conn_idx as u32);
+            let start_ts = ms_us(rq.t.start);
+            let host = rq.t.host.as_str();
+            let conn = Arg::U64(conn_idx as u64);
+            let args = [
+                Arg::Str(host),
+                Arg::Str(rq.res.protocol.label()),
+                Arg::Str(rq.reuse_label),
+                conn,
+                Arg::Str(rq.rule_label.unwrap_or_default()),
+            ];
+            let phases_us = rq.t.phase.quantised_us();
+            t.complete_indexed(
+                &REQ,
+                (rq.t.resource_index as u64, host),
                 start_ts,
-                rq.t.phase.total_us(),
-                args,
+                phases_us.iter().sum(),
+                &args[..if rq.rule_label.is_some() { 5 } else { 4 }],
             );
             // h3 requests additionally record the QPACK view: how
             // many bytes the header block and its table-mutating
             // instructions took on this connection's streams.
             if let Some(q) = rq.h3_qpack {
                 t.instant_at(
-                    "h3.request",
-                    "h3",
+                    &H3_REQUEST,
                     start_ts,
-                    vec![
-                        ("section_bytes", q.section_bytes.into()),
-                        ("instruction_bytes", q.instruction_bytes.into()),
-                        ("conn", (conn_idx as u64).into()),
+                    &[
+                        Arg::U64(q.section_bytes),
+                        Arg::U64(q.instruction_bytes),
+                        conn,
                     ],
                 );
             }
@@ -1360,20 +1342,15 @@ impl Visit<'_> {
             // of its connection this request rode.
             if let Some((framing, cycle)) = rq.h1_framing {
                 t.instant_at(
-                    "h1.request",
-                    "h1",
+                    &H1_REQUEST,
                     start_ts,
-                    vec![
-                        ("framing", framing.into()),
-                        ("cycle", cycle.into()),
-                        ("conn", (conn_idx as u64).into()),
-                    ],
+                    &[Arg::Str(framing), Arg::U64(cycle), conn],
                 );
             }
             let mut off = start_ts;
-            for (name, dur) in PHASE_SPAN_NAMES.iter().zip(rq.t.phase.quantised_us()) {
+            for (span, dur) in PHASE_SPANS.iter().zip(phases_us) {
                 if dur > 0 {
-                    t.complete(name, "phase", off, dur, Vec::new());
+                    t.complete(span, off, dur, &[]);
                 }
                 off += dur;
             }
@@ -1390,16 +1367,19 @@ impl Visit<'_> {
     }
 }
 
-/// Span names of the seven request phases, in HAR order.
-const PHASE_SPAN_NAMES: [&str; 7] = [
-    "phase.blocked",
-    "phase.dns",
-    "phase.connect",
-    "phase.ssl",
-    "phase.send",
-    "phase.wait",
-    "phase.receive",
+/// The spans of the seven request phases, in HAR order.
+static PHASE_SPANS: [Site; 7] = [
+    Site::new("phase.blocked", "phase", &[]),
+    Site::new("phase.dns", "phase", &[]),
+    Site::new("phase.connect", "phase", &[]),
+    Site::new("phase.ssl", "phase", &[]),
+    Site::new("phase.send", "phase", &[]),
+    Site::new("phase.wait", "phase", &[]),
+    Site::new("phase.receive", "phase", &[]),
 ];
+
+/// The SAN check every connection setup (TCP+TLS or QUIC) records.
+static SAN_VALIDATED: Site = Site::new("tls.san_validated", "tls", &["host", "covered"]);
 
 /// Address recorded for requests that never reached one.
 const PLACEHOLDER_IP: IpAddr = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
@@ -1834,23 +1814,18 @@ mod tests {
             .count();
         let span_count = tracer
             .events()
-            .iter()
-            .filter(|e| {
-                e.cat == "request" && matches!(e.kind, origin_trace::EventKind::Complete { .. })
-            })
+            .filter(|e| e.cat() == "request" && e.kind() == origin_trace::EventKind::Complete)
             .count();
         assert_eq!(span_count, req_spans);
         let coalesced = traced.coalesced_requests() as usize;
         assert!(coalesced > 0, "ideal-origin visit should coalesce");
         let flow_starts = tracer
             .events()
-            .iter()
-            .filter(|e| matches!(e.kind, origin_trace::EventKind::FlowStart { .. }))
+            .filter(|e| e.kind() == origin_trace::EventKind::FlowStart)
             .count();
         let flow_ends = tracer
             .events()
-            .iter()
-            .filter(|e| matches!(e.kind, origin_trace::EventKind::FlowEnd { .. }))
+            .filter(|e| e.kind() == origin_trace::EventKind::FlowEnd)
             .count();
         assert_eq!(flow_starts, coalesced);
         assert_eq!(flow_ends, coalesced);
@@ -1859,12 +1834,8 @@ mod tests {
         // export reports: spans, HAR, and metrics tell one story.
         let max_span_end = tracer
             .events()
-            .iter()
-            .filter(|e| e.cat == "request")
-            .filter_map(|e| match e.kind {
-                origin_trace::EventKind::Complete { dur_us } => Some(e.ts_us + dur_us),
-                _ => None,
-            })
+            .filter(|e| e.cat() == "request" && e.kind() == origin_trace::EventKind::Complete)
+            .map(|e| e.ts_us() + e.dur_us())
             .max()
             .expect("at least one request span");
         assert_eq!(max_span_end, traced.plt_us());

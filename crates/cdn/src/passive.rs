@@ -111,26 +111,22 @@ impl PassiveReport {
     /// traced post-hoc rather than per record; whole-run traces stay
     /// byte-identical across thread counts.
     pub fn record_trace(&self, tracer: &mut origin_trace::Tracer, pid: u64) {
+        use origin_trace::{Arg, Site};
+        static SAMPLED: Site = Site::new("passive.sampled_records", "cdn", &["count"]);
+        static TP_CONNECTIONS: Site =
+            Site::new("passive.tp_connections", "cdn", &["experiment", "control"]);
+        static COALESCED: Site = Site::new("passive.coalesced_connections", "cdn", &["count"]);
         tracer.begin_visit(pid, "cdn passive pipeline");
         tracer.set_now_us(0);
+        tracer.instant(&SAMPLED, &[Arg::U64(self.sampled_records)]);
         tracer.instant(
-            "passive.sampled_records",
-            "cdn",
-            vec![("count", self.sampled_records.into())],
-        );
-        tracer.instant(
-            "passive.tp_connections",
-            "cdn",
-            vec![
-                ("experiment", self.experiment_tp_connections.into()),
-                ("control", self.control_tp_connections.into()),
+            &TP_CONNECTIONS,
+            &[
+                Arg::U64(self.experiment_tp_connections),
+                Arg::U64(self.control_tp_connections),
             ],
         );
-        tracer.instant(
-            "passive.coalesced_connections",
-            "cdn",
-            vec![("count", self.coalesced_connections.into())],
-        );
+        tracer.instant(&COALESCED, &[Arg::U64(self.coalesced_connections)]);
     }
 
     /// Export the pipeline's counters into a metrics registry under

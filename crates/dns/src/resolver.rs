@@ -24,6 +24,15 @@ impl Transport {
     pub fn is_plaintext(self) -> bool {
         matches!(self, Transport::Udp53)
     }
+
+    /// The variant's name, as trace events label it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Transport::Udp53 => "Udp53",
+            Transport::DoT => "DoT",
+            Transport::DoH => "DoH",
+        }
+    }
 }
 
 /// Counters describing the resolver's work; the experiment harness
@@ -233,33 +242,29 @@ impl ResolverState {
     ) -> Option<QueryAnswer> {
         let answer = self.resolve(zones, name, now, rng);
         if let Some(tracer) = tracer {
-            let host: origin_trace::ArgValue = name.as_str().into();
+            use origin_trace::{Arg, Site};
+            static CACHE_HIT: Site = Site::new("dns.cache_hit", "dns", &["name"]);
+            static QUERY: Site = Site::new(
+                "dns.query",
+                "dns",
+                &["name", "transport", "plaintext", "answers"],
+            );
+            static NXDOMAIN: Site = Site::new("dns.nxdomain", "dns", &["name"]);
+            let host = Arg::Str(name.as_str());
             match &answer {
-                Some(a) if a.from_cache => {
-                    tracer.instant_at(
-                        "dns.cache_hit",
-                        "dns",
-                        now.as_micros(),
-                        vec![("name", host)],
-                    );
-                }
-                Some(a) => {
-                    tracer.complete(
-                        "dns.query",
-                        "dns",
-                        now.as_micros(),
-                        a.latency.as_micros(),
-                        vec![
-                            ("name", host),
-                            ("transport", format!("{:?}", self.transport).into()),
-                            ("plaintext", self.transport.is_plaintext().into()),
-                            ("answers", (a.addresses.len() as u64).into()),
-                        ],
-                    );
-                }
-                None => {
-                    tracer.instant_at("dns.nxdomain", "dns", now.as_micros(), vec![("name", host)]);
-                }
+                Some(a) if a.from_cache => tracer.instant_at(&CACHE_HIT, now.as_micros(), &[host]),
+                Some(a) => tracer.complete(
+                    &QUERY,
+                    now.as_micros(),
+                    a.latency.as_micros(),
+                    &[
+                        host,
+                        Arg::Str(self.transport.name()),
+                        Arg::Bool(self.transport.is_plaintext()),
+                        Arg::U64(a.addresses.len() as u64),
+                    ],
+                ),
+                None => tracer.instant_at(&NXDOMAIN, now.as_micros(), &[host]),
             }
         }
         answer

@@ -594,7 +594,12 @@ impl Connection {
             let evictions_before = self.hpack_dec.evictions();
             self.handle_frame(frame, &mut events)?;
             if let Some(tracer) = tracer.as_deref_mut() {
-                tracer.instant("h2.frame", "h2", vec![("type", kind.name().into())]);
+                use origin_trace::{Arg, Site};
+                static FRAME: Site = Site::new("h2.frame", "h2", &["type"]);
+                static ORIGIN_ACCEPT: Site =
+                    Site::new("h2.origin.accept", "h2", &["origins", "set"]);
+                static EVICTION: Site = Site::new("h2.hpack.eviction", "h2", &["table"]);
+                tracer.instant(&FRAME, &[Arg::Str(kind.name())]);
                 if is_client_origin {
                     // handle_frame pushed exactly one OriginReceived.
                     if let Some(Event::OriginReceived { origins }) = events[origins_before..]
@@ -602,17 +607,13 @@ impl Connection {
                         .find(|e| matches!(e, Event::OriginReceived { .. }))
                     {
                         tracer.instant(
-                            "h2.origin.accept",
-                            "h2",
-                            vec![
-                                ("origins", (origins.len() as u64).into()),
-                                ("set", origins.join(" ").into()),
-                            ],
+                            &ORIGIN_ACCEPT,
+                            &[Arg::U64(origins.len() as u64), Arg::Str(&origins.join(" "))],
                         );
                     }
                 }
                 for _ in evictions_before..self.hpack_dec.evictions() {
-                    tracer.instant("h2.hpack.eviction", "h2", vec![("table", "decoder".into())]);
+                    tracer.instant(&EVICTION, &[Arg::Str("decoder")]);
                 }
             }
         }

@@ -98,15 +98,20 @@ impl FlightRecorder {
     /// Record one event at visit-relative sim time `t_us` for the
     /// current visit.
     pub fn record(&mut self, t_us: u64, code: &'static str, value: u64, detail: &str) {
+        // A full ring hands the evicted event's `String` to the new
+        // one: steady-state recording allocates nothing.
+        let mut slot = String::new();
         if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+            slot = self.ring.pop_front().map_or(slot, |e| e.detail);
+            slot.clear();
         }
+        slot.push_str(detail);
         self.ring.push_back(FlightEvent {
             t_us,
             rank: self.current_rank,
             code,
             value,
-            detail: detail.to_string(),
+            detail: slot,
         });
         self.recorded += 1;
     }
@@ -231,11 +236,15 @@ mod tests {
         let mut rec = FlightRecorder::new(4);
         rec.begin_visit(1);
         for i in 0..10 {
-            rec.record(i, "conn.open", i, "h");
+            // Shrinking details: a recycled slot must not keep the
+            // evicted event's longer tail.
+            rec.record(i, "conn.open", i, &"h".repeat(10 - i as usize));
         }
         assert_eq!(rec.events_recorded(), 10);
         assert_eq!(rec.visit_events(1).len(), 4);
         assert_eq!(rec.visit_events(1)[0].t_us, 6);
+        let details: Vec<String> = rec.visit_events(1).into_iter().map(|e| e.detail).collect();
+        assert_eq!(details, ["hhhh", "hhh", "hh", "h"]);
     }
 
     #[test]

@@ -24,21 +24,23 @@ pub enum AlpnProtocol {
 }
 
 impl AlpnProtocol {
+    /// The protocol name from the IANA registry.
+    pub fn name(self) -> &'static str {
+        match self {
+            AlpnProtocol::H2 => "h2",
+            AlpnProtocol::Http11 => "http/1.1",
+        }
+    }
+
     /// The exact protocol-name bytes from the IANA registry.
     pub fn wire_id(self) -> &'static [u8] {
-        match self {
-            AlpnProtocol::H2 => b"h2",
-            AlpnProtocol::Http11 => b"http/1.1",
-        }
+        self.name().as_bytes()
     }
 }
 
 impl fmt::Display for AlpnProtocol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AlpnProtocol::H2 => "h2",
-            AlpnProtocol::Http11 => "http/1.1",
-        })
+        f.write_str(self.name())
     }
 }
 

@@ -7,6 +7,11 @@
 //!
 //! The design mirrors the metrics registry's sharding discipline:
 //!
+//! * **Recording formats nothing.** An event is a fixed-size record
+//!   pointing at its call site's static [`Site`] (name, category,
+//!   argument keys) plus its values appended to one byte arena;
+//!   names like `req 12 cdn.example` and every number are rendered by
+//!   the exporter, from a borrowed [`EventView`].
 //! * **No wall clock.** Every timestamp is simulated microseconds, a
 //!   property of the workload rather than the machine.
 //! * **No global counters.** Span and flow IDs derive purely from
@@ -32,7 +37,7 @@ mod perfetto;
 mod sample;
 mod tracer;
 
-pub use event::{ArgValue, EventKind, TraceEvent};
+pub use event::{Arg, EventKind, EventView, Site};
 pub use perfetto::to_chrome_json;
 pub use sample::Sampler;
 pub use tracer::{span_ref, Tracer};

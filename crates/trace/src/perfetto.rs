@@ -4,112 +4,140 @@
 //! is: byte-identical output is an acceptance criterion, so formatting
 //! must be fully specified here — integer timestamps, args in insertion
 //! order, shortest round-trip floats — rather than delegated to a
-//! serializer whose map ordering we don't control.
+//! serializer whose map ordering we don't control. Every field is
+//! written straight from the tracer's arenas into the output.
 
-use crate::event::{ArgValue, EventKind, TraceEvent};
+use crate::event::{Arg, EventKind, EventView, Name};
 use crate::tracer::Tracer;
+use std::fmt::Write;
 
-/// Escape a string for embedding in a JSON document.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Append `s` to `out`, escaped for embedding in a JSON string.
+fn escape_into(out: &mut String, s: &str) {
+    // Everything escaped is one ASCII byte, so the runs between them
+    // are copied whole.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        out.push_str(escape);
+        if escape.is_empty() {
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "\\u{b:04x}");
         }
+        clean = i + 1;
     }
-    out
+    out.push_str(&s[clean..]);
 }
 
-fn write_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
-    out.push('{');
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Append `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] += (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
-        out.push('"');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+fn write_name(out: &mut String, e: &EventView<'_>) {
+    match e.name_parts() {
+        Name::Site(name) => escape_into(out, name),
+        Name::Label(label) => escape_into(out, label),
+        Name::Indexed(name, index, host) => {
+            escape_into(out, name);
+            out.push(' ');
+            push_u64(out, index);
+            out.push(' ');
+            escape_into(out, host);
+        }
+    }
+}
+
+fn write_args(out: &mut String, e: &EventView<'_>) {
+    out.push_str(",\"args\":{");
+    for (i, (k, v)) in e.args().enumerate() {
+        out.push_str(if i > 0 { ",\"" } else { "\"" });
         out.push_str(k);
         out.push_str("\":");
         match v {
-            ArgValue::Str(s) => {
+            Arg::Str(s) => {
                 out.push('"');
-                out.push_str(&escape(s));
+                escape_into(out, s);
                 out.push('"');
             }
-            ArgValue::U64(n) => out.push_str(&n.to_string()),
-            ArgValue::F64(f) => out.push_str(&format!("{f:?}")),
-            ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Arg::U64(n) => push_u64(out, n),
+            Arg::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+            // Writing to a `String` cannot fail.
+            Arg::F64(f) => drop(write!(out, "{f:?}")),
+            Arg::Ip(ip) => drop(write!(out, "\"{ip}\"")),
         }
     }
     out.push('}');
 }
 
-fn write_event(out: &mut String, e: &TraceEvent) {
+fn write_event(out: &mut String, e: &EventView<'_>) {
+    let kind = e.kind();
     // Metadata events invert the spec's layout: the event name is the
     // metadata key (process_name / thread_name) and the label goes
     // under args.name.
-    if let EventKind::ProcessName | EventKind::ThreadName = e.kind {
-        let key = match e.kind {
-            EventKind::ProcessName => "process_name",
-            _ => "thread_name",
-        };
-        out.push_str("{\"name\":\"");
-        out.push_str(key);
-        out.push_str("\",\"cat\":\"");
-        out.push_str(e.cat);
-        out.push_str("\",\"ph\":\"M\",\"ts\":0,\"pid\":");
-        out.push_str(&e.pid.to_string());
-        out.push_str(",\"tid\":");
-        out.push_str(&e.tid.to_string());
-        out.push_str(",\"args\":{\"name\":\"");
-        out.push_str(&escape(&e.name));
-        out.push_str("\"}}");
-        return;
-    }
+    let (ph, meta_key) = match kind {
+        EventKind::Complete => ('X', None),
+        EventKind::Instant => ('i', None),
+        EventKind::FlowStart => ('s', None),
+        EventKind::FlowEnd => ('f', None),
+        EventKind::ProcessName => ('M', Some("process_name")),
+        EventKind::ThreadName => ('M', Some("thread_name")),
+    };
     out.push_str("{\"name\":\"");
-    out.push_str(&escape(&e.name));
-    out.push_str("\",\"cat\":\"");
-    out.push_str(e.cat);
-    out.push_str("\",\"ph\":\"");
-    match &e.kind {
-        EventKind::Complete { .. } => out.push('X'),
-        EventKind::Instant => out.push('i'),
-        EventKind::FlowStart { .. } => out.push('s'),
-        EventKind::FlowEnd { .. } => out.push('f'),
-        EventKind::ProcessName | EventKind::ThreadName => unreachable!(),
+    match meta_key {
+        Some(key) => out.push_str(key),
+        None => write_name(out, e),
     }
+    out.push_str("\",\"cat\":\"");
+    out.push_str(e.cat());
+    out.push_str("\",\"ph\":\"");
+    out.push(ph);
     out.push_str("\",\"ts\":");
-    out.push_str(&e.ts_us.to_string());
+    push_u64(out, e.ts_us());
     out.push_str(",\"pid\":");
-    out.push_str(&e.pid.to_string());
+    push_u64(out, e.pid());
     out.push_str(",\"tid\":");
-    out.push_str(&e.tid.to_string());
-    match &e.kind {
-        EventKind::Complete { dur_us } => {
+    push_u64(out, u64::from(e.tid()));
+    match kind {
+        EventKind::Complete => {
             out.push_str(",\"dur\":");
-            out.push_str(&dur_us.to_string());
-            out.push_str(",\"args\":");
-            write_args(out, &e.args);
+            push_u64(out, e.dur_us());
+            write_args(out, e);
         }
         EventKind::Instant => {
-            out.push_str(",\"s\":\"t\",\"args\":");
-            write_args(out, &e.args);
+            out.push_str(",\"s\":\"t\"");
+            write_args(out, e);
         }
-        EventKind::FlowStart { id } => {
+        EventKind::FlowStart | EventKind::FlowEnd => {
             out.push_str(",\"id\":");
-            out.push_str(&id.to_string());
+            push_u64(out, e.flow_id());
+            if kind == EventKind::FlowEnd {
+                out.push_str(",\"bp\":\"e\"");
+            }
         }
-        EventKind::FlowEnd { id } => {
-            out.push_str(",\"id\":");
-            out.push_str(&id.to_string());
-            out.push_str(",\"bp\":\"e\"");
+        EventKind::ProcessName | EventKind::ThreadName => {
+            out.push_str(",\"args\":{\"name\":\"");
+            write_name(out, e);
+            out.push_str("\"}");
         }
-        EventKind::ProcessName | EventKind::ThreadName => unreachable!(),
     }
     out.push('}');
 }
@@ -119,14 +147,17 @@ fn write_event(out: &mut String, e: &TraceEvent) {
 /// Perfetto / `chrome://tracing`. Output is a pure function of the
 /// event buffer: same events, same bytes.
 pub fn to_chrome_json(tracer: &Tracer) -> String {
-    let mut out = String::with_capacity(64 + tracer.len() * 96);
+    // ~110 bytes of fixed JSON per event, plus its name parts and
+    // string arguments.
+    let [_, value_bytes] = tracer.footprint();
+    let mut out = String::with_capacity(64 + tracer.len() * 112 + value_bytes);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, e) in tracer.events().iter().enumerate() {
+    for (i, e) in tracer.events().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('\n');
-        write_event(&mut out, e);
+        write_event(&mut out, &e);
     }
     out.push_str("\n]}\n");
     out
@@ -135,27 +166,21 @@ pub fn to_chrome_json(tracer: &Tracer) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Site;
+
+    static REQ: Site = Site::new("req", "request", &["host"]);
+    static CACHE_HIT: Site = Site::new("dns.cache_hit", "dns", &["name"]);
+    static COALESCE: Site = Site::new("coalesce", "flow", &[]);
 
     #[test]
     fn exports_all_phases() {
         let mut t = Tracer::new();
         t.begin_visit(42, "site-42 example.com");
-        t.complete(
-            "req 0",
-            "request",
-            100,
-            250,
-            vec![("host", "a.example".into())],
-        );
-        t.instant_at(
-            "dns.cache_hit",
-            "dns",
-            105,
-            vec![("name", "a.example".into())],
-        );
+        t.complete(&REQ, 100, 250, &[Arg::Str("a.example")]);
+        t.instant_at(&CACHE_HIT, 105, &[Arg::Str("a.example")]);
         let id = t.next_id();
-        t.flow_start(id, "coalesce", "flow", 10, 1);
-        t.flow_end(id, "coalesce", "flow", 100);
+        t.flow_start(id, &COALESCE, 10, 1);
+        t.flow_end(id, &COALESCE, 100);
         let json = to_chrome_json(&t);
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.contains(
@@ -167,7 +192,7 @@ mod tests {
              \"tid\":0,\"args\":{\"name\":\"loader\"}}"
         ));
         assert!(json.contains(
-            "{\"name\":\"req 0\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":100,\"pid\":42,\
+            "{\"name\":\"req\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":100,\"pid\":42,\
              \"tid\":0,\"dur\":250,\"args\":{\"host\":\"a.example\"}}"
         ));
         assert!(json.contains("\"ph\":\"i\",\"ts\":105,\"pid\":42,\"tid\":0,\"s\":\"t\""));
@@ -185,10 +210,11 @@ mod tests {
 
     #[test]
     fn output_is_reproducible() {
+        static A: Site = Site::new("a", "request", &["f"]);
         let build = || {
             let mut t = Tracer::new();
             t.begin_visit(7, "x");
-            t.complete("a", "request", 1, 2, vec![("f", ArgValue::F64(1.25))]);
+            t.complete(&A, 1, 2, &[Arg::F64(1.25)]);
             to_chrome_json(&t)
         };
         assert_eq!(build(), build());
@@ -200,5 +226,23 @@ mod tests {
         t.begin_visit(1, "q\"uote\nline");
         let json = to_chrome_json(&t);
         assert!(json.contains("q\\\"uote\\nline"));
+    }
+
+    #[test]
+    fn escapes_the_host_of_an_indexed_name() {
+        // What `escape(&format!("req {} {}", 12, host))` produced when
+        // the name was a `String`.
+        let host = "a\"b\nc\u{1}\\d";
+        let mut t = Tracer::new();
+        t.begin_visit(1, "x");
+        t.name_conn(1, 3, host);
+        t.complete_indexed(&REQ, (12, host), 5, 6, &[Arg::Str(host)]);
+        let json = to_chrome_json(&t);
+        let escaped = "a\\\"b\\nc\\u0001\\\\d";
+        assert!(json.contains(&format!("\"args\":{{\"name\":\"conn 3 {escaped}\"}}}}")));
+        assert!(json.contains(&format!(
+            "{{\"name\":\"req 12 {escaped}\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":5,\"pid\":1,\
+             \"tid\":0,\"dur\":6,\"args\":{{\"host\":\"{escaped}\"}}}}"
+        )));
     }
 }

@@ -29,14 +29,16 @@ impl Sampler {
         }
     }
 
-    /// Parse the CLI form `1/N` (also accepts a bare `N`).
+    /// Parse the CLI form `1/N` (also accepts a bare `N`). `N` must be
+    /// at least 1: "one in zero" reads as *none*, which is not
+    /// something a sampler can mean.
     pub fn parse(s: &str) -> Option<Self> {
-        let denom = match s.split_once('/') {
+        let denom: u32 = match s.split_once('/') {
             Some(("1", d)) => d.trim().parse().ok()?,
             Some(_) => return None,
             None => s.trim().parse().ok()?,
         };
-        Some(Self::new(denom))
+        (denom > 0).then(|| Self::new(denom))
     }
 
     /// The sampling denominator.
@@ -83,5 +85,14 @@ mod tests {
         assert_eq!(Sampler::parse("8"), Some(Sampler::new(8)));
         assert_eq!(Sampler::parse("2/3"), None);
         assert_eq!(Sampler::parse("1/x"), None);
+    }
+
+    #[test]
+    fn parse_rejects_a_zero_denominator() {
+        // `new(0)` clamps to keep-everything; from the CLI that would
+        // turn "none" into the most expensive run the flag can request.
+        assert_eq!(Sampler::parse("1/0"), None);
+        assert_eq!(Sampler::parse("0"), None);
+        assert_eq!(Sampler::parse("1/1"), Some(Sampler::new(1)));
     }
 }

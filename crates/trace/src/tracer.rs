@@ -1,6 +1,7 @@
 //! The per-worker trace buffer.
 
-use crate::event::{ArgValue, EventKind, TraceEvent};
+use crate::event::{Arg, EventKind, EventView, Record, Site};
+use std::fmt::Write as _;
 
 /// The span-ID minting formula: pid (site rank) in the high bits, the
 /// per-visit sequence in the low 24. Exposed as a pure function so
@@ -10,9 +11,51 @@ pub const fn span_ref(pid: u64, seq: u64) -> u64 {
     (pid << 24) | (seq & 0xFF_FFFF)
 }
 
+static PROCESS: Site = Site::new("process_name", "meta", &[]);
+static LOADER: Site = Site::new("loader", "meta", &[]);
+static CONN: Site = Site::new("conn", "meta", &[]);
+
+/// Events a shard holds before the next visit opens a new one. A
+/// bounded shard's arenas are allocations of tens of KiB, which the
+/// allocator hands back warm; one arena doubling through a whole crawl
+/// is mapped afresh, and page-faulted in, on every run (+2–8% on
+/// `crawl-mixed` when it was tried).
+const SHARD_EVENTS: usize = 1024;
+
+/// One tracer's own stretch of the event stream: fixed-size records
+/// and the values (name parts and arguments, strings copied in) those
+/// records own, in record order. A record holds no offset and — bar
+/// the process-name record that opens each visit — no pid, so a shard
+/// reads front to back.
+#[derive(Debug, Clone, Default)]
+struct Shard {
+    /// Logical process of the events ahead of the first visit.
+    pid: u64,
+    events: Vec<Record>,
+    values: Vec<u8>,
+}
+
+impl Shard {
+    fn events(&self) -> impl Iterator<Item = EventView<'_>> {
+        let mut values = self.values.as_slice();
+        let mut pid = self.pid;
+        self.events.iter().map(move |rec| {
+            if rec.kind == EventKind::ProcessName {
+                pid = rec.payload;
+            }
+            let (view, rest) = EventView::split(rec, pid, values);
+            values = rest;
+            view
+        })
+    }
+}
+
 /// A buffer of trace events with the same merge discipline as the
 /// metrics registry: each crawl worker owns one, and the driver merges
 /// shards back in rank order, reproducing sequential event order.
+/// Recording an event is a few stores into flat arenas and formats
+/// nothing; names and numbers are rendered by the reader
+/// ([`Tracer::events`], the exporter).
 ///
 /// A tracer carries a *visit context* — the current logical process
 /// ([`Tracer::begin_visit`]), logical thread ([`Tracer::set_tid`]) and
@@ -24,13 +67,25 @@ pub const fn span_ref(pid: u64, seq: u64) -> u64 {
 /// sequence)` alone. Because a visit is always traced start-to-finish
 /// by one worker, the sequence — and therefore every ID — is a pure
 /// function of the visit, independent of sharding.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Two tracers are equal when they buffer the same events; the visit
+/// context is not compared.
+#[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    events: Vec<TraceEvent>,
+    /// Shards merged in so far; they precede `open` in the stream.
+    merged: Vec<Shard>,
+    /// The shard this tracer records into.
+    open: Shard,
     pid: u64,
-    tid: u64,
+    tid: u32,
     now_us: u64,
     seq: u64,
+}
+
+impl PartialEq for Tracer {
+    fn eq(&self, other: &Self) -> bool {
+        self.events().eq(other.events())
+    }
 }
 
 impl Tracer {
@@ -48,40 +103,30 @@ impl Tracer {
         self.tid = 0;
         self.now_us = 0;
         self.seq = 0;
-        self.events.push(TraceEvent {
-            name: label.to_string(),
-            cat: "meta",
-            ts_us: 0,
-            pid,
-            tid: 0,
-            kind: EventKind::ProcessName,
-            args: Vec::new(),
-        });
-        self.name_thread(0, "loader");
+        if self.open.events.len() >= SHARD_EVENTS {
+            // The next shard will fill much as this one did: size its
+            // arenas once instead of doubling up to there again.
+            let (events, values) = (self.open.events.len(), self.open.values.len());
+            self.roll();
+            self.open.events.reserve_exact(events);
+            self.open.values.reserve_exact(values);
+        }
+        let process = (EventKind::ProcessName, pid);
+        self.push(&PROCESS, process, 0, 0, &[Arg::Str(label)], &[]);
+        self.push(&LOADER, (EventKind::ThreadName, 0), 0, 0, &[], &[]);
     }
 
-    /// Label logical thread `tid` of the current visit (shown as the
-    /// track name in Perfetto).
-    pub fn name_thread(&mut self, tid: u64, name: &str) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: "meta",
-            ts_us: 0,
-            pid: self.pid,
-            tid,
-            kind: EventKind::ThreadName,
-            args: Vec::new(),
-        });
+    /// Label logical thread `tid` of the current visit as connection
+    /// `conn_no` to `host` (shown as the track name `conn 3 host` in
+    /// Perfetto).
+    pub fn name_conn(&mut self, tid: u32, conn_no: u64, host: &str) {
+        let name = [Arg::U64(conn_no), Arg::Str(host)];
+        self.push(&CONN, (EventKind::ThreadName, 0), 0, tid, &name, &[]);
     }
 
     /// Switch the current logical thread (connection lane).
-    pub fn set_tid(&mut self, tid: u64) {
+    pub fn set_tid(&mut self, tid: u32) {
         self.tid = tid;
-    }
-
-    /// Current logical thread.
-    pub fn tid(&self) -> u64 {
-        self.tid
     }
 
     /// Move the simulated-time cursor used by [`Tracer::instant`].
@@ -98,108 +143,140 @@ impl Tracer {
         id
     }
 
-    /// The trace process the tracer is currently attributing spans to
-    /// (the visit's site rank, set by [`Tracer::begin_visit`]).
-    pub fn pid(&self) -> u64 {
-        self.pid
+    /// Record a complete span; `args` are the values of `site`'s keys,
+    /// in order.
+    pub fn complete(&mut self, site: &'static Site, ts_us: u64, dur_us: u64, args: &[Arg<'_>]) {
+        let span = (EventKind::Complete, dur_us);
+        self.push(site, span, ts_us, self.tid, &[], args);
     }
 
-    /// Record a complete span.
-    pub fn complete(
+    /// Record a complete span named `"<site name> <index> <host>"`
+    /// (`req 12 cdn.example`); the name is put together at export.
+    pub fn complete_indexed(
         &mut self,
-        name: &str,
-        cat: &'static str,
+        site: &'static Site,
+        (index, host): (u64, &str),
         ts_us: u64,
         dur_us: u64,
-        args: Vec<(&'static str, ArgValue)>,
+        args: &[Arg<'_>],
     ) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat,
-            ts_us,
-            pid: self.pid,
-            tid: self.tid,
-            kind: EventKind::Complete { dur_us },
-            args,
-        });
+        let name = [Arg::U64(index), Arg::Str(host)];
+        let span = (EventKind::Complete, dur_us);
+        self.push(site, span, ts_us, self.tid, &name, args);
     }
 
     /// Record an instant event at the current time cursor.
-    pub fn instant(&mut self, name: &str, cat: &'static str, args: Vec<(&'static str, ArgValue)>) {
-        self.instant_at(name, cat, self.now_us, args);
+    pub fn instant(&mut self, site: &'static Site, args: &[Arg<'_>]) {
+        self.instant_at(site, self.now_us, args);
     }
 
     /// Record an instant event at an explicit timestamp.
-    pub fn instant_at(
-        &mut self,
-        name: &str,
-        cat: &'static str,
-        ts_us: u64,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat,
-            ts_us,
-            pid: self.pid,
-            tid: self.tid,
-            kind: EventKind::Instant,
-            args,
-        });
+    pub fn instant_at(&mut self, site: &'static Site, ts_us: u64, args: &[Arg<'_>]) {
+        self.push(site, (EventKind::Instant, 0), ts_us, self.tid, &[], args);
     }
 
     /// Record the producing end of a flow arrow on thread `tid` at
     /// `ts_us`; pair with [`Tracer::flow_end`] using the same `id`.
-    pub fn flow_start(&mut self, id: u64, name: &str, cat: &'static str, ts_us: u64, tid: u64) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat,
-            ts_us,
-            pid: self.pid,
-            tid,
-            kind: EventKind::FlowStart { id },
-            args: Vec::new(),
-        });
+    pub fn flow_start(&mut self, id: u64, site: &'static Site, ts_us: u64, tid: u32) {
+        self.push(site, (EventKind::FlowStart, id), ts_us, tid, &[], &[]);
     }
 
     /// Record the consuming end of a flow arrow on the current thread.
-    pub fn flow_end(&mut self, id: u64, name: &str, cat: &'static str, ts_us: u64) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat,
+    pub fn flow_end(&mut self, id: u64, site: &'static Site, ts_us: u64) {
+        self.push(site, (EventKind::FlowEnd, id), ts_us, self.tid, &[], &[]);
+    }
+
+    /// The one place an event enters the buffer: its name parts and
+    /// argument values appended to the value arena, then its record.
+    fn push(
+        &mut self,
+        site: &'static Site,
+        (kind, payload): (EventKind, u64),
+        ts_us: u64,
+        tid: u32,
+        name: &[Arg<'_>],
+        args: &[Arg<'_>],
+    ) {
+        assert!(
+            args.len() <= site.keys.len(),
+            "more arguments than {} has keys",
+            site.name
+        );
+        for value in name.iter().chain(args) {
+            value.encode(&mut self.open.values);
+        }
+        self.open.events.push(Record {
             ts_us,
-            pid: self.pid,
-            tid: self.tid,
-            kind: EventKind::FlowEnd { id },
-            args: Vec::new(),
+            payload,
+            site,
+            tid,
+            kind,
+            name_parts: name.len() as u8,
+            nargs: args.len() as u8,
         });
     }
 
     /// Append another tracer's events. Merging rank-ordered shards in
     /// rank order reproduces the sequential event stream exactly — the
     /// same spine `origin-metrics::Registry` and the crawl series ride.
+    /// The other tracer's arenas are moved in, not copied: a trace is
+    /// written once, by the worker that recorded it.
     pub fn merge(&mut self, other: Tracer) {
-        self.events.extend(other.events);
+        self.roll();
+        let shards = other.merged.into_iter().chain([other.open]);
+        self.merged.extend(shards.filter(|s| !s.events.is_empty()));
+    }
+
+    /// Close the open shard and start a new one; what this tracer
+    /// records next continues under its current pid.
+    fn roll(&mut self) {
+        let next = Shard {
+            pid: self.pid,
+            ..Shard::default()
+        };
+        let open = std::mem::replace(&mut self.open, next);
+        if !open.events.is_empty() {
+            self.merged.push(open);
+        }
+    }
+
+    fn shards(&self) -> impl Iterator<Item = &Shard> {
+        self.merged.iter().chain([&self.open])
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.shards().map(|s| s.events.len()).sum()
     }
 
     /// True when no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// The buffered events, in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    pub fn events(&self) -> impl Iterator<Item = EventView<'_>> {
+        self.shards().flat_map(Shard::events)
     }
 
     /// Count events whose name matches `name` exactly.
     pub fn count_named(&self, name: &str) -> usize {
-        self.events.iter().filter(|e| e.name == name).count()
+        let mut rendered = String::new();
+        self.events()
+            .filter(|e| {
+                rendered.clear();
+                let _ = write!(rendered, "{}", e.name());
+                rendered == name
+            })
+            .count()
+    }
+
+    /// Bytes held by the event records and by the value arena: what
+    /// the buffer costs, to divide by [`Tracer::len`].
+    #[doc(hidden)]
+    pub fn footprint(&self) -> [usize; 2] {
+        let value_bytes = self.shards().map(|s| s.values.len()).sum();
+        [self.len() * size_of::<Record>(), value_bytes]
     }
 }
 
@@ -207,14 +284,19 @@ impl Tracer {
 mod tests {
     use super::*;
 
+    static REQ: Site = Site::new("req", "request", &["k"]);
+    static HIT: Site = Site::new("hit", "dns", &[]);
+    static NOISE: Site = Site::new("noise", "dns", &[]);
+    static COALESCE: Site = Site::new("coalesce", "flow", &[]);
+
     fn visit(pid: u64) -> Tracer {
         let mut t = Tracer::new();
         t.begin_visit(pid, "site");
-        t.complete("req", "request", 10, 5, vec![("k", ArgValue::U64(1))]);
-        t.instant_at("hit", "dns", 12, vec![]);
+        t.complete(&REQ, 10, 5, &[Arg::U64(1)]);
+        t.instant_at(&HIT, 12, &[]);
         let id = t.next_id();
-        t.flow_start(id, "coalesce", "flow", 1, 1);
-        t.flow_end(id, "coalesce", "flow", 10);
+        t.flow_start(id, &COALESCE, 1, 1);
+        t.flow_end(id, &COALESCE, 10);
         t
     }
 
@@ -225,7 +307,7 @@ mod tests {
         let mut b = Tracer::new();
         b.begin_visit(7, "x");
         // Interleave unrelated work on b; IDs still match a's.
-        b.instant_at("noise", "dns", 1, vec![]);
+        b.instant_at(&NOISE, 1, &[]);
         assert_eq!(a.next_id(), b.next_id());
         assert_eq!(a.next_id(), b.next_id());
         // A different visit mints from a different namespace.
@@ -248,19 +330,61 @@ mod tests {
         let mut merged = visit(1);
         merged.merge(visit(2));
         let seq = visit(1);
-        assert_eq!(&merged.events()[..seq.len()], seq.events());
+        let pids: Vec<u64> = merged.events().map(|e| e.pid()).collect();
+        assert_eq!(pids[..seq.len()], vec![1; seq.len()]);
+        assert_eq!(pids[seq.len()..], vec![2; seq.len()]);
         assert_eq!(merged.len(), 2 * seq.len());
         // Merging the same shards in the same order is reproducible.
         let mut again = visit(1);
         again.merge(visit(2));
         assert_eq!(merged, again);
+        // Merging into an empty tracer is the identity.
+        let mut from_empty = Tracer::new();
+        from_empty.merge(visit(1));
+        assert_eq!(from_empty, seq);
+    }
+
+    #[test]
+    fn events_before_any_visit_keep_pid_zero_across_a_merge() {
+        let mut tail = Tracer::new();
+        tail.instant_at(&NOISE, 3, &[]);
+        tail.begin_visit(9, "later");
+        let mut merged = visit(4);
+        merged.merge(tail);
+        let pids: Vec<u64> = merged
+            .events()
+            .skip(visit(4).len())
+            .map(|e| e.pid())
+            .collect();
+        assert_eq!(pids, [0, 9, 9]);
+    }
+
+    #[test]
+    fn views_read_back_what_was_recorded() {
+        let t = visit(3);
+        let req = t
+            .events()
+            .nth(2)
+            .expect("the span follows the two metadata events");
+        assert_eq!(format!("{}", req.name()), "req");
+        assert_eq!(
+            (req.cat(), req.ts_us(), req.pid(), req.tid()),
+            ("request", 10, 3, 0)
+        );
+        assert_eq!((req.kind(), req.dur_us()), (EventKind::Complete, 5));
+        assert_eq!(req.args().collect::<Vec<_>>(), [("k", Arg::U64(1))]);
+        let label = t.events().next().expect("process metadata comes first");
+        assert_eq!(label.kind(), EventKind::ProcessName);
+        assert_eq!(format!("{}", label.name()), "site");
     }
 
     #[test]
     fn count_named_counts_exact_matches() {
-        let t = visit(3);
+        let mut t = visit(3);
+        t.name_conn(1, 0, "a.example");
         assert_eq!(t.count_named("coalesce"), 2);
         assert_eq!(t.count_named("req"), 1);
+        assert_eq!(t.count_named("conn 0 a.example"), 1);
         assert_eq!(t.count_named("missing"), 0);
     }
 }
