@@ -773,10 +773,9 @@ fn cmd_watch(argv: &[String]) {
     }
     let (lo, hi) = range.unwrap_or_else(|| die("repro watch requires --site-range A-B"));
     let sites = spec.sites;
-    if hi >= sites {
+    if hi > sites {
         die(&format!(
-            "--site-range {lo}-{hi} exceeds the dataset ({sites} sites; ranks 0..={})",
-            sites - 1
+            "--site-range {lo}-{hi} exceeds the dataset ({sites} sites; ranks 1..={sites})"
         ));
     }
     spec.obs = Some(ObsConfig {

@@ -17,8 +17,6 @@ use origin_browser::{
 use origin_core::certplan::{plan_site, EffectiveChanges, PlanSummary};
 use origin_core::characterize::Characterization;
 use origin_core::model::predict_counts3;
-#[cfg(test)]
-use origin_core::model::{predict_counts, CoalescingGrouping};
 use origin_metrics::Registry;
 use origin_netsim::{FaultProfile, SimDuration, SimRng};
 use origin_obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
@@ -982,10 +980,10 @@ mod tests {
 
     #[test]
     fn fast_predictions_match_full_reconstruction() {
-        // predict_counts (the crawl's clone-free path) must agree with
-        // predict's materialised reconstruction on real measured loads
-        // for every grouping the crawl uses.
-        use origin_core::model::predict;
+        // predict_counts3 (the fused walk the crawl runs) must agree
+        // with predict's materialised reconstruction on real measured
+        // loads for every grouping the crawl uses.
+        use origin_core::model::{predict, CoalescingGrouping};
         let dataset = Dataset::generate(DatasetConfig {
             sites: 60,
             seed: 0xFEED,
@@ -998,31 +996,14 @@ mod tests {
             env.flush_dns();
             let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
             let load = loader.load(&page, &mut env, &mut rng);
-            for grouping in [
+            let full = [
                 CoalescingGrouping::ByIp,
                 CoalescingGrouping::ByAs,
                 CoalescingGrouping::BySingleAs(DEPLOYMENT_CDN_ASN),
-            ] {
-                let (full, _) = predict(&page, &load, grouping);
-                let fast = predict_counts(&page, &load, grouping);
-                assert_eq!(full, fast, "rank {} grouping {grouping:?}", site.rank);
-            }
-            // The fused walk the crawl actually runs must agree too.
-            let [ip, by_as, cdn] = predict_counts3(&page, &load, DEPLOYMENT_CDN_ASN);
-            assert_eq!(
-                [ip, by_as, cdn],
-                [
-                    predict_counts(&page, &load, CoalescingGrouping::ByIp),
-                    predict_counts(&page, &load, CoalescingGrouping::ByAs),
-                    predict_counts(
-                        &page,
-                        &load,
-                        CoalescingGrouping::BySingleAs(DEPLOYMENT_CDN_ASN)
-                    ),
-                ],
-                "rank {} fused",
-                site.rank
-            );
+            ]
+            .map(|grouping| predict(&page, &load, grouping).0);
+            let fused = predict_counts3(&page, &load, DEPLOYMENT_CDN_ASN);
+            assert_eq!(fused, full, "rank {}", site.rank);
         }
     }
 

@@ -115,3 +115,40 @@ fn a_zero_sampling_denominator_is_a_usage_error() {
         assert!(stdout(&out).is_empty(), "nothing ran");
     }
 }
+
+#[test]
+fn watch_takes_the_last_rank_and_refuses_the_one_past_it() {
+    // Ranks are 1-based: site 200 of 200 exists, site 201 does not.
+    let watch = |range: &str| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["watch", "--sites", "200", "--threads", "2"])
+            .args(["--window", "1000", "--site-range", range])
+            .output()
+            .expect("repro runs")
+    };
+    let rows = |out: &Output| -> Vec<String> {
+        let text = stdout(out);
+        let rows = text.lines().filter(|l| l.starts_with("w "));
+        rows.map(str::to_string).collect()
+    };
+
+    let all = watch("1-200");
+    assert_eq!(all.status.code(), Some(0), "{}", stderr(&all));
+    assert!(stdout(&all).starts_with("timeline dashboard  sites 1..=200 "));
+    // The last site's own windows (its epoch plus the spacing
+    // interval) close the whole-dataset dashboard.
+    let last = watch("200-200");
+    assert_eq!(last.status.code(), Some(0), "{}", stderr(&last));
+    let last_rows = rows(&last);
+    assert!(!last_rows.is_empty());
+    assert!(rows(&all).ends_with(&last_rows), "{}", stdout(&all));
+
+    let past = watch("1-201");
+    assert_eq!(past.status.code(), Some(2));
+    let err = stderr(&past);
+    assert!(
+        err.contains("exceeds the dataset (200 sites; ranks 1..=200)"),
+        "{err}"
+    );
+    assert!(stdout(&past).is_empty(), "nothing ran");
+}

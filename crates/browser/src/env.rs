@@ -3,6 +3,7 @@
 use origin_dns::{DnsName, QueryAnswer, ResolverState};
 use origin_h2::OriginSet;
 use origin_intern::HostTable;
+use origin_netsim::link::LINK_CLASSES;
 use origin_netsim::{LinkProfile, SimRng, SimTime};
 use origin_tls::Certificate;
 use origin_webgen::{Dataset, PROVIDERS};
@@ -274,10 +275,16 @@ impl WebEnv for UniverseEnv<'_> {
 /// US-East vantage (§3.1): about half are same-continent, half
 /// intercontinental; providers get a nearby CDN edge.
 fn link_profile(class: u8) -> LinkProfile {
+    // Constant indices: this runs per request, and each arm folds to
+    // a literal profile (no float rounding at run time).
+    let of = |class: usize, jitter: f64| {
+        let (rtt_ms, mbps) = LINK_CLASSES[class];
+        LinkProfile::new(rtt_ms, mbps).with_jitter(jitter)
+    };
     match class {
-        0 => LinkProfile::new(32.0, 60.0).with_jitter(0.25),
-        1 => LinkProfile::new(95.0, 25.0).with_jitter(0.30),
-        _ => LinkProfile::new(210.0, 18.0).with_jitter(0.25),
+        0 => of(0, 0.25),
+        1 => of(1, 0.30),
+        _ => of(2, 0.25),
     }
 }
 

@@ -35,6 +35,11 @@ const ORIGIN_FRAME_TYPE: u8 = 0x0c;
 /// stacks rather than RFC 6298's 1 s initial RTO.
 const RETRY_BASE_MS: f64 = 200.0;
 
+/// Per-resource parse/dispatch delay (ms) modelling the browser's
+/// dependency-graph computation, which the §4.1 reconstruction
+/// deliberately leaves unmodified.
+const DISPATCH_DELAY_MS: f64 = 2.0;
+
 /// Transfer retry bound. After this many consecutive drop/corrupt
 /// verdicts the transfer is force-delivered — the model charges the
 /// backoffs but never livelocks, so a crawl terminates even under
@@ -281,10 +286,6 @@ pub struct BrowserConfig {
     pub speculative_dns_rate: f64,
     /// Max parallel HTTP/1.1 connections per host.
     pub max_h1_per_host: u32,
-    /// Per-resource parse/dispatch delay (ms) modelling the browser's
-    /// dependency-graph computation, which the §4.1 reconstruction
-    /// deliberately leaves unmodified.
-    pub dispatch_delay_ms: f64,
     /// §6.8's recommendation: skip the (render-blocking) DNS query
     /// for names the connection's ORIGIN set already covers. Stock
     /// Firefox keeps querying ("conservative"); setting this models
@@ -301,7 +302,6 @@ impl BrowserConfig {
             happy_eyeballs_dup_rate: if races { 0.10 } else { 0.0 },
             speculative_dns_rate: if races { 0.06 } else { 0.0 },
             max_h1_per_host: 6,
-            dispatch_delay_ms: 2.0,
             trust_origin_without_dns: false,
         }
     }
@@ -584,9 +584,8 @@ impl Visit<'_> {
                 } else {
                     self.rng.log_normal(8.0, 0.5)
                 };
-                let dep_ready = self.arena.ready[p]
-                    + parent_cpu
-                    + self.config.dispatch_delay_ms * (1.0 + seq as f64 * 6.0);
+                let dep_ready =
+                    self.arena.ready[p] + parent_cpu + DISPATCH_DELAY_MS * (1.0 + seq as f64 * 6.0);
                 // The main thread must also have worked through the
                 // handling slices of every earlier resource.
                 dep_ready.max(main_thread_free)

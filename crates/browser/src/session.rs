@@ -28,8 +28,6 @@ struct SessionConn {
     /// Insertion sequence, the deterministic LRU tie-break when two
     /// connections share `last_used`.
     seq: u64,
-    /// Requests served over the connection's lifetime so far.
-    uses: u64,
 }
 
 /// Connection-churn counters, drained into metrics by the caller.
@@ -118,7 +116,6 @@ impl SessionPool {
     ) -> bool {
         if let Some(c) = self.conns.iter_mut().find(|c| c.key == key) {
             c.last_used = now;
-            c.uses += 1;
             churn.reused += 1;
             return true;
         }
@@ -139,7 +136,6 @@ impl SessionPool {
             edge,
             last_used: now,
             seq: self.next_seq,
-            uses: 1,
         });
         self.next_seq += 1;
         false
@@ -158,12 +154,6 @@ impl SessionPool {
         if let Some(i) = victim {
             self.conns.swap_remove(i);
         }
-    }
-
-    /// Total requests served by currently-warm connections (diagnostic
-    /// for eviction hooks/tests).
-    pub fn warm_uses(&self) -> u64 {
-        self.conns.iter().map(|c| c.uses).sum()
     }
 }
 

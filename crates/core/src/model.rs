@@ -107,82 +107,6 @@ pub fn predict(
     (prediction, reconstructed)
 }
 
-/// [`predict`] without materialising the reconstructed [`PageLoad`].
-///
-/// The crawl calls the model three times per page (ideal-IP,
-/// ideal-ORIGIN, single-AS) and only keeps the counts — cloning every
-/// request record (two heap strings each) just to sum a few integers
-/// dominated the model's cost. This walks the same recursion
-/// [`reconstruct`] performs, with the same quantised-microsecond
-/// arithmetic, accumulating counts and the running PLT directly; the
-/// result is bit-for-bit the prediction `predict` returns (asserted by
-/// `counts_match_full_reconstruction` below and an end-to-end check in
-/// the bench crate).
-pub fn predict_counts(
-    page: &Page,
-    measured: &PageLoad,
-    grouping: CoalescingGrouping,
-) -> ModelPrediction {
-    assert_eq!(
-        page.resources.len(),
-        measured.requests.len(),
-        "page and load must describe the same resource set"
-    );
-    let (coalescable, _groups) = coalescable_set(measured, grouping);
-    let collapse_races = !matches!(grouping, CoalescingGrouping::BySingleAs(_));
-    let n = measured.requests.len();
-    let mut new_end = vec![0.0f64; n];
-    let mut old_end = vec![0.0f64; n];
-    let mut dns = 0u64;
-    let mut tls = 0u64;
-    let mut plt_us = 0u64;
-    for i in 0..n {
-        let r = &measured.requests[i];
-        old_end[i] = r.end();
-        let parent = if i == 0 {
-            None
-        } else {
-            Some(page.resources[i].discovered_by.unwrap_or(0))
-        };
-        let mut start = r.start;
-        if let Some(p) = parent {
-            let shift = old_end[p] - new_end[p];
-            start = (start - shift).max(0.0);
-        }
-        let mut phase = r.phase;
-        let mut did_dns = r.did_dns;
-        let mut new_conn = r.new_connection;
-        let mut extra_conns = r.extra_connections;
-        let mut extra_dns = r.extra_dns;
-        if i != 0 && coalescable[i] {
-            phase.dns = 0.0;
-            phase.connect = 0.0;
-            phase.ssl = 0.0;
-            did_dns = false;
-            new_conn = false;
-            extra_conns = 0;
-            extra_dns = 0;
-        }
-        if collapse_races {
-            extra_conns = 0;
-            extra_dns = 0;
-        }
-        dns += did_dns as u64 + extra_dns as u64;
-        if r.secure {
-            tls += new_conn as u64 + extra_conns as u64;
-        }
-        let end_us = ms_to_us(start) + phase.total_us();
-        new_end[i] = end_us as f64 / 1_000.0;
-        plt_us = plt_us.max(end_us);
-    }
-    ModelPrediction {
-        dns_queries: dns,
-        tls_connections: tls,
-        cert_validations: tls,
-        plt_ms: plt_us as f64 / 1_000.0,
-    }
-}
-
 /// The three predictions the crawl keeps per page — `ByIp`, `ByAs`
 /// and `BySingleAs(single_asn)` — computed in one fused walk.
 ///
@@ -199,10 +123,9 @@ pub fn predict_counts(
 ///   because `total_us` sums per-field `ms_to_us` and `ms_to_us(0.0)
 ///   == 0`.
 ///
-/// Equivalence with three [`predict_counts`] calls (and hence with
-/// three full [`predict`] reconstructions) is asserted by
-/// `fused_matches_single_grouping` below and end-to-end in the bench
-/// crate.
+/// Equivalence with three full [`predict`] reconstructions, bit for
+/// bit, is asserted by `fused_counts_match_full_reconstruction` below
+/// and on real measured loads in the bench crate.
 pub fn predict_counts3(page: &Page, measured: &PageLoad, single_asn: u32) -> [ModelPrediction; 3] {
     assert_eq!(
         page.resources.len(),
@@ -411,10 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn counts_match_full_reconstruction() {
-        // The fast path must agree with predict() (which materialises
-        // the reconstructed PageLoad) on every grouping — including
-        // race extras, insecure requests, and discovery-chain shifts.
+    fn fused_counts_match_full_reconstruction() {
+        // The fused walk the crawl runs must agree bit for bit with
+        // predict() (which materialises the reconstructed PageLoad) on
+        // every grouping — both when the single-AS deployment exists in
+        // the page and when it names an AS the page never contacts.
         let (mut page, mut load) = fixture();
         // Exercise the corners the base fixture doesn't: an insecure
         // request (excluded from TLS counts), race duplicates, and a
@@ -423,37 +347,15 @@ mod tests {
         load.requests[2].extra_dns = 2;
         load.requests[3].secure = false;
         page.resources[3].discovered_by = Some(2);
-        for grouping in [
-            CoalescingGrouping::ByIp,
-            CoalescingGrouping::ByAs,
-            CoalescingGrouping::BySingleAs(2),
-            CoalescingGrouping::BySingleAs(999),
-        ] {
-            let (full, _) = predict(&page, &load, grouping);
-            let fast = predict_counts(&page, &load, grouping);
-            assert_eq!(full, fast, "grouping {grouping:?}");
-        }
-    }
-
-    #[test]
-    fn fused_matches_single_grouping() {
-        // The fused three-grouping walk must agree with three separate
-        // predict_counts calls (and therefore with predict) — both
-        // when the single-AS deployment exists in the page and when it
-        // names an AS the page never contacts.
-        let (mut page, mut load) = fixture();
-        load.requests[2].extra_connections = 1;
-        load.requests[2].extra_dns = 2;
-        load.requests[3].secure = false;
-        page.resources[3].discovered_by = Some(2);
         for single_asn in [2u32, 999] {
             let fused = predict_counts3(&page, &load, single_asn);
-            let separate = [
-                predict_counts(&page, &load, CoalescingGrouping::ByIp),
-                predict_counts(&page, &load, CoalescingGrouping::ByAs),
-                predict_counts(&page, &load, CoalescingGrouping::BySingleAs(single_asn)),
-            ];
-            assert_eq!(fused, separate, "single_asn {single_asn}");
+            let full = [
+                CoalescingGrouping::ByIp,
+                CoalescingGrouping::ByAs,
+                CoalescingGrouping::BySingleAs(single_asn),
+            ]
+            .map(|grouping| predict(&page, &load, grouping).0);
+            assert_eq!(fused, full, "single_asn {single_asn}");
         }
     }
 

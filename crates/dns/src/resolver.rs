@@ -323,12 +323,6 @@ impl Resolver {
         self.state.transport
     }
 
-    /// Mutable access to the underlying zones (deployments change DNS
-    /// during experiments, e.g. §5.2's single-address alignment).
-    pub fn zones_mut(&mut self) -> &mut ZoneSet {
-        &mut self.zones
-    }
-
     /// Resolve `name` at simulated time `now`; see
     /// [`ResolverState::resolve`].
     pub fn resolve(

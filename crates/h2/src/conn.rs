@@ -296,11 +296,6 @@ impl Connection {
         self.send_buf.split().freeze()
     }
 
-    /// Bytes currently queued for the peer.
-    pub fn pending_outgoing(&self) -> usize {
-        self.send_buf.len()
-    }
-
     /// Fold this connection's frame and HPACK work into a metrics
     /// registry under `h2.*`.
     pub fn record_metrics(&self, metrics: &mut origin_metrics::Registry) {

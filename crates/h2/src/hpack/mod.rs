@@ -10,7 +10,7 @@ pub mod huffman;
 pub mod table;
 
 use crate::error::HpackError;
-use table::{find_indices, find_name_index, lookup, DynamicTable, Entry};
+use table::{find_indices, lookup, wire_index, DynamicTable, Entry, STATIC_INDEX};
 
 /// A header field (name must be lowercase per HTTP/2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,13 +42,33 @@ impl Header {
     }
 }
 
-// ---- integer primitives (RFC 7541 §5.1) ----
+// ---- integer primitives (RFC 7541 §5.1, which RFC 9204 §4.1.1
+// adopts unchanged: QPACK calls these too) ----
+
+/// The two ways a prefix integer can be malformed; each codec maps
+/// them onto its own error type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IntError {
+    /// Input ended inside the integer.
+    Truncated,
+    /// More continuation octets than the caller accepts.
+    Overflow,
+}
+
+impl From<IntError> for HpackError {
+    fn from(e: IntError) -> Self {
+        match e {
+            IntError::Truncated => HpackError::Truncated,
+            IntError::Overflow => HpackError::IntegerOverflow,
+        }
+    }
+}
 
 /// Encode an integer with an N-bit prefix; `first` carries the bits
 /// above the prefix (representation discriminator).
-fn encode_int(value: usize, prefix_bits: u8, first: u8, out: &mut Vec<u8>) {
+pub fn encode_int(value: u64, prefix_bits: u8, first: u8, out: &mut Vec<u8>) {
     debug_assert!((1..=8).contains(&prefix_bits));
-    let max_prefix = (1usize << prefix_bits) - 1;
+    let max_prefix = (1u64 << prefix_bits) - 1;
     if value < max_prefix {
         out.push(first | value as u8);
         return;
@@ -63,35 +83,49 @@ fn encode_int(value: usize, prefix_bits: u8, first: u8, out: &mut Vec<u8>) {
 }
 
 /// Decode an integer with an N-bit prefix from `buf[*pos..]`.
-fn decode_int(buf: &[u8], pos: &mut usize, prefix_bits: u8) -> Result<usize, HpackError> {
-    if *pos >= buf.len() {
-        return Err(HpackError::Truncated);
-    }
-    let max_prefix = (1usize << prefix_bits) - 1;
-    let mut value = (buf[*pos] as usize) & max_prefix;
+///
+/// `max_shift` is the caller's implementation limit (RFC 7541 §5.1
+/// requires one): the shift of the last continuation octet it accepts.
+/// HPACK's sizes and indices take 28 (five octets); QPACK's 62-bit
+/// integers take 62 (nine), the most a `u64` result can hold.
+pub fn decode_int(
+    buf: &[u8],
+    pos: &mut usize,
+    prefix_bits: u8,
+    max_shift: u32,
+) -> Result<u64, IntError> {
+    let first = *buf.get(*pos).ok_or(IntError::Truncated)?;
     *pos += 1;
+    let max_prefix = (1u64 << prefix_bits) - 1;
+    let mut value = u64::from(first) & max_prefix;
     if value < max_prefix {
         return Ok(value);
     }
     let mut shift = 0u32;
     loop {
-        if *pos >= buf.len() {
-            return Err(HpackError::Truncated);
-        }
-        let b = buf[*pos];
+        let b = *buf.get(*pos).ok_or(IntError::Truncated)?;
         *pos += 1;
-        let add = ((b & 0x7f) as usize)
+        let add = u64::from(b & 0x7f)
             .checked_shl(shift)
-            .ok_or(HpackError::IntegerOverflow)?;
-        value = value.checked_add(add).ok_or(HpackError::IntegerOverflow)?;
+            .ok_or(IntError::Overflow)?;
+        value = value.checked_add(add).ok_or(IntError::Overflow)?;
         if b & 0x80 == 0 {
             return Ok(value);
         }
         shift += 7;
-        if shift > 28 {
-            return Err(HpackError::IntegerOverflow);
+        if shift > max_shift {
+            return Err(IntError::Overflow);
         }
     }
+}
+
+/// HPACK's limit for [`decode_int`]: table sizes, indices and string
+/// lengths all fit the 35 bits five continuation octets carry.
+const MAX_INT_SHIFT: u32 = 28;
+
+fn decode_usize(buf: &[u8], pos: &mut usize, prefix_bits: u8) -> Result<usize, HpackError> {
+    let value = decode_int(buf, pos, prefix_bits, MAX_INT_SHIFT)?;
+    usize::try_from(value).map_err(|_| HpackError::IntegerOverflow)
 }
 
 // ---- string primitives (RFC 7541 §5.2) ----
@@ -108,12 +142,12 @@ fn encode_string(s: &str, use_huffman: bool, scratch: &mut Vec<u8>, out: &mut Ve
         scratch.clear();
         huffman::encode(raw, scratch);
         if scratch.len() < raw.len() {
-            encode_int(scratch.len(), 7, 0x80, out);
+            encode_int(scratch.len() as u64, 7, 0x80, out);
             out.extend_from_slice(scratch);
             return;
         }
     }
-    encode_int(raw.len(), 7, 0x00, out);
+    encode_int(raw.len() as u64, 7, 0x00, out);
     out.extend_from_slice(raw);
 }
 
@@ -122,7 +156,7 @@ fn decode_string(buf: &[u8], pos: &mut usize) -> Result<String, HpackError> {
         return Err(HpackError::Truncated);
     }
     let huffman_coded = buf[*pos] & 0x80 != 0;
-    let len = decode_int(buf, pos, 7)?;
+    let len = decode_usize(buf, pos, 7)?;
     if *pos + len > buf.len() {
         return Err(HpackError::Truncated);
     }
@@ -196,7 +230,7 @@ impl Encoder {
     /// whole blocks without a single heap allocation at steady state.
     pub fn encode_into(&mut self, headers: &[Header], out: &mut Vec<u8>) {
         if let Some(size) = self.pending_resize.take() {
-            encode_int(size, 5, 0x20, out);
+            encode_int(size as u64, 5, 0x20, out);
         }
         for h in headers {
             self.encode_one(h, out);
@@ -204,40 +238,35 @@ impl Encoder {
     }
 
     fn encode_one(&mut self, h: &Header, out: &mut Vec<u8>) {
-        if h.sensitive {
-            // Literal never indexed (0x10).
-            match find_name_index(&self.dynamic, &h.name) {
-                Some(i) => encode_int(i, 4, 0x10, out),
-                None => {
-                    encode_int(0, 4, 0x10, out);
-                    encode_string(&h.name, self.use_huffman, &mut self.huff_scratch, out);
-                }
-            }
-            encode_string(&h.value, self.use_huffman, &mut self.huff_scratch, out);
-            return;
-        }
         // One table probe answers both representations: the exact
         // match (indexed field) and the name-only fallback the
-        // literal path needs.
-        let (exact, name_index) = find_indices(&self.dynamic, &h.name, &h.value);
-        if let Some(i) = exact {
+        // literal paths need.
+        let (exact, by_name) = find_indices(&STATIC_INDEX, &self.dynamic, &h.name, &h.value);
+        if let (Some(r), false) = (exact, h.sensitive) {
             // Indexed field (1xxxxxxx).
-            encode_int(i, 7, 0x80, out);
+            encode_int(wire_index(&self.dynamic, r) as u64, 7, 0x80, out);
             return;
         }
-        // Literal with incremental indexing (01xxxxxx).
-        match name_index {
-            Some(i) => encode_int(i, 6, 0x40, out),
-            None => {
-                encode_int(0, 6, 0x40, out);
-                encode_string(&h.name, self.use_huffman, &mut self.huff_scratch, out);
-            }
+        // A literal: never indexed (0001xxxx) when sensitive, with
+        // incremental indexing (01xxxxxx) otherwise. The name goes by
+        // reference when a table has it; index 0 announces a literal.
+        let (prefix_bits, first) = if h.sensitive { (4, 0x10) } else { (6, 0x40) };
+        let name_index = by_name.map_or(0, |r| wire_index(&self.dynamic, r));
+        encode_int(name_index as u64, prefix_bits, first, out);
+        if by_name.is_none() {
+            encode_string(&h.name, self.use_huffman, &mut self.huff_scratch, out);
         }
         encode_string(&h.value, self.use_huffman, &mut self.huff_scratch, out);
-        self.dynamic.insert(Entry {
-            name: h.name.clone(),
-            value: h.value.clone(),
-        });
+        if !h.sensitive {
+            insert_or_clear(&mut self.dynamic, Entry::new(&h.name, &h.value));
+        }
+    }
+}
+
+/// RFC 7541 §4.4: an entry larger than the whole table empties it.
+fn insert_or_clear(table: &mut DynamicTable, entry: Entry) {
+    if table.insert(entry).is_none() {
+        table.clear();
     }
 }
 
@@ -284,7 +313,7 @@ impl Decoder {
             let b = block[pos];
             if b & 0x80 != 0 {
                 // Indexed field.
-                let idx = decode_int(block, &mut pos, 7)?;
+                let idx = decode_usize(block, &mut pos, 7)?;
                 let e = lookup(&self.dynamic, idx).ok_or(HpackError::BadIndex(idx))?;
                 out.push(Header {
                     name: e.name,
@@ -293,13 +322,10 @@ impl Decoder {
                 });
             } else if b & 0x40 != 0 {
                 // Literal with incremental indexing.
-                let idx = decode_int(block, &mut pos, 6)?;
+                let idx = decode_usize(block, &mut pos, 6)?;
                 let name = self.literal_name(block, &mut pos, idx)?;
                 let value = decode_string(block, &mut pos)?;
-                self.dynamic.insert(Entry {
-                    name: name.clone(),
-                    value: value.clone(),
-                });
+                insert_or_clear(&mut self.dynamic, Entry::new(&name, &value));
                 out.push(Header {
                     name,
                     value,
@@ -307,7 +333,7 @@ impl Decoder {
                 });
             } else if b & 0x20 != 0 {
                 // Dynamic table size update.
-                let size = decode_int(block, &mut pos, 5)?;
+                let size = decode_usize(block, &mut pos, 5)?;
                 if size > self.max_allowed_table_size {
                     return Err(HpackError::TableSizeUpdateTooLarge);
                 }
@@ -315,7 +341,7 @@ impl Decoder {
             } else {
                 // Literal without indexing (0x00) or never indexed (0x10).
                 let sensitive = b & 0x10 != 0;
-                let idx = decode_int(block, &mut pos, 4)?;
+                let idx = decode_usize(block, &mut pos, 4)?;
                 let name = self.literal_name(block, &mut pos, idx)?;
                 let value = decode_string(block, &mut pos)?;
                 out.push(Header {
@@ -373,12 +399,14 @@ mod tests {
         encode_int(42, 8, 0, &mut out);
         assert_eq!(out, [0x2a]);
         // Roundtrips.
-        for v in [0usize, 1, 30, 31, 32, 127, 128, 1337, 65_535, 1 << 20] {
-            for prefix in 1..=8u8 {
+        for prefix in 1..=8u8 {
+            // Both sides of the one-octet boundary for this prefix.
+            let edge = (1u64 << prefix) - 1;
+            for v in [0, 1, edge - 1, edge, edge + 1, 1337, 65_535, 1 << 20] {
                 let mut out = Vec::new();
                 encode_int(v, prefix, 0, &mut out);
                 let mut pos = 0;
-                assert_eq!(decode_int(&out, &mut pos, prefix).unwrap(), v);
+                assert_eq!(decode_int(&out, &mut pos, prefix, MAX_INT_SHIFT), Ok(v));
                 assert_eq!(pos, out.len());
             }
         }
@@ -387,11 +415,11 @@ mod tests {
     #[test]
     fn integer_truncation_detected() {
         let mut pos = 0;
-        assert_eq!(decode_int(&[], &mut pos, 5), Err(HpackError::Truncated));
+        assert_eq!(decode_usize(&[], &mut pos, 5), Err(HpackError::Truncated));
         // Continuation byte promised but absent.
         let mut pos = 0;
         assert_eq!(
-            decode_int(&[0x1f, 0x80], &mut pos, 5),
+            decode_usize(&[0x1f, 0x80], &mut pos, 5),
             Err(HpackError::Truncated)
         );
     }
@@ -402,9 +430,26 @@ mod tests {
         let buf = [0x1f, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
         let mut pos = 0;
         assert_eq!(
-            decode_int(&buf, &mut pos, 5),
+            decode_usize(&buf, &mut pos, 5),
             Err(HpackError::IntegerOverflow)
         );
+        // The same octets are a legal 62-bit QPACK integer: the limit
+        // is the caller's, the arithmetic is shared.
+        let mut pos = 0;
+        assert_eq!(decode_int(&buf, &mut pos, 5, 62), Ok(31 + ((1 << 42) - 1)));
+        // …whose own limit is nine continuation octets, and whose
+        // largest accepted value still fits u64.
+        let mut nine = vec![0xff; 10];
+        nine[9] = 0x7f;
+        let mut pos = 0;
+        assert_eq!(
+            decode_int(&nine, &mut pos, 8, 62),
+            Ok(255 + (u64::MAX >> 1))
+        );
+        nine[9] = 0xff;
+        nine.push(0x00);
+        let mut pos = 0;
+        assert_eq!(decode_int(&nine, &mut pos, 8, 62), Err(IntError::Overflow));
     }
 
     #[test]
@@ -546,6 +591,25 @@ mod tests {
         assert_eq!(block[0] & 0xe0, 0x20, "first octet must be a size update");
         dec.decode(&block).unwrap();
         assert_eq!(dec.table_size(), 0);
+    }
+
+    #[test]
+    fn oversized_header_empties_both_tables() {
+        // RFC 7541 §4.4: a field larger than the whole table is not an
+        // error — it empties the table, on both ends alike.
+        let mut enc = Encoder::new();
+        let mut dec = Decoder::new();
+        enc.set_max_table_size(64);
+        dec.decode(&enc.encode(&[h("x-a", "1")])).unwrap();
+        assert_eq!((enc.table_size(), dec.table_size()), (36, 36));
+        let big = [h("x-big", &"v".repeat(64))];
+        assert_eq!(dec.decode(&enc.encode(&big)).unwrap(), big);
+        assert_eq!((enc.table_size(), dec.table_size()), (0, 0));
+        assert_eq!((enc.evictions(), dec.evictions()), (1, 1));
+        // The evicted field is a literal again, not a stale reference.
+        let again = [h("x-a", "1")];
+        assert_eq!(dec.decode(&enc.encode(&again)).unwrap(), again);
+        assert_eq!((enc.table_size(), dec.table_size()), (36, 36));
     }
 
     #[test]

@@ -1,16 +1,26 @@
-//! HPACK static and dynamic tables (RFC 7541 §2.3).
+//! The header-field tables of HPACK (RFC 7541 §2.3) and QPACK
+//! (RFC 9204 §3), which is defined on top of it.
 //!
-//! Both directions of every simulated H2 connection run header-field
-//! searches per request, so `find`/`find_name` are hot. Lookups are
-//! O(1): the static table is indexed once into hash maps (preserving
-//! the RFC's first-occurrence wire index), and the dynamic table keeps
-//! name/value buckets of monotonic insertion ids in sync with FIFO
-//! eviction — an entry's wire position is recovered arithmetically
-//! from its id, so nothing is rescanned or renumbered as entries
-//! shift.
+//! Both codecs keep the same thing: a fixed static table, and a FIFO
+//! dynamic table with size-based eviction where every entry costs
+//! name + value + 32 octets. They differ only in how the wire names an
+//! entry, so there is one [`DynamicTable`], stated in the more general
+//! address space — *absolute* insertion indices, what QPACK puts on
+//! the wire — with HPACK's most-recent-first *position* as a view of
+//! it: `position = insert_count − 1 − absolute`. Live absolute indices
+//! are always one contiguous range, so neither view renumbers anything
+//! when entries shift.
+//!
+//! Both directions of every simulated connection search the tables per
+//! request, so lookups are O(1): a [`StaticIndex`] hashes a static
+//! table once (keeping the RFC's first-occurrence index), and the
+//! dynamic table keeps name/value buckets of absolute indices in sync
+//! with eviction. [`find_indices`] answers a codec's two questions —
+//! exact match, name-only match — in one probe as a [`TableRef`]; each
+//! codec maps that to its own wire form.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::OnceLock;
+use std::sync::LazyLock;
 
 /// The RFC 7541 Appendix A static table (1-indexed on the wire).
 pub const STATIC_TABLE: [(&str, &str); 61] = [
@@ -87,16 +97,24 @@ pub struct Entry {
 }
 
 impl Entry {
-    /// RFC 7541 §4.1 size: name length + value length + 32 octets of
-    /// bookkeeping overhead.
+    /// Convenience constructor.
+    pub fn new(name: &str, value: &str) -> Self {
+        Entry {
+            name: name.into(),
+            value: value.into(),
+        }
+    }
+
+    /// RFC 7541 §4.1 / RFC 9204 §3.2.1 size: name length + value
+    /// length + 32 octets of bookkeeping overhead.
     pub fn size(&self) -> usize {
         self.name.len() + self.value.len() + 32
     }
 }
 
-/// Per-name index bucket: live insertion ids, ascending (so the most
-/// recent match is always `last()`), plus a value-keyed refinement for
-/// exact (name, value) matches.
+/// Per-name index bucket: live absolute indices, ascending (so the
+/// most recent match is always `last()`), plus a value-keyed
+/// refinement for exact (name, value) matches.
 #[derive(Debug, Clone, Default)]
 struct NameBucket {
     ids: Vec<u64>,
@@ -105,37 +123,46 @@ struct NameBucket {
 
 /// The FIFO dynamic table with size-based eviction.
 ///
-/// Invariant: each insertion gets a monotonic id; live ids are always
-/// the contiguous range `[next_id - len, next_id - 1]` (inserts mint
-/// at the top, eviction always removes the smallest). The entry with
-/// id `i` therefore sits at 0-based position `next_id - 1 - i`, which
-/// is what lets the id buckets answer positional queries without
-/// renumbering on every insert/evict.
+/// Invariant: each insertion gets the next absolute index; live
+/// indices are always the contiguous range `[insert_count - len,
+/// insert_count - 1]` (inserts mint at the top, eviction always
+/// removes the smallest). The entry with absolute index `a` therefore
+/// sits at most-recent-first position `insert_count - 1 - a`, which is
+/// what lets the buckets answer both views without renumbering on
+/// every insert/evict.
 #[derive(Debug, Clone)]
 pub struct DynamicTable {
+    /// Most recent first.
     entries: VecDeque<Entry>,
     size: usize,
     max_size: usize,
     evictions: u64,
-    next_id: u64,
+    insert_count: u64,
     by_name: HashMap<String, NameBucket>,
 }
 
 impl DynamicTable {
-    /// New table with the given capacity (SETTINGS_HEADER_TABLE_SIZE).
+    /// New table with the given capacity (SETTINGS_HEADER_TABLE_SIZE /
+    /// SETTINGS_QPACK_MAX_TABLE_CAPACITY).
     pub fn new(max_size: usize) -> Self {
         DynamicTable {
             entries: VecDeque::new(),
             size: 0,
             max_size,
             evictions: 0,
-            next_id: 0,
+            insert_count: 0,
             by_name: HashMap::new(),
         }
     }
 
-    /// Number of entries dropped by size-based eviction over the
-    /// table's lifetime (including RFC 7541 §4.4 whole-table clears).
+    /// Total insertions over the table's lifetime (the QPACK Insert
+    /// Count): the next absolute index to be minted.
+    pub fn insert_count(&self) -> u64 {
+        self.insert_count
+    }
+
+    /// Number of entries dropped over the table's lifetime, by
+    /// size-based eviction or by [`clear`](Self::clear).
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -150,7 +177,7 @@ impl DynamicTable {
         self.max_size
     }
 
-    /// Number of entries.
+    /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -166,19 +193,18 @@ impl DynamicTable {
         self.evict();
     }
 
-    /// Insert at the head (index 1 of the dynamic section). An entry
-    /// larger than the whole table empties it (RFC 7541 §4.4).
-    pub fn insert(&mut self, entry: Entry) {
+    /// Insert as the most recent entry and return its absolute index.
+    /// An entry larger than the whole table is refused (`None`) and
+    /// the table is left as it was; what follows is the codec's rule —
+    /// HPACK empties the table (RFC 7541 §4.4, [`clear`](Self::clear)),
+    /// QPACK sends the field as a literal.
+    pub fn insert(&mut self, entry: Entry) -> Option<u64> {
         let sz = entry.size();
         if sz > self.max_size {
-            self.evictions += self.entries.len() as u64;
-            self.entries.clear();
-            self.size = 0;
-            self.by_name.clear();
-            return;
+            return None;
         }
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.insert_count;
+        self.insert_count += 1;
         let bucket = self.by_name.entry(entry.name.clone()).or_default();
         bucket.ids.push(id);
         bucket
@@ -189,32 +215,52 @@ impl DynamicTable {
         self.size += sz;
         self.entries.push_front(entry);
         self.evict();
+        Some(id)
     }
 
-    /// Entry at dynamic index `i` (0-based from most recent).
-    pub fn get(&self, i: usize) -> Option<&Entry> {
-        self.entries.get(i)
+    /// Drop every entry, counting each as an eviction. Absolute
+    /// indices are not reused: the next insert continues the count.
+    pub fn clear(&mut self) {
+        self.evictions += self.entries.len() as u64;
+        self.entries.clear();
+        self.size = 0;
+        self.by_name.clear();
     }
 
-    /// Find the index (0-based, most recent match) of an exact
-    /// (name, value) match.
-    pub fn find(&self, name: &str, value: &str) -> Option<usize> {
-        let id = *self.by_name.get(name)?.by_value.get(value)?.last()?;
-        Some((self.next_id - 1 - id) as usize)
+    /// Entry by absolute index (QPACK's view).
+    pub fn get_absolute(&self, abs: u64) -> Option<&Entry> {
+        let newest = self.insert_count.checked_sub(1)?;
+        let pos = newest.checked_sub(abs)?;
+        self.entries.get(usize::try_from(pos).ok()?)
     }
 
-    /// Find the index (0-based, most recent match) of a name-only
-    /// match.
-    pub fn find_name(&self, name: &str) -> Option<usize> {
-        let id = *self.by_name.get(name)?.ids.last()?;
-        Some((self.next_id - 1 - id) as usize)
+    /// Entry by position, 0 = most recent (HPACK's view).
+    pub fn get(&self, position: usize) -> Option<&Entry> {
+        self.entries.get(position)
+    }
+
+    /// Position (HPACK's view) of the live entry with absolute index
+    /// `abs`.
+    pub fn position(&self, abs: u64) -> usize {
+        (self.insert_count - 1 - abs) as usize
+    }
+
+    /// Absolute index of the most recent exact (name, value) match.
+    pub fn find(&self, name: &str, value: &str) -> Option<u64> {
+        self.by_name.get(name)?.by_value.get(value)?.last().copied()
+    }
+
+    /// Absolute index of the most recent name-only match.
+    pub fn find_name(&self, name: &str) -> Option<u64> {
+        self.by_name.get(name)?.ids.last().copied()
     }
 
     fn evict(&mut self) {
         while self.size > self.max_size {
-            // The entry about to go is the oldest live one, so its id
-            // is the smallest and sits at the front of both buckets.
-            let id = self.next_id - self.entries.len() as u64;
+            // The entry about to go is the oldest live one, so its
+            // absolute index is the smallest and sits at the front of
+            // both of its buckets.
+            let id = self.insert_count - self.entries.len() as u64;
             let e = self.entries.pop_back().expect("size>0 implies entries");
             self.size -= e.size();
             self.evictions += 1;
@@ -236,95 +282,99 @@ impl DynamicTable {
     }
 }
 
-/// Hash index over [`STATIC_TABLE`], built once. `name_first` keeps
-/// the RFC's first-occurrence semantics (`:method` → 2, not 3);
-/// `pairs` keeps per-name value lists (at most 7 values, for
-/// `:status`) in table order.
-struct StaticIndex {
+/// Where [`find_indices`] found a match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TableRef {
+    /// Wire index into the static table (its base included).
+    Static(usize),
+    /// Absolute index into the dynamic table.
+    Dynamic(u64),
+}
+
+/// Hash index over one static table. `name_first` keeps the RFCs'
+/// first-occurrence semantics for name-only references (HPACK
+/// `:method` → 2, not 3); `pairs` keeps per-name value lists in table
+/// order. Both hold wire indices: table position + `base`.
+pub struct StaticIndex {
     name_first: HashMap<&'static str, usize>,
     pairs: HashMap<&'static str, Vec<(&'static str, usize)>>,
 }
 
-fn static_index() -> &'static StaticIndex {
-    static IDX: OnceLock<StaticIndex> = OnceLock::new();
-    IDX.get_or_init(|| {
+impl StaticIndex {
+    /// Index `table`, whose first entry has wire index `base` (1 for
+    /// RFC 7541 Appendix A, 0 for RFC 9204 Appendix A).
+    pub fn new(table: &'static [(&'static str, &'static str)], base: usize) -> Self {
         let mut name_first = HashMap::new();
         let mut pairs: HashMap<&'static str, Vec<(&'static str, usize)>> = HashMap::new();
-        for (i, (n, v)) in STATIC_TABLE.iter().enumerate() {
-            name_first.entry(*n).or_insert(i + 1);
+        for (i, (n, v)) in table.iter().enumerate() {
+            name_first.entry(*n).or_insert(i + base);
             let values = pairs.entry(*n).or_default();
             if !values.iter().any(|&(val, _)| val == *v) {
-                values.push((*v, i + 1));
+                values.push((*v, i + base));
             }
         }
         StaticIndex { name_first, pairs }
-    })
+    }
+
+    fn static_pair_index(&self, name: &str, value: &str) -> Option<usize> {
+        self.pairs
+            .get(name)?
+            .iter()
+            .find(|&&(v, _)| v == value)
+            .map(|&(_, i)| i)
+    }
 }
 
-/// Resolve a wire index (1-based, static-then-dynamic address space)
-/// to a header entry.
+/// The exact-match and the name-only reference for one field, resolved
+/// together — an encoder needs both on every literal path and never
+/// walks a table twice for them. Static entries are preferred, then
+/// the most recent dynamic one.
+pub fn find_indices(
+    statics: &StaticIndex,
+    dynamic: &DynamicTable,
+    name: &str,
+    value: &str,
+) -> (Option<TableRef>, Option<TableRef>) {
+    let exact = statics
+        .static_pair_index(name, value)
+        .map(TableRef::Static)
+        .or_else(|| dynamic.find(name, value).map(TableRef::Dynamic));
+    let by_name = statics
+        .name_first
+        .get(name)
+        .copied()
+        .map(TableRef::Static)
+        .or_else(|| dynamic.find_name(name).map(TableRef::Dynamic));
+    (exact, by_name)
+}
+
+// ---- HPACK's own address space: Appendix A above, 1-based, the
+// dynamic table following the static one by position ----
+
+/// The index over [`STATIC_TABLE`] (1-based on the wire), built once.
+pub static STATIC_INDEX: LazyLock<StaticIndex> =
+    LazyLock::new(|| StaticIndex::new(&STATIC_TABLE, 1));
+
+/// Resolve an HPACK wire index (1-based, static-then-dynamic address
+/// space) to a header entry.
 pub fn lookup(dynamic: &DynamicTable, index: usize) -> Option<Entry> {
     if index == 0 {
         return None;
     }
     if index <= STATIC_TABLE.len() {
         let (n, v) = STATIC_TABLE[index - 1];
-        return Some(Entry {
-            name: n.to_string(),
-            value: v.to_string(),
-        });
+        return Some(Entry::new(n, v));
     }
     dynamic.get(index - STATIC_TABLE.len() - 1).cloned()
 }
 
-/// Find the wire index for an exact match, searching static then
-/// dynamic.
-pub fn find_index(dynamic: &DynamicTable, name: &str, value: &str) -> Option<usize> {
-    static_pair_index(name, value).or_else(|| {
-        dynamic
-            .find(name, value)
-            .map(|i| i + STATIC_TABLE.len() + 1)
-    })
-}
-
-/// Find a wire index whose *name* matches (for literal-with-indexed-
-/// name representations).
-pub fn find_name_index(dynamic: &DynamicTable, name: &str) -> Option<usize> {
-    static_index()
-        .name_first
-        .get(name)
-        .copied()
-        .or_else(|| dynamic.find_name(name).map(|i| i + STATIC_TABLE.len() + 1))
-}
-
-/// [`find_index`] and [`find_name_index`] resolved together — the
-/// encoder needs both on the literal path and used to walk the tables
-/// twice for them.
-pub fn find_indices(
-    dynamic: &DynamicTable,
-    name: &str,
-    value: &str,
-) -> (Option<usize>, Option<usize>) {
-    let exact = static_pair_index(name, value).or_else(|| {
-        dynamic
-            .find(name, value)
-            .map(|i| i + STATIC_TABLE.len() + 1)
-    });
-    let by_name = static_index()
-        .name_first
-        .get(name)
-        .copied()
-        .or_else(|| dynamic.find_name(name).map(|i| i + STATIC_TABLE.len() + 1));
-    (exact, by_name)
-}
-
-fn static_pair_index(name: &str, value: &str) -> Option<usize> {
-    static_index()
-        .pairs
-        .get(name)?
-        .iter()
-        .find(|&&(v, _)| v == value)
-        .map(|&(_, i)| i)
+/// The HPACK wire index of a [`find_indices`] answer: static indices
+/// as they are, dynamic entries by position after the static table.
+pub fn wire_index(dynamic: &DynamicTable, r: TableRef) -> usize {
+    match r {
+        TableRef::Static(i) => i,
+        TableRef::Dynamic(abs) => STATIC_TABLE.len() + 1 + dynamic.position(abs),
+    }
 }
 
 #[cfg(test)]
@@ -332,10 +382,16 @@ mod tests {
     use super::*;
 
     fn e(name: &str, value: &str) -> Entry {
-        Entry {
-            name: name.into(),
-            value: value.into(),
-        }
+        Entry::new(name, value)
+    }
+
+    /// `find_indices` against HPACK's static index, as wire indices.
+    fn find(t: &DynamicTable, name: &str, value: &str) -> (Option<usize>, Option<usize>) {
+        let (exact, by_name) = find_indices(&STATIC_INDEX, t, name, value);
+        (
+            exact.map(|r| wire_index(t, r)),
+            by_name.map(|r| wire_index(t, r)),
+        )
     }
 
     #[test]
@@ -356,12 +412,17 @@ mod tests {
     #[test]
     fn insert_and_index_order() {
         let mut t = DynamicTable::new(4096);
-        t.insert(e("a", "1"));
-        t.insert(e("b", "2"));
-        // Most recent first.
+        assert_eq!(t.insert(e("a", "1")), Some(0));
+        assert_eq!(t.insert(e("b", "2")), Some(1));
+        // Most recent first by position; insertion order by absolute
+        // index — two views of the same two entries.
         assert_eq!(t.get(0).unwrap().name, "b");
         assert_eq!(t.get(1).unwrap().name, "a");
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.get_absolute(0).unwrap().name, "a");
+        assert_eq!(t.get_absolute(1).unwrap().name, "b");
+        assert_eq!((t.position(0), t.position(1)), (1, 0));
+        assert_eq!(t.get_absolute(2), None);
+        assert_eq!((t.len(), t.insert_count()), (2, 2));
     }
 
     #[test]
@@ -374,17 +435,25 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(0).unwrap().name, "c");
         assert_eq!(t.get(1).unwrap().name, "b");
+        assert_eq!(t.get_absolute(0), None);
         assert!(t.size() <= 68);
+        assert_eq!(t.evictions(), 1);
     }
 
     #[test]
-    fn oversized_entry_clears_table() {
+    fn oversized_entry_is_refused_and_clear_counts_what_it_drops() {
         let mut t = DynamicTable::new(40);
-        t.insert(e("a", "1"));
-        assert_eq!(t.len(), 1);
-        t.insert(e("name-way-too-long", "value-way-too-long"));
+        assert_eq!(t.insert(e("a", "1")), Some(0));
+        // Refused: no index minted, nothing evicted.
+        assert_eq!(t.insert(e("name-way-too-long", "value-way-too-long")), None);
+        assert_eq!((t.len(), t.insert_count(), t.evictions()), (1, 1, 0));
+        // RFC 7541 §4.4 is the HPACK codec calling clear() at this
+        // point; the absolute count carries on afterwards.
+        t.clear();
         assert!(t.is_empty());
-        assert_eq!(t.size(), 0);
+        assert_eq!((t.size(), t.evictions()), (0, 1));
+        assert_eq!(find(&t, "a", "1"), (None, None));
+        assert_eq!(t.insert(e("b", "2")), Some(1));
     }
 
     #[test]
@@ -410,122 +479,25 @@ mod tests {
     }
 
     #[test]
-    fn find_index_prefers_static() {
-        let t = DynamicTable::new(4096);
-        assert_eq!(find_index(&t, ":method", "GET"), Some(2));
-        assert_eq!(find_index(&t, ":method", "PUT"), None);
-        assert_eq!(find_name_index(&t, ":method"), Some(2));
-        assert_eq!(find_name_index(&t, "cookie"), Some(32));
+    fn lookups_prefer_the_static_table() {
+        let mut t = DynamicTable::new(4096);
+        assert_eq!(find(&t, ":method", "GET"), (Some(2), Some(2)));
+        assert_eq!(find(&t, ":method", "PUT"), (None, Some(2)));
+        assert_eq!(find(&t, "cookie", "s=1"), (None, Some(32)));
+        // A dynamic entry shadowing a static name is found for the
+        // exact pair only; the name reference stays static.
+        t.insert(e(":method", "PUT"));
+        assert_eq!(find(&t, ":method", "PUT"), (Some(62), Some(2)));
     }
 
     #[test]
-    fn find_index_searches_dynamic() {
+    fn lookups_fall_back_to_the_dynamic_table() {
         let mut t = DynamicTable::new(4096);
         t.insert(e("x-a", "1"));
         t.insert(e("x-b", "2"));
-        assert_eq!(find_index(&t, "x-b", "2"), Some(62));
-        assert_eq!(find_index(&t, "x-a", "1"), Some(63));
-        assert_eq!(find_name_index(&t, "x-a"), Some(63));
-    }
-
-    #[test]
-    fn find_indices_matches_separate_lookups() {
-        let mut t = DynamicTable::new(4096);
-        t.insert(e("x-a", "1"));
-        for (name, value) in [
-            (":method", "GET"),
-            (":method", "PUT"),
-            ("x-a", "1"),
-            ("x-a", "2"),
-            ("nope", "v"),
-        ] {
-            assert_eq!(
-                find_indices(&t, name, value),
-                (find_index(&t, name, value), find_name_index(&t, name))
-            );
-        }
-    }
-
-    /// The old implementations were linear scans over the static table
-    /// and the dynamic entry deque; the hash indexes must agree with
-    /// that scan exactly — same first-occurrence static index, same
-    /// most-recent-first dynamic position — including after duplicate
-    /// inserts, evictions and a §4.4 whole-table clear.
-    #[test]
-    fn indexed_lookup_agrees_with_linear_scan() {
-        let scan_pair = |t: &DynamicTable, name: &str, value: &str| -> Option<usize> {
-            STATIC_TABLE
-                .iter()
-                .position(|&(n, v)| n == name && v == value)
-                .map(|i| i + 1)
-                .or_else(|| {
-                    (0..t.len())
-                        .find(|&i| {
-                            let en = t.get(i).unwrap();
-                            en.name == name && en.value == value
-                        })
-                        .map(|i| i + STATIC_TABLE.len() + 1)
-                })
-        };
-        let scan_name = |t: &DynamicTable, name: &str| -> Option<usize> {
-            STATIC_TABLE
-                .iter()
-                .position(|&(n, _)| n == name)
-                .map(|i| i + 1)
-                .or_else(|| {
-                    (0..t.len())
-                        .find(|&i| t.get(i).unwrap().name == name)
-                        .map(|i| i + STATIC_TABLE.len() + 1)
-                })
-        };
-        let check_all = |t: &DynamicTable| {
-            // Every static entry (duplicated names must resolve to the
-            // first occurrence, e.g. :method → 2 and :status → 8)…
-            for &(n, v) in STATIC_TABLE.iter() {
-                assert_eq!(find_index(t, n, v), scan_pair(t, n, v), "pair {n}: {v}");
-                assert_eq!(find_name_index(t, n), scan_name(t, n), "name {n}");
-            }
-            // …every live dynamic entry, and some misses.
-            for i in 0..t.len() {
-                let en = t.get(i).unwrap().clone();
-                assert_eq!(
-                    find_index(t, &en.name, &en.value),
-                    scan_pair(t, &en.name, &en.value)
-                );
-                assert_eq!(find_name_index(t, &en.name), scan_name(t, &en.name));
-                assert_eq!(
-                    find_index(t, &en.name, "no-such-value"),
-                    scan_pair(t, &en.name, "no-such-value")
-                );
-            }
-            assert_eq!(find_index(t, "x-absent", ""), None);
-            assert_eq!(find_name_index(t, "x-absent"), None);
-        };
-
-        // Small capacity so inserts continuously evict: each entry
-        // below is 37–42 octets, so ~4 fit in 160.
-        let mut t = DynamicTable::new(160);
-        check_all(&t);
-        let inserts = [
-            ("x-a", "1"),
-            (":method", "TRACE"), // shadows a static name
-            ("x-a", "2"),         // duplicate name, new value
-            ("cookie", "s=1"),
-            ("x-a", "1"), // exact duplicate of an earlier pair
-            ("x-b", "7"),
-            ("x-a", "2"),
-        ];
-        for (n, v) in inserts {
-            t.insert(e(n, v));
-            check_all(&t);
-        }
-        t.set_max_size(80); // shrink → evict
-        check_all(&t);
-        t.insert(e("name-long-enough-to-clear-the-table", &"v".repeat(80)));
-        assert!(t.is_empty());
-        check_all(&t);
-        t.insert(e("x-c", "3")); // index must still work after the clear
-        check_all(&t);
-        assert_eq!(find_index(&t, "x-c", "3"), Some(62));
+        assert_eq!(find(&t, "x-b", "2"), (Some(62), Some(62)));
+        assert_eq!(find(&t, "x-a", "1"), (Some(63), Some(63)));
+        assert_eq!(find(&t, "x-a", "2"), (None, Some(63)));
+        assert_eq!(find(&t, "nope", "v"), (None, None));
     }
 }

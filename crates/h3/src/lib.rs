@@ -17,10 +17,10 @@
 //!   validation into blocking time.
 //! - [`cid`] — connection-ID issuance/retirement under
 //!   `active_connection_id_limit`.
-//! - [`qpack`] — RFC 9204 field compression: the 0-indexed static
-//!   table, an absolute-indexed dynamic table sharing the h2 HPACK
-//!   table's bucket architecture, and the split encoder-stream /
-//!   field-section wire format.
+//! - [`qpack`] — RFC 9204 field compression on `origin_h2`'s HPACK
+//!   field tables (RFC 9204 is defined on top of RFC 7541): the
+//!   0-indexed static table, Required Insert Count / Base arithmetic,
+//!   and the split encoder-stream / field-section wire format.
 //! - [`altsvc`] — RFC 7838 advertisement parsing and the per-visit
 //!   scope cache that gates h3 upgrades.
 //! - [`session`] — [`H3Session`] (per-visit Alt-Svc, ticket, and

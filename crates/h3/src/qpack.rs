@@ -1,14 +1,15 @@
 //! QPACK field compression (RFC 9204) — HTTP/3's replacement for
-//! HPACK.
+//! HPACK, and defined on top of it.
 //!
-//! Same architecture as `origin_h2::hpack`, different address space:
-//! the static table is 0-indexed and fixed (Appendix A), and dynamic
-//! entries are identified by *absolute* insertion indices — exactly
-//! the monotonic-id scheme the h2 dynamic table already uses
-//! internally, so the name/value buckets, FIFO eviction sync, and the
-//! one-pass [`find_indices`] (the h2 double-scan regression fix)
-//! carry over entry-for-entry. Field sections reference dynamic
-//! entries relative to a Base carried in the section prefix.
+//! The field tables are `origin_h2::hpack::table`'s: one dynamic table
+//! addressed by *absolute* insertion index (what QPACK puts on the
+//! wire; HPACK reads the same table by position), one hash index per
+//! static table, one [`find_indices`] probe, and RFC 7541 §5.1's
+//! prefix integer, which RFC 9204 §4.1.1 adopts unchanged. What is
+//! here is QPACK's own: the 0-indexed Appendix A static table, the
+//! Required Insert Count / Base arithmetic that makes field sections
+//! reference dynamic entries relative to a Base carried in the section
+//! prefix, and the wire format.
 //!
 //! QPACK splits the wire into two streams: *encoder instructions*
 //! (inserts, which mutate the dynamic table) and *field sections*
@@ -21,8 +22,11 @@
 //! Count wraps are not exercised (sections are decoded in insertion
 //! order), and blocked-stream accounting is out of scope.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::OnceLock;
+use origin_h2::hpack::table::{find_indices, DynamicTable, StaticIndex};
+use origin_h2::hpack::{decode_int, encode_int, IntError};
+use std::sync::LazyLock;
+
+pub use origin_h2::hpack::table::{Entry as Field, TableRef};
 
 /// The RFC 9204 Appendix A static table (0-indexed on the wire).
 pub const STATIC_TABLE: [(&str, &str); 99] = [
@@ -136,227 +140,8 @@ pub const STATIC_TABLE: [(&str, &str); 99] = [
     ("x-frame-options", "sameorigin"),
 ];
 
-/// A header field as stored in the tables.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Field {
-    /// Header name (lowercase).
-    pub name: String,
-    /// Header value.
-    pub value: String,
-}
-
-impl Field {
-    /// Convenience constructor.
-    pub fn new(name: &str, value: &str) -> Self {
-        Field {
-            name: name.into(),
-            value: value.into(),
-        }
-    }
-
-    /// RFC 9204 §3.2.1 size: name + value + 32 octets of overhead
-    /// (identical to HPACK's §4.1 accounting).
-    pub fn size(&self) -> usize {
-        self.name.len() + self.value.len() + 32
-    }
-}
-
-/// Per-name index bucket: live absolute indices, ascending (most
-/// recent match is `last()`), with a value-keyed refinement — the
-/// same structure whose eviction sync fixed the h2 double-scan.
-#[derive(Debug, Clone, Default)]
-struct NameBucket {
-    ids: Vec<u64>,
-    by_value: HashMap<String, Vec<u64>>,
-}
-
-/// The QPACK dynamic table: FIFO with size-based eviction, entries
-/// identified by absolute insertion index.
-///
-/// Invariant: live absolute indices are always the contiguous range
-/// `[insert_count - len, insert_count - 1]` — inserts mint at the top,
-/// eviction removes the smallest — so a bucket id resolves to a deque
-/// position arithmetically and nothing renumbers on insert/evict.
-#[derive(Debug, Clone)]
-pub struct DynamicTable {
-    /// Most recent first.
-    entries: VecDeque<Field>,
-    size: usize,
-    max_size: usize,
-    evictions: u64,
-    insert_count: u64,
-    by_name: HashMap<String, NameBucket>,
-}
-
-impl DynamicTable {
-    /// New table with the given capacity.
-    pub fn new(max_size: usize) -> Self {
-        DynamicTable {
-            entries: VecDeque::new(),
-            size: 0,
-            max_size,
-            evictions: 0,
-            insert_count: 0,
-            by_name: HashMap::new(),
-        }
-    }
-
-    /// Total insertions over the table's lifetime (the QPACK Insert
-    /// Count).
-    pub fn insert_count(&self) -> u64 {
-        self.insert_count
-    }
-
-    /// Entries dropped by size-based eviction over the lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Current occupied size in octets.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Insert a field. Unlike HPACK there is no oversized-entry
-    /// whole-table clear in QPACK: an entry that cannot fit even an
-    /// empty table is refused (the encoder then emits a literal
-    /// without inserting). Returns the new absolute index, or `None`
-    /// if refused.
-    pub fn insert(&mut self, field: Field) -> Option<u64> {
-        let sz = field.size();
-        if sz > self.max_size {
-            return None;
-        }
-        let id = self.insert_count;
-        self.insert_count += 1;
-        let bucket = self.by_name.entry(field.name.clone()).or_default();
-        bucket.ids.push(id);
-        bucket
-            .by_value
-            .entry(field.value.clone())
-            .or_default()
-            .push(id);
-        self.size += sz;
-        self.entries.push_front(field);
-        self.evict();
-        Some(id)
-    }
-
-    /// Entry by absolute index.
-    pub fn get_absolute(&self, abs: u64) -> Option<&Field> {
-        let newest = self.insert_count.checked_sub(1)?;
-        let pos = newest.checked_sub(abs)?;
-        self.entries.get(pos as usize)
-    }
-
-    /// Absolute index of the most recent exact (name, value) match.
-    pub fn find(&self, name: &str, value: &str) -> Option<u64> {
-        self.by_name.get(name)?.by_value.get(value)?.last().copied()
-    }
-
-    /// Absolute index of the most recent name-only match.
-    pub fn find_name(&self, name: &str) -> Option<u64> {
-        self.by_name.get(name)?.ids.last().copied()
-    }
-
-    fn evict(&mut self) {
-        while self.size > self.max_size {
-            // The oldest live entry has the smallest absolute index,
-            // which sits at the front of both of its buckets.
-            let id = self.insert_count - self.entries.len() as u64;
-            let e = self.entries.pop_back().expect("size>0 implies entries");
-            self.size -= e.size();
-            self.evictions += 1;
-            if let Some(bucket) = self.by_name.get_mut(&e.name) {
-                debug_assert_eq!(bucket.ids.first(), Some(&id));
-                bucket.ids.remove(0);
-                if let Some(ids) = bucket.by_value.get_mut(&e.value) {
-                    debug_assert_eq!(ids.first(), Some(&id));
-                    ids.remove(0);
-                    if ids.is_empty() {
-                        bucket.by_value.remove(&e.value);
-                    }
-                }
-                if bucket.ids.is_empty() {
-                    self.by_name.remove(&e.name);
-                }
-            }
-        }
-    }
-}
-
-/// Where [`find_indices`] found a match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableRef {
-    /// 0-based index into [`STATIC_TABLE`].
-    Static(usize),
-    /// Absolute index into the dynamic table.
-    Dynamic(u64),
-}
-
-/// Hash index over [`STATIC_TABLE`], built once. `name_first` keeps
-/// first-occurrence semantics for name-only references; `pairs` keeps
-/// per-name value lists in table order.
-struct StaticIndex {
-    name_first: HashMap<&'static str, usize>,
-    pairs: HashMap<&'static str, Vec<(&'static str, usize)>>,
-}
-
-fn static_index() -> &'static StaticIndex {
-    static IDX: OnceLock<StaticIndex> = OnceLock::new();
-    IDX.get_or_init(|| {
-        let mut name_first = HashMap::new();
-        let mut pairs: HashMap<&'static str, Vec<(&'static str, usize)>> = HashMap::new();
-        for (i, (n, v)) in STATIC_TABLE.iter().enumerate() {
-            name_first.entry(*n).or_insert(i);
-            let values = pairs.entry(*n).or_default();
-            if !values.iter().any(|&(val, _)| val == *v) {
-                values.push((*v, i));
-            }
-        }
-        StaticIndex { name_first, pairs }
-    })
-}
-
-fn static_pair_index(name: &str, value: &str) -> Option<usize> {
-    static_index()
-        .pairs
-        .get(name)?
-        .iter()
-        .find(|&&(v, _)| v == value)
-        .map(|&(_, i)| i)
-}
-
-/// Exact-match and name-only references resolved in one pass — static
-/// preferred, then dynamic via the name buckets. The QPACK analogue of
-/// the h2 `find_indices` double-scan fix: the encoder needs both
-/// answers on every literal path and never walks a table twice.
-pub fn find_indices(
-    dynamic: &DynamicTable,
-    name: &str,
-    value: &str,
-) -> (Option<TableRef>, Option<TableRef>) {
-    let exact = static_pair_index(name, value)
-        .map(TableRef::Static)
-        .or_else(|| dynamic.find(name, value).map(TableRef::Dynamic));
-    let by_name = static_index()
-        .name_first
-        .get(name)
-        .copied()
-        .map(TableRef::Static)
-        .or_else(|| dynamic.find_name(name).map(TableRef::Dynamic));
-    (exact, by_name)
-}
+/// The index over [`STATIC_TABLE`] (0-based on the wire), built once.
+static STATIC_INDEX: LazyLock<StaticIndex> = LazyLock::new(|| StaticIndex::new(&STATIC_TABLE, 0));
 
 /// A malformed encoder stream or field section.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -379,71 +164,44 @@ impl std::fmt::Display for QpackError {
     }
 }
 
-/// Encode `value` with an N-bit prefix integer (RFC 7541 §5.1, shared
-/// by QPACK). `flags` carries the high bits of the first octet.
-fn encode_prefix_int(out: &mut Vec<u8>, flags: u8, prefix_bits: u8, mut value: u64) {
-    let max = (1u64 << prefix_bits) - 1;
-    if value < max {
-        out.push(flags | value as u8);
-        return;
+impl From<IntError> for QpackError {
+    fn from(e: IntError) -> Self {
+        match e {
+            IntError::Truncated => QpackError::Truncated,
+            IntError::Overflow => QpackError::IntegerOverflow,
+        }
     }
-    out.push(flags | max as u8);
-    value -= max;
-    while value >= 128 {
-        out.push((value % 128) as u8 | 0x80);
-        value /= 128;
-    }
-    out.push(value as u8);
 }
 
-/// Decode an N-bit prefix integer; returns (first-octet flags, value).
-fn decode_prefix_int(
-    input: &[u8],
-    pos: &mut usize,
-    prefix_bits: u8,
-) -> Result<(u8, u64), QpackError> {
-    let first = *input.get(*pos).ok_or(QpackError::Truncated)?;
-    *pos += 1;
-    let max = (1u64 << prefix_bits) - 1;
-    let flags = first & !(max as u8);
-    let mut value = u64::from(first) & max;
-    if value < max {
-        return Ok((flags, value));
-    }
-    let mut shift = 0u32;
-    loop {
-        let b = *input.get(*pos).ok_or(QpackError::Truncated)?;
-        *pos += 1;
-        let add = u64::from(b & 0x7f)
-            .checked_shl(shift)
-            .ok_or(QpackError::IntegerOverflow)?;
-        value = value.checked_add(add).ok_or(QpackError::IntegerOverflow)?;
-        if b & 0x80 == 0 {
-            return Ok((flags, value));
-        }
-        shift += 7;
-        if shift > 62 {
-            return Err(QpackError::IntegerOverflow);
-        }
-    }
-}
+/// QPACK integers are 62-bit (RFC 9204 §4.1.1): nine continuation
+/// octets.
+const MAX_INT_SHIFT: u32 = 62;
 
 /// Raw (never Huffman-coded) string literal with an N-bit length
 /// prefix; the Huffman bit is the lowest flag bit above the prefix.
 fn encode_string(out: &mut Vec<u8>, flags: u8, prefix_bits: u8, s: &str) {
-    encode_prefix_int(out, flags, prefix_bits, s.len() as u64);
+    encode_int(s.len() as u64, prefix_bits, flags, out);
     out.extend_from_slice(s.as_bytes());
 }
 
 fn decode_string(input: &[u8], pos: &mut usize, prefix_bits: u8) -> Result<String, QpackError> {
-    let (_, len) = decode_prefix_int(input, pos, prefix_bits)?;
-    let len = len as usize;
-    let bytes = input
-        .get(*pos..*pos + len)
-        .ok_or(QpackError::Truncated)?
-        .to_vec();
-    *pos += len;
+    let len = decode_int(input, pos, prefix_bits, MAX_INT_SHIFT)?;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .ok_or(QpackError::Truncated)?;
+    let bytes = input.get(*pos..end).ok_or(QpackError::Truncated)?.to_vec();
+    *pos = end;
     String::from_utf8(bytes).map_err(|_| QpackError::Truncated)
+}
+
+/// The static-table entry a wire index names.
+fn static_entry(idx: u64) -> Result<(&'static str, &'static str), QpackError> {
+    usize::try_from(idx)
+        .ok()
+        .and_then(|i| STATIC_TABLE.get(i))
+        .copied()
+        .ok_or(QpackError::InvalidReference)
 }
 
 /// One request's encoded output: the encoder-stream instructions that
@@ -501,33 +259,27 @@ impl Encoder {
     /// table — no post-base references.
     pub fn encode(&mut self, fields: &[Field]) -> EncodedRequest {
         let mut out = EncodedRequest::default();
-        // Pass 1: table mutations (encoder stream).
-        let mut refs: Vec<TableRef> = Vec::with_capacity(fields.len());
+        // Pass 1: table mutations (encoder stream). `None` marks a
+        // field the table refused (larger than the whole table): the
+        // section carries it as a plain literal.
+        let mut refs: Vec<Option<TableRef>> = Vec::with_capacity(fields.len());
         for f in fields {
-            let (exact, by_name) = find_indices(&self.table, &f.name, &f.value);
-            let r = match exact {
-                Some(r) => r,
-                None => match self.insert_instruction(f, by_name, &mut out.instructions) {
-                    Some(abs) => TableRef::Dynamic(abs),
-                    // Refused (larger than the whole table): the
-                    // section carries a plain literal.
-                    None => TableRef::Static(usize::MAX),
-                },
-            };
-            refs.push(r);
+            let (exact, by_name) = find_indices(&STATIC_INDEX, &self.table, &f.name, &f.value);
+            refs.push(exact.or_else(|| {
+                self.insert_instruction(f, by_name, &mut out.instructions)
+                    .map(TableRef::Dynamic)
+            }));
         }
         // A later insert in this very request may have evicted an
         // entry referenced earlier (tiny tables); dead references
         // travel as literals instead.
-        let refs: Vec<TableRef> = refs
-            .into_iter()
-            .map(|r| match r {
-                TableRef::Dynamic(abs) if self.table.get_absolute(abs).is_none() => {
-                    TableRef::Static(usize::MAX)
+        for r in &mut refs {
+            if let Some(TableRef::Dynamic(abs)) = *r {
+                if self.table.get_absolute(abs).is_none() {
+                    *r = None;
                 }
-                r => r,
-            })
-            .collect();
+            }
+        }
         // Pass 2: the field section. Base = insert count after the
         // mutations above, so every dynamic reference is `base - 1 -
         // absolute` and the Required Insert Count is the base itself
@@ -536,34 +288,28 @@ impl Encoder {
         let required = refs
             .iter()
             .filter_map(|r| match r {
-                TableRef::Dynamic(abs) => Some(abs + 1),
-                TableRef::Static(_) => None,
+                Some(TableRef::Dynamic(abs)) => Some(abs + 1),
+                _ => None,
             })
             .max()
             .unwrap_or(0);
         // §4.5.1.1: 0 encodes as 0, anything else as value + 1 (the
         // wrap arithmetic is not exercised here).
-        encode_prefix_int(
-            &mut out.section,
-            0,
-            8,
-            if required == 0 { 0 } else { required + 1 },
-        );
+        let encoded_ric = if required == 0 { 0 } else { required + 1 };
+        encode_int(encoded_ric, 8, 0, &mut out.section);
         // Delta Base, sign bit 0: base = required + delta.
-        encode_prefix_int(&mut out.section, 0, 7, base - required);
+        encode_int(base - required, 7, 0, &mut out.section);
         for (f, r) in fields.iter().zip(&refs) {
             match *r {
-                TableRef::Static(idx) if idx != usize::MAX => {
-                    // Indexed field line, static (1 T=1 ......).
-                    encode_prefix_int(&mut out.section, 0xc0, 6, idx as u64);
+                // Indexed field line, static (1 T=1 ......).
+                Some(TableRef::Static(idx)) => encode_int(idx as u64, 6, 0xc0, &mut out.section),
+                // Indexed field line, dynamic (1 T=0), relative to
+                // the base.
+                Some(TableRef::Dynamic(abs)) => {
+                    encode_int(base - 1 - abs, 6, 0x80, &mut out.section)
                 }
-                TableRef::Dynamic(abs) => {
-                    // Indexed field line, dynamic (1 T=0), relative to
-                    // the base.
-                    encode_prefix_int(&mut out.section, 0x80, 6, base - 1 - abs);
-                }
-                TableRef::Static(_) => {
-                    // Literal field line with literal name (001 N H).
+                // Literal field line with literal name (001 N H).
+                None => {
                     encode_string(&mut out.section, 0x20, 3, &f.name);
                     encode_string(&mut out.section, 0x00, 7, &f.value);
                 }
@@ -583,23 +329,17 @@ impl Encoder {
         self.instructions += 1;
         match by_name {
             // Insert with name reference (1 T nnnnnn): static table.
-            Some(TableRef::Static(idx)) => {
-                encode_prefix_int(stream, 0xc0, 6, idx as u64);
-                encode_string(stream, 0x00, 7, &f.value);
-            }
+            Some(TableRef::Static(idx)) => encode_int(idx as u64, 6, 0xc0, stream),
             // Insert with name reference, dynamic: relative to the
             // current insert count (which already includes this
             // insert, hence -2: the referenced entry predates it).
             Some(TableRef::Dynamic(name_abs)) => {
-                encode_prefix_int(stream, 0x80, 6, self.table.insert_count() - 2 - name_abs);
-                encode_string(stream, 0x00, 7, &f.value);
+                encode_int(self.table.insert_count() - 2 - name_abs, 6, 0x80, stream)
             }
             // Insert with literal name (01 H nnnnn).
-            None => {
-                encode_string(stream, 0x40, 5, &f.name);
-                encode_string(stream, 0x00, 7, &f.value);
-            }
+            None => encode_string(stream, 0x40, 5, &f.name),
         }
+        encode_string(stream, 0x00, 7, &f.value);
         Some(abs)
     }
 }
@@ -648,13 +388,9 @@ impl Decoder {
             let first = input[pos];
             if first & 0x80 != 0 {
                 // Insert with name reference.
-                let (flags, idx) = decode_prefix_int(input, &mut pos, 6)?;
-                let name = if flags & 0x40 != 0 {
-                    STATIC_TABLE
-                        .get(idx as usize)
-                        .ok_or(QpackError::InvalidReference)?
-                        .0
-                        .to_string()
+                let idx = decode_int(input, &mut pos, 6, MAX_INT_SHIFT)?;
+                let name = if first & 0x40 != 0 {
+                    static_entry(idx)?.0.to_string()
                 } else {
                     let abs = self
                         .table
@@ -684,23 +420,21 @@ impl Decoder {
     /// Decode a field section against the current table.
     pub fn decode(&mut self, section: &[u8]) -> Result<Vec<Field>, QpackError> {
         let mut pos = 0;
-        let (_, encoded_ric) = decode_prefix_int(section, &mut pos, 8)?;
+        let encoded_ric = decode_int(section, &mut pos, 8, MAX_INT_SHIFT)?;
         let required = encoded_ric.saturating_sub(1);
         if required > self.table.insert_count() {
             return Err(QpackError::InvalidReference);
         }
-        let (_, delta) = decode_prefix_int(section, &mut pos, 7)?;
+        let delta = decode_int(section, &mut pos, 7, MAX_INT_SHIFT)?;
         let base = required + delta;
         let mut fields = Vec::new();
         while pos < section.len() {
             let first = section[pos];
             if first & 0x80 != 0 {
                 // Indexed field line.
-                let (flags, idx) = decode_prefix_int(section, &mut pos, 6)?;
-                let f = if flags & 0x40 != 0 {
-                    let (n, v) = STATIC_TABLE
-                        .get(idx as usize)
-                        .ok_or(QpackError::InvalidReference)?;
+                let idx = decode_int(section, &mut pos, 6, MAX_INT_SHIFT)?;
+                let f = if first & 0x40 != 0 {
+                    let (n, v) = static_entry(idx)?;
                     Field::new(n, v)
                 } else {
                     let abs = base
@@ -735,10 +469,6 @@ impl Default for Decoder {
 mod tests {
     use super::*;
 
-    fn f(name: &str, value: &str) -> Field {
-        Field::new(name, value)
-    }
-
     #[test]
     fn static_table_spot_checks() {
         assert_eq!(STATIC_TABLE[0], (":authority", ""));
@@ -747,47 +477,5 @@ mod tests {
         assert_eq!(STATIC_TABLE[25], (":status", "200"));
         assert_eq!(STATIC_TABLE[98], ("x-frame-options", "sameorigin"));
         assert_eq!(STATIC_TABLE.len(), 99);
-    }
-
-    #[test]
-    fn prefix_int_round_trip() {
-        for (prefix, value) in [(6u8, 0u64), (6, 62), (6, 63), (6, 1337), (8, 255), (3, 9)] {
-            let mut out = Vec::new();
-            encode_prefix_int(&mut out, 0, prefix, value);
-            let mut pos = 0;
-            let (_, got) = decode_prefix_int(&out, &mut pos, prefix).unwrap();
-            assert_eq!(got, value, "prefix {prefix} value {value}");
-            assert_eq!(pos, out.len());
-        }
-    }
-
-    #[test]
-    fn find_indices_matches_separate_lookups() {
-        // The QPACK mirror of the h2 double-scan regression test: the
-        // fused lookup must agree with running the exact-match and
-        // name-only searches independently, before and after inserts.
-        let mut t = DynamicTable::new(4096);
-        t.insert(f("x-a", "1"));
-        for (name, value) in [
-            (":method", "GET"),
-            (":method", "TRACE"),
-            ("x-a", "1"),
-            ("x-a", "2"),
-            ("nope", "v"),
-        ] {
-            let separate_exact = static_pair_index(name, value)
-                .map(TableRef::Static)
-                .or_else(|| t.find(name, value).map(TableRef::Dynamic));
-            let separate_name = static_index()
-                .name_first
-                .get(name)
-                .copied()
-                .map(TableRef::Static)
-                .or_else(|| t.find_name(name).map(TableRef::Dynamic));
-            assert_eq!(
-                find_indices(&t, name, value),
-                (separate_exact, separate_name)
-            );
-        }
     }
 }

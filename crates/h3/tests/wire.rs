@@ -1,12 +1,13 @@
 //! Golden wire-level tests for the QUIC/h3 building blocks: the
 //! handshake state machine (every legal 1-RTT/0-RTT transition and the
 //! rejected-0-RTT fallback), connection-ID issuance/retirement, and
-//! QPACK encode/decode down to exact bytes — including dynamic-table
-//! eviction parity with the h2 HPACK double-scan regression.
+//! QPACK encode/decode down to exact bytes, under eviction too. (The
+//! field table itself is `origin_h2`'s; its lookups are checked
+//! against a linear-scan oracle in the root `tests/properties.rs`.)
 
 use origin_h3::cid::{CidError, ConnectionIdRegistry};
 use origin_h3::handshake::{HandshakeMode, HandshakeState, QuicCostModel, QuicHandshake};
-use origin_h3::qpack::{self, Decoder, Encoder, Field};
+use origin_h3::qpack::{Decoder, Encoder, Field};
 
 fn f(name: &str, value: &str) -> Field {
     Field::new(name, value)
@@ -234,8 +235,74 @@ fn round_trip_survives_many_requests_with_shared_state() {
     assert_eq!(enc.instructions(), 9);
 }
 
+#[test]
+fn three_request_sequence_has_golden_bytes_on_both_streams() {
+    // Every representation either stream can carry, at a table that
+    // holds one entry (64 octets): expected bytes recorded from the
+    // encoder before the field table moved into `origin_h2`.
+    let mut enc = Encoder::with_table_size(64);
+    let mut dec = Decoder::with_table_size(64);
+    let cookie = "c".repeat(40);
+    let mut step = |fields: &[Field], instructions: &[u8], section: &[u8]| {
+        let out = enc.encode(fields);
+        assert_eq!(out.instructions, instructions);
+        assert_eq!(out.section, section);
+        dec.apply_instructions(&out.instructions).unwrap();
+        assert_eq!(dec.decode(&out.section).unwrap(), fields);
+    };
+
+    // 1: three static hits; `:authority` inserts with a static name
+    // reference (index 0) and is referenced back at relative index 0.
+    let get = [
+        f(":method", "GET"),
+        f(":scheme", "https"),
+        f(":authority", "a.example"),
+        f(":path", "/"),
+    ];
+    let mut insert_a = vec![0xc0, 0x09];
+    insert_a.extend_from_slice(b"a.example");
+    step(&get, &insert_a, &[0x02, 0x00, 0xd1, 0xd7, 0x80, 0xc1]);
+
+    // 2: the authority is now a dynamic hit — no instructions — and a
+    // 78-octet cookie is refused by the 64-octet table: a literal
+    // field line (001 N H + 3-bit name length), nothing inserted.
+    let mut with_cookie = get.to_vec();
+    with_cookie.push(f("cookie", &cookie));
+    let mut section = vec![0x02, 0x00, 0xd1, 0xd7, 0x80, 0xc1, 0x26];
+    section.extend_from_slice(b"cookie");
+    section.push(0x28);
+    section.extend_from_slice(cookie.as_bytes());
+    step(&with_cookie, &[], &section);
+
+    // 3: three inserts, each evicting its predecessor — static name
+    // reference, literal name, dynamic name reference (relative 0) —
+    // so only the last survives to be referenced; the first two
+    // travel as literals (`:authority` needs a two-octet 3-bit-prefix
+    // length: 7 + 3). Required Insert Count 4 encodes as 5.
+    let rotate = [
+        f(":method", "GET"),
+        f(":authority", "b.example"),
+        f("x-a", "1"),
+        f("x-a", "2"),
+    ];
+    let mut instructions = vec![0xc0, 0x09];
+    instructions.extend_from_slice(b"b.example");
+    instructions.extend_from_slice(&[0x43, b'x', b'-', b'a', 0x01, b'1']);
+    instructions.extend_from_slice(&[0x80, 0x01, b'2']);
+    let mut section = vec![0x05, 0x00, 0xd1, 0x27, 0x03];
+    section.extend_from_slice(b":authority");
+    section.push(0x09);
+    section.extend_from_slice(b"b.example");
+    section.extend_from_slice(&[0x23, b'x', b'-', b'a', 0x01, b'1', 0x80]);
+    step(&rotate, &instructions, &section);
+
+    assert_eq!((enc.instructions(), enc.evictions()), (4, 3));
+    assert_eq!((dec.insert_count(), dec.evictions()), (4, 3));
+    assert_eq!(enc.table_size(), 36);
+}
+
 // ---------------------------------------------------------------- //
-// QPACK: eviction parity with the h2 HPACK double-scan regression
+// QPACK: eviction
 // ---------------------------------------------------------------- //
 
 #[test]
@@ -256,46 +323,4 @@ fn eviction_keeps_encoder_and_decoder_in_lockstep() {
     assert_eq!(enc.evictions(), 24);
     assert_eq!(dec.evictions(), 24);
     assert_eq!(dec.insert_count(), 26);
-}
-
-#[test]
-fn find_indices_stays_correct_under_continuous_eviction() {
-    // The h2 double-scan regression, ported: the fused one-pass
-    // exact+name lookup must agree with a linear-scan oracle while
-    // eviction continuously rewrites the name buckets.
-    use origin_h3::qpack::{DynamicTable, TableRef};
-
-    let mut table = DynamicTable::new(3 * 34);
-    let mut oracle: Vec<Field> = Vec::new(); // most recent first
-    for i in 0u32..40 {
-        let name = format!("{}", (b'a' + (i % 5) as u8) as char);
-        let value = format!("{}", i % 3);
-        let field = f(&name, &value);
-        if table.insert(field.clone()).is_some() {
-            oracle.insert(0, field);
-            while oracle.len() > 3 {
-                oracle.pop();
-            }
-        }
-        // Probe every (name, value) in play plus misses.
-        for pn in ["a", "b", "c", "d", "e", "zz"] {
-            for pv in ["0", "1", "2", "9"] {
-                let (exact, by_name) = qpack::find_indices(&table, pn, pv);
-                let newest = table.insert_count() - 1;
-                let scan_exact = oracle
-                    .iter()
-                    .position(|e| e.name == pn && e.value == pv)
-                    .map(|pos| TableRef::Dynamic(newest - pos as u64));
-                let scan_name = oracle
-                    .iter()
-                    .position(|e| e.name == pn)
-                    .map(|pos| TableRef::Dynamic(newest - pos as u64));
-                // No probe name collides with the static table, so
-                // the dynamic answers must match the oracle exactly.
-                assert_eq!(exact, scan_exact, "exact {pn}={pv} after insert {i}");
-                assert_eq!(by_name, scan_name, "name {pn} after insert {i}");
-            }
-        }
-    }
-    assert!(table.evictions() > 30);
 }

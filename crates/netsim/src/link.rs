@@ -15,6 +15,14 @@ pub const MSS: u64 = 1460;
 /// Initial congestion window in segments (RFC 6928).
 pub const INIT_CWND: u64 = 10;
 
+/// The three link classes every host falls into, seen from the single
+/// US-East vantage of §3.1, as (RTT in ms, bandwidth in Mbps): 0 = a
+/// nearby CDN edge, 1 = a same-continent origin, 2 = an
+/// intercontinental origin. The DES loader builds [`LinkProfile`]s
+/// from these; the serve engine's analytic visit cost reads them
+/// directly.
+pub const LINK_CLASSES: [(f64, f64); 3] = [(32.0, 60.0), (95.0, 25.0), (210.0, 18.0)];
+
 /// A one-way network path profile between a client and a server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkProfile {
@@ -52,11 +60,6 @@ impl LinkProfile {
     /// closely enough for shape reproduction.
     pub fn broadband_edge() -> Self {
         LinkProfile::new(20.0, 50.0)
-    }
-
-    /// A farther origin-server path: 80 ms RTT, 20 Mbps.
-    pub fn distant_origin() -> Self {
-        LinkProfile::new(80.0, 20.0)
     }
 
     /// Sample a concrete delay around `base` with this profile's

@@ -74,11 +74,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit output (upper half of the 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fill a byte slice with raw output.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

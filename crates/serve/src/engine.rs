@@ -41,6 +41,19 @@ const BASE_RENDER_US: u64 = 30_000;
 const HANDSHAKE_RTTS: u64 = 2;
 /// Cap on visits per session (tail guard on the geometric draw).
 const MAX_SESSION_VISITS: u64 = 64;
+/// Diurnal peak-to-trough swing of the arrival rate, in `[0, 1]`.
+const DIURNAL_AMPLITUDE: f64 = 0.6;
+/// Diurnal period: one simulated day.
+const DIURNAL_PERIOD: SimDuration = SimDuration::from_secs(86_400);
+/// Mean visits per session (geometric-ish, ≥ 1).
+const SESSION_VISITS_MEAN: f64 = 4.0;
+/// Zipf skew of site popularity.
+const ZIPF_S: f64 = 1.1;
+/// Probability a non-first visit reloads the same site instead of
+/// drawing a fresh one (revisit skew).
+const REVISIT_BIAS: f64 = 0.4;
+/// Mean think time between a session's visits.
+const THINK_MEAN: SimDuration = SimDuration::from_secs(30);
 
 /// The per-session RNG: pure in `(seed, session_id)` so shard
 /// placement cannot perturb a session's behaviour.
@@ -48,11 +61,11 @@ fn session_rng(seed: u64, id: u64) -> SimRng {
     SimRng::seed_from_u64(splitmix64(seed ^ id.wrapping_mul(0xA24B_AED4_963E_E407)))
 }
 
-/// Visits a session will make: 1 + geometric-ish tail with the
-/// configured mean, capped. Drawn from the session RNG before any
-/// visit randomness.
-fn session_visit_budget(rng: &mut SimRng, mean: f64) -> u64 {
-    let extra = rng.exponential((mean - 1.0).max(0.0) + f64::MIN_POSITIVE);
+/// Visits a session will make: 1 + geometric-ish tail with mean
+/// [`SESSION_VISITS_MEAN`], capped. Drawn from the session RNG before
+/// any visit randomness.
+fn session_visit_budget(rng: &mut SimRng) -> u64 {
+    let extra = rng.exponential(SESSION_VISITS_MEAN - 1.0);
     (1 + extra as u64).min(MAX_SESSION_VISITS)
 }
 
@@ -210,8 +223,8 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
     let mut arrivals = origin_netsim::ArrivalProcess::new(
         master.derive("arrivals"),
         cfg.peak_rate_per_sec,
-        cfg.diurnal_amplitude,
-        cfg.diurnal_period,
+        DIURNAL_AMPLITUDE,
+        DIURNAL_PERIOD,
     );
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
@@ -257,7 +270,7 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
                 let id = next_id;
                 next_id += 1;
                 let mut rng = session_rng(cfg.seed, id);
-                let wanted = session_visit_budget(&mut rng, cfg.session_visits_mean);
+                let wanted = session_visit_budget(&mut rng);
                 let take = wanted.min(budget);
                 budget -= take;
                 // The arrival chain keeps running until the global
@@ -298,8 +311,8 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
                     .pool
                     .sweep_idle(now, cfg.idle_timeout, &mut out.churn);
                 let site_idx = match session.site {
-                    Some(prev) if session.rng.chance(cfg.revisit_bias) => prev,
-                    _ => session.rng.zipf(plans.len(), cfg.zipf_s) as u32,
+                    Some(prev) if session.rng.chance(REVISIT_BIAS) => prev,
+                    _ => session.rng.zipf(plans.len(), ZIPF_S) as u32,
                 };
                 session.site = Some(site_idx);
                 let plan = &plans[site_idx as usize];
@@ -336,7 +349,7 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
                     let think = SimDuration::from_micros(
                         session
                             .rng
-                            .exponential(cfg.think_mean.as_micros() as f64)
+                            .exponential(THINK_MEAN.as_micros() as f64)
                             .max(1.0) as u64,
                     );
                     queue.schedule(now + think, Ev::Visit { slot });
@@ -421,8 +434,7 @@ fn simulate_visit(
         }
         let offset = fp_us.max(svc_max_us) + host_us;
         obs.bytes.push((offset, host.bytes, 0));
-        let is_first_party = host.control_key & 0x8000_0000 != 0;
-        if is_first_party {
+        if host.is_first_party() {
             fp_us += host_us;
         } else {
             svc_max_us = svc_max_us.max(host_us);

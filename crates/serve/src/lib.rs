@@ -51,19 +51,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Peak session arrival rate, per simulated second.
     pub peak_rate_per_sec: f64,
-    /// Diurnal peak-to-trough swing in `[0, 1]` (0 = homogeneous).
-    pub diurnal_amplitude: f64,
-    /// Diurnal period (a simulated day by default).
-    pub diurnal_period: SimDuration,
-    /// Mean visits per session (geometric-ish, ≥ 1).
-    pub session_visits_mean: f64,
-    /// Zipf skew of site popularity.
-    pub zipf_s: f64,
-    /// Probability a non-first visit reloads the same site instead of
-    /// drawing a fresh one (revisit skew).
-    pub revisit_bias: f64,
-    /// Mean think time between a session's visits.
-    pub think_mean: SimDuration,
     /// Idle timeout for pooled session connections.
     pub idle_timeout: SimDuration,
     /// Max warm connections to a single edge per session.
@@ -89,12 +76,6 @@ impl Default for ServeConfig {
             visits: 100_000,
             threads: 1,
             peak_rate_per_sec: 10.0,
-            diurnal_amplitude: 0.6,
-            diurnal_period: SimDuration::from_secs(86_400),
-            session_visits_mean: 4.0,
-            zipf_s: 1.1,
-            revisit_bias: 0.4,
-            think_mean: SimDuration::from_secs(30),
             idle_timeout: SimDuration::from_secs(60),
             edge_cap: 6,
             pool_budget: 32,

@@ -9,15 +9,10 @@
 //! visit with zero per-visit allocation. `O(sites)` memory, built
 //! before serving starts, shared read-only by every worker shard.
 
+use origin_netsim::link::LINK_CLASSES;
 use origin_netsim::rng::splitmix64;
 use origin_webgen::dataset::ServiceRef;
 use origin_webgen::{Dataset, SiteConfig};
-
-/// Link classes for analytic visit costs, mirroring
-/// `origin_browser::env::link_profile`: 0 = CDN edge, 1 = near
-/// origin, 2 = far origin.
-const RTT_MS: [f64; 3] = [32.0, 95.0, 210.0];
-const MBPS: [f64; 3] = [60.0, 25.0, 18.0];
 
 /// One host's serving profile within a site plan.
 #[derive(Debug, Clone, Copy)]
@@ -34,19 +29,25 @@ pub struct HostPlan {
     pub requests: u32,
     /// Bytes this host serves per visit.
     pub bytes: u64,
-    /// Link class index into the RTT/bandwidth tables.
+    /// Link class: index into [`LINK_CLASSES`] (RTT ms, Mbps).
     pub link_class: u8,
 }
 
 impl HostPlan {
     /// Round-trip time to this host, µs.
     pub fn rtt_us(&self) -> u64 {
-        (RTT_MS[self.link_class as usize] * 1_000.0) as u64
+        (LINK_CLASSES[self.link_class as usize].0 * 1_000.0) as u64
+    }
+
+    /// Whether this is one of the site's own hosts (root or shard)
+    /// rather than a third-party service.
+    pub fn is_first_party(&self) -> bool {
+        self.control_key & FP_BIT != 0
     }
 
     /// Transfer time for this host's bytes at link bandwidth, µs.
     pub fn transfer_us(&self) -> u64 {
-        (self.bytes as f64 * 8.0 / MBPS[self.link_class as usize]) as u64
+        (self.bytes as f64 * 8.0 / LINK_CLASSES[self.link_class as usize].1) as u64
     }
 }
 

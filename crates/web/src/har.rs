@@ -206,73 +206,6 @@ impl PageLoad {
             .sum()
     }
 
-    /// Serialize to pretty JSON (HAR-adjacent export).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"rank\": {},\n", self.rank));
-        out.push_str(&format!(
-            "  \"root_host\": {},\n",
-            json_str(self.root_host.as_str())
-        ));
-        out.push_str("  \"requests\": [");
-        for (i, r) in self.requests.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!(
-                "      \"resource_index\": {},\n",
-                r.resource_index
-            ));
-            out.push_str(&format!("      \"host\": {},\n", json_str(r.host.as_str())));
-            out.push_str(&format!("      \"ip\": {},\n", json_str(&r.ip.to_string())));
-            out.push_str(&format!("      \"asn\": {},\n", r.asn));
-            out.push_str(&format!("      \"start\": {},\n", json_f64(r.start)));
-            out.push_str(&format!(
-                "      \"phase\": {{ \"blocked\": {}, \"dns\": {}, \"connect\": {}, \"ssl\": {}, \"send\": {}, \"wait\": {}, \"receive\": {} }},\n",
-                json_f64(r.phase.blocked),
-                json_f64(r.phase.dns),
-                json_f64(r.phase.connect),
-                json_f64(r.phase.ssl),
-                json_f64(r.phase.send),
-                json_f64(r.phase.wait),
-                json_f64(r.phase.receive),
-            ));
-            out.push_str(&format!("      \"did_dns\": {},\n", r.did_dns));
-            out.push_str(&format!(
-                "      \"new_connection\": {},\n",
-                r.new_connection
-            ));
-            out.push_str(&format!("      \"coalesced\": {},\n", r.coalesced));
-            out.push_str(&format!(
-                "      \"protocol\": {},\n",
-                json_str(&format!("{:?}", r.protocol))
-            ));
-            out.push_str(&format!(
-                "      \"cert_issuer\": {},\n",
-                match &r.cert_issuer {
-                    Some(s) => json_str(s),
-                    None => "null".to_string(),
-                }
-            ));
-            out.push_str(&format!("      \"secure\": {},\n", r.secure));
-            out.push_str(&format!(
-                "      \"extra_connections\": {},\n",
-                r.extra_connections
-            ));
-            out.push_str(&format!("      \"extra_dns\": {}\n", r.extra_dns));
-            out.push_str("    }");
-        }
-        if self.requests.is_empty() {
-            out.push_str("]\n");
-        } else {
-            out.push_str("\n  ]\n");
-        }
-        out.push('}');
-        out
-    }
-
     /// Serialize as a HAR 1.2 document (`log`/`pages`/`entries`), the
     /// format the paper's WebPageTest collection produced.
     ///
@@ -511,14 +444,6 @@ mod tests {
         assert_eq!(l.coalesced_requests(), 0);
         assert_eq!(l.new_connections_to(&name("fonts.cdnhost.com")), 1);
         assert_eq!(l.new_connections_to(&name("missing.example")), 0);
-    }
-
-    #[test]
-    fn json_export_has_fields() {
-        let j = load().to_json();
-        assert!(j.contains("\"rank\""));
-        assert!(j.contains("fonts.cdnhost.com"));
-        assert!(j.contains("\"dns\""));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Renders a [`PageLoad`] as an aligned ASCII waterfall so the
 //! Figure 2 before/after comparison can be printed by the `repro`
-//! harness and the `waterfall` example.
+//! harness.
 
 use crate::har::PageLoad;
 

@@ -180,15 +180,6 @@ pub struct SiteConfig {
     pub h3: bool,
 }
 
-impl SiteConfig {
-    /// All first-party hosts (root first).
-    pub fn first_party_hosts(&self) -> Vec<DnsName> {
-        let mut v = vec![self.root_host.clone()];
-        v.extend(self.shard_hosts.iter().cloned());
-        v
-    }
-}
-
 /// A generated dataset: the universe plus per-site configurations.
 pub struct Dataset {
     /// Generation parameters.

@@ -8,8 +8,10 @@
 use bytes::BytesMut;
 use respect_origin::dns::DnsName;
 use respect_origin::h2::hpack::huffman;
+use respect_origin::h2::hpack::table::{self, DynamicTable, Entry, StaticIndex, TableRef};
 use respect_origin::h2::hpack::{Decoder, Encoder, Header};
 use respect_origin::h2::{Frame, FrameDecoder};
+use respect_origin::h3::{qpack, Field, QpackDecoder, QpackEncoder};
 use respect_origin::netsim::SimRng;
 use respect_origin::tls::{covers, CertificateBuilder};
 
@@ -108,7 +110,11 @@ fn huffman_decode_never_panics() {
     }
 }
 
-// ---- HPACK ----
+// ---- HPACK and QPACK: one field table, one sweep ----
+
+/// Dynamic-table capacities the sweeps run at: no table, one entry,
+/// three minimal (34-octet) entries, the default.
+const TABLE_SIZES: [usize; 4] = [0, 64, 102, 4096];
 
 fn rand_header(rng: &mut SimRng) -> Header {
     Header {
@@ -116,6 +122,53 @@ fn rand_header(rng: &mut SimRng) -> Header {
         value: rand_printable(rng, 48),
         sensitive: rng.chance(0.5),
     }
+}
+
+/// A (name, value) drawn from small pools, so streams hit the static
+/// tables, re-reference and evict dynamic entries, and now and then
+/// carry a value no small table accepts.
+fn rand_pooled_field(rng: &mut SimRng) -> (String, String) {
+    const NAMES: [&str; 8] = [
+        ":method",
+        ":authority",
+        "cookie",
+        "accept",
+        "x-a",
+        "x-b",
+        "x-c",
+        "x-request-id",
+    ];
+    let value = match rng.index(4) {
+        0 => (*rng.choose(&["GET", "*/*", "", "1", "2"])).to_string(),
+        1 => rand_printable(rng, 80),
+        _ => rand_lower(rng, 1, 3),
+    };
+    ((*rng.choose(&NAMES)).to_string(), value)
+}
+
+/// Hostile inputs derived from one valid encoding: the mutator both
+/// decoders' never-panic sweeps share. Random bytes; the encoding with
+/// a byte flipped; truncated; and with an integer inflated to the
+/// 62-bit cap at a random offset (all prefix bits set, then nine
+/// continuation octets — the largest integer QPACK accepts and far
+/// past HPACK's limit; on a length prefix it promises ~2^63 octets).
+fn hostile_variants(rng: &mut SimRng, valid: &[u8]) -> Vec<Vec<u8>> {
+    let mut out = vec![rand_bytes(rng, 256)];
+    if valid.is_empty() {
+        return out;
+    }
+    let mut flipped = valid.to_vec();
+    flipped[rng.index(valid.len())] ^= 1 << rng.index(8);
+    out.push(flipped);
+    out.push(valid[..rng.index(valid.len())].to_vec());
+    let at = rng.index(valid.len());
+    let mut inflated = valid[..=at].to_vec();
+    inflated[at] |= 0x7f;
+    inflated.extend_from_slice(&[0xff; 8]);
+    inflated.push(0x7f);
+    inflated.extend_from_slice(&valid[at + 1..]);
+    out.push(inflated);
+    out
 }
 
 #[test]
@@ -128,41 +181,269 @@ fn hpack_roundtrips_header_lists() {
         let mut dec = Decoder::new();
         let block = enc.encode(&headers);
         let out = dec.decode(&block).expect("self-encoded block decodes");
-        assert_eq!(out.len(), headers.len());
-        for (a, b) in out.iter().zip(&headers) {
-            assert_eq!(&a.name, &b.name);
-            assert_eq!(&a.value, &b.value);
+        assert_eq!(out, headers);
+    }
+}
+
+/// One HPACK encoder/decoder pair per (round, table size) across many
+/// blocks: `body` sees every valid block after the in-sync decoder
+/// returned exactly the headers that went in.
+fn hpack_streams(seed: u64, mut body: impl FnMut(&mut SimRng, &[u8])) {
+    let mut rng = SimRng::seed_from_u64(seed);
+    for round in 0..32 {
+        for size in TABLE_SIZES {
+            let mut enc = Encoder::new();
+            let mut dec = Decoder::new();
+            enc.use_huffman = rng.chance(0.5);
+            enc.set_max_table_size(size);
+            for _ in 0..rng.range_u64(1, 8) {
+                let headers: Vec<Header> = (0..rng.index(8))
+                    .map(|_| {
+                        if round % 2 == 0 {
+                            rand_header(&mut rng)
+                        } else {
+                            let (name, value) = rand_pooled_field(&mut rng);
+                            Header::new(&name, &value)
+                        }
+                    })
+                    .collect();
+                let block = enc.encode(&headers);
+                let out = dec.decode(&block).expect("stream stays in sync");
+                assert_eq!(out, headers, "table size {size}");
+                assert_eq!(dec.table_size(), enc.table_size());
+                assert!(enc.table_size() <= size);
+                body(&mut rng, &block);
+            }
+            assert_eq!(dec.evictions(), enc.evictions(), "table size {size}");
         }
     }
 }
 
 #[test]
 fn hpack_stateful_stream_roundtrips() {
-    let mut rng = SimRng::seed_from_u64(0x48504B32);
-    for _ in 0..64 {
-        // One encoder/decoder pair across many blocks: dynamic-table
-        // state must stay synchronized.
-        let mut enc = Encoder::new();
-        let mut dec = Decoder::new();
-        for _ in 0..rng.range_u64(1, 6) {
-            let headers: Vec<Header> = (0..rng.index(8)).map(|_| rand_header(&mut rng)).collect();
-            let block = enc.encode(&headers);
-            let out = dec.decode(&block).expect("stream stays in sync");
-            assert_eq!(out.len(), headers.len());
-            for (a, b) in out.iter().zip(&headers) {
-                assert_eq!(&a.name, &b.name);
-                assert_eq!(&a.value, &b.value);
+    hpack_streams(0x48504B32, |_, _| {});
+}
+
+#[test]
+fn hpack_decoder_never_panics() {
+    // A decoder that keeps whatever state the hostile input left it
+    // in: later variants meet a populated, possibly resized table.
+    let mut victim = Decoder::new();
+    hpack_streams(0x48504B33, |rng, block| {
+        for bytes in hostile_variants(rng, block) {
+            let _ = victim.decode(&bytes);
+        }
+    });
+}
+
+/// The QPACK twin of [`hpack_streams`]: `body` sees each request's
+/// valid encoder-stream bytes and field section.
+fn qpack_streams(seed: u64, mut body: impl FnMut(&mut SimRng, usize, &[u8], &[u8])) {
+    let mut rng = SimRng::seed_from_u64(seed);
+    for _ in 0..32 {
+        for size in TABLE_SIZES {
+            let mut enc = QpackEncoder::with_table_size(size);
+            let mut dec = QpackDecoder::with_table_size(size);
+            for _ in 0..rng.range_u64(1, 8) {
+                let fields: Vec<Field> = (0..rng.index(8))
+                    .map(|_| {
+                        let (name, value) = rand_pooled_field(&mut rng);
+                        Field::new(&name, &value)
+                    })
+                    .collect();
+                let out = enc.encode(&fields);
+                dec.apply_instructions(&out.instructions)
+                    .expect("own instructions apply");
+                let got = dec.decode(&out.section).expect("stream stays in sync");
+                assert_eq!(got, fields, "table size {size}");
+                assert_eq!(dec.insert_count(), enc.instructions());
+                assert!(enc.table_size() <= size);
+                body(&mut rng, size, &out.instructions, &out.section);
             }
+            assert_eq!(dec.evictions(), enc.evictions(), "table size {size}");
         }
     }
 }
 
 #[test]
-fn hpack_decoder_never_panics() {
-    let mut rng = SimRng::seed_from_u64(0x48504B33);
-    for _ in 0..512 {
-        let mut dec = Decoder::new();
-        let _ = dec.decode(&rand_bytes(&mut rng, 256));
+fn qpack_stateful_stream_roundtrips() {
+    qpack_streams(0x51504B32, |_, _, _, _| {});
+}
+
+#[test]
+fn qpack_decoder_never_panics() {
+    qpack_streams(0x51504B33, |rng, size, instructions, section| {
+        // Fresh victims at the stream's table size, warmed with the
+        // valid instructions so hostile sections meet live entries.
+        let mut victim = QpackDecoder::with_table_size(size);
+        let _ = victim.apply_instructions(instructions);
+        for bytes in hostile_variants(rng, section) {
+            let _ = victim.decode(&bytes);
+        }
+        for bytes in hostile_variants(rng, instructions) {
+            let _ = victim.apply_instructions(&bytes);
+            let _ = victim.decode(section);
+        }
+    });
+}
+
+/// Linear-scan model of the dynamic table: live entries oldest first,
+/// each with its absolute index.
+#[derive(Default)]
+struct TableOracle {
+    live: Vec<(u64, Entry)>,
+    max_size: usize,
+    inserted: u64,
+    dropped: u64,
+}
+
+impl TableOracle {
+    fn size(&self) -> usize {
+        self.live.iter().map(|(_, e)| e.size()).sum()
+    }
+
+    fn evict(&mut self) {
+        while self.size() > self.max_size {
+            self.live.remove(0);
+            self.dropped += 1;
+        }
+    }
+
+    fn insert(&mut self, e: Entry) -> Option<u64> {
+        if e.size() > self.max_size {
+            return None;
+        }
+        self.live.push((self.inserted, e));
+        self.inserted += 1;
+        self.evict();
+        Some(self.inserted - 1)
+    }
+
+    /// Most recent live entry matching `name` (and `value`, if given).
+    fn scan(&self, name: &str, value: Option<&str>) -> Option<u64> {
+        self.live
+            .iter()
+            .rev()
+            .find(|(_, e)| e.name == name && value.is_none_or(|v| e.value == v))
+            .map(|&(abs, _)| abs)
+    }
+}
+
+type StaticTable = &'static [(&'static str, &'static str)];
+
+/// First-occurrence scan of a static table, as a wire index.
+fn scan_static(
+    statics: StaticTable,
+    base: usize,
+    name: &str,
+    value: Option<&str>,
+) -> Option<usize> {
+    statics
+        .iter()
+        .position(|&(n, v)| n == name && value.is_none_or(|want| v == want))
+        .map(|i| i + base)
+}
+
+#[test]
+fn field_table_views_agree_with_a_linear_scan() {
+    // One table, two address spaces: QPACK's absolute indices and
+    // HPACK's most-recent-first positions must describe the same
+    // entries, and the hashed lookups must agree with a linear scan
+    // of both static tables and of the live entries — while inserts
+    // continuously evict, capacities change, and after clear().
+    let qpack_index = StaticIndex::new(&qpack::STATIC_TABLE, 0);
+    let codecs: [(&StaticIndex, StaticTable, usize); 2] = [
+        (&table::STATIC_INDEX, &table::STATIC_TABLE, 1),
+        (&qpack_index, &qpack::STATIC_TABLE, 0),
+    ];
+    let check = |t: &DynamicTable, o: &TableOracle| {
+        assert_eq!(t.len(), o.live.len());
+        assert_eq!(t.size(), o.size());
+        assert_eq!(t.insert_count(), o.inserted);
+        assert_eq!(t.evictions(), o.dropped);
+        // The two views, entry by entry.
+        for (i, (abs, e)) in o.live.iter().enumerate() {
+            let position = o.live.len() - 1 - i;
+            assert_eq!(t.get_absolute(*abs), Some(e));
+            assert_eq!(t.position(*abs), position);
+            assert_eq!(t.get(position), Some(e));
+            let wire = table::STATIC_TABLE.len() + 1 + position;
+            assert_eq!(table::wire_index(t, TableRef::Dynamic(*abs)), wire);
+            assert_eq!(table::lookup(t, wire).as_ref(), Some(e));
+        }
+        assert_eq!(t.get(o.live.len()), None);
+        assert_eq!(t.get_absolute(o.inserted), None);
+        if let Some(evicted) = (o.inserted - o.live.len() as u64).checked_sub(1) {
+            assert_eq!(t.get_absolute(evicted), None);
+        }
+        // Lookups: every live pair, a missing value under every live
+        // name, every entry of both static tables (duplicate names
+        // must resolve to their first occurrence), and a total miss.
+        let mut probes: Vec<(&str, &str)> = vec![("x-absent", "")];
+        for (_, e) in &o.live {
+            probes.push((&e.name, &e.value));
+            probes.push((&e.name, "no-such-value"));
+        }
+        probes.extend(table::STATIC_TABLE.iter().copied());
+        probes.extend(qpack::STATIC_TABLE.iter().copied());
+        for (name, value) in probes {
+            assert_eq!(t.find(name, value), o.scan(name, Some(value)));
+            assert_eq!(t.find_name(name), o.scan(name, None));
+            for (index, statics, base) in codecs {
+                let want_exact = scan_static(statics, base, name, Some(value))
+                    .map(TableRef::Static)
+                    .or_else(|| o.scan(name, Some(value)).map(TableRef::Dynamic));
+                let want_name = scan_static(statics, base, name, None)
+                    .map(TableRef::Static)
+                    .or_else(|| o.scan(name, None).map(TableRef::Dynamic));
+                assert_eq!(
+                    table::find_indices(index, t, name, value),
+                    (want_exact, want_name),
+                    "{name}: {value} (static base {base})"
+                );
+            }
+        }
+    };
+
+    let mut rng = SimRng::seed_from_u64(0x7AB1E);
+    for _ in 0..24 {
+        // 34–42-octet entries: three to five fit, so most inserts evict.
+        let max_size = *rng.choose(&[102usize, 136, 160]);
+        let mut t = DynamicTable::new(max_size);
+        let mut o = TableOracle {
+            max_size,
+            ..Default::default()
+        };
+        check(&t, &o);
+        for _ in 0..60 {
+            match rng.index(16) {
+                0 => {
+                    t.clear();
+                    o.dropped += o.live.len() as u64;
+                    o.live.clear();
+                }
+                1 => {
+                    o.max_size = *rng.choose(&[40usize, 80, 102, 160]);
+                    t.set_max_size(o.max_size);
+                    o.evict();
+                }
+                _ => {
+                    // Few names and values: duplicates, exact repeats,
+                    // names that shadow static entries, and the odd
+                    // entry larger than the whole table (refused).
+                    let name = *rng.choose(&["x-a", "x-b", ":method", "cookie", "accept"]);
+                    let value = match rng.index(8) {
+                        0 => "v".repeat(160),
+                        1 => "GET".to_string(),
+                        _ => rng.index(3).to_string(),
+                    };
+                    let e = Entry::new(name, &value);
+                    assert_eq!(t.insert(e.clone()), o.insert(e));
+                }
+            }
+            check(&t, &o);
+        }
+        assert!(t.evictions() > 20);
     }
 }
 
