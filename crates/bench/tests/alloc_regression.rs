@@ -23,10 +23,24 @@
 //! must stay within [`MAX_TRACED_EXTRA_ALLOCS_PER_VISIT`] of the
 //! untraced count.
 //!
+//! The §5 active measurement is held to the same rule. Its world —
+//! sites, certificates, host index — is the `SampleGroup`'s; a worker
+//! owns a `CdnEnv` view, a `VisitArena` and one `Page` it writes every
+//! site's page over. When each worker's `CdnEnv` rebuilt two host maps
+//! per arm, every connection deep-cloned its certificate, every DNS
+//! answer was a fresh `Arc` and every visit built its page from
+//! nothing, a visit allocated 31 / 38 / 32 times (IP-aligned / ORIGIN
+//! / baseline, whole `run_both_threads` ÷ visits); it measures 4 / 11
+//! / 11. What is left: the `OriginSet` built per ORIGIN-mode
+//! connection, baseline's one-address answer per query, the issuer
+//! string on each `RequestTiming`, and path strings of a page larger
+//! than the one before it.
+//!
 //! Allocation counts are only meaningful if no other test mutates the
 //! counters concurrently, so this file holds exactly one `#[test]`.
 
 use origin_browser::{BrowserKind, PageLoader, UniverseEnv, VisitArena};
+use origin_cdn::{ActiveMeasurement, DeploymentMode, SampleGroup};
 use origin_netsim::SimRng;
 use origin_webgen::{Dataset, DatasetConfig, PageScratch, SiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,6 +80,14 @@ const MAX_PAGE_ALLOCS_PER_VISIT: u64 = 8;
 const MAX_LOAD_ALLOCS_PER_VISIT: u64 = 64;
 /// What tracing a visit may add to its load's allocations.
 const MAX_TRACED_EXTRA_ALLOCS_PER_VISIT: u64 = 8;
+/// Per-visit ceilings on a whole single-thread §5 `run_both_threads`
+/// (worker set-up and result merge included) over the paper's
+/// 5,000-candidate group, by deployment.
+const MAX_S5_ALLOCS_PER_VISIT: [(DeploymentMode, BrowserKind, u64); 3] = [
+    (DeploymentMode::IpAligned, BrowserKind::Firefox, 6),
+    (DeploymentMode::OriginFrames, BrowserKind::FirefoxOrigin, 14),
+    (DeploymentMode::Baseline, BrowserKind::Firefox, 14),
+];
 
 #[test]
 fn steady_state_crawl_allocations_stay_bounded() {
@@ -156,4 +178,20 @@ fn steady_state_crawl_allocations_stay_bounded() {
          (allowed extra {MAX_TRACED_EXTRA_ALLOCS_PER_VISIT}): an emission site went back to \
          building a `String` or a `Vec` per event"
     );
+
+    let group = SampleGroup::build(5_000, &mut SimRng::seed_from_u64(0x516));
+    for (mode, browser, ceiling) in MAX_S5_ALLOCS_PER_VISIT {
+        let a0 = allocs();
+        let (exp, ctl) = ActiveMeasurement { mode, browser }.run_both_threads(&group, 42, 1);
+        let spent = allocs() - a0;
+        let visits = exp.new_connections.total() + ctl.new_connections.total();
+        assert_eq!(visits, group.sites.len() as u64);
+        let per_visit = spent as f64 / visits as f64;
+        println!("allocations per §5 visit, {mode:?}: {per_visit:.1}");
+        assert!(
+            per_visit <= ceiling as f64,
+            "a {mode:?} visit allocates {per_visit:.1} times (ceiling {ceiling}): the worker \
+             rebuilt part of the sample world, or stopped recycling its page"
+        );
+    }
 }

@@ -33,16 +33,11 @@ pub trait WebEnv {
         self.resolve(host, now, rng)
     }
 
-    /// The certificate the server presents for connections to `host`.
-    fn cert_for(&self, host: &DnsName) -> Option<&Certificate>;
-
-    /// [`WebEnv::cert_for`] as a shared handle the loader can park on
-    /// a pooled connection. The default clones the certificate once;
-    /// environments that store certificates Arc-shared (the crawl
-    /// universe) override it with a refcount bump.
-    fn cert_shared(&self, host: &DnsName) -> Option<std::sync::Arc<Certificate>> {
-        self.cert_for(host).map(|c| std::sync::Arc::new(c.clone()))
-    }
+    /// The certificate the server presents for connections to `host`,
+    /// as the shared handle the loader parks on a pooled connection.
+    /// Called once per new connection: environments keep their
+    /// certificates `Arc`-shared so this is a refcount bump.
+    fn cert_shared(&self, host: &DnsName) -> Option<std::sync::Arc<Certificate>>;
 
     /// Origin AS of an address.
     fn asn_of_ip(&self, ip: &IpAddr) -> u32;
@@ -217,10 +212,6 @@ impl WebEnv for UniverseEnv<'_> {
             .resolve_traced(&self.dataset.universe.zones, host, now, rng, Some(tracer))
     }
 
-    fn cert_for(&self, host: &DnsName) -> Option<&Certificate> {
-        self.dataset.universe.cert_for(host)
-    }
-
     fn cert_shared(&self, host: &DnsName) -> Option<std::sync::Arc<Certificate>> {
         self.dataset.universe.cert_shared(host)
     }
@@ -251,7 +242,7 @@ impl WebEnv for UniverseEnv<'_> {
         // An ORIGIN-enabled provider advertises the connected host
         // plus its sibling names on this certificate — the least-
         // effort configuration §4.3 ends at.
-        let cert = self.cert_for(host)?;
+        let cert = self.dataset.universe.cert_for(host)?;
         let mut set = OriginSet::from_hosts([host.as_str()]);
         for san in &cert.sans {
             if !san.is_wildcard() {

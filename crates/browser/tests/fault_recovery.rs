@@ -54,9 +54,6 @@ impl WebEnv for MiniEnv {
             latency: SimDuration::from_millis(10),
         })
     }
-    fn cert_for(&self, _host: &DnsName) -> Option<&Certificate> {
-        Some(&self.cert)
-    }
     fn cert_shared(&self, _host: &DnsName) -> Option<std::sync::Arc<Certificate>> {
         Some(self.cert.clone())
     }

@@ -16,6 +16,7 @@ use origin_metrics::Registry;
 use origin_netsim::SimRng;
 use origin_obs::VisitSinks;
 use origin_stats::{Cdf, Histogram};
+use origin_web::Page;
 
 /// Outcome of one arm of the active measurement.
 #[derive(Debug, Clone, Default)]
@@ -42,25 +43,17 @@ impl ActiveResult {
 
     /// Visit `site` once with a fresh browser session and fold the
     /// load into this arm's results.
-    fn visit(
-        &mut self,
-        loader: &PageLoader,
-        env: &mut CdnEnv<'_>,
-        arena: &mut VisitArena,
-        site: &SampleSite,
-        seed: u64,
-        third_party: &DnsName,
-    ) {
-        let page = site.page();
+    fn visit(&mut self, w: &mut Worker<'_>, site: &SampleSite, seed: u64, third_party: &DnsName) {
+        site.page_into(&mut w.page, third_party);
         let mut rng = SimRng::seed_from_u64(seed ^ site.page_seed);
-        let load = loader.load_observed(
-            &page,
-            env,
+        let load = w.loader.load_observed(
+            &w.page,
+            &mut w.env,
             &mut rng,
             None,
             Some(&mut self.metrics),
             None,
-            arena,
+            &mut w.arena,
             VisitSinks::default(),
         );
         self.new_connections
@@ -71,11 +64,11 @@ impl ActiveResult {
             .requests
             .iter()
             .filter(|r| r.coalesced)
-            .map(|r| page.resources[r.resource_index].size)
+            .map(|r| w.page.resources[r.resource_index].size)
             .sum();
         self.metrics
             .add("cdn.active.coalesced_bytes", coalesced_bytes);
-        arena.recycle(load);
+        w.arena.recycle(load);
     }
 
     /// Fraction of visits with exactly `n` new connections.
@@ -106,6 +99,16 @@ impl ActiveResult {
     pub fn median_plt(&self) -> f64 {
         origin_stats::median(&self.plt_ms).unwrap_or(0.0)
     }
+}
+
+/// What one measurement worker owns: its view of the shared sample
+/// world, and the buffers every visit writes over. Between visits they
+/// keep capacity, never contents.
+struct Worker<'a> {
+    env: CdnEnv<'a>,
+    loader: PageLoader,
+    arena: VisitArena,
+    page: Page,
 }
 
 /// The active-measurement harness.
@@ -153,17 +156,16 @@ impl ActiveMeasurement {
         origin_netsim::fold_chunks(
             &sites,
             threads,
-            || {
-                (
-                    CdnEnv::new(group, self.mode),
-                    PageLoader::new(self.browser),
-                    VisitArena::new(),
-                )
+            || Worker {
+                env: CdnEnv::new(group, self.mode),
+                loader: PageLoader::new(self.browser),
+                arena: VisitArena::new(),
+                page: Page::new(1, third_party.clone(), 0),
             },
-            |(env, loader, arena), chunk| {
+            |worker, chunk| {
                 let mut result = ActiveResult::default();
                 for site in chunk {
-                    result.visit(loader, env, arena, site, seed, &third_party);
+                    result.visit(worker, site, seed, &third_party);
                 }
                 result
             },
@@ -213,6 +215,7 @@ impl ActiveMeasurement {
     ) -> usize {
         use origin_h2::{Connection, Settings};
         let origin_mode = self.mode == DeploymentMode::OriginFrames;
+        let third_party = name(THIRD_PARTY_HOST);
         let mut matched = 0;
         for (site_no, site) in group.sites.iter().take(n).enumerate() {
             let mut edge = EdgeServer::for_site(site, origin_mode);
@@ -250,7 +253,7 @@ impl ActiveMeasurement {
             let wire_allows = client.origin_allows(THIRD_PARTY_HOST);
             let expected = origin_mode && site.treatment == Treatment::Experiment;
             // The browser model additionally checks the certificate.
-            let cert_covers = site.cert.covers(&name(THIRD_PARTY_HOST));
+            let cert_covers = site.cert.covers(&third_party);
             if wire_allows == expected && cert_covers == (site.treatment == Treatment::Experiment) {
                 matched += 1;
             }

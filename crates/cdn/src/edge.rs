@@ -17,8 +17,9 @@ use origin_tls::Certificate;
 pub struct EdgeServer {
     /// The underlying protocol endpoint.
     pub conn: Connection,
-    /// The certificate presented during the (modelled) TLS handshake.
-    pub cert: Certificate,
+    /// The certificate presented during the (modelled) TLS handshake:
+    /// the site's own handle.
+    pub cert: std::sync::Arc<Certificate>,
     /// Requests served so far.
     pub served: u64,
     /// 421 responses issued.

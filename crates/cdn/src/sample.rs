@@ -1,10 +1,14 @@
 //! The sample group and the Figure 6 certificate setup.
 
+use crate::env::ADDRESS_PLAN_SITES;
 use origin_dns::name::name;
 use origin_dns::DnsName;
+use origin_intern::FxHashMap;
 use origin_netsim::SimRng;
 use origin_tls::{Certificate, CertificateAuthority, CtLogSet, KnownIssuer};
-use origin_web::{ContentType, FetchMode, Page, Resource};
+use origin_trace::push_u64;
+use origin_web::{ContentType, FetchMode, Page, Protocol, Resource};
+use std::sync::Arc;
 
 /// The coalesced third-party domain. In the paper this is a domain
 /// "used by ∼50% of the top 1M websites … over 5 Billion daily
@@ -33,8 +37,9 @@ pub struct SampleSite {
     pub host: DnsName,
     /// Treatment arm.
     pub treatment: Treatment,
-    /// The certificate currently served (reissued at setup).
-    pub cert: Certificate,
+    /// The certificate currently served (reissued at setup); every
+    /// connection to the site shares this handle.
+    pub cert: Arc<Certificate>,
     /// How this page requests the third party. The §5.3 discovery:
     /// `crossorigin=anonymous` and XHR/fetch subresource requests do
     /// not coalesce.
@@ -49,53 +54,81 @@ impl SampleSite {
     /// Build this site's page: root + a few first-party resources +
     /// its third-party requests.
     pub fn page(&self) -> Page {
-        let mut rng = SimRng::seed_from_u64(self.page_seed);
         let mut page = Page::new(1, self.host.clone(), 12_000);
-        let n_fp = 3 + rng.index(6);
-        for i in 0..n_fp {
-            let ct = if i == 0 {
-                ContentType::Css
-            } else {
-                ContentType::Javascript
-            };
-            page.push(Resource::new(
-                self.host.clone(),
-                format!("/assets/fp{i}.bin"),
-                ct,
-                8_000 + i as u64 * 1_000,
-            ));
-        }
+        self.page_into(&mut page, &name(THIRD_PARTY_HOST));
+        page
+    }
+
+    /// [`SampleSite::page`] written over `page`, whatever it held: a
+    /// measurement worker keeps one `Page`, so resource slots and path
+    /// strings keep their capacity from visit to visit. Every slot is
+    /// replaced whole; only its path buffer is reused. `third_party`
+    /// is [`THIRD_PARTY_HOST`], parsed once by the caller.
+    pub fn page_into(&self, page: &mut Page, third_party: &DnsName) {
+        let mut rng = SimRng::seed_from_u64(self.page_seed);
+        let first_tp = 1 + 3 + rng.index(6);
         // A tail of sites never fires the third-party tag from the
         // landing page (consent banners, lazy loading) — the source
         // of the paper's ~9%/6% zero-connection *control* visits.
         let tag_blocked = rng.chance(0.08);
-        for j in 0..self.third_party_requests {
-            // Secondary requests occasionally go through a different
-            // fetch path (a beacon via fetch() next to the script
-            // tag), which lands in another connection pool partition.
-            let fetch = if j > 0 && rng.chance(0.12) {
-                FetchMode::XhrFetch
-            } else {
-                self.third_party_fetch
+        page.rank = 1;
+        page.root_host = self.host.clone();
+        page.legacy = false;
+        page.h3 = false;
+        let len = first_tp + self.third_party_requests as usize;
+        let filler = || Resource::new(third_party.clone(), "", ContentType::Other, 0);
+        page.resources.resize_with(len, filler);
+        for (at, slot) in page.resources.iter_mut().enumerate() {
+            let mut path = std::mem::take(&mut slot.path);
+            path.clear();
+            // `push_u64`, not `write!`: with eight or nine paths a visit
+            // the formatter costs more than the rest of this function.
+            *slot = match at.checked_sub(first_tp) {
+                None if at == 0 => {
+                    path.push('/');
+                    Resource::new(self.host.clone(), path, ContentType::Html, 12_000)
+                }
+                None => {
+                    let i = at - 1;
+                    let ct = if i == 0 {
+                        ContentType::Css
+                    } else {
+                        ContentType::Javascript
+                    };
+                    path.push_str("/assets/fp");
+                    push_u64(&mut path, i as u64);
+                    path.push_str(".bin");
+                    Resource::new(self.host.clone(), path, ct, 8_000 + i as u64 * 1_000)
+                }
+                Some(j) => {
+                    // Secondary requests occasionally go through a different
+                    // fetch path (a beacon via fetch() next to the script
+                    // tag), which lands in another connection pool partition.
+                    let fetch = if j > 0 && rng.chance(0.12) {
+                        FetchMode::XhrFetch
+                    } else {
+                        self.third_party_fetch
+                    };
+                    path.push_str("/ajax/libs/lib");
+                    push_u64(&mut path, j as u64);
+                    path.push_str(".min.js");
+                    let mut r =
+                        Resource::new(third_party.clone(), path, ContentType::Javascript, 15_000)
+                            .discovered_by(1)
+                            .fetch_mode(fetch);
+                    if tag_blocked {
+                        r.protocol = Protocol::NA;
+                    }
+                    r
+                }
             };
-            let mut r = Resource::new(
-                name(THIRD_PARTY_HOST),
-                format!("/ajax/libs/lib{j}.min.js"),
-                ContentType::Javascript,
-                15_000,
-            )
-            .discovered_by(1)
-            .fetch_mode(fetch);
-            if tag_blocked {
-                r.protocol = origin_web::Protocol::NA;
-            }
-            page.push(r);
         }
-        page
     }
 }
 
-/// The assembled sample group.
+/// The assembled sample group: the immutable §5 world. Everything
+/// that is a function of the sample alone — sites, certificates, the
+/// host index — is built here once; measurement workers borrow it.
 pub struct SampleGroup {
     /// Sites in the study (after the subpage-only filter).
     pub sites: Vec<SampleSite>,
@@ -104,16 +137,28 @@ pub struct SampleGroup {
     pub removed_subpage_only: u32,
     /// CT logs that received the reissues.
     pub ct_logs: CtLogSet,
+    /// The certificate [`THIRD_PARTY_HOST`] itself serves.
+    pub(crate) third_party_cert: Arc<Certificate>,
+    /// Host → position in `sites`.
+    index: FxHashMap<DnsName, u32>,
 }
 
 impl SampleGroup {
     /// Build the sample: `n` candidate domains (paper: 5000), the
     /// subpage-only filter, random treatment assignment, and the
-    /// equal-byte certificate reissue.
+    /// equal-byte certificate reissue. Panics if `n` exceeds
+    /// [`ADDRESS_PLAN_SITES`]: every site needs an address of its own.
     pub fn build(n: u32, rng: &mut SimRng) -> SampleGroup {
+        assert!(
+            n as usize <= ADDRESS_PLAN_SITES,
+            "SampleGroup::build({n}): the deployment's address plan holds {ADDRESS_PLAN_SITES} sites"
+        );
         let mut ca = CertificateAuthority::new(KnownIssuer::CloudflareEcc);
         let mut ct = CtLogSet::default_operators();
+        let third_party = name(THIRD_PARTY_HOST);
+        let decoy = name(CONTROL_DECOY_HOST);
         let mut sites = Vec::new();
+        let mut index = FxHashMap::with_capacity_and_hasher(n as usize, Default::default());
         let mut removed = 0;
         for i in 0..n {
             // 22% of candidates only request the third party from
@@ -129,8 +174,8 @@ impl SampleGroup {
                 Treatment::Control
             };
             let added = match treatment {
-                Treatment::Experiment => name(THIRD_PARTY_HOST),
-                Treatment::Control => name(CONTROL_DECOY_HOST),
+                Treatment::Experiment => third_party.clone(),
+                Treatment::Control => decoy.clone(),
             };
             let cert = ca
                 .issue(
@@ -151,20 +196,33 @@ impl SampleGroup {
             } else {
                 FetchMode::CorsAnonymous
             };
+            index.insert(host.clone(), sites.len() as u32);
             sites.push(SampleSite {
                 host,
                 treatment,
-                cert,
+                cert: Arc::new(cert),
                 third_party_fetch,
                 third_party_requests: 1 + rng.index(3) as u32,
                 page_seed: rng.next_u64(),
             });
         }
+        // Not one of the study's reissues: its own CA, its own logs.
+        let mut logs = CtLogSet::default_operators();
+        let third_party_cert = CertificateAuthority::new(KnownIssuer::CloudflareEcc)
+            .issue(third_party, &[name("*.cloudflare.com")], 0, &mut logs)
+            .expect("third-party cert");
         SampleGroup {
             sites,
             removed_subpage_only: removed,
             ct_logs: ct,
+            third_party_cert: Arc::new(third_party_cert),
+            index,
         }
+    }
+
+    /// Position in `sites` of the study site serving `host`.
+    pub(crate) fn index_of(&self, host: &DnsName) -> Option<usize> {
+        self.index.get(host).map(|&i| i as usize)
     }
 
     /// Sites in one arm.
@@ -266,6 +324,87 @@ mod tests {
         assert_eq!(page.resources[0].host, s.host);
         // Deterministic regeneration.
         assert_eq!(s.page(), page);
+    }
+
+    /// [`SampleSite::page`] as it was before `page_into` replaced it,
+    /// verbatim: builds every page from nothing.
+    fn page_oracle(site: &SampleSite) -> Page {
+        let mut rng = SimRng::seed_from_u64(site.page_seed);
+        let mut page = Page::new(1, site.host.clone(), 12_000);
+        let n_fp = 3 + rng.index(6);
+        for i in 0..n_fp {
+            let ct = if i == 0 {
+                ContentType::Css
+            } else {
+                ContentType::Javascript
+            };
+            page.push(Resource::new(
+                site.host.clone(),
+                format!("/assets/fp{i}.bin"),
+                ct,
+                8_000 + i as u64 * 1_000,
+            ));
+        }
+        let tag_blocked = rng.chance(0.08);
+        for j in 0..site.third_party_requests {
+            let fetch = if j > 0 && rng.chance(0.12) {
+                FetchMode::XhrFetch
+            } else {
+                site.third_party_fetch
+            };
+            let mut r = Resource::new(
+                name(THIRD_PARTY_HOST),
+                format!("/ajax/libs/lib{j}.min.js"),
+                ContentType::Javascript,
+                15_000,
+            )
+            .discovered_by(1)
+            .fetch_mode(fetch);
+            if tag_blocked {
+                r.protocol = origin_web::Protocol::NA;
+            }
+            page.push(r);
+        }
+        page
+    }
+
+    /// A recycled page carries nothing over: one `Page` written by
+    /// every site in order and then in reverse equals the page built
+    /// from nothing each time.
+    #[test]
+    fn recycled_page_equals_fresh_page() {
+        let g = group();
+        let third_party = name(THIRD_PARTY_HOST);
+        let fresh: Vec<Page> = g.sites.iter().map(page_oracle).collect();
+        let mut page = Page::new(9, third_party.clone(), 1);
+        page.legacy = true;
+        page.h3 = true;
+        // What each kind of leak needs to show: the slot kinds that
+        // followed each other somewhere in the two sweeps.
+        let (mut shrank, mut unblocked, mut xhr_to_normal, mut tp_to_fp) = (0, 0, 0, 0);
+        for i in (0..g.sites.len()).chain((0..g.sites.len()).rev()) {
+            let before = page.clone();
+            g.sites[i].page_into(&mut page, &third_party);
+            assert_eq!(page, fresh[i], "site {i} after {}", before.root_host);
+            assert_eq!(g.sites[i].page(), fresh[i]);
+            shrank += (page.resources.len() < before.resources.len()) as u32;
+            for (new, old) in page.resources.iter().zip(&before.resources) {
+                unblocked += (old.protocol == Protocol::NA && new.protocol == Protocol::H2) as u32;
+                xhr_to_normal += (old.fetch_mode == FetchMode::XhrFetch
+                    && new.fetch_mode == FetchMode::Normal) as u32;
+                tp_to_fp += (old.discovered_by.is_some() && new.discovered_by.is_none()) as u32;
+            }
+        }
+        assert!(shrank > 100, "large page then small: {shrank}");
+        assert!(unblocked > 100, "NA slot reused as H2: {unblocked}");
+        assert!(
+            xhr_to_normal > 100,
+            "XhrFetch slot reused as Normal: {xhr_to_normal}"
+        );
+        assert!(
+            tp_to_fp > 100,
+            "third-party slot reused first-party: {tp_to_fp}"
+        );
     }
 
     #[test]

@@ -37,8 +37,9 @@ fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[clean..]);
 }
 
-/// Append `n` in decimal.
-fn push_u64(out: &mut String, mut n: u64) {
+/// Append `n` in decimal: what `write!(out, "{n}")` appends, without
+/// the formatter.
+pub fn push_u64(out: &mut String, mut n: u64) {
     let mut digits = [b'0'; 20];
     let mut at = digits.len();
     loop {
