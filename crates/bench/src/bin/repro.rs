@@ -1091,15 +1091,13 @@ fn table6(r: &CrawlResults) {
         &["ASN", "Content Type", "#Req", "%"],
     );
     for e in r.characterization.as_requests.top(3) {
-        if let Some(topk) = r.characterization.as_content.get(&e.key) {
-            for c in topk.top(4) {
-                t.row(&[
-                    format!("{} (AS {})", asn_label(e.key), e.key),
-                    c.key.to_string(),
-                    c.count.to_string(),
-                    format!("{:.2}", c.percent),
-                ]);
-            }
+        for c in r.characterization.as_content(e.key).top(4) {
+            t.row(&[
+                format!("{} (AS {})", asn_label(e.key), e.key),
+                c.key.to_string(),
+                c.count.to_string(),
+                format!("{:.2}", c.percent),
+            ]);
         }
     }
     println!("{}", t.render());

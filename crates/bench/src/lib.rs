@@ -39,7 +39,8 @@ pub struct SeriesSamples {
 }
 
 impl SeriesSamples {
-    fn push(&mut self, dns: u64, tls: u64, plt: f64) {
+    /// Append one page's sample.
+    pub fn push(&mut self, dns: u64, tls: u64, plt: f64) {
         self.dns.push(dns as f64);
         self.tls.push(tls as f64);
         self.plt.push(plt);
@@ -290,9 +291,9 @@ impl<'d> Worker<'d> {
         );
         let resolver_stats = self.env.take_resolver_stats();
         resolver_stats.record_into(&mut acc.metrics);
-        acc.characterization.add(&page, &load);
+        let totals = acc.characterization.add(&page, &load);
         acc.measured
-            .push(load.dns_queries(), load.tls_connections(), load.plt());
+            .push(totals.dns_queries, totals.tls_connections, totals.plt_ms);
 
         // §4.2: model predictions via timeline reconstruction (counts
         // only — the reconstructed timelines themselves are not kept).

@@ -1,20 +1,28 @@
 //! Allocation-count regression gate for the steady-state crawl path.
 //!
 //! A counting global allocator measures per-visit heap allocations in
-//! the two hot phases — page materialization through a recycled
-//! [`PageScratch`] and the simulated load through a recycled
-//! [`VisitArena`] — and asserts they stay under recorded ceilings.
+//! the three phases of a crawled site — page materialization through a
+//! recycled [`PageScratch`], the simulated load through a recycled
+//! [`VisitArena`], and the §3/§4 analysis of the result
+//! (`Characterization::add`, `predict_counts3`, `plan_site`,
+//! `PlanSummary::add`) — and asserts they stay under recorded
+//! ceilings.
 //!
 //! The ceilings document the arena work this crate's crawl loop
 //! relies on: before scratch/arena recycling the same loop averaged
 //! ~306 allocations per page build and ~206 per load; the recycled
 //! path measured ~6 and ~94 when it landed, 2 and 74 before the pool
-//! and the resolver cache stopped interning hostnames, and measures 2
-//! and 45 since (an interner allocated twice per hostname a worker had
-//! not met before, and a crawl keeps meeting new ones). The bounds
-//! below carry headroom for allocator-placement jitter, not for
-//! regressions — an accidental per-visit `Vec`/`String` revival trips
-//! them immediately.
+//! and the resolver cache stopped interning hostnames, 2 and 45 while
+//! a page still carried a rendered path `String` per resource and
+//! every new connection cloned its certificate's issuer text, and
+//! measures 0 and 29 since. The analysis measured 14.2 when it built a
+//! `Vec` of ASes, two hash sets and two `Vec`s of end times per page,
+//! and measures 3.8: what is left is the crawl meeting new keys (a
+//! self-hosted site is a new AS, a tail service a new hostname), the
+//! plan's additions and amortised growth of the sample vectors. The
+//! bounds below carry headroom for allocator-placement jitter, not
+//! for regressions — an accidental per-visit `Vec`/`String` revival
+//! trips them immediately.
 //!
 //! A traced load adds nothing to that on a warm tracer: recording an
 //! event is a few stores into arenas that already grew, where the
@@ -30,17 +38,21 @@
 //! per arm, every connection deep-cloned its certificate, every DNS
 //! answer was a fresh `Arc` and every visit built its page from
 //! nothing, a visit allocated 31 / 38 / 32 times (IP-aligned / ORIGIN
-//! / baseline, whole `run_both_threads` ÷ visits); it measures 4 / 11
-//! / 11. What is left: the `OriginSet` built per ORIGIN-mode
-//! connection, baseline's one-address answer per query, the issuer
-//! string on each `RequestTiming`, and path strings of a page larger
-//! than the one before it.
+//! / baseline, whole `run_both_threads` ÷ visits); with the world
+//! shared it measured 4.1 / 11.8 / 11.0, and measures 0.1 / 7.8 / 6.6
+//! now that neither an issuer string nor a path string is built per
+//! request. What is left: the `OriginSet` built per ORIGIN-mode
+//! connection and baseline's one-address answer per query.
 //!
 //! Allocation counts are only meaningful if no other test mutates the
 //! counters concurrently, so this file holds exactly one `#[test]`.
 
+use origin_bench::DEPLOYMENT_CDN_ASN;
 use origin_browser::{BrowserKind, PageLoader, UniverseEnv, VisitArena};
 use origin_cdn::{ActiveMeasurement, DeploymentMode, SampleGroup};
+use origin_core::certplan::{plan_site, PlanSummary};
+use origin_core::characterize::Characterization;
+use origin_core::model::predict_counts3;
 use origin_netsim::SimRng;
 use origin_webgen::{Dataset, DatasetConfig, PageScratch, SiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,19 +86,20 @@ fn allocs() -> u64 {
 }
 
 /// Per-visit allocation ceilings on the steady-state (warm scratch /
-/// warm arena) crawl path. Measured 2 page / 45 load; the margin
-/// absorbs hash-map growth timing, not behaviour change.
-const MAX_PAGE_ALLOCS_PER_VISIT: u64 = 8;
-const MAX_LOAD_ALLOCS_PER_VISIT: u64 = 64;
+/// warm arena) crawl path. Measured 0 page / 29 load / 3.8 analysis;
+/// the margin absorbs hash-map growth timing, not behaviour change.
+const MAX_PAGE_ALLOCS_PER_VISIT: u64 = 4;
+const MAX_LOAD_ALLOCS_PER_VISIT: u64 = 36;
+const MAX_ANALYSIS_ALLOCS_PER_VISIT: f64 = 8.0;
 /// What tracing a visit may add to its load's allocations.
 const MAX_TRACED_EXTRA_ALLOCS_PER_VISIT: u64 = 8;
 /// Per-visit ceilings on a whole single-thread §5 `run_both_threads`
 /// (worker set-up and result merge included) over the paper's
 /// 5,000-candidate group, by deployment.
 const MAX_S5_ALLOCS_PER_VISIT: [(DeploymentMode, BrowserKind, u64); 3] = [
-    (DeploymentMode::IpAligned, BrowserKind::Firefox, 6),
-    (DeploymentMode::OriginFrames, BrowserKind::FirefoxOrigin, 14),
-    (DeploymentMode::Baseline, BrowserKind::Firefox, 14),
+    (DeploymentMode::IpAligned, BrowserKind::Firefox, 2),
+    (DeploymentMode::OriginFrames, BrowserKind::FirefoxOrigin, 10),
+    (DeploymentMode::Baseline, BrowserKind::Firefox, 9),
 ];
 
 #[test]
@@ -103,10 +116,12 @@ fn steady_state_crawl_allocations_stay_bounded() {
     let mut metrics = origin_metrics::Registry::new();
     let mut scratch = PageScratch::new();
     let mut arena = VisitArena::new();
+    let mut characterization = Characterization::new(400, 500_000);
+    let mut plan = PlanSummary::default();
 
-    // One visit; returns the allocations of its page build and of its
+    // One visit; returns the allocations of its page build, of its
     // load (with `begin_visit`, when traced: the label is borrowed, as
-    // every value a call site hands the tracer is).
+    // every value a call site hands the tracer is) and of its analysis.
     let mut visit = |site: &SiteConfig, mut tracer: Option<&mut origin_trace::Tracer>| {
         let a0 = allocs();
         let page = dataset.page_for_with(site, &mut scratch);
@@ -128,9 +143,21 @@ fn steady_state_crawl_allocations_stay_bounded() {
         );
         let a2 = allocs();
         env.take_resolver_stats().record_into(&mut metrics);
+        let a3 = allocs();
+        characterization.add(&page, &load);
+        std::hint::black_box(predict_counts3(&page, &load, DEPLOYMENT_CDN_ASN));
+        let universe = &dataset.universe;
+        let root_asn = universe.asn_of_host(&site.root_host);
+        let site_plan = plan_site(&page, universe.cert_for(&site.root_host), |a, b| {
+            a.registrable_str() == b.registrable_str()
+                || (root_asn != 0 && root_asn == universe.asn_of_host(b))
+        });
+        plan.add(&site_plan);
+        drop(site_plan);
+        let a4 = allocs();
         scratch.recycle(page);
         arena.recycle(load);
-        (a1 - a0, a2 - a1)
+        (a1 - a0, a2 - a1, a4 - a3)
     };
 
     // Warm-up: let every recycled buffer and cache reach its
@@ -141,10 +168,12 @@ fn steady_state_crawl_allocations_stay_bounded() {
     }
     let mut page_allocs = 0u64;
     let mut load_allocs = 0u64;
+    let mut analysis_allocs = 0u64;
     for site in tail {
-        let (page, load) = visit(site, None);
+        let (page, load, analysis) = visit(site, None);
         page_allocs += page;
         load_allocs += load;
+        analysis_allocs += analysis;
     }
 
     // The same two passes traced, so the tracer is warm too: the
@@ -159,8 +188,10 @@ fn steady_state_crawl_allocations_stay_bounded() {
     let per_page = page_allocs / n;
     let per_load = load_allocs / n;
     let per_traced_load = traced_allocs / n;
+    let per_analysis = analysis_allocs as f64 / n as f64;
     println!(
-        "allocations per visit: page {per_page}, load {per_load}, traced load {per_traced_load}"
+        "allocations per visit: page {per_page}, load {per_load}, traced load {per_traced_load}, \
+         analysis {per_analysis:.1}"
     );
     assert!(
         per_page <= MAX_PAGE_ALLOCS_PER_VISIT,
@@ -171,6 +202,12 @@ fn steady_state_crawl_allocations_stay_bounded() {
         per_load <= MAX_LOAD_ALLOCS_PER_VISIT,
         "page load allocates {per_load}/visit (ceiling {MAX_LOAD_ALLOCS_PER_VISIT}): \
          a VisitArena buffer stopped being recycled"
+    );
+    assert!(
+        per_analysis <= MAX_ANALYSIS_ALLOCS_PER_VISIT,
+        "the analysis of a visit allocates {per_analysis:.1} times (ceiling \
+         {MAX_ANALYSIS_ALLOCS_PER_VISIT}): `Characterization::add`, `predict_counts3` or \
+         `plan_site` went back to building a per-page collection on the heap"
     );
     assert!(
         per_traced_load <= per_load + MAX_TRACED_EXTRA_ALLOCS_PER_VISIT,

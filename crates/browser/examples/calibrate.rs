@@ -44,7 +44,7 @@ fn main() {
             tls.push(pl.tls_connections() as f64);
             ases.push(pl.distinct_ases() as f64);
             plt.push(pl.plt());
-            hosts.push(page.distinct_hosts().len() as f64);
+            hosts.push(page.hosts.len() as f64);
             if kind == BrowserKind::Chromium {
                 let (p_ip, _) = predict(&page, &pl, CoalescingGrouping::ByIp);
                 let (p_as, _) = predict(&page, &pl, CoalescingGrouping::ByAs);

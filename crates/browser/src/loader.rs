@@ -254,6 +254,9 @@ pub struct VisitArena {
     /// validated addresses. Reset per visit (fresh browser session);
     /// never touched on non-h3 pages.
     h3_session: H3Session,
+    /// Where an HTTP/1.1 request line or an HTTP/3 field section gets
+    /// its resource's path rendered; h2 requests never read one.
+    path: String,
 }
 
 impl VisitArena {
@@ -507,7 +510,7 @@ struct Request<'p> {
 impl<'p> Request<'p> {
     fn dispatch(page: &'p Page, idx: usize, start: f64, env: &dyn WebEnv) -> Self {
         let res = &page.resources[idx];
-        let host = res.host.clone();
+        let host = page.host_of(res).clone();
         let (asn, link) = env.request_facts(&host);
         Request {
             res,
@@ -1077,7 +1080,7 @@ impl Visit<'_> {
                 &[
                     Arg::Str(outcome.mode.label()),
                     Arg::Str(host.as_str()),
-                    Arg::Str(cert.issuer.as_str()),
+                    Arg::Str(&cert.issuer),
                     Arg::U64(u64::from(outcome.amplification_rtts)),
                     Arg::Bool(outcome.cross_host),
                 ],
@@ -1207,7 +1210,8 @@ impl Visit<'_> {
         if conn.quic {
             self.h3.requests += 1;
             let machine = self.arena.conns[conn_idx].transport.quic();
-            rq.h3_qpack = Some(machine.drive_request(rq.t.host.as_str(), &res.path));
+            let path = res.render_path(&self.page.hosts, &mut self.arena.path);
+            rq.h3_qpack = Some(machine.drive_request(rq.t.host.as_str(), path));
         }
         if rq.legacy_h1 {
             self.h1.requests += 1;
@@ -1236,8 +1240,9 @@ impl Visit<'_> {
                 .start_next_cycle()
                 .expect("pooled HTTP/1.1 connection must be idle and kept alive");
         }
+        let path = res.render_path(&self.page.hosts, &mut self.arena.path);
         machine
-            .send(&H1Event::Request(H1Request::get(&res.path, host)))
+            .send(&H1Event::Request(H1Request::get(path, host)))
             .expect("request head from Idle");
         machine
             .send(&H1Event::EndOfMessage)
@@ -1246,7 +1251,7 @@ impl Visit<'_> {
         // closes, and the connection leaves the reusable pool: `closed`
         // frees its per-host slot, and the next request to this host
         // pays a fresh setup.
-        let closes = close_delimited_response(&res.path);
+        let closes = close_delimited_response(path);
         let (head, end) = if closes {
             (H1Response::close_delimited(), H1Event::ConnectionClosed)
         } else {
@@ -1423,12 +1428,15 @@ fn record_page_metrics(load: &PageLoad, metrics: &mut origin_metrics::Registry) 
     // Phase totals accumulate locally (integer microseconds, one
     // per-request quantisation each — the same arithmetic as recording
     // them one by one) and hit the registry's string-keyed maps once
-    // per page instead of five times per request.
+    // per page instead of five times per request. The same quantised
+    // phases give each request's end, so the PLT falls out of this
+    // walk too.
     let mut dns_t = SimDuration::ZERO;
     let mut connect_t = SimDuration::ZERO;
     let mut tls_t = SimDuration::ZERO;
     let mut transfer_t = SimDuration::ZERO;
     let mut blocked_t = SimDuration::ZERO;
+    let mut plt_us = 0u64;
     for r in &load.requests {
         opened += r.new_connection as u64 + r.extra_connections as u64;
         coalesced += r.coalesced as u64;
@@ -1436,11 +1444,14 @@ fn record_page_metrics(load: &PageLoad, metrics: &mut origin_metrics::Registry) 
         // same-host connection (failed N/A requests use no network).
         pool_reuse += (!r.new_connection && !r.coalesced && r.protocol != Protocol::NA) as u64;
         dns_queries += r.did_dns as u64 + r.extra_dns as u64;
-        dns_t += SimDuration::from_millis_f64(r.phase.dns);
-        connect_t += SimDuration::from_millis_f64(r.phase.connect);
-        tls_t += SimDuration::from_millis_f64(r.phase.ssl);
+        let q = r.phase.quantised_us();
+        let [blocked, dns, connect, ssl, ..] = q.map(SimDuration::from_micros);
+        dns_t += dns;
+        connect_t += connect;
+        tls_t += ssl;
         transfer_t += SimDuration::from_millis_f64(r.phase.send + r.phase.wait + r.phase.receive);
-        blocked_t += SimDuration::from_millis_f64(r.phase.blocked);
+        blocked_t += blocked;
+        plt_us = plt_us.max(r.start_us() + q.iter().sum::<u64>());
     }
     let n = load.requests.len() as u64;
     metrics.record_phase_n("sim.dns", n, dns_t);
@@ -1458,7 +1469,7 @@ fn record_page_metrics(load: &PageLoad, metrics: &mut origin_metrics::Registry) 
         CONNS_PER_PAGE_BOUNDS,
         opened,
     );
-    metrics.record_phase("sim.page", SimDuration::from_millis_f64(load.plt()));
+    metrics.record_phase("sim.page", SimDuration::from_micros(plt_us));
 }
 
 /// Derive one visit's streaming observation from a completed load.

@@ -77,9 +77,9 @@ impl WebEnv for MiniEnv {
 
 fn two_host_page() -> Page {
     let mut page = Page::new(1, name("www.a.com"), 40_000);
-    let mut img = Resource::new(name("img.a.com"), "/a.png", ContentType::Png, 12_000);
+    let mut img = Resource::new("/a.png", ContentType::Png, 12_000);
     img.discovered_by = Some(0);
-    page.push(img);
+    page.push(name("img.a.com"), img);
     page
 }
 

@@ -6,8 +6,7 @@ use origin_dns::DnsName;
 use origin_intern::FxHashMap;
 use origin_netsim::SimRng;
 use origin_tls::{Certificate, CertificateAuthority, CtLogSet, KnownIssuer};
-use origin_trace::push_u64;
-use origin_web::{ContentType, FetchMode, Page, Protocol, Resource};
+use origin_web::{ContentType, FetchMode, Page, PathSpec, Protocol, Resource};
 use std::sync::Arc;
 
 /// The coalesced third-party domain. In the paper this is a domain
@@ -19,6 +18,11 @@ pub const THIRD_PARTY_HOST: &str = "cdnjs.cloudflare.com";
 /// same byte length as [`THIRD_PARTY_HOST`] so both treatment groups'
 /// certificates grow by the same number of bytes (Figure 6).
 pub const CONTROL_DECOY_HOST: &str = "cdnj0.cloudflare.com";
+
+/// `[prefix, suffix]` around a first-party asset's number and a
+/// third-party library's ([`PathSpec::Numbered`]).
+static FIRST_PARTY_PATH: [&str; 2] = ["/assets/fp", ".bin"];
+static THIRD_PARTY_PATH: [&str; 2] = ["/ajax/libs/lib", ".min.js"];
 
 /// Treatment assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,13 +64,12 @@ impl SampleSite {
     }
 
     /// [`SampleSite::page`] written over `page`, whatever it held: a
-    /// measurement worker keeps one `Page`, so resource slots and path
-    /// strings keep their capacity from visit to visit. Every slot is
-    /// replaced whole; only its path buffer is reused. `third_party`
+    /// measurement worker keeps one `Page`, so its host and resource
+    /// tables keep their capacity from visit to visit. `third_party`
     /// is [`THIRD_PARTY_HOST`], parsed once by the caller.
     pub fn page_into(&self, page: &mut Page, third_party: &DnsName) {
         let mut rng = SimRng::seed_from_u64(self.page_seed);
-        let first_tp = 1 + 3 + rng.index(6);
+        let n_fp = 3 + rng.index(6);
         // A tail of sites never fires the third-party tag from the
         // landing page (consent banners, lazy loading) — the source
         // of the paper's ~9%/6% zero-connection *control* visits.
@@ -75,53 +78,42 @@ impl SampleSite {
         page.root_host = self.host.clone();
         page.legacy = false;
         page.h3 = false;
-        let len = first_tp + self.third_party_requests as usize;
-        let filler = || Resource::new(third_party.clone(), "", ContentType::Other, 0);
-        page.resources.resize_with(len, filler);
-        for (at, slot) in page.resources.iter_mut().enumerate() {
-            let mut path = std::mem::take(&mut slot.path);
-            path.clear();
-            // `push_u64`, not `write!`: with eight or nine paths a visit
-            // the formatter costs more than the rest of this function.
-            *slot = match at.checked_sub(first_tp) {
-                None if at == 0 => {
-                    path.push('/');
-                    Resource::new(self.host.clone(), path, ContentType::Html, 12_000)
-                }
-                None => {
-                    let i = at - 1;
-                    let ct = if i == 0 {
-                        ContentType::Css
-                    } else {
-                        ContentType::Javascript
-                    };
-                    path.push_str("/assets/fp");
-                    push_u64(&mut path, i as u64);
-                    path.push_str(".bin");
-                    Resource::new(self.host.clone(), path, ct, 8_000 + i as u64 * 1_000)
-                }
-                Some(j) => {
-                    // Secondary requests occasionally go through a different
-                    // fetch path (a beacon via fetch() next to the script
-                    // tag), which lands in another connection pool partition.
-                    let fetch = if j > 0 && rng.chance(0.12) {
-                        FetchMode::XhrFetch
-                    } else {
-                        self.third_party_fetch
-                    };
-                    path.push_str("/ajax/libs/lib");
-                    push_u64(&mut path, j as u64);
-                    path.push_str(".min.js");
-                    let mut r =
-                        Resource::new(third_party.clone(), path, ContentType::Javascript, 15_000)
-                            .discovered_by(1)
-                            .fetch_mode(fetch);
-                    if tag_blocked {
-                        r.protocol = Protocol::NA;
-                    }
-                    r
-                }
+        page.hosts.clear();
+        page.hosts.push(self.host.clone());
+        page.resources.clear();
+        page.resources
+            .push(Resource::new("/", ContentType::Html, 12_000));
+        for i in 0..n_fp {
+            let ct = if i == 0 {
+                ContentType::Css
+            } else {
+                ContentType::Javascript
             };
+            let path = PathSpec::Numbered(&FIRST_PARTY_PATH, i as u32);
+            page.resources
+                .push(Resource::new(path, ct, 8_000 + i as u64 * 1_000));
+        }
+        if self.third_party_requests > 0 {
+            page.hosts.push(third_party.clone());
+        }
+        for j in 0..self.third_party_requests {
+            // Secondary requests occasionally go through a different
+            // fetch path (a beacon via fetch() next to the script
+            // tag), which lands in another connection pool partition.
+            let fetch = if j > 0 && rng.chance(0.12) {
+                FetchMode::XhrFetch
+            } else {
+                self.third_party_fetch
+            };
+            let path = PathSpec::Numbered(&THIRD_PARTY_PATH, j);
+            let mut r = Resource::new(path, ContentType::Javascript, 15_000)
+                .discovered_by(1)
+                .fetch_mode(fetch);
+            r.host = 1; // `page.hosts` is [the site, the third party]
+            if tag_blocked {
+                r.protocol = Protocol::NA;
+            }
+            page.resources.push(r);
         }
     }
 }
@@ -318,16 +310,39 @@ mod tests {
         let tp = page
             .resources
             .iter()
-            .filter(|r| r.host.as_str() == THIRD_PARTY_HOST)
+            .filter(|r| page.host_of(r).as_str() == THIRD_PARTY_HOST)
             .count() as u32;
         assert_eq!(tp, s.third_party_requests);
-        assert_eq!(page.resources[0].host, s.host);
+        assert_eq!(page.host_of(&page.resources[0]), &s.host);
         // Deterministic regeneration.
         assert_eq!(s.page(), page);
     }
 
-    /// [`SampleSite::page`] as it was before `page_into` replaced it,
-    /// verbatim: builds every page from nothing.
+    /// Every `host` + path the group's pages render, pinned: the
+    /// digest was recorded while `Resource` still carried the `String`
+    /// that `page_into` formatted.
+    #[test]
+    fn rendered_paths_are_pinned() {
+        let g = group();
+        let mut text = String::new();
+        let mut path = String::new();
+        for s in &g.sites {
+            let page = s.page();
+            for r in &page.resources {
+                text.push_str(page.host_of(r).as_str());
+                text.push_str(r.render_path(&page.hosts, &mut path));
+                text.push('\n');
+            }
+        }
+        assert_eq!(g.sites.len(), 785);
+        assert_eq!(
+            origin_netsim::rng::fnv1a64(text.as_bytes()),
+            0x526a_9299_0237_92e4
+        );
+    }
+
+    /// [`SampleSite::page`] as it was before `page_into` replaced it:
+    /// builds every page from nothing, through [`Page::push`].
     fn page_oracle(site: &SampleSite) -> Page {
         let mut rng = SimRng::seed_from_u64(site.page_seed);
         let mut page = Page::new(1, site.host.clone(), 12_000);
@@ -338,12 +353,14 @@ mod tests {
             } else {
                 ContentType::Javascript
             };
-            page.push(Resource::new(
+            page.push(
                 site.host.clone(),
-                format!("/assets/fp{i}.bin"),
-                ct,
-                8_000 + i as u64 * 1_000,
-            ));
+                Resource::new(
+                    PathSpec::Numbered(&FIRST_PARTY_PATH, i as u32),
+                    ct,
+                    8_000 + i as u64 * 1_000,
+                ),
+            );
         }
         let tag_blocked = rng.chance(0.08);
         for j in 0..site.third_party_requests {
@@ -353,8 +370,7 @@ mod tests {
                 site.third_party_fetch
             };
             let mut r = Resource::new(
-                name(THIRD_PARTY_HOST),
-                format!("/ajax/libs/lib{j}.min.js"),
+                PathSpec::Numbered(&THIRD_PARTY_PATH, j),
                 ContentType::Javascript,
                 15_000,
             )
@@ -363,7 +379,7 @@ mod tests {
             if tag_blocked {
                 r.protocol = origin_web::Protocol::NA;
             }
-            page.push(r);
+            page.push(name(THIRD_PARTY_HOST), r);
         }
         page
     }

@@ -4,6 +4,7 @@
 //! hostnames needed to load the webpage that are available from the
 //! same provider but absent from the SAN."
 
+use crate::smallset::SmallSet;
 use origin_dns::DnsName;
 use origin_stats::{Cdf, Histogram, TopK};
 use origin_tls::Certificate;
@@ -41,7 +42,9 @@ impl CertPlan {
 /// `same_provider(a, b)` answers whether hosts `a` and `b` are served
 /// by the same provider (the §4.1 colocation assumption); `cert` is
 /// the certificate currently served for the root host (None models
-/// the paper's SAN-less certificates).
+/// the paper's SAN-less certificates). Both are asked once per host
+/// of the page, the first time a secure resource names it — not once
+/// per resource.
 pub fn plan_site(
     page: &Page,
     cert: Option<&Certificate>,
@@ -49,16 +52,17 @@ pub fn plan_site(
 ) -> CertPlan {
     let existing_sans = cert.map(|c| c.san_count() as u32).unwrap_or(0);
     let mut additions: Vec<DnsName> = Vec::new();
+    let mut decided: SmallSet<u16, 32> = SmallSet::new();
     for r in &page.resources {
-        if r.host == page.root_host || !r.secure {
+        if !r.secure || !decided.insert(r.host) {
             continue;
         }
-        if !same_provider(&page.root_host, &r.host) {
+        let host = page.host_of(r);
+        if *host == page.root_host || !same_provider(&page.root_host, host) {
             continue;
         }
-        let covered = cert.map(|c| c.covers(&r.host)).unwrap_or(false);
-        if !covered && !additions.contains(&r.host) {
-            additions.push(r.host.clone());
+        if !cert.is_some_and(|c| c.covers(host)) {
+            additions.push(host.clone());
         }
     }
     CertPlan {
@@ -221,10 +225,19 @@ impl EffectiveChanges {
     /// Record a site hosted by `provider` and the hostnames its plan
     /// adds.
     pub fn add(&mut self, provider: &str, plan: &CertPlan) {
-        let p = self.per_provider.entry(provider.to_string()).or_default();
+        // A crawl names a dozen providers: look the label up borrowed,
+        // and own it only the first time it is seen.
+        if !self.per_provider.contains_key(provider) {
+            self.per_provider
+                .insert(provider.to_string(), ProviderChanges::default());
+        }
+        let p = self
+            .per_provider
+            .get_mut(provider)
+            .expect("present or just inserted");
         p.sites += 1;
         for h in &plan.additions {
-            p.hostnames.add(h.to_string());
+            p.hostnames.add_str(h.as_str());
         }
     }
 
@@ -275,24 +288,18 @@ mod tests {
 
     fn page() -> Page {
         let mut p = Page::new(1, name("site.com"), 1_000);
-        p.push(Resource::new(
+        p.push(
             name("static.site.com"),
-            "/a.css",
-            ContentType::Css,
-            10,
-        ));
-        p.push(Resource::new(
+            Resource::new("/a.css", ContentType::Css, 10),
+        );
+        p.push(
             name("cdnjs.cloudflare.com"),
-            "/x.js",
-            ContentType::Javascript,
-            10,
-        ));
-        p.push(Resource::new(
+            Resource::new("/x.js", ContentType::Javascript, 10),
+        );
+        p.push(
             name("fonts.gstatic.com"),
-            "/f.woff2",
-            ContentType::Woff2,
-            10,
-        ));
+            Resource::new("/f.woff2", ContentType::Woff2, 10),
+        );
         p
     }
 
@@ -344,12 +351,10 @@ mod tests {
     #[test]
     fn duplicate_hosts_deduped() {
         let mut p = page();
-        p.push(Resource::new(
+        p.push(
             name("cdnjs.cloudflare.com"),
-            "/y.js",
-            ContentType::Javascript,
-            10,
-        ));
+            Resource::new("/y.js", ContentType::Javascript, 10),
+        );
         let cert = CertificateBuilder::new(name("site.com"))
             .san(name("*.site.com"))
             .build();
@@ -480,9 +485,9 @@ mod tests {
     #[test]
     fn insecure_hosts_excluded() {
         let mut p = page();
-        let mut r = Resource::new(name("plain.site.com"), "/p.gif", ContentType::Gif, 5);
+        let mut r = Resource::new("/p.gif", ContentType::Gif, 5);
         r.secure = false;
-        p.push(r);
+        p.push(name("plain.site.com"), r);
         let plan = plan_site(&p, None, same_provider);
         assert!(!plan.additions.contains(&name("plain.site.com")));
     }

@@ -12,6 +12,11 @@ use origin_web::{ContentType, Page, Protocol};
 /// Both internal maps use the deterministic Fx hasher; neither is read
 /// in iteration order (buckets are sorted for Table 1, `as_content` is
 /// probed per AS key for Table 6).
+///
+/// A page has ~111 requests but ~15 hosts and ~8 ASes, so `add`
+/// tallies per page and flushes per key: requests are counted into
+/// small arrays first, and each table is probed once per distinct key
+/// of the page instead of once per request.
 #[derive(Default)]
 pub struct Characterization {
     /// Per-rank-bucket data: (bucket index → per-page samples).
@@ -28,8 +33,9 @@ pub struct Characterization {
     pub issuers: TopK<String>,
     /// Requests per content type (Table 5).
     pub content_types: TopK<&'static str>,
-    /// Per-AS content types (Table 6).
-    pub as_content: FxHashMap<u32, TopK<&'static str>>,
+    /// Requests per content type (by discriminant) of each AS; read
+    /// through [`Characterization::as_content`] (Table 6).
+    as_content: FxHashMap<u32, [u64; ContentType::ALL.len()]>,
     /// Subresource hostnames (Table 7).
     pub hostnames: TopK<String>,
     /// Unique ASes per page (Figure 1).
@@ -43,6 +49,11 @@ pub struct Characterization {
     /// Scale factor mapping generated ranks onto the nominal Tranco
     /// space (tranco_total / generated_sites).
     pub rank_scale: f64,
+    /// The page being added: requests per content type of each AS met
+    /// so far (a handful, scanned linearly), and subrequests per entry
+    /// of `Page::hosts`. Capacity only — both are cleared per page.
+    page_ases: Vec<(u32, [u64; ContentType::ALL.len()])>,
+    page_hosts: Vec<u64>,
 }
 
 #[derive(Default)]
@@ -52,6 +63,18 @@ struct BucketSamples {
     dns: Vec<f64>,
     tls: Vec<f64>,
     success: u64,
+}
+
+/// One visit's Table 1 figures, as [`Characterization::add`] sampled
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PageTotals {
+    /// [`PageLoad::dns_queries`].
+    pub dns_queries: u64,
+    /// [`PageLoad::tls_connections`].
+    pub tls_connections: u64,
+    /// [`PageLoad::plt`] (ms).
+    pub plt_ms: f64,
 }
 
 /// One row of Table 1.
@@ -82,39 +105,83 @@ impl Characterization {
         }
     }
 
-    /// Add one successful page load.
-    pub fn add(&mut self, page: &Page, load: &PageLoad) {
+    /// Add one successful page load. Returns the visit's totals: the
+    /// walk over its requests computes them for Table 1, and a caller
+    /// sampling them too need not walk the load again (its PLT alone
+    /// quantises eight values per request).
+    pub fn add(&mut self, page: &Page, load: &PageLoad) -> PageTotals {
+        assert_eq!(
+            page.resources.len(),
+            load.requests.len(),
+            "page and load must describe the same resource set"
+        );
+        // Tally the page...
+        self.page_ases.clear();
+        self.page_hosts.clear();
+        self.page_hosts.resize(page.hosts.len(), 0);
+        let mut protocols = [0u64; Protocol::ALL.len()];
+        let (mut secure, mut dns, mut tls, mut plt_us) = (0u64, 0u64, 0u64, 0u64);
+        for (i, (r, res)) in load.requests.iter().zip(&page.resources).enumerate() {
+            plt_us = plt_us.max(r.end_us());
+            dns += r.did_dns as u64 + r.extra_dns as u64;
+            if r.secure {
+                secure += 1;
+                tls += r.new_connection as u64 + r.extra_connections as u64;
+            }
+            protocols[r.protocol as usize] += 1;
+            if let Some(issuer) = &r.cert_issuer {
+                self.issuers.add_str(issuer);
+            }
+            let at = self.page_ases.iter().position(|(asn, _)| *asn == r.asn);
+            let at = at.unwrap_or_else(|| {
+                self.page_ases.push((r.asn, [0; ContentType::ALL.len()]));
+                self.page_ases.len() - 1
+            });
+            self.page_ases[at].1[res.content_type as usize] += 1;
+            if i != 0 {
+                self.page_hosts[res.host as usize] += 1;
+            }
+        }
+        let totals = PageTotals {
+            dns_queries: dns,
+            tls_connections: tls,
+            plt_ms: plt_us as f64 / 1_000.0,
+        };
+
+        // ...then flush it, one probe per distinct key.
+        let n = load.request_count();
         self.pages += 1;
+        self.total_requests += n;
+        self.secure_requests += secure;
+        self.insecure_requests += n - secure;
         let scaled_rank = (load.rank as f64 * self.rank_scale) as u32;
         let bucket = scaled_rank.saturating_sub(1) / self.bucket_width;
         let b = self.buckets.entry(bucket).or_default();
         b.success += 1;
-        b.requests.push(load.request_count() as f64 - 1.0); // subrequests
-        b.plt.push(load.plt());
-        b.dns.push(load.dns_queries() as f64);
-        b.tls.push(load.tls_connections() as f64);
-
-        self.ases_per_page.add(load.distinct_ases());
-
-        for (i, r) in load.requests.iter().enumerate() {
-            self.total_requests += 1;
-            self.as_requests.add(r.asn);
-            self.protocol_requests.add(r.protocol.label());
-            if r.secure {
-                self.secure_requests += 1;
-            } else {
-                self.insecure_requests += 1;
-            }
-            if let Some(issuer) = &r.cert_issuer {
-                self.issuers.add_str(issuer);
-            }
-            let ct = page.resources[i].content_type;
-            self.content_types.add(ct.mime());
-            self.as_content.entry(r.asn).or_default().add(ct.mime());
-            if i != 0 {
-                self.hostnames.add_str(r.host.as_str());
+        b.requests.push(n as f64 - 1.0); // subrequests
+        b.plt.push(totals.plt_ms);
+        b.dns.push(dns as f64);
+        b.tls.push(tls as f64);
+        self.ases_per_page.add(self.page_ases.len() as u64);
+        for (p, n) in Protocol::ALL.iter().zip(protocols) {
+            self.protocol_requests.add_n(p.label(), n);
+        }
+        let mut content = [0u64; ContentType::ALL.len()];
+        for (asn, by_type) in &self.page_ases {
+            self.as_requests.add_n(*asn, by_type.iter().sum());
+            let as_content = self.as_content.entry(*asn).or_default();
+            for ((n, of_as), total) in by_type.iter().zip(as_content).zip(&mut content) {
+                *of_as += n;
+                *total += n;
             }
         }
+        for (ct, n) in ContentType::ALL.iter().zip(content) {
+            self.content_types.add_n(ct.mime(), n);
+        }
+        for (host, n) in page.hosts.iter().zip(&self.page_hosts) {
+            self.hostnames.add_str_n(host.as_str(), *n);
+        }
+        totals
     }
 
     /// Fold a shard's characterization into this one. Per-bucket
@@ -137,8 +204,11 @@ impl Characterization {
         self.insecure_requests += other.insecure_requests;
         self.issuers.merge(&other.issuers);
         self.content_types.merge(&other.content_types);
-        for (asn, topk) in &other.as_content {
-            self.as_content.entry(*asn).or_default().merge(topk);
+        for (asn, by_type) in &other.as_content {
+            let mine = self.as_content.entry(*asn).or_default();
+            for (n, of_as) in by_type.iter().zip(mine) {
+                *of_as += n;
+            }
         }
         self.hostnames.merge(&other.hostnames);
         self.ases_per_page.merge(&other.ases_per_page);
@@ -198,6 +268,17 @@ impl Characterization {
         Summary::from_samples(&all)
     }
 
+    /// The content types one AS served, by MIME label (Table 6).
+    pub fn as_content(&self, asn: u32) -> TopK<&'static str> {
+        let mut topk = TopK::new();
+        if let Some(by_type) = self.as_content.get(&asn) {
+            for (ct, n) in ContentType::ALL.iter().zip(by_type) {
+                topk.add_n(ct.mime(), *n);
+            }
+        }
+        topk
+    }
+
     /// Fraction of requests secured with HTTPS (Table 3: 98.53%).
     pub fn secure_fraction(&self) -> f64 {
         let total = self.secure_requests + self.insecure_requests;
@@ -234,11 +315,6 @@ pub fn coalescible_protocol_fraction(c: &Characterization) -> f64 {
     }
 }
 
-/// The Table 5 mime labels in paper order, for rendering.
-pub fn table5_labels() -> Vec<&'static str> {
-    ContentType::table5().iter().map(|ct| ct.mime()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,12 +325,10 @@ mod tests {
 
     fn sample(rank: u32) -> (Page, PageLoad) {
         let mut page = Page::new(rank, name("site.com"), 1_000);
-        page.push(Resource::new(
+        page.push(
             name("cdn.site.com"),
-            "/a.js",
-            ContentType::Javascript,
-            10,
-        ));
+            Resource::new("/a.js", ContentType::Javascript, 10),
+        );
         let ip = IpAddr::V4(Ipv4Addr::new(1, 2, 3, 4));
         let mk = |idx: usize, host: &str, asn: u32| RequestTiming {
             resource_index: idx,
@@ -291,11 +365,22 @@ mod tests {
     fn accumulates_counts() {
         let mut c = Characterization::new(100, 500_000);
         let (p, l) = sample(1);
-        c.add(&p, &l);
+        let totals = c.add(&p, &l);
+        assert_eq!(totals.dns_queries, l.dns_queries());
+        assert_eq!(totals.tls_connections, l.tls_connections());
+        assert_eq!(totals.plt_ms, l.plt());
         let (p2, l2) = sample(60);
         c.add(&p2, &l2);
         assert_eq!(c.pages, 2);
         assert_eq!(c.total_requests, 4);
+        assert_eq!(c.protocol_requests.count(&"HTTP/2"), 4);
+        assert_eq!(c.content_types.count(&"text/html"), 2);
+        // Per-AS content: the root document on AS 100, the script on
+        // AS 200, nothing on an AS no page touched.
+        assert_eq!(c.as_content(100).top(3)[0].key, "text/html");
+        assert_eq!(c.as_content(200).count(&"application/javascript"), 2);
+        assert_eq!(c.as_content(200).total(), 2);
+        assert_eq!(c.as_content(300).total(), 0);
         assert_eq!(c.secure_fraction(), 1.0);
         assert_eq!(c.as_requests.count(&100), 2);
         assert_eq!(c.issuers.count(&"Test CA".to_string()), 4);
@@ -364,6 +449,7 @@ mod tests {
         assert_eq!(merged.figure1(), seq.figure1());
         assert_eq!(merged.as_requests.top(10), seq.as_requests.top(10));
         assert_eq!(merged.hostnames.top(10), seq.hostnames.top(10));
+        assert_eq!(merged.as_content(200).top(5), seq.as_content(200).top(5));
 
         // empty ⊕ x == x.
         let mut from_empty = Characterization::new(100, 500_000);
@@ -381,12 +467,5 @@ mod tests {
         let (p, l) = sample(1);
         c.add(&p, &l);
         assert_eq!(coalescible_protocol_fraction(&c), 1.0);
-    }
-
-    #[test]
-    fn table5_labels_present() {
-        let labels = table5_labels();
-        assert_eq!(labels[0], "application/javascript");
-        assert_eq!(labels.len(), 12);
     }
 }

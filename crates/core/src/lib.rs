@@ -23,6 +23,7 @@ pub mod characterize;
 pub mod model;
 pub mod reconstruct;
 pub mod scheduling;
+mod smallset;
 
 pub use certplan::{CertPlan, PlanSummary};
 pub use characterize::Characterization;

@@ -7,7 +7,7 @@
 //! webpage resources."
 
 use crate::reconstruct::reconstruct;
-use origin_intern::FxHashSet;
+use crate::smallset::SmallSet;
 use origin_web::har::{ms_to_us, PageLoad};
 use origin_web::Page;
 use std::net::IpAddr;
@@ -43,6 +43,14 @@ pub struct ModelPrediction {
     pub plt_ms: f64,
 }
 
+/// The connection addresses / ASes one page's new connections have
+/// met so far (a page opens ~18 connections).
+type SeenSet<T> = SmallSet<T, 32>;
+
+/// Pages up to this many requests keep [`predict_counts3`]'s
+/// per-request end times on the stack.
+const INLINE_REQUESTS: usize = 256;
+
 /// Decide, per request, whether the model coalesces it, and return
 /// the indices of coalescable requests plus the count of groups that
 /// still need a connection.
@@ -54,8 +62,8 @@ pub struct ModelPrediction {
 fn coalescable_set(measured: &PageLoad, grouping: CoalescingGrouping) -> (Vec<bool>, u64) {
     let n = measured.requests.len();
     let mut coalescable = vec![false; n];
-    let mut seen_ips: FxHashSet<IpAddr> = FxHashSet::default();
-    let mut seen_as: FxHashSet<u32> = FxHashSet::default();
+    let mut seen_ips: SeenSet<IpAddr> = SmallSet::new();
+    let mut seen_as: SeenSet<u32> = SmallSet::new();
     let mut groups = 0u64;
     for (i, r) in measured.requests.iter().enumerate() {
         if !r.new_connection {
@@ -133,11 +141,19 @@ pub fn predict_counts3(page: &Page, measured: &PageLoad, single_asn: u32) -> [Mo
         "page and load must describe the same resource set"
     );
     let n = measured.requests.len();
-    let mut seen_ips: FxHashSet<IpAddr> = FxHashSet::default();
-    let mut seen_as: FxHashSet<u32> = FxHashSet::default();
+    let mut seen_ips: SeenSet<IpAddr> = SmallSet::new();
+    let mut seen_as: SeenSet<u32> = SmallSet::new();
     let mut seen_single = false;
-    let mut old_end = vec![0.0f64; n];
-    let mut new_end = vec![[0.0f64; 3]; n];
+    // Per request: the end under each of the three groupings, then
+    // the measured end.
+    let mut inline = [[0.0f64; 4]; INLINE_REQUESTS];
+    let mut spilled = Vec::new();
+    let ends: &mut [[f64; 4]] = if n <= INLINE_REQUESTS {
+        &mut inline[..n]
+    } else {
+        spilled.resize(n, [0.0; 4]);
+        &mut spilled
+    };
     let mut dns = [0u64; 3];
     let mut tls = [0u64; 3];
     let mut plt_us = [0u64; 3];
@@ -146,7 +162,7 @@ pub fn predict_counts3(page: &Page, measured: &PageLoad, single_asn: u32) -> [Mo
         let q = r.phase.quantised_us();
         let total_us: u64 = q.iter().sum();
         let setup_us = q[1] + q[2] + q[3]; // dns + connect + ssl
-        old_end[i] = (ms_to_us(r.start) + total_us) as f64 / 1_000.0;
+        ends[i][3] = (ms_to_us(r.start) + total_us) as f64 / 1_000.0;
         let parent = if i == 0 {
             None
         } else {
@@ -171,7 +187,7 @@ pub fn predict_counts3(page: &Page, measured: &PageLoad, single_asn: u32) -> [Mo
         for g in 0..3 {
             let mut start = r.start;
             if let Some(p) = parent {
-                let shift = old_end[p] - new_end[p][g];
+                let shift = ends[p][3] - ends[p][g];
                 start = (start - shift).max(0.0);
             }
             let collapse_races = g != 2; // BySingleAs keeps client races
@@ -199,7 +215,7 @@ pub fn predict_counts3(page: &Page, measured: &PageLoad, single_asn: u32) -> [Mo
                 total_us
             };
             let end_us = ms_to_us(start) + eff_total;
-            new_end[i][g] = end_us as f64 / 1_000.0;
+            ends[i][g] = end_us as f64 / 1_000.0;
             plt_us[g] = plt_us[g].max(end_us);
         }
     }
@@ -253,30 +269,22 @@ mod tests {
     /// service-b (AS 2, ip 3), reused request to root host.
     fn fixture() -> (Page, PageLoad) {
         let mut page = Page::new(1, name("site.com"), 1_000);
-        page.push(Resource::new(
+        page.push(
             name("static.site.com"),
-            "/a.css",
-            ContentType::Css,
-            100,
-        ));
-        page.push(Resource::new(
+            Resource::new("/a.css", ContentType::Css, 100),
+        );
+        page.push(
             name("x.svc.net"),
-            "/x.js",
-            ContentType::Javascript,
-            100,
-        ));
-        page.push(Resource::new(
+            Resource::new("/x.js", ContentType::Javascript, 100),
+        );
+        page.push(
             name("y.svc.net"),
-            "/y.js",
-            ContentType::Javascript,
-            100,
-        ));
-        page.push(Resource::new(
+            Resource::new("/y.js", ContentType::Javascript, 100),
+        );
+        page.push(
             name("site.com"),
-            "/img.png",
-            ContentType::Png,
-            100,
-        ));
+            Resource::new("/img.png", ContentType::Png, 100),
+        );
         let load = PageLoad {
             rank: 1,
             root_host: name("site.com"),

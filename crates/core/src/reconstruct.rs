@@ -87,20 +87,13 @@ mod tests {
     /// Build the Figure 2 example: root + chain of subresources.
     fn fixture() -> (Page, PageLoad) {
         let mut page = Page::new(1, name("www.example.com"), 10_000);
-        let css = page.push(Resource::new(
+        let css = page.push(
             name("static.example.com"),
-            "/css/style.css",
-            ContentType::Css,
-            5_000,
-        ));
+            Resource::new("/css/style.css", ContentType::Css, 5_000),
+        );
         page.push(
-            Resource::new(
-                name("fonts.cdnhost.com"),
-                "/arial.woff",
-                ContentType::Woff2,
-                8_000,
-            )
-            .discovered_by(css),
+            name("fonts.cdnhost.com"),
+            Resource::new("/arial.woff", ContentType::Woff2, 8_000).discovered_by(css),
         );
         let ip = IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1));
         let req = |idx: usize, host: &str, start: f64, setup: f64| RequestTiming {

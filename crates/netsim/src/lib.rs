@@ -45,4 +45,4 @@ pub use link::LinkProfile;
 pub use rng::SimRng;
 pub use shard::fold_chunks;
 pub use tcp::{ConnectionCost, HandshakeModel, TlsVersion};
-pub use time::{SimDuration, SimTime};
+pub use time::{millis_to_micros, SimDuration, SimTime};

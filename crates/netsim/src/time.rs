@@ -16,6 +16,30 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+/// Fractional milliseconds to whole microseconds, half away from zero:
+/// the workspace's one quantisation, equal to
+/// `(ms * 1_000.0).round() as u64` on every input (negatives and NaN
+/// come out 0, as the saturating cast makes them there).
+///
+/// A visit quantises ~4,000 times and `f64::round` is a libm call on
+/// the baseline x86-64 target, so the common range is done in
+/// registers. Below 2^52 a non-negative `x` splits exactly into
+/// `trunc(x)` and a fraction in `[0, 1)` — the truncation, its
+/// conversion back and the subtraction are all exact — and rounding
+/// half away from zero is adding that comparison. From 2^52 up every
+/// `f64` is an integer already and `round` is the rare path.
+#[inline]
+pub fn millis_to_micros(ms: f64) -> u64 {
+    const EXACT_BELOW: f64 = (1u64 << 52) as f64;
+    let x = ms * 1_000.0;
+    if x < EXACT_BELOW {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x.round() as u64
+    }
+}
+
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
@@ -85,7 +109,7 @@ impl SimDuration {
             ms >= 0.0 && ms.is_finite(),
             "negative or non-finite duration"
         );
-        SimDuration((ms * 1_000.0).round() as u64)
+        SimDuration(millis_to_micros(ms))
     }
 
     /// Construct from seconds.

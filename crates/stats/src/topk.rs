@@ -19,10 +19,17 @@ pub struct TopEntry<K> {
 /// Counts occurrences of keys and reports the most frequent ones with
 /// their share of the total — the shape of Tables 2, 4, 5, 6, 7 and 9.
 ///
-/// The counter map uses the deterministic Fx hasher: every crawl
-/// request feeds several of these, and no output observes map
-/// iteration order (reads go through [`TopK::top`]'s sorted selection
-/// or a full count-sort).
+/// The counter map uses the deterministic Fx hasher, and no output
+/// observes map iteration order (reads go through [`TopK::top`]'s
+/// sorted selection or a full count-sort).
+///
+/// A probe costs a hash of the key, so the crawl's per-request tables
+/// do not probe per request: `Characterization::add` (origin-core)
+/// tallies a page's requests per AS, content type, protocol and
+/// hostname first and calls [`TopK::add_n`] / [`TopK::add_str_n`] once
+/// per distinct key of the page. One-observation [`TopK::add`] /
+/// [`TopK::add_str`] is for keys seen a few times per page
+/// (certificate issuers, planned SAN additions) and for tests.
 #[derive(Debug, Clone)]
 pub struct TopK<K: Eq + Hash> {
     counts: FxHashMap<K, u64>,
@@ -169,12 +176,21 @@ impl TopK<String> {
     /// of names repeat across hundreds of thousands of requests, the
     /// hit path should cost one hash probe and no heap traffic.
     pub fn add_str(&mut self, key: &str) {
-        if let Some(c) = self.counts.get_mut(key) {
-            *c += 1;
-        } else {
-            self.counts.insert(key.to_string(), 1);
+        self.add_str_n(key, 1);
+    }
+
+    /// Count `n` observations of a borrowed key ([`TopK::add_n`] with
+    /// [`TopK::add_str`]'s allocation behaviour).
+    pub fn add_str_n(&mut self, key: &str, n: u64) {
+        if n == 0 {
+            return;
         }
-        self.total += 1;
+        if let Some(c) = self.counts.get_mut(key) {
+            *c += n;
+        } else {
+            self.counts.insert(key.to_string(), n);
+        }
+        self.total += n;
     }
 }
 
@@ -281,6 +297,11 @@ mod tests {
         assert_eq!(borrowed.top(10), owned.top(10));
         assert_eq!(borrowed.total(), 3);
         assert_eq!(borrowed.count(&"cdn.example.com".to_string()), 2);
+        borrowed.add_str_n("a.test", 4);
+        borrowed.add_str_n("never.test", 0);
+        owned.add_n("a.test".to_string(), 4);
+        assert_eq!(borrowed.top(10), owned.top(10));
+        assert_eq!((borrowed.total(), borrowed.distinct()), (7, 2));
     }
 
     #[test]

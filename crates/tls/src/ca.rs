@@ -182,7 +182,7 @@ impl CertificateAuthority {
             serial: self.next_serial,
             subject,
             sans,
-            issuer: self.issuer.display_name().to_string(),
+            issuer: self.issuer.display_name().into(),
             not_before_day: today,
             not_after_day: today + self.validity_days,
             key_type: self.issuer.key_type(),
@@ -229,7 +229,7 @@ mod tests {
         assert_eq!(ca.issued_count(), 2);
         // Each issuance is submitted to all three default CT logs.
         assert_eq!(ct.total_entries(), 6);
-        assert_eq!(c1.issuer, "Let's Encrypt (R3)");
+        assert_eq!(&*c1.issuer, "Let's Encrypt (R3)");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::san;
 use origin_dns::DnsName;
+use std::sync::Arc;
 
 /// Subject public key algorithm. Key type dominates base certificate
 /// size: RSA-2048 leaves are ≈400 bytes larger than ECDSA P-256 ones.
@@ -26,8 +27,10 @@ pub struct Certificate {
     /// Subject Alternative Names (exact names and wildcard patterns).
     /// The subject CN is conventionally repeated here.
     pub sans: Vec<DnsName>,
-    /// Display name of the issuing CA (Table 4 vocabulary).
-    pub issuer: String,
+    /// Display name of the issuing CA (Table 4 vocabulary). Shared:
+    /// every connection that validates this certificate records the
+    /// issuer by cloning the handle, not the text.
+    pub issuer: Arc<str>,
     /// First valid day (inclusive).
     pub not_before_day: u32,
     /// Last valid day (inclusive).
@@ -89,7 +92,7 @@ impl Certificate {
 pub struct CertificateBuilder {
     subject: DnsName,
     sans: Vec<DnsName>,
-    issuer: String,
+    issuer: Arc<str>,
     not_before_day: u32,
     not_after_day: u32,
     key_type: KeyType,
@@ -103,7 +106,7 @@ impl CertificateBuilder {
         CertificateBuilder {
             sans: vec![subject.clone()],
             subject,
-            issuer: "Test CA".to_string(),
+            issuer: "Test CA".into(),
             not_before_day: 0,
             not_after_day: 90,
             key_type: KeyType::EcdsaP256,
@@ -131,7 +134,7 @@ impl CertificateBuilder {
 
     /// Set the issuer display name.
     pub fn issuer(mut self, issuer: &str) -> Self {
-        self.issuer = issuer.to_string();
+        self.issuer = issuer.into();
         self
     }
 

@@ -45,7 +45,7 @@ impl CtLog {
         let index = self.entries.len() as u64;
         self.entries.push(CtEntry {
             serial: cert.serial,
-            issuer: cert.issuer.clone(),
+            issuer: cert.issuer.to_string(),
             san_count: cert.san_count(),
             index,
         });

@@ -122,8 +122,8 @@ impl Validator {
         today: u32,
     ) -> Result<(), ValidationError> {
         self.validations += 1;
-        if !self.trusted_issuers.contains(&cert.issuer) {
-            return Err(ValidationError::UntrustedIssuer(cert.issuer.clone()));
+        if !self.trusted_issuers.contains(&*cert.issuer) {
+            return Err(ValidationError::UntrustedIssuer(cert.issuer.to_string()));
         }
         if today < cert.not_before_day {
             return Err(ValidationError::NotYetValid {

@@ -34,6 +34,44 @@ pub enum ContentType {
 }
 
 impl ContentType {
+    /// Every content type, in discriminant order (`ALL[ct as usize] ==
+    /// ct`, the index space of per-type tallies): the Table 5 top-12
+    /// in paper order, most- to least-requested, then the catch-all.
+    pub const ALL: [ContentType; 13] = [
+        ContentType::Javascript,
+        ContentType::Jpeg,
+        ContentType::Png,
+        ContentType::Html,
+        ContentType::Gif,
+        ContentType::Css,
+        ContentType::TextJavascript,
+        ContentType::Json,
+        ContentType::XJavascript,
+        ContentType::Woff2,
+        ContentType::Webp,
+        ContentType::Plain,
+        ContentType::Other,
+    ];
+
+    /// The file extension generated URL paths carry for this type.
+    pub fn extension(self) -> &'static str {
+        match self {
+            ContentType::Javascript | ContentType::TextJavascript | ContentType::XJavascript => {
+                "js"
+            }
+            ContentType::Jpeg => "jpg",
+            ContentType::Png => "png",
+            ContentType::Html => "html",
+            ContentType::Gif => "gif",
+            ContentType::Css => "css",
+            ContentType::Json => "json",
+            ContentType::Woff2 => "woff2",
+            ContentType::Webp => "webp",
+            ContentType::Plain => "txt",
+            ContentType::Other => "bin",
+        }
+    }
+
     /// The MIME string, matching Table 5 rows.
     pub fn mime(self) -> &'static str {
         match self {
@@ -98,24 +136,6 @@ impl ContentType {
             ContentType::Other => 8_000,
         }
     }
-
-    /// The Table 5 top-12 in paper order (most- to least-requested).
-    pub fn table5() -> &'static [ContentType] {
-        &[
-            ContentType::Javascript,
-            ContentType::Jpeg,
-            ContentType::Png,
-            ContentType::Html,
-            ContentType::Gif,
-            ContentType::Css,
-            ContentType::TextJavascript,
-            ContentType::Json,
-            ContentType::XJavascript,
-            ContentType::Woff2,
-            ContentType::Webp,
-            ContentType::Plain,
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +147,7 @@ mod tests {
         assert_eq!(ContentType::Javascript.mime(), "application/javascript");
         assert_eq!(ContentType::TextJavascript.mime(), "text/javascript");
         assert_eq!(ContentType::Woff2.mime(), "font/woff2");
-        assert_eq!(ContentType::table5().len(), 12);
+        assert_eq!(ContentType::ALL[11].mime(), "text/plain");
     }
 
     #[test]
@@ -148,8 +168,16 @@ mod tests {
 
     #[test]
     fn sizes_positive() {
-        for ct in ContentType::table5() {
+        for ct in ContentType::ALL {
             assert!(ct.typical_size() > 0);
+        }
+    }
+
+    #[test]
+    fn all_is_indexed_by_discriminant() {
+        for (i, ct) in ContentType::ALL.into_iter().enumerate() {
+            assert_eq!(ct as usize, i);
+            assert!(!ct.extension().is_empty());
         }
     }
 }

@@ -8,6 +8,7 @@
 use crate::page::Protocol;
 use origin_dns::DnsName;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// The HAR phases of one request, as durations in milliseconds.
 ///
@@ -32,11 +33,13 @@ pub struct Phase {
     pub receive: f64,
 }
 
-/// Quantise a millisecond value to integer microseconds — the same
-/// rounding `origin_netsim::SimDuration::from_millis_f64` applies, so
-/// HAR arithmetic and the loader's metrics path agree exactly.
+/// Quantise a millisecond value to integer microseconds — through
+/// [`origin_netsim::millis_to_micros`], the rounding
+/// `SimDuration::from_millis_f64` applies, so HAR arithmetic and the
+/// loader's metrics path agree exactly. Negatives and NaN map to 0.
+#[inline]
 pub fn ms_to_us(ms: f64) -> u64 {
-    (ms.max(0.0) * 1_000.0).round() as u64
+    origin_netsim::millis_to_micros(ms.max(0.0))
 }
 
 impl Phase {
@@ -100,8 +103,8 @@ pub struct RequestTiming {
     /// Application protocol.
     pub protocol: Protocol,
     /// Issuer of the certificate validated on this connection (only
-    /// set when `new_connection`).
-    pub cert_issuer: Option<String>,
+    /// set when `new_connection`); the certificate's own handle.
+    pub cert_issuer: Option<Arc<str>>,
     /// Whether the request went over HTTPS.
     pub secure: bool,
     /// Extra connections opened by client races (happy-eyeballs
@@ -181,12 +184,14 @@ impl PageLoad {
         self.requests.len() as u64
     }
 
-    /// Distinct destination ASes touched (Figure 1's x-axis).
+    /// Distinct destination ASes touched (Figure 1's x-axis): the
+    /// requests whose AS no earlier request has. Allocates nothing and
+    /// looks back per request, which suits a diagnostic; the crawl's
+    /// aggregator reads the count off its own per-page tally.
     pub fn distinct_ases(&self) -> u64 {
-        let mut ases: Vec<u32> = self.requests.iter().map(|r| r.asn).collect();
-        ases.sort_unstable();
-        ases.dedup();
-        ases.len() as u64
+        let first =
+            |(i, r): &(usize, &RequestTiming)| !self.requests[..*i].iter().any(|e| e.asn == r.asn);
+        self.requests.iter().enumerate().filter(first).count() as u64
     }
 
     /// Requests that were coalesced onto a connection opened for a
@@ -444,6 +449,15 @@ mod tests {
         assert_eq!(l.coalesced_requests(), 0);
         assert_eq!(l.new_connections_to(&name("fonts.cdnhost.com")), 1);
         assert_eq!(l.new_connections_to(&name("missing.example")), 0);
+    }
+
+    #[test]
+    fn distinct_ases_counts_first_occurrences() {
+        let mut l = load();
+        l.requests = (0..80)
+            .map(|i| t(i, "a.com", 0.0, 0.0, 0.0, 1.0, 1_000 + (i % 40) as u32))
+            .collect();
+        assert_eq!(l.distinct_ases(), 40);
     }
 
     #[test]

@@ -25,4 +25,4 @@ pub mod waterfall;
 
 pub use content::ContentType;
 pub use har::{PageLoad, Phase, RequestTiming};
-pub use page::{FetchMode, Page, Protocol, Resource};
+pub use page::{FetchMode, Page, PathSpec, Protocol, Resource};

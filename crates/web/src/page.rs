@@ -23,6 +23,18 @@ pub enum Protocol {
 }
 
 impl Protocol {
+    /// Every protocol, in discriminant order: `ALL[p as usize] == p`,
+    /// the index space of per-protocol tallies.
+    pub const ALL: [Protocol; 7] = [
+        Protocol::H2,
+        Protocol::H11,
+        Protocol::H3Q050,
+        Protocol::Quic,
+        Protocol::H10,
+        Protocol::H09,
+        Protocol::NA,
+    ];
+
     /// Display string matching Table 3 rows.
     pub fn label(self) -> &'static str {
         match self {
@@ -68,14 +80,44 @@ impl FetchMode {
     }
 }
 
+/// What a resource's URL path is a function of. Only an HTTP/1.1
+/// request line and an HTTP/3 field section ever read a path, so a page
+/// carries the integers and [`Resource::render_path`] spells them out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathSpec {
+    /// A fixed path: `/` for a root document, literals in hand-built
+    /// pages.
+    Fixed(&'static str),
+    /// `/{label}/r{slot}-{ordinal}.{ext}`: `label` is the first label
+    /// of `Page::hosts[slot]` — the host the generator *placed* the
+    /// resource on; a legacy page re-homes resources onto shards
+    /// afterwards and their paths stay — and `ext` follows the content
+    /// type.
+    Slot {
+        /// Index into [`Page::hosts`] of the placing host.
+        slot: u16,
+        /// Position among that slot's resources.
+        ordinal: u32,
+    },
+    /// `{prefix}{n}{suffix}`, the template being `[prefix, suffix]`.
+    Numbered(&'static [&'static str; 2], u32),
+}
+
+impl From<&'static str> for PathSpec {
+    fn from(path: &'static str) -> Self {
+        PathSpec::Fixed(path)
+    }
+}
+
 /// One resource in a page: where it lives, what it is, and which
 /// earlier resource discovered it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resource {
-    /// Hostname serving the resource.
-    pub host: DnsName,
+    /// Index into [`Page::hosts`] of the hostname serving the resource
+    /// ([`Page::push`] assigns it; [`Page::host_of`] reads it back).
+    pub host: u16,
     /// URL path.
-    pub path: String,
+    pub path: PathSpec,
     /// Content type.
     pub content_type: ContentType,
     /// Transfer size in bytes.
@@ -93,17 +135,11 @@ pub struct Resource {
 }
 
 impl Resource {
-    /// A plain HTTPS HTTP/2 resource. `path` accepts `&str` or an
-    /// already-built `String` (moved, not re-allocated) — the webgen
-    /// hot path formats each path once and hands it over.
-    pub fn new(
-        host: DnsName,
-        path: impl Into<String>,
-        content_type: ContentType,
-        size: u64,
-    ) -> Self {
+    /// A plain HTTPS HTTP/2 resource on the page's root host, until
+    /// [`Page::push`] places it.
+    pub fn new(path: impl Into<PathSpec>, content_type: ContentType, size: u64) -> Self {
         Resource {
-            host,
+            host: 0,
             path: path.into(),
             content_type,
             size,
@@ -126,10 +162,22 @@ impl Resource {
         self
     }
 
-    /// Full URL string.
-    pub fn url(&self) -> String {
-        let scheme = if self.secure { "https" } else { "http" };
-        format!("{scheme}://{}{}", self.host, self.path)
+    /// Write the URL path over `out` and return it. `hosts` is the
+    /// owning page's [`Page::hosts`].
+    pub fn render_path<'o>(&self, hosts: &[DnsName], out: &'o mut String) -> &'o str {
+        use std::fmt::Write as _;
+        out.clear();
+        // Writing to a `String` cannot fail.
+        let _ = match self.path {
+            PathSpec::Fixed(path) => out.write_str(path),
+            PathSpec::Slot { slot, ordinal } => {
+                let label = hosts[slot as usize].labels().next().unwrap_or("x");
+                let ext = self.content_type.extension();
+                write!(out, "/{label}/r{slot}-{ordinal}.{ext}")
+            }
+            PathSpec::Numbered([prefix, suffix], n) => write!(out, "{prefix}{n}{suffix}"),
+        };
+        out
     }
 }
 
@@ -145,6 +193,11 @@ pub struct Page {
     pub rank: u32,
     /// The site's root document host.
     pub root_host: DnsName,
+    /// The page's hostnames, each once, the root host first: what
+    /// [`Resource::host`] and [`PathSpec::Slot`] index. Per-host work
+    /// (certificate planning, hostname tallies) runs over this table
+    /// instead of over every resource.
+    pub hosts: Vec<DnsName>,
     /// Resources; index 0 is the root document.
     pub resources: Vec<Resource>,
     /// Whether this is a legacy (pre-h2) site: first-party assets
@@ -164,21 +217,21 @@ pub struct Page {
 impl Page {
     /// Create a page with its root document resource.
     pub fn new(rank: u32, root_host: DnsName, root_size: u64) -> Self {
-        let root = Resource::new(root_host.clone(), "/", ContentType::Html, root_size);
         Page {
             rank,
+            hosts: vec![root_host.clone()],
             root_host,
-            resources: vec![root],
+            resources: vec![Resource::new("/", ContentType::Html, root_size)],
             legacy: false,
             h3: false,
         }
     }
 
-    /// Append a subresource; returns its index.
+    /// Append a subresource served by `host`; returns its index.
     ///
     /// # Panics
     /// Panics if `discovered_by` points at itself or a later index.
-    pub fn push(&mut self, resource: Resource) -> usize {
+    pub fn push(&mut self, host: DnsName, mut resource: Resource) -> usize {
         let idx = self.resources.len();
         if let Some(parent) = resource.discovered_by {
             assert!(
@@ -186,21 +239,24 @@ impl Page {
                 "resource {idx} discovered by later resource {parent}"
             );
         }
+        let slot = self.hosts.iter().position(|h| *h == host);
+        let slot = slot.unwrap_or_else(|| {
+            self.hosts.push(host);
+            self.hosts.len() - 1
+        });
+        resource.host = u16::try_from(slot).expect("a page has at most 65,536 hosts");
         self.resources.push(resource);
         idx
+    }
+
+    /// The hostname serving `resource`, a resource of this page.
+    pub fn host_of(&self, resource: &Resource) -> &DnsName {
+        &self.hosts[resource.host as usize]
     }
 
     /// Number of subresource requests (excludes the root document).
     pub fn subrequest_count(&self) -> usize {
         self.resources.len() - 1
-    }
-
-    /// Distinct hostnames across all resources.
-    pub fn distinct_hosts(&self) -> Vec<&DnsName> {
-        let mut hosts: Vec<&DnsName> = self.resources.iter().map(|r| &r.host).collect();
-        hosts.sort();
-        hosts.dedup();
-        hosts
     }
 
     /// The children of resource `idx` in discovery order.
@@ -246,28 +302,20 @@ mod tests {
 
     fn page() -> Page {
         let mut p = Page::new(1, name("www.example.com"), 14_000);
-        let css = p.push(Resource::new(
+        let css = p.push(
             name("static.example.com"),
-            "/css/style.css",
-            ContentType::Css,
-            12_000,
-        ));
-        p.push(
-            Resource::new(
-                name("fonts.cdnhost.com"),
-                "/fonts/arial.woff",
-                ContentType::Woff2,
-                20_000,
-            )
-            .discovered_by(css)
-            .fetch_mode(FetchMode::CorsAnonymous),
+            Resource::new("/css/style.css", ContentType::Css, 12_000),
         );
-        p.push(Resource::new(
+        p.push(
+            name("fonts.cdnhost.com"),
+            Resource::new("/fonts/arial.woff", ContentType::Woff2, 20_000)
+                .discovered_by(css)
+                .fetch_mode(FetchMode::CorsAnonymous),
+        );
+        p.push(
             name("static.example.com"),
-            "/js/jquery.js",
-            ContentType::Javascript,
-            30_000,
-        ));
+            Resource::new("/js/jquery.js", ContentType::Javascript, 30_000),
+        );
         p
     }
 
@@ -275,15 +323,51 @@ mod tests {
     fn root_is_resource_zero() {
         let p = page();
         assert_eq!(p.resources[0].content_type, ContentType::Html);
-        assert_eq!(p.resources[0].path, "/");
+        assert_eq!(p.resources[0].path, PathSpec::Fixed("/"));
+        assert_eq!(p.host_of(&p.resources[0]), &p.root_host);
         assert_eq!(p.subrequest_count(), 3);
     }
 
     #[test]
-    fn distinct_hosts_deduped() {
+    fn hosts_are_listed_once_in_first_use_order() {
         let p = page();
-        let hosts = p.distinct_hosts();
-        assert_eq!(hosts.len(), 3);
+        assert_eq!(
+            p.hosts,
+            ["www.example.com", "static.example.com", "fonts.cdnhost.com"].map(name)
+        );
+        let slots: Vec<u16> = p.resources.iter().map(|r| r.host).collect();
+        assert_eq!(slots, [0, 1, 2, 1]);
+    }
+
+    #[test]
+    fn paths_render_from_what_they_are_a_function_of() {
+        let mut p = page();
+        let mut buf = String::from("stale");
+        assert_eq!(p.resources[0].render_path(&p.hosts, &mut buf), "/");
+        assert_eq!(
+            p.resources[1].render_path(&p.hosts, &mut buf),
+            "/css/style.css"
+        );
+        // A slot path takes its label from the slot it names, not from
+        // the host the resource is (now) served by.
+        let mut r = Resource::new(
+            PathSpec::Slot {
+                slot: 2,
+                ordinal: 7,
+            },
+            ContentType::Woff2,
+            1,
+        );
+        r.host = 1;
+        assert_eq!(r.render_path(&p.hosts, &mut buf), "/fonts/r2-7.woff2");
+        p.hosts.swap(1, 2);
+        assert_eq!(r.render_path(&p.hosts, &mut buf), "/static/r2-7.woff2");
+        static LIB: [&str; 2] = ["/ajax/libs/lib", ".min.js"];
+        let numbered = Resource::new(PathSpec::Numbered(&LIB, 12), ContentType::Javascript, 1);
+        assert_eq!(
+            numbered.render_path(&p.hosts, &mut buf),
+            "/ajax/libs/lib12.min.js"
+        );
     }
 
     #[test]
@@ -303,16 +387,10 @@ mod tests {
     #[should_panic(expected = "discovered by later")]
     fn forward_reference_panics() {
         let mut p = Page::new(1, name("a.com"), 1_000);
-        p.push(Resource::new(name("b.com"), "/x", ContentType::Css, 10).discovered_by(5));
-    }
-
-    #[test]
-    fn url_formatting() {
-        let r = Resource::new(name("a.com"), "/x.js", ContentType::Javascript, 10);
-        assert_eq!(r.url(), "https://a.com/x.js");
-        let mut r2 = r.clone();
-        r2.secure = false;
-        assert_eq!(r2.url(), "http://a.com/x.js");
+        p.push(
+            name("b.com"),
+            Resource::new("/x", ContentType::Css, 10).discovered_by(5),
+        );
     }
 
     #[test]
@@ -329,5 +407,8 @@ mod tests {
         assert!(Protocol::H2.supports_coalescing());
         assert!(!Protocol::H11.supports_coalescing());
         assert!(!Protocol::H3Q050.supports_coalescing());
+        for (i, p) in Protocol::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i);
+        }
     }
 }

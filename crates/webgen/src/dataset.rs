@@ -11,7 +11,7 @@ use origin_dns::DnsName;
 use origin_netsim::rng::splitmix64_finalize;
 use origin_netsim::SimRng;
 use origin_tls::KnownIssuer;
-use origin_web::{ContentType, FetchMode, Page, Protocol, Resource};
+use origin_web::{ContentType, FetchMode, Page, PathSpec, Protocol, Resource};
 
 /// Dataset generation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -392,19 +392,21 @@ impl Dataset {
     ///
     /// Materialization is a pure function of the site: the scratch
     /// only recycles buffer capacity (host slots, ordering vectors,
-    /// resource path strings) across calls, so the returned page is
-    /// byte-identical to [`Dataset::page_for`]'s. Crawl workers hold
-    /// one scratch each and [`PageScratch::recycle`] finished pages
-    /// back into it.
+    /// the page's host and resource tables) across calls, so the
+    /// returned page is byte-identical to [`Dataset::page_for`]'s.
+    /// Crawl workers hold one scratch each and
+    /// [`PageScratch::recycle`] finished pages back into it.
     pub fn page_for_with(&self, site: &SiteConfig, scratch: &mut PageScratch) -> Page {
-        use std::fmt::Write as _;
         let mut rng = SimRng::seed_from_u64(site.page_seed);
 
         // Hosts and their request weights: first-party carries ~40% of
         // requests (sites serve much of their own content), services
-        // split the rest by popularity weight.
+        // split the rest by popularity weight. Slot `i` is the page's
+        // host `i`: the root, its shards, then the services.
         let slots = &mut scratch.slots;
         slots.clear();
+        let mut hosts = std::mem::take(&mut scratch.hosts);
+        hosts.clear();
         let n_fp = 1 + site.shard_hosts.len();
         let fp_weight_total = 40.0;
         for (i, h) in std::iter::once(&site.root_host)
@@ -413,8 +415,8 @@ impl Dataset {
         {
             // Root slightly heavier than shards.
             let w = fp_weight_total / n_fp as f64 * if i == 0 { 1.3 } else { 0.9 };
+            hosts.push(h.clone());
             slots.push(HostSlot {
-                host: h.clone(),
                 weight: w,
                 content: HostContent::FirstParty,
                 fetch: FetchMode::Normal,
@@ -433,8 +435,8 @@ impl Dataset {
                 ServiceRef::Named(i) => SERVICES[*i].weight as f64,
                 ServiceRef::Tail(i) => tail_service_weight(*i) as f64,
             };
+            hosts.push(s.host());
             slots.push(HostSlot {
-                host: s.host(),
                 weight: 60.0 * w / svc_weight_total.max(1.0),
                 content: HostContent::Service(s.content()),
                 fetch: s.fetch(),
@@ -525,21 +527,11 @@ impl Dataset {
         let seen_slots = &mut scratch.seen_slots;
         seen_slots.clear();
         seen_slots.resize(slots.len(), false);
-        // Recycled resource storage: slot 0 is the root document, the
-        // emit loop overwrites (or appends) one entry per ordered
-        // resource, and the tail of a larger previous page is
-        // truncated away. Path strings re-fill their old capacity.
+        // Recycled resource storage; resource 0 is the root document
+        // on host slot 0.
         let mut resources = std::mem::take(&mut scratch.resources);
-        let spare = &mut scratch.spare;
-        write_resource(
-            &mut resources,
-            spare,
-            0,
-            &site.root_host,
-            ContentType::Html,
-            14_000,
-        );
-        resources[0].path.push('/');
+        resources.clear();
+        resources.push(Resource::new("/", ContentType::Html, 14_000));
         // The discovery backbone: each newly-contacted host is found
         // by parsing content fetched from the previously-discovered
         // one (script loads script loads beacon…), so host
@@ -565,15 +557,14 @@ impl Dataset {
                 };
                 let size = (rng.log_normal(content.typical_size() as f64, 0.9) as u64)
                     .clamp(200, 6_000_000);
-                let r = write_resource(&mut resources, spare, idx, &slot.host, content, size);
-                let _ = write!(
-                    r.path,
-                    "/{}/r{}-{}.{}",
-                    slot.host.as_str().split('.').next().unwrap_or("x"),
-                    slot_idx,
-                    j,
-                    ext_of(content)
-                );
+                // The path is a function of the slot that placed the
+                // resource, its ordinal there and the content type.
+                let slot_path = PathSpec::Slot {
+                    slot: slot_idx as u16,
+                    ordinal: j as u32,
+                };
+                let mut r = Resource::new(slot_path, content, size);
+                r.host = slot_idx as u16;
                 r.fetch_mode = if content.is_font() {
                     FetchMode::CorsAnonymous
                 } else {
@@ -619,19 +610,16 @@ impl Dataset {
                 if content == ContentType::Css {
                     css_indices.push(idx);
                 }
+                resources.push(r);
             }
         }
-        // Park (don't drop) the unused tail of a larger previous
-        // page: the next page that outgrows this one re-adopts those
-        // entries — and their path-string capacity — from the spare
-        // pool instead of allocating fresh ones.
-        spare.extend(resources.drain(order.len() + 1..));
         if site.legacy {
-            apply_legacy_layout(site, &mut resources);
+            apply_legacy_layout(site.shard_hosts.len(), &mut resources);
         }
         Page {
             rank: site.rank,
             root_host: site.root_host.clone(),
+            hosts,
             resources,
             legacy: site.legacy,
             h3: site.h3,
@@ -649,22 +637,24 @@ impl Dataset {
 ///   site's shard hosts — the classic domain-sharding workaround for
 ///   the 6-connections-per-host limit (third-party services keep
 ///   their own, independently sampled protocols).
-fn apply_legacy_layout(site: &SiteConfig, resources: &mut [Resource]) {
+///
+/// Host slots `0..=n_shards` are the root and its shards. Only
+/// `Resource::host` moves: a path keeps naming the slot that placed it.
+fn apply_legacy_layout(n_shards: usize, resources: &mut [Resource]) {
     if let Some(root) = resources.first_mut() {
         root.protocol = Protocol::H11;
     }
-    let shards = &site.shard_hosts;
     let mut fp_seen = 0usize;
     for r in resources.iter_mut().skip(1) {
-        let first_party = r.host == site.root_host || shards.contains(&r.host);
+        let first_party = r.host as usize <= n_shards;
         if !first_party {
             continue;
         }
         if r.protocol != Protocol::NA {
             r.protocol = Protocol::H11;
         }
-        if !shards.is_empty() {
-            r.host = shards[fp_seen % shards.len()].clone();
+        if n_shards > 0 {
+            r.host = 1 + (fp_seen % n_shards) as u16;
             fp_seen += 1;
         }
     }
@@ -673,7 +663,6 @@ fn apply_legacy_layout(site: &SiteConfig, resources: &mut [Resource]) {
 /// One host slot in a materializing page (see
 /// [`Dataset::page_for_with`]).
 struct HostSlot {
-    host: DnsName,
     weight: f64,
     content: HostContent,
     fetch: FetchMode,
@@ -682,38 +671,6 @@ struct HostSlot {
 enum HostContent {
     FirstParty,
     Service(ContentType),
-}
-
-/// Reset entry `idx` of `resources` for reuse (or adopt one from the
-/// `spare` pool, or append a fresh one) and return it with an empty
-/// path, defaulted discovery/fetch fields and the given identity —
-/// the recycled-buffer analogue of [`Resource::new`].
-fn write_resource<'a>(
-    resources: &'a mut Vec<Resource>,
-    spare: &mut Vec<Resource>,
-    idx: usize,
-    host: &DnsName,
-    content: ContentType,
-    size: u64,
-) -> &'a mut Resource {
-    if idx >= resources.len() {
-        debug_assert_eq!(idx, resources.len());
-        resources.push(
-            spare
-                .pop()
-                .unwrap_or_else(|| Resource::new(host.clone(), String::new(), content, size)),
-        );
-    }
-    let r = &mut resources[idx];
-    r.host = host.clone();
-    r.path.clear();
-    r.content_type = content;
-    r.size = size;
-    r.discovered_by = None;
-    r.fetch_mode = FetchMode::Normal;
-    r.protocol = Protocol::H2;
-    r.secure = true;
-    r
 }
 
 /// Reusable buffers for [`Dataset::page_for_with`]: everything a page
@@ -735,10 +692,8 @@ pub struct PageScratch {
     seen_slots: Vec<bool>,
     seen_groups: origin_intern::FxHashSet<u32>,
     seen_groups_emit: origin_intern::FxHashSet<u32>,
+    hosts: Vec<DnsName>,
     resources: Vec<Resource>,
-    /// Parked resource entries from pages larger than the current one
-    /// (their path strings keep their capacity).
-    spare: Vec<Resource>,
 }
 
 impl PageScratch {
@@ -747,31 +702,12 @@ impl PageScratch {
         Self::default()
     }
 
-    /// Return a finished page's resource storage to the scratch so the
-    /// next [`Dataset::page_for_with`] call reuses its capacity
-    /// (including every resource's path-string allocation).
+    /// Return a finished page's host and resource tables to the
+    /// scratch so the next [`Dataset::page_for_with`] call reuses
+    /// their capacity.
     pub fn recycle(&mut self, page: Page) {
-        // Normally `resources` is empty (page_for_with took it); if
-        // the caller recycles twice, park the older entries instead
-        // of dropping them.
-        let old = std::mem::replace(&mut self.resources, page.resources);
-        self.spare.extend(old);
-    }
-}
-
-fn ext_of(ct: ContentType) -> &'static str {
-    match ct {
-        ContentType::Javascript | ContentType::TextJavascript | ContentType::XJavascript => "js",
-        ContentType::Jpeg => "jpg",
-        ContentType::Png => "png",
-        ContentType::Html => "html",
-        ContentType::Gif => "gif",
-        ContentType::Css => "css",
-        ContentType::Json => "json",
-        ContentType::Woff2 => "woff2",
-        ContentType::Webp => "webp",
-        ContentType::Plain => "txt",
-        ContentType::Other => "bin",
+        self.hosts = page.hosts;
+        self.resources = page.resources;
     }
 }
 
@@ -927,7 +863,7 @@ mod tests {
         let site = d.sites().iter().find(|s| !s.failed).unwrap();
         let page = d.page_for(site);
         assert_eq!(page.resources[0].content_type, ContentType::Html);
-        assert_eq!(page.resources[0].host, site.root_host);
+        assert_eq!(page.host_of(&page.resources[0]), &site.root_host);
         // Budget is approximate (hosts each get ≥1) but close.
         let n = page.subrequest_count() as u32;
         assert!(
@@ -943,10 +879,10 @@ mod tests {
         let site = d.sites().iter().find(|s| !s.failed).unwrap().clone();
         let page = d.page_for(&site);
         let mut rng = SimRng::seed_from_u64(1);
-        for r in &page.resources {
-            let ans = d.universe.zones.resolve(&r.host, &mut rng);
-            assert!(ans.is_some(), "unresolvable host {}", r.host);
-            assert_ne!(d.universe.asn_of_host(&r.host), 0);
+        for host in &page.hosts {
+            let ans = d.universe.zones.resolve(host, &mut rng);
+            assert!(ans.is_some(), "unresolvable host {host}");
+            assert_ne!(d.universe.asn_of_host(host), 0);
         }
     }
 
@@ -988,11 +924,11 @@ mod tests {
             let mut groups_seen = std::collections::HashSet::new();
             let mut all_groups = std::collections::HashSet::new();
             for r in &page.resources {
-                all_groups.insert(d.universe.asn_of_host(&r.host));
+                all_groups.insert(d.universe.asn_of_host(page.host_of(r)));
             }
             let prefix = all_groups.len() + 2;
             for r in page.resources.iter().take(prefix) {
-                groups_seen.insert(d.universe.asn_of_host(&r.host));
+                groups_seen.insert(d.universe.asn_of_host(page.host_of(r)));
             }
             assert!(
                 groups_seen.len() >= all_groups.len().saturating_sub(1),
@@ -1049,6 +985,42 @@ mod tests {
             ases.len()
         );
         assert!(pick_services(&mut rng, 1).is_empty());
+    }
+
+    /// Every path a mixed universe renders, pinned: the digest was
+    /// recorded while `Resource` still carried the `String` the
+    /// generator formatted. A legacy page re-homes first-party assets
+    /// onto shards *after* their paths were fixed, so a path rendered
+    /// from the serving host instead of the placing slot changes
+    /// HTTP/1.1 request-line bytes — and this digest.
+    #[test]
+    fn rendered_paths_are_pinned() {
+        let d = Dataset::generate(DatasetConfig {
+            sites: 400,
+            legacy_share: 0.25,
+            h3_share: 0.5,
+            ..Default::default()
+        });
+        let mut text = String::new();
+        let mut path = String::new();
+        let (mut legacy_pages, mut rehomed) = (0, 0);
+        for site in d.successful_sites() {
+            let page = d.page_for(site);
+            legacy_pages += u32::from(page.legacy);
+            for r in &page.resources {
+                let host = page.host_of(r);
+                text.push_str(host.as_str());
+                text.push_str(r.render_path(&page.hosts, &mut path));
+                text.push('\n');
+                let label = host.labels().next().unwrap();
+                rehomed += u32::from(path != "/" && !path.starts_with(&format!("/{label}/")));
+            }
+        }
+        assert_eq!((legacy_pages, rehomed), (75, 1696));
+        assert_eq!(
+            origin_netsim::rng::fnv1a64(text.as_bytes()),
+            0x6ee1_4df9_9aed_021f
+        );
     }
 
     /// Scratch reuse must be observationally invisible: pages built

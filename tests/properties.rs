@@ -596,6 +596,73 @@ fn cdf_bounds() {
     }
 }
 
+// ---- the one quantisation ----
+
+/// `millis_to_micros` is `(ms * 1000).round() as u64` without the libm
+/// call, and `ms_to_us` / `SimDuration::from_millis_f64` are that one
+/// helper behind their own input contracts.
+#[test]
+fn quantisation_equals_round_half_away_from_zero() {
+    use respect_origin::netsim::{millis_to_micros, SimDuration};
+    use respect_origin::web::har::ms_to_us;
+    let reference = |ms: f64| (ms * 1_000.0).round() as u64;
+    let check = |ms: f64| {
+        assert_eq!(millis_to_micros(ms), reference(ms), "ms = {ms:e}");
+        assert_eq!(ms_to_us(ms), reference(ms.max(0.0)), "ms = {ms:e}");
+        if ms >= 0.0 && ms.is_finite() {
+            assert_eq!(SimDuration::from_millis_f64(ms).as_micros(), reference(ms));
+        }
+    };
+    let neighbours = |x: f64| {
+        [
+            f64::from_bits(x.to_bits() - 1),
+            x,
+            f64::from_bits(x.to_bits() + 1),
+        ]
+    };
+    check(0.0);
+    check(-0.0);
+    // Every tie `k + 0.5` µs and the floats either side of it, each
+    // approached from the three ms values whose product lands there.
+    for k in (0..4_096u64).chain((1..48).map(|e| (1u64 << e) - 1)) {
+        let tie_us = k as f64 + 0.5;
+        for us in neighbours(tie_us) {
+            for ms in neighbours(us / 1_000.0) {
+                check(ms);
+            }
+        }
+    }
+    // Around the largest double below half a microsecond, where
+    // "add 0.5 and truncate" would round up and `round` does not.
+    for ms in neighbours(0.49999999999999994 / 1_000.0) {
+        check(ms);
+    }
+    // Where the in-register path hands over to `round`, and where
+    // doubles stop holding every integer.
+    for boundary in [(1u64 << 52) as f64, (1u64 << 53) as f64] {
+        for us in neighbours(boundary) {
+            for ms in neighbours(us / 1_000.0) {
+                check(ms);
+            }
+        }
+    }
+    let mut rng = SimRng::seed_from_u64(0x0051_5A17);
+    for _ in 0..1_000_000 {
+        check(rng.range_f64(0.0, 1e7));
+    }
+    // Outside the domain: `ms_to_us` clamps, the helper saturates the
+    // way the cast does, and a duration refuses.
+    for ms in [-1.0, -0.000_6, f64::NEG_INFINITY, f64::NAN] {
+        assert_eq!(ms_to_us(ms), 0);
+        assert_eq!(millis_to_micros(ms), 0);
+    }
+    assert_eq!(ms_to_us(f64::INFINITY), u64::MAX);
+    for ms in [-1.0, f64::NAN, f64::INFINITY] {
+        let refused = std::panic::catch_unwind(|| SimDuration::from_millis_f64(ms));
+        assert!(refused.is_err(), "from_millis_f64({ms}) must assert");
+    }
+}
+
 // ---- ORIGIN entries ----
 
 #[test]
@@ -674,16 +741,11 @@ mod reconstruct_props {
         let rows = rng.range_u64(1, 40) as usize;
         for i in 0..rows {
             let idx = i + 1;
-            let mut r = Resource::new(
-                DnsName::parse(&format!("h{idx}.example")).unwrap(),
-                "/r",
-                ContentType::Javascript,
-                1_000,
-            );
+            let mut r = Resource::new("/r", ContentType::Javascript, 1_000);
             if rng.chance(0.5) && idx > 1 {
                 r.discovered_by = Some(idx - 1);
             }
-            page.push(r);
+            page.push(DnsName::parse(&format!("h{idx}.example")).unwrap(), r);
             // Start after the parent finishes (consistent timeline).
             let parent = page.resources[idx].discovered_by.unwrap_or(0);
             let start = requests[parent].end() + 1.0;
