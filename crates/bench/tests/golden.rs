@@ -2,10 +2,22 @@
 //! h3 × fault recovery × every telemetry sink, on the `crawl-mixed`
 //! configuration of `BENCHMARK.json` at small scale.
 
-use origin_bench::{run_crawl_observed, CrawlResults, CrawlSpec, ObsConfig};
+use origin_bench::{
+    run_crawl_observed, CrawlResults, CrawlSpec, H3Report, ObsConfig, RedundancyReport,
+    ResilienceReport,
+};
+use origin_browser::{BrowserKind, PageLoader, UniverseEnv};
 use origin_netsim::rng::fnv1a64;
-use origin_netsim::FaultProfile;
+use origin_netsim::{FaultProfile, SimDuration, SimRng};
+use origin_obs::FlightRecorder;
+use origin_serve::{run_serve, ServeConfig};
 use origin_trace::{to_chrome_json, Sampler};
+use origin_web::PageLoad;
+use origin_webgen::{Dataset, DatasetConfig, SiteConfig};
+use std::process;
+
+/// Fault events in one visit that arm the flight recorder's trigger.
+const FAULT_ABORT: u64 = 3;
 
 fn crawl_mixed(threads: usize) -> CrawlSpec {
     CrawlSpec {
@@ -14,32 +26,151 @@ fn crawl_mixed(threads: usize) -> CrawlSpec {
         faults: Some(FaultProfile::parse("drop=0.01,h421=0.005,middlebox=0.1").unwrap()),
         legacy_share: 0.25,
         h3_share: 0.5,
-        obs: Some(ObsConfig::default()),
+        obs: Some(ObsConfig {
+            fault_abort: Some(FAULT_ABORT),
+            ..ObsConfig::default()
+        }),
         ..CrawlSpec::new(300, 0x0516)
     }
 }
 
-/// FNV-1a of the registry, trace and timeline exports.
-fn digests(r: &CrawlResults) -> [u64; 3] {
+/// One untraced, unobserved load of the first successful site `pick`
+/// accepts, on the mixed universe — the HAR exporter's input.
+fn load_of(dataset: &Dataset, pick: impl Fn(&SiteConfig) -> bool) -> PageLoad {
+    let site = dataset
+        .successful_sites()
+        .find(|s| pick(s))
+        .expect("the mixed universe has such a site");
+    let mut env = UniverseEnv::new(dataset);
+    env.flush_dns();
+    let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+    PageLoader::new(BrowserKind::Chromium).load(&dataset.page_for(site), &mut env, &mut rng)
+}
+
+/// A hand-filled recorder: the panic snapshot is a worker-local view,
+/// so a merged crawl result never carries one with events in it.
+/// Quotes and backslashes only — what the exporter escaped before it
+/// moved onto the shared writer.
+fn panic_snapshot() -> String {
+    let mut rec = FlightRecorder::new(4);
+    rec.begin_visit(6);
+    rec.record(0, "visit.begin", 6, "old.example");
+    rec.begin_visit(7);
+    rec.record(0, "visit.begin", 7, "a.example");
+    rec.record(12, "conn.open", 1, "cdn \"edge\" a\\b");
+    rec.record(40, "fault.421", 2, "");
+    rec.panic_snapshot_json()
+}
+
+/// The figure series `repro --json` writes. The emitter lives in the
+/// binary, so the binary is what the test drives.
+fn series_json() -> String {
+    let path = std::env::temp_dir().join(format!("origin-golden-series-{}.json", process::id()));
+    let out = process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--sites", "300", "--threads", "2", "--only", "t1", "--json"])
+        .arg(&path)
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success(), "repro --json failed");
+    let body = std::fs::read_to_string(&path).expect("repro wrote the series");
+    let _ = std::fs::remove_file(&path);
+    body
+}
+
+/// The per-arm serve timeline, with retention on so the `folded`
+/// section is part of the document.
+fn serve_timeline_json() -> String {
+    run_serve(&ServeConfig {
+        dataset: DatasetConfig {
+            sites: 300,
+            ..DatasetConfig::default()
+        },
+        visits: 5_000,
+        threads: 2,
+        rollout: 0.5,
+        rollout_ramp: SimDuration::from_secs(120),
+        retain_windows: Some(4),
+        ..ServeConfig::default()
+    })
+    .timeline_json()
+}
+
+/// FNV-1a of every JSON export of the workspace: registry, trace,
+/// timeline, flight trigger snapshot, the three comparison reports,
+/// the HAR of one h2 and one legacy visit, a panic snapshot, the
+/// figure series and the per-arm serve timeline.
+fn digests(r: &CrawlResults) -> [u64; 12] {
+    let spec = crawl_mixed(2);
+    let twin = |spec: CrawlSpec| {
+        CrawlSpec {
+            sampler: None,
+            obs: None,
+            ..spec
+        }
+        .run()
+    };
+    let clean = twin(CrawlSpec {
+        faults: None,
+        ..spec.clone()
+    });
+    let h2_only = twin(CrawlSpec {
+        h3_share: 0.0,
+        ..spec.clone()
+    });
+    let dataset = Dataset::generate(DatasetConfig {
+        sites: spec.sites,
+        seed: spec.seed,
+        legacy_share: spec.legacy_share,
+        h3_share: spec.h3_share,
+        ..DatasetConfig::default()
+    });
     let timeline = r.timeline.as_ref().expect("observed crawl");
+    let flight = r.flight.as_ref().expect("observed crawl");
     [
         r.metrics.to_json(),
         to_chrome_json(&r.trace),
         timeline.to_json(),
+        flight
+            .trigger_snapshot_json(FAULT_ABORT)
+            .expect("some visit of the mixed crawl reaches the threshold"),
+        ResilienceReport::build(&clean, r, spec.faults.as_ref().expect("faulted")).to_json(),
+        RedundancyReport::build(r, spec.legacy_share).to_json(),
+        H3Report::build(&h2_only, r, spec.h3_share).to_json(),
+        load_of(&dataset, |s| !s.legacy && !s.h3).to_har_json(),
+        load_of(&dataset, |s| s.legacy).to_har_json(),
+        panic_snapshot(),
+        series_json(),
+        serve_timeline_json(),
     ]
     .map(|json| fnv1a64(json.as_bytes()))
 }
 
-/// The constants were computed from the code before the visit-pipeline
-/// refactor (PR 12); any change to the order of an RNG draw, a counter,
-/// a span or a window cell moves them.
+/// The first three constants were computed from the code before the
+/// visit-pipeline refactor (PR 12), the rest from the code before the
+/// exporters moved onto `origin_netsim::json`; any change to the order
+/// of an RNG draw, a counter, a span or a window cell — or to one byte
+/// of an exporter's layout — moves them.
 #[test]
 fn crawl_mixed_digests_are_pinned() {
     for threads in [1, 3] {
         assert_eq!(
             digests(&crawl_mixed(threads).run()),
-            [0xd0050d43830eaafc, 0x86da740b593c0daf, 0xd7bd9feec9898ffc],
-            "{threads} threads: registry, trace, timeline"
+            [
+                0xd0050d43830eaafc,
+                0x86da740b593c0daf,
+                0xd7bd9feec9898ffc,
+                0x51768458a081f448,
+                0xd6a3560f65cadfe9,
+                0x443065028a637c8a,
+                0xc8ddbbefd02569c7,
+                0x3a00693316dd2bbb,
+                0x59d445b5329e4115,
+                0xec8c880438324854,
+                0x8a4048dbada08092,
+                0x527fbb8446b8d226,
+            ],
+            "{threads} threads: registry, trace, timeline, flight trigger, resilience, \
+             redundancy, h3, har (h2), har (legacy), panic snapshot, series, serve timeline"
         );
     }
 }
