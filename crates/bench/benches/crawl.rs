@@ -2,13 +2,10 @@
 //! page materialization, and the measured crawl.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use origin_bench::{CrawlSpec, SeriesSamples, DEPLOYMENT_CDN_ASN};
-use origin_browser::{BrowserKind, PageLoader, UniverseEnv, VisitArena};
-use origin_core::certplan::{plan_site, EffectiveChanges, PlanSummary};
-use origin_core::characterize::Characterization;
-use origin_core::model::predict_counts3;
+use origin_bench::{crawl_stages, CrawlSpec, STAGES};
+use origin_browser::{BrowserKind, PageLoader, UniverseEnv};
 use origin_netsim::SimRng;
-use origin_webgen::{Dataset, DatasetConfig, PageScratch, PROVIDERS};
+use origin_webgen::{Dataset, DatasetConfig};
 use std::time::Instant;
 
 fn bench_dataset_generation(c: &mut Criterion) {
@@ -168,101 +165,28 @@ fn bench_crawl_variants(c: &mut Criterion) {
     group("crawl_h3", h3.into());
 }
 
-/// The stages of one crawled site, in `Worker::crawl_site`'s order
-/// (`generate` is the dataset build, charged per generated rank).
-const STAGES: [&str; 6] = [
-    "generate",
-    "page",
-    "load",
-    "characterize",
-    "model",
-    "certplan",
-];
-
-/// One single-thread pass over a pure-h2 universe of `sites` ranks,
-/// replaying `Worker::crawl_site`'s call sequence (crates/bench/src/
-/// lib.rs — keep the two in step) with one `Instant` pair per stage.
-/// Returns µs per site for each of [`STAGES`]. `characterize` includes
-/// the measured-series pushes, `model` the two ideal series', and
-/// `certplan` the plan and Table 9 aggregation, as in `crawl_site`.
+/// One single-thread pass over a pure-h2 universe of `sites` ranks
+/// through `origin_bench::crawl_stages` — the crawl's own worker, with
+/// one `Instant` lap per stage. Returns µs per site for each of
+/// [`STAGES`].
 fn crawl_stages_pass(sites: u32) -> [f64; 6] {
     // `lap(stage)` charges the time since the previous lap to `stage`;
     // slot 6 takes what belongs to none (worker set-up).
     let mut spent = [0.0f64; 7];
     let mut clock = Instant::now();
-    let mut lap = |stage: usize| {
+    let crawled = crawl_stages(&CrawlSpec::new(sites, 0x0516), |stage| {
         let now = Instant::now();
         spent[stage] += (now - clock).as_secs_f64() * 1e6;
         clock = now;
+    });
+    let per = |stage| {
+        if stage == 0 {
+            f64::from(sites)
+        } else {
+            crawled as f64
+        }
     };
-    let config = DatasetConfig {
-        sites,
-        seed: 0x0516,
-        ..Default::default()
-    };
-    let dataset = Dataset::generate(config);
-    lap(0);
-    let loader = PageLoader::new(BrowserKind::Chromium);
-    let mut env = UniverseEnv::new(&dataset);
-    let mut scratch = PageScratch::new();
-    let mut arena = VisitArena::new();
-    let mut characterization = Characterization::new(sites, config.tranco_total);
-    let mut series: [SeriesSamples; 3] = Default::default();
-    let mut model_cdn_plt = Vec::new();
-    let mut plan = PlanSummary::default();
-    let mut effective = EffectiveChanges::new();
-    let mut metrics = origin_metrics::Registry::new();
-    let universe = &dataset.universe;
-    let mut crawled = 0u32;
-    lap(6);
-    for site in dataset.successful_sites() {
-        crawled += 1;
-        let page = dataset.page_for_with(site, &mut scratch);
-        lap(1);
-        env.flush_dns();
-        let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-        let load = loader.load_observed(
-            &page,
-            &mut env,
-            &mut rng,
-            None,
-            Some(&mut metrics),
-            None,
-            &mut arena,
-            origin_obs::VisitSinks::default(),
-        );
-        env.take_resolver_stats().record_into(&mut metrics);
-        lap(2);
-        let totals = characterization.add(&page, &load);
-        series[0].push(totals.dns_queries, totals.tls_connections, totals.plt_ms);
-        lap(3);
-        let [ip, origin, cdn] = predict_counts3(&page, &load, DEPLOYMENT_CDN_ASN);
-        series[1].push(ip.dns_queries, ip.tls_connections, ip.plt_ms);
-        series[2].push(origin.dns_queries, origin.tls_connections, origin.plt_ms);
-        model_cdn_plt.push(cdn.plt_ms);
-        lap(4);
-        let cert = universe.cert_for(&site.root_host);
-        let root_reg = site.root_host.registrable_str();
-        let root_asn = universe.asn_of_host(&site.root_host);
-        let site_plan = plan_site(&page, cert, |_, b| {
-            root_reg == b.registrable_str()
-                || (root_asn != 0 && root_asn == universe.asn_of_host(b))
-        });
-        plan.add(&site_plan);
-        let provider = site.provider.map_or("Self-hosted", |i| PROVIDERS[i].org);
-        effective.add(provider, &site_plan);
-        scratch.recycle(page);
-        arena.recycle(load);
-        lap(5);
-    }
-    criterion::black_box((
-        &characterization.pages,
-        &series,
-        &model_cdn_plt,
-        &plan.total_sites,
-        &effective,
-    ));
-    std::array::from_fn(|stage| spent[stage] / f64::from(if stage == 0 { sites } else { crawled }))
+    std::array::from_fn(|stage| spent[stage] / per(stage))
 }
 
 /// The crawl's stage ledger (DESIGN.md §10): µs per site spent in each

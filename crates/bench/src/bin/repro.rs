@@ -8,8 +8,8 @@
 //! - `--only <id>...` selects rows by the table's `id` column
 //!   (`--only bogus` prints them); without it every row runs, in table
 //!   order — the paper's order.
-//! - `--threads` shards the crawl and the §5 active measurements
-//!   (default: available parallelism). Everything `repro` prints or
+//! - `--threads` shards the crawl and the §5 active and passive
+//!   measurements (default: available parallelism). Everything `repro` prints or
 //!   writes is byte-identical at any thread count, except the
 //!   wall-clock `runtime_ms` section of `--metrics` (strip it with
 //!   `jq 'del(.runtime_ms)'` before comparing).
@@ -35,7 +35,7 @@ use origin_cdn::{
 };
 use origin_core::model::{predict, CoalescingGrouping};
 use origin_metrics::Registry;
-use origin_netsim::{FaultProfile, SimDuration, SimRng};
+use origin_netsim::{json, FaultProfile, SimDuration, SimRng};
 use origin_stats::table::{pct_change, TextTable};
 use origin_stats::{Cdf, TopEntry};
 use origin_tls::CtLogSet;
@@ -872,40 +872,19 @@ fn cmd_trace(argv: &[String]) {
     }
 }
 
-/// Render an f64 as JSON (shortest round-trip form).
-fn jf(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Render a slice as a JSON array with a per-element renderer.
-fn jarr<T>(xs: &[T], f: impl Fn(&T) -> String) -> String {
-    let mut s = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&f(x));
-    }
-    s.push(']');
-    s
-}
-
-fn jarr_f64(xs: &[f64]) -> String {
-    jarr(xs, |&x| jf(x))
-}
-
-/// Write the raw figure series to JSON for external plotting.
-///
-/// Hand-rolled (the workspace has no serde dependency); emitted keys
-/// and shapes match what `serde_json` produced before: tuples become
-/// arrays.
+/// Write the raw figure series to JSON for external plotting: one
+/// compact object, tuples as arrays.
 fn export_json(path: &str, r: &CrawlResults) {
+    /// `[item,item,…]`.
+    fn array<T>(xs: impl IntoIterator<Item = T>, item: impl Fn(&mut String, T)) -> String {
+        let mut out = String::from("[");
+        json::push_joined(&mut out, xs, ",", item);
+        out.push(']');
+        out
+    }
+    let f64s = |xs: &[f64]| array(xs, |out, &x| json::push_f64(out, x));
+    let steps = |cdf: &Cdf| array(cdf.steps(), |out, (x, p)| out.push_str(&f64s(&[x, p])));
     let (existing, ideal) = r.plan.figure4();
-    let step = |&(x, p): &(f64, f64)| format!("[{},{}]", jf(x), jf(p));
     let value = format!(
         concat!(
             "{{\"figure1\":{},",
@@ -917,24 +896,30 @@ fn export_json(path: &str, r: &CrawlResults) {
             "\"figure9_top\":{{\"measured_plt\":{},\"ideal_ip_plt\":{},",
             "\"ideal_origin_plt\":{},\"cdn_only_plt\":{}}}}}"
         ),
-        jarr(&r.characterization.figure1(), |&(v, frac, cdf)| format!(
-            "[{v},{},{}]",
-            jf(frac),
-            jf(cdf)
-        )),
-        jarr_f64(&r.measured.dns),
-        jarr_f64(&r.measured.tls),
-        jarr_f64(&r.model_ip.dns),
-        jarr_f64(&r.model_ip.tls),
-        jarr_f64(&r.model_origin.dns),
-        jarr_f64(&r.model_origin.tls),
-        jarr(&existing.steps(), step),
-        jarr(&ideal.steps(), step),
-        jarr(&r.plan.figure5(), |&(e, i, c)| format!("[{e},{i},{c}]")),
-        jarr_f64(&r.measured.plt),
-        jarr_f64(&r.model_ip.plt),
-        jarr_f64(&r.model_origin.plt),
-        jarr_f64(&r.model_cdn_plt),
+        array(r.characterization.figure1(), |out, (v, frac, cdf)| {
+            out.push('[');
+            json::push_u64(out, v);
+            for x in [frac, cdf] {
+                out.push(',');
+                json::push_f64(out, x);
+            }
+            out.push(']');
+        }),
+        f64s(&r.measured.dns),
+        f64s(&r.measured.tls),
+        f64s(&r.model_ip.dns),
+        f64s(&r.model_ip.tls),
+        f64s(&r.model_origin.dns),
+        f64s(&r.model_origin.tls),
+        steps(&existing),
+        steps(&ideal),
+        array(r.plan.figure5(), |out, (e, i, c)| {
+            out.push_str(&array([e, i, c], |out, n| json::push_u64(out, n.into())));
+        }),
+        f64s(&r.measured.plt),
+        f64s(&r.model_ip.plt),
+        f64s(&r.model_origin.plt),
+        f64s(&r.model_cdn_plt),
     );
     if write_artifact(path, value) {
         eprintln!("# wrote figure series to {path}");
@@ -1368,7 +1353,9 @@ fn passive(c: &mut Ctx, mode: DeploymentMode) {
         DeploymentMode::IpAligned => (1, "§5.2 passive (IP alignment)", "56%"),
         DeploymentMode::OriginFrames => (2, "§5.3 passive (ORIGIN frames)", "≈50%"),
     };
-    let r = PassivePipeline::new(mode).run(c.group(), c.seed);
+    let mut pipeline = PassivePipeline::new(mode);
+    pipeline.config.workers = c.threads;
+    let r = pipeline.run(c.group(), c.seed);
     r.record_into(&mut c.registry);
     if let Some(t) = &mut c.trace {
         r.record_trace(t, PASSIVE_PID_BASE + band);

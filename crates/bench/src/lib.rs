@@ -12,13 +12,14 @@
 #![warn(missing_docs)]
 
 use origin_browser::{
-    BrowserKind, FaultSession, PageLoader, UniverseEnv, VisitArena, REDUNDANCY_KINDS,
+    fault_counter_names, h3_counter_names, BrowserKind, FaultSession, PageLoader, UniverseEnv,
+    VisitArena, REDUNDANCY_KINDS,
 };
 use origin_core::certplan::{plan_site, EffectiveChanges, PlanSummary};
 use origin_core::characterize::Characterization;
 use origin_core::model::predict_counts3;
 use origin_metrics::Registry;
-use origin_netsim::{FaultProfile, SimDuration, SimRng};
+use origin_netsim::{json, FaultProfile, SimDuration, SimRng};
 use origin_obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
 use origin_obs::{FlightRecorder, Timeline, VisitObs, VisitSinks};
 use origin_trace::{Sampler, Tracer};
@@ -175,6 +176,11 @@ impl ShardAccum {
         }
     }
 
+    /// The shard's flight recorder; observed crawls only.
+    fn flight(&self) -> &FlightRecorder {
+        &self.obs.as_ref().expect("an observed crawl").flight
+    }
+
     fn merge(&mut self, other: ShardAccum) {
         self.characterization.merge(other.characterization);
         self.measured.merge(other.measured);
@@ -232,19 +238,21 @@ impl<'d> Worker<'d> {
         }
     }
 
-    /// Crawl + model one site into `acc`. Every site is self-contained
-    /// — flushed DNS (fresh browser session), resolver-stat deltas, and
-    /// an RNG seeded purely from the site's own `page_seed` — so no
-    /// state crosses site boundaries, which is what makes sharding over
-    /// threads exact rather than approximate.
-    ///
-    /// The call sequence below is the one `benchmark/src/crawl.rs`
-    /// replays span by span; keep the two in step.
-    fn crawl_site(&mut self, site: &SiteConfig, acc: &mut ShardAccum) {
-        let dataset = self.dataset;
-        let page = dataset.page_for_with(site, &mut self.scratch);
-
-        // §3: measured crawl (fresh browser session per page).
+    /// The measured visit of `site` (§3): a fresh browser session —
+    /// flushed DNS, an RNG seeded purely from the site's own
+    /// `page_seed` — so no state crosses site boundaries, which is what
+    /// makes sharding over threads exact rather than approximate.
+    /// `trace` is `Some` for a traced visit. The one place the session
+    /// salt, the trace label and the call order live: the crawl,
+    /// [`trace_site`] and the stage ledger all visit through here.
+    fn visit(
+        &mut self,
+        site: &SiteConfig,
+        page: &origin_web::Page,
+        metrics: Option<&mut Registry>,
+        mut trace: Option<&mut Tracer>,
+        sinks: VisitSinks<'_>,
+    ) -> origin_web::PageLoad {
         self.env.flush_dns();
         let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
         // Fault injection, like tracing, is a per-site affair: the
@@ -253,6 +261,37 @@ impl<'d> Worker<'d> {
         // profile draws nothing at all).
         let faults = self.spec.faults;
         let mut fault_session = faults.map(|p| FaultSession::new(p, site.page_seed ^ 0xFA017CE5));
+        // Tracing observes the simulation without touching its RNG, so
+        // a traced load returns the same PageLoad as an untraced one.
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.begin_visit(
+                site.rank as u64,
+                &format!("site-{} {}", site.rank, site.root_host.as_str()),
+            );
+        }
+        self.loader.load_observed(
+            page,
+            &mut self.env,
+            &mut rng,
+            fault_session.as_mut(),
+            metrics,
+            trace,
+            &mut self.arena,
+            sinks,
+        )
+    }
+
+    /// Crawl + model one site into `acc`, calling `lap(stage)` as each
+    /// stage of [`STAGES`] ends — a no-op closure in the crawl, an
+    /// `Instant` lap in the stage ledger.
+    ///
+    /// The call sequence below is the one `benchmark/src/crawl.rs`
+    /// replays span by span; keep the two in step.
+    fn crawl_site(&mut self, site: &SiteConfig, acc: &mut ShardAccum, lap: &mut impl FnMut(usize)) {
+        let dataset = self.dataset;
+        let page = dataset.page_for_with(site, &mut self.scratch);
+        lap(1);
+
         // Streaming observability rides in the shard accumulator: give
         // the flight recorder its visit context and reset the
         // per-visit observation scratch before the load fills both.
@@ -269,31 +308,22 @@ impl<'d> Worker<'d> {
             }
             None => VisitSinks::default(),
         };
-        // Tracing observes the simulation without touching its RNG, so
-        // a traced load returns the same PageLoad as an untraced one;
-        // the sample set is a pure function of each site's rank.
+        // The sample set is a pure function of each site's rank.
         let traced = self.spec.sampler.is_some_and(|s| s.keep(site.rank));
-        if traced {
-            acc.trace.begin_visit(
-                site.rank as u64,
-                &format!("site-{} {}", site.rank, site.root_host.as_str()),
-            );
-        }
-        let load = self.loader.load_observed(
+        let load = self.visit(
+            site,
             &page,
-            &mut self.env,
-            &mut rng,
-            fault_session.as_mut(),
             Some(&mut acc.metrics),
             traced.then_some(&mut acc.trace),
-            &mut self.arena,
             sinks,
         );
         let resolver_stats = self.env.take_resolver_stats();
         resolver_stats.record_into(&mut acc.metrics);
+        lap(2);
         let totals = acc.characterization.add(&page, &load);
         acc.measured
             .push(totals.dns_queries, totals.tls_connections, totals.plt_ms);
+        lap(3);
 
         // §4.2: model predictions via timeline reconstruction (counts
         // only — the reconstructed timelines themselves are not kept).
@@ -304,6 +334,7 @@ impl<'d> Worker<'d> {
         acc.model_origin
             .push(origin.dns_queries, origin.tls_connections, origin.plt_ms);
         acc.model_cdn_plt.push(cdn.plt_ms);
+        lap(4);
 
         // Complete the visit's observation with the pieces the loader
         // can't see — resolver stats and model predictions — then fold
@@ -349,8 +380,23 @@ impl<'d> Worker<'d> {
         // Hand the visit's buffers back for the worker's next site.
         self.scratch.recycle(page);
         self.arena.recycle(load);
+        lap(5);
     }
 }
+
+/// The stages of one crawled site, in the order `crawl_site` laps them
+/// (`generate` is the dataset build, charged per generated rank).
+/// `load` includes the resolver-stat fold, `characterize` the
+/// measured-series pushes, `model` the two ideal series', and
+/// `certplan` the plan and Table 9 aggregation.
+pub const STAGES: [&str; 6] = [
+    "generate",
+    "page",
+    "load",
+    "characterize",
+    "model",
+    "certplan",
+];
 
 /// One crawl, fully specified. A plain owned struct: build it with
 /// [`CrawlSpec::new`] and struct-update syntax, then [`CrawlSpec::run`].
@@ -404,6 +450,17 @@ impl CrawlSpec {
         }
     }
 
+    /// The universe this spec crawls.
+    fn dataset_config(&self) -> DatasetConfig {
+        DatasetConfig {
+            sites: self.sites,
+            seed: self.seed,
+            legacy_share: self.legacy_share,
+            h3_share: self.h3_share,
+            ..Default::default()
+        }
+    }
+
     /// Run the crawl + model.
     ///
     /// [`origin_netsim::fold_chunks`] cuts the site list into contiguous
@@ -418,13 +475,7 @@ impl CrawlSpec {
     pub fn run(&self) -> CrawlResults {
         let sites = self.sites;
         let obs = self.obs.as_ref();
-        let config = DatasetConfig {
-            sites,
-            seed: self.seed,
-            legacy_share: self.legacy_share,
-            h3_share: self.h3_share,
-            ..Default::default()
-        };
+        let config = self.dataset_config();
         let dataset = Dataset::generate(config);
         let site_cfgs: Vec<&SiteConfig> = dataset.successful_sites().collect();
 
@@ -440,23 +491,14 @@ impl CrawlSpec {
                 let mut acc = ShardAccum::new(sites, config.tranco_total, obs);
                 let mut run = |acc: &mut ShardAccum| {
                     for &site in chunk {
-                        worker.crawl_site(site, acc);
+                        worker.crawl_site(site, acc, &mut |_| {});
                     }
                 };
-                match obs.and_then(|o| o.panic_dump.as_ref()) {
+                match obs.and_then(|o| o.panic_dump.as_deref()) {
                     // Crash forensics: if a visit panics, dump the
-                    // worker's ring — ending with the events of the
-                    // visit that died — before propagating.
-                    Some(dump_path) => {
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            run(&mut acc)
-                        }));
-                        if let Err(payload) = caught {
-                            if let Some(o) = acc.obs.as_ref() {
-                                let _ = std::fs::write(dump_path, o.flight.panic_snapshot_json());
-                            }
-                            std::panic::resume_unwind(payload);
-                        }
+                    // events of the visit that died before propagating.
+                    Some(path) => {
+                        origin_obs::with_panic_dump(&mut acc, path, ShardAccum::flight, run)
                     }
                     None => run(&mut acc),
                 }
@@ -527,18 +569,87 @@ pub fn run_crawl_observed(
     .run()
 }
 
-/// The `fault.*` counter names a resilience report carries, in export
-/// order. Fixed here so the report schema is stable even when a
-/// profile never fires a given fault class.
-const FAULT_COUNTERS: [&str; 7] = [
-    "fault.corruptions",
-    "fault.drops",
-    "fault.middlebox_teardowns",
-    "fault.misdirected_421",
-    "fault.origin_suppressed",
-    "fault.pool_evictions",
-    "fault.retries",
-];
+/// One single-thread pass over `spec`'s universe through the crawl's
+/// own worker, for the stage ledger of `benches/crawl.rs`: `lap(i)` is
+/// called as stage `i` of [`STAGES`] ends — once for `generate`, then
+/// per site — and `lap(STAGES.len())` after the worker set-up that
+/// belongs to no stage. Returns the number of sites crawled.
+pub fn crawl_stages(spec: &CrawlSpec, mut lap: impl FnMut(usize)) -> u64 {
+    let config = spec.dataset_config();
+    let dataset = Dataset::generate(config);
+    lap(0);
+    let mut worker = Worker::new(&dataset, spec);
+    let mut acc = ShardAccum::new(spec.sites, config.tranco_total, spec.obs.as_ref());
+    lap(STAGES.len());
+    for site in dataset.successful_sites() {
+        worker.crawl_site(site, &mut acc, &mut lap);
+    }
+    std::hint::black_box(&acc.measured);
+    acc.characterization.pages
+}
+
+/// `names` in export (alphabetical) order, each with its value in
+/// `metrics` — zeros included, so a report's schema is stable even
+/// when a crawl never exercises part of a counter family.
+fn counter_rows<const N: usize>(
+    mut names: [&'static str; N],
+    metrics: &Registry,
+) -> Vec<(&'static str, u64)> {
+    names.sort_unstable();
+    names.map(|name| (name, metrics.counter(name))).into()
+}
+
+/// What `push` appends, as a report member's rendered value.
+fn rendered(push: impl FnOnce(&mut String)) -> String {
+    let mut out = String::new();
+    push(&mut out);
+    out
+}
+
+fn u(n: u64) -> String {
+    rendered(|out| json::push_u64(out, n))
+}
+
+/// A derived float at a fixed number of decimals: the bytes stay
+/// identical across thread counts (the inputs already are) and free
+/// of last-bit noise.
+fn fixed(x: f64, decimals: usize) -> String {
+    rendered(|out| json::push_fixed(out, x, decimals))
+}
+
+/// `open`, then `"key": value` members with `sep` between them, then
+/// `close` — every layout of the comparison reports.
+fn object(open: &str, members: &[(&str, String)], sep: &str, close: &str) -> String {
+    let mut out = String::from(open);
+    json::push_joined(&mut out, members, sep, |out, (key, value)| {
+        json::push_str(out, key);
+        out.push_str(": ");
+        out.push_str(value);
+    });
+    out.push_str(close);
+    out
+}
+
+/// A tuple on one line.
+fn inline(members: &[(&str, String)]) -> String {
+    object("{", members, ", ", "}")
+}
+
+/// A section of a report, one member per line.
+fn section(members: &[(&str, String)]) -> String {
+    object("{\n    ", members, ",\n    ", "\n  }")
+}
+
+fn counter_section(counters: &[(&'static str, u64)]) -> String {
+    section(&Vec::from_iter(
+        counters.iter().map(|&(name, v)| (name, u(v))),
+    ))
+}
+
+/// A whole report, one member per line.
+fn report(members: &[(&str, String)]) -> String {
+    object("{\n  ", members, ",\n  ", "\n}\n")
+}
 
 /// Clean-vs-faulted comparison of two crawls over the same dataset:
 /// what the profile cost in page load time and in coalescing.
@@ -548,8 +659,8 @@ pub struct ResilienceReport {
     pub profile: String,
     /// Pages crawled (identical in both runs by construction).
     pub pages: u64,
-    /// `fault.*` counter values from the faulted run, in
-    /// `FAULT_COUNTERS` order (zeros included — stable schema).
+    /// `fault.*` counter values from the faulted run, by name (zeros
+    /// included — stable schema).
     pub counters: Vec<(&'static str, u64)>,
     /// Retransmit backoff intervals served and their total sim time.
     pub backoff: origin_metrics::PhaseStat,
@@ -582,10 +693,7 @@ impl ResilienceReport {
         ResilienceReport {
             profile: profile.spec(),
             pages: clean.characterization.pages,
-            counters: FAULT_COUNTERS
-                .iter()
-                .map(|&name| (name, faulted.metrics.counter(name)))
-                .collect(),
+            counters: counter_rows(fault_counter_names(), &faulted.metrics),
             backoff: faulted.metrics.phase("fault.backoff").unwrap_or_default(),
             clean: triple(clean),
             faulted: triple(faulted),
@@ -606,41 +714,37 @@ impl ResilienceReport {
         }
     }
 
-    /// Serialise to JSON. Fixed-precision formatting of the derived
-    /// floats keeps the bytes identical across thread counts (the
-    /// inputs already are) and free of wall-clock values.
+    /// Serialise to JSON (no wall-clock values).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"profile\": \"{}\",", self.profile);
-        let _ = writeln!(out, "  \"pages\": {},", self.pages);
-        out.push_str("  \"fault_counters\": {\n");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 < self.counters.len() { "," } else { "" };
-            let _ = writeln!(out, "    \"{name}\": {v}{comma}");
-        }
-        out.push_str("  },\n");
-        let _ = writeln!(
-            out,
-            "  \"fault_backoff\": {{\"count\": {}, \"total_us\": {}}},",
-            self.backoff.count,
-            self.backoff.total.as_micros()
-        );
-        for (key, (plt, rate, conns)) in [("clean", self.clean), ("faulted", self.faulted)] {
-            let _ = writeln!(
-                out,
-                "  \"{key}\": {{\"median_plt_ms\": {plt:.3}, \"coalescing_rate\": {rate:.6}, \"connections_opened\": {conns}}},"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  \"impact\": {{\"plt_inflation_pct\": {:.3}, \"coalescing_degradation_pct\": {:.3}, \"extra_connections\": {}}}",
-            self.plt_inflation_pct(),
-            self.coalescing_degradation_pct(),
-            self.faulted.2 as i64 - self.clean.2 as i64
-        );
-        out.push_str("}\n");
-        out
+        let run = |(plt, rate, conns): (f64, f64, u64)| {
+            inline(&[
+                ("median_plt_ms", fixed(plt, 3)),
+                ("coalescing_rate", fixed(rate, 6)),
+                ("connections_opened", u(conns)),
+            ])
+        };
+        let backoff = [
+            ("count", u(self.backoff.count)),
+            ("total_us", u(self.backoff.total.as_micros())),
+        ];
+        let extra = self.faulted.2 as i64 - self.clean.2 as i64;
+        let impact = [
+            ("plt_inflation_pct", fixed(self.plt_inflation_pct(), 3)),
+            (
+                "coalescing_degradation_pct",
+                fixed(self.coalescing_degradation_pct(), 3),
+            ),
+            ("extra_connections", rendered(|o| json::push_i64(o, extra))),
+        ];
+        report(&[
+            ("profile", rendered(|o| json::push_str(o, &self.profile))),
+            ("pages", u(self.pages)),
+            ("fault_counters", counter_section(&self.counters)),
+            ("fault_backoff", inline(&backoff)),
+            ("clean", run(self.clean)),
+            ("faulted", run(self.faulted)),
+            ("impact", inline(&impact)),
+        ])
     }
 }
 
@@ -712,61 +816,27 @@ impl RedundancyReport {
         }
     }
 
-    /// Serialise to JSON. Fixed-precision formatting keeps the bytes
-    /// identical across thread counts (the counter inputs already
-    /// are) and free of wall-clock values.
+    /// Serialise to JSON (no wall-clock values).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"legacy_share\": {:.4},", self.legacy_share);
-        let _ = writeln!(out, "  \"pages\": {},", self.pages);
-        let _ = writeln!(out, "  \"legacy_pages\": {},", self.legacy_pages);
-        out.push_str("  \"h1\": {\n");
-        let _ = writeln!(out, "    \"requests\": {},", self.h1_requests);
-        let _ = writeln!(out, "    \"connections_opened\": {},", self.h1_connections);
-        let _ = writeln!(out, "    \"keepalive_reuse\": {},", self.keepalive_reuse);
-        let _ = writeln!(out, "    \"close_delimited\": {}", self.close_delimited);
-        out.push_str("  },\n");
-        out.push_str("  \"redundant_connections\": {\n");
-        for (i, (name, v)) in self.redundant.iter().enumerate() {
-            let comma = if i + 1 < self.redundant.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "    \"{name}\": {{\"count\": {v}, \"share\": {:.6}}}{comma}",
-                self.redundant_share(name)
-            );
-        }
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
+        let h1 = [
+            ("requests", self.h1_requests),
+            ("connections_opened", self.h1_connections),
+            ("keepalive_reuse", self.keepalive_reuse),
+            ("close_delimited", self.close_delimited),
+        ];
+        let redundant = Vec::from_iter(self.redundant.iter().map(|&(name, v)| {
+            let share = fixed(self.redundant_share(name), 6);
+            (name, inline(&[("count", u(v)), ("share", share)]))
+        }));
+        report(&[
+            ("legacy_share", fixed(self.legacy_share, 4)),
+            ("pages", u(self.pages)),
+            ("legacy_pages", u(self.legacy_pages)),
+            ("h1", counter_section(&h1)),
+            ("redundant_connections", section(&redundant)),
+        ])
     }
 }
-
-/// The `h3.*` counter names an H3 report carries, in export order.
-/// Fixed here so the report schema is stable even when a crawl never
-/// exercises a given part of the QUIC path.
-pub const H3_COUNTERS: [&str; 16] = [
-    "h3.addr_validated_skips",
-    "h3.altsvc_learned",
-    "h3.altsvc_suppressed",
-    "h3.amplification_rtts",
-    "h3.cids_issued",
-    "h3.cids_retired",
-    "h3.connections",
-    "h3.handshakes_0rtt",
-    "h3.handshakes_1rtt",
-    "h3.pages",
-    "h3.qpack_evictions",
-    "h3.qpack_instructions",
-    "h3.requests",
-    "h3.resumed_cross_host",
-    "h3.tickets_issued",
-    "h3.zero_rtt_rejected",
-];
 
 /// H2-vs-h3 comparison of two crawls over the same site list: what
 /// deploying QUIC on an `h3_share` fraction of origins changed in
@@ -786,8 +856,8 @@ pub struct H3Report {
     pub pages: u64,
     /// Pages served by h3-deploying sites.
     pub h3_pages: u64,
-    /// `h3.*` counter values from the h3 run, in [`H3_COUNTERS`]
-    /// order (zeros included — stable schema).
+    /// `h3.*` counter values from the h3 run, by name (zeros included
+    /// — stable schema).
     pub counters: Vec<(&'static str, u64)>,
     /// (median DNS queries, median new TLS connections, median PLT
     /// ms, connections opened): the h3-share-0 baseline.
@@ -818,10 +888,7 @@ impl H3Report {
             h3_share,
             pages: baseline.characterization.pages,
             h3_pages: h3.metrics.counter("h3.pages"),
-            counters: H3_COUNTERS
-                .iter()
-                .map(|&name| (name, h3.metrics.counter(name)))
-                .collect(),
+            counters: counter_rows(h3_counter_names(), &h3.metrics),
             baseline: tuple(baseline),
             h3_run: tuple(h3),
         }
@@ -851,37 +918,35 @@ impl H3Report {
         }
     }
 
-    /// Serialise to JSON. Fixed-precision formatting of the derived
-    /// floats keeps the bytes identical across thread counts (the
-    /// counter inputs already are) and free of wall-clock values.
+    /// Serialise to JSON (no wall-clock values).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"h3_share\": {:.4},", self.h3_share);
-        let _ = writeln!(out, "  \"pages\": {},", self.pages);
-        let _ = writeln!(out, "  \"h3_pages\": {},", self.h3_pages);
-        out.push_str("  \"h3_counters\": {\n");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 < self.counters.len() { "," } else { "" };
-            let _ = writeln!(out, "    \"{name}\": {v}{comma}");
-        }
-        out.push_str("  },\n");
-        for (key, (dns, tls, plt, conns)) in [("baseline", self.baseline), ("h3", self.h3_run)] {
-            let _ = writeln!(
-                out,
-                "  \"{key}\": {{\"median_dns\": {dns:.3}, \"median_tls\": {tls:.3}, \"median_plt_ms\": {plt:.3}, \"connections_opened\": {conns}}},"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  \"impact\": {{\"plt_delta_pct\": {:.3}, \"tls_median_delta\": {:.3}, \"zero_rtt_share\": {:.6}, \"extra_connections\": {}}}",
-            self.plt_delta_pct(),
-            self.h3_run.1 - self.baseline.1,
-            self.zero_rtt_share(),
-            self.h3_run.3 as i64 - self.baseline.3 as i64
-        );
-        out.push_str("}\n");
-        out
+        let run = |(dns, tls, plt, conns): (f64, f64, f64, u64)| {
+            inline(&[
+                ("median_dns", fixed(dns, 3)),
+                ("median_tls", fixed(tls, 3)),
+                ("median_plt_ms", fixed(plt, 3)),
+                ("connections_opened", u(conns)),
+            ])
+        };
+        let extra = self.h3_run.3 as i64 - self.baseline.3 as i64;
+        let impact = [
+            ("plt_delta_pct", fixed(self.plt_delta_pct(), 3)),
+            (
+                "tls_median_delta",
+                fixed(self.h3_run.1 - self.baseline.1, 3),
+            ),
+            ("zero_rtt_share", fixed(self.zero_rtt_share(), 6)),
+            ("extra_connections", rendered(|o| json::push_i64(o, extra))),
+        ];
+        report(&[
+            ("h3_share", fixed(self.h3_share, 4)),
+            ("pages", u(self.pages)),
+            ("h3_pages", u(self.h3_pages)),
+            ("h3_counters", counter_section(&self.counters)),
+            ("baseline", run(self.baseline)),
+            ("h3", run(self.h3_run)),
+            ("impact", inline(&impact)),
+        ])
     }
 }
 
@@ -895,32 +960,13 @@ impl H3Report {
 /// measures for this rank, and the trace buffer is identical to the
 /// slice a sampled whole-run trace would hold for it.
 pub fn trace_site(sites: u32, seed: u64, rank: u32) -> Option<(origin_web::PageLoad, Tracer)> {
-    let dataset = Dataset::generate(DatasetConfig {
-        sites,
-        seed,
-        ..Default::default()
-    });
-    let site = dataset.successful_sites().find(|s| s.rank == rank)?.clone();
-    let page = dataset.page_for(&site);
-    let loader = PageLoader::new(BrowserKind::Chromium);
-    let mut env = UniverseEnv::new(&dataset);
-    env.flush_dns();
-    let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+    let spec = CrawlSpec::new(sites, seed);
+    let dataset = Dataset::generate(spec.dataset_config());
+    let site = dataset.successful_sites().find(|s| s.rank == rank)?;
+    let mut worker = Worker::new(&dataset, &spec);
+    let page = dataset.page_for(site);
     let mut trace = Tracer::new();
-    trace.begin_visit(
-        rank as u64,
-        &format!("site-{} {}", rank, site.root_host.as_str()),
-    );
-    let load = loader.load_observed(
-        &page,
-        &mut env,
-        &mut rng,
-        None,
-        None,
-        Some(&mut trace),
-        &mut VisitArena::new(),
-        VisitSinks::default(),
-    );
+    let load = worker.visit(site, &page, None, Some(&mut trace), VisitSinks::default());
     Some((load, trace))
 }
 
@@ -1059,7 +1105,7 @@ mod tests {
         );
         // The JSON is valid enough for jq and carries the full schema.
         let json = report.to_json();
-        for name in FAULT_COUNTERS {
+        for name in fault_counter_names() {
             assert!(json.contains(&format!("\"{name}\"")), "missing {name}");
         }
         assert!(json.contains("\"plt_inflation_pct\""));
@@ -1164,7 +1210,7 @@ mod tests {
         assert!(report.zero_rtt_share() > 0.0);
         // The JSON is valid enough for jq and carries the full schema.
         let json = report.to_json();
-        for name in H3_COUNTERS {
+        for name in h3_counter_names() {
             assert!(json.contains(&format!("\"{name}\"")), "missing {name}");
         }
         assert!(json.contains("\"plt_delta_pct\""));

@@ -35,7 +35,8 @@ pub mod session;
 
 pub use env::{UniverseEnv, WebEnv};
 pub use loader::{
-    BrowserConfig, FaultCounts, FaultSession, PageLoader, VisitArena, REDUNDANCY_KINDS,
+    fault_counter_names, h3_counter_names, BrowserConfig, FaultCounts, FaultSession, PageLoader,
+    VisitArena, REDUNDANCY_KINDS,
 };
 pub use policy::BrowserKind;
 pub use pool::{ConnectionPool, PoolPartition, PooledConnection};

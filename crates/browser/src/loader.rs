@@ -113,6 +113,20 @@ pub struct FaultCounts {
 }
 
 impl FaultCounts {
+    /// The `fault.*` counters, each name beside its value (the
+    /// backoff pair feeds the `fault.backoff` phase instead).
+    fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("fault.misdirected_421", self.misdirected_421),
+            ("fault.pool_evictions", self.pool_evictions),
+            ("fault.middlebox_teardowns", self.middlebox_teardowns),
+            ("fault.origin_suppressed", self.origin_suppressed),
+            ("fault.drops", self.drops),
+            ("fault.corruptions", self.corruptions),
+            ("fault.retries", self.retries),
+        ]
+    }
+
     /// Field-wise `self - earlier`; `earlier` must be a prior snapshot.
     pub fn since(&self, earlier: &FaultCounts) -> FaultCounts {
         FaultCounts {
@@ -146,7 +160,7 @@ pub const REDUNDANCY_KINDS: [(BrowserKind, &str); 5] = [
 
 /// Per-visit HTTP/3 accounting. Only h3 pages touch it, so on a
 /// pure-h2 visit every field is zero and nothing reaches the metrics
-/// registry (see [`record_h3_metrics`]).
+/// registry (see [`add_nonzero`]).
 #[derive(Debug, Default, Clone, Copy)]
 struct H3Stats {
     /// Pages whose origins deploy h3.
@@ -168,7 +182,7 @@ struct H3Stats {
 
 /// Per-visit HTTP/1.1 accounting. Only legacy pages touch it, so on a
 /// pure-h2 visit every field is zero and nothing reaches the metrics
-/// registry (see [`record_h1_metrics`]).
+/// registry (see [`add_nonzero`]).
 #[derive(Debug, Default, Clone, Copy)]
 struct H1Stats {
     requests: u64,
@@ -442,10 +456,19 @@ impl PageLoader {
         }
         if let Some(metrics) = metrics {
             record_page_metrics(&load, metrics);
-            record_h1_metrics(&h1, metrics);
-            record_h3_metrics(&h3, metrics);
+            add_nonzero(metrics, h1.counters());
+            let redundant = REDUNDANCY_KINDS.iter().zip(h1.redundant);
+            add_nonzero(metrics, redundant.map(|(&(_, name), n)| (name, n)));
+            add_nonzero(metrics, h3.counters());
             if let Some(delta) = &delta {
-                record_fault_metrics(delta, metrics);
+                add_nonzero(metrics, delta.counters());
+                if delta.backoff_events > 0 {
+                    metrics.record_phase_n(
+                        "fault.backoff",
+                        delta.backoff_events,
+                        SimDuration::from_micros(delta.backoff_us),
+                    );
+                }
             }
         }
         load
@@ -1535,82 +1558,68 @@ fn observe_visit(
     }
 }
 
-/// Fold one visit's HTTP/1.1 counters into the registry. Zero values
-/// are skipped — `Registry::add` materializes keys, and a pure-h2
-/// crawl (legacy share 0) must serialize exactly as it did before the
-/// mixed-protocol universe existed.
-fn record_h1_metrics(stats: &H1Stats, metrics: &mut origin_metrics::Registry) {
-    for (name, value) in [
-        ("h1.requests", stats.requests),
-        ("h1.connections_opened", stats.connections_opened),
-        ("h1.keepalive_reuse", stats.keepalive_reuse),
-        ("h1.close_delimited", stats.close_delimited),
-        ("h1.pages", stats.pages),
-    ] {
-        if value > 0 {
-            metrics.add(name, value);
-        }
-    }
-    for (slot, (_, name)) in REDUNDANCY_KINDS.iter().enumerate() {
-        if stats.redundant[slot] > 0 {
-            metrics.add(name, stats.redundant[slot]);
-        }
+impl H1Stats {
+    /// The `h1.*` counters (the `h1.redundant.*` ones are named by
+    /// [`REDUNDANCY_KINDS`]).
+    fn counters(&self) -> [(&'static str, u64); 5] {
+        [
+            ("h1.requests", self.requests),
+            ("h1.connections_opened", self.connections_opened),
+            ("h1.keepalive_reuse", self.keepalive_reuse),
+            ("h1.close_delimited", self.close_delimited),
+            ("h1.pages", self.pages),
+        ]
     }
 }
 
-/// Fold one visit's HTTP/3 counters into the registry. Zero values
-/// are skipped — `Registry::add` materializes keys, and a pure-h2
-/// crawl (h3 share 0) must serialize exactly as it did before the
-/// QUIC path existed.
-fn record_h3_metrics(stats: &H3Stats, metrics: &mut origin_metrics::Registry) {
-    for (name, value) in [
-        ("h3.pages", stats.pages),
-        ("h3.requests", stats.requests),
-        ("h3.connections", stats.counts.connections),
-        ("h3.handshakes_1rtt", stats.counts.handshakes_1rtt),
-        ("h3.handshakes_0rtt", stats.counts.handshakes_0rtt),
-        ("h3.zero_rtt_rejected", stats.counts.zero_rtt_rejected),
-        ("h3.tickets_issued", stats.counts.tickets_issued),
-        ("h3.resumed_cross_host", stats.counts.resumed_cross_host),
-        ("h3.altsvc_learned", stats.counts.altsvc_learned),
-        ("h3.altsvc_suppressed", stats.counts.altsvc_suppressed),
-        ("h3.amplification_rtts", stats.counts.amplification_rtts),
-        ("h3.addr_validated_skips", stats.counts.addr_validated_skips),
-        ("h3.qpack_instructions", stats.qpack_instructions),
-        ("h3.qpack_evictions", stats.qpack_evictions),
-        ("h3.cids_issued", stats.cids_issued),
-        ("h3.cids_retired", stats.cids_retired),
-    ] {
-        if value > 0 {
-            metrics.add(name, value);
-        }
+impl H3Stats {
+    fn counters(&self) -> [(&'static str, u64); 16] {
+        [
+            ("h3.pages", self.pages),
+            ("h3.requests", self.requests),
+            ("h3.connections", self.counts.connections),
+            ("h3.handshakes_1rtt", self.counts.handshakes_1rtt),
+            ("h3.handshakes_0rtt", self.counts.handshakes_0rtt),
+            ("h3.zero_rtt_rejected", self.counts.zero_rtt_rejected),
+            ("h3.tickets_issued", self.counts.tickets_issued),
+            ("h3.resumed_cross_host", self.counts.resumed_cross_host),
+            ("h3.altsvc_learned", self.counts.altsvc_learned),
+            ("h3.altsvc_suppressed", self.counts.altsvc_suppressed),
+            ("h3.amplification_rtts", self.counts.amplification_rtts),
+            ("h3.addr_validated_skips", self.counts.addr_validated_skips),
+            ("h3.qpack_instructions", self.qpack_instructions),
+            ("h3.qpack_evictions", self.qpack_evictions),
+            ("h3.cids_issued", self.cids_issued),
+            ("h3.cids_retired", self.cids_retired),
+        ]
     }
 }
 
-/// Fold one visit's fault-counter deltas into the registry. Zero
-/// values are skipped — `Registry::add` materializes keys, and a
-/// faulted crawl whose profile injected nothing must serialize exactly
-/// like a clean one.
-fn record_fault_metrics(delta: &FaultCounts, metrics: &mut origin_metrics::Registry) {
-    for (name, value) in [
-        ("fault.misdirected_421", delta.misdirected_421),
-        ("fault.pool_evictions", delta.pool_evictions),
-        ("fault.middlebox_teardowns", delta.middlebox_teardowns),
-        ("fault.origin_suppressed", delta.origin_suppressed),
-        ("fault.drops", delta.drops),
-        ("fault.corruptions", delta.corruptions),
-        ("fault.retries", delta.retries),
-    ] {
+/// Every `h3.*` counter a visit can feed: an `H3Report`'s schema, read
+/// off the one table the loader adds by.
+pub fn h3_counter_names() -> [&'static str; 16] {
+    H3Stats::default().counters().map(|(name, _)| name)
+}
+
+/// Every `fault.*` counter a visit can feed: a `ResilienceReport`'s
+/// schema, read off the same way.
+pub fn fault_counter_names() -> [&'static str; 7] {
+    FaultCounts::default().counters().map(|(name, _)| name)
+}
+
+/// Fold one visit's counters into the registry by name. Zero values
+/// are skipped — `Registry::add` materializes keys, and a crawl that
+/// never exercised a subsystem (legacy share 0, h3 share 0, a profile
+/// that injected nothing) must serialize exactly as it did before that
+/// subsystem existed.
+fn add_nonzero(
+    metrics: &mut origin_metrics::Registry,
+    counters: impl IntoIterator<Item = (&'static str, u64)>,
+) {
+    for (name, value) in counters {
         if value > 0 {
             metrics.add(name, value);
         }
-    }
-    if delta.backoff_events > 0 {
-        metrics.record_phase_n(
-            "fault.backoff",
-            delta.backoff_events,
-            SimDuration::from_micros(delta.backoff_us),
-        );
     }
 }
 

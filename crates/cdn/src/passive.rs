@@ -7,29 +7,29 @@
 //! differed from the TLS SNI — the signal that a request was
 //! *coalesced* onto a connection opened for another hostname.
 //!
-//! This module reproduces the pipeline as a concurrent system: edge
-//! worker threads process visits and push sampled log records over a
-//! channel to a collector, exactly the shape of a production logging
-//! path.
+//! This module reproduces the pipeline as a fold: visits are cut into
+//! blocks that [`origin_netsim::fold_chunks`] workers claim, each
+//! block folds its sampled [`LogRecord`]s into a partial
+//! [`PassiveReport`], and the partials add. Every visit derives its
+//! own RNG from its index, so any partition gives the same report.
 
 use crate::env::DeploymentMode;
 use crate::sample::{SampleGroup, Treatment, THIRD_PARTY_HOST};
 use origin_netsim::SimRng;
 use origin_web::FetchMode;
-use std::sync::mpsc;
-use std::thread;
 
-/// One sampled log record (the paper's privacy-reduced schema).
+/// One sampled log record (the paper's privacy-reduced schema),
+/// borrowing its names from the sample group.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LogRecord {
+pub struct LogRecord<'a> {
     /// Unique connection identifier.
     pub conn_id: u64,
     /// Referer truncated at the domain (no subpages — §5.1 privacy).
-    pub referer_domain: String,
+    pub referer_domain: &'a str,
     /// TLS SNI of the carrying connection.
-    pub sni: String,
+    pub sni: &'a str,
     /// HTTP Host requested.
-    pub host: String,
+    pub host: &'a str,
     /// Arrival order of this request within its connection (1-based).
     pub arrival_order: u32,
     /// Treatment arm of the referring site.
@@ -56,7 +56,7 @@ pub struct TrafficConfig {
     /// passive §5.3 data was additionally filtered to Firefox UAs, so
     /// this is the in-population support share after filtering).
     pub origin_capable_share: f64,
-    /// Worker threads in the pipeline.
+    /// Threads the visit blocks are folded on.
     pub workers: usize,
 }
 
@@ -105,11 +105,42 @@ impl PassiveReport {
         1.0 - exp_rate / ctl_rate
     }
 
+    /// Aggregate one sampled record — the paper's restricted-access
+    /// query side. `coalesced_seen` is the carrying visit's "this
+    /// coalesced connection was already counted" flag.
+    fn collect(&mut self, rec: &LogRecord<'_>, coalesced_seen: &mut bool) {
+        self.sampled_records += 1;
+        if rec.host != THIRD_PARTY_HOST {
+            return;
+        }
+        if rec.host_differs_from_sni {
+            // Coalesced request: count the connection once.
+            if rec.arrival_order >= 2 && !std::mem::replace(coalesced_seen, true) {
+                self.coalesced_connections += 1;
+            }
+        } else if rec.arrival_order == 1 {
+            // First request on a dedicated third-party connection =
+            // one new TLS connection.
+            match rec.treatment {
+                Treatment::Experiment => self.experiment_tp_connections += 1,
+                Treatment::Control => self.control_tp_connections += 1,
+            }
+        }
+    }
+
+    /// Add another block's partial report.
+    fn merge(&mut self, other: &PassiveReport) {
+        self.sampled_records += other.sampled_records;
+        self.experiment_tp_connections += other.experiment_tp_connections;
+        self.control_tp_connections += other.control_tp_connections;
+        self.coalesced_connections += other.coalesced_connections;
+        self.experiment_visits += other.experiment_visits;
+        self.control_visits += other.control_visits;
+    }
+
     /// Emit the report's aggregates as trace instants on a dedicated
-    /// logical process. The pipeline's worker/collector interleaving
-    /// is nondeterministic, so the *aggregates* — which are not — are
-    /// traced post-hoc rather than per record; whole-run traces stay
-    /// byte-identical across thread counts.
+    /// logical process: one event per aggregate rather than one per
+    /// sampled record keeps whole-run traces small.
     pub fn record_trace(&self, tracer: &mut origin_trace::Tracer, pid: u64) {
         use origin_trace::{Arg, Site};
         static SAMPLED: Site = Site::new("passive.sampled_records", "cdn", &["count"]);
@@ -190,116 +221,78 @@ impl PassivePipeline {
     }
 
     /// Run the pipeline over the sample group. Deterministic for a
-    /// given seed regardless of worker count (visits are partitioned
-    /// by index and each visit derives its own RNG).
+    /// given seed regardless of worker count (each visit derives its
+    /// own RNG from its index, and the partial reports add).
     pub fn run(&self, group: &SampleGroup, seed: u64) -> PassiveReport {
-        let (tx, rx) = mpsc::channel::<LogRecord>();
-
-        // Collector thread: consumes sampled records and aggregates —
-        // the paper's restricted-access query side.
-        let collector = thread::spawn(move || {
-            let mut r = PassiveReport::default();
-            let mut seen_coalesced_conns = std::collections::HashSet::new();
-            for rec in rx {
-                r.sampled_records += 1;
-                if rec.host == THIRD_PARTY_HOST {
-                    if rec.host_differs_from_sni {
-                        // Coalesced request: count the connection once.
-                        if rec.arrival_order >= 2 && seen_coalesced_conns.insert(rec.conn_id) {
-                            r.coalesced_connections += 1;
-                        }
-                    } else if rec.arrival_order == 1 {
-                        // First request on a dedicated third-party
-                        // connection = one new TLS connection.
-                        match rec.treatment {
-                            Treatment::Experiment => r.experiment_tp_connections += 1,
-                            Treatment::Control => r.control_tp_connections += 1,
-                        }
+        /// Visits per claimed block.
+        const BLOCK: u64 = 4_096;
+        let blocks: Vec<u64> = (0..self.config.visits).step_by(BLOCK as usize).collect();
+        let mut report = PassiveReport::default();
+        origin_netsim::fold_chunks(
+            &blocks,
+            self.config.workers,
+            || (),
+            |(), chunk| {
+                let mut part = PassiveReport::default();
+                for &start in chunk {
+                    for v in start..(start + BLOCK).min(self.config.visits) {
+                        self.visit(group, seed, v, &mut part);
                     }
                 }
-            }
-            r
-        });
-
-        // Edge workers: partition visits by index. Each returns its
-        // `(experiment, control)` visit counts.
-        let workers = self.config.workers.max(1);
-        let (experiment_visits, control_visits) = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let tx = tx.clone();
-                    scope.spawn(move || self.edge_worker(group, seed, w, workers, tx))
-                })
-                .collect();
-            drop(tx);
-            handles.into_iter().fold((0, 0), |(exp, ctl), h| {
-                let (e, c) = h.join().expect("edge worker panicked");
-                (exp + e, ctl + c)
-            })
-        });
-        let mut report = collector.join().expect("collector thread");
-        report.experiment_visits = experiment_visits;
-        report.control_visits = control_visits;
+                part
+            },
+            |part| report.merge(&part),
+        );
         report
     }
 
-    /// One edge worker: simulate visits `w, w + workers, …`, sending
-    /// the sampled share of their requests to the collector. Returns the
-    /// `(experiment, control)` visits it processed.
-    fn edge_worker(
-        &self,
-        group: &SampleGroup,
-        seed: u64,
-        w: usize,
-        workers: usize,
-        tx: mpsc::Sender<LogRecord>,
-    ) -> (u64, u64) {
-        let (mut experiment_visits, mut control_visits) = (0u64, 0u64);
-        let mut conn_counter: u64 = (w as u64) << 48;
-        for v in (w as u64..self.config.visits).step_by(workers) {
-            let mut rng = SimRng::seed_from_u64(seed ^ v.wrapping_mul(0x9e3779b97f4a7c15));
-            let site = &group.sites[rng.index(group.sites.len())];
-            let t = rng.unit() * self.config.window_secs;
-            match site.treatment {
-                Treatment::Experiment => experiment_visits += 1,
-                Treatment::Control => control_visits += 1,
-            }
-            // The site connection itself.
-            conn_counter += 1;
-            let site_conn = conn_counter;
-            let coalesces = self.visit_coalesces(site.treatment, site.third_party_fetch, &mut rng);
-            // The sampling draw comes first: requests that are not
-            // sampled (99% of them) never build a record (building one draws
-            // nothing, so the draw order is the same either way).
-            let mut emit = |conn_id: u64, sni: &str, host: &str, arrival_order: u32| {
-                if rng.chance(self.config.sample_rate) {
-                    let _ = tx.send(LogRecord {
+    /// Simulate visit `v` and fold the sampled share of its requests
+    /// into `report` — the edge and the collector of the paper's
+    /// pipeline in one step.
+    fn visit(&self, group: &SampleGroup, seed: u64, v: u64, report: &mut PassiveReport) {
+        let mut rng = SimRng::seed_from_u64(seed ^ v.wrapping_mul(0x9e3779b97f4a7c15));
+        let site = &group.sites[rng.index(group.sites.len())];
+        let t_secs = rng.unit() * self.config.window_secs;
+        match site.treatment {
+            Treatment::Experiment => report.experiment_visits += 1,
+            Treatment::Control => report.control_visits += 1,
+        }
+        // A visit opens at most two connections: the site's, and a
+        // dedicated one to the third party unless its requests coalesce.
+        let site_conn = 2 * v;
+        let coalesces = self.visit_coalesces(site.treatment, site.third_party_fetch, &mut rng);
+        // A coalesced connection counts once however many of its
+        // requests are sampled; its id never leaves this visit.
+        let mut coalesced_seen = false;
+        // The sampling draw comes first: requests that are not sampled
+        // (99% of them) never build a record (building one draws
+        // nothing, so the draw order is the same either way).
+        let mut emit = |conn_id: u64, sni: &str, host: &str, arrival_order: u32| {
+            if rng.chance(self.config.sample_rate) {
+                report.collect(
+                    &LogRecord {
                         conn_id,
-                        referer_domain: site.host.to_string(),
-                        sni: sni.to_string(),
-                        host: host.to_string(),
+                        referer_domain: site.host.as_str(),
+                        sni,
+                        host,
                         arrival_order,
                         treatment: site.treatment,
                         host_differs_from_sni: sni != host,
-                        t_secs: t,
-                    });
-                }
-            };
-            let site_host = site.host.as_str();
-            emit(site_conn, site_host, site_host, 1);
-            // Third-party requests.
+                        t_secs,
+                    },
+                    &mut coalesced_seen,
+                );
+            }
+        };
+        let site_host = site.host.as_str();
+        emit(site_conn, site_host, site_host, 1);
+        for k in 0..site.third_party_requests {
             if coalesces {
-                for k in 0..site.third_party_requests {
-                    emit(site_conn, site_host, THIRD_PARTY_HOST, k + 2);
-                }
+                emit(site_conn, site_host, THIRD_PARTY_HOST, k + 2);
             } else {
-                conn_counter += 1;
-                for k in 0..site.third_party_requests {
-                    emit(conn_counter, THIRD_PARTY_HOST, THIRD_PARTY_HOST, k + 1);
-                }
+                emit(site_conn + 1, THIRD_PARTY_HOST, THIRD_PARTY_HOST, k + 1);
             }
         }
-        (experiment_visits, control_visits)
     }
 }
 
@@ -374,21 +367,20 @@ mod tests {
     fn deterministic_across_worker_counts() {
         let g = group();
         let mut p = PassivePipeline::new(DeploymentMode::OriginFrames);
-        p.config = TrafficConfig {
-            visits: 20_000,
-            workers: 1,
-            ..config(20_000)
-        };
-        let a = p.run(&g, 5);
-        p.config.workers = 8;
-        let b = p.run(&g, 5);
-        // Aggregates identical: per-visit RNG derivation is
-        // partition-independent.
-        assert_eq!(a.experiment_tp_connections, b.experiment_tp_connections);
-        assert_eq!(a.control_tp_connections, b.control_tp_connections);
-        assert_eq!(a.sampled_records, b.sampled_records);
-        assert_eq!(a.coalesced_connections, b.coalesced_connections);
-        assert_eq!(a.experiment_visits, b.experiment_visits);
-        assert_eq!(a.control_visits, b.control_visits);
+        p.config = config(20_000);
+        // One thread, and more threads than the five visit blocks:
+        // per-visit RNG derivation makes any partition exact — and
+        // equal to what the channel-and-collector pipeline this fold
+        // replaced reported for the same run.
+        for workers in [1, 8] {
+            p.config.workers = workers;
+            let r = p.run(&g, 5);
+            assert_eq!([r.sampled_records, r.coalesced_connections], [2944, 538]);
+            assert_eq!(
+                [r.experiment_tp_connections, r.control_tp_connections],
+                [212, 480]
+            );
+            assert_eq!([r.experiment_visits, r.control_visits], [10214, 9786]);
+        }
     }
 }

@@ -2,8 +2,7 @@
 
 use crate::hist::FixedHistogram;
 use origin_intern::FxHashMap;
-use origin_netsim::SimDuration;
-use std::fmt::Write as _;
+use origin_netsim::{json, SimDuration};
 
 /// Accumulated simulated time spent in a named phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,76 +163,61 @@ impl Registry {
     /// runs and thread counts; `runtime_ms` is a sibling top-level key
     /// so `jq 'del(.runtime_ms)'` removes every wall-clock value.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, v) in sorted(&self.counters) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{name}\": {v}");
+        /// One `"name": { … }` section: a member per line, or `{}`.
+        fn section<V>(
+            out: &mut String,
+            name: &str,
+            map: &FxHashMap<String, V>,
+            mut value: impl FnMut(&mut String, &V),
+        ) {
+            out.push_str("  ");
+            json::push_str(out, name);
+            out.push_str(": {");
+            json::push_joined(out, sorted(map), ",", |out, (key, v)| {
+                out.push_str("\n    ");
+                json::push_str(out, key);
+                out.push_str(": ");
+                value(out, v);
+            });
+            out.push_str(if map.is_empty() { "}" } else { "\n  }" });
         }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
+        fn u64_array(out: &mut String, xs: &[u64]) {
+            out.push('[');
+            json::push_joined(out, xs, ", ", |out, &x| json::push_u64(out, x));
+            out.push(']');
+        }
 
-        out.push_str("  \"histograms\": {");
-        first = true;
-        for (name, h) in sorted(&self.hists) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    \"{name}\": {{\"bounds\": {}, \"counts\": {}, \"count\": {}, \"sum\": {}}}",
-                json_u64_array(h.bounds()),
-                json_u64_array(h.counts()),
-                h.count(),
-                h.sum()
-            );
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-
-        out.push_str("  \"phases\": {");
-        first = true;
-        for (name, p) in sorted(&self.phases) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    \"{name}\": {{\"count\": {}, \"total_us\": {}}}",
-                p.count,
-                p.total.as_micros()
-            );
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-
-        out.push_str("  \"runtime_ms\": {");
-        first = true;
-        for (name, ms) in sorted(&self.runtime_ms) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{name}\": {ms:.3}");
-        }
-        out.push_str(if first { "}\n" } else { "\n  }\n" });
-        out.push_str("}\n");
+        let mut out = String::from("{\n");
+        section(&mut out, "counters", &self.counters, |out, &v| {
+            json::push_u64(out, v)
+        });
+        out.push_str(",\n");
+        section(&mut out, "histograms", &self.hists, |out, h| {
+            out.push_str("{\"bounds\": ");
+            u64_array(out, h.bounds());
+            out.push_str(", \"counts\": ");
+            u64_array(out, h.counts());
+            out.push_str(", \"count\": ");
+            json::push_u64(out, h.count());
+            out.push_str(", \"sum\": ");
+            json::push_u64(out, h.sum());
+            out.push('}');
+        });
+        out.push_str(",\n");
+        section(&mut out, "phases", &self.phases, |out, p| {
+            out.push_str("{\"count\": ");
+            json::push_u64(out, p.count);
+            out.push_str(", \"total_us\": ");
+            json::push_u64(out, p.total.as_micros());
+            out.push('}');
+        });
+        out.push_str(",\n");
+        section(&mut out, "runtime_ms", &self.runtime_ms, |out, &ms| {
+            json::push_fixed(out, ms, 3)
+        });
+        out.push_str("\n}\n");
         out
     }
-}
-
-fn json_u64_array(xs: &[u64]) -> String {
-    let mut s = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{x}");
-    }
-    s.push(']');
-    s
 }
 
 #[cfg(test)]

@@ -23,6 +23,8 @@
 //!   §6.7 non-compliant middlebox that tears down connections carrying
 //!   unknown HTTP/2 frame types.
 //! - [`rng`] — seeded RNG plumbing so all randomness is reproducible.
+//! - [`json`] — the one JSON token writer every exporter appends
+//!   through.
 //! - [`shard`] — [`fold_chunks`], the order-preserving chunk scheduler
 //!   the parallel crawl and active-measurement phases run on.
 
@@ -32,6 +34,7 @@
 pub mod arrival;
 pub mod event;
 pub mod fault;
+pub mod json;
 pub mod link;
 pub mod rng;
 pub mod shard;

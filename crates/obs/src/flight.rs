@@ -17,8 +17,8 @@
 //!   current visit's events if the wrapped closure panics — the panic
 //!   site in a deterministic crawl is itself deterministic.
 
+use origin_netsim::json;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 
@@ -42,18 +42,30 @@ pub struct FlightEvent {
 
 impl FlightEvent {
     fn json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"t_us\":{},\"rank\":{},\"code\":\"{}\",\"value\":{},\"detail\":\"{}\"}}",
-            self.t_us,
-            self.rank,
-            self.code,
-            self.value,
-            // Details are hosts/labels from our own generator: plain
-            // ASCII, but escape quotes/backslashes defensively.
-            self.detail.replace('\\', "\\\\").replace('"', "\\\"")
-        );
+        out.push_str("{\"t_us\":");
+        json::push_u64(out, self.t_us);
+        out.push_str(",\"rank\":");
+        json::push_u64(out, u64::from(self.rank));
+        out.push_str(",\"code\":");
+        json::push_str(out, self.code);
+        out.push_str(",\"value\":");
+        json::push_u64(out, self.value);
+        out.push_str(",\"detail\":");
+        json::push_str(out, &self.detail);
+        out.push('}');
     }
+}
+
+/// A snapshot document: `head` (everything up to the event list's
+/// opening bracket), then one event per line.
+fn snapshot_json(mut out: String, events: &[FlightEvent]) -> String {
+    out.reserve(128 * events.len());
+    json::push_joined(&mut out, events, ",\n", |out, e| {
+        out.push_str("    ");
+        e.json(out);
+    });
+    out.push_str("\n  ]\n}\n");
+    out
 }
 
 /// A fault-abort trigger: the lowest-ranked visit whose injected-fault
@@ -166,52 +178,36 @@ impl FlightRecorder {
     /// when no visit reached the threshold.
     pub fn trigger_snapshot_json(&self, threshold: u64) -> Option<String> {
         let t = self.trigger.as_ref()?;
-        let mut out = String::with_capacity(256 + 128 * t.events.len());
-        let _ = write!(
-            out,
-            "{{\n  \"trigger_rank\": {},\n  \"fault_threshold\": {},\n  \"events\": [\n",
-            t.rank, threshold
-        );
-        for (i, e) in t.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("    ");
-            e.json(&mut out);
-        }
-        out.push_str("\n  ]\n}\n");
-        Some(out)
+        let mut head = String::from("{\n  \"trigger_rank\": ");
+        json::push_u64(&mut head, u64::from(t.rank));
+        head.push_str(",\n  \"fault_threshold\": ");
+        json::push_u64(&mut head, threshold);
+        head.push_str(",\n  \"events\": [\n");
+        Some(snapshot_json(head, &t.events))
     }
 
     /// JSON dump of the current visit's events (the panic-dump body).
     pub fn panic_snapshot_json(&self) -> String {
-        let rank = self.current_rank;
-        let events = self.visit_events(rank);
-        let mut out = String::with_capacity(256 + 128 * events.len());
-        let _ = write!(out, "{{\n  \"panic_rank\": {},\n  \"events\": [\n", rank);
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("    ");
-            e.json(&mut out);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let mut head = String::from("{\n  \"panic_rank\": ");
+        json::push_u64(&mut head, u64::from(self.current_rank));
+        head.push_str(",\n  \"events\": [\n");
+        snapshot_json(head, &self.visit_events(self.current_rank))
     }
 }
 
-/// Run `f` with the recorder; if it panics, write the current visit's
-/// flight events to `path` (best-effort) and resume the panic.
-pub fn with_panic_dump<R>(
-    rec: &mut FlightRecorder,
+/// Run `f` over `state`; if it panics, write the current visit's
+/// events of the recorder `state` holds to `path` (best-effort) and
+/// resume the panic.
+pub fn with_panic_dump<S, R>(
+    state: &mut S,
     path: &Path,
-    f: impl FnOnce(&mut FlightRecorder) -> R,
+    recorder: impl FnOnce(&S) -> &FlightRecorder,
+    f: impl FnOnce(&mut S) -> R,
 ) -> R {
-    match panic::catch_unwind(AssertUnwindSafe(|| f(rec))) {
+    match panic::catch_unwind(AssertUnwindSafe(|| f(state))) {
         Ok(r) => r,
         Err(payload) => {
-            let _ = std::fs::write(path, rec.panic_snapshot_json());
+            let _ = std::fs::write(path, recorder(state).panic_snapshot_json());
             panic::resume_unwind(payload)
         }
     }
@@ -300,11 +296,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut rec = FlightRecorder::new(8);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            with_panic_dump(&mut rec, &path, |rec| {
-                rec.begin_visit(3);
-                rec.record(1, "conn.open", 1, "boom.example");
-                panic!("injected");
-            })
+            with_panic_dump(
+                &mut rec,
+                &path,
+                |rec| rec,
+                |rec| {
+                    rec.begin_visit(3);
+                    rec.record(1, "conn.open", 1, "boom.example");
+                    panic!("injected");
+                },
+            )
         }));
         assert!(result.is_err());
         let body = std::fs::read_to_string(&path).unwrap();

@@ -16,21 +16,10 @@
 //! (pinned by property tests in `tests/`).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use origin_netsim::{SimDuration, SimTime};
+use origin_netsim::{json, SimDuration, SimTime};
 
 use crate::sketch::{Exemplar, QuantileSketch};
-
-/// Coalescing-policy labels for the h1 redundant-connection series,
-/// in the same order `origin-browser` reports them.
-pub const H1_POLICIES: [&str; 5] = [
-    "chromium",
-    "firefox",
-    "firefox_origin",
-    "ideal_ip",
-    "ideal_origin",
-];
 
 // Counter slots within a window cell. Kept private: producers fill the
 // named fields of `VisitObs`; only the cell maps them to slots.
@@ -122,7 +111,7 @@ pub struct VisitObs {
     /// Requests served over HTTP/1.1.
     pub h1_requests: u64,
     /// Of the h1 connections, how many each policy would have coalesced
-    /// away under h2 (order of [`H1_POLICIES`]).
+    /// away under h2 (order of `origin_browser::REDUNDANCY_KINDS`).
     pub h1_redundant: [u64; 5],
     /// TLS handshakes: `(visit-relative start µs, duration µs, span)`.
     pub handshakes: Vec<(u64, u64, u64)>,
@@ -234,7 +223,8 @@ impl WindowCell {
         )
     }
 
-    /// Share of h1 connections policy `i` (order of [`H1_POLICIES`])
+    /// Share of h1 connections policy `i` (order of
+    /// `origin_browser::REDUNDANCY_KINDS`)
     /// would have coalesced away under h2.
     pub fn h1_redundant_share(&self, i: usize) -> f64 {
         ratio(self.counters[C_H1_RED + i], self.counters[C_H1_CONNS])
@@ -267,14 +257,24 @@ impl WindowCell {
         self.bytes.merge(&other.bytes);
     }
 
-    fn counters_json(&self, out: &mut String) {
+    /// `{"name":value,…` — a cell's compact object layout, left open
+    /// for the caller to close.
+    fn object<T>(
+        out: &mut String,
+        members: impl IntoIterator<Item = (&'static str, T)>,
+        value: impl Fn(&mut String, T),
+    ) {
         out.push('{');
-        for (i, name) in COUNTER_NAMES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", name, self.counters[i]);
-        }
+        json::push_joined(out, members, ",", |out, (name, v)| {
+            json::push_str(out, name);
+            out.push(':');
+            value(out, v);
+        });
+    }
+
+    fn counters_json(&self, out: &mut String) {
+        let counters = COUNTER_NAMES.into_iter().zip(self.counters);
+        Self::object(out, counters, json::push_u64);
         out.push('}');
     }
 
@@ -302,13 +302,7 @@ impl WindowCell {
                 self.h1_redundant_share(4),
             ),
         ];
-        out.push('{');
-        for (i, (name, v)) in rates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{:.6}", name, v);
-        }
+        Self::object(out, rates, |out, v| json::push_fixed(out, v, 6));
         out.push('}');
     }
 
@@ -320,31 +314,39 @@ impl WindowCell {
             ("handshake_us", &self.handshake),
             ("bytes", &self.bytes),
         ];
-        out.push('{');
-        for (i, (name, s)) in sketches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}",
-                name,
-                s.count(),
-                s.quantile(0.50),
-                s.quantile(0.90),
-                s.quantile(0.99),
-                s.max()
-            );
+        Self::object(out, sketches, |out, s| {
+            let quantiles = [
+                ("count", s.count()),
+                ("p50", s.quantile(0.50)),
+                ("p90", s.quantile(0.90)),
+                ("p99", s.quantile(0.99)),
+                ("max", s.max()),
+            ];
+            Self::object(out, quantiles, json::push_u64);
             if let Some(e) = s.quantile_exemplar(0.99) {
-                let _ = write!(
-                    out,
-                    ",\"p99_exemplar\":{{\"value\":{},\"rank\":{},\"span_id\":{}}}",
-                    e.value, e.rank, e.span_id
-                );
+                out.push_str(",\"p99_exemplar\":");
+                let exemplar = [
+                    ("value", e.value),
+                    ("rank", u64::from(e.rank)),
+                    ("span_id", e.span_id),
+                ];
+                Self::object(out, exemplar, json::push_u64);
+                out.push('}');
             }
             out.push('}');
-        }
+        });
         out.push('}');
+    }
+
+    /// `"counters":…,"rates":…,"sketches":…` — the body every cell of
+    /// the export (window, folded tail, totals) shares.
+    fn json(&self, out: &mut String) {
+        out.push_str("\"counters\":");
+        self.counters_json(out);
+        out.push_str(",\"rates\":");
+        self.rates_json(out);
+        out.push_str(",\"sketches\":");
+        self.sketches_json(out);
     }
 }
 
@@ -604,51 +606,34 @@ impl Timeline {
     /// retention existed, which is what keeps the committed reference
     /// timelines valid.
     pub fn to_json(&self) -> String {
+        let window_us = self.window.as_micros();
         let mut out = String::with_capacity(4096 + 1024 * self.windows.len());
-        let _ = write!(
-            out,
-            "{{\n  \"window_ms\": {},\n  \"spacing_ms\": {},\n",
-            self.window.as_micros() / 1_000,
-            self.spacing.as_micros() / 1_000
-        );
+        out.push_str("{\n  \"window_ms\": ");
+        json::push_u64(&mut out, window_us / 1_000);
+        out.push_str(",\n  \"spacing_ms\": ");
+        json::push_u64(&mut out, self.spacing.as_micros() / 1_000);
+        out.push_str(",\n");
         if let Some(retain) = self.retain {
-            let _ = write!(
-                out,
-                "  \"retain_windows\": {},\n  \"folded\": {{\"before_index\":{},\"counters\":",
-                retain, self.folded_before
-            );
-            self.folded.counters_json(&mut out);
-            out.push_str(",\"rates\":");
-            self.folded.rates_json(&mut out);
-            out.push_str(",\"sketches\":");
-            self.folded.sketches_json(&mut out);
+            out.push_str("  \"retain_windows\": ");
+            json::push_u64(&mut out, retain);
+            out.push_str(",\n  \"folded\": {\"before_index\":");
+            json::push_u64(&mut out, self.folded_before);
+            out.push(',');
+            self.folded.json(&mut out);
             out.push_str("},\n");
         }
         out.push_str("  \"windows\": [\n");
-        for (i, (&idx, cell)) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            let start_ms = idx * self.window.as_micros() / 1_000;
-            let _ = write!(
-                out,
-                "    {{\"index\":{},\"start_ms\":{},\"counters\":",
-                idx, start_ms
-            );
-            cell.counters_json(&mut out);
-            out.push_str(",\"rates\":");
-            cell.rates_json(&mut out);
-            out.push_str(",\"sketches\":");
-            cell.sketches_json(&mut out);
+        json::push_joined(&mut out, &self.windows, ",\n", |out, (&idx, cell)| {
+            out.push_str("    {\"index\":");
+            json::push_u64(out, idx);
+            out.push_str(",\"start_ms\":");
+            json::push_u64(out, idx * window_us / 1_000);
+            out.push(',');
+            cell.json(out);
             out.push('}');
-        }
-        out.push_str("\n  ],\n  \"totals\": {\"counters\":");
-        let totals = self.totals();
-        totals.counters_json(&mut out);
-        out.push_str(",\"rates\":");
-        totals.rates_json(&mut out);
-        out.push_str(",\"sketches\":");
-        totals.sketches_json(&mut out);
+        });
+        out.push_str("\n  ],\n  \"totals\": {");
+        self.totals().json(&mut out);
         out.push_str("}\n}\n");
         out
     }

@@ -28,7 +28,7 @@ use origin_browser::{PoolChurn, SessionPool};
 use origin_cdn::Rollout;
 use origin_metrics::Registry;
 use origin_netsim::rng::splitmix64;
-use origin_netsim::{EventQueue, SimDuration, SimRng, SimTime};
+use origin_netsim::{json, EventQueue, SimDuration, SimRng, SimTime};
 use origin_obs::{Timeline, VisitObs};
 use origin_webgen::Dataset;
 
@@ -119,11 +119,13 @@ impl ServeReport {
     /// Both arms as one JSON document:
     /// `{"arms":{"control":…,"origin":…}}`.
     pub fn timeline_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n\"arms\": {\n\"control\": ");
-        out.push_str(&self.control.to_json());
-        out.push_str(",\n\"origin\": ");
-        out.push_str(&self.origin.to_json());
+        let arms = [("control", &self.control), ("origin", &self.origin)];
+        let mut out = String::from("{\n\"arms\": {\n");
+        json::push_joined(&mut out, arms, ",\n", |out, (arm, timeline)| {
+            json::push_str(out, arm);
+            out.push_str(": ");
+            out.push_str(&timeline.to_json());
+        });
         out.push_str("}\n}\n");
         out
     }

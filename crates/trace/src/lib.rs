@@ -38,6 +38,6 @@ mod sample;
 mod tracer;
 
 pub use event::{Arg, EventKind, EventView, Site};
-pub use perfetto::{push_u64, to_chrome_json};
+pub use perfetto::to_chrome_json;
 pub use sample::Sampler;
 pub use tracer::{span_ref, Tracer};

@@ -1,57 +1,11 @@
-//! Chrome trace-event JSON export (Perfetto-loadable).
-//!
-//! The writer is hand-rolled for the same reason the metrics registry's
-//! is: byte-identical output is an acceptance criterion, so formatting
-//! must be fully specified here — integer timestamps, args in insertion
-//! order, shortest round-trip floats — rather than delegated to a
-//! serializer whose map ordering we don't control. Every field is
-//! written straight from the tracer's arenas into the output.
+//! Chrome trace-event JSON export (Perfetto-loadable): integer
+//! timestamps, args in insertion order, every field written straight
+//! from the tracer's arenas through `origin_netsim::json`.
 
 use crate::event::{Arg, EventKind, EventView, Name};
 use crate::tracer::Tracer;
+use origin_netsim::json::{self, escape_into, push_u64};
 use std::fmt::Write;
-
-/// Append `s` to `out`, escaped for embedding in a JSON string.
-fn escape_into(out: &mut String, s: &str) {
-    // Everything escaped is one ASCII byte, so the runs between them
-    // are copied whole.
-    let mut clean = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        out.push_str(&s[clean..i]);
-        out.push_str(escape);
-        if escape.is_empty() {
-            // Writing to a `String` cannot fail.
-            let _ = write!(out, "\\u{b:04x}");
-        }
-        clean = i + 1;
-    }
-    out.push_str(&s[clean..]);
-}
-
-/// Append `n` in decimal: what `write!(out, "{n}")` appends, without
-/// the formatter.
-pub fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [b'0'; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] += (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-}
 
 fn write_name(out: &mut String, e: &EventView<'_>) {
     match e.name_parts() {
@@ -69,23 +23,18 @@ fn write_name(out: &mut String, e: &EventView<'_>) {
 
 fn write_args(out: &mut String, e: &EventView<'_>) {
     out.push_str(",\"args\":{");
-    for (i, (k, v)) in e.args().enumerate() {
-        out.push_str(if i > 0 { ",\"" } else { "\"" });
-        out.push_str(k);
-        out.push_str("\":");
+    json::push_joined(out, e.args(), ",", |out, (k, v)| {
+        json::push_str(out, k);
+        out.push(':');
         match v {
-            Arg::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
+            Arg::Str(s) => json::push_str(out, s),
             Arg::U64(n) => push_u64(out, n),
-            Arg::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+            Arg::Bool(b) => json::push_bool(out, b),
+            Arg::F64(f) => json::push_f64(out, f),
             // Writing to a `String` cannot fail.
-            Arg::F64(f) => drop(write!(out, "{f:?}")),
             Arg::Ip(ip) => drop(write!(out, "\"{ip}\"")),
         }
-    }
+    });
     out.push('}');
 }
 
@@ -108,7 +57,7 @@ fn write_event(out: &mut String, e: &EventView<'_>) {
         None => write_name(out, e),
     }
     out.push_str("\",\"cat\":\"");
-    out.push_str(e.cat());
+    escape_into(out, e.cat());
     out.push_str("\",\"ph\":\"");
     out.push(ph);
     out.push_str("\",\"ts\":");
@@ -153,13 +102,10 @@ pub fn to_chrome_json(tracer: &Tracer) -> String {
     let [_, value_bytes] = tracer.footprint();
     let mut out = String::with_capacity(64 + tracer.len() * 112 + value_bytes);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, e) in tracer.events().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    json::push_joined(&mut out, tracer.events(), ",", |out, e| {
         out.push('\n');
-        write_event(&mut out, &e);
-    }
+        write_event(out, &e);
+    });
     out.push_str("\n]}\n");
     out
 }
@@ -226,7 +172,7 @@ mod tests {
         let mut t = Tracer::new();
         t.begin_visit(1, "q\"uote\nline");
         let json = to_chrome_json(&t);
-        assert!(json.contains("q\\\"uote\\nline"));
+        assert!(json.contains(r#"q\"uote\nline"#));
     }
 
     #[test]
@@ -239,7 +185,7 @@ mod tests {
         t.name_conn(1, 3, host);
         t.complete_indexed(&REQ, (12, host), 5, 6, &[Arg::Str(host)]);
         let json = to_chrome_json(&t);
-        let escaped = "a\\\"b\\nc\\u0001\\\\d";
+        let escaped = r#"a\"b\nc\u0001\\d"#;
         assert!(json.contains(&format!("\"args\":{{\"name\":\"conn 3 {escaped}\"}}}}")));
         assert!(json.contains(&format!(
             "{{\"name\":\"req 12 {escaped}\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":5,\"pid\":1,\

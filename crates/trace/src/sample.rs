@@ -1,5 +1,7 @@
 //! Deterministic 1-in-N site sampling for whole-run traces.
 
+use origin_netsim::rng::fnv1a64;
+
 /// Selects sites for whole-run trace export by hashing the site's
 /// Tranco rank — never an RNG draw, whose order would depend on the
 /// thread schedule. The same `--sample 1/N` therefore keeps the same
@@ -7,17 +9,6 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sampler {
     denom: u32,
-}
-
-/// 64-bit FNV-1a over a byte slice: tiny, dependency-free, and stable
-/// across platforms, which is all a sampling hash needs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 impl Sampler {
@@ -48,7 +39,7 @@ impl Sampler {
 
     /// Whether the site at Tranco `rank` is in the sample.
     pub fn keep(&self, rank: u32) -> bool {
-        self.denom <= 1 || fnv1a(&rank.to_le_bytes()).is_multiple_of(u64::from(self.denom))
+        self.denom <= 1 || fnv1a64(&rank.to_le_bytes()).is_multiple_of(u64::from(self.denom))
     }
 }
 
@@ -70,6 +61,8 @@ mod tests {
         // Stable: a second sampler with the same denominator agrees.
         let again: Vec<u32> = (1..=4000).filter(|&r| Sampler::new(16).keep(r)).collect();
         assert_eq!(kept, again);
+        // Pinned: committed traces were sampled with exactly this set.
+        assert_eq!(kept[..5], [5, 21, 37, 53, 69]);
         // Roughly 1/16 of 4000 = 250; FNV is not perfectly uniform but
         // should land well within a factor of two.
         assert!(

@@ -7,6 +7,7 @@
 
 use crate::page::Protocol;
 use origin_dns::DnsName;
+use origin_netsim::json;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -229,85 +230,73 @@ impl PageLoad {
         out.push_str(
             "    \"creator\": { \"name\": \"respect-origin\", \"version\": \"0.1.0\" },\n",
         );
-        out.push_str("    \"pages\": [\n      {\n");
-        out.push_str(&format!(
-            "        \"startedDateTime\": {},\n",
-            json_str(&har_datetime(0))
-        ));
-        out.push_str(&format!("        \"id\": {},\n", json_str(&page_id)));
-        out.push_str(&format!(
-            "        \"title\": {},\n",
-            json_str(&format!("https://{}/", self.root_host.as_str()))
-        ));
-        out.push_str(&format!(
-            "        \"pageTimings\": {{ \"onContentLoad\": -1, \"onLoad\": {} }}\n",
-            json_f64(self.plt())
-        ));
-        out.push_str("      }\n    ],\n");
+        out.push_str("    \"pages\": [\n      {\n        \"startedDateTime\": ");
+        json::push_str(&mut out, &har_datetime(0));
+        out.push_str(",\n        \"id\": ");
+        json::push_str(&mut out, &page_id);
+        out.push_str(",\n        \"title\": \"https://");
+        json::escape_into(&mut out, self.root_host.as_str());
+        out.push_str("/\",\n        \"pageTimings\": { \"onContentLoad\": -1, \"onLoad\": ");
+        json::push_f64(&mut out, self.plt());
+        out.push_str(" }\n      }\n    ],\n");
         out.push_str("    \"entries\": [");
-        for (i, r) in self.requests.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let [blocked, dns, connect, ssl, send, wait, receive] = r.phase.quantised_us();
+        json::push_joined(&mut out, &self.requests, ",", |out, r| {
             let na = r.protocol == Protocol::NA;
-            let timing = |applies: bool, us: u64| {
-                if applies {
-                    json_f64(us as f64 / 1_000.0)
-                } else {
-                    "-1".to_string()
+            let version = har_http_version(r.protocol);
+            out.push_str("\n      {\n        \"pageref\": ");
+            json::push_str(out, &page_id);
+            out.push_str(",\n        \"startedDateTime\": ");
+            json::push_str(out, &har_datetime(r.start_us()));
+            out.push_str(",\n        \"time\": ");
+            json::push_f64(out, r.phase.total());
+            out.push_str(",\n        \"request\": { \"method\": \"GET\", \"url\": \"");
+            out.push_str(if r.secure { "https://" } else { "http://" });
+            json::escape_into(out, r.host.as_str());
+            out.push_str("/r");
+            json::push_u64(out, r.resource_index as u64);
+            out.push_str("\", \"httpVersion\": ");
+            json::push_str(out, version);
+            out.push_str(", \"headers\": [], \"queryString\": [], \"cookies\": [], \"headersSize\": -1, \"bodySize\": -1 },\n");
+            out.push_str("        \"response\": { \"status\": ");
+            json::push_u64(out, if na { 0 } else { 200 });
+            out.push_str(", \"statusText\": ");
+            json::push_str(out, if na { "" } else { "OK" });
+            out.push_str(", \"httpVersion\": ");
+            json::push_str(out, version);
+            out.push_str(", \"headers\": [], \"cookies\": [], \"content\": { \"size\": -1, \"mimeType\": \"\" }, \"redirectURL\": \"\", \"headersSize\": -1, \"bodySize\": -1 },\n");
+            out.push_str("        \"cache\": {},\n        \"timings\": { ");
+            // HAR's convention for a phase that did not occur is -1.
+            let [blocked, dns, connect, ssl, send, wait, receive] = r.phase.quantised_us();
+            let timings = [
+                ("blocked", !na, blocked),
+                ("dns", r.did_dns || dns > 0, dns),
+                ("connect", r.new_connection, connect),
+                ("ssl", r.new_connection && r.secure, ssl),
+                ("send", !na, send),
+                ("wait", !na, wait),
+                ("receive", !na, receive),
+            ];
+            json::push_joined(out, timings, ", ", |out, (phase, applies, us)| {
+                json::push_str(out, phase);
+                out.push_str(": ");
+                match applies {
+                    true => json::push_f64(out, us as f64 / 1_000.0),
+                    false => out.push_str("-1"),
                 }
-            };
-            out.push_str("\n      {\n");
-            out.push_str(&format!("        \"pageref\": {},\n", json_str(&page_id)));
-            out.push_str(&format!(
-                "        \"startedDateTime\": {},\n",
-                json_str(&har_datetime(r.start_us()))
-            ));
-            out.push_str(&format!(
-                "        \"time\": {},\n",
-                json_f64(r.phase.total())
-            ));
-            out.push_str(&format!(
-                "        \"request\": {{ \"method\": \"GET\", \"url\": {}, \"httpVersion\": {}, \"headers\": [], \"queryString\": [], \"cookies\": [], \"headersSize\": -1, \"bodySize\": -1 }},\n",
-                json_str(&format!(
-                    "{}://{}/r{}",
-                    if r.secure { "https" } else { "http" },
-                    r.host.as_str(),
-                    r.resource_index
-                )),
-                json_str(har_http_version(r.protocol)),
-            ));
-            out.push_str(&format!(
-                "        \"response\": {{ \"status\": {}, \"statusText\": {}, \"httpVersion\": {}, \"headers\": [], \"cookies\": [], \"content\": {{ \"size\": -1, \"mimeType\": \"\" }}, \"redirectURL\": \"\", \"headersSize\": -1, \"bodySize\": -1 }},\n",
-                if na { 0 } else { 200 },
-                json_str(if na { "" } else { "OK" }),
-                json_str(har_http_version(r.protocol)),
-            ));
-            out.push_str("        \"cache\": {},\n");
-            out.push_str(&format!(
-                "        \"timings\": {{ \"blocked\": {}, \"dns\": {}, \"connect\": {}, \"ssl\": {}, \"send\": {}, \"wait\": {}, \"receive\": {} }},\n",
-                timing(!na, blocked),
-                timing(r.did_dns || dns > 0, dns),
-                timing(r.new_connection, connect),
-                timing(r.new_connection && r.secure, ssl),
-                timing(!na, send),
-                timing(!na, wait),
-                timing(!na, receive),
-            ));
-            out.push_str(&format!(
-                "        \"serverIPAddress\": {},\n",
-                json_str(&r.ip.to_string())
-            ));
-            out.push_str(&format!("        \"_asn\": {},\n", r.asn));
-            out.push_str(&format!("        \"_coalesced\": {}\n", r.coalesced));
-            out.push_str("      }");
-        }
-        if self.requests.is_empty() {
-            out.push_str("]\n");
+            });
+            out.push_str(" },\n        \"serverIPAddress\": ");
+            json::push_str(out, &r.ip.to_string());
+            out.push_str(",\n        \"_asn\": ");
+            json::push_u64(out, u64::from(r.asn));
+            out.push_str(",\n        \"_coalesced\": ");
+            json::push_bool(out, r.coalesced);
+            out.push_str("\n      }");
+        });
+        out.push_str(if self.requests.is_empty() {
+            "]\n"
         } else {
-            out.push_str("\n    ]\n");
-        }
+            "\n    ]\n"
+        });
         out.push_str("  }\n}\n");
         out
     }
@@ -332,34 +321,6 @@ fn har_http_version(p: Protocol) -> &'static str {
     match p {
         Protocol::NA => "",
         p => p.label(),
-    }
-}
-
-/// Escape a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render an f64 as JSON (shortest round-trip form; non-finite → null).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -537,12 +498,12 @@ mod tests {
         let last_end = l.requests.iter().map(|r| r.end()).fold(0.0, f64::max);
         assert_eq!(l.plt(), last_end);
         assert!(
-            har.contains(&format!("\"onLoad\": {}", json_f64(l.plt()))),
+            har.contains(&format!("\"onLoad\": {:?}", l.plt())),
             "onLoad must carry the PLT"
         );
         // Every entry's `time` is its quantised phase total.
         for r in &l.requests {
-            assert!(har.contains(&format!("\"time\": {}", json_f64(r.phase.total()))));
+            assert!(har.contains(&format!("\"time\": {:?}", r.phase.total())));
         }
     }
 

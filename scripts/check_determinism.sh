@@ -71,6 +71,17 @@ check() {
     done
 }
 
+# One JSON writer: `origin_netsim::json` is the only source file that
+# may spell an escape table or a conditional list separator. (-z: the
+# separator idiom spans two lines.)
+src=("$scripts"/../crates/*/src)
+if grep -rnE --include='*.rs' --exclude=json.rs '\\\\\\"|\\\\u\{|replace\(.\"' "${src[@]}" ||
+    grep -rlPz --include='*.rs' --exclude=json.rs \
+        '(if i > 0|if !first)[^\n]*\{\s*\n[^\n]*push(_str)?\(\s*.,|comma = if|\{ "," \} else' "${src[@]}"; then
+    echo "FAIL: a JSON escaper or separator idiom outside crates/netsim/src/json.rs" >&2
+    exit 1
+fi
+
 FAULTS=drop=0.01,h421=0.005,middlebox=0.1
 run clean.out --sites 500 --threads 8 --metrics clean.json
 
@@ -120,6 +131,9 @@ expect=3 pair fl@.out $OBSERVED --flight-recorder fl@.json --fault-abort 4 --onl
 check fl1.json '.events | length > 0'
 pair dash@.out watch --site-range 0-99 $OBSERVED --out dash@.txt
 grep -q "coalesce rate" dash1.txt
+
+# §5 passive phase: the visit-block fold adds up the same at any split.
+pair pv@.out --threads @ --only passive-ip passive-origin --metrics pm@.json
 
 # Serve: summary, per-arm timeline and metrics under a live rollout ramp
 # and bounded retention; both arms saw traffic and the pool churned.

@@ -663,6 +663,214 @@ fn quantisation_equals_round_half_away_from_zero() {
     }
 }
 
+// ---- JSON exporters: one writer, one sweep ----
+
+/// A strict reader for the exporters' output: panics unless `doc` is
+/// exactly one well-formed JSON value (RFC 8259 — raw control
+/// characters inside a string are an error), and returns every string
+/// in it, keys included, unescaped, in document order.
+fn json_strings(doc: &str) -> Vec<String> {
+    struct Reader<'a> {
+        rest: std::iter::Peekable<std::str::Chars<'a>>,
+        strings: Vec<String>,
+    }
+    impl Reader<'_> {
+        fn ws(&mut self) {
+            while self.rest.next_if(|c| " \n\r\t".contains(*c)).is_some() {}
+        }
+        fn expect(&mut self, want: char) {
+            assert_eq!(self.rest.next(), Some(want));
+        }
+        fn value(&mut self) {
+            self.ws();
+            match *self.rest.peek().expect("a value") {
+                '{' => self.members('}', true),
+                '[' => self.members(']', false),
+                '"' => self.string(),
+                _ => {
+                    let mut token = String::new();
+                    while let Some(c) = self.rest.next_if(|c| !",]} \n\r\t".contains(*c)) {
+                        token.push(c);
+                    }
+                    let literal = ["true", "false", "null"].contains(&token.as_str());
+                    // Rust's float grammar admits a little more than
+                    // JSON's; rule the difference out by hand.
+                    let number = token.parse::<f64>().is_ok_and(f64::is_finite)
+                        && !token.starts_with(['+', '.'])
+                        && !token.ends_with('.');
+                    assert!(literal || number, "bad token {token:?}");
+                }
+            }
+            self.ws();
+        }
+        fn members(&mut self, close: char, keyed: bool) {
+            self.rest.next();
+            self.ws();
+            if self.rest.next_if_eq(&close).is_some() {
+                return;
+            }
+            loop {
+                if keyed {
+                    self.ws();
+                    self.string();
+                    self.ws();
+                    self.expect(':');
+                }
+                self.value();
+                match self.rest.next() {
+                    Some(',') => continue,
+                    Some(c) if c == close => return,
+                    other => panic!("expected ',' or {close:?}, got {other:?}"),
+                }
+            }
+        }
+        fn string(&mut self) {
+            self.expect('"');
+            let mut s = String::new();
+            loop {
+                match self.rest.next().expect("unterminated string") {
+                    '"' => break,
+                    '\\' => s.push(match self.rest.next().expect("escape") {
+                        'n' => '\n',
+                        'r' => '\r',
+                        't' => '\t',
+                        'u' => {
+                            let hex: String = self.rest.by_ref().take(4).collect();
+                            assert_eq!(hex.len(), 4);
+                            let code = u32::from_str_radix(&hex, 16).expect("hex escape");
+                            char::from_u32(code).expect("the writer escapes no surrogates")
+                        }
+                        c @ ('"' | '\\' | '/') => c,
+                        c => panic!("bad escape \\{c}"),
+                    }),
+                    c => {
+                        assert!(c >= ' ', "raw control character {c:?} in a string");
+                        s.push(c);
+                    }
+                }
+            }
+            self.strings.push(s);
+        }
+    }
+    let mut r = Reader {
+        rest: doc.chars().peekable(),
+        strings: Vec::new(),
+    };
+    r.value();
+    assert_eq!(r.rest.next(), None, "trailing bytes after the document");
+    r.strings
+}
+
+/// Every string-bearing field of every exporter, fed strings built to
+/// break an escaper: the document must stay well-formed JSON whose
+/// strings unescape to exactly what went in.
+#[test]
+fn exporters_escape_every_string_they_carry() {
+    use origin_bench::ResilienceReport;
+    use origin_metrics::Registry;
+    use origin_obs::FlightRecorder;
+    use origin_trace::{to_chrome_json, Arg, Site, Tracer};
+    use respect_origin::netsim::SimDuration;
+    use respect_origin::web::har::{PageLoad, Phase, RequestTiming};
+    use respect_origin::web::Protocol;
+    use std::net::{IpAddr, Ipv4Addr};
+
+    static REQ: Site = Site::new("req", "request", &["host"]);
+
+    // Each character JSON reserves, DEL and non-ASCII on their own and
+    // mid-string, then the byte-level mutator's output made UTF-8.
+    let mut hostile: Vec<String> = (0u8..0x20)
+        .chain(*b"\"\\/\x7f")
+        .map(char::from)
+        .chain(['é', '\u{2028}', '\u{feff}', '𝄞'])
+        .flat_map(|c| [c.to_string(), format!("a{c}b{c}")])
+        .collect();
+    hostile.push(String::new());
+    hostile.push("\\\"\\u0041\\n".to_string());
+    let mut rng = SimRng::seed_from_u64(0x4A50_4E21);
+    for _ in 0..64 {
+        let valid = rand_weird(&mut rng, 24);
+        for bytes in hostile_variants(&mut rng, valid.as_bytes()) {
+            hostile.push(String::from_utf8_lossy(&bytes).into_owned());
+        }
+    }
+
+    for s in &hostile {
+        let carried = |doc: &str, times: usize, what: &str| {
+            let found = json_strings(doc).iter().filter(|x| *x == s).count();
+            assert!(
+                found >= times,
+                "{what}: {s:?} came back {found}×, not {times}×"
+            );
+        };
+
+        let mut rec = FlightRecorder::new(8);
+        rec.begin_visit(3);
+        rec.record(1, "conn.open", 1, s);
+        rec.capture_trigger();
+        carried(&rec.panic_snapshot_json(), 1, "panic snapshot detail");
+        let snapshot = rec.trigger_snapshot_json(1).expect("captured");
+        carried(&snapshot, 1, "trigger snapshot detail");
+
+        let mut t = Tracer::new();
+        t.begin_visit(1, s);
+        t.name_conn(1, 3, "h");
+        t.complete(&REQ, 1, 2, &[Arg::Str(s)]);
+        t.complete_indexed(&REQ, (12, s), 5, 6, &[]);
+        let trace = to_chrome_json(&t);
+        carried(&trace, 2, "trace label and Arg::Str");
+        let indexed = format!("req 12 {s}");
+        assert!(
+            json_strings(&trace).contains(&indexed),
+            "indexed name {s:?}"
+        );
+
+        let mut m = Registry::new();
+        m.add(s, 1);
+        m.observe(s, &[1, 10], 3);
+        m.record_phase(s, SimDuration::from_micros(5));
+        m.set_runtime_ms(s, 1.5);
+        carried(&m.to_json(), 4, "registry names");
+
+        let report = ResilienceReport {
+            profile: s.clone(),
+            pages: 1,
+            counters: vec![("fault.drops", 2)],
+            backoff: Default::default(),
+            clean: (1.0, 0.5, 3),
+            faulted: (2.0, 0.25, 4),
+        };
+        carried(&report.to_json(), 1, "resilience profile");
+
+        // A `DnsName` holds only what its parser lets through: that,
+        // not the HAR writer, is what keeps a hostile host out.
+        if let Ok(host) = DnsName::parse(s) {
+            let load = PageLoad {
+                rank: 1,
+                root_host: host.clone(),
+                requests: vec![RequestTiming {
+                    resource_index: 0,
+                    host: host.clone(),
+                    ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
+                    asn: 1,
+                    start: 0.0,
+                    phase: Phase::default(),
+                    did_dns: false,
+                    new_connection: false,
+                    coalesced: false,
+                    protocol: Protocol::H2,
+                    cert_issuer: None,
+                    secure: true,
+                    extra_connections: 0,
+                    extra_dns: 0,
+                }],
+            };
+            let url = format!("https://{host}/r0");
+            assert!(json_strings(&load.to_har_json()).contains(&url));
+        }
+    }
+}
+
 // ---- ORIGIN entries ----
 
 #[test]
