@@ -2,9 +2,10 @@
 //! page materialization, and the measured crawl.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use origin_bench::{crawl_stages, CrawlSpec, STAGES};
+use origin_bench::{crawl_stages, CrawlSpec, ObsConfig, STAGES};
 use origin_browser::{BrowserKind, PageLoader, UniverseEnv};
-use origin_netsim::SimRng;
+use origin_netsim::{FaultProfile, SimRng};
+use origin_trace::Sampler;
 use origin_webgen::{Dataset, DatasetConfig};
 use std::time::Instant;
 
@@ -165,23 +166,23 @@ fn bench_crawl_variants(c: &mut Criterion) {
     group("crawl_h3", h3.into());
 }
 
-/// One single-thread pass over a pure-h2 universe of `sites` ranks
-/// through `origin_bench::crawl_stages` — the crawl's own worker, with
-/// one `Instant` lap per stage. Returns µs per site for each of
+/// One single-thread pass over `spec`'s universe through
+/// `origin_bench::crawl_stages` — the crawl's own worker, with one
+/// `Instant` lap per stage. Returns µs per site for each of
 /// [`STAGES`].
-fn crawl_stages_pass(sites: u32) -> [f64; 6] {
+fn crawl_stages_pass(spec: &CrawlSpec) -> [f64; 6] {
     // `lap(stage)` charges the time since the previous lap to `stage`;
     // slot 6 takes what belongs to none (worker set-up).
     let mut spent = [0.0f64; 7];
     let mut clock = Instant::now();
-    let crawled = crawl_stages(&CrawlSpec::new(sites, 0x0516), |stage| {
+    let crawled = crawl_stages(spec, |stage| {
         let now = Instant::now();
         spent[stage] += (now - clock).as_secs_f64() * 1e6;
         clock = now;
     });
     let per = |stage| {
         if stage == 0 {
-            f64::from(sites)
+            f64::from(spec.sites)
         } else {
             crawled as f64
         }
@@ -191,27 +192,44 @@ fn crawl_stages_pass(sites: u32) -> [f64; 6] {
 
 /// The crawl's stage ledger (DESIGN.md §10): µs per site spent in each
 /// stage of `crawl_site`, each stage's best over the passes, one
-/// thread, 2,000 ranks — the `crawl-small` universe.
+/// thread, 2,000 ranks. Two rows: the pure-h2 `crawl-small` universe,
+/// and the `crawl-mixed` configuration of `BENCHMARK.json` (h1 and h3
+/// machines, fault recovery, every telemetry sink), whose `load` cell
+/// is where a protocol-machine change shows.
 fn bench_crawl_stages(c: &mut Criterion) {
-    let mut best = [f64::INFINITY; 6];
+    let pure = CrawlSpec::new(2_000, 0x0516);
+    let mixed = CrawlSpec {
+        sampler: Some(Sampler::new(4)),
+        faults: Some(FaultProfile::parse("drop=0.01,h421=0.005,middlebox=0.1").unwrap()),
+        legacy_share: 0.25,
+        h3_share: 0.5,
+        obs: Some(ObsConfig::default()),
+        ..pure.clone()
+    };
     let mut g = c.benchmark_group("crawl_stages");
     g.sample_size(25);
-    g.bench_function("sites_2000", |b| {
-        b.iter(|| {
-            for (best, pass) in best.iter_mut().zip(crawl_stages_pass(2_000)) {
-                *best = best.min(pass);
-            }
-        })
-    });
-    g.finish();
-    if best[0].is_finite() {
-        let cells: Vec<String> = STAGES
-            .iter()
-            .zip(best)
-            .map(|(stage, us)| format!("{stage} {us:.1}"))
-            .collect();
-        println!("crawl_stages µs/site: {}", cells.join(" · "));
+    for (label, row, spec) in [
+        ("sites_2000", "crawl_stages", pure),
+        ("mixed_2000", "crawl_stages mixed", mixed),
+    ] {
+        let mut best = [f64::INFINITY; 6];
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                for (best, pass) in best.iter_mut().zip(crawl_stages_pass(&spec)) {
+                    *best = best.min(pass);
+                }
+            })
+        });
+        if best[0].is_finite() {
+            let cells: Vec<String> = STAGES
+                .iter()
+                .zip(best)
+                .map(|(stage, us)| format!("{stage} {us:.1}"))
+                .collect();
+            println!("{row} µs/site: {}", cells.join(" · "));
+        }
     }
+    g.finish();
 }
 
 fn bench_pool_decide(c: &mut Criterion) {

@@ -39,10 +39,22 @@
 //! answer was a fresh `Arc` and every visit built its page from
 //! nothing, a visit allocated 31 / 38 / 32 times (IP-aligned / ORIGIN
 //! / baseline, whole `run_both_threads` ÷ visits); with the world
-//! shared it measured 4.1 / 11.8 / 11.0, and measures 0.1 / 7.8 / 6.6
-//! now that neither an issuer string nor a path string is built per
-//! request. What is left: the `OriginSet` built per ORIGIN-mode
-//! connection and baseline's one-address answer per query.
+//! shared it measured 4.1 / 11.8 / 11.0, then 0.1 / 7.8 / 6.6 once
+//! neither an issuer string nor a path string was built per request,
+//! and measures 0.1 / 0.1 / 6.6 now that an ORIGIN-mode connection
+//! shares one of its environment's two origin sets instead of building
+//! its own. What is left: baseline's one-address answer per query.
+//!
+//! So are the protocol machines of the mixed universe. While a QPACK
+//! request owned its four fields twice over, both dynamic tables keyed
+//! their index by cloned strings and an h1 cycle built its heads and
+//! its wire bytes on the heap, a load allocated 842 times on a
+//! universe where every page is h3 and 471 where every page is legacy;
+//! with borrowed fields and heads, wire buffers the machines keep,
+//! tables that reuse the strings they evict and the machines
+//! themselves kept by the [`VisitArena`], it measures 55 and 29 — the
+//! legacy load allocates what the pure-h2 one does, and the h3 load's
+//! remainder is its session's ticket and Alt-Svc memory.
 //!
 //! Allocation counts are only meaningful if no other test mutates the
 //! counters concurrently, so this file holds exactly one `#[test]`.
@@ -91,6 +103,11 @@ fn allocs() -> u64 {
 const MAX_PAGE_ALLOCS_PER_VISIT: u64 = 4;
 const MAX_LOAD_ALLOCS_PER_VISIT: u64 = 36;
 const MAX_ANALYSIS_ALLOCS_PER_VISIT: f64 = 8.0;
+/// The same load ceiling where every page drives the QPACK and
+/// connection-ID machines (`h3_share` 1.0) or the HTTP/1.1 machine
+/// (`legacy_share` 1.0). Measured 55 and 29.
+const MAX_H3_LOAD_ALLOCS_PER_VISIT: u64 = 76;
+const MAX_LEGACY_LOAD_ALLOCS_PER_VISIT: u64 = 36;
 /// What tracing a visit may add to its load's allocations.
 const MAX_TRACED_EXTRA_ALLOCS_PER_VISIT: u64 = 8;
 /// Per-visit ceilings on a whole single-thread §5 `run_both_threads`
@@ -98,9 +115,46 @@ const MAX_TRACED_EXTRA_ALLOCS_PER_VISIT: u64 = 8;
 /// 5,000-candidate group, by deployment.
 const MAX_S5_ALLOCS_PER_VISIT: [(DeploymentMode, BrowserKind, u64); 3] = [
     (DeploymentMode::IpAligned, BrowserKind::Firefox, 2),
-    (DeploymentMode::OriginFrames, BrowserKind::FirefoxOrigin, 10),
+    (DeploymentMode::OriginFrames, BrowserKind::FirefoxOrigin, 2),
     (DeploymentMode::Baseline, BrowserKind::Firefox, 9),
 ];
+
+/// Allocations per load, metrics on, over the last three quarters of
+/// `config`'s universe, after the first quarter warmed the arena and
+/// the environment.
+fn warm_load_allocs(config: DatasetConfig) -> u64 {
+    let dataset = Dataset::generate(config);
+    let sites: Vec<&SiteConfig> = dataset.successful_sites().collect();
+    let loader = PageLoader::new(BrowserKind::Chromium);
+    let mut env = UniverseEnv::new(&dataset);
+    let mut metrics = origin_metrics::Registry::new();
+    let mut scratch = PageScratch::new();
+    let mut arena = VisitArena::new();
+    let warm_up = sites.len() / 4;
+    let mut spent = 0;
+    for (i, site) in sites.iter().enumerate() {
+        let page = dataset.page_for_with(site, &mut scratch);
+        env.flush_dns();
+        let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+        let before = allocs();
+        let load = loader.load_observed(
+            &page,
+            &mut env,
+            &mut rng,
+            None,
+            Some(&mut metrics),
+            None,
+            &mut arena,
+            origin_obs::VisitSinks::default(),
+        );
+        if i >= warm_up {
+            spent += allocs() - before;
+        }
+        scratch.recycle(page);
+        arena.recycle(load);
+    }
+    spent / (sites.len() - warm_up) as u64
+}
 
 #[test]
 fn steady_state_crawl_allocations_stay_bounded() {
@@ -215,6 +269,28 @@ fn steady_state_crawl_allocations_stay_bounded() {
          (allowed extra {MAX_TRACED_EXTRA_ALLOCS_PER_VISIT}): an emission site went back to \
          building a `String` or a `Vec` per event"
     );
+
+    // The protocol machines: every page h3, then every page legacy,
+    // each through its own warm arena.
+    for (what, legacy_share, h3_share, ceiling) in [
+        ("an h3", 0.0, 1.0, MAX_H3_LOAD_ALLOCS_PER_VISIT),
+        ("a legacy", 1.0, 0.0, MAX_LEGACY_LOAD_ALLOCS_PER_VISIT),
+    ] {
+        let per_load = warm_load_allocs(DatasetConfig {
+            sites: 400,
+            seed: 0x516,
+            legacy_share,
+            h3_share,
+            ..Default::default()
+        });
+        println!("allocations per visit: load of {what} page {per_load}");
+        assert!(
+            per_load <= ceiling,
+            "the load of {what} page allocates {per_load}/visit (ceiling {ceiling}): a protocol \
+             machine went back to owning its header strings or its wire buffers, or the \
+             VisitArena stopped keeping it"
+        );
+    }
 
     let group = SampleGroup::build(5_000, &mut SimRng::seed_from_u64(0x516));
     for (mode, browser, ceiling) in MAX_S5_ALLOCS_PER_VISIT {

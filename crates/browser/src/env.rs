@@ -2,13 +2,14 @@
 
 use origin_dns::{DnsName, QueryAnswer, ResolverState};
 use origin_h2::OriginSet;
-use origin_intern::HostTable;
+use origin_intern::{FxHashMap, HostTable};
 use origin_netsim::link::LINK_CLASSES;
 use origin_netsim::{LinkProfile, SimRng, SimTime};
 use origin_tls::Certificate;
 use origin_webgen::{Dataset, PROVIDERS};
 use std::cell::RefCell;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// What the loader needs from "the rest of the Internet". The
 /// synthetic universe implements it for the §3/§4 crawl; the CDN
@@ -53,8 +54,12 @@ pub trait WebEnv {
 
     /// The ORIGIN frame origin set the server for `host` advertises
     /// (None = server has no ORIGIN support — the pre-deployment
-    /// world).
-    fn origin_set_for(&self, host: &DnsName) -> Option<OriginSet>;
+    /// world), as the shared handle the loader parks on a pooled
+    /// connection. The connected host itself need not be listed: the
+    /// pool counts it as advertised on any connection that has a set.
+    /// Called once per new connection, so environments keep one set
+    /// per certificate and this is a refcount bump.
+    fn origin_set_for(&self, host: &DnsName) -> Option<Arc<OriginSet>>;
 
     /// Network path profile toward `host`.
     fn link_for(&self, host: &DnsName) -> LinkProfile;
@@ -97,6 +102,13 @@ pub struct UniverseEnv<'a> {
 struct HostFactCache {
     hosts: HostTable,
     facts: Vec<HostFacts>,
+    /// The origin set an ORIGIN-enabled provider advertises on every
+    /// connection under one certificate: its exact SANs in
+    /// certificate order. Like the facts above, a pure function of
+    /// the immutable dataset — and keyed by the certificate's address
+    /// in it, because serials are per issuing CA and repeat across
+    /// issuers.
+    origin_sets: FxHashMap<usize, Arc<OriginSet>>,
 }
 
 #[derive(Clone, Copy)]
@@ -234,22 +246,22 @@ impl WebEnv for UniverseEnv<'_> {
         a.registrable == b.registrable || (a.asn != 0 && a.asn == b.asn)
     }
 
-    fn origin_set_for(&self, host: &DnsName) -> Option<OriginSet> {
+    fn origin_set_for(&self, host: &DnsName) -> Option<Arc<OriginSet>> {
         let asn = self.asn_of_host(host);
         if !self.origin_enabled_asns.contains(&asn) {
             return None;
         }
         // An ORIGIN-enabled provider advertises the connected host
-        // plus its sibling names on this certificate — the least-
-        // effort configuration §4.3 ends at.
+        // (implied, see the trait) plus its sibling names on this
+        // certificate — the least-effort configuration §4.3 ends at.
         let cert = self.dataset.universe.cert_for(host)?;
-        let mut set = OriginSet::from_hosts([host.as_str()]);
-        for san in &cert.sans {
-            if !san.is_wildcard() {
-                set.add(origin_h2::OriginEntry::https(san.as_str()));
-            }
-        }
-        Some(set)
+        let mut cache = self.cache.borrow_mut();
+        let at = std::ptr::from_ref(cert) as usize;
+        let set = cache.origin_sets.entry(at).or_insert_with(|| {
+            let exact = cert.sans.iter().filter(|san| !san.is_wildcard());
+            Arc::new(OriginSet::from_hosts(exact.map(|san| san.as_str())))
+        });
+        Some(set.clone())
     }
 
     fn link_for(&self, host: &DnsName) -> LinkProfile {
@@ -335,6 +347,9 @@ mod tests {
             .origin_set_for(&name("cdnjs.cloudflare.com"))
             .expect("origin set");
         assert!(set.allows_https_host("cdnjs.cloudflare.com"));
+        // One set per certificate, however many connections ask.
+        let again = env.origin_set_for(&name("cdnjs.cloudflare.com")).unwrap();
+        assert!(Arc::ptr_eq(&set, &again));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::env::WebEnv;
 use crate::policy::BrowserKind;
 use crate::pool::{ConnectionPool, PoolPartition, PooledConnection, ReuseDecision};
 use origin_h1::{
-    Connection as H1Connection, Event as H1Event, Request as H1Request, Response as H1Response,
+    Connection as H1Connection, RequestHead as H1Request, ResponseHead as H1Response,
     Role as H1Role,
 };
 use origin_h3::{H3Conn, H3Counts, H3RequestStats, H3Session};
@@ -23,9 +23,14 @@ use origin_netsim::{
     SimTime, TlsVersion,
 };
 use origin_trace::{Arg, Site};
-use origin_web::har::{PageLoad, Phase, RequestTiming};
+use origin_web::har::{PageLoad, Phase, RequestTiming, SealedUs};
 use origin_web::{Page, Protocol, Resource};
+use std::fmt::Write;
 use std::net::{IpAddr, Ipv4Addr};
+
+/// An h1 event whose heads borrow `&str`s (the alias pins the string
+/// type the headless variants leave open).
+type H1Event<'a> = origin_h1::EventRef<'a>;
 
 /// RFC 8336 ORIGIN frame type code — what the §6.7 middlebox keys on.
 const ORIGIN_FRAME_TYPE: u8 = 0x0c;
@@ -200,34 +205,44 @@ struct H1Stats {
 /// and is upgraded in place the first time a request needs one: a
 /// legacy page's HTTP/1.1 request, or a request riding a connection the
 /// pool marks `quic`. Legacy and h3 pages are disjoint, so a slot is
-/// only ever upgraded once.
+/// only ever upgraded once. `H1(i)` and `Quic(i)` name the arena's
+/// `i`-th machine of their kind ([`Machines`]).
+#[derive(Clone, Copy)]
 enum Transport {
     H2,
-    H1(H1Connection),
-    /// Boxed: QPACK tables and the CID registry make this several times
-    /// the size of the other variants, and most slots are `H2`.
-    Quic(Box<H3Conn>),
+    H1(usize),
+    Quic(usize),
 }
 
-impl Transport {
-    fn h1(&mut self) -> &mut H1Connection {
-        if let Transport::H2 = self {
-            *self = Transport::H1(H1Connection::new(H1Role::Client));
-        }
-        match self {
-            Transport::H1(machine) => machine,
-            _ => unreachable!("a QUIC connection never carries a legacy HTTP/1.1 request"),
+/// The protocol machines of one kind an arena keeps. The first `used`
+/// ride connections of the current visit; the rest wait, in whatever
+/// state their last connection left them, to be reset and taken — so
+/// there are never more than the one visit that drove the most needed.
+struct Machines<M> {
+    all: Vec<M>,
+    used: usize,
+}
+
+impl<M> Default for Machines<M> {
+    fn default() -> Self {
+        Machines {
+            all: Vec::new(),
+            used: 0,
         }
     }
+}
 
-    fn quic(&mut self) -> &mut H3Conn {
-        if let Transport::H2 = self {
-            *self = Transport::Quic(Box::new(H3Conn::new()));
+impl<M> Machines<M> {
+    /// The index of a machine no connection of this visit rides: the
+    /// next waiting one after `reset`, else a `fresh` one.
+    fn take(&mut self, fresh: impl FnOnce() -> M, reset: impl FnOnce(&mut M)) -> usize {
+        let i = self.used;
+        self.used += 1;
+        match self.all.get_mut(i) {
+            Some(machine) => reset(machine),
+            None => self.all.push(fresh()),
         }
-        match self {
-            Transport::Quic(machine) => machine,
-            _ => unreachable!("an HTTP/1.1 connection is never marked quic"),
-        }
+        i
     }
 }
 
@@ -250,6 +265,12 @@ struct ConnState {
 /// next load, and [`VisitArena::recycle`] returns a consumed
 /// [`PageLoad`]'s request storage to the arena.
 ///
+/// The same goes for the protocol machines: the h1 and h3 connection
+/// machines a visit drove stay in the arena, and a later connection
+/// that needs one takes it reset — tables empty, insert counts and
+/// counters zero — with its tables' strings and its wire buffers still
+/// allocated.
+///
 /// The arena carries *capacity* only, never keys: every value written
 /// during a load is a pure function of page, environment and RNG, so
 /// a warm arena loads byte-identically to a fresh one
@@ -271,6 +292,11 @@ pub struct VisitArena {
     /// Where an HTTP/1.1 request line or an HTTP/3 field section gets
     /// its resource's path rendered; h2 requests never read one.
     path: String,
+    /// Where an HTTP/1.1 response head gets its `content-length`
+    /// rendered.
+    length: String,
+    h1: Machines<H1Connection>,
+    quic: Machines<H3Conn>,
 }
 
 impl VisitArena {
@@ -422,6 +448,8 @@ impl PageLoader {
         let n = page.resources.len();
         arena.pool.clear();
         arena.conns.clear();
+        arena.h1.used = 0;
+        arena.quic.used = 0;
         arena.h3_session.recycle();
         arena.timings.clear();
         arena.timings.reserve(n);
@@ -511,8 +539,9 @@ struct Request<'p> {
     /// protocol alone — so the default universe's sampled-H11 traffic
     /// keeps its exact pre-mixed-universe behaviour.
     legacy_h1: bool,
-    /// The DNS answer; empty until (and unless) the request resolves.
-    addrs: std::sync::Arc<[IpAddr]>,
+    /// The DNS answer; `None` until (and unless) the request resolves
+    /// (N/A-protocol skips, NXDOMAIN, ORIGIN-frame-trusted coalescing).
+    addrs: Option<std::sync::Arc<[IpAddr]>>,
     /// Setup time wasted on failed attempts (421 round trip,
     /// middlebox-torn handshake) before the request could proceed;
     /// charged as blocked time, like a browser waterfall would show.
@@ -541,7 +570,7 @@ impl<'p> Request<'p> {
             partition: PoolPartition::from(res.fetch_mode),
             h3_eligible: page.h3 && res.secure && res.protocol == Protocol::H2,
             legacy_h1: page.legacy && res.protocol == Protocol::H11,
-            addrs: empty_addrs(),
+            addrs: None,
             fault_penalty_ms: 0.0,
             reuse_label: "new",
             rule_label: None,
@@ -562,8 +591,14 @@ impl<'p> Request<'p> {
                 secure: res.secure,
                 extra_connections: 0,
                 extra_dns: 0,
+                us: SealedUs::default(),
             },
         }
+    }
+
+    /// The DNS answer as the pool reads it: empty when unresolved.
+    fn addrs(&self) -> &[IpAddr] {
+        self.addrs.as_deref().unwrap_or(&[])
     }
 
     /// When the request can ask the pool for a connection (ms).
@@ -631,19 +666,20 @@ impl Visit<'_> {
             // Fold the visit's session counters and per-connection
             // QPACK/CID totals into the stats the registry sees.
             self.h3.counts = self.arena.h3_session.counts;
-            for state in self.arena.conns.iter() {
-                if let Transport::Quic(conn) = &state.transport {
-                    self.h3.qpack_instructions += conn.qpack_instructions();
-                    self.h3.qpack_evictions += conn.qpack_evictions();
-                    self.h3.cids_issued += conn.cids_issued();
-                    self.h3.cids_retired += conn.cids_retired();
-                }
+            let quic = &self.arena.quic;
+            for conn in &quic.all[..quic.used] {
+                self.h3.qpack_instructions += conn.qpack_instructions();
+                self.h3.qpack_evictions += conn.qpack_evictions();
+                self.h3.cids_issued += conn.cids_issued();
+                self.h3.cids_retired += conn.cids_retired();
             }
         }
         (self.h1, self.h3)
     }
 
-    /// One request through the five stages.
+    /// One request through the five stages. Whichever way it leaves,
+    /// its record is sealed exactly once, where its last phase is
+    /// written: in [`Visit::transfer`] when served, here when not.
     fn run_request(&mut self, idx: usize, start: f64) -> RequestTiming {
         let mut rq = Request::dispatch(self.page, idx, start, &*self.env);
         // Failed/aborted requests (Table 3's N/A rows) consume no
@@ -658,15 +694,14 @@ impl Visit<'_> {
                     &[Arg::Str(rq.t.host.as_str()), Arg::Str("n/a")],
                 );
             }
-            return rq.t;
+        } else if self.resolve(&mut rq) {
+            let decision = self.decide(&mut rq);
+            let conn_idx = self.open(&mut rq, decision);
+            self.transfer(&mut rq, conn_idx);
+            return self.finish(rq, conn_idx);
         }
-        if !self.resolve(&mut rq) {
-            return rq.t;
-        }
-        let decision = self.decide(&mut rq);
-        let conn_idx = self.open(&mut rq, decision);
-        self.transfer(&mut rq, conn_idx);
-        self.finish(rq, conn_idx)
+        rq.t.seal();
+        rq.t
     }
 
     /// How the pool would connect `rq` at time `at` given DNS answer
@@ -741,7 +776,7 @@ impl Visit<'_> {
         };
         rq.t.phase.dns = ans.latency.as_millis_f64();
         rq.t.did_dns = !ans.from_cache;
-        rq.addrs = ans.addresses;
+        rq.addrs = Some(ans.addresses);
         if rq.t.did_dns && self.rng.chance(self.config.speculative_dns_rate) {
             rq.t.extra_dns = 1;
         }
@@ -753,7 +788,7 @@ impl Visit<'_> {
     /// a 421 from the fault RNG, which turns the decision into `New`.
     fn decide(&mut self, rq: &mut Request<'_>) -> ReuseDecision {
         let host = &rq.t.host;
-        let decision = self.ask_pool(rq, &rq.addrs, rq.after_dns());
+        let decision = self.ask_pool(rq, rq.addrs(), rq.after_dns());
         let (Some(f), ReuseDecision::Coalesce(i)) = (self.faults.as_deref_mut(), decision) else {
             return decision;
         };
@@ -810,7 +845,7 @@ impl Visit<'_> {
                 let rule =
                     self.arena
                         .pool
-                        .explain_coalesce(self.config.kind, &rq.t.host, &rq.addrs, i);
+                        .explain_coalesce(self.config.kind, &rq.t.host, rq.addrs(), i);
                 rq.rule_label = Some(rule);
                 if let Some(t) = self.tracer.as_deref_mut() {
                     // Flow arrow from the reused connection's opening
@@ -839,7 +874,7 @@ impl Visit<'_> {
             }
             ReuseDecision::New => {
                 rq.t.new_connection = true;
-                let ip = rq.addrs.first().copied().unwrap_or(PLACEHOLDER_IP);
+                let ip = rq.addrs().first().copied().unwrap_or(PLACEHOLDER_IP);
                 match self.env.cert_shared(&rq.t.host) {
                     Some(c) if rq.h3_eligible && self.arena.h3_session.knows_h3(c.serial) => {
                         self.open_quic(rq, ip, c)
@@ -969,7 +1004,7 @@ impl Visit<'_> {
                 if self.arena.pool.redundant_if_h2(
                     *kind,
                     &rq.t.host,
-                    &rq.addrs,
+                    rq.addrs(),
                     rq.partition,
                     |ch| self.env.colocated(ch, &rq.t.host),
                 ) {
@@ -1127,14 +1162,16 @@ impl Visit<'_> {
         rq: &Request<'_>,
         ip: IpAddr,
         cert: std::sync::Arc<origin_tls::Certificate>,
-        origin_set: Option<origin_h2::OriginSet>,
+        origin_set: Option<std::sync::Arc<origin_h2::OriginSet>>,
         quic: bool,
     ) -> usize {
         let open_us = ms_us(rq.setup_start());
         let i = self.arena.pool.insert(PooledConnection {
             host: rq.t.host.clone(),
             ip,
-            available_set: rq.addrs.clone(),
+            // Unresolved only when a 421 turned an ORIGIN-trusted ride
+            // into a new connection.
+            available_set: rq.addrs.clone().unwrap_or_else(|| [].into()),
             cert,
             origin_set,
             protocol: rq.res.protocol,
@@ -1220,9 +1257,13 @@ impl Visit<'_> {
                 f.counts.backoff_us += ms_us(redo);
             }
         }
+        // Every phase now holds its final value: the record's one
+        // quantisation, read from here on by the spans, the metrics,
+        // the observation and the §3/§4 analysis.
+        rq.t.seal();
         conn.bytes_transferred += res.size;
         if self.config.kind.models_races() && !conn.multiplexes() {
-            conn.busy_until = start + phase.total();
+            conn.busy_until = start + rq.t.total();
         }
 
         // Requests riding a QUIC connection drive its QPACK
@@ -1232,9 +1273,20 @@ impl Visit<'_> {
         // `h3_share = 0`.
         if conn.quic {
             self.h3.requests += 1;
-            let machine = self.arena.conns[conn_idx].transport.quic();
-            let path = res.render_path(&self.page.hosts, &mut self.arena.path);
-            rq.h3_qpack = Some(machine.drive_request(rq.t.host.as_str(), path));
+            let arena = &mut *self.arena;
+            let transport = &mut arena.conns[conn_idx].transport;
+            if let Transport::H2 = transport {
+                *transport = Transport::Quic(arena.quic.take(H3Conn::new, H3Conn::reset));
+            }
+            let Transport::Quic(i) = *transport else {
+                unreachable!("an HTTP/1.1 connection is never marked quic")
+            };
+            let machine = &mut arena.quic.all[i];
+            let path = res.render_path(&self.page.hosts, &mut arena.path);
+            let stats = machine
+                .drive_request(rq.t.host.as_str(), path)
+                .expect("own QPACK streams decode to the fields that went in");
+            rq.h3_qpack = Some(stats);
         }
         if rq.legacy_h1 {
             self.h1.requests += 1;
@@ -1257,51 +1309,69 @@ impl Visit<'_> {
         if !rq.t.new_connection {
             self.h1.keepalive_reuse += 1;
         }
-        let machine = self.arena.conns[conn_idx].transport.h1();
+        let arena = &mut *self.arena;
+        let transport = &mut arena.conns[conn_idx].transport;
+        if let Transport::H2 = transport {
+            let fresh = || H1Connection::new(H1Role::Client);
+            *transport = Transport::H1(arena.h1.take(fresh, |m| m.reset(H1Role::Client)));
+        }
+        let Transport::H1(i) = *transport else {
+            unreachable!("a QUIC connection never carries a legacy HTTP/1.1 request")
+        };
+        let machine = &mut arena.h1.all[i];
         if machine.cycles_completed() > 0 {
             machine
                 .start_next_cycle()
                 .expect("pooled HTTP/1.1 connection must be idle and kept alive");
         }
-        let path = res.render_path(&self.page.hosts, &mut self.arena.path);
+        let path = res.render_path(&self.page.hosts, &mut arena.path);
+        let get = H1Request {
+            method: "GET",
+            target: path,
+            headers: &[("host", host)],
+        };
         machine
-            .send(&H1Event::Request(H1Request::get(path, host)))
+            .send_ref(H1Event::Request(get))
             .expect("request head from Idle");
         machine
-            .send(&H1Event::EndOfMessage)
+            .send_ref(H1Event::EndOfMessage)
             .expect("bodyless GET completes");
         // Without a Content-Length the body runs until the server
         // closes, and the connection leaves the reusable pool: `closed`
         // frees its per-host slot, and the next request to this host
         // pays a fresh setup.
         let closes = close_delimited_response(path);
+        arena.length.clear();
+        write!(arena.length, "{}", res.size).expect("writing to a String cannot fail");
+        let with_length = [("content-length", arena.length.as_str())];
         let (head, end) = if closes {
-            (H1Response::close_delimited(), H1Event::ConnectionClosed)
+            (H1Response::CLOSE_DELIMITED, H1Event::ConnectionClosed)
         } else {
-            (
-                H1Response::with_content_length(res.size),
-                H1Event::EndOfMessage,
-            )
+            let head = H1Response {
+                status: 200,
+                headers: &with_length,
+            };
+            (head, H1Event::EndOfMessage)
         };
         machine
-            .receive(&H1Event::Response(head))
+            .receive_ref(H1Event::Response(head))
             .expect("response head after request");
         if res.size > 0 {
             machine
-                .receive(&H1Event::Data(res.size))
+                .receive_ref(H1Event::Data(res.size))
                 .expect("body data under either framing");
         }
         machine
-            .receive(&end)
+            .receive_ref(end)
             .expect("the terminator its framing calls for ends the body");
         let mut framing = "content-length";
         if closes {
             framing = "close-delimited";
-            self.arena.pool.get_mut(conn_idx).closed = true;
+            arena.pool.get_mut(conn_idx).closed = true;
             self.h1.close_delimited += 1;
             if let Some(rec) = self.flight.as_deref_mut() {
                 rec.record(
-                    ms_us(rq.t.start + rq.t.phase.total()),
+                    ms_us(rq.t.start + rq.t.total()),
                     end.code(),
                     machine.cycles_completed(),
                     host,
@@ -1332,7 +1402,7 @@ impl Visit<'_> {
             );
             static H1_REQUEST: Site = Site::new("h1.request", "h1", &["framing", "cycle", "conn"]);
             t.set_tid(1 + conn_idx as u32);
-            let start_ts = ms_us(rq.t.start);
+            let start_ts = rq.t.start_us();
             let host = rq.t.host.as_str();
             let conn = Arg::U64(conn_idx as u64);
             let args = [
@@ -1342,12 +1412,11 @@ impl Visit<'_> {
                 conn,
                 Arg::Str(rq.rule_label.unwrap_or_default()),
             ];
-            let phases_us = rq.t.phase.quantised_us();
             t.complete_indexed(
                 &REQ,
                 (rq.t.resource_index as u64, host),
                 start_ts,
-                phases_us.iter().sum(),
+                rq.t.total_us(),
                 &args[..if rq.rule_label.is_some() { 5 } else { 4 }],
             );
             // h3 requests additionally record the QPACK view: how
@@ -1375,7 +1444,7 @@ impl Visit<'_> {
                 );
             }
             let mut off = start_ts;
-            for (span, dur) in PHASE_SPANS.iter().zip(phases_us) {
+            for (span, dur) in PHASE_SPANS.iter().zip(rq.t.phases_us()) {
                 if dur > 0 {
                     t.complete(span, off, dur, &[]);
                 }
@@ -1422,14 +1491,6 @@ fn ms_us(ms: f64) -> u64 {
     origin_web::har::ms_to_us(ms)
 }
 
-/// The shared empty address set for requests that never resolve
-/// (N/A-protocol skips, NXDOMAIN, ORIGIN-frame-trusted coalescing).
-/// One process-wide allocation instead of one per request.
-fn empty_addrs() -> std::sync::Arc<[IpAddr]> {
-    static EMPTY: std::sync::OnceLock<std::sync::Arc<[IpAddr]>> = std::sync::OnceLock::new();
-    EMPTY.get_or_init(|| std::sync::Arc::new([])).clone()
-}
-
 /// Does a legacy origin serve this resource with a close-delimited
 /// body (no `Content-Length`)? FNV-1a over the path picks roughly one
 /// response in sixteen — a pure function of the page, so every thread
@@ -1448,12 +1509,12 @@ fn record_page_metrics(load: &PageLoad, metrics: &mut origin_metrics::Registry) 
     let mut coalesced = 0u64;
     let mut pool_reuse = 0u64;
     let mut dns_queries = 0u64;
-    // Phase totals accumulate locally (integer microseconds, one
-    // per-request quantisation each — the same arithmetic as recording
-    // them one by one) and hit the registry's string-keyed maps once
-    // per page instead of five times per request. The same quantised
-    // phases give each request's end, so the PLT falls out of this
-    // walk too.
+    // Phase totals accumulate locally (integer microseconds, read off
+    // each record's seal — the same arithmetic as recording them one
+    // by one) and hit the registry's string-keyed maps once per page
+    // instead of five times per request. `sim.transfer` is the one
+    // value quantised here: it rounds the *sum* of three phases, which
+    // no seal holds.
     let mut dns_t = SimDuration::ZERO;
     let mut connect_t = SimDuration::ZERO;
     let mut tls_t = SimDuration::ZERO;
@@ -1467,14 +1528,13 @@ fn record_page_metrics(load: &PageLoad, metrics: &mut origin_metrics::Registry) 
         // same-host connection (failed N/A requests use no network).
         pool_reuse += (!r.new_connection && !r.coalesced && r.protocol != Protocol::NA) as u64;
         dns_queries += r.did_dns as u64 + r.extra_dns as u64;
-        let q = r.phase.quantised_us();
-        let [blocked, dns, connect, ssl, ..] = q.map(SimDuration::from_micros);
+        let [blocked, dns, connect, ssl, ..] = r.phases_us().map(SimDuration::from_micros);
         dns_t += dns;
         connect_t += connect;
         tls_t += ssl;
         transfer_t += SimDuration::from_millis_f64(r.phase.send + r.phase.wait + r.phase.receive);
         blocked_t += blocked;
-        plt_us = plt_us.max(r.start_us() + q.iter().sum::<u64>());
+        plt_us = plt_us.max(r.end_us());
     }
     let n = load.requests.len() as u64;
     metrics.record_phase_n("sim.dns", n, dns_t);
@@ -1524,7 +1584,7 @@ fn observe_visit(
         if r.protocol == Protocol::NA {
             continue;
         }
-        let [blocked, dns, connect, ssl, ..] = r.phase.quantised_us();
+        let [blocked, dns, connect, ssl, ..] = r.phases_us();
         if r.new_connection {
             let handshake = connect + ssl;
             if handshake > 0 {
@@ -1991,7 +2051,8 @@ mod tests {
     /// An arena that has carried 500+ visits of a mixed, faulted
     /// universe — the compared tests' own hostnames among them, legacy
     /// peers that closed connections, 421s that evicted coalesced
-    /// mappings — and so has held every kind of key a reset must drop.
+    /// mappings — and so has held every kind of key a reset must drop,
+    /// and holds used h1 and h3 machines a later visit will take.
     fn worn_arena() -> VisitArena {
         let d = Dataset::generate(DatasetConfig {
             sites: 900,
@@ -2030,21 +2091,28 @@ mod tests {
         assert!(visits >= 500, "only {visits} warm-up visits");
         assert!(metrics.counter("fault.pool_evictions") > 0);
         assert!(metrics.counter("h1.close_delimited") > 0);
+        let (h1, quic) = (&arena.h1.all, &arena.quic.all);
+        assert!(h1.iter().any(|m| m.cycles_completed() > 1));
+        assert!(h1.iter().any(|m| !m.keep_alive()), "a closed h1 machine");
+        assert!(quic.iter().any(|m| m.qpack_instructions() > 1));
+        assert!(quic.iter().any(|m| m.cids_retired() > 0), "a rotated CID");
         arena
     }
 
     /// Between visits a worker keeps capacity, never keys: after 1,500
-    /// distinct sites through one arena and one environment, a reset
-    /// leaves the pool and the resolver empty, and what they retain is
-    /// sized by the largest single visit, not by the crawl. Counts
-    /// only — no clock.
+    /// distinct sites of a mixed universe through one arena and one
+    /// environment, a reset leaves the pool and the resolver empty,
+    /// what they retain is sized by the largest single visit, not by
+    /// the crawl, and the arena holds no more protocol machines than
+    /// one visit drove. Counts only — no clock.
     #[test]
     fn worker_state_is_bounded_by_the_largest_visit() {
         let d = Dataset::generate(DatasetConfig {
             sites: 2_500,
             tranco_total: 500_000,
             seed: 5,
-            ..Default::default()
+            legacy_share: 0.25,
+            h3_share: 0.5,
         });
         let loader = PageLoader::new(BrowserKind::Chromium);
         let mut env = UniverseEnv::new(&d);
@@ -2055,6 +2123,7 @@ mod tests {
             all
         };
         let mut peak_keys = vec![0usize; footprint(&arena, &env).len()];
+        let mut peak_machines = (0, 0);
         let mut visits = 0;
         for site in d.successful_sites() {
             let page = d.page_for(site);
@@ -2074,9 +2143,17 @@ mod tests {
             for (peak, (keys, _)) in peak_keys.iter_mut().zip(footprint(&arena, &env)) {
                 *peak = (*peak).max(keys);
             }
+            peak_machines.0 = peak_machines.0.max(arena.h1.used);
+            peak_machines.1 = peak_machines.1.max(arena.quic.used);
             visits += 1;
         }
         assert!(visits >= 1_500, "only {visits} visits");
+        assert!(peak_machines.0 > 1 && peak_machines.1 > 1);
+        assert_eq!(
+            (arena.h1.all.len(), arena.quic.all.len()),
+            peak_machines,
+            "the arena holds exactly the machines of its busiest visits"
+        );
 
         arena.pool.clear();
         env.flush_dns();
@@ -2114,19 +2191,37 @@ mod tests {
                 h3_share,
             });
             let loader = PageLoader::new(BrowserKind::Firefox);
+            // Loads, every counter (`h1.*`, `h3.qpack_*`, `h3.cids_*`
+            // among them) and the trace, whose `h3.request` instants
+            // carry each request's byte counts on both QPACK streams
+            // and whose `h1.request` instants the keep-alive cycle: a
+            // reused machine must emit what a fresh one does.
             let run = |arena: &mut VisitArena| {
                 let mut env = UniverseEnv::new(&d);
                 let mut metrics = origin_metrics::Registry::new();
+                let mut tracer = origin_trace::Tracer::new();
                 let mut loads = Vec::new();
                 for site in d.sites().iter().filter(|s| !s.failed).take(8) {
                     let page = d.page_for(site);
                     env.flush_dns();
                     let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-                    let load = metered(&loader, &page, &mut env, &mut rng, &mut metrics, arena);
+                    tracer.begin_visit(u64::from(site.rank), site.root_host.as_str());
+                    let load = loader.load_observed(
+                        &page,
+                        &mut env,
+                        &mut rng,
+                        None,
+                        Some(&mut metrics),
+                        Some(&mut tracer),
+                        arena,
+                        origin_obs::VisitSinks::default(),
+                    );
                     loads.push(load.clone());
                     arena.recycle(load);
                 }
-                (loads, metrics.to_json())
+                let trace = origin_trace::to_chrome_json(&tracer);
+                assert!(trace.contains("h1.request") || trace.contains("h3.request"));
+                (loads, metrics.to_json(), trace)
             };
             let fresh = run(&mut VisitArena::new());
             let first = run(&mut reused);
@@ -2141,56 +2236,49 @@ mod tests {
 
     /// Arena reuse must be observationally invisible: a worker that
     /// recycles one [`VisitArena`] across visits — hundreds of them,
-    /// over the same hostnames — produces `PageLoad`s identical to a
-    /// worker that builds a fresh arena per visit.
+    /// over the same hostnames, its h1 and h3 machines passing from
+    /// connection to connection — produces `PageLoad`s identical to a
+    /// worker that builds a fresh arena per visit, on the pure-h2
+    /// universe and on a mixed one.
     #[test]
     fn arena_reuse_is_output_invisible() {
-        let d = dataset();
-        let sites: Vec<_> = d
-            .sites()
-            .iter()
-            .filter(|s| !s.failed)
-            .take(8)
-            .cloned()
-            .collect();
-        let loader = PageLoader::new(BrowserKind::Chromium);
-
-        let mut env = UniverseEnv::new(&d);
-        let mut fresh = Vec::new();
-        for site in &sites {
-            let page = d.page_for(site);
-            env.flush_dns();
-            let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-            fresh.push(loader.load_observed(
-                &page,
-                &mut env,
-                &mut rng,
-                None,
-                None,
-                None,
-                &mut VisitArena::new(),
-                origin_obs::VisitSinks::default(),
-            ));
-        }
-
-        let mut env = UniverseEnv::new(&d);
+        let mixed = Dataset::generate(DatasetConfig {
+            sites: 120,
+            tranco_total: 500_000,
+            seed: 11,
+            legacy_share: 0.3,
+            h3_share: 0.3,
+        });
         let mut arena = worn_arena();
-        for (site, expect) in sites.iter().zip(&fresh) {
-            let page = d.page_for(site);
-            env.flush_dns();
-            let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
-            let load = loader.load_observed(
-                &page,
-                &mut env,
-                &mut rng,
-                None,
-                None,
-                None,
-                &mut arena,
-                origin_obs::VisitSinks::default(),
-            );
-            assert_eq!(&load, expect);
-            arena.recycle(load);
+        for d in [dataset(), mixed] {
+            let sites: Vec<_> = d.successful_sites().take(16).collect();
+            let loader = PageLoader::new(BrowserKind::Chromium);
+            let load_all = |mut arena: Option<&mut VisitArena>| {
+                let mut env = UniverseEnv::new(&d);
+                let mut loads = Vec::new();
+                for site in &sites {
+                    let page = d.page_for(site);
+                    env.flush_dns();
+                    let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+                    let mut fresh = VisitArena::new();
+                    let arena = arena.as_deref_mut().unwrap_or(&mut fresh);
+                    let load = loader.load_observed(
+                        &page,
+                        &mut env,
+                        &mut rng,
+                        None,
+                        None,
+                        None,
+                        arena,
+                        origin_obs::VisitSinks::default(),
+                    );
+                    loads.push(load.clone());
+                    arena.recycle(load);
+                }
+                loads
+            };
+            let fresh = load_all(None);
+            assert_eq!(load_all(Some(&mut arena)), fresh);
         }
     }
 }

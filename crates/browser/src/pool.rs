@@ -63,8 +63,11 @@ pub struct PooledConnection {
     pub available_set: std::sync::Arc<[IpAddr]>,
     /// Certificate the server presented.
     pub cert: std::sync::Arc<Certificate>,
-    /// Origin set advertised via ORIGIN frame, if any.
-    pub origin_set: Option<OriginSet>,
+    /// Origin set advertised via ORIGIN frame, if any. Shared: an
+    /// environment hands every connection under one certificate the
+    /// same set. The connected host belongs to it whether listed or
+    /// not: a server advertises at least the origin it was reached as.
+    pub origin_set: Option<std::sync::Arc<OriginSet>>,
     /// Negotiated protocol.
     pub protocol: Protocol,
     /// Pool partition.
@@ -95,6 +98,17 @@ impl PooledConnection {
         self.protocol == Protocol::H2
     }
 
+    /// Did this connection's ORIGIN frame name `host`? The connected
+    /// host counts as named on any connection that sent one — a server
+    /// advertises at least the origin it was reached as — so a shared
+    /// per-certificate set need not list it (a host only a wildcard
+    /// SAN covers never is).
+    fn origin_frame_allows(&self, host: &DnsName) -> bool {
+        self.origin_set
+            .as_ref()
+            .is_some_and(|s| *host == self.host || s.allows_https_host(host.as_str()))
+    }
+
     /// Does `policy` find the evidence it wants to put `host` (DNS
     /// answer `addrs`) here: the connected or, transitively, any
     /// available-set address; an ORIGIN-frame entry; or (the §4
@@ -107,12 +121,9 @@ impl PooledConnection {
                 addrs.contains(&self.ip)
             }
         };
-        let origin_set = self.origin_set.as_ref();
         match policy {
             BrowserKind::Chromium | BrowserKind::Firefox | BrowserKind::IdealIp => ip_match(),
-            BrowserKind::FirefoxOrigin => {
-                origin_set.is_some_and(|s| s.allows_https_host(host.as_str())) || ip_match()
-            }
+            BrowserKind::FirefoxOrigin => self.origin_frame_allows(host) || ip_match(),
             BrowserKind::IdealOrigin => true,
         }
     }
@@ -566,11 +577,7 @@ impl ConnectionPool {
             } else {
                 addrs.contains(&c.ip)
             };
-            let origin_match = policy.uses_origin_frame()
-                && c.origin_set
-                    .as_ref()
-                    .map(|s| s.allows_https_host(host.as_str()))
-                    .unwrap_or(false);
+            let origin_match = policy.uses_origin_frame() && c.origin_frame_allows(host);
             let allowed = match policy {
                 BrowserKind::Chromium | BrowserKind::Firefox | BrowserKind::IdealIp => ip_match,
                 BrowserKind::FirefoxOrigin => origin_match || ip_match,
@@ -600,12 +607,7 @@ impl ConnectionPool {
         idx: usize,
     ) -> &'static str {
         let c = &self.conns[idx];
-        if policy.uses_origin_frame()
-            && c.origin_set
-                .as_ref()
-                .map(|s| s.allows_https_host(host.as_str()))
-                .unwrap_or(false)
-        {
+        if policy.uses_origin_frame() && c.origin_frame_allows(host) {
             return "origin-frame";
         }
         if addrs.contains(&c.ip) {
@@ -814,11 +816,29 @@ mod tests {
     }
 
     #[test]
+    fn an_origin_set_always_covers_the_connected_host() {
+        // One set per certificate lists its exact SANs; a host only a
+        // wildcard SAN covers is not among them, and is the origin the
+        // connection was opened to all the same.
+        let ip = v4(1, 1, 1, 1);
+        let mut c = conn("shop.a.com", ip, vec![ip], &["*.a.com", "a.com"]);
+        assert!(!c.origin_frame_allows(&name("shop.a.com")), "no frame yet");
+        c.origin_set = Some(OriginSet::from_hosts(["a.com"]).into());
+        assert!(c.origin_frame_allows(&name("shop.a.com")));
+        assert!(c.origin_frame_allows(&name("a.com")));
+        assert!(!c.origin_frame_allows(&name("img.a.com")));
+        let mut pool = ConnectionPool::new();
+        pool.insert(c);
+        let why = pool.explain_coalesce(BrowserKind::FirefoxOrigin, &name("shop.a.com"), &[], 0);
+        assert_eq!(why, "origin-frame");
+    }
+
+    #[test]
     fn origin_frame_coalesces_without_ip_match() {
         let mut pool = ConnectionPool::new();
         let ip = v4(1, 1, 1, 1);
         let mut c = conn("www.a.com", ip, vec![ip], &["third.party.com"]);
-        c.origin_set = Some(OriginSet::from_hosts(["www.a.com", "third.party.com"]));
+        c.origin_set = Some(OriginSet::from_hosts(["www.a.com", "third.party.com"]).into());
         pool.insert(c);
         // DNS answer for the third party has no overlap at all.
         let answer = [v4(7, 7, 7, 7)];
@@ -1314,7 +1334,7 @@ mod tests {
                     c.partition = *rng.choose(&partitions);
                 }
                 if rng.chance(0.2) {
-                    c.origin_set = Some(OriginSet::from_hosts([host, *rng.choose(&hosts)]));
+                    c.origin_set = Some(OriginSet::from_hosts([host, *rng.choose(&hosts)]).into());
                 }
                 fresh.insert(c.clone());
                 pool.insert(c);

@@ -66,9 +66,9 @@ impl WebEnv for MiniEnv {
     fn colocated(&self, _conn_host: &DnsName, _new_host: &DnsName) -> bool {
         true
     }
-    fn origin_set_for(&self, _host: &DnsName) -> Option<OriginSet> {
+    fn origin_set_for(&self, _host: &DnsName) -> Option<std::sync::Arc<OriginSet>> {
         self.advertise_origin
-            .then(|| OriginSet::from_hosts(["www.a.com", "img.a.com"]))
+            .then(|| OriginSet::from_hosts(["www.a.com", "img.a.com"]).into())
     }
     fn link_for(&self, _host: &DnsName) -> LinkProfile {
         self.link.clone()

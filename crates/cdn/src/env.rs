@@ -3,7 +3,7 @@
 use crate::sample::{SampleGroup, SampleSite, Treatment, CONTROL_DECOY_HOST, THIRD_PARTY_HOST};
 use origin_browser::WebEnv;
 use origin_dns::{DnsName, QueryAnswer};
-use origin_h2::{OriginEntry, OriginSet};
+use origin_h2::OriginSet;
 use origin_netsim::{LinkProfile, SimDuration, SimRng, SimTime};
 use origin_tls::Certificate;
 use std::net::{IpAddr, Ipv4Addr};
@@ -26,8 +26,9 @@ pub enum DeploymentMode {
 
 /// One measurement worker's view of the §5 world under a deployment
 /// mode. Sites, certificates and the host index are the group's and
-/// are borrowed; the view itself holds only the mode and its three
-/// fixed DNS answers, so making one costs the same for any group.
+/// are borrowed; the view itself holds only the mode, its three fixed
+/// DNS answers and (§5.3) its two origin sets, so making one costs the
+/// same for any group.
 pub struct CdnEnv<'a> {
     group: &'a SampleGroup,
     /// Active deployment mode.
@@ -38,6 +39,9 @@ pub struct CdnEnv<'a> {
     shared: Arc<[IpAddr]>,
     /// The isolated anycast address of the §5.3 deployment.
     anycast: Arc<[IpAddr]>,
+    /// What the §5.3 edges advertise beside the connected host, for an
+    /// experiment and for a control site; `None` outside §5.3.
+    origin_sets: Option<[Arc<OriginSet>; 2]>,
 }
 
 /// The deployment CDN's AS (Cloudflare in the paper's Table 2).
@@ -70,6 +74,10 @@ impl<'a> CdnEnv<'a> {
             third_party: answer(17),
             shared: answer(18),
             anycast: answer(19),
+            origin_sets: (mode == DeploymentMode::OriginFrames).then(|| {
+                [THIRD_PARTY_HOST, CONTROL_DECOY_HOST]
+                    .map(|host| Arc::new(OriginSet::from_hosts([host])))
+            }),
         }
     }
 
@@ -128,19 +136,15 @@ impl WebEnv for CdnEnv<'_> {
         true
     }
 
-    fn origin_set_for(&self, host: &DnsName) -> Option<OriginSet> {
-        if self.mode != DeploymentMode::OriginFrames {
-            return None;
-        }
+    fn origin_set_for(&self, host: &DnsName) -> Option<Arc<OriginSet>> {
         // ORIGIN frames are "populated with either the third party or
-        // control domain to match the sample's certificate" (§5.3).
-        let site = self.site_of(host)?;
-        let mut set = OriginSet::from_hosts([host.as_str()]);
-        match site.treatment {
-            Treatment::Experiment => set.add(OriginEntry::https(THIRD_PARTY_HOST)),
-            Treatment::Control => set.add(OriginEntry::https(CONTROL_DECOY_HOST)),
-        }
-        Some(set)
+        // control domain to match the sample's certificate" (§5.3),
+        // beside the connected host every set implies.
+        let [experiment, control] = self.origin_sets.as_ref()?;
+        Some(match self.site_of(host)?.treatment {
+            Treatment::Experiment => experiment.clone(),
+            Treatment::Control => control.clone(),
+        })
     }
 
     fn link_for(&self, _host: &DnsName) -> LinkProfile {
@@ -244,7 +248,8 @@ mod tests {
                 match env.origin_set_for(&s.host) {
                     Some(set) => {
                         assert_eq!(mode, DeploymentMode::OriginFrames);
-                        assert!(set.allows_https_host(s.host.as_str()));
+                        // The connected host is implied, not listed.
+                        assert_eq!(set.len(), 1);
                         assert!(set.allows_https_host(own) && !set.allows_https_host(other));
                     }
                     None => assert_ne!(mode, DeploymentMode::OriginFrames),

@@ -107,8 +107,7 @@ impl Characterization {
 
     /// Add one successful page load. Returns the visit's totals: the
     /// walk over its requests computes them for Table 1, and a caller
-    /// sampling them too need not walk the load again (its PLT alone
-    /// quantises eight values per request).
+    /// sampling them too need not walk the load again.
     pub fn add(&mut self, page: &Page, load: &PageLoad) -> PageTotals {
         assert_eq!(
             page.resources.len(),
@@ -330,28 +329,32 @@ mod tests {
             Resource::new("/a.js", ContentType::Javascript, 10),
         );
         let ip = IpAddr::V4(Ipv4Addr::new(1, 2, 3, 4));
-        let mk = |idx: usize, host: &str, asn: u32| RequestTiming {
-            resource_index: idx,
-            host: name(host),
-            ip,
-            asn,
-            start: 0.0,
-            phase: Phase {
-                dns: 10.0,
-                connect: 20.0,
-                ssl: 20.0,
-                wait: 30.0,
-                receive: 5.0,
-                ..Default::default()
-            },
-            did_dns: true,
-            new_connection: true,
-            coalesced: false,
-            protocol: Protocol::H2,
-            cert_issuer: Some("Test CA".into()),
-            secure: true,
-            extra_connections: 0,
-            extra_dns: 0,
+        let mk = |idx: usize, host: &str, asn: u32| {
+            RequestTiming {
+                resource_index: idx,
+                host: name(host),
+                ip,
+                asn,
+                start: 0.0,
+                phase: Phase {
+                    dns: 10.0,
+                    connect: 20.0,
+                    ssl: 20.0,
+                    wait: 30.0,
+                    receive: 5.0,
+                    ..Default::default()
+                },
+                did_dns: true,
+                new_connection: true,
+                coalesced: false,
+                protocol: Protocol::H2,
+                cert_issuer: Some("Test CA".into()),
+                secure: true,
+                extra_connections: 0,
+                extra_dns: 0,
+                us: Default::default(),
+            }
+            .sealed()
         };
         let load = PageLoad {
             rank,

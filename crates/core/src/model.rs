@@ -120,15 +120,17 @@ pub fn predict(
 ///
 /// Everything that does not depend on the grouping (the measured end
 /// times, the quantised phase total, the setup cost a coalesced
-/// request sheds, the discovery parent) is computed once per request
-/// instead of once per grouping. The per-grouping remainder is the
-/// coalescing decision, the start-shift recursion and the count
-/// accumulation. Two identities make the fusion exact:
+/// request sheds, the discovery parent) is read once per request off
+/// the record's seal instead of derived once per grouping. The
+/// per-grouping remainder is the coalescing decision, the start-shift
+/// recursion — a start that moved is a new value, and the one thing
+/// quantised here — and the count accumulation. Two identities make
+/// the fusion exact:
 ///
 /// * `old_end` is grouping-independent: it is the *measured* end time.
-/// * zeroing `phase.{dns,connect,ssl}` before `total_us()` equals
-///   subtracting their quantised values from the un-coalesced total,
-///   because `total_us` sums per-field `ms_to_us` and `ms_to_us(0.0)
+/// * zeroing `phase.{dns,connect,ssl}` and sealing again equals
+///   subtracting their sealed values from the un-coalesced total,
+///   because the total sums per-field `ms_to_us` and `ms_to_us(0.0)
 ///   == 0`.
 ///
 /// Equivalence with three full [`predict`] reconstructions, bit for
@@ -159,10 +161,10 @@ pub fn predict_counts3(page: &Page, measured: &PageLoad, single_asn: u32) -> [Mo
     let mut plt_us = [0u64; 3];
     for i in 0..n {
         let r = &measured.requests[i];
-        let q = r.phase.quantised_us();
-        let total_us: u64 = q.iter().sum();
+        let q = r.phases_us();
+        let total_us = r.total_us();
         let setup_us = q[1] + q[2] + q[3]; // dns + connect + ssl
-        ends[i][3] = (ms_to_us(r.start) + total_us) as f64 / 1_000.0;
+        ends[i][3] = r.end_us() as f64 / 1_000.0;
         let parent = if i == 0 {
             None
         } else {
@@ -185,11 +187,15 @@ pub fn predict_counts3(page: &Page, measured: &PageLoad, single_asn: u32) -> [Mo
             }
         }
         for g in 0..3 {
-            let mut start = r.start;
-            if let Some(p) = parent {
-                let shift = ends[p][3] - ends[p][g];
-                start = (start - shift).max(0.0);
-            }
+            // A request whose parent ended when it was measured to
+            // starts when it was measured to: that start is sealed.
+            // Only a start that moved is a new value to quantise.
+            let shift = parent.map_or(0.0, |p| ends[p][3] - ends[p][g]);
+            let start_us = if shift == 0.0 {
+                r.start_us()
+            } else {
+                ms_to_us((r.start - shift).max(0.0))
+            };
             let collapse_races = g != 2; // BySingleAs keeps client races
             let mut did_dns = r.did_dns;
             let mut new_conn = r.new_connection;
@@ -214,7 +220,7 @@ pub fn predict_counts3(page: &Page, measured: &PageLoad, single_asn: u32) -> [Mo
             } else {
                 total_us
             };
-            let end_us = ms_to_us(start) + eff_total;
+            let end_us = start_us + eff_total;
             ends[i][g] = end_us as f64 / 1_000.0;
             plt_us[g] = plt_us[g].max(end_us);
         }
@@ -262,7 +268,9 @@ mod tests {
             secure: true,
             extra_connections: 0,
             extra_dns: 0,
+            us: Default::default(),
         }
+        .sealed()
     }
 
     /// root (AS 1, ip 1), shard (AS 1, ip 1), service-a (AS 2, ip 2),

@@ -71,6 +71,9 @@ pub fn reconstruct(
             r.extra_connections = 0;
             r.extra_dns = 0;
         }
+        // The start and the setup phases moved: quantise them again
+        // so the reconstruction reads as a finished record does.
+        r.seal();
         new_end[i] = r.end();
     }
     out
@@ -96,29 +99,33 @@ mod tests {
             Resource::new("/arial.woff", ContentType::Woff2, 8_000).discovered_by(css),
         );
         let ip = IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1));
-        let req = |idx: usize, host: &str, start: f64, setup: f64| RequestTiming {
-            resource_index: idx,
-            host: name(host),
-            ip,
-            asn: 100,
-            start,
-            phase: Phase {
-                blocked: 1.0,
-                dns: setup / 2.0,
-                connect: setup / 4.0,
-                ssl: setup / 4.0,
-                send: 1.0,
-                wait: 20.0,
-                receive: 10.0,
-            },
-            did_dns: setup > 0.0,
-            new_connection: setup > 0.0,
-            coalesced: false,
-            protocol: Protocol::H2,
-            cert_issuer: Some("CA".into()),
-            secure: true,
-            extra_connections: 0,
-            extra_dns: 1,
+        let req = |idx: usize, host: &str, start: f64, setup: f64| {
+            RequestTiming {
+                resource_index: idx,
+                host: name(host),
+                ip,
+                asn: 100,
+                start,
+                phase: Phase {
+                    blocked: 1.0,
+                    dns: setup / 2.0,
+                    connect: setup / 4.0,
+                    ssl: setup / 4.0,
+                    send: 1.0,
+                    wait: 20.0,
+                    receive: 10.0,
+                },
+                did_dns: setup > 0.0,
+                new_connection: setup > 0.0,
+                coalesced: false,
+                protocol: Protocol::H2,
+                cert_issuer: Some("CA".into()),
+                secure: true,
+                extra_connections: 0,
+                extra_dns: 1,
+                us: Default::default(),
+            }
+            .sealed()
         };
         let load = PageLoad {
             rank: 1,
@@ -193,6 +200,7 @@ mod tests {
         // Craft an extreme shift: parent saves more than child's start.
         load.requests[1].start = 101.0;
         load.requests[2].start = 150.0;
+        load.requests.iter_mut().for_each(|r| r.seal());
         let out = reconstruct(&page, &load, |_| true);
         for r in &out.requests {
             assert!(r.start >= 0.0);

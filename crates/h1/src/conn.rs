@@ -1,9 +1,10 @@
 //! The connection layer: two role-local machines, strict framing,
 //! keep-alive cycles, and wire encoding for message heads.
 
-use crate::event::{Event, Framing, Request, Response};
+use crate::event::{Event, EventRef, Framing, RequestHead, ResponseHead};
 use crate::state::{transition, EventKind, Role, State};
 use std::fmt;
+use std::io::Write;
 
 /// A protocol violation. Every error is terminal: the connection
 /// moves to [`State::Error`] and refuses further events.
@@ -101,6 +102,8 @@ pub struct Connection {
     request_seen: bool,
     head_request: bool,
     cycles_completed: u64,
+    /// The last head we sent, as wire bytes; kept for its capacity.
+    wire: Vec<u8>,
 }
 
 impl Connection {
@@ -118,7 +121,19 @@ impl Connection {
             request_seen: false,
             head_request: false,
             cycles_completed: 0,
+            wire: Vec::new(),
         }
+    }
+
+    /// Back to [`Connection::new`]`(role)`, keeping the wire buffer:
+    /// a pooled machine starting its next connection.
+    pub fn reset(&mut self, role: Role) {
+        let mut wire = std::mem::take(&mut self.wire);
+        wire.clear();
+        *self = Connection {
+            wire,
+            ..Connection::new(role)
+        };
     }
 
     /// Our role's current state.
@@ -146,22 +161,42 @@ impl Connection {
         self.resp_framing
     }
 
-    /// Process an event we send. Heads return their wire bytes;
-    /// body/lifecycle events return `None` (the caller owns
-    /// payloads — the machine only validates framing).
-    pub fn send(&mut self, event: &Event) -> Result<Option<Vec<u8>>, H1Error> {
-        let wire = match event {
-            Event::Request(req) => Some(encode_request(req)),
-            Event::Response(resp) => Some(encode_response(resp)),
-            _ => None,
+    /// Process an event we send. Heads return their wire bytes, valid
+    /// until the next head is sent; body/lifecycle events return
+    /// `None` (the caller owns payloads — the machine only validates
+    /// framing).
+    pub fn send(&mut self, event: &Event) -> Result<Option<&[u8]>, H1Error> {
+        self.send_ref(event.borrowed())
+    }
+
+    /// [`Connection::send`] for an event the caller only borrows.
+    pub fn send_ref<S: AsRef<str>>(
+        &mut self,
+        event: EventRef<'_, S>,
+    ) -> Result<Option<&[u8]>, H1Error> {
+        let is_head = match &event {
+            EventRef::Request(req) => {
+                encode_request(req, &mut self.wire);
+                true
+            }
+            EventRef::Response(resp) => {
+                encode_response(resp, &mut self.wire);
+                true
+            }
+            _ => false,
         };
-        self.process(self.role, event)?;
-        Ok(wire)
+        self.process(self.role, &event)?;
+        Ok(is_head.then_some(&self.wire[..]))
     }
 
     /// Process an event the peer sent.
     pub fn receive(&mut self, event: &Event) -> Result<(), H1Error> {
-        self.process(self.role.peer(), event)
+        self.receive_ref(event.borrowed())
+    }
+
+    /// [`Connection::receive`] for an event the caller only borrows.
+    pub fn receive_ref<S: AsRef<str>>(&mut self, event: EventRef<'_, S>) -> Result<(), H1Error> {
+        self.process(self.role.peer(), &event)
     }
 
     /// Re-arm an idle kept-alive connection for the next cycle.
@@ -214,10 +249,14 @@ impl Connection {
 
     /// The core: validate the event against `role`'s machine and the
     /// in-flight framing, then step the table.
-    fn process(&mut self, role: Role, event: &Event) -> Result<(), H1Error> {
+    fn process<S: AsRef<str>>(
+        &mut self,
+        role: Role,
+        event: &EventRef<'_, S>,
+    ) -> Result<(), H1Error> {
         let state = self.state_of(role);
         match event {
-            Event::Request(req) => {
+            EventRef::Request(req) => {
                 if role != Role::Client {
                     return Err(self.fail(H1Error::IllegalTransition {
                         role,
@@ -241,12 +280,12 @@ impl Connection {
                 };
                 self.request_seen = true;
                 self.head_request = req.method.eq_ignore_ascii_case("HEAD");
-                if header_says_close(&req.headers) {
+                if header_says_close(req.headers) {
                     self.keep_alive = false;
                 }
                 Ok(())
             }
-            Event::Response(resp) => {
+            EventRef::Response(resp) => {
                 if role != Role::Server {
                     return Err(self.fail(H1Error::IllegalTransition {
                         role,
@@ -264,12 +303,12 @@ impl Connection {
                     Framing::ContentLength(n) => n,
                     _ => 0,
                 };
-                if matches!(framing, Framing::CloseDelimited) || header_says_close(&resp.headers) {
+                if matches!(framing, Framing::CloseDelimited) || header_says_close(resp.headers) {
                     self.keep_alive = false;
                 }
                 Ok(())
             }
-            Event::Data(n) => {
+            EventRef::Data(n) => {
                 self.step(role, state, EventKind::Data)?;
                 let (framing, remaining) = self.framing_mut(role);
                 match framing {
@@ -290,7 +329,7 @@ impl Connection {
                 }
                 Ok(())
             }
-            Event::EndOfMessage => {
+            EventRef::EndOfMessage => {
                 let (framing, remaining) = self.framing_mut(role);
                 match framing {
                     Framing::ContentLength(_) if *remaining > 0 => {
@@ -306,7 +345,7 @@ impl Connection {
                 self.after_done();
                 Ok(())
             }
-            Event::ConnectionClosed => {
+            EventRef::ConnectionClosed => {
                 // Transport-wide: both machines observe the close.
                 // A close-delimited body in flight is *completed* by
                 // the close; a Content-Length body in flight is
@@ -370,7 +409,10 @@ impl Connection {
         }
     }
 
-    fn request_framing(&mut self, req: &Request) -> Result<Framing, H1Error> {
+    fn request_framing<S: AsRef<str>>(
+        &mut self,
+        req: &RequestHead<'_, S>,
+    ) -> Result<Framing, H1Error> {
         if req.header("transfer-encoding").is_some() {
             return Err(self.fail(H1Error::UnsupportedTransferEncoding));
         }
@@ -389,7 +431,10 @@ impl Connection {
         }
     }
 
-    fn response_framing_of(&mut self, resp: &Response) -> Result<Framing, H1Error> {
+    fn response_framing_of<S: AsRef<str>>(
+        &mut self,
+        resp: &ResponseHead<'_, S>,
+    ) -> Result<Framing, H1Error> {
         if resp.header("transfer-encoding").is_some() {
             return Err(self.fail(H1Error::UnsupportedTransferEncoding));
         }
@@ -414,29 +459,34 @@ impl Connection {
     }
 }
 
-fn header_says_close(headers: &[(String, String)]) -> bool {
-    headers
-        .iter()
-        .any(|(n, v)| n.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close"))
+fn header_says_close<S: AsRef<str>>(headers: &[(S, S)]) -> bool {
+    headers.iter().any(|(n, v)| {
+        n.as_ref().eq_ignore_ascii_case("connection") && v.as_ref().eq_ignore_ascii_case("close")
+    })
 }
 
-fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + req.target.len());
+fn encode_headers<S: AsRef<str>>(headers: &[(S, S)], out: &mut Vec<u8>) {
+    for (name, value) in headers {
+        out.extend_from_slice(name.as_ref().as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(value.as_ref().as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Replace `out` with the head's wire bytes.
+fn encode_request<S: AsRef<str>>(req: &RequestHead<'_, S>, out: &mut Vec<u8>) {
+    out.clear();
     out.extend_from_slice(req.method.as_bytes());
     out.push(b' ');
     out.extend_from_slice(req.target.as_bytes());
     out.extend_from_slice(b" HTTP/1.1\r\n");
-    for (name, value) in &req.headers {
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(b": ");
-        out.extend_from_slice(value.as_bytes());
-        out.extend_from_slice(b"\r\n");
-    }
-    out.extend_from_slice(b"\r\n");
-    out
+    encode_headers(req.headers, out);
 }
 
-fn encode_response(resp: &Response) -> Vec<u8> {
+/// Replace `out` with the head's wire bytes.
+fn encode_response<S: AsRef<str>>(resp: &ResponseHead<'_, S>, out: &mut Vec<u8>) {
     let reason = match resp.status {
         200 => "OK",
         204 => "No Content",
@@ -445,25 +495,15 @@ fn encode_response(resp: &Response) -> Vec<u8> {
         421 => "Misdirected Request",
         _ => "",
     };
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(b"HTTP/1.1 ");
-    out.extend_from_slice(resp.status.to_string().as_bytes());
-    out.push(b' ');
-    out.extend_from_slice(reason.as_bytes());
-    out.extend_from_slice(b"\r\n");
-    for (name, value) in &resp.headers {
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(b": ");
-        out.extend_from_slice(value.as_bytes());
-        out.extend_from_slice(b"\r\n");
-    }
-    out.extend_from_slice(b"\r\n");
-    out
+    out.clear();
+    write!(out, "HTTP/1.1 {} {reason}\r\n", resp.status).expect("writing to a Vec cannot fail");
+    encode_headers(resp.headers, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Request, Response};
 
     fn client() -> Connection {
         Connection::new(Role::Client)
@@ -704,6 +744,80 @@ mod tests {
         );
         // Body/lifecycle events carry no head bytes.
         assert_eq!(conn.send(&Event::EndOfMessage).unwrap(), None);
+    }
+
+    #[test]
+    fn borrowed_events_drive_the_machine_the_owned_ones_do() {
+        let mut owned = client();
+        let mut borrowed = client();
+        for (target, len) in [("/img/r4-0.png", 1024u64), ("/js/app.js", 0), ("/last", 7)] {
+            if owned.cycles_completed() > 0 {
+                owned.start_next_cycle().unwrap();
+                borrowed.start_next_cycle().unwrap();
+            }
+            let wire = owned
+                .send(&Event::Request(Request::get(target, "static.example.com")))
+                .unwrap()
+                .unwrap()
+                .to_vec();
+            let head = RequestHead {
+                method: "GET",
+                target,
+                headers: &[("host", "static.example.com")],
+            };
+            assert_eq!(
+                borrowed.send_ref(EventRef::Request(head)).unwrap(),
+                Some(&wire[..])
+            );
+            owned.send(&Event::EndOfMessage).unwrap();
+            borrowed.send_ref(EventRef::<&str>::EndOfMessage).unwrap();
+            let digits = len.to_string();
+            owned
+                .receive(&Event::Response(Response::with_content_length(len)))
+                .unwrap();
+            borrowed
+                .receive_ref(EventRef::Response(ResponseHead {
+                    status: 200,
+                    headers: &[("content-length", digits.as_str())],
+                }))
+                .unwrap();
+            assert_eq!(borrowed.response_framing(), owned.response_framing());
+            if len > 0 {
+                owned.receive(&Event::Data(len)).unwrap();
+                borrowed.receive_ref(EventRef::<&str>::Data(len)).unwrap();
+            }
+            owned.receive(&Event::EndOfMessage).unwrap();
+            borrowed
+                .receive_ref(EventRef::<&str>::EndOfMessage)
+                .unwrap();
+            assert_eq!(borrowed.our_state(), owned.our_state());
+        }
+        assert_eq!(borrowed.cycles_completed(), 3);
+        // The close-delimited head is the owned constructor's.
+        assert_eq!(
+            Event::Response(Response::close_delimited()).borrowed(),
+            EventRef::Response(ResponseHead {
+                status: 200,
+                headers: &[("connection".to_string(), "close".to_string())],
+            })
+        );
+        let close = ResponseHead::CLOSE_DELIMITED;
+        assert_eq!(close.header("Connection"), Some("close"));
+    }
+
+    #[test]
+    fn a_reset_connection_is_a_new_one() {
+        let mut conn = client();
+        one_get_cycle(&mut conn, 64);
+        conn.receive(&Event::ConnectionClosed).unwrap();
+        assert_eq!(conn.our_state(), State::Closed);
+        conn.reset(Role::Client);
+        assert_eq!(conn.our_state(), State::Idle);
+        assert_eq!(conn.their_state(), State::Idle);
+        assert!(conn.keep_alive());
+        assert_eq!(conn.cycles_completed(), 0);
+        one_get_cycle(&mut conn, 64);
+        assert_eq!(conn.cycles_completed(), 1);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! part of HTTP/1.1 that matters for that accounting, in the h11
 //! event/state/connection style:
 //!
-//! - **Typed events** ([`Event`]): request/response heads, body
-//!   chunks, end-of-message, connection close. No bytes are read or
-//!   written by the machine itself — callers feed events in and get
-//!   wire bytes (for heads) out.
+//! - **Typed events** ([`Event`], and [`EventRef`] for a caller that
+//!   only borrows its heads): request/response heads, body chunks,
+//!   end-of-message, connection close. No bytes are read or written
+//!   by the machine itself — callers feed events in and get wire
+//!   bytes (for heads) out, in a buffer the connection keeps.
 //! - **A role/state transition table** ([`state::transition`]):
 //!   every `(role-local state, event)` pair either names the next
 //!   state or is illegal, and illegal pairs are rejected with a
@@ -34,7 +35,7 @@ pub mod event;
 pub mod state;
 
 pub use conn::{Connection, H1Error};
-pub use event::{Event, Framing, Request, Response};
+pub use event::{Event, EventRef, Framing, Request, RequestHead, Response, ResponseHead};
 pub use state::{EventKind, Role, State};
 
 /// The classic browser cap on parallel HTTP/1.1 connections to one

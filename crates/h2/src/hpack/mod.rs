@@ -10,7 +10,7 @@ pub mod huffman;
 pub mod table;
 
 use crate::error::HpackError;
-use table::{find_indices, lookup, wire_index, DynamicTable, Entry, STATIC_INDEX};
+use table::{find_indices, lookup, wire_index, DynamicTable, STATIC_INDEX};
 
 /// A header field (name must be lowercase per HTTP/2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -258,14 +258,14 @@ impl Encoder {
         }
         encode_string(&h.value, self.use_huffman, &mut self.huff_scratch, out);
         if !h.sensitive {
-            insert_or_clear(&mut self.dynamic, Entry::new(&h.name, &h.value));
+            insert_or_clear(&mut self.dynamic, &h.name, &h.value);
         }
     }
 }
 
 /// RFC 7541 §4.4: an entry larger than the whole table empties it.
-fn insert_or_clear(table: &mut DynamicTable, entry: Entry) {
-    if table.insert(entry).is_none() {
+fn insert_or_clear(table: &mut DynamicTable, name: &str, value: &str) {
+    if table.insert_str(name, value).is_none() {
         table.clear();
     }
 }
@@ -325,7 +325,7 @@ impl Decoder {
                 let idx = decode_usize(block, &mut pos, 6)?;
                 let name = self.literal_name(block, &mut pos, idx)?;
                 let value = decode_string(block, &mut pos)?;
-                insert_or_clear(&mut self.dynamic, Entry::new(&name, &value));
+                insert_or_clear(&mut self.dynamic, &name, &value);
                 out.push(Header {
                     name,
                     value,

@@ -14,12 +14,22 @@
 //! Both directions of every simulated connection search the tables per
 //! request, so lookups are O(1): a [`StaticIndex`] hashes a static
 //! table once (keeping the RFC's first-occurrence index), and the
-//! dynamic table keeps name/value buckets of absolute indices in sync
-//! with eviction. [`find_indices`] answers a codec's two questions —
-//! exact match, name-only match — in one probe as a [`TableRef`]; each
-//! codec maps that to its own wire form.
+//! dynamic table indexes its live entries by the 64-bit FNV-1a hash of
+//! their name and of their (name, value) pair — integers, so neither an
+//! insert nor an eviction copies a string into the index. Each entry
+//! links to the next-older one under the same hash, a probe compares
+//! the strings it finds, and a colliding hash costs a step along that
+//! chain, never a wrong answer. [`find_indices`] answers a codec's two
+//! questions — exact match, name-only match — in one probe as a
+//! [`TableRef`]; each codec maps that to its own wire form.
+//!
+//! The table also keeps what it evicts: a dropped entry's two strings
+//! are the next insert's, so a connection in steady state — and a
+//! recycled one after [`DynamicTable::reset`] — inserts without
+//! allocating ([`DynamicTable::insert_str`]).
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::LazyLock;
 
 /// The RFC 7541 Appendix A static table (1-indexed on the wire).
@@ -112,13 +122,63 @@ impl Entry {
     }
 }
 
-/// Per-name index bucket: live absolute indices, ascending (so the
-/// most recent match is always `last()`), plus a value-keyed
-/// refinement for exact (name, value) matches.
-#[derive(Debug, Clone, Default)]
-struct NameBucket {
-    ids: Vec<u64>,
-    by_value: HashMap<String, Vec<u64>>,
+/// FNV-1a over `bytes`, continuing from `state`.
+fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state = (state ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    state
+}
+
+/// Index key of a field name.
+fn name_hash(name: &str) -> u64 {
+    #[cfg(test)]
+    if tests::COLLIDE.get() {
+        return name.len() as u64 % 2;
+    }
+    fnv1a(0xcbf2_9ce4_8422_2325, name.as_bytes())
+}
+
+/// Index key of a (name, value) pair: the name's hash carried on over
+/// a separator no UTF-8 string contains, then the value.
+fn pair_hash(name_hash: u64, value: &str) -> u64 {
+    fnv1a(fnv1a(name_hash, &[0xff]), value.as_bytes())
+}
+
+/// Hasher for keys that are hashes already: folds the high half into
+/// the low one (the map takes bucket bits from both ends).
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the index is keyed by u64 only")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key ^ key.rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Hash → absolute index of the most recent live entry under it.
+type HashIndex = HashMap<u64, u64, BuildHasherDefault<PreHashed>>;
+
+/// End of a hash chain: no absolute index is ever this large.
+const NO_LINK: u64 = u64::MAX;
+
+/// One live entry with its index keys and, under each key, the
+/// absolute index of the next-older entry (possibly evicted since).
+#[derive(Debug, Clone)]
+struct Slot {
+    entry: Entry,
+    name_hash: u64,
+    pair_hash: u64,
+    older_name: u64,
+    older_pair: u64,
 }
 
 /// The FIFO dynamic table with size-based eviction.
@@ -128,17 +188,24 @@ struct NameBucket {
 /// insert_count - 1]` (inserts mint at the top, eviction always
 /// removes the smallest). The entry with absolute index `a` therefore
 /// sits at most-recent-first position `insert_count - 1 - a`, which is
-/// what lets the buckets answer both views without renumbering on
-/// every insert/evict.
+/// what lets the index answer both views without renumbering on every
+/// insert/evict — and what ends a hash chain: a link below the live
+/// range points at an evicted entry, and so does everything after it.
 #[derive(Debug, Clone)]
 pub struct DynamicTable {
     /// Most recent first.
-    entries: VecDeque<Entry>,
+    entries: VecDeque<Slot>,
     size: usize,
     max_size: usize,
     evictions: u64,
     insert_count: u64,
-    by_name: HashMap<String, NameBucket>,
+    by_name: HashIndex,
+    by_pair: HashIndex,
+    /// Entries dropped by eviction, [`clear`](Self::clear) or
+    /// [`reset`](Self::reset), kept for their string capacity. Every
+    /// one of them was live, and an insert takes from here first, so
+    /// the pile never outgrows the table's fullest moment.
+    spare: Vec<Entry>,
 }
 
 impl DynamicTable {
@@ -151,8 +218,20 @@ impl DynamicTable {
             max_size,
             evictions: 0,
             insert_count: 0,
-            by_name: HashMap::new(),
+            by_name: HashIndex::default(),
+            by_pair: HashIndex::default(),
+            spare: Vec::new(),
         }
+    }
+
+    /// Back to [`new`](Self::new)`(max_size)` — empty, insert count and
+    /// eviction count zero — keeping every allocation: what a recycled
+    /// connection calls instead of building a table.
+    pub fn reset(&mut self, max_size: usize) {
+        self.clear();
+        self.max_size = max_size;
+        self.evictions = 0;
+        self.insert_count = 0;
     }
 
     /// Total insertions over the table's lifetime (the QPACK Insert
@@ -199,21 +278,33 @@ impl DynamicTable {
     /// HPACK empties the table (RFC 7541 §4.4, [`clear`](Self::clear)),
     /// QPACK sends the field as a literal.
     pub fn insert(&mut self, entry: Entry) -> Option<u64> {
-        let sz = entry.size();
+        self.insert_str(&entry.name, &entry.value)
+    }
+
+    /// [`insert`](Self::insert) from borrowed strings: the copy lands
+    /// in an entry this table dropped earlier when there is one.
+    pub fn insert_str(&mut self, name: &str, value: &str) -> Option<u64> {
+        let sz = name.len() + value.len() + 32;
         if sz > self.max_size {
             return None;
         }
+        let mut entry = self.spare.pop().unwrap_or_else(|| Entry::new("", ""));
+        entry.name.clear();
+        entry.name.push_str(name);
+        entry.value.clear();
+        entry.value.push_str(value);
         let id = self.insert_count;
         self.insert_count += 1;
-        let bucket = self.by_name.entry(entry.name.clone()).or_default();
-        bucket.ids.push(id);
-        bucket
-            .by_value
-            .entry(entry.value.clone())
-            .or_default()
-            .push(id);
+        let name_hash = name_hash(name);
+        let pair_hash = pair_hash(name_hash, value);
+        self.entries.push_front(Slot {
+            entry,
+            name_hash,
+            pair_hash,
+            older_name: self.by_name.insert(name_hash, id).unwrap_or(NO_LINK),
+            older_pair: self.by_pair.insert(pair_hash, id).unwrap_or(NO_LINK),
+        });
         self.size += sz;
-        self.entries.push_front(entry);
         self.evict();
         Some(id)
     }
@@ -222,21 +313,27 @@ impl DynamicTable {
     /// indices are not reused: the next insert continues the count.
     pub fn clear(&mut self) {
         self.evictions += self.entries.len() as u64;
-        self.entries.clear();
+        self.spare
+            .extend(self.entries.drain(..).map(|slot| slot.entry));
         self.size = 0;
         self.by_name.clear();
+        self.by_pair.clear();
     }
 
-    /// Entry by absolute index (QPACK's view).
-    pub fn get_absolute(&self, abs: u64) -> Option<&Entry> {
+    fn slot(&self, abs: u64) -> Option<&Slot> {
         let newest = self.insert_count.checked_sub(1)?;
         let pos = newest.checked_sub(abs)?;
         self.entries.get(usize::try_from(pos).ok()?)
     }
 
+    /// Entry by absolute index (QPACK's view).
+    pub fn get_absolute(&self, abs: u64) -> Option<&Entry> {
+        self.slot(abs).map(|slot| &slot.entry)
+    }
+
     /// Entry by position, 0 = most recent (HPACK's view).
     pub fn get(&self, position: usize) -> Option<&Entry> {
-        self.entries.get(position)
+        self.entries.get(position).map(|slot| &slot.entry)
     }
 
     /// Position (HPACK's view) of the live entry with absolute index
@@ -245,39 +342,58 @@ impl DynamicTable {
         (self.insert_count - 1 - abs) as usize
     }
 
+    /// The most recent live entry on the chain from `head` that
+    /// `matches`; `older` names the link the chain follows.
+    fn newest_on_chain(
+        &self,
+        head: Option<&u64>,
+        older: impl Fn(&Slot) -> u64,
+        matches: impl Fn(&Entry) -> bool,
+    ) -> Option<u64> {
+        let mut abs = *head?;
+        loop {
+            let slot = self.slot(abs)?;
+            if matches(&slot.entry) {
+                return Some(abs);
+            }
+            abs = older(slot);
+        }
+    }
+
     /// Absolute index of the most recent exact (name, value) match.
     pub fn find(&self, name: &str, value: &str) -> Option<u64> {
-        self.by_name.get(name)?.by_value.get(value)?.last().copied()
+        self.newest_on_chain(
+            self.by_pair.get(&pair_hash(name_hash(name), value)),
+            |slot| slot.older_pair,
+            |e| e.name == name && e.value == value,
+        )
     }
 
     /// Absolute index of the most recent name-only match.
     pub fn find_name(&self, name: &str) -> Option<u64> {
-        self.by_name.get(name)?.ids.last().copied()
+        self.newest_on_chain(
+            self.by_name.get(&name_hash(name)),
+            |slot| slot.older_name,
+            |e| e.name == name,
+        )
     }
 
     fn evict(&mut self) {
         while self.size > self.max_size {
-            // The entry about to go is the oldest live one, so its
-            // absolute index is the smallest and sits at the front of
-            // both of its buckets.
+            // The entry about to go is the oldest live one: under each
+            // of its hashes the index names it only if nothing newer
+            // shares the hash, and then the key goes with it.
             let id = self.insert_count - self.entries.len() as u64;
-            let e = self.entries.pop_back().expect("size>0 implies entries");
-            self.size -= e.size();
+            let slot = self.entries.pop_back().expect("size>0 implies entries");
+            self.size -= slot.entry.size();
             self.evictions += 1;
-            if let Some(bucket) = self.by_name.get_mut(&e.name) {
-                debug_assert_eq!(bucket.ids.first(), Some(&id));
-                bucket.ids.remove(0);
-                if let Some(ids) = bucket.by_value.get_mut(&e.value) {
-                    debug_assert_eq!(ids.first(), Some(&id));
-                    ids.remove(0);
-                    if ids.is_empty() {
-                        bucket.by_value.remove(&e.value);
-                    }
-                }
-                if bucket.ids.is_empty() {
-                    self.by_name.remove(&e.name);
-                }
+            if self.by_name.get(&slot.name_hash) == Some(&id) {
+                self.by_name.remove(&slot.name_hash);
             }
+            if self.by_pair.get(&slot.pair_hash) == Some(&id) {
+                self.by_pair.remove(&slot.pair_hash);
+            }
+            self.spare.push(slot.entry);
         }
     }
 }
@@ -291,37 +407,35 @@ pub enum TableRef {
     Dynamic(u64),
 }
 
-/// Hash index over one static table. `name_first` keeps the RFCs'
-/// first-occurrence semantics for name-only references (HPACK
-/// `:method` → 2, not 3); `pairs` keeps per-name value lists in table
-/// order. Both hold wire indices: table position + `base`.
+/// Hash index over one static table: per name, the wire index of its
+/// first occurrence — the RFCs' semantics for name-only references
+/// (HPACK `:method` → 2, not 3) — and its distinct values in table
+/// order, each with the wire index of its first occurrence. Wire
+/// indices are table position + `base`.
 pub struct StaticIndex {
-    name_first: HashMap<&'static str, usize>,
-    pairs: HashMap<&'static str, Vec<(&'static str, usize)>>,
+    names: HashMap<&'static str, StaticName>,
+}
+
+struct StaticName {
+    first: usize,
+    values: Vec<(&'static str, usize)>,
 }
 
 impl StaticIndex {
     /// Index `table`, whose first entry has wire index `base` (1 for
     /// RFC 7541 Appendix A, 0 for RFC 9204 Appendix A).
     pub fn new(table: &'static [(&'static str, &'static str)], base: usize) -> Self {
-        let mut name_first = HashMap::new();
-        let mut pairs: HashMap<&'static str, Vec<(&'static str, usize)>> = HashMap::new();
+        let mut names: HashMap<&'static str, StaticName> = HashMap::new();
         for (i, (n, v)) in table.iter().enumerate() {
-            name_first.entry(*n).or_insert(i + base);
-            let values = pairs.entry(*n).or_default();
-            if !values.iter().any(|&(val, _)| val == *v) {
-                values.push((*v, i + base));
+            let name = names.entry(*n).or_insert(StaticName {
+                first: i + base,
+                values: Vec::new(),
+            });
+            if !name.values.iter().any(|&(val, _)| val == *v) {
+                name.values.push((*v, i + base));
             }
         }
-        StaticIndex { name_first, pairs }
-    }
-
-    fn static_pair_index(&self, name: &str, value: &str) -> Option<usize> {
-        self.pairs
-            .get(name)?
-            .iter()
-            .find(|&&(v, _)| v == value)
-            .map(|&(_, i)| i)
+        StaticIndex { names }
     }
 }
 
@@ -335,15 +449,13 @@ pub fn find_indices(
     name: &str,
     value: &str,
 ) -> (Option<TableRef>, Option<TableRef>) {
-    let exact = statics
-        .static_pair_index(name, value)
-        .map(TableRef::Static)
+    let in_static = statics.names.get(name);
+    let exact = in_static
+        .and_then(|n| n.values.iter().find(|&&(v, _)| v == value))
+        .map(|&(_, i)| TableRef::Static(i))
         .or_else(|| dynamic.find(name, value).map(TableRef::Dynamic));
-    let by_name = statics
-        .name_first
-        .get(name)
-        .copied()
-        .map(TableRef::Static)
+    let by_name = in_static
+        .map(|n| TableRef::Static(n.first))
         .or_else(|| dynamic.find_name(name).map(TableRef::Dynamic));
     (exact, by_name)
 }
@@ -380,9 +492,66 @@ pub fn wire_index(dynamic: &DynamicTable, r: TableRef) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Makes [`name_hash`] — and so every pair hash built on it —
+        /// collide for the calling test.
+        pub(super) static COLLIDE: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn e(name: &str, value: &str) -> Entry {
         Entry::new(name, value)
+    }
+
+    #[test]
+    fn colliding_hashes_cost_a_chain_step_never_a_wrong_answer() {
+        // Two name hashes in all, and values that FNV carries on from
+        // them: different names and different pairs share chains.
+        COLLIDE.set(true);
+        let names = ["ab", "cd", "x-a", "x-b", "ef"];
+        let mut t = DynamicTable::new(3 * 36);
+        for i in 0..200usize {
+            let (name, value) = (names[i * 7 % 5], (i * 3 % 4).to_string());
+            t.insert_str(name, &value);
+            if i % 41 == 40 {
+                t.clear();
+            }
+            // The oracle: a scan of the live entries, newest first.
+            let scan = |name: &str, value: Option<&str>| {
+                (0..t.len())
+                    .find(|&p| {
+                        let e = t.get(p).unwrap();
+                        e.name == name && value.is_none_or(|v| e.value == v)
+                    })
+                    .map(|p| t.insert_count() - 1 - p as u64)
+            };
+            for name in names {
+                assert_eq!(t.find_name(name), scan(name, None), "{name} after {i}");
+                for value in ["0", "1", "2", "3", "4"] {
+                    assert_eq!(t.find(name, value), scan(name, Some(value)));
+                }
+            }
+        }
+        assert!(t.evictions() > 150);
+    }
+
+    #[test]
+    fn reset_keeps_capacity_and_nothing_else() {
+        let mut t = DynamicTable::new(4096);
+        for i in 0..40 {
+            t.insert_str("x-name", &format!("value-{i}"));
+        }
+        t.reset(102);
+        assert_eq!((t.len(), t.size(), t.max_size()), (0, 0, 102));
+        assert_eq!((t.insert_count(), t.evictions()), (0, 0));
+        assert_eq!(find(&t, "x-name", "value-3"), (None, None));
+        // The next connection's first insert is absolute index 0 again
+        // and lands in strings the last one left behind.
+        let spare = t.spare.len();
+        assert_eq!(t.insert_str("x-name", "value-3"), Some(0));
+        assert_eq!(t.spare.len(), spare - 1);
+        assert_eq!(t.get_absolute(0), Some(&e("x-name", "value-3")));
     }
 
     /// `find_indices` against HPACK's static index, as wire indices.

@@ -155,9 +155,14 @@ impl OriginSet {
         self.entries.contains(origin)
     }
 
-    /// Convenience membership check for an https host on 443.
+    /// Membership check for an https host on 443: what
+    /// `allows(&OriginEntry::https(host))` answers, without building
+    /// the entry (the pool asks once per candidate connection).
     pub fn allows_https_host(&self, host: &str) -> bool {
-        self.allows(&OriginEntry::https(host))
+        let lowered = || host.bytes().map(|b| b.to_ascii_lowercase());
+        self.entries
+            .iter()
+            .any(|e| e.port == 443 && e.scheme == "https" && e.host.bytes().eq(lowered()))
     }
 
     /// Serialize into an ORIGIN frame (stream 0).
@@ -274,7 +279,11 @@ mod tests {
         let set = OriginSet::from_hosts(["a.com", "b.com"]);
         assert!(set.allows(&OriginEntry::https("a.com")));
         assert!(set.allows_https_host("b.com"));
+        assert!(set.allows_https_host("B.Com"));
         assert!(!set.allows_https_host("c.com"));
+        assert!(!set.allows_https_host("b.co"));
+        let off_default = OriginSet::from_entries(OriginEntry::parse("https://a.com:8443"));
+        assert!(!off_default.allows_https_host("a.com"));
         // Different port → different origin.
         assert!(!set.allows(&OriginEntry::parse("https://a.com:8443").unwrap()));
         // Different scheme → different origin.

@@ -55,8 +55,18 @@ impl ConnectionIdRegistry {
             issued: 0,
             retired: 0,
         };
-        r.issue().expect("limit >= 1 admits the initial CID");
+        r.reset();
         r
+    }
+
+    /// Back to [`ConnectionIdRegistry::new`] with the same limit,
+    /// keeping the allocation: a recycled connection's fresh start.
+    pub fn reset(&mut self) {
+        self.active.clear();
+        self.next_seq = 0;
+        self.issued = 0;
+        self.retired = 0;
+        self.issue().expect("limit >= 1 admits the initial CID");
     }
 
     /// Issue the next connection ID; returns its sequence number.

@@ -17,6 +17,15 @@
 //! [`Encoder::encode`] returns both; the model emits all inserts
 //! before the section so no post-base references are needed.
 //!
+//! Both halves work on borrowed fields ([`FieldRef`]) into buffers the
+//! caller keeps: [`Encoder::encode_into`] fills an [`EncodedRequest`]
+//! it was handed, [`Decoder::decode_with`] visits each decoded field
+//! as `&str`s that point into the section or the tables, and
+//! [`Decoder::decode_expecting`] compares them against the list that
+//! was encoded — the round-trip check a connection runs per request —
+//! without building that list a second time. The owned forms
+//! ([`Encoder::encode`], [`Decoder::decode`]) collect from those.
+//!
 //! Simplifications relative to the RFC, shared by both ends here:
 //! strings are raw (the Huffman bit is always 0), the Required Insert
 //! Count wraps are not exercised (sections are decoded in insertion
@@ -27,6 +36,33 @@ use origin_h2::hpack::{decode_int, encode_int, IntError};
 use std::sync::LazyLock;
 
 pub use origin_h2::hpack::table::{Entry as Field, TableRef};
+
+/// A field the codecs read without owning it: a table entry, or a
+/// `(name, value)` pair of borrowed strings.
+pub trait FieldRef {
+    /// Field name (lowercase).
+    fn name(&self) -> &str;
+    /// Field value.
+    fn value(&self) -> &str;
+}
+
+impl FieldRef for Field {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn value(&self) -> &str {
+        &self.value
+    }
+}
+
+impl FieldRef for (&str, &str) {
+    fn name(&self) -> &str {
+        self.0
+    }
+    fn value(&self) -> &str {
+        self.1
+    }
+}
 
 /// The RFC 9204 Appendix A static table (0-indexed on the wire).
 pub const STATIC_TABLE: [(&str, &str); 99] = [
@@ -152,6 +188,9 @@ pub enum QpackError {
     InvalidReference,
     /// A prefix integer overflowed.
     IntegerOverflow,
+    /// A well-formed section decoded to other fields than the ones
+    /// [`Decoder::decode_expecting`] was told went in.
+    RoundTripMismatch,
 }
 
 impl std::fmt::Display for QpackError {
@@ -160,6 +199,9 @@ impl std::fmt::Display for QpackError {
             QpackError::Truncated => write!(f, "truncated qpack input"),
             QpackError::InvalidReference => write!(f, "invalid table reference"),
             QpackError::IntegerOverflow => write!(f, "prefix integer overflow"),
+            QpackError::RoundTripMismatch => {
+                write!(f, "decoded fields differ from the encoded ones")
+            }
         }
     }
 }
@@ -184,15 +226,19 @@ fn encode_string(out: &mut Vec<u8>, flags: u8, prefix_bits: u8, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn decode_string(input: &[u8], pos: &mut usize, prefix_bits: u8) -> Result<String, QpackError> {
+fn decode_string<'a>(
+    input: &'a [u8],
+    pos: &mut usize,
+    prefix_bits: u8,
+) -> Result<&'a str, QpackError> {
     let len = decode_int(input, pos, prefix_bits, MAX_INT_SHIFT)?;
     let end = usize::try_from(len)
         .ok()
         .and_then(|len| pos.checked_add(len))
         .ok_or(QpackError::Truncated)?;
-    let bytes = input.get(*pos..end).ok_or(QpackError::Truncated)?.to_vec();
+    let bytes = input.get(*pos..end).ok_or(QpackError::Truncated)?;
     *pos = end;
-    String::from_utf8(bytes).map_err(|_| QpackError::Truncated)
+    std::str::from_utf8(bytes).map_err(|_| QpackError::Truncated)
 }
 
 /// The static-table entry a wire index names.
@@ -223,6 +269,9 @@ pub const DEFAULT_TABLE_SIZE: usize = 4096;
 pub struct Encoder {
     table: DynamicTable,
     instructions: u64,
+    /// Per-field table references of the request being encoded; kept
+    /// for its capacity.
+    refs: Vec<Option<TableRef>>,
 }
 
 impl Encoder {
@@ -236,7 +285,15 @@ impl Encoder {
         Encoder {
             table: DynamicTable::new(max),
             instructions: 0,
+            refs: Vec::new(),
         }
+    }
+
+    /// Back to [`Encoder::with_table_size`]`(max)`, keeping every
+    /// allocation — for a recycled connection.
+    pub fn reset(&mut self, max: usize) {
+        self.table.reset(max);
+        self.instructions = 0;
     }
 
     /// Encoder-stream instructions emitted over the lifetime.
@@ -254,19 +311,31 @@ impl Encoder {
         self.table.size()
     }
 
-    /// Encode one field list. All table inserts are emitted on the
-    /// encoder stream first, then the section references the settled
-    /// table — no post-base references.
+    /// Encode one field list into fresh buffers.
     pub fn encode(&mut self, fields: &[Field]) -> EncodedRequest {
         let mut out = EncodedRequest::default();
+        self.encode_into(fields, &mut out);
+        out
+    }
+
+    /// Encode one field list, replacing `out`'s contents. All table
+    /// inserts are emitted on the encoder stream first, then the
+    /// section references the settled table — no post-base references.
+    /// With `out` reused across requests a steady-state request
+    /// allocates nothing here: the table copies an inserted field into
+    /// strings it evicted earlier.
+    pub fn encode_into<F: FieldRef>(&mut self, fields: &[F], out: &mut EncodedRequest) {
+        out.instructions.clear();
+        out.section.clear();
         // Pass 1: table mutations (encoder stream). `None` marks a
         // field the table refused (larger than the whole table): the
         // section carries it as a plain literal.
-        let mut refs: Vec<Option<TableRef>> = Vec::with_capacity(fields.len());
+        let mut refs = std::mem::take(&mut self.refs);
+        refs.clear();
         for f in fields {
-            let (exact, by_name) = find_indices(&STATIC_INDEX, &self.table, &f.name, &f.value);
+            let (exact, by_name) = find_indices(&STATIC_INDEX, &self.table, f.name(), f.value());
             refs.push(exact.or_else(|| {
-                self.insert_instruction(f, by_name, &mut out.instructions)
+                self.insert_instruction(f.name(), f.value(), by_name, &mut out.instructions)
                     .map(TableRef::Dynamic)
             }));
         }
@@ -310,22 +379,24 @@ impl Encoder {
                 }
                 // Literal field line with literal name (001 N H).
                 None => {
-                    encode_string(&mut out.section, 0x20, 3, &f.name);
-                    encode_string(&mut out.section, 0x00, 7, &f.value);
+                    encode_string(&mut out.section, 0x20, 3, f.name());
+                    encode_string(&mut out.section, 0x00, 7, f.value());
                 }
             }
         }
-        out
+        self.refs = refs;
     }
 
-    /// Emit the cheapest insert instruction for `f` and perform it.
+    /// Emit the cheapest insert instruction for the field and perform
+    /// it.
     fn insert_instruction(
         &mut self,
-        f: &Field,
+        name: &str,
+        value: &str,
         by_name: Option<TableRef>,
         stream: &mut Vec<u8>,
     ) -> Option<u64> {
-        let abs = self.table.insert(f.clone())?;
+        let abs = self.table.insert_str(name, value)?;
         self.instructions += 1;
         match by_name {
             // Insert with name reference (1 T nnnnnn): static table.
@@ -337,9 +408,9 @@ impl Encoder {
                 encode_int(self.table.insert_count() - 2 - name_abs, 6, 0x80, stream)
             }
             // Insert with literal name (01 H nnnnn).
-            None => encode_string(stream, 0x40, 5, &f.name),
+            None => encode_string(stream, 0x40, 5, name),
         }
-        encode_string(stream, 0x00, 7, &f.value);
+        encode_string(stream, 0x00, 7, value);
         Some(abs)
     }
 }
@@ -354,6 +425,9 @@ impl Default for Encoder {
 #[derive(Debug, Clone)]
 pub struct Decoder {
     table: DynamicTable,
+    /// Where an insert's dynamic name reference is copied out of the
+    /// table before the insert that may evict it; kept for capacity.
+    name: String,
 }
 
 impl Decoder {
@@ -367,7 +441,14 @@ impl Decoder {
     pub fn with_table_size(max: usize) -> Self {
         Decoder {
             table: DynamicTable::new(max),
+            name: String::new(),
         }
+    }
+
+    /// Back to [`Decoder::with_table_size`]`(max)`, keeping every
+    /// allocation — for a recycled connection.
+    pub fn reset(&mut self, max: usize) {
+        self.table.reset(max);
     }
 
     /// Dynamic-table evictions over the lifetime (tracks the encoder
@@ -390,26 +471,28 @@ impl Decoder {
                 // Insert with name reference.
                 let idx = decode_int(input, &mut pos, 6, MAX_INT_SHIFT)?;
                 let name = if first & 0x40 != 0 {
-                    static_entry(idx)?.0.to_string()
+                    static_entry(idx)?.0
                 } else {
                     let abs = self
                         .table
                         .insert_count()
                         .checked_sub(1 + idx)
                         .ok_or(QpackError::InvalidReference)?;
-                    self.table
+                    let referenced = self
+                        .table
                         .get_absolute(abs)
-                        .ok_or(QpackError::InvalidReference)?
-                        .name
-                        .clone()
+                        .ok_or(QpackError::InvalidReference)?;
+                    self.name.clear();
+                    self.name.push_str(&referenced.name);
+                    &self.name
                 };
                 let value = decode_string(input, &mut pos, 7)?;
-                self.table.insert(Field { name, value });
+                self.table.insert_str(name, value);
             } else if first & 0x40 != 0 {
                 // Insert with literal name.
                 let name = decode_string(input, &mut pos, 5)?;
                 let value = decode_string(input, &mut pos, 7)?;
-                self.table.insert(Field { name, value });
+                self.table.insert_str(name, value);
             } else {
                 return Err(QpackError::InvalidReference);
             }
@@ -417,8 +500,44 @@ impl Decoder {
         Ok(())
     }
 
-    /// Decode a field section against the current table.
+    /// Decode a field section against the current table into an owned
+    /// field list.
     pub fn decode(&mut self, section: &[u8]) -> Result<Vec<Field>, QpackError> {
+        let mut fields = Vec::new();
+        self.decode_with(section, |name, value| fields.push(Field::new(name, value)))?;
+        Ok(fields)
+    }
+
+    /// Decode a field section and require it to carry exactly
+    /// `expected`, in order: the check that what the peer's encoder
+    /// put on the two streams is what this end reads off them.
+    pub fn decode_expecting<F: FieldRef>(
+        &self,
+        section: &[u8],
+        expected: &[F],
+    ) -> Result<(), QpackError> {
+        let mut rest = expected.iter();
+        let mut same = true;
+        self.decode_with(section, |name, value| {
+            same &= rest
+                .next()
+                .is_some_and(|f| f.name() == name && f.value() == value);
+        })?;
+        if same && rest.next().is_none() {
+            Ok(())
+        } else {
+            Err(QpackError::RoundTripMismatch)
+        }
+    }
+
+    /// Decode a field section against the current table, handing each
+    /// field to `visit` as it is read; the strings point into
+    /// `section` or a table and nothing is copied.
+    pub fn decode_with(
+        &self,
+        section: &[u8],
+        mut visit: impl FnMut(&str, &str),
+    ) -> Result<(), QpackError> {
         let mut pos = 0;
         let encoded_ric = decode_int(section, &mut pos, 8, MAX_INT_SHIFT)?;
         let required = encoded_ric.saturating_sub(1);
@@ -427,35 +546,34 @@ impl Decoder {
         }
         let delta = decode_int(section, &mut pos, 7, MAX_INT_SHIFT)?;
         let base = required + delta;
-        let mut fields = Vec::new();
         while pos < section.len() {
             let first = section[pos];
             if first & 0x80 != 0 {
                 // Indexed field line.
                 let idx = decode_int(section, &mut pos, 6, MAX_INT_SHIFT)?;
-                let f = if first & 0x40 != 0 {
-                    let (n, v) = static_entry(idx)?;
-                    Field::new(n, v)
+                if first & 0x40 != 0 {
+                    let (name, value) = static_entry(idx)?;
+                    visit(name, value);
                 } else {
                     let abs = base
                         .checked_sub(1 + idx)
                         .ok_or(QpackError::InvalidReference)?;
-                    self.table
+                    let f = self
+                        .table
                         .get_absolute(abs)
-                        .ok_or(QpackError::InvalidReference)?
-                        .clone()
-                };
-                fields.push(f);
+                        .ok_or(QpackError::InvalidReference)?;
+                    visit(&f.name, &f.value);
+                }
             } else if first & 0x20 != 0 {
                 // Literal field line with literal name.
                 let name = decode_string(section, &mut pos, 3)?;
                 let value = decode_string(section, &mut pos, 7)?;
-                fields.push(Field { name, value });
+                visit(name, value);
             } else {
                 return Err(QpackError::InvalidReference);
             }
         }
-        Ok(fields)
+        Ok(())
     }
 }
 
@@ -477,5 +595,52 @@ mod tests {
         assert_eq!(STATIC_TABLE[25], (":status", "200"));
         assert_eq!(STATIC_TABLE[98], ("x-frame-options", "sameorigin"));
         assert_eq!(STATIC_TABLE.len(), 99);
+    }
+
+    #[test]
+    fn a_tampered_byte_on_either_stream_is_refused() {
+        let fields = [
+            (":method", "GET"),
+            (":scheme", "https"),
+            (":authority", "cdn.example.com"),
+            (":path", "/js/app.js"),
+        ];
+        let mut enc = Encoder::new();
+        let mut wire = EncodedRequest::default();
+        enc.encode_into(&fields, &mut wire);
+        let synced = |instructions: &[u8]| {
+            let mut dec = Decoder::new();
+            dec.apply_instructions(instructions).map(|()| dec)
+        };
+        let dec = synced(&wire.instructions).unwrap();
+        assert_eq!(dec.decode_expecting(&wire.section, &fields), Ok(()));
+        // A list that is merely a prefix, or longer, is not the list.
+        assert_eq!(
+            dec.decode_expecting(&wire.section, &fields[..3]),
+            Err(QpackError::RoundTripMismatch)
+        );
+        let longer = [&fields[..], &[("x-extra", "1")]].concat();
+        assert_eq!(
+            dec.decode_expecting(&wire.section, &longer),
+            Err(QpackError::RoundTripMismatch)
+        );
+
+        // The section's last byte is the dynamic reference to `:path`:
+        // one bit off names the `:authority` entry instead.
+        let mut section = wire.section.clone();
+        *section.last_mut().unwrap() ^= 0x01;
+        assert_eq!(
+            dec.decode_expecting(&section, &fields),
+            Err(QpackError::RoundTripMismatch)
+        );
+        // The encoder stream's last byte is the final character of the
+        // inserted path: the decoder's table then holds another value.
+        let mut instructions = wire.instructions.clone();
+        *instructions.last_mut().unwrap() ^= 0x01;
+        let dec = synced(&instructions).expect("still well-formed");
+        assert_eq!(
+            dec.decode_expecting(&wire.section, &fields),
+            Err(QpackError::RoundTripMismatch)
+        );
     }
 }

@@ -11,9 +11,12 @@
 //!
 //! [`H3Conn`] is one QUIC connection's request machinery: QPACK
 //! encoder/decoder pair (the instruction stream is applied to the
-//! decoder and the section round-tripped, so compression state
-//! actually exercises both ends) and the connection-ID registry,
-//! rotated periodically the way migrating clients do.
+//! decoder and the section decoded against the fields that went in,
+//! so compression state actually exercises both ends — in every
+//! build) and the connection-ID registry, rotated periodically the
+//! way migrating clients do. It owns its wire buffers and its tables
+//! recycle their strings, so a request borrows its header block and a
+//! reused machine ([`H3Conn::reset`]) allocates nothing.
 //!
 //! [`connect`]: H3Session::connect
 
@@ -25,7 +28,7 @@ use origin_tls::{ResumptionScope, SessionTicketCache};
 use crate::altsvc::AltSvcCache;
 use crate::cid::{ConnectionIdRegistry, DEFAULT_ACTIVE_CID_LIMIT};
 use crate::handshake::{HandshakeMode, QuicCostModel, QuicHandshake};
-use crate::qpack::{Decoder, Encoder, Field};
+use crate::qpack::{Decoder, EncodedRequest, Encoder, QpackError, DEFAULT_TABLE_SIZE};
 
 /// Probability a server rejects offered 0-RTT early data (key
 /// rotation, anti-replay windows); the rejected handshake completes as
@@ -238,6 +241,8 @@ pub struct H3RequestStats {
 pub struct H3Conn {
     encoder: Encoder,
     decoder: Decoder,
+    /// The current request's two streams; kept for capacity.
+    encoded: EncodedRequest,
     cids: ConnectionIdRegistry,
     requests: u64,
 }
@@ -254,39 +259,52 @@ impl H3Conn {
         H3Conn {
             encoder: Encoder::new(),
             decoder: Decoder::new(),
+            encoded: EncodedRequest::default(),
             cids: ConnectionIdRegistry::new(DEFAULT_ACTIVE_CID_LIMIT),
             requests: 0,
         }
     }
 
+    /// Back to [`H3Conn::new`] — empty tables, insert and eviction
+    /// counts zero, sequence-0 connection ID, no requests — keeping
+    /// every allocation: a pooled machine starting its next
+    /// connection emits the bytes and counts a fresh one would.
+    pub fn reset(&mut self) {
+        self.encoder.reset(DEFAULT_TABLE_SIZE);
+        self.decoder.reset(DEFAULT_TABLE_SIZE);
+        self.cids.reset();
+        self.requests = 0;
+    }
+
     /// Encode one request's header block through QPACK, apply the
-    /// instruction stream, and round-trip the field section through
-    /// the decoder. Rotates a connection ID every
+    /// instruction stream to the decoder, and decode the field section
+    /// against the fields that went in; anything else coming out is
+    /// the error. Rotates a connection ID every
     /// [`CID_ROTATION_PERIOD`] requests.
-    pub fn drive_request(&mut self, authority: &str, path: &str) -> H3RequestStats {
+    pub fn drive_request(
+        &mut self,
+        authority: &str,
+        path: &str,
+    ) -> Result<H3RequestStats, QpackError> {
         let fields = [
-            Field::new(":method", "GET"),
-            Field::new(":scheme", "https"),
-            Field::new(":authority", authority),
-            Field::new(":path", path),
+            (":method", "GET"),
+            (":scheme", "https"),
+            (":authority", authority),
+            (":path", path),
         ];
-        let encoded = self.encoder.encode(&fields);
+        self.encoder.encode_into(&fields, &mut self.encoded);
         self.decoder
-            .apply_instructions(&encoded.instructions)
-            .expect("own encoder stream is well-formed");
-        let decoded = self
-            .decoder
-            .decode(&encoded.section)
-            .expect("own field section is well-formed");
-        debug_assert_eq!(decoded.as_slice(), &fields);
+            .apply_instructions(&self.encoded.instructions)?;
+        self.decoder
+            .decode_expecting(&self.encoded.section, &fields)?;
         self.requests += 1;
         if self.requests.is_multiple_of(CID_ROTATION_PERIOD) {
             self.cids.rotate().expect("rotation below the CID limit");
         }
-        H3RequestStats {
-            instruction_bytes: encoded.instructions.len() as u64,
-            section_bytes: encoded.section.len() as u64,
-        }
+        Ok(H3RequestStats {
+            instruction_bytes: self.encoded.instructions.len() as u64,
+            section_bytes: self.encoded.section.len() as u64,
+        })
     }
 
     /// Requests driven on this connection.
@@ -373,7 +391,9 @@ mod tests {
     fn conn_drives_qpack_and_rotates_cids() {
         let mut conn = H3Conn::new();
         for i in 0..(CID_ROTATION_PERIOD * 2) {
-            let stats = conn.drive_request("a.example.com", &format!("/asset/{i}"));
+            let stats = conn
+                .drive_request("a.example.com", &format!("/asset/{i}"))
+                .expect("own streams round-trip");
             assert!(stats.section_bytes > 0);
         }
         assert_eq!(conn.requests(), CID_ROTATION_PERIOD * 2);
@@ -382,5 +402,42 @@ mod tests {
         // retired.
         assert_eq!(conn.cids_issued(), 3);
         assert_eq!(conn.cids_retired(), 2);
+    }
+
+    #[test]
+    fn a_reset_conn_emits_what_a_fresh_one_does() {
+        let drive = |conn: &mut H3Conn| {
+            let stats: Vec<H3RequestStats> = (0..40)
+                .map(|i| {
+                    let path = format!("/js/app-{}.js", i % 9);
+                    conn.drive_request("cdn.example.com", &path).unwrap()
+                })
+                .collect();
+            let bytes = (
+                conn.encoded.instructions.clone(),
+                conn.encoded.section.clone(),
+            );
+            let counts = (
+                conn.qpack_instructions(),
+                conn.qpack_evictions(),
+                conn.cids_issued(),
+                conn.cids_retired(),
+                conn.requests(),
+            );
+            (stats, bytes, counts)
+        };
+        let fresh = drive(&mut H3Conn::new());
+        // Worn on other names first, with a table small enough to have
+        // evicted, then reset.
+        let mut reused = H3Conn::new();
+        reused.encoder.reset(102);
+        reused.decoder.reset(102);
+        for i in 0..50 {
+            let path = format!("/img/{i}.png");
+            reused.drive_request("static.other.example", &path).unwrap();
+        }
+        assert!(reused.qpack_evictions() > 0);
+        reused.reset();
+        assert_eq!(drive(&mut reused), fresh);
     }
 }

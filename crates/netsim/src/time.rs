@@ -21,9 +21,9 @@ pub struct SimDuration(u64);
 /// `(ms * 1_000.0).round() as u64` on every input (negatives and NaN
 /// come out 0, as the saturating cast makes them there).
 ///
-/// A visit quantises ~4,000 times and `f64::round` is a libm call on
-/// the baseline x86-64 target, so the common range is done in
-/// registers. Below 2^52 a non-negative `x` splits exactly into
+/// Every finished request is quantised — once, nine values — and
+/// `f64::round` is a libm call on the baseline x86-64 target, so the
+/// common range is done in registers. Below 2^52 a non-negative `x` splits exactly into
 /// `trunc(x)` and a fraction in `[0, 1)` — the truncation, its
 /// conversion back and the subtraction are all exact — and rounding
 /// half away from zero is adding that comparison. From 2^52 up every

@@ -45,7 +45,9 @@ pub fn ms_to_us(ms: f64) -> u64 {
 
 impl Phase {
     /// The phase durations quantised to integer microseconds, in HAR
-    /// order (blocked, dns, connect, ssl, send, wait, receive).
+    /// order (blocked, dns, connect, ssl, send, wait, receive). A
+    /// finished record carries these already:
+    /// [`RequestTiming::phases_us`].
     pub fn quantised_us(&self) -> [u64; 7] {
         [
             ms_to_us(self.blocked),
@@ -58,7 +60,9 @@ impl Phase {
         ]
     }
 
-    /// Total request duration in integer microseconds.
+    /// Total duration in integer microseconds of a phase set still
+    /// being written (the loader's fault loop, while `receive` grows);
+    /// a finished record's is [`RequestTiming::total_us`].
     pub fn total_us(&self) -> u64 {
         self.quantised_us().iter().sum()
     }
@@ -75,6 +79,17 @@ impl Phase {
     pub fn setup(&self) -> f64 {
         self.dns + self.connect + self.ssl
     }
+}
+
+/// `start` and the seven phases of a finished [`RequestTiming`] in
+/// integer microseconds, with the end they add up to: what
+/// [`RequestTiming::seal`] writes and every consumer of a load reads.
+/// The default is the seal of an all-zero timing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SealedUs {
+    start: u64,
+    phases: [u64; 7],
+    end: u64,
 }
 
 /// One request's record in a page load.
@@ -115,18 +130,77 @@ pub struct RequestTiming {
     pub extra_connections: u8,
     /// Extra DNS queries from the same race behaviour.
     pub extra_dns: u8,
+    /// The integer-microsecond form of `start` and `phase`. Whoever
+    /// writes those two fields calls [`RequestTiming::seal`] when done
+    /// (a literal starts from `SealedUs::default()`); every `*_us`
+    /// accessor reads this and, in debug builds, asserts it is current.
+    pub us: SealedUs,
 }
 
 impl RequestTiming {
-    /// Start time quantised to integer microseconds.
+    /// What [`RequestTiming::seal`] stores for the current `start` and
+    /// `phase`.
+    fn quantise(&self) -> SealedUs {
+        let start = ms_to_us(self.start);
+        let phases = self.phase.quantised_us();
+        SealedUs {
+            start,
+            phases,
+            end: start + phases.iter().sum::<u64>(),
+        }
+    }
+
+    /// Quantise `start` and `phase` — the one time this record's
+    /// timing is rounded. The loader seals each request when its last
+    /// phase is written; an editor of a sealed timing (the §4.1
+    /// reconstruction) seals again after its edits.
+    pub fn seal(&mut self) {
+        self.us = self.quantise();
+    }
+
+    /// [`RequestTiming::seal`] by value, for records built as literals.
+    pub fn sealed(mut self) -> Self {
+        self.seal();
+        self
+    }
+
+    fn sealed_us(&self) -> &SealedUs {
+        debug_assert_eq!(
+            self.us,
+            self.quantise(),
+            "start or phase edited after seal()"
+        );
+        &self.us
+    }
+
+    /// Start time in integer microseconds.
     pub fn start_us(&self) -> u64 {
-        ms_to_us(self.start)
+        self.sealed_us().start
+    }
+
+    /// The phase durations in integer microseconds, in HAR order
+    /// (blocked, dns, connect, ssl, send, wait, receive).
+    pub fn phases_us(&self) -> [u64; 7] {
+        self.sealed_us().phases
+    }
+
+    /// Total request duration in integer microseconds: the sum of
+    /// [`RequestTiming::phases_us`].
+    pub fn total_us(&self) -> u64 {
+        let us = self.sealed_us();
+        us.end - us.start
+    }
+
+    /// Total request duration (ms), derived from the
+    /// integer-microsecond form.
+    pub fn total(&self) -> f64 {
+        self.total_us() as f64 / 1_000.0
     }
 
     /// End time in integer microseconds (quantised start + quantised
     /// phase total).
     pub fn end_us(&self) -> u64 {
-        self.start_us() + self.phase.total_us()
+        self.sealed_us().end
     }
 
     /// End time (ms), derived from the integer-microsecond form.
@@ -248,7 +322,7 @@ impl PageLoad {
             out.push_str(",\n        \"startedDateTime\": ");
             json::push_str(out, &har_datetime(r.start_us()));
             out.push_str(",\n        \"time\": ");
-            json::push_f64(out, r.phase.total());
+            json::push_f64(out, r.total());
             out.push_str(",\n        \"request\": { \"method\": \"GET\", \"url\": \"");
             out.push_str(if r.secure { "https://" } else { "http://" });
             json::escape_into(out, r.host.as_str());
@@ -266,7 +340,7 @@ impl PageLoad {
             out.push_str(", \"headers\": [], \"cookies\": [], \"content\": { \"size\": -1, \"mimeType\": \"\" }, \"redirectURL\": \"\", \"headersSize\": -1, \"bodySize\": -1 },\n");
             out.push_str("        \"cache\": {},\n        \"timings\": { ");
             // HAR's convention for a phase that did not occur is -1.
-            let [blocked, dns, connect, ssl, send, wait, receive] = r.phase.quantised_us();
+            let [blocked, dns, connect, ssl, send, wait, receive] = r.phases_us();
             let timings = [
                 ("blocked", !na, blocked),
                 ("dns", r.did_dns || dns > 0, dns),
@@ -362,7 +436,9 @@ mod tests {
             secure: true,
             extra_connections: 0,
             extra_dns: 0,
+            us: SealedUs::default(),
         }
+        .sealed()
     }
 
     fn load() -> PageLoad {
@@ -458,8 +534,23 @@ mod tests {
     fn request_end_uses_quantised_arithmetic() {
         let r = t(0, "a.com", 10.1, 0.2, 0.0, 0.0, 1);
         assert_eq!(r.start_us(), 10_100);
+        assert_eq!(r.phases_us(), r.phase.quantised_us());
+        assert_eq!(r.total_us(), r.phase.total_us());
         assert_eq!(r.end_us(), r.start_us() + r.phase.total_us());
         assert_eq!(r.end(), r.end_us() as f64 / 1_000.0);
+    }
+
+    #[test]
+    fn an_edit_is_invisible_until_resealed() {
+        let mut r = t(0, "a.com", 10.0, 0.0, 0.0, 0.0, 1);
+        let before = r.us;
+        r.start = 5.0;
+        r.phase.wait = 1.5;
+        assert_eq!(r.us, before, "editing a field does not touch the seal");
+        r.seal();
+        assert_eq!(r.start_us(), 5_000);
+        assert_eq!(r.phases_us()[5], 1_500);
+        assert_eq!(r.end_us(), before.end - 5_000 - 18_500);
     }
 
     #[test]
@@ -504,6 +595,7 @@ mod tests {
         // Every entry's `time` is its quantised phase total.
         for r in &l.requests {
             assert!(har.contains(&format!("\"time\": {:?}", r.phase.total())));
+            assert_eq!(r.phase.total_us(), r.total_us());
         }
     }
 

@@ -116,7 +116,9 @@ mod tests {
                     secure: true,
                     extra_connections: 0,
                     extra_dns: 0,
-                },
+                    us: Default::default(),
+                }
+                .sealed(),
                 RequestTiming {
                     resource_index: 1,
                     host: name("static.example.com"),
@@ -136,7 +138,9 @@ mod tests {
                     secure: true,
                     extra_connections: 0,
                     extra_dns: 0,
-                },
+                    us: Default::default(),
+                }
+                .sealed(),
             ],
         }
     }
@@ -157,6 +161,7 @@ mod tests {
         let before = load();
         let mut after = load();
         after.requests[1].start = 60.0;
+        after.requests[1].seal();
         let r = render_comparison(&before, &after, 40);
         assert!(r.contains("time saved"));
         assert!(r.contains("measured"));
@@ -198,7 +203,9 @@ mod tests {
             secure: true,
             extra_connections: 0,
             extra_dns: 0,
+            us: Default::default(),
         }
+        .sealed()
     }
 
     /// Before: both requests pay full setup. PLT 60ms.

@@ -287,6 +287,46 @@ fn qpack_decoder_never_panics() {
     });
 }
 
+/// The borrowed encoder is the owned one: over field values that are
+/// hostile bytes (whatever of a mutated encoding is still UTF-8, so
+/// control characters, prefix-integer octets and the odd multi-byte
+/// sequence among them), `encode_into` over `(&str, &str)` pairs into
+/// a reused buffer emits the two streams `encode` over `Field`s does,
+/// both encoders evict alike, and the comparing decode accepts exactly
+/// what the materialising one returns.
+#[test]
+fn qpack_borrowed_encode_equals_owned() {
+    qpack_streams(0x51504B34, |rng, size, instructions, section| {
+        let mut values: Vec<String> = hostile_variants(rng, section)
+            .into_iter()
+            .chain(hostile_variants(rng, instructions))
+            .map(|bytes| String::from_utf8_lossy(&bytes[..bytes.len().min(60)]).into_owned())
+            .collect();
+        values.push(String::new());
+        let mut owned = QpackEncoder::with_table_size(size);
+        let mut borrowed = QpackEncoder::with_table_size(size);
+        let mut dec = QpackDecoder::with_table_size(size);
+        let mut wire = qpack::EncodedRequest::default();
+        for _ in 0..6 {
+            let pairs: Vec<(&str, &str)> = (0..rng.index(6))
+                .map(|_| {
+                    let name = *rng.choose(&[":path", ":authority", "x-a", "cookie"]);
+                    (name, rng.choose(&values).as_str())
+                })
+                .collect();
+            let fields: Vec<Field> = pairs.iter().map(|(n, v)| Field::new(n, v)).collect();
+            borrowed.encode_into(&pairs, &mut wire);
+            assert_eq!(wire, owned.encode(&fields), "table size {size}");
+            assert_eq!(borrowed.evictions(), owned.evictions());
+            assert_eq!(borrowed.table_size(), owned.table_size());
+            dec.apply_instructions(&wire.instructions).expect("in sync");
+            assert_eq!(dec.decode(&wire.section).as_ref(), Ok(&fields));
+            assert_eq!(dec.decode_expecting(&wire.section, &pairs), Ok(()));
+            assert_eq!(dec.decode_expecting(&wire.section, &fields), Ok(()));
+        }
+    });
+}
+
 /// Linear-scan model of the dynamic table: live entries oldest first,
 /// each with its absolute index.
 #[derive(Default)]
@@ -863,7 +903,9 @@ fn exporters_escape_every_string_they_carry() {
                     secure: true,
                     extra_connections: 0,
                     extra_dns: 0,
-                }],
+                    us: Default::default(),
+                }
+                .sealed()],
             };
             let url = format!("https://{host}/r0");
             assert!(json_strings(&load.to_har_json()).contains(&url));
@@ -942,7 +984,9 @@ mod reconstruct_props {
                 secure: true,
                 extra_connections: 0,
                 extra_dns: 0,
+                us: Default::default(),
             }
+            .sealed()
         };
         let mut requests = vec![mk(0, 0.0, 20.0, 40.0, 30.0, 10.0)];
         let mut coalescable = vec![false];
@@ -1002,6 +1046,104 @@ mod reconstruct_props {
             assert_eq!(again.plt(), out.plt());
         }
     }
+}
+
+/// A request is quantised once: on the golden mixed configuration
+/// (`BENCHMARK.json`'s `crawl-mixed` at small scale — legacy 0.25, h3
+/// 0.5, faults, every sink attached) every record of every load —
+/// served, N/A-skipped or NXDOMAIN — carries in its seal exactly what
+/// its f64 fields quantise to, and the §4.1 reconstruction, the one
+/// editor of a finished timing, leaves its output sealed the same way.
+#[test]
+fn every_timing_is_sealed_to_what_its_fields_quantise_to() {
+    use origin_metrics::Registry;
+    use origin_obs::{FlightRecorder, VisitObs, VisitSinks};
+    use origin_trace::Tracer;
+    use respect_origin::browser::loader::FaultSession;
+    use respect_origin::browser::{BrowserKind, PageLoader, UniverseEnv, VisitArena};
+    use respect_origin::model::model::{predict, CoalescingGrouping};
+    use respect_origin::netsim::FaultProfile;
+    use respect_origin::web::har::{ms_to_us, PageLoad};
+    use respect_origin::web::{ContentType, Protocol, Resource};
+    use respect_origin::webgen::{Dataset, DatasetConfig, PROVIDERS};
+
+    fn assert_sealed(load: &PageLoad, what: &str) {
+        for r in &load.requests {
+            let (start, phases) = (ms_to_us(r.start), r.phase.quantised_us());
+            let at = format!("{what}, rank {} request {}", load.rank, r.resource_index);
+            assert_eq!(r.start_us(), start, "{at}");
+            assert_eq!(r.phases_us(), phases, "{at}");
+            assert_eq!(r.total_us(), phases.iter().sum::<u64>(), "{at}");
+            assert_eq!(r.end_us(), start + phases.iter().sum::<u64>(), "{at}");
+        }
+        let latest = load.requests.iter().map(|r| r.end_us()).max();
+        assert_eq!(load.plt_us(), latest.unwrap_or(0));
+    }
+
+    let dataset = Dataset::generate(DatasetConfig {
+        sites: 300,
+        seed: 0x0516,
+        legacy_share: 0.25,
+        h3_share: 0.5,
+        ..Default::default()
+    });
+    let profile = FaultProfile::parse("drop=0.01,h421=0.005,middlebox=0.1").unwrap();
+    let loader = PageLoader::new(BrowserKind::Chromium);
+    let mut env = UniverseEnv::new(&dataset);
+    env.origin_enabled_asns = PROVIDERS.iter().map(|p| p.asn).collect();
+    let (mut metrics, mut tracer) = (Registry::new(), Tracer::new());
+    let (mut flight, mut visit) = (FlightRecorder::new(64), VisitObs::default());
+    let mut arena = VisitArena::new();
+    let (mut skipped, mut nxdomain, mut retried) = (0, 0, 0);
+    for site in dataset.successful_sites() {
+        let mut page = dataset.page_for(site);
+        if site.rank % 8 == 0 {
+            // The universe resolves every name it generates: give some
+            // pages one that it does not.
+            let gone = DnsName::parse(&format!("gone-{}.invalid", site.rank)).unwrap();
+            page.push(
+                gone,
+                Resource::new("/gone.js", ContentType::Javascript, 900),
+            );
+        }
+        env.flush_dns();
+        let mut rng = SimRng::seed_from_u64(site.page_seed ^ 0xC0A1E5CE);
+        let mut faults = FaultSession::new(profile, site.page_seed ^ 0xFA017CE5);
+        tracer.begin_visit(u64::from(site.rank), site.root_host.as_str());
+        flight.begin_visit(site.rank);
+        visit.clear();
+        let load = loader.load_observed(
+            &page,
+            &mut env,
+            &mut rng,
+            Some(&mut faults),
+            Some(&mut metrics),
+            Some(&mut tracer),
+            &mut arena,
+            VisitSinks {
+                flight: Some(&mut flight),
+                visit: Some(&mut visit),
+            },
+        );
+        assert_sealed(&load, "measured");
+        assert_eq!(visit.plt_us, load.plt_us());
+        for r in load.requests.iter().filter(|r| r.protocol == Protocol::NA) {
+            skipped += u32::from(!r.did_dns);
+            nxdomain += u32::from(r.did_dns);
+        }
+        retried += faults.counts.retries;
+        for grouping in [CoalescingGrouping::ByIp, CoalescingGrouping::ByAs] {
+            let (_, reconstructed) = predict(&page, &load, grouping);
+            assert_sealed(&reconstructed, "reconstructed");
+        }
+        arena.recycle(load);
+    }
+    assert!(
+        skipped > 0 && nxdomain > 0,
+        "{skipped} N/A, {nxdomain} NXDOMAIN"
+    );
+    assert!(retried > 0, "the profile injected nothing");
+    assert!(metrics.counter("h1.requests") > 0 && metrics.counter("h3.requests") > 0);
 }
 
 // ---- fault injection ----
