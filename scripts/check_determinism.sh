@@ -82,6 +82,21 @@ if grep -rnE --include='*.rs' --exclude=json.rs '\\\\\\"|\\\\u\{|replace\(.\"' "
     exit 1
 fi
 
+# The stages simulate, one step reports: in the loader, `self.tracer` and
+# `self.flight` may appear only in `Visit::report` and in the one line of
+# `Visit::resolve` that hands the tracer to the resolver.
+if awk '
+    /^ *(pub(\([a-z]+\))? )?fn [a-z_]+/ { match($0, /fn [a-z_]+/); cur = substr($0, RSTART + 3, RLENGTH - 3) }
+    /self\.(tracer|flight)/ && cur != "report" && (cur != "resolve" || ++handoffs > 1) {
+        print FILENAME ":" FNR ": " $0
+        bad = 1
+    }
+    END { exit !bad }
+' "$scripts"/../crates/browser/src/loader.rs >&2; then
+    echo "FAIL: a loader stage writes a telemetry sink outside Visit::report" >&2
+    exit 1
+fi
+
 FAULTS=drop=0.01,h421=0.005,middlebox=0.1
 run clean.out --sites 500 --threads 8 --metrics clean.json
 
