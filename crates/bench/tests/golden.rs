@@ -7,11 +7,13 @@ use origin_bench::{
     ResilienceReport,
 };
 use origin_browser::{BrowserKind, FaultSession, PageLoader, UniverseEnv, VisitArena};
+use origin_cdn::SampleGroup;
 use origin_dns::DnsName;
 use origin_netsim::rng::fnv1a64;
 use origin_netsim::{FaultProfile, SimDuration, SimRng};
 use origin_obs::{FlightRecorder, VisitSinks};
 use origin_serve::{run_serve, ServeConfig};
+use origin_tls::Certificate;
 use origin_trace::{to_chrome_json, Sampler, Tracer};
 use origin_web::{ContentType, PageLoad, Resource};
 use origin_webgen::{Dataset, DatasetConfig, SiteConfig, PROVIDERS};
@@ -285,6 +287,114 @@ fn positional_adapter_cannot_drift_from_crawl_spec() {
         s.obs.as_ref(),
     );
     assert_eq!(digests(&positional), digests(&s.run()));
+}
+
+/// One certificate's every field, and its modelled size.
+fn push_cert(out: &mut String, cert: Option<&Certificate>) {
+    use std::fmt::Write;
+    let Some(c) = cert else {
+        return out.push_str(" no-cert\n");
+    };
+    let _ = writeln!(
+        out,
+        " cert {} {} {:?} {} {}..{} {:?} {}",
+        c.serial,
+        c.subject,
+        &c.sans[..],
+        c.issuer,
+        c.not_before_day,
+        c.not_after_day,
+        c.key_type,
+        c.wire_size()
+    );
+}
+
+/// Every fact the generated world stores, as text: each `SiteConfig`
+/// in rank order; for each of a site's hosts its registered addresses,
+/// two consecutive rotating answers, its AS and its certificate; the
+/// issuance and CT totals; and the §5 sample group with its
+/// certificates and CT ledger.
+fn world_text() -> String {
+    use std::fmt::Write;
+    let d = Dataset::generate(DatasetConfig {
+        sites: 2_000,
+        legacy_share: 0.25,
+        h3_share: 0.5,
+        ..DatasetConfig::default()
+    });
+    let u = &d.universe;
+    let mut serials = Default::default();
+    let mut rng = SimRng::seed_from_u64(0x0516);
+    let mut out = String::new();
+    for s in d.sites() {
+        let _ = writeln!(
+            out,
+            "site {} {} {:?} {:?} {} {} {:?} {} {} {} {} {}",
+            s.rank,
+            s.root_host,
+            &s.shard_hosts[..],
+            s.provider,
+            s.asn,
+            s.failed,
+            &s.services[..],
+            s.n_requests,
+            s.page_seed,
+            s.shards_share_ip,
+            s.legacy,
+            s.h3
+        );
+        let services = s.services.iter().map(|svc| svc.host());
+        for host in std::iter::once(s.root_host.clone())
+            .chain(s.shard_hosts.iter().cloned())
+            .chain(services)
+        {
+            let _ = write!(out, " {host} {:?}", u.zones.registered(&host));
+            for _ in 0..2 {
+                let a = u.zones.resolve_shared(&host, &mut serials, &mut rng);
+                let a = a.map(|a| (a.addresses[..].to_vec(), a.ttl_secs));
+                let _ = write!(out, " {a:?}");
+            }
+            let _ = write!(out, " as{}", u.asn_of_host(&host));
+            push_cert(&mut out, u.cert_for(&host));
+        }
+    }
+    let _ = writeln!(
+        out,
+        "issued {} ct {:?} zones {}",
+        u.certs_issued(),
+        u.ct_logs.per_operator(),
+        u.zones.len()
+    );
+    let group = SampleGroup::build(5_000, &mut SimRng::seed_from_u64(0x0516));
+    for s in &group.sites {
+        let _ = write!(
+            out,
+            "sample {} {:?} {:?} {} {}",
+            s.host, s.treatment, s.third_party_fetch, s.third_party_requests, s.page_seed
+        );
+        push_cert(&mut out, Some(&s.cert));
+    }
+    let _ = writeln!(
+        out,
+        "removed {} ct {} {:?}",
+        group.removed_subpage_only,
+        group.ct_logs.total_entries(),
+        group.ct_logs.per_operator()
+    );
+    out
+}
+
+/// Computed from the code before names, address sets and CT records
+/// were shared by handle: how the world is stored may change, not one
+/// fact of it.
+#[test]
+fn generated_world_is_pinned() {
+    let text = world_text();
+    assert_eq!(
+        (text.len(), fnv1a64(text.as_bytes())),
+        (9_863_842, 0x5bf2_f251_0748_4fef),
+        "the mixed world's sites, hosts, answers, certificates and CT ledger"
+    );
 }
 
 /// What buffering that trace costs: one fixed-size record per event
