@@ -1,4 +1,5 @@
-//! Allocation-count regression gate for the steady-state crawl path.
+//! Allocation-count regression gate for the steady-state crawl path,
+//! and a memory gate on the world it crawls.
 //!
 //! A counting global allocator measures per-visit heap allocations in
 //! the three phases of a crawled site — page materialization through a
@@ -6,7 +7,8 @@
 //! [`VisitArena`], and the §3/§4 analysis of the result
 //! (`Characterization::add`, `predict_counts3`, `plan_site`,
 //! `PlanSummary::add`) — and asserts they stay under recorded
-//! ceilings.
+//! ceilings. It also counts bytes, so it measures what the generated
+//! world holds before the first visit.
 //!
 //! The ceilings document the arena work this crate's crawl loop
 //! relies on: before scratch/arena recycling the same loop averaged
@@ -15,7 +17,8 @@
 //! and the resolver cache stopped interning hostnames, 2 and 45 while
 //! a page still carried a rendered path `String` per resource and
 //! every new connection cloned its certificate's issuer text, and
-//! measures 0 and 29 since. The analysis measured 14.2 when it built a
+//! measured 0 and 29 until the world stored each of its facts once
+//! (below); the load now measures 0.13. The analysis measured 14.2 when it built a
 //! `Vec` of ASes, two hash sets and two `Vec`s of end times per page,
 //! and measures 3.8: what is left is the crawl meeting new keys (a
 //! self-hosted site is a new AS, a tail service a new hostname), the
@@ -56,6 +59,23 @@
 //! legacy load allocates what the pure-h2 one does, and the h3 load's
 //! remainder is its session's ticket and Alt-Svc memory.
 //!
+//! The world itself, and what a load asks of it. While every hostname
+//! was copied again as a `String` key of the universe's host and
+//! certificate maps, every certificate left three copies of its issuer
+//! name in the CT ledger, a shard on its root's addresses got its own
+//! `Vec`, each generated name was formatted, lowercased and then
+//! shared, and a page's services were picked through a fresh `Vec`,
+//! hash set and candidate list, `Dataset::generate` held 1,946 live
+//! bytes a rank and allocated 47.8 times a rank at 2,000 ranks (1,712
+//! and 45.1 at 20,000). With each name, address set and CT record
+//! stored once and handed out by handle, and the generator's buffers
+//! reused from rank to rank, it measures 1,419 and 12.4 (1,234 and
+//! 11.3 at 20,000). The same change took the loads from 29.5 (pure),
+//! 55.3 (h3) and 29.6 (legacy) allocations to 0.13, 25.9 and 0.16: a
+//! DNS miss hands out the zone's own address set, a refcount bump,
+//! unless round-robin rotates it off its first address, and the crawl
+//! environment stopped copying each new hostname into an intern table.
+//!
 //! Allocation counts are only meaningful if no other test mutates the
 //! counters concurrently, so this file holds exactly one `#[test]`.
 
@@ -71,21 +91,27 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
-// SAFETY: delegates every operation to `System`; the counter is a
+// SAFETY: delegates every operation to `System`; the counters are a
 // side effect only.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(l.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        LIVE.fetch_sub(l.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(p, l) }
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(n as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(l.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(p, l, n) }
     }
 }
@@ -97,17 +123,28 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+fn live_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// Ranks of the world whose generation is measured, and its ceilings
+/// per rank: live bytes once generated, and allocations made on the
+/// way. Measured 1,419 and 12.4.
+const GEN_SITES: u32 = 2_000;
+const MAX_GEN_BYTES_PER_SITE: f64 = 1_500.0;
+const MAX_GEN_ALLOCS_PER_SITE: f64 = 15.0;
+
 /// Per-visit allocation ceilings on the steady-state (warm scratch /
-/// warm arena) crawl path. Measured 0 page / 29 load / 3.8 analysis;
+/// warm arena) crawl path. Measured 0 page / 0.13 load / 3.8 analysis;
 /// the margin absorbs hash-map growth timing, not behaviour change.
 const MAX_PAGE_ALLOCS_PER_VISIT: u64 = 4;
-const MAX_LOAD_ALLOCS_PER_VISIT: u64 = 36;
+const MAX_LOAD_ALLOCS_PER_VISIT: u64 = 2;
 const MAX_ANALYSIS_ALLOCS_PER_VISIT: f64 = 8.0;
 /// The same load ceiling where every page drives the QPACK and
 /// connection-ID machines (`h3_share` 1.0) or the HTTP/1.1 machine
-/// (`legacy_share` 1.0). Measured 55 and 29.
-const MAX_H3_LOAD_ALLOCS_PER_VISIT: u64 = 76;
-const MAX_LEGACY_LOAD_ALLOCS_PER_VISIT: u64 = 36;
+/// (`legacy_share` 1.0). Measured 25.9 and 0.16.
+const MAX_H3_LOAD_ALLOCS_PER_VISIT: u64 = 30;
+const MAX_LEGACY_LOAD_ALLOCS_PER_VISIT: u64 = 2;
 /// What tracing a visit may add to its load's allocations.
 const MAX_TRACED_EXTRA_ALLOCS_PER_VISIT: u64 = 8;
 /// Per-visit ceilings on a whole single-thread §5 `run_both_threads`
@@ -158,6 +195,28 @@ fn warm_load_allocs(config: DatasetConfig) -> u64 {
 
 #[test]
 fn steady_state_crawl_allocations_stay_bounded() {
+    let (a0, b0) = (allocs(), live_bytes());
+    let world = Dataset::generate(DatasetConfig {
+        sites: GEN_SITES,
+        seed: 0x516,
+        ..Default::default()
+    });
+    let sites = f64::from(GEN_SITES);
+    let gen_allocs = (allocs() - a0) as f64 / sites;
+    let gen_bytes = (live_bytes() - b0) as f64 / sites;
+    drop(world);
+    println!("generation per site: {gen_bytes:.0} live bytes, {gen_allocs:.1} allocations");
+    assert!(
+        gen_bytes <= MAX_GEN_BYTES_PER_SITE,
+        "the generated world holds {gen_bytes:.0} bytes a site (ceiling {MAX_GEN_BYTES_PER_SITE}): \
+         a name, an address set or a CT record is stored twice"
+    );
+    assert!(
+        gen_allocs <= MAX_GEN_ALLOCS_PER_SITE,
+        "generating a site allocates {gen_allocs:.1} times (ceiling {MAX_GEN_ALLOCS_PER_SITE}): a \
+         fact of the world is copied instead of shared by handle"
+    );
+
     let dataset = Dataset::generate(DatasetConfig {
         sites: 400,
         seed: 0x516,

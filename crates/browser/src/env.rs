@@ -2,7 +2,7 @@
 
 use origin_dns::{DnsName, QueryAnswer, ResolverState};
 use origin_h2::OriginSet;
-use origin_intern::{FxHashMap, HostTable};
+use origin_intern::FxHashMap;
 use origin_netsim::link::LINK_CLASSES;
 use origin_netsim::{LinkProfile, SimRng, SimTime};
 use origin_tls::Certificate;
@@ -95,13 +95,14 @@ pub struct UniverseEnv<'a> {
     cache: RefCell<HostFactCache>,
 }
 
-/// See [`UniverseEnv::cache`]. The registrable domain is stored as an
-/// interned id in the same table, making the `colocated` same-site
-/// check a `u32` compare.
+/// See [`UniverseEnv::cache`]. Keyed by the `DnsName` the loader asks
+/// about, so a new host costs a refcount bump, not a copy of its text.
+/// Registrable domains are numbered in a map of their own, making the
+/// `colocated` same-site check a `u32` compare.
 #[derive(Default)]
 struct HostFactCache {
-    hosts: HostTable,
-    facts: Vec<HostFacts>,
+    facts: FxHashMap<DnsName, HostFacts>,
+    registrables: FxHashMap<DnsName, u32>,
     /// The origin set an ORIGIN-enabled provider advertises on every
     /// connection under one certificate: its exact SANs in
     /// certificate order. Like the facts above, a pure function of
@@ -114,35 +115,26 @@ struct HostFactCache {
 #[derive(Clone, Copy)]
 struct HostFacts {
     asn: u32,
-    /// Interned id of the registrable domain.
+    /// Number of the registrable domain.
     registrable: u32,
     /// 0 = CDN edge, 1 = same-continent tail, 2 = intercontinental
     /// tail (see [`WebEnv::link_for`]).
     link_class: u8,
 }
 
-/// Sentinel for table slots interned (e.g. as someone's registrable
-/// domain) but not yet computed: `u32::MAX` is never a real AS.
-const UNFILLED: HostFacts = HostFacts {
-    asn: u32::MAX,
-    registrable: u32::MAX,
-    link_class: 0,
-};
-
 impl HostFactCache {
     fn lookup(&mut self, host: &DnsName, universe: &origin_webgen::Universe) -> HostFacts {
-        if let Some(id) = self.hosts.get(host.as_str()) {
-            if let Some(&f) = self.facts.get(id.index()) {
-                if f.asn != u32::MAX {
-                    return f;
-                }
-            }
+        if let Some(&f) = self.facts.get(host) {
+            return f;
         }
-        let id = self.hosts.intern(host.as_str());
-        let registrable = self.hosts.intern(host.registrable_str()).0;
-        if self.facts.len() < self.hosts.len() {
-            self.facts.resize(self.hosts.len(), UNFILLED);
-        }
+        // A site's hosts share its root's registrable domain, which is
+        // the root's own name: only a service's parent domain is new
+        // text.
+        let next = u32::try_from(self.registrables.len()).expect("u32 registrable domains");
+        let registrable = match self.registrables.get(host.registrable_str()) {
+            Some(&n) => n,
+            None => *self.registrables.entry(host.registrable()).or_insert(next),
+        };
         let asn = universe.asn_of_host(host);
         let link_class = if PROVIDERS.iter().any(|p| p.asn == asn) {
             0
@@ -159,7 +151,7 @@ impl HostFactCache {
             registrable,
             link_class,
         };
-        self.facts[id.index()] = f;
+        self.facts.insert(host.clone(), f);
         f
     }
 }
@@ -240,7 +232,7 @@ impl WebEnv for UniverseEnv<'_> {
         // Same registrable domain → same origin server farm. Same
         // provider AS → shared CDN edge able to serve both (the §4
         // model's core assumption, stated in §4.1). Both facts come
-        // memoized: registrable domains compare as interned ids.
+        // memoized: registrable domains compare as numbers.
         let a = self.host_facts(conn_host);
         let b = self.host_facts(new_host);
         a.registrable == b.registrable || (a.asn != 0 && a.asn == b.asn)

@@ -104,7 +104,7 @@ impl SessionPool {
     /// connections to one edge) and then `budget` (global cap, the
     /// memory bound), evicting the least-recently-used victim in each
     /// case. A `budget` of 0 disables pooling entirely: every acquire
-    /// opens and nothing is retained — the before-arm of BENCH_6.
+    /// opens and nothing is retained.
     pub fn acquire(
         &mut self,
         key: u32,

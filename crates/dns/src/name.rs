@@ -1,5 +1,6 @@
 //! Validated DNS names.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -61,7 +62,13 @@ impl DnsName {
         if s.is_empty() {
             return Err(NameError::EmptyLabel);
         }
-        let lower = s.to_ascii_lowercase();
+        // Generated names arrive lowercase: validated in place, their
+        // shared text is the only allocation.
+        let lower: Cow<str> = if s.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(s.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(s)
+        };
         if lower.len() > 253 {
             return Err(NameError::TooLong);
         }
@@ -90,7 +97,7 @@ impl DnsName {
                 }
             }
         }
-        Ok(DnsName(lower.into()))
+        Ok(DnsName(Arc::from(&*lower)))
     }
 
     /// The normalized name as a string slice.
@@ -179,10 +186,12 @@ impl DnsName {
     }
 
     /// Wire-format encoded length in bytes: one length octet per label
-    /// plus the label bytes plus the root octet. Used for certificate
-    /// SAN size accounting.
+    /// plus the label bytes plus the root octet. Each dot of the text
+    /// stands in for the next label's length octet, so that is the text
+    /// plus the first label's octet and the root's. Used for
+    /// certificate SAN size accounting.
     pub fn wire_len(&self) -> usize {
-        self.labels().map(|l| 1 + l.len()).sum::<usize>() + 1
+        self.0.len() + 2
     }
 }
 
@@ -213,15 +222,6 @@ impl AsRef<str> for DnsName {
 impl std::borrow::Borrow<str> for DnsName {
     fn borrow(&self) -> &str {
         &self.0
-    }
-}
-
-impl DnsName {
-    /// Wrap an already-normalized name string without re-validating —
-    /// for crate-internal paths that derive names from existing
-    /// `DnsName`s (e.g. the matched suffix of a wildcard walk).
-    pub(crate) fn from_normalized(s: &str) -> DnsName {
-        DnsName(Arc::from(s))
     }
 }
 
@@ -303,6 +303,8 @@ mod tests {
     fn wire_len_counts_label_octets() {
         // www(3)+1 example(7)+1 com(3)+1 + root(1) = 17
         assert_eq!(name("www.example.com").wire_len(), 17);
+        // *(1)+1 a(1)+1 com(3)+1 + root(1) = 9
+        assert_eq!(name("*.a.com").wire_len(), 9);
     }
 
     #[test]

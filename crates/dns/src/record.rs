@@ -2,6 +2,7 @@
 
 use origin_netsim::SimRng;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 
 /// How an authoritative server orders/subsets the address set in its
 /// answers. The paper (§2.3) leans on the fact that "DNS operators
@@ -21,21 +22,27 @@ pub enum Rotation {
 
 /// The authoritative address data for one name: a set of IPs, a TTL,
 /// and a rotation policy.
+///
+/// Immutable once built: round-robin state lives with each resolver
+/// session, so one record set serves every session, and the address
+/// set is a shared handle — names registered on the same addresses
+/// hold one copy of them.
 #[derive(Debug, Clone)]
 pub struct RecordSet {
-    addresses: Vec<IpAddr>,
+    addresses: Arc<[IpAddr]>,
     /// Time-to-live in seconds.
     pub ttl_secs: u32,
     /// Answer rotation policy.
     pub rotation: Rotation,
-    /// Monotonic counter driving round-robin rotation.
-    serial: u32,
 }
 
 impl RecordSet {
-    /// Create a record set. Panics on an empty address list — a name
-    /// with no addresses should simply be absent from the zone.
-    pub fn new(addresses: Vec<IpAddr>, ttl_secs: u32) -> Self {
+    /// Create a record set over `addresses`, owned (`Vec`) or already
+    /// shared with other names (`Arc<[IpAddr]>`). Panics on an empty
+    /// address list — a name with no addresses should simply be absent
+    /// from the zone.
+    pub fn new(addresses: impl Into<Arc<[IpAddr]>>, ttl_secs: u32) -> Self {
+        let addresses = addresses.into();
         assert!(
             !addresses.is_empty(),
             "record set must have at least one address"
@@ -44,13 +51,12 @@ impl RecordSet {
             addresses,
             ttl_secs,
             rotation: Rotation::Fixed,
-            serial: 0,
         }
     }
 
     /// Single-address convenience constructor with a 300 s TTL.
     pub fn single(addr: IpAddr) -> Self {
-        RecordSet::new(vec![addr], 300)
+        RecordSet::new([addr], 300)
     }
 
     /// Set the rotation policy.
@@ -67,31 +73,23 @@ impl RecordSet {
         &self.addresses
     }
 
-    /// Produce one answer according to the rotation policy. Mutates
-    /// round-robin state; random subsets draw from `rng`.
-    pub fn answer(&mut self, rng: &mut SimRng) -> Vec<IpAddr> {
-        let mut serial = self.serial;
-        let out = self.answer_shared(&mut serial, rng);
-        self.serial = serial;
-        out
-    }
-
-    /// Produce one answer with the round-robin serial held externally,
-    /// leaving `self` untouched. This is what lets many resolver
-    /// sessions share one read-only zone set: each session keeps its
-    /// own serial overlay.
-    pub fn answer_shared(&self, serial: &mut u32, rng: &mut SimRng) -> Vec<IpAddr> {
+    /// Produce one answer according to the rotation policy, with the
+    /// round-robin serial held by the caller: each resolver session
+    /// keeps its own, so many sessions share one read-only zone set.
+    /// Random subsets draw from `rng`; only round-robin reads `serial`.
+    /// A `Fixed` answer, and a round-robin one at offset zero, is the
+    /// stored set itself.
+    pub fn answer_shared(&self, serial: &mut u32, rng: &mut SimRng) -> Arc<[IpAddr]> {
         match self.rotation {
             Rotation::Fixed => self.addresses.clone(),
             Rotation::RoundRobin => {
                 let n = self.addresses.len();
                 let start = (*serial as usize) % n;
                 *serial = serial.wrapping_add(1);
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    out.push(self.addresses[(start + i) % n]);
+                if start == 0 {
+                    return self.addresses.clone();
                 }
-                out
+                (0..n).map(|i| self.addresses[(start + i) % n]).collect()
             }
             Rotation::RandomSubset(k) => {
                 let k = k.min(self.addresses.len());
@@ -125,24 +123,32 @@ mod tests {
     }
 
     #[test]
-    fn fixed_answers_full_set_in_order() {
-        let mut rs = RecordSet::new(vec![v4(10, 0, 0, 1), v4(10, 0, 0, 2)], 60);
-        let mut r = rng();
-        assert_eq!(rs.answer(&mut r), vec![v4(10, 0, 0, 1), v4(10, 0, 0, 2)]);
-        assert_eq!(rs.answer(&mut r), vec![v4(10, 0, 0, 1), v4(10, 0, 0, 2)]);
+    fn fixed_answers_are_the_stored_set() {
+        let rs = RecordSet::new(vec![v4(10, 0, 0, 1), v4(10, 0, 0, 2)], 60);
+        let (mut serial, mut r) = (0, rng());
+        for _ in 0..2 {
+            let a = rs.answer_shared(&mut serial, &mut r);
+            assert_eq!(a[..], [v4(10, 0, 0, 1), v4(10, 0, 0, 2)]);
+            assert_eq!(a.as_ptr(), rs.addresses().as_ptr());
+        }
+        assert_eq!(serial, 0, "a fixed set ignores the serial");
     }
 
     #[test]
     fn round_robin_rotates_start() {
-        let mut rs = RecordSet::new(vec![v4(1, 1, 1, 1), v4(2, 2, 2, 2), v4(3, 3, 3, 3)], 60)
+        let rs = RecordSet::new(vec![v4(1, 1, 1, 1), v4(2, 2, 2, 2), v4(3, 3, 3, 3)], 60)
             .with_rotation(Rotation::RoundRobin);
-        let mut r = rng();
-        assert_eq!(rs.answer(&mut r)[0], v4(1, 1, 1, 1));
-        assert_eq!(rs.answer(&mut r)[0], v4(2, 2, 2, 2));
-        assert_eq!(rs.answer(&mut r)[0], v4(3, 3, 3, 3));
-        assert_eq!(rs.answer(&mut r)[0], v4(1, 1, 1, 1));
+        let (mut serial, mut r) = (0, rng());
+        let mut answer = || rs.answer_shared(&mut serial, &mut r);
+        assert_eq!(answer()[0], v4(1, 1, 1, 1));
+        assert_eq!(
+            answer()[..],
+            [v4(2, 2, 2, 2), v4(3, 3, 3, 3), v4(1, 1, 1, 1)]
+        );
+        assert_eq!(answer()[0], v4(3, 3, 3, 3));
+        assert_eq!(answer().as_ptr(), rs.addresses().as_ptr());
         // Full set always present.
-        assert_eq!(rs.answer(&mut r).len(), 3);
+        assert_eq!(answer().len(), 3);
     }
 
     #[test]
@@ -153,27 +159,27 @@ mod tests {
             v4(1, 0, 0, 3),
             v4(1, 0, 0, 4),
         ];
-        let mut rs = RecordSet::new(all.clone(), 60).with_rotation(Rotation::RandomSubset(2));
-        let mut r = rng();
+        let rs = RecordSet::new(all.clone(), 60).with_rotation(Rotation::RandomSubset(2));
+        let (mut serial, mut r) = (0, rng());
         for _ in 0..50 {
-            let ans = rs.answer(&mut r);
+            let ans = rs.answer_shared(&mut serial, &mut r);
             assert_eq!(ans.len(), 2);
             assert!(ans.iter().all(|a| all.contains(a)));
         }
+        assert_eq!(serial, 0, "a random subset ignores the serial");
     }
 
     #[test]
     fn random_subset_larger_than_set_clamps() {
-        let mut rs =
-            RecordSet::new(vec![v4(9, 9, 9, 9)], 60).with_rotation(Rotation::RandomSubset(5));
-        let mut r = rng();
-        assert_eq!(rs.answer(&mut r), vec![v4(9, 9, 9, 9)]);
+        let rs = RecordSet::new(vec![v4(9, 9, 9, 9)], 60).with_rotation(Rotation::RandomSubset(5));
+        let a = rs.answer_shared(&mut 0, &mut rng());
+        assert_eq!(a[..], [v4(9, 9, 9, 9)]);
     }
 
     #[test]
     #[should_panic(expected = "at least one address")]
     fn empty_set_panics() {
-        RecordSet::new(vec![], 60);
+        RecordSet::new(Vec::<IpAddr>::new(), 60);
     }
 
     #[test]

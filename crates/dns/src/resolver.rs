@@ -76,11 +76,12 @@ impl ResolverStats {
 
 /// The result of one resolution.
 ///
-/// Addresses are a shared slice: a cache hit hands out another
-/// reference to the cached allocation instead of copying the address
-/// list, and the browser's connection pool keeps the same reference as
-/// each connection's available set. The slice is immutable after
-/// construction, so sharing is observationally identical to cloning.
+/// Addresses are a shared slice: the zone's answer (the registered set
+/// itself unless rotation reordered it), which the cache and every
+/// cache hit hand out again instead of copying the address list, and
+/// which the browser's connection pool keeps as each connection's
+/// available set. The slice is immutable, so sharing is
+/// observationally identical to cloning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryAnswer {
     /// Resolved addresses (answer order as returned by the authority
@@ -207,7 +208,6 @@ impl ResolverState {
                 addresses,
                 ttl_secs,
             }) => {
-                let addresses: std::sync::Arc<[std::net::IpAddr]> = addresses.into();
                 self.cache.insert(
                     name.clone(),
                     CacheEntry {

@@ -1,10 +1,11 @@
 //! Authoritative zones.
 
 use crate::name::DnsName;
-use crate::record::RecordSet;
+use crate::record::{RecordSet, Rotation};
 use origin_intern::FxHashMap;
 use origin_netsim::SimRng;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// One authoritative zone: a mapping from names (exact or wildcard) to
 /// address record sets.
@@ -50,62 +51,42 @@ impl Zone {
         self.exact.is_empty() && self.wildcard.is_empty()
     }
 
-    /// Answer a query, applying the record set's rotation policy.
-    /// Returns `None` when no entry covers the name (NXDOMAIN).
-    pub fn resolve(&mut self, name: &DnsName, rng: &mut SimRng) -> Option<Answer> {
-        if let Some(rs) = self.exact.get_mut(name) {
-            return Some(Answer {
-                addresses: rs.answer(rng),
-                ttl_secs: rs.ttl_secs,
-            });
-        }
-        // Walk ancestors looking for a covering wildcard. The cursor
-        // borrows successive suffixes of the queried name — no
-        // allocation per level.
-        let mut cursor = name.parent_str();
-        while let Some(parent) = cursor {
-            if let Some(rs) = self.wildcard.get_mut(parent) {
-                return Some(Answer {
-                    addresses: rs.answer(rng),
-                    ttl_secs: rs.ttl_secs,
-                });
-            }
-            cursor = parent.split_once('.').map(|(_, rest)| rest);
-        }
-        None
-    }
-
-    /// Like [`Zone::resolve`] but with all round-robin serials held
-    /// externally in `serials`, leaving the zone itself read-only.
-    /// Each resolver session keeps its own overlay, so many sessions
-    /// can share one zone set across threads.
+    /// Answer a query, applying the record set's rotation policy with
+    /// the round-robin serials held externally in `serials`: the zone
+    /// itself is read-only, and each resolver session keeps its own
+    /// overlay, so many sessions can share one zone set across threads.
+    /// Only round-robin sets get an overlay entry. Returns `None` when
+    /// no entry covers the name (NXDOMAIN).
     pub fn resolve_shared(
         &self,
         name: &DnsName,
         serials: &mut FxHashMap<SerialKey, u32>,
         rng: &mut SimRng,
     ) -> Option<Answer> {
-        let (rs, key) = self.lookup(name)?;
-        let serial = serials.entry(key).or_insert(0);
+        let (key, rs, wildcard) = self.lookup(name)?;
+        let mut unread = 0;
+        let serial = match rs.rotation {
+            Rotation::RoundRobin => serials.entry((key.clone(), wildcard)).or_insert(0),
+            Rotation::Fixed | Rotation::RandomSubset(_) => &mut unread,
+        };
         Some(Answer {
             addresses: rs.answer_shared(serial, rng),
             ttl_secs: rs.ttl_secs,
         })
     }
 
-    /// The record set covering `name`, plus the serial-overlay key
-    /// identifying it (exact entries take precedence over wildcards).
-    /// The owned key allocates only on a hit; misses walk borrowed
-    /// suffixes.
-    fn lookup(&self, name: &DnsName) -> Option<(&RecordSet, SerialKey)> {
-        if let Some(rs) = self.exact.get(name) {
-            return Some((rs, (name.clone(), false)));
+    /// The entry covering `name`: its map key, its record set and
+    /// whether it is a wildcard (exact entries take precedence). The
+    /// walk probes borrowed suffixes of the name — no allocation per
+    /// level.
+    fn lookup(&self, name: &DnsName) -> Option<(&DnsName, &RecordSet, bool)> {
+        if let Some((key, rs)) = self.exact.get_key_value(name) {
+            return Some((key, rs, false));
         }
-        // Walk ancestors looking for a covering wildcard.
         let mut cursor = name.parent_str();
         while let Some(parent) = cursor {
-            if let Some(rs) = self.wildcard.get(parent) {
-                return Some((rs, (DnsName::from_normalized(parent), true)));
+            if let Some((key, rs)) = self.wildcard.get_key_value(parent) {
+                return Some((key, rs, true));
             }
             cursor = parent.split_once('.').map(|(_, rest)| rest);
         }
@@ -133,8 +114,9 @@ pub type SerialKey = (DnsName, bool);
 /// A resolved answer: the address set and its TTL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answer {
-    /// Addresses in answer order.
-    pub addresses: Vec<IpAddr>,
+    /// Addresses in answer order: the registered set's own handle
+    /// unless rotation reordered or subset it.
+    pub addresses: Arc<[IpAddr]>,
     /// Time-to-live in seconds.
     pub ttl_secs: u32,
 }
@@ -156,11 +138,6 @@ impl ZoneSet {
     /// Register a record set for a name anywhere in the namespace.
     pub fn insert(&mut self, name: DnsName, records: RecordSet) {
         self.zone.insert(name, records);
-    }
-
-    /// Answer a query.
-    pub fn resolve(&mut self, name: &DnsName, rng: &mut SimRng) -> Option<Answer> {
-        self.zone.resolve(name, rng)
     }
 
     /// Answer a query with rotation serials held externally (shared
@@ -196,17 +173,22 @@ mod tests {
     use crate::name::name;
     use crate::record::v4;
 
-    fn rng() -> SimRng {
-        SimRng::seed_from_u64(1)
+    /// One query from a fresh session.
+    fn resolve(z: &Zone, host: &str) -> Option<Answer> {
+        z.resolve_shared(
+            &name(host),
+            &mut FxHashMap::default(),
+            &mut SimRng::seed_from_u64(1),
+        )
     }
 
     #[test]
     fn exact_lookup() {
         let mut z = Zone::new();
         z.insert(name("www.example.com"), RecordSet::single(v4(10, 0, 0, 1)));
-        let a = z.resolve(&name("www.example.com"), &mut rng()).unwrap();
-        assert_eq!(a.addresses, vec![v4(10, 0, 0, 1)]);
-        assert!(z.resolve(&name("other.example.com"), &mut rng()).is_none());
+        let a = resolve(&z, "www.example.com").unwrap();
+        assert_eq!(a.addresses[..], [v4(10, 0, 0, 1)]);
+        assert!(resolve(&z, "other.example.com").is_none());
     }
 
     #[test]
@@ -216,12 +198,10 @@ mod tests {
             name("*.cdn.example.com"),
             RecordSet::single(v4(10, 0, 0, 9)),
         );
-        assert!(z.resolve(&name("a.cdn.example.com"), &mut rng()).is_some());
-        assert!(z
-            .resolve(&name("x.y.cdn.example.com"), &mut rng())
-            .is_some());
+        assert!(resolve(&z, "a.cdn.example.com").is_some());
+        assert!(resolve(&z, "x.y.cdn.example.com").is_some());
         // The parent itself is not covered by the wildcard.
-        assert!(z.resolve(&name("cdn.example.com"), &mut rng()).is_none());
+        assert!(resolve(&z, "cdn.example.com").is_none());
     }
 
     #[test]
@@ -229,15 +209,53 @@ mod tests {
         let mut z = Zone::new();
         z.insert(name("*.example.com"), RecordSet::single(v4(1, 1, 1, 1)));
         z.insert(name("www.example.com"), RecordSet::single(v4(2, 2, 2, 2)));
-        let a = z.resolve(&name("www.example.com"), &mut rng()).unwrap();
-        assert_eq!(a.addresses, vec![v4(2, 2, 2, 2)]);
+        let a = resolve(&z, "www.example.com").unwrap();
+        assert_eq!(a.addresses[..], [v4(2, 2, 2, 2)]);
     }
 
     #[test]
     fn ttl_propagates() {
         let mut z = Zone::new();
         z.insert(name("x.com"), RecordSet::new(vec![v4(1, 2, 3, 4)], 42));
-        assert_eq!(z.resolve(&name("x.com"), &mut rng()).unwrap().ttl_secs, 42);
+        assert_eq!(resolve(&z, "x.com").unwrap().ttl_secs, 42);
+    }
+
+    /// Round-robin sets rotate per session, keyed apart for an exact
+    /// name and a wildcard on the same parent; no other set takes a
+    /// serial, and a fixed answer is the registered set's own handle.
+    #[test]
+    fn only_round_robin_sets_take_a_serial() {
+        let mut z = Zone::new();
+        let pair = vec![v4(1, 1, 1, 1), v4(2, 2, 2, 2)];
+        let rr =
+            |addrs: &Vec<_>| RecordSet::new(addrs.clone(), 60).with_rotation(Rotation::RoundRobin);
+        z.insert(name("rr.com"), rr(&pair));
+        z.insert(name("*.rr.com"), rr(&pair));
+        z.insert(name("fixed.com"), RecordSet::new(pair.clone(), 60));
+        let (mut serials, mut rng) = (FxHashMap::default(), SimRng::seed_from_u64(1));
+        let mut first = |host: &str| {
+            let a = z
+                .resolve_shared(&name(host), &mut serials, &mut rng)
+                .unwrap();
+            a.addresses[0]
+        };
+        assert_eq!(first("fixed.com"), v4(1, 1, 1, 1));
+        assert_eq!(first("fixed.com"), v4(1, 1, 1, 1));
+        assert_eq!(first("rr.com"), v4(1, 1, 1, 1));
+        assert_eq!(first("a.rr.com"), v4(1, 1, 1, 1));
+        assert_eq!(first("b.rr.com"), v4(2, 2, 2, 2));
+        assert_eq!(first("rr.com"), v4(2, 2, 2, 2));
+        let mut keys: Vec<_> = serials.into_iter().collect();
+        keys.sort();
+        assert_eq!(
+            keys,
+            [((name("rr.com"), false), 2), ((name("rr.com"), true), 2)]
+        );
+        let fixed = resolve(&z, "fixed.com").unwrap();
+        assert_eq!(
+            fixed.addresses.as_ptr(),
+            z.registered(&name("fixed.com")).unwrap().as_ptr()
+        );
     }
 
     #[test]
@@ -246,7 +264,12 @@ mod tests {
         assert!(zs.is_empty());
         zs.insert(name("a.com"), RecordSet::single(v4(5, 5, 5, 5)));
         assert_eq!(zs.len(), 1);
-        assert!(zs.resolve(&name("a.com"), &mut rng()).is_some());
+        let a = zs.resolve_shared(
+            &name("a.com"),
+            &mut FxHashMap::default(),
+            &mut SimRng::seed_from_u64(1),
+        );
+        assert_eq!(a.unwrap().addresses[..], [v4(5, 5, 5, 5)]);
         assert_eq!(zs.registered(&name("a.com")).unwrap(), &[v4(5, 5, 5, 5)]);
     }
 }

@@ -3,11 +3,11 @@
 //! A [`HostTable`] maps each distinct hostname to a dense [`HostId`]
 //! exactly once; from then on equality is an integer compare and facts
 //! about a name live in a `Vec` indexed by its id. The table only
-//! grows, so it suits a key set bounded by something other than its
-//! owner's lifetime (the crawl env's host-fact cache: the dataset's
-//! names) and nothing that is reset per visit — a crawl meets new
-//! hostnames on every site, which is why the connection pool and the
-//! resolver cache key by the refcounted `DnsName` itself instead.
+//! grows, and it copies every name it interns. No crate of the
+//! workspace interns through it: the connection pool, the resolver
+//! cache and the crawl env's host-fact cache all key by the refcounted
+//! `DnsName` itself, which the world already holds. It remains for the
+//! frozen benchmark harness, whose lookup probe names it.
 //!
 //! Determinism: ids are assigned in first-intern order, so a table is
 //! a pure function of the sequence of names offered to it. No id ever

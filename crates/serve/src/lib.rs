@@ -56,7 +56,7 @@ pub struct ServeConfig {
     /// Max warm connections to a single edge per session.
     pub edge_cap: usize,
     /// Global per-session pool budget (0 disables pooling — every
-    /// connection reopens; the BENCH_6 before-arm).
+    /// connection reopens).
     pub pool_budget: usize,
     /// Timeline tumbling-window width.
     pub window: SimDuration,

@@ -146,7 +146,7 @@ pub fn compile_site(site: &SiteConfig) -> SitePlan {
                 if arm_edge.is_none() {
                     arm_edge = Some(p);
                 }
-                (*s as u32, PROVIDER_BIT | p, p, 0u8)
+                (*s, PROVIDER_BIT | p, p, 0u8)
             }
             ServiceRef::Tail(t) => {
                 let key = TAIL_BIT | t;

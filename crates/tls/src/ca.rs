@@ -4,6 +4,7 @@ use crate::cert::{Certificate, KeyType};
 use crate::ctlog::CtLogSet;
 use origin_dns::DnsName;
 use std::fmt;
+use std::sync::Arc;
 
 /// The certificate issuers the paper's Table 4 observes, with their
 /// documented SAN-count issuance limits (§6.5): Let's Encrypt,
@@ -125,6 +126,8 @@ impl std::error::Error for CaError {}
 /// logging each issuance to Certificate Transparency.
 pub struct CertificateAuthority {
     issuer: KnownIssuer,
+    /// Display name: one handle for every certificate and CT entry.
+    issuer_name: Arc<str>,
     next_serial: u64,
     issued: u64,
     /// Validity period for new leaves, in days (90 = Let's Encrypt
@@ -137,6 +140,7 @@ impl CertificateAuthority {
     pub fn new(issuer: KnownIssuer) -> Self {
         CertificateAuthority {
             issuer,
+            issuer_name: issuer.display_name().into(),
             next_serial: 1,
             issued: 0,
             validity_days: 90,
@@ -162,7 +166,8 @@ impl CertificateAuthority {
         today: u32,
         ct: &mut CtLogSet,
     ) -> Result<Certificate, CaError> {
-        let mut sans = vec![subject.clone()];
+        let mut sans = Vec::with_capacity(1 + extra_sans.len());
+        sans.push(subject.clone());
         for n in extra_sans {
             if !sans.contains(n) {
                 sans.push(n.clone());
@@ -182,7 +187,7 @@ impl CertificateAuthority {
             serial: self.next_serial,
             subject,
             sans,
-            issuer: self.issuer.display_name().into(),
+            issuer: self.issuer_name.clone(),
             not_before_day: today,
             not_after_day: today + self.validity_days,
             key_type: self.issuer.key_type(),
@@ -230,6 +235,8 @@ mod tests {
         // Each issuance is submitted to all three default CT logs.
         assert_eq!(ct.total_entries(), 6);
         assert_eq!(&*c1.issuer, "Let's Encrypt (R3)");
+        assert!(Arc::ptr_eq(&c1.issuer, &c2.issuer));
+        assert_eq!(c1.sans.capacity(), 1);
     }
 
     #[test]

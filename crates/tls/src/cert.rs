@@ -70,8 +70,7 @@ impl Certificate {
         };
         // tbsCertificate skeleton + signature + issuer/subject RDNs.
         let skeleton: u64 = 380;
-        let san_bytes: u64 = self.sans.iter().map(|n| n.wire_len() as u64 + 2).sum();
-        base + skeleton + san_bytes
+        base + skeleton + self.san_bytes()
     }
 
     /// Number of 16 KB TLS records the certificate alone occupies.

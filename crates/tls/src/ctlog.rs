@@ -8,6 +8,7 @@
 //! claim can be checked quantitatively.
 
 use crate::cert::Certificate;
+use std::sync::Arc;
 
 /// One append-only CT log run by some operator.
 #[derive(Debug, Clone)]
@@ -17,13 +18,14 @@ pub struct CtLog {
     entries: Vec<CtEntry>,
 }
 
-/// A logged (pre-)certificate record.
+/// A logged (pre-)certificate record. It owns no heap memory: the
+/// issuer is the logged certificate's own handle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtEntry {
     /// Serial of the logged certificate.
     pub serial: u64,
     /// Issuer display name.
-    pub issuer: String,
+    pub issuer: Arc<str>,
     /// Number of DNS SANs in the logged certificate.
     pub san_count: usize,
     /// Log index (position in this log).
@@ -45,7 +47,7 @@ impl CtLog {
         let index = self.entries.len() as u64;
         self.entries.push(CtEntry {
             serial: cert.serial,
-            issuer: cert.issuer.to_string(),
+            issuer: cert.issuer.clone(),
             san_count: cert.san_count(),
             index,
         });
@@ -153,6 +155,9 @@ mod tests {
         assert_eq!(log.get(0).unwrap().serial, 10);
         assert_eq!(log.get(1).unwrap().serial, 11);
         assert!(log.get(2).is_none());
+        let c = cert(12);
+        log.append(&c);
+        assert!(Arc::ptr_eq(&log.get(2).unwrap().issuer, &c.issuer));
     }
 
     #[test]

@@ -12,6 +12,8 @@ use origin_netsim::rng::splitmix64_finalize;
 use origin_netsim::SimRng;
 use origin_tls::KnownIssuer;
 use origin_web::{ContentType, FetchMode, Page, PathSpec, Protocol, Resource};
+use std::net::IpAddr;
+use std::sync::Arc;
 
 /// Dataset generation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -80,7 +82,7 @@ fn is_h3_site(seed: u64, rank: u32, h3_share: f64) -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceRef {
     /// Index into [`SERVICES`].
-    Named(usize),
+    Named(u32),
     /// Generated tail service index.
     Tail(u32),
 }
@@ -102,7 +104,7 @@ impl ServiceRef {
                 .collect()
         });
         match self {
-            ServiceRef::Named(i) => hosts[i].clone(),
+            ServiceRef::Named(i) => hosts[i as usize].clone(),
             ServiceRef::Tail(i) => hosts[SERVICES.len() + i as usize].clone(),
         }
     }
@@ -110,7 +112,7 @@ impl ServiceRef {
     /// The AS serving it.
     pub fn asn(self) -> u32 {
         match self {
-            ServiceRef::Named(i) => PROVIDERS[SERVICES[i].provider].asn,
+            ServiceRef::Named(i) => PROVIDERS[SERVICES[i as usize].provider].asn,
             ServiceRef::Tail(i) => tail_asn(i % crate::universe::TAIL_AS_COUNT),
         }
     }
@@ -118,7 +120,7 @@ impl ServiceRef {
     /// Index into [`PROVIDERS`] when hosted by a named provider.
     pub fn provider(self) -> Option<usize> {
         match self {
-            ServiceRef::Named(i) => Some(SERVICES[i].provider),
+            ServiceRef::Named(i) => Some(SERVICES[i as usize].provider),
             ServiceRef::Tail(_) => None,
         }
     }
@@ -126,7 +128,7 @@ impl ServiceRef {
     /// Dominant content type.
     pub fn content(self) -> ContentType {
         match self {
-            ServiceRef::Named(i) => SERVICES[i].content,
+            ServiceRef::Named(i) => SERVICES[i as usize].content,
             ServiceRef::Tail(i) => tail_service_content(i),
         }
     }
@@ -134,7 +136,7 @@ impl ServiceRef {
     /// Fetch mode of this service's resources.
     pub fn fetch(self) -> FetchMode {
         match self {
-            ServiceRef::Named(i) => SERVICES[i].fetch,
+            ServiceRef::Named(i) => SERVICES[i as usize].fetch,
             ServiceRef::Tail(i) => {
                 if i % 5 == 0 {
                     FetchMode::XhrFetch
@@ -154,7 +156,7 @@ pub struct SiteConfig {
     /// Root document host.
     pub root_host: DnsName,
     /// Sharded first-party subdomains.
-    pub shard_hosts: Vec<DnsName>,
+    pub shard_hosts: Box<[DnsName]>,
     /// Hosting provider index (None = self-hosted in a tail AS).
     pub provider: Option<usize>,
     /// The AS serving the first-party hosts.
@@ -164,7 +166,7 @@ pub struct SiteConfig {
     /// 36.5%.
     pub failed: bool,
     /// Third-party services this page uses.
-    pub services: Vec<ServiceRef>,
+    pub services: Box<[ServiceRef]>,
     /// Subresource request budget.
     pub n_requests: u32,
     /// Per-page RNG seed for lazy page materialization.
@@ -195,9 +197,10 @@ impl Dataset {
         let rng = SimRng::seed_from_u64(config.seed);
         let mut universe = Universe::new(&mut rng.derive("universe"));
         let mut site_rng = rng.derive("sites");
+        let mut scratch = GenScratch::default();
         let mut sites = Vec::with_capacity(config.sites as usize);
         for rank in 1..=config.sites {
-            let cfg = Self::generate_site(rank, config, &mut universe, &mut site_rng);
+            let cfg = Self::generate_site(rank, config, &mut universe, &mut site_rng, &mut scratch);
             sites.push(cfg);
         }
         Dataset {
@@ -222,8 +225,10 @@ impl Dataset {
         config: DatasetConfig,
         universe: &mut Universe,
         rng: &mut SimRng,
+        scratch: &mut GenScratch,
     ) -> SiteConfig {
-        let root_host = name(&format!("site-{rank:06}.com"));
+        let text = &mut scratch.text;
+        let root_host = fmt_name(text, format_args!("site-{rank:06}.com"));
         // Scale the rank into the nominal Tranco space so the success
         // rate gradient matches Table 1 regardless of dataset size.
         let scaled_rank =
@@ -258,7 +263,7 @@ impl Dataset {
         } else {
             1 + rng.index(2)
         };
-        let root_addrs: Vec<std::net::IpAddr> = (0..n_addrs)
+        let root_addrs: Arc<[IpAddr]> = (0..n_addrs)
             .map(|_| {
                 if provider.is_some() {
                     // CDN-fronted sites share the provider's VIP pool.
@@ -275,13 +280,13 @@ impl Dataset {
         };
         universe.register_host(root_host.clone(), root_addrs.clone(), asn, rotation);
 
-        // Shards.
+        // Shards; ones sharing the root's addresses share its set.
         const SHARD_LABELS: [&str; 5] = ["www", "static", "img", "cdn", "assets"];
         let n_shards = dist::sample_shard_count(rng) as usize;
         let shards_share_ip = rng.chance(0.45);
         let mut shard_hosts = Vec::with_capacity(n_shards);
         for label in SHARD_LABELS.iter().take(n_shards) {
-            let h = name(&format!("{label}.{root_host}"));
+            let h = fmt_name(text, format_args!("{label}.{root_host}"));
             let addrs = if shards_share_ip {
                 root_addrs.clone()
             } else {
@@ -311,13 +316,14 @@ impl Dataset {
             issuer = KnownIssuer::Comodo;
         }
         let target_sans = target_sans.min(issuer.san_limit() - 1);
-        let mut sans: Vec<DnsName> = Vec::new();
+        let sans = &mut scratch.sans;
+        sans.clear();
         // Not every operator maintains a wildcard: ~60% of multi-SAN
         // certificates carry one; the rest enumerate hostnames and
         // frequently miss shards — the gap the §4.3 planner fills.
         let has_wildcard = target_sans >= 2 && rng.chance(0.60);
         if has_wildcard {
-            sans.push(name(&format!("*.{root_host}")));
+            sans.push(fmt_name(text, format_args!("*.{root_host}")));
         } else if target_sans >= 2 {
             // Enumerated certs list *some* shards explicitly.
             for h in shard_hosts.iter().take(target_sans.saturating_sub(1)) {
@@ -330,32 +336,28 @@ impl Dataset {
         // TLDs) to hit the measured SAN size.
         let mut i = 0;
         while sans.len() + 1 < target_sans {
-            sans.push(name(&format!("alt-{i}.{root_host}")));
+            sans.push(fmt_name(text, format_args!("alt-{i}.{root_host}")));
             i += 1;
         }
+        let mut cert = universe.issue_cert(issuer, root_host.clone(), sans);
         if target_sans == 0 {
             // A CN-only certificate (11,131 sites in the paper).
-            let cert = universe.issue_cert(issuer, root_host.clone(), &[]);
-            let mut cert = cert;
-            cert.sans.clear();
-            universe.set_cert(root_host.clone(), cert);
-        } else {
-            let cert = universe.issue_cert(issuer, root_host.clone(), &sans);
-            universe.set_cert(root_host.clone(), cert);
+            cert.sans = Vec::new();
         }
+        universe.set_cert(root_host.clone(), cert);
 
         // Request budget and third-party services.
         let n_requests = dist::sample_request_count(rng);
         let target_as = dist::sample_as_count(rng, n_requests);
-        let services = pick_services(rng, target_as);
+        pick_services(rng, target_as, scratch);
         // Register any tail services this page introduced.
-        for s in &services {
+        for s in &scratch.services {
             if let ServiceRef::Tail(t) = s {
                 let host = s.host();
                 if universe.asn_of_host(&host) == 0 {
                     let svc_asn = s.asn();
                     let svc_net = 200 + (t % 50) as u8;
-                    let addrs: Vec<std::net::IpAddr> = (0..2)
+                    let addrs = (0..2)
                         .map(|_| universe.alloc_ip(svc_net, svc_asn, rng))
                         .collect();
                     universe.register_host(host.clone(), addrs, svc_asn, Rotation::RoundRobin);
@@ -369,11 +371,11 @@ impl Dataset {
         SiteConfig {
             rank,
             root_host,
-            shard_hosts,
+            shard_hosts: shard_hosts.into_boxed_slice(),
             provider,
             asn,
             failed,
-            services,
+            services: scratch.services[..].into(),
             n_requests,
             page_seed: rng.next_u64(),
             shards_share_ip,
@@ -426,13 +428,13 @@ impl Dataset {
             .services
             .iter()
             .map(|s| match s {
-                ServiceRef::Named(i) => SERVICES[*i].weight as f64,
+                ServiceRef::Named(i) => SERVICES[*i as usize].weight as f64,
                 ServiceRef::Tail(i) => tail_service_weight(*i) as f64,
             })
             .sum();
         for s in &site.services {
             let w = match s {
-                ServiceRef::Named(i) => SERVICES[*i].weight as f64,
+                ServiceRef::Named(i) => SERVICES[*i as usize].weight as f64,
                 ServiceRef::Tail(i) => tail_service_weight(*i) as f64,
             };
             hosts.push(s.host());
@@ -747,17 +749,42 @@ fn sample_tail_issuer(rng: &mut SimRng) -> KnownIssuer {
     }
 }
 
-/// Choose services until the page's distinct third-party AS count
-/// reaches `target_as - 1` (the first-party AS is the remaining one).
-fn pick_services(rng: &mut SimRng, target_as: u32) -> Vec<ServiceRef> {
+/// Buffers [`Dataset::generate`] reuses from rank to rank: name text,
+/// SANs, and a page's picked services with their ASes and candidates.
+#[derive(Default)]
+struct GenScratch {
+    text: String,
+    sans: Vec<DnsName>,
+    services: Vec<ServiceRef>,
+    ases: origin_intern::FxHashSet<u32>,
+    candidates: Vec<u32>,
+}
+
+/// Parse a formatted name, formatting it in `text`'s reused buffer.
+fn fmt_name(text: &mut String, args: std::fmt::Arguments) -> DnsName {
+    text.clear();
+    std::fmt::Write::write_fmt(text, args).expect("formatting into a String succeeds");
+    name(text)
+}
+
+/// Choose `scratch.services` until the page's distinct third-party AS
+/// count reaches `target_as - 1` (the first-party AS is the remaining
+/// one).
+fn pick_services(rng: &mut SimRng, target_as: u32, scratch: &mut GenScratch) {
+    let GenScratch {
+        services,
+        ases,
+        candidates,
+        ..
+    } = scratch;
     let needed = target_as.saturating_sub(1);
-    let mut services: Vec<ServiceRef> = Vec::new();
-    let mut ases: origin_intern::FxHashSet<u32> = origin_intern::FxHashSet::default();
+    services.clear();
+    ases.clear();
     let mut guard = 0;
     while (ases.len() as u32) < needed && guard < needed * 10 + 50 {
         guard += 1;
         let s = if rng.chance(0.55) {
-            ServiceRef::Named(rng.zipf(SERVICES.len(), 1.05))
+            ServiceRef::Named(rng.zipf(SERVICES.len(), 1.05) as u32)
         } else {
             ServiceRef::Tail(rng.zipf(TAIL_SERVICE_COUNT as usize, 1.02) as u32)
         };
@@ -773,12 +800,11 @@ fn pick_services(rng: &mut SimRng, target_as: u32) -> Vec<ServiceRef> {
     // distinct hostnames land near the paper's ~13 while the page's
     // AS spread stays at its Figure 1 target.
     if needed > 0 {
-        let candidates: Vec<usize> = SERVICES
-            .iter()
-            .enumerate()
-            .filter(|(_, svc)| ases.contains(&PROVIDERS[svc.provider].asn))
-            .map(|(i, _)| i)
-            .collect();
+        candidates.clear();
+        candidates.extend(
+            (0..SERVICES.len() as u32)
+                .filter(|&i| ases.contains(&PROVIDERS[SERVICES[i as usize].provider].asn)),
+        );
         if !candidates.is_empty() {
             let extras = 5 + rng.index(4);
             let mut guard = 0;
@@ -795,7 +821,6 @@ fn pick_services(rng: &mut SimRng, target_as: u32) -> Vec<ServiceRef> {
             }
         }
     }
-    services
 }
 
 /// Re-export for universe provider access in doc examples.
@@ -875,12 +900,15 @@ mod tests {
 
     #[test]
     fn page_hosts_resolve_in_universe() {
-        let mut d = small();
+        let d = small();
         let site = d.sites().iter().find(|s| !s.failed).unwrap().clone();
         let page = d.page_for(&site);
         let mut rng = SimRng::seed_from_u64(1);
         for host in &page.hosts {
-            let ans = d.universe.zones.resolve(host, &mut rng);
+            let ans = d
+                .universe
+                .zones
+                .resolve_shared(host, &mut Default::default(), &mut rng);
             assert!(ans.is_some(), "unresolvable host {host}");
             assert_ne!(d.universe.asn_of_host(host), 0);
         }
@@ -977,14 +1005,36 @@ mod tests {
     #[test]
     fn service_as_targets_respected() {
         let mut rng = SimRng::seed_from_u64(9);
-        let svcs = pick_services(&mut rng, 6);
-        let ases: std::collections::HashSet<u32> = svcs.iter().map(|s| s.asn()).collect();
+        let mut scratch = GenScratch::default();
+        pick_services(&mut rng, 6, &mut scratch);
+        let ases: std::collections::HashSet<u32> =
+            scratch.services.iter().map(|s| s.asn()).collect();
         assert!(
             ases.len() >= 4,
             "wanted ~5 third-party ASes, got {}",
             ases.len()
         );
-        assert!(pick_services(&mut rng, 1).is_empty());
+        pick_services(&mut rng, 1, &mut scratch);
+        assert!(scratch.services.is_empty());
+    }
+
+    /// A shard on its root's addresses holds the root's set, not a
+    /// copy of it; a service reference is a tag and an index.
+    #[test]
+    fn shards_sharing_an_address_set_share_its_storage() {
+        assert_eq!(std::mem::size_of::<ServiceRef>(), 8);
+        let d = small();
+        let zones = &d.universe.zones;
+        let mut shared = 0;
+        for s in d.sites() {
+            let root = zones.registered(&s.root_host).unwrap().as_ptr();
+            for shard in s.shard_hosts.iter() {
+                let same = zones.registered(shard).unwrap().as_ptr() == root;
+                assert_eq!(same, s.shards_share_ip, "{shard}");
+                shared += u32::from(same);
+            }
+        }
+        assert!(shared > 50, "{shared} shards on their root's set");
     }
 
     /// Every path a mixed universe renders, pinned: the digest was

@@ -119,18 +119,19 @@ pub fn tail_asn(i: u32) -> u32 {
 pub struct Universe {
     /// Authoritative DNS for everything.
     pub zones: ZoneSet,
-    // Hot read-side maps: string-keyed (so suffix walks borrow
-    // instead of allocating) with the deterministic Fx hasher. None
-    // of these maps is ever iterated, so the hasher swap cannot
-    // change any output.
+    // Hot read-side maps with the deterministic Fx hasher; none is
+    // ever iterated, so the hasher cannot change any output. Host
+    // maps key by the registered `DnsName` handle — the zone's key
+    // and theirs are one copy of the name — and suffix walks probe
+    // them with borrowed `&str`s.
     // Certificates are Arc-shared: the browser pool keeps a reference
     // on every pooled connection, so handing out a refcount bump
     // instead of a deep clone (SAN list + issuer string) is the
     // difference between one allocation per issuance and one per
     // connection.
-    certs: FxHashMap<String, Arc<Certificate>>,
+    certs: FxHashMap<DnsName, Arc<Certificate>>,
     ip_asn: FxHashMap<IpAddr, u32>,
-    host_asn: FxHashMap<String, u32>,
+    host_asn: FxHashMap<DnsName, u32>,
     cas: HashMap<KnownIssuer, CertificateAuthority>,
     /// Shared front-end (anycast/VIP) address pools per provider AS.
     /// Big CDNs terminate many hostnames on few addresses — the
@@ -196,7 +197,7 @@ impl Universe {
 
     /// The AS serving a hostname (0 if unknown).
     pub fn asn_of_host(&self, host: &DnsName) -> u32 {
-        self.host_asn.get(host.as_str()).copied().unwrap_or(0)
+        self.host_asn.get(host).copied().unwrap_or(0)
     }
 
     /// The certificate a server presents for connections to `host`.
@@ -229,19 +230,20 @@ impl Universe {
     /// Replace the certificate presented for `host` (the §5 reissue
     /// path).
     pub fn set_cert(&mut self, host: DnsName, cert: Certificate) {
-        self.certs.insert(host.as_str().to_string(), Arc::new(cert));
+        self.certs.insert(host, Arc::new(cert));
     }
 
-    /// Register a host: DNS records plus AS attribution.
+    /// Register a host: DNS records plus AS attribution. Hosts on the
+    /// same addresses pass clones of one set.
     pub fn register_host(
         &mut self,
         host: DnsName,
-        addresses: Vec<IpAddr>,
+        addresses: Arc<[IpAddr]>,
         asn: u32,
         rotation: Rotation,
     ) {
         let rs = RecordSet::new(addresses, 300).with_rotation(rotation);
-        self.host_asn.insert(host.as_str().to_string(), asn);
+        self.host_asn.insert(host.clone(), asn);
         self.zones.insert(host, rs);
     }
 
@@ -276,7 +278,7 @@ impl Universe {
             let provider = &PROVIDERS[svc.provider];
             let host = origin_dns::name::name(svc.host);
             let n_addrs = 2 + (rng.range_u64(0, 3) as usize);
-            let addrs: Vec<IpAddr> = (0..n_addrs)
+            let addrs = (0..n_addrs)
                 .map(|_| self.provider_vip(provider.net, provider.asn, rng))
                 .collect();
             // Services rotate answers (load balancing) — the behaviour
@@ -305,12 +307,15 @@ mod tests {
 
     #[test]
     fn services_registered_with_dns_and_certs() {
-        let (mut u, mut rng) = universe();
+        let (u, mut rng) = universe();
         let host = name("cdnjs.cloudflare.com");
-        let ans = u.zones.resolve(&host, &mut rng).expect("service resolves");
+        let ans = u
+            .zones
+            .resolve_shared(&host, &mut FxHashMap::default(), &mut rng)
+            .expect("service resolves");
         assert!(!ans.addresses.is_empty());
         assert_eq!(u.asn_of_host(&host), 13335);
-        for ip in &ans.addresses {
+        for ip in ans.addresses.iter() {
             assert_eq!(u.asn_of_ip(ip), 13335);
         }
         let cert = u.cert_for(&host).expect("service cert");

@@ -580,6 +580,48 @@ fn wildcard_covers_exactly_one_extra_label() {
     }
 }
 
+/// `wire_len` is a length sum: for every name the generated worlds
+/// hold — each host of the mixed dataset with its certificate's SANs,
+/// each §5 sample site with its SANs — it equals the label walk it
+/// replaced.
+#[test]
+fn wire_len_equals_the_label_walk_for_every_generated_name() {
+    use respect_origin::cdn::SampleGroup;
+    use respect_origin::webgen::{Dataset, DatasetConfig};
+    let d = Dataset::generate(DatasetConfig {
+        sites: 2_000,
+        legacy_share: 0.25,
+        h3_share: 0.5,
+        ..DatasetConfig::default()
+    });
+    let group = SampleGroup::build(5_000, &mut SimRng::seed_from_u64(0x0516));
+    let mut checked = 0;
+    let mut check = |n: &DnsName| {
+        let walk = n.labels().map(|l| 1 + l.len()).sum::<usize>() + 1;
+        assert_eq!(n.wire_len(), walk, "{n}");
+        checked += 1;
+    };
+    for s in d.sites() {
+        let services = s.services.iter().map(|svc| svc.host());
+        for host in std::iter::once(s.root_host.clone())
+            .chain(s.shard_hosts.iter().cloned())
+            .chain(services)
+        {
+            check(&host);
+            let cert = d
+                .universe
+                .cert_for(&host)
+                .expect("every site host has a cert");
+            cert.sans.iter().for_each(&mut check);
+        }
+    }
+    for s in &group.sites {
+        check(&s.host);
+        s.cert.sans.iter().for_each(&mut check);
+    }
+    assert!(checked > 50_000, "{checked} names");
+}
+
 #[test]
 fn cert_covers_all_its_exact_sans() {
     let mut rng = SimRng::seed_from_u64(0x43455254);
