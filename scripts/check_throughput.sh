@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Throughput drift gate against a committed BENCH_*.json baseline.
 #
-#   usage: check_throughput.sh <metrics.json> [baseline.json]
-#          check_throughput.sh --measure '<command with {out}>' [baseline.json]
+#   usage: check_throughput.sh <metrics.json> <baseline.json>
+#          check_throughput.sh --measure '<command with {out}>' <baseline.json>
 #
 # First form: computes workload/sec from the wall-clock runtime in an
 # existing `--metrics` export and compares it with the `after`
@@ -14,41 +14,40 @@
 # logs), and gates on the best run — the same best-of-N discipline the
 # committed baselines were recorded with.
 #
-# The baseline file is self-describing (with BENCH_5-compatible
-# fallbacks):
-#   .runtime_key      key under .runtime_ms to read   (default "crawl")
-#   .workload_count   units of work per run           (default .sites)
-#   .after.rate_per_sec  baseline units/sec  (default .after.crawl_sites_per_sec)
+# The baseline file is self-describing; a missing key fails the gate:
+#   .runtime_key         key under .runtime_ms to read
+#   .workload_count      units of work per run
+#   .after.rate_per_sec  baseline units/sec
 #
 # Environment:
 #   THROUGHPUT_RUNS       best-of-N for --measure mode (default 3)
 #   THROUGHPUT_MIN_RATIO  minimum acceptable measured/baseline ratio
 #                         (default 0.8, i.e. fail at >20% regression)
 #   THROUGHPUT_WARN_ONLY  when set to 1, a breach prints the notice but
-#                         exits 0 (the pre-BENCH_5 advisory behaviour)
+#                         exits 0 (an advisory gate)
 #
 # Requires jq.
 set -euo pipefail
 
-usage="usage: check_throughput.sh <metrics.json>|--measure '<cmd with {out}>' [baseline.json]"
+usage="usage: check_throughput.sh <metrics.json>|--measure '<cmd with {out}>' <baseline.json>"
 
 mode=metrics
 measure_cmd=""
 if [ "${1:-}" = "--measure" ]; then
     mode=measure
     measure_cmd=${2:?$usage}
-    baseline=${3:-$(dirname "$0")/../BENCH_5.json}
+    baseline=${3:?$usage}
 else
     metrics=${1:?$usage}
-    baseline=${2:-$(dirname "$0")/../BENCH_5.json}
+    baseline=${2:?$usage}
 fi
 min_ratio=${THROUGHPUT_MIN_RATIO:-0.8}
 warn_only=${THROUGHPUT_WARN_ONLY:-0}
 runs=${THROUGHPUT_RUNS:-3}
 
-runtime_key=$(jq -r '.runtime_key // "crawl"' "$baseline")
-workload=$(jq -r '.workload_count // .sites' "$baseline")
-base_rate=$(jq -r '.after.rate_per_sec // .after.crawl_sites_per_sec' "$baseline")
+runtime_key=$(jq -er '.runtime_key' "$baseline")
+workload=$(jq -er '.workload_count' "$baseline")
+base_rate=$(jq -er '.after.rate_per_sec' "$baseline")
 
 rate_from_metrics() {
     local ms
