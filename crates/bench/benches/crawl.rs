@@ -233,9 +233,8 @@ fn bench_crawl_stages(c: &mut Criterion) {
 }
 
 fn bench_pool_decide(c: &mut Criterion) {
-    // The per-request coalescing decision, indexed vs. the linear
-    // reference scan, across pool sizes. The indexed path should be
-    // flat in pool size; the linear path grows with it.
+    // The per-request coalescing decision across pool sizes: the SAN
+    // indexes keep it flat in pool size.
     use origin_browser::pool::ReuseDecision;
     use origin_browser::{ConnectionPool, PoolPartition, PooledConnection};
     use origin_dns::name::name;
@@ -270,34 +269,20 @@ fn bench_pool_decide(c: &mut Criterion) {
         // indexes (or scan everything) before answering.
         let host = name("new.svc3.example");
         let answer = [IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1))];
-        for (label, linear) in [("indexed", false), ("linear", true)] {
-            g.bench_with_input(BenchmarkId::new(label, conns), &linear, |b, &linear| {
-                b.iter(|| {
-                    let d = if linear {
-                        pool.decide_linear(
-                            BrowserKind::Chromium,
-                            &host,
-                            &answer,
-                            PoolPartition::Default,
-                            6,
-                            0.0,
-                            |_| true,
-                        )
-                    } else {
-                        pool.decide(
-                            BrowserKind::Chromium,
-                            &host,
-                            &answer,
-                            PoolPartition::Default,
-                            6,
-                            0.0,
-                            |_| true,
-                        )
-                    };
-                    matches!(d, ReuseDecision::New)
-                })
-            });
-        }
+        g.bench_with_input(BenchmarkId::new("indexed", conns), &conns, |b, _| {
+            b.iter(|| {
+                let d = pool.decide(
+                    BrowserKind::Chromium,
+                    &host,
+                    &answer,
+                    PoolPartition::Default,
+                    6,
+                    0.0,
+                    |_| true,
+                );
+                matches!(d, ReuseDecision::New)
+            })
+        });
     }
     g.finish();
 }

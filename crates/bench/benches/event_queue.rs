@@ -1,11 +1,10 @@
 //! Event-queue scheduler throughput: the calendar queue that powers
-//! [`origin_netsim::EventQueue`] against the binary-heap reference it
-//! replaced, over workloads shaped like the simulator's (clustered
-//! handshake timers, FIFO bursts at one instant, and a steady
-//! schedule/pop churn with a bounded horizon).
+//! [`origin_netsim::EventQueue`], over workloads shaped like the
+//! simulator's (clustered handshake timers, FIFO bursts at one instant,
+//! and a steady schedule/pop churn with a bounded horizon).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use origin_netsim::event::{EventQueue, ReferenceHeapQueue};
+use origin_netsim::event::EventQueue;
 use origin_netsim::{SimRng, SimTime};
 
 /// One deterministic churn workload: seed events, then repeatedly pop
@@ -33,30 +32,6 @@ fn churn_calendar(events: u32, rng: &mut SimRng) -> u64 {
     sum
 }
 
-/// The identical workload against the heap oracle (same RNG stream,
-/// same schedule, same checksum).
-fn churn_heap(events: u32, rng: &mut SimRng) -> u64 {
-    let mut q = ReferenceHeapQueue::new();
-    let mut sum = 0u64;
-    let mut processed = 0u64;
-    for i in 0..64u32 {
-        q.schedule(SimTime::from_micros(rng.range_u64(0, 5_000)), i);
-    }
-    let mut id = 64u32;
-    while processed < u64::from(events) {
-        let (t, e) = q.next().expect("queue seeded non-empty");
-        processed += 1;
-        sum = sum.wrapping_add(t.as_micros()).wrapping_add(u64::from(e));
-        let burst = if e % 5 == 0 { 2 } else { 1 };
-        for _ in 0..burst {
-            let dt = rng.range_u64(0, 3_000);
-            q.schedule(SimTime::from_micros(t.as_micros() + dt), id);
-            id += 1;
-        }
-    }
-    sum
-}
-
 fn bench_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     for &events in &[1_000u32, 20_000] {
@@ -66,16 +41,12 @@ fn bench_churn(c: &mut Criterion) {
             &events,
             |b, &events| b.iter(|| churn_calendar(events, &mut SimRng::seed_from_u64(0xE0E))),
         );
-        g.bench_with_input(BenchmarkId::new("heap", events), &events, |b, &events| {
-            b.iter(|| churn_heap(events, &mut SimRng::seed_from_u64(0xE0E)))
-        });
     }
     g.finish();
 }
 
 fn bench_fifo_burst(c: &mut Criterion) {
-    // Everything at one instant: the case where a heap pays sift cost
-    // for ordering FIFO ties and the calendar pops sequentially from
+    // Everything at one instant: the calendar pops sequentially from
     // one sorted bucket.
     let mut g = c.benchmark_group("event_queue_fifo_burst");
     let n = 4_096u32;
@@ -83,20 +54,6 @@ fn bench_fifo_burst(c: &mut Criterion) {
     g.bench_function("calendar", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
-            let t = SimTime::from_micros(1_000);
-            for i in 0..n {
-                q.schedule(t, i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, e)) = q.next() {
-                sum = sum.wrapping_add(u64::from(e));
-            }
-            sum
-        })
-    });
-    g.bench_function("heap", |b| {
-        b.iter(|| {
-            let mut q = ReferenceHeapQueue::new();
             let t = SimTime::from_micros(1_000);
             for i in 0..n {
                 q.schedule(t, i);

@@ -732,7 +732,7 @@ impl Visit<'_> {
         let trusts_origin = self.config.trust_origin_without_dns && kind.uses_origin_frame();
         let skip_dns = (trusts_origin || !kind.dns_before_coalesce()) && {
             let probe = self.ask_pool(rq, &[], start);
-            trusts_origin && matches!(probe, ReuseDecision::Coalesce(_))
+            trusts_origin && matches!(probe, ReuseDecision::Coalesce(..))
                 || !kind.dns_before_coalesce() && probe != ReuseDecision::New
         };
         if skip_dns {
@@ -772,7 +772,8 @@ impl Visit<'_> {
     fn decide(&mut self, rq: &mut Request<'_>) -> ReuseDecision {
         let host = &rq.t.host;
         let decision = self.ask_pool(rq, rq.addrs(), rq.after_dns());
-        let (Some(f), ReuseDecision::Coalesce(i)) = (self.faults.as_deref_mut(), decision) else {
+        let (Some(f), ReuseDecision::Coalesce(i, _)) = (self.faults.as_deref_mut(), decision)
+        else {
             return decision;
         };
         if !f.rng.chance(f.profile.h421_for(host.as_str())) {
@@ -813,13 +814,9 @@ impl Visit<'_> {
                 }
                 i
             }
-            ReuseDecision::Coalesce(i) => {
+            ReuseDecision::Coalesce(i, rule) => {
                 rq.t.coalesced = true;
                 rq.reuse_label = "coalesced";
-                let rule =
-                    self.arena
-                        .pool
-                        .explain_coalesce(self.config.kind, &rq.t.host, rq.addrs(), i);
                 rq.rule_label = Some(rule);
                 i
             }

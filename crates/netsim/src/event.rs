@@ -9,40 +9,17 @@
 //! day-width buckets, so `schedule`/`next` run in amortised constant
 //! time instead of the `O(log n)` of a binary heap, and — unlike a
 //! heap — same-instant events need no sifting to keep FIFO order.
-//! [`ReferenceHeapQueue`] preserves the original heap implementation
-//! as a test-only oracle: a seeded property test drives both with the
-//! same randomized schedule and asserts identical pop sequences.
+//! The tests keep the original binary-heap scheduler as an oracle:
+//! seeded property tests drive both with the same randomized schedule
+//! and assert identical pop sequences.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// A scheduled entry: `Reverse`-ordered by `(time, seq)`.
+/// A scheduled entry, ordered by `(time, seq)`.
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event wins.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// Smallest bucket count the calendar keeps (power of two).
@@ -328,77 +305,84 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap` scheduler, kept verbatim as the ordering
-/// oracle for the calendar queue: property tests drive both with the
-/// same schedule and assert identical `(time, event)` pop sequences,
-/// and the `event_queue` bench compares their throughput.
-///
-/// Not part of the public API surface — test and bench use only.
-#[doc(hidden)]
-pub struct ReferenceHeapQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    now: SimTime,
-    seq: u64,
-}
-
-#[doc(hidden)]
-impl<E> ReferenceHeapQueue<E> {
-    /// New queue at t = 0.
-    pub fn new() -> Self {
-        ReferenceHeapQueue {
-            heap: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events waiting.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Schedule `event` at absolute time `at` (panics on the past,
-    /// like [`EventQueue::schedule`]).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: now={} at={}",
-            self.now,
-            at
-        );
-        self.heap.push(Scheduled {
-            time: at,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        self.now = s.time;
-        Some((s.time, s.event))
-    }
-}
-
-impl<E> Default for ReferenceHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
     use crate::time::SimDuration;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    impl<E> PartialEq for Scheduled<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for Scheduled<E> {}
+    impl<E> PartialOrd for Scheduled<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for Scheduled<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; invert so the earliest event wins.
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// The original `BinaryHeap` scheduler, kept as the ordering oracle
+    /// for the calendar queue: property tests drive both with the same
+    /// schedule and assert identical `(time, event)` pop sequences.
+    struct ReferenceHeapQueue<E> {
+        heap: BinaryHeap<Scheduled<E>>,
+        now: SimTime,
+        seq: u64,
+    }
+
+    impl<E> ReferenceHeapQueue<E> {
+        /// New queue at t = 0.
+        fn new() -> Self {
+            ReferenceHeapQueue {
+                heap: BinaryHeap::new(),
+                now: SimTime::ZERO,
+                seq: 0,
+            }
+        }
+
+        /// Current simulated time.
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        /// Schedule `event` at absolute time `at` (panics on the past,
+        /// like [`EventQueue::schedule`]).
+        fn schedule(&mut self, at: SimTime, event: E) {
+            assert!(
+                at >= self.now,
+                "cannot schedule into the past: now={} at={}",
+                self.now,
+                at
+            );
+            self.heap.push(Scheduled {
+                time: at,
+                seq: self.seq,
+                event,
+            });
+            self.seq += 1;
+        }
+
+        /// Pop the next event, advancing the clock to its timestamp.
+        #[allow(clippy::should_implement_trait)]
+        fn next(&mut self) -> Option<(SimTime, E)> {
+            let s = self.heap.pop()?;
+            self.now = s.time;
+            Some((s.time, s.event))
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
