@@ -5,7 +5,7 @@
 //! Sessions are partitioned by `session_id % threads`. Every worker
 //! regenerates the *identical* arrival stream (the arrival RNG is a
 //! derived stream independent of all session RNGs) and walks it on its
-//! own calendar queue, but only simulates the sessions it owns. Each
+//! own event queue, but only simulates the sessions it owns. Each
 //! session's randomness is a pure function of `(seed, session_id)`, so
 //! where a session runs cannot change what it does. All aggregation is
 //! commutative and associative — window-keyed timeline merge, additive
@@ -79,7 +79,7 @@ struct Session {
     remaining: u64,
 }
 
-/// Worker events on the calendar queue.
+/// Worker events on the event queue.
 enum Ev {
     /// The next session materializes from the shared arrival stream.
     Arrival,

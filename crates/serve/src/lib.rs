@@ -15,7 +15,7 @@
 //!   every worker.
 //! - [`engine`] — the sharded event-loop driver: each worker owns
 //!   `session_id % threads` and replays the identical arrival stream
-//!   on its own calendar queue, so the merged output is byte-identical
+//!   on its own event queue, so the merged output is byte-identical
 //!   at any thread count.
 //!
 //! Per-visit work recycles a fixed set of scratch buffers (session

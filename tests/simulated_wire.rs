@@ -27,13 +27,14 @@ fn run_over_wire(
     // Initial flights.
     let first = client.take_outgoing();
     if !first.is_empty() {
-        q.schedule_in(one_way, WireEvent::ToServer(first.to_vec()));
+        q.schedule(q.now() + one_way, WireEvent::ToServer(first.to_vec()));
     }
     let first = server.take_outgoing();
     if !first.is_empty() {
-        q.schedule_in(one_way, WireEvent::ToClient(first.to_vec()));
+        q.schedule(q.now() + one_way, WireEvent::ToClient(first.to_vec()));
     }
-    q.run(10_000, |q, now, ev| {
+    while let Some((now, ev)) = q.next() {
+        assert!(q.processed() <= 10_000, "the endpoints never went quiet");
         match ev {
             WireEvent::ToServer(bytes) => {
                 for e in server.recv(&bytes).expect("server recv") {
@@ -57,7 +58,7 @@ fn run_over_wire(
                 }
             }
         }
-    });
+    }
     client_events
 }
 
