@@ -303,17 +303,6 @@ impl Characterization {
     }
 }
 
-/// Fraction of requests using a protocol that can coalesce at all
-/// (HTTP/2; §6.6 notes HTTP/3 has no ORIGIN standard).
-pub fn coalescible_protocol_fraction(c: &Characterization) -> f64 {
-    let h2 = c.protocol_requests.count(&Protocol::H2.label());
-    if c.total_requests == 0 {
-        0.0
-    } else {
-        h2 as f64 / c.total_requests as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,13 +451,5 @@ mod tests {
         let x_rows = x.table1();
         from_empty.merge(x);
         assert_eq!(from_empty.table1(), x_rows);
-    }
-
-    #[test]
-    fn h2_fraction() {
-        let mut c = Characterization::new(100, 500_000);
-        let (p, l) = sample(1);
-        c.add(&p, &l);
-        assert_eq!(coalescible_protocol_fraction(&c), 1.0);
     }
 }

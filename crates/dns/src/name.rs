@@ -110,11 +110,6 @@ impl DnsName {
         self.0.split('.')
     }
 
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.labels().count()
-    }
-
     /// True when the leftmost label is `*`.
     pub fn is_wildcard(&self) -> bool {
         self.0.starts_with("*.")
@@ -239,7 +234,6 @@ mod tests {
     fn parses_and_normalizes() {
         let n = DnsName::parse("WWW.Example.COM.").unwrap();
         assert_eq!(n.as_str(), "www.example.com");
-        assert_eq!(n.label_count(), 3);
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl H3Session {
         self.tickets.issued()
     }
 
-    /// Tickets redeemed over the session (≤ issued, single-use).
-    pub fn tickets_redeemed(&self) -> u64 {
-        self.tickets.redeemed()
-    }
-
     /// Establish one QUIC connection to `host` at `ip` under the
     /// certificate with `cert_serial` / `cert_bytes` on the wire.
     ///
@@ -368,7 +363,7 @@ mod tests {
         let c = s.counts;
         assert_eq!(c.handshakes_1rtt + c.handshakes_0rtt, c.connections);
         assert!(c.handshakes_0rtt + c.zero_rtt_rejected <= c.tickets_issued);
-        assert!(s.tickets_redeemed() <= s.tickets_issued());
+        assert!(s.tickets.redeemed() <= s.tickets_issued());
     }
 
     #[test]

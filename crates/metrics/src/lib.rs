@@ -19,8 +19,6 @@
 
 mod hist;
 mod registry;
-mod timer;
 
 pub use hist::FixedHistogram;
 pub use registry::{PhaseStat, Registry};
-pub use timer::PhaseTimer;

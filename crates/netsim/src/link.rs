@@ -72,11 +72,6 @@ impl LinkProfile {
         SimDuration::from_millis_f64(base.as_millis_f64() * factor)
     }
 
-    /// One round trip with jitter applied.
-    pub fn rtt_sample(&self, rng: &mut SimRng) -> SimDuration {
-        self.jittered(self.rtt, rng)
-    }
-
     /// Estimated time to transfer `bytes` of response body over an
     /// established connection, starting from congestion window
     /// `cwnd_segments`.
@@ -187,7 +182,7 @@ mod tests {
         let l = LinkProfile::new(20.0, 50.0).with_jitter(0.25);
         let mut rng = SimRng::seed_from_u64(9);
         for _ in 0..200 {
-            let s = l.rtt_sample(&mut rng).as_millis_f64();
+            let s = l.jittered(l.rtt, &mut rng).as_millis_f64();
             assert!((15.0..=25.0).contains(&s), "s={s}");
         }
     }
@@ -196,7 +191,7 @@ mod tests {
     fn no_jitter_is_exact() {
         let l = LinkProfile::new(20.0, 50.0);
         let mut rng = SimRng::seed_from_u64(10);
-        assert_eq!(l.rtt_sample(&mut rng), SimDuration::from_millis(20));
+        assert_eq!(l.jittered(l.rtt, &mut rng), SimDuration::from_millis(20));
     }
 
     #[test]

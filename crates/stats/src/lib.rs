@@ -80,13 +80,6 @@ pub fn median(samples: &[f64]) -> Option<f64> {
     quantile(samples, 0.5)
 }
 
-/// Median of integer samples, returned as `f64` (medians of even-sized
-/// integer sets are half-integral).
-pub fn median_u64(samples: &[u64]) -> Option<f64> {
-    let xs: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
-    median(&xs)
-}
-
 /// Arithmetic mean. Returns `None` for an empty slice.
 pub fn mean(samples: &[f64]) -> Option<f64> {
     if samples.is_empty() {
@@ -147,11 +140,6 @@ mod tests {
     #[test]
     fn median_odd() {
         assert_eq!(median(&[5.0, 1.0, 3.0]), Some(3.0));
-    }
-
-    #[test]
-    fn median_u64_even() {
-        assert_eq!(median_u64(&[1, 2, 3, 4]), Some(2.5));
     }
 
     #[test]

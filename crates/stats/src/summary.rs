@@ -53,13 +53,6 @@ impl Summary {
         let xs: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
         Self::from_samples(&xs)
     }
-
-    /// Interquartile range (p75 − p25). The paper quotes an IQR of 90
-    /// for per-page request counts and an IQR shrink from 22 to 6 for
-    /// certificate validations under ORIGIN coalescing.
-    pub fn iqr(&self) -> f64 {
-        self.p75 - self.p25
-    }
 }
 
 #[cfg(test)]
@@ -78,7 +71,6 @@ mod tests {
         assert_eq!(s.min, 7.0);
         assert_eq!(s.max, 7.0);
         assert_eq!(s.median, 7.0);
-        assert_eq!(s.iqr(), 0.0);
     }
 
     #[test]
@@ -89,7 +81,6 @@ mod tests {
         assert_eq!(s.median, 50.5);
         assert_eq!(s.p25, 25.75);
         assert_eq!(s.p75, 75.25);
-        assert!((s.iqr() - 49.5).abs() < 1e-9);
         assert_eq!(s.mean, 50.5);
     }
 

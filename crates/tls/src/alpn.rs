@@ -31,11 +31,6 @@ impl AlpnProtocol {
             AlpnProtocol::Http11 => "http/1.1",
         }
     }
-
-    /// The exact protocol-name bytes from the IANA registry.
-    pub fn wire_id(self) -> &'static [u8] {
-        self.name().as_bytes()
-    }
 }
 
 impl fmt::Display for AlpnProtocol {
@@ -121,9 +116,9 @@ mod tests {
     }
 
     #[test]
-    fn wire_ids_match_the_iana_registry() {
-        assert_eq!(AlpnProtocol::H2.wire_id(), b"h2");
-        assert_eq!(AlpnProtocol::Http11.wire_id(), b"http/1.1");
+    fn names_match_the_iana_registry() {
+        assert_eq!(AlpnProtocol::H2.name(), "h2");
+        assert_eq!(AlpnProtocol::Http11.name(), "http/1.1");
         assert_eq!(AlpnProtocol::Http11.to_string(), "http/1.1");
     }
 }

@@ -197,25 +197,6 @@ impl CertificateAuthority {
         ct.log(&cert);
         Ok(cert)
     }
-
-    /// Reissue an existing certificate with additional SAN entries —
-    /// the §5.1 operation ("certificates were renewed with the third
-    /// party domain added to the SAN"). The subject and existing SANs
-    /// are preserved; a fresh serial and validity window are assigned.
-    pub fn reissue_with_sans(
-        &mut self,
-        cert: &Certificate,
-        additional: &[DnsName],
-        today: u32,
-        ct: &mut CtLogSet,
-    ) -> Result<Certificate, CaError> {
-        let extra: Vec<DnsName> = cert.sans[1..]
-            .iter()
-            .chain(additional.iter())
-            .cloned()
-            .collect();
-        self.issue(cert.subject.clone(), &extra, today, ct)
-    }
 }
 
 #[cfg(test)]
@@ -261,36 +242,6 @@ mod tests {
         let sans: Vec<DnsName> = (0..1_500).map(|i| name(&format!("h{i}.a.com"))).collect();
         let c = ca.issue(name("a.com"), &sans, 0, &mut ct).unwrap();
         assert_eq!(c.san_count(), 1_501);
-    }
-
-    #[test]
-    fn reissue_preserves_and_extends() {
-        let mut ca = CertificateAuthority::new(KnownIssuer::CloudflareEcc);
-        let mut ct = CtLogSet::default_operators();
-        let orig = ca
-            .issue(name("site.com"), &[name("*.site.com")], 10, &mut ct)
-            .unwrap();
-        let re = ca
-            .reissue_with_sans(&orig, &[name("cdnjs.cloudflare.com")], 20, &mut ct)
-            .unwrap();
-        assert!(re.covers(&name("site.com")));
-        assert!(re.covers(&name("www.site.com")));
-        assert!(re.covers(&name("cdnjs.cloudflare.com")));
-        assert_ne!(re.serial, orig.serial);
-        assert_eq!(re.not_before_day, 20);
-    }
-
-    #[test]
-    fn reissue_dedupes() {
-        let mut ca = CertificateAuthority::new(KnownIssuer::CloudflareEcc);
-        let mut ct = CtLogSet::default_operators();
-        let orig = ca
-            .issue(name("site.com"), &[name("x.com")], 0, &mut ct)
-            .unwrap();
-        let re = ca
-            .reissue_with_sans(&orig, &[name("x.com")], 0, &mut ct)
-            .unwrap();
-        assert_eq!(re.san_count(), 2);
     }
 
     #[test]

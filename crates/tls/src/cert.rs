@@ -45,11 +45,6 @@ impl Certificate {
         san::any_covers(&self.sans, name)
     }
 
-    /// Is the certificate valid on `day`?
-    pub fn valid_on(&self, day: u32) -> bool {
-        (self.not_before_day..=self.not_after_day).contains(&day)
-    }
-
     /// Number of DNS SAN entries.
     pub fn san_count(&self) -> usize {
         self.sans.len()
@@ -71,11 +66,6 @@ impl Certificate {
         // tbsCertificate skeleton + signature + issuer/subject RDNs.
         let skeleton: u64 = 380;
         base + skeleton + self.san_bytes()
-    }
-
-    /// Number of 16 KB TLS records the certificate alone occupies.
-    pub fn tls_records(&self) -> u64 {
-        self.wire_size().div_ceil(16 * 1024).max(1)
     }
 
     /// Byte length of the encoded SAN extension alone — what the §5.1
@@ -210,17 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn validity_window() {
-        let c = CertificateBuilder::new(name("a.com"))
-            .validity(10, 100)
-            .build();
-        assert!(!c.valid_on(9));
-        assert!(c.valid_on(10));
-        assert!(c.valid_on(100));
-        assert!(!c.valid_on(101));
-    }
-
-    #[test]
     #[should_panic(expected = "inverted validity")]
     fn inverted_validity_panics() {
         CertificateBuilder::new(name("a.com")).validity(5, 1);
@@ -254,9 +233,7 @@ mod tests {
         let big = CertificateBuilder::new(name("a.com"))
             .sans((0..800).map(|i| name(&format!("subdomain-label-{i:04}.a.com"))))
             .build();
-        assert!(big.tls_records() >= 2, "records={}", big.tls_records());
-        let small = CertificateBuilder::new(name("a.com")).build();
-        assert_eq!(small.tls_records(), 1);
+        assert!(big.wire_size() > 16 * 1024, "bytes={}", big.wire_size());
     }
 
     #[test]

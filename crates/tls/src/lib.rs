@@ -3,12 +3,11 @@
 //! Everything the paper asks of "certificates" is structural: which
 //! DNS names a certificate covers (SAN membership and RFC 6125
 //! wildcard matching), who issued it, how big it is on the wire (the
-//! §6.5 16 KB-TLS-record discussion), how issuance load lands on
-//! Certificate Transparency logs (§6.4), and how clients validate
-//! chains. This crate models exactly that — no real cryptography, but
-//! the full decision surface, so the §4 certificate-modification
-//! planner and the §5 reissue experiment run against the same checks
-//! real clients perform.
+//! §6.5 16 KB-TLS-record discussion), and how issuance load lands on
+//! Certificate Transparency logs (§6.4). This crate models exactly
+//! that — no real cryptography, but the full decision surface, so the
+//! §4 certificate-modification planner and the §5 reissue experiment
+//! run against the same checks real clients perform.
 //!
 //! - [`san`] — name matching per RFC 6125 (wildcards cover exactly one
 //!   left-most label).
@@ -18,11 +17,9 @@
 //! - [`cert`] — [`Certificate`] with SAN list, issuer, validity,
 //!   serial, and a DER-calibrated wire-size estimator.
 //! - [`ca`] — [`CertificateAuthority`] with per-CA SAN-count limits
-//!   (Let's Encrypt 100, Comodo 2000, …) and reissue support.
+//!   (Let's Encrypt 100, Comodo 2000, …).
 //! - [`ctlog`] — append-only Certificate Transparency ledger with
 //!   per-operator load accounting.
-//! - [`validate`] — trust-store chain validation and a validation
-//!   counter (the paper's "certificate validations" metric).
 //! - [`resumption`] — TLS 1.3 session-ticket cache with per-policy
 //!   redemption scope (exact host vs certificate-wide, Sy et al.).
 
@@ -36,7 +33,6 @@ pub mod ctlog;
 pub mod resumption;
 pub mod san;
 pub mod strategy;
-pub mod validate;
 
 pub use alpn::{negotiate as alpn_negotiate, AlpnProtocol};
 pub use ca::{CaError, CertificateAuthority, KnownIssuer};
@@ -45,4 +41,3 @@ pub use ctlog::{CtLog, CtLogSet};
 pub use resumption::{ResumptionScope, SessionTicket, SessionTicketCache};
 pub use san::{covers, wildcard_matches};
 pub use strategy::{cost as strategy_cost, CertStrategy, StrategyCost};
-pub use validate::{ValidationError, Validator};

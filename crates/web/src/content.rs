@@ -103,14 +103,6 @@ impl ContentType {
         )
     }
 
-    /// Is this a script type (any of the three JS MIME spellings)?
-    pub fn is_script(self) -> bool {
-        matches!(
-            self,
-            ContentType::Javascript | ContentType::TextJavascript | ContentType::XJavascript
-        )
-    }
-
     /// Is this a font type? Fonts are fetched CORS-anonymously per
     /// the CSS font-fetch rules — the §5.3 coalescing obstruction.
     pub fn is_font(self) -> bool {
@@ -159,9 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn script_and_font_helpers() {
-        assert!(ContentType::XJavascript.is_script());
-        assert!(!ContentType::Json.is_script());
+    fn font_helper() {
         assert!(ContentType::Woff2.is_font());
         assert!(!ContentType::Css.is_font());
     }

@@ -259,23 +259,6 @@ impl Page {
         self.resources.len() - 1
     }
 
-    /// The children of resource `idx` in discovery order.
-    pub fn children_of(&self, idx: usize) -> Vec<usize> {
-        self.resources
-            .iter()
-            .enumerate()
-            .filter(|(i, r)| {
-                *i != 0
-                    && match r.discovered_by {
-                        Some(p) => p == idx,
-                        // Root-referenced resources are children of 0.
-                        None => idx == 0 && *i != 0,
-                    }
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Discovery depth of a resource (root = 0; root-referenced
     /// subresources = 1).
     pub fn depth_of(&self, idx: usize) -> usize {
@@ -371,12 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn children_and_depth() {
+    fn depth_follows_discovery() {
         let p = page();
         // css (1) and jquery (3) are root-referenced; font (2) is a
         // child of css.
-        assert_eq!(p.children_of(0), vec![1, 3]);
-        assert_eq!(p.children_of(1), vec![2]);
         assert_eq!(p.depth_of(0), 0);
         assert_eq!(p.depth_of(1), 1);
         assert_eq!(p.depth_of(2), 2);
