@@ -13,7 +13,7 @@ use crate::policy::BrowserKind;
 use crate::pool::{ConnectionPool, PoolPartition, PooledConnection, ReuseDecision};
 use origin_h1::{
     Connection as H1Connection, RequestHead as H1Request, ResponseHead as H1Response,
-    Role as H1Role,
+    Role as H1Role, DEFAULT_MAX_CONNECTIONS_PER_HOST,
 };
 use origin_h3::{H3Conn, H3Counts, H3RequestStats, H3Session, QuicConnectOutcome};
 use origin_netsim::fault::{FaultInjector, NonCompliantMiddlebox, PacketFate};
@@ -315,8 +315,6 @@ pub struct BrowserConfig {
     pub happy_eyeballs_dup_rate: f64,
     /// Probability of an extra speculative DNS query per host.
     pub speculative_dns_rate: f64,
-    /// Max parallel HTTP/1.1 connections per host.
-    pub max_h1_per_host: u32,
     /// §6.8's recommendation: skip the (render-blocking) DNS query
     /// for names the connection's ORIGIN set already covers. Stock
     /// Firefox keeps querying ("conservative"); setting this models
@@ -332,7 +330,6 @@ impl BrowserConfig {
             kind,
             happy_eyeballs_dup_rate: if races { 0.10 } else { 0.0 },
             speculative_dns_rate: if races { 0.06 } else { 0.0 },
-            max_h1_per_host: 6,
             trust_origin_without_dns: false,
         }
     }
@@ -711,7 +708,7 @@ impl Visit<'_> {
             host,
             addrs,
             rq.partition,
-            self.config.max_h1_per_host,
+            DEFAULT_MAX_CONNECTIONS_PER_HOST,
             at,
             |ch| self.env.colocated(ch, host),
         )

@@ -41,4 +41,4 @@ pub use state::{EventKind, Role, State};
 /// The classic browser cap on parallel HTTP/1.1 connections to one
 /// host — the reason legacy sites domain-shard their assets. The
 /// state machine owns one connection; the pool enforces the cap.
-pub const DEFAULT_MAX_CONNECTIONS_PER_HOST: usize = 6;
+pub const DEFAULT_MAX_CONNECTIONS_PER_HOST: u32 = 6;
