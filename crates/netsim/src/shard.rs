@@ -12,14 +12,20 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Fold `items` on up to `threads` scoped worker threads.
+/// Fold `items` on `threads` workers: the calling thread and
+/// `threads − 1` scoped helpers.
 ///
 /// The slice is over-split into `threads × 4` contiguous chunks (fewer
 /// when there are fewer items, one empty chunk when there are none) so
-/// chunk-duration variance load-balances. Each worker thread builds
-/// its state once with `make_worker`, then claims chunks and turns
-/// each into a result with `run_chunk`; after every worker has joined,
-/// `merge` receives the results in chunk order on the calling thread.
+/// chunk-duration variance load-balances. Each worker builds its state
+/// once with `make_worker`, then claims chunks and turns each into a
+/// result with `run_chunk`. `merge` receives the results in chunk order
+/// on the calling thread, as soon as they can be: each time the caller
+/// claims a chunk it first merges every finished result whose
+/// predecessors have all merged, and it merges the rest once its own
+/// worker is dropped and the helpers have joined. A result is thus
+/// held only until the chunks ahead of it finish; on one thread,
+/// `run 0, merge 0, run 1, merge 1, …`.
 /// A panic in any closure propagates to the caller.
 pub fn fold_chunks<T, W, A>(
     items: &[T],
@@ -39,34 +45,53 @@ pub fn fold_chunks<T, W, A>(
     // slot mutexes and the scope join.
     let next_chunk = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<A>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
+    let slot = |chunk: usize| {
+        slots[chunk]
+            .lock()
+            .expect("chunk slots are never locked across a panic")
+    };
+    // The next unclaimed chunk, if any is left.
+    let claim = || Some(next_chunk.fetch_add(1, Ordering::Relaxed)).filter(|&c| c < n_chunks);
+    let run = |worker: &mut W, chunk: usize| {
+        // Ceil-sized chunks can overrun the tail: clamp, leaving
+        // trailing chunks empty.
+        let start = (chunk * chunk_size).min(items.len());
+        let end = (start + chunk_size).min(items.len());
+        let result = run_chunk(worker, &items[start..end]);
+        *slot(chunk) = Some(result);
+    };
+    // The first chunk not merged yet.
+    let mut merged = 0;
 
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) {
+        for _ in 1..threads.min(n_chunks) {
             scope.spawn(|| {
                 let mut worker = make_worker();
-                loop {
-                    let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= n_chunks {
-                        break;
-                    }
-                    // Ceil-sized chunks can overrun the tail: clamp,
-                    // leaving trailing chunks empty.
-                    let start = (chunk * chunk_size).min(items.len());
-                    let end = (start + chunk_size).min(items.len());
-                    let result = run_chunk(&mut worker, &items[start..end]);
-                    *slots[chunk]
-                        .lock()
-                        .expect("chunk slots are locked once each, never across a panic") =
-                        Some(result);
+                while let Some(chunk) = claim() {
+                    run(&mut worker, chunk);
                 }
             });
         }
+        let mut worker = make_worker();
+        // Merging before running the claimed chunk leaves the last
+        // merges until the worker is dropped: it is not alive beside
+        // the grown total.
+        while let Some(chunk) = claim() {
+            while merged < chunk {
+                let Some(result) = slot(merged).take() else {
+                    break;
+                };
+                merge(result);
+                merged += 1;
+            }
+            run(&mut worker, chunk);
+        }
     });
 
-    for slot in slots {
+    for chunk in merged..n_chunks {
         merge(
-            slot.into_inner()
-                .expect("chunk slots are locked once each, never across a panic")
+            slot(chunk)
+                .take()
                 .expect("every chunk was claimed and completed"),
         );
     }
@@ -128,6 +153,71 @@ mod tests {
                 (1..=threads.min(chunks)).contains(&made),
                 "{n} items on {threads} threads made {made} workers for {chunks} chunks"
             );
+        }
+    }
+
+    /// One call the fold made, in the order it made them.
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        MakeWorker(std::thread::ThreadId),
+        Run(usize),
+        Merge(usize),
+    }
+
+    #[test]
+    fn the_caller_works_and_merges_each_chunk_as_its_turn_comes() {
+        let caller = std::thread::current().id();
+        // 64 items cut evenly at every thread count: a chunk's number
+        // is its first item over its length.
+        let items: Vec<usize> = (0..64).collect();
+        for threads in [1, 2, 8] {
+            let log = Mutex::new(Vec::new());
+            let push = |call| log.lock().unwrap().push(call);
+            fold_chunks(
+                &items,
+                threads,
+                || push(Call::MakeWorker(std::thread::current().id())),
+                |(), chunk| {
+                    let n = chunk[0] / chunk.len();
+                    push(Call::Run(n));
+                    n
+                },
+                |n| {
+                    assert_eq!(
+                        std::thread::current().id(),
+                        caller,
+                        "merge {n} off the caller"
+                    );
+                    push(Call::Merge(n));
+                },
+            );
+            let log = log.into_inner().unwrap();
+            let n_chunks = threads * 4;
+            assert!(
+                log.contains(&Call::MakeWorker(caller)),
+                "{threads} threads: {log:?}"
+            );
+            if threads == 1 {
+                let mut want = vec![Call::MakeWorker(caller)];
+                want.extend((0..n_chunks).flat_map(|n| [Call::Run(n), Call::Merge(n)]));
+                assert_eq!(log, want);
+            }
+            let merges: Vec<usize> = log
+                .iter()
+                .filter_map(|c| match c {
+                    Call::Merge(n) => Some(*n),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(merges, Vec::from_iter(0..n_chunks), "{threads} threads");
+            for n in 0..n_chunks {
+                let runs: Vec<usize> = (0..log.len()).filter(|&i| log[i] == Call::Run(n)).collect();
+                let merge = log.iter().position(|c| *c == Call::Merge(n));
+                assert!(
+                    runs.len() == 1 && Some(runs[0]) < merge,
+                    "{threads} threads: chunk {n} ran at {runs:?}, merged at {merge:?}"
+                );
+            }
         }
     }
 

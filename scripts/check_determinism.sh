@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The determinism smokes: every universe `repro` can crawl or serve
-# exports the same bytes at --threads 1 and --threads 8, a zeroed option
+# exports the same bytes at --threads 1, 3 and 8, a zeroed option
 # reproduces the clean run, and each export shows its subsystem really
 # ran. One block per universe below. Requires jq.
 #
@@ -34,22 +34,26 @@ same_metrics() {
     cmp "$1.stripped" "$2.stripped"
 }
 
-# pair <stdout-file> <repro args…>: the same command at 1 and 8 threads.
-# Every `@` becomes the thread count, so `--threads @ --trace tr@.json`
-# names each run's own outputs; stdout and every @-named output must
-# then be byte-identical between the two runs.
+# pair <stdout-file> <repro args…>: the same command at 1, 3 and 8
+# threads. Every `@` becomes the thread count, so `--threads @ --trace
+# tr@.json` names each run's own outputs; stdout and every @-named
+# output of the 3- and 8-thread runs must then be byte-identical to the
+# 1-thread run's. (12 chunks over 3 workers finish out of order.)
 pair() {
-    local stdout=$1 prev='' a t
+    local stdout=$1 prev a t
     shift
-    for t in 1 8; do run "${stdout//@/$t}" "${@//@/$t}"; done
-    cmp "${stdout//@/1}" "${stdout//@/8}"
-    for a in "$@"; do
-        if [[ $a == *@* && $prev == --metrics ]]; then
-            same_metrics "${a//@/1}" "${a//@/8}"
-        elif [[ $a == *@* && $prev != --threads ]]; then
-            cmp "${a//@/1}" "${a//@/8}"
-        fi
-        prev=$a
+    for t in 1 3 8; do run "${stdout//@/$t}" "${@//@/$t}"; done
+    for t in 3 8; do
+        cmp "${stdout//@/1}" "${stdout//@/$t}"
+        prev=''
+        for a in "$@"; do
+            if [[ $a == *@* && $prev == --metrics ]]; then
+                same_metrics "${a//@/1}" "${a//@/$t}"
+            elif [[ $a == *@* && $prev != --threads ]]; then
+                cmp "${a//@/1}" "${a//@/$t}"
+            fi
+            prev=$a
+        done
     done
 }
 
@@ -188,4 +192,4 @@ check trace_site3.json '.traceEvents | length > 0'
 check trace_mixed.json '.traceEvents | length > 0'
 check trace_h3.json '.traceEvents | length > 0' '[.traceEvents[] | select(.name == "quic.handshake")] | length > 0' \
     '[.traceEvents[] | select(.name == "h3.request")] | length > 0'
-echo "check_determinism: threads 1 and 8 agree on every universe"
+echo "check_determinism: threads 1, 3 and 8 agree on every universe"
