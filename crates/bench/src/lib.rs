@@ -138,9 +138,9 @@ impl ObsAccum {
         }
     }
 
-    fn merge(&mut self, other: &ObsAccum) {
-        self.timeline.merge(&other.timeline);
-        self.flight.merge(&other.flight);
+    fn merge(&mut self, other: ObsAccum) {
+        self.timeline.merge(other.timeline);
+        self.flight.merge(other.flight);
     }
 }
 
@@ -191,7 +191,7 @@ impl ShardAccum {
         self.effective.merge(other.effective);
         self.metrics.merge(&other.metrics);
         self.trace.merge(other.trace);
-        if let (Some(mine), Some(theirs)) = (self.obs.as_mut(), other.obs.as_ref()) {
+        if let (Some(mine), Some(theirs)) = (self.obs.as_mut(), other.obs) {
             mine.merge(theirs);
         }
     }

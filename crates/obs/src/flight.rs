@@ -165,11 +165,11 @@ impl FlightRecorder {
     /// smallest-rank trigger wins (commutative and associative). Ring
     /// contents are deliberately **not** merged — they are
     /// worker-local and never exported.
-    pub fn merge(&mut self, other: &FlightRecorder) {
+    pub fn merge(&mut self, other: FlightRecorder) {
         self.recorded += other.recorded;
-        if let Some(t) = &other.trigger {
+        if let Some(t) = other.trigger {
             if self.trigger.as_ref().is_none_or(|mine| t.rank < mine.rank) {
-                self.trigger = Some(t.clone());
+                self.trigger = Some(t);
             }
         }
     }
@@ -252,9 +252,9 @@ mod tests {
         b.begin_visit(2);
         b.capture_trigger();
         let mut ab = a.clone();
-        ab.merge(&b);
+        ab.merge(b.clone());
         let mut ba = b.clone();
-        ba.merge(&a);
+        ba.merge(a.clone());
         assert_eq!(ab.trigger().unwrap().rank, 2);
         assert_eq!(
             ab.trigger_snapshot_json(3).unwrap(),

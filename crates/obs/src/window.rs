@@ -15,7 +15,7 @@
 //! addition: associative and shard-order-invariant by construction
 //! (pinned by property tests in `tests/`).
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use origin_netsim::{json, SimDuration, SimTime};
 
@@ -548,7 +548,10 @@ impl Timeline {
     /// associative, so shards may combine in any order. Retained
     /// timelines re-fold against the merged (global) horizon, so the
     /// folded set is the same for any partition of the inputs.
-    pub fn merge(&mut self, other: &Timeline) {
+    ///
+    /// `other` is consumed: a window this timeline lacks is moved in
+    /// whole, and only windows both hold are merged cell by cell.
+    pub fn merge(&mut self, other: Timeline) {
         // A mismatch would mis-bin silently; checked once per merge.
         assert_eq!(
             (self.window, self.spacing, self.retain),
@@ -557,11 +560,16 @@ impl Timeline {
         );
         self.folded.merge(&other.folded);
         self.folded_before = self.folded_before.max(other.folded_before);
-        for (&idx, cell) in &other.windows {
+        for (idx, cell) in other.windows {
             if idx < self.folded_before {
-                self.folded.merge(cell);
-            } else {
-                self.windows.entry(idx).or_default().merge(cell);
+                self.folded.merge(&cell);
+                continue;
+            }
+            match self.windows.entry(idx) {
+                Entry::Vacant(slot) => {
+                    slot.insert(cell);
+                }
+                Entry::Occupied(mut mine) => mine.get_mut().merge(&cell),
             }
         }
         self.max_seen = self.max_seen.max(other.max_seen);
@@ -688,7 +696,7 @@ mod tests {
                 b.record_visit(&v)
             }
         }
-        b.merge(&a);
+        b.merge(a);
         assert_eq!(whole.to_json(), b.to_json());
     }
 
@@ -764,7 +772,7 @@ mod tests {
                 );
             }
             let mut merged = mk();
-            for p in &parts {
+            for p in parts {
                 merged.merge(p);
             }
             assert_eq!(merged.to_json(), whole.to_json(), "{shards} shards");
@@ -844,7 +852,7 @@ mod tests {
     fn merging_differently_configured_timelines_panics() {
         let mut a = Timeline::new(DEFAULT_WINDOW, DEFAULT_SPACING);
         let b = Timeline::new(SimDuration::from_secs(1), DEFAULT_SPACING);
-        a.merge(&b);
+        a.merge(b);
     }
 
     #[test]

@@ -314,7 +314,7 @@ fn timeline_merge_is_shard_order_invariant() {
         for order in [[0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]] {
             let mut merged = Timeline::new(DEFAULT_WINDOW, DEFAULT_SPACING);
             for &s in &order {
-                merged.merge(&shards[s]);
+                merged.merge(shards[s].clone());
             }
             assert_eq!(
                 merged.to_json(),
@@ -324,11 +324,12 @@ fn timeline_merge_is_shard_order_invariant() {
         }
 
         // Associativity: ((s0 ⊕ s1) ⊕ (s2 ⊕ s3)) byte-matches too.
-        let mut left = shards[0].clone();
-        left.merge(&shards[1]);
-        let mut right = shards[2].clone();
-        right.merge(&shards[3]);
-        left.merge(&right);
+        let [s0, s1, s2, s3] = <[Timeline; 4]>::try_from(shards).unwrap();
+        let mut left = s0;
+        left.merge(s1);
+        let mut right = s2;
+        right.merge(s3);
+        left.merge(right);
         assert_eq!(left.to_json(), whole.to_json(), "seed {seed}, paired merge");
     }
 }

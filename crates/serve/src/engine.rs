@@ -193,8 +193,8 @@ pub fn run_serve_on(cfg: &ServeConfig, plans: &[SitePlan]) -> ServeReport {
     let mut iter = shards.into_iter();
     let mut first = iter.next().expect("at least one shard");
     for s in iter {
-        first.control.merge(&s.control);
-        first.origin.merge(&s.origin);
+        first.control.merge(s.control);
+        first.origin.merge(s.origin);
         first.metrics.merge(&s.metrics);
         first.churn.merge(&s.churn);
         first.sessions += s.sessions;
