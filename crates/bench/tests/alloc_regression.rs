@@ -1,5 +1,5 @@
 //! Allocation-count regression gate for the steady-state crawl path,
-//! and a memory gate on the world it crawls.
+//! and memory gates on the world it crawls and on an observed crawl.
 //!
 //! A counting global allocator measures per-visit heap allocations in
 //! the three phases of a crawled site — page materialization through a
@@ -7,8 +7,9 @@
 //! [`VisitArena`], and the §3/§4 analysis of the result
 //! (`Characterization::add`, `predict_counts3`, `plan_site`,
 //! `PlanSummary::add`) — and asserts they stay under recorded
-//! ceilings. It also counts bytes, so it measures what the generated
-//! world holds before the first visit.
+//! ceilings. It also counts bytes and keeps their high-water mark, so
+//! it measures what the generated world holds before the first visit
+//! and the most an observed, traced crawl ever holds at once.
 //!
 //! The ceilings document the arena work this crate's crawl loop
 //! relies on: before scratch/arena recycling the same loop averaged
@@ -79,13 +80,14 @@
 //! Allocation counts are only meaningful if no other test mutates the
 //! counters concurrently, so this file holds exactly one `#[test]`.
 
-use origin_bench::DEPLOYMENT_CDN_ASN;
+use origin_bench::{CrawlSpec, ObsConfig, DEPLOYMENT_CDN_ASN};
 use origin_browser::{BrowserKind, PageLoader, UniverseEnv, VisitArena};
 use origin_cdn::{ActiveMeasurement, DeploymentMode, SampleGroup};
 use origin_core::certplan::{plan_site, PlanSummary};
 use origin_core::characterize::Characterization;
 use origin_core::model::predict_counts3;
-use origin_netsim::SimRng;
+use origin_netsim::{FaultProfile, SimRng};
+use origin_trace::Sampler;
 use origin_webgen::{Dataset, DatasetConfig, PageScratch, SiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,6 +95,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes requested and not yet freed.
 static LIVE: AtomicU64 = AtomicU64::new(0);
+/// The most bytes live at once since it was last reset.
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// Add `n` live bytes and raise the high-water mark to match.
+fn grow(n: usize) {
+    let live = LIVE.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 struct Counting;
 
@@ -101,7 +111,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(l.size() as u64, Ordering::Relaxed);
+        grow(l.size());
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
@@ -110,7 +120,8 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(n as u64, Ordering::Relaxed);
+        // A moving realloc holds both blocks for a moment.
+        grow(n);
         LIVE.fetch_sub(l.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(p, l, n) }
     }
@@ -155,6 +166,14 @@ const MAX_S5_ALLOCS_PER_VISIT: [(DeploymentMode, BrowserKind, u64); 3] = [
     (DeploymentMode::OriginFrames, BrowserKind::FirefoxOrigin, 2),
     (DeploymentMode::Baseline, BrowserKind::Firefox, 9),
 ];
+/// Ranks of the observed crawl whose peak is measured — `crawl-mixed`'s
+/// universe, every sink on, one site in four traced, one thread — and
+/// its ceiling on peak live bytes per rank, the dataset included. While
+/// the fold kept every chunk's result until the last chunk finished,
+/// timelines merged by copy and a trace event took 55 bytes, it peaked
+/// at 14,066 bytes a rank; it measures 7,874.
+const OBSERVED_SITES: u32 = 2_000;
+const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 8_700.0;
 
 /// Allocations per load, metrics on, over the last three quarters of
 /// `config`'s universe, after the first quarter warmed the arena and
@@ -366,4 +385,30 @@ fn steady_state_crawl_allocations_stay_bounded() {
              rebuilt part of the sample world, or stopped recycling its page"
         );
     }
+
+    let observed = CrawlSpec {
+        threads: 1,
+        sampler: Some(Sampler::new(4)),
+        faults: Some(FaultProfile::parse("drop=0.01,h421=0.005,middlebox=0.1").unwrap()),
+        legacy_share: 0.25,
+        h3_share: 0.5,
+        obs: Some(ObsConfig::default()),
+        ..CrawlSpec::new(OBSERVED_SITES, 0x516)
+    };
+    let base = live_bytes();
+    PEAK.store(base, Ordering::Relaxed);
+    let crawl = observed.run();
+    let peak = (PEAK.load(Ordering::Relaxed) - base) as f64 / f64::from(OBSERVED_SITES);
+    assert!(
+        crawl.trace.len() > 10_000,
+        "the observed crawl traced too little"
+    );
+    drop(crawl);
+    println!("observed crawl: {peak:.0} peak live bytes per site");
+    assert!(
+        peak <= MAX_OBSERVED_PEAK_BYTES_PER_SITE,
+        "the observed crawl peaks at {peak:.0} live bytes a site (ceiling \
+         {MAX_OBSERVED_PEAK_BYTES_PER_SITE}): a chunk's result outlives its merge, a merge \
+         copies what it could move, or a trace event grew"
+    );
 }

@@ -7,11 +7,12 @@
 //!
 //! The design mirrors the metrics registry's sharding discipline:
 //!
-//! * **Recording formats nothing.** An event is a fixed-size record
-//!   pointing at its call site's static [`Site`] (name, category,
-//!   argument keys) plus its values appended to one byte arena;
-//!   names like `req 12 cdn.example` and every number are rendered by
-//!   the exporter, from a borrowed [`EventView`].
+//! * **Recording formats nothing.** An event is a 16-byte record
+//!   indexing its call site's static [`Site`] (name, category,
+//!   argument keys) plus its values appended to a byte arena, each
+//!   distinct string stored once per shard; names like
+//!   `req 12 cdn.example` and every number are rendered by the
+//!   exporter, from a borrowed [`EventView`].
 //! * **No wall clock.** Every timestamp is simulated microseconds, a
 //!   property of the workload rather than the machine.
 //! * **No global counters.** Span and flow IDs derive purely from

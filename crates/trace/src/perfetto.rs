@@ -97,10 +97,9 @@ fn write_event(out: &mut String, e: &EventView<'_>) {
 /// Perfetto / `chrome://tracing`. Output is a pure function of the
 /// event buffer: same events, same bytes.
 pub fn to_chrome_json(tracer: &Tracer) -> String {
-    // ~110 bytes of fixed JSON per event, plus its name parts and
-    // string arguments.
-    let [_, value_bytes] = tracer.footprint();
-    let mut out = String::with_capacity(64 + tracer.len() * 112 + value_bytes);
+    // An event renders to ~120 bytes (the rank-3 reference trace), its
+    // strings included.
+    let mut out = String::with_capacity(64 + tracer.len() * 128);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     json::push_joined(&mut out, tracer.events(), ",", |out, e| {
         out.push('\n');

@@ -1,7 +1,10 @@
 //! The per-worker trace buffer.
 
-use crate::event::{Arg, EventKind, EventView, Record, Site};
+use crate::event::{put_varint, Arg, EventKind, EventView, Record, Site, Strings};
+use origin_intern::{FxHashMap, FxHasher};
+use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
+use std::hash::Hasher;
 
 /// The span-ID minting formula: pid (site rank) in the high bits, the
 /// per-visit sequence in the low 24. Exposed as a pure function so
@@ -22,31 +25,97 @@ static CONN: Site = Site::new("conn", "meta", &[]);
 /// `crawl-mixed` when it was tried).
 const SHARD_EVENTS: usize = 1024;
 
-/// One tracer's own stretch of the event stream: fixed-size records
-/// and the values (name parts and arguments, strings copied in) those
-/// records own, in record order. A record holds no offset and — bar
-/// the process-name record that opens each visit — no pid, so a shard
-/// reads front to back.
+/// One tracer's own stretch of the event stream: 16-byte records, the
+/// values (name parts and arguments) those records own, in record
+/// order, and the two tables the records and values index — the
+/// emission sites and the distinct strings the shard has seen. A
+/// record holds no offset and — bar the process-name record that opens
+/// each visit — no pid, so a shard reads front to back.
 #[derive(Debug, Clone, Default)]
 struct Shard {
     /// Logical process of the events ahead of the first visit.
     pid: u64,
     events: Vec<Record>,
     values: Vec<u8>,
+    sites: Vec<&'static Site>,
+    strings: Strings,
 }
 
 impl Shard {
+    /// An empty shard for `pid`, sized to hold what `self` holds.
+    fn sized_like(&self, pid: u64) -> Shard {
+        let (strings, string_bytes) = self.strings.len();
+        Shard {
+            pid,
+            events: Vec::with_capacity(self.events.len()),
+            values: Vec::with_capacity(self.values.len()),
+            sites: Vec::with_capacity(self.sites.len()),
+            strings: Strings::with_capacity(strings, string_bytes),
+        }
+    }
+
     fn events(&self) -> impl Iterator<Item = EventView<'_>> {
         let mut values = self.values.as_slice();
         let mut pid = self.pid;
         self.events.iter().map(move |rec| {
-            if rec.kind == EventKind::ProcessName {
-                pid = rec.payload;
-            }
-            let (view, rest) = EventView::split(rec, pid, values);
+            let site = self.sites[usize::from(rec.site)];
+            let (view, rest) = EventView::split(rec, site, &mut pid, values, &self.strings);
             values = rest;
             view
         })
+    }
+
+    /// Bytes held by the records, by the value arena and by the two
+    /// tables.
+    fn footprint(&self) -> [usize; 3] {
+        let (strings, string_bytes) = self.strings.len();
+        let tables = self.sites.len() * size_of::<&Site>() + string_bytes + strings * 4;
+        [
+            self.events.len() * size_of::<Record>(),
+            self.values.len(),
+            tables,
+        ]
+    }
+}
+
+/// Where the open shard's sites and strings sit in its tables: the
+/// lookups recording needs and reading does not, so a closed shard
+/// does not carry them.
+#[derive(Debug, Clone, Default)]
+struct Index {
+    /// By the site's address.
+    sites: FxHashMap<usize, u16>,
+    /// By the string's hash. Two strings with one hash keep the first's
+    /// index; the second is stored again each time it is met.
+    strings: FxHashMap<u64, u32>,
+}
+
+impl Index {
+    fn site(&mut self, site: &'static Site, table: &mut Vec<&'static Site>) -> u16 {
+        let key = std::ptr::from_ref(site) as usize;
+        *self.sites.entry(key).or_insert_with(|| {
+            table.push(site);
+            u16::try_from(table.len() - 1).expect("a program declares fewer than 2^16 sites")
+        })
+    }
+
+    fn string(&mut self, s: &str, table: &mut Strings) -> u32 {
+        match self.strings.entry(Self::hash(s)) {
+            Entry::Occupied(seen) if table.get(u64::from(*seen.get())) == s => *seen.get(),
+            Entry::Occupied(_) => table.push(s),
+            Entry::Vacant(slot) => *slot.insert(table.push(s)),
+        }
+    }
+
+    fn hash(s: &str) -> u64 {
+        let mut hasher = FxHasher::default();
+        hasher.write(s.as_bytes());
+        hasher.finish()
+    }
+
+    fn clear(&mut self) {
+        self.sites.clear();
+        self.strings.clear();
     }
 }
 
@@ -76,6 +145,8 @@ pub struct Tracer {
     merged: Vec<Shard>,
     /// The shard this tracer records into.
     open: Shard,
+    /// The open shard's table lookups; cleared when it closes.
+    index: Index,
     pid: u64,
     tid: u32,
     now_us: u64,
@@ -105,11 +176,9 @@ impl Tracer {
         self.seq = 0;
         if self.open.events.len() >= SHARD_EVENTS {
             // The next shard will fill much as this one did: size its
-            // arenas once instead of doubling up to there again.
-            let (events, values) = (self.open.events.len(), self.open.values.len());
-            self.roll();
-            self.open.events.reserve_exact(events);
-            self.open.values.reserve_exact(values);
+            // arenas and tables once instead of doubling up to there
+            // again.
+            self.close(self.open.sized_like(pid));
         }
         let process = (EventKind::ProcessName, pid);
         self.push(&PROCESS, process, 0, 0, &[Arg::Str(label)], &[]);
@@ -186,7 +255,8 @@ impl Tracer {
         self.push(site, (EventKind::FlowEnd, id), ts_us, self.tid, &[], &[]);
     }
 
-    /// The one place an event enters the buffer: its name parts and
+    /// The one place an event enters the buffer: a timestamp, payload
+    /// or tid too large for its record field, then its name parts and
     /// argument values appended to the value arena, then its record.
     fn push(
         &mut self,
@@ -202,15 +272,31 @@ impl Tracer {
             "more arguments than {} has keys",
             site.name
         );
+        let Tracer { open, index, .. } = self;
+        let narrow = (
+            u32::try_from(ts_us),
+            u32::try_from(payload),
+            u16::try_from(tid),
+        );
+        let (wide, (ts_us, payload, tid)) = match narrow {
+            (Ok(ts_us), Ok(payload), Ok(tid)) => (false, (ts_us, payload, tid)),
+            _ => {
+                for v in [ts_us, payload, u64::from(tid)] {
+                    put_varint(&mut open.values, v);
+                }
+                (true, (0, 0, 0))
+            }
+        };
         for value in name.iter().chain(args) {
-            value.encode(&mut self.open.values);
+            value.encode(&mut open.values, |s| index.string(s, &mut open.strings));
         }
-        self.open.events.push(Record {
+        open.events.push(Record {
             ts_us,
             payload,
-            site,
+            site: index.site(site, &mut open.sites),
             tid,
             kind,
+            wide,
             name_parts: name.len() as u8,
             nargs: args.len() as u8,
         });
@@ -222,19 +308,18 @@ impl Tracer {
     /// The other tracer's arenas are moved in, not copied: a trace is
     /// written once, by the worker that recorded it.
     pub fn merge(&mut self, other: Tracer) {
-        self.roll();
+        self.close(Shard {
+            pid: self.pid,
+            ..Shard::default()
+        });
         let shards = other.merged.into_iter().chain([other.open]);
         self.merged.extend(shards.filter(|s| !s.events.is_empty()));
     }
 
-    /// Close the open shard and start a new one; what this tracer
-    /// records next continues under its current pid.
-    fn roll(&mut self) {
-        let next = Shard {
-            pid: self.pid,
-            ..Shard::default()
-        };
+    /// Close the open shard and record into `next` from here on.
+    fn close(&mut self, next: Shard) {
         let open = std::mem::replace(&mut self.open, next);
+        self.index.clear();
         if !open.events.is_empty() {
             self.merged.push(open);
         }
@@ -271,12 +356,16 @@ impl Tracer {
             .count()
     }
 
-    /// Bytes held by the event records and by the value arena: what
-    /// the buffer costs, to divide by [`Tracer::len`].
+    /// Bytes held by the event records, by the value arenas and by the
+    /// shards' site and string tables: what the buffer costs, to divide
+    /// by [`Tracer::len`].
     #[doc(hidden)]
-    pub fn footprint(&self) -> [usize; 2] {
-        let value_bytes = self.shards().map(|s| s.values.len()).sum();
-        [self.len() * size_of::<Record>(), value_bytes]
+    pub fn footprint(&self) -> [usize; 3] {
+        self.shards()
+            .map(Shard::footprint)
+            .fold([0; 3], |total, shard| {
+                [0, 1, 2].map(|i| total[i] + shard[i])
+            })
     }
 }
 
@@ -376,6 +465,47 @@ mod tests {
         let label = t.events().next().expect("process metadata comes first");
         assert_eq!(label.kind(), EventKind::ProcessName);
         assert_eq!(format!("{}", label.name()), "site");
+    }
+
+    #[test]
+    fn values_too_wide_for_a_record_read_back_exactly() {
+        let mut t = Tracer::new();
+        t.begin_visit(u64::MAX, "huge");
+        t.set_tid(u32::MAX);
+        t.complete(&REQ, u64::MAX, 1 << 40, &[Arg::U64(u64::MAX)]);
+        t.set_tid(70_000);
+        t.instant_at(&HIT, 5, &[]);
+        t.set_tid(3);
+        t.flow_end(span_ref(1 << 20, 7), &COALESCE, 1 << 33);
+        let seen: Vec<_> = t
+            .events()
+            .map(|e| (e.pid(), e.ts_us(), e.dur_us(), e.tid()))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (u64::MAX, 0, u64::MAX, 0),
+                (u64::MAX, 0, 0, 0),
+                (u64::MAX, u64::MAX, 1 << 40, u32::MAX),
+                (u64::MAX, 5, 0, 70_000),
+                (u64::MAX, 1 << 33, span_ref(1 << 20, 7), 3),
+            ]
+        );
+        let req = t.events().nth(2).expect("the span");
+        assert_eq!(req.args().collect::<Vec<_>>(), [("k", Arg::U64(u64::MAX))]);
+    }
+
+    #[test]
+    fn a_string_whose_hash_is_taken_is_stored_again() {
+        let (mut index, mut table) = (Index::default(), Strings::default());
+        let a = index.string("a", &mut table);
+        assert_eq!(index.string("a", &mut table), a, "a string is stored once");
+        // Make "b" collide with "a": it must still read back as "b".
+        index.strings.insert(Index::hash("b"), a);
+        let b = index.string("b", &mut table);
+        assert_ne!(b, a);
+        assert_eq!((table.get(a.into()), table.get(b.into())), ("a", "b"));
+        assert_eq!(index.string("a", &mut table), a);
     }
 
     #[test]
