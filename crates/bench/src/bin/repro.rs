@@ -34,10 +34,10 @@ use origin_cdn::{
     PassivePipeline, SampleGroup,
 };
 use origin_core::model::{predict, CoalescingGrouping};
+use origin_core::stats::table::{pct_change, TextTable};
+use origin_core::stats::{self, Cdf, TopEntry};
 use origin_metrics::Registry;
 use origin_netsim::{json, FaultProfile, SimDuration, SimRng};
-use origin_stats::table::{pct_change, TextTable};
-use origin_stats::{Cdf, TopEntry};
 use origin_tls::CtLogSet;
 use origin_trace::{Sampler, Tracer};
 use std::collections::BTreeMap;
@@ -52,7 +52,7 @@ struct Args {
     json: Option<String>,
     metrics: Option<String>,
     trace: Option<String>,
-    sample: Sampler,
+    sample: Option<Sampler>,
     faults_report: Option<String>,
     redundancy_report: Option<String>,
     h3_report: Option<String>,
@@ -317,7 +317,7 @@ fn parse_args(argv: &[String]) -> Args {
         json: None,
         metrics: None,
         trace: None,
-        sample: Sampler::new(16),
+        sample: None,
         faults_report: None,
         redundancy_report: None,
         h3_report: None,
@@ -335,7 +335,7 @@ fn parse_args(argv: &[String]) -> Args {
             "--json" => args.json = path_value(&a, &mut it),
             "--metrics" => args.metrics = path_value(&a, &mut it),
             "--trace" => args.trace = path_value(&a, &mut it),
-            "--sample" => args.sample = sampler_value(&mut it),
+            "--sample" => args.sample = Some(sampler_value(&mut it)),
             "--faults-report" => args.faults_report = path_value(&a, &mut it),
             "--redundancy-report" => args.redundancy_report = path_value(&a, &mut it),
             "--h3-report" => args.h3_report = path_value(&a, &mut it),
@@ -369,6 +369,9 @@ fn parse_args(argv: &[String]) -> Args {
             }
             other => help_or_die(other, ""),
         }
+    }
+    if args.sample.is_some() && args.trace.is_none() {
+        die("--sample requires --trace");
     }
     if args.faults_report.is_some() && args.spec.faults.is_none() {
         die("--faults-report requires --faults");
@@ -427,7 +430,10 @@ fn cmd_paper(args: &Args) -> bool {
     // The one crawl the flags describe. The report baselines below
     // derive from `args.spec`, its untraced, unobserved twin.
     let spec = CrawlSpec {
-        sampler: args.trace.is_some().then_some(args.sample),
+        sampler: args
+            .trace
+            .is_some()
+            .then(|| args.sample.unwrap_or(Sampler::new(16))),
         obs: obs_config(args),
         ..args.spec.clone()
     };
@@ -636,7 +642,7 @@ fn cmd_paper(args: &Args) -> bool {
             eprintln!(
                 "# wrote trace to {path} ({} events, sample 1/{})",
                 t.len(),
-                args.sample.denom()
+                spec.sampler.expect("--trace always samples").denom()
             );
         }
     }
@@ -805,12 +811,10 @@ fn cmd_trace(argv: &[String]) {
     let mut sites: u32 = 4_000;
     let mut seed: u64 = 0x0516;
     let mut out: Option<String> = None;
-    let mut sample: Option<Sampler> = None;
     let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--site" => site = Some(parse_value(&a, it.next(), |&n: &u32| n > 0)),
-            "--sample" => sample = Some(sampler_value(&mut it)),
             "--format" => {
                 format = it
                     .next()
@@ -827,38 +831,16 @@ fn cmd_trace(argv: &[String]) {
             other => help_or_die(other, " for repro trace"),
         }
     }
-    let (body, what) = match site {
-        Some(rank) => {
-            let (load, trace) = trace_site(sites, seed, rank).unwrap_or_else(|| {
-                die(&format!(
-                    "no successful site at rank {rank} (dataset of {sites} sites, seed {seed:#x})"
-                ))
-            });
-            let body = match format.as_str() {
-                "perfetto" => origin_trace::to_chrome_json(&trace),
-                "har" => load.to_har_json(),
-                _ => origin_web::waterfall::render(&load, 72),
-            };
-            (body, format!("{format} trace of site {rank}"))
-        }
-        // Without `--site`: trace the whole crawl at a 1-in-N sample
-        // (per-visit formats need a single visit).
-        None => {
-            let sampler =
-                sample.unwrap_or_else(|| die("repro trace requires --site RANK or --sample 1/N"));
-            if format != "perfetto" {
-                die(&format!("--sample only exports perfetto, not {format}"));
-            }
-            let r = CrawlSpec {
-                sampler: Some(sampler),
-                ..CrawlSpec::new(sites, seed)
-            }
-            .run();
-            (
-                origin_trace::to_chrome_json(&r.trace),
-                format!("sampled 1/{} crawl trace", sampler.denom()),
-            )
-        }
+    let rank = site.unwrap_or_else(|| die("repro trace requires --site RANK"));
+    let (load, trace) = trace_site(sites, seed, rank).unwrap_or_else(|| {
+        die(&format!(
+            "no successful site at rank {rank} (dataset of {sites} sites, seed {seed:#x})"
+        ))
+    });
+    let body = match format.as_str() {
+        "perfetto" => origin_trace::to_chrome_json(&trace),
+        "har" => load.to_har_json(),
+        _ => origin_web::waterfall::render(&load, 72),
     };
     let Some(path) = out else {
         print!("{body}");
@@ -868,7 +850,7 @@ fn cmd_trace(argv: &[String]) {
         return;
     };
     if write_artifact(&path, &body) {
-        eprintln!("# wrote {what} to {path}");
+        eprintln!("# wrote {format} trace of site {rank} to {path}");
     }
 }
 
@@ -982,8 +964,8 @@ fn table1(r: &CrawlResults) {
             format!("{:.0}", row.median_tls),
         ]);
     }
-    if let Some(s) = r.characterization.request_summary() {
-        t.row(&["μ".to_string(), String::new(), format!("{:.0}", s.mean)]);
+    if let Some(mean) = r.characterization.request_mean() {
+        t.row(&["μ".to_string(), String::new(), format!("{mean:.0}")]);
     }
     println!("{}", t.render());
 }
@@ -1169,10 +1151,10 @@ fn figure3(r: &CrawlResults) {
     let (o_dns, o_tls, _) = r.model_origin.medians();
     println!(
         "reductions: IP dns {} tls {} | ORIGIN dns {} tls {}  (paper: −7%/−19% and −64%/−67%)\n",
-        pct_change(origin_stats::percent_change(m_dns, i_dns)),
-        pct_change(origin_stats::percent_change(m_tls, i_tls)),
-        pct_change(origin_stats::percent_change(m_dns, o_dns)),
-        pct_change(origin_stats::percent_change(m_tls, o_tls)),
+        pct_change(stats::percent_change(m_dns, i_dns)),
+        pct_change(stats::percent_change(m_tls, i_tls)),
+        pct_change(stats::percent_change(m_dns, o_dns)),
+        pct_change(stats::percent_change(m_tls, o_tls)),
     );
 }
 
@@ -1265,15 +1247,15 @@ fn figure9_top(r: &CrawlResults) {
     print_cdf_quantiles("I.M. IP Coalescing", &r.model_ip.plt);
     print_cdf_quantiles("I.M. Origin Coalescing", &r.model_origin.plt);
     print_cdf_quantiles("I.M. CDN Origin Coalescing", &r.model_cdn_plt);
-    let m = origin_stats::median(&r.measured.plt).unwrap_or(0.0);
-    let ip = origin_stats::median(&r.model_ip.plt).unwrap_or(0.0);
-    let or = origin_stats::median(&r.model_origin.plt).unwrap_or(0.0);
-    let cdn = origin_stats::median(&r.model_cdn_plt).unwrap_or(0.0);
+    let m = stats::median(&r.measured.plt).unwrap_or(0.0);
+    let ip = stats::median(&r.model_ip.plt).unwrap_or(0.0);
+    let or = stats::median(&r.model_origin.plt).unwrap_or(0.0);
+    let cdn = stats::median(&r.model_cdn_plt).unwrap_or(0.0);
     println!(
         "median PLT change: IP {} | ORIGIN {} | CDN-only {}  (paper: −10%, −27%, −1.5%)\n",
-        pct_change(origin_stats::percent_change(m, ip)),
-        pct_change(origin_stats::percent_change(m, or)),
-        pct_change(origin_stats::percent_change(m, cdn)),
+        pct_change(stats::percent_change(m, ip)),
+        pct_change(stats::percent_change(m, or)),
+        pct_change(stats::percent_change(m, cdn)),
     );
 }
 
@@ -1405,10 +1387,7 @@ fn figure9_bottom(c: &mut Ctx) {
     print_cdf_quantiles("Experiment", &exp.plt_ms);
     println!(
         "median PLT change: {} (paper: ≈−1%, 'no worse')\n",
-        pct_change(origin_stats::percent_change(
-            ctl.median_plt(),
-            exp.median_plt()
-        ))
+        pct_change(stats::percent_change(ctl.median_plt(), exp.median_plt()))
     );
 }
 

@@ -18,6 +18,7 @@ use origin_browser::{
 use origin_core::certplan::{plan_site, EffectiveChanges, PlanSummary};
 use origin_core::characterize::Characterization;
 use origin_core::model::predict_counts3;
+use origin_core::stats;
 use origin_metrics::Registry;
 use origin_netsim::{json, FaultProfile, SimDuration, SimRng};
 use origin_obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
@@ -58,9 +59,9 @@ impl SeriesSamples {
     /// Median of a component.
     pub fn medians(&self) -> (f64, f64, f64) {
         (
-            origin_stats::median(&self.dns).unwrap_or(0.0),
-            origin_stats::median(&self.tls).unwrap_or(0.0),
-            origin_stats::median(&self.plt).unwrap_or(0.0),
+            stats::median(&self.dns).unwrap_or(0.0),
+            stats::median(&self.tls).unwrap_or(0.0),
+            stats::median(&self.plt).unwrap_or(0.0),
         )
     }
 }
@@ -702,7 +703,7 @@ impl ResilienceReport {
 
     /// Median PLT inflation of the faulted run, in percent.
     pub fn plt_inflation_pct(&self) -> f64 {
-        origin_stats::percent_change(self.clean.0, self.faulted.0)
+        stats::percent_change(self.clean.0, self.faulted.0)
     }
 
     /// Relative loss of coalescing (percent of the clean rate).
@@ -905,7 +906,7 @@ impl H3Report {
     /// Median-PLT change of the h3 run relative to the baseline, in
     /// percent (negative = h3 made pages faster).
     pub fn plt_delta_pct(&self) -> f64 {
-        origin_stats::percent_change(self.baseline.2, self.h3_run.2)
+        stats::percent_change(self.baseline.2, self.h3_run.2)
     }
 
     /// Fraction of QUIC connections that resumed with 0-RTT.

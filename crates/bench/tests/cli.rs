@@ -117,6 +117,16 @@ fn a_zero_sampling_denominator_is_a_usage_error() {
 }
 
 #[test]
+fn a_sampling_rate_without_a_trace_is_a_usage_error() {
+    // Like `--window` without `--timeline`: a dependent flag is never
+    // silently ignored.
+    let out = repro(&["--only", "t1", "--sample", "1/4"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--sample requires --trace"));
+    assert!(stdout(&out).is_empty(), "nothing ran");
+}
+
+#[test]
 fn watch_takes_the_last_rank_and_refuses_the_one_past_it() {
     // Ranks are 1-based: site 200 of 200 exists, site 201 does not.
     let watch = |range: &str| {

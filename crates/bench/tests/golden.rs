@@ -9,7 +9,7 @@ use origin_bench::{
 use origin_browser::{BrowserKind, FaultSession, PageLoader, UniverseEnv, VisitArena};
 use origin_cdn::SampleGroup;
 use origin_dns::DnsName;
-use origin_netsim::rng::fnv1a64;
+use origin_netsim::hash::fnv1a64;
 use origin_netsim::{FaultProfile, SimDuration, SimRng};
 use origin_obs::{FlightRecorder, VisitSinks};
 use origin_serve::{run_serve, ServeConfig};

@@ -58,7 +58,7 @@ fn main() {
                 tls_as.push(p_as.tls_connections as f64);
             }
         }
-        let med = |v: &[f64]| origin_stats::median(v).unwrap();
+        let med = |v: &[f64]| origin_core::stats::median(v).unwrap();
         println!(
             "{:?}: reqs={:.0} hosts={:.0} dns={:.1} tls={:.1} ases={:.1} plt={:.0}ms",
             kind,

@@ -2,7 +2,7 @@
 
 use origin_dns::{DnsName, QueryAnswer, ResolverState};
 use origin_h2::OriginSet;
-use origin_intern::FxHashMap;
+use origin_netsim::hash::FxHashMap;
 use origin_netsim::link::LINK_CLASSES;
 use origin_netsim::{LinkProfile, SimRng, SimTime};
 use origin_tls::Certificate;
@@ -140,7 +140,7 @@ impl HostFactCache {
             0
         } else {
             // Stable per-host class (FNV over the name), as before.
-            if origin_netsim::rng::fnv1a64(host.as_str().as_bytes()).is_multiple_of(2) {
+            if origin_netsim::hash::fnv1a64(host.as_str().as_bytes()).is_multiple_of(2) {
                 1
             } else {
                 2

@@ -1223,7 +1223,7 @@ fn ms_us(ms: f64) -> u64 {
 /// response in sixteen — a pure function of the page, so every thread
 /// count and every visit agrees on which connections tear down.
 fn close_delimited_response(path: &str) -> bool {
-    origin_netsim::rng::fnv1a64(path.as_bytes()) & 15 == 0
+    origin_netsim::hash::fnv1a64(path.as_bytes()) & 15 == 0
 }
 
 #[cfg(test)]

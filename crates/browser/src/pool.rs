@@ -20,7 +20,7 @@
 use crate::policy::BrowserKind;
 use origin_dns::DnsName;
 use origin_h2::OriginSet;
-use origin_intern::FxHashMap;
+use origin_netsim::hash::FxHashMap;
 use origin_tls::Certificate;
 use origin_web::{FetchMode, Protocol};
 use std::borrow::Borrow;

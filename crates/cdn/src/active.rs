@@ -10,12 +10,12 @@ use crate::edge::EdgeServer;
 use crate::env::{CdnEnv, DeploymentMode};
 use crate::sample::{SampleGroup, SampleSite, Treatment, THIRD_PARTY_HOST};
 use origin_browser::{BrowserKind, PageLoader, VisitArena};
+use origin_core::stats::{self, Cdf, Histogram};
 use origin_dns::name::name;
 use origin_dns::DnsName;
 use origin_metrics::Registry;
 use origin_netsim::SimRng;
 use origin_obs::VisitSinks;
-use origin_stats::{Cdf, Histogram};
 use origin_web::Page;
 
 /// Outcome of one arm of the active measurement.
@@ -97,7 +97,7 @@ impl ActiveResult {
 
     /// Median PLT for the arm.
     pub fn median_plt(&self) -> f64 {
-        origin_stats::median(&self.plt_ms).unwrap_or(0.0)
+        stats::median(&self.plt_ms).unwrap_or(0.0)
     }
 }
 

@@ -10,8 +10,8 @@
 use crate::env::DeploymentMode;
 use crate::passive::PassivePipeline;
 use crate::sample::{SampleGroup, Treatment};
+use origin_core::stats::TimeSeries;
 use origin_netsim::SimRng;
-use origin_stats::TimeSeries;
 
 /// A longitudinal run: day-bucketed connection rates per arm.
 pub struct LongitudinalRun {

@@ -9,7 +9,7 @@
 //! shard — and every rerun — sees the identical assignment without
 //! any shared mutable state.
 
-use origin_netsim::rng::splitmix64;
+use origin_netsim::hash::splitmix64;
 use origin_netsim::{SimDuration, SimTime};
 
 /// A linear ramp of ORIGIN-frame advertisement across the edge fleet.

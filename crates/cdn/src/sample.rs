@@ -3,7 +3,7 @@
 use crate::env::ADDRESS_PLAN_SITES;
 use origin_dns::name::name;
 use origin_dns::DnsName;
-use origin_intern::FxHashMap;
+use origin_netsim::hash::FxHashMap;
 use origin_netsim::SimRng;
 use origin_tls::{Certificate, CertificateAuthority, CtLogSet, KnownIssuer};
 use origin_web::{ContentType, FetchMode, Page, PathSpec, Protocol, Resource};
@@ -336,7 +336,7 @@ mod tests {
         }
         assert_eq!(g.sites.len(), 785);
         assert_eq!(
-            origin_netsim::rng::fnv1a64(text.as_bytes()),
+            origin_netsim::hash::fnv1a64(text.as_bytes()),
             0x526a_9299_0237_92e4
         );
     }

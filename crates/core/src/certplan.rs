@@ -5,8 +5,8 @@
 //! same provider but absent from the SAN."
 
 use crate::smallset::SmallSet;
+use crate::stats::{Cdf, Histogram, TopK};
 use origin_dns::DnsName;
-use origin_stats::{Cdf, Histogram, TopK};
 use origin_tls::Certificate;
 use origin_web::Page;
 use std::collections::HashMap;

@@ -1,7 +1,7 @@
 //! §3.3 dataset characterization (Tables 1–7, Figure 1).
 
-use origin_intern::FxHashMap;
-use origin_stats::{Histogram, Summary, TopK};
+use crate::stats::{self, Histogram, TopK};
+use origin_netsim::hash::FxHashMap;
 use origin_web::har::PageLoad;
 use origin_web::{ContentType, Page, Protocol};
 
@@ -235,10 +235,10 @@ impl Characterization {
             rows.push(Table1Row {
                 bucket: bkt,
                 success: b.success,
-                median_requests: origin_stats::median(&b.requests).unwrap_or(0.0),
-                median_plt: origin_stats::median(&b.plt).unwrap_or(0.0),
-                median_dns: origin_stats::median(&b.dns).unwrap_or(0.0),
-                median_tls: origin_stats::median(&b.tls).unwrap_or(0.0),
+                median_requests: stats::median(&b.requests).unwrap_or(0.0),
+                median_plt: stats::median(&b.plt).unwrap_or(0.0),
+                median_dns: stats::median(&b.dns).unwrap_or(0.0),
+                median_tls: stats::median(&b.tls).unwrap_or(0.0),
             });
             all.success += b.success;
             all.requests.extend_from_slice(&b.requests);
@@ -249,22 +249,25 @@ impl Characterization {
         rows.push(Table1Row {
             bucket: u32::MAX, // sentinel: the "Total" row
             success: all.success,
-            median_requests: origin_stats::median(&all.requests).unwrap_or(0.0),
-            median_plt: origin_stats::median(&all.plt).unwrap_or(0.0),
-            median_dns: origin_stats::median(&all.dns).unwrap_or(0.0),
-            median_tls: origin_stats::median(&all.tls).unwrap_or(0.0),
+            median_requests: stats::median(&all.requests).unwrap_or(0.0),
+            median_plt: stats::median(&all.plt).unwrap_or(0.0),
+            median_dns: stats::median(&all.dns).unwrap_or(0.0),
+            median_tls: stats::median(&all.tls).unwrap_or(0.0),
         });
         rows
     }
 
-    /// Whole-dataset request-count summary (the `μ` row of Table 1).
-    pub fn request_summary(&self) -> Option<Summary> {
-        let all: Vec<f64> = self
+    /// Whole-dataset mean subrequests per page (the `μ` row of Table 1),
+    /// summed in ascending order so the sum is independent of how the
+    /// buckets were visited.
+    pub fn request_mean(&self) -> Option<f64> {
+        let mut all: Vec<f64> = self
             .buckets
             .values()
             .flat_map(|b| b.requests.iter().copied())
             .collect();
-        Summary::from_samples(&all)
+        all.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        stats::mean(&all)
     }
 
     /// The content types one AS served, by MIME label (Table 6).

@@ -14,6 +14,9 @@
 //!    and the most-effective per-provider changes (Table 9).
 //! 3. **Can it be done?** The `origin-cdn` crate deploys the plan;
 //!    this crate supplies the prediction it is validated against.
+//!
+//! [`stats`] holds the medians, CDFs, histograms and top-k tables the
+//! answers are reported in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +27,7 @@ pub mod model;
 pub mod reconstruct;
 pub mod scheduling;
 mod smallset;
+pub mod stats;
 
 pub use certplan::{CertPlan, PlanSummary};
 pub use characterize::Characterization;

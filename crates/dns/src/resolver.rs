@@ -2,7 +2,7 @@
 
 use crate::name::DnsName;
 use crate::zone::{Answer, SerialKey, ZoneSet};
-use origin_intern::FxHashMap;
+use origin_netsim::hash::FxHashMap;
 use origin_netsim::{SimDuration, SimRng, SimTime};
 
 /// The transport a client uses for its DNS queries. The paper's

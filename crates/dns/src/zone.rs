@@ -2,7 +2,7 @@
 
 use crate::name::DnsName;
 use crate::record::{RecordSet, Rotation};
-use origin_intern::FxHashMap;
+use origin_netsim::hash::FxHashMap;
 use origin_netsim::SimRng;
 use std::net::IpAddr;
 use std::sync::Arc;

@@ -28,6 +28,7 @@
 //! recycled one after [`DynamicTable::reset`] — inserts without
 //! allocating ([`DynamicTable::insert_str`]).
 
+use origin_netsim::hash::{fnv1a, fnv1a64};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::LazyLock;
@@ -122,21 +123,13 @@ impl Entry {
     }
 }
 
-/// FNV-1a over `bytes`, continuing from `state`.
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state = (state ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    state
-}
-
 /// Index key of a field name.
 fn name_hash(name: &str) -> u64 {
     #[cfg(test)]
     if tests::COLLIDE.get() {
         return name.len() as u64 % 2;
     }
-    fnv1a(0xcbf2_9ce4_8422_2325, name.as_bytes())
+    fnv1a64(name.as_bytes())
 }
 
 /// Index key of a (name, value) pair: the name's hash carried on over

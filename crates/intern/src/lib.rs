@@ -1,4 +1,4 @@
-//! Hostname interning for the per-request hot path.
+//! Hostname interning.
 //!
 //! A [`HostTable`] maps each distinct hostname to a dense [`HostId`]
 //! exactly once; from then on equality is an integer compare and facts
@@ -14,19 +14,11 @@
 //! leaks into persisted output — there is no way back from an id to
 //! its string — so differently-sharded runs (whose per-worker tables
 //! intern in different orders) still produce byte-identical reports.
-//!
-//! The module also provides [`FxHasher`], the deterministic
-//! multiply-xor hasher used by Firefox and rustc, as a drop-in
-//! `BuildHasher` for the hot maps ([`FxHashMap`]). SipHash's DoS
-//! resistance buys nothing against a simulator's own synthetic
-//! hostnames, and the keyed state breaks nothing here because no hot
-//! map's iteration order is ever observed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use origin_netsim::hash::FxHashMap;
 
 /// A dense, per-table identifier for an interned hostname.
 ///
@@ -81,73 +73,6 @@ impl HostTable {
     }
 }
 
-/// FNV-1a-seeded multiply-xor hasher (the rustc/Firefox "Fx" hash):
-/// deterministic, unkeyed, and several times faster than SipHash on
-/// the short keys (hostnames, ids, addresses) the hot maps use.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FxHasher {
-    state: u64,
-}
-
-/// 64-bit multiplier from the Fx hash (derived from the golden ratio).
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Process 8 bytes at a time, then the tail — each step is
-        // one xor + one rotate + one multiply.
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let v = u64::from_le_bytes(c.try_into().expect("exact 8-byte chunk"));
-            self.add(v);
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut v = 0u64;
-            for (i, &b) in rem.iter().enumerate() {
-                v |= (b as u64) << (8 * i);
-            }
-            self.add(v);
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A `HashMap` using the deterministic [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` using the deterministic [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,28 +115,5 @@ mod tests {
         // something only to the table that minted it.
         assert_eq!(t1.get("c.com"), Some(HostId(2)));
         assert_eq!(t2.get("c.com"), Some(HostId(0)));
-    }
-
-    #[test]
-    fn fx_hash_is_deterministic() {
-        let h = |s: &str| {
-            let mut h = FxHasher::default();
-            h.write(s.as_bytes());
-            h.finish()
-        };
-        assert_eq!(h("www.example.com"), h("www.example.com"));
-        assert_ne!(h("www.example.com"), h("cdn.example.com"));
-        // Short and 8-byte-boundary inputs both hash.
-        assert_ne!(h("a"), h("b"));
-        assert_ne!(h("12345678"), h("123456789"));
-    }
-
-    #[test]
-    fn fx_map_basic() {
-        let mut m: FxHashMap<&str, u32> = FxHashMap::default();
-        m.insert("a", 1);
-        m.insert("b", 2);
-        assert_eq!(m.get("a"), Some(&1));
-        assert_eq!(m.len(), 2);
     }
 }

@@ -1,6 +1,6 @@
 //! Fixed-bucket histograms.
 //!
-//! Unlike `origin_stats::Histogram` (exact per-value counts, used for
+//! Unlike `origin_core::stats::Histogram` (exact per-value counts, used for
 //! paper tables), these histograms have bucket bounds fixed at
 //! construction so two instances recorded independently on different
 //! shards are always merge-compatible — the precondition for the

@@ -1,7 +1,7 @@
 //! The metric registry.
 
 use crate::hist::FixedHistogram;
-use origin_intern::FxHashMap;
+use origin_netsim::hash::FxHashMap;
 use origin_netsim::{json, SimDuration};
 
 /// Accumulated simulated time spent in a named phase.

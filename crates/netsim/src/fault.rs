@@ -11,7 +11,8 @@
 //!    when it sees an ORIGIN frame. [`Middlebox`] models any on-path
 //!    device that inspects frame type codes.
 
-use crate::rng::{fnv1a64, SimRng};
+use crate::hash::fnv1a64;
+use crate::rng::SimRng;
 
 /// Probabilistic packet-level fault injection.
 #[derive(Debug, Clone)]

@@ -23,6 +23,8 @@
 //!   §6.7 non-compliant middlebox that tears down connections carrying
 //!   unknown HTTP/2 frame types.
 //! - [`rng`] — seeded RNG plumbing so all randomness is reproducible.
+//! - [`hash`] — FNV-1a, SplitMix64 and the Fx hasher, the workspace's
+//!   one copy of each.
 //! - [`json`] — the one JSON token writer every exporter appends
 //!   through.
 //! - [`shard`] — [`fold_chunks`], the order-preserving chunk scheduler
@@ -34,6 +36,7 @@
 pub mod arrival;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod json;
 pub mod link;
 pub mod rng;

@@ -9,6 +9,8 @@
 //! SplitMix64 expansion, so the repo carries no external RNG
 //! dependency and the streams are identical on every platform.
 
+use crate::hash::splitmix64;
+
 /// A deterministic RNG with support for deriving independent
 /// sub-streams by label, so adding randomness in one component never
 /// perturbs another.
@@ -47,7 +49,8 @@ impl SimRng {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in label.bytes() {
             h ^= b as u64;
-            // NOT the FNV prime: 2^44 + 0x1b3 where [`fnv1a64`] has
+            // NOT the FNV prime: 2^44 + 0x1b3 where
+            // [`fnv1a64`](crate::hash::fnv1a64) has
             // 2^40 + 0x1b3. Every derived stream — hence every
             // committed report — is seeded through this exact fold, so
             // it must not be "consolidated" onto `fnv1a64`
@@ -197,39 +200,10 @@ impl SimRng {
     }
 }
 
-/// 64-bit FNV-1a: the one stable, platform-independent string hash of
-/// the visit path (per-authority 421 skew, per-host link class,
-/// close-delimited response selection).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
-}
-
-/// One SplitMix64 step: advance `x` by the golden-ratio increment and
-/// finalize. Besides seeding [`SimRng`], it is the workspace's
-/// stateless integer hash (per-session seeds, per-edge rollout scores,
-/// per-host object sizes).
-#[inline]
-pub fn splitmix64(x: u64) -> u64 {
-    splitmix64_finalize(x.wrapping_add(0x9e37_79b9_7f4a_7c15))
-}
-
-/// The SplitMix64 output finalizer alone, for callers that have
-/// already spread their input (e.g. `seed ^ rank · golden`).
-#[inline]
-pub fn splitmix64_finalize(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::fnv1a64;
 
     #[test]
     fn same_seed_same_stream() {
@@ -269,21 +243,6 @@ mod tests {
         let root = SimRng::seed_from_u64(42);
         assert_eq!(root.derive("dns").next_u64(), 0xaecd_c1b3_567b_89ce);
         assert_eq!(root.derive("").next_u64(), 0xf7f9_5478_4c80_7c40);
-    }
-
-    #[test]
-    fn splitmix64_outputs_are_pinned() {
-        // Computed from the private copies this function replaced
-        // (serve engine/plan, cdn rollout, webgen legacy/h3 draws):
-        // every serve report and dataset assignment hashes through it.
-        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
-        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
-        assert_eq!(splitmix64(0x0516), 0x215f_db01_5bbf_aab4);
-        assert_eq!(splitmix64(u64::MAX), 0xe4d9_7177_1b65_2c20);
-        assert_eq!(splitmix64_finalize(0), 0);
-        assert_eq!(splitmix64_finalize(1), 0x5692_161d_100b_05e5);
-        assert_eq!(splitmix64_finalize(0x0516), 0x8cf2_cd0e_84e4_ddb7);
-        assert_eq!(splitmix64_finalize(u64::MAX), 0xb4d0_55fc_f2cb_bd7b);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The one chunk scheduler under every order-preserving parallel phase
-//! (the §3 crawl, the §5 active measurement).
+//! The one chunk scheduler under every parallel phase (the §3 crawl,
+//! the §5 active and passive measurements, the serving engine's shards)
+//! and the only place that starts threads.
 //!
 //! Work that is independent per item — every site visit seeds its own
 //! RNG and runs in its own session — can be split anywhere; what must

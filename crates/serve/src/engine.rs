@@ -27,8 +27,8 @@
 use origin_browser::{PoolChurn, SessionPool};
 use origin_cdn::Rollout;
 use origin_metrics::Registry;
-use origin_netsim::rng::splitmix64;
-use origin_netsim::{json, EventQueue, SimDuration, SimRng, SimTime};
+use origin_netsim::hash::splitmix64;
+use origin_netsim::{fold_chunks, json, EventQueue, SimDuration, SimRng, SimTime};
 use origin_obs::{Timeline, VisitObs};
 use origin_webgen::Dataset;
 
@@ -177,37 +177,37 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
 /// amortize dataset generation).
 pub fn run_serve_on(cfg: &ServeConfig, plans: &[SitePlan]) -> ServeReport {
     assert!(!plans.is_empty(), "no successful sites to serve");
-    let shards: Vec<ShardOut> = if cfg.threads == 1 {
-        vec![run_shard(cfg, plans, 0)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..cfg.threads)
-                .map(|shard| scope.spawn(move || run_shard(cfg, plans, shard)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("serve worker panicked"))
-                .collect()
-        })
-    };
-    let mut iter = shards.into_iter();
-    let mut first = iter.next().expect("at least one shard");
-    for s in iter {
-        first.control.merge(s.control);
-        first.origin.merge(s.origin);
-        first.metrics.merge(&s.metrics);
-        first.churn.merge(&s.churn);
-        first.sessions += s.sessions;
-        first.visits += s.visits;
-        first.sim_end = first.sim_end.max(s.sim_end);
-    }
+    // One chunk per shard index, so a shard's sessions stay on one
+    // worker. The total starts as the first shard's output, which keeps
+    // the timelines' window, spacing and retention.
+    let shards: Vec<usize> = (0..cfg.threads).collect();
+    let mut total: Option<ShardOut> = None;
+    fold_chunks(
+        &shards,
+        cfg.threads,
+        || (),
+        |(), shard| run_shard(cfg, plans, shard[0]),
+        |s| match &mut total {
+            None => total = Some(s),
+            Some(t) => {
+                t.control.merge(s.control);
+                t.origin.merge(s.origin);
+                t.metrics.merge(&s.metrics);
+                t.churn.merge(&s.churn);
+                t.sessions += s.sessions;
+                t.visits += s.visits;
+                t.sim_end = t.sim_end.max(s.sim_end);
+            }
+        },
+    );
+    let total = total.expect("at least one shard");
     ServeReport {
-        metrics: first.metrics,
-        control: first.control,
-        origin: first.origin,
-        sessions: first.sessions,
-        visits: first.visits,
-        sim_end: first.sim_end,
+        metrics: total.metrics,
+        control: total.control,
+        origin: total.origin,
+        sessions: total.sessions,
+        visits: total.visits,
+        sim_end: total.sim_end,
     }
 }
 

@@ -9,8 +9,8 @@
 //! visit with zero per-visit allocation. `O(sites)` memory, built
 //! before serving starts, shared read-only by every worker shard.
 
+use origin_netsim::hash::splitmix64;
 use origin_netsim::link::LINK_CLASSES;
-use origin_netsim::rng::splitmix64;
 use origin_webgen::dataset::ServiceRef;
 use origin_webgen::{Dataset, SiteConfig};
 

@@ -1,6 +1,6 @@
 //! Deterministic 1-in-N site sampling for whole-run traces.
 
-use origin_netsim::rng::fnv1a64;
+use origin_netsim::hash::fnv1a64;
 
 /// Selects sites for whole-run trace export by hashing the site's
 /// Tranco rank — never an RNG draw, whose order would depend on the

@@ -1,7 +1,7 @@
 //! The per-worker trace buffer.
 
 use crate::event::{put_varint, Arg, EventKind, EventView, Record, Site, Strings};
-use origin_intern::{FxHashMap, FxHasher};
+use origin_netsim::hash::{FxHashMap, FxHasher};
 use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
 use std::hash::Hasher;

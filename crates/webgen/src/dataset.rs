@@ -8,7 +8,7 @@ use crate::universe::{tail_asn, ProviderDef, Universe, PROVIDERS};
 use origin_dns::name::name;
 use origin_dns::record::Rotation;
 use origin_dns::DnsName;
-use origin_netsim::rng::splitmix64_finalize;
+use origin_netsim::hash::splitmix64_finalize;
 use origin_netsim::SimRng;
 use origin_tls::KnownIssuer;
 use origin_web::{ContentType, FetchMode, Page, PathSpec, Protocol, Resource};
@@ -692,8 +692,8 @@ pub struct PageScratch {
     rest: Vec<(usize, usize)>,
     css_indices: Vec<usize>,
     seen_slots: Vec<bool>,
-    seen_groups: origin_intern::FxHashSet<u32>,
-    seen_groups_emit: origin_intern::FxHashSet<u32>,
+    seen_groups: origin_netsim::hash::FxHashSet<u32>,
+    seen_groups_emit: origin_netsim::hash::FxHashSet<u32>,
     hosts: Vec<DnsName>,
     resources: Vec<Resource>,
 }
@@ -756,7 +756,7 @@ struct GenScratch {
     text: String,
     sans: Vec<DnsName>,
     services: Vec<ServiceRef>,
-    ases: origin_intern::FxHashSet<u32>,
+    ases: origin_netsim::hash::FxHashSet<u32>,
     candidates: Vec<u32>,
 }
 
@@ -1068,7 +1068,7 @@ mod tests {
         }
         assert_eq!((legacy_pages, rehomed), (75, 1696));
         assert_eq!(
-            origin_netsim::rng::fnv1a64(text.as_bytes()),
+            origin_netsim::hash::fnv1a64(text.as_bytes()),
             0x6ee1_4df9_9aed_021f
         );
     }

@@ -3,7 +3,7 @@
 use crate::services::SERVICES;
 use origin_dns::record::{v4, RecordSet, Rotation};
 use origin_dns::{DnsName, ZoneSet};
-use origin_intern::FxHashMap;
+use origin_netsim::hash::FxHashMap;
 use origin_netsim::SimRng;
 use origin_tls::{Certificate, CertificateAuthority, CtLogSet, KnownIssuer};
 use std::collections::HashMap;

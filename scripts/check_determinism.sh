@@ -115,6 +115,19 @@ if [ "$(grep -c . <<< "$matches")" != 1 ] && echo "$matches" >&2 ||
     exit 1
 fi
 
+# One home each: outside its tests, only `origin_netsim::hash` spells the
+# FNV-1a prime or the Fx multiplier (hex literals compared with `_`
+# stripped), only `fold_chunks` starts threads, and no crate depends on
+# the folded `origin-stats` or on `origin-intern` (the harness's alone).
+mapfile -t lib < <(find "${src[@]}" -name '*.rs')
+if nontest "${lib[@]}" | grep -v 'crates/netsim/src/hash\.rs:' |
+    sed 's/_//g' | grep -iE '0x0*100000001b3\b|0x0*517cc1b727220a95\b' >&2 ||
+    nontest "${lib[@]}" | grep -v 'crates/netsim/src/shard\.rs:' | grep -E 'thread::(scope|spawn)' >&2 ||
+    grep -nE '^\s*origin-(stats|intern)\b' "$scripts"/../Cargo.toml "$scripts"/../crates/*/Cargo.toml >&2; then
+    echo "FAIL: a hash constant outside netsim/src/hash.rs, a thread started outside fold_chunks, or a dependency on origin-stats/origin-intern" >&2
+    exit 1
+fi
+
 FAULTS=drop=0.01,h421=0.005,middlebox=0.1
 run clean.out --sites 500 --threads 8 --metrics clean.json
 

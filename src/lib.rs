@@ -25,11 +25,11 @@
 pub use origin_browser as browser;
 pub use origin_cdn as cdn;
 pub use origin_core as model;
+pub use origin_core::stats;
 pub use origin_dns as dns;
 pub use origin_h2 as h2;
 pub use origin_h3 as h3;
 pub use origin_netsim as netsim;
-pub use origin_stats as stats;
 pub use origin_tls as tls;
 pub use origin_web as web;
 pub use origin_webgen as webgen;
