@@ -1232,7 +1232,7 @@ fn table9(r: &CrawlResults) {
             t.row(&[
                 format!("{provider} ({sites} sites)"),
                 sites.to_string(),
-                host,
+                host.to_string(),
                 count.to_string(),
                 format!("{pctg:.2}"),
             ]);

@@ -13,7 +13,7 @@
 
 use origin_browser::{
     fault_counter_names, h3_counter_names, BrowserKind, FaultSession, PageLoader, UniverseEnv,
-    VisitArena, REDUNDANCY_KINDS,
+    VisitArena, WebEnv, REDUNDANCY_KINDS,
 };
 use origin_core::certplan::{plan_site, EffectiveChanges, PlanSummary};
 use origin_core::characterize::Characterization;
@@ -359,17 +359,19 @@ impl<'d> Worker<'d> {
 
         // §4.3: certificate plan. `plan_site` always passes the root
         // host as the closure's first argument, so its registrable
-        // suffix and ASN hoist out of the per-resource loop.
+        // suffix and ASN hoist out of the per-resource loop. ASes come
+        // from the env's host-fact cache, one probe each: the load has
+        // already met every host of the page.
         let cert = dataset.universe.cert_for(&site.root_host);
-        let universe = &dataset.universe;
+        let env = &self.env;
         let root_reg = site.root_host.registrable_str();
-        let root_asn = universe.asn_of_host(&site.root_host);
+        let root_asn = env.asn_of_host(&site.root_host);
         let site_plan = plan_site(&page, cert, |a, b| {
             debug_assert_eq!(a, &site.root_host);
             if root_reg == b.registrable_str() {
                 return true;
             }
-            root_asn != 0 && root_asn == universe.asn_of_host(b)
+            root_asn != 0 && root_asn == env.asn_of_host(b)
         });
         acc.plan.add(&site_plan);
         let provider_label = site

@@ -42,9 +42,10 @@ impl ActiveResult {
     }
 
     /// Visit `site` once with a fresh browser session and fold the
-    /// load into this arm's results.
-    fn visit(&mut self, w: &mut Worker<'_>, site: &SampleSite, seed: u64, third_party: &DnsName) {
-        site.page_into(&mut w.page, third_party);
+    /// load into this arm's results. Returns the bytes its coalesced
+    /// requests carried, which the chunk publishes with its visits.
+    fn visit(&mut self, w: &mut Worker<'_>, site: &SampleSite, seed: u64, tp: &DnsName) -> u64 {
+        site.page_into(&mut w.page, tp);
         let mut rng = SimRng::seed_from_u64(seed ^ site.page_seed);
         let load = w.loader.load_observed(
             &w.page,
@@ -56,19 +57,16 @@ impl ActiveResult {
             &mut w.arena,
             VisitSinks::default(),
         );
-        self.new_connections
-            .add(load.new_connections_to(third_party));
+        self.new_connections.add(load.new_connections_to(tp));
         self.plt_ms.push(load.plt());
-        self.metrics.inc("cdn.active.visits");
-        let coalesced_bytes: u64 = load
+        let coalesced_bytes = load
             .requests
             .iter()
             .filter(|r| r.coalesced)
             .map(|r| w.page.resources[r.resource_index].size)
             .sum();
-        self.metrics
-            .add("cdn.active.coalesced_bytes", coalesced_bytes);
         w.arena.recycle(load);
+        coalesced_bytes
     }
 
     /// Fraction of visits with exactly `n` new connections.
@@ -164,9 +162,14 @@ impl ActiveMeasurement {
             },
             |worker, chunk| {
                 let mut result = ActiveResult::default();
-                for site in chunk {
-                    result.visit(worker, site, seed, &third_party);
-                }
+                let coalesced_bytes: u64 = chunk
+                    .iter()
+                    .map(|site| result.visit(worker, site, seed, &third_party))
+                    .sum();
+                result.metrics.add("cdn.active.visits", chunk.len() as u64);
+                result
+                    .metrics
+                    .add("cdn.active.coalesced_bytes", coalesced_bytes);
                 result
             },
             |result| total.merge(result),

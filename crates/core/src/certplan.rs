@@ -78,7 +78,7 @@ pub type Table8Side = Vec<(u64, u64)>;
 
 /// One Table 9 row: provider, customer-site count, and its top-k
 /// `(hostname, count, percent-of-sites)` additions.
-pub type Table9Row = (String, u64, Vec<(String, u64, f64)>);
+pub type Table9Row = (String, u64, Vec<(DnsName, u64, f64)>);
 
 /// Aggregate over all sites: the Figure 4/5 and Table 8 inputs.
 #[derive(Default)]
@@ -213,7 +213,7 @@ pub struct EffectiveChanges {
 #[derive(Default)]
 struct ProviderChanges {
     sites: u64,
-    hostnames: TopK<String>,
+    hostnames: TopK<DnsName>,
 }
 
 impl EffectiveChanges {
@@ -237,7 +237,7 @@ impl EffectiveChanges {
             .expect("present or just inserted");
         p.sites += 1;
         for h in &plan.additions {
-            p.hostnames.add_str(h.as_str());
+            p.hostnames.add_ref_n(h, 1);
         }
     }
 
@@ -477,7 +477,7 @@ mod tests {
         let (provider, sites, hosts) = &rows[0];
         assert_eq!(provider, "Cloudflare");
         assert_eq!(*sites, 2);
-        assert_eq!(hosts[0].0, "cdnjs.cloudflare.com");
+        assert_eq!(hosts[0].0.as_str(), "cdnjs.cloudflare.com");
         assert_eq!(hosts[0].1, 2);
         assert_eq!(hosts[0].2, 100.0);
     }

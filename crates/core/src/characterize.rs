@@ -1,6 +1,7 @@
 //! §3.3 dataset characterization (Tables 1–7, Figure 1).
 
 use crate::stats::{self, Histogram, TopK};
+use origin_dns::DnsName;
 use origin_netsim::hash::FxHashMap;
 use origin_web::har::PageLoad;
 use origin_web::{ContentType, Page, Protocol};
@@ -37,7 +38,7 @@ pub struct Characterization {
     /// through [`Characterization::as_content`] (Table 6).
     as_content: FxHashMap<u32, [u64; ContentType::ALL.len()]>,
     /// Subresource hostnames (Table 7).
-    pub hostnames: TopK<String>,
+    pub hostnames: TopK<DnsName>,
     /// Unique ASes per page (Figure 1).
     pub ases_per_page: Histogram,
     /// Total pages characterized.
@@ -129,7 +130,7 @@ impl Characterization {
             }
             protocols[r.protocol as usize] += 1;
             if let Some(issuer) = &r.cert_issuer {
-                self.issuers.add_str(issuer);
+                self.issuers.add_ref_n(&**issuer, 1);
             }
             let at = self.page_ases.iter().position(|(asn, _)| *asn == r.asn);
             let at = at.unwrap_or_else(|| {
@@ -178,7 +179,7 @@ impl Characterization {
             self.content_types.add_n(ct.mime(), n);
         }
         for (host, n) in page.hosts.iter().zip(&self.page_hosts) {
-            self.hostnames.add_str_n(host.as_str(), *n);
+            self.hostnames.add_ref_n(host, *n);
         }
         totals
     }
@@ -380,8 +381,8 @@ mod tests {
         assert_eq!(c.as_requests.count(&100), 2);
         assert_eq!(c.issuers.count(&"Test CA".to_string()), 4);
         // Root not counted as subresource hostname.
-        assert_eq!(c.hostnames.count(&"site.com".to_string()), 0);
-        assert_eq!(c.hostnames.count(&"cdn.site.com".to_string()), 2);
+        assert_eq!(c.hostnames.count(&name("site.com")), 0);
+        assert_eq!(c.hostnames.count(&name("cdn.site.com")), 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Top-k counters for the paper's breakdown tables.
 
 use origin_netsim::hash::FxHashMap;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::hash::Hash;
@@ -26,9 +27,9 @@ pub struct TopEntry<K> {
 /// A probe costs a hash of the key, so the crawl's per-request tables
 /// do not probe per request: `Characterization::add` tallies a page's
 /// requests per AS, content type, protocol and hostname first and
-/// calls [`TopK::add_n`] / [`TopK::add_str_n`] once per distinct key of
-/// the page. One-observation [`TopK::add_str`] is for keys seen a few
-/// times per page (certificate issuers, planned SAN additions).
+/// calls [`TopK::add_n`] / [`TopK::add_ref_n`] once per distinct key of
+/// the page; keys seen a few times per page (certificate issuers,
+/// planned SAN additions) are counted one at a time.
 #[derive(Debug, Clone)]
 pub struct TopK<K: Eq + Hash> {
     counts: FxHashMap<K, u64>,
@@ -50,6 +51,26 @@ impl<K: Eq + Hash + Clone + Ord> TopK<K> {
             return;
         }
         *self.counts.entry(key).or_insert(0) += n;
+        self.total += n;
+    }
+
+    /// Count `n` observations of a borrowed key, owning it only when it
+    /// is new: where a handful of keys repeat across hundreds of
+    /// thousands of requests, a hit costs one hash probe and no heap
+    /// traffic, and a `DnsName` key is cloned (a refcount bump) once.
+    pub fn add_ref_n<Q>(&mut self, key: &Q, n: u64)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        if n == 0 {
+            return;
+        }
+        if let Some(c) = self.counts.get_mut(key) {
+            *c += n;
+        } else {
+            self.counts.insert(key.to_owned(), n);
+        }
         self.total += n;
     }
 
@@ -163,30 +184,6 @@ impl<K: Eq + Hash + Clone + Ord> TopK<K> {
     }
 }
 
-impl TopK<String> {
-    /// Count one observation of a borrowed key, allocating only when
-    /// the key is new: for the crawl's hostname/issuer tables, where a
-    /// handful of names repeat across hundreds of thousands of
-    /// requests, the hit path costs one hash probe and no heap traffic.
-    pub fn add_str(&mut self, key: &str) {
-        self.add_str_n(key, 1);
-    }
-
-    /// Count `n` observations of a borrowed key ([`TopK::add_n`] with
-    /// [`TopK::add_str`]'s allocation behaviour).
-    pub fn add_str_n(&mut self, key: &str, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if let Some(c) = self.counts.get_mut(key) {
-            *c += n;
-        } else {
-            self.counts.insert(key.to_string(), n);
-        }
-        self.total += n;
-    }
-}
-
 impl<K: Eq + Hash + Clone + Ord> Default for TopK<K> {
     fn default() -> Self {
         Self::new()
@@ -283,14 +280,14 @@ mod tests {
         let mut borrowed: TopK<String> = TopK::new();
         let mut owned: TopK<String> = TopK::new();
         for key in ["cdn.example.com", "a.test", "cdn.example.com"] {
-            borrowed.add_str(key);
+            borrowed.add_ref_n(key, 1);
             owned.add_n(key.to_string(), 1);
         }
         assert_eq!(borrowed.top(10), owned.top(10));
         assert_eq!(borrowed.total(), 3);
         assert_eq!(borrowed.count(&"cdn.example.com".to_string()), 2);
-        borrowed.add_str_n("a.test", 4);
-        borrowed.add_str_n("never.test", 0);
+        borrowed.add_ref_n("a.test", 4);
+        borrowed.add_ref_n("never.test", 0);
         owned.add_n("a.test".to_string(), 4);
         assert_eq!(borrowed.top(10), owned.top(10));
         assert_eq!((borrowed.total(), borrowed.distinct()), (7, 2));

@@ -168,14 +168,15 @@ impl SimRng {
         if n == 1 {
             return 0;
         }
+        let near_one = (s - 1.0).abs() < 1e-9;
+        let t = (n as f64).powf(1.0 - s);
         loop {
             let u = self.unit();
             // Continuous inverse-CDF over ranks [1, n]:
             // x = (n^(1-s) * u + (1-u))^(1/(1-s)), so x ∈ [1, n].
-            let x = if (s - 1.0).abs() < 1e-9 {
+            let x = if near_one {
                 (n as f64).powf(u)
             } else {
-                let t = (n as f64).powf(1.0 - s);
                 (t * u + (1.0 - u)).powf(1.0 / (1.0 - s))
             };
             // Rank 1 (most popular) maps to index 0.

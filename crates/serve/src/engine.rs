@@ -87,14 +87,19 @@ enum Ev {
     Visit { slot: u32 },
 }
 
-/// One worker shard's accumulated output.
+/// One worker shard's accumulated output. The per-visit path counts in
+/// plain integers; [`run_serve_on`] publishes them, with the pool
+/// churn, as the run's `serve.*` counters once.
 struct ShardOut {
     control: Timeline,
     origin: Timeline,
-    metrics: Registry,
     churn: PoolChurn,
     sessions: u64,
     visits: u64,
+    /// Visits served in the ORIGIN arm; the rest ran in control.
+    origin_visits: u64,
+    requests: u64,
+    coalesced_requests: u64,
     sim_end: SimTime,
 }
 
@@ -192,22 +197,41 @@ pub fn run_serve_on(cfg: &ServeConfig, plans: &[SitePlan]) -> ServeReport {
             Some(t) => {
                 t.control.merge(s.control);
                 t.origin.merge(s.origin);
-                t.metrics.merge(&s.metrics);
                 t.churn.merge(&s.churn);
                 t.sessions += s.sessions;
                 t.visits += s.visits;
+                t.origin_visits += s.origin_visits;
+                t.requests += s.requests;
+                t.coalesced_requests += s.coalesced_requests;
                 t.sim_end = t.sim_end.max(s.sim_end);
             }
         },
     );
-    let total = total.expect("at least one shard");
+    let t = total.expect("at least one shard");
+    // Every key, zeros included. Each pool miss opened one connection.
+    let mut metrics = Registry::new();
+    for (key, n) in [
+        ("serve.sessions", t.sessions),
+        ("serve.visits", t.visits),
+        ("serve.requests", t.requests),
+        ("serve.coalesced_requests", t.coalesced_requests),
+        ("serve.connections_opened", t.churn.opened),
+        ("serve.pool_reused", t.churn.reused),
+        ("serve.pool_idle_closed", t.churn.idle_closed),
+        ("serve.pool_lru_evicted", t.churn.lru_evicted),
+        ("serve.pool_edge_evicted", t.churn.edge_evicted),
+        ("serve.arm_control_visits", t.visits - t.origin_visits),
+        ("serve.arm_origin_visits", t.origin_visits),
+    ] {
+        metrics.add(key, n);
+    }
     ServeReport {
-        metrics: total.metrics,
-        control: total.control,
-        origin: total.origin,
-        sessions: total.sessions,
-        visits: total.visits,
-        sim_end: total.sim_end,
+        metrics,
+        control: t.control,
+        origin: t.origin,
+        sessions: t.sessions,
+        visits: t.visits,
+        sim_end: t.sim_end,
     }
 }
 
@@ -235,29 +259,14 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
     let mut out = ShardOut {
         control: mk_timeline(cfg),
         origin: mk_timeline(cfg),
-        metrics: Registry::new(),
         churn: PoolChurn::default(),
         sessions: 0,
         visits: 0,
+        origin_visits: 0,
+        requests: 0,
+        coalesced_requests: 0,
         sim_end: SimTime::ZERO,
     };
-    // Materialize every serve key on every shard so the merged key set
-    // never depends on which shard saw which traffic.
-    for key in [
-        "serve.sessions",
-        "serve.visits",
-        "serve.requests",
-        "serve.coalesced_requests",
-        "serve.connections_opened",
-        "serve.pool_reused",
-        "serve.pool_idle_closed",
-        "serve.pool_lru_evicted",
-        "serve.pool_edge_evicted",
-        "serve.arm_control_visits",
-        "serve.arm_origin_visits",
-    ] {
-        out.metrics.add(key, 0);
-    }
 
     let mut budget = cfg.visits;
     let mut next_id: u64 = 0;
@@ -284,7 +293,6 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
                     continue;
                 }
                 out.sessions += 1;
-                out.metrics.inc("serve.sessions");
                 let session = Session {
                     rng,
                     pool: SessionPool::new(),
@@ -332,17 +340,12 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
                     &mut out.churn,
                 );
                 out.visits += 1;
-                out.metrics.inc("serve.visits");
-                out.metrics.add("serve.requests", obs.requests);
-                out.metrics
-                    .add("serve.coalesced_requests", obs.coalesced_requests);
-                out.metrics
-                    .add("serve.connections_opened", obs.connections_opened);
+                out.requests += obs.requests;
+                out.coalesced_requests += obs.coalesced_requests;
                 if origin_arm {
-                    out.metrics.inc("serve.arm_origin_visits");
+                    out.origin_visits += 1;
                     out.origin.record_visit_at(now, &obs);
                 } else {
-                    out.metrics.inc("serve.arm_control_visits");
                     out.control.record_visit_at(now, &obs);
                 }
 
@@ -361,14 +364,6 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
             }
         }
     }
-    // Pool-churn counters accumulate across the shard; publish once.
-    out.metrics.add("serve.pool_reused", out.churn.reused);
-    out.metrics
-        .add("serve.pool_idle_closed", out.churn.idle_closed);
-    out.metrics
-        .add("serve.pool_lru_evicted", out.churn.lru_evicted);
-    out.metrics
-        .add("serve.pool_edge_evicted", out.churn.edge_evicted);
     out
 }
 

@@ -14,7 +14,8 @@ use origin_netsim::link::LINK_CLASSES;
 use origin_webgen::dataset::ServiceRef;
 use origin_webgen::{Dataset, SiteConfig};
 
-/// One host's serving profile within a site plan.
+/// One host's serving profile within a site plan: 24 bytes, since a
+/// plan set holds one per host of every successful rank.
 #[derive(Debug, Clone, Copy)]
 pub struct HostPlan {
     /// Coalescing key when the terminating edge does NOT advertise
@@ -25,8 +26,9 @@ pub struct HostPlan {
     /// Terminating edge — the unit of rollout assignment and of the
     /// session pool's per-edge cap.
     pub edge: u32,
-    /// Requests this host serves per visit.
-    pub requests: u32,
+    /// Requests this host serves per visit: at most its page's, which
+    /// webgen clamps to [`origin_webgen::dist::MAX_REQUESTS_PER_PAGE`].
+    pub requests: u16,
     /// Bytes this host serves per visit.
     pub bytes: u64,
     /// Link class: index into [`LINK_CLASSES`] (RTT ms, Mbps).
@@ -57,8 +59,9 @@ impl HostPlan {
 pub struct SitePlan {
     /// Tranco rank of the site.
     pub rank: u32,
-    /// Root + shards + services, in deterministic order (root first).
-    pub hosts: Vec<HostPlan>,
+    /// Root + shards + services, in deterministic order (root first),
+    /// at exact size.
+    pub hosts: Box<[HostPlan]>,
     /// The provider edge whose rollout state decides this site's A/B
     /// arm (`None` = no provider involvement, always control).
     pub arm_edge: Option<u32>,
@@ -108,7 +111,9 @@ pub fn compile_site(site: &SiteConfig) -> SitePlan {
     let total_requests = site.n_requests.max(1);
     let base_req = total_requests / n_hosts as u32;
     let rem = total_requests as usize % n_hosts;
-    let requests_for = |i: usize| base_req + u32::from(i < rem);
+    let requests_for = |i: usize| {
+        u16::try_from(base_req + u32::from(i < rem)).expect("a page's requests fit 16 bits")
+    };
 
     let mut hosts = Vec::with_capacity(n_hosts);
     let mut arm_edge = site.provider.map(|p| p as u32);
@@ -174,7 +179,7 @@ pub fn compile_site(site: &SiteConfig) -> SitePlan {
     }
     SitePlan {
         rank,
-        hosts,
+        hosts: hosts.into_boxed_slice(),
         arm_edge,
         model_ip_tls: ip_keys.len() as u32,
         model_origin_tls: origin_keys.len() as u32,
@@ -184,7 +189,7 @@ pub fn compile_site(site: &SiteConfig) -> SitePlan {
 
 /// Deterministic per-host payload size: requests × a host-stable
 /// object size in [16 KiB, 48 KiB).
-fn host_bytes(page_seed: u64, host_idx: usize, requests: u32) -> u64 {
+fn host_bytes(page_seed: u64, host_idx: usize, requests: u16) -> u64 {
     let object = 16_384 + splitmix64(page_seed ^ (host_idx as u64) << 17) % 32_768;
     u64::from(requests) * object
 }
@@ -219,7 +224,7 @@ mod tests {
     fn requests_are_conserved_across_hosts() {
         let ds = small_dataset();
         for plan in compile_dataset(&ds) {
-            let sum: u32 = plan.hosts.iter().map(|h| h.requests).sum();
+            let sum: u32 = plan.hosts.iter().map(|h| u32::from(h.requests)).sum();
             assert_eq!(sum, plan.total_requests, "rank {}", plan.rank);
         }
     }
@@ -268,6 +273,14 @@ mod tests {
                 assert!(e < PROVIDER_BIT, "arm edge must be a provider edge");
             }
         }
+    }
+
+    /// The layout is pinned, and the request count fits 16 bits
+    /// because webgen clamps a page's requests.
+    #[test]
+    fn host_plans_fit_24_bytes() {
+        assert_eq!(std::mem::size_of::<HostPlan>(), 24);
+        assert!(u16::try_from(origin_webgen::dist::MAX_REQUESTS_PER_PAGE).is_ok());
     }
 
     #[test]

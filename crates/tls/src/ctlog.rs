@@ -3,33 +3,20 @@
 //! The paper argues that the one-time burst of certificate reissues
 //! its plan implies (modifying 37.59% of website certificates) adds
 //! 5–10% to daily CA issuance and is absorbable by CT infrastructure
-//! (global rate ≈257,034 certs/hour). This module gives the
-//! reproduction an append-only ledger with per-operator load so that
-//! claim can be checked quantitatively.
+//! (global rate ≈257,034 certs/hour). That argument reads only how
+//! many certificates each log operator receives, so a log here is its
+//! operator's append-only entry count: the load is kept, the entries
+//! are not.
 
 use crate::cert::Certificate;
-use std::sync::Arc;
 
-/// One append-only CT log run by some operator.
+/// One append-only CT log run by some operator, held as its entry
+/// count.
 #[derive(Debug, Clone)]
 pub struct CtLog {
     /// Operator display name (e.g. "Google Argon", "Cloudflare Nimbus").
     pub operator: String,
-    entries: Vec<CtEntry>,
-}
-
-/// A logged (pre-)certificate record. It owns no heap memory: the
-/// issuer is the logged certificate's own handle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CtEntry {
-    /// Serial of the logged certificate.
-    pub serial: u64,
-    /// Issuer display name.
-    pub issuer: Arc<str>,
-    /// Number of DNS SANs in the logged certificate.
-    pub san_count: usize,
-    /// Log index (position in this log).
-    pub index: u64,
+    entries: u64,
 }
 
 impl CtLog {
@@ -37,36 +24,25 @@ impl CtLog {
     pub fn new(operator: &str) -> Self {
         CtLog {
             operator: operator.to_string(),
-            entries: Vec::new(),
+            entries: 0,
         }
     }
 
-    /// Append a certificate. CT logs are append-only; there is no
-    /// removal API at all.
-    pub fn append(&mut self, cert: &Certificate) -> u64 {
-        let index = self.entries.len() as u64;
-        self.entries.push(CtEntry {
-            serial: cert.serial,
-            issuer: cert.issuer.clone(),
-            san_count: cert.san_count(),
-            index,
-        });
-        index
+    /// Append a certificate and return its log index. CT logs are
+    /// append-only; there is no removal API at all.
+    pub fn append(&mut self, _cert: &Certificate) -> u64 {
+        self.entries += 1;
+        self.entries - 1
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries as usize
     }
 
     /// True when the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Entry at an index.
-    pub fn get(&self, index: u64) -> Option<&CtEntry> {
-        self.entries.get(index as usize)
+        self.entries == 0
     }
 }
 
@@ -152,12 +128,7 @@ mod tests {
         assert_eq!(log.append(&cert(10)), 0);
         assert_eq!(log.append(&cert(11)), 1);
         assert_eq!(log.len(), 2);
-        assert_eq!(log.get(0).unwrap().serial, 10);
-        assert_eq!(log.get(1).unwrap().serial, 11);
-        assert!(log.get(2).is_none());
-        let c = cert(12);
-        log.append(&c);
-        assert!(Arc::ptr_eq(&log.get(2).unwrap().issuer, &c.issuer));
+        assert!(!log.is_empty());
     }
 
     #[test]

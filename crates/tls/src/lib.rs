@@ -18,8 +18,8 @@
 //!   serial, and a DER-calibrated wire-size estimator.
 //! - [`ca`] — [`CertificateAuthority`] with per-CA SAN-count limits
 //!   (Let's Encrypt 100, Comodo 2000, …).
-//! - [`ctlog`] — append-only Certificate Transparency ledger with
-//!   per-operator load accounting.
+//! - [`ctlog`] — Certificate Transparency load: an append-only entry
+//!   count per log operator.
 //! - [`resumption`] — TLS 1.3 session-ticket cache with per-policy
 //!   redemption scope (exact host vs certificate-wide, Sy et al.).
 

@@ -278,7 +278,7 @@ impl Dataset {
         } else {
             Rotation::Fixed
         };
-        universe.register_host(root_host.clone(), root_addrs.clone(), asn, rotation);
+        universe.register_host(root_host.clone(), root_addrs.clone(), rotation);
 
         // Shards; ones sharing the root's addresses share its set.
         const SHARD_LABELS: [&str; 5] = ["www", "static", "img", "cdn", "assets"];
@@ -300,7 +300,7 @@ impl Dataset {
                     })
                     .collect()
             };
-            universe.register_host(h.clone(), addrs, asn, rotation);
+            universe.register_host(h.clone(), addrs, rotation);
             shard_hosts.push(h);
         }
 
@@ -354,13 +354,13 @@ impl Dataset {
         for s in &scratch.services {
             if let ServiceRef::Tail(t) = s {
                 let host = s.host();
-                if universe.asn_of_host(&host) == 0 {
+                if universe.zones.registered(&host).is_none() {
                     let svc_asn = s.asn();
                     let svc_net = 200 + (t % 50) as u8;
                     let addrs = (0..2)
                         .map(|_| universe.alloc_ip(svc_net, svc_asn, rng))
                         .collect();
-                    universe.register_host(host.clone(), addrs, svc_asn, Rotation::RoundRobin);
+                    universe.register_host(host.clone(), addrs, Rotation::RoundRobin);
                     let issuer = sample_tail_issuer(rng);
                     let cert = universe.issue_cert(issuer, host.clone(), &[]);
                     universe.set_cert(host, cert);
@@ -911,6 +911,38 @@ mod tests {
                 .resolve_shared(host, &mut Default::default(), &mut rng);
             assert!(ans.is_some(), "unresolvable host {host}");
             assert_ne!(d.universe.asn_of_host(host), 0);
+        }
+    }
+
+    /// A host's AS is read off its first registered address, so every
+    /// address a host registers must carry the AS it was generated
+    /// with: its site's, or its service's.
+    #[test]
+    fn every_registered_address_carries_its_hosts_as() {
+        let d = Dataset::generate(DatasetConfig {
+            sites: 2_000,
+            legacy_share: 0.25,
+            h3_share: 0.5,
+            ..Default::default()
+        });
+        let u = &d.universe;
+        let check = |host: &DnsName, asn: u32| {
+            assert_ne!(asn, 0, "{host}");
+            assert_eq!(u.asn_of_host(host), asn, "{host}");
+            for ip in u.zones.registered(host).expect("registered") {
+                assert_eq!(u.asn_of_ip(ip), asn, "{host} {ip}");
+            }
+        };
+        for svc in SERVICES.iter() {
+            check(&name(svc.host), PROVIDERS[svc.provider].asn);
+        }
+        for s in d.sites() {
+            for host in std::iter::once(&s.root_host).chain(s.shard_hosts.iter()) {
+                check(host, s.asn);
+            }
+            for svc in s.services.iter() {
+                check(&svc.host(), svc.asn());
+            }
         }
     }
 

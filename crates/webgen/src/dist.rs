@@ -8,12 +8,15 @@
 use origin_netsim::SimRng;
 use origin_web::Protocol;
 
+/// The most subrequests a page is generated with.
+pub const MAX_REQUESTS_PER_PAGE: u32 = 900;
+
 /// Per-page subrequest count: log-normal with the paper's median 81 /
 /// mean 113 (σ chosen so mean/median = e^(σ²/2) ≈ 1.395 → σ ≈ 0.816),
-/// clamped to a sane range.
+/// clamped to `[3, MAX_REQUESTS_PER_PAGE]`.
 pub fn sample_request_count(rng: &mut SimRng) -> u32 {
     let x = rng.log_normal(81.0, 0.816);
-    (x.round() as u32).clamp(3, 900)
+    (x.round() as u32).clamp(3, MAX_REQUESTS_PER_PAGE)
 }
 
 /// Number of distinct ASes a page touches (Figure 1): point masses at

@@ -1,13 +1,13 @@
 //! The provider/AS topology and per-host network state.
 
 use crate::services::SERVICES;
-use origin_dns::record::{v4, RecordSet, Rotation};
+use origin_dns::record::{RecordSet, Rotation};
 use origin_dns::{DnsName, ZoneSet};
 use origin_netsim::hash::FxHashMap;
 use origin_netsim::SimRng;
 use origin_tls::{Certificate, CertificateAuthority, CtLogSet, KnownIssuer};
 use std::collections::HashMap;
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
 /// A hosting/CDN provider in the synthetic topology.
@@ -115,23 +115,25 @@ pub fn tail_asn(i: u32) -> u32 {
 }
 
 /// The shared network state of the synthetic web: DNS zones, server
-/// certificates, IP→AS attribution, and per-host provider mapping.
+/// certificates and IP→AS attribution.
 pub struct Universe {
     /// Authoritative DNS for everything.
     pub zones: ZoneSet,
     // Hot read-side maps with the deterministic Fx hasher; none is
-    // ever iterated, so the hasher cannot change any output. Host
-    // maps key by the registered `DnsName` handle — the zone's key
-    // and theirs are one copy of the name — and suffix walks probe
-    // them with borrowed `&str`s.
+    // ever iterated, so the hasher cannot change any output. The
+    // certificate map keys by the registered `DnsName` handle — the
+    // zone's key and its are one copy of the name — and the fallback
+    // walk probes it with borrowed `&str`s. No map holds a host's AS:
+    // every address is allocated with its host's AS, so the AS is read
+    // off the host's registered addresses, which key by `Ipv4Addr`
+    // because the generator allocates no other kind.
     // Certificates are Arc-shared: the browser pool keeps a reference
     // on every pooled connection, so handing out a refcount bump
     // instead of a deep clone (SAN list + issuer string) is the
     // difference between one allocation per issuance and one per
     // connection.
     certs: FxHashMap<DnsName, Arc<Certificate>>,
-    ip_asn: FxHashMap<IpAddr, u32>,
-    host_asn: FxHashMap<DnsName, u32>,
+    ip_asn: FxHashMap<Ipv4Addr, u32>,
     cas: HashMap<KnownIssuer, CertificateAuthority>,
     /// Shared front-end (anycast/VIP) address pools per provider AS.
     /// Big CDNs terminate many hostnames on few addresses — the
@@ -149,7 +151,6 @@ impl Universe {
             zones: ZoneSet::new(),
             certs: FxHashMap::default(),
             ip_asn: FxHashMap::default(),
-            host_asn: FxHashMap::default(),
             cas: HashMap::new(),
             vip_pools: FxHashMap::default(),
             ct_logs: CtLogSet::default_operators(),
@@ -161,7 +162,7 @@ impl Universe {
     /// Allocate an IP inside a provider's /8 and record its AS.
     pub fn alloc_ip(&mut self, net: u8, asn: u32, rng: &mut SimRng) -> IpAddr {
         loop {
-            let ip = v4(
+            let ip = Ipv4Addr::new(
                 net,
                 rng.range_u64(0, 256) as u8,
                 rng.range_u64(0, 256) as u8,
@@ -169,7 +170,7 @@ impl Universe {
             );
             if let std::collections::hash_map::Entry::Vacant(e) = self.ip_asn.entry(ip) {
                 e.insert(asn);
-                return ip;
+                return IpAddr::V4(ip);
             }
         }
     }
@@ -190,14 +191,20 @@ impl Universe {
         *rng.choose(&self.vip_pools[&asn])
     }
 
-    /// The origin AS of an address (0 if unknown).
+    /// The origin AS of an address (0 if unknown, as every IPv6 one is:
+    /// the generator allocates none).
     pub fn asn_of_ip(&self, ip: &IpAddr) -> u32 {
-        self.ip_asn.get(ip).copied().unwrap_or(0)
+        match ip {
+            IpAddr::V4(v4) => self.ip_asn.get(v4).copied().unwrap_or(0),
+            IpAddr::V6(_) => 0,
+        }
     }
 
-    /// The AS serving a hostname (0 if unknown).
+    /// The AS serving a hostname (0 if unregistered): that of its first
+    /// registered address, since a host registers addresses of one AS.
     pub fn asn_of_host(&self, host: &DnsName) -> u32 {
-        self.host_asn.get(host).copied().unwrap_or(0)
+        let first = self.zones.registered(host).and_then(|addrs| addrs.first());
+        first.map_or(0, |ip| self.asn_of_ip(ip))
     }
 
     /// The certificate a server presents for connections to `host`.
@@ -233,17 +240,18 @@ impl Universe {
         self.certs.insert(host, Arc::new(cert));
     }
 
-    /// Register a host: DNS records plus AS attribution. Hosts on the
-    /// same addresses pass clones of one set.
-    pub fn register_host(
-        &mut self,
-        host: DnsName,
-        addresses: Arc<[IpAddr]>,
-        asn: u32,
-        rotation: Rotation,
-    ) {
+    /// Register a host's DNS records. Hosts on the same addresses pass
+    /// clones of one set. The host's AS is its addresses' own, so all of
+    /// them must have been allocated with one AS.
+    pub fn register_host(&mut self, host: DnsName, addresses: Arc<[IpAddr]>, rotation: Rotation) {
+        debug_assert!(
+            addresses.iter().all(|ip| {
+                let asn = self.asn_of_ip(ip);
+                asn != 0 && asn == self.asn_of_ip(&addresses[0])
+            }),
+            "{host}: addresses of no AS, or of more than one"
+        );
         let rs = RecordSet::new(addresses, 300).with_rotation(rotation);
-        self.host_asn.insert(host.clone(), asn);
         self.zones.insert(host, rs);
     }
 
@@ -283,7 +291,7 @@ impl Universe {
                 .collect();
             // Services rotate answers (load balancing) — the behaviour
             // that defeats Chromium's strict IP matching (§2.3).
-            self.register_host(host.clone(), addrs, provider.asn, Rotation::RoundRobin);
+            self.register_host(host.clone(), addrs, Rotation::RoundRobin);
             let cert = self.issue_cert(
                 provider.issuer,
                 host.clone(),

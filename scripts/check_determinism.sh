@@ -128,6 +128,15 @@ if nontest "${lib[@]}" | grep -v 'crates/netsim/src/hash\.rs:' |
     exit 1
 fi
 
+# The world keeps only what a run reads: a host's AS is read off its
+# addresses (no hostname → u32 map in the universe) and a CT log is its
+# operator's entry count (no per-entry `Vec` field).
+if nontest "$scripts"/../crates/webgen/src/universe.rs | grep -E 'Map<DnsName, *u32>' >&2 ||
+    nontest "$scripts"/../crates/tls/src/ctlog.rs | grep -E ': +(pub )?[a-z_]+: Vec<' | grep -v 'Vec<CtLog>' >&2; then
+    echo "FAIL: universe.rs maps a hostname to a u32, or ctlog.rs keeps a Vec of entries" >&2
+    exit 1
+fi
+
 FAULTS=drop=0.01,h421=0.005,middlebox=0.1
 run clean.out --sites 500 --threads 8 --metrics clean.json
 
