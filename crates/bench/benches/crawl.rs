@@ -190,7 +190,7 @@ fn crawl_stages_pass(spec: &CrawlSpec) -> [f64; 6] {
     std::array::from_fn(|stage| spent[stage] / per(stage))
 }
 
-/// The crawl's stage ledger (DESIGN.md §10): µs per site spent in each
+/// The crawl's stage ledger (DESIGN.md §12): µs per site spent in each
 /// stage of `crawl_site`, each stage's best over the passes, one
 /// thread, 2,000 ranks. Two rows: the pure-h2 `crawl-small` universe,
 /// and the `crawl-mixed` configuration of `BENCHMARK.json` (h1 and h3

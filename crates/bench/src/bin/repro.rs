@@ -660,7 +660,7 @@ fn cmd_paper(args: &Args) -> bool {
 }
 
 /// `repro serve --visits N …`: run the open-loop serving engine
-/// (DESIGN.md §16) — Poisson/diurnal session arrivals, pooled
+/// (DESIGN.md §20) — Poisson/diurnal session arrivals, pooled
 /// multi-visit sessions, live ORIGIN rollout A/B — and print the
 /// deterministic run summary. `--metrics` writes the merged `serve.*`
 /// registry (strip `runtime_ms` before comparing); `--timeline`

@@ -201,7 +201,7 @@ impl ShardAccum {
 /// One crawl worker's state: the loader, the session environment and
 /// the recycled buffers every visit of the worker's chunks goes through.
 ///
-/// Between visits a worker keeps capacity, never keys (DESIGN.md §12):
+/// Between visits a worker keeps capacity, never keys (DESIGN.md §10):
 /// `scratch`, `arena` (connection pool, protocol state, timing buffers)
 /// and the env's resolver are emptied per site, so a worker is as large
 /// and resets as fast after a million sites as after its largest one.

@@ -6,6 +6,7 @@ use origin_netsim::hash::FxHashMap;
 use origin_netsim::link::LINK_CLASSES;
 use origin_netsim::{LinkProfile, SimRng, SimTime};
 use origin_tls::Certificate;
+use origin_trace::Tracer;
 use origin_webgen::{Dataset, PROVIDERS};
 use std::cell::RefCell;
 use std::net::IpAddr;
@@ -16,23 +17,16 @@ use std::sync::Arc;
 /// simulator implements it for the §5 deployment (with its own
 /// certificates, origin sets and anycast addressing).
 pub trait WebEnv {
-    /// Resolve a hostname at simulated time `now`.
-    fn resolve(&mut self, host: &DnsName, now: SimTime, rng: &mut SimRng) -> Option<QueryAnswer>;
-
-    /// [`WebEnv::resolve`] plus trace events (query spans, cache-hit
-    /// and NXDOMAIN instants). The default ignores the tracer so
-    /// existing environments stay correct; environments owning a real
-    /// resolver should forward to
-    /// [`origin_dns::ResolverState::resolve_traced`].
-    fn resolve_traced(
+    /// Resolve a hostname at simulated time `now`. An environment with
+    /// a real resolver hands it `tracer` for the query's trace event
+    /// ([`origin_dns::ResolverState::resolve`]); the others ignore it.
+    fn resolve(
         &mut self,
         host: &DnsName,
         now: SimTime,
         rng: &mut SimRng,
-        _tracer: &mut origin_trace::Tracer,
-    ) -> Option<QueryAnswer> {
-        self.resolve(host, now, rng)
-    }
+        tracer: Option<&mut Tracer>,
+    ) -> Option<QueryAnswer>;
 
     /// The certificate the server presents for connections to `host`,
     /// as the shared handle the loader parks on a pooled connection.
@@ -200,20 +194,15 @@ impl<'a> UniverseEnv<'a> {
 }
 
 impl WebEnv for UniverseEnv<'_> {
-    fn resolve(&mut self, host: &DnsName, now: SimTime, rng: &mut SimRng) -> Option<QueryAnswer> {
-        self.resolver
-            .resolve(&self.dataset.universe.zones, host, now, rng)
-    }
-
-    fn resolve_traced(
+    fn resolve(
         &mut self,
         host: &DnsName,
         now: SimTime,
         rng: &mut SimRng,
-        tracer: &mut origin_trace::Tracer,
+        tracer: Option<&mut Tracer>,
     ) -> Option<QueryAnswer> {
         self.resolver
-            .resolve_traced(&self.dataset.universe.zones, host, now, rng, Some(tracer))
+            .resolve(&self.dataset.universe.zones, host, now, rng, tracer)
     }
 
     fn cert_shared(&self, host: &DnsName) -> Option<std::sync::Arc<Certificate>> {
@@ -311,7 +300,7 @@ mod tests {
         let mut env = UniverseEnv::new(&d);
         let mut rng = SimRng::seed_from_u64(1);
         let ans = env
-            .resolve(&name("cdnjs.cloudflare.com"), SimTime::ZERO, &mut rng)
+            .resolve(&name("cdnjs.cloudflare.com"), SimTime::ZERO, &mut rng, None)
             .expect("service resolves");
         assert!(!ans.addresses.is_empty());
         assert_eq!(env.asn_of_ip(&ans.addresses[0]), 13335);

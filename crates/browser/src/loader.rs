@@ -369,7 +369,7 @@ impl PageLoader {
 
     /// Simulate one page load; the one full-featured entry point.
     /// Every request runs the five-stage visit pipeline (resolve →
-    /// decide → open → transfer → report; DESIGN.md "Visit pipeline").
+    /// decide → open → transfer → report; DESIGN.md §8).
     /// Each optional argument switches on one independent concern:
     ///
     /// - `faults` — deterministic fault injection. The load suffers
@@ -739,16 +739,13 @@ impl Visit<'_> {
         // The query starts with the request, quantised as its seal will
         // be, so a DNS span begins exactly where the request does.
         let now = SimTime::from_micros(ms_us(start));
-        // The environment's resolver traces its own queries: the one
-        // sink the stages hand on.
-        let answer = match self.tracer.as_deref_mut() {
-            Some(t) => {
-                t.set_tid(0);
-                self.env.resolve_traced(host, now, self.rng, t)
-            }
-            None => self.env.resolve(host, now, self.rng),
-        };
-        let Some(ans) = answer else {
+        // The environment's resolver traces its own queries, on the
+        // loader's lane: the one sink the stages hand on.
+        let mut tracer = self.tracer.as_deref_mut();
+        if let Some(t) = tracer.as_deref_mut() {
+            t.set_tid(0);
+        }
+        let Some(ans) = self.env.resolve(host, now, self.rng, tracer) else {
             // NXDOMAIN: the request fails after the lookup.
             rq.t.phase.dns = NXDOMAIN_MS;
             rq.t.did_dns = true;

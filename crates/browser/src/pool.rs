@@ -15,7 +15,7 @@
 //! Index keys are `DnsName`s the connections already own (a clone is a
 //! refcount bump) and buckets are linked runs in one per-visit vector,
 //! so a cleared pool holds capacity and no keys: it is as large as its
-//! worker's largest visit, never as large as the crawl (DESIGN.md §12).
+//! worker's largest visit, never as large as the crawl (DESIGN.md §10).
 
 use crate::policy::BrowserKind;
 use origin_dns::DnsName;

@@ -2,7 +2,7 @@
 //!
 //! The per-visit [`crate::pool::ConnectionPool`] answers the paper's
 //! coalescing question *within* one page load and is discarded at the
-//! end of the visit. The serving engine (DESIGN.md §16) needs the
+//! end of the visit. The serving engine (DESIGN.md §20) needs the
 //! orthogonal long-lived layer: a per-user pool that keeps connections
 //! warm *across* visits, times out idle ones, and evicts under
 //! per-edge caps and a global memory budget. That churn — not the

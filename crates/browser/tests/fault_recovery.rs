@@ -47,6 +47,7 @@ impl WebEnv for MiniEnv {
         _host: &DnsName,
         _now: SimTime,
         _rng: &mut SimRng,
+        _tracer: Option<&mut origin_trace::Tracer>,
     ) -> Option<QueryAnswer> {
         Some(QueryAnswer {
             addresses: std::sync::Arc::new([self.ip]),

@@ -6,6 +6,7 @@ use origin_dns::{DnsName, QueryAnswer};
 use origin_h2::OriginSet;
 use origin_netsim::{LinkProfile, SimDuration, SimRng, SimTime};
 use origin_tls::Certificate;
+use origin_trace::Tracer;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
@@ -107,7 +108,13 @@ impl<'a> CdnEnv<'a> {
 }
 
 impl WebEnv for CdnEnv<'_> {
-    fn resolve(&mut self, host: &DnsName, _now: SimTime, rng: &mut SimRng) -> Option<QueryAnswer> {
+    fn resolve(
+        &mut self,
+        host: &DnsName,
+        _now: SimTime,
+        rng: &mut SimRng,
+        _tracer: Option<&mut Tracer>,
+    ) -> Option<QueryAnswer> {
         Some(QueryAnswer {
             addresses: self.answer(host)?,
             from_cache: false,
@@ -314,7 +321,7 @@ mod tests {
         let mut env = CdnEnv::new(&g, DeploymentMode::Baseline);
         let mut rng = SimRng::seed_from_u64(1);
         assert!(env
-            .resolve(&name("unrelated.example"), SimTime::ZERO, &mut rng)
+            .resolve(&name("unrelated.example"), SimTime::ZERO, &mut rng, None)
             .is_none());
     }
 

@@ -27,7 +27,7 @@
 //! - [`incident`] — the §6.7 non-compliant middlebox incident and its
 //!   disclosure timeline.
 //! - [`rollout`] — per-edge ORIGIN rollout state for the serving
-//!   engine's live A/B ramp (DESIGN.md §16).
+//!   engine's live A/B ramp (DESIGN.md §20).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //! treatment group before measurement started. A production rollout is
 //! messier: support ramps across the edge fleet *while traffic is
 //! being served*, and the interesting series is per-arm behaviour as
-//! the ramp progresses (DESIGN.md §16). [`Rollout`] models that ramp
+//! the ramp progresses (DESIGN.md §20). [`Rollout`] models that ramp
 //! as a deterministic pure function of `(edge, time)` so every worker
 //! shard — and every rerun — sees the identical assignment without
 //! any shared mutable state.

@@ -4,6 +4,7 @@ use crate::name::DnsName;
 use crate::zone::{Answer, SerialKey, ZoneSet};
 use origin_netsim::hash::FxHashMap;
 use origin_netsim::{SimDuration, SimRng, SimTime};
+use origin_trace::{Arg, Site, Tracer};
 
 /// The transport a client uses for its DNS queries. The paper's
 /// privacy argument (§6.2) is that every coalesced connection hides at
@@ -179,17 +180,31 @@ impl ResolverState {
     /// Resolve `name` against `zones` at simulated time `now`.
     ///
     /// Returns `None` on NXDOMAIN. Cache entries expire strictly after
-    /// their TTL.
+    /// their TTL. With a tracer, each query leaves one event: a
+    /// `dns.cache_hit` instant, a `dns.query` complete span (duration =
+    /// simulated lookup latency) or a `dns.nxdomain` instant.
     pub fn resolve(
         &mut self,
         zones: &ZoneSet,
         name: &DnsName,
         now: SimTime,
         rng: &mut SimRng,
+        tracer: Option<&mut Tracer>,
     ) -> Option<QueryAnswer> {
+        static CACHE_HIT: Site = Site::new("dns.cache_hit", "dns", &["name"]);
+        static QUERY: Site = Site::new(
+            "dns.query",
+            "dns",
+            &["name", "transport", "plaintext", "answers"],
+        );
+        static NXDOMAIN: Site = Site::new("dns.nxdomain", "dns", &["name"]);
+        let (at, host) = (now.as_micros(), Arg::Str(name.as_str()));
         if let Some(entry) = self.cache.get(name) {
             if entry.expires > now {
                 self.stats.cache_hits += 1;
+                if let Some(t) = tracer {
+                    t.instant_at(&CACHE_HIT, at, &[host]);
+                }
                 return Some(QueryAnswer {
                     addresses: entry.addresses.clone(),
                     from_cache: true,
@@ -203,71 +218,42 @@ impl ResolverState {
             self.stats.plaintext_queries += 1;
         }
         let latency = self.network_latency(rng);
-        match zones.resolve_shared(name, &mut self.serials, rng) {
-            Some(Answer {
-                addresses,
-                ttl_secs,
-            }) => {
-                self.cache.insert(
-                    name.clone(),
-                    CacheEntry {
-                        addresses: addresses.clone(),
-                        expires: now + SimDuration::from_secs(ttl_secs as u64),
-                    },
-                );
-                Some(QueryAnswer {
-                    addresses,
-                    from_cache: false,
-                    latency,
-                })
+        let Some(Answer {
+            addresses,
+            ttl_secs,
+        }) = zones.resolve_shared(name, &mut self.serials, rng)
+        else {
+            self.stats.nxdomain += 1;
+            if let Some(t) = tracer {
+                t.instant_at(&NXDOMAIN, at, &[host]);
             }
-            None => {
-                self.stats.nxdomain += 1;
-                None
-            }
-        }
-    }
-
-    /// [`ResolverState::resolve`] plus trace events: a `dns.query`
-    /// complete span for network lookups (duration = simulated lookup
-    /// latency), a `dns.cache_hit` instant for cache hits, and a
-    /// `dns.nxdomain` instant for missing names.
-    pub fn resolve_traced(
-        &mut self,
-        zones: &ZoneSet,
-        name: &DnsName,
-        now: SimTime,
-        rng: &mut SimRng,
-        tracer: Option<&mut origin_trace::Tracer>,
-    ) -> Option<QueryAnswer> {
-        let answer = self.resolve(zones, name, now, rng);
-        if let Some(tracer) = tracer {
-            use origin_trace::{Arg, Site};
-            static CACHE_HIT: Site = Site::new("dns.cache_hit", "dns", &["name"]);
-            static QUERY: Site = Site::new(
-                "dns.query",
-                "dns",
-                &["name", "transport", "plaintext", "answers"],
+            return None;
+        };
+        if let Some(t) = tracer {
+            t.complete(
+                &QUERY,
+                at,
+                latency.as_micros(),
+                &[
+                    host,
+                    Arg::Str(self.transport.name()),
+                    Arg::Bool(self.transport.is_plaintext()),
+                    Arg::U64(addresses.len() as u64),
+                ],
             );
-            static NXDOMAIN: Site = Site::new("dns.nxdomain", "dns", &["name"]);
-            let host = Arg::Str(name.as_str());
-            match &answer {
-                Some(a) if a.from_cache => tracer.instant_at(&CACHE_HIT, now.as_micros(), &[host]),
-                Some(a) => tracer.complete(
-                    &QUERY,
-                    now.as_micros(),
-                    a.latency.as_micros(),
-                    &[
-                        host,
-                        Arg::Str(self.transport.name()),
-                        Arg::Bool(self.transport.is_plaintext()),
-                        Arg::U64(a.addresses.len() as u64),
-                    ],
-                ),
-                None => tracer.instant_at(&NXDOMAIN, now.as_micros(), &[host]),
-            }
         }
-        answer
+        self.cache.insert(
+            name.clone(),
+            CacheEntry {
+                addresses: addresses.clone(),
+                expires: now + SimDuration::from_secs(ttl_secs as u64),
+            },
+        );
+        Some(QueryAnswer {
+            addresses,
+            from_cache: false,
+            latency,
+        })
     }
 
     fn network_latency(&self, rng: &mut SimRng) -> SimDuration {
@@ -331,7 +317,7 @@ impl Resolver {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<QueryAnswer> {
-        self.state.resolve(&self.zones, name, now, rng)
+        self.state.resolve(&self.zones, name, now, rng, None)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Open-loop session arrival processes.
 //!
-//! The serving engine (DESIGN.md §16) replaces the one-shot crawl with
+//! The serving engine (DESIGN.md §20) replaces the one-shot crawl with
 //! an open-loop workload: sessions arrive on their own clock,
 //! independent of how fast the system drains them. Arrivals are a
 //! Poisson process whose rate is modulated by a diurnal (daily sine)

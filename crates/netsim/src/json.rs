@@ -6,7 +6,7 @@
 //! conventions. So there is no `Value` tree and no pretty-printer
 //! here: an emitter keeps its layout as literal strings and hands
 //! every string, number and separator to this module, the only place
-//! that knows JSON's lexical rules (DESIGN.md "Exports").
+//! that knows JSON's lexical rules (DESIGN.md §21).
 
 use std::fmt::Write;
 

@@ -16,7 +16,7 @@
 //! Memory is `O(windows × series)` — each window holds a fixed counter
 //! array and a handful of bounded sketches — never `O(visits)`.
 //!
-//! See `DESIGN.md` §15 for the window model, sketch error bound, and
+//! See `DESIGN.md` §18 for the window model, sketch error bound, and
 //! flight-recorder semantics.
 
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! The open-loop serving engine (DESIGN.md §16).
+//! The open-loop serving engine (DESIGN.md §20).
 //!
 //! The paper evaluates best-case coalescing as a one-shot crawl: every
 //! site visited exactly once, cold. Production traffic is nothing like

@@ -20,15 +20,18 @@ impl Sampler {
         }
     }
 
-    /// Parse the CLI form `1/N` (also accepts a bare `N`). `N` must be
-    /// at least 1: "one in zero" reads as *none*, which is not
-    /// something a sampler can mean.
+    /// Parse the CLI form `1/N` (also accepts a bare `N`), ignoring
+    /// whitespace around the input and after the slash. `N` must be at
+    /// least 1: "one in zero" reads as *none*, which is not something a
+    /// sampler can mean.
     pub fn parse(s: &str) -> Option<Self> {
-        let denom: u32 = match s.split_once('/') {
-            Some(("1", d)) => d.trim().parse().ok()?,
+        let s = s.trim();
+        let digits = match s.split_once('/') {
+            Some(("1", d)) => d.trim_start(),
             Some(_) => return None,
-            None => s.trim().parse().ok()?,
+            None => s,
         };
+        let denom: u32 = digits.parse().ok()?;
         (denom > 0).then(|| Self::new(denom))
     }
 
@@ -76,6 +79,9 @@ mod tests {
     fn parse_accepts_fraction_and_bare_forms() {
         assert_eq!(Sampler::parse("1/16"), Some(Sampler::new(16)));
         assert_eq!(Sampler::parse("8"), Some(Sampler::new(8)));
+        for padded in [" 1/4", "1/ 4", "1/4 ", " 4 "] {
+            assert_eq!(Sampler::parse(padded), Some(Sampler::new(4)), "{padded:?}");
+        }
         assert_eq!(Sampler::parse("2/3"), None);
         assert_eq!(Sampler::parse("1/x"), None);
     }

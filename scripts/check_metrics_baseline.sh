@@ -12,7 +12,7 @@
 # so are the optional-subsystem counter families listed below: the
 # committed baseline is a clean pure-h2 unobserved run where they are
 # absent by design (such counters only materialize when their
-# subsystem actually did something; DESIGN.md §15), so exports from
+# subsystem actually did something; DESIGN.md §16), so exports from
 # mixed / faulted / observed runs can still be gated against it.
 #
 # Requires jq.

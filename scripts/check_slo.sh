@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI SLO gate over the streaming timeline export (DESIGN.md §15).
+# CI SLO gate over the streaming timeline export (DESIGN.md §18).
 #
 #   usage: check_slo.sh <timeline.json> [reference.json]
 #

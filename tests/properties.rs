@@ -986,6 +986,41 @@ fn origin_entry_parse_never_panics() {
     }
 }
 
+// ---- CLI specs ----
+
+/// `--faults` and `--sample` read user text: hostile variants of valid
+/// specs never panic either parser, and a profile's rendered spec
+/// parses back to the same profile.
+#[test]
+fn cli_spec_parsers_never_panic_and_faults_roundtrip() {
+    use origin_trace::Sampler;
+    use respect_origin::netsim::FaultProfile;
+    let mut rng = SimRng::seed_from_u64(0x434C4931);
+    let rate = |rng: &mut SimRng| match rng.index(4) {
+        0 => 0.0,
+        1 => 1.0,
+        2 => rng.unit() * 1e-3,
+        _ => rng.unit(),
+    };
+    for _ in 0..512 {
+        let p = FaultProfile {
+            drop: rate(&mut rng),
+            corrupt: rate(&mut rng),
+            h421: rate(&mut rng),
+            middlebox: rate(&mut rng),
+        };
+        assert_eq!(FaultProfile::parse(&p.spec()), Ok(p));
+        let sample = format!("1/{}", rng.range_u64(1, 1 << 20));
+        for valid in [p.spec(), sample] {
+            for bytes in hostile_variants(&mut rng, valid.as_bytes()) {
+                let text = String::from_utf8_lossy(&bytes);
+                let _ = FaultProfile::parse(&text);
+                let _ = Sampler::parse(&text);
+            }
+        }
+    }
+}
+
 // ---- timeline reconstruction ----
 
 mod reconstruct_props {
