@@ -13,7 +13,7 @@
 
 use origin_browser::{
     fault_counter_names, h3_counter_names, BrowserKind, FaultSession, PageLoader, UniverseEnv,
-    VisitArena, WebEnv, REDUNDANCY_KINDS,
+    VisitArena, REDUNDANCY_KINDS,
 };
 use origin_core::certplan::{plan_site, EffectiveChanges, PlanSummary};
 use origin_core::characterize::Characterization;

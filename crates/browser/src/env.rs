@@ -37,9 +37,6 @@ pub trait WebEnv {
     /// Origin AS of an address.
     fn asn_of_ip(&self, ip: &IpAddr) -> u32;
 
-    /// Origin AS serving a hostname.
-    fn asn_of_host(&self, host: &DnsName) -> u32;
-
     /// Can the server terminating connections for `conn_host` also
     /// authoritatively serve `new_host` on the same socket? When
     /// false, a coalescing attempt would draw `421 Misdirected
@@ -55,16 +52,11 @@ pub trait WebEnv {
     /// per certificate and this is a refcount bump.
     fn origin_set_for(&self, host: &DnsName) -> Option<Arc<OriginSet>>;
 
-    /// Network path profile toward `host`.
-    fn link_for(&self, host: &DnsName) -> LinkProfile;
-
-    /// The two per-request host facts — origin AS and link profile —
-    /// fetched together. The loader needs both at the top of every
-    /// request; environments with a memoized fact cache override this
-    /// to answer from a single lookup instead of two.
-    fn request_facts(&self, host: &DnsName) -> (u32, LinkProfile) {
-        (self.asn_of_host(host), self.link_for(host))
-    }
+    /// The two per-request host facts: the origin AS serving `host`
+    /// and the network path profile toward it. The loader asks once at
+    /// the top of every request; these are the only host facts it
+    /// reads.
+    fn request_facts(&self, host: &DnsName) -> (u32, LinkProfile);
 }
 
 /// The webgen-backed environment for the §3 crawl: resolves against
@@ -80,8 +72,8 @@ pub struct UniverseEnv<'a> {
     /// what-if runs and §5-style deployments on the crawl universe).
     pub origin_enabled_asns: Vec<u32>,
     /// Per-host derived facts (AS, registrable-domain id, link
-    /// class), computed once per distinct hostname. `colocated` and
-    /// `link_for` run for every candidate connection of every request;
+    /// class), computed once per distinct hostname. `colocated` runs
+    /// for every candidate connection and `request_facts` once per request;
     /// without the cache each call re-derives the registrable domain
     /// (allocating) and re-hashes the hostname into the universe maps.
     /// Everything cached is a pure function of the immutable dataset,
@@ -112,7 +104,7 @@ struct HostFacts {
     /// Number of the registrable domain.
     registrable: u32,
     /// 0 = CDN edge, 1 = same-continent tail, 2 = intercontinental
-    /// tail (see [`WebEnv::link_for`]).
+    /// tail (see `link_profile`).
     link_class: u8,
 }
 
@@ -172,6 +164,11 @@ impl<'a> UniverseEnv<'a> {
         self.cache.borrow_mut().lookup(host, &self.dataset.universe)
     }
 
+    /// Origin AS serving a hostname, from the host-fact cache.
+    pub fn asn_of_host(&self, host: &DnsName) -> u32 {
+        self.host_facts(host).asn
+    }
+
     /// Clear the DNS cache (fresh browser session per page, §3.1).
     pub fn flush_dns(&mut self) {
         self.resolver.flush_cache();
@@ -213,10 +210,6 @@ impl WebEnv for UniverseEnv<'_> {
         self.dataset.universe.asn_of_ip(ip)
     }
 
-    fn asn_of_host(&self, host: &DnsName) -> u32 {
-        self.host_facts(host).asn
-    }
-
     fn colocated(&self, conn_host: &DnsName, new_host: &DnsName) -> bool {
         // Same registrable domain → same origin server farm. Same
         // provider AS → shared CDN edge able to serve both (the §4
@@ -243,10 +236,6 @@ impl WebEnv for UniverseEnv<'_> {
             Arc::new(OriginSet::from_hosts(exact.map(|san| san.as_str())))
         });
         Some(set.clone())
-    }
-
-    fn link_for(&self, host: &DnsName) -> LinkProfile {
-        link_profile(self.host_facts(host).link_class)
     }
 
     fn request_facts(&self, host: &DnsName) -> (u32, LinkProfile) {
@@ -337,8 +326,8 @@ mod tests {
     fn links_differ_by_provider_size() {
         let d = dataset();
         let env = UniverseEnv::new(&d);
-        let cdn = env.link_for(&name("cdnjs.cloudflare.com"));
-        let tail = env.link_for(&name("tag0.widget-net-0.net"));
+        let (_, cdn) = env.request_facts(&name("cdnjs.cloudflare.com"));
+        let (_, tail) = env.request_facts(&name("tag0.widget-net-0.net"));
         assert!(cdn.rtt < tail.rtt);
     }
 }

@@ -16,11 +16,10 @@ use origin_h1::{
     Role as H1Role, DEFAULT_MAX_CONNECTIONS_PER_HOST,
 };
 use origin_h3::{H3Conn, H3Counts, H3RequestStats, H3Session, QuicConnectOutcome};
-use origin_netsim::fault::{FaultInjector, NonCompliantMiddlebox, PacketFate};
 use origin_netsim::link::INIT_CWND;
 use origin_netsim::{
-    FaultProfile, HandshakeModel, LinkProfile, Middlebox, MiddleboxVerdict, SimDuration, SimRng,
-    SimTime, TlsVersion,
+    FaultProfile, HandshakeModel, LinkProfile, Middlebox, MiddleboxVerdict, PacketFate,
+    SimDuration, SimRng, SimTime, TlsVersion,
 };
 use origin_web::har::{PageLoad, Phase, RequestTiming, SealedUs};
 use origin_web::{Page, Protocol, Resource};
@@ -53,8 +52,8 @@ const DISPATCH_DELAY_MS: f64 = 2.0;
 /// `drop=1`.
 const MAX_TRANSFER_RETRIES: u32 = 3;
 
-/// Per-visit fault-injection state: the profile, its packet injector,
-/// the §6.7 middlebox, and a dedicated RNG.
+/// Per-visit fault-injection state: the profile, a dedicated RNG, and
+/// the counts of what the profile injected.
 ///
 /// Every fault decision — and the cost of every repair a fault
 /// triggers — draws from this RNG and never from the simulation RNG.
@@ -69,8 +68,6 @@ const MAX_TRANSFER_RETRIES: u32 = 3;
 ///   reproducible at any thread count.
 pub struct FaultSession {
     profile: FaultProfile,
-    injector: FaultInjector,
-    middlebox: NonCompliantMiddlebox,
     rng: SimRng,
     /// Counters accumulated over the loads this session observed.
     pub counts: FaultCounts,
@@ -82,8 +79,6 @@ impl FaultSession {
     pub fn new(profile: FaultProfile, seed: u64) -> Self {
         FaultSession {
             profile,
-            injector: profile.injector(),
-            middlebox: NonCompliantMiddlebox::default(),
             rng: SimRng::seed_from_u64(seed),
             counts: FaultCounts::default(),
         }
@@ -880,7 +875,7 @@ impl Visit<'_> {
         if let Some(f) = self.faults.as_deref_mut() {
             if origin_set.is_some()
                 && f.rng.chance(f.profile.middlebox)
-                && f.middlebox.inspect(ORIGIN_FRAME_TYPE) == MiddleboxVerdict::TearDown
+                && Middlebox::NonCompliant.inspect(ORIGIN_FRAME_TYPE) == MiddleboxVerdict::TearDown
             {
                 // §6.7: the handshake succeeded, then the ORIGIN frame
                 // the edge sent on the fresh connection tripped an
@@ -1046,7 +1041,7 @@ impl Visit<'_> {
             // MAX_TRANSFER_RETRIES the transfer is force-delivered so
             // the crawl terminates under any profile.
             for attempt in 0..MAX_TRANSFER_RETRIES {
-                let fate_label = match f.injector.apply(&mut f.rng) {
+                let fate_label = match f.profile.packet_fate(&mut f.rng) {
                     PacketFate::Delivered => break,
                     PacketFate::Dropped => {
                         f.counts.drops += 1;

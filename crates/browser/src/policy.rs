@@ -32,19 +32,6 @@ pub enum BrowserKind {
 }
 
 impl BrowserKind {
-    /// Does this policy consult DNS answers for IP-overlap matches?
-    pub fn uses_ip_matching(self) -> bool {
-        !matches!(self, BrowserKind::IdealOrigin)
-    }
-
-    /// Does IP matching extend to the full answer set (transitivity)?
-    pub fn ip_transitive(self) -> bool {
-        matches!(
-            self,
-            BrowserKind::Firefox | BrowserKind::FirefoxOrigin | BrowserKind::IdealIp
-        )
-    }
-
     /// Does this policy honour ORIGIN frames?
     pub fn uses_origin_frame(self) -> bool {
         matches!(self, BrowserKind::FirefoxOrigin | BrowserKind::IdealOrigin)
@@ -88,18 +75,14 @@ mod tests {
     #[test]
     fn chromium_is_strict() {
         let k = BrowserKind::Chromium;
-        assert!(k.uses_ip_matching());
-        assert!(!k.ip_transitive());
         assert!(!k.uses_origin_frame());
         assert!(k.dns_before_coalesce());
         assert!(k.models_races());
     }
 
     #[test]
-    fn firefox_is_transitive() {
-        let k = BrowserKind::Firefox;
-        assert!(k.ip_transitive());
-        assert!(!k.uses_origin_frame());
+    fn firefox_ignores_origin_frames() {
+        assert!(!BrowserKind::Firefox.uses_origin_frame());
     }
 
     #[test]
@@ -118,8 +101,6 @@ mod tests {
             assert!(!k.dns_before_coalesce());
             assert!(!k.models_races());
         }
-        assert!(!BrowserKind::IdealOrigin.uses_ip_matching());
-        assert!(BrowserKind::IdealIp.ip_transitive());
     }
 
     #[test]

@@ -61,9 +61,6 @@ impl WebEnv for MiniEnv {
     fn asn_of_ip(&self, _ip: &IpAddr) -> u32 {
         13335
     }
-    fn asn_of_host(&self, _host: &DnsName) -> u32 {
-        13335
-    }
     fn colocated(&self, _conn_host: &DnsName, _new_host: &DnsName) -> bool {
         true
     }
@@ -71,8 +68,8 @@ impl WebEnv for MiniEnv {
         self.advertise_origin
             .then(|| OriginSet::from_hosts(["www.a.com", "img.a.com"]).into())
     }
-    fn link_for(&self, _host: &DnsName) -> LinkProfile {
-        self.link.clone()
+    fn request_facts(&self, _host: &DnsName) -> (u32, LinkProfile) {
+        (13335, self.link.clone())
     }
 }
 

@@ -263,7 +263,7 @@ impl ActiveMeasurement {
             if let Some(metrics) = metrics.as_deref_mut() {
                 client.record_metrics(metrics);
                 edge.conn.record_metrics(metrics);
-                metrics.inc("cdn.wire_checks");
+                metrics.add("cdn.wire_checks", 1);
             }
         }
         matched

@@ -133,10 +133,6 @@ impl WebEnv for CdnEnv<'_> {
         CDN_ASN
     }
 
-    fn asn_of_host(&self, _host: &DnsName) -> u32 {
-        CDN_ASN
-    }
-
     fn colocated(&self, _conn_host: &DnsName, _new_host: &DnsName) -> bool {
         // One CDN serves the whole sample; edges are configured for
         // every sample authority, so no coalescing attempt 421s.
@@ -154,8 +150,8 @@ impl WebEnv for CdnEnv<'_> {
         })
     }
 
-    fn link_for(&self, _host: &DnsName) -> LinkProfile {
-        LinkProfile::new(22.0, 60.0).with_jitter(0.25)
+    fn request_facts(&self, _host: &DnsName) -> (u32, LinkProfile) {
+        (CDN_ASN, LinkProfile::new(22.0, 60.0).with_jitter(0.25))
     }
 }
 

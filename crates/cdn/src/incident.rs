@@ -12,9 +12,7 @@
 //! may or may not send ORIGIN frames.
 
 use crate::sample::{SampleGroup, Treatment};
-use origin_netsim::fault::{
-    CompliantMiddlebox, Middlebox, MiddleboxVerdict, NonCompliantMiddlebox,
-};
+use origin_netsim::fault::{Middlebox, MiddleboxVerdict};
 use origin_netsim::SimRng;
 
 /// The ORIGIN frame's wire type code (RFC 8336).
@@ -76,8 +74,6 @@ impl MiddleboxIncident {
         origin_enabled: bool,
         rng: &mut SimRng,
     ) -> (IncidentReport, IncidentReport) {
-        let buggy = NonCompliantMiddlebox::default();
-        let clean = CompliantMiddlebox;
         let mut exp = IncidentReport::default();
         let mut ctl = IncidentReport::default();
         for _ in 0..connections {
@@ -91,24 +87,20 @@ impl MiddleboxIncident {
             // Frames crossing the path during connection setup: the
             // server's SETTINGS (0x04) always; ORIGIN (0x0c) when the
             // deployment is live.
-            let mut verdict = MiddleboxVerdict::Forward;
+            let middlebox = if behind_buggy {
+                Middlebox::NonCompliant
+            } else {
+                Middlebox::Compliant
+            };
             let frames: &[u8] = if origin_enabled {
                 &[0x04, ORIGIN_FRAME_TYPE]
             } else {
                 &[0x04]
             };
-            for &ft in frames {
-                let v = if behind_buggy {
-                    buggy.inspect(ft)
-                } else {
-                    clean.inspect(ft)
-                };
-                if v == MiddleboxVerdict::TearDown {
-                    verdict = v;
-                    break;
-                }
-            }
-            if verdict == MiddleboxVerdict::TearDown {
+            if frames
+                .iter()
+                .any(|&ft| middlebox.inspect(ft) == MiddleboxVerdict::TearDown)
+            {
                 report.torn_down += 1;
             } else {
                 report.completed += 1;

@@ -12,7 +12,7 @@
 //!    (§6.2). The resolver keeps per-transport counters so experiments
 //!    can report exactly how much cleartext disappeared.
 //!
-//! The crate is sans-IO: an authoritative [`Zone`] set is queried by a
+//! The crate is sans-IO: the authoritative [`ZoneSet`] is queried by a
 //! caching [`Resolver`] whose notion of time is supplied by the
 //! caller (simulated microseconds), so TTL expiry is deterministic.
 
@@ -27,4 +27,4 @@ pub mod zone;
 pub use name::DnsName;
 pub use record::{RecordSet, Rotation};
 pub use resolver::{QueryAnswer, Resolver, ResolverState, ResolverStats, Transport};
-pub use zone::{SerialKey, Zone, ZoneSet};
+pub use zone::{SerialKey, ZoneSet};

@@ -129,15 +129,6 @@ impl DnsName {
         self.0.split_once('.').map(|(_, rest)| rest)
     }
 
-    /// True when `self` is a strict subdomain of `other`
-    /// (`www.example.com` is a subdomain of `example.com`; a name is
-    /// not a subdomain of itself).
-    pub fn is_subdomain_of(&self, other: &DnsName) -> bool {
-        self.0.len() > other.0.len()
-            && self.0.ends_with(other.as_str())
-            && self.0.as_bytes()[self.0.len() - other.0.len() - 1] == b'.'
-    }
-
     /// The registrable domain under a simplified public-suffix model:
     /// the last two labels, or three when the name ends with a common
     /// two-part suffix such as `co.uk` / `com.au`. Good enough for
@@ -271,13 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn parent_and_subdomain() {
+    fn parent_drops_the_first_label() {
         let n = name("a.b.example.com");
         assert_eq!(n.parent().unwrap(), name("b.example.com"));
-        assert!(n.is_subdomain_of(&name("example.com")));
-        assert!(n.is_subdomain_of(&name("b.example.com")));
-        assert!(!n.is_subdomain_of(&n));
-        assert!(!name("notexample.com").is_subdomain_of(&name("example.com")));
         assert_eq!(name("com").parent(), None);
     }
 

@@ -7,23 +7,24 @@ use origin_netsim::SimRng;
 use std::net::IpAddr;
 use std::sync::Arc;
 
-/// One authoritative zone: a mapping from names (exact or wildcard) to
-/// address record sets.
+/// "The DNS": one global authoritative view mapping names (exact or
+/// wildcard) to address record sets, which is all the reproduction
+/// needs (delegation chasing adds latency realism but no coalescing
+/// behaviour).
 ///
 /// Both maps use the deterministic Fx hasher: zone lookups run on
 /// every resolver cache miss (the crawler flushes caches per page),
-/// and no output ever observes map iteration order ([`Zone::names`]
-/// has no callers in the reproduction pipeline).
+/// and no output observes map iteration order (nothing iterates them).
 #[derive(Debug, Clone, Default)]
-pub struct Zone {
+pub struct ZoneSet {
     exact: FxHashMap<DnsName, RecordSet>,
     /// Wildcard entries keyed by the parent domain the `*` covers
     /// (`*.example.com` is stored under `example.com`).
     wildcard: FxHashMap<DnsName, RecordSet>,
 }
 
-impl Zone {
-    /// New empty zone.
+impl ZoneSet {
+    /// New empty set.
     pub fn new() -> Self {
         Self::default()
     }
@@ -46,13 +47,13 @@ impl Zone {
         self.exact.len() + self.wildcard.len()
     }
 
-    /// True when the zone has no entries.
+    /// True when the set has no entries.
     pub fn is_empty(&self) -> bool {
         self.exact.is_empty() && self.wildcard.is_empty()
     }
 
     /// Answer a query, applying the record set's rotation policy with
-    /// the round-robin serials held externally in `serials`: the zone
+    /// the round-robin serials held externally in `serials`: the set
     /// itself is read-only, and each resolver session keeps its own
     /// overlay, so many sessions can share one zone set across threads.
     /// Only round-robin sets get an overlay entry. Returns `None` when
@@ -98,11 +99,6 @@ impl Zone {
     pub fn registered(&self, name: &DnsName) -> Option<&[IpAddr]> {
         self.exact.get(name).map(|rs| rs.addresses())
     }
-
-    /// Iterate exact entries.
-    pub fn names(&self) -> impl Iterator<Item = &DnsName> {
-        self.exact.keys()
-    }
 }
 
 /// Key identifying one record set in a zone for external rotation
@@ -121,52 +117,6 @@ pub struct Answer {
     pub ttl_secs: u32,
 }
 
-/// A collection of zones acting as "the DNS": one global authoritative
-/// view, which is all the reproduction needs (delegation chasing adds
-/// latency realism but no coalescing behaviour).
-#[derive(Debug, Clone, Default)]
-pub struct ZoneSet {
-    zone: Zone,
-}
-
-impl ZoneSet {
-    /// New empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a record set for a name anywhere in the namespace.
-    pub fn insert(&mut self, name: DnsName, records: RecordSet) {
-        self.zone.insert(name, records);
-    }
-
-    /// Answer a query with rotation serials held externally (shared
-    /// read-only zones; see [`Zone::resolve_shared`]).
-    pub fn resolve_shared(
-        &self,
-        name: &DnsName,
-        serials: &mut FxHashMap<SerialKey, u32>,
-        rng: &mut SimRng,
-    ) -> Option<Answer> {
-        self.zone.resolve_shared(name, serials, rng)
-    }
-
-    /// Read-only registered addresses for a name.
-    pub fn registered(&self, name: &DnsName) -> Option<&[IpAddr]> {
-        self.zone.registered(name)
-    }
-
-    /// Total registered entries.
-    pub fn len(&self) -> usize {
-        self.zone.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.zone.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +124,7 @@ mod tests {
     use crate::record::v4;
 
     /// One query from a fresh session.
-    fn resolve(z: &Zone, host: &str) -> Option<Answer> {
+    fn resolve(z: &ZoneSet, host: &str) -> Option<Answer> {
         z.resolve_shared(
             &name(host),
             &mut FxHashMap::default(),
@@ -184,7 +134,7 @@ mod tests {
 
     #[test]
     fn exact_lookup() {
-        let mut z = Zone::new();
+        let mut z = ZoneSet::new();
         z.insert(name("www.example.com"), RecordSet::single(v4(10, 0, 0, 1)));
         let a = resolve(&z, "www.example.com").unwrap();
         assert_eq!(a.addresses[..], [v4(10, 0, 0, 1)]);
@@ -193,7 +143,7 @@ mod tests {
 
     #[test]
     fn wildcard_covers_subdomains() {
-        let mut z = Zone::new();
+        let mut z = ZoneSet::new();
         z.insert(
             name("*.cdn.example.com"),
             RecordSet::single(v4(10, 0, 0, 9)),
@@ -206,7 +156,7 @@ mod tests {
 
     #[test]
     fn exact_beats_wildcard() {
-        let mut z = Zone::new();
+        let mut z = ZoneSet::new();
         z.insert(name("*.example.com"), RecordSet::single(v4(1, 1, 1, 1)));
         z.insert(name("www.example.com"), RecordSet::single(v4(2, 2, 2, 2)));
         let a = resolve(&z, "www.example.com").unwrap();
@@ -215,7 +165,7 @@ mod tests {
 
     #[test]
     fn ttl_propagates() {
-        let mut z = Zone::new();
+        let mut z = ZoneSet::new();
         z.insert(name("x.com"), RecordSet::new(vec![v4(1, 2, 3, 4)], 42));
         assert_eq!(resolve(&z, "x.com").unwrap().ttl_secs, 42);
     }
@@ -225,7 +175,7 @@ mod tests {
     /// serial, and a fixed answer is the registered set's own handle.
     #[test]
     fn only_round_robin_sets_take_a_serial() {
-        let mut z = Zone::new();
+        let mut z = ZoneSet::new();
         let pair = vec![v4(1, 1, 1, 1), v4(2, 2, 2, 2)];
         let rr =
             |addrs: &Vec<_>| RecordSet::new(addrs.clone(), 60).with_rotation(Rotation::RoundRobin);
@@ -259,17 +209,13 @@ mod tests {
     }
 
     #[test]
-    fn zoneset_delegates() {
+    fn len_counts_exact_and_wildcard_entries() {
         let mut zs = ZoneSet::new();
         assert!(zs.is_empty());
         zs.insert(name("a.com"), RecordSet::single(v4(5, 5, 5, 5)));
-        assert_eq!(zs.len(), 1);
-        let a = zs.resolve_shared(
-            &name("a.com"),
-            &mut FxHashMap::default(),
-            &mut SimRng::seed_from_u64(1),
-        );
-        assert_eq!(a.unwrap().addresses[..], [v4(5, 5, 5, 5)]);
+        zs.insert(name("*.a.com"), RecordSet::single(v4(6, 6, 6, 6)));
+        assert_eq!(zs.len(), 2);
         assert_eq!(zs.registered(&name("a.com")).unwrap(), &[v4(5, 5, 5, 5)]);
+        assert!(zs.registered(&name("b.a.com")).is_none());
     }
 }

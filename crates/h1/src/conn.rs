@@ -30,7 +30,9 @@ pub enum H1Error {
     /// `Transfer-Encoding` framing is outside this machine's strict
     /// Content-Length / connection-close subset.
     UnsupportedTransferEncoding,
-    /// `Content-Length` was present but not a decimal integer.
+    /// A `Content-Length` field was not 1*DIGIT (RFC 9110 §8.6), or
+    /// two of them disagreed (RFC 9112 §6.3). Carries the offending
+    /// field value.
     BadContentLength(String),
     /// More body bytes than the framing allows.
     BodyOverrun {
@@ -416,19 +418,9 @@ impl Connection {
         if req.header("transfer-encoding").is_some() {
             return Err(self.fail(H1Error::UnsupportedTransferEncoding));
         }
-        match req.header("content-length") {
-            Some(v) => match v.trim().parse::<u64>() {
-                Ok(0) => Ok(Framing::NoBody),
-                Ok(n) => Ok(Framing::ContentLength(n)),
-                Err(_) => {
-                    let v = v.to_string();
-                    Err(self.fail(H1Error::BadContentLength(v)))
-                }
-            },
-            // Requests have no close-delimited form: no length means
-            // no body.
-            None => Ok(Framing::NoBody),
-        }
+        // Requests have no close-delimited form: no length means no
+        // body.
+        self.content_length(req.headers, Framing::NoBody)
     }
 
     fn response_framing_of<S: AsRef<str>>(
@@ -443,25 +435,56 @@ impl Connection {
         if self.head_request || bodyless_status {
             return Ok(Framing::NoBody);
         }
-        match resp.header("content-length") {
-            Some(v) => match v.trim().parse::<u64>() {
-                Ok(0) => Ok(Framing::NoBody),
-                Ok(n) => Ok(Framing::ContentLength(n)),
-                Err(_) => {
-                    let v = v.to_string();
-                    Err(self.fail(H1Error::BadContentLength(v)))
+        // No length, body-bearing status: the body runs to the close
+        // of the connection.
+        self.content_length(resp.headers, Framing::CloseDelimited)
+    }
+
+    /// The framing a head's `Content-Length` fields give it, `absent`
+    /// when it has none. Each value must be 1*DIGIT once its optional
+    /// whitespace is trimmed (RFC 9110 §8.6: no sign, no list), and
+    /// repeated fields must agree (RFC 9112 §6.3).
+    fn content_length<S: AsRef<str>>(
+        &mut self,
+        headers: &[(S, S)],
+        absent: Framing,
+    ) -> Result<Framing, H1Error> {
+        let mut length = None;
+        for (name, value) in headers {
+            if !name.as_ref().eq_ignore_ascii_case("content-length") {
+                continue;
+            }
+            let value = value.as_ref();
+            let digits = value.trim_matches([' ', '\t']);
+            match digits.parse::<u64>() {
+                Ok(n)
+                    if digits.bytes().all(|b| b.is_ascii_digit())
+                        && length.is_none_or(|l| l == n) =>
+                {
+                    length = Some(n);
                 }
-            },
-            // No length, body-bearing status: the body runs to the
-            // close of the connection.
-            None => Ok(Framing::CloseDelimited),
+                _ => return Err(self.fail(H1Error::BadContentLength(value.to_string()))),
+            }
         }
+        Ok(match length {
+            None => absent,
+            Some(0) => Framing::NoBody,
+            Some(n) => Framing::ContentLength(n),
+        })
     }
 }
 
+/// Does a `Connection` field list the `close` option? The field is a
+/// comma-separated token list (RFC 9110 §7.6.1), so `keep-alive, close`
+/// closes too.
 fn header_says_close<S: AsRef<str>>(headers: &[(S, S)]) -> bool {
     headers.iter().any(|(n, v)| {
-        n.as_ref().eq_ignore_ascii_case("connection") && v.as_ref().eq_ignore_ascii_case("close")
+        n.as_ref().eq_ignore_ascii_case("connection")
+            && v.as_ref().split(',').any(|token| {
+                token
+                    .trim_matches([' ', '\t'])
+                    .eq_ignore_ascii_case("close")
+            })
     })
 }
 
@@ -712,6 +735,76 @@ mod tests {
         assert_eq!(conn.start_next_cycle().unwrap_err(), H1Error::NotKeptAlive);
         conn.receive(&Event::ConnectionClosed).unwrap();
         assert_eq!(conn.our_state(), State::Closed);
+    }
+
+    /// A client that sent one GET and now receives a response head
+    /// with `headers`.
+    fn response_with(headers: &[(&str, &str)]) -> (Connection, Result<(), H1Error>) {
+        let mut conn = client();
+        conn.send(&Event::Request(Request::get("/a", "h"))).unwrap();
+        conn.send(&Event::EndOfMessage).unwrap();
+        let head = ResponseHead {
+            status: 200,
+            headers,
+        };
+        let result = conn.receive_ref(EventRef::Response(head));
+        (conn, result)
+    }
+
+    #[test]
+    fn content_length_must_be_all_digits() {
+        for bad in ["+5", "-5", "5 5", "0x5", "5,5", "", "99999999999999999999"] {
+            let (conn, result) = response_with(&[("content-length", bad)]);
+            assert_eq!(result, Err(H1Error::BadContentLength(bad.to_string())));
+            assert_eq!(conn.our_state(), State::Error);
+        }
+        let mut conn = client();
+        let err = conn
+            .send_ref(EventRef::Request(RequestHead {
+                method: "POST",
+                target: "/",
+                headers: &[("content-length", "+5")],
+            }))
+            .unwrap_err();
+        assert_eq!(err, H1Error::BadContentLength("+5".to_string()));
+        // Optional whitespace around the digits is not part of the value.
+        let (conn, result) = response_with(&[("content-length", " \t5 ")]);
+        result.unwrap();
+        assert_eq!(conn.response_framing(), Framing::ContentLength(5));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        let (conn, result) = response_with(&[("content-length", "5"), ("Content-Length", "6")]);
+        assert_eq!(result, Err(H1Error::BadContentLength("6".to_string())));
+        assert_eq!(conn.our_state(), State::Error);
+        // Repeating the same length is harmless.
+        let (conn, result) = response_with(&[("content-length", "5"), ("content-length", "5")]);
+        result.unwrap();
+        assert_eq!(conn.response_framing(), Framing::ContentLength(5));
+    }
+
+    #[test]
+    fn close_anywhere_in_the_connection_list_ends_keep_alive() {
+        let (conn, result) =
+            response_with(&[("content-length", "8"), ("connection", "keep-alive, close")]);
+        result.unwrap();
+        assert!(!conn.keep_alive());
+        let mut conn = client();
+        conn.send_ref(EventRef::Request(RequestHead {
+            method: "GET",
+            target: "/",
+            headers: &[("Connection", "Upgrade,\tClose")],
+        }))
+        .unwrap();
+        assert!(!conn.keep_alive());
+        // A token that merely contains `close` is another option.
+        let (conn, result) = response_with(&[
+            ("content-length", "8"),
+            ("connection", "keep-alive, closed"),
+        ]);
+        result.unwrap();
+        assert!(conn.keep_alive());
     }
 
     #[test]

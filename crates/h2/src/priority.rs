@@ -190,21 +190,6 @@ impl PriorityTree {
         out
     }
 
-    /// Bandwidth share of `stream` among its siblings (weight /
-    /// Σ sibling weights).
-    pub fn sibling_share(&self, stream: StreamId) -> f64 {
-        let Some(node) = self.nodes.get(&stream) else {
-            return 0.0;
-        };
-        let siblings = &self.nodes[&node.parent].children;
-        let total: u32 = siblings.iter().map(|s| self.nodes[s].weight as u32).sum();
-        if total == 0 {
-            0.0
-        } else {
-            node.weight as f64 / total as f64
-        }
-    }
-
     fn detach(&mut self, stream: StreamId) {
         if let Some(node) = self.nodes.get(&stream) {
             let parent = node.parent;
@@ -260,9 +245,6 @@ mod tests {
             t.transmission_order(),
             vec![StreamId(3), StreamId(5), StreamId(1)]
         );
-        // Shares: 201 / (201+101+11).
-        let share = t.sibling_share(StreamId(3));
-        assert!((share - 201.0 / 313.0).abs() < 1e-9);
     }
 
     #[test]
@@ -288,7 +270,7 @@ mod tests {
         t.apply(StreamId(5), spec(0, 200, true));
         let order = t.transmission_order();
         assert_eq!(order[0], StreamId(5));
-        assert_eq!(t.sibling_share(StreamId(5)), 1.0);
+        assert_eq!(t.nodes[&StreamId::CONNECTION].children, [StreamId(5)]);
     }
 
     #[test]

@@ -15,16 +15,6 @@ impl StreamId {
         self.0 == 0
     }
 
-    /// Client-initiated streams are odd (RFC 7540 §5.1.1).
-    pub fn is_client_initiated(self) -> bool {
-        self.0 % 2 == 1
-    }
-
-    /// Server-initiated (pushed) streams are even and non-zero.
-    pub fn is_server_initiated(self) -> bool {
-        self.0 != 0 && self.0.is_multiple_of(2)
-    }
-
     /// The next stream id initiated by the same peer.
     pub fn next(self) -> StreamId {
         StreamId(self.0 + 2)
@@ -123,11 +113,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn id_parity() {
-        assert!(StreamId(1).is_client_initiated());
-        assert!(StreamId(3).is_client_initiated());
-        assert!(StreamId(2).is_server_initiated());
-        assert!(!StreamId(0).is_server_initiated());
+    fn connection_stream_and_next_id() {
         assert!(StreamId::CONNECTION.is_connection());
         assert_eq!(StreamId(1).next(), StreamId(3));
     }

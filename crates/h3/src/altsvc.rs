@@ -9,63 +9,10 @@
 //! learned advertisement upgrades later connections in the same scope
 //! — because it is exactly the asymmetry that makes coalescing-like
 //! treatments (resumption, shared address validation) matter under h3.
+//! The model learns the advertisement as a fact of the connection's
+//! certificate scope, so no header value is ever rendered or parsed.
 
 use std::collections::HashSet;
-
-/// A parsed `alt-svc` alternative.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AltService {
-    /// ALPN protocol identifier (`h3` here).
-    pub protocol: String,
-    /// Advertised port.
-    pub port: u16,
-    /// `ma` freshness lifetime in seconds (RFC 7838 default 86400).
-    pub max_age: u64,
-}
-
-/// Default `ma` when the parameter is absent (RFC 7838 §3.1).
-pub const DEFAULT_MAX_AGE: u64 = 86_400;
-
-/// Render the advertisement header value the model's origins send.
-pub fn format_alt_svc(svc: &AltService) -> String {
-    format!("{}=\":{}\"; ma={}", svc.protocol, svc.port, svc.max_age)
-}
-
-/// Parse an `alt-svc` header value. Returns the first well-formed
-/// alternative, `None` for `clear` or garbage — a client ignores what
-/// it cannot parse rather than failing the response.
-pub fn parse_alt_svc(value: &str) -> Option<AltService> {
-    let value = value.trim();
-    if value.eq_ignore_ascii_case("clear") {
-        return None;
-    }
-    for alt in value.split(',') {
-        let mut params = alt.split(';').map(str::trim);
-        let head = params.next()?;
-        let (protocol, authority) = head.split_once('=')?;
-        let authority = authority.trim_matches('"');
-        // Authority is [host]:port; the model's origins advertise the
-        // same host, so only the port matters.
-        let port: u16 = match authority.rsplit_once(':') {
-            Some((_, p)) => p.parse().ok()?,
-            None => continue,
-        };
-        let mut max_age = DEFAULT_MAX_AGE;
-        for p in params {
-            if let Some((k, v)) = p.split_once('=') {
-                if k.trim() == "ma" {
-                    max_age = v.trim().parse().ok()?;
-                }
-            }
-        }
-        return Some(AltService {
-            protocol: protocol.trim().to_string(),
-            port,
-            max_age,
-        });
-    }
-    None
-}
 
 /// The client's per-visit memory of which certificate scopes have
 /// advertised h3. Scope keys are certificate serials: an advertisement
@@ -107,28 +54,6 @@ impl AltSvcCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn format_parse_round_trip() {
-        let svc = AltService {
-            protocol: "h3".into(),
-            port: 443,
-            max_age: 86_400,
-        };
-        let wire = format_alt_svc(&svc);
-        assert_eq!(wire, "h3=\":443\"; ma=86400");
-        assert_eq!(parse_alt_svc(&wire), Some(svc));
-    }
-
-    #[test]
-    fn parse_handles_clear_defaults_and_garbage() {
-        assert_eq!(parse_alt_svc("clear"), None);
-        assert_eq!(
-            parse_alt_svc("h3=\":443\"").map(|s| s.max_age),
-            Some(DEFAULT_MAX_AGE)
-        );
-        assert_eq!(parse_alt_svc("not a header"), None);
-    }
 
     #[test]
     fn cache_is_scope_keyed() {

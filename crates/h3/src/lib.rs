@@ -21,8 +21,8 @@
 //!   field tables (RFC 9204 is defined on top of RFC 7541): the
 //!   0-indexed static table, Required Insert Count / Base arithmetic,
 //!   and the split encoder-stream / field-section wire format.
-//! - [`altsvc`] — RFC 7838 advertisement parsing and the per-visit
-//!   scope cache that gates h3 upgrades.
+//! - [`altsvc`] — the per-visit RFC 7838 scope cache that gates h3
+//!   upgrades.
 //! - [`session`] — [`H3Session`] (per-visit Alt-Svc, ticket, and
 //!   address-validation memory; every handshake decision in one
 //!   deterministic call) and [`H3Conn`] (per-connection QPACK + CID
@@ -41,7 +41,7 @@ pub mod handshake;
 pub mod qpack;
 pub mod session;
 
-pub use altsvc::{format_alt_svc, parse_alt_svc, AltService, AltSvcCache};
+pub use altsvc::AltSvcCache;
 pub use cid::{CidError, ConnectionIdRegistry, DEFAULT_ACTIVE_CID_LIMIT};
 pub use handshake::{HandshakeError, HandshakeMode, HandshakeState, QuicCostModel, QuicHandshake};
 pub use qpack::{Decoder as QpackDecoder, Encoder as QpackEncoder, Field, QpackError};

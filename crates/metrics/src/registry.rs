@@ -59,11 +59,6 @@ impl Registry {
         }
     }
 
-    /// Increment the named counter by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
     /// Current value of a counter (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -80,11 +75,6 @@ impl Registry {
         let h = self.hists.get_mut(name).expect("present or just inserted");
         assert_eq!(h.bounds(), bounds, "histogram {name} bounds changed");
         h.observe(value);
-    }
-
-    /// The named histogram, when it has been observed into.
-    pub fn histogram(&self, name: &str) -> Option<&FixedHistogram> {
-        self.hists.get(name)
     }
 
     /// Add one interval of simulated time to the named phase.
@@ -227,7 +217,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut r = Registry::new();
-        r.inc("a");
+        r.add("a", 1);
         r.add("a", 4);
         r.add("b", 0);
         assert_eq!(r.counter("a"), 5);

@@ -14,44 +14,6 @@
 use crate::hash::fnv1a64;
 use crate::rng::SimRng;
 
-/// Probabilistic packet-level fault injection.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    /// Probability a packet is silently dropped.
-    pub drop_chance: f64,
-    /// Probability a delivered packet is corrupted.
-    pub corrupt_chance: f64,
-}
-
-impl FaultInjector {
-    /// No faults.
-    pub fn none() -> Self {
-        FaultInjector {
-            drop_chance: 0.0,
-            corrupt_chance: 0.0,
-        }
-    }
-
-    /// Construct with the given probabilities (each sanitized to \[0,1\]).
-    pub fn new(drop_chance: f64, corrupt_chance: f64) -> Self {
-        FaultInjector {
-            drop_chance: sanitize_probability(drop_chance),
-            corrupt_chance: sanitize_probability(corrupt_chance),
-        }
-    }
-
-    /// Decide the fate of one packet.
-    pub fn apply(&self, rng: &mut SimRng) -> PacketFate {
-        if rng.chance(self.drop_chance) {
-            PacketFate::Dropped
-        } else if rng.chance(self.corrupt_chance) {
-            PacketFate::Corrupted
-        } else {
-            PacketFate::Delivered
-        }
-    }
-}
-
 /// Coerce a probability into \[0,1\]. `f64::clamp` propagates NaN, so a
 /// NaN input would survive into `SimRng::chance` and poison every
 /// comparison against it; treat NaN as "no fault".
@@ -147,13 +109,22 @@ impl FaultProfile {
         sanitize_probability(self.h421 * scale)
     }
 
-    /// Packet-level injector for this profile's drop/corrupt rates.
-    pub fn injector(&self) -> FaultInjector {
-        FaultInjector::new(self.drop, self.corrupt)
+    /// Decide the fate of one packet under this profile's `drop` and
+    /// `corrupt` rates (each sanitized into \[0,1\], so a literal
+    /// profile with a NaN rate injects nothing). Draws one `chance` for
+    /// the drop and, if the packet survived, one for the corruption.
+    pub fn packet_fate(&self, rng: &mut SimRng) -> PacketFate {
+        if rng.chance(sanitize_probability(self.drop)) {
+            PacketFate::Dropped
+        } else if rng.chance(sanitize_probability(self.corrupt)) {
+            PacketFate::Corrupted
+        } else {
+            PacketFate::Delivered
+        }
     }
 }
 
-/// Outcome of passing one packet through a [`FaultInjector`].
+/// Outcome of [`FaultProfile::packet_fate`] for one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketFate {
     /// Delivered intact.
@@ -169,70 +140,41 @@ pub enum PacketFate {
 pub enum MiddleboxVerdict {
     /// Frame forwarded unchanged.
     Forward,
-    /// Frame silently discarded (connection survives).
-    DropFrame,
     /// Connection torn down — the §6.7 failure mode.
     TearDown,
 }
 
 /// An on-path device that observes HTTP/2 frame type codes.
 ///
-/// Implementations are deliberately ignorant of frame payloads: real
-/// interception stacks key off the one-byte type field, which is all
-/// the §6.7 bug needed.
-pub trait Middlebox {
+/// Deliberately ignorant of frame payloads: real interception stacks
+/// key off the one-byte type field, which is all the §6.7 bug needed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Middlebox {
+    /// A standards-compliant pass-through (RFC 7540 §4.1: unknown frame
+    /// types must be ignored, so a middlebox simply forwards them).
+    Compliant,
+    /// The §6.7 bug: any frame type outside the RFC 7540 core set
+    /// (0x00 DATA through 0x09 CONTINUATION) tears the connection down.
+    /// ORIGIN (0x0c) and ALTSVC (0x0a) are both "unknown" to it.
+    NonCompliant,
+}
+
+impl Middlebox {
     /// Inspect a frame type code (the raw `u8` on the wire) and decide
     /// what happens.
-    fn inspect(&self, frame_type: u8) -> MiddleboxVerdict;
+    pub fn inspect(self, frame_type: u8) -> MiddleboxVerdict {
+        match self {
+            Middlebox::NonCompliant if frame_type > 0x09 => MiddleboxVerdict::TearDown,
+            _ => MiddleboxVerdict::Forward,
+        }
+    }
 
     /// Human-readable name for logs and incident reports.
-    fn name(&self) -> &str;
-}
-
-/// A standards-compliant pass-through (RFC 7540 §4.1: implementations
-/// must ignore and discard unknown frame types — middleboxes should
-/// simply forward them).
-#[derive(Debug, Clone, Default)]
-pub struct CompliantMiddlebox;
-
-impl Middlebox for CompliantMiddlebox {
-    fn inspect(&self, _frame_type: u8) -> MiddleboxVerdict {
-        MiddleboxVerdict::Forward
-    }
-    fn name(&self) -> &str {
-        "compliant"
-    }
-}
-
-/// The §6.7 bug: any frame type outside the RFC 7540 core set tears
-/// the connection down. ORIGIN (0x0c) and ALTSVC (0x0a) are both
-/// "unknown" to such a stack.
-#[derive(Debug, Clone)]
-pub struct NonCompliantMiddlebox {
-    /// Highest frame type code the stack recognizes. RFC 7540 defines
-    /// 0x00 (DATA) through 0x09 (CONTINUATION).
-    pub max_known_type: u8,
-}
-
-impl Default for NonCompliantMiddlebox {
-    fn default() -> Self {
-        // Knows only the RFC 7540 core frames.
-        NonCompliantMiddlebox {
-            max_known_type: 0x09,
+    pub fn name(self) -> &'static str {
+        match self {
+            Middlebox::Compliant => "compliant",
+            Middlebox::NonCompliant => "non-compliant antivirus agent",
         }
-    }
-}
-
-impl Middlebox for NonCompliantMiddlebox {
-    fn inspect(&self, frame_type: u8) -> MiddleboxVerdict {
-        if frame_type <= self.max_known_type {
-            MiddleboxVerdict::Forward
-        } else {
-            MiddleboxVerdict::TearDown
-        }
-    }
-    fn name(&self) -> &str {
-        "non-compliant antivirus agent"
     }
 }
 
@@ -244,48 +186,60 @@ mod tests {
     const ALTSVC_FRAME_TYPE: u8 = 0x0a;
     const DATA_FRAME_TYPE: u8 = 0x00;
 
+    /// The profile's rates as a literal (no `parse` sanitizing).
+    fn rates(drop: f64, corrupt: f64) -> FaultProfile {
+        FaultProfile {
+            drop,
+            corrupt,
+            ..FaultProfile::none()
+        }
+    }
+
     #[test]
     fn no_faults_always_delivers() {
-        let f = FaultInjector::none();
+        let f = FaultProfile::none();
         let mut rng = SimRng::seed_from_u64(1);
         for _ in 0..100 {
-            assert_eq!(f.apply(&mut rng), PacketFate::Delivered);
+            assert_eq!(f.packet_fate(&mut rng), PacketFate::Delivered);
         }
     }
 
     #[test]
     fn full_drop_always_drops() {
-        let f = FaultInjector::new(1.0, 0.0);
         let mut rng = SimRng::seed_from_u64(2);
-        assert_eq!(f.apply(&mut rng), PacketFate::Dropped);
+        assert_eq!(rates(1.0, 0.0).packet_fate(&mut rng), PacketFate::Dropped);
     }
 
     #[test]
-    fn probabilities_clamped() {
-        let f = FaultInjector::new(7.0, -3.0);
-        assert_eq!(f.drop_chance, 1.0);
-        assert_eq!(f.corrupt_chance, 0.0);
+    fn out_of_range_rates_clamp() {
+        let mut rng = SimRng::seed_from_u64(2);
+        for _ in 0..100 {
+            assert_eq!(rates(7.0, -3.0).packet_fate(&mut rng), PacketFate::Dropped);
+            assert_eq!(
+                rates(-1.0, 5.0).packet_fate(&mut rng),
+                PacketFate::Corrupted
+            );
+        }
     }
 
     #[test]
     fn drop_rate_close_to_p() {
-        let f = FaultInjector::new(0.15, 0.0);
+        let f = rates(0.15, 0.0);
         let mut rng = SimRng::seed_from_u64(3);
         let drops = (0..10_000)
-            .filter(|_| f.apply(&mut rng) == PacketFate::Dropped)
+            .filter(|_| f.packet_fate(&mut rng) == PacketFate::Dropped)
             .count();
         assert!((1_300..1_700).contains(&drops), "drops={drops}");
     }
 
     #[test]
-    fn nan_probability_sanitized_to_zero() {
-        let f = FaultInjector::new(f64::NAN, f64::NAN);
-        assert_eq!(f.drop_chance, 0.0);
-        assert_eq!(f.corrupt_chance, 0.0);
+    fn nan_rates_inject_nothing_and_draw_nothing() {
+        let f = rates(f64::NAN, f64::NAN);
         let mut rng = SimRng::seed_from_u64(4);
         for _ in 0..100 {
-            assert_eq!(f.apply(&mut rng), PacketFate::Delivered);
+            assert_eq!(f.packet_fate(&mut rng), PacketFate::Delivered);
         }
+        assert_eq!(rng.next_u64(), SimRng::seed_from_u64(4).next_u64());
     }
 
     #[test]
@@ -346,23 +300,22 @@ mod tests {
     }
 
     #[test]
-    fn profile_injector_carries_drop_and_corrupt() {
+    fn parsed_profile_drives_packet_fate() {
         let p = FaultProfile::parse("drop=1").unwrap();
         let mut rng = SimRng::seed_from_u64(5);
-        assert_eq!(p.injector().apply(&mut rng), PacketFate::Dropped);
+        assert_eq!(p.packet_fate(&mut rng), PacketFate::Dropped);
     }
 
     #[test]
     fn compliant_forwards_everything() {
-        let m = CompliantMiddlebox;
-        assert_eq!(m.inspect(DATA_FRAME_TYPE), MiddleboxVerdict::Forward);
-        assert_eq!(m.inspect(ORIGIN_FRAME_TYPE), MiddleboxVerdict::Forward);
-        assert_eq!(m.inspect(0xff), MiddleboxVerdict::Forward);
+        for ft in [DATA_FRAME_TYPE, ORIGIN_FRAME_TYPE, 0xff] {
+            assert_eq!(Middlebox::Compliant.inspect(ft), MiddleboxVerdict::Forward);
+        }
     }
 
     #[test]
     fn non_compliant_kills_origin_frames() {
-        let m = NonCompliantMiddlebox::default();
+        let m = Middlebox::NonCompliant;
         assert_eq!(m.inspect(DATA_FRAME_TYPE), MiddleboxVerdict::Forward);
         assert_eq!(m.inspect(0x09), MiddleboxVerdict::Forward);
         assert_eq!(m.inspect(ALTSVC_FRAME_TYPE), MiddleboxVerdict::TearDown);
@@ -371,9 +324,7 @@ mod tests {
 
     #[test]
     fn middlebox_names() {
-        assert_eq!(CompliantMiddlebox.name(), "compliant");
-        assert!(NonCompliantMiddlebox::default()
-            .name()
-            .contains("non-compliant"));
+        assert_eq!(Middlebox::Compliant.name(), "compliant");
+        assert!(Middlebox::NonCompliant.name().contains("non-compliant"));
     }
 }

@@ -46,7 +46,7 @@ pub mod time;
 
 pub use arrival::ArrivalProcess;
 pub use event::EventQueue;
-pub use fault::{FaultInjector, FaultProfile, Middlebox, MiddleboxVerdict, PacketFate};
+pub use fault::{FaultProfile, Middlebox, MiddleboxVerdict, PacketFate};
 pub use link::LinkProfile;
 pub use rng::SimRng;
 pub use shard::fold_chunks;

@@ -102,11 +102,6 @@ impl FlightRecorder {
         self.current_rank = rank;
     }
 
-    /// The rank the recorder is currently attributing events to.
-    pub fn current_rank(&self) -> u32 {
-        self.current_rank
-    }
-
     /// Record one event at visit-relative sim time `t_us` for the
     /// current visit.
     pub fn record(&mut self, t_us: u64, code: &'static str, value: u64, detail: &str) {

@@ -47,13 +47,6 @@ impl Protocol {
             Protocol::NA => "N/A",
         }
     }
-
-    /// Can connections carrying this protocol be coalesced at all?
-    /// Only HTTP/2 supports coalescing + ORIGIN (§6.6: HTTP/3 has no
-    /// ORIGIN standard yet).
-    pub fn supports_coalescing(self) -> bool {
-        matches!(self, Protocol::H2)
-    }
 }
 
 /// How a subresource is fetched; decides CORS behaviour.
@@ -69,15 +62,6 @@ pub enum FetchMode {
     CorsAnonymous,
     /// Programmatic XHR / `fetch()` request.
     XhrFetch,
-}
-
-impl FetchMode {
-    /// Whether Firefox's implementation coalesces this fetch onto an
-    /// ORIGIN-advertised connection (the §5.3 observation: anonymous
-    /// and programmatic fetches use a separate, uncoalesced pool).
-    pub fn firefox_coalescible(self) -> bool {
-        matches!(self, FetchMode::Normal)
-    }
 }
 
 /// What a resource's URL path is a function of. Only an HTTP/1.1
@@ -253,29 +237,6 @@ impl Page {
     pub fn host_of(&self, resource: &Resource) -> &DnsName {
         &self.hosts[resource.host as usize]
     }
-
-    /// Number of subresource requests (excludes the root document).
-    pub fn subrequest_count(&self) -> usize {
-        self.resources.len() - 1
-    }
-
-    /// Discovery depth of a resource (root = 0; root-referenced
-    /// subresources = 1).
-    pub fn depth_of(&self, idx: usize) -> usize {
-        let mut depth = 0;
-        let mut cursor = idx;
-        while let Some(parent) = self.resources[cursor].discovered_by {
-            depth += 1;
-            cursor = parent;
-            debug_assert!(depth <= self.resources.len(), "discovery cycle");
-        }
-        // The walk ends at the root (cursor 0) or at a root-referenced
-        // resource whose implicit parent is the root document.
-        if cursor != 0 {
-            depth += 1;
-        }
-        depth
-    }
 }
 
 #[cfg(test)]
@@ -308,7 +269,7 @@ mod tests {
         assert_eq!(p.resources[0].content_type, ContentType::Html);
         assert_eq!(p.resources[0].path, PathSpec::Fixed("/"));
         assert_eq!(p.host_of(&p.resources[0]), &p.root_host);
-        assert_eq!(p.subrequest_count(), 3);
+        assert_eq!(p.resources.len(), 4);
     }
 
     #[test]
@@ -354,17 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_follows_discovery() {
-        let p = page();
-        // css (1) and jquery (3) are root-referenced; font (2) is a
-        // child of css.
-        assert_eq!(p.depth_of(0), 0);
-        assert_eq!(p.depth_of(1), 1);
-        assert_eq!(p.depth_of(2), 2);
-        assert_eq!(p.depth_of(3), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "discovered by later")]
     fn forward_reference_panics() {
         let mut p = Page::new(1, name("a.com"), 1_000);
@@ -375,19 +325,9 @@ mod tests {
     }
 
     #[test]
-    fn fetch_mode_coalescibility() {
-        assert!(FetchMode::Normal.firefox_coalescible());
-        assert!(!FetchMode::CorsAnonymous.firefox_coalescible());
-        assert!(!FetchMode::XhrFetch.firefox_coalescible());
-    }
-
-    #[test]
-    fn protocol_labels_and_coalescing() {
+    fn protocol_labels_and_order() {
         assert_eq!(Protocol::H2.label(), "HTTP/2");
         assert_eq!(Protocol::H3Q050.label(), "H3-Q050");
-        assert!(Protocol::H2.supports_coalescing());
-        assert!(!Protocol::H11.supports_coalescing());
-        assert!(!Protocol::H3Q050.supports_coalescing());
         for (i, p) in Protocol::ALL.into_iter().enumerate() {
             assert_eq!(p as usize, i);
         }

@@ -890,7 +890,7 @@ mod tests {
         assert_eq!(page.resources[0].content_type, ContentType::Html);
         assert_eq!(page.host_of(&page.resources[0]), &site.root_host);
         // Budget is approximate (hosts each get ≥1) but close.
-        let n = page.subrequest_count() as u32;
+        let n = (page.resources.len() - 1) as u32;
         assert!(
             n >= site.n_requests.min(3),
             "n={n} budget={}",
@@ -1008,9 +1008,13 @@ mod tests {
         let mut max_depth = 0;
         for site in d.successful_sites().take(20) {
             let page = d.page_for(site);
-            for i in 0..page.resources.len() {
-                max_depth = max_depth.max(page.depth_of(i));
+            // Root = 0; a resource is one deeper than what discovered
+            // it, or than the root when nothing did (parents come first).
+            let mut depth = vec![0usize; page.resources.len()];
+            for (i, r) in page.resources.iter().enumerate().skip(1) {
+                depth[i] = r.discovered_by.map_or(1, |p| depth[p] + 1);
             }
+            max_depth = max_depth.max(depth.into_iter().max().unwrap_or(0));
         }
         assert!(max_depth >= 5, "max discovery depth {max_depth}");
     }

@@ -8,7 +8,6 @@
 
 use bytes_dump::hex;
 use respect_origin::h2::{Frame, FrameDecoder, FrameType, OriginSet};
-use respect_origin::netsim::fault::NonCompliantMiddlebox;
 use respect_origin::netsim::{Middlebox, MiddleboxVerdict};
 
 mod bytes_dump {
@@ -43,7 +42,7 @@ fn main() {
 
     // RFC 7540 §4.1: a compliant endpoint must IGNORE unknown frames.
     // The §6.7 antivirus agent instead tore the connection down:
-    let buggy = NonCompliantMiddlebox::default();
+    let buggy = Middlebox::NonCompliant;
     println!("\n§6.7 middlebox inspecting frame types:");
     for (label, ft) in [
         ("DATA", 0x00u8),

@@ -4,16 +4,24 @@
 use bytes::BytesMut;
 use respect_origin::h2::conn::{request_headers, status_of, ServerConfig};
 use respect_origin::h2::{Connection, Event, Frame, FrameDecoder, OriginSet, Settings};
-use respect_origin::netsim::fault::{CompliantMiddlebox, NonCompliantMiddlebox};
 use respect_origin::netsim::{Middlebox, MiddleboxVerdict};
 
-/// Pump two endpoints to quiescence, optionally through a middlebox
-/// that inspects every frame on the server→client path. Returns the
+/// What inspects every frame on the server→client path.
+#[derive(Clone, Copy)]
+enum OnPath {
+    /// One of the modelled middleboxes.
+    Device(Middlebox),
+    /// A device that silently discards frame types outside the
+    /// RFC 7540 core set (0x00–0x09) and forwards the rest.
+    Dropper,
+}
+
+/// Pump two endpoints to quiescence through `path`. Returns the
 /// client's events and whether the middlebox tore the connection down.
 fn pump_through(
     client: &mut Connection,
     server: &mut Connection,
-    middlebox: &dyn Middlebox,
+    path: OnPath,
 ) -> (Vec<Event>, bool) {
     let decoder = FrameDecoder::default();
     let mut events = Vec::new();
@@ -31,10 +39,14 @@ fn pump_through(
             let mut buf = BytesMut::from(&s[..]);
             let mut forwarded = BytesMut::new();
             while let Ok(Some(frame)) = decoder.decode(&mut buf) {
-                match middlebox.inspect(frame.frame_type().to_u8()) {
-                    MiddleboxVerdict::Forward => frame.encode(&mut forwarded),
-                    MiddleboxVerdict::DropFrame => {}
-                    MiddleboxVerdict::TearDown => return (events, true),
+                let frame_type = frame.frame_type().to_u8();
+                match path {
+                    OnPath::Dropper if frame_type > 0x09 => {}
+                    OnPath::Dropper => frame.encode(&mut forwarded),
+                    OnPath::Device(m) => match m.inspect(frame_type) {
+                        MiddleboxVerdict::Forward => frame.encode(&mut forwarded),
+                        MiddleboxVerdict::TearDown => return (events, true),
+                    },
                 }
             }
             events.extend(client.recv(&forwarded).expect("client recv"));
@@ -55,7 +67,11 @@ fn origin_server() -> Connection {
 fn full_request_cycle_through_compliant_path() {
     let mut client = Connection::client("a.example", Settings::default());
     let mut server = origin_server();
-    let (events, torn) = pump_through(&mut client, &mut server, &CompliantMiddlebox);
+    let (events, torn) = pump_through(
+        &mut client,
+        &mut server,
+        OnPath::Device(Middlebox::Compliant),
+    );
     assert!(!torn);
     assert!(events
         .iter()
@@ -76,7 +92,11 @@ fn full_request_cycle_through_compliant_path() {
             }
         }
     }
-    let (events, torn) = pump_through(&mut client, &mut server, &CompliantMiddlebox);
+    let (events, torn) = pump_through(
+        &mut client,
+        &mut server,
+        OnPath::Device(Middlebox::Compliant),
+    );
     assert!(!torn);
     let status = events
         .iter()
@@ -96,8 +116,8 @@ fn non_compliant_middlebox_kills_origin_enabled_connections() {
     // ORIGIN frame type and tears the connection down.
     let mut client = Connection::client("a.example", Settings::default());
     let mut server = origin_server();
-    let buggy = NonCompliantMiddlebox::default();
-    let (_, torn) = pump_through(&mut client, &mut server, &buggy);
+    let buggy = OnPath::Device(Middlebox::NonCompliant);
+    let (_, torn) = pump_through(&mut client, &mut server, buggy);
     assert!(torn, "ORIGIN frame must trigger the §6.7 teardown");
 
     // Without ORIGIN frames the same path works.
@@ -107,7 +127,7 @@ fn non_compliant_middlebox_kills_origin_enabled_connections() {
         origin_set: None,
         authorized: vec!["a.example".into()],
     });
-    let (_, torn) = pump_through(&mut client, &mut server, &buggy);
+    let (_, torn) = pump_through(&mut client, &mut server, buggy);
     assert!(!torn, "no unknown frames → the buggy agent stays quiet");
 }
 
@@ -116,22 +136,9 @@ fn client_fails_open_when_origin_frame_dropped() {
     // A middlebox that silently drops unknown frames instead of
     // tearing down: the client never learns the origin set and simply
     // doesn't coalesce — the spec's fail-open outcome.
-    struct Dropper;
-    impl Middlebox for Dropper {
-        fn inspect(&self, frame_type: u8) -> MiddleboxVerdict {
-            if frame_type > 0x09 {
-                MiddleboxVerdict::DropFrame
-            } else {
-                MiddleboxVerdict::Forward
-            }
-        }
-        fn name(&self) -> &str {
-            "dropper"
-        }
-    }
     let mut client = Connection::client("a.example", Settings::default());
     let mut server = origin_server();
-    let (events, torn) = pump_through(&mut client, &mut server, &Dropper);
+    let (events, torn) = pump_through(&mut client, &mut server, OnPath::Dropper);
     assert!(!torn);
     assert!(!events
         .iter()

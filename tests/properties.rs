@@ -1021,6 +1021,88 @@ fn cli_spec_parsers_never_panic_and_faults_roundtrip() {
     }
 }
 
+// ---- HTTP/1.1 framing fields ----
+
+/// Hostile variants of valid `content-length`, `connection` and
+/// `transfer-encoding` values, as lossy UTF-8, in request and response
+/// heads on both sides of the machine: nothing panics, and a head the
+/// machine frames by length carried an all-digit `content-length`.
+#[test]
+fn h1_framing_fields_never_panic_and_lengths_are_digits() {
+    use origin_h1::{Connection, EventRef, Framing, RequestHead, ResponseHead, Role};
+    const CONNECTION: [&str; 4] = ["close", "keep-alive", "keep-alive, close", "Upgrade"];
+    const TRANSFER: [&str; 3] = ["chunked", "gzip, chunked", "identity"];
+    let get = RequestHead {
+        method: "GET",
+        target: "/",
+        headers: &[("host", "h")],
+    };
+    let mut rng = SimRng::seed_from_u64(0x4831_4652);
+    let mut lengths_taken = 0;
+    for _ in 0..256 {
+        let valid = [
+            ("content-length", rng.range_u64(0, 1 << 40).to_string()),
+            ("connection", rng.choose(&CONNECTION).to_string()),
+            ("transfer-encoding", rng.choose(&TRANSFER).to_string()),
+        ];
+        for (name, value) in &valid {
+            for bytes in hostile_variants(&mut rng, value.as_bytes()) {
+                let text = String::from_utf8_lossy(&bytes);
+                let fields = [("host", "h"), (*name, &*text)];
+                let digits = text.trim_matches([' ', '\t']);
+                let is_length = *name == "content-length"
+                    && !digits.is_empty()
+                    && digits.bytes().all(|b| b.is_ascii_digit());
+                for role in [Role::Client, Role::Server] {
+                    // The head as a request: a machine that framed it by
+                    // length accepts a one-byte body.
+                    let mut conn = Connection::new(role);
+                    let post = EventRef::Request(RequestHead {
+                        method: "POST",
+                        target: "/",
+                        headers: &fields,
+                    });
+                    let accepted = match role {
+                        Role::Client => conn.send_ref(post).is_ok(),
+                        Role::Server => conn.receive_ref(post).is_ok(),
+                    };
+                    let body = EventRef::<&str>::Data(1);
+                    let took_body = accepted
+                        && match role {
+                            Role::Client => conn.send_ref(body).is_ok(),
+                            Role::Server => conn.receive_ref(body).is_ok(),
+                        };
+                    assert!(!took_body || is_length, "{name}: {text:?}");
+
+                    // The head as a response to a GET.
+                    let mut conn = Connection::new(role);
+                    let head = EventRef::Response(ResponseHead {
+                        status: 200,
+                        headers: &fields,
+                    });
+                    let accepted = match role {
+                        Role::Client => {
+                            conn.send_ref(EventRef::Request(get)).unwrap();
+                            conn.send_ref(EventRef::<&str>::EndOfMessage).unwrap();
+                            conn.receive_ref(head).is_ok()
+                        }
+                        Role::Server => {
+                            conn.receive_ref(EventRef::Request(get)).unwrap();
+                            conn.receive_ref(EventRef::<&str>::EndOfMessage).unwrap();
+                            conn.send_ref(head).is_ok()
+                        }
+                    };
+                    if accepted && matches!(conn.response_framing(), Framing::ContentLength(_)) {
+                        assert!(is_length, "{name}: {text:?}");
+                        lengths_taken += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(lengths_taken > 0, "no variant kept a valid length");
+}
+
 // ---- timeline reconstruction ----
 
 mod reconstruct_props {
