@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use origin_bench::{crawl_stages, CrawlSpec, ObsConfig, STAGES};
 use origin_browser::{BrowserKind, PageLoader, UniverseEnv};
 use origin_netsim::{FaultProfile, SimRng};
-use origin_trace::Sampler;
+use origin_telemetry::trace::Sampler;
 use origin_webgen::{Dataset, DatasetConfig};
 use std::time::Instant;
 

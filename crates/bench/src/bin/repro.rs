@@ -36,10 +36,10 @@ use origin_cdn::{
 use origin_core::model::{predict, CoalescingGrouping};
 use origin_core::stats::table::{pct_change, TextTable};
 use origin_core::stats::{self, Cdf, TopEntry};
-use origin_metrics::Registry;
 use origin_netsim::{json, FaultProfile, SimDuration, SimRng};
+use origin_telemetry::metrics::Registry;
+use origin_telemetry::trace::{to_chrome_json, Sampler, Tracer};
 use origin_tls::CtLogSet;
-use origin_trace::{Sampler, Tracer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -638,7 +638,7 @@ fn cmd_paper(args: &Args) -> bool {
         export_json(path, r);
     }
     if let (Some(path), Some(t)) = (&args.trace, &ctx.trace) {
-        if write_artifact(path, origin_trace::to_chrome_json(t)) {
+        if write_artifact(path, to_chrome_json(t)) {
             eprintln!(
                 "# wrote trace to {path} ({} events, sample 1/{})",
                 t.len(),
@@ -792,7 +792,7 @@ fn cmd_watch(argv: &[String]) {
         .run()
         .timeline
         .expect("observed crawl always produces a timeline");
-    let body = origin_obs::dashboard::render(&timeline, lo, hi);
+    let body = origin_telemetry::obs::dashboard::render(&timeline, lo, hi);
     let Some(path) = out else {
         print!("{body}");
         return;
@@ -838,7 +838,7 @@ fn cmd_trace(argv: &[String]) {
         ))
     });
     let body = match format.as_str() {
-        "perfetto" => origin_trace::to_chrome_json(&trace),
+        "perfetto" => to_chrome_json(&trace),
         "har" => load.to_har_json(),
         _ => origin_web::waterfall::render(&load, 72),
     };

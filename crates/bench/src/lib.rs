@@ -19,11 +19,11 @@ use origin_core::certplan::{plan_site, EffectiveChanges, PlanSummary};
 use origin_core::characterize::Characterization;
 use origin_core::model::predict_counts3;
 use origin_core::stats;
-use origin_metrics::Registry;
 use origin_netsim::{json, FaultProfile, SimDuration, SimRng};
-use origin_obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
-use origin_obs::{FlightRecorder, Timeline, VisitObs, VisitSinks};
-use origin_trace::{Sampler, Tracer};
+use origin_telemetry::metrics::{PhaseStat, Registry};
+use origin_telemetry::obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
+use origin_telemetry::obs::{with_panic_dump, FlightRecorder, Timeline, VisitObs, VisitSinks};
+use origin_telemetry::trace::{Sampler, Tracer};
 use origin_webgen::{Dataset, DatasetConfig, SiteConfig, PROVIDERS};
 
 /// The AS used for the "deployment-CDN only" model line in Figure 9.
@@ -109,7 +109,7 @@ pub struct CrawlResults {
 #[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
     /// Tumbling-window width; `None` uses
-    /// [`origin_obs::window::DEFAULT_WINDOW`].
+    /// [`origin_telemetry::obs::window::DEFAULT_WINDOW`].
     pub window: Option<SimDuration>,
     /// Fault-abort threshold: a visit whose injected-fault event count
     /// reaches this is captured by the flight recorder (the lowest
@@ -133,7 +133,7 @@ impl ObsAccum {
     fn new(config: &ObsConfig) -> Self {
         ObsAccum {
             timeline: Timeline::new(config.window.unwrap_or(DEFAULT_WINDOW), DEFAULT_SPACING),
-            flight: FlightRecorder::new(origin_obs::flight::DEFAULT_CAPACITY),
+            flight: FlightRecorder::default(),
             visit: VisitObs::default(),
             fault_abort: config.fault_abort,
         }
@@ -500,9 +500,7 @@ impl CrawlSpec {
                 match obs.and_then(|o| o.panic_dump.as_deref()) {
                     // Crash forensics: if a visit panics, dump the
                     // events of the visit that died before propagating.
-                    Some(path) => {
-                        origin_obs::with_panic_dump(&mut acc, path, ShardAccum::flight, run)
-                    }
+                    Some(path) => with_panic_dump(&mut acc, path, ShardAccum::flight, run),
                     None => run(&mut acc),
                 }
                 acc
@@ -666,7 +664,7 @@ pub struct ResilienceReport {
     /// included — stable schema).
     pub counters: Vec<(&'static str, u64)>,
     /// Retransmit backoff intervals served and their total sim time.
-    pub backoff: origin_metrics::PhaseStat,
+    pub backoff: PhaseStat,
     /// (median PLT ms, coalescing rate, connections opened): clean.
     pub clean: (f64, f64, u64),
     /// Same triple for the faulted run.

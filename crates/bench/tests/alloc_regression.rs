@@ -92,7 +92,9 @@ use origin_core::characterize::Characterization;
 use origin_core::model::predict_counts3;
 use origin_netsim::{FaultProfile, SimRng};
 use origin_serve::plan::compile_dataset;
-use origin_trace::Sampler;
+use origin_telemetry::metrics::Registry;
+use origin_telemetry::obs::VisitSinks;
+use origin_telemetry::trace::{Sampler, Tracer};
 use origin_webgen::{Dataset, DatasetConfig, PageScratch, SiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -196,7 +198,7 @@ fn warm_load_allocs(config: DatasetConfig) -> u64 {
     let sites: Vec<&SiteConfig> = dataset.successful_sites().collect();
     let loader = PageLoader::new(BrowserKind::Chromium);
     let mut env = UniverseEnv::new(&dataset);
-    let mut metrics = origin_metrics::Registry::new();
+    let mut metrics = Registry::new();
     let mut scratch = PageScratch::new();
     let mut arena = VisitArena::new();
     let warm_up = sites.len() / 4;
@@ -214,7 +216,7 @@ fn warm_load_allocs(config: DatasetConfig) -> u64 {
             Some(&mut metrics),
             None,
             &mut arena,
-            origin_obs::VisitSinks::default(),
+            VisitSinks::default(),
         );
         if i >= warm_up {
             spent += allocs() - before;
@@ -258,7 +260,7 @@ fn steady_state_crawl_allocations_stay_bounded() {
     assert!(site_cfgs.len() > 200, "dataset too small to average over");
     let loader = PageLoader::new(BrowserKind::Chromium);
     let mut env = UniverseEnv::new(&dataset);
-    let mut metrics = origin_metrics::Registry::new();
+    let mut metrics = Registry::new();
     let mut scratch = PageScratch::new();
     let mut arena = VisitArena::new();
     let mut characterization = Characterization::new(400, 500_000);
@@ -267,7 +269,7 @@ fn steady_state_crawl_allocations_stay_bounded() {
     // One visit; returns the allocations of its page build, of its
     // load (with `begin_visit`, when traced: the label is borrowed, as
     // every value a call site hands the tracer is) and of its analysis.
-    let mut visit = |site: &SiteConfig, mut tracer: Option<&mut origin_trace::Tracer>| {
+    let mut visit = |site: &SiteConfig, mut tracer: Option<&mut Tracer>| {
         let a0 = allocs();
         let page = dataset.page_for_with(site, &mut scratch);
         let a1 = allocs();
@@ -284,7 +286,7 @@ fn steady_state_crawl_allocations_stay_bounded() {
             Some(&mut metrics),
             tracer,
             &mut arena,
-            origin_obs::VisitSinks::default(),
+            VisitSinks::default(),
         );
         let a2 = allocs();
         env.take_resolver_stats().record_into(&mut metrics);
@@ -323,7 +325,7 @@ fn steady_state_crawl_allocations_stay_bounded() {
 
     // The same two passes traced, so the tracer is warm too: the
     // head's visits are already in it when counting starts.
-    let mut tracer = origin_trace::Tracer::new();
+    let mut tracer = Tracer::new();
     for site in head {
         visit(site, Some(&mut tracer));
     }

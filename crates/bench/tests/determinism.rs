@@ -6,9 +6,9 @@
 
 use origin_bench::{trace_site, CrawlResults, CrawlSpec};
 use origin_cdn::{ActiveMeasurement, SampleGroup, Treatment};
-use origin_metrics::Registry;
 use origin_netsim::{FaultProfile, SimRng};
-use origin_trace::{to_chrome_json, EventKind, Sampler, Tracer};
+use origin_telemetry::metrics::Registry;
+use origin_telemetry::trace::{to_chrome_json, EventKind, Sampler, Tracer};
 
 const SITES: u32 = 300;
 const SEED: u64 = 0xD373;

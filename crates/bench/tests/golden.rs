@@ -11,10 +11,10 @@ use origin_cdn::SampleGroup;
 use origin_dns::DnsName;
 use origin_netsim::hash::fnv1a64;
 use origin_netsim::{FaultProfile, SimDuration, SimRng};
-use origin_obs::{FlightRecorder, VisitSinks};
 use origin_serve::{run_serve, ServeConfig};
+use origin_telemetry::obs::{FlightRecorder, VisitSinks};
+use origin_telemetry::trace::{to_chrome_json, Sampler, Tracer};
 use origin_tls::Certificate;
-use origin_trace::{to_chrome_json, Sampler, Tracer};
 use origin_web::{ContentType, PageLoad, Resource};
 use origin_webgen::{Dataset, DatasetConfig, SiteConfig, PROVIDERS};
 use std::process;

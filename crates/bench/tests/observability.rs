@@ -1,5 +1,5 @@
-//! Streaming observability (`origin-obs`) wired through the crawl:
-//! the timeline and flight-recorder outputs are byte-identical for
+//! Streaming observability (`origin_telemetry::obs`) wired through the
+//! crawl: the timeline and flight-recorder outputs are byte-identical for
 //! any thread count, an unobserved crawl is byte-identical to a build
 //! without the obs layer, and the optional-subsystem gating rule
 //! (`fault.*` / `h1.*` / `h3.*` / `obs.*` keys exist only when the subsystem
@@ -57,8 +57,8 @@ fn timeline_json_identical_across_thread_counts() {
     // And the dashboard rendered from it, since CI archives it.
     let tl = one.timeline.as_ref().unwrap();
     assert_eq!(
-        origin_obs::dashboard::render(tl, 0, SITES - 1),
-        origin_obs::dashboard::render(eight.timeline.as_ref().unwrap(), 0, SITES - 1),
+        origin_telemetry::obs::dashboard::render(tl, 0, SITES - 1),
+        origin_telemetry::obs::dashboard::render(eight.timeline.as_ref().unwrap(), 0, SITES - 1),
     );
 }
 

@@ -5,8 +5,8 @@ use origin_h2::OriginSet;
 use origin_netsim::hash::FxHashMap;
 use origin_netsim::link::LINK_CLASSES;
 use origin_netsim::{LinkProfile, SimRng, SimTime};
+use origin_telemetry::trace::Tracer;
 use origin_tls::Certificate;
-use origin_trace::Tracer;
 use origin_webgen::{Dataset, PROVIDERS};
 use std::cell::RefCell;
 use std::net::IpAddr;

@@ -21,6 +21,9 @@ use origin_netsim::{
     FaultProfile, HandshakeModel, LinkProfile, Middlebox, MiddleboxVerdict, PacketFate,
     SimDuration, SimRng, SimTime, TlsVersion,
 };
+use origin_telemetry::metrics::Registry;
+use origin_telemetry::obs::{FlightRecorder, VisitSinks};
+use origin_telemetry::trace::Tracer;
 use origin_web::har::{PageLoad, Phase, RequestTiming, SealedUs};
 use origin_web::{Page, Protocol, Resource};
 use std::fmt::Write;
@@ -358,7 +361,7 @@ impl PageLoader {
             None,
             None,
             &mut VisitArena::new(),
-            origin_obs::VisitSinks::default(),
+            VisitSinks::default(),
         )
     }
 
@@ -391,19 +394,18 @@ impl PageLoader {
     ///   annotated with the policy rule that allowed them, and flow
     ///   events linking each coalesced request back to the opening of
     ///   the connection it reused. The caller owns the visit context:
-    ///   call [`origin_trace::Tracer::begin_visit`] with the site's
-    ///   rank before loading.
+    ///   call [`Tracer::begin_visit`] with the site's rank before
+    ///   loading.
     /// - `sinks.flight` — the load's notable events (connection opens,
     ///   injected faults and their recoveries, h1 close-delimited
     ///   teardowns, NXDOMAIN lookups) appended to the caller's bounded
-    ///   [`origin_obs::FlightRecorder`] as each request completes (a
-    ///   panic dump holds the visit's completed requests, not the one
-    ///   that was half-run); call
-    ///   [`origin_obs::FlightRecorder::begin_visit`] first.
+    ///   [`FlightRecorder`] as each request completes (a panic dump
+    ///   holds the visit's completed requests, not the one that was
+    ///   half-run); call [`FlightRecorder::begin_visit`] first.
     /// - `sinks.visit` — the completed load's per-visit observation
     ///   (request/connection/fault/h1 counters, PLT, handshake and
     ///   byte events with trace-span exemplar references);
-    ///   [`origin_obs::VisitObs::clear`] it between visits.
+    ///   [`origin_telemetry::obs::VisitObs::clear`] it between visits.
     ///
     /// The stages only simulate: each request's events are emitted
     /// once it completes (bar the resolver's own, which it traces), and
@@ -424,10 +426,10 @@ impl PageLoader {
         env: &mut dyn WebEnv,
         rng: &mut SimRng,
         mut faults: Option<&mut FaultSession>,
-        metrics: Option<&mut origin_metrics::Registry>,
-        tracer: Option<&mut origin_trace::Tracer>,
+        metrics: Option<&mut Registry>,
+        tracer: Option<&mut Tracer>,
         arena: &mut VisitArena,
-        sinks: origin_obs::VisitSinks<'_>,
+        sinks: VisitSinks<'_>,
     ) -> PageLoad {
         let before = faults.as_deref().map(|f| f.counts).unwrap_or_default();
         let n = page.resources.len();
@@ -484,8 +486,8 @@ struct Visit<'a> {
     env: &'a mut dyn WebEnv,
     rng: &'a mut SimRng,
     faults: Option<&'a mut FaultSession>,
-    tracer: Option<&'a mut origin_trace::Tracer>,
-    flight: Option<&'a mut origin_obs::FlightRecorder>,
+    tracer: Option<&'a mut Tracer>,
+    flight: Option<&'a mut FlightRecorder>,
     arena: &'a mut VisitArena,
     h1: H1Stats,
     h3: H3Stats,
@@ -1222,6 +1224,7 @@ fn close_delimited_response(path: &str) -> bool {
 mod tests {
     use super::*;
     use crate::env::UniverseEnv;
+    use origin_telemetry::trace::EventKind;
     use origin_webgen::{Dataset, DatasetConfig};
 
     fn dataset() -> Dataset {
@@ -1239,10 +1242,10 @@ mod tests {
         page: &Page,
         env: &mut UniverseEnv,
         rng: &mut SimRng,
-        metrics: &mut origin_metrics::Registry,
+        metrics: &mut Registry,
         arena: &mut VisitArena,
     ) -> PageLoad {
-        let sinks = origin_obs::VisitSinks::default();
+        let sinks = VisitSinks::default();
         loader.load_observed(page, env, rng, None, Some(metrics), None, arena, sinks)
     }
 
@@ -1396,9 +1399,9 @@ mod tests {
         env.flush_dns();
         let loader = PageLoader::new(BrowserKind::IdealOrigin);
         let mut rng = SimRng::seed_from_u64(99);
-        let mut tracer = origin_trace::Tracer::new();
+        let mut tracer = Tracer::new();
         tracer.begin_visit(site.rank as u64, "test visit");
-        let mut metrics = origin_metrics::Registry::new();
+        let mut metrics = Registry::new();
         let traced = loader.load_observed(
             &page,
             &mut env,
@@ -1407,7 +1410,7 @@ mod tests {
             Some(&mut metrics),
             Some(&mut tracer),
             &mut VisitArena::new(),
-            origin_obs::VisitSinks::default(),
+            VisitSinks::default(),
         );
         assert_eq!(traced, untraced);
 
@@ -1428,18 +1431,18 @@ mod tests {
             .count();
         let span_count = tracer
             .events()
-            .filter(|e| e.cat() == "request" && e.kind() == origin_trace::EventKind::Complete)
+            .filter(|e| e.cat() == "request" && e.kind() == EventKind::Complete)
             .count();
         assert_eq!(span_count, req_spans);
         let coalesced = traced.coalesced_requests() as usize;
         assert!(coalesced > 0, "ideal-origin visit should coalesce");
         let flow_starts = tracer
             .events()
-            .filter(|e| e.kind() == origin_trace::EventKind::FlowStart)
+            .filter(|e| e.kind() == EventKind::FlowStart)
             .count();
         let flow_ends = tracer
             .events()
-            .filter(|e| e.kind() == origin_trace::EventKind::FlowEnd)
+            .filter(|e| e.kind() == EventKind::FlowEnd)
             .count();
         assert_eq!(flow_starts, coalesced);
         assert_eq!(flow_ends, coalesced);
@@ -1448,7 +1451,7 @@ mod tests {
         // export reports: spans, HAR, and metrics tell one story.
         let max_span_end = tracer
             .events()
-            .filter(|e| e.cat() == "request" && e.kind() == origin_trace::EventKind::Complete)
+            .filter(|e| e.cat() == "request" && e.kind() == EventKind::Complete)
             .map(|e| e.ts_us() + e.dur_us())
             .max()
             .expect("at least one request span");
@@ -1468,7 +1471,7 @@ mod tests {
         env.flush_dns();
         let loader = PageLoader::new(BrowserKind::Firefox);
         let mut rng = SimRng::seed_from_u64(99);
-        let mut metrics = origin_metrics::Registry::new();
+        let mut metrics = Registry::new();
         metered(
             &loader,
             &page,
@@ -1492,7 +1495,7 @@ mod tests {
         });
         let mut env = UniverseEnv::new(&d);
         let loader = PageLoader::new(BrowserKind::Firefox);
-        let mut metrics = origin_metrics::Registry::new();
+        let mut metrics = Registry::new();
         let mut arena = VisitArena::new();
         let mut pages = 0u64;
         for site in d.sites().iter().filter(|s| !s.failed).take(12) {
@@ -1537,7 +1540,7 @@ mod tests {
         });
         let mut env = UniverseEnv::new(&d);
         let loader = PageLoader::new(BrowserKind::Firefox);
-        let mut metrics = origin_metrics::Registry::new();
+        let mut metrics = Registry::new();
         let mut arena = VisitArena::new();
         let mut h11_requests = 0u64;
         let mut coalesced_h1 = 0u64;
@@ -1603,7 +1606,7 @@ mod tests {
         let loader = PageLoader::new(BrowserKind::Firefox);
         let mut env = UniverseEnv::new(&d);
         let mut arena = VisitArena::new();
-        let mut metrics = origin_metrics::Registry::new();
+        let mut metrics = Registry::new();
         let mut visits = 0;
         for site in d.successful_sites() {
             let page = d.page_for(site);
@@ -1618,7 +1621,7 @@ mod tests {
                 Some(&mut metrics),
                 None,
                 &mut arena,
-                origin_obs::VisitSinks::default(),
+                VisitSinks::default(),
             );
             arena.recycle(load);
             visits += 1;
@@ -1672,7 +1675,7 @@ mod tests {
                 None,
                 None,
                 &mut arena,
-                origin_obs::VisitSinks::default(),
+                VisitSinks::default(),
             );
             arena.recycle(load);
             for (peak, (keys, _)) in peak_keys.iter_mut().zip(footprint(&arena, &env)) {
@@ -1733,8 +1736,8 @@ mod tests {
             // reused machine must emit what a fresh one does.
             let run = |arena: &mut VisitArena| {
                 let mut env = UniverseEnv::new(&d);
-                let mut metrics = origin_metrics::Registry::new();
-                let mut tracer = origin_trace::Tracer::new();
+                let mut metrics = Registry::new();
+                let mut tracer = Tracer::new();
                 let mut loads = Vec::new();
                 for site in d.sites().iter().filter(|s| !s.failed).take(8) {
                     let page = d.page_for(site);
@@ -1749,12 +1752,12 @@ mod tests {
                         Some(&mut metrics),
                         Some(&mut tracer),
                         arena,
-                        origin_obs::VisitSinks::default(),
+                        VisitSinks::default(),
                     );
                     loads.push(load.clone());
                     arena.recycle(load);
                 }
-                let trace = origin_trace::to_chrome_json(&tracer);
+                let trace = origin_telemetry::trace::to_chrome_json(&tracer);
                 assert!(trace.contains("h1.request") || trace.contains("h3.request"));
                 (loads, metrics.to_json(), trace)
             };
@@ -1805,7 +1808,7 @@ mod tests {
                         None,
                         None,
                         arena,
-                        origin_obs::VisitSinks::default(),
+                        VisitSinks::default(),
                     );
                     loads.push(load.clone());
                     arena.recycle(load);

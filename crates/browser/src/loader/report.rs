@@ -8,8 +8,9 @@ use super::{
     REDUNDANCY_KINDS,
 };
 use origin_netsim::{SimDuration, TlsVersion};
-use origin_obs::{FlightRecorder, VisitObs};
-use origin_trace::{Arg, Site, Tracer};
+use origin_telemetry::metrics::Registry;
+use origin_telemetry::obs::{FlightRecorder, VisitObs};
+use origin_telemetry::trace::{span_ref, Arg, Site, Tracer};
 use origin_web::har::PageLoad;
 use origin_web::{Page, Protocol};
 
@@ -245,13 +246,13 @@ const CONNS_PER_PAGE_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32];
 /// off each record's seal; `sim.transfer` is the one value quantised
 /// here: it rounds the *sum* of three phases, which no seal holds.
 /// Exemplar span references name `req <index> <host>` in the visit's
-/// trace ([`origin_trace::span_ref`]: rank, resource index).
+/// trace ([`span_ref`]: rank, resource index).
 pub(super) fn record_load(
     page: &Page,
     load: &PageLoad,
     (h1, h3): (&H1Stats, &H3Stats),
     faults: Option<FaultCounts>,
-    metrics: Option<&mut origin_metrics::Registry>,
+    metrics: Option<&mut Registry>,
     mut visit: Option<&mut VisitObs>,
 ) {
     if metrics.is_none() && visit.is_none() {
@@ -286,7 +287,7 @@ pub(super) fn record_load(
         pool_reuse += (!r.new_connection && !r.coalesced) as u64;
         let idx = r.resource_index;
         if let Some(v) = visit.as_deref_mut() {
-            let span = origin_trace::span_ref(rank, idx as u64);
+            let span = span_ref(rank, idx as u64);
             if r.new_connection && connect + ssl > 0 {
                 let handshake = (r.start_us() + blocked + dns, connect + ssl, span);
                 v.handshakes.push(handshake);
@@ -329,7 +330,7 @@ pub(super) fn record_load(
         v.coalesced_requests += coalesced;
         v.connections_opened += opened;
         v.plt_us = plt_us;
-        v.plt_span = origin_trace::span_ref(rank, plt_idx as u64);
+        v.plt_span = span_ref(rank, plt_idx as u64);
         v.measured_tls = tls;
         v.h1_connections = h1.connections_opened;
         v.h1_requests = h1.requests;
@@ -425,7 +426,7 @@ pub fn fault_counter_names() -> [&'static str; 7] {
 /// never exercised a subsystem (legacy share 0, h3 share 0, a profile
 /// that injected nothing) must serialize exactly as it did before that
 /// subsystem existed.
-fn add_nonzero(metrics: &mut origin_metrics::Registry, counters: &[(&'static str, u64)]) {
+fn add_nonzero(metrics: &mut Registry, counters: &[(&'static str, u64)]) {
     for &(name, value) in counters {
         if value > 0 {
             metrics.add(name, value);

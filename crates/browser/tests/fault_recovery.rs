@@ -10,8 +10,8 @@ use origin_dns::record::v4;
 use origin_dns::{DnsName, QueryAnswer};
 use origin_h2::OriginSet;
 use origin_netsim::{FaultProfile, LinkProfile, SimDuration, SimRng, SimTime};
+use origin_telemetry::trace::{Arg, EventKind};
 use origin_tls::{Certificate, CertificateBuilder};
-use origin_trace::{Arg, EventKind};
 use origin_web::{ContentType, Page, Resource};
 use std::net::IpAddr;
 
@@ -47,7 +47,7 @@ impl WebEnv for MiniEnv {
         _host: &DnsName,
         _now: SimTime,
         _rng: &mut SimRng,
-        _tracer: Option<&mut origin_trace::Tracer>,
+        _tracer: Option<&mut origin_telemetry::trace::Tracer>,
     ) -> Option<QueryAnswer> {
         Some(QueryAnswer {
             addresses: std::sync::Arc::new([self.ip]),
@@ -94,8 +94,8 @@ fn load_with(
     page: &Page,
     env: &mut MiniEnv,
     faults: Option<&mut FaultSession>,
-    metrics: Option<&mut origin_metrics::Registry>,
-    tracer: Option<&mut origin_trace::Tracer>,
+    metrics: Option<&mut origin_telemetry::metrics::Registry>,
+    tracer: Option<&mut origin_telemetry::trace::Tracer>,
 ) -> origin_web::PageLoad {
     loader().load_observed(
         page,
@@ -105,7 +105,7 @@ fn load_with(
         metrics,
         tracer,
         &mut VisitArena::new(),
-        origin_obs::VisitSinks::default(),
+        origin_telemetry::obs::VisitSinks::default(),
     )
 }
 
@@ -127,8 +127,8 @@ fn golden_421_evict_replay_waterfall() {
     let page = two_host_page();
     let mut env = MiniEnv::new();
     let mut faults = FaultSession::new(FaultProfile::parse("h421=1").unwrap(), 0xBEEF);
-    let mut metrics = origin_metrics::Registry::new();
-    let mut tracer = origin_trace::Tracer::new();
+    let mut metrics = origin_telemetry::metrics::Registry::new();
+    let mut tracer = origin_telemetry::trace::Tracer::new();
     tracer.begin_visit(1, "fault fixture");
     let pl = load_with(
         &page,
@@ -200,7 +200,7 @@ fn middlebox_teardown_reconnects_with_origin_suppressed() {
     let mut env = MiniEnv::new();
     env.advertise_origin = true;
     let mut faults = FaultSession::new(FaultProfile::parse("middlebox=1").unwrap(), 0xBEEF);
-    let mut metrics = origin_metrics::Registry::new();
+    let mut metrics = origin_telemetry::metrics::Registry::new();
     let pl = load_with(&page, &mut env, Some(&mut faults), Some(&mut metrics), None);
     // Only the root opens a connection (img coalesces — ORIGIN is
     // advertised but Chromium coalesces on IP, and the torn-down
@@ -275,11 +275,11 @@ fn drop_faults_preserve_the_clean_skeleton() {
 fn zero_profile_is_byte_identical_to_clean() {
     let page = two_host_page();
     let mut clean_env = MiniEnv::new();
-    let mut clean_metrics = origin_metrics::Registry::new();
+    let mut clean_metrics = origin_telemetry::metrics::Registry::new();
     let clean = load_with(&page, &mut clean_env, None, Some(&mut clean_metrics), None);
     let mut env = MiniEnv::new();
     let mut faults = FaultSession::new(FaultProfile::none(), 0xBEEF);
-    let mut metrics = origin_metrics::Registry::new();
+    let mut metrics = origin_telemetry::metrics::Registry::new();
     let faulted = load_with(&page, &mut env, Some(&mut faults), Some(&mut metrics), None);
     assert_eq!(clean, faulted);
     assert_eq!(faults.counts, origin_browser::FaultCounts::default());

@@ -13,9 +13,9 @@ use origin_browser::{BrowserKind, PageLoader, VisitArena};
 use origin_core::stats::{self, Cdf, Histogram};
 use origin_dns::name::name;
 use origin_dns::DnsName;
-use origin_metrics::Registry;
 use origin_netsim::SimRng;
-use origin_obs::VisitSinks;
+use origin_telemetry::metrics::Registry;
+use origin_telemetry::obs::VisitSinks;
 use origin_web::Page;
 
 /// Outcome of one arm of the active measurement.
@@ -214,7 +214,7 @@ impl ActiveMeasurement {
         group: &SampleGroup,
         n: usize,
         mut metrics: Option<&mut Registry>,
-        mut tracer: Option<&mut origin_trace::Tracer>,
+        mut tracer: Option<&mut origin_telemetry::trace::Tracer>,
     ) -> usize {
         use origin_h2::{Connection, Settings};
         let origin_mode = self.mode == DeploymentMode::OriginFrames;

@@ -5,8 +5,8 @@ use origin_browser::WebEnv;
 use origin_dns::{DnsName, QueryAnswer};
 use origin_h2::OriginSet;
 use origin_netsim::{LinkProfile, SimDuration, SimRng, SimTime};
+use origin_telemetry::trace::Tracer;
 use origin_tls::Certificate;
-use origin_trace::Tracer;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 

@@ -141,8 +141,8 @@ impl PassiveReport {
     /// Emit the report's aggregates as trace instants on a dedicated
     /// logical process: one event per aggregate rather than one per
     /// sampled record keeps whole-run traces small.
-    pub fn record_trace(&self, tracer: &mut origin_trace::Tracer, pid: u64) {
-        use origin_trace::{Arg, Site};
+    pub fn record_trace(&self, tracer: &mut origin_telemetry::trace::Tracer, pid: u64) {
+        use origin_telemetry::trace::{Arg, Site};
         static SAMPLED: Site = Site::new("passive.sampled_records", "cdn", &["count"]);
         static TP_CONNECTIONS: Site =
             Site::new("passive.tp_connections", "cdn", &["experiment", "control"]);
@@ -162,7 +162,7 @@ impl PassiveReport {
 
     /// Export the pipeline's counters into a metrics registry under
     /// `cdn.passive.*`.
-    pub fn record_into(&self, metrics: &mut origin_metrics::Registry) {
+    pub fn record_into(&self, metrics: &mut origin_telemetry::metrics::Registry) {
         metrics.add("cdn.passive.sampled_records", self.sampled_records);
         metrics.add(
             "cdn.passive.experiment_tp_connections",

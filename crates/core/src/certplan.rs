@@ -138,7 +138,7 @@ impl PlanSummary {
 
     /// Export the plan totals into a metrics registry under
     /// `certplan.*`.
-    pub fn record_into(&self, metrics: &mut origin_metrics::Registry) {
+    pub fn record_into(&self, metrics: &mut origin_telemetry::metrics::Registry) {
         metrics.add("certplan.sites", self.total_sites);
         metrics.add("certplan.unchanged_sites", self.unchanged_sites);
         metrics.add("certplan.san_less_sites", self.san_less_sites);

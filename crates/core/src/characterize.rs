@@ -218,7 +218,7 @@ impl Characterization {
 
     /// Export the crawl-wide counters into a metrics registry under
     /// `crawl.*`.
-    pub fn record_into(&self, metrics: &mut origin_metrics::Registry) {
+    pub fn record_into(&self, metrics: &mut origin_telemetry::metrics::Registry) {
         metrics.add("crawl.pages", self.pages);
         metrics.add("crawl.requests", self.total_requests);
         metrics.add("crawl.secure_requests", self.secure_requests);

@@ -4,7 +4,7 @@ use crate::name::DnsName;
 use crate::zone::{Answer, SerialKey, ZoneSet};
 use origin_netsim::hash::FxHashMap;
 use origin_netsim::{SimDuration, SimRng, SimTime};
-use origin_trace::{Arg, Site, Tracer};
+use origin_telemetry::trace::{Arg, Site, Tracer};
 
 /// The transport a client uses for its DNS queries. The paper's
 /// privacy argument (§6.2) is that every coalesced connection hides at
@@ -57,7 +57,7 @@ impl ResolverStats {
     }
 
     /// Export the counters into a metrics registry under `dns.*`.
-    pub fn record_into(&self, metrics: &mut origin_metrics::Registry) {
+    pub fn record_into(&self, metrics: &mut origin_telemetry::metrics::Registry) {
         metrics.add("dns.lookups", self.lookups());
         metrics.add("dns.cache_hits", self.cache_hits);
         metrics.add("dns.cache_misses", self.network_queries);
@@ -68,7 +68,7 @@ impl ResolverStats {
     /// Feed the resolver's per-visit counters into a streaming
     /// observation (the stats must already be a visit delta, as
     /// returned by a freshly flushed resolver).
-    pub fn record_obs(&self, obs: &mut origin_obs::VisitObs) {
+    pub fn record_obs(&self, obs: &mut origin_telemetry::obs::VisitObs) {
         obs.dns_queries += self.lookups();
         obs.dns_cache_hits += self.cache_hits;
         obs.dns_cache_misses += self.network_queries;

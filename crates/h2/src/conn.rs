@@ -135,7 +135,8 @@ pub struct ServerConfig {
 ///
 /// Plain monotonic `u64`s so shard merges stay commutative; the
 /// loader and edge harnesses fold these into an
-/// [`origin_metrics::Registry`] via [`Connection::record_metrics`].
+/// [`origin_telemetry::metrics::Registry`] via
+/// [`Connection::record_metrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnStats {
     /// Frames written to the outgoing buffer.
@@ -298,7 +299,7 @@ impl Connection {
 
     /// Fold this connection's frame and HPACK work into a metrics
     /// registry under `h2.*`.
-    pub fn record_metrics(&self, metrics: &mut origin_metrics::Registry) {
+    pub fn record_metrics(&self, metrics: &mut origin_telemetry::metrics::Registry) {
         metrics.add("h2.frames_encoded", self.stats.frames_encoded);
         metrics.add("h2.frames_decoded", self.stats.frames_decoded);
         metrics.add("h2.origin_frames_sent", self.stats.origin_frames_sent);
@@ -556,7 +557,7 @@ impl Connection {
     pub fn recv_traced(
         &mut self,
         bytes: &[u8],
-        tracer: &mut origin_trace::Tracer,
+        tracer: &mut origin_telemetry::trace::Tracer,
     ) -> Result<Vec<Event>, H2Error> {
         self.recv_inner(bytes, Some(tracer))
     }
@@ -564,7 +565,7 @@ impl Connection {
     fn recv_inner(
         &mut self,
         bytes: &[u8],
-        mut tracer: Option<&mut origin_trace::Tracer>,
+        mut tracer: Option<&mut origin_telemetry::trace::Tracer>,
     ) -> Result<Vec<Event>, H2Error> {
         self.recv_buf.extend_from_slice(bytes);
         if self.preface_remaining > 0 {
@@ -589,7 +590,7 @@ impl Connection {
             let evictions_before = self.hpack_dec.evictions();
             self.handle_frame(frame, &mut events)?;
             if let Some(tracer) = tracer.as_deref_mut() {
-                use origin_trace::{Arg, Site};
+                use origin_telemetry::trace::{Arg, Site};
                 static FRAME: Site = Site::new("h2.frame", "h2", &["type"]);
                 static ORIGIN_ACCEPT: Site =
                     Site::new("h2.origin.accept", "h2", &["origins", "set"]);

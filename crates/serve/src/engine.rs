@@ -26,10 +26,10 @@
 
 use origin_browser::{PoolChurn, SessionPool};
 use origin_cdn::Rollout;
-use origin_metrics::Registry;
 use origin_netsim::hash::splitmix64;
 use origin_netsim::{fold_chunks, json, EventQueue, SimDuration, SimRng, SimTime};
-use origin_obs::{Timeline, VisitObs};
+use origin_telemetry::metrics::Registry;
+use origin_telemetry::obs::{Timeline, VisitObs};
 use origin_webgen::Dataset;
 
 use crate::plan::{compile_dataset, SitePlan};
@@ -236,7 +236,7 @@ pub fn run_serve_on(cfg: &ServeConfig, plans: &[SitePlan]) -> ServeReport {
 }
 
 fn mk_timeline(cfg: &ServeConfig) -> Timeline {
-    let t = Timeline::new(cfg.window, origin_obs::window::DEFAULT_SPACING);
+    let t = Timeline::new(cfg.window, origin_telemetry::obs::window::DEFAULT_SPACING);
     match cfg.retain_windows {
         Some(n) => t.with_retention(n),
         None => t,

@@ -19,10 +19,10 @@
 //!   at any thread count.
 //!
 //! Per-visit work recycles a fixed set of scratch buffers (session
-//! slab, pool slabs, [`origin_obs::VisitObs`]), so steady-state memory
-//! is `O(sites) + O(windows) + O(active sessions)` — never
-//! `O(visits)`. `crates/serve/tests/serve_alloc.rs` pins that with a
-//! counting allocator.
+//! slab, pool slabs, [`origin_telemetry::obs::VisitObs`]), so
+//! steady-state memory is `O(sites) + O(windows) + O(active sessions)`
+//! — never `O(visits)`. `crates/serve/tests/serve_alloc.rs` pins that
+//! with a counting allocator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! The metric registry.
 
-use crate::hist::FixedHistogram;
+use super::hist::FixedHistogram;
 use origin_netsim::hash::FxHashMap;
 use origin_netsim::{json, SimDuration};
 

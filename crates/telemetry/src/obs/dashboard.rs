@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use crate::window::{Timeline, WindowCell};
+use super::window::{Timeline, WindowCell};
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 const BAR_WIDTH: usize = 10;
@@ -118,7 +118,7 @@ pub fn render(timeline: &Timeline, rank_lo: u32, rank_hi: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{VisitObs, DEFAULT_SPACING, DEFAULT_WINDOW};
+    use crate::obs::window::{VisitObs, DEFAULT_SPACING, DEFAULT_WINDOW};
 
     #[test]
     fn render_is_deterministic_and_scoped() {

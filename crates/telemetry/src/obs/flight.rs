@@ -79,7 +79,8 @@ pub struct Trigger {
 }
 
 /// Per-worker bounded event ring with deterministic trigger capture.
-#[derive(Debug, Clone, Default)]
+/// [`Default`] keeps the last [`DEFAULT_CAPACITY`] events.
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
     ring: VecDeque<FlightEvent>,
     capacity: usize,
@@ -92,8 +93,11 @@ impl FlightRecorder {
     /// A recorder keeping the last `capacity` events (min 1).
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {
+            ring: VecDeque::new(),
             capacity: capacity.max(1),
-            ..FlightRecorder::default()
+            recorded: 0,
+            current_rank: 0,
+            trigger: None,
         }
     }
 
@@ -190,6 +194,12 @@ impl FlightRecorder {
     }
 }
 
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        FlightRecorder::new(DEFAULT_CAPACITY)
+    }
+}
+
 /// Run `f` over `state`; if it panics, write the current visit's
 /// events of the recorder `state` holds to `path` (best-effort) and
 /// resume the panic.
@@ -239,6 +249,20 @@ mod tests {
     }
 
     #[test]
+    fn every_constructor_bounds_the_ring() {
+        for (mut rec, kept) in [
+            (FlightRecorder::default(), DEFAULT_CAPACITY),
+            (FlightRecorder::new(0), 1),
+        ] {
+            rec.begin_visit(1);
+            for i in 0..1_000 {
+                rec.record(i, "conn.open", i, "a.example");
+            }
+            assert_eq!(rec.visit_events(1).len(), kept);
+        }
+    }
+
+    #[test]
     fn trigger_keeps_smallest_rank_across_merges() {
         let mut a = filled(&[5, 3]);
         a.begin_visit(3);
@@ -285,7 +309,7 @@ mod tests {
 
     #[test]
     fn panic_dump_writes_current_visit() {
-        let dir = std::env::temp_dir().join("origin-obs-panic-test");
+        let dir = std::env::temp_dir().join("origin-telemetry-panic-test");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("flight.panic.json");
         let _ = std::fs::remove_file(&path);

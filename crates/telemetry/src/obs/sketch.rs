@@ -25,7 +25,7 @@
 //! sketches that never carry one pay for counts only.
 //!
 //! Each bucket may carry an [`Exemplar`] linking the largest sample
-//! that landed in it back to an `origin-trace` span, so an outlier
+//! that landed in it back to a `trace` span, so an outlier
 //! percentile is one hop from its waterfall.
 
 /// Number of linear sub-buckets per power-of-two octave. The relative
@@ -40,7 +40,7 @@ pub struct Exemplar {
     pub value: u64,
     /// Site rank of the visit that produced the sample.
     pub rank: u32,
-    /// Trace span ID (`origin_trace::span_ref(rank, seq)`): the visit's
+    /// Trace span ID (`trace::span_ref(rank, seq)`): the visit's
     /// trace process is its rank, the low bits select the span.
     pub span_id: u64,
 }

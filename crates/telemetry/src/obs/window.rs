@@ -19,7 +19,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 
 use origin_netsim::{json, SimDuration, SimTime};
 
-use crate::sketch::{Exemplar, QuantileSketch};
+use super::sketch::{Exemplar, QuantileSketch};
 
 // Counter slots within a window cell. Kept private: producers fill the
 // named fields of `VisitObs`; only the cell maps them to slots.
@@ -126,7 +126,7 @@ pub struct VisitObs {
 pub struct VisitSinks<'a> {
     /// Flight recorder receiving the load's notable events as they
     /// happen.
-    pub flight: Option<&'a mut crate::flight::FlightRecorder>,
+    pub flight: Option<&'a mut super::flight::FlightRecorder>,
     /// Per-visit observation derived from the completed load.
     pub visit: Option<&'a mut VisitObs>,
 }

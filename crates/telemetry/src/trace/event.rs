@@ -1,5 +1,5 @@
-//! The event vocabulary: what a call site hands a [`crate::Tracer`]
-//! and what a reader gets back from [`crate::Tracer::events`].
+//! The event vocabulary: what a call site hands a [`super::Tracer`]
+//! and what a reader gets back from [`super::Tracer::events`].
 
 use std::fmt;
 use std::net::IpAddr;

@@ -2,8 +2,8 @@
 //! timestamps, args in insertion order, every field written straight
 //! from the tracer's arenas through `origin_netsim::json`.
 
-use crate::event::{Arg, EventKind, EventView, Name};
-use crate::tracer::Tracer;
+use super::event::{Arg, EventKind, EventView, Name};
+use super::tracer::Tracer;
 use origin_netsim::json::{self, escape_into, push_u64};
 use std::fmt::Write;
 
@@ -112,7 +112,7 @@ pub fn to_chrome_json(tracer: &Tracer) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Site;
+    use crate::trace::Site;
 
     static REQ: Site = Site::new("req", "request", &["host"]);
     static CACHE_HIT: Site = Site::new("dns.cache_hit", "dns", &["name"]);

@@ -1,6 +1,6 @@
 //! The per-worker trace buffer.
 
-use crate::event::{put_varint, Arg, EventKind, EventView, Record, Site, Strings};
+use super::event::{put_varint, Arg, EventKind, EventView, Record, Site, Strings};
 use origin_netsim::hash::{FxHashMap, FxHasher};
 use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
@@ -8,7 +8,7 @@ use std::hash::Hasher;
 
 /// The span-ID minting formula: pid (site rank) in the high bits, the
 /// per-visit sequence in the low 24. Exposed as a pure function so
-/// out-of-band consumers — sketch exemplars in `origin-obs` — can name
+/// out-of-band consumers — sketch exemplars in `obs` — can name
 /// a span in a visit's namespace without holding the tracer.
 pub const fn span_ref(pid: u64, seq: u64) -> u64 {
     (pid << 24) | (seq & 0xFF_FFFF)
@@ -304,7 +304,7 @@ impl Tracer {
 
     /// Append another tracer's events. Merging rank-ordered shards in
     /// rank order reproduces the sequential event stream exactly — the
-    /// same spine `origin-metrics::Registry` and the crawl series ride.
+    /// same spine `metrics::Registry` and the crawl series ride.
     /// The other tracer's arenas are moved in, not copied: a trace is
     /// written once, by the worker that recorded it.
     pub fn merge(&mut self, other: Tracer) {

@@ -2,7 +2,7 @@
 //! merging shards cut at visit boundaries reproduces the sequential
 //! stream, and a clone exports the same bytes.
 
-use origin_trace::{to_chrome_json, Arg, EventKind, Site, Tracer};
+use origin_telemetry::trace::{to_chrome_json, Arg, EventKind, Site, Tracer};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 static SPAN: Site = Site::new("span", "request", &["s", "n", "f", "b", "ip", "t"]);

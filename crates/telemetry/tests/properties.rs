@@ -5,9 +5,9 @@
 
 use std::collections::BTreeMap;
 
-use origin_obs::sketch::bucket_index;
-use origin_obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
-use origin_obs::{Exemplar, QuantileSketch, Timeline, VisitObs};
+use origin_telemetry::obs::sketch::bucket_index;
+use origin_telemetry::obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
+use origin_telemetry::obs::{Exemplar, QuantileSketch, Timeline, VisitObs};
 
 /// Minimal deterministic generator (splitmix64) for the property runs.
 struct Gen(u64);

@@ -118,13 +118,21 @@ fi
 # One home each: outside its tests, only `origin_netsim::hash` spells the
 # FNV-1a prime or the Fx multiplier (hex literals compared with `_`
 # stripped), only `fold_chunks` starts threads, and no crate depends on
-# the folded `origin-stats` or on `origin-intern` (the harness's alone).
+# the folded `origin-stats`, on `origin-intern` (the harness's alone) or
+# on the telemetry shells `origin-{metrics,trace,obs}`, nor does any
+# source name them: workspace code reaches telemetry as `origin_telemetry`.
 mapfile -t lib < <(find "${src[@]}" -name '*.rs')
+root=$scripts/..
+code=()
+for d in "$root"/crates/*/{src,tests,benches} "$root"/{src,tests,examples}; do
+    if [ -d "$d" ]; then code+=("$d"); fi
+done
 if nontest "${lib[@]}" | grep -v 'crates/netsim/src/hash\.rs:' |
     sed 's/_//g' | grep -iE '0x0*100000001b3\b|0x0*517cc1b727220a95\b' >&2 ||
     nontest "${lib[@]}" | grep -v 'crates/netsim/src/shard\.rs:' | grep -E 'thread::(scope|spawn)' >&2 ||
-    grep -nE '^\s*origin-(stats|intern)\b' "$scripts"/../Cargo.toml "$scripts"/../crates/*/Cargo.toml >&2; then
-    echo "FAIL: a hash constant outside netsim/src/hash.rs, a thread started outside fold_chunks, or a dependency on origin-stats/origin-intern" >&2
+    grep -nE '^\s*origin-(stats|intern|metrics|trace|obs)\b' "$root"/Cargo.toml "$root"/crates/*/Cargo.toml >&2 ||
+    grep -rnE --include='*.rs' '\borigin_(metrics|trace|obs|intern)::' "${code[@]}" >&2; then
+    echo "FAIL: a hash constant outside netsim/src/hash.rs, a thread started outside fold_chunks, or a dependency on origin-stats/origin-intern or a telemetry shell" >&2
     exit 1
 fi
 

@@ -19,6 +19,8 @@
 //! - [`model`] — the paper's §4 best-case coalescing model.
 //! - [`cdn`] — the paper's §5 CDN deployment simulator.
 //! - [`stats`] — CDFs, percentiles and table rendering.
+//! - [`telemetry`] — metrics registry, span tracing, windowed time
+//!   series and the flight recorder, all on simulated time.
 
 #![forbid(unsafe_code)]
 
@@ -30,6 +32,7 @@ pub use origin_dns as dns;
 pub use origin_h2 as h2;
 pub use origin_h3 as h3;
 pub use origin_netsim as netsim;
+pub use origin_telemetry as telemetry;
 pub use origin_tls as tls;
 pub use origin_web as web;
 pub use origin_webgen as webgen;

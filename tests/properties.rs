@@ -849,9 +849,9 @@ fn json_strings(doc: &str) -> Vec<String> {
 #[test]
 fn exporters_escape_every_string_they_carry() {
     use origin_bench::ResilienceReport;
-    use origin_metrics::Registry;
-    use origin_obs::FlightRecorder;
-    use origin_trace::{to_chrome_json, Arg, Site, Tracer};
+    use origin_telemetry::metrics::Registry;
+    use origin_telemetry::obs::FlightRecorder;
+    use origin_telemetry::trace::{to_chrome_json, Arg, Site, Tracer};
     use respect_origin::netsim::SimDuration;
     use respect_origin::web::har::{PageLoad, Phase, RequestTiming};
     use respect_origin::web::Protocol;
@@ -993,7 +993,7 @@ fn origin_entry_parse_never_panics() {
 /// parses back to the same profile.
 #[test]
 fn cli_spec_parsers_never_panic_and_faults_roundtrip() {
-    use origin_trace::Sampler;
+    use origin_telemetry::trace::Sampler;
     use respect_origin::netsim::FaultProfile;
     let mut rng = SimRng::seed_from_u64(0x434C4931);
     let rate = |rng: &mut SimRng| match rng.index(4) {
@@ -1216,12 +1216,12 @@ struct MixedRun {
     /// Fault-session retries summed over the visits.
     retries: u64,
     /// The trace, when one was attached.
-    trace: Option<origin_trace::Tracer>,
+    trace: Option<origin_telemetry::trace::Tracer>,
     /// Each visit's flight events and observation, when both were
     /// attached.
     observed: Option<(
-        Vec<origin_obs::flight::FlightEvent>,
-        Vec<origin_obs::VisitObs>,
+        Vec<origin_telemetry::obs::flight::FlightEvent>,
+        Vec<origin_telemetry::obs::VisitObs>,
     )>,
 }
 
@@ -1235,9 +1235,9 @@ fn golden_mixed(
     observed: bool,
     mut each: impl FnMut(&respect_origin::web::Page, &respect_origin::web::har::PageLoad),
 ) -> MixedRun {
-    use origin_metrics::Registry;
-    use origin_obs::{FlightRecorder, VisitObs, VisitSinks};
-    use origin_trace::Tracer;
+    use origin_telemetry::metrics::Registry;
+    use origin_telemetry::obs::{FlightRecorder, VisitObs, VisitSinks};
+    use origin_telemetry::trace::Tracer;
     use respect_origin::browser::loader::FaultSession;
     use respect_origin::browser::{BrowserKind, PageLoader, UniverseEnv, VisitArena};
     use respect_origin::netsim::FaultProfile;
@@ -1380,7 +1380,8 @@ fn sinks_cannot_see_each_other() {
         assert!(other.loads == neither.loads, "{what}: loads moved");
         assert_eq!(other.registry, neither.registry, "{what}: registry moved");
     }
-    let trace = |r: &MixedRun| origin_trace::to_chrome_json(r.trace.as_ref().expect("traced"));
+    let trace =
+        |r: &MixedRun| origin_telemetry::trace::to_chrome_json(r.trace.as_ref().expect("traced"));
     assert!(
         trace(&traced) == trace(&both),
         "observation moved the trace"
@@ -1400,7 +1401,7 @@ fn sinks_cannot_see_each_other() {
 /// start of a request of its visit for the name it looked up.
 #[test]
 fn dns_events_start_with_their_request() {
-    use origin_trace::Arg;
+    use origin_telemetry::trace::Arg;
     let run = golden_mixed(true, false, |_, _| {});
     let trace = run.trace.expect("traced");
     let mut checked = 0;
