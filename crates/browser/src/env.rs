@@ -126,7 +126,7 @@ impl HostFactCache {
             0
         } else {
             // Stable per-host class (FNV over the name), as before.
-            if origin_netsim::hash::fnv1a64(host.as_str().as_bytes()).is_multiple_of(2) {
+            if origin_netsim::hash::fnv1a64(host.as_str().as_bytes()) % 2 == 0 {
                 1
             } else {
                 2

@@ -21,8 +21,6 @@
 //!   [`origin_web::PageLoad`].
 //! - [`mod@env`] — the environment abstraction plus the webgen-backed
 //!   implementation.
-//! - [`session`] — the cross-visit session pool (idle timeouts,
-//!   per-edge caps, budgeted LRU eviction) for the serving engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +29,6 @@ pub mod env;
 pub mod loader;
 pub mod policy;
 pub mod pool;
-pub mod session;
 
 pub use env::{UniverseEnv, WebEnv};
 pub use loader::{
@@ -40,4 +37,3 @@ pub use loader::{
 };
 pub use policy::BrowserKind;
 pub use pool::{ConnectionPool, PoolPartition, PooledConnection};
-pub use session::{PoolChurn, SessionPool};

@@ -24,7 +24,7 @@ use origin_netsim::{
 use origin_telemetry::metrics::Registry;
 use origin_telemetry::obs::{FlightRecorder, VisitSinks};
 use origin_telemetry::trace::Tracer;
-use origin_web::har::{PageLoad, Phase, RequestTiming, SealedUs};
+use origin_web::har::{ms_to_us, PageLoad, Phase, RequestTiming, SealedUs};
 use origin_web::{Page, Protocol, Resource};
 use std::fmt::Write;
 use std::net::{IpAddr, Ipv4Addr};
@@ -37,7 +37,7 @@ pub use report::{fault_counter_names, h3_counter_names};
 type H1Event<'a> = origin_h1::EventRef<'a>;
 
 /// RFC 8336 ORIGIN frame type code — what the §6.7 middlebox keys on.
-const ORIGIN_FRAME_TYPE: u8 = 0x0c;
+const ORIGIN_FRAME_TYPE: u8 = origin_h2::FrameType::Origin.to_u8();
 
 /// First retransmit backoff (ms); doubles per attempt (200, 400, 800),
 /// approximating the minimum TCP retransmission timeout of deployed
@@ -735,7 +735,7 @@ impl Visit<'_> {
 
         // The query starts with the request, quantised as its seal will
         // be, so a DNS span begins exactly where the request does.
-        let now = SimTime::from_micros(ms_us(start));
+        let now = SimTime::from_micros(ms_to_us(start));
         // The environment's resolver traces its own queries, on the
         // loader's lane: the one sink the stages hand on.
         let mut tracer = self.tracer.as_deref_mut();
@@ -891,7 +891,7 @@ impl Visit<'_> {
                     } else {
                         0.0
                     };
-                rq.torn_down_us = Some(ms_us(rq.setup_start() + wasted));
+                rq.torn_down_us = Some(ms_to_us(rq.setup_start() + wasted));
                 rq.fault_penalty_ms += wasted;
                 cost = hs.connect(&rq.link, &mut f.rng);
                 origin_set = None;
@@ -993,7 +993,7 @@ impl Visit<'_> {
         cert: std::sync::Arc<origin_tls::Certificate>,
         origin_set: Option<std::sync::Arc<origin_h2::OriginSet>>,
     ) -> usize {
-        let open_us = ms_us(rq.setup_start());
+        let open_us = ms_to_us(rq.setup_start());
         let i = self.arena.pool.insert(PooledConnection {
             host: rq.t.host.clone(),
             ip,
@@ -1057,9 +1057,9 @@ impl Visit<'_> {
                 f.counts.retries += 1;
                 let backoff = RETRY_BASE_MS * f64::from(1u32 << attempt);
                 let redo = backoff + rq.link.rtt.as_millis_f64();
-                let redo_us = ms_us(redo);
+                let redo_us = ms_to_us(redo);
                 rq.backoffs[attempt as usize] =
-                    Some((ms_us(start + phase.total()), redo_us, fate_label));
+                    Some((ms_to_us(start + phase.total()), redo_us, fate_label));
                 phase.receive += redo;
                 f.counts.backoff_events += 1;
                 f.counts.backoff_us += redo_us;
@@ -1203,14 +1203,6 @@ const PLACEHOLDER_IP: IpAddr = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
 
 /// What a failed lookup costs before the request gives up (ms).
 const NXDOMAIN_MS: f64 = 15.0;
-
-/// Quantise simulated milliseconds to integer microseconds for trace
-/// timestamps — identical to [`origin_web::har::ms_to_us`] and
-/// `SimDuration::from_millis_f64`, keeping spans, HAR and metrics in
-/// exact agreement.
-fn ms_us(ms: f64) -> u64 {
-    origin_web::har::ms_to_us(ms)
-}
 
 /// Does a legacy origin serve this resource with a close-delimited
 /// body (no `Content-Length`)? FNV-1a over the path picks roughly one

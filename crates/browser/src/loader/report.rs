@@ -4,14 +4,14 @@
 //! and the visit's observation take from the finished load.
 
 use super::{
-    ms_us, FaultCounts, H1Event, H1Stats, H3Stats, Opened, Request, VisitArena, ORIGIN_FRAME_TYPE,
+    FaultCounts, H1Event, H1Stats, H3Stats, Opened, Request, VisitArena, ORIGIN_FRAME_TYPE,
     REDUNDANCY_KINDS,
 };
 use origin_netsim::{SimDuration, TlsVersion};
 use origin_telemetry::metrics::Registry;
 use origin_telemetry::obs::{FlightRecorder, VisitObs};
 use origin_telemetry::trace::{span_ref, Arg, Site, Tracer};
-use origin_web::har::PageLoad;
+use origin_web::har::{ms_to_us, PageLoad};
 use origin_web::{Page, Protocol};
 
 impl Request<'_> {
@@ -26,7 +26,7 @@ impl Request<'_> {
             return;
         };
         if let Some(i) = self.misdirected {
-            rec.record(ms_us(self.after_dns()), "fault.421", i as u64, host);
+            rec.record(ms_to_us(self.after_dns()), "fault.421", i as u64, host);
         }
         if let Some(at) = self.torn_down_us {
             let frame = u64::from(ORIGIN_FRAME_TYPE);
@@ -43,7 +43,7 @@ impl Request<'_> {
             rec.record(at, "fault.backoff", attempt as u64 + 1, host);
         }
         if let Some(("close-delimited", cycle)) = self.h1_framing {
-            let at = ms_us(self.t.start + self.t.total());
+            let at = ms_to_us(self.t.start + self.t.total());
             rec.record(at, H1Event::ConnectionClosed.code(), cycle, host);
         }
     }
@@ -75,9 +75,9 @@ impl Request<'_> {
         if let Some(i) = self.misdirected {
             let args = [Arg::Str(host), Arg::U64(i as u64)];
             t.set_tid(1 + i as u32);
-            t.instant_at(&FAULT_421, ms_us(self.after_dns()), &args);
+            t.instant_at(&FAULT_421, ms_to_us(self.after_dns()), &args);
             let evicted = self.after_dns() + self.link.rtt.as_millis_f64();
-            t.instant_at(&FAULT_EVICT, ms_us(evicted), &args);
+            t.instant_at(&FAULT_EVICT, ms_to_us(evicted), &args);
         }
         let tid = 1 + conn as u32;
         let serving = &arena.pool.connections()[conn];
@@ -88,13 +88,13 @@ impl Request<'_> {
             // allowed the reuse.
             let id = t.next_id();
             t.flow_start(id, &FLOW, arena.conns[conn].open_us, tid);
-            t.flow_end(id, &FLOW, ms_us(self.after_dns()));
+            t.flow_end(id, &FLOW, ms_to_us(self.after_dns()));
             let args = [
                 Arg::Str(rule),
                 Arg::U64(conn as u64),
                 Arg::Str(serving.host.as_str()),
             ];
-            t.instant_at(&COALESCE, ms_us(self.after_dns()), &args);
+            t.instant_at(&COALESCE, ms_to_us(self.after_dns()), &args);
         }
         if let Some(at) = self.torn_down_us {
             let frame = Arg::U64(u64::from(ORIGIN_FRAME_TYPE));
@@ -106,7 +106,7 @@ impl Request<'_> {
             let mut hs_start = self.setup_start();
             if let Opened::Tcp { .. } = opened {
                 let ip = [Arg::Ip(serving.ip)];
-                t.complete(&TCP_CONNECT, ms_us(hs_start), connect_us, &ip);
+                t.complete(&TCP_CONNECT, ms_to_us(hs_start), connect_us, &ip);
                 hs_start += self.t.phase.connect;
             }
             if self.res.secure {
@@ -124,7 +124,7 @@ impl Request<'_> {
                         // pure-h2 traces stay byte-identical to the
                         // committed baselines.
                         let args = &args[..if legacy { 4 } else { 3 }];
-                        t.complete(&TLS_HANDSHAKE, ms_us(hs_start), ssl_us, args);
+                        t.complete(&TLS_HANDSHAKE, ms_to_us(hs_start), ssl_us, args);
                     }
                     Opened::Quic(o) => {
                         let args = [
@@ -134,7 +134,7 @@ impl Request<'_> {
                             Arg::U64(u64::from(o.amplification_rtts)),
                             Arg::Bool(o.cross_host),
                         ];
-                        t.complete(&QUIC_HANDSHAKE, ms_us(hs_start), ssl_us, &args);
+                        t.complete(&QUIC_HANDSHAKE, ms_to_us(hs_start), ssl_us, &args);
                     }
                 }
                 // The SAN check the pool's coalescing relies on, for h3
@@ -143,7 +143,7 @@ impl Request<'_> {
                 // a host that presented none has a subject-only
                 // stand-in, which does not count.
                 let covered = self.t.cert_issuer.is_some() && serving.cert.covers(&self.t.host);
-                let at = ms_us(hs_start + self.t.phase.ssl);
+                let at = ms_to_us(hs_start + self.t.phase.ssl);
                 t.instant_at(&SAN_VALIDATED, at, &[Arg::Str(host), Arg::Bool(covered)]);
             }
         }

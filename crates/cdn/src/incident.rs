@@ -16,7 +16,7 @@ use origin_netsim::fault::{Middlebox, MiddleboxVerdict};
 use origin_netsim::SimRng;
 
 /// The ORIGIN frame's wire type code (RFC 8336).
-const ORIGIN_FRAME_TYPE: u8 = 0x0c;
+const ORIGIN_FRAME_TYPE: u8 = origin_h2::FrameType::Origin.to_u8();
 
 /// Parameters of the incident scenario.
 #[derive(Debug, Clone)]

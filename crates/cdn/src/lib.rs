@@ -26,8 +26,6 @@
 //!   after deployment).
 //! - [`incident`] — the §6.7 non-compliant middlebox incident and its
 //!   disclosure timeline.
-//! - [`rollout`] — per-edge ORIGIN rollout state for the serving
-//!   engine's live A/B ramp (DESIGN.md §20).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +36,6 @@ pub mod env;
 pub mod incident;
 pub mod longitudinal;
 pub mod passive;
-pub mod rollout;
 pub mod sample;
 
 pub use active::{ActiveMeasurement, ActiveResult};
@@ -47,5 +44,4 @@ pub use env::{CdnEnv, DeploymentMode};
 pub use incident::{IncidentReport, MiddleboxIncident};
 pub use longitudinal::LongitudinalRun;
 pub use passive::{PassivePipeline, PassiveReport};
-pub use rollout::Rollout;
 pub use sample::{SampleGroup, SampleSite, Treatment, CONTROL_DECOY_HOST, THIRD_PARTY_HOST};

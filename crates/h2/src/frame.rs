@@ -47,7 +47,7 @@ pub enum FrameType {
 
 impl FrameType {
     /// Wire value.
-    pub fn to_u8(self) -> u8 {
+    pub const fn to_u8(self) -> u8 {
         match self {
             FrameType::Data => 0x00,
             FrameType::Headers => 0x01,
@@ -699,7 +699,7 @@ impl FrameDecoder {
                         len: payload.len(),
                     });
                 }
-                if !payload.len().is_multiple_of(6) {
+                if payload.len() % 6 != 0 {
                     return Err(FrameError::BadLength {
                         kind: "SETTINGS",
                         len: payload.len(),

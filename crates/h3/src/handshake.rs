@@ -1,14 +1,13 @@
-//! The QUIC handshake: an explicit client-side state machine plus the
-//! cost model that turns a completed handshake into blocking time on a
+//! The QUIC handshake: how one completed ([`HandshakeMode`]) and the
+//! cost model that turns that into blocking time on a
 //! [`LinkProfile`].
 //!
 //! QUIC folds transport and TLS establishment into one exchange
 //! (RFC 9000/9001): a full handshake costs a single round trip where
 //! TCP+TLS 1.3 costs two, and a resumed handshake can carry the first
-//! request in the client's first flight (0-RTT). The state machine
-//! models the transitions the wire tests pin down — 1-RTT vs 0-RTT,
-//! and a server rejecting early data, which falls the connection back
-//! to a full 1-RTT handshake rather than failing it.
+//! request in the client's first flight (0-RTT). A server rejecting
+//! early data falls the connection back to a full 1-RTT handshake
+//! rather than failing it.
 //!
 //! The cost model also carries the anti-amplification interaction
 //! (Nawrocki et al.): before the client's address is validated, a
@@ -42,131 +41,6 @@ impl HandshakeMode {
             HandshakeMode::ZeroRtt => "0-rtt",
             HandshakeMode::ZeroRttRejected => "0-rtt-rejected",
         }
-    }
-}
-
-/// Client-side handshake states. The wire tests walk every legal
-/// transition; illegal ones are [`HandshakeError`]s, not panics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandshakeState {
-    /// Nothing sent yet.
-    Initial,
-    /// First flight sent without early data (full handshake pending).
-    Handshaking,
-    /// First flight sent with 0-RTT early data (resumption pending).
-    ZeroRttSent,
-    /// Handshake confirmed; application data flows.
-    Established,
-}
-
-/// An illegal transition: the event is not valid in the current state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HandshakeError {
-    /// State the machine was in.
-    pub state: HandshakeState,
-    /// What was attempted.
-    pub event: &'static str,
-}
-
-impl std::fmt::Display for HandshakeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} invalid in {:?}", self.event, self.state)
-    }
-}
-
-/// The client half of one QUIC handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuicHandshake {
-    state: HandshakeState,
-    zero_rtt_rejected: bool,
-}
-
-impl QuicHandshake {
-    /// A handshake that has sent nothing.
-    pub fn new() -> Self {
-        QuicHandshake {
-            state: HandshakeState::Initial,
-            zero_rtt_rejected: false,
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> HandshakeState {
-        self.state
-    }
-
-    /// Send the first flight without early data (no usable ticket).
-    pub fn send_initial(&mut self) -> Result<(), HandshakeError> {
-        match self.state {
-            HandshakeState::Initial => {
-                self.state = HandshakeState::Handshaking;
-                Ok(())
-            }
-            state => Err(HandshakeError {
-                state,
-                event: "send_initial",
-            }),
-        }
-    }
-
-    /// Send the first flight with 0-RTT early data under a resumption
-    /// ticket.
-    pub fn send_zero_rtt(&mut self) -> Result<(), HandshakeError> {
-        match self.state {
-            HandshakeState::Initial => {
-                self.state = HandshakeState::ZeroRttSent;
-                Ok(())
-            }
-            state => Err(HandshakeError {
-                state,
-                event: "send_zero_rtt",
-            }),
-        }
-    }
-
-    /// The server rejected the early data. The connection is not dead:
-    /// the handshake continues as a full exchange (RFC 9001 §4.6.2),
-    /// and the early request is replayed after establishment.
-    pub fn reject_zero_rtt(&mut self) -> Result<(), HandshakeError> {
-        match self.state {
-            HandshakeState::ZeroRttSent => {
-                self.state = HandshakeState::Handshaking;
-                self.zero_rtt_rejected = true;
-                Ok(())
-            }
-            state => Err(HandshakeError {
-                state,
-                event: "reject_zero_rtt",
-            }),
-        }
-    }
-
-    /// The server's flight completed the handshake.
-    pub fn confirm(&mut self) -> Result<HandshakeMode, HandshakeError> {
-        match self.state {
-            HandshakeState::Handshaking => {
-                self.state = HandshakeState::Established;
-                Ok(if self.zero_rtt_rejected {
-                    HandshakeMode::ZeroRttRejected
-                } else {
-                    HandshakeMode::OneRtt
-                })
-            }
-            HandshakeState::ZeroRttSent => {
-                self.state = HandshakeState::Established;
-                Ok(HandshakeMode::ZeroRtt)
-            }
-            state => Err(HandshakeError {
-                state,
-                event: "confirm",
-            }),
-        }
-    }
-}
-
-impl Default for QuicHandshake {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

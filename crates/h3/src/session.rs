@@ -1,33 +1,33 @@
 //! Per-visit HTTP/3 session state and the per-connection driver.
 //!
 //! [`H3Session`] is what one browser visit remembers across
-//! connections: which certificate scopes have advertised h3
-//! ([`AltSvcCache`]), the TLS session tickets banked by completed full
-//! handshakes (certificate-scoped, so resumption crosses hostnames —
-//! Sy et al.), and which server addresses have been validated (so
-//! later handshakes to the same address skip the anti-amplification
-//! stall — shared address validation). [`connect`] folds all three
-//! into one deterministic handshake decision.
+//! connections: which certificate scopes have advertised h3 (the
+//! Alt-Svc bootstrap: a scope's first connection pays the h2 path,
+//! its advertisement upgrades later ones), the TLS session tickets
+//! banked by completed full handshakes (certificate-scoped, so
+//! resumption crosses hostnames — Sy et al.), and which server
+//! addresses have been validated (so later handshakes to the same
+//! address skip the anti-amplification stall — shared address
+//! validation). [`connect`] folds all three into one deterministic
+//! handshake decision.
 //!
 //! [`H3Conn`] is one QUIC connection's request machinery: QPACK
 //! encoder/decoder pair (the instruction stream is applied to the
 //! decoder and the section decoded against the fields that went in,
 //! so compression state actually exercises both ends — in every
-//! build) and the connection-ID registry, rotated periodically the
-//! way migrating clients do. It owns its wire buffers and its tables
-//! recycle their strings, so a request borrows its header block and a
-//! reused machine ([`H3Conn::reset`]) allocates nothing.
+//! build) and its request count, from which the connection IDs a
+//! migrating client rotates through are counted. It owns its wire
+//! buffers and its tables recycle their strings, so a request borrows
+//! its header block and a reused machine ([`H3Conn::reset`]) allocates
+//! nothing.
 //!
 //! [`connect`]: H3Session::connect
 
 use std::net::IpAddr;
 
 use origin_netsim::{LinkProfile, SimDuration, SimRng};
-use origin_tls::{ResumptionScope, SessionTicketCache};
 
-use crate::altsvc::AltSvcCache;
-use crate::cid::{ConnectionIdRegistry, DEFAULT_ACTIVE_CID_LIMIT};
-use crate::handshake::{HandshakeMode, QuicCostModel, QuicHandshake};
+use crate::handshake::{HandshakeMode, QuicCostModel};
 use crate::qpack::{Decoder, EncodedRequest, Encoder, QpackError, DEFAULT_TABLE_SIZE};
 
 /// Probability a server rejects offered 0-RTT early data (key
@@ -35,7 +35,9 @@ use crate::qpack::{Decoder, EncodedRequest, Encoder, QpackError, DEFAULT_TABLE_S
 /// a full exchange.
 pub const ZERO_RTT_REJECT_RATE: f64 = 0.05;
 
-/// Requests between connection-ID rotations on a live connection.
+/// Requests between connection-ID rotations on a live connection:
+/// each rotation issues a fresh ID and retires the oldest (RFC 9000
+/// §5.1), so one ID stays active.
 pub const CID_ROTATION_PERIOD: u64 = 16;
 
 /// Counters one visit accumulates; drained into `h3.*` metrics by the
@@ -81,45 +83,43 @@ pub struct QuicConnectOutcome {
     pub amplification_rtts: u32,
 }
 
-/// One visit's h3 memory.
-#[derive(Debug, Clone)]
+/// One visit's h3 memory. Every field is a short list — a visit meets
+/// a handful of certificates and addresses — so linear scans serve.
+#[derive(Debug, Clone, Default)]
 pub struct H3Session {
-    altsvc: AltSvcCache,
-    tickets: SessionTicketCache,
+    /// Certificate serials whose scope advertised h3 (RFC 7838). An
+    /// advertisement learned from any host behind a certificate
+    /// upgrades every host the certificate covers, the way the pool
+    /// coalesces.
+    scopes: Vec<u64>,
+    /// Banked session tickets, oldest first, as (certificate serial,
+    /// issuing host): a ticket resumes any host presenting the same
+    /// certificate (Sy et al.) and is single-use (RFC 8446 §C.4).
+    tickets: Vec<(u64, String)>,
+    /// Addresses a completed handshake validated this visit.
     validated: Vec<IpAddr>,
     /// Running counters, drained by the loader.
     pub counts: H3Counts,
 }
 
-impl Default for H3Session {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl H3Session {
-    /// Fresh session: nothing learned, certificate-scoped tickets.
+    /// Fresh session: nothing learned, no tickets banked.
     pub fn new() -> Self {
-        H3Session {
-            altsvc: AltSvcCache::new(),
-            tickets: SessionTicketCache::new(ResumptionScope::Certificate),
-            validated: Vec::new(),
-            counts: H3Counts::default(),
-        }
+        Self::default()
     }
 
-    /// Reset for arena reuse — equivalent to [`new`], keeping
-    /// allocations is not worth the bookkeeping here because the
-    /// backing maps are tiny.
-    ///
-    /// [`new`]: Self::new
+    /// Back to [`new`](Self::new) for arena reuse, keeping every
+    /// list's capacity.
     pub fn recycle(&mut self) {
-        *self = Self::new();
+        self.scopes.clear();
+        self.tickets.clear();
+        self.validated.clear();
+        self.counts = H3Counts::default();
     }
 
     /// Has this certificate scope advertised h3?
     pub fn knows_h3(&self, cert_serial: u64) -> bool {
-        self.altsvc.knows(cert_serial)
+        self.scopes.contains(&cert_serial)
     }
 
     /// An h2 response from this scope carried (or, when `suppressed`,
@@ -128,9 +128,8 @@ impl H3Session {
     pub fn learn_alt_svc(&mut self, cert_serial: u64, suppressed: bool) {
         if suppressed {
             self.counts.altsvc_suppressed += 1;
-            return;
-        }
-        if self.altsvc.learn(cert_serial) {
+        } else if !self.knows_h3(cert_serial) {
+            self.scopes.push(cert_serial);
             self.counts.altsvc_learned += 1;
         }
     }
@@ -138,24 +137,19 @@ impl H3Session {
     /// A full TLS 1.3 handshake (h2 path) with `host` completed and
     /// issued a session ticket into the certificate scope.
     pub fn bank_ticket(&mut self, host: &str, cert_serial: u64) {
-        self.tickets.issue(host, cert_serial);
+        self.tickets.push((cert_serial, host.to_string()));
         self.counts.tickets_issued += 1;
-    }
-
-    /// Tickets banked over the session (for invariant checks).
-    pub fn tickets_issued(&self) -> u64 {
-        self.tickets.issued()
     }
 
     /// Establish one QUIC connection to `host` at `ip` under the
     /// certificate with `cert_serial` / `cert_bytes` on the wire.
     ///
-    /// Deterministic given the rng: a banked ticket is redeemed for a
-    /// 0-RTT offer (one `chance` draw decides rejection); otherwise a
-    /// full 1-RTT handshake runs, paying the amplification stall
-    /// unless `ip` was validated by an earlier handshake this visit.
-    /// Every completed full handshake issues a fresh ticket and
-    /// validates `ip`.
+    /// Deterministic given the rng: the newest ticket banked for the
+    /// certificate is redeemed for a 0-RTT offer (one `chance` draw
+    /// decides rejection); otherwise a full 1-RTT handshake runs,
+    /// paying the amplification stall unless `ip` was validated by an
+    /// earlier handshake this visit. Every completed full handshake
+    /// issues a fresh ticket and validates `ip`.
     pub fn connect(
         &mut self,
         host: &str,
@@ -165,19 +159,19 @@ impl H3Session {
         link: &LinkProfile,
         rng: &mut SimRng,
     ) -> QuicConnectOutcome {
-        let mut hs = QuicHandshake::new();
-        let ticket = self.tickets.redeem(host, cert_serial);
-        let mut cross_host = false;
-        if let Some(t) = &ticket {
-            cross_host = t.issuing_host != host;
-            hs.send_zero_rtt().expect("fresh handshake accepts 0-RTT");
-            if rng.chance(ZERO_RTT_REJECT_RATE) {
-                hs.reject_zero_rtt().expect("0-RTT sent admits rejection");
-            }
-        } else {
-            hs.send_initial().expect("fresh handshake accepts initial");
-        }
-        let mode = hs.confirm().expect("first flight admits confirmation");
+        let ticket = self
+            .tickets
+            .iter()
+            .rposition(|&(serial, _)| serial == cert_serial)
+            .map(|i| self.tickets.remove(i));
+        let cross_host = ticket.as_ref().is_some_and(|(_, issuer)| issuer != host);
+        // A rejected 0-RTT offer completes as a full handshake
+        // (RFC 9001 §4.6.2) rather than failing the connection.
+        let mode = match ticket {
+            None => HandshakeMode::OneRtt,
+            Some(_) if rng.chance(ZERO_RTT_REJECT_RATE) => HandshakeMode::ZeroRttRejected,
+            Some(_) => HandshakeMode::ZeroRtt,
+        };
         let address_validated = self.validated.contains(&ip);
         let model = QuicCostModel::for_certificate(cert_bytes, address_validated);
         let cost = model.handshake_cost(mode, link, rng);
@@ -238,7 +232,6 @@ pub struct H3Conn {
     decoder: Decoder,
     /// The current request's two streams; kept for capacity.
     encoded: EncodedRequest,
-    cids: ConnectionIdRegistry,
     requests: u64,
 }
 
@@ -255,27 +248,24 @@ impl H3Conn {
             encoder: Encoder::new(),
             decoder: Decoder::new(),
             encoded: EncodedRequest::default(),
-            cids: ConnectionIdRegistry::new(DEFAULT_ACTIVE_CID_LIMIT),
             requests: 0,
         }
     }
 
     /// Back to [`H3Conn::new`] — empty tables, insert and eviction
-    /// counts zero, sequence-0 connection ID, no requests — keeping
+    /// counts zero, no requests (so one connection ID) — keeping
     /// every allocation: a pooled machine starting its next
     /// connection emits the bytes and counts a fresh one would.
     pub fn reset(&mut self) {
         self.encoder.reset(DEFAULT_TABLE_SIZE);
         self.decoder.reset(DEFAULT_TABLE_SIZE);
-        self.cids.reset();
         self.requests = 0;
     }
 
     /// Encode one request's header block through QPACK, apply the
     /// instruction stream to the decoder, and decode the field section
     /// against the fields that went in; anything else coming out is
-    /// the error. Rotates a connection ID every
-    /// [`CID_ROTATION_PERIOD`] requests.
+    /// the error.
     pub fn drive_request(
         &mut self,
         authority: &str,
@@ -293,9 +283,6 @@ impl H3Conn {
         self.decoder
             .decode_expecting(&self.encoded.section, &fields)?;
         self.requests += 1;
-        if self.requests.is_multiple_of(CID_ROTATION_PERIOD) {
-            self.cids.rotate().expect("rotation below the CID limit");
-        }
         Ok(H3RequestStats {
             instruction_bytes: self.encoded.instructions.len() as u64,
             section_bytes: self.encoded.section.len() as u64,
@@ -317,14 +304,16 @@ impl H3Conn {
         self.encoder.evictions()
     }
 
-    /// Connection IDs issued (including the handshake's sequence 0).
+    /// Connection IDs issued: the handshake's sequence 0 plus one
+    /// per rotation.
     pub fn cids_issued(&self) -> u64 {
-        self.cids.issued()
+        1 + self.cids_retired()
     }
 
-    /// Connection IDs retired.
+    /// Connection IDs retired: one per [`CID_ROTATION_PERIOD`]
+    /// requests.
     pub fn cids_retired(&self) -> u64 {
-        self.cids.retired()
+        self.requests / CID_ROTATION_PERIOD
     }
 }
 
@@ -363,7 +352,84 @@ mod tests {
         let c = s.counts;
         assert_eq!(c.handshakes_1rtt + c.handshakes_0rtt, c.connections);
         assert!(c.handshakes_0rtt + c.zero_rtt_rejected <= c.tickets_issued);
-        assert!(s.tickets.redeemed() <= s.tickets_issued());
+    }
+
+    #[test]
+    fn a_ticket_is_used_once() {
+        let mut s = H3Session::new();
+        let mut rng = SimRng::seed_from_u64(7);
+        let l = link();
+        s.bank_ticket("a.example.com", 7);
+        let resumed = s.connect("b.example.com", 7, 1_500, ip(1), &l, &mut rng);
+        assert_eq!(resumed.mode, HandshakeMode::ZeroRtt, "seed 7 accepts");
+        assert!(resumed.cross_host);
+        assert!(s.tickets.is_empty());
+        // Nothing left to redeem: the next handshake is full.
+        let cold = s.connect("b.example.com", 7, 1_500, ip(1), &l, &mut rng);
+        assert_eq!(cold.mode, HandshakeMode::OneRtt);
+        assert_eq!(s.counts.tickets_issued, 2);
+    }
+
+    #[test]
+    fn the_newest_ticket_for_a_serial_is_redeemed_first() {
+        let mut s = H3Session::new();
+        let mut rng = SimRng::seed_from_u64(7);
+        let l = link();
+        s.bank_ticket("old.example.com", 7);
+        s.bank_ticket("other.example.com", 8);
+        s.bank_ticket("new.example.com", 7);
+        s.connect("new.example.com", 7, 1_500, ip(1), &l, &mut rng);
+        // The newest serial-7 ticket was its own host's: not cross-host.
+        assert_eq!(s.counts.resumed_cross_host, 0);
+        assert!(s.tickets.iter().any(|(_, h)| h == "old.example.com"));
+        assert!(!s.tickets.iter().any(|(_, h)| h == "new.example.com"));
+    }
+
+    #[test]
+    fn a_ticket_for_one_serial_does_not_serve_another() {
+        let mut s = H3Session::new();
+        let mut rng = SimRng::seed_from_u64(7);
+        let l = link();
+        s.bank_ticket("a.example.com", 7);
+        let out = s.connect("a.example.com", 8, 1_500, ip(1), &l, &mut rng);
+        assert_eq!(out.mode, HandshakeMode::OneRtt);
+        assert!(!out.cross_host);
+        assert!(s.tickets.contains(&(7, "a.example.com".to_string())));
+    }
+
+    #[test]
+    fn a_scope_is_learned_once() {
+        let mut s = H3Session::new();
+        assert!(!s.knows_h3(7));
+        s.learn_alt_svc(7, false);
+        s.learn_alt_svc(7, false);
+        assert!(s.knows_h3(7));
+        assert!(!s.knows_h3(8));
+        assert_eq!(s.counts.altsvc_learned, 1);
+    }
+
+    #[test]
+    fn a_suppressed_advertisement_is_not_learned() {
+        let mut s = H3Session::new();
+        s.learn_alt_svc(7, true);
+        assert!(!s.knows_h3(7));
+        assert_eq!(
+            (s.counts.altsvc_learned, s.counts.altsvc_suppressed),
+            (0, 1)
+        );
+    }
+
+    #[test]
+    fn recycle_forgets_everything_and_keeps_capacity() {
+        let mut s = H3Session::new();
+        let mut rng = SimRng::seed_from_u64(7);
+        s.learn_alt_svc(7, false);
+        s.connect("a.example.com", 7, 1_500, ip(1), &link(), &mut rng);
+        s.recycle();
+        assert!(!s.knows_h3(7));
+        assert!(s.tickets.is_empty() && s.validated.is_empty());
+        assert_eq!(s.counts, H3Counts::default());
+        assert!(s.scopes.capacity() > 0 && s.tickets.capacity() > 0);
     }
 
     #[test]
@@ -374,7 +440,7 @@ mod tests {
         // Bloated chain to a fresh address: the stall applies.
         let first = s.connect("a.example.com", 9, 6_000, ip(1), &l, &mut rng);
         assert_eq!(first.amplification_rtts, 1);
-        // Exhaust the banked ticket so the next handshake is full.
+        // Drop the banked ticket so the next handshake is full.
         s.tickets.clear();
         // Same address: validated by the first handshake, no stall.
         let again = s.connect("other.example.com", 9, 6_000, ip(1), &l, &mut rng);
@@ -397,6 +463,26 @@ mod tests {
         // retired.
         assert_eq!(conn.cids_issued(), 3);
         assert_eq!(conn.cids_retired(), 2);
+    }
+
+    #[test]
+    fn cid_counts_follow_the_rotation_period() {
+        let mut conn = H3Conn::new();
+        let check = |conn: &mut H3Conn| {
+            let mut driven = 0;
+            for (requests, issued, retired) in [(0, 1, 0), (15, 1, 0), (16, 2, 1), (32, 3, 2)] {
+                for i in driven..requests {
+                    conn.drive_request("a.example.com", &format!("/{i}"))
+                        .unwrap();
+                }
+                driven = requests;
+                let got = (conn.cids_issued(), conn.cids_retired());
+                assert_eq!(got, (issued, retired), "after {requests} requests");
+            }
+        };
+        check(&mut conn);
+        conn.reset();
+        check(&mut conn);
     }
 
     #[test]

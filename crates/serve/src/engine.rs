@@ -24,8 +24,6 @@
 //! [`VisitObs`] per worker, and a per-visit key scratch. Steady state
 //! is `O(sites) + O(windows) + O(active sessions)`.
 
-use origin_browser::{PoolChurn, SessionPool};
-use origin_cdn::Rollout;
 use origin_netsim::hash::splitmix64;
 use origin_netsim::{fold_chunks, json, EventQueue, SimDuration, SimRng, SimTime};
 use origin_telemetry::metrics::Registry;
@@ -33,6 +31,8 @@ use origin_telemetry::obs::{Timeline, VisitObs};
 use origin_webgen::Dataset;
 
 use crate::plan::{compile_dataset, SitePlan};
+use crate::pool::{PoolChurn, SessionPool};
+use crate::rollout::Rollout;
 use crate::ServeConfig;
 
 /// Base render/parse cost of a visit before network terms, µs.

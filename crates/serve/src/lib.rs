@@ -17,6 +17,11 @@
 //!   `session_id % threads` and replays the identical arrival stream
 //!   on its own event queue, so the merged output is byte-identical
 //!   at any thread count.
+//! - [`pool`] — the cross-visit [`SessionPool`] (idle timeouts,
+//!   per-edge caps, budgeted LRU eviction) and its [`PoolChurn`]
+//!   counters.
+//! - [`rollout`] — the per-edge ORIGIN [`Rollout`] ramp behind the
+//!   live A/B.
 //!
 //! Per-visit work recycles a fixed set of scratch buffers (session
 //! slab, pool slabs, [`origin_telemetry::obs::VisitObs`]), so
@@ -29,9 +34,13 @@
 
 pub mod engine;
 pub mod plan;
+pub mod pool;
+pub mod rollout;
 
 pub use engine::{run_serve, ServeReport};
 pub use plan::{HostPlan, SitePlan};
+pub use pool::{PoolChurn, SessionPool};
+pub use rollout::Rollout;
 
 use origin_netsim::SimDuration;
 use origin_webgen::DatasetConfig;
@@ -91,7 +100,7 @@ impl ServeConfig {
     /// The rollout model this config describes. The seed is
     /// decorrelated from the arrival/session streams so changing the
     /// rollout target never perturbs the traffic itself.
-    pub fn rollout_model(&self) -> origin_cdn::Rollout {
-        origin_cdn::Rollout::new(self.rollout, self.rollout_ramp, self.seed ^ 0x0110_60C4)
+    pub fn rollout_model(&self) -> Rollout {
+        Rollout::new(self.rollout, self.rollout_ramp, self.seed ^ 0x0110_60C4)
     }
 }

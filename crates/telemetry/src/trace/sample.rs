@@ -42,7 +42,7 @@ impl Sampler {
 
     /// Whether the site at Tranco `rank` is in the sample.
     pub fn keep(&self, rank: u32) -> bool {
-        self.denom <= 1 || fnv1a64(&rank.to_le_bytes()).is_multiple_of(u64::from(self.denom))
+        self.denom <= 1 || fnv1a64(&rank.to_le_bytes()) % u64::from(self.denom) == 0
     }
 }
 

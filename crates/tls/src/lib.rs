@@ -20,8 +20,6 @@
 //!   (Let's Encrypt 100, Comodo 2000, …).
 //! - [`ctlog`] — Certificate Transparency load: an append-only entry
 //!   count per log operator.
-//! - [`resumption`] — TLS 1.3 session-ticket cache with per-policy
-//!   redemption scope (exact host vs certificate-wide, Sy et al.).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +28,6 @@ pub mod alpn;
 pub mod ca;
 pub mod cert;
 pub mod ctlog;
-pub mod resumption;
 pub mod san;
 pub mod strategy;
 
@@ -38,6 +35,5 @@ pub use alpn::{negotiate as alpn_negotiate, AlpnProtocol};
 pub use ca::{CaError, CertificateAuthority, KnownIssuer};
 pub use cert::{Certificate, CertificateBuilder, KeyType};
 pub use ctlog::{CtLog, CtLogSet};
-pub use resumption::{ResumptionScope, SessionTicket, SessionTicketCache};
 pub use san::{covers, wildcard_matches};
 pub use strategy::{cost as strategy_cost, CertStrategy, StrategyCost};
