@@ -38,9 +38,11 @@ use origin_core::stats::table::{pct_change, TextTable};
 use origin_core::stats::{self, Cdf, TopEntry};
 use origin_netsim::{json, FaultProfile, SimDuration, SimRng};
 use origin_telemetry::metrics::Registry;
-use origin_telemetry::trace::{to_chrome_json, Sampler, Tracer};
+use origin_telemetry::trace::{to_chrome_json, write_chrome_json, Sampler, Tracer};
 use origin_tls::CtLogSet;
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -234,16 +236,25 @@ fn help_or_die(arg: &str, mode: &str) -> ! {
 /// exit status 1 after every other artifact has been attempted.
 static WRITE_FAILED: AtomicBool = AtomicBool::new(false);
 
-/// Write one output file. `true` means written — the caller says what
-/// it was; a failure is reported here and fails the run (not the
-/// artifacts still to come).
-fn write_artifact(path: &str, bytes: impl AsRef<[u8]>) -> bool {
-    let written = std::fs::write(path, bytes);
+/// Write one output file through `write`. `true` means written — the
+/// caller says what it was; a failure is reported here and fails the
+/// run (not the artifacts still to come).
+fn write_artifact(path: &str, write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) -> bool {
+    let written = File::create(path).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        write(&mut out)?;
+        out.flush()
+    });
     if let Err(e) = &written {
         eprintln!("# failed to write {path}: {e}");
         WRITE_FAILED.store(true, Ordering::Relaxed);
     }
     written.is_ok()
+}
+
+/// The [`write_artifact`] closure of an artifact rendered whole.
+fn rendered(artifact: impl AsRef<[u8]>) -> impl FnOnce(&mut BufWriter<File>) -> io::Result<()> {
+    move |out| out.write_all(artifact.as_ref())
 }
 
 /// The required value of flag `flag`, parsed; malformed or missing
@@ -542,7 +553,7 @@ fn cmd_paper(args: &Args) -> bool {
             faulted.metrics.counter("fault.retries"),
         );
         if let Some(path) = &args.faults_report {
-            if write_artifact(path, report.to_json()) {
+            if write_artifact(path, rendered(report.to_json())) {
                 eprintln!("# wrote resilience report to {path}");
             }
         }
@@ -566,7 +577,7 @@ fn cmd_paper(args: &Args) -> bool {
                 .collect::<Vec<_>>()
                 .join(", "),
         );
-        if write_artifact(path, report.to_json()) {
+        if write_artifact(path, rendered(report.to_json())) {
             eprintln!("# wrote redundancy report to {path}");
         }
     }
@@ -596,7 +607,7 @@ fn cmd_paper(args: &Args) -> bool {
             report.plt_delta_pct(),
             report.zero_rtt_share(),
         );
-        if write_artifact(path, report.to_json()) {
+        if write_artifact(path, rendered(report.to_json())) {
             eprintln!("# wrote h3 report to {path}");
         }
     }
@@ -606,7 +617,7 @@ fn cmd_paper(args: &Args) -> bool {
     let mut fault_aborted = false;
     let observed = crawl.as_ref();
     if let (Some(path), Some(tl)) = (&args.timeline, observed.and_then(|r| r.timeline.as_ref())) {
-        if write_artifact(path, tl.to_json()) {
+        if write_artifact(path, rendered(tl.to_json())) {
             eprintln!(
                 "# wrote timeline to {path} ({} windows, {} visits, window {}ms)",
                 tl.num_windows(),
@@ -624,7 +635,7 @@ fn cmd_paper(args: &Args) -> bool {
             Some(snapshot) => {
                 fault_aborted = true;
                 let rank = rec.trigger().map(|t| t.rank).unwrap_or(0);
-                if write_artifact(path, snapshot) {
+                if write_artifact(path, rendered(snapshot)) {
                     eprintln!("# fault-abort: visit rank {rank} reached {threshold} fault events; wrote flight snapshot to {path}");
                 }
             }
@@ -638,7 +649,7 @@ fn cmd_paper(args: &Args) -> bool {
         export_json(path, r);
     }
     if let (Some(path), Some(t)) = (&args.trace, &ctx.trace) {
-        if write_artifact(path, to_chrome_json(t)) {
+        if write_artifact(path, |out| write_chrome_json(t, out)) {
             eprintln!(
                 "# wrote trace to {path} ({} events, sample 1/{})",
                 t.len(),
@@ -652,7 +663,7 @@ fn cmd_paper(args: &Args) -> bool {
         }
         ctx.registry
             .set_runtime_ms("total", t_total.elapsed().as_secs_f64() * 1_000.0);
-        if write_artifact(path, ctx.registry.to_json()) {
+        if write_artifact(path, rendered(ctx.registry.to_json())) {
             eprintln!("# wrote metrics to {path}");
         }
     }
@@ -729,7 +740,7 @@ fn cmd_serve(argv: &[String]) {
 
     print!("{}", report.summary());
     if let Some(path) = timeline_out {
-        if write_artifact(&path, report.timeline_json()) {
+        if write_artifact(&path, rendered(report.timeline_json())) {
             eprintln!("# wrote per-arm timeline to {path}");
         }
     }
@@ -737,7 +748,7 @@ fn cmd_serve(argv: &[String]) {
         report.metrics.set_runtime_ms("dataset", ms_gen);
         report.metrics.set_runtime_ms("serve", ms_serve);
         report.metrics.set_runtime_ms("total", ms_gen + ms_serve);
-        if write_artifact(&path, report.metrics.to_json()) {
+        if write_artifact(&path, rendered(report.metrics.to_json())) {
             eprintln!("# wrote metrics to {path}");
         }
     }
@@ -797,7 +808,7 @@ fn cmd_watch(argv: &[String]) {
         print!("{body}");
         return;
     };
-    if write_artifact(&path, &body) {
+    if write_artifact(&path, rendered(&body)) {
         eprintln!("# wrote dashboard to {path}");
     }
 }
@@ -849,7 +860,7 @@ fn cmd_trace(argv: &[String]) {
         }
         return;
     };
-    if write_artifact(&path, &body) {
+    if write_artifact(&path, rendered(&body)) {
         eprintln!("# wrote {format} trace of site {rank} to {path}");
     }
 }
@@ -903,7 +914,7 @@ fn export_json(path: &str, r: &CrawlResults) {
         f64s(&r.model_origin.plt),
         f64s(&r.model_cdn_plt),
     );
-    if write_artifact(path, value) {
+    if write_artifact(path, rendered(value)) {
         eprintln!("# wrote figure series to {path}");
     }
 }

@@ -28,10 +28,12 @@
 //! for regressions — an accidental per-visit `Vec`/`String` revival
 //! trips them immediately.
 //!
-//! A traced load adds nothing to that on a warm tracer: recording an
+//! A traced load adds little to that on a warm tracer: recording an
 //! event is a few stores into arenas that already grew, where the
 //! owned-`String`, `Vec`-of-args buffer it replaced allocated ~1,750
-//! times per traced visit. The same loop with `Some(&mut tracer)`
+//! times per traced visit. What it adds (3.2 a visit, 5.1 since a
+//! closing shard is trimmed to its length) is the shard that closes
+//! every 1,024 events and the pre-sized one that replaces it. The same loop with `Some(&mut tracer)`
 //! must stay within [`MAX_TRACED_EXTRA_ALLOCS_PER_VISIT`] of the
 //! untraced count.
 //!
@@ -94,9 +96,10 @@ use origin_netsim::{FaultProfile, SimRng};
 use origin_serve::plan::compile_dataset;
 use origin_telemetry::metrics::Registry;
 use origin_telemetry::obs::VisitSinks;
-use origin_telemetry::trace::{Sampler, Tracer};
+use origin_telemetry::trace::{write_chrome_json, Sampler, Tracer};
 use origin_webgen::{Dataset, DatasetConfig, PageScratch, SiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -178,9 +181,17 @@ const MAX_S5_ALLOCS_PER_VISIT: [(DeploymentMode, BrowserKind, u64); 3] = [
 /// its ceiling on peak live bytes per rank, the dataset included. While
 /// the fold kept every chunk's result until the last chunk finished,
 /// timelines merged by copy and a trace event took 55 bytes, it peaked
-/// at 14,066 bytes a rank; it measures 7,874.
+/// at 14,066 bytes a rank; while closed trace shards kept their
+/// doubling slack, a record took 16 bytes and timeline sketches grew
+/// by doubling into `Option<Exemplar>` slots, 7,426. It measures 5,186
+/// bytes and 27.3 allocations a rank.
 const OBSERVED_SITES: u32 = 2_000;
-const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 8_700.0;
+const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 5_800.0;
+/// What exporting that crawl's trace may add to peak live bytes: the
+/// exporter renders one event at a time, so what it holds does not
+/// grow with the trace. Rendering the whole document into a `String`
+/// took ≈ 28 MiB here.
+const MAX_TRACE_EXPORT_PEAK_BYTES: u64 = 64 * 1024;
 /// Ranks of the serving set-up whose peak is measured — the world
 /// generated and its serve plans compiled, what `serve-*` builds before
 /// its first visit — and its ceiling on peak live bytes per rank. While
@@ -428,14 +439,28 @@ fn steady_state_crawl_allocations_stay_bounded() {
     };
     let base = live_bytes();
     PEAK.store(base, Ordering::Relaxed);
+    let before = allocs();
     let crawl = observed.run();
     let peak = (PEAK.load(Ordering::Relaxed) - base) as f64 / f64::from(OBSERVED_SITES);
+    let observed_allocs = (allocs() - before) as f64 / f64::from(OBSERVED_SITES);
     assert!(
         crawl.trace.len() > 10_000,
         "the observed crawl traced too little"
     );
+    let base = live_bytes();
+    PEAK.store(base, Ordering::Relaxed);
+    write_chrome_json(&crawl.trace, &mut io::sink()).expect("a sink takes every byte");
+    let export_peak = PEAK.load(Ordering::Relaxed) - base;
     drop(crawl);
-    println!("observed crawl: {peak:.0} peak live bytes per site");
+    println!("trace export: {export_peak} peak live bytes");
+    assert!(
+        export_peak <= MAX_TRACE_EXPORT_PEAK_BYTES,
+        "exporting the observed crawl's trace raises peak live bytes by {export_peak} (ceiling \
+         {MAX_TRACE_EXPORT_PEAK_BYTES}): the exporter renders the document whole again"
+    );
+    println!(
+        "observed crawl: {peak:.0} peak live bytes per site, {observed_allocs:.1} allocations"
+    );
     assert!(
         peak <= MAX_OBSERVED_PEAK_BYTES_PER_SITE,
         "the observed crawl peaks at {peak:.0} live bytes a site (ceiling \

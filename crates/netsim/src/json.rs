@@ -112,6 +112,27 @@ pub fn push_joined<T>(
     }
 }
 
+/// [`push_joined`], streamed: each item, the separator ahead of it
+/// included, is rendered into one reused buffer and written to `w`
+/// before the next one is rendered, so the array is never held whole.
+pub fn write_joined<T>(
+    w: &mut impl std::io::Write,
+    items: impl IntoIterator<Item = T>,
+    sep: &str,
+    mut item: impl FnMut(&mut String, T),
+) -> std::io::Result<()> {
+    let mut buf = String::new();
+    for (i, x) in items.into_iter().enumerate() {
+        buf.clear();
+        if i > 0 {
+            buf.push_str(sep);
+        }
+        item(&mut buf, x);
+        w.write_all(buf.as_bytes())?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +212,11 @@ mod tests {
         assert_eq!(join(&[7], ", "), "7");
         assert_eq!(join(&[1, 2, 3], ", "), "1, 2, 3");
         assert_eq!(join(&[1, 2], ",\n"), "1,\n2");
+        for xs in [&[][..], &[7], &[1, 2, 3]] {
+            let mut streamed = Vec::new();
+            write_joined(&mut streamed, xs, ", ", |o, &x| push_u64(o, x)).unwrap();
+            assert_eq!(String::from_utf8(streamed).unwrap(), join(xs, ", "));
+        }
         assert_eq!(written(|o| push_bool(o, true)), "true");
         assert_eq!(written(|o| push_bool(o, false)), "false");
     }

@@ -18,7 +18,9 @@
 //! up to the largest occupied bucket. Filing a sample is an index and
 //! an add; the run only grows when a sample lands outside it, and
 //! [`bucket_index`] never exceeds 495, so a sketch holds at most 496
-//! slots however many samples it sees. Both ends of the run are always
+//! slots however many samples it sees. A run grows by whole octaves
+//! of [`SUBBUCKETS`] slots, never by doubling, so it holds fewer than
+//! one octave of spare slots. Both ends of the run are always
 //! occupied, which makes the layout a function of the recorded
 //! multiset alone: derived `Eq` is canonical under any record or merge
 //! order. Exemplar slots are allocated on the first exemplar, so
@@ -64,6 +66,49 @@ impl Exemplar {
     }
 }
 
+/// A bucket's exemplar slot: the [`Exemplar`] when `present`, all
+/// zeros otherwise. 24 bytes, where `Option<Exemplar>` takes 32.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Slot {
+    value: u64,
+    span_id: u64,
+    rank: u32,
+    present: bool,
+}
+
+const _: () = assert!(size_of::<Slot>() == 24);
+
+impl Slot {
+    fn get(self) -> Option<Exemplar> {
+        self.present.then_some(Exemplar {
+            value: self.value,
+            rank: self.rank,
+            span_id: self.span_id,
+        })
+    }
+
+    /// Merge `e` into the exemplar this slot holds.
+    fn keep(&mut self, e: Exemplar) {
+        let kept = self.get().map_or(e, |prev| prev.merge(e));
+        *self = Slot {
+            value: kept.value,
+            span_id: kept.span_id,
+            rank: kept.rank,
+            present: true,
+        };
+    }
+}
+
+/// Make room in `run` for `more` slots: when it has to grow, it grows
+/// to the next whole octave, not to double its size.
+fn reserve_octaves<T>(run: &mut Vec<T>, more: usize) {
+    let len = run.len() + more;
+    if len > run.capacity() {
+        let octaves = len.next_multiple_of(SUBBUCKETS as usize);
+        run.reserve_exact(octaves - run.len());
+    }
+}
+
 /// Map a value to its bucket index. Exact below [`SUBBUCKETS`]; above,
 /// `SUBBUCKETS` linear sub-buckets per octave.
 pub fn bucket_index(v: u64) -> u16 {
@@ -97,7 +142,7 @@ pub struct QuantileSketch {
     counts: Vec<u64>,
     /// Parallel to `counts` once any sample carried an exemplar; empty
     /// until then.
-    exemplars: Vec<Option<Exemplar>>,
+    exemplars: Vec<Slot>,
     count: u64,
     max: u64,
 }
@@ -108,6 +153,16 @@ impl QuantileSketch {
         Self::default()
     }
 
+    /// An empty sketch with room for the runs `self` holds: the next
+    /// window's sketch fills much as this one did.
+    pub(crate) fn sized_like(&self) -> Self {
+        QuantileSketch {
+            counts: Vec::with_capacity(self.counts.len()),
+            exemplars: Vec::with_capacity(self.exemplars.len()),
+            ..Self::default()
+        }
+    }
+
     /// Slot of bucket `idx`, extending the run to cover it first. The
     /// caller makes the slot nonzero, which keeps both ends occupied.
     fn slot(&mut self, idx: u16) -> usize {
@@ -116,17 +171,23 @@ impl QuantileSketch {
         }
         if idx < self.base {
             let grow = usize::from(self.base - idx);
+            reserve_octaves(&mut self.counts, grow);
             self.counts.splice(0..0, std::iter::repeat_n(0, grow));
             if !self.exemplars.is_empty() {
-                self.exemplars.splice(0..0, std::iter::repeat_n(None, grow));
+                reserve_octaves(&mut self.exemplars, grow);
+                let none = std::iter::repeat_n(Slot::default(), grow);
+                self.exemplars.splice(0..0, none);
             }
             self.base = idx;
         }
         let slot = usize::from(idx - self.base);
         if slot >= self.counts.len() {
+            let more = slot + 1 - self.counts.len();
+            reserve_octaves(&mut self.counts, more);
             self.counts.resize(slot + 1, 0);
             if !self.exemplars.is_empty() {
-                self.exemplars.resize(slot + 1, None);
+                reserve_octaves(&mut self.exemplars, more);
+                self.exemplars.resize(slot + 1, Slot::default());
             }
         }
         slot
@@ -135,10 +196,10 @@ impl QuantileSketch {
     /// Merge `e` into the exemplar of `slot`.
     fn keep_exemplar(&mut self, slot: usize, e: Exemplar) {
         if self.exemplars.is_empty() {
-            self.exemplars.resize(self.counts.len(), None);
+            reserve_octaves(&mut self.exemplars, self.counts.len());
+            self.exemplars.resize(self.counts.len(), Slot::default());
         }
-        let kept = &mut self.exemplars[slot];
-        *kept = Some(kept.map_or(e, |prev| prev.merge(e)));
+        self.exemplars[slot].keep(e);
     }
 
     /// Record one sample, optionally with an exemplar linking it to a
@@ -202,7 +263,7 @@ impl QuantileSketch {
     /// sample in that bucket carried one.
     pub fn quantile_exemplar(&self, q: f64) -> Option<Exemplar> {
         let slot = self.quantile_slot(q)?;
-        self.exemplars.get(slot).copied().flatten()
+        self.exemplars.get(slot).copied().and_then(Slot::get)
     }
 
     /// Fold another sketch in. Bucket counts add, exemplars merge by
@@ -220,7 +281,7 @@ impl QuantileSketch {
             *mine += theirs;
         }
         for (i, e) in other.exemplars.iter().enumerate() {
-            if let Some(e) = *e {
+            if let Some(e) = e.get() {
                 self.keep_exemplar(shift + i, e);
             }
         }
@@ -318,6 +379,30 @@ mod tests {
         mid.merge(&QuantileSketch::new());
         assert_eq!(mid.base, 5);
         assert_eq!(usize::from(bucket_index(1_000)), 5 + mid.counts.len() - 1);
+    }
+
+    #[test]
+    fn runs_grow_by_octaves_not_by_doubling() {
+        let mut rng = origin_netsim::SimRng::seed_from_u64(0x5c);
+        let mut merged = QuantileSketch::new();
+        for _ in 0..20 {
+            let mut s = QuantileSketch::new();
+            for i in 0..200u32 {
+                // Values spread over every octave, in random order.
+                let v = rng.next_u64() >> rng.index(64);
+                let e = Exemplar {
+                    value: v,
+                    rank: i,
+                    span_id: u64::from(i),
+                };
+                s.record(v, (i % 3 == 0).then_some(e));
+            }
+            merged.merge(&s);
+            for run in [&s, &merged] {
+                assert!(run.counts.capacity() - run.counts.len() < 8);
+                assert!(run.exemplars.capacity() - run.exemplars.len() < 8);
+            }
+        }
     }
 
     #[test]

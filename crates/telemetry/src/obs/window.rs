@@ -245,6 +245,19 @@ impl WindowCell {
         &self.bytes
     }
 
+    /// An empty cell whose five sketch runs have room for what
+    /// `self`'s hold.
+    fn sized_like(&self) -> Self {
+        WindowCell {
+            counters: [0; N_COUNTERS],
+            plt: self.plt.sized_like(),
+            plt_ideal_ip: self.plt_ideal_ip.sized_like(),
+            plt_ideal_origin: self.plt_ideal_origin.sized_like(),
+            handshake: self.handshake.sized_like(),
+            bytes: self.bytes.sized_like(),
+        }
+    }
+
     /// Fold another cell in (commutative, associative).
     pub fn merge(&mut self, other: &WindowCell) {
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
@@ -441,7 +454,16 @@ impl Timeline {
         if idx < self.folded_before {
             return &mut self.folded;
         }
-        self.windows.entry(idx).or_default()
+        // A window past the last one fills much as the last one did:
+        // size its sketches once instead of growing them up to there
+        // again. (The last entry is found without comparing keys.)
+        let sized = match self.windows.last_key_value() {
+            Some((&last, cell)) if last < idx => Some(cell.sized_like()),
+            _ => None,
+        };
+        self.windows
+            .entry(idx)
+            .or_insert_with(|| sized.unwrap_or_default())
     }
 
     /// Evict-and-fold every live window behind the retention horizon

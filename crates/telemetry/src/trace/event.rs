@@ -8,7 +8,7 @@ use std::net::IpAddr;
 /// of its arguments, in the order the call site passes the values.
 /// Declared once per emission site (`static X: Site = Site::new(..)`),
 /// so a shard keeps one pointer per site it has seen and an event
-/// record carries a 16-bit index into that table instead of a name, a
+/// record carries an 8-bit index into that table instead of a name, a
 /// category and a key per argument.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Site {
@@ -196,11 +196,23 @@ impl Strings {
     pub(crate) fn len(&self) -> (usize, usize) {
         (self.ends.len(), self.bytes.len())
     }
+
+    /// Bytes the table has allocated.
+    pub(crate) fn capacity(&self) -> usize {
+        self.bytes.capacity() + self.ends.capacity() * size_of::<u32>()
+    }
+
+    /// Give back the capacity past what the table holds.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
 }
 
 /// What kind of trace-event an event is, mapping 1:1 onto the Chrome
 /// trace-event phases the exporter writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum EventKind {
     /// A complete span (`ph:"X"`) lasting [`EventView::dur_us`].
     Complete,
@@ -218,34 +230,86 @@ pub enum EventKind {
     ThreadName,
 }
 
-/// One 16-byte event record. Everything variable-length — name parts,
+/// One 12-byte event record. Everything variable-length — name parts,
 /// argument values — lives in the shard's value arena, in record
 /// order, so a record needs no offset into it; the logical process
 /// lives once per visit, in the record that opens it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Record {
     /// Simulated timestamp, µs (0 on a wide record).
-    pub(crate) ts_us: u32,
+    ts_us: u32,
     /// Duration of a complete span, ID of a flow arrow, pid of the
     /// visit a process-name record opens; otherwise 0. (0 on a wide
     /// record.)
-    pub(crate) payload: u32,
-    /// Index into the shard's site table.
-    pub(crate) site: u16,
+    payload: u32,
+    /// Index into the shard's site table, which closes at 256 sites.
+    site: u8,
     /// Logical thread (0 on a wide record).
-    pub(crate) tid: u16,
-    pub(crate) kind: EventKind,
-    /// The timestamp, payload or tid does not fit its field: all three
-    /// lead the record's values, as varints.
-    pub(crate) wide: bool,
-    /// Values ahead of the arguments that the name is put together
-    /// from at export: none (the site's name as is), one (a label in
-    /// its place) or two (`index`, `host`: `"<site name> 12 a.example"`).
-    pub(crate) name_parts: u8,
-    pub(crate) nargs: u8,
+    tid: u8,
+    /// The kind (bits 0–2), the name parts (bits 3–4) and the wide
+    /// flag (bit 5).
+    packed: u8,
+    nargs: u8,
 }
 
-const _: () = assert!(size_of::<Record>() == 16);
+const _: () = assert!(size_of::<Record>() == 12);
+
+/// The kinds by their 3-bit code in [`Record::packed`]: declaration
+/// order, which is what `kind as u8` gives.
+const KINDS: [EventKind; 6] = [
+    EventKind::Complete,
+    EventKind::Instant,
+    EventKind::FlowStart,
+    EventKind::FlowEnd,
+    EventKind::ProcessName,
+    EventKind::ThreadName,
+];
+const WIDE: u8 = 1 << 5;
+
+impl Record {
+    /// A record of `kind` at `site`. `narrow` is the timestamp, payload
+    /// and tid when all three fit their fields; `None` marks a wide
+    /// record, whose three lead its values as varints. `name_parts` is
+    /// how many values ahead of the arguments the name is put together
+    /// from at export: none (the site's name as is), one (a label in
+    /// its place) or two (`index`, `host`: `"<site name> 12
+    /// a.example"`).
+    pub(crate) fn new(
+        kind: EventKind,
+        site: u8,
+        narrow: Option<(u32, u32, u8)>,
+        name_parts: u8,
+        nargs: u8,
+    ) -> Self {
+        debug_assert!(name_parts <= 2);
+        let (ts_us, payload, tid) = narrow.unwrap_or_default();
+        let wide = if narrow.is_none() { WIDE } else { 0 };
+        Record {
+            ts_us,
+            payload,
+            site,
+            tid,
+            packed: kind as u8 | name_parts << 3 | wide,
+            nargs,
+        }
+    }
+
+    pub(crate) fn site(&self) -> usize {
+        usize::from(self.site)
+    }
+
+    fn kind(&self) -> EventKind {
+        KINDS[usize::from(self.packed & 0b111)]
+    }
+
+    fn name_parts(&self) -> u8 {
+        self.packed >> 3 & 0b11
+    }
+
+    fn wide(&self) -> bool {
+        self.packed & WIDE != 0
+    }
+}
 
 /// One buffered event, borrowed from the tracer that holds it.
 ///
@@ -285,7 +349,7 @@ impl<'a> EventView<'a> {
         strings: &'a Strings,
     ) -> (Self, &'a [u8]) {
         let mut rest = arena;
-        let (ts_us, payload, tid) = if rec.wide {
+        let (ts_us, payload, tid) = if rec.wide() {
             let ts_us = read_varint(&mut rest);
             let payload = read_varint(&mut rest);
             let tid = u32::try_from(read_varint(&mut rest)).expect("a wide tid was a u32");
@@ -293,16 +357,17 @@ impl<'a> EventView<'a> {
         } else {
             (rec.ts_us.into(), rec.payload.into(), rec.tid.into())
         };
-        if rec.kind == EventKind::ProcessName {
+        let kind = rec.kind();
+        if kind == EventKind::ProcessName {
             *pid = payload;
         }
         let values = rest;
-        Arg::skip(&mut rest, rec.name_parts);
+        Arg::skip(&mut rest, rec.name_parts());
         Arg::skip(&mut rest, rec.nargs);
         let view = EventView {
             site,
-            kind: rec.kind,
-            name_parts: rec.name_parts,
+            kind,
+            name_parts: rec.name_parts(),
             nargs: rec.nargs,
             tid,
             ts_us,

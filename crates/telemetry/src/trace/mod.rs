@@ -2,7 +2,7 @@
 //! handshake, HTTP/2 frame and coalescing decision becomes an event on
 //! a timeline of simulated time.
 //!
-//! Recording formats nothing. An event is a 16-byte record indexing its
+//! Recording formats nothing. An event is a 12-byte record indexing its
 //! call site's static [`Site`] (name, category, argument keys) plus its
 //! values appended to a byte arena, each distinct string stored once
 //! per shard; names like `req 12 cdn.example` and every number are
@@ -16,6 +16,6 @@ mod sample;
 mod tracer;
 
 pub use event::{Arg, EventKind, EventView, Site};
-pub use perfetto::to_chrome_json;
+pub use perfetto::{to_chrome_json, write_chrome_json};
 pub use sample::Sampler;
 pub use tracer::{span_ref, Tracer};

@@ -6,6 +6,7 @@ use super::event::{Arg, EventKind, EventView, Name};
 use super::tracer::Tracer;
 use origin_netsim::json::{self, escape_into, push_u64};
 use std::fmt::Write;
+use std::io;
 
 fn write_name(out: &mut String, e: &EventView<'_>) {
     match e.name_parts() {
@@ -92,21 +93,27 @@ fn write_event(out: &mut String, e: &EventView<'_>) {
     out.push('}');
 }
 
-/// Serialize a tracer's buffer as a Chrome trace-event JSON document
-/// (`{"displayTimeUnit":"ms","traceEvents":[...]}`), loadable in
-/// Perfetto / `chrome://tracing`. Output is a pure function of the
-/// event buffer: same events, same bytes.
+/// Write a tracer's buffer to `out` as a Chrome trace-event JSON
+/// document (`{"displayTimeUnit":"ms","traceEvents":[...]}`), loadable
+/// in Perfetto / `chrome://tracing`. Events are rendered one at a time
+/// into a reused buffer, so the document is never held whole. Output
+/// is a pure function of the event buffer: same events, same bytes.
+pub fn write_chrome_json(tracer: &Tracer, out: &mut impl io::Write) -> io::Result<()> {
+    out.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
+    json::write_joined(out, tracer.events(), ",", |out, e| {
+        out.push('\n');
+        write_event(out, &e);
+    })?;
+    out.write_all(b"\n]}\n")
+}
+
+/// [`write_chrome_json`] into a `String`.
 pub fn to_chrome_json(tracer: &Tracer) -> String {
     // An event renders to ~120 bytes (the rank-3 reference trace), its
     // strings included.
-    let mut out = String::with_capacity(64 + tracer.len() * 128);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    json::push_joined(&mut out, tracer.events(), ",", |out, e| {
-        out.push('\n');
-        write_event(out, &e);
-    });
-    out.push_str("\n]}\n");
-    out
+    let mut out = Vec::with_capacity(64 + tracer.len() * 128);
+    write_chrome_json(tracer, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the exporter writes UTF-8")
 }
 
 #[cfg(test)]

@@ -25,12 +25,13 @@ static CONN: Site = Site::new("conn", "meta", &[]);
 /// `crawl-mixed` when it was tried).
 const SHARD_EVENTS: usize = 1024;
 
-/// One tracer's own stretch of the event stream: 16-byte records, the
+/// One tracer's own stretch of the event stream: 12-byte records, the
 /// values (name parts and arguments) those records own, in record
 /// order, and the two tables the records and values index — the
-/// emission sites and the distinct strings the shard has seen. A
-/// record holds no offset and — bar the process-name record that opens
-/// each visit — no pid, so a shard reads front to back.
+/// emission sites (at most 256) and the distinct strings the shard has
+/// seen. A record holds no offset and — bar the process-name record
+/// that opens each visit — no pid, so a shard reads front to back. A
+/// closed shard holds no spare capacity.
 #[derive(Debug, Clone, Default)]
 struct Shard {
     /// Logical process of the events ahead of the first visit.
@@ -54,25 +55,33 @@ impl Shard {
         }
     }
 
+    /// Give back the spare capacity of a shard that takes no more
+    /// events.
+    fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.sites.shrink_to_fit();
+        self.strings.shrink_to_fit();
+    }
+
     fn events(&self) -> impl Iterator<Item = EventView<'_>> {
         let mut values = self.values.as_slice();
         let mut pid = self.pid;
         self.events.iter().map(move |rec| {
-            let site = self.sites[usize::from(rec.site)];
+            let site = self.sites[rec.site()];
             let (view, rest) = EventView::split(rec, site, &mut pid, values, &self.strings);
             values = rest;
             view
         })
     }
 
-    /// Bytes held by the records, by the value arena and by the two
-    /// tables.
+    /// Bytes allocated for the records, for the value arena and for
+    /// the two tables.
     fn footprint(&self) -> [usize; 3] {
-        let (strings, string_bytes) = self.strings.len();
-        let tables = self.sites.len() * size_of::<&Site>() + string_bytes + strings * 4;
+        let tables = self.sites.capacity() * size_of::<&Site>() + self.strings.capacity();
         [
-            self.events.len() * size_of::<Record>(),
-            self.values.len(),
+            self.events.capacity() * size_of::<Record>(),
+            self.values.capacity(),
             tables,
         ]
     }
@@ -84,21 +93,13 @@ impl Shard {
 #[derive(Debug, Clone, Default)]
 struct Index {
     /// By the site's address.
-    sites: FxHashMap<usize, u16>,
+    sites: FxHashMap<usize, u8>,
     /// By the string's hash. Two strings with one hash keep the first's
     /// index; the second is stored again each time it is met.
     strings: FxHashMap<u64, u32>,
 }
 
 impl Index {
-    fn site(&mut self, site: &'static Site, table: &mut Vec<&'static Site>) -> u16 {
-        let key = std::ptr::from_ref(site) as usize;
-        *self.sites.entry(key).or_insert_with(|| {
-            table.push(site);
-            u16::try_from(table.len() - 1).expect("a program declares fewer than 2^16 sites")
-        })
-    }
-
     fn string(&mut self, s: &str, table: &mut Strings) -> u32 {
         match self.strings.entry(Self::hash(s)) {
             Entry::Occupied(seen) if table.get(u64::from(*seen.get())) == s => *seen.get(),
@@ -255,6 +256,23 @@ impl Tracer {
         self.push(site, (EventKind::FlowEnd, id), ts_us, self.tid, &[], &[]);
     }
 
+    /// The open shard's index of `site`, added to its table if new. A
+    /// site the full table has no room for closes the shard: it opens
+    /// the next one.
+    fn site(&mut self, site: &'static Site) -> u8 {
+        let key = std::ptr::from_ref(site) as usize;
+        if let Some(&index) = self.index.sites.get(&key) {
+            return index;
+        }
+        if self.open.sites.len() > usize::from(u8::MAX) {
+            self.close(self.open.sized_like(self.pid));
+        }
+        let index = u8::try_from(self.open.sites.len()).expect("a full site table was closed");
+        self.open.sites.push(site);
+        self.index.sites.insert(key, index);
+        index
+    }
+
     /// The one place an event enters the buffer: a timestamp, payload
     /// or tid too large for its record field, then its name parts and
     /// argument values appended to the value arena, then its record.
@@ -272,34 +290,27 @@ impl Tracer {
             "more arguments than {} has keys",
             site.name
         );
+        let site = self.site(site);
         let Tracer { open, index, .. } = self;
-        let narrow = (
+        let narrow = match (
             u32::try_from(ts_us),
             u32::try_from(payload),
-            u16::try_from(tid),
-        );
-        let (wide, (ts_us, payload, tid)) = match narrow {
-            (Ok(ts_us), Ok(payload), Ok(tid)) => (false, (ts_us, payload, tid)),
+            u8::try_from(tid),
+        ) {
+            (Ok(ts_us), Ok(payload), Ok(tid)) => Some((ts_us, payload, tid)),
             _ => {
                 for v in [ts_us, payload, u64::from(tid)] {
                     put_varint(&mut open.values, v);
                 }
-                (true, (0, 0, 0))
+                None
             }
         };
         for value in name.iter().chain(args) {
             value.encode(&mut open.values, |s| index.string(s, &mut open.strings));
         }
-        open.events.push(Record {
-            ts_us,
-            payload,
-            site: index.site(site, &mut open.sites),
-            tid,
-            kind,
-            wide,
-            name_parts: name.len() as u8,
-            nargs: args.len() as u8,
-        });
+        let (name_parts, nargs) = (name.len() as u8, args.len() as u8);
+        open.events
+            .push(Record::new(kind, site, narrow, name_parts, nargs));
     }
 
     /// Append another tracer's events. Merging rank-ordered shards in
@@ -312,15 +323,19 @@ impl Tracer {
             pid: self.pid,
             ..Shard::default()
         });
-        let shards = other.merged.into_iter().chain([other.open]);
+        let mut open = other.open;
+        open.shrink_to_fit();
+        let shards = other.merged.into_iter().chain([open]);
         self.merged.extend(shards.filter(|s| !s.events.is_empty()));
     }
 
-    /// Close the open shard and record into `next` from here on.
+    /// Close the open shard, trimmed to what it holds, and record into
+    /// `next` from here on.
     fn close(&mut self, next: Shard) {
-        let open = std::mem::replace(&mut self.open, next);
+        let mut open = std::mem::replace(&mut self.open, next);
         self.index.clear();
         if !open.events.is_empty() {
+            open.shrink_to_fit();
             self.merged.push(open);
         }
     }
@@ -356,9 +371,9 @@ impl Tracer {
             .count()
     }
 
-    /// Bytes held by the event records, by the value arenas and by the
-    /// shards' site and string tables: what the buffer costs, to divide
-    /// by [`Tracer::len`].
+    /// Bytes allocated for the event records, for the value arenas and
+    /// for the shards' site and string tables, spare capacity included:
+    /// what the buffer costs, to divide by [`Tracer::len`].
     #[doc(hidden)]
     pub fn footprint(&self) -> [usize; 3] {
         self.shards()
@@ -380,13 +395,90 @@ mod tests {
 
     fn visit(pid: u64) -> Tracer {
         let mut t = Tracer::new();
+        record_visit(&mut t, pid);
+        t
+    }
+
+    fn record_visit(t: &mut Tracer, pid: u64) {
         t.begin_visit(pid, "site");
         t.complete(&REQ, 10, 5, &[Arg::U64(1)]);
         t.instant_at(&HIT, 12, &[]);
         let id = t.next_id();
         t.flow_start(id, &COALESCE, 1, 1);
         t.flow_end(id, &COALESCE, 10);
-        t
+    }
+
+    /// Every closed shard's arenas and tables are exactly as large as
+    /// what they hold.
+    fn assert_closed_shards_are_trimmed(t: &Tracer) {
+        for shard in &t.merged {
+            assert_eq!(shard.events.capacity(), shard.events.len());
+            assert_eq!(shard.values.capacity(), shard.values.len());
+            assert_eq!(shard.sites.capacity(), shard.sites.len());
+            let (strings, bytes) = shard.strings.len();
+            assert_eq!(shard.strings.capacity(), bytes + strings * size_of::<u32>());
+        }
+    }
+
+    #[test]
+    fn closed_shards_give_back_their_spare_capacity() {
+        let mut t = Tracer::new();
+        for pid in 0..400 {
+            record_visit(&mut t, pid);
+        }
+        assert!(t.merged.len() >= 2, "begin_visit closed full shards");
+        assert_closed_shards_are_trimmed(&t);
+        let mut other = Tracer::new();
+        for pid in 400..450 {
+            record_visit(&mut other, pid);
+        }
+        t.merge(other);
+        assert_closed_shards_are_trimmed(&t);
+        let pids: Vec<u64> = t.events().map(|e| e.pid()).step_by(6).collect();
+        assert_eq!(pids, (0..450).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_tid_past_255_takes_the_wide_path_and_reads_back() {
+        let mut t = Tracer::new();
+        t.begin_visit(1, "x");
+        let arena = t.open.values.len();
+        t.set_tid(255);
+        t.instant_at(&HIT, 5, &[]);
+        assert_eq!(t.open.values.len(), arena, "tid 255 fits its record");
+        t.set_tid(256);
+        t.instant_at(&HIT, 6, &[]);
+        // ts 6, payload 0 and tid 256 lead the values as varints.
+        assert_eq!(t.open.values.len(), arena + 4, "tid 256 is wide");
+        let seen: Vec<_> = t.events().skip(2).map(|e| (e.ts_us(), e.tid())).collect();
+        assert_eq!(seen, [(5, 255), (6, 256)]);
+    }
+
+    #[test]
+    fn the_257th_site_of_a_shard_opens_the_next_one() {
+        let sites: Vec<&'static Site> = (0..300)
+            .map(|i| {
+                let name: &'static str = String::leak(format!("s{i}"));
+                &*Box::leak(Box::new(Site::new(name, "c", &["i"])))
+            })
+            .collect();
+        let mut t = Tracer::new();
+        t.begin_visit(7, "many");
+        for (i, &site) in (0..).zip(&sites) {
+            t.instant_at(site, i, &[Arg::U64(i)]);
+        }
+        assert_eq!(t.merged.len(), 1, "one shard closed mid-visit");
+        assert_eq!(t.merged[0].sites.len(), 256);
+        assert_closed_shards_are_trimmed(&t);
+        let seen: Vec<_> = t
+            .events()
+            .skip(2)
+            .map(|e| (e.name().to_string(), e.ts_us(), e.pid(), e.args().next()))
+            .collect();
+        let want: Vec<_> = (0..300)
+            .map(|i| (format!("s{i}"), i, 7, Some(("i", Arg::U64(i)))))
+            .collect();
+        assert_eq!(seen, want);
     }
 
     #[test]
