@@ -1,7 +1,7 @@
 //! The environment a browser loads pages against.
 
 use origin_dns::{DnsName, QueryAnswer, ResolverState};
-use origin_h2::OriginSet;
+use origin_h2::{OriginEntry, OriginSet};
 use origin_netsim::hash::FxHashMap;
 use origin_netsim::link::LINK_CLASSES;
 use origin_netsim::{LinkProfile, SimRng, SimTime};
@@ -231,10 +231,10 @@ impl WebEnv for UniverseEnv<'_> {
         let cert = self.dataset.universe.cert_for(host)?;
         let mut cache = self.cache.borrow_mut();
         let at = std::ptr::from_ref(cert) as usize;
-        let set = cache.origin_sets.entry(at).or_insert_with(|| {
-            let exact = cert.sans.iter().filter(|san| !san.is_wildcard());
-            Arc::new(OriginSet::from_hosts(exact.map(|san| san.as_str())))
-        });
+        let set = cache
+            .origin_sets
+            .entry(at)
+            .or_insert_with(|| Arc::new(origin_set_of(cert)));
         Some(set.clone())
     }
 
@@ -242,6 +242,13 @@ impl WebEnv for UniverseEnv<'_> {
         let f = self.host_facts(host);
         (f.asn, link_profile(f.link_class))
     }
+}
+
+/// The ORIGIN set a certificate's server advertises: its exact SAN
+/// names, filler ones included, in certificate order.
+fn origin_set_of(cert: &Certificate) -> OriginSet {
+    let exact = cert.san_names().filter(|san| !san.is_wildcard());
+    OriginSet::from_entries(exact.map(|san| OriginEntry::https(san.as_str())))
 }
 
 /// Link profile for a memoized link class. Tail origins from a single
@@ -320,6 +327,35 @@ mod tests {
         // One set per certificate, however many connections ask.
         let again = env.origin_set_for(&name("cdnjs.cloudflare.com")).unwrap();
         assert!(Arc::ptr_eq(&set, &again));
+    }
+
+    /// A certificate whose filler names are a count advertises the
+    /// same ORIGIN set as its twin that lists them.
+    #[test]
+    fn origin_set_spells_out_filler_names() {
+        let mut d = dataset();
+        let site = d.sites().iter().find(|s| {
+            let cert = d.universe.cert_for(&s.root_host).unwrap();
+            cert.filler > 0 && cert.sans.iter().any(|n| n.is_wildcard())
+        });
+        let root = site
+            .expect("a filler certificate with a wildcard")
+            .root_host
+            .clone();
+        let set_of = |d: &Dataset| {
+            let mut env = UniverseEnv::new(d);
+            env.origin_enabled_asns.push(env.asn_of_host(&root));
+            env.origin_set_for(&root).expect("origin set")
+        };
+        let counted = set_of(&d);
+        let cert = d.universe.cert_for(&root).unwrap();
+        let mut listed = cert.clone();
+        listed.sans = cert.san_names().collect();
+        listed.filler = 0;
+        let names = cert.san_count() - 1; // less the wildcard
+        d.universe.set_cert(root.clone(), listed);
+        assert_eq!(*counted, *set_of(&d));
+        assert_eq!(counted.len(), names);
     }
 
     #[test]

@@ -249,7 +249,10 @@ impl Eq for WildcardKey {}
 /// - `by_name[h].sans` ∪ `wildcard_san[parent(h)]` is precisely the
 ///   set of connections whose certificate covers hostname `h` (RFC
 ///   6125 matching: an exact SAN equals the name, a wildcard SAN
-///   covers exactly the names sharing its parent).
+///   covers exactly the names sharing its parent), unless `h`'s first
+///   label is a filler label `alt-{i}`: a certificate's filler names
+///   are a count no index holds, so such a host walks every connection
+///   and asks its certificate.
 ///
 /// The identity fields consulted by the indexes (`host`, `cert`,
 /// `available_set`) are never mutated after insert — the loader only
@@ -424,10 +427,19 @@ impl ConnectionPool {
     /// The connections whose certificate covers `host`: its exact-SAN
     /// bucket `sans` and its parent's wildcard bucket, merged in
     /// ascending insertion order (a connection in both appears once).
-    fn covering(&self, host: &DnsName, sans: Bucket) -> impl Iterator<Item = u32> + '_ {
+    /// A filler-label host asks every certificate instead, in the same
+    /// order.
+    fn covering<'a>(&'a self, host: &'a DnsName, sans: Bucket) -> impl Iterator<Item = u32> + 'a {
+        let walk = origin_tls::san::filler_index(host).is_some();
+        let scan = (0..if walk { self.conns.len() as u32 } else { 0 })
+            .filter(move |&i| self.conns[i as usize].cert.covers(host));
         let wild = host.parent_str().and_then(|p| self.wildcard_san.get(p));
-        let (mut exact, mut wild) = (sans.head, wild.map_or(NIL, |b| b.head));
-        std::iter::from_fn(move || {
+        let (mut exact, mut wild) = if walk {
+            (NIL, NIL)
+        } else {
+            (sans.head, wild.map_or(NIL, |b| b.head))
+        };
+        scan.chain(std::iter::from_fn(move || {
             let x = self.members.get(exact as usize);
             let y = self.members.get(wild as usize);
             // Lower index first; `NIL` stands for a spent bucket.
@@ -443,7 +455,7 @@ impl ConnectionPool {
                 wild = m.next;
             }
             Some(i)
-        })
+        }))
     }
 
     /// Decide how a request to `host` (with DNS answer `addrs`, in
@@ -1299,9 +1311,9 @@ mod tests {
     #[test]
     fn randomized_pools_indexed_matches_linear() {
         // Property test: on randomized pools (hosts, SANs incl.
-        // wildcards, overlapping address sets, mixed protocols and
-        // partitions, busy and closed H1.1 connections, QUIC
-        // connections) the indexed decision equals the linear reference
+        // wildcards and filler counts, overlapping address sets, mixed
+        // protocols and partitions, busy and closed H1.1 connections,
+        // QUIC connections) the indexed decision equals the linear reference
         // for every policy, host and answer; every coalesce carries the
         // rule label the oracle names, and the redundancy probe agrees
         // with its full-scan oracle in every partition. Seeded SimRng,
@@ -1322,6 +1334,11 @@ mod tests {
             "cdn.c.org",
             "static.cdn.com",
             "edge.cdn.com",
+            // Filler labels: a certificate's filler count covers them,
+            // which no index holds.
+            "alt-0.a.com",
+            "alt-1.a.com",
+            "alt-0.b.net",
         ];
         let sans = [
             "a.com",
@@ -1332,6 +1349,7 @@ mod tests {
             "static.cdn.com",
             "*.cdn.com",
             "edge.cdn.com",
+            "alt-1.a.com",
         ];
         let policies = [
             BrowserKind::Chromium,
@@ -1350,6 +1368,7 @@ mod tests {
         let mut pool = ConnectionPool::new();
         let mut rules_seen = std::collections::BTreeSet::new();
         let mut probes_seen = [false; 2];
+        let mut filler_only = 0;
         for trial in 0..150u32 {
             pool.clear();
             assert!(pool.is_empty());
@@ -1368,6 +1387,11 @@ mod tests {
                     cert_sans.push(*rng.choose(&sans));
                 }
                 let mut c = conn(host, ip, set, &cert_sans);
+                if rng.chance(0.3) {
+                    let mut cert = (*c.cert).clone();
+                    cert.filler = 1 + rng.index(2) as u16;
+                    c.cert = cert.into();
+                }
                 let h1 = rng.chance(0.3);
                 if h1 {
                     c.protocol = Protocol::H11;
@@ -1423,8 +1447,11 @@ mod tests {
                     assert_eq!((indexed, indexed), (linear, rebuilt), "{at}");
                     // The oracle labels its coalesce with the rule-label
                     // oracle, so the equality above pins the label too.
-                    if let ReuseDecision::Coalesce(_, rule) = indexed {
+                    if let ReuseDecision::Coalesce(i, rule) = indexed {
                         rules_seen.insert(rule);
+                        let cert = &pool.conns[i].cert;
+                        let listed = origin_tls::san::any_covers(&cert.sans, &host);
+                        filler_only += u32::from(!is_ideal(policy) && !listed);
                     }
                     for partition in partitions {
                         let redundant =
@@ -1452,5 +1479,9 @@ mod tests {
             "every rule label is exercised"
         );
         assert_eq!(probes_seen, [true, true], "both probe outcomes");
+        assert!(
+            filler_only > 0,
+            "no coalesce onto a filler-only certificate"
+        );
     }
 }

@@ -1,14 +1,13 @@
 //! Address record sets and load-balancing rotation.
 
-use origin_netsim::SimRng;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
-/// How an authoritative server orders/subsets the address set in its
-/// answers. The paper (§2.3) leans on the fact that "DNS operators
-/// have long been able to return any or all addresses from a set" —
-/// rotation is exactly what breaks Chromium's strict IP matching while
-/// Firefox's transitive matching survives it.
+/// How an authoritative server orders the address set in its answers.
+/// The paper (§2.3) leans on the fact that "DNS operators have long
+/// been able to return any or all addresses from a set" — rotation is
+/// exactly what breaks Chromium's strict IP matching while Firefox's
+/// transitive matching survives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rotation {
     /// Always answer with the full set in registration order.
@@ -16,8 +15,6 @@ pub enum Rotation {
     /// Rotate the starting offset on every answer (classic
     /// round-robin), returning the full set.
     RoundRobin,
-    /// Answer with a random subset of `n` addresses.
-    RandomSubset(usize),
 }
 
 /// The authoritative address data for one name: a set of IPs, a TTL,
@@ -26,7 +23,7 @@ pub enum Rotation {
 /// Immutable once built: round-robin state lives with each resolver
 /// session, so one record set serves every session, and the address
 /// set is a shared handle — names registered on the same addresses
-/// hold one copy of them.
+/// hold one copy of them. 24 bytes: the zone holds one per name.
 #[derive(Debug, Clone)]
 pub struct RecordSet {
     addresses: Arc<[IpAddr]>,
@@ -61,9 +58,6 @@ impl RecordSet {
 
     /// Set the rotation policy.
     pub fn with_rotation(mut self, rotation: Rotation) -> Self {
-        if let Rotation::RandomSubset(n) = rotation {
-            assert!(n > 0, "subset size must be positive");
-        }
         self.rotation = rotation;
         self
     }
@@ -76,10 +70,9 @@ impl RecordSet {
     /// Produce one answer according to the rotation policy, with the
     /// round-robin serial held by the caller: each resolver session
     /// keeps its own, so many sessions share one read-only zone set.
-    /// Random subsets draw from `rng`; only round-robin reads `serial`.
-    /// A `Fixed` answer, and a round-robin one at offset zero, is the
-    /// stored set itself.
-    pub fn answer_shared(&self, serial: &mut u32, rng: &mut SimRng) -> Arc<[IpAddr]> {
+    /// Only round-robin reads `serial`. A `Fixed` answer, and a
+    /// round-robin one at offset zero, is the stored set itself.
+    pub fn answer_shared(&self, serial: &mut u32) -> Arc<[IpAddr]> {
         match self.rotation {
             Rotation::Fixed => self.addresses.clone(),
             Rotation::RoundRobin => {
@@ -90,14 +83,6 @@ impl RecordSet {
                     return self.addresses.clone();
                 }
                 (0..n).map(|i| self.addresses[(start + i) % n]).collect()
-            }
-            Rotation::RandomSubset(k) => {
-                let k = k.min(self.addresses.len());
-                let mut idx: Vec<usize> = (0..self.addresses.len()).collect();
-                rng.shuffle(&mut idx);
-                idx.truncate(k);
-                idx.sort_unstable(); // deterministic order within the subset
-                idx.into_iter().map(|i| self.addresses[i]).collect()
             }
         }
     }
@@ -118,16 +103,12 @@ pub fn v6(a: u16, b: u16, c: u16, d: u16) -> IpAddr {
 mod tests {
     use super::*;
 
-    fn rng() -> SimRng {
-        SimRng::seed_from_u64(0xD15)
-    }
-
     #[test]
     fn fixed_answers_are_the_stored_set() {
         let rs = RecordSet::new(vec![v4(10, 0, 0, 1), v4(10, 0, 0, 2)], 60);
-        let (mut serial, mut r) = (0, rng());
+        let mut serial = 0;
         for _ in 0..2 {
-            let a = rs.answer_shared(&mut serial, &mut r);
+            let a = rs.answer_shared(&mut serial);
             assert_eq!(a[..], [v4(10, 0, 0, 1), v4(10, 0, 0, 2)]);
             assert_eq!(a.as_ptr(), rs.addresses().as_ptr());
         }
@@ -138,8 +119,8 @@ mod tests {
     fn round_robin_rotates_start() {
         let rs = RecordSet::new(vec![v4(1, 1, 1, 1), v4(2, 2, 2, 2), v4(3, 3, 3, 3)], 60)
             .with_rotation(Rotation::RoundRobin);
-        let (mut serial, mut r) = (0, rng());
-        let mut answer = || rs.answer_shared(&mut serial, &mut r);
+        let mut serial = 0;
+        let mut answer = || rs.answer_shared(&mut serial);
         assert_eq!(answer()[0], v4(1, 1, 1, 1));
         assert_eq!(
             answer()[..],
@@ -149,31 +130,6 @@ mod tests {
         assert_eq!(answer().as_ptr(), rs.addresses().as_ptr());
         // Full set always present.
         assert_eq!(answer().len(), 3);
-    }
-
-    #[test]
-    fn random_subset_size_and_membership() {
-        let all = vec![
-            v4(1, 0, 0, 1),
-            v4(1, 0, 0, 2),
-            v4(1, 0, 0, 3),
-            v4(1, 0, 0, 4),
-        ];
-        let rs = RecordSet::new(all.clone(), 60).with_rotation(Rotation::RandomSubset(2));
-        let (mut serial, mut r) = (0, rng());
-        for _ in 0..50 {
-            let ans = rs.answer_shared(&mut serial, &mut r);
-            assert_eq!(ans.len(), 2);
-            assert!(ans.iter().all(|a| all.contains(a)));
-        }
-        assert_eq!(serial, 0, "a random subset ignores the serial");
-    }
-
-    #[test]
-    fn random_subset_larger_than_set_clamps() {
-        let rs = RecordSet::new(vec![v4(9, 9, 9, 9)], 60).with_rotation(Rotation::RandomSubset(5));
-        let a = rs.answer_shared(&mut 0, &mut rng());
-        assert_eq!(a[..], [v4(9, 9, 9, 9)]);
     }
 
     #[test]

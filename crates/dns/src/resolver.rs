@@ -221,7 +221,7 @@ impl ResolverState {
         let Some(Answer {
             addresses,
             ttl_secs,
-        }) = zones.resolve_shared(name, &mut self.serials, rng)
+        }) = zones.resolve_shared(name, &mut self.serials)
         else {
             self.stats.nxdomain += 1;
             if let Some(t) = tracer {

@@ -3,7 +3,6 @@
 use crate::name::DnsName;
 use crate::record::{RecordSet, Rotation};
 use origin_netsim::hash::FxHashMap;
-use origin_netsim::SimRng;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -62,16 +61,15 @@ impl ZoneSet {
         &self,
         name: &DnsName,
         serials: &mut FxHashMap<SerialKey, u32>,
-        rng: &mut SimRng,
     ) -> Option<Answer> {
         let (key, rs, wildcard) = self.lookup(name)?;
         let mut unread = 0;
         let serial = match rs.rotation {
             Rotation::RoundRobin => serials.entry((key.clone(), wildcard)).or_insert(0),
-            Rotation::Fixed | Rotation::RandomSubset(_) => &mut unread,
+            Rotation::Fixed => &mut unread,
         };
         Some(Answer {
-            addresses: rs.answer_shared(serial, rng),
+            addresses: rs.answer_shared(serial),
             ttl_secs: rs.ttl_secs,
         })
     }
@@ -111,7 +109,7 @@ pub type SerialKey = (DnsName, bool);
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answer {
     /// Addresses in answer order: the registered set's own handle
-    /// unless rotation reordered or subset it.
+    /// unless rotation reordered it.
     pub addresses: Arc<[IpAddr]>,
     /// Time-to-live in seconds.
     pub ttl_secs: u32,
@@ -125,11 +123,7 @@ mod tests {
 
     /// One query from a fresh session.
     fn resolve(z: &ZoneSet, host: &str) -> Option<Answer> {
-        z.resolve_shared(
-            &name(host),
-            &mut FxHashMap::default(),
-            &mut SimRng::seed_from_u64(1),
-        )
+        z.resolve_shared(&name(host), &mut FxHashMap::default())
     }
 
     #[test]
@@ -182,12 +176,11 @@ mod tests {
         z.insert(name("rr.com"), rr(&pair));
         z.insert(name("*.rr.com"), rr(&pair));
         z.insert(name("fixed.com"), RecordSet::new(pair.clone(), 60));
-        let (mut serials, mut rng) = (FxHashMap::default(), SimRng::seed_from_u64(1));
+        let mut serials = FxHashMap::default();
         let mut first = |host: &str| {
-            let a = z
-                .resolve_shared(&name(host), &mut serials, &mut rng)
-                .unwrap();
-            a.addresses[0]
+            z.resolve_shared(&name(host), &mut serials)
+                .unwrap()
+                .addresses[0]
         };
         assert_eq!(first("fixed.com"), v4(1, 1, 1, 1));
         assert_eq!(first("fixed.com"), v4(1, 1, 1, 1));

@@ -151,10 +151,10 @@ pub fn compile_site(site: &SiteConfig) -> SitePlan {
                 if arm_edge.is_none() {
                     arm_edge = Some(p);
                 }
-                (*s, PROVIDER_BIT | p, p, 0u8)
+                (u32::from(*s), PROVIDER_BIT | p, p, 0u8)
             }
             ServiceRef::Tail(t) => {
-                let key = TAIL_BIT | t;
+                let key = TAIL_BIT | u32::from(*t);
                 (key, key, key, 1 + (t % 2) as u8)
             }
         };

@@ -105,8 +105,6 @@ pub enum CaError {
         /// The CA's limit.
         limit: usize,
     },
-    /// No names requested.
-    NoNames,
 }
 
 impl fmt::Display for CaError {
@@ -115,7 +113,6 @@ impl fmt::Display for CaError {
             CaError::TooManySans { requested, limit } => {
                 write!(f, "requested {requested} SANs exceeds CA limit of {limit}")
             }
-            CaError::NoNames => write!(f, "certificate request contains no names"),
         }
     }
 }
@@ -166,32 +163,44 @@ impl CertificateAuthority {
         today: u32,
         ct: &mut CtLogSet,
     ) -> Result<Certificate, CaError> {
-        let mut sans = Vec::with_capacity(1 + extra_sans.len());
-        sans.push(subject.clone());
-        for n in extra_sans {
-            if !sans.contains(n) {
-                sans.push(n.clone());
-            }
-        }
-        if sans.is_empty() {
-            return Err(CaError::NoNames);
-        }
-        let limit = self.issuer.san_limit();
-        if sans.len() > limit {
-            return Err(CaError::TooManySans {
-                requested: sans.len(),
-                limit,
-            });
-        }
-        let cert = Certificate {
+        self.issue_with_filler(subject, extra_sans, 0, today, ct)
+    }
+
+    /// [`CertificateAuthority::issue`] with `filler` filler names
+    /// (`alt-{i}.{subject}`, see [`Certificate::filler`]) after the
+    /// SANs. The SAN limit counts them; an extra SAN that is one of
+    /// them is listed once, as filler.
+    pub fn issue_with_filler(
+        &mut self,
+        subject: DnsName,
+        extra_sans: &[DnsName],
+        filler: u16,
+        today: u32,
+        ct: &mut CtLogSet,
+    ) -> Result<Certificate, CaError> {
+        let mut cert = Certificate {
             serial: self.next_serial,
+            sans: Vec::with_capacity(1 + extra_sans.len()),
+            filler,
             subject,
-            sans,
             issuer: self.issuer_name.clone(),
             not_before_day: today,
             not_after_day: today + self.validity_days,
             key_type: self.issuer.key_type(),
         };
+        cert.sans.push(cert.subject.clone());
+        for n in extra_sans {
+            if !cert.sans.contains(n) && !cert.covers_as_filler(n) {
+                cert.sans.push(n.clone());
+            }
+        }
+        let limit = self.issuer.san_limit();
+        if cert.san_count() > limit {
+            return Err(CaError::TooManySans {
+                requested: cert.san_count(),
+                limit,
+            });
+        }
         self.next_serial += 1;
         self.issued += 1;
         ct.log(&cert);
@@ -259,5 +268,28 @@ mod tests {
     fn cloudflare_issues_ecdsa() {
         assert_eq!(KnownIssuer::CloudflareEcc.key_type(), KeyType::EcdsaP256);
         assert_eq!(KnownIssuer::LetsEncrypt.key_type(), KeyType::Rsa2048);
+    }
+
+    /// The SAN limit counts filler names, and an extra SAN that is one
+    /// of them is not listed twice.
+    #[test]
+    fn filler_counts_toward_the_limit() {
+        let mut ca = CertificateAuthority::new(KnownIssuer::LetsEncrypt);
+        let mut ct = CtLogSet::default_operators();
+        let c = ca
+            .issue_with_filler(name("a.com"), &[name("alt-0.a.com")], 99, 0, &mut ct)
+            .unwrap();
+        assert_eq!((c.sans.len(), c.san_count()), (1, 100));
+        let err = ca
+            .issue_with_filler(name("a.com"), &[name("b.a.com")], 99, 0, &mut ct)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CaError::TooManySans {
+                requested: 101,
+                limit: 100
+            }
+        );
+        assert_eq!(ca.issued_count(), 1);
     }
 }

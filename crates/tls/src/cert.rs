@@ -27,6 +27,12 @@ pub struct Certificate {
     /// Subject Alternative Names (exact names and wildcard patterns).
     /// The subject CN is conventionally repeated here.
     pub sans: Vec<DnsName>,
+    /// Filler SANs held as a count: the names `alt-{i}.{subject}` for
+    /// `i < filler`, listed after `sans` (see
+    /// [`Certificate::san_names`]). Operators pad certificates with
+    /// names no page requests; the size and coverage model reads them,
+    /// nothing else does, so none is stored.
+    pub filler: u16,
     /// Display name of the issuing CA (Table 4 vocabulary). Shared:
     /// every connection that validates this certificate records the
     /// issuer by cloning the handle, not the text.
@@ -40,14 +46,29 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// Does this certificate cover `name` (exact or wildcard SAN)?
+    /// Does this certificate cover `name` (exact or wildcard SAN, or
+    /// one of its filler names)?
     pub fn covers(&self, name: &DnsName) -> bool {
-        san::any_covers(&self.sans, name)
+        san::any_covers(&self.sans, name) || self.covers_as_filler(name)
+    }
+
+    /// Is `name` one of the filler names `alt-{i}.{subject}`?
+    pub(crate) fn covers_as_filler(&self, name: &DnsName) -> bool {
+        san::filler_index(name).is_some_and(|i| i < self.filler)
+            && name.parent_str() == Some(self.subject.as_str())
     }
 
     /// Number of DNS SAN entries.
     pub fn san_count(&self) -> usize {
-        self.sans.len()
+        self.sans.len() + usize::from(self.filler)
+    }
+
+    /// Every SAN in certificate order: `sans`, then the filler names.
+    /// A filler name is built on demand; nothing on a request path
+    /// asks for one.
+    pub fn san_names(&self) -> impl Iterator<Item = DnsName> + '_ {
+        let filler = (0..self.filler).map(|i| san::filler_name(i, &self.subject));
+        self.sans.iter().cloned().chain(filler)
     }
 
     /// Estimated DER-encoded size in bytes.
@@ -71,7 +92,8 @@ impl Certificate {
     /// Byte length of the encoded SAN extension alone — what the §5.1
     /// equal-byte-padding experiment design controls for (Figure 6).
     pub fn san_bytes(&self) -> u64 {
-        self.sans.iter().map(|n| n.wire_len() as u64 + 2).sum()
+        let listed: u64 = self.sans.iter().map(|n| n.wire_len() as u64 + 2).sum();
+        listed + san::filler_bytes(self.filler, &self.subject)
     }
 }
 
@@ -81,6 +103,7 @@ impl Certificate {
 pub struct CertificateBuilder {
     subject: DnsName,
     sans: Vec<DnsName>,
+    filler: u16,
     issuer: Arc<str>,
     not_before_day: u32,
     not_after_day: u32,
@@ -94,6 +117,7 @@ impl CertificateBuilder {
     pub fn new(subject: DnsName) -> Self {
         CertificateBuilder {
             sans: vec![subject.clone()],
+            filler: 0,
             subject,
             issuer: "Test CA".into(),
             not_before_day: 0,
@@ -118,6 +142,13 @@ impl CertificateBuilder {
                 self.sans.push(n);
             }
         }
+        self
+    }
+
+    /// List `n` filler names after the SANs (see
+    /// [`Certificate::filler`]).
+    pub fn filler(mut self, n: u16) -> Self {
+        self.filler = n;
         self
     }
 
@@ -153,6 +184,7 @@ impl CertificateBuilder {
             serial: self.serial,
             subject: self.subject,
             sans: self.sans,
+            filler: self.filler,
             issuer: self.issuer,
             not_before_day: self.not_before_day,
             not_after_day: self.not_after_day,
@@ -247,5 +279,97 @@ mod tests {
             .san(name("00popular.resource.com"))
             .build();
         assert_eq!(exp.san_bytes(), ctl.san_bytes());
+    }
+
+    /// A certificate whose filler names are a count agrees with its
+    /// twin that lists them on everything the model reads: coverage,
+    /// SAN count, SAN bytes and wire size, and the names themselves.
+    #[test]
+    fn filler_sans_match_the_listed_names() {
+        use origin_netsim::SimRng;
+        let mut rng = SimRng::seed_from_u64(0xF111);
+        let label = |rng: &mut SimRng| -> String {
+            let len = rng.range_u64(1, 9) as usize;
+            (0..len)
+                .map(|_| (b'a' + rng.range_u64(0, 26) as u8) as char)
+                .collect()
+        };
+        // Every decimal-width edge, then uniform draws.
+        let edges = [0u16, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 2000];
+        for round in 0..96 {
+            let n = match edges.get(round) {
+                Some(&n) => n,
+                None => rng.range_u64(0, 2_001) as u16,
+            };
+            let labels = 1 + rng.range_u64(1, 3) as usize;
+            let subject: Vec<String> = (0..labels).map(|_| label(&mut rng)).collect();
+            let subject = name(&subject.join("."));
+            let mut extra = Vec::new();
+            if rng.chance(0.5) {
+                extra.push(name(&format!("*.{subject}")));
+            }
+            if rng.chance(0.5) {
+                extra.push(name(&format!("www.{subject}")));
+            }
+            let filler = CertificateBuilder::new(subject.clone())
+                .sans(extra.iter().cloned())
+                .filler(n)
+                .build();
+            let listed = CertificateBuilder::new(subject.clone())
+                .sans(extra.iter().cloned())
+                .sans((0..n).map(|i| name(&format!("alt-{i}.{subject}"))))
+                .build();
+            assert_eq!(filler.san_count(), listed.san_count(), "{subject} {n}");
+            assert_eq!(filler.san_bytes(), listed.san_bytes(), "{subject} {n}");
+            assert_eq!(filler.wire_size(), listed.wire_size(), "{subject} {n}");
+            assert!(filler.san_names().eq(listed.sans.iter().cloned()));
+            let last = n.saturating_sub(1);
+            let probes = [
+                format!("alt-0.{subject}"),
+                format!("alt-{last}.{subject}"),
+                format!("alt-{n}.{subject}"),
+                format!("alt-{}.{subject}", n.saturating_add(1)),
+                format!("alt-01.{subject}"),
+                format!("alt-00.{subject}"),
+                format!("alt--1.{subject}"),
+                format!("alt-0x.{subject}"),
+                format!("alt-65536.{subject}"),
+                format!("alt-0.www.{subject}"),
+                format!("alt-0.x{subject}"),
+                format!("alt-0.{}", subject.parent_str().unwrap_or("com")),
+                format!("alt.{subject}"),
+                format!("www.{subject}"),
+                subject.to_string(),
+            ];
+            for probe in probes {
+                let probe = name(&probe);
+                assert_eq!(
+                    filler.covers(&probe),
+                    listed.covers(&probe),
+                    "{probe} n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn filler_names_follow_the_listed_sans() {
+        let c = CertificateBuilder::new(name("a.com"))
+            .san(name("*.a.com"))
+            .filler(3)
+            .build();
+        let names: Vec<String> = c.san_names().map(|n| n.to_string()).collect();
+        assert_eq!(
+            names,
+            [
+                "a.com",
+                "*.a.com",
+                "alt-0.a.com",
+                "alt-1.a.com",
+                "alt-2.a.com"
+            ]
+        );
+        assert_eq!(c.sans.len(), 2);
+        assert_eq!(c.san_count(), 5);
     }
 }

@@ -38,6 +38,37 @@ pub fn any_covers<'a, I: IntoIterator<Item = &'a DnsName>>(entries: I, name: &Dn
     entries.into_iter().any(|e| covers(e, name))
 }
 
+/// The index `i` when `name`'s first label is a filler label `alt-{i}`
+/// as [`filler_name`] spells it (decimal `u16`, no leading zero), else
+/// `None`.
+pub fn filler_index(name: &DnsName) -> Option<u16> {
+    let digits = name.labels().next()?.strip_prefix("alt-")?;
+    let canonical =
+        digits.bytes().all(|b| b.is_ascii_digit()) && (digits == "0" || !digits.starts_with('0'));
+    digits.parse().ok().filter(|_| canonical)
+}
+
+/// Filler name `i` of a certificate for `subject`: `alt-{i}.{subject}`.
+pub fn filler_name(i: u16, subject: &DnsName) -> DnsName {
+    origin_dns::name::name(&format!("alt-{i}.{subject}"))
+}
+
+/// SAN-extension bytes of the filler names `alt-{i}.{subject}` for
+/// `i < n`: each is its wire length plus 2 bytes of tag and length,
+/// `subject.len() + digits(i) + 9`, summed one decimal-width band at a
+/// time (`0..10`, `10..100`, …) instead of rendering any name.
+pub fn filler_bytes(n: u16, subject: &DnsName) -> u64 {
+    let n = u64::from(n);
+    let mut digits = 0;
+    let (mut lo, mut width) = (0, 1);
+    while lo < n {
+        let hi = 10u64.pow(width as u32).min(n);
+        digits += (hi - lo) * width;
+        (lo, width) = (hi, width + 1);
+    }
+    n * (subject.as_str().len() as u64 + 9) + digits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

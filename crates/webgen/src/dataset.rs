@@ -78,13 +78,15 @@ fn is_h3_site(seed: u64, rank: u32, h3_share: f64) -> bool {
     h3_share > 0.0 && site_unit(seed ^ 0x4833_5F51_C0A1_E5CE, rank) < h3_share
 }
 
-/// A reference to a third-party service used by a page.
+/// A reference to a third-party service used by a page: 4 bytes, a
+/// tag and a `u16` index (the catalogue has [`SERVICES`]`.len()` named
+/// and [`TAIL_SERVICE_COUNT`] tail services).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceRef {
     /// Index into [`SERVICES`].
-    Named(u32),
+    Named(u16),
     /// Generated tail service index.
-    Tail(u32),
+    Tail(u16),
 }
 
 impl ServiceRef {
@@ -113,7 +115,7 @@ impl ServiceRef {
     pub fn asn(self) -> u32 {
         match self {
             ServiceRef::Named(i) => PROVIDERS[SERVICES[i as usize].provider].asn,
-            ServiceRef::Tail(i) => tail_asn(i % crate::universe::TAIL_AS_COUNT),
+            ServiceRef::Tail(i) => tail_asn(u32::from(i) % crate::universe::TAIL_AS_COUNT),
         }
     }
 
@@ -332,14 +334,11 @@ impl Dataset {
                 }
             }
         }
-        // Pad with plausible operator names (mail, api, alternate
-        // TLDs) to hit the measured SAN size.
-        let mut i = 0;
-        while sans.len() + 1 < target_sans {
-            sans.push(fmt_name(text, format_args!("alt-{i}.{root_host}")));
-            i += 1;
-        }
-        let mut cert = universe.issue_cert(issuer, root_host.clone(), sans);
+        // Pad to the measured SAN size with counted filler names
+        // (`Certificate::filler`).
+        let filler = target_sans.saturating_sub(sans.len() + 1);
+        let filler = u16::try_from(filler).expect("SAN limits fit a u16");
+        let mut cert = universe.issue_cert(issuer, root_host.clone(), sans, filler);
         if target_sans == 0 {
             // A CN-only certificate (11,131 sites in the paper).
             cert.sans = Vec::new();
@@ -362,7 +361,7 @@ impl Dataset {
                         .collect();
                     universe.register_host(host.clone(), addrs, Rotation::RoundRobin);
                     let issuer = sample_tail_issuer(rng);
-                    let cert = universe.issue_cert(issuer, host.clone(), &[]);
+                    let cert = universe.issue_cert(issuer, host.clone(), &[], 0);
                     universe.set_cert(host, cert);
                 }
             }
@@ -757,7 +756,7 @@ struct GenScratch {
     sans: Vec<DnsName>,
     services: Vec<ServiceRef>,
     ases: origin_netsim::hash::FxHashSet<u32>,
-    candidates: Vec<u32>,
+    candidates: Vec<u16>,
 }
 
 /// Parse a formatted name, formatting it in `text`'s reused buffer.
@@ -784,9 +783,9 @@ fn pick_services(rng: &mut SimRng, target_as: u32, scratch: &mut GenScratch) {
     while (ases.len() as u32) < needed && guard < needed * 10 + 50 {
         guard += 1;
         let s = if rng.chance(0.55) {
-            ServiceRef::Named(rng.zipf(SERVICES.len(), 1.05) as u32)
+            ServiceRef::Named(rng.zipf(SERVICES.len(), 1.05) as u16)
         } else {
-            ServiceRef::Tail(rng.zipf(TAIL_SERVICE_COUNT as usize, 1.02) as u32)
+            ServiceRef::Tail(rng.zipf(TAIL_SERVICE_COUNT as usize, 1.02) as u16)
         };
         if services.contains(&s) {
             continue;
@@ -802,7 +801,7 @@ fn pick_services(rng: &mut SimRng, target_as: u32, scratch: &mut GenScratch) {
     if needed > 0 {
         candidates.clear();
         candidates.extend(
-            (0..SERVICES.len() as u32)
+            (0..SERVICES.len() as u16)
                 .filter(|&i| ases.contains(&PROVIDERS[SERVICES[i as usize].provider].asn)),
         );
         if !candidates.is_empty() {
@@ -903,12 +902,11 @@ mod tests {
         let d = small();
         let site = d.sites().iter().find(|s| !s.failed).unwrap().clone();
         let page = d.page_for(&site);
-        let mut rng = SimRng::seed_from_u64(1);
         for host in &page.hosts {
             let ans = d
                 .universe
                 .zones
-                .resolve_shared(host, &mut Default::default(), &mut rng);
+                .resolve_shared(host, &mut Default::default());
             assert!(ans.is_some(), "unresolvable host {host}");
             assert_ne!(d.universe.asn_of_host(host), 0);
         }
@@ -1055,10 +1053,12 @@ mod tests {
     }
 
     /// A shard on its root's addresses holds the root's set, not a
-    /// copy of it; a service reference is a tag and an index.
+    /// copy of it; a service reference is a tag and a `u16` index, and
+    /// a zone's record set an address handle, a TTL and a rotation.
     #[test]
     fn shards_sharing_an_address_set_share_its_storage() {
-        assert_eq!(std::mem::size_of::<ServiceRef>(), 8);
+        assert_eq!(std::mem::size_of::<ServiceRef>(), 4);
+        assert_eq!(std::mem::size_of::<origin_dns::RecordSet>(), 24);
         let d = small();
         let zones = &d.universe.zones;
         let mut shared = 0;

@@ -204,20 +204,20 @@ pub const SERVICES: [ServiceDef; 24] = [
 
 /// Number of generated tail services (small analytics/widget/ad
 /// hosts, each in its own tail AS).
-pub const TAIL_SERVICE_COUNT: u32 = 360;
+pub const TAIL_SERVICE_COUNT: u16 = 360;
 
 /// Hostname of tail service `i`.
-pub fn tail_service_host(i: u32) -> String {
+pub fn tail_service_host(i: u16) -> String {
     format!("tag{i}.widget-net-{}.net", i % 97)
 }
 
 /// Popularity weight of tail service `i` (Zipf-flavored decay).
-pub fn tail_service_weight(i: u32) -> u32 {
+pub fn tail_service_weight(i: u16) -> u32 {
     (40.0 / (1.0 + i as f64 * 0.12)).ceil() as u32
 }
 
 /// Content type of tail service `i`.
-pub fn tail_service_content(i: u32) -> ContentType {
+pub fn tail_service_content(i: u16) -> ContentType {
     match i % 7 {
         0 | 1 => ContentType::Javascript,
         2 => ContentType::Gif,

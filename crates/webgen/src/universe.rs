@@ -255,18 +255,21 @@ impl Universe {
         self.zones.insert(host, rs);
     }
 
-    /// Issue a certificate from a provider's CA, logging to CT.
+    /// Issue a certificate from a provider's CA, logging to CT, with
+    /// `filler` counted filler names after the SANs (see
+    /// [`Certificate::filler`]).
     pub fn issue_cert(
         &mut self,
         issuer: KnownIssuer,
         subject: DnsName,
         extra_sans: &[DnsName],
+        filler: u16,
     ) -> Certificate {
         let ca = self
             .cas
             .entry(issuer)
             .or_insert_with(|| CertificateAuthority::new(issuer));
-        ca.issue(subject, extra_sans, 0, &mut self.ct_logs)
+        ca.issue_with_filler(subject, extra_sans, filler, 0, &mut self.ct_logs)
             .expect("generator stays within SAN limits")
     }
 
@@ -296,6 +299,7 @@ impl Universe {
                 provider.issuer,
                 host.clone(),
                 &[origin_dns::name::name(&format!("*.{}", host.registrable()))],
+                0,
             );
             self.set_cert(host, cert);
         }
@@ -315,11 +319,11 @@ mod tests {
 
     #[test]
     fn services_registered_with_dns_and_certs() {
-        let (u, mut rng) = universe();
+        let (u, _) = universe();
         let host = name("cdnjs.cloudflare.com");
         let ans = u
             .zones
-            .resolve_shared(&host, &mut FxHashMap::default(), &mut rng)
+            .resolve_shared(&host, &mut FxHashMap::default())
             .expect("service resolves");
         assert!(!ans.addresses.is_empty());
         assert_eq!(u.asn_of_host(&host), 13335);
@@ -337,6 +341,7 @@ mod tests {
             KnownIssuer::LetsEncrypt,
             name("site.com"),
             &[name("*.site.com")],
+            0,
         );
         u.set_cert(name("site.com"), cert);
         let c = u.cert_for(&name("static.site.com")).expect("fallback cert");

@@ -137,11 +137,13 @@ if nontest "${lib[@]}" | grep -v 'crates/netsim/src/hash\.rs:' |
 fi
 
 # The world keeps only what a run reads: a host's AS is read off its
-# addresses (no hostname → u32 map in the universe) and a CT log is its
-# operator's entry count (no per-entry `Vec` field).
+# addresses (no hostname → u32 map in the universe), a CT log is its
+# operator's entry count (no per-entry `Vec` field) and a certificate's
+# filler SANs are a count (the generator formats no `alt-{i}` name).
 if nontest "$scripts"/../crates/webgen/src/universe.rs | grep -E 'Map<DnsName, *u32>' >&2 ||
-    nontest "$scripts"/../crates/tls/src/ctlog.rs | grep -E ': +(pub )?[a-z_]+: Vec<' | grep -v 'Vec<CtLog>' >&2; then
-    echo "FAIL: universe.rs maps a hostname to a u32, or ctlog.rs keeps a Vec of entries" >&2
+    nontest "$scripts"/../crates/tls/src/ctlog.rs | grep -E ': +(pub )?[a-z_]+: Vec<' | grep -v 'Vec<CtLog>' >&2 ||
+    nontest "$scripts"/../crates/webgen/src/dataset.rs | grep -F 'alt-{' >&2; then
+    echo "FAIL: universe.rs maps a hostname to a u32, ctlog.rs keeps a Vec of entries, or dataset.rs formats filler names" >&2
     exit 1
 fi
 
