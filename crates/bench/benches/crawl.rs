@@ -233,8 +233,8 @@ fn bench_crawl_stages(c: &mut Criterion) {
 }
 
 fn bench_pool_decide(c: &mut Criterion) {
-    // The per-request coalescing decision across pool sizes: the SAN
-    // indexes keep it flat in pool size.
+    // The per-request coalescing decision across pool sizes: a walk of
+    // the pool, so it grows with the connections a page opened.
     use origin_browser::pool::ReuseDecision;
     use origin_browser::{ConnectionPool, PoolPartition, PooledConnection};
     use origin_dns::name::name;
@@ -265,11 +265,11 @@ fn bench_pool_decide(c: &mut Criterion) {
             });
         }
         // A host only a wildcard SAN covers, resolving to an address
-        // no connection holds: the decision must consult the SAN
-        // indexes (or scan everything) before answering.
+        // no connection holds: the decision walks every connection
+        // before answering.
         let host = name("new.svc3.example");
         let answer = [IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1))];
-        g.bench_with_input(BenchmarkId::new("indexed", conns), &conns, |b, _| {
+        g.bench_with_input(BenchmarkId::new("walk", conns), &conns, |b, _| {
             b.iter(|| {
                 let d = pool.decide(
                     BrowserKind::Chromium,

@@ -243,8 +243,8 @@ struct ConnState {
 
 /// Per-visit working memory, recycled across page loads.
 ///
-/// A cold load allocates a connection pool (two index maps and their
-/// bucket store), the timing vector and three per-resource buffers on
+/// A cold load allocates a connection pool (its connection list and
+/// 421 denylist), the timing vector and three per-resource buffers on
 /// every visit; a crawl does that millions of times. A `VisitArena`
 /// owned by each crawl worker keeps those allocations warm: every
 /// buffer is `clear()`ed — capacity retained — at the start of the

@@ -1,30 +1,22 @@
 //! The browser connection pool.
 //!
-//! `decide` runs up to three times per simulated request, so the pool
-//! keeps lookup indexes beside the connection list: each connection's
-//! SAN list is pre-compiled at insert into exact-name and
-//! wildcard-parent buckets. A decision then touches only the
-//! connections that could possibly match instead of scanning
-//! `conns × SANs`. The coalescing rule is stated once, as one walk over
-//! those candidates: [`ConnectionPool::decide`] takes its first
-//! candidate that can carry the request, and
+//! A pool holds one page's connections, a few dozen at most, so it is
+//! that list in opening order plus a 421 denylist, and every decision
+//! walks the list. The coalescing rule is stated once, as that walk's
+//! gates (`ConnectionPool::candidates`): [`ConnectionPool::decide`]
+//! takes the first candidate that can carry the request, and
 //! [`ConnectionPool::redundant_if_h2`] asks whether there is any. The
 //! tests keep the original full-scan decision as the reference the
 //! walk must match on randomized pools.
 //!
-//! Index keys are `DnsName`s the connections already own (a clone is a
-//! refcount bump) and buckets are linked runs in one per-visit vector,
-//! so a cleared pool holds capacity and no keys: it is as large as its
+//! A cleared pool holds capacity and no keys: it is as large as its
 //! worker's largest visit, never as large as the crawl (DESIGN.md §10).
 
 use crate::policy::BrowserKind;
 use origin_dns::DnsName;
 use origin_h2::OriginSet;
-use origin_netsim::hash::FxHashMap;
 use origin_tls::Certificate;
 use origin_web::{FetchMode, Protocol};
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
 /// Connection pools are partitioned by credentials mode: a CORS-
@@ -163,122 +155,15 @@ fn is_ideal(policy: BrowserKind) -> bool {
     matches!(policy, BrowserKind::IdealIp | BrowserKind::IdealOrigin)
 }
 
-/// End-of-run marker in [`Member::next`] and the empty [`Bucket`].
-const NIL: u32 = u32::MAX;
-
-/// One index bucket: [`Member`]s linked in insertion order.
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    head: u32,
-    tail: u32,
-}
-
-impl Default for Bucket {
-    fn default() -> Self {
-        Bucket {
-            head: NIL,
-            tail: NIL,
-        }
-    }
-}
-
-/// One bucket entry: a connection index and the bucket's next entry.
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    conn: u32,
-    next: u32,
-}
-
-/// Everything indexed under one exact hostname: one hash finds it all.
-#[derive(Debug, Clone, Copy, Default)]
-struct NameEntry {
-    /// Connections opened for this hostname (TLS SNI).
-    hosts: Bucket,
-    /// Connections whose certificate carries this name as an exact SAN.
-    sans: Bucket,
-    /// Connections that answered this hostname `421 Misdirected
-    /// Request`: the pair is barred from coalescing for the rest of the
-    /// page load (mirrors Firefox's 421 handling). Same-host reuse is
-    /// unaffected — a 421 indicts the mapping, not the connection.
-    evicted: Bucket,
-}
-
-/// A wildcard SAN (`*.cdn.com`) that hashes, compares and borrows as
-/// the parent it covers (`cdn.com`), which is what requests probe with:
-/// a refcount bump on the SAN where a parent string would allocate.
-#[derive(Debug)]
-struct WildcardKey(DnsName);
-
-impl WildcardKey {
-    fn new(san: &DnsName) -> Option<Self> {
-        san.is_wildcard().then(|| WildcardKey(san.clone()))
-    }
-
-    fn parent(&self) -> &str {
-        &self.0.as_str()["*.".len()..]
-    }
-}
-
-impl Borrow<str> for WildcardKey {
-    fn borrow(&self) -> &str {
-        self.parent()
-    }
-}
-
-impl Hash for WildcardKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parent().hash(state)
-    }
-}
-
-impl PartialEq for WildcardKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.parent() == other.parent()
-    }
-}
-
-impl Eq for WildcardKey {}
-
-/// The pool and its reuse logic.
-///
-/// Index invariants (maintained by [`ConnectionPool::insert`], relied
-/// on by [`ConnectionPool::decide`]):
-/// - every bucket links connection indices in ascending insertion
-///   order, so walking a bucket (or an ordered merge of buckets)
-///   visits candidates in exactly the order the linear scan would;
-/// - `by_name[h].sans` ∪ `wildcard_san[parent(h)]` is precisely the
-///   set of connections whose certificate covers hostname `h` (RFC
-///   6125 matching: an exact SAN equals the name, a wildcard SAN
-///   covers exactly the names sharing its parent), unless `h`'s first
-///   label is a filler label `alt-{i}`: a certificate's filler names
-///   are a count no index holds, so such a host walks every connection
-///   and asks its certificate.
-///
-/// The identity fields consulted by the indexes (`host`, `cert`,
-/// `available_set`) are never mutated after insert — the loader only
-/// touches transfer bookkeeping (`bytes_transferred`, `busy_until`)
-/// through [`ConnectionPool::get_mut`].
+/// The pool and its reuse logic: one page's connections in opening
+/// order, and the `(host, connection)` mappings a `421 Misdirected
+/// Request` barred from coalescing for the rest of the page load
+/// (mirrors Firefox's 421 handling). Same-host reuse ignores the
+/// denylist: a 421 indicts the mapping, not the connection.
 #[derive(Debug, Default)]
 pub struct ConnectionPool {
     conns: Vec<PooledConnection>,
-    /// Backing store of every bucket of every index below.
-    members: Vec<Member>,
-    by_name: FxHashMap<DnsName, NameEntry>,
-    wildcard_san: FxHashMap<WildcardKey, Bucket>,
-}
-
-/// Append `conn` to `bucket` unless it is already the last entry: an
-/// insert offers its connection to a bucket in one burst, so the tail
-/// check keeps a certificate's duplicate SANs out of the index.
-fn link(members: &mut Vec<Member>, bucket: &mut Bucket, conn: u32) {
-    let at = u32::try_from(members.len()).expect("pool outgrew u32 indices");
-    match members.get_mut(bucket.tail as usize) {
-        Some(last) if last.conn == conn => return,
-        Some(last) => last.next = at,
-        None => bucket.head = at,
-    }
-    bucket.tail = at;
-    members.push(Member { conn, next: NIL });
+    evicted: Vec<(DnsName, u32)>,
 }
 
 impl ConnectionPool {
@@ -312,150 +197,70 @@ impl ConnectionPool {
     /// crawled before; no decision can tell the result from a fresh pool.
     pub fn clear(&mut self) {
         self.conns.clear();
-        self.members.clear();
-        self.by_name.clear();
-        self.wildcard_san.clear();
+        self.evicted.clear();
     }
 
-    /// Insert a connection; returns its index. The certificate's SAN
-    /// list is compiled into the coalescing indexes here, once, so no
-    /// later decision ever walks it.
+    /// Insert a connection; returns its index.
     pub fn insert(&mut self, conn: PooledConnection) -> usize {
-        let idx = u32::try_from(self.conns.len()).expect("pool outgrew u32 indices");
-        let members = &mut self.members;
-        let same_host = self.by_name.entry(conn.host.clone()).or_default();
-        link(members, &mut same_host.hosts, idx);
-        for san in &conn.cert.sans {
-            let bucket = match WildcardKey::new(san) {
-                Some(key) => self.wildcard_san.entry(key).or_default(),
-                None => &mut self.by_name.entry(san.clone()).or_default().sans,
-            };
-            link(members, bucket, idx);
-        }
         self.conns.push(conn);
-        idx as usize
-    }
-
-    /// The connection indices of `bucket`, in insertion order.
-    fn members(&self, bucket: Bucket) -> impl Iterator<Item = u32> + '_ {
-        let mut at = bucket.head;
-        std::iter::from_fn(move || {
-            let m = self.members.get(at as usize)?;
-            at = m.next;
-            Some(m.conn)
-        })
+        self.conns.len() - 1
     }
 
     /// Record a `421 Misdirected Request` for `host` on connection
-    /// `idx`: that coalesced mapping is evicted and will never be
-    /// offered again by [`ConnectionPool::decide`] (either path). The
-    /// caller replays the request, normally on a dedicated connection.
+    /// `idx`: that coalesced mapping is evicted, and neither
+    /// [`ConnectionPool::decide`] nor [`ConnectionPool::redundant_if_h2`]
+    /// offers it again. The caller replays the request, normally on a
+    /// dedicated connection.
     pub fn evict_coalesce(&mut self, host: &DnsName, idx: usize) {
         let idx = u32::try_from(idx).expect("pool outgrew u32 indices");
-        if !self.is_evicted(self.evicted_for(host), idx) {
-            let entry = self.by_name.entry(host.clone()).or_default();
-            link(&mut self.members, &mut entry.evicted, idx);
+        if !self.is_evicted(host, idx) {
+            self.evicted.push((host.clone(), idx));
         }
     }
 
-    /// Number of evicted (host, connection) coalesce mappings.
-    pub fn evicted_mappings(&self) -> usize {
-        self.by_name
-            .values()
-            .map(|e| self.members(e.evicted).count())
-            .sum()
+    fn is_evicted(&self, host: &DnsName, idx: u32) -> bool {
+        self.evicted.iter().any(|(h, i)| *i == idx && h == host)
     }
 
-    /// Everything indexed under `host`: one lookup per decision.
-    fn named(&self, host: &DnsName) -> NameEntry {
-        self.by_name.get(host).copied().unwrap_or_default()
+    /// The connections opened for `host` (TLS SNI), in opening order.
+    fn same_host<'a>(
+        &'a self,
+        host: &'a DnsName,
+    ) -> impl Iterator<Item = (usize, &'a PooledConnection)> + 'a {
+        self.conns
+            .iter()
+            .enumerate()
+            .filter(move |(_, c)| c.host == *host)
     }
 
-    /// The connections barred from coalescing `host`
-    /// ([`ConnectionPool::is_evicted`] probes it per candidate).
-    fn evicted_for(&self, host: &DnsName) -> Bucket {
-        self.named(host).evicted
-    }
-
-    fn is_evicted(&self, evicted: Bucket, idx: u32) -> bool {
-        self.members(evicted).any(|i| i == idx)
-    }
-
-    /// The connections `policy` may coalesce `host` onto, in insertion
-    /// order, each with the rule that admits it. Real browsers require
-    /// the certificate to cover the new name, so their candidates are
-    /// exactly the SAN-index buckets for the hostname (exact entries)
-    /// and its parent (wildcard entries), merged by index; the ideal
-    /// models assume the least-effort SAN modifications are applied, so
-    /// every connection is theirs. A candidate then passes, in order:
-    /// the partition (real policies only), the 421 eviction list, the
-    /// server's colocation, and the policy's evidence. Protocol state
-    /// is the caller's gate.
+    /// The connections `policy` may coalesce `host` onto, in opening
+    /// order, each with the rule that admits it. A connection passes,
+    /// cheapest gate first: the partition (real policies only), the
+    /// policy's evidence, the certificate's coverage of `host` (real
+    /// policies only: the §4 ideal models assume the least-effort SAN
+    /// modifications are applied), the 421 denylist, and the server's
+    /// colocation. Every gate is a pure predicate, so their order
+    /// cannot change which connection comes first or its rule.
+    /// Protocol state is the caller's gate.
     fn candidates<'a>(
         &'a self,
         policy: BrowserKind,
         host: &'a DnsName,
         addrs: &'a [IpAddr],
         partition: PoolPartition,
-        named: NameEntry,
         colocated: &'a impl Fn(&DnsName) -> bool,
     ) -> impl Iterator<Item = (usize, &'static str)> + 'a {
         let ideal = is_ideal(policy);
-        let mut everyone = 0..self.conns.len() as u32;
-        let mut covering = (!ideal).then(|| self.covering(host, named.sans));
-        std::iter::from_fn(move || loop {
-            let i = match covering.as_mut() {
-                Some(covering) => covering.next()?,
-                None => everyone.next()?,
-            };
-            let c = &self.conns[i as usize];
-            if !ideal {
-                debug_assert!(c.cert.covers(host), "SAN index out of sync with cert");
-                if c.partition != partition {
-                    continue;
-                }
-            }
-            if self.is_evicted(named.evicted, i) || !colocated(&c.host) {
-                continue;
-            }
-            if let Some(rule) = c.evidence(policy, host, addrs) {
-                return Some((i as usize, rule));
-            }
-        })
-    }
-
-    /// The connections whose certificate covers `host`: its exact-SAN
-    /// bucket `sans` and its parent's wildcard bucket, merged in
-    /// ascending insertion order (a connection in both appears once).
-    /// A filler-label host asks every certificate instead, in the same
-    /// order.
-    fn covering<'a>(&'a self, host: &'a DnsName, sans: Bucket) -> impl Iterator<Item = u32> + 'a {
-        let walk = origin_tls::san::filler_index(host).is_some();
-        let scan = (0..if walk { self.conns.len() as u32 } else { 0 })
-            .filter(move |&i| self.conns[i as usize].cert.covers(host));
-        let wild = host.parent_str().and_then(|p| self.wildcard_san.get(p));
-        let (mut exact, mut wild) = if walk {
-            (NIL, NIL)
-        } else {
-            (sans.head, wild.map_or(NIL, |b| b.head))
-        };
-        scan.chain(std::iter::from_fn(move || {
-            let x = self.members.get(exact as usize);
-            let y = self.members.get(wild as usize);
-            // Lower index first; `NIL` stands for a spent bucket.
-            let i = x.map_or(NIL, |m| m.conn).min(y.map_or(NIL, |m| m.conn));
-            if i == NIL {
+        self.conns.iter().enumerate().filter_map(move |(i, c)| {
+            if !ideal && c.partition != partition {
                 return None;
             }
-            // Step past `i` in whichever bucket(s) hold it.
-            if let Some(m) = x.filter(|m| m.conn == i) {
-                exact = m.next;
-            }
-            if let Some(m) = y.filter(|m| m.conn == i) {
-                wild = m.next;
-            }
-            Some(i)
-        }))
+            let rule = c.evidence(policy, host, addrs)?;
+            let admitted = (ideal || c.cert.covers(host))
+                && !self.is_evicted(host, i as u32)
+                && colocated(&c.host);
+            admitted.then_some((i, rule))
+        })
     }
 
     /// Decide how a request to `host` (with DNS answer `addrs`, in
@@ -479,21 +284,18 @@ impl ConnectionPool {
         let ideal = is_ideal(policy);
 
         // 1. Same-host reuse (keep-alive): H2 always multiplexes; an
-        //    H1.1 connection is only reusable when idle. One probe
-        //    finds everything indexed under the exact hostname.
-        let named = self.named(host);
+        //    H1.1 connection is only reusable when idle.
         let mut h1_same_host = 0u32;
-        for i in self.members(named.hosts) {
-            let c = &self.conns[i as usize];
+        for (i, c) in self.same_host(host) {
             if c.closed || (!ideal && c.partition != partition) {
                 continue;
             }
             if c.multiplexes() || ideal {
-                return ReuseDecision::SameHost(i as usize);
+                return ReuseDecision::SameHost(i);
             }
             h1_same_host += 1;
             if c.busy_until <= start {
-                return ReuseDecision::SameHost(i as usize);
+                return ReuseDecision::SameHost(i);
             }
         }
         if h1_same_host >= max_h1_per_host {
@@ -501,8 +303,7 @@ impl ConnectionPool {
             // (modelled as same-host reuse with blocking charged by
             // the loader).
             if let Some((i, _)) = self
-                .members(named.hosts)
-                .map(|i| (i as usize, &self.conns[i as usize]))
+                .same_host(host)
                 .filter(|(_, c)| !c.closed && c.partition == partition)
                 .min_by(|(_, a), (_, b)| {
                     a.busy_until
@@ -517,7 +318,7 @@ impl ConnectionPool {
         // 2. Cross-host coalescing: the first candidate whose protocol
         //    can carry the request (real browsers coalesce only onto
         //    multiplexing connections).
-        self.candidates(policy, host, addrs, partition, named, &colocated)
+        self.candidates(policy, host, addrs, partition, &colocated)
             .find(|&(i, _)| {
                 let c = &self.conns[i];
                 !c.closed && (ideal || c.multiplexes())
@@ -549,11 +350,10 @@ impl ConnectionPool {
         partition: PoolPartition,
         colocated: impl Fn(&DnsName) -> bool,
     ) -> bool {
-        let named = self.named(host);
-        self.members(named.hosts)
-            .any(|i| is_ideal(policy) || self.conns[i as usize].partition == partition)
+        self.same_host(host)
+            .any(|(_, c)| is_ideal(policy) || c.partition == partition)
             || self
-                .candidates(policy, host, addrs, partition, named, &colocated)
+                .candidates(policy, host, addrs, partition, &colocated)
                 .next()
                 .is_some()
     }
@@ -577,20 +377,31 @@ mod tests {
     }
 
     impl ConnectionPool {
-        /// `(keys held, capacity retained)` of the connection list, the
-        /// bucket store and the two index maps — what the loader's
-        /// footprint test bounds by the largest single visit.
-        pub(crate) fn footprint(&self) -> [(usize, usize); 4] {
+        /// `(keys held, capacity retained)` of the connection list and
+        /// the 421 denylist — what the loader's footprint test bounds by
+        /// the largest single visit.
+        pub(crate) fn footprint(&self) -> [(usize, usize); 2] {
             [
                 (self.conns.len(), self.conns.capacity()),
-                (self.members.len(), self.members.capacity()),
-                (self.by_name.len(), self.by_name.capacity()),
-                (self.wildcard_san.len(), self.wildcard_san.capacity()),
+                (self.evicted.len(), self.evicted.capacity()),
             ]
         }
 
+        /// Number of evicted (host, connection) coalesce mappings.
+        fn evicted_mappings(&self) -> usize {
+            self.evicted.len()
+        }
+
+        /// Did a 421 bar `host` from connection `idx`? Read off the
+        /// denylist itself, so the oracles share no gate with the walk.
+        fn evicted_linear(&self, host: &DnsName, idx: usize) -> bool {
+            self.evicted
+                .iter()
+                .any(|(h, i)| h == host && *i as usize == idx)
+        }
+
         /// The original full-scan decision logic, kept as the reference
-        /// implementation: the indexed [`ConnectionPool::decide`] must
+        /// implementation: [`ConnectionPool::decide`] must
         /// agree with it, rule label included, on every input of the
         /// randomized property test.
         #[allow(clippy::too_many_arguments)]
@@ -640,9 +451,8 @@ mod tests {
             // 2. Cross-host coalescing (HTTP/2 only, same partition, cert
             //    must cover the new name, server must actually serve it,
             //    and the mapping must not have been evicted by a 421).
-            let evicted = self.evicted_for(host);
             for (i, c) in self.conns.iter().enumerate() {
-                if c.closed || self.is_evicted(evicted, i as u32) {
+                if c.closed || self.evicted_linear(host, i) {
                     continue;
                 }
                 if !is_ideal && (c.partition != partition || !c.multiplexes()) {
@@ -715,13 +525,12 @@ mod tests {
             colocated: impl Fn(&DnsName) -> bool,
         ) -> bool {
             let is_ideal = matches!(policy, BrowserKind::IdealIp | BrowserKind::IdealOrigin);
-            let evicted = self.evicted_for(host);
             for (i, c) in self.conns.iter().enumerate() {
                 // Same-host: an h2 connection would simply multiplex.
                 if &c.host == host && (is_ideal || c.partition == partition) {
                     return true;
                 }
-                if self.is_evicted(evicted, i as u32) {
+                if self.evicted_linear(host, i) {
                     continue;
                 }
                 if !is_ideal && (c.partition != partition || !c.cert.covers(host)) {
@@ -985,8 +794,7 @@ mod tests {
     fn wildcard_san_scopes_to_one_level() {
         // RFC 6125: "*.cdn.com" matches exactly one label — a
         // sibling subdomain coalesces, the bare parent and a deeper
-        // name do not (both the wildcard index bucket and the cert
-        // check must agree on this).
+        // name do not.
         let mut pool = ConnectionPool::new();
         let ip = v4(1, 1, 1, 1);
         pool.insert(conn("edge.cdn.com", ip, vec![ip], &["*.cdn.com"]));
@@ -1009,12 +817,11 @@ mod tests {
     }
 
     #[test]
-    fn exact_and_wildcard_buckets_agree_on_first_match_order() {
+    fn exact_and_wildcard_sans_agree_on_first_match_order() {
         // A host covered by one connection's exact SAN and another's
         // wildcard SAN must coalesce onto the *earliest-inserted*
-        // candidate, exactly as the linear scan would — the indexed
-        // path merges the exact and wildcard buckets by index, and
-        // this pins that ordering in both insertion orders.
+        // candidate, whichever kind of SAN covers it: pinned in both
+        // insertion orders.
         let ip = v4(1, 1, 1, 1);
         for exact_first in [true, false] {
             let mut pool = ConnectionPool::new();
@@ -1309,11 +1116,11 @@ mod tests {
     }
 
     #[test]
-    fn randomized_pools_indexed_matches_linear() {
+    fn randomized_pools_match_the_full_scan() {
         // Property test: on randomized pools (hosts, SANs incl.
         // wildcards and filler counts, overlapping address sets, mixed
         // protocols and partitions, busy and closed H1.1 connections,
-        // QUIC connections) the indexed decision equals the linear reference
+        // QUIC connections) the gated walk equals the full-scan reference
         // for every policy, host and answer; every coalesce carries the
         // rule label the oracle names, and the redundancy probe agrees
         // with its full-scan oracle in every partition. Seeded SimRng,
@@ -1322,8 +1129,8 @@ mod tests {
         // One pool is `clear()`ed and refilled round after round from
         // the same small vocabulary of hostnames, wildcard parents and
         // addresses, and must decide exactly like a pool built fresh
-        // for the round: a bucket, an eviction or a link order that
-        // survived the clear would show as a difference.
+        // for the round: a connection or an eviction that survived the
+        // clear would show as a difference.
         use origin_netsim::SimRng;
         let hosts = [
             "a.com",
@@ -1335,7 +1142,7 @@ mod tests {
             "static.cdn.com",
             "edge.cdn.com",
             // Filler labels: a certificate's filler count covers them,
-            // which no index holds.
+            // though its SAN list never names them.
             "alt-0.a.com",
             "alt-1.a.com",
             "alt-0.b.net",
@@ -1438,16 +1245,15 @@ mod tests {
                     let at = format!(
                         "trial {trial}: {policy:?} {host} answer {answer:?} partition {partition:?}"
                     );
-                    let indexed =
-                        pool.decide(policy, &host, &answer, partition, 2, start, colocated);
+                    let walk = pool.decide(policy, &host, &answer, partition, 2, start, colocated);
                     let linear =
                         pool.decide_linear(policy, &host, &answer, partition, 2, start, colocated);
                     let rebuilt =
                         fresh.decide(policy, &host, &answer, partition, 2, start, colocated);
-                    assert_eq!((indexed, indexed), (linear, rebuilt), "{at}");
+                    assert_eq!((walk, walk), (linear, rebuilt), "{at}");
                     // The oracle labels its coalesce with the rule-label
                     // oracle, so the equality above pins the label too.
-                    if let ReuseDecision::Coalesce(i, rule) = indexed {
+                    if let ReuseDecision::Coalesce(i, rule) = walk {
                         rules_seen.insert(rule);
                         let cert = &pool.conns[i].cert;
                         let listed = origin_tls::san::any_covers(&cert.sans, &host);

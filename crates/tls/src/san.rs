@@ -41,7 +41,7 @@ pub fn any_covers<'a, I: IntoIterator<Item = &'a DnsName>>(entries: I, name: &Dn
 /// The index `i` when `name`'s first label is a filler label `alt-{i}`
 /// as [`filler_name`] spells it (decimal `u16`, no leading zero), else
 /// `None`.
-pub fn filler_index(name: &DnsName) -> Option<u16> {
+pub(crate) fn filler_index(name: &DnsName) -> Option<u16> {
     let digits = name.labels().next()?.strip_prefix("alt-")?;
     let canonical =
         digits.bytes().all(|b| b.is_ascii_digit()) && (digits == "0" || !digits.starts_with('0'));

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Flatness gate: a crawl must cost per site what one visit costs, not
-# what the crawl has cost so far (ROADMAP item 1(c); DESIGN.md §10).
+# what the crawl has cost so far (DESIGN.md §10).
 #
 #   usage: check_flatness.sh [path/to/repro]
 #
