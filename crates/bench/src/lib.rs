@@ -203,12 +203,10 @@ impl ShardAccum {
 ///
 /// Between visits a worker keeps capacity, never keys (DESIGN.md §10):
 /// `scratch`, `arena` (connection pool, protocol state, timing buffers)
-/// and the env's resolver are emptied per site, so a worker is as large
-/// and resets as fast after a million sites as after its largest one.
-/// The one table that keeps its keys is the env's host-fact cache: a
-/// pure function of the immutable dataset, bounded by its distinct
-/// hostnames. A fresh env and arena per site produce byte-identical
-/// output, just slower.
+/// and the env's resolver and host facts are emptied per site, so a
+/// worker is as large and resets as fast after a million sites as
+/// after its largest one. A fresh env and arena per site produce
+/// byte-identical output, just slower.
 struct Worker<'d> {
     dataset: &'d Dataset,
     spec: &'d CrawlSpec,
@@ -360,8 +358,8 @@ impl<'d> Worker<'d> {
         // §4.3: certificate plan. `plan_site` always passes the root
         // host as the closure's first argument, so its registrable
         // suffix and ASN hoist out of the per-resource loop. ASes come
-        // from the env's host-fact cache, one probe each: the load has
-        // already met every host of the page.
+        // from the env's host facts of this visit, one probe each: the
+        // load has already met every host of the page.
         let cert = dataset.universe.cert_for(&site.root_host);
         let env = &self.env;
         let root_reg = site.root_host.registrable_str();
@@ -1057,8 +1055,8 @@ mod tests {
 
     #[test]
     fn env_reuse_is_output_invisible() {
-        // One env reused across visits (warm host-fact cache, per-site
-        // DNS flush + stat deltas) must produce exactly the loads and
+        // One env reused across visits (per-site flush of DNS and host
+        // facts, stat deltas) must produce exactly the loads and
         // resolver stats a fresh env per site produces.
         let dataset = Dataset::generate(DatasetConfig {
             sites: 40,

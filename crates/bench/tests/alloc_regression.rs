@@ -9,7 +9,8 @@
 //! `PlanSummary::add`) — and asserts they stay under recorded
 //! ceilings. It also counts bytes and keeps their high-water mark, so
 //! it measures what the generated world holds before the first visit
-//! and the most an observed, traced crawl ever holds at once.
+//! and the most an observed, traced crawl and a plain one ever hold at
+//! once.
 //!
 //! The ceilings document the arena work this crate's crawl loop
 //! relies on: before scratch/arena recycling the same loop averaged
@@ -187,8 +188,9 @@ const MAX_S5_ALLOCS_PER_VISIT: [(DeploymentMode, BrowserKind, u64); 3] = [
 /// at 14,066 bytes a rank; while closed trace shards kept their
 /// doubling slack, a record took 16 bytes and timeline sketches grew
 /// by doubling into `Option<Exemplar>` slots, 7,426; while filler SANs
-/// were formatted names, 5,186. It measures 4,875 bytes and 26.7
-/// allocations a rank.
+/// were formatted names, 5,186; while the env kept every hostname's
+/// facts and Table 7 every site's own hosts, 4,873. It measures 4,717
+/// bytes and 26.6 allocations a rank.
 const OBSERVED_SITES: u32 = 2_000;
 const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 5_800.0;
 /// What exporting that crawl's trace may add to peak live bytes: the
@@ -205,6 +207,15 @@ const MAX_TRACE_EXPORT_PEAK_BYTES: u64 = 64 * 1024;
 /// 991.
 const SERVE_SITES: u32 = 2_000;
 const MAX_SERVE_PEAK_BYTES_PER_SITE: f64 = 1_100.0;
+/// Ranks of the pure-h2 crawl whose peak is measured at one thread —
+/// `crawl-large`'s universe, smaller — and its ceiling on peak live
+/// bytes per rank beyond its own generated world: what a worker and
+/// the crawl's answers hold. While the env kept the facts of every
+/// hostname the crawl met and Table 7 kept every site's own hosts, it
+/// peaked at 447 bytes a rank; it measures 294 (317 in a debug build,
+/// whose `TopK` fingerprints every final key).
+const CRAWL_SITES: u32 = 8_000;
+const MAX_CRAWL_PEAK_BYTES_PER_SITE: f64 = 340.0;
 
 /// Allocations per load, metrics on, over the last three quarters of
 /// `config`'s universe, after the first quarter warmed the arena and
@@ -286,6 +297,9 @@ fn steady_state_crawl_allocations_stay_bounded() {
     // load (with `begin_visit`, when traced: the label is borrowed, as
     // every value a call site hands the tracer is) and of its analysis.
     let mut visit = |site: &SiteConfig, mut tracer: Option<&mut Tracer>| {
+        // The traced passes revisit the sites: as in a crawl, each site
+        // is characterized once (its own hosts are final keys).
+        let first_visit = tracer.is_none();
         let a0 = allocs();
         let page = dataset.page_for_with(site, &mut scratch);
         let a1 = allocs();
@@ -307,7 +321,9 @@ fn steady_state_crawl_allocations_stay_bounded() {
         let a2 = allocs();
         env.take_resolver_stats().record_into(&mut metrics);
         let a3 = allocs();
-        characterization.add(&page, &load);
+        if first_visit {
+            characterization.add(&page, &load);
+        }
         std::hint::black_box(predict_counts3(&page, &load, DEPLOYMENT_CDN_ASN));
         let universe = &dataset.universe;
         let root_asn = universe.asn_of_host(&site.root_host);
@@ -471,5 +487,32 @@ fn steady_state_crawl_allocations_stay_bounded() {
         "the observed crawl peaks at {peak:.0} live bytes a site (ceiling \
          {MAX_OBSERVED_PEAK_BYTES_PER_SITE}): a chunk's result outlives its merge, a merge \
          copies what it could move, or a trace event grew"
+    );
+
+    // The crawl generates this world itself; its bytes are taken off
+    // the crawl's peak.
+    let base = live_bytes();
+    let dataset = Dataset::generate(DatasetConfig {
+        sites: CRAWL_SITES,
+        seed: 0x516,
+        ..Default::default()
+    });
+    let world = live_bytes() - base;
+    drop(dataset);
+    let base = live_bytes();
+    PEAK.store(base, Ordering::Relaxed);
+    let crawl = CrawlSpec {
+        threads: 1,
+        ..CrawlSpec::new(CRAWL_SITES, 0x516)
+    }
+    .run();
+    let peak = (PEAK.load(Ordering::Relaxed) - base - world) as f64 / f64::from(CRAWL_SITES);
+    drop(crawl);
+    println!("pure-h2 crawl: {peak:.0} peak live bytes per site beyond its world");
+    assert!(
+        peak <= MAX_CRAWL_PEAK_BYTES_PER_SITE,
+        "the pure-h2 crawl peaks at {peak:.0} live bytes a site beyond its world (ceiling \
+         {MAX_CRAWL_PEAK_BYTES_PER_SITE}): a worker table keeps keys across visits, or an \
+         analysis table keeps a key no table reads"
     );
 }

@@ -71,74 +71,48 @@ pub struct UniverseEnv<'a> {
     /// origin set covering all page hosts they serve (used by the §4
     /// what-if runs and §5-style deployments on the crawl universe).
     pub origin_enabled_asns: Vec<u32>,
-    /// Per-host derived facts (AS, registrable-domain id, link
-    /// class), computed once per distinct hostname. `colocated` runs
-    /// for every candidate connection and `request_facts` once per request;
-    /// without the cache each call re-derives the registrable domain
-    /// (allocating) and re-hashes the hostname into the universe maps.
-    /// Everything cached is a pure function of the immutable dataset,
-    /// so memoization cannot change any output.
-    cache: RefCell<HostFactCache>,
-}
-
-/// See [`UniverseEnv::cache`]. Keyed by the `DnsName` the loader asks
-/// about, so a new host costs a refcount bump, not a copy of its text.
-/// Registrable domains are numbered in a map of their own, making the
-/// `colocated` same-site check a `u32` compare.
-#[derive(Default)]
-struct HostFactCache {
-    facts: FxHashMap<DnsName, HostFacts>,
-    registrables: FxHashMap<DnsName, u32>,
+    /// Per-host derived facts (AS, registrable domain, link class) of
+    /// the visit: `colocated` runs for every candidate connection and
+    /// `request_facts` once per request, and each would otherwise
+    /// re-derive the registrable domain and re-hash the hostname into
+    /// the universe maps. Keyed by the `DnsName` the loader asks about
+    /// (a refcount bump), a pure function of the immutable dataset, and
+    /// emptied by [`UniverseEnv::flush_dns`] with the resolver cache.
+    facts: RefCell<FxHashMap<DnsName, HostFacts>>,
     /// The origin set an ORIGIN-enabled provider advertises on every
-    /// connection under one certificate: its exact SANs in
-    /// certificate order. Like the facts above, a pure function of
-    /// the immutable dataset — and keyed by the certificate's address
+    /// connection under one certificate: its exact SANs in certificate
+    /// order. Kept across visits — one `Arc` per certificate, a pure
+    /// function of the dataset — and keyed by the certificate's address
     /// in it, because serials are per issuing CA and repeat across
     /// issuers.
-    origin_sets: FxHashMap<usize, Arc<OriginSet>>,
+    origin_sets: RefCell<FxHashMap<usize, Arc<OriginSet>>>,
 }
 
 #[derive(Clone, Copy)]
 struct HostFacts {
     asn: u32,
-    /// Number of the registrable domain.
-    registrable: u32,
+    /// Byte offset of [`DnsName::registrable_str`] in the host's name.
+    registrable: u8,
     /// 0 = CDN edge, 1 = same-continent tail, 2 = intercontinental
     /// tail (see `link_profile`).
     link_class: u8,
 }
 
-impl HostFactCache {
-    fn lookup(&mut self, host: &DnsName, universe: &origin_webgen::Universe) -> HostFacts {
-        if let Some(&f) = self.facts.get(host) {
-            return f;
-        }
-        // A site's hosts share its root's registrable domain, which is
-        // the root's own name: only a service's parent domain is new
-        // text.
-        let next = u32::try_from(self.registrables.len()).expect("u32 registrable domains");
-        let registrable = match self.registrables.get(host.registrable_str()) {
-            Some(&n) => n,
-            None => *self.registrables.entry(host.registrable()).or_insert(next),
-        };
+impl HostFacts {
+    fn of(host: &DnsName, universe: &origin_webgen::Universe) -> Self {
         let asn = universe.asn_of_host(host);
         let link_class = if PROVIDERS.iter().any(|p| p.asn == asn) {
             0
         } else {
-            // Stable per-host class (FNV over the name), as before.
-            if origin_netsim::hash::fnv1a64(host.as_str().as_bytes()) % 2 == 0 {
-                1
-            } else {
-                2
-            }
+            // Stable per-host class (FNV over the name).
+            1 + (origin_netsim::hash::fnv1a64(host.as_str().as_bytes()) % 2) as u8
         };
-        let f = HostFacts {
+        let at = host.as_str().len() - host.registrable_str().len();
+        HostFacts {
             asn,
-            registrable,
+            registrable: u8::try_from(at).expect("a DNS name is at most 253 octets"),
             link_class,
-        };
-        self.facts.insert(host.clone(), f);
-        f
+        }
     }
 }
 
@@ -156,22 +130,31 @@ impl<'a> UniverseEnv<'a> {
             dataset,
             resolver: ResolverState::new(origin_dns::Transport::Udp53),
             origin_enabled_asns: Vec::new(),
-            cache: RefCell::new(HostFactCache::default()),
+            facts: RefCell::default(),
+            origin_sets: RefCell::default(),
         }
     }
 
     fn host_facts(&self, host: &DnsName) -> HostFacts {
-        self.cache.borrow_mut().lookup(host, &self.dataset.universe)
+        let mut facts = self.facts.borrow_mut();
+        if let Some(&f) = facts.get(host) {
+            return f;
+        }
+        let f = HostFacts::of(host, &self.dataset.universe);
+        facts.insert(host.clone(), f);
+        f
     }
 
-    /// Origin AS serving a hostname, from the host-fact cache.
+    /// Origin AS serving a hostname, from the visit's host facts.
     pub fn asn_of_host(&self, host: &DnsName) -> u32 {
         self.host_facts(host).asn
     }
 
-    /// Clear the DNS cache (fresh browser session per page, §3.1).
+    /// Clear the DNS cache (fresh browser session per page, §3.1) and
+    /// the host facts the last visit derived, keeping their capacity.
     pub fn flush_dns(&mut self) {
         self.resolver.flush_cache();
+        self.facts.get_mut().clear();
     }
 
     /// The resolver's counters (plaintext exposure etc.).
@@ -181,7 +164,7 @@ impl<'a> UniverseEnv<'a> {
 
     /// The resolver's counters since the last take, resetting them to
     /// zero. Lets one env be reused across many page visits (keeping
-    /// its host-fact cache warm) while each visit still records
+    /// its tables' capacity) while each visit still records
     /// exactly the per-visit deltas a fresh env would have reported.
     pub fn take_resolver_stats(&mut self) -> origin_dns::resolver::ResolverStats {
         let stats = self.resolver.stats();
@@ -214,10 +197,11 @@ impl WebEnv for UniverseEnv<'_> {
         // Same registrable domain → same origin server farm. Same
         // provider AS → shared CDN edge able to serve both (the §4
         // model's core assumption, stated in §4.1). Both facts come
-        // memoized: registrable domains compare as numbers.
+        // memoized: registrable domains compare as suffixes in place.
         let a = self.host_facts(conn_host);
         let b = self.host_facts(new_host);
-        a.registrable == b.registrable || (a.asn != 0 && a.asn == b.asn)
+        conn_host.as_str()[a.registrable.into()..] == new_host.as_str()[b.registrable.into()..]
+            || (a.asn != 0 && a.asn == b.asn)
     }
 
     fn origin_set_for(&self, host: &DnsName) -> Option<Arc<OriginSet>> {
@@ -229,10 +213,9 @@ impl WebEnv for UniverseEnv<'_> {
         // (implied, see the trait) plus its sibling names on this
         // certificate — the least-effort configuration §4.3 ends at.
         let cert = self.dataset.universe.cert_for(host)?;
-        let mut cache = self.cache.borrow_mut();
         let at = std::ptr::from_ref(cert) as usize;
-        let set = cache
-            .origin_sets
+        let mut sets = self.origin_sets.borrow_mut();
+        let set = sets
             .entry(at)
             .or_insert_with(|| Arc::new(origin_set_of(cert)));
         Some(set.clone())
@@ -276,6 +259,12 @@ mod tests {
         /// See [`ResolverState::footprint`].
         pub(crate) fn resolver_footprint(&self) -> [(usize, usize); 2] {
             self.resolver.footprint()
+        }
+
+        /// The host-fact table's `(keys, capacity)`.
+        pub(crate) fn host_fact_footprint(&self) -> (usize, usize) {
+            let facts = self.facts.borrow();
+            (facts.len(), facts.capacity())
         }
     }
     use origin_dns::name::name;

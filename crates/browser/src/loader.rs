@@ -1631,10 +1631,11 @@ mod tests {
 
     /// Between visits a worker keeps capacity, never keys: after 1,500
     /// distinct sites of a mixed universe through one arena and one
-    /// environment, a reset leaves the pool and the resolver empty,
-    /// what they retain is sized by the largest single visit, not by
-    /// the crawl, and the arena holds no more protocol machines than
-    /// one visit drove. Counts only — no clock.
+    /// environment, a reset leaves the pool, the resolver and the
+    /// env's host facts empty, what they retain is sized by the
+    /// largest single visit, not by the crawl, and the arena holds no
+    /// more protocol machines than one visit drove. Counts only — no
+    /// clock.
     #[test]
     fn worker_state_is_bounded_by_the_largest_visit() {
         let d = Dataset::generate(DatasetConfig {
@@ -1650,6 +1651,7 @@ mod tests {
         let footprint = |arena: &VisitArena, env: &UniverseEnv| {
             let mut all = arena.pool.footprint().to_vec();
             all.extend(env.resolver_footprint());
+            all.push(env.host_fact_footprint());
             all
         };
         let mut peak_keys = vec![0usize; footprint(&arena, &env).len()];

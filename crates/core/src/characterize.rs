@@ -37,7 +37,7 @@ pub struct Characterization {
     /// Requests per content type (by discriminant) of each AS; read
     /// through [`Characterization::as_content`] (Table 6).
     as_content: FxHashMap<u32, [u64; ContentType::ALL.len()]>,
-    /// Subresource hostnames (Table 7).
+    /// Subresource hostnames (Table 7); a site's own are final keys.
     pub hostnames: TopK<DnsName>,
     /// Unique ASes per page (Figure 1).
     pub ases_per_page: Histogram,
@@ -178,8 +178,15 @@ impl Characterization {
         for (ct, n) in ContentType::ALL.iter().zip(content) {
             self.content_types.add_n(ct.mime(), n);
         }
+        // A host under the root's registrable domain is the site's own,
+        // which no other rank's page requests: it is final.
+        let site = page.root_host.registrable_str();
         for (host, n) in page.hosts.iter().zip(&self.page_hosts) {
-            self.hostnames.add_ref_n(host, *n);
+            if host.registrable_str() == site {
+                self.hostnames.add_final_ref_n(host, *n);
+            } else {
+                self.hostnames.add_ref_n(host, *n);
+            }
         }
         totals
     }
@@ -315,8 +322,12 @@ mod tests {
     use origin_web::Resource;
     use std::net::{IpAddr, Ipv4Addr};
 
+    /// Rank `rank`'s page: its own site's root document on AS 100 and
+    /// a script from the shared host `cdn.site.com` on AS 200. Every
+    /// rank is a site of its own, as in a crawl.
     fn sample(rank: u32) -> (Page, PageLoad) {
-        let mut page = Page::new(rank, name("site.com"), 1_000);
+        let root = format!("site{rank}.org");
+        let mut page = Page::new(rank, name(&root), 1_000);
         page.push(
             name("cdn.site.com"),
             Resource::new("/a.js", ContentType::Javascript, 10),
@@ -351,8 +362,8 @@ mod tests {
         };
         let load = PageLoad {
             rank,
-            root_host: name("site.com"),
-            requests: vec![mk(0, "site.com", 100), mk(1, "cdn.site.com", 200)],
+            root_host: name(&root),
+            requests: vec![mk(0, &root, 100), mk(1, "cdn.site.com", 200)],
         };
         (page, load)
     }
@@ -381,8 +392,32 @@ mod tests {
         assert_eq!(c.as_requests.count(&100), 2);
         assert_eq!(c.issuers.count(&"Test CA".to_string()), 4);
         // Root not counted as subresource hostname.
-        assert_eq!(c.hostnames.count(&name("site.com")), 0);
+        assert_eq!(c.hostnames.count(&name("site1.org")), 0);
         assert_eq!(c.hostnames.count(&name("cdn.site.com")), 2);
+    }
+
+    /// A site's own subresource hosts are final keys: they count in
+    /// Table 7 like shared hosts do, and a held one answers `count`.
+    #[test]
+    fn site_hosts_are_final_keys() {
+        let (mut page, mut load) = sample(7);
+        for (i, path) in ["/b.js", "/c.js"].into_iter().enumerate() {
+            let host = name("static.site7.org");
+            page.push(
+                host.clone(),
+                Resource::new(path, ContentType::Javascript, 10),
+            );
+            let mut r = load.requests[1].clone();
+            (r.resource_index, r.host) = (2 + i, host);
+            load.requests.push(r);
+        }
+        let mut c = Characterization::new(100, 500_000);
+        c.add(&page, &load);
+        let hosts = &c.hostnames;
+        assert_eq!(hosts.count(&name("static.site7.org")), 2);
+        assert_eq!(hosts.count(&name("cdn.site.com")), 1);
+        assert_eq!((hosts.total(), hosts.distinct()), (3, 2));
+        assert_eq!(hosts.top(1)[0].key, name("static.site7.org"));
     }
 
     #[test]

@@ -25,7 +25,7 @@ mod topk;
 pub use cdf::Cdf;
 pub use hist::Histogram;
 pub use series::TimeSeries;
-pub use topk::{TopEntry, TopK};
+pub use topk::{TopEntry, TopK, FINAL_KEPT};
 
 /// Compute the `q`-quantile (0.0 ..= 1.0) of a slice using linear
 /// interpolation between closest ranks (type-7 estimator, the same

@@ -2,7 +2,7 @@
 
 use origin_netsim::hash::FxHashMap;
 use std::borrow::Borrow;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::Hash;
 
@@ -30,11 +30,27 @@ pub struct TopEntry<K> {
 /// calls [`TopK::add_n`] / [`TopK::add_ref_n`] once per distinct key of
 /// the page; keys seen a few times per page (certificate issuers,
 /// planned SAN additions) are counted one at a time.
+///
+/// A *final* key gets no more observations once added (a site's own
+/// hostname): it counts in the total and [`TopK::distinct`], but only
+/// the best [`FINAL_KEPT`] are held, so `top(k ≤ FINAL_KEPT)` is exact.
 #[derive(Debug, Clone)]
 pub struct TopK<K: Eq + Hash> {
     counts: FxHashMap<K, u64>,
     total: u64,
+    /// The best [`FINAL_KEPT`] final keys, best first.
+    finals: Vec<(K, u64)>,
+    /// Final keys counted, held or dropped.
+    final_distinct: usize,
+    /// The highest count of a dropped final key; 0 while none was.
+    dropped: u64,
+    /// Fingerprints of every final key counted, to catch a repeat.
+    #[cfg(debug_assertions)]
+    final_seen: origin_netsim::hash::FxHashSet<u64>,
 }
+
+/// Final keys a [`TopK`] holds.
+pub const FINAL_KEPT: usize = 64;
 
 impl<K: Eq + Hash + Clone + Ord> TopK<K> {
     /// New empty counter.
@@ -42,6 +58,11 @@ impl<K: Eq + Hash + Clone + Ord> TopK<K> {
         TopK {
             counts: FxHashMap::default(),
             total: 0,
+            finals: Vec::new(),
+            final_distinct: 0,
+            dropped: 0,
+            #[cfg(debug_assertions)]
+            final_seen: Default::default(),
         }
     }
 
@@ -74,13 +95,58 @@ impl<K: Eq + Hash + Clone + Ord> TopK<K> {
         self.total += n;
     }
 
+    /// Count `n` observations of a final key: one no later `add` or
+    /// `merge` names again (debug builds assert it).
+    pub fn add_final_ref_n<Q>(&mut self, key: &Q, n: u64)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        if n == 0 {
+            return;
+        }
+        #[cfg(debug_assertions)]
+        {
+            // SipHash: Fx collides on names a few digits apart.
+            use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+            let print = BuildHasherDefault::<DefaultHasher>::default().hash_one(key);
+            let fresh = !self.counts.contains_key(key) && self.final_seen.insert(print);
+            assert!(fresh, "a final key was added twice");
+        }
+        self.total += n;
+        self.final_distinct += 1;
+        self.keep_final(key.to_owned(), n);
+    }
+
+    /// Hold a final key among the best [`FINAL_KEPT`] (count
+    /// descending, then key ascending), dropping the worst.
+    fn keep_final(&mut self, key: K, n: u64) {
+        let finals = &mut self.finals;
+        let at = finals.partition_point(|(k, c)| (Reverse(*c), k) < (Reverse(n), &key));
+        finals.insert(at, (key, n));
+        if finals.len() > FINAL_KEPT {
+            let (_, worst) = finals.pop().expect("a key past FINAL_KEPT");
+            self.dropped = self.dropped.max(worst);
+        }
+    }
+
     /// Fold another counter into this one. Addition is commutative and
-    /// associative, so any merge order yields the same counter — which
-    /// is what keeps sharded crawls bit-identical to sequential ones.
+    /// associative, and so is keeping the best final keys: any merge
+    /// order yields the same counter, so shards merge bit-identically.
     pub fn merge(&mut self, other: &TopK<K>) {
         for (key, &n) in &other.counts {
-            self.add_n(key.clone(), n);
+            *self.counts.entry(key.clone()).or_insert(0) += n;
         }
+        #[cfg(debug_assertions)]
+        for f in &other.final_seen {
+            assert!(self.final_seen.insert(*f), "a final key was added twice");
+        }
+        for (key, n) in &other.finals {
+            self.keep_final(key.clone(), *n);
+        }
+        self.total += other.total;
+        self.final_distinct += other.final_distinct;
+        self.dropped = self.dropped.max(other.dropped);
     }
 
     /// Total observations across all keys.
@@ -90,12 +156,16 @@ impl<K: Eq + Hash + Clone + Ord> TopK<K> {
 
     /// Number of distinct keys.
     pub fn distinct(&self) -> usize {
-        self.counts.len()
+        self.counts.len() + self.final_distinct
     }
 
-    /// Count for one key.
+    /// Count for one key. Panics on a key not held once a final key
+    /// was dropped: it may have been that key.
     pub fn count(&self, key: &K) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0)
+        let held = self.finals.iter().find(|(k, _)| k == key).map(|(_, n)| n);
+        let n = self.counts.get(key).or(held).copied();
+        assert!(n.is_some() || self.dropped == 0, "a dropped final key");
+        n.unwrap_or(0)
     }
 
     /// The `k` most frequent keys, descending by count (ties broken by
@@ -104,45 +174,23 @@ impl<K: Eq + Hash + Clone + Ord> TopK<K> {
     /// A bounded min-heap of `k` borrowed candidates does the
     /// selection — O(n log k) with only the `k` returned keys cloned,
     /// where the old implementation cloned-and-sorted every entry.
+    /// Panics for `k` above [`FINAL_KEPT`] once a final key was dropped.
     pub fn top(&self, k: usize) -> Vec<TopEntry<K>> {
-        // Ranks order by (count, key-descending), so the heap's
-        // *minimum* is the entry top-k would drop first.
-        struct Rank<'a, K: Ord>(u64, &'a K);
-        impl<K: Ord> PartialEq for Rank<'_, K> {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == Ordering::Equal
-            }
-        }
-        impl<K: Ord> Eq for Rank<'_, K> {}
-        impl<K: Ord> PartialOrd for Rank<'_, K> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<K: Ord> Ord for Rank<'_, K> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                self.0.cmp(&other.0).then_with(|| other.1.cmp(self.1))
-            }
-        }
-
-        let k = k.min(self.counts.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut heap: BinaryHeap<std::cmp::Reverse<Rank<'_, K>>> = BinaryHeap::with_capacity(k + 1);
-        for (key, &count) in &self.counts {
-            let rank = Rank(count, key);
-            if heap.len() < k {
-                heap.push(std::cmp::Reverse(rank));
-            } else if rank > heap.peek().expect("heap holds k entries").0 {
+        assert!(k <= FINAL_KEPT || self.dropped == 0, "a dropped final key");
+        // A rank is (count, key descending), so the min-heap's top is
+        // the entry top-k would drop first.
+        let mut heap = BinaryHeap::with_capacity(k.min(self.counts.len() + self.finals.len()) + 1);
+        let finals = self.finals.iter().map(|(key, count)| (key, count));
+        for (key, &count) in self.counts.iter().chain(finals) {
+            heap.push(Reverse((count, Reverse(key))));
+            if heap.len() > k {
                 heap.pop();
-                heap.push(std::cmp::Reverse(rank));
             }
         }
-        // Ascending `Reverse<Rank>` is descending rank: best first.
+        // Ascending `Reverse<rank>` is descending rank: best first.
         heap.into_sorted_vec()
             .into_iter()
-            .map(|std::cmp::Reverse(Rank(count, key))| TopEntry {
+            .map(|Reverse((count, Reverse(key)))| TopEntry {
                 key: key.clone(),
                 count,
                 percent: if self.total == 0 {
@@ -163,16 +211,18 @@ impl<K: Eq + Hash + Clone + Ord> TopK<K> {
     /// The smallest number of keys whose cumulative share reaches
     /// `target_percent` — e.g. "it takes 51 ASes to service 80% of the
     /// requests". Returns `None` when the total share never reaches the
-    /// target.
+    /// target. Panics where the answer needs a dropped final key.
     pub fn keys_to_reach(&self, target_percent: f64) -> Option<usize> {
         // Only the multiset of counts matters here, so skip the key
         // clones entirely. The per-entry percents (and their float
         // accumulation order: count-descending) are exactly the ones
         // `top` would produce.
-        let mut counts: Vec<u64> = self.counts.values().copied().collect();
+        let finals = self.finals.iter().map(|(_, n)| n);
+        let mut counts: Vec<u64> = self.counts.values().chain(finals).copied().collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let mut cum = 0.0;
         for (i, &count) in counts.iter().enumerate() {
+            assert!(count >= self.dropped, "a dropped final key");
             if self.total > 0 {
                 cum += count as f64 / self.total as f64 * 100.0;
             }
@@ -180,6 +230,7 @@ impl<K: Eq + Hash + Clone + Ord> TopK<K> {
                 return Some(i + 1);
             }
         }
+        assert!(self.dropped == 0, "a dropped final key");
         None
     }
 }
@@ -291,6 +342,117 @@ mod tests {
         owned.add_n("a.test".to_string(), 4);
         assert_eq!(borrowed.top(10), owned.top(10));
         assert_eq!((borrowed.total(), borrowed.distinct()), (7, 2));
+    }
+
+    /// Random mixes of shared and final keys, counted in random chunks
+    /// merged in random order, answer what one all-map counter of the
+    /// same observations answers: `top(k ≤ FINAL_KEPT)`, `total`,
+    /// `distinct`, percents, and `count` / `keys_to_reach` wherever
+    /// no dropped final key is needed.
+    #[test]
+    fn final_keys_match_an_all_map_oracle() {
+        let mut rng = origin_netsim::SimRng::seed_from_u64(0x70b);
+        for trial in 0..300 {
+            // Shared keys 0..20 observed many times; final keys from
+            // 1,000 up, once each, with small counts so ranks tie.
+            let mut obs: Vec<(u32, u64, bool)> = Vec::new();
+            for _ in 0..rng.index(120) {
+                obs.push((rng.index(20) as u32, rng.range_u64(1, 40), false));
+            }
+            for key in 1_000..1_000 + rng.index(200) as u32 {
+                obs.push((key, rng.range_u64(1, 12), true));
+            }
+            rng.shuffle(&mut obs);
+            let mut oracle = TopK::new();
+            let mut chunks: Vec<TopK<u32>> = (0..1 + rng.index(8)).map(|_| TopK::new()).collect();
+            for &(key, n, last) in &obs {
+                oracle.add_n(key, n);
+                let chunk = rng.index(chunks.len());
+                if last {
+                    chunks[chunk].add_final_ref_n(&key, n);
+                } else {
+                    chunks[chunk].add_n(key, n);
+                }
+            }
+            while chunks.len() > 1 {
+                let from = chunks.swap_remove(rng.index(chunks.len()));
+                let into = rng.index(chunks.len());
+                chunks[into].merge(&from);
+            }
+            let t = &chunks[0];
+            assert_eq!(
+                (t.total(), t.distinct()),
+                (oracle.total(), oracle.distinct())
+            );
+            for k in [0, 1, 5, 10, 25, FINAL_KEPT] {
+                assert_eq!(t.top(k), oracle.top(k), "trial {trial}, top({k})");
+            }
+            let shared = (0..20).filter(|k| oracle.count(k) > 0);
+            for key in shared.chain(t.finals.iter().map(|(k, _)| *k)) {
+                assert_eq!(t.count(&key), oracle.count(&key), "trial {trial}");
+            }
+            if t.dropped == 0 {
+                for target in [10.0, 50.0, 80.0, 100.0] {
+                    assert_eq!(t.keys_to_reach(target), oracle.keys_to_reach(target));
+                }
+            }
+        }
+    }
+
+    /// One more final key than are held, all counted once: the last
+    /// (by key) is dropped.
+    fn one_final_dropped() -> TopK<u32> {
+        let mut t = TopK::new();
+        for key in 0..=FINAL_KEPT as u32 {
+            t.add_final_ref_n(&key, 1);
+        }
+        assert_eq!(
+            (t.distinct(), t.top(FINAL_KEPT).len()),
+            (FINAL_KEPT + 1, FINAL_KEPT)
+        );
+        assert_eq!(t.count(&3), 1);
+        t
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped final key")]
+    fn top_past_the_held_finals_panics_after_a_drop() {
+        one_final_dropped().top(FINAL_KEPT + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped final key")]
+    fn count_of_a_dropped_final_key_panics() {
+        one_final_dropped().count(&(FINAL_KEPT as u32));
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped final key")]
+    fn keys_to_reach_past_the_held_finals_panics() {
+        one_final_dropped().keys_to_reach(100.0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "added twice")]
+    fn a_repeated_final_key_panics() {
+        let mut t: TopK<String> = TopK::new();
+        t.add_final_ref_n("own.site.test", 1);
+        t.add_final_ref_n("own.site.test", 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "added twice")]
+    fn a_final_key_repeated_across_a_merge_panics() {
+        let mut a: TopK<u32> = TopK::new();
+        let mut b: TopK<u32> = TopK::new();
+        for key in 0..=FINAL_KEPT as u32 {
+            a.add_final_ref_n(&key, 2);
+        }
+        // Dropped from `a`'s held list, but still counted there.
+        b.add_final_ref_n(&(FINAL_KEPT as u32), 1);
+        a.merge(&b);
     }
 
     #[test]

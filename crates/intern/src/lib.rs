@@ -5,7 +5,7 @@
 //! about a name live in a `Vec` indexed by its id. The table only
 //! grows, and it copies every name it interns. No crate of the
 //! workspace interns through it: the connection pool, the resolver
-//! cache and the crawl env's host-fact cache all key by the refcounted
+//! cache and the crawl env's host-fact table all key by the refcounted
 //! `DnsName` itself, which the world already holds. It remains for the
 //! frozen benchmark harness, whose lookup probe names it.
 //!
