@@ -325,7 +325,7 @@ mod tests {
         let mut d = dataset();
         let site = d.sites().iter().find(|s| {
             let cert = d.universe.cert_for(&s.root_host).unwrap();
-            cert.filler > 0 && cert.sans.iter().any(|n| n.is_wildcard())
+            cert.filler > 0 && cert.listed_names().any(|n| n.is_wildcard())
         });
         let root = site
             .expect("a filler certificate with a wildcard")
@@ -338,11 +338,11 @@ mod tests {
         };
         let counted = set_of(&d);
         let cert = d.universe.cert_for(&root).unwrap();
-        let mut listed = cert.clone();
-        listed.sans = cert.san_names().collect();
-        listed.filler = 0;
+        let listed = origin_tls::CertificateBuilder::new(root.clone())
+            .sans(cert.san_names())
+            .build();
         let names = cert.san_count() - 1; // less the wildcard
-        d.universe.set_cert(root.clone(), listed);
+        d.universe.set_cert(listed);
         assert_eq!(*counted, *set_of(&d));
         assert_eq!(counted.len(), names);
     }

@@ -1256,7 +1256,7 @@ mod tests {
                     if let ReuseDecision::Coalesce(i, rule) = walk {
                         rules_seen.insert(rule);
                         let cert = &pool.conns[i].cert;
-                        let listed = origin_tls::san::any_covers(&cert.sans, &host);
+                        let listed = cert.listed_names().any(|n| origin_tls::covers(&n, &host));
                         filler_only += u32::from(!is_ideal(policy) && !listed);
                     }
                     for partition in partitions {

@@ -230,8 +230,7 @@ impl SampleGroup {
         for s in &self.sites {
             let added: u64 = s
                 .cert
-                .sans
-                .iter()
+                .listed_names()
                 .filter(|n| n.as_str() == THIRD_PARTY_HOST || n.as_str() == CONTROL_DECOY_HOST)
                 .map(|n| n.wire_len() as u64 + 2)
                 .sum();

@@ -293,4 +293,28 @@ mod tests {
         let n: DnsName = "Example.COM".parse().unwrap();
         assert_eq!(n.to_string(), "example.com");
     }
+
+    /// Fx hashes each of these pairs to one 64-bit value (see
+    /// `origin_netsim::hash`); a map keyed by names still tells them
+    /// apart.
+    #[test]
+    fn fx_colliding_names_round_trip() {
+        use origin_netsim::hash::{FxBuildHasher, FxHashMap};
+        use std::hash::BuildHasher;
+        let pairs = [
+            ("static.site-000881.com", "static.site-000031.com"),
+            ("static.site-001841.com", "static.site-001091.com"),
+        ];
+        let fx = |n: &DnsName| FxBuildHasher::default().hash_one(n);
+        let mut map = FxHashMap::default();
+        for (a, b) in pairs.map(|(a, b)| (name(a), name(b))) {
+            assert_eq!(fx(&a), fx(&b), "{a} {b}");
+            map.insert(a.clone(), a);
+            map.insert(b.clone(), b);
+        }
+        assert_eq!(map.len(), 4);
+        for n in pairs.iter().flat_map(|&(a, b)| [a, b]) {
+            assert_eq!(map.get(n).map(DnsName::as_str), Some(n));
+        }
+    }
 }

@@ -114,16 +114,21 @@ impl SessionPool {
         budget: usize,
         churn: &mut PoolChurn,
     ) -> bool {
-        if let Some(c) = self.conns.iter_mut().find(|c| c.key == key) {
-            c.last_used = now;
-            churn.reused += 1;
-            return true;
+        // One pass finds the key and counts the edge's connections.
+        let mut at_edge = 0;
+        for c in &mut self.conns {
+            if c.key == key {
+                c.last_used = now;
+                churn.reused += 1;
+                return true;
+            }
+            at_edge += usize::from(c.edge == edge);
         }
         churn.opened += 1;
         if budget == 0 {
             return false;
         }
-        if self.conns.iter().filter(|c| c.edge == edge).count() >= edge_cap {
+        if at_edge >= edge_cap {
             self.evict_lru(Some(edge));
             churn.edge_evicted += 1;
         }

@@ -89,6 +89,10 @@ impl Slot {
 
     /// Merge `e` into the exemplar this slot holds.
     fn keep(&mut self, e: Exemplar) {
+        // Most samples in a bucket are below the largest one it holds.
+        if self.present && self.value > e.value {
+            return;
+        }
         let kept = self.get().map_or(e, |prev| prev.merge(e));
         *self = Slot {
             value: kept.value,
@@ -411,5 +415,25 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.quantile_exemplar(0.99), None);
+    }
+
+    /// Keeping an exemplar is the two-exemplar merge folded over the
+    /// stream, ties on value, rank and span included.
+    #[test]
+    fn keep_is_the_merge_fold() {
+        let mut rng = origin_netsim::SimRng::seed_from_u64(0x4EE9);
+        for _ in 0..500 {
+            let (mut slot, mut fold) = (Slot::default(), None::<Exemplar>);
+            for _ in 0..rng.range_u64(1, 40) {
+                let e = Exemplar {
+                    value: rng.range_u64(0, 6),
+                    rank: rng.range_u64(0, 4) as u32,
+                    span_id: rng.range_u64(0, 4),
+                };
+                slot.keep(e);
+                fold = Some(fold.map_or(e, |p| p.merge(e)));
+                assert_eq!(slot.get(), fold);
+            }
+        }
     }
 }

@@ -178,20 +178,21 @@ impl CertificateAuthority {
         today: u32,
         ct: &mut CtLogSet,
     ) -> Result<Certificate, CaError> {
-        let mut cert = Certificate {
-            serial: self.next_serial,
-            sans: Vec::with_capacity(1 + extra_sans.len()),
-            filler,
-            subject,
-            issuer: self.issuer_name.clone(),
-            not_before_day: today,
-            not_after_day: today + self.validity_days,
-            key_type: self.issuer.key_type(),
-        };
-        cert.sans.push(cert.subject.clone());
+        let mut cert =
+            Certificate::for_subject(subject, self.issuer_name.clone(), self.issuer.key_type());
+        cert.serial = self.next_serial;
+        cert.filler = filler;
+        cert.not_before_day = today;
+        cert.not_after_day = today + self.validity_days;
+        // Room for every extra but a leading `*.{subject}`, which is a flag.
+        let wildcard = extra_sans
+            .first()
+            .is_some_and(|n| cert.is_subject_wildcard(n));
+        cert.sans
+            .reserve_exact(extra_sans.len() - usize::from(wildcard));
         for n in extra_sans {
-            if !cert.sans.contains(n) && !cert.covers_as_filler(n) {
-                cert.sans.push(n.clone());
+            if !cert.covers_as_filler(n) {
+                cert.list(n);
             }
         }
         let limit = self.issuer.san_limit();
@@ -226,7 +227,7 @@ mod tests {
         assert_eq!(ct.total_entries(), 6);
         assert_eq!(&*c1.issuer, "Let's Encrypt (R3)");
         assert!(Arc::ptr_eq(&c1.issuer, &c2.issuer));
-        assert_eq!(c1.sans.capacity(), 1);
+        assert_eq!((c1.sans.capacity(), c1.san_count()), (0, 1));
     }
 
     #[test]
@@ -279,7 +280,7 @@ mod tests {
         let c = ca
             .issue_with_filler(name("a.com"), &[name("alt-0.a.com")], 99, 0, &mut ct)
             .unwrap();
-        assert_eq!((c.sans.len(), c.san_count()), (1, 100));
+        assert_eq!((c.sans.len(), c.san_count()), (0, 100));
         let err = ca
             .issue_with_filler(name("a.com"), &[name("b.a.com")], 99, 0, &mut ct)
             .unwrap_err();

@@ -18,17 +18,25 @@ pub enum KeyType {
 ///
 /// Validity is measured in abstract days since an epoch so the model
 /// does not depend on wall-clock time.
+///
+/// The SAN list is, in order: the subject and `*.{subject}` as two
+/// flags, the other names, then the filler names as a count. Every
+/// constructor normalises (`*.{subject}` is a flag only right after
+/// the subject), so equal certificates list equal names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Unique serial number assigned by the issuing CA.
     pub serial: u64,
     /// Subject common name.
     pub subject: DnsName,
-    /// Subject Alternative Names (exact names and wildcard patterns).
-    /// The subject CN is conventionally repeated here.
-    pub sans: Vec<DnsName>,
+    /// The other listed SANs (exact names and wildcard patterns).
+    pub(crate) sans: Vec<DnsName>,
+    /// The subject is the first SAN (false only when CN-only).
+    pub(crate) subject_listed: bool,
+    /// `*.{subject}` is listed right after the subject.
+    pub(crate) wildcard_listed: bool,
     /// Filler SANs held as a count: the names `alt-{i}.{subject}` for
-    /// `i < filler`, listed after `sans` (see
+    /// `i < filler`, listed after every other name (see
     /// [`Certificate::san_names`]). Operators pad certificates with
     /// names no page requests; the size and coverage model reads them,
     /// nothing else does, so none is stored.
@@ -46,10 +54,29 @@ pub struct Certificate {
 }
 
 impl Certificate {
+    /// A certificate for `subject` listing the subject alone.
+    pub(crate) fn for_subject(subject: DnsName, issuer: Arc<str>, key_type: KeyType) -> Self {
+        Certificate {
+            serial: 0,
+            subject,
+            sans: Vec::new(),
+            subject_listed: true,
+            wildcard_listed: false,
+            filler: 0,
+            issuer,
+            not_before_day: 0,
+            not_after_day: 90,
+            key_type,
+        }
+    }
+
     /// Does this certificate cover `name` (exact or wildcard SAN, or
     /// one of its filler names)?
     pub fn covers(&self, name: &DnsName) -> bool {
-        san::any_covers(&self.sans, name) || self.covers_as_filler(name)
+        (self.subject_listed && *name == self.subject)
+            || (self.wildcard_listed && name.parent_str() == Some(self.subject.as_str()))
+            || san::any_covers(&self.sans, name)
+            || self.covers_as_filler(name)
     }
 
     /// Is `name` one of the filler names `alt-{i}.{subject}`?
@@ -58,17 +85,59 @@ impl Certificate {
             && name.parent_str() == Some(self.subject.as_str())
     }
 
-    /// Number of DNS SAN entries.
-    pub fn san_count(&self) -> usize {
-        self.sans.len() + usize::from(self.filler)
+    /// Is `name` the subject's wildcard `*.{subject}`?
+    pub(crate) fn is_subject_wildcard(&self, name: &DnsName) -> bool {
+        name.is_wildcard() && name.parent_str() == Some(self.subject.as_str())
     }
 
-    /// Every SAN in certificate order: `sans`, then the filler names.
-    /// A filler name is built on demand; nothing on a request path
-    /// asks for one.
+    /// List `name` after the listed names unless it is one of them. A
+    /// `*.{subject}` right after the subject becomes its flag.
+    pub(crate) fn list(&mut self, name: &DnsName) {
+        let wildcard = self.is_subject_wildcard(name);
+        let listed = (self.subject_listed && *name == self.subject)
+            || (self.wildcard_listed && wildcard)
+            || self.sans.contains(name);
+        if wildcard && self.subject_listed && !self.wildcard_listed && self.sans.is_empty() {
+            self.wildcard_listed = true;
+        } else if !listed {
+            self.sans.push(name.clone());
+        }
+    }
+
+    /// List no SAN at all: a CN-only certificate.
+    pub fn clear_sans(&mut self) {
+        self.sans = Vec::new();
+        (self.subject_listed, self.wildcard_listed, self.filler) = (false, false, 0);
+    }
+
+    /// Number of DNS SAN entries.
+    pub fn san_count(&self) -> usize {
+        usize::from(self.subject_listed)
+            + usize::from(self.wildcard_listed)
+            + self.sans.len()
+            + usize::from(self.filler)
+    }
+
+    /// The listed SANs in certificate order, filler names aside: the
+    /// subject and its wildcard when listed, then the other names.
+    /// The wildcard is built on demand.
+    pub fn listed_names(&self) -> impl Iterator<Item = DnsName> + '_ {
+        let subject = self.subject_listed.then(|| self.subject.clone());
+        let wildcard = self
+            .wildcard_listed
+            .then(|| origin_dns::name::name(&format!("*.{}", self.subject)));
+        subject
+            .into_iter()
+            .chain(wildcard)
+            .chain(self.sans.iter().cloned())
+    }
+
+    /// Every SAN in certificate order: the listed names, then the
+    /// filler names. A filler name is built on demand; nothing on a
+    /// request path asks for one.
     pub fn san_names(&self) -> impl Iterator<Item = DnsName> + '_ {
         let filler = (0..self.filler).map(|i| san::filler_name(i, &self.subject));
-        self.sans.iter().cloned().chain(filler)
+        self.listed_names().chain(filler)
     }
 
     /// Estimated DER-encoded size in bytes.
@@ -92,8 +161,12 @@ impl Certificate {
     /// Byte length of the encoded SAN extension alone — what the §5.1
     /// equal-byte-padding experiment design controls for (Figure 6).
     pub fn san_bytes(&self) -> u64 {
+        // `*.{subject}` is two bytes longer on the wire than the subject.
+        let subject = self.subject.wire_len() as u64 + 2;
+        let rules = u64::from(self.subject_listed) * subject
+            + u64::from(self.wildcard_listed) * (subject + 2);
         let listed: u64 = self.sans.iter().map(|n| n.wire_len() as u64 + 2).sum();
-        listed + san::filler_bytes(self.filler, &self.subject)
+        rules + listed + san::filler_bytes(self.filler, &self.subject)
     }
 }
 
@@ -101,14 +174,7 @@ impl Certificate {
 /// synthetic dataset bootstrap).
 #[derive(Debug, Clone)]
 pub struct CertificateBuilder {
-    subject: DnsName,
-    sans: Vec<DnsName>,
-    filler: u16,
-    issuer: Arc<str>,
-    not_before_day: u32,
-    not_after_day: u32,
-    key_type: KeyType,
-    serial: u64,
+    cert: Certificate,
 }
 
 impl CertificateBuilder {
@@ -116,80 +182,57 @@ impl CertificateBuilder {
     /// automatically the first SAN.
     pub fn new(subject: DnsName) -> Self {
         CertificateBuilder {
-            sans: vec![subject.clone()],
-            filler: 0,
-            subject,
-            issuer: "Test CA".into(),
-            not_before_day: 0,
-            not_after_day: 90,
-            key_type: KeyType::EcdsaP256,
-            serial: 0,
+            cert: Certificate::for_subject(subject, "Test CA".into(), KeyType::EcdsaP256),
         }
     }
 
     /// Add a SAN entry (deduplicated, order-preserving).
     pub fn san(mut self, name: DnsName) -> Self {
-        if !self.sans.contains(&name) {
-            self.sans.push(name);
-        }
+        self.cert.list(&name);
         self
     }
 
     /// Add many SAN entries.
-    pub fn sans<I: IntoIterator<Item = DnsName>>(mut self, names: I) -> Self {
-        for n in names {
-            if !self.sans.contains(&n) {
-                self.sans.push(n);
-            }
-        }
-        self
+    pub fn sans<I: IntoIterator<Item = DnsName>>(self, names: I) -> Self {
+        names.into_iter().fold(self, Self::san)
     }
 
     /// List `n` filler names after the SANs (see
     /// [`Certificate::filler`]).
     pub fn filler(mut self, n: u16) -> Self {
-        self.filler = n;
+        self.cert.filler = n;
         self
     }
 
     /// Set the issuer display name.
     pub fn issuer(mut self, issuer: &str) -> Self {
-        self.issuer = issuer.into();
+        self.cert.issuer = issuer.into();
         self
     }
 
     /// Set the validity window in days.
     pub fn validity(mut self, not_before_day: u32, not_after_day: u32) -> Self {
         assert!(not_before_day <= not_after_day, "inverted validity window");
-        self.not_before_day = not_before_day;
-        self.not_after_day = not_after_day;
+        self.cert.not_before_day = not_before_day;
+        self.cert.not_after_day = not_after_day;
         self
     }
 
     /// Set the key type.
     pub fn key_type(mut self, kt: KeyType) -> Self {
-        self.key_type = kt;
+        self.cert.key_type = kt;
         self
     }
 
     /// Set the serial number.
     pub fn serial(mut self, serial: u64) -> Self {
-        self.serial = serial;
+        self.cert.serial = serial;
         self
     }
 
     /// Finish.
     pub fn build(self) -> Certificate {
-        Certificate {
-            serial: self.serial,
-            subject: self.subject,
-            sans: self.sans,
-            filler: self.filler,
-            issuer: self.issuer,
-            not_before_day: self.not_before_day,
-            not_after_day: self.not_after_day,
-            key_type: self.key_type,
-        }
+        self.cert
     }
 }
 
@@ -208,7 +251,7 @@ mod tests {
     #[test]
     fn subject_is_first_san() {
         let c = cert();
-        assert_eq!(c.sans[0], name("www.example.com"));
+        assert_eq!(c.san_names().next(), Some(name("www.example.com")));
         assert_eq!(c.san_count(), 3);
     }
 
@@ -322,7 +365,7 @@ mod tests {
             assert_eq!(filler.san_count(), listed.san_count(), "{subject} {n}");
             assert_eq!(filler.san_bytes(), listed.san_bytes(), "{subject} {n}");
             assert_eq!(filler.wire_size(), listed.wire_size(), "{subject} {n}");
-            assert!(filler.san_names().eq(listed.sans.iter().cloned()));
+            assert!(filler.san_names().eq(listed.listed_names()));
             let last = n.saturating_sub(1);
             let probes = [
                 format!("alt-0.{subject}"),
@@ -369,7 +412,166 @@ mod tests {
                 "alt-2.a.com"
             ]
         );
-        assert_eq!(c.sans.len(), 2);
+        assert!(c.sans.is_empty(), "the subject and its wildcard are rules");
         assert_eq!(c.san_count(), 5);
+    }
+
+    /// A certificate as it was stored when every listed SAN was a `Vec`
+    /// entry: the subject, then each extra not listed yet (at a CA, nor
+    /// one of the filler names), then `filler` filler names.
+    struct Listed {
+        subject: DnsName,
+        sans: Vec<DnsName>,
+        filler: u16,
+    }
+
+    impl Listed {
+        fn new(subject: &DnsName, extras: &[DnsName], filler: u16, at_ca: bool) -> Self {
+            let mut t = Listed {
+                subject: subject.clone(),
+                sans: vec![subject.clone()],
+                filler,
+            };
+            for n in extras {
+                if !(t.sans.contains(n) || at_ca && t.is_filler(n)) {
+                    t.sans.push(n.clone());
+                }
+            }
+            t
+        }
+
+        fn is_filler(&self, n: &DnsName) -> bool {
+            san::filler_index(n).is_some_and(|i| i < self.filler)
+                && n.parent_str() == Some(self.subject.as_str())
+        }
+
+        fn check(&self, c: &Certificate, probes: &[DnsName], at: &str) {
+            let filler = (0..self.filler).map(|i| san::filler_name(i, &self.subject));
+            let names: Vec<DnsName> = self.sans.iter().cloned().chain(filler).collect();
+            let bytes: u64 = names.iter().map(|n| n.wire_len() as u64 + 2).sum();
+            let base = match c.key_type {
+                KeyType::Rsa2048 => 1_000,
+                KeyType::EcdsaP256 => 600,
+            };
+            assert_eq!(c.san_names().collect::<Vec<_>>(), names, "{at}");
+            assert_eq!(c.san_count(), names.len(), "{at}");
+            assert_eq!(c.san_bytes(), bytes, "{at}");
+            assert_eq!(c.wire_size(), base + 380 + bytes, "{at}");
+            for p in probes {
+                let listed = san::any_covers(&self.sans, p) || self.is_filler(p);
+                assert_eq!(c.covers(p), listed, "{at}: {p}");
+            }
+        }
+    }
+
+    /// Certificates from the builder and from CA issuance, whose subject
+    /// and wildcard are rules, answer every question the model asks
+    /// exactly as their twin listing every name does — whatever the
+    /// extras repeat, wherever `*.{subject}` falls among them — and two
+    /// certificates are equal exactly when their twins list equal names.
+    #[test]
+    fn subject_and_wildcard_rules_match_the_listed_names() {
+        use crate::ca::{CaError, CertificateAuthority, KnownIssuer};
+        use crate::ctlog::CtLogSet;
+        use origin_netsim::SimRng;
+        let mut rng = SimRng::seed_from_u64(0x5A45);
+        let mut ct = CtLogSet::default_operators();
+        let mut ca = CertificateAuthority::new(KnownIssuer::LetsEncrypt);
+        let (mut equal, mut rules, mut refused) = (0, [0u32; 2], 0);
+        for round in 0..600 {
+            let labels = 1 + rng.index(3);
+            let subject: Vec<String> = (0..labels)
+                .map(|_| {
+                    let len = 1 + rng.index(6);
+                    (0..len)
+                        .map(|_| (b'a' + rng.index(4) as u8) as char)
+                        .collect()
+                })
+                .collect();
+            let subject = name(&subject.join("."));
+            let parent = subject.parent_str().unwrap_or("com");
+            let filler = rng.range_u64(0, 110) as u16;
+            let pool = [
+                subject.to_string(),
+                format!("*.{subject}"),
+                format!("www.{subject}"),
+                format!("*.www.{subject}"),
+                format!("alt-0.{subject}"),
+                format!("alt-{}.{subject}", rng.range_u64(0, 120)),
+                format!("*.{parent}"),
+                format!("x.{parent}"),
+                "other.net".to_string(),
+            ]
+            .map(|n| name(&n));
+            let draw = |rng: &mut SimRng| -> Vec<DnsName> {
+                let n = rng.index(7);
+                (0..n).map(|_| rng.choose(&pool).clone()).collect()
+            };
+            let (extras, others) = (draw(&mut rng), draw(&mut rng));
+            let mut probes = pool.to_vec();
+            probes.extend(
+                [
+                    format!("a.{subject}"),
+                    format!("b.a.{subject}"),
+                    format!("alt-{}.{subject}", filler.saturating_sub(1)),
+                    format!("alt-{filler}.{subject}"),
+                    parent.to_string(),
+                ]
+                .map(|n| name(&n)),
+            );
+            let at = format!("round {round}: {subject} {extras:?} filler {filler}");
+
+            let twin = Listed::new(&subject, &extras, filler, false);
+            let built = |extras: &[DnsName]| {
+                CertificateBuilder::new(subject.clone())
+                    .sans(extras.iter().cloned())
+                    .filler(filler)
+                    .build()
+            };
+            let c = built(&extras);
+            twin.check(&c, &probes, &at);
+            rules[0] += u32::from(c.wildcard_listed);
+            let other = Listed::new(&subject, &others, filler, false);
+            assert_eq!(
+                c == built(&others),
+                twin.sans == other.sans,
+                "{at} vs {others:?}"
+            );
+            equal += u32::from(twin.sans == other.sans);
+
+            let twin = Listed::new(&subject, &extras, filler, true);
+            let requested = twin.sans.len() + usize::from(filler);
+            match ca.issue_with_filler(subject.clone(), &extras, filler, 0, &mut ct) {
+                Ok(c) => {
+                    twin.check(&c, &probes, &format!("{at} (CA)"));
+                    rules[1] += u32::from(c.wildcard_listed);
+                }
+                Err(e) => {
+                    assert_eq!(
+                        e,
+                        CaError::TooManySans {
+                            requested,
+                            limit: 100
+                        },
+                        "{at}"
+                    );
+                    refused += 1;
+                }
+            }
+
+            let mut cn_only = c.clone();
+            cn_only.clear_sans();
+            Listed {
+                subject: subject.clone(),
+                sans: Vec::new(),
+                filler: 0,
+            }
+            .check(&cn_only, &probes, &format!("{at} (CN only)"));
+        }
+        assert!(
+            equal > 20 && refused > 10,
+            "{equal} equal twins, {refused} refused"
+        );
+        assert!(rules.iter().all(|&r| r > 50), "{rules:?} wildcard rules");
     }
 }

@@ -4,7 +4,7 @@ use crate::dist;
 use crate::services::{
     tail_service_content, tail_service_host, tail_service_weight, SERVICES, TAIL_SERVICE_COUNT,
 };
-use crate::universe::{tail_asn, ProviderDef, Universe, PROVIDERS};
+use crate::universe::{tail_asn, Universe, PROVIDERS};
 use origin_dns::name::name;
 use origin_dns::record::Rotation;
 use origin_dns::DnsName;
@@ -265,16 +265,22 @@ impl Dataset {
         } else {
             1 + rng.index(2)
         };
-        let root_addrs: Arc<[IpAddr]> = (0..n_addrs)
-            .map(|_| {
-                if provider.is_some() {
-                    // CDN-fronted sites share the provider's VIP pool.
-                    universe.provider_vip(net, asn, rng)
-                } else {
-                    universe.alloc_ip(net, asn, rng)
-                }
-            })
-            .collect();
+        let vip_sets = &mut scratch.vip_sets;
+        let mut draw_addrs = |universe: &mut Universe, rng: &mut SimRng| -> Arc<[IpAddr]> {
+            if provider.is_none() {
+                return (0..n_addrs)
+                    .map(|_| universe.alloc_ip(net, asn, rng))
+                    .collect();
+            }
+            // CDN-fronted sites share the provider's VIP pool, so many
+            // draw one pair: every host on a pair holds its one set.
+            let pair = [
+                universe.provider_vip(net, asn, rng),
+                universe.provider_vip(net, asn, rng),
+            ];
+            vip_sets.entry(pair).or_insert_with(|| pair.into()).clone()
+        };
+        let root_addrs = draw_addrs(universe, rng);
         let rotation = if provider.is_some() {
             Rotation::RoundRobin
         } else {
@@ -292,15 +298,7 @@ impl Dataset {
             let addrs = if shards_share_ip {
                 root_addrs.clone()
             } else {
-                (0..n_addrs)
-                    .map(|_| {
-                        if provider.is_some() {
-                            universe.provider_vip(net, asn, rng)
-                        } else {
-                            universe.alloc_ip(net, asn, rng)
-                        }
-                    })
-                    .collect()
+                draw_addrs(universe, rng)
             };
             universe.register_host(h.clone(), addrs, rotation);
             shard_hosts.push(h);
@@ -341,9 +339,9 @@ impl Dataset {
         let mut cert = universe.issue_cert(issuer, root_host.clone(), sans, filler);
         if target_sans == 0 {
             // A CN-only certificate (11,131 sites in the paper).
-            cert.sans = Vec::new();
+            cert.clear_sans();
         }
-        universe.set_cert(root_host.clone(), cert);
+        universe.set_cert(cert);
 
         // Request budget and third-party services.
         let n_requests = dist::sample_request_count(rng);
@@ -361,8 +359,8 @@ impl Dataset {
                         .collect();
                     universe.register_host(host.clone(), addrs, Rotation::RoundRobin);
                     let issuer = sample_tail_issuer(rng);
-                    let cert = universe.issue_cert(issuer, host.clone(), &[], 0);
-                    universe.set_cert(host, cert);
+                    let cert = universe.issue_cert(issuer, host, &[], 0);
+                    universe.set_cert(cert);
                 }
             }
         }
@@ -749,11 +747,13 @@ fn sample_tail_issuer(rng: &mut SimRng) -> KnownIssuer {
 }
 
 /// Buffers [`Dataset::generate`] reuses from rank to rank: name text,
-/// SANs, and a page's picked services with their ASes and candidates.
+/// SANs, a page's picked services with their ASes and candidates, and
+/// the address set of every provider VIP pair drawn so far.
 #[derive(Default)]
 struct GenScratch {
     text: String,
     sans: Vec<DnsName>,
+    vip_sets: origin_netsim::hash::FxHashMap<[IpAddr; 2], Arc<[IpAddr]>>,
     services: Vec<ServiceRef>,
     ases: origin_netsim::hash::FxHashSet<u32>,
     candidates: Vec<u16>,
@@ -821,12 +821,6 @@ fn pick_services(rng: &mut SimRng, target_as: u32, scratch: &mut GenScratch) {
         }
     }
 }
-
-/// Re-export for universe provider access in doc examples.
-pub use crate::universe::PROVIDERS as PROVIDER_TABLE;
-
-#[allow(unused_imports)]
-use ProviderDef as _ProviderDefUsed;
 
 #[cfg(test)]
 mod tests {
@@ -1053,21 +1047,32 @@ mod tests {
     }
 
     /// A shard on its root's addresses holds the root's set, not a
-    /// copy of it; a service reference is a tag and a `u16` index, and
-    /// a zone's record set an address handle, a TTL and a rotation.
+    /// copy of it, and so does every provider host on one VIP pair;
+    /// distinct self-hosted hosts hold distinct sets. A service
+    /// reference is a tag and a `u16` index, and a zone's record set an
+    /// address handle, a TTL and a rotation.
     #[test]
     fn shards_sharing_an_address_set_share_its_storage() {
         assert_eq!(std::mem::size_of::<ServiceRef>(), 4);
         assert_eq!(std::mem::size_of::<origin_dns::RecordSet>(), 24);
         let d = small();
         let zones = &d.universe.zones;
-        let mut shared = 0;
+        let mut by_list = std::collections::HashMap::new();
+        let (mut shared, mut own) = (0, std::collections::HashSet::new());
         for s in d.sites() {
             let root = zones.registered(&s.root_host).unwrap().as_ptr();
-            for shard in s.shard_hosts.iter() {
-                let same = zones.registered(shard).unwrap().as_ptr() == root;
-                assert_eq!(same, s.shards_share_ip, "{shard}");
-                shared += u32::from(same);
+            for host in std::iter::once(&s.root_host).chain(s.shard_hosts.iter()) {
+                let set = zones.registered(host).unwrap();
+                if s.shards_share_ip {
+                    assert_eq!(set.as_ptr(), root, "{host}");
+                    shared += u32::from(host != &s.root_host);
+                }
+                if s.provider.is_some() {
+                    let first = by_list.entry(set.to_vec()).or_insert(set.as_ptr());
+                    assert_eq!(set.as_ptr(), *first, "{host}");
+                } else if host == &s.root_host || !s.shards_share_ip {
+                    assert!(own.insert(set.as_ptr()), "{host}");
+                }
             }
         }
         assert!(shared > 50, "{shared} shards on their root's set");

@@ -3,7 +3,7 @@
 use crate::services::SERVICES;
 use origin_dns::record::{RecordSet, Rotation};
 use origin_dns::{DnsName, ZoneSet};
-use origin_netsim::hash::FxHashMap;
+use origin_netsim::hash::{FxHashMap, FxHashSet};
 use origin_netsim::SimRng;
 use origin_tls::{Certificate, CertificateAuthority, CtLogSet, KnownIssuer};
 use std::collections::HashMap;
@@ -119,11 +119,11 @@ pub fn tail_asn(i: u32) -> u32 {
 pub struct Universe {
     /// Authoritative DNS for everything.
     pub zones: ZoneSet,
-    // Hot read-side maps with the deterministic Fx hasher; none is
+    // Hot read-side tables with the deterministic Fx hasher; none is
     // ever iterated, so the hasher cannot change any output. The
-    // certificate map keys by the registered `DnsName` handle — the
-    // zone's key and its are one copy of the name — and the fallback
-    // walk probes it with borrowed `&str`s. No map holds a host's AS:
+    // certificate table is a set keyed by each certificate's own
+    // subject, so the name is stored once, and the fallback walk
+    // probes it with borrowed `&str`s. No map holds a host's AS:
     // every address is allocated with its host's AS, so the AS is read
     // off the host's registered addresses, which key by `Ipv4Addr`
     // because the generator allocates no other kind.
@@ -132,7 +132,7 @@ pub struct Universe {
     // instead of a deep clone (SAN list + issuer string) is the
     // difference between one allocation per issuance and one per
     // connection.
-    certs: FxHashMap<DnsName, Arc<Certificate>>,
+    certs: FxHashSet<BySubject>,
     ip_asn: FxHashMap<Ipv4Addr, u32>,
     cas: HashMap<KnownIssuer, CertificateAuthority>,
     /// Shared front-end (anycast/VIP) address pools per provider AS.
@@ -149,7 +149,7 @@ impl Universe {
     pub fn new(rng: &mut SimRng) -> Self {
         let mut u = Universe {
             zones: ZoneSet::new(),
-            certs: FxHashMap::default(),
+            certs: FxHashSet::default(),
             ip_asn: FxHashMap::default(),
             cas: HashMap::new(),
             vip_pools: FxHashMap::default(),
@@ -225,7 +225,7 @@ impl Universe {
         let mut cursor = host.as_str();
         loop {
             if let Some(c) = self.certs.get(cursor) {
-                return Some(c);
+                return Some(&c.0);
             }
             match cursor.split_once('.') {
                 Some((_, rest)) => cursor = rest,
@@ -234,10 +234,10 @@ impl Universe {
         }
     }
 
-    /// Replace the certificate presented for `host` (the §5 reissue
-    /// path).
-    pub fn set_cert(&mut self, host: DnsName, cert: Certificate) {
-        self.certs.insert(host, Arc::new(cert));
+    /// Present `cert` for connections to its subject, replacing any
+    /// certificate presented there before (the §5 reissue path).
+    pub fn set_cert(&mut self, cert: Certificate) {
+        self.certs.replace(BySubject(Arc::new(cert)));
     }
 
     /// Register a host's DNS records. Hosts on the same addresses pass
@@ -301,8 +301,32 @@ impl Universe {
                 &[origin_dns::name::name(&format!("*.{}", host.registrable()))],
                 0,
             );
-            self.set_cert(host, cert);
+            self.set_cert(cert);
         }
+    }
+}
+
+/// A certificate as a table entry keyed by its subject: it hashes and
+/// compares as the subject's text, so the table is probed with `&str`.
+struct BySubject(Arc<Certificate>);
+
+impl PartialEq for BySubject {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.subject == other.0.subject
+    }
+}
+
+impl Eq for BySubject {}
+
+impl std::hash::Hash for BySubject {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.subject.as_str().hash(state);
+    }
+}
+
+impl std::borrow::Borrow<str> for BySubject {
+    fn borrow(&self) -> &str {
+        self.0.subject.as_str()
     }
 }
 
@@ -343,7 +367,7 @@ mod tests {
             &[name("*.site.com")],
             0,
         );
-        u.set_cert(name("site.com"), cert);
+        u.set_cert(cert);
         let c = u.cert_for(&name("static.site.com")).expect("fallback cert");
         assert_eq!(c.subject, name("site.com"));
         assert!(u.cert_for(&name("unrelated.net")).is_none());
