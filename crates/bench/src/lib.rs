@@ -11,6 +11,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod harness_compat;
+#[doc(hidden)]
+pub use harness_compat::*;
+
 use origin_browser::{
     fault_counter_names, h3_counter_names, BrowserKind, FaultSession, PageLoader, UniverseEnv,
     VisitArena, REDUNDANCY_KINDS,
@@ -538,34 +543,6 @@ impl CrawlSpec {
             flight,
         }
     }
-}
-
-/// [`CrawlSpec::run`] behind the positional signature the frozen
-/// harness under `benchmark/` calls. It has no other caller in the
-/// workspace and is kept byte-for-byte until a `benchmark` PR moves
-/// the harness onto [`CrawlSpec`]; use the struct everywhere else.
-#[allow(clippy::too_many_arguments)]
-pub fn run_crawl_observed(
-    sites: u32,
-    seed: u64,
-    threads: usize,
-    sampler: Option<&Sampler>,
-    faults: Option<&FaultProfile>,
-    legacy_share: f64,
-    h3_share: f64,
-    obs: Option<&ObsConfig>,
-) -> CrawlResults {
-    CrawlSpec {
-        sites,
-        seed,
-        threads,
-        sampler: sampler.copied(),
-        faults: faults.copied(),
-        legacy_share,
-        h3_share,
-        obs: obs.cloned(),
-    }
-    .run()
 }
 
 /// One single-thread pass over `spec`'s universe through the crawl's

@@ -3,8 +3,7 @@
 //! configuration of `BENCHMARK.json` at small scale.
 
 use origin_bench::{
-    run_crawl_observed, CrawlResults, CrawlSpec, H3Report, ObsConfig, RedundancyReport,
-    ResilienceReport,
+    CrawlResults, CrawlSpec, H3Report, ObsConfig, RedundancyReport, ResilienceReport,
 };
 use origin_browser::{BrowserKind, FaultSession, PageLoader, UniverseEnv, VisitArena};
 use origin_cdn::SampleGroup;
@@ -267,26 +266,6 @@ fn every_visit_trace_and_flight_stream_are_pinned() {
         [0x449abf0504e207f7, 0x7398416a9b5f0772, 0xe55651f09b979293],
         "every-visit trace, flight stream, its loads' trace"
     );
-}
-
-/// `run_crawl_observed` survives only for the frozen harness under
-/// `benchmark/`; this is its one caller in the workspace. With every
-/// argument non-default, it and the struct it forwards to must produce
-/// the same registry, trace and timeline bytes.
-#[test]
-fn positional_adapter_cannot_drift_from_crawl_spec() {
-    let s = crawl_mixed(3);
-    let positional = run_crawl_observed(
-        s.sites,
-        s.seed,
-        s.threads,
-        s.sampler.as_ref(),
-        s.faults.as_ref(),
-        s.legacy_share,
-        s.h3_share,
-        s.obs.as_ref(),
-    );
-    assert_eq!(digests(&positional), digests(&s.run()));
 }
 
 /// One certificate's every field, and its modelled size. The SAN list

@@ -128,7 +128,7 @@ impl<'a> UniverseEnv<'a> {
     pub fn new(dataset: &'a Dataset) -> Self {
         UniverseEnv {
             dataset,
-            resolver: ResolverState::new(origin_dns::Transport::Udp53),
+            resolver: ResolverState::new(),
             origin_enabled_asns: Vec::new(),
             facts: RefCell::default(),
             origin_sets: RefCell::default(),

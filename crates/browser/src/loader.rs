@@ -12,8 +12,8 @@ use crate::env::WebEnv;
 use crate::policy::BrowserKind;
 use crate::pool::{ConnectionPool, PoolPartition, PooledConnection, ReuseDecision};
 use origin_h1::{
-    Connection as H1Connection, RequestHead as H1Request, ResponseHead as H1Response,
-    Role as H1Role, DEFAULT_MAX_CONNECTIONS_PER_HOST,
+    Connection as H1Connection, EventRef as H1Event, RequestHead as H1Request,
+    ResponseHead as H1Response, Role as H1Role, DEFAULT_MAX_CONNECTIONS_PER_HOST,
 };
 use origin_h3::{H3Conn, H3Counts, H3RequestStats, H3Session, QuicConnectOutcome};
 use origin_netsim::link::INIT_CWND;
@@ -31,10 +31,6 @@ use std::net::{IpAddr, Ipv4Addr};
 
 mod report;
 pub use report::{fault_counter_names, h3_counter_names};
-
-/// An h1 event whose heads borrow `&str`s (the alias pins the string
-/// type the headless variants leave open).
-type H1Event<'a> = origin_h1::EventRef<'a>;
 
 /// RFC 8336 ORIGIN frame type code — what the §6.7 middlebox keys on.
 const ORIGIN_FRAME_TYPE: u8 = origin_h2::FrameType::Origin.to_u8();

@@ -268,17 +268,6 @@ impl ActiveMeasurement {
         }
         matched
     }
-
-    /// [`ActiveMeasurement::wire_spot_check`] untraced, under the name
-    /// the frozen harness under `benchmark/` calls.
-    pub fn wire_spot_check_metrics(
-        &self,
-        group: &SampleGroup,
-        n: usize,
-        metrics: Option<&mut Registry>,
-    ) -> usize {
-        self.wire_spot_check(group, n, metrics, None)
-    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,8 @@
 pub mod active;
 pub mod edge;
 pub mod env;
+#[doc(hidden)]
+pub mod harness_compat;
 pub mod incident;
 pub mod longitudinal;
 pub mod passive;

@@ -1,40 +1,10 @@
-//! Caching stub resolver with per-transport privacy accounting.
+//! Caching stub resolver with plaintext (port-53) privacy accounting.
 
 use crate::name::DnsName;
 use crate::zone::{Answer, SerialKey, ZoneSet};
 use origin_netsim::hash::FxHashMap;
 use origin_netsim::{SimDuration, SimRng, SimTime};
 use origin_telemetry::trace::{Arg, Site, Tracer};
-
-/// The transport a client uses for its DNS queries. The paper's
-/// privacy argument (§6.2) is that every coalesced connection hides at
-/// least one query "if transmitted over UDP or TCP on port 53" —
-/// plaintext transports leak, encrypted ones don't.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Transport {
-    /// Classic cleartext DNS over UDP/TCP port 53.
-    Udp53,
-    /// DNS over TLS (RFC 7858).
-    DoT,
-    /// DNS over HTTPS (RFC 8484).
-    DoH,
-}
-
-impl Transport {
-    /// Whether queries over this transport are visible on-path.
-    pub fn is_plaintext(self) -> bool {
-        matches!(self, Transport::Udp53)
-    }
-
-    /// The variant's name, as trace events label it.
-    pub fn name(self) -> &'static str {
-        match self {
-            Transport::Udp53 => "Udp53",
-            Transport::DoT => "DoT",
-            Transport::DoH => "DoH",
-        }
-    }
-}
 
 /// Counters describing the resolver's work; the experiment harness
 /// reads these to report DNS-query reductions and privacy exposure.
@@ -44,7 +14,8 @@ pub struct ResolverStats {
     pub cache_hits: u64,
     /// Queries that went to the network.
     pub network_queries: u64,
-    /// Network queries sent in cleartext (subset of `network_queries`).
+    /// Network queries sent in cleartext: every network query, since
+    /// sessions resolve over port 53 (§6.2's on-path exposure).
     pub plaintext_queries: u64,
     /// Queries that returned NXDOMAIN.
     pub nxdomain: u64,
@@ -99,18 +70,24 @@ struct CacheEntry {
     expires: SimTime,
 }
 
-/// The mutable half of a caching stub resolver: cache, rotation
-/// serials, transport and latency model, and counters — everything a
-/// resolver *session* owns, with the authoritative [`ZoneSet`]
-/// borrowed read-only at each query.
+/// Base cost of a network lookup: one round trip to a cold recursive
+/// resolver doing upstream work, as the paper's cache-flushed crawls
+/// saw.
+const BASE_LATENCY: SimDuration = SimDuration::from_millis(30);
+/// Mean of the exponential tail added to [`BASE_LATENCY`].
+const TAIL_MEAN_MS: f64 = 60.0;
+
+/// A caching stub resolver session: cache, rotation serials and
+/// counters, with the authoritative [`ZoneSet`] borrowed read-only at
+/// each query.
 ///
 /// This split is what lets many sessions (one per crawl worker)
 /// resolve against one shared zone set concurrently: the zones never
 /// mutate; every session carries its own `ResolverState`.
 ///
-/// Latency model: cache hits are free; network queries cost one
-/// resolver round trip (configurable base latency with exponential
-/// tail jitter, reflecting real-world recursive lookup behaviour).
+/// Queries go over plaintext port 53. Cache hits are free; a network
+/// query costs a 30 ms base plus a 60 ms-mean exponential tail.
+#[derive(Default)]
 pub struct ResolverState {
     /// Keyed by the queried name itself (a refcount bump on the caller's
     /// `DnsName`), so a flush leaves no name behind: a session reused
@@ -118,35 +95,13 @@ pub struct ResolverState {
     cache: FxHashMap<DnsName, CacheEntry>,
     /// Per-session round-robin serials overlaying the shared zones.
     serials: FxHashMap<SerialKey, u32>,
-    /// Transport used for network queries.
-    pub transport: Transport,
-    /// Base network-lookup latency.
-    pub base_latency: SimDuration,
-    /// Mean of the exponential tail added to `base_latency`.
-    pub tail_mean_ms: f64,
     stats: ResolverStats,
 }
 
 impl ResolverState {
-    /// A fresh session with a 30 ms base lookup cost and a 60 ms-mean
-    /// exponential tail — a cold recursive resolver doing upstream
-    /// work, as the paper's cache-flushed crawls saw.
-    pub fn new(transport: Transport) -> Self {
-        ResolverState {
-            cache: FxHashMap::default(),
-            serials: FxHashMap::default(),
-            transport,
-            base_latency: SimDuration::from_millis(30),
-            tail_mean_ms: 60.0,
-            stats: ResolverStats::default(),
-        }
-    }
-
-    /// Replace the latency model.
-    pub fn with_latency(mut self, base: SimDuration, tail_mean_ms: f64) -> Self {
-        self.base_latency = base;
-        self.tail_mean_ms = tail_mean_ms;
-        self
+    /// A fresh, cold session.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Accumulated counters.
@@ -214,10 +169,8 @@ impl ResolverState {
             self.cache.remove(name);
         }
         self.stats.network_queries += 1;
-        if self.transport.is_plaintext() {
-            self.stats.plaintext_queries += 1;
-        }
-        let latency = self.network_latency(rng);
+        self.stats.plaintext_queries += 1;
+        let latency = BASE_LATENCY + SimDuration::from_millis_f64(rng.exponential(TAIL_MEAN_MS));
         let Some(Answer {
             addresses,
             ttl_secs,
@@ -236,8 +189,8 @@ impl ResolverState {
                 latency.as_micros(),
                 &[
                     host,
-                    Arg::Str(self.transport.name()),
-                    Arg::Bool(self.transport.is_plaintext()),
+                    Arg::Str("Udp53"),
+                    Arg::Bool(true),
                     Arg::U64(addresses.len() as u64),
                 ],
             );
@@ -255,70 +208,6 @@ impl ResolverState {
             latency,
         })
     }
-
-    fn network_latency(&self, rng: &mut SimRng) -> SimDuration {
-        let tail = if self.tail_mean_ms > 0.0 {
-            rng.exponential(self.tail_mean_ms)
-        } else {
-            0.0
-        };
-        self.base_latency + SimDuration::from_millis_f64(tail)
-    }
-}
-
-/// A caching stub resolver owning its [`ZoneSet`] — the convenient
-/// single-threaded wrapper around [`ResolverState`].
-pub struct Resolver {
-    zones: ZoneSet,
-    state: ResolverState,
-}
-
-impl Resolver {
-    /// Create a resolver over `zones`; see [`ResolverState::new`] for
-    /// the latency defaults.
-    pub fn new(zones: ZoneSet, transport: Transport) -> Self {
-        Resolver {
-            zones,
-            state: ResolverState::new(transport),
-        }
-    }
-
-    /// Replace the latency model.
-    pub fn with_latency(mut self, base: SimDuration, tail_mean_ms: f64) -> Self {
-        self.state = self.state.with_latency(base, tail_mean_ms);
-        self
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> ResolverStats {
-        self.state.stats()
-    }
-
-    /// Reset counters (cache is preserved).
-    pub fn reset_stats(&mut self) {
-        self.state.reset_stats();
-    }
-
-    /// Drop all cached entries and rotation state.
-    pub fn flush_cache(&mut self) {
-        self.state.flush_cache();
-    }
-
-    /// Transport used for network queries.
-    pub fn transport(&self) -> Transport {
-        self.state.transport
-    }
-
-    /// Resolve `name` at simulated time `now`; see
-    /// [`ResolverState::resolve`].
-    pub fn resolve(
-        &mut self,
-        name: &DnsName,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Option<QueryAnswer> {
-        self.state.resolve(&self.zones, name, now, rng, None)
-    }
 }
 
 #[cfg(test)]
@@ -327,31 +216,26 @@ mod tests {
     use crate::name::name;
     use crate::record::{v4, RecordSet};
 
-    fn setup() -> (Resolver, SimRng) {
+    fn setup() -> (ZoneSet, ResolverState, SimRng) {
         let mut zones = ZoneSet::new();
         zones.insert(
             name("www.example.com"),
             RecordSet::new(vec![v4(10, 0, 0, 1)], 60),
         );
-        (
-            Resolver::new(zones, Transport::Udp53).with_latency(SimDuration::from_millis(15), 0.0),
-            SimRng::seed_from_u64(7),
-        )
+        (zones, ResolverState::new(), SimRng::seed_from_u64(7))
     }
 
     #[test]
     fn network_then_cache() {
-        let (mut r, mut rng) = setup();
-        let t0 = SimTime::ZERO;
-        let a1 = r.resolve(&name("www.example.com"), t0, &mut rng).unwrap();
+        let (zones, mut r, mut rng) = setup();
+        let www = name("www.example.com");
+        let a1 = r
+            .resolve(&zones, &www, SimTime::ZERO, &mut rng, None)
+            .unwrap();
         assert!(!a1.from_cache);
-        assert_eq!(a1.latency, SimDuration::from_millis(15));
+        assert!(a1.latency >= BASE_LATENCY, "{:?}", a1.latency);
         let a2 = r
-            .resolve(
-                &name("www.example.com"),
-                t0 + SimDuration::from_secs(1),
-                &mut rng,
-            )
+            .resolve(&zones, &www, SimTime::from_secs(1), &mut rng, None)
             .unwrap();
         assert!(a2.from_cache);
         assert_eq!(a2.latency, SimDuration::ZERO);
@@ -363,59 +247,57 @@ mod tests {
 
     #[test]
     fn ttl_expiry_forces_requery() {
-        let (mut r, mut rng) = setup();
-        r.resolve(&name("www.example.com"), SimTime::ZERO, &mut rng)
+        let (zones, mut r, mut rng) = setup();
+        let www = name("www.example.com");
+        r.resolve(&zones, &www, SimTime::ZERO, &mut rng, None)
             .unwrap();
         // 61 s later the 60 s TTL has lapsed.
         let a = r
-            .resolve(&name("www.example.com"), SimTime::from_secs(61), &mut rng)
+            .resolve(&zones, &www, SimTime::from_secs(61), &mut rng, None)
             .unwrap();
         assert!(!a.from_cache);
         assert_eq!(r.stats().network_queries, 2);
+        assert_eq!(r.stats().plaintext_queries, 2);
     }
 
     #[test]
     fn nxdomain_counts() {
-        let (mut r, mut rng) = setup();
+        let (zones, mut r, mut rng) = setup();
+        let missing = name("missing.example.com");
         assert!(r
-            .resolve(&name("missing.example.com"), SimTime::ZERO, &mut rng)
+            .resolve(&zones, &missing, SimTime::ZERO, &mut rng, None)
             .is_none());
         assert_eq!(r.stats().nxdomain, 1);
     }
 
     #[test]
-    fn encrypted_transport_not_plaintext() {
-        let mut zones = ZoneSet::new();
-        zones.insert(name("x.com"), RecordSet::single(v4(1, 1, 1, 1)));
-        let mut r = Resolver::new(zones, Transport::DoH);
-        let mut rng = SimRng::seed_from_u64(1);
-        r.resolve(&name("x.com"), SimTime::ZERO, &mut rng);
-        assert_eq!(r.stats().network_queries, 1);
-        assert_eq!(r.stats().plaintext_queries, 0);
-        assert!(!Transport::DoT.is_plaintext());
-        assert!(Transport::Udp53.is_plaintext());
-    }
-
-    #[test]
     fn flush_cache_forces_requery() {
-        let (mut r, mut rng) = setup();
-        r.resolve(&name("www.example.com"), SimTime::ZERO, &mut rng)
+        let (zones, mut r, mut rng) = setup();
+        let www = name("www.example.com");
+        r.resolve(&zones, &www, SimTime::ZERO, &mut rng, None)
             .unwrap();
         r.flush_cache();
         let a = r
-            .resolve(&name("www.example.com"), SimTime::from_secs(1), &mut rng)
+            .resolve(&zones, &www, SimTime::from_secs(1), &mut rng, None)
             .unwrap();
         assert!(!a.from_cache);
     }
 
     #[test]
-    fn latency_tail_adds() {
-        let mut zones = ZoneSet::new();
-        zones.insert(name("x.com"), RecordSet::single(v4(1, 1, 1, 1)));
-        let mut r =
-            Resolver::new(zones, Transport::Udp53).with_latency(SimDuration::from_millis(15), 10.0);
-        let mut rng = SimRng::seed_from_u64(2);
-        let a = r.resolve(&name("x.com"), SimTime::ZERO, &mut rng).unwrap();
-        assert!(a.latency >= SimDuration::from_millis(15));
+    fn latency_is_the_base_plus_one_exponential_draw() {
+        let (zones, mut r, mut rng) = setup();
+        let mut twin = SimRng::seed_from_u64(7);
+        let a = r
+            .resolve(
+                &zones,
+                &name("www.example.com"),
+                SimTime::ZERO,
+                &mut rng,
+                None,
+            )
+            .unwrap();
+        let tail = SimDuration::from_millis_f64(twin.exponential(TAIL_MEAN_MS));
+        assert_eq!(a.latency, BASE_LATENCY + tail);
+        assert_eq!(rng.next_u64(), twin.next_u64());
     }
 }

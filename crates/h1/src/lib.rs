@@ -6,9 +6,9 @@
 //! part of HTTP/1.1 that matters for that accounting, in the h11
 //! event/state/connection style:
 //!
-//! - **Typed events** ([`Event`], and [`EventRef`] for a caller that
-//!   only borrows its heads): request/response heads, body chunks,
-//!   end-of-message, connection close. No bytes are read or written
+//! - **Typed events** ([`EventRef`], whose heads borrow the caller's
+//!   strings): request/response heads, body chunks, end-of-message,
+//!   connection close. No bytes are read or written
 //!   by the machine itself — callers feed events in and get wire
 //!   bytes (for heads) out, in a buffer the connection keeps.
 //! - **A role/state transition table** ([`state::transition`]):
@@ -32,10 +32,14 @@
 
 pub mod conn;
 pub mod event;
+#[doc(hidden)]
+pub mod harness_compat;
 pub mod state;
 
 pub use conn::{Connection, H1Error};
-pub use event::{Event, EventRef, Framing, Request, RequestHead, Response, ResponseHead};
+pub use event::{EventRef, Framing, RequestHead, ResponseHead};
+#[doc(hidden)]
+pub use harness_compat::*;
 pub use state::{EventKind, Role, State};
 
 /// The classic browser cap on parallel HTTP/1.1 connections to one

@@ -70,18 +70,18 @@ impl fmt::Display for State {
     }
 }
 
-/// The shape of an [`crate::Event`], for table lookup.
+/// The shape of an [`crate::EventRef`], for table lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A request head ([`crate::Event::Request`]).
+    /// A request head ([`crate::EventRef::Request`]).
     RequestHead,
-    /// A response head ([`crate::Event::Response`]).
+    /// A response head ([`crate::EventRef::Response`]).
     ResponseHead,
-    /// Body bytes ([`crate::Event::Data`]).
+    /// Body bytes ([`crate::EventRef::Data`]).
     Data,
-    /// End of the current message ([`crate::Event::EndOfMessage`]).
+    /// End of the current message ([`crate::EventRef::EndOfMessage`]).
     EndOfMessage,
-    /// Transport close ([`crate::Event::ConnectionClosed`]).
+    /// Transport close ([`crate::EventRef::ConnectionClosed`]).
     ConnectionClosed,
 }
 

@@ -36,6 +36,8 @@
 pub mod arrival;
 pub mod event;
 pub mod fault;
+#[doc(hidden)]
+pub mod harness_compat;
 pub mod hash;
 pub mod json;
 pub mod link;

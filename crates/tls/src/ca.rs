@@ -191,9 +191,7 @@ impl CertificateAuthority {
         cert.sans
             .reserve_exact(extra_sans.len() - usize::from(wildcard));
         for n in extra_sans {
-            if !cert.covers_as_filler(n) {
-                cert.list(n);
-            }
+            cert.list(n);
         }
         let limit = self.issuer.san_limit();
         if cert.san_count() > limit {

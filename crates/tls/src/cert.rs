@@ -90,13 +90,15 @@ impl Certificate {
         name.is_wildcard() && name.parent_str() == Some(self.subject.as_str())
     }
 
-    /// List `name` after the listed names unless it is one of them. A
-    /// `*.{subject}` right after the subject becomes its flag.
+    /// List `name` after the listed names unless it is one of them or
+    /// one of the filler names. A `*.{subject}` right after the subject
+    /// becomes its flag.
     pub(crate) fn list(&mut self, name: &DnsName) {
         let wildcard = self.is_subject_wildcard(name);
         let listed = (self.subject_listed && *name == self.subject)
             || (self.wildcard_listed && wildcard)
-            || self.sans.contains(name);
+            || self.sans.contains(name)
+            || self.covers_as_filler(name);
         if wildcard && self.subject_listed && !self.wildcard_listed && self.sans.is_empty() {
             self.wildcard_listed = true;
         } else if !listed {
@@ -198,9 +200,13 @@ impl CertificateBuilder {
     }
 
     /// List `n` filler names after the SANs (see
-    /// [`Certificate::filler`]).
+    /// [`Certificate::filler`]). A listed SAN that is one of them is
+    /// listed once, as filler.
     pub fn filler(mut self, n: u16) -> Self {
         self.cert.filler = n;
+        for name in std::mem::take(&mut self.cert.sans) {
+            self.cert.list(&name);
+        }
         self
     }
 
@@ -416,9 +422,53 @@ mod tests {
         assert_eq!(c.san_count(), 5);
     }
 
+    /// An extra SAN that is one of the filler names is listed once, as
+    /// filler, whether the builder sees it before or after the count —
+    /// as the CA lists it.
+    #[test]
+    fn builder_and_ca_list_a_filler_named_extra_once() {
+        use crate::ca::{CertificateAuthority, KnownIssuer};
+        use crate::ctlog::CtLogSet;
+        let mut ct = CtLogSet::default_operators();
+        let mut ca = CertificateAuthority::new(KnownIssuer::LetsEncrypt);
+        let a = name("a.com");
+        for extras in [
+            vec![name("alt-0.a.com")],
+            vec![name("alt-1.a.com"), name("*.a.com"), name("www.a.com")],
+            vec![name("www.a.com"), name("alt-0.a.com"), name("alt-2.a.com")],
+        ] {
+            let issued = ca
+                .issue_with_filler(a.clone(), &extras, 2, 0, &mut ct)
+                .unwrap();
+            let before = CertificateBuilder::new(a.clone())
+                .sans(extras.iter().cloned())
+                .filler(2)
+                .build();
+            let after = CertificateBuilder::new(a.clone())
+                .filler(2)
+                .sans(extras.iter().cloned())
+                .build();
+            for c in [&before, &after] {
+                assert_eq!(c.san_count(), issued.san_count(), "{extras:?}");
+                assert!(c.san_names().eq(issued.san_names()), "{extras:?}");
+                assert_eq!(c.san_bytes(), issued.san_bytes(), "{extras:?}");
+                assert_eq!(
+                    (&c.sans, c.wildcard_listed),
+                    (&issued.sans, issued.wildcard_listed),
+                    "{extras:?}"
+                );
+            }
+        }
+        let c = CertificateBuilder::new(a)
+            .san(name("alt-0.a.com"))
+            .filler(1)
+            .build();
+        assert_eq!(c.san_count(), 2);
+    }
+
     /// A certificate as it was stored when every listed SAN was a `Vec`
-    /// entry: the subject, then each extra not listed yet (at a CA, nor
-    /// one of the filler names), then `filler` filler names.
+    /// entry: the subject, then each extra not listed yet nor one of the
+    /// filler names, then `filler` filler names.
     struct Listed {
         subject: DnsName,
         sans: Vec<DnsName>,
@@ -426,14 +476,14 @@ mod tests {
     }
 
     impl Listed {
-        fn new(subject: &DnsName, extras: &[DnsName], filler: u16, at_ca: bool) -> Self {
+        fn new(subject: &DnsName, extras: &[DnsName], filler: u16) -> Self {
             let mut t = Listed {
                 subject: subject.clone(),
                 sans: vec![subject.clone()],
                 filler,
             };
             for n in extras {
-                if !(t.sans.contains(n) || at_ca && t.is_filler(n)) {
+                if !(t.sans.contains(n) || t.is_filler(n)) {
                     t.sans.push(n.clone());
                 }
             }
@@ -521,7 +571,7 @@ mod tests {
             );
             let at = format!("round {round}: {subject} {extras:?} filler {filler}");
 
-            let twin = Listed::new(&subject, &extras, filler, false);
+            let twin = Listed::new(&subject, &extras, filler);
             let built = |extras: &[DnsName]| {
                 CertificateBuilder::new(subject.clone())
                     .sans(extras.iter().cloned())
@@ -531,7 +581,7 @@ mod tests {
             let c = built(&extras);
             twin.check(&c, &probes, &at);
             rules[0] += u32::from(c.wildcard_listed);
-            let other = Listed::new(&subject, &others, filler, false);
+            let other = Listed::new(&subject, &others, filler);
             assert_eq!(
                 c == built(&others),
                 twin.sans == other.sans,
@@ -539,7 +589,7 @@ mod tests {
             );
             equal += u32::from(twin.sans == other.sans);
 
-            let twin = Listed::new(&subject, &extras, filler, true);
+            let twin = Listed::new(&subject, &extras, filler);
             let requested = twin.sans.len() + usize::from(filler);
             match ca.issue_with_filler(subject.clone(), &extras, filler, 0, &mut ct) {
                 Ok(c) => {

@@ -501,6 +501,86 @@ fn frame_decoder_never_panics_on_garbage() {
     }
 }
 
+/// One recorded h2 exchange: the client preface and SETTINGS; the
+/// server's SETTINGS, ORIGIN and ACK; the client's ACK and two HEADERS;
+/// the server's HEADERS, DATA and GOAWAY. Returns every flight as
+/// `(to_server, bytes)` and both endpoints as they stood just before
+/// flight `upto` was delivered (after the whole exchange when `upto` is
+/// past the last).
+fn h2_exchange(
+    upto: usize,
+) -> (
+    Vec<(bool, Vec<u8>)>,
+    respect_origin::h2::Connection,
+    respect_origin::h2::Connection,
+) {
+    use respect_origin::h2::conn::{request_headers, ServerConfig};
+    use respect_origin::h2::{Connection, ErrorCode, OriginSet, Settings};
+    let mut client = Connection::client("a.example", Settings::default());
+    let mut server = Connection::server(ServerConfig {
+        settings: Settings::default(),
+        origin_set: Some(OriginSet::from_hosts(["a.example", "cdn.example"])),
+        authorized: vec!["a.example".into(), "cdn.example".into()],
+    });
+    let mut flights: Vec<(bool, Vec<u8>)> = Vec::new();
+    let mut streams = Vec::new();
+    for k in 0..4 {
+        if let Some((to_server, bytes)) = flights.last() {
+            if k - 1 == upto {
+                return (flights, client, server);
+            }
+            let rx = if *to_server { &mut server } else { &mut client };
+            rx.recv(bytes).expect("the recorded exchange is valid");
+        }
+        match k {
+            2 => {
+                for (host, path) in [("a.example", "/"), ("cdn.example", "/app.js")] {
+                    streams.push(client.send_request(&request_headers("GET", host, path), true));
+                }
+            }
+            3 => {
+                for (i, &s) in streams.iter().enumerate() {
+                    server.send_response(s, 200, &vec![b'x'; 100 + 900 * i]);
+                }
+                server.send_goaway(ErrorCode::NoError);
+            }
+            _ => {}
+        }
+        let to_server = k % 2 == 0;
+        let tx = if to_server { &mut client } else { &mut server };
+        flights.push((to_server, tx.take_outgoing().to_vec()));
+    }
+    (flights, client, server)
+}
+
+/// Every hostile variant of every flight of the recorded exchange, fed
+/// to the endpoint it was meant for in the state it would have met it:
+/// nothing panics on either role, and every error names its recovery —
+/// never a same-connection retry for a connection-fatal one.
+#[test]
+fn h2_connections_never_panic_on_hostile_flights() {
+    use respect_origin::h2::Recovery;
+    let (flights, ..) = h2_exchange(usize::MAX);
+    assert_eq!(flights.len(), 4);
+    let mut rng = SimRng::seed_from_u64(0x4832_4346);
+    let mut errors = [0u32; 2];
+    for _ in 0..64 {
+        for (k, (to_server, valid)) in flights.iter().enumerate() {
+            for bytes in hostile_variants(&mut rng, valid) {
+                let (_, mut client, mut server) = h2_exchange(k);
+                let rx = if *to_server { &mut server } else { &mut client };
+                if let Err(e) = rx.recv(&bytes) {
+                    errors[usize::from(*to_server)] += 1;
+                    if e.is_connection_fatal() {
+                        assert_ne!(e.recovery(), Recovery::RetryStream, "flight {k}: {e}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(errors.iter().all(|&n| n > 0), "errors by role {errors:?}");
+}
+
 #[test]
 fn origin_frame_roundtrips() {
     let mut rng = SimRng::seed_from_u64(0x46524D32);
@@ -1066,7 +1146,7 @@ fn h1_framing_fields_never_panic_and_lengths_are_digits() {
                         Role::Client => conn.send_ref(post).is_ok(),
                         Role::Server => conn.receive_ref(post).is_ok(),
                     };
-                    let body = EventRef::<&str>::Data(1);
+                    let body = EventRef::Data(1);
                     let took_body = accepted
                         && match role {
                             Role::Client => conn.send_ref(body).is_ok(),
@@ -1083,12 +1163,12 @@ fn h1_framing_fields_never_panic_and_lengths_are_digits() {
                     let accepted = match role {
                         Role::Client => {
                             conn.send_ref(EventRef::Request(get)).unwrap();
-                            conn.send_ref(EventRef::<&str>::EndOfMessage).unwrap();
+                            conn.send_ref(EventRef::EndOfMessage).unwrap();
                             conn.receive_ref(head).is_ok()
                         }
                         Role::Server => {
                             conn.receive_ref(EventRef::Request(get)).unwrap();
-                            conn.receive_ref(EventRef::<&str>::EndOfMessage).unwrap();
+                            conn.receive_ref(EventRef::EndOfMessage).unwrap();
                             conn.send_ref(head).is_ok()
                         }
                     };
