@@ -103,7 +103,7 @@ fn bench_full_characterization(c: &mut Criterion) {
 ///   noise of `clean`); `mixed` is the acceptance profile with all
 ///   three fault classes firing;
 /// - `crawl_mixed` / `crawl_h3`: `share_0.00` again is plumbing only;
-///   the nonzero legacy shares add the h1 machine drive, ALPN
+///   the nonzero legacy shares add the h1 cycle count, ALPN
 ///   bookkeeping and the per-connection redundancy probes, the nonzero
 ///   h3 shares Alt-Svc learning, QUIC handshakes, QPACK encoding and
 ///   CID rotation on every upgraded connection.

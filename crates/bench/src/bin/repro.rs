@@ -337,8 +337,13 @@ fn parse_args(argv: &[String]) -> Args {
         fault_abort: None,
         flight_recorder: None,
     };
+    // Whether a share flag was given at all, whatever its value: a
+    // report flag needs its parent flag, as `--faults-report` does.
+    let (mut legacy_share, mut h3_share) = (false, false);
     let mut it = argv.iter().cloned().peekable();
     while let Some(a) = it.next() {
+        legacy_share |= a == "--legacy-share";
+        h3_share |= a == "--h3-share";
         if parse_crawl_flag(&mut args.spec, &a, &mut it) {
             continue;
         }
@@ -386,6 +391,12 @@ fn parse_args(argv: &[String]) -> Args {
     }
     if args.faults_report.is_some() && args.spec.faults.is_none() {
         die("--faults-report requires --faults");
+    }
+    if args.redundancy_report.is_some() && !legacy_share {
+        die("--redundancy-report requires --legacy-share");
+    }
+    if args.h3_report.is_some() && !h3_share {
+        die("--h3-report requires --h3-share");
     }
     if args.window_ms.is_some() && args.timeline.is_none() {
         die("--window requires --timeline");

@@ -428,8 +428,8 @@ pub struct CrawlSpec {
     pub faults: Option<FaultProfile>,
     /// Fraction of sites regenerated as legacy HTTP/1.1 deployments
     /// (see `origin_webgen::DatasetConfig::legacy_share`). Legacy
-    /// visits drive the sans-IO `origin-h1` machine and feed the
-    /// `h1.*` counters a [`RedundancyReport`] is built from.
+    /// visits feed the `h1.*` counters a [`RedundancyReport`] is built
+    /// from.
     pub legacy_share: f64,
     /// Fraction of non-legacy sites deploying HTTP/3 (see
     /// `origin_webgen::DatasetConfig::h3_share`). H3 visits feed the

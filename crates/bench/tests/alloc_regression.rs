@@ -167,9 +167,9 @@ const MAX_GEN_ALLOCS_PER_SITE: f64 = 9.0;
 const MAX_PAGE_ALLOCS_PER_VISIT: u64 = 4;
 const MAX_LOAD_ALLOCS_PER_VISIT: u64 = 2;
 const MAX_ANALYSIS_ALLOCS_PER_VISIT: f64 = 8.0;
-/// The same load ceiling where every page drives the QPACK machines
-/// and the h3 session (`h3_share` 1.0) or the HTTP/1.1 machine
-/// (`legacy_share` 1.0). Measured 13.0 and 0.16.
+/// The same load ceiling where every page drives the QPACK encoder
+/// and the h3 session (`h3_share` 1.0) or counts HTTP/1.1 cycles
+/// (`legacy_share` 1.0). Measured 10 and 0.
 const MAX_H3_LOAD_ALLOCS_PER_VISIT: u64 = 30;
 const MAX_LEGACY_LOAD_ALLOCS_PER_VISIT: u64 = 2;
 /// What tracing a visit may add to its load's allocations.

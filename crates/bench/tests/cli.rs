@@ -127,6 +127,31 @@ fn a_sampling_rate_without_a_trace_is_a_usage_error() {
 }
 
 #[test]
+fn a_protocol_report_requires_its_share_flag_at_any_value() {
+    // Like `--faults-report` without `--faults`: the check is on the
+    // flag, not its value, so share 0 (the clean baseline) still
+    // writes its report.
+    let dir = std::env::temp_dir().join(format!("repro-cli-share-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("r.json");
+    let path = path.to_str().expect("a UTF-8 temp path");
+    for (report, share) in [
+        ("--redundancy-report", "--legacy-share"),
+        ("--h3-report", "--h3-share"),
+    ] {
+        let out = repro(&["--only", "t1", report, path]);
+        assert_eq!(out.status.code(), Some(2), "{report}");
+        assert!(stderr(&out).contains(&format!("{report} requires {share}")));
+        assert!(stdout(&out).is_empty(), "nothing ran");
+
+        let out = repro(&["--only", "t1", share, "0", report, path]);
+        assert_eq!(out.status.code(), Some(0), "{report}: {}", stderr(&out));
+        std::fs::remove_file(path).expect("the report was written");
+    }
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+#[test]
 fn watch_takes_the_last_rank_and_refuses_the_one_past_it() {
     // Ranks are 1-based: site 200 of 200 exists, site 201 does not.
     let watch = |range: &str| {

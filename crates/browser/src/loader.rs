@@ -10,10 +10,8 @@
 
 use crate::env::WebEnv;
 use crate::policy::BrowserKind;
-use crate::pool::{ConnectionPool, PoolPartition, PooledConnection, ReuseDecision};
-use origin_h1::{
-    Connection as H1Connection, EventRef as H1Event, RequestHead as H1Request,
-    ResponseHead as H1Response, Role as H1Role, DEFAULT_MAX_CONNECTIONS_PER_HOST,
+use crate::pool::{
+    ConnectionPool, PoolPartition, PooledConnection, ReuseDecision, MAX_H1_CONNECTIONS_PER_HOST,
 };
 use origin_h3::{H3Conn, H3Counts, H3RequestStats, H3Session, QuicConnectOutcome};
 use origin_netsim::link::INIT_CWND;
@@ -26,7 +24,6 @@ use origin_telemetry::obs::{FlightRecorder, VisitSinks};
 use origin_telemetry::trace::Tracer;
 use origin_web::har::{ms_to_us, PageLoad, Phase, RequestTiming, SealedUs};
 use origin_web::{Page, Protocol, Resource};
-use std::fmt::Write;
 use std::net::{IpAddr, Ipv4Addr};
 
 mod report;
@@ -182,47 +179,25 @@ struct H1Stats {
     redundant: [u64; 5],
 }
 
-/// The protocol machine riding one pooled connection. Every connection
-/// enters the pool as `H2` — h2 needs no per-connection machine here —
-/// and is upgraded in place the first time a request needs one: a
-/// legacy page's HTTP/1.1 request, or a request riding a connection the
-/// pool marks `quic`. Legacy and h3 pages are disjoint, so a slot is
-/// only ever upgraded once. `H1(i)` and `Quic(i)` name the arena's
-/// `i`-th machine of their kind ([`Machines`]).
-#[derive(Clone, Copy)]
-enum Transport {
-    H2,
-    H1(usize),
-    Quic(usize),
-}
-
-/// The protocol machines of one kind an arena keeps. The first `used`
-/// ride connections of the current visit; the rest wait, in whatever
-/// state their last connection left them, to be reset and taken — so
-/// there are never more than the one visit that drove the most needed.
-struct Machines<M> {
-    all: Vec<M>,
+/// The QUIC machines an arena keeps. The first `used` ride connections
+/// of the current visit; the rest wait, in whatever state their last
+/// connection left them, to be reset and taken — so there are never
+/// more than the one visit that drove the most needed.
+#[derive(Default)]
+struct QuicMachines {
+    all: Vec<H3Conn>,
     used: usize,
 }
 
-impl<M> Default for Machines<M> {
-    fn default() -> Self {
-        Machines {
-            all: Vec::new(),
-            used: 0,
-        }
-    }
-}
-
-impl<M> Machines<M> {
+impl QuicMachines {
     /// The index of a machine no connection of this visit rides: the
-    /// next waiting one after `reset`, else a `fresh` one.
-    fn take(&mut self, fresh: impl FnOnce() -> M, reset: impl FnOnce(&mut M)) -> usize {
+    /// next waiting one, reset, else a fresh one.
+    fn take(&mut self) -> usize {
         let i = self.used;
         self.used += 1;
         match self.all.get_mut(i) {
-            Some(machine) => reset(machine),
-            None => self.all.push(fresh()),
+            Some(machine) => machine.reset(),
+            None => self.all.push(H3Conn::new()),
         }
         i
     }
@@ -234,7 +209,12 @@ struct ConnState {
     /// Simulated time (µs) the connection started opening — the anchor
     /// for coalescing flow arrows.
     open_us: u64,
-    transport: Transport,
+    /// HTTP/1.1 request/response cycles the connection has carried:
+    /// the legacy requests it served that were not coalesced rides.
+    h1_cycles: u64,
+    /// The arena's QUIC machine riding the connection, taken by its
+    /// first request over QUIC.
+    quic: Option<usize>,
 }
 
 /// Per-visit working memory, recycled across page loads.
@@ -247,11 +227,10 @@ struct ConnState {
 /// next load, and [`VisitArena::recycle`] returns a consumed
 /// [`PageLoad`]'s request storage to the arena.
 ///
-/// The same goes for the protocol machines: the h1 and h3 connection
-/// machines a visit drove stay in the arena, and a later connection
-/// that needs one takes it reset — tables empty, insert counts and
-/// counters zero — with its tables' strings and its wire buffers still
-/// allocated.
+/// The same goes for the QUIC machines: the QPACK encoders a visit
+/// drove stay in the arena, and a later QUIC connection takes one
+/// reset — table empty, insert counts and counters zero — with its
+/// table's strings and its wire buffers still allocated.
 ///
 /// The arena carries *capacity* only, never keys: every value written
 /// during a load is a pure function of page, environment and RNG, so
@@ -271,14 +250,10 @@ pub struct VisitArena {
     /// validated addresses. Reset per visit (fresh browser session);
     /// never touched on non-h3 pages.
     h3_session: H3Session,
-    /// Where an HTTP/1.1 request line or an HTTP/3 field section gets
-    /// its resource's path rendered; h2 requests never read one.
+    /// Where an HTTP/1.1 framing decision or an HTTP/3 field section
+    /// gets its resource's path rendered; h2 requests never read one.
     path: String,
-    /// Where an HTTP/1.1 response head gets its `content-length`
-    /// rendered.
-    length: String,
-    h1: Machines<H1Connection>,
-    quic: Machines<H3Conn>,
+    quic: QuicMachines,
 }
 
 impl VisitArena {
@@ -431,7 +406,6 @@ impl PageLoader {
         let n = page.resources.len();
         arena.pool.clear();
         arena.conns.clear();
-        arena.h1.used = 0;
         arena.quic.used = 0;
         arena.h3_session.recycle();
         arena.timings.clear();
@@ -503,8 +477,8 @@ struct Request<'p> {
     /// upgrade to QUIC. Never true outside an h3 universe, so the
     /// pure-h2 paths are untouched at `h3_share = 0`.
     h3_eligible: bool,
-    /// A legacy page's HTTP/1.1 requests drive the sans-IO state
-    /// machine; the gate is the page's legacy flag — never the
+    /// A legacy page's HTTP/1.1 requests count keep-alive cycles and
+    /// framing; the gate is the page's legacy flag — never the
     /// protocol alone — so the default universe's sampled-H11 traffic
     /// keeps its exact pre-mixed-universe behaviour.
     legacy_h1: bool,
@@ -701,7 +675,7 @@ impl Visit<'_> {
             host,
             addrs,
             rq.partition,
-            DEFAULT_MAX_CONNECTIONS_PER_HOST,
+            MAX_H1_CONNECTIONS_PER_HOST,
             at,
             |ch| self.env.colocated(ch, host),
         )
@@ -1008,7 +982,8 @@ impl Visit<'_> {
         });
         self.arena.conns.push(ConnState {
             open_us,
-            transport: Transport::H2,
+            h1_cycles: 0,
+            quic: None,
         });
         debug_assert_eq!(self.arena.conns.len(), self.arena.pool.len());
         i
@@ -1016,9 +991,9 @@ impl Visit<'_> {
 
     /// Stage 4 — transfer: send/wait/receive on the serving
     /// connection. The think time draws from `rng`; packet fates and
-    /// every retransmit backoff draw from the fault RNG. Then the
-    /// connection's protocol machine (QPACK for QUIC, the sans-IO
-    /// state machine for legacy HTTP/1.1) runs the exchange.
+    /// every retransmit backoff draw from the fault RNG. Then a QUIC
+    /// connection's QPACK encoder compresses the request's header
+    /// block, and a legacy HTTP/1.1 request counts its cycle.
     fn transfer(&mut self, rq: &mut Request<'_>, conn_idx: usize) {
         let res = rq.res;
         let start = rq.t.start;
@@ -1070,27 +1045,18 @@ impl Visit<'_> {
             conn.busy_until = start + rq.t.total();
         }
 
-        // Requests riding a QUIC connection drive its QPACK
-        // encoder/decoder pair (static/dynamic compression replaces
-        // HPACK) and periodic connection-ID rotation. Only h3 pages
-        // ever mark a connection `quic`, so this block is dead at
-        // `h3_share = 0`.
+        // Requests riding a QUIC connection drive its QPACK encoder
+        // (static/dynamic compression replaces HPACK) and periodic
+        // connection-ID rotation. Only h3 pages ever mark a connection
+        // `quic`, so this block is dead at `h3_share = 0`.
         if conn.quic {
             self.h3.requests += 1;
             let arena = &mut *self.arena;
-            let transport = &mut arena.conns[conn_idx].transport;
-            if let Transport::H2 = transport {
-                *transport = Transport::Quic(arena.quic.take(H3Conn::new, H3Conn::reset));
-            }
-            let Transport::Quic(i) = *transport else {
-                unreachable!("an HTTP/1.1 connection is never marked quic")
-            };
-            let machine = &mut arena.quic.all[i];
+            let i = *arena.conns[conn_idx]
+                .quic
+                .get_or_insert_with(|| arena.quic.take());
             let path = res.render_path(&self.page.hosts, &mut arena.path);
-            let stats = machine
-                .drive_request(rq.t.host.as_str(), path)
-                .expect("own QPACK streams decode to the fields that went in");
-            rq.h3_qpack = Some(stats);
+            rq.h3_qpack = Some(arena.quic.all[i].drive_request(rq.t.host.as_str(), path));
         }
         if rq.legacy_h1 {
             self.h1.requests += 1;
@@ -1098,83 +1064,34 @@ impl Visit<'_> {
             // (protocol-blind) models ever coalesce h1, and they model
             // structure, not wire protocol.
             if !rq.t.coalesced {
-                self.drive_h1(rq, conn_idx);
+                self.h1_cycle(rq, conn_idx);
             }
         }
     }
 
-    /// Drive the sans-IO HTTP/1.1 machine through one full
-    /// request/response cycle for legacy traffic: heads, framing and
-    /// keep-alive are validated even though the simulation only
-    /// charges timings. Draws from no RNG.
-    fn drive_h1(&mut self, rq: &mut Request<'_>, conn_idx: usize) {
-        let res = rq.res;
-        let host = rq.t.host.as_str();
+    /// One HTTP/1.1 request/response cycle of legacy traffic: its
+    /// keep-alive count, its place among its connection's cycles and
+    /// its response framing, each fixed by rule (the replay oracle in
+    /// `tests/replay.rs` holds them to the `origin-h1` machine). Draws
+    /// from no RNG.
+    fn h1_cycle(&mut self, rq: &mut Request<'_>, conn_idx: usize) {
         if !rq.t.new_connection {
             self.h1.keepalive_reuse += 1;
         }
         let arena = &mut *self.arena;
-        let transport = &mut arena.conns[conn_idx].transport;
-        if let Transport::H2 = transport {
-            let fresh = || H1Connection::new(H1Role::Client);
-            *transport = Transport::H1(arena.h1.take(fresh, |m| m.reset(H1Role::Client)));
-        }
-        let Transport::H1(i) = *transport else {
-            unreachable!("a QUIC connection never carries a legacy HTTP/1.1 request")
-        };
-        let machine = &mut arena.h1.all[i];
-        if machine.cycles_completed() > 0 {
-            machine
-                .start_next_cycle()
-                .expect("pooled HTTP/1.1 connection must be idle and kept alive");
-        }
-        let path = res.render_path(&self.page.hosts, &mut arena.path);
-        let get = H1Request {
-            method: "GET",
-            target: path,
-            headers: &[("host", host)],
-        };
-        machine
-            .send_ref(H1Event::Request(get))
-            .expect("request head from Idle");
-        machine
-            .send_ref(H1Event::EndOfMessage)
-            .expect("bodyless GET completes");
+        let cycles = &mut arena.conns[conn_idx].h1_cycles;
+        *cycles += 1;
         // Without a Content-Length the body runs until the server
         // closes, and the connection leaves the reusable pool: `closed`
         // frees its per-host slot, and the next request to this host
         // pays a fresh setup.
-        let closes = close_delimited_response(path);
-        arena.length.clear();
-        write!(arena.length, "{}", res.size).expect("writing to a String cannot fail");
-        let with_length = [("content-length", arena.length.as_str())];
-        let (head, end) = if closes {
-            (H1Response::CLOSE_DELIMITED, H1Event::ConnectionClosed)
-        } else {
-            let head = H1Response {
-                status: 200,
-                headers: &with_length,
-            };
-            (head, H1Event::EndOfMessage)
-        };
-        machine
-            .receive_ref(H1Event::Response(head))
-            .expect("response head after request");
-        if res.size > 0 {
-            machine
-                .receive_ref(H1Event::Data(res.size))
-                .expect("body data under either framing");
-        }
-        machine
-            .receive_ref(end)
-            .expect("the terminator its framing calls for ends the body");
         let mut framing = "content-length";
-        if closes {
+        if close_delimited_response(rq.res.render_path(&self.page.hosts, &mut arena.path)) {
             framing = "close-delimited";
             arena.pool.get_mut(conn_idx).closed = true;
             self.h1.close_delimited += 1;
         }
-        rq.h1_framing = Some((framing, machine.cycles_completed()));
+        rq.h1_framing = Some((framing, *cycles));
     }
 
     /// Stage 5 — report: every flight record and trace event of the
@@ -1518,7 +1435,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pages_drive_the_h1_machine() {
+    fn legacy_pages_count_h1_cycles() {
         let d = Dataset::generate(DatasetConfig {
             sites: 40,
             tranco_total: 500_000,
@@ -1548,8 +1465,8 @@ mod tests {
             pages += 1;
             arena.recycle(load);
         }
-        // Every HTTP/1.1 request that reached the network drove the
-        // machine exactly once: no request is double-counted.
+        // Every HTTP/1.1 request that reached the network is counted
+        // exactly once.
         assert!(metrics.counter("h1.requests") > 0);
         assert_eq!(metrics.counter("h1.requests"), h11_requests);
         assert_eq!(
@@ -1578,7 +1495,7 @@ mod tests {
     /// universe — the compared tests' own hostnames among them, legacy
     /// peers that closed connections, 421s that evicted coalesced
     /// mappings — and so has held every kind of key a reset must drop,
-    /// and holds used h1 and h3 machines a later visit will take.
+    /// and holds used QUIC machines a later visit will take.
     fn worn_arena() -> VisitArena {
         let d = Dataset::generate(DatasetConfig {
             sites: 900,
@@ -1617,9 +1534,7 @@ mod tests {
         assert!(visits >= 500, "only {visits} warm-up visits");
         assert!(metrics.counter("fault.pool_evictions") > 0);
         assert!(metrics.counter("h1.close_delimited") > 0);
-        let (h1, quic) = (&arena.h1.all, &arena.quic.all);
-        assert!(h1.iter().any(|m| m.cycles_completed() > 1));
-        assert!(h1.iter().any(|m| !m.keep_alive()), "a closed h1 machine");
+        let quic = &arena.quic.all;
         assert!(quic.iter().any(|m| m.qpack_instructions() > 1));
         assert!(quic.iter().any(|m| m.cids_retired() > 0), "a rotated CID");
         arena
@@ -1630,7 +1545,7 @@ mod tests {
     /// environment, a reset leaves the pool, the resolver and the
     /// env's host facts empty, what they retain is sized by the
     /// largest single visit, not by the crawl, and the arena holds no
-    /// more protocol machines than one visit drove. Counts only — no
+    /// more QUIC machines than one visit drove. Counts only — no
     /// clock.
     #[test]
     fn worker_state_is_bounded_by_the_largest_visit() {
@@ -1651,7 +1566,7 @@ mod tests {
             all
         };
         let mut peak_keys = vec![0usize; footprint(&arena, &env).len()];
-        let mut peak_machines = (0, 0);
+        let mut peak_machines = 0;
         let mut visits = 0;
         for site in d.successful_sites() {
             let page = d.page_for(site);
@@ -1671,16 +1586,15 @@ mod tests {
             for (peak, (keys, _)) in peak_keys.iter_mut().zip(footprint(&arena, &env)) {
                 *peak = (*peak).max(keys);
             }
-            peak_machines.0 = peak_machines.0.max(arena.h1.used);
-            peak_machines.1 = peak_machines.1.max(arena.quic.used);
+            peak_machines = peak_machines.max(arena.quic.used);
             visits += 1;
         }
         assert!(visits >= 1_500, "only {visits} visits");
-        assert!(peak_machines.0 > 1 && peak_machines.1 > 1);
+        assert!(peak_machines > 1);
         assert_eq!(
-            (arena.h1.all.len(), arena.quic.all.len()),
+            arena.quic.all.len(),
             peak_machines,
-            "the arena holds exactly the machines of its busiest visits"
+            "the arena holds exactly the machines of its busiest visit"
         );
 
         arena.pool.clear();
@@ -1701,10 +1615,9 @@ mod tests {
         }
     }
 
-    /// A recycled arena carries the h1 machines, the QUIC/QPACK state
-    /// and the h3 session memory of its last visit in one `ConnState`
-    /// vector; none of it may leak into the next visit, in either
-    /// mixed universe.
+    /// A recycled arena carries the h1 cycle counts, the QUIC/QPACK
+    /// state and the h3 session memory of its last visit; none of it
+    /// may leak into the next visit, in either mixed universe.
     #[test]
     fn protocol_state_does_not_leak_through_the_arena() {
         // One arena for the whole test: worn before the first universe,
@@ -1723,7 +1636,7 @@ mod tests {
             // among them) and the trace, whose `h3.request` instants
             // carry each request's byte counts on both QPACK streams
             // and whose `h1.request` instants the keep-alive cycle: a
-            // reused machine must emit what a fresh one does.
+            // reused arena must emit what a fresh one does.
             let run = |arena: &mut VisitArena| {
                 let mut env = UniverseEnv::new(&d);
                 let mut metrics = Registry::new();
@@ -1764,7 +1677,7 @@ mod tests {
 
     /// Arena reuse must be observationally invisible: a worker that
     /// recycles one [`VisitArena`] across visits — hundreds of them,
-    /// over the same hostnames, its h1 and h3 machines passing from
+    /// over the same hostnames, its QUIC machines passing from
     /// connection to connection — produces `PageLoad`s identical to a
     /// worker that builds a fresh arena per visit, on the pure-h2
     /// universe and on a mixed one.

@@ -4,8 +4,7 @@
 //! and the visit's observation take from the finished load.
 
 use super::{
-    FaultCounts, H1Event, H1Stats, H3Stats, Opened, Request, VisitArena, ORIGIN_FRAME_TYPE,
-    REDUNDANCY_KINDS,
+    FaultCounts, H1Stats, H3Stats, Opened, Request, VisitArena, ORIGIN_FRAME_TYPE, REDUNDANCY_KINDS,
 };
 use origin_netsim::{SimDuration, TlsVersion};
 use origin_telemetry::metrics::Registry;
@@ -44,7 +43,7 @@ impl Request<'_> {
         }
         if let Some(("close-delimited", cycle)) = self.h1_framing {
             let at = ms_to_us(self.t.start + self.t.total());
-            rec.record(at, H1Event::ConnectionClosed.code(), cycle, host);
+            rec.record(at, "h1.connection_closed", cycle, host);
         }
     }
 
@@ -173,9 +172,9 @@ impl Request<'_> {
             let bytes = [q.section_bytes, q.instruction_bytes].map(Arg::U64);
             t.instant_at(&H3_REQUEST, start_ts, &[bytes[0], bytes[1], conn]);
         }
-        // Legacy requests add the h1 machine's view: the response
-        // framing and which keep-alive cycle of its connection this
-        // request rode.
+        // Legacy requests add the HTTP/1.1 view: the response framing
+        // and which keep-alive cycle of its connection this request
+        // rode.
         if let Some((framing, cycle)) = self.h1_framing {
             let args = [Arg::Str(framing), Arg::U64(cycle), conn];
             t.instant_at(&H1_REQUEST, start_ts, &args);

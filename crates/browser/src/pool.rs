@@ -19,6 +19,11 @@ use origin_tls::Certificate;
 use origin_web::{FetchMode, Protocol};
 use std::net::IpAddr;
 
+/// The classic browser cap on parallel HTTP/1.1 connections to one
+/// host — the reason legacy sites domain-shard their assets. The
+/// loader passes it to [`ConnectionPool::decide`], which enforces it.
+pub(crate) const MAX_H1_CONNECTIONS_PER_HOST: u32 = 6;
+
 /// Connection pools are partitioned by credentials mode: a CORS-
 /// anonymous or programmatic (XHR/fetch) request never rides a
 /// credentialed element-fetch connection — the behaviour that capped
@@ -85,7 +90,7 @@ pub struct PooledConnection {
     /// way, but carries no ORIGIN frame (RFC 8336 is h2-only), so
     /// `origin_set` is always `None` for it. The pool never reads this
     /// flag; only the loader's transfer does, to drive the connection's
-    /// h3 machine. Always `false` outside an h3 universe.
+    /// QPACK encoder. Always `false` outside an h3 universe.
     pub quic: bool,
 }
 

@@ -100,11 +100,6 @@ impl<'a> CdnEnv<'a> {
             (DeploymentMode::Baseline, Some(i)) => Arc::from([ordinary_ip(i)]),
         })
     }
-
-    /// The address a hostname resolves to under the current mode.
-    pub fn address_of(&self, host: &DnsName) -> Option<IpAddr> {
-        self.answer(host).map(|a| a[0])
-    }
 }
 
 impl WebEnv for CdnEnv<'_> {
@@ -158,6 +153,13 @@ impl WebEnv for CdnEnv<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CdnEnv<'_> {
+        /// The address a hostname resolves to under the current mode.
+        fn address_of(&self, host: &DnsName) -> Option<IpAddr> {
+            self.answer(host).map(|a| a[0])
+        }
+    }
     use origin_dns::name::name;
 
     fn group() -> SampleGroup {

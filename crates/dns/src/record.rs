@@ -1,6 +1,6 @@
 //! Address record sets and load-balancing rotation.
 
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
 /// How an authoritative server orders the address set in its answers.
@@ -94,14 +94,15 @@ pub fn v4(a: u8, b: u8, c: u8, d: u8) -> IpAddr {
     IpAddr::V4(Ipv4Addr::new(a, b, c, d))
 }
 
-/// Build an IPv6 address from four 32-bit groups.
-pub fn v6(a: u16, b: u16, c: u16, d: u16) -> IpAddr {
-    IpAddr::V6(Ipv6Addr::new(a, b, c, d, 0, 0, 0, 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv6Addr;
+
+    /// Build an IPv6 address from four 16-bit groups.
+    fn v6(a: u16, b: u16, c: u16, d: u16) -> IpAddr {
+        IpAddr::V6(Ipv6Addr::new(a, b, c, d, 0, 0, 0, 1))
+    }
 
     #[test]
     fn fixed_answers_are_the_stored_set() {

@@ -74,20 +74,6 @@ pub enum EventRef<'a> {
     ConnectionClosed,
 }
 
-impl EventRef<'_> {
-    /// Stable dotted code for this event kind, used as the flight-
-    /// recorder event code when an h1 session is being observed.
-    pub fn code(&self) -> &'static str {
-        match self {
-            EventRef::Request(_) => "h1.request",
-            EventRef::Response(_) => "h1.response",
-            EventRef::Data(_) => "h1.data",
-            EventRef::EndOfMessage => "h1.end_of_message",
-            EventRef::ConnectionClosed => "h1.connection_closed",
-        }
-    }
-}
-
 /// How a message body is delimited. Strictly `Content-Length` or
 /// connection close — `Transfer-Encoding` is refused at the door.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

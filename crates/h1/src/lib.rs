@@ -23,9 +23,8 @@
 //!   at a time ([`H1Error::Pipelining`] on attempts to send a second
 //!   request before the cycle completes), with
 //!   [`Connection::start_next_cycle`] re-arming an idle connection.
-//!   Concurrency comes from the per-host connection cap
-//!   ([`DEFAULT_MAX_CONNECTIONS_PER_HOST`]), enforced by the
-//!   browser's pool.
+//!   Concurrency comes from the per-host connection cap, which the
+//!   browser's pool states and enforces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,8 +40,3 @@ pub use event::{EventRef, Framing, RequestHead, ResponseHead};
 #[doc(hidden)]
 pub use harness_compat::*;
 pub use state::{EventKind, Role, State};
-
-/// The classic browser cap on parallel HTTP/1.1 connections to one
-/// host — the reason legacy sites domain-shard their assets. The
-/// state machine owns one connection; the pool enforces the cap.
-pub const DEFAULT_MAX_CONNECTIONS_PER_HOST: u32 = 6;

@@ -52,12 +52,6 @@ impl FaultProfile {
         FaultProfile::default()
     }
 
-    /// True when every probability is zero, i.e. the profile cannot
-    /// perturb a crawl.
-    pub fn is_zero(&self) -> bool {
-        self.drop == 0.0 && self.corrupt == 0.0 && self.h421 == 0.0 && self.middlebox == 0.0
-    }
-
     /// Parse a comma-separated `key=value` spec, e.g.
     /// `drop=0.01,h421=0.005,middlebox=0.1`. Keys: `drop`, `corrupt`,
     /// `h421`, `middlebox`; omitted keys default to 0. Unknown keys and
@@ -181,6 +175,14 @@ impl Middlebox {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultProfile {
+        /// True when every probability is zero, i.e. the profile cannot
+        /// perturb a crawl.
+        fn is_zero(&self) -> bool {
+            self.drop == 0.0 && self.corrupt == 0.0 && self.h421 == 0.0 && self.middlebox == 0.0
+        }
+    }
 
     const ORIGIN_FRAME_TYPE: u8 = 0x0c;
     const ALTSVC_FRAME_TYPE: u8 = 0x0a;

@@ -3,7 +3,6 @@
 use super::event::{put_varint, Arg, EventKind, EventView, Record, Site, Strings};
 use origin_netsim::hash::{FxHashMap, FxHasher};
 use std::collections::hash_map::Entry;
-use std::fmt::Write as _;
 use std::hash::Hasher;
 
 /// The span-ID minting formula: pid (site rank) in the high bits, the
@@ -359,18 +358,6 @@ impl Tracer {
         self.shards().flat_map(Shard::events)
     }
 
-    /// Count events whose name matches `name` exactly.
-    pub fn count_named(&self, name: &str) -> usize {
-        let mut rendered = String::new();
-        self.events()
-            .filter(|e| {
-                rendered.clear();
-                let _ = write!(rendered, "{}", e.name());
-                rendered == name
-            })
-            .count()
-    }
-
     /// Bytes allocated for the event records, for the value arenas and
     /// for the shards' site and string tables, spare capacity included:
     /// what the buffer costs, to divide by [`Tracer::len`].
@@ -387,6 +374,21 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
+
+    impl Tracer {
+        /// Count events whose name matches `name` exactly.
+        fn count_named(&self, name: &str) -> usize {
+            let mut rendered = String::new();
+            self.events()
+                .filter(|e| {
+                    rendered.clear();
+                    let _ = write!(rendered, "{}", e.name());
+                    rendered == name
+                })
+                .count()
+        }
+    }
 
     static REQ: Site = Site::new("req", "request", &["k"]);
     static HIT: Site = Site::new("hit", "dns", &[]);

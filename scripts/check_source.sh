@@ -104,3 +104,26 @@ if perl -0777 -ne '
     echo "FAIL: code outside benchmark/ and the harness_compat.rs files names a harness-only adapter" >&2
     exit 1
 fi
+
+# The crawl computes what it exports: outside its tests the browser
+# drives no HTTP/1.1 machine (a legacy request's framing and cycle are
+# fixed by rule), and outside tests only `origin_h3::qpack` decodes QPACK
+# (a run exports the encoder's counts). `tests/replay.rs` holds both to
+# the real machines over a crawl's recorded connections.
+mapfile -t browser < <(find crates/browser/src -name '*.rs' | sort)
+if perl -0777 -ne '
+    s/^#\[cfg\(test\)\].*//ms;
+    while (/\b(?:origin_)?h1::(?:\w+::)*Connection\b
+           | \b(?:origin_)?h1::\{[^}]*\bConnection\b
+           | \b(?:send_ref|receive_ref|start_next_cycle)\b/gx) {
+        my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+        print STDERR "$ARGV:$line: ", (split /\n/, $&)[0], "\n";
+        $bad = 1;
+    }
+    END { exit !$bad }
+' "${browser[@]}" ||
+    nontest "${lib[@]}" | grep -v 'crates/h3/src/qpack\.rs:' |
+    grep -E '\b(decode_expecting|apply_instructions)\b' >&2; then
+    echo "FAIL: the browser drives an HTTP/1.1 machine, or code outside qpack.rs decodes QPACK" >&2
+    exit 1
+fi
