@@ -191,10 +191,11 @@ const MAX_S5_ALLOCS_PER_VISIT: [(DeploymentMode, BrowserKind, u64); 3] = [
 /// doubling slack, a record took 16 bytes and timeline sketches grew
 /// by doubling into `Option<Exemplar>` slots, 7,426; while filler SANs
 /// were formatted names, 5,186; while the env kept every hostname's
-/// facts and Table 7 every site's own hosts, 4,873. It measures 4,717
-/// bytes and 26.6 allocations a rank.
+/// facts and Table 7 every site's own hosts, 4,873; while a trace
+/// event was a 12-byte record beside its values, 4,543. It measures
+/// 3,906 bytes and 24.7 allocations a rank.
 const OBSERVED_SITES: u32 = 2_000;
-const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 5_800.0;
+const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 4_300.0;
 /// What exporting that crawl's trace may add to peak live bytes: the
 /// exporter renders one event at a time, so what it holds does not
 /// grow with the trace. Rendering the whole document into a `String`

@@ -376,21 +376,23 @@ fn generated_world_is_pinned() {
     );
 }
 
-/// What buffering that trace costs: one 12-byte record per event, its
-/// values, and each shard's site and string tables (names and keys are
-/// not stored at all), counted by what they have allocated — a closed
-/// shard is trimmed to what it holds. It measures 15.8 bytes an event;
-/// 16-byte records in shards that kept their doubling slack took
-/// ≈ 30, a 32-byte record with every string copied inline ≈ 55, and
-/// the owned `String`/`Vec` event before it ~230.
+/// What buffering that trace costs: each event's variable-length
+/// header and its values in one byte stream per shard, and each
+/// shard's site and string tables (names and keys are not stored at
+/// all), counted by what they have allocated — a closed shard is
+/// trimmed to what it holds. It measures 10.2 bytes an event;
+/// 12-byte fixed records beside a value arena took 15.8, 16-byte
+/// records in shards that kept their doubling slack ≈ 30, a 32-byte
+/// record with every string copied inline ≈ 55, and the owned
+/// `String`/`Vec` event before it ~230.
 #[test]
-fn crawl_mixed_trace_stays_under_18_bytes_an_event() {
+fn crawl_mixed_trace_stays_under_11_bytes_an_event() {
     let r = crawl_mixed(1).run();
     let events = r.trace.len();
     assert!(events > 10_000, "only {events} events traced");
     let per_event = r.trace.footprint().iter().sum::<usize>() as f64 / events as f64;
     assert!(
-        per_event <= 18.0,
+        per_event <= 11.0,
         "{per_event:.1} bytes/event over {events} events"
     );
 }

@@ -23,18 +23,20 @@ pub struct SimDuration(u64);
 ///
 /// Every finished request is quantised — once, nine values — and
 /// `f64::round` is a libm call on the baseline x86-64 target, so the
-/// common range is done in registers. Below 2^52 a non-negative `x` splits exactly into
-/// `trunc(x)` and a fraction in `[0, 1)` — the truncation, its
-/// conversion back and the subtraction are all exact — and rounding
-/// half away from zero is adding that comparison. From 2^52 up every
-/// `f64` is an integer already and `round` is the rare path.
+/// common range is done in registers. In `[0, 2^52)` `x` splits
+/// exactly into `trunc(x)` and a fraction in `[0, 1)` — the truncation
+/// to `i64`, its conversion back and the subtraction are all exact,
+/// one signed conversion each way where `u64` takes two and a fix-up —
+/// and rounding half away from zero is adding that comparison. From
+/// 2^52 up every `f64` is an integer already; there, and for
+/// negatives and NaN, `round` is the rare path.
 #[inline]
 pub fn millis_to_micros(ms: f64) -> u64 {
     const EXACT_BELOW: f64 = (1u64 << 52) as f64;
     let x = ms * 1_000.0;
-    if x < EXACT_BELOW {
-        let t = x as u64;
-        t + u64::from(x - t as f64 >= 0.5)
+    if (0.0..EXACT_BELOW).contains(&x) {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
     } else {
         x.round() as u64
     }
@@ -216,6 +218,62 @@ mod tests {
             SimTime::from_millis(1) - SimTime::from_millis(9),
             SimDuration::ZERO
         );
+    }
+
+    /// The in-register path against the formula it stands for, where
+    /// it could differ: signs, NaN and infinities, every tie `k + 0.5`
+    /// µs up to 2^20 and at each power of two below 2^52 with the
+    /// floats either side, the hand-over at 2^52, subnormals, and
+    /// random bit patterns.
+    #[test]
+    fn millis_to_micros_equals_rounding_the_product() {
+        let check = |ms: f64| {
+            let want = (ms * 1_000.0).round() as u64;
+            assert_eq!(
+                millis_to_micros(ms),
+                want,
+                "ms = {ms:e} ({:#x})",
+                ms.to_bits()
+            );
+        };
+        let ulps = |x: f64| {
+            [-2i64, -1, 0, 1, 2].map(|d| f64::from_bits(x.to_bits().wrapping_add_signed(d)))
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            -1.0,
+            -0.000_6,
+            -1e300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+        ];
+        specials.into_iter().for_each(check);
+        let powers = (1..52).flat_map(|e| [(1u64 << e) - 1, 1 << e]);
+        for k in (0..1 << 20).chain(powers) {
+            for us in ulps(k as f64 + 0.5) {
+                ulps(us / 1_000.0).into_iter().for_each(check);
+            }
+        }
+        for boundary in [(1u64 << 52) as f64, (1u64 << 53) as f64] {
+            for us in ulps(boundary) {
+                ulps(us / 1_000.0).into_iter().for_each(check);
+            }
+        }
+        for bits in [1, 2, 0x000F_FFFF_FFFF_FFFF, 0x0010_0000_0000_0000] {
+            check(f64::from_bits(bits));
+            check(-f64::from_bits(bits));
+        }
+        // xorshift64*: every exponent, sign and NaN payload is drawn.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..1_000_000 {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            check(f64::from_bits(state.wrapping_mul(0x2545_F491_4F6C_DD1D)));
+        }
     }
 
     #[test]

@@ -501,8 +501,15 @@ impl Timeline {
     pub fn record_visit_at(&mut self, epoch: SimTime, v: &VisitObs) {
         let window = self.window;
         // A visit's events almost always share its epoch's window, so
-        // the map is walked again only when the window index moves.
-        let mut idx = epoch.window_index(window);
+        // an event is divided into its window, and the map walked
+        // again, only when it falls outside the current window's
+        // `[start, end)` µs.
+        let bounds = |idx: u64| {
+            let start = idx * window.as_micros();
+            start..start.saturating_add(window.as_micros())
+        };
+        let idx = epoch.window_index(window);
+        let mut current = bounds(idx);
         let mut cell = self.cell(idx);
         cell.counters[C_VISITS] += 1;
         cell.counters[C_REQUESTS] += v.requests;
@@ -533,9 +540,10 @@ impl Timeline {
         cell.plt_ideal_ip.record(v.plt_ideal_ip_us, None);
         cell.plt_ideal_origin.record(v.plt_ideal_origin_us, None);
         for &(t_us, dur_us, span) in &v.handshakes {
-            let at = (epoch + SimDuration::from_micros(t_us)).window_index(window);
-            if at != idx {
-                idx = at;
+            let at = epoch + SimDuration::from_micros(t_us);
+            if !current.contains(&at.as_micros()) {
+                let idx = at.window_index(window);
+                current = bounds(idx);
                 cell = self.cell(idx);
             }
             cell.handshake.record(
@@ -548,9 +556,10 @@ impl Timeline {
             );
         }
         for &(t_us, size, span) in &v.bytes {
-            let at = (epoch + SimDuration::from_micros(t_us)).window_index(window);
-            if at != idx {
-                idx = at;
+            let at = epoch + SimDuration::from_micros(t_us);
+            if !current.contains(&at.as_micros()) {
+                let idx = at.window_index(window);
+                current = bounds(idx);
                 cell = self.cell(idx);
             }
             cell.bytes.record(
@@ -888,6 +897,111 @@ mod tests {
             b.record_visit_at(epoch, &v);
         }
         assert_eq!(a.to_json(), b.to_json());
+    }
+
+    /// `record_visit_at` as it was when every handshake and byte event
+    /// divided its instant into a window index.
+    fn record_visit_dividing(t: &mut Timeline, epoch: SimTime, v: &VisitObs) {
+        let window = t.window;
+        let mut idx = epoch.window_index(window);
+        let mut cell = t.cell(idx);
+        cell.counters[C_VISITS] += 1;
+        cell.counters[C_REQUESTS] += v.requests;
+        cell.counters[C_COALESCED] += v.coalesced_requests;
+        cell.counters[C_CONNS] += v.connections_opened;
+        cell.counters[C_DNS_QUERIES] += v.dns_queries;
+        cell.counters[C_DNS_HITS] += v.dns_cache_hits;
+        cell.counters[C_DNS_MISSES] += v.dns_cache_misses;
+        cell.counters[C_MEASURED_TLS] += v.measured_tls;
+        cell.counters[C_MODEL_IP_TLS] += v.model_ip_tls;
+        cell.counters[C_MODEL_ORIGIN_TLS] += v.model_origin_tls;
+        cell.counters[C_FAULT_421] += v.fault_misdirected_421;
+        cell.counters[C_FAULT_EVENTS] += v.fault_events;
+        cell.counters[C_FAULT_RECOVERIES] += v.fault_recoveries;
+        cell.counters[C_H1_CONNS] += v.h1_connections;
+        cell.counters[C_H1_REQUESTS] += v.h1_requests;
+        for (i, r) in v.h1_redundant.iter().enumerate() {
+            cell.counters[C_H1_RED + i] += r;
+        }
+        cell.plt.record(
+            v.plt_us,
+            Some(Exemplar {
+                value: v.plt_us,
+                rank: v.rank,
+                span_id: v.plt_span,
+            }),
+        );
+        cell.plt_ideal_ip.record(v.plt_ideal_ip_us, None);
+        cell.plt_ideal_origin.record(v.plt_ideal_origin_us, None);
+        for &(t_us, dur_us, span) in &v.handshakes {
+            let at = (epoch + SimDuration::from_micros(t_us)).window_index(window);
+            if at != idx {
+                idx = at;
+                cell = t.cell(idx);
+            }
+            cell.handshake.record(
+                dur_us,
+                Some(Exemplar {
+                    value: dur_us,
+                    rank: v.rank,
+                    span_id: span,
+                }),
+            );
+        }
+        for &(t_us, size, span) in &v.bytes {
+            let at = (epoch + SimDuration::from_micros(t_us)).window_index(window);
+            if at != idx {
+                idx = at;
+                cell = t.cell(idx);
+            }
+            cell.bytes.record(
+                size,
+                Some(Exemplar {
+                    value: size,
+                    rank: v.rank,
+                    span_id: span,
+                }),
+            );
+            cell.counters[C_BYTES_TOTAL] += size;
+        }
+        t.enforce_retention();
+    }
+
+    #[test]
+    fn filing_by_window_bounds_equals_dividing_every_event() {
+        // xorshift64*: reproducible offsets, not quality.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |n: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        };
+        for retain in [None, Some(1), Some(3)] {
+            let mk = || {
+                let t = Timeline::new(SimDuration::from_millis(500), DEFAULT_SPACING);
+                match retain {
+                    Some(n) => t.with_retention(n),
+                    None => t,
+                }
+            };
+            let (mut bounded, mut dividing) = (mk(), mk());
+            for rank in 0..200 {
+                let mut v = visit(rank, 1 + next(5_000_000));
+                // Offsets up to 6 s: a visit's events land in up to a
+                // dozen windows, in any order.
+                v.handshakes = (0..next(8))
+                    .map(|i| (next(6_000_000), next(90_000), i))
+                    .collect();
+                v.bytes = (0..next(12))
+                    .map(|i| (next(6_000_000), next(1 << 20), i))
+                    .collect();
+                let epoch = SimTime::from_micros(u64::from(rank) * 700_000 + next(400_000));
+                bounded.record_visit_at(epoch, &v);
+                record_visit_dividing(&mut dividing, epoch, &v);
+            }
+            assert_eq!(bounded.to_json(), dividing.to_json(), "retain {retain:?}");
+        }
     }
 
     #[test]

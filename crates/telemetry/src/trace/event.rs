@@ -8,7 +8,7 @@ use std::net::IpAddr;
 /// of its arguments, in the order the call site passes the values.
 /// Declared once per emission site (`static X: Site = Site::new(..)`),
 /// so a shard keeps one pointer per site it has seen and an event
-/// record carries an 8-bit index into that table instead of a name, a
+/// header carries an 8-bit index into that table instead of a name, a
 /// category and a key per argument.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Site {
@@ -52,7 +52,7 @@ const TAG_V4: u8 = 5;
 const TAG_V6: u8 = 6;
 
 /// Append `v` as a LEB128 varint: seven bits a byte, low group first.
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
@@ -65,11 +65,11 @@ fn varint_len(bytes: &[u8]) -> usize {
     1 + bytes
         .iter()
         .position(|b| b & 0x80 == 0)
-        .expect("the arena holds whole varints")
+        .expect("a shard holds whole varints")
 }
 
 /// Read the varint at the front of `bytes` and advance past it.
-pub(crate) fn read_varint(bytes: &mut &[u8]) -> u64 {
+fn read_varint(bytes: &mut &[u8]) -> u64 {
     let (varint, rest) = bytes.split_at(varint_len(bytes));
     *bytes = rest;
     varint
@@ -79,7 +79,7 @@ pub(crate) fn read_varint(bytes: &mut &[u8]) -> u64 {
 }
 
 impl<'a> Arg<'a> {
-    /// Append this value to a shard's value arena: one tag byte, then
+    /// Append this value to a shard's byte stream: one tag byte, then
     /// the payload — integers and string indices as varints, a string
     /// as the index `intern` gives it in the shard's string table.
     pub(crate) fn encode(self, out: &mut Vec<u8>, intern: impl FnOnce(&str) -> u32) {
@@ -117,14 +117,14 @@ impl<'a> Arg<'a> {
     }
 
     /// Advance `bytes` past `n` values without reading them.
-    pub(crate) fn skip(bytes: &mut &[u8], n: u8) {
+    fn skip(bytes: &mut &[u8], n: u8) {
         for _ in 0..n {
             *bytes = &bytes[Self::encoded_len(bytes)..];
         }
     }
 
     /// Read the value at the front of `bytes` and advance past it,
-    /// looking strings up in the shard's table. The arena only ever
+    /// looking strings up in the shard's table. The stream only ever
     /// holds what [`Arg::encode`] wrote.
     pub(crate) fn decode(bytes: &mut &[u8], strings: &'a Strings) -> Self {
         let tag = bytes[0];
@@ -230,84 +230,151 @@ pub enum EventKind {
     ThreadName,
 }
 
-/// One 12-byte event record. Everything variable-length — name parts,
-/// argument values — lives in the shard's value arena, in record
-/// order, so a record needs no offset into it; the logical process
-/// lives once per visit, in the record that opens it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Record {
-    /// Simulated timestamp, µs (0 on a wide record).
-    ts_us: u32,
-    /// Duration of a complete span, ID of a flow arrow, pid of the
-    /// visit a process-name record opens; otherwise 0. (0 on a wide
-    /// record.)
-    payload: u32,
-    /// Index into the shard's site table, which closes at 256 sites.
-    site: u8,
-    /// Logical thread (0 on a wide record).
-    tid: u8,
-    /// The kind (bits 0–2), the name parts (bits 3–4) and the wide
-    /// flag (bit 5).
-    packed: u8,
-    nargs: u8,
+impl EventKind {
+    /// The kind whose `kind as u8` is `code`.
+    fn from_code(code: u8) -> Self {
+        match code {
+            0 => EventKind::Complete,
+            1 => EventKind::Instant,
+            2 => EventKind::FlowStart,
+            3 => EventKind::FlowEnd,
+            4 => EventKind::ProcessName,
+            5 => EventKind::ThreadName,
+            other => unreachable!("unknown kind code {other}"),
+        }
+    }
 }
 
-const _: () = assert!(size_of::<Record>() == 12);
-
-/// The kinds by their 3-bit code in [`Record::packed`]: declaration
-/// order, which is what `kind as u8` gives.
-const KINDS: [EventKind; 6] = [
-    EventKind::Complete,
-    EventKind::Instant,
-    EventKind::FlowStart,
-    EventKind::FlowEnd,
-    EventKind::ProcessName,
-    EventKind::ThreadName,
-];
-const WIDE: u8 = 1 << 5;
-
-impl Record {
-    /// A record of `kind` at `site`. `narrow` is the timestamp, payload
-    /// and tid when all three fit their fields; `None` marks a wide
-    /// record, whose three lead its values as varints. `name_parts` is
-    /// how many values ahead of the arguments the name is put together
+/// An event's fixed fields: what its header holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Head {
+    pub(crate) kind: EventKind,
+    /// How many values ahead of the arguments the name is put together
     /// from at export: none (the site's name as is), one (a label in
     /// its place) or two (`index`, `host`: `"<site name> 12
     /// a.example"`).
-    pub(crate) fn new(
-        kind: EventKind,
-        site: u8,
-        narrow: Option<(u32, u32, u8)>,
-        name_parts: u8,
-        nargs: u8,
-    ) -> Self {
-        debug_assert!(name_parts <= 2);
-        let (ts_us, payload, tid) = narrow.unwrap_or_default();
-        let wide = if narrow.is_none() { WIDE } else { 0 };
-        Record {
-            ts_us,
-            payload,
-            site,
-            tid,
-            packed: kind as u8 | name_parts << 3 | wide,
-            nargs,
+    pub(crate) name_parts: u8,
+    pub(crate) nargs: u8,
+    pub(crate) tid: u32,
+    pub(crate) ts_us: u64,
+    /// Duration of a complete span, ID of a flow arrow, pid of the
+    /// visit a process-name record opens; otherwise 0.
+    pub(crate) payload: u64,
+}
+
+/// Header flag bits above the kind (bits 0–2) and the name parts
+/// (bits 3–4): a tid, a payload or an argument count follows.
+const TID: u8 = 1 << 5;
+const PAYLOAD: u8 = 1 << 6;
+const NARGS: u8 = 1 << 7;
+
+/// `delta` read as signed, folded so small magnitudes of either sign
+/// make short varints.
+fn zigzag(delta: u64) -> u64 {
+    let d = delta as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// What an event header is written against and read back with: the
+/// previous event's tid and where it ended. Writer and reader keep it
+/// alike — from the default at a shard's start, reset by each
+/// process-name record — so a header carries a tid only when it
+/// changes, and its timestamp as a short delta.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cursor {
+    tid: u32,
+    /// The previous event's timestamp, plus its duration for a
+    /// complete span.
+    end_us: u64,
+}
+
+impl Cursor {
+    fn start(&mut self, kind: EventKind) {
+        if kind == EventKind::ProcessName {
+            *self = Cursor::default();
         }
     }
 
-    pub(crate) fn site(&self) -> usize {
-        usize::from(self.site)
+    fn finish(&mut self, head: &Head) {
+        self.tid = head.tid;
+        self.end_us = match head.kind {
+            EventKind::Complete => head.ts_us.wrapping_add(head.payload),
+            _ => head.ts_us,
+        };
     }
 
-    fn kind(&self) -> EventKind {
-        KINDS[usize::from(self.packed & 0b111)]
+    /// Append the header of `head`, an event of the shard's site
+    /// `site`, which has `keys` keys: the site byte, a flags byte, then
+    /// the argument count when it differs from `keys`, the tid when it
+    /// changed, the timestamp as a zigzag delta from the previous
+    /// event's end and a non-zero payload, as varints.
+    pub(crate) fn write(&mut self, out: &mut Vec<u8>, site: u8, keys: usize, head: Head) {
+        debug_assert!(head.name_parts <= 2);
+        self.start(head.kind);
+        let mut flags = head.kind as u8 | head.name_parts << 3;
+        if usize::from(head.nargs) != keys {
+            flags |= NARGS;
+        }
+        if head.tid != self.tid {
+            flags |= TID;
+        }
+        if head.payload != 0 {
+            flags |= PAYLOAD;
+        }
+        out.extend_from_slice(&[site, flags]);
+        if flags & NARGS != 0 {
+            out.push(head.nargs);
+        }
+        if flags & TID != 0 {
+            put_varint(out, head.tid.into());
+        }
+        put_varint(out, zigzag(head.ts_us.wrapping_sub(self.end_us)));
+        if flags & PAYLOAD != 0 {
+            put_varint(out, head.payload);
+        }
+        self.finish(&head);
     }
 
-    fn name_parts(&self) -> u8 {
-        self.packed >> 3 & 0b11
-    }
-
-    fn wide(&self) -> bool {
-        self.packed & WIDE != 0
+    /// Read the header [`Cursor::write`] put at the front of `bytes`,
+    /// looking its site up in `sites`, and advance past it.
+    fn read(&mut self, bytes: &mut &[u8], sites: &[&'static Site]) -> (&'static Site, Head) {
+        let site = sites[usize::from(bytes[0])];
+        let flags = bytes[1];
+        *bytes = &bytes[2..];
+        let kind = EventKind::from_code(flags & 0b111);
+        self.start(kind);
+        let nargs = if flags & NARGS != 0 {
+            let n = bytes[0];
+            *bytes = &bytes[1..];
+            n
+        } else {
+            site.keys.len() as u8
+        };
+        let tid = if flags & TID != 0 {
+            u32::try_from(read_varint(bytes)).expect("a tid was a u32")
+        } else {
+            self.tid
+        };
+        let ts_us = self.end_us.wrapping_add(unzigzag(read_varint(bytes)));
+        let payload = if flags & PAYLOAD != 0 {
+            read_varint(bytes)
+        } else {
+            0
+        };
+        let head = Head {
+            kind,
+            name_parts: flags >> 3 & 0b11,
+            nargs,
+            tid,
+            ts_us,
+            payload,
+        };
+        self.finish(&head);
+        (site, head)
     }
 }
 
@@ -324,59 +391,38 @@ impl Record {
 #[derive(Debug, Clone, Copy)]
 pub struct EventView<'a> {
     site: &'static Site,
-    kind: EventKind,
-    name_parts: u8,
-    nargs: u8,
-    tid: u32,
-    ts_us: u64,
-    payload: u64,
+    head: Head,
     pid: u64,
-    /// The event's name parts and arguments in the value arena.
+    /// The event's name parts and arguments, as encoded.
     values: &'a [u8],
     strings: &'a Strings,
 }
 
 impl<'a> EventView<'a> {
-    /// View `rec` of `site`, whose values start at the front of
-    /// `arena`, under the logical process `pid` — which a process-name
+    /// Read the event at the front of a shard's `bytes` and advance
+    /// past it, under the logical process `pid` — which a process-name
     /// record sets to its payload, for itself and the events after it.
-    /// Returns the view and the arena past this event.
-    pub(crate) fn split(
-        rec: &Record,
-        site: &'static Site,
+    pub(crate) fn read(
+        bytes: &mut &'a [u8],
+        cursor: &mut Cursor,
         pid: &mut u64,
-        arena: &'a [u8],
+        sites: &[&'static Site],
         strings: &'a Strings,
-    ) -> (Self, &'a [u8]) {
-        let mut rest = arena;
-        let (ts_us, payload, tid) = if rec.wide() {
-            let ts_us = read_varint(&mut rest);
-            let payload = read_varint(&mut rest);
-            let tid = u32::try_from(read_varint(&mut rest)).expect("a wide tid was a u32");
-            (ts_us, payload, tid)
-        } else {
-            (rec.ts_us.into(), rec.payload.into(), rec.tid.into())
-        };
-        let kind = rec.kind();
-        if kind == EventKind::ProcessName {
-            *pid = payload;
+    ) -> Self {
+        let (site, head) = cursor.read(bytes, sites);
+        if head.kind == EventKind::ProcessName {
+            *pid = head.payload;
         }
-        let values = rest;
-        Arg::skip(&mut rest, rec.name_parts());
-        Arg::skip(&mut rest, rec.nargs);
-        let view = EventView {
+        let values = *bytes;
+        Arg::skip(bytes, head.name_parts);
+        Arg::skip(bytes, head.nargs);
+        EventView {
             site,
-            kind,
-            name_parts: rec.name_parts(),
-            nargs: rec.nargs,
-            tid,
-            ts_us,
-            payload,
+            head,
             pid: *pid,
-            values: &values[..values.len() - rest.len()],
+            values: &values[..values.len() - bytes.len()],
             strings,
-        };
-        (view, rest)
+        }
     }
 
     /// Event name (for metadata kinds: the process/thread label),
@@ -390,7 +436,7 @@ impl<'a> EventView<'a> {
         let strings = self.strings;
         let mut part = || Arg::decode(&mut values, strings);
         let site_name = self.site.name;
-        match self.name_parts {
+        match self.head.name_parts {
             0 => Name::Site(site_name),
             1 => match part() {
                 Arg::Str(label) => Name::Label(label),
@@ -410,7 +456,7 @@ impl<'a> EventView<'a> {
 
     /// Simulated timestamp in microseconds.
     pub fn ts_us(&self) -> u64 {
-        self.ts_us
+        self.head.ts_us
     }
 
     /// Logical process (site rank / visit key).
@@ -420,54 +466,43 @@ impl<'a> EventView<'a> {
 
     /// Logical thread (0 = loader, `1+i` = pooled connection `i`).
     pub fn tid(&self) -> u32 {
-        self.tid
+        self.head.tid
     }
 
     /// Which trace-event phase this is.
     pub fn kind(&self) -> EventKind {
-        self.kind
+        self.head.kind
     }
 
     /// Span length of an [`EventKind::Complete`] event, in simulated
     /// microseconds.
     pub fn dur_us(&self) -> u64 {
-        self.payload
+        self.head.payload
     }
 
     /// Deterministic ID shared by the two ends of a flow arrow.
     pub fn flow_id(&self) -> u64 {
-        self.payload
+        self.head.payload
     }
 
     /// Every value the event holds, name parts first.
     fn values(&self) -> impl Iterator<Item = Arg<'a>> + 'a {
         let (mut values, strings) = (self.values, self.strings);
-        let n = usize::from(self.name_parts) + usize::from(self.nargs);
+        let n = usize::from(self.head.name_parts) + usize::from(self.head.nargs);
         (0..n).map(move |_| Arg::decode(&mut values, strings))
     }
 
     /// Key/value annotations, in the order they were recorded.
     pub fn args(&self) -> impl Iterator<Item = (&'static str, Arg<'a>)> + 'a {
-        let keys = &self.site.keys[..usize::from(self.nargs)];
-        let values = self.values().skip(usize::from(self.name_parts));
+        let keys = &self.site.keys[..usize::from(self.head.nargs)];
+        let values = self.values().skip(usize::from(self.head.name_parts));
         keys.iter().copied().zip(values)
     }
 }
 
 impl PartialEq for EventView<'_> {
     fn eq(&self, other: &Self) -> bool {
-        let head = |e: &Self| {
-            (
-                e.kind,
-                e.ts_us,
-                e.payload,
-                e.pid,
-                e.tid,
-                e.name_parts,
-                e.nargs,
-            )
-        };
-        head(self) == head(other)
+        (self.head, self.pid) == (other.head, other.pid)
             && self.site == other.site
             && self.values().zip(other.values()).all(|(a, b)| a.same(b))
     }

@@ -2,11 +2,12 @@
 //! handshake, HTTP/2 frame and coalescing decision becomes an event on
 //! a timeline of simulated time.
 //!
-//! Recording formats nothing. An event is a 12-byte record indexing its
-//! call site's static [`Site`] (name, category, argument keys) plus its
-//! values appended to a byte arena, each distinct string stored once
-//! per shard; names like `req 12 cdn.example` and every number are
-//! rendered by the exporter, from a borrowed [`EventView`]. The only
+//! Recording formats nothing. An event is a few bytes appended to its
+//! shard's one byte stream: a variable-length header indexing its call
+//! site's static [`Site`] (name, category, argument keys), then its
+//! values, each distinct string stored once per shard; names like
+//! `req 12 cdn.example` and every number are rendered by the exporter,
+//! from a borrowed [`EventView`]. The only
 //! exporter here is the Chrome trace-event JSON (Perfetto) writer; HAR
 //! 1.2 and ASCII waterfalls live beside the `origin-web` timeline types.
 

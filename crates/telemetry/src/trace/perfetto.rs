@@ -1,6 +1,6 @@
 //! Chrome trace-event JSON export (Perfetto-loadable): integer
 //! timestamps, args in insertion order, every field written straight
-//! from the tracer's arenas through `origin_netsim::json`.
+//! from the tracer's shards through `origin_netsim::json`.
 
 use super::event::{Arg, EventKind, EventView, Name};
 use super::tracer::Tracer;

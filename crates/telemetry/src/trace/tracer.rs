@@ -1,6 +1,6 @@
 //! The per-worker trace buffer.
 
-use super::event::{put_varint, Arg, EventKind, EventView, Record, Site, Strings};
+use super::event::{Arg, Cursor, EventKind, EventView, Head, Site, Strings};
 use origin_netsim::hash::{FxHashMap, FxHasher};
 use std::collections::hash_map::Entry;
 use std::hash::Hasher;
@@ -18,25 +18,27 @@ static LOADER: Site = Site::new("loader", "meta", &[]);
 static CONN: Site = Site::new("conn", "meta", &[]);
 
 /// Events a shard holds before the next visit opens a new one. A
-/// bounded shard's arenas are allocations of tens of KiB, which the
-/// allocator hands back warm; one arena doubling through a whole crawl
-/// is mapped afresh, and page-faulted in, on every run (+2–8% on
+/// bounded shard's stream is an allocation of a few KiB, which the
+/// allocator hands back warm; one stream doubling through a whole
+/// crawl is mapped afresh, and page-faulted in, on every run (+2–8% on
 /// `crawl-mixed` when it was tried).
 const SHARD_EVENTS: usize = 1024;
 
-/// One tracer's own stretch of the event stream: 12-byte records, the
-/// values (name parts and arguments) those records own, in record
-/// order, and the two tables the records and values index — the
-/// emission sites (at most 256) and the distinct strings the shard has
-/// seen. A record holds no offset and — bar the process-name record
-/// that opens each visit — no pid, so a shard reads front to back. A
-/// closed shard holds no spare capacity.
+/// One tracer's own stretch of the event stream: one byte stream in
+/// which each event is a variable-length header (see [`Cursor::write`])
+/// followed by its values (name parts, then arguments), and the two
+/// tables the events index — the emission sites (at most 256) and the
+/// distinct strings the shard has seen. An event holds no offset and —
+/// bar the process-name record that opens each visit — no pid; its tid
+/// only when it changes and its timestamp as a delta, so a shard reads
+/// front to back only. A closed shard holds no spare capacity.
 #[derive(Debug, Clone, Default)]
 struct Shard {
     /// Logical process of the events ahead of the first visit.
     pid: u64,
-    events: Vec<Record>,
-    values: Vec<u8>,
+    /// Events in `bytes`.
+    len: usize,
+    bytes: Vec<u8>,
     sites: Vec<&'static Site>,
     strings: Strings,
 }
@@ -47,8 +49,8 @@ impl Shard {
         let (strings, string_bytes) = self.strings.len();
         Shard {
             pid,
-            events: Vec::with_capacity(self.events.len()),
-            values: Vec::with_capacity(self.values.len()),
+            len: 0,
+            bytes: Vec::with_capacity(self.bytes.len()),
             sites: Vec::with_capacity(self.sites.len()),
             strings: Strings::with_capacity(strings, string_bytes),
         }
@@ -57,31 +59,32 @@ impl Shard {
     /// Give back the spare capacity of a shard that takes no more
     /// events.
     fn shrink_to_fit(&mut self) {
-        self.events.shrink_to_fit();
-        self.values.shrink_to_fit();
+        self.bytes.shrink_to_fit();
         self.sites.shrink_to_fit();
         self.strings.shrink_to_fit();
     }
 
     fn events(&self) -> impl Iterator<Item = EventView<'_>> {
-        let mut values = self.values.as_slice();
-        let mut pid = self.pid;
-        self.events.iter().map(move |rec| {
-            let site = self.sites[rec.site()];
-            let (view, rest) = EventView::split(rec, site, &mut pid, values, &self.strings);
-            values = rest;
-            view
+        let mut bytes = self.bytes.as_slice();
+        let (mut cursor, mut pid) = (Cursor::default(), self.pid);
+        (0..self.len).map(move |_| {
+            EventView::read(
+                &mut bytes,
+                &mut cursor,
+                &mut pid,
+                &self.sites,
+                &self.strings,
+            )
         })
     }
 
-    /// Bytes allocated for the records, for the value arena and for
-    /// the two tables.
+    /// Bytes allocated for the event stream, for the site table and
+    /// for the string table.
     fn footprint(&self) -> [usize; 3] {
-        let tables = self.sites.capacity() * size_of::<&Site>() + self.strings.capacity();
         [
-            self.events.capacity() * size_of::<Record>(),
-            self.values.capacity(),
-            tables,
+            self.bytes.capacity(),
+            self.sites.capacity() * size_of::<&Site>(),
+            self.strings.capacity(),
         ]
     }
 }
@@ -122,7 +125,7 @@ impl Index {
 /// A buffer of trace events with the same merge discipline as the
 /// metrics registry: each crawl worker owns one, and the driver merges
 /// shards back in rank order, reproducing sequential event order.
-/// Recording an event is a few stores into flat arenas and formats
+/// Recording an event appends a few bytes to one stream and formats
 /// nothing; names and numbers are rendered by the reader
 /// ([`Tracer::events`], the exporter).
 ///
@@ -147,6 +150,8 @@ pub struct Tracer {
     open: Shard,
     /// The open shard's table lookups; cleared when it closes.
     index: Index,
+    /// The open shard's header state as its last event left it.
+    cursor: Cursor,
     pid: u64,
     tid: u32,
     now_us: u64,
@@ -174,9 +179,9 @@ impl Tracer {
         self.tid = 0;
         self.now_us = 0;
         self.seq = 0;
-        if self.open.events.len() >= SHARD_EVENTS {
+        if self.open.len >= SHARD_EVENTS {
             // The next shard will fill much as this one did: size its
-            // arenas and tables once instead of doubling up to there
+            // stream and tables once instead of doubling up to there
             // again.
             self.close(self.open.sized_like(pid));
         }
@@ -272,9 +277,9 @@ impl Tracer {
         index
     }
 
-    /// The one place an event enters the buffer: a timestamp, payload
-    /// or tid too large for its record field, then its name parts and
-    /// argument values appended to the value arena, then its record.
+    /// The one place an event enters the buffer: its header, then its
+    /// name parts and argument values, appended to the open shard's
+    /// stream.
     fn push(
         &mut self,
         site: &'static Site,
@@ -289,33 +294,33 @@ impl Tracer {
             "more arguments than {} has keys",
             site.name
         );
+        let keys = site.keys.len();
         let site = self.site(site);
-        let Tracer { open, index, .. } = self;
-        let narrow = match (
-            u32::try_from(ts_us),
-            u32::try_from(payload),
-            u8::try_from(tid),
-        ) {
-            (Ok(ts_us), Ok(payload), Ok(tid)) => Some((ts_us, payload, tid)),
-            _ => {
-                for v in [ts_us, payload, u64::from(tid)] {
-                    put_varint(&mut open.values, v);
-                }
-                None
-            }
+        let Tracer {
+            open,
+            index,
+            cursor,
+            ..
+        } = self;
+        let head = Head {
+            kind,
+            name_parts: name.len() as u8,
+            nargs: args.len() as u8,
+            tid,
+            ts_us,
+            payload,
         };
+        cursor.write(&mut open.bytes, site, keys, head);
         for value in name.iter().chain(args) {
-            value.encode(&mut open.values, |s| index.string(s, &mut open.strings));
+            value.encode(&mut open.bytes, |s| index.string(s, &mut open.strings));
         }
-        let (name_parts, nargs) = (name.len() as u8, args.len() as u8);
-        open.events
-            .push(Record::new(kind, site, narrow, name_parts, nargs));
+        open.len += 1;
     }
 
     /// Append another tracer's events. Merging rank-ordered shards in
     /// rank order reproduces the sequential event stream exactly — the
     /// same spine `metrics::Registry` and the crawl series ride.
-    /// The other tracer's arenas are moved in, not copied: a trace is
+    /// The other tracer's shards are moved in, not copied: a trace is
     /// written once, by the worker that recorded it.
     pub fn merge(&mut self, other: Tracer) {
         self.close(Shard {
@@ -325,7 +330,7 @@ impl Tracer {
         let mut open = other.open;
         open.shrink_to_fit();
         let shards = other.merged.into_iter().chain([open]);
-        self.merged.extend(shards.filter(|s| !s.events.is_empty()));
+        self.merged.extend(shards.filter(|s| s.len > 0));
     }
 
     /// Close the open shard, trimmed to what it holds, and record into
@@ -333,7 +338,8 @@ impl Tracer {
     fn close(&mut self, next: Shard) {
         let mut open = std::mem::replace(&mut self.open, next);
         self.index.clear();
-        if !open.events.is_empty() {
+        self.cursor = Cursor::default();
+        if open.len > 0 {
             open.shrink_to_fit();
             self.merged.push(open);
         }
@@ -345,7 +351,7 @@ impl Tracer {
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.shards().map(|s| s.events.len()).sum()
+        self.shards().map(|s| s.len).sum()
     }
 
     /// True when no events have been recorded.
@@ -358,9 +364,9 @@ impl Tracer {
         self.shards().flat_map(Shard::events)
     }
 
-    /// Bytes allocated for the event records, for the value arenas and
-    /// for the shards' site and string tables, spare capacity included:
-    /// what the buffer costs, to divide by [`Tracer::len`].
+    /// Bytes allocated for the shards' event streams, site tables and
+    /// string tables, spare capacity included: what the buffer costs,
+    /// to divide by [`Tracer::len`].
     #[doc(hidden)]
     pub fn footprint(&self) -> [usize; 3] {
         self.shards()
@@ -410,12 +416,11 @@ mod tests {
         t.flow_end(id, &COALESCE, 10);
     }
 
-    /// Every closed shard's arenas and tables are exactly as large as
+    /// Every closed shard's stream and tables are exactly as large as
     /// what they hold.
     fn assert_closed_shards_are_trimmed(t: &Tracer) {
         for shard in &t.merged {
-            assert_eq!(shard.events.capacity(), shard.events.len());
-            assert_eq!(shard.values.capacity(), shard.values.len());
+            assert_eq!(shard.bytes.capacity(), shard.bytes.len());
             assert_eq!(shard.sites.capacity(), shard.sites.len());
             let (strings, bytes) = shard.strings.len();
             assert_eq!(shard.strings.capacity(), bytes + strings * size_of::<u32>());
@@ -441,19 +446,37 @@ mod tests {
     }
 
     #[test]
-    fn a_tid_past_255_takes_the_wide_path_and_reads_back() {
+    fn a_header_carries_a_tid_only_when_it_changes() {
         let mut t = Tracer::new();
         t.begin_visit(1, "x");
-        let arena = t.open.values.len();
-        t.set_tid(255);
-        t.instant_at(&HIT, 5, &[]);
-        assert_eq!(t.open.values.len(), arena, "tid 255 fits its record");
-        t.set_tid(256);
-        t.instant_at(&HIT, 6, &[]);
-        // ts 6, payload 0 and tid 256 lead the values as varints.
-        assert_eq!(t.open.values.len(), arena + 4, "tid 256 is wide");
+        let mut sizes = Vec::new();
+        for (tid, ts) in [(300, 5), (300, 6), (2, 7), (2, 8)] {
+            let before = t.open.bytes.len();
+            t.set_tid(tid);
+            t.instant_at(&HIT, ts, &[]);
+            sizes.push(t.open.bytes.len() - before);
+        }
+        // Site, flags, then tid 300 in two bytes and a 1-byte delta;
+        // the same tid again is left out; tid 2 takes one byte.
+        assert_eq!(sizes, [5, 3, 4, 3]);
         let seen: Vec<_> = t.events().skip(2).map(|e| (e.ts_us(), e.tid())).collect();
-        assert_eq!(seen, [(5, 255), (6, 256)]);
+        assert_eq!(seen, [(5, 300), (6, 300), (7, 2), (8, 2)]);
+    }
+
+    #[test]
+    fn a_timestamp_is_a_delta_from_the_previous_events_end() {
+        let mut t = Tracer::new();
+        t.begin_visit(1, "x");
+        t.complete(&REQ, 1_000_000, 250_000, &[Arg::U64(1)]);
+        let before = t.open.bytes.len();
+        // 1,250,000 µs is where the span ended: a zero delta, and
+        // a step back costs what a step forward does.
+        t.instant_at(&HIT, 1_250_000, &[]);
+        t.instant_at(&HIT, 1_249_990, &[]);
+        t.instant_at(&HIT, 1_250_000, &[]);
+        assert_eq!(t.open.bytes.len() - before, 9);
+        let seen: Vec<_> = t.events().skip(2).map(|e| e.ts_us()).collect();
+        assert_eq!(seen, [1_000_000, 1_250_000, 1_249_990, 1_250_000]);
     }
 
     #[test]
@@ -562,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn values_too_wide_for_a_record_read_back_exactly() {
+    fn values_past_32_bits_read_back_exactly() {
         let mut t = Tracer::new();
         t.begin_visit(u64::MAX, "huge");
         t.set_tid(u32::MAX);
