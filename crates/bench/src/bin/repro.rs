@@ -628,7 +628,7 @@ fn cmd_paper(args: &Args) -> bool {
     let mut fault_aborted = false;
     let observed = crawl.as_ref();
     if let (Some(path), Some(tl)) = (&args.timeline, observed.and_then(|r| r.timeline.as_ref())) {
-        if write_artifact(path, rendered(tl.to_json())) {
+        if write_artifact(path, |out| tl.write_json(out)) {
             eprintln!(
                 "# wrote timeline to {path} ({} windows, {} visits, window {}ms)",
                 tl.num_windows(),

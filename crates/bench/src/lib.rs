@@ -99,9 +99,10 @@ pub struct CrawlResults {
     /// JSON — is byte-identical for any thread count.
     pub trace: Tracer,
     /// Streaming timeline aggregate (present when the crawl ran with
-    /// an [`ObsConfig`]). Window-keyed merge is order-free, so the
-    /// timeline — and its exported JSON — is byte-identical for any
-    /// thread count.
+    /// an [`ObsConfig`]), every window sealed. Window-keyed merge is
+    /// order-free and sealing keeps every exported number, so the
+    /// timeline — and its exported JSON — is the same for any thread
+    /// count.
     pub timeline: Option<Timeline>,
     /// Merged flight recorder (present when the crawl ran with an
     /// [`ObsConfig`]): carries the crawl-wide event count and, if any
@@ -164,6 +165,10 @@ struct ShardAccum {
     metrics: Registry,
     trace: Tracer,
     obs: Option<ObsAccum>,
+    /// The last rank this shard visited: once the shard has merged, no
+    /// visit left can reach a timeline window that ends by the next
+    /// rank's epoch.
+    last_rank: Option<u32>,
 }
 
 impl ShardAccum {
@@ -179,6 +184,7 @@ impl ShardAccum {
             metrics: Registry::new(),
             trace: Tracer::new(),
             obs: obs.map(ObsAccum::new),
+            last_rank: None,
         }
     }
 
@@ -294,6 +300,7 @@ impl<'d> Worker<'d> {
     fn crawl_site(&mut self, site: &SiteConfig, acc: &mut ShardAccum, lap: &mut impl FnMut(usize)) {
         let dataset = self.dataset;
         let page = dataset.page_for_with(site, &mut self.scratch);
+        acc.last_rank = Some(site.rank);
         lap(1);
 
         // Streaming observability rides in the shard accumulator: give
@@ -477,7 +484,8 @@ impl CrawlSpec {
     /// environment, the merged output is byte-identical to a
     /// sequential crawl — the thread count changes wall-clock time and
     /// nothing else. The timeline's window-keyed merge is commutative
-    /// and associative, so that holds for the observed output too.
+    /// and associative, and a window is sealed only once no unmerged
+    /// rank can reach it, so that holds for the observed output too.
     pub fn run(&self) -> CrawlResults {
         let sites = self.sites;
         let obs = self.obs.as_ref();
@@ -486,8 +494,8 @@ impl CrawlSpec {
         let site_cfgs: Vec<&SiteConfig> = dataset.successful_sites().collect();
 
         // Rank-ordered merge: chunk 0, 1, 2, … — the deterministic spine.
-        // (The timeline and flight merges are order-free anyway; riding the
-        // same spine costs nothing and keeps one mental model.)
+        // (The timeline and flight merges are order-free; the order is
+        // what tells the timeline which windows no chunk left can reach.)
         let mut total = ShardAccum::new(sites, config.tranco_total, obs);
         origin_netsim::fold_chunks(
             &site_cfgs,
@@ -508,7 +516,16 @@ impl CrawlSpec {
                 }
                 acc
             },
-            |acc| total.merge(acc),
+            |acc| {
+                // Chunks merge in rank order, so the ranks left are
+                // all past this chunk's last: seal the timeline windows
+                // they cannot reach (DESIGN.md §18).
+                let next = acc.last_rank.map(|rank| rank + 1);
+                total.merge(acc);
+                if let (Some(o), Some(next)) = (total.obs.as_mut(), next) {
+                    o.timeline.seal_before(next);
+                }
+            },
         );
 
         // Crawl-wide totals recorded once, after the rank-ordered merge.
@@ -517,7 +534,10 @@ impl CrawlSpec {
         // Observability counters exist only on observed runs, so an
         // unobserved export stays byte-identical to the pre-obs schema —
         // the same absent-subsystem rule `fault.*`/`h1.*` follow.
-        if let Some(o) = &total.obs {
+        if let Some(o) = total.obs.as_mut() {
+            // The timeline is final: sealed whole, it is the same value
+            // at any thread count.
+            o.timeline.seal_all();
             total
                 .metrics
                 .add("obs.flight_events", o.flight.events_recorded());

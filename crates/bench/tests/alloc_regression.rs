@@ -192,15 +192,22 @@ const MAX_S5_ALLOCS_PER_VISIT: [(DeploymentMode, BrowserKind, u64); 3] = [
 /// by doubling into `Option<Exemplar>` slots, 7,426; while filler SANs
 /// were formatted names, 5,186; while the env kept every hostname's
 /// facts and Table 7 every site's own hosts, 4,873; while a trace
-/// event was a 12-byte record beside its values, 4,543. It measures
-/// 3,906 bytes and 24.7 allocations a rank.
+/// event was a 12-byte record beside its values, 4,543; while every
+/// timeline window kept its five sketches after no rank left could
+/// reach it, 3,906. It measures 3,097 bytes and 24.7 allocations a
+/// rank.
 const OBSERVED_SITES: u32 = 2_000;
-const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 4_300.0;
+const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 3_400.0;
 /// What exporting that crawl's trace may add to peak live bytes: the
 /// exporter renders one event at a time, so what it holds does not
 /// grow with the trace. Rendering the whole document into a `String`
 /// took ≈ 28 MiB here.
 const MAX_TRACE_EXPORT_PEAK_BYTES: u64 = 64 * 1024;
+/// The same for its timeline: the exporter renders one window at a
+/// time, and the totals of a timeline whose windows are all sealed are
+/// its tail cell, rendered in place. Rendering the whole document into
+/// a `String` took ≈ 1.5 MiB here.
+const MAX_TIMELINE_EXPORT_PEAK_BYTES: u64 = 16 * 1024;
 /// Ranks of the serving set-up whose peak is measured — the world
 /// generated and its serve plans compiled, what `serve-*` builds before
 /// its first visit — and its ceiling on peak live bytes per rank. While
@@ -476,13 +483,30 @@ fn steady_state_crawl_allocations_stay_bounded() {
     PEAK.store(base, Ordering::Relaxed);
     write_chrome_json(&crawl.trace, &mut io::sink()).expect("a sink takes every byte");
     let export_peak = PEAK.load(Ordering::Relaxed) - base;
-    drop(crawl);
     println!("trace export: {export_peak} peak live bytes");
     assert!(
         export_peak <= MAX_TRACE_EXPORT_PEAK_BYTES,
         "exporting the observed crawl's trace raises peak live bytes by {export_peak} (ceiling \
          {MAX_TRACE_EXPORT_PEAK_BYTES}): the exporter renders the document whole again"
     );
+    let timeline = crawl.timeline.as_ref().expect("an observed crawl");
+    let base = live_bytes();
+    PEAK.store(base, Ordering::Relaxed);
+    timeline
+        .write_json(&mut io::sink())
+        .expect("a sink takes every byte");
+    let export_peak = PEAK.load(Ordering::Relaxed) - base;
+    println!(
+        "timeline export: {export_peak} peak live bytes ({} windows)",
+        timeline.num_windows()
+    );
+    assert!(
+        export_peak <= MAX_TIMELINE_EXPORT_PEAK_BYTES,
+        "exporting the observed crawl's timeline raises peak live bytes by {export_peak} \
+         (ceiling {MAX_TIMELINE_EXPORT_PEAK_BYTES}): the exporter renders the document whole \
+         again, or copies the totals of a sealed timeline"
+    );
+    drop(crawl);
     println!(
         "observed crawl: {peak:.0} peak live bytes per site, {observed_allocs:.1} allocations"
     );
@@ -490,7 +514,8 @@ fn steady_state_crawl_allocations_stay_bounded() {
         peak <= MAX_OBSERVED_PEAK_BYTES_PER_SITE,
         "the observed crawl peaks at {peak:.0} live bytes a site (ceiling \
          {MAX_OBSERVED_PEAK_BYTES_PER_SITE}): a chunk's result outlives its merge, a merge \
-         copies what it could move, or a trace event grew"
+         copies what it could move, a trace event grew, or a timeline window no rank left \
+         can reach keeps its sketches"
     );
 
     // The crawl generates this world itself; its bytes are taken off

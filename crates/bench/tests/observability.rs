@@ -52,6 +52,15 @@ fn timeline_json_identical_across_thread_counts() {
         eight.timeline.as_ref().unwrap().to_json(),
         "timeline: 1 vs 8 threads"
     );
+    // Sealed whole, the timeline itself is one value at any thread
+    // count, not just its export.
+    let three = observed(3, &obs);
+    for (threads, other) in [(2, &two), (3, &three), (8, &eight)] {
+        assert!(
+            one.timeline == other.timeline,
+            "sealed timeline: 1 vs {threads} threads"
+        );
+    }
     // The metrics registry (now carrying obs.* totals) too.
     assert_eq!(one.metrics.to_json(), eight.metrics.to_json());
     // And the dashboard rendered from it, since CI archives it.

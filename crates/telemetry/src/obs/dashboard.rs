@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use super::window::{Timeline, WindowCell};
+use super::window::{Timeline, WindowStats};
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 const BAR_WIDTH: usize = 10;
@@ -39,7 +39,7 @@ fn bar_of(fraction: f64) -> String {
     s
 }
 
-fn window_row(out: &mut String, idx: u64, start_ms: u64, cell: &WindowCell) {
+fn window_row(out: &mut String, idx: u64, start_ms: u64, cell: &WindowStats) {
     let _ = writeln!(
         out,
         "w{:>4} {:>8}ms  visits {:>4}  coal {:.3} {}  plt p50/p99 {:>6}/{:>6}ms  conn/v {:>5.2}  dns-hit {:.3}  fault/v {:>5.3}  h1-red {:.3}",
@@ -65,7 +65,7 @@ pub fn render(timeline: &Timeline, rank_lo: u32, rank_hi: u32) -> String {
     let hi = (timeline.epoch(rank_hi) + timeline.spacing()).window_index(width);
     let window_ms = width.as_micros() / 1_000;
 
-    let mut rows: Vec<(u64, &WindowCell)> = Vec::new();
+    let mut rows: Vec<(u64, &WindowStats)> = Vec::new();
     let mut coal = Vec::new();
     let mut p99 = Vec::new();
     for (idx, cell) in timeline.windows() {
@@ -95,7 +95,7 @@ pub fn render(timeline: &Timeline, rank_lo: u32, rank_hi: u32) -> String {
     }
 
     let totals = {
-        let mut t = WindowCell::default();
+        let mut t = WindowStats::default();
         for (_, cell) in &rows {
             t.merge(cell);
         }

@@ -8,14 +8,21 @@
 //! shard boundaries, and wall clock.
 //!
 //! Windows are tumbling: window `i` covers `[i·W, (i+1)·W)` simulated
-//! time. Each window holds a fixed array of counters plus a handful of
-//! bounded [`QuantileSketch`]es, so aggregator memory is
-//! `O(windows × series)` regardless of how many visits stream through.
+//! time. An open window holds a fixed array of counters plus five
+//! bounded [`QuantileSketch`]es, however many visits stream through.
 //! Merging two timelines is a window-keyed union with commutative cell
 //! addition: associative and shard-order-invariant by construction
 //! (pinned by property tests in `tests/`).
+//!
+//! A visit records only at or after its own epoch, so a crawl merging
+//! its chunks in rank order knows which windows no rank left can
+//! touch, and seals them ([`Timeline::seal_before`]): a sealed window
+//! keeps its counters, its PLT sketch and the five numbers and one
+//! exemplar the export prints of each sketch, and its whole cell is
+//! folded into the timeline's running totals.
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::io;
 
 use origin_netsim::{json, SimDuration, SimTime};
 
@@ -144,16 +151,65 @@ impl VisitObs {
     }
 }
 
-/// One tumbling window's aggregate: a fixed counter array plus the
-/// per-window quantile sketches.
+/// What the dashboard reads of a window — its counter array and its
+/// measured-PLT sketch — and, beside the summaries the export prints,
+/// all a sealed window keeps. [`WindowCell`] dereferences to it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WindowCell {
+pub struct WindowStats {
     counters: [u64; N_COUNTERS],
     plt: QuantileSketch,
+}
+
+/// One tumbling window's aggregate: the counters and PLT sketch of its
+/// [`WindowStats`], plus the four sketches only its export reads.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WindowCell {
+    stats: WindowStats,
     plt_ideal_ip: QuantileSketch,
     plt_ideal_origin: QuantileSketch,
     handshake: QuantileSketch,
     bytes: QuantileSketch,
+}
+
+impl std::ops::Deref for WindowCell {
+    type Target = WindowStats;
+
+    fn deref(&self) -> &WindowStats {
+        &self.stats
+    }
+}
+
+/// What the export prints of one sketch: its count, three quantiles,
+/// its max and the exemplar of its p99 bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Summary {
+    count: u64,
+    p50: u64,
+    p90: u64,
+    p99: u64,
+    max: u64,
+    p99_exemplar: Option<Exemplar>,
+}
+
+impl Summary {
+    fn of(s: &QuantileSketch) -> Self {
+        Summary {
+            count: s.count(),
+            p50: s.quantile(0.50),
+            p90: s.quantile(0.90),
+            p99: s.quantile(0.99),
+            max: s.max(),
+            p99_exemplar: s.quantile_exemplar(0.99),
+        }
+    }
+}
+
+/// A window no rank left to merge can touch: its [`WindowStats`] and
+/// the [`Summary`] of each of its five sketches, in export order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SealedWindow {
+    stats: WindowStats,
+    summaries: [Summary; 5],
 }
 
 /// Divide, returning 0 for an empty denominator.
@@ -165,7 +221,7 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-impl WindowCell {
+impl WindowStats {
     /// Visits whose epoch fell in this window.
     pub fn visits(&self) -> u64 {
         self.counters[C_VISITS]
@@ -235,59 +291,29 @@ impl WindowCell {
         &self.plt
     }
 
-    /// The TLS-handshake-duration sketch.
-    pub fn handshake(&self) -> &QuantileSketch {
-        &self.handshake
-    }
-
-    /// The response-body-size sketch.
-    pub fn bytes(&self) -> &QuantileSketch {
-        &self.bytes
-    }
-
-    /// An empty cell whose five sketch runs have room for what
-    /// `self`'s hold.
-    fn sized_like(&self) -> Self {
-        WindowCell {
-            counters: [0; N_COUNTERS],
-            plt: self.plt.sized_like(),
-            plt_ideal_ip: self.plt_ideal_ip.sized_like(),
-            plt_ideal_origin: self.plt_ideal_origin.sized_like(),
-            handshake: self.handshake.sized_like(),
-            bytes: self.bytes.sized_like(),
-        }
-    }
-
-    /// Fold another cell in (commutative, associative).
-    pub fn merge(&mut self, other: &WindowCell) {
+    /// Fold another window's stats in (commutative, associative).
+    pub fn merge(&mut self, other: &WindowStats) {
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
             *a += b;
         }
         self.plt.merge(&other.plt);
-        self.plt_ideal_ip.merge(&other.plt_ideal_ip);
-        self.plt_ideal_origin.merge(&other.plt_ideal_origin);
-        self.handshake.merge(&other.handshake);
-        self.bytes.merge(&other.bytes);
     }
 
-    /// `{"name":value,…` — a cell's compact object layout, left open
-    /// for the caller to close.
-    fn object<T>(
-        out: &mut String,
-        members: impl IntoIterator<Item = (&'static str, T)>,
-        value: impl Fn(&mut String, T),
-    ) {
-        out.push('{');
-        json::push_joined(out, members, ",", |out, (name, v)| {
-            json::push_str(out, name);
-            out.push(':');
-            value(out, v);
-        });
+    /// `"counters":…,"rates":…,"sketches":…` — the body every cell of
+    /// the export (window, folded tail, totals) shares, the sketches
+    /// given by their summaries.
+    fn json(&self, summaries: &[Summary; 5], out: &mut String) {
+        out.push_str("\"counters\":");
+        self.counters_json(out);
+        out.push_str(",\"rates\":");
+        self.rates_json(out);
+        out.push_str(",\"sketches\":");
+        sketches_json(summaries, out);
     }
 
     fn counters_json(&self, out: &mut String) {
         let counters = COUNTER_NAMES.into_iter().zip(self.counters);
-        Self::object(out, counters, json::push_u64);
+        object(out, counters, json::push_u64);
         out.push('}');
     }
 
@@ -315,51 +341,103 @@ impl WindowCell {
                 self.h1_redundant_share(4),
             ),
         ];
-        Self::object(out, rates, |out, v| json::push_fixed(out, v, 6));
+        object(out, rates, |out, v| json::push_fixed(out, v, 6));
         out.push('}');
     }
+}
 
-    fn sketches_json(&self, out: &mut String) {
-        let sketches: [(&str, &QuantileSketch); 5] = [
-            ("plt_us", &self.plt),
-            ("plt_ideal_ip_us", &self.plt_ideal_ip),
-            ("plt_ideal_origin_us", &self.plt_ideal_origin),
-            ("handshake_us", &self.handshake),
-            ("bytes", &self.bytes),
+/// `{"name":value,…` — a cell's compact object layout, left open for
+/// the caller to close.
+fn object<T>(
+    out: &mut String,
+    members: impl IntoIterator<Item = (&'static str, T)>,
+    value: impl Fn(&mut String, T),
+) {
+    out.push('{');
+    json::push_joined(out, members, ",", |out, (name, v)| {
+        json::push_str(out, name);
+        out.push(':');
+        value(out, v);
+    });
+}
+
+fn sketches_json(summaries: &[Summary; 5], out: &mut String) {
+    let names = [
+        "plt_us",
+        "plt_ideal_ip_us",
+        "plt_ideal_origin_us",
+        "handshake_us",
+        "bytes",
+    ];
+    object(out, names.into_iter().zip(summaries), |out, s| {
+        let quantiles = [
+            ("count", s.count),
+            ("p50", s.p50),
+            ("p90", s.p90),
+            ("p99", s.p99),
+            ("max", s.max),
         ];
-        Self::object(out, sketches, |out, s| {
-            let quantiles = [
-                ("count", s.count()),
-                ("p50", s.quantile(0.50)),
-                ("p90", s.quantile(0.90)),
-                ("p99", s.quantile(0.99)),
-                ("max", s.max()),
+        object(out, quantiles, json::push_u64);
+        if let Some(e) = s.p99_exemplar {
+            out.push_str(",\"p99_exemplar\":");
+            let exemplar = [
+                ("value", e.value),
+                ("rank", u64::from(e.rank)),
+                ("span_id", e.span_id),
             ];
-            Self::object(out, quantiles, json::push_u64);
-            if let Some(e) = s.quantile_exemplar(0.99) {
-                out.push_str(",\"p99_exemplar\":");
-                let exemplar = [
-                    ("value", e.value),
-                    ("rank", u64::from(e.rank)),
-                    ("span_id", e.span_id),
-                ];
-                Self::object(out, exemplar, json::push_u64);
-                out.push('}');
-            }
+            object(out, exemplar, json::push_u64);
             out.push('}');
-        });
+        }
         out.push('}');
+    });
+    out.push('}');
+}
+
+impl WindowCell {
+    /// The response-body-size sketch.
+    pub fn bytes(&self) -> &QuantileSketch {
+        &self.bytes
     }
 
-    /// `"counters":…,"rates":…,"sketches":…` — the body every cell of
-    /// the export (window, folded tail, totals) shares.
+    /// An empty cell whose five sketch runs have room for what
+    /// `self`'s hold.
+    fn sized_like(&self) -> Self {
+        WindowCell {
+            stats: WindowStats {
+                counters: [0; N_COUNTERS],
+                plt: self.plt.sized_like(),
+            },
+            plt_ideal_ip: self.plt_ideal_ip.sized_like(),
+            plt_ideal_origin: self.plt_ideal_origin.sized_like(),
+            handshake: self.handshake.sized_like(),
+            bytes: self.bytes.sized_like(),
+        }
+    }
+
+    /// Fold another cell in (commutative, associative).
+    pub fn merge(&mut self, other: &WindowCell) {
+        self.stats.merge(&other.stats);
+        self.plt_ideal_ip.merge(&other.plt_ideal_ip);
+        self.plt_ideal_origin.merge(&other.plt_ideal_origin);
+        self.handshake.merge(&other.handshake);
+        self.bytes.merge(&other.bytes);
+    }
+
+    /// The summary of each sketch, in export order.
+    fn summaries(&self) -> [Summary; 5] {
+        [
+            &self.stats.plt,
+            &self.plt_ideal_ip,
+            &self.plt_ideal_origin,
+            &self.handshake,
+            &self.bytes,
+        ]
+        .map(Summary::of)
+    }
+
+    /// The export body of this cell (see [`WindowStats::json`]).
     fn json(&self, out: &mut String) {
-        out.push_str("\"counters\":");
-        self.counters_json(out);
-        out.push_str(",\"rates\":");
-        self.rates_json(out);
-        out.push_str(",\"sketches\":");
-        self.sketches_json(out);
+        self.stats.json(&self.summaries(), out);
     }
 }
 
@@ -374,19 +452,30 @@ impl WindowCell {
 /// from the *maximum* window index seen (itself a max over shards), so
 /// a retained timeline merged from any sharding folds exactly the same
 /// window set and stays byte-identical at any thread count.
+///
+/// A crawl that records visits in rank order instead *seals* windows
+/// ([`Timeline::seal_before`]): a sealed window keeps every number the
+/// export prints, and its cell is folded into the same tail cell,
+/// which then holds the sealed windows' totals. Sealing and retention
+/// are exclusive.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timeline {
     window: SimDuration,
     spacing: SimDuration,
+    /// Open windows: every one at or past `folded_before`.
     windows: BTreeMap<u64, WindowCell>,
+    /// Sealed windows in index order, every one below `folded_before`
+    /// (empty unless sealed).
+    sealed: Vec<(u64, SealedWindow)>,
     /// Maximum live windows to keep (`None` = unbounded, the crawl
     /// default; the committed reference exports never retain).
     retain: Option<u64>,
     /// Highest window index ever touched (recorded or merged in).
     max_seen: u64,
-    /// Everything evicted by retention, folded into one tail cell.
+    /// Every cell behind `folded_before`, folded into one: what
+    /// retention evicted, or the cells of the sealed windows.
     folded: WindowCell,
-    /// First window index NOT folded (0 = nothing folded yet).
+    /// First window index neither folded nor sealed (0 = none yet).
     folded_before: u64,
 }
 
@@ -406,11 +495,7 @@ impl Timeline {
         Timeline {
             window,
             spacing,
-            windows: BTreeMap::new(),
-            retain: None,
-            max_seen: 0,
-            folded: WindowCell::default(),
-            folded_before: 0,
+            ..Timeline::default()
         }
     }
 
@@ -422,11 +507,6 @@ impl Timeline {
         assert!(max_windows > 0, "retention must keep at least one window");
         self.retain = Some(max_windows);
         self
-    }
-
-    /// The configured retention horizon, when bounded.
-    pub fn retention(&self) -> Option<u64> {
-        self.retain
     }
 
     /// The tumbling-window width.
@@ -449,10 +529,11 @@ impl Timeline {
         if idx > self.max_seen {
             self.max_seen = idx;
         }
-        // Behind the retention horizon the live window is gone; its
-        // contribution belongs to the tail cell it was folded into.
+        // Behind the horizon the live window is gone: retention folded
+        // it into the tail cell, which takes its contribution, or it
+        // was sealed, which takes none.
         if idx < self.folded_before {
-            return &mut self.folded;
+            return self.tail(idx);
         }
         // A window past the last one fills much as the last one did:
         // size its sketches once instead of growing them up to there
@@ -464,6 +545,17 @@ impl Timeline {
         self.windows
             .entry(idx)
             .or_insert_with(|| sized.unwrap_or_default())
+    }
+
+    /// The tail cell window `idx`, behind the horizon, folds into. A
+    /// sealed window takes nothing more: that would break the rule
+    /// that sealed it, so it panics in every build.
+    fn tail(&mut self, idx: u64) -> &mut WindowCell {
+        assert!(
+            self.retain.is_some(),
+            "window {idx} is sealed: nothing may be recorded or merged into it"
+        );
+        &mut self.folded
     }
 
     /// Evict-and-fold every live window behind the retention horizon
@@ -511,25 +603,26 @@ impl Timeline {
         let idx = epoch.window_index(window);
         let mut current = bounds(idx);
         let mut cell = self.cell(idx);
-        cell.counters[C_VISITS] += 1;
-        cell.counters[C_REQUESTS] += v.requests;
-        cell.counters[C_COALESCED] += v.coalesced_requests;
-        cell.counters[C_CONNS] += v.connections_opened;
-        cell.counters[C_DNS_QUERIES] += v.dns_queries;
-        cell.counters[C_DNS_HITS] += v.dns_cache_hits;
-        cell.counters[C_DNS_MISSES] += v.dns_cache_misses;
-        cell.counters[C_MEASURED_TLS] += v.measured_tls;
-        cell.counters[C_MODEL_IP_TLS] += v.model_ip_tls;
-        cell.counters[C_MODEL_ORIGIN_TLS] += v.model_origin_tls;
-        cell.counters[C_FAULT_421] += v.fault_misdirected_421;
-        cell.counters[C_FAULT_EVENTS] += v.fault_events;
-        cell.counters[C_FAULT_RECOVERIES] += v.fault_recoveries;
-        cell.counters[C_H1_CONNS] += v.h1_connections;
-        cell.counters[C_H1_REQUESTS] += v.h1_requests;
+        let counters = &mut cell.stats.counters;
+        counters[C_VISITS] += 1;
+        counters[C_REQUESTS] += v.requests;
+        counters[C_COALESCED] += v.coalesced_requests;
+        counters[C_CONNS] += v.connections_opened;
+        counters[C_DNS_QUERIES] += v.dns_queries;
+        counters[C_DNS_HITS] += v.dns_cache_hits;
+        counters[C_DNS_MISSES] += v.dns_cache_misses;
+        counters[C_MEASURED_TLS] += v.measured_tls;
+        counters[C_MODEL_IP_TLS] += v.model_ip_tls;
+        counters[C_MODEL_ORIGIN_TLS] += v.model_origin_tls;
+        counters[C_FAULT_421] += v.fault_misdirected_421;
+        counters[C_FAULT_EVENTS] += v.fault_events;
+        counters[C_FAULT_RECOVERIES] += v.fault_recoveries;
+        counters[C_H1_CONNS] += v.h1_connections;
+        counters[C_H1_REQUESTS] += v.h1_requests;
         for (i, r) in v.h1_redundant.iter().enumerate() {
-            cell.counters[C_H1_RED + i] += r;
+            counters[C_H1_RED + i] += r;
         }
-        cell.plt.record(
+        cell.stats.plt.record(
             v.plt_us,
             Some(Exemplar {
                 value: v.plt_us,
@@ -570,7 +663,7 @@ impl Timeline {
                     span_id: span,
                 }),
             );
-            cell.counters[C_BYTES_TOTAL] += size;
+            cell.stats.counters[C_BYTES_TOTAL] += size;
         }
         self.enforce_retention();
     }
@@ -582,6 +675,8 @@ impl Timeline {
     ///
     /// `other` is consumed: a window this timeline lacks is moved in
     /// whole, and only windows both hold are merged cell by cell.
+    /// Merging into a sealed window, or merging a sealed timeline in,
+    /// panics.
     pub fn merge(&mut self, other: Timeline) {
         // A mismatch would mis-bin silently; checked once per merge.
         assert_eq!(
@@ -589,11 +684,15 @@ impl Timeline {
             (other.window, other.spacing, other.retain),
             "merged timelines must share (window, spacing, retention)"
         );
+        assert!(
+            other.retain.is_some() || other.folded_before == 0,
+            "a sealed timeline merges into nothing"
+        );
         self.folded.merge(&other.folded);
         self.folded_before = self.folded_before.max(other.folded_before);
         for (idx, cell) in other.windows {
             if idx < self.folded_before {
-                self.folded.merge(&cell);
+                self.tail(idx).merge(&cell);
                 continue;
             }
             match self.windows.entry(idx) {
@@ -607,29 +706,82 @@ impl Timeline {
         self.enforce_retention();
     }
 
-    /// Number of materialised (live) windows.
+    /// Seal every window that ends at or before the epoch of `rank`.
+    ///
+    /// Visit `r` records only at `epoch(r) + offset`, `offset ≥ 0`, so
+    /// once every visit below `rank` has been recorded or merged in —
+    /// and visits of `rank` and up are all that is left — no event can
+    /// land in a window `[i·W, (i+1)·W)` with `(i+1)·W ≤ epoch(rank)`:
+    /// those are the windows below `epoch(rank)`'s own. Sealing one
+    /// folds its cell into the tail cell (which then holds the sealed
+    /// windows' totals) and keeps only its [`WindowStats`] and the
+    /// summary of each sketch: every number the export prints. A
+    /// later record or merge into it panics. Panics on a retained
+    /// timeline: retention drops windows from the export, sealing
+    /// keeps every exported number.
+    pub fn seal_before(&mut self, rank: u32) {
+        self.seal_windows_before(self.epoch(rank).window_index(self.window));
+    }
+
+    /// Seal every window: the timeline takes no more visits. Its value
+    /// is then the same whatever the order and grouping of the
+    /// records, merges and seals that built it.
+    pub fn seal_all(&mut self) {
+        self.seal_windows_before(u64::MAX);
+    }
+
+    /// Seal every window below `boundary` (clamped past the last window
+    /// touched, so a sealed timeline's horizon is a function of its
+    /// windows alone).
+    fn seal_windows_before(&mut self, boundary: u64) {
+        assert!(
+            self.retain.is_none(),
+            "a retained timeline is never sealed: retention drops windows from the export, \
+             sealing keeps every exported number"
+        );
+        let boundary = boundary.min(self.max_seen + 1);
+        if boundary <= self.folded_before {
+            return;
+        }
+        self.folded_before = boundary;
+        // Sealing happens a few times a crawl: reserve exactly, rather
+        // than leave a doubled run's slack behind the last seal.
+        self.sealed
+            .reserve_exact(self.windows.range(..boundary).count());
+        while let Some(entry) = self.windows.first_entry() {
+            if *entry.key() >= boundary {
+                break;
+            }
+            let (idx, cell) = entry.remove_entry();
+            self.folded.merge(&cell);
+            let window = SealedWindow {
+                summaries: cell.summaries(),
+                stats: cell.stats,
+            };
+            self.sealed.push((idx, window));
+        }
+    }
+
+    /// Number of windows, open and sealed (retention's folded ones
+    /// are not counted).
     pub fn num_windows(&self) -> usize {
-        self.windows.len()
+        self.sealed.len() + self.windows.len()
     }
 
     /// Total visits recorded, including visits folded into the tail.
     pub fn total_visits(&self) -> u64 {
-        self.folded.visits() + self.windows.values().map(WindowCell::visits).sum::<u64>()
+        self.folded.visits() + self.windows.values().map(|c| c.visits()).sum::<u64>()
     }
 
-    /// Iterate windows in time order as `(index, cell)`.
-    pub fn windows(&self) -> impl Iterator<Item = (u64, &WindowCell)> {
-        self.windows.iter().map(|(&i, c)| (i, c))
+    /// Iterate windows, sealed and open, in time order as
+    /// `(index, stats)`.
+    pub fn windows(&self) -> impl Iterator<Item = (u64, &WindowStats)> {
+        let sealed = self.sealed.iter().map(|(i, w)| (*i, &w.stats));
+        sealed.chain(self.windows.iter().map(|(&i, c)| (i, &c.stats)))
     }
 
-    /// The tail cell retention folded evicted windows into (empty
-    /// without retention or before the horizon first moved).
-    pub fn folded(&self) -> &WindowCell {
-        &self.folded
-    }
-
-    /// The whole-crawl aggregate: every window cell — live and folded
-    /// — folded together.
+    /// The whole-crawl aggregate: every window cell — live, folded
+    /// and sealed — folded together.
     pub fn totals(&self) -> WindowCell {
         let mut total = self.folded.clone();
         for cell in self.windows.values() {
@@ -643,38 +795,71 @@ impl Timeline {
     /// additionally carries a `folded` tail-summary section; without
     /// retention the export is byte-identical to what it was before
     /// retention existed, which is what keeps the committed reference
-    /// timelines valid.
-    pub fn to_json(&self) -> String {
+    /// timelines valid. Sealed and open windows print alike, open ones
+    /// from the summaries of their sketches.
+    ///
+    /// Windows are rendered one at a time into a reused buffer, so the
+    /// document is never held whole.
+    pub fn write_json(&self, out: &mut impl io::Write) -> io::Result<()> {
         let window_us = self.window.as_micros();
-        let mut out = String::with_capacity(4096 + 1024 * self.windows.len());
-        out.push_str("{\n  \"window_ms\": ");
-        json::push_u64(&mut out, window_us / 1_000);
-        out.push_str(",\n  \"spacing_ms\": ");
-        json::push_u64(&mut out, self.spacing.as_micros() / 1_000);
-        out.push_str(",\n");
+        let mut head = String::from("{\n  \"window_ms\": ");
+        json::push_u64(&mut head, window_us / 1_000);
+        head.push_str(",\n  \"spacing_ms\": ");
+        json::push_u64(&mut head, self.spacing.as_micros() / 1_000);
+        head.push_str(",\n");
         if let Some(retain) = self.retain {
-            out.push_str("  \"retain_windows\": ");
-            json::push_u64(&mut out, retain);
-            out.push_str(",\n  \"folded\": {\"before_index\":");
-            json::push_u64(&mut out, self.folded_before);
-            out.push(',');
-            self.folded.json(&mut out);
-            out.push_str("},\n");
+            head.push_str("  \"retain_windows\": ");
+            json::push_u64(&mut head, retain);
+            head.push_str(",\n  \"folded\": {\"before_index\":");
+            json::push_u64(&mut head, self.folded_before);
+            head.push(',');
+            self.folded.json(&mut head);
+            head.push_str("},\n");
         }
-        out.push_str("  \"windows\": [\n");
-        json::push_joined(&mut out, &self.windows, ",\n", |out, (&idx, cell)| {
-            out.push_str("    {\"index\":");
-            json::push_u64(out, idx);
-            out.push_str(",\"start_ms\":");
-            json::push_u64(out, idx * window_us / 1_000);
-            out.push(',');
-            cell.json(out);
-            out.push('}');
-        });
-        out.push_str("\n  ],\n  \"totals\": {");
-        self.totals().json(&mut out);
-        out.push_str("}\n}\n");
-        out
+        head.push_str("  \"windows\": [\n");
+        out.write_all(head.as_bytes())?;
+
+        let sealed = self.sealed.iter().map(|(i, w)| (*i, &w.stats, w.summaries));
+        let open = self
+            .windows
+            .iter()
+            .map(|(&i, c)| (i, &c.stats, c.summaries()));
+        json::write_joined(
+            out,
+            sealed.chain(open),
+            ",\n",
+            |out, (idx, stats, summaries)| {
+                out.push_str("    {\"index\":");
+                json::push_u64(out, idx);
+                out.push_str(",\"start_ms\":");
+                json::push_u64(out, idx * window_us / 1_000);
+                out.push(',');
+                stats.json(&summaries, out);
+                out.push('}');
+            },
+        )?;
+
+        // Once every window is folded or sealed, the tail cell is the
+        // totals: render it without a copy.
+        let merged;
+        let totals = if self.windows.is_empty() {
+            &self.folded
+        } else {
+            merged = self.totals();
+            &merged
+        };
+        let mut tail = String::from("\n  ],\n  \"totals\": {");
+        totals.json(&mut tail);
+        tail.push_str("}\n}\n");
+        out.write_all(tail.as_bytes())
+    }
+
+    /// [`Timeline::write_json`] into a `String`.
+    pub fn to_json(&self) -> String {
+        let mut out = Vec::with_capacity(4096 + 1024 * self.num_windows());
+        self.write_json(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the exporter writes UTF-8")
     }
 }
 
@@ -741,7 +926,7 @@ mod tests {
         assert_eq!(totals.visits(), 32);
         assert_eq!(t.total_visits(), 32);
         assert_eq!(totals.plt().count(), 32);
-        assert_eq!(totals.handshake().count(), 64);
+        assert_eq!(totals.handshake.count(), 64);
         assert!((totals.coalesce_rate() - 0.4).abs() < 1e-9);
     }
 
@@ -775,7 +960,7 @@ mod tests {
         }
         assert_eq!(t.total_visits(), 1_000_000);
         assert_eq!(t.totals().visits(), 1_000_000);
-        assert!(t.folded().visits() > 900_000, "tail absorbed the horizon");
+        assert!(t.folded.visits() > 900_000, "tail absorbed the horizon");
         let json = t.to_json();
         assert!(json.contains("\"retain_windows\": 64"));
         assert!(json.contains("\"folded\""));
@@ -828,7 +1013,7 @@ mod tests {
         t.record_visit_at(SimTime::from_secs(100), &light_visit(1, 1_000));
         t.record_visit_at(SimTime::ZERO, &light_visit(2, 2_000));
         assert_eq!(t.total_visits(), 2);
-        assert_eq!(t.folded().visits(), 1, "straggler folded, not revived");
+        assert_eq!(t.folded.visits(), 1, "straggler folded, not revived");
         assert!(t.num_windows() <= 4);
     }
 
@@ -861,21 +1046,21 @@ mod tests {
         let shape = |c: &WindowCell| {
             (
                 c.visits(),
-                c.handshake().count(),
+                c.handshake.count(),
                 c.bytes().count(),
-                c.counters[C_BYTES_TOTAL],
+                c.stats.counters[C_BYTES_TOTAL],
             )
         };
-        let live: Vec<_> = t.windows().map(|(i, c)| (i, shape(c))).collect();
+        let live: Vec<_> = t.windows.iter().map(|(&i, c)| (i, shape(c))).collect();
         assert_eq!(live, [(9, (0, 1, 2, 900)), (10, (1, 2, 1, 400))]);
-        assert_eq!(shape(t.folded()), (1, 2, 1, 200));
-        assert_eq!(t.folded().handshake().max(), 50);
+        assert_eq!(shape(&t.folded), (1, 2, 1, 200));
+        assert_eq!(t.folded.handshake.max(), 50);
 
         // Moving the horizon to window 11 folds window 9 behind it.
         t.record_visit_at(SimTime::from_secs(11), &light_visit(3, 3_000));
-        let live: Vec<_> = t.windows().map(|(i, c)| (i, shape(c))).collect();
+        let live: Vec<_> = t.windows.iter().map(|(&i, c)| (i, shape(c))).collect();
         assert_eq!(live, [(10, (1, 2, 1, 400)), (11, (1, 0, 0, 0))]);
-        assert_eq!(shape(t.folded()), (1, 3, 3, 1_100));
+        assert_eq!(shape(&t.folded), (1, 3, 3, 1_100));
     }
 
     #[test]
@@ -905,25 +1090,26 @@ mod tests {
         let window = t.window;
         let mut idx = epoch.window_index(window);
         let mut cell = t.cell(idx);
-        cell.counters[C_VISITS] += 1;
-        cell.counters[C_REQUESTS] += v.requests;
-        cell.counters[C_COALESCED] += v.coalesced_requests;
-        cell.counters[C_CONNS] += v.connections_opened;
-        cell.counters[C_DNS_QUERIES] += v.dns_queries;
-        cell.counters[C_DNS_HITS] += v.dns_cache_hits;
-        cell.counters[C_DNS_MISSES] += v.dns_cache_misses;
-        cell.counters[C_MEASURED_TLS] += v.measured_tls;
-        cell.counters[C_MODEL_IP_TLS] += v.model_ip_tls;
-        cell.counters[C_MODEL_ORIGIN_TLS] += v.model_origin_tls;
-        cell.counters[C_FAULT_421] += v.fault_misdirected_421;
-        cell.counters[C_FAULT_EVENTS] += v.fault_events;
-        cell.counters[C_FAULT_RECOVERIES] += v.fault_recoveries;
-        cell.counters[C_H1_CONNS] += v.h1_connections;
-        cell.counters[C_H1_REQUESTS] += v.h1_requests;
+        let counters = &mut cell.stats.counters;
+        counters[C_VISITS] += 1;
+        counters[C_REQUESTS] += v.requests;
+        counters[C_COALESCED] += v.coalesced_requests;
+        counters[C_CONNS] += v.connections_opened;
+        counters[C_DNS_QUERIES] += v.dns_queries;
+        counters[C_DNS_HITS] += v.dns_cache_hits;
+        counters[C_DNS_MISSES] += v.dns_cache_misses;
+        counters[C_MEASURED_TLS] += v.measured_tls;
+        counters[C_MODEL_IP_TLS] += v.model_ip_tls;
+        counters[C_MODEL_ORIGIN_TLS] += v.model_origin_tls;
+        counters[C_FAULT_421] += v.fault_misdirected_421;
+        counters[C_FAULT_EVENTS] += v.fault_events;
+        counters[C_FAULT_RECOVERIES] += v.fault_recoveries;
+        counters[C_H1_CONNS] += v.h1_connections;
+        counters[C_H1_REQUESTS] += v.h1_requests;
         for (i, r) in v.h1_redundant.iter().enumerate() {
-            cell.counters[C_H1_RED + i] += r;
+            counters[C_H1_RED + i] += r;
         }
-        cell.plt.record(
+        cell.stats.plt.record(
             v.plt_us,
             Some(Exemplar {
                 value: v.plt_us,
@@ -962,7 +1148,7 @@ mod tests {
                     span_id: span,
                 }),
             );
-            cell.counters[C_BYTES_TOTAL] += size;
+            cell.stats.counters[C_BYTES_TOTAL] += size;
         }
         t.enforce_retention();
     }

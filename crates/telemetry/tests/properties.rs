@@ -5,9 +5,10 @@
 
 use std::collections::BTreeMap;
 
+use origin_netsim::SimDuration;
 use origin_telemetry::obs::sketch::bucket_index;
 use origin_telemetry::obs::window::{DEFAULT_SPACING, DEFAULT_WINDOW};
-use origin_telemetry::obs::{Exemplar, QuantileSketch, Timeline, VisitObs};
+use origin_telemetry::obs::{dashboard, Exemplar, QuantileSketch, Timeline, VisitObs};
 
 /// Minimal deterministic generator (splitmix64) for the property runs.
 struct Gen(u64);
@@ -353,4 +354,136 @@ fn timeline_memory_is_windows_times_series_not_visits() {
     // Bounded by distinct log2 sub-buckets, not samples.
     assert!(totals.plt().occupied_buckets() < 300);
     assert!(totals.bytes().occupied_buckets() < 300);
+}
+
+/// A visit stream in rank order on a `window`/`spacing` timeline:
+/// ranks skip ahead at random, some epochs fall exactly on a window
+/// edge, and handshake and byte offsets reach up to five windows ahead,
+/// some exactly onto an edge.
+fn rank_ordered_visits(gen: &mut Gen, window: u64, spacing: u64) -> Vec<VisitObs> {
+    let mut rank = gen.below(4) as u32;
+    (0..20 + gen.below(100))
+        .map(|_| {
+            rank += 1 + gen.below(3) as u32;
+            let epoch = u64::from(rank) * spacing;
+            let offset = |gen: &mut Gen| match gen.below(4) {
+                0 => (window - epoch % window) % window + gen.below(5) * window,
+                _ => gen.below(5 * window),
+            };
+            let mut v = random_visit(gen, rank);
+            for e in v.handshakes.iter_mut().chain(v.bytes.iter_mut()) {
+                e.0 = offset(gen);
+            }
+            v
+        })
+        .collect()
+}
+
+fn timeline_of(window: u64, spacing: u64, visits: &[VisitObs]) -> Timeline {
+    let mut t = Timeline::new(
+        SimDuration::from_micros(window),
+        SimDuration::from_micros(spacing),
+    );
+    for v in visits {
+        t.record_visit(v);
+    }
+    t
+}
+
+/// A crawl's fold: `visits` cut into random chunks, merged in order,
+/// each merge followed by a seal at the next chunk's first rank, then a
+/// seal of everything.
+fn sealed_in_chunks(gen: &mut Gen, window: u64, spacing: u64, visits: &[VisitObs]) -> Timeline {
+    let mut cuts: Vec<usize> = (0..gen.below(8))
+        .map(|_| gen.below(visits.len() as u64 + 1) as usize)
+        .chain([0, visits.len()])
+        .collect();
+    cuts.sort_unstable();
+    let chunks: Vec<&[VisitObs]> = cuts.windows(2).map(|c| &visits[c[0]..c[1]]).collect();
+    let mut total = timeline_of(window, spacing, &[]);
+    for (k, chunk) in chunks.iter().enumerate() {
+        total.merge(timeline_of(window, spacing, chunk));
+        if let Some(next) = chunks[k + 1..].iter().find_map(|c| c.first()) {
+            total.seal_before(next.rank);
+        }
+    }
+    total.seal_all();
+    total
+}
+
+#[test]
+fn sealing_keeps_every_exported_number() {
+    for seed in 0..200u64 {
+        let mut gen = Gen::new(0x5EA1 ^ seed);
+        let ms = |n: u64| n * 1_000;
+        let window = ms([500, 1_000, 1_500, 4_000][gen.below(4) as usize]);
+        let spacing = ms([250, 500, 1_000, 2_000][gen.below(4) as usize]);
+        let visits = rank_ordered_visits(&mut gen, window, spacing);
+        let open = timeline_of(window, spacing, &visits);
+        let sealed = sealed_in_chunks(&mut gen, window, spacing, &visits);
+        let case = format!("seed {seed}, window {window} µs, spacing {spacing} µs");
+        assert_eq!(sealed.to_json(), open.to_json(), "{case}");
+        assert_eq!(sealed.totals(), open.totals(), "{case}");
+        assert_eq!(sealed.num_windows(), open.num_windows(), "{case}");
+        assert_eq!(sealed.total_visits(), open.total_visits(), "{case}");
+        let last = visits.last().expect("a stream has visits").rank;
+        for _ in 0..4 {
+            let lo = gen.below(u64::from(last) + 1) as u32;
+            let hi = lo + gen.below(u64::from(last - lo) + 1) as u32;
+            assert_eq!(
+                dashboard::render(&sealed, lo, hi),
+                dashboard::render(&open, lo, hi),
+                "{case}, ranks {lo}..={hi}"
+            );
+        }
+        // Sealed whole, the timeline is one value however it was cut.
+        let again = sealed_in_chunks(&mut gen, window, spacing, &visits);
+        assert!(sealed == again, "{case}: two chunkings seal apart");
+    }
+}
+
+/// A timeline of visits 0..8 sealed before rank 8's epoch: windows
+/// 0 and 1 of 4 s at 1 s spacing.
+fn sealed_before_rank_8() -> Timeline {
+    let mut t = Timeline::new(DEFAULT_WINDOW, DEFAULT_SPACING);
+    for rank in 0..8 {
+        t.record_visit(&VisitObs {
+            rank,
+            ..VisitObs::default()
+        });
+    }
+    t.seal_before(8);
+    assert_eq!(t.num_windows(), 2);
+    t
+}
+
+#[test]
+#[should_panic(expected = "window 1 is sealed")]
+fn recording_into_a_sealed_window_panics() {
+    let mut t = sealed_before_rank_8();
+    // Rank 7 is below the rank it was sealed at: out of rank order.
+    t.record_visit(&VisitObs {
+        rank: 7,
+        ..VisitObs::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "window 1 is sealed")]
+fn merging_into_a_sealed_window_panics() {
+    let mut t = sealed_before_rank_8();
+    let mut late = Timeline::new(DEFAULT_WINDOW, DEFAULT_SPACING);
+    late.record_visit(&VisitObs {
+        rank: 5,
+        ..VisitObs::default()
+    });
+    t.merge(late);
+}
+
+#[test]
+#[should_panic(expected = "a retained timeline is never sealed")]
+fn sealing_a_retained_timeline_panics() {
+    Timeline::new(DEFAULT_WINDOW, DEFAULT_SPACING)
+        .with_retention(4)
+        .seal_all();
 }
