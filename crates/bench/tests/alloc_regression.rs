@@ -33,8 +33,9 @@
 //! event is a few stores into arenas that already grew, where the
 //! owned-`String`, `Vec`-of-args buffer it replaced allocated ~1,750
 //! times per traced visit. What it adds (3.2 a visit, 5.1 since a
-//! closing shard is trimmed to its length) is the shard that closes
-//! every 1,024 events and the pre-sized one that replaces it. The same loop with `Some(&mut tracer)`
+//! closing shard is trimmed to its length, 6 since it also holds a
+//! shape table) is the shard that closes every 1,024 events and the
+//! pre-sized one that replaces it. The same loop with `Some(&mut tracer)`
 //! must stay within [`MAX_TRACED_EXTRA_ALLOCS_PER_VISIT`] of the
 //! untraced count.
 //!
@@ -156,9 +157,10 @@ fn live_bytes() -> u64 {
 /// per rank: live bytes once generated, and allocations made on the
 /// way. While every provider host held its own address set and every
 /// certificate listed its subject and wildcard in a `Vec`, 752 and
-/// 9.2; measured 658 and 7.9.
+/// 9.2; while failed sites stored their zones and certificates, 658
+/// and 7.9; measured 504 and 7.6.
 const GEN_SITES: u32 = 2_000;
-const MAX_GEN_BYTES_PER_SITE: f64 = 735.0;
+const MAX_GEN_BYTES_PER_SITE: f64 = 590.0;
 const MAX_GEN_ALLOCS_PER_SITE: f64 = 9.0;
 
 /// Per-visit allocation ceilings on the steady-state (warm scratch /
@@ -194,10 +196,12 @@ const MAX_S5_ALLOCS_PER_VISIT: [(DeploymentMode, BrowserKind, u64); 3] = [
 /// facts and Table 7 every site's own hosts, 4,873; while a trace
 /// event was a 12-byte record beside its values, 4,543; while every
 /// timeline window kept its five sketches after no rank left could
-/// reach it, 3,906. It measures 3,097 bytes and 24.7 allocations a
-/// rank.
+/// reach it, 3,906; while a trace event spelled out its site, its
+/// flags and a tag per value, and failed sites stored their zones and
+/// certificates, 3,097. It measures 2,634 bytes and 24.7 allocations
+/// a rank.
 const OBSERVED_SITES: u32 = 2_000;
-const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 3_400.0;
+const MAX_OBSERVED_PEAK_BYTES_PER_SITE: f64 = 2_900.0;
 /// What exporting that crawl's trace may add to peak live bytes: the
 /// exporter renders one event at a time, so what it holds does not
 /// grow with the trace. Rendering the whole document into a `String`

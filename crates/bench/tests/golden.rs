@@ -290,10 +290,10 @@ fn push_cert(out: &mut String, cert: Option<&Certificate>) {
 }
 
 /// Every fact the generated world stores, as text: each `SiteConfig`
-/// in rank order; for each of a site's hosts its registered addresses,
-/// two consecutive rotating answers, its AS and its certificate; the
-/// issuance and CT totals; and the §5 sample group with its
-/// certificates and CT ledger.
+/// in rank order; for each host of a site that did not fail its
+/// registered addresses, two consecutive rotating answers, its AS and
+/// its certificate; the issuance and CT totals; and the §5 sample
+/// group with its certificates and CT ledger.
 fn world_text() -> String {
     use std::fmt::Write;
     let d = Dataset::generate(DatasetConfig {
@@ -322,6 +322,9 @@ fn world_text() -> String {
             s.legacy,
             s.h3
         );
+        if s.failed {
+            continue;
+        }
         let services = s.services.iter().map(|svc| svc.host());
         for host in std::iter::once(s.root_host.clone())
             .chain(s.shard_hosts.iter().cloned())
@@ -339,10 +342,9 @@ fn world_text() -> String {
     }
     let _ = writeln!(
         out,
-        "issued {} ct {:?} zones {}",
+        "issued {} ct {:?}",
         u.certs_issued(),
-        u.ct_logs.per_operator(),
-        u.zones.len()
+        u.ct_logs.per_operator()
     );
     let group = SampleGroup::build(5_000, &mut SimRng::seed_from_u64(0x0516));
     for s in &group.sites {
@@ -363,36 +365,39 @@ fn world_text() -> String {
     out
 }
 
-/// Computed from the code before names, address sets and CT records
-/// were shared by handle: how the world is stored may change, not one
-/// fact of it.
+/// First computed from the code before names, address sets and CT
+/// records were shared by handle: how the world is stored may change,
+/// not one fact of it. Restated when failed sites stopped storing
+/// zones and certificates, to their config lines and no zone count:
+/// the code before and after that change render it byte for byte.
 #[test]
 fn generated_world_is_pinned() {
     let text = world_text();
     assert_eq!(
         (text.len(), fnv1a64(text.as_bytes())),
-        (9_863_842, 0x5bf2_f251_0748_4fef),
+        (6_975_627, 0x9407_83e1_3390_8b1a),
         "the mixed world's sites, hosts, answers, certificates and CT ledger"
     );
 }
 
-/// What buffering that trace costs: each event's variable-length
-/// header and its values in one byte stream per shard, and each
-/// shard's site and string tables (names and keys are not stored at
-/// all), counted by what they have allocated — a closed shard is
-/// trimmed to what it holds. It measures 10.2 bytes an event;
-/// 12-byte fixed records beside a value arena took 15.8, 16-byte
-/// records in shards that kept their doubling slack ≈ 30, a 32-byte
-/// record with every string copied inline ≈ 55, and the owned
+/// What buffering that trace costs: each event's shape byte, header
+/// varints and untagged values in one byte stream per shard, and each
+/// shard's site, shape and string tables (names and keys are not
+/// stored at all), counted by what they have allocated — a closed
+/// shard is trimmed to what it holds. It measures 7.42 bytes an event,
+/// 6.5 of them the stream; a site byte, a flags byte and a tag per
+/// value took 10.2, 12-byte fixed records beside a value arena 15.8,
+/// 16-byte records in shards that kept their doubling slack ≈ 30, a
+/// 32-byte record with every string copied inline ≈ 55, and the owned
 /// `String`/`Vec` event before it ~230.
 #[test]
-fn crawl_mixed_trace_stays_under_11_bytes_an_event() {
+fn crawl_mixed_trace_stays_under_7_5_bytes_an_event() {
     let r = crawl_mixed(1).run();
     let events = r.trace.len();
     assert!(events > 10_000, "only {events} events traced");
     let per_event = r.trace.footprint().iter().sum::<usize>() as f64 / events as f64;
     assert!(
-        per_event <= 11.0,
+        per_event <= 7.5,
         "{per_event:.1} bytes/event over {events} events"
     );
 }

@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn origin_set_spells_out_filler_names() {
         let mut d = dataset();
-        let site = d.sites().iter().find(|s| {
+        let site = d.successful_sites().find(|s| {
             let cert = d.universe.cert_for(&s.root_host).unwrap();
             cert.filler > 0 && cert.listed_names().any(|n| n.is_wildcard())
         });

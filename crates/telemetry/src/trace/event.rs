@@ -7,8 +7,8 @@ use std::net::IpAddr;
 /// The static half of an event: its name, its category and the keys
 /// of its arguments, in the order the call site passes the values.
 /// Declared once per emission site (`static X: Site = Site::new(..)`),
-/// so a shard keeps one pointer per site it has seen and an event
-/// header carries an 8-bit index into that table instead of a name, a
+/// so a shard keeps one pointer per site it has seen and an event's
+/// shape carries an 8-bit index into that table instead of a name, a
 /// category and a key per argument.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Site {
@@ -18,10 +18,11 @@ pub struct Site {
 }
 
 impl Site {
-    /// Describe an emission site. An event may pass fewer values than
-    /// `keys` (a trailing optional argument), never more.
+    /// Describe an emission site, with at most 11 keys. An event may
+    /// pass fewer values than `keys` (a trailing optional argument),
+    /// never more.
     pub const fn new(name: &'static str, cat: &'static str, keys: &'static [&'static str]) -> Self {
-        assert!(keys.len() <= u8::MAX as usize);
+        assert!(keys.len() <= MAX_KEYS, "a site has at most 11 keys");
         Site { name, cat, keys }
     }
 }
@@ -43,13 +44,15 @@ pub enum Arg<'a> {
     Ip(IpAddr),
 }
 
-const TAG_STR: u8 = 0;
-const TAG_U64: u8 = 1;
-const TAG_F64: u8 = 2;
-const TAG_FALSE: u8 = 3;
-const TAG_TRUE: u8 = 4;
-const TAG_V4: u8 = 5;
-const TAG_V6: u8 = 6;
+/// The type code a shape records for each of an event's values; a
+/// bool's value is its code.
+const CODE_STR: u8 = 0;
+const CODE_U64: u8 = 1;
+const CODE_F64: u8 = 2;
+const CODE_FALSE: u8 = 3;
+const CODE_TRUE: u8 = 4;
+const CODE_V4: u8 = 5;
+const CODE_V6: u8 = 6;
 
 /// Append `v` as a LEB128 varint: seven bits a byte, low group first.
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -79,68 +82,60 @@ fn read_varint(bytes: &mut &[u8]) -> u64 {
 }
 
 impl<'a> Arg<'a> {
-    /// Append this value to a shard's byte stream: one tag byte, then
-    /// the payload — integers and string indices as varints, a string
-    /// as the index `intern` gives it in the shard's string table.
-    pub(crate) fn encode(self, out: &mut Vec<u8>, intern: impl FnOnce(&str) -> u32) {
-        let mut put = |tag, payload: &[u8]| {
-            out.push(tag);
-            out.extend_from_slice(payload);
-        };
+    /// This value's type code.
+    pub(crate) fn code(self) -> u8 {
         match self {
-            Arg::Str(s) => {
-                let index = intern(s);
-                put(TAG_STR, &[]);
-                put_varint(out, u64::from(index));
-            }
-            Arg::U64(v) => {
-                put(TAG_U64, &[]);
-                put_varint(out, v);
-            }
-            Arg::F64(v) => put(TAG_F64, &v.to_le_bytes()),
-            Arg::Bool(b) => put(if b { TAG_TRUE } else { TAG_FALSE }, &[]),
-            Arg::Ip(IpAddr::V4(ip)) => put(TAG_V4, &ip.octets()),
-            Arg::Ip(IpAddr::V6(ip)) => put(TAG_V6, &ip.octets()),
+            Arg::Str(_) => CODE_STR,
+            Arg::U64(_) => CODE_U64,
+            Arg::F64(_) => CODE_F64,
+            Arg::Bool(b) => CODE_FALSE + u8::from(b),
+            Arg::Ip(ip) => CODE_V4 + u8::from(ip.is_ipv6()),
         }
     }
 
-    /// Bytes the value at the front of `bytes` takes up, tag included.
-    fn encoded_len(bytes: &[u8]) -> usize {
-        1 + match bytes[0] {
-            TAG_STR | TAG_U64 => varint_len(&bytes[1..]),
-            TAG_F64 => 8,
-            TAG_FALSE | TAG_TRUE => 0,
-            TAG_V4 => 4,
-            TAG_V6 => 16,
-            other => unreachable!("unknown value tag {other}"),
+    /// Append this value to a shard's byte stream, untagged (its
+    /// shape holds its type code): integers and string indices as
+    /// varints, a string as the index `intern` gives it in the shard's
+    /// string table, a bool as nothing.
+    fn encode(self, out: &mut Vec<u8>, intern: impl FnOnce(&str) -> u32) {
+        match self {
+            Arg::Str(s) => put_varint(out, u64::from(intern(s))),
+            Arg::U64(v) => put_varint(out, v),
+            Arg::F64(v) => out.extend_from_slice(&v.to_le_bytes()),
+            Arg::Bool(_) => {}
+            Arg::Ip(IpAddr::V4(ip)) => out.extend_from_slice(&ip.octets()),
+            Arg::Ip(IpAddr::V6(ip)) => out.extend_from_slice(&ip.octets()),
         }
     }
 
-    /// Advance `bytes` past `n` values without reading them.
-    fn skip(bytes: &mut &[u8], n: u8) {
-        for _ in 0..n {
-            *bytes = &bytes[Self::encoded_len(bytes)..];
+    /// Bytes the value of type `code` at the front of `bytes` takes up.
+    fn encoded_len(code: u8, bytes: &[u8]) -> usize {
+        match code {
+            CODE_STR | CODE_U64 => varint_len(bytes),
+            CODE_F64 => 8,
+            CODE_FALSE | CODE_TRUE => 0,
+            CODE_V4 => 4,
+            CODE_V6 => 16,
+            other => unreachable!("unknown type code {other}"),
         }
     }
 
-    /// Read the value at the front of `bytes` and advance past it,
-    /// looking strings up in the shard's table. The stream only ever
-    /// holds what [`Arg::encode`] wrote.
-    pub(crate) fn decode(bytes: &mut &[u8], strings: &'a Strings) -> Self {
-        let tag = bytes[0];
-        *bytes = &bytes[1..];
+    /// Read the value of type `code` at the front of `bytes` and
+    /// advance past it, looking strings up in the shard's table. The
+    /// stream only ever holds what [`Arg::encode`] wrote.
+    fn decode(code: u8, bytes: &mut &[u8], strings: &'a Strings) -> Self {
         let mut fixed = |len| {
             let (payload, rest) = bytes.split_at(len);
             *bytes = rest;
             payload
         };
-        match tag {
-            TAG_STR => Arg::Str(strings.get(read_varint(bytes))),
-            TAG_U64 => Arg::U64(read_varint(bytes)),
-            TAG_F64 => Arg::F64(f64::from_le_bytes(array(fixed(8)))),
-            TAG_V4 => Arg::Ip(IpAddr::from(array::<4>(fixed(4)))),
-            TAG_V6 => Arg::Ip(IpAddr::from(array::<16>(fixed(16)))),
-            _ => Arg::Bool(tag == TAG_TRUE),
+        match code {
+            CODE_STR => Arg::Str(strings.get(read_varint(bytes))),
+            CODE_U64 => Arg::U64(read_varint(bytes)),
+            CODE_F64 => Arg::F64(f64::from_le_bytes(array(fixed(8)))),
+            CODE_V4 => Arg::Ip(IpAddr::from(array::<4>(fixed(4)))),
+            CODE_V6 => Arg::Ip(IpAddr::from(array::<16>(fixed(16)))),
+            _ => Arg::Bool(code == CODE_TRUE),
         }
     }
 
@@ -156,7 +151,9 @@ impl<'a> Arg<'a> {
 
 /// `bytes` as a fixed-size array; its length is the caller's invariant.
 fn array<const N: usize>(bytes: &[u8]) -> [u8; N] {
-    bytes.try_into().expect("payload length matches its tag")
+    bytes
+        .try_into()
+        .expect("payload length matches its type code")
 }
 
 /// A shard's string table: every distinct string value the shard's
@@ -245,7 +242,7 @@ impl EventKind {
     }
 }
 
-/// An event's fixed fields: what its header holds.
+/// An event's fixed fields: what its shape and header hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Head {
     pub(crate) kind: EventKind,
@@ -262,11 +259,57 @@ pub(crate) struct Head {
     pub(crate) payload: u64,
 }
 
-/// Header flag bits above the kind (bits 0–2) and the name parts
-/// (bits 3–4): a tid, a payload or an argument count follows.
+impl Head {
+    /// How many values the event holds: name parts, then arguments.
+    fn values(&self) -> usize {
+        usize::from(self.name_parts) + usize::from(self.nargs)
+    }
+}
+
+/// Shape flag bits above the kind (bits 0–2) and the name parts (bits
+/// 3–4): a tid follows, a payload follows, the timestamp is a delta
+/// from the previous event's start rather than its end.
 const TID: u8 = 1 << 5;
 const PAYLOAD: u8 = 1 << 6;
-const NARGS: u8 = 1 << 7;
+const FROM_START: u8 = 1 << 7;
+
+/// An event's shape, but for its site: what its bytes leave out —
+/// its kind, name parts and flag bits (bits 0–7), its arg count (bits
+/// 8–15) and each value's type code, 3 bits a value from bit 16. A
+/// site has at most [`MAX_KEYS`] keys, so an event's values — two name
+/// parts at most, then its arguments — fit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Shape(u64);
+
+/// The most keys a [`Site`] declares: 13 values' type codes fill the
+/// 39 bits a [`Shape`] has for them.
+const MAX_KEYS: usize = 11;
+
+impl Shape {
+    fn flags(self) -> u8 {
+        self.0 as u8
+    }
+
+    fn nargs(self) -> u8 {
+        (self.0 >> 8) as u8
+    }
+
+    /// The type code of the event's `i`th value.
+    fn code(self, i: usize) -> u8 {
+        (self.0 >> (16 + 3 * i) & 0b111) as u8
+    }
+
+    /// How the shard's shape table holds this shape of an event of the
+    /// shard's site `site`: the site's index in the top byte.
+    pub(crate) fn entry(self, site: u8) -> u64 {
+        self.0 | u64::from(site) << 56
+    }
+
+    /// A table entry's site index and shape.
+    fn of_entry(entry: u64) -> (u8, Shape) {
+        ((entry >> 56) as u8, Shape(entry & ((1 << 56) - 1)))
+    }
+}
 
 /// `delta` read as signed, folded so small magnitudes of either sign
 /// make short varints.
@@ -279,87 +322,124 @@ fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
-/// What an event header is written against and read back with: the
-/// previous event's tid and where it ended. Writer and reader keep it
-/// alike — from the default at a shard's start, reset by each
-/// process-name record — so a header carries a tid only when it
-/// changes, and its timestamp as a short delta.
+/// What an event is written against and read back with: the previous
+/// event's tid, and where it started and ended. Writer and reader keep
+/// it alike — from the default at a shard's start, reset by each
+/// process-name record — so an event carries a tid only when it
+/// changes, and its timestamp as a short delta from whichever of the
+/// two instants its shape names.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Cursor {
     tid: u32,
-    /// The previous event's timestamp, plus its duration for a
-    /// complete span.
+    start_us: u64,
+    /// `start_us`, plus its duration for a complete span.
     end_us: u64,
 }
 
 impl Cursor {
-    fn start(&mut self, kind: EventKind) {
-        if kind == EventKind::ProcessName {
-            *self = Cursor::default();
+    /// The state an event of `kind` is written against: a process-name
+    /// record starts afresh.
+    fn before(self, kind: EventKind) -> Self {
+        match kind {
+            EventKind::ProcessName => Cursor::default(),
+            _ => self,
         }
+    }
+
+    /// The instant a timestamp of shape flags `flags` is a delta from.
+    fn reference(&self, flags: u8) -> u64 {
+        [self.end_us, self.start_us][usize::from(flags & FROM_START != 0)]
     }
 
     fn finish(&mut self, head: &Head) {
         self.tid = head.tid;
+        self.start_us = head.ts_us;
         self.end_us = match head.kind {
             EventKind::Complete => head.ts_us.wrapping_add(head.payload),
             _ => head.ts_us,
         };
     }
 
-    /// Append the header of `head`, an event of the shard's site
-    /// `site`, which has `keys` keys: the site byte, a flags byte, then
-    /// the argument count when it differs from `keys`, the tid when it
-    /// changed, the timestamp as a zigzag delta from the previous
-    /// event's end and a non-zero payload, as varints.
-    pub(crate) fn write(&mut self, out: &mut Vec<u8>, site: u8, keys: usize, head: Head) {
+    /// The shape `head`, an event whose values have the type codes
+    /// `codes`, takes as the shard's next event: a tid when it changed,
+    /// a payload when it is not zero, and its timestamp from the
+    /// previous start when that delta is a shorter varint than the one
+    /// from the previous end (a span nested in the one before it).
+    pub(crate) fn shape(&self, head: &Head, codes: impl Iterator<Item = u8>) -> Shape {
         debug_assert!(head.name_parts <= 2);
-        self.start(head.kind);
+        let at = self.before(head.kind);
         let mut flags = head.kind as u8 | head.name_parts << 3;
-        if usize::from(head.nargs) != keys {
-            flags |= NARGS;
-        }
-        if head.tid != self.tid {
+        if head.tid != at.tid {
             flags |= TID;
         }
         if head.payload != 0 {
             flags |= PAYLOAD;
         }
-        out.extend_from_slice(&[site, flags]);
-        if flags & NARGS != 0 {
-            out.push(head.nargs);
+        // Branch-free, since the nearer instant changes event by event:
+        // a varint of `z` takes `ilog2(z | 1) / 7 + 1` bytes.
+        let bytes = |from: u64| (zigzag(head.ts_us.wrapping_sub(from)) | 1).ilog2() / 7;
+        flags |= FROM_START * u8::from(bytes(at.start_us) < bytes(at.end_us));
+        let (mut shape, mut shift) = (u64::from(flags) | u64::from(head.nargs) << 8, 16);
+        for code in codes {
+            shape |= u64::from(code) << shift;
+            shift += 3;
         }
+        Shape(shape)
+    }
+
+    /// Append `head` with its `values` (name parts, then arguments) as
+    /// the shard's shape `index`, which is `shape` ([`Cursor::shape`]'s
+    /// for it): the shape byte, then varints — the tid if it changed,
+    /// the timestamp as a zigzag delta from the instant its shape
+    /// names, a non-zero payload — then each value untagged.
+    pub(crate) fn write<'v>(
+        &mut self,
+        out: &mut Vec<u8>,
+        (index, shape): (u8, Shape),
+        head: Head,
+        values: impl Iterator<Item = Arg<'v>>,
+        mut intern: impl FnMut(&str) -> u32,
+    ) {
+        *self = self.before(head.kind);
+        out.push(index);
+        let flags = shape.flags();
         if flags & TID != 0 {
             put_varint(out, head.tid.into());
         }
-        put_varint(out, zigzag(head.ts_us.wrapping_sub(self.end_us)));
+        let from = self.reference(flags);
+        put_varint(out, zigzag(head.ts_us.wrapping_sub(from)));
         if flags & PAYLOAD != 0 {
             put_varint(out, head.payload);
+        }
+        for value in values {
+            value.encode(out, &mut intern);
         }
         self.finish(&head);
     }
 
-    /// Read the header [`Cursor::write`] put at the front of `bytes`,
-    /// looking its site up in `sites`, and advance past it.
-    fn read(&mut self, bytes: &mut &[u8], sites: &[&'static Site]) -> (&'static Site, Head) {
-        let site = sites[usize::from(bytes[0])];
-        let flags = bytes[1];
-        *bytes = &bytes[2..];
+    /// Read the event [`Cursor::write`] put at the front of `bytes`,
+    /// looking its shape up in `shapes` and its site in `sites`, and
+    /// advance past it: its site, its head and shape, and its values'
+    /// bytes.
+    fn read<'a>(
+        &mut self,
+        bytes: &mut &'a [u8],
+        sites: &[&'static Site],
+        shapes: &[u64],
+    ) -> (&'static Site, Head, Shape, &'a [u8]) {
+        let (site, shape) = Shape::of_entry(shapes[usize::from(bytes[0])]);
+        *bytes = &bytes[1..];
+        let flags = shape.flags();
         let kind = EventKind::from_code(flags & 0b111);
-        self.start(kind);
-        let nargs = if flags & NARGS != 0 {
-            let n = bytes[0];
-            *bytes = &bytes[1..];
-            n
-        } else {
-            site.keys.len() as u8
-        };
+        *self = self.before(kind);
         let tid = if flags & TID != 0 {
             u32::try_from(read_varint(bytes)).expect("a tid was a u32")
         } else {
             self.tid
         };
-        let ts_us = self.end_us.wrapping_add(unzigzag(read_varint(bytes)));
+        let ts_us = self
+            .reference(flags)
+            .wrapping_add(unzigzag(read_varint(bytes)));
         let payload = if flags & PAYLOAD != 0 {
             read_varint(bytes)
         } else {
@@ -368,13 +448,18 @@ impl Cursor {
         let head = Head {
             kind,
             name_parts: flags >> 3 & 0b11,
-            nargs,
+            nargs: shape.nargs(),
             tid,
             ts_us,
             payload,
         };
         self.finish(&head);
-        (site, head)
+        let values = *bytes;
+        for i in 0..head.values() {
+            *bytes = &bytes[Arg::encoded_len(shape.code(i), bytes)..];
+        }
+        let values = &values[..values.len() - bytes.len()];
+        (sites[usize::from(site)], head, shape, values)
     }
 }
 
@@ -387,13 +472,15 @@ impl Cursor {
 /// loader itself, `1 + pool index` is each pooled connection.
 ///
 /// Two views are equal when they show the same event, whichever shard
-/// and string table they were read from.
+/// and tables they were read from.
 #[derive(Debug, Clone, Copy)]
 pub struct EventView<'a> {
     site: &'static Site,
     head: Head,
     pid: u64,
-    /// The event's name parts and arguments, as encoded.
+    /// The type code of each of the event's name parts and arguments.
+    shape: Shape,
+    /// Their values, as encoded.
     values: &'a [u8],
     strings: &'a Strings,
 }
@@ -406,21 +493,18 @@ impl<'a> EventView<'a> {
         bytes: &mut &'a [u8],
         cursor: &mut Cursor,
         pid: &mut u64,
-        sites: &[&'static Site],
-        strings: &'a Strings,
+        (sites, shapes, strings): (&[&'static Site], &[u64], &'a Strings),
     ) -> Self {
-        let (site, head) = cursor.read(bytes, sites);
+        let (site, head, shape, values) = cursor.read(bytes, sites, shapes);
         if head.kind == EventKind::ProcessName {
             *pid = head.payload;
         }
-        let values = *bytes;
-        Arg::skip(bytes, head.name_parts);
-        Arg::skip(bytes, head.nargs);
         EventView {
             site,
             head,
             pid: *pid,
-            values: &values[..values.len() - bytes.len()],
+            shape,
+            values,
             strings,
         }
     }
@@ -432,9 +516,8 @@ impl<'a> EventView<'a> {
     }
 
     pub(crate) fn name_parts(&self) -> Name<'a> {
-        let mut values = self.values;
-        let strings = self.strings;
-        let mut part = || Arg::decode(&mut values, strings);
+        let mut values = self.values();
+        let mut part = || values.next().expect("a name part is a value");
         let site_name = self.site.name;
         match self.head.name_parts {
             0 => Name::Site(site_name),
@@ -487,9 +570,8 @@ impl<'a> EventView<'a> {
 
     /// Every value the event holds, name parts first.
     fn values(&self) -> impl Iterator<Item = Arg<'a>> + 'a {
-        let (mut values, strings) = (self.values, self.strings);
-        let n = usize::from(self.head.name_parts) + usize::from(self.head.nargs);
-        (0..n).map(move |_| Arg::decode(&mut values, strings))
+        let (mut values, strings, shape) = (self.values, self.strings, self.shape);
+        (0..self.head.values()).map(move |i| Arg::decode(shape.code(i), &mut values, strings))
     }
 
     /// Key/value annotations, in the order they were recorded.

@@ -1,6 +1,6 @@
 //! The per-worker trace buffer.
 
-use super::event::{Arg, Cursor, EventKind, EventView, Head, Site, Strings};
+use super::event::{Arg, Cursor, EventKind, EventView, Head, Shape, Site, Strings};
 use origin_netsim::hash::{FxHashMap, FxHasher};
 use std::collections::hash_map::Entry;
 use std::hash::Hasher;
@@ -25,13 +25,14 @@ static CONN: Site = Site::new("conn", "meta", &[]);
 const SHARD_EVENTS: usize = 1024;
 
 /// One tracer's own stretch of the event stream: one byte stream in
-/// which each event is a variable-length header (see [`Cursor::write`])
-/// followed by its values (name parts, then arguments), and the two
-/// tables the events index — the emission sites (at most 256) and the
-/// distinct strings the shard has seen. An event holds no offset and —
-/// bar the process-name record that opens each visit — no pid; its tid
-/// only when it changes and its timestamp as a delta, so a shard reads
-/// front to back only. A closed shard holds no spare capacity.
+/// which each event is a shape byte, a few varints and its untagged
+/// values (see [`Cursor::write`]), and the three tables the events
+/// index — the emission sites, the shapes (at most 256; each a site's
+/// index and a [`Shape`] in one word) and the distinct strings the
+/// shard has seen. An event holds no offset and — bar the process-name
+/// record that opens each visit — no pid; its tid only when it changes
+/// and its timestamp as a delta, so a shard reads front to back only.
+/// A closed shard holds no spare capacity.
 #[derive(Debug, Clone, Default)]
 struct Shard {
     /// Logical process of the events ahead of the first visit.
@@ -39,7 +40,10 @@ struct Shard {
     /// Events in `bytes`.
     len: usize,
     bytes: Vec<u8>,
+    /// Never more than `shapes`: each site an event names is part of
+    /// its shape.
     sites: Vec<&'static Site>,
+    shapes: Vec<u64>,
     strings: Strings,
 }
 
@@ -52,6 +56,7 @@ impl Shard {
             len: 0,
             bytes: Vec::with_capacity(self.bytes.len()),
             sites: Vec::with_capacity(self.sites.len()),
+            shapes: Vec::with_capacity(self.shapes.len()),
             strings: Strings::with_capacity(strings, string_bytes),
         }
     }
@@ -61,41 +66,36 @@ impl Shard {
     fn shrink_to_fit(&mut self) {
         self.bytes.shrink_to_fit();
         self.sites.shrink_to_fit();
+        self.shapes.shrink_to_fit();
         self.strings.shrink_to_fit();
     }
 
     fn events(&self) -> impl Iterator<Item = EventView<'_>> {
         let mut bytes = self.bytes.as_slice();
         let (mut cursor, mut pid) = (Cursor::default(), self.pid);
-        (0..self.len).map(move |_| {
-            EventView::read(
-                &mut bytes,
-                &mut cursor,
-                &mut pid,
-                &self.sites,
-                &self.strings,
-            )
-        })
+        let tables = (&self.sites[..], &self.shapes[..], &self.strings);
+        (0..self.len).map(move |_| EventView::read(&mut bytes, &mut cursor, &mut pid, tables))
     }
 
-    /// Bytes allocated for the event stream, for the site table and
-    /// for the string table.
+    /// Bytes allocated for the event stream, for the site and shape
+    /// tables and for the string table.
     fn footprint(&self) -> [usize; 3] {
         [
             self.bytes.capacity(),
-            self.sites.capacity() * size_of::<&Site>(),
+            self.sites.capacity() * size_of::<&Site>() + self.shapes.capacity() * size_of::<u64>(),
             self.strings.capacity(),
         ]
     }
 }
 
-/// Where the open shard's sites and strings sit in its tables: the
-/// lookups recording needs and reading does not, so a closed shard
-/// does not carry them.
+/// Where the open shard's shapes and strings sit in its tables: the
+/// lookups recording needs and reading does not, so a closed shard does
+/// not carry them.
 #[derive(Debug, Clone, Default)]
 struct Index {
-    /// By the site's address.
-    sites: FxHashMap<usize, u8>,
+    /// By the site's address and the shape; a site is found by a walk
+    /// of its table, once per new shape.
+    shapes: FxHashMap<(usize, Shape), u8>,
     /// By the string's hash. Two strings with one hash keep the first's
     /// index; the second is stored again each time it is met.
     strings: FxHashMap<u64, u32>,
@@ -117,7 +117,7 @@ impl Index {
     }
 
     fn clear(&mut self) {
-        self.sites.clear();
+        self.shapes.clear();
         self.strings.clear();
     }
 }
@@ -260,26 +260,57 @@ impl Tracer {
         self.push(site, (EventKind::FlowEnd, id), ts_us, self.tid, &[], &[]);
     }
 
-    /// The open shard's index of `site`, added to its table if new. A
-    /// site the full table has no room for closes the shard: it opens
-    /// the next one.
-    fn site(&mut self, site: &'static Site) -> u8 {
-        let key = std::ptr::from_ref(site) as usize;
-        if let Some(&index) = self.index.sites.get(&key) {
-            return index;
+    /// The open shard's index of the shape of `head`, an event of
+    /// `site` whose values have the type codes `codes`, and the shape.
+    fn shape(
+        &mut self,
+        site: &'static Site,
+        head: &Head,
+        codes: impl Iterator<Item = u8> + Clone,
+    ) -> (u8, Shape) {
+        let address = std::ptr::from_ref(site) as usize;
+        let shape = self.cursor.shape(head, codes.clone());
+        match self.index.shapes.get(&(address, shape)) {
+            Some(&index) => (index, shape),
+            None => self.new_shape(site, head, codes),
         }
-        if self.open.sites.len() > usize::from(u8::MAX) {
-            self.close(self.open.sized_like(self.pid));
-        }
-        let index = u8::try_from(self.open.sites.len()).expect("a full site table was closed");
-        self.open.sites.push(site);
-        self.index.sites.insert(key, index);
-        index
     }
 
-    /// The one place an event enters the buffer: its header, then its
-    /// name parts and argument values, appended to the open shard's
-    /// stream.
+    /// [`Tracer::shape`] for a shape the open shard does not hold:
+    /// added to its table — and the site to the site table, if new. A
+    /// shape the full table has no room for closes the shard: it opens
+    /// the next one, whose tables are empty. A new site is a new shape,
+    /// so the site table fills no sooner than the shape table.
+    #[cold]
+    fn new_shape(
+        &mut self,
+        site: &'static Site,
+        head: &Head,
+        codes: impl Iterator<Item = u8>,
+    ) -> (u8, Shape) {
+        if self.open.shapes.len() > usize::from(u8::MAX) {
+            self.close(self.open.sized_like(self.pid));
+        }
+        // The cursor may have started afresh with the shard.
+        let shape = self.cursor.shape(head, codes);
+        let address = std::ptr::from_ref(site) as usize;
+        let Shard { sites, shapes, .. } = &mut self.open;
+        let at = match sites.iter().position(|&s| std::ptr::eq(s, site)) {
+            Some(at) => at,
+            None => {
+                sites.push(site);
+                sites.len() - 1
+            }
+        };
+        let at = u8::try_from(at).expect("a shard has no more sites than shapes");
+        let index = u8::try_from(shapes.len()).expect("a full shape table was closed");
+        shapes.push(shape.entry(at));
+        self.index.shapes.insert((address, shape), index);
+        (index, shape)
+    }
+
+    /// The one place an event enters the buffer: its shape, header
+    /// fields and values, appended to the open shard's stream.
     fn push(
         &mut self,
         site: &'static Site,
@@ -294,14 +325,6 @@ impl Tracer {
             "more arguments than {} has keys",
             site.name
         );
-        let keys = site.keys.len();
-        let site = self.site(site);
-        let Tracer {
-            open,
-            index,
-            cursor,
-            ..
-        } = self;
         let head = Head {
             kind,
             name_parts: name.len() as u8,
@@ -310,10 +333,17 @@ impl Tracer {
             ts_us,
             payload,
         };
-        cursor.write(&mut open.bytes, site, keys, head);
-        for value in name.iter().chain(args) {
-            value.encode(&mut open.bytes, |s| index.string(s, &mut open.strings));
-        }
+        let values = name.iter().chain(args).copied();
+        let shape = self.shape(site, &head, values.clone().map(Arg::code));
+        let Tracer {
+            open,
+            index,
+            cursor,
+            ..
+        } = self;
+        cursor.write(&mut open.bytes, shape, head, values, |s| {
+            index.string(s, &mut open.strings)
+        });
         open.len += 1;
     }
 
@@ -364,8 +394,8 @@ impl Tracer {
         self.shards().flat_map(Shard::events)
     }
 
-    /// Bytes allocated for the shards' event streams, site tables and
-    /// string tables, spare capacity included: what the buffer costs,
+    /// Bytes allocated for the shards' event streams, site and shape
+    /// tables and string tables, spare capacity included: what the buffer costs,
     /// to divide by [`Tracer::len`].
     #[doc(hidden)]
     pub fn footprint(&self) -> [usize; 3] {
@@ -422,6 +452,8 @@ mod tests {
         for shard in &t.merged {
             assert_eq!(shard.bytes.capacity(), shard.bytes.len());
             assert_eq!(shard.sites.capacity(), shard.sites.len());
+            assert_eq!(shard.shapes.capacity(), shard.shapes.len());
+            assert!(shard.sites.len() <= shard.shapes.len());
             let (strings, bytes) = shard.strings.len();
             assert_eq!(shard.strings.capacity(), bytes + strings * size_of::<u32>());
         }
@@ -456,27 +488,47 @@ mod tests {
             t.instant_at(&HIT, ts, &[]);
             sizes.push(t.open.bytes.len() - before);
         }
-        // Site, flags, then tid 300 in two bytes and a 1-byte delta;
-        // the same tid again is left out; tid 2 takes one byte.
-        assert_eq!(sizes, [5, 3, 4, 3]);
+        // The shape, then tid 300 in two bytes and a 1-byte delta; the
+        // same tid again is left out; tid 2 takes one byte.
+        assert_eq!(sizes, [4, 2, 3, 2]);
         let seen: Vec<_> = t.events().skip(2).map(|e| (e.ts_us(), e.tid())).collect();
         assert_eq!(seen, [(5, 300), (6, 300), (7, 2), (8, 2)]);
     }
 
     #[test]
-    fn a_timestamp_is_a_delta_from_the_previous_events_end() {
+    fn a_timestamp_is_a_delta_from_the_previous_events_start_or_end() {
         let mut t = Tracer::new();
         t.begin_visit(1, "x");
         t.complete(&REQ, 1_000_000, 250_000, &[Arg::U64(1)]);
-        let before = t.open.bytes.len();
+        let mut sizes = Vec::new();
         // 1,250,000 µs is where the span ended: a zero delta, and
-        // a step back costs what a step forward does.
-        t.instant_at(&HIT, 1_250_000, &[]);
-        t.instant_at(&HIT, 1_249_990, &[]);
-        t.instant_at(&HIT, 1_250_000, &[]);
-        assert_eq!(t.open.bytes.len() - before, 9);
+        // a step back costs what a step forward does. A span nested
+        // in the one before it counts from that one's start.
+        for (ts, dur) in [
+            (1_250_000, 0),
+            (1_249_990, 0),
+            (1_250_000, 100_000),
+            (1_250_020, 0),
+        ] {
+            let before = t.open.bytes.len();
+            match dur {
+                0 => t.instant_at(&HIT, ts, &[]),
+                _ => t.complete(&REQ, ts, dur, &[Arg::U64(2)]),
+            }
+            sizes.push(t.open.bytes.len() - before);
+        }
+        // Shape and delta; the span adds its 3-byte duration and value.
+        assert_eq!(sizes, [2, 2, 6, 2]);
+        assert_eq!(
+            t.open.shapes.len(),
+            5,
+            "the last instant counts from the start"
+        );
         let seen: Vec<_> = t.events().skip(2).map(|e| e.ts_us()).collect();
-        assert_eq!(seen, [1_000_000, 1_250_000, 1_249_990, 1_250_000]);
+        assert_eq!(
+            seen,
+            [1_000_000, 1_250_000, 1_249_990, 1_250_000, 1_250_020]
+        );
     }
 
     #[test]
@@ -494,6 +546,7 @@ mod tests {
         }
         assert_eq!(t.merged.len(), 1, "one shard closed mid-visit");
         assert_eq!(t.merged[0].sites.len(), 256);
+        assert_eq!(t.merged[0].shapes.len(), 256);
         assert_closed_shards_are_trimmed(&t);
         let seen: Vec<_> = t
             .events()
@@ -504,6 +557,55 @@ mod tests {
             .map(|i| (format!("s{i}"), i, 7, Some(("i", Arg::U64(i)))))
             .collect();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn the_257th_shape_of_a_shard_opens_the_next_one() {
+        static FOUR: Site = Site::new("four", "c", &["a", "b", "c", "d"]);
+        let mut t = Tracer::new();
+        t.begin_visit(7, "shapes");
+        // Each of four values a string, a u64 or either bool: 256
+        // patterns, the first 254 of them in the first shard beside
+        // the two metadata shapes.
+        let value = |n: u64| match n % 4 {
+            0 => Arg::Str("s"),
+            1 => Arg::U64(n),
+            2 => Arg::Bool(false),
+            _ => Arg::Bool(true),
+        };
+        for n in 0..256 {
+            let args = [value(n), value(n / 4), value(n / 16), value(n / 64)];
+            t.instant_at(&FOUR, n, &args);
+        }
+        assert_eq!(t.merged.len(), 1, "one shard closed mid-visit");
+        assert_eq!(t.merged[0].shapes.len(), 256);
+        assert_eq!(t.merged[0].sites.len(), 3);
+        assert_eq!((t.merged[0].len, t.open.len), (256, 2));
+        assert_closed_shards_are_trimmed(&t);
+        let seen: Vec<_> = t.events().skip(2).map(|e| e.args().nth(3)).collect();
+        let want: Vec<_> = (0..256).map(|n| Some(("d", value(n / 64)))).collect();
+        assert_eq!(seen, want);
+    }
+
+    /// Two name parts and eleven arguments: thirteen type codes, the
+    /// last beside the site index in its table entry.
+    #[test]
+    fn a_site_takes_eleven_keys_and_no_more() {
+        static ELEVEN: Site = Site::new("eleven", "c", &["k"; 11]);
+        let v6 = Arg::Ip("::1".parse().expect("an address"));
+        let args = [v6, Arg::Bool(true), Arg::F64(0.5)].repeat(4);
+        let mut t = Tracer::new();
+        t.begin_visit(1, "wide");
+        t.complete_indexed(&ELEVEN, (7, "h.example"), 5, 6, &args[..11]);
+        t.instant_at(&ELEVEN, 9, &args[1..12]);
+        let read: Vec<Vec<_>> = t
+            .events()
+            .skip(2)
+            .map(|e| e.args().map(|(_, v)| v).collect())
+            .collect();
+        assert_eq!(read, [&args[..11], &args[1..12]]);
+        let panicked = std::panic::catch_unwind(|| Site::new("twelve", "c", &["k"; 12]));
+        assert!(panicked.is_err(), "a twelfth key is refused");
     }
 
     #[test]

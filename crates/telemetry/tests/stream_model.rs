@@ -1,17 +1,19 @@
 //! Seeded property test of the trace buffer's encoding against a plain
 //! model: random streams are recorded into tracers and, beside them,
-//! into a list of owned events; whatever the headers leave out (a tid
-//! that did not change, a timestamp as a delta, a zero payload, an
-//! argument count equal to the site's) must read back, through
+//! into a list of owned events; whatever an event's bytes leave to its
+//! shape or its predecessor (a tid that did not change, a timestamp as
+//! a delta from the previous start or end, a zero payload, an argument
+//! count, every value's type, a bool's value) must read back, through
 //! `events()` and through the Chrome JSON export, as the model holds
 //! it.
 //!
 //! The streams cover every event kind, names of zero, one and two
 //! parts, every argument type (NaN-bit floats and v6 addresses too),
-//! timestamps that step back within a visit, timestamps, payloads and
-//! pids at and past 2^32 up to `u64::MAX`, tids past 255, shards closed
-//! by their event budget and by their 257th site, and merges at random
-//! cut points — mid-visit included.
+//! timestamps at, near and behind the previous event's start and end,
+//! timestamps, payloads and pids at and past 2^32 up to `u64::MAX`,
+//! tids past 255, shards closed by their event budget, by their 257th
+//! shape and by their 257th site, and merges at random cut points —
+//! mid-visit and across shape-table boundaries included.
 
 use origin_netsim::json;
 use origin_telemetry::trace::{to_chrome_json, Arg, EventKind, Site, Tracer};
@@ -139,7 +141,14 @@ impl Value {
     }
 
     fn random(rng: &mut Rng) -> Self {
-        match rng.below(5) {
+        let kind = rng.below(5);
+        Self::of_kind(rng, kind)
+    }
+
+    /// A random value of the `kind`th type: a string, a `u64`, a float,
+    /// a bool or an address.
+    fn of_kind(rng: &mut Rng, kind: u64) -> Self {
+        match kind {
             0 => Value::Str(rng.string()),
             1 => Value::U64(rng.wide()),
             2 => Value::F64(rng.float().to_bits()),
@@ -277,6 +286,9 @@ struct Recorder {
     pid: u64,
     tid: u32,
     now_us: u64,
+    /// Each site's values take one type per key, and a site passes
+    /// every key: few shapes, so shards close by their event budget.
+    typed: bool,
 }
 
 impl Recorder {
@@ -300,12 +312,37 @@ impl Recorder {
         self.model.last_mut().expect("just pushed")
     }
 
+    /// A timestamp: of any width, or at, near or behind the previous
+    /// event's start or end — the two instants a delta counts from.
+    fn ts(&self, rng: &mut Rng) -> u64 {
+        let Some(prev) = self.model.last() else {
+            return rng.wide();
+        };
+        let end = match prev.kind {
+            EventKind::Complete => prev.ts_us.wrapping_add(prev.payload),
+            _ => prev.ts_us,
+        };
+        let at = if rng.below(2) == 0 { prev.ts_us } else { end };
+        match rng.below(4) {
+            0 => at,
+            1 => at.wrapping_add(rng.below(300)).wrapping_sub(150),
+            _ => rng.wide(),
+        }
+    }
+
     /// Record one random operation.
     fn step(&mut self, rng: &mut Rng, spots: &[Spot]) {
-        let spot = &spots[rng.below(spots.len() as u64) as usize];
-        let values: Vec<Value> = (0..rng.below(spot.keys.len() as u64 + 1))
-            .map(|_| Value::random(rng))
-            .collect();
+        let pick = rng.below(spots.len() as u64) as usize;
+        let spot = &spots[pick];
+        let values: Vec<Value> = if self.typed {
+            (0..spot.keys.len())
+                .map(|k| Value::of_kind(rng, ((pick + k) % 5) as u64))
+                .collect()
+        } else {
+            (0..rng.below(spot.keys.len() as u64 + 1))
+                .map(|_| Value::random(rng))
+                .collect()
+        };
         let args: Vec<Arg<'_>> = values.iter().map(Value::arg).collect();
         let keyed = || {
             spot.keys
@@ -314,14 +351,11 @@ impl Recorder {
                 .zip(values.iter().cloned())
                 .collect()
         };
-        let ts = rng.wide();
+        let ts = self.ts(rng);
         match rng.below(11) {
             0 => {
                 let (pid, label) = (rng.wide(), rng.string());
-                self.tracer.begin_visit(pid, &label);
-                (self.pid, self.tid, self.now_us) = (pid, 0, 0);
-                self.event(EventKind::ProcessName, label, "meta", 0);
-                self.event(EventKind::ThreadName, "loader".into(), "meta", 0);
+                self.begin_visit(pid, &label);
             }
             1 => {
                 self.tid = rng.tid();
@@ -388,6 +422,56 @@ impl Recorder {
         self.tracer.merge(other.tracer);
         self.model.extend(other.model);
     }
+
+    /// The tracer reads back, and exports, as the model holds it.
+    fn check(&self, what: &str) {
+        assert_eq!(self.tracer.len(), self.model.len(), "{what}");
+        let read = Event::read(&self.tracer);
+        if let Some(i) = (0..read.len()).find(|&i| read[i] != self.model[i]) {
+            panic!(
+                "{what}: event {i} reads back as {:#?}, recorded as {:#?}",
+                read[i], self.model[i]
+            );
+        }
+        assert_eq!(read.len(), self.model.len(), "{what}");
+        assert!(
+            to_chrome_json(&self.tracer) == render(&self.model),
+            "{what}: the export differs from the model's"
+        );
+    }
+
+    /// Open a visit, as the tracer's `begin_visit` records it.
+    fn begin_visit(&mut self, pid: u64, label: &str) {
+        self.tracer.begin_visit(pid, label);
+        (self.pid, self.tid, self.now_us) = (pid, 0, 0);
+        self.event(EventKind::ProcessName, label.into(), "meta", 0);
+        self.event(EventKind::ThreadName, "loader".into(), "meta", 0);
+    }
+
+    fn instant(&mut self, spot: &Spot, ts: u64, values: &[Value]) {
+        let args: Vec<Arg<'_>> = values.iter().map(Value::arg).collect();
+        self.tracer.instant_at(spot.site, ts, &args);
+        self.event(EventKind::Instant, spot.name.into(), spot.cat, ts)
+            .args = spot
+            .keys
+            .iter()
+            .copied()
+            .zip(values.iter().cloned())
+            .collect();
+    }
+
+    fn complete(&mut self, spot: &Spot, ts: u64, dur: u64, values: &[Value]) {
+        let args: Vec<Arg<'_>> = values.iter().map(Value::arg).collect();
+        self.tracer.complete(spot.site, ts, dur, &args);
+        let span = self.event(EventKind::Complete, spot.name.into(), spot.cat, ts);
+        span.payload = dur;
+        span.args = spot
+            .keys
+            .iter()
+            .copied()
+            .zip(values.iter().cloned())
+            .collect();
+    }
 }
 
 #[test]
@@ -395,38 +479,120 @@ fn recorded_streams_read_back_as_the_model() {
     let spots = spots();
     for seed in 1..=24u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        // Forty sites fill a shard's event budget before its site
-        // table; all 320 close shards at their 257th site.
-        let spots = if seed % 2 == 0 {
-            &spots[..40]
-        } else {
-            &spots[..]
+        // Eight typed sites fill a shard's event budget before its
+        // shape table; forty with values of any type fill the shape
+        // table first; all 320 also reach their 257th site.
+        let (spots, typed) = match seed % 3 {
+            0 => (&spots[..8], true),
+            1 => (&spots[..40], false),
+            _ => (&spots[..], false),
         };
         // Two recorders take turns: events go to either, and a merge
         // (of a part that may have begun mid-visit) lands at random
         // cut points, after which the merged tracer records on.
-        let (mut whole, mut part) = (Recorder::default(), Recorder::default());
+        let recorder = || Recorder {
+            typed,
+            ..Recorder::default()
+        };
+        let (mut whole, mut part) = (recorder(), recorder());
         let steps = 500 + rng.below(4_000);
         for _ in 0..steps {
             match rng.below(200) {
-                0 => whole.merge(std::mem::take(&mut part)),
+                0 => whole.merge(std::mem::replace(&mut part, recorder())),
                 1..=40 => whole.step(&mut rng, spots),
                 _ => part.step(&mut rng, spots),
             }
         }
         whole.merge(part);
-        assert_eq!(whole.tracer.len(), whole.model.len(), "seed {seed}");
-        let read = Event::read(&whole.tracer);
-        if let Some(i) = (0..read.len()).find(|&i| read[i] != whole.model[i]) {
-            panic!(
-                "seed {seed}: event {i} reads back as {:#?}, recorded as {:#?}",
-                read[i], whole.model[i]
-            );
-        }
-        assert_eq!(read.len(), whole.model.len(), "seed {seed}");
-        assert!(
-            to_chrome_json(&whole.tracer) == render(&whole.model),
-            "seed {seed}: the export differs from the model's"
-        );
+        whole.check(&format!("seed {seed}"));
     }
+}
+
+/// One site whose four values take 300 distinct type patterns in one
+/// visit: the 257th shape closes the shard mid-visit, and the events on
+/// both sides of the cut read back — recorded whole, and merged from
+/// two tracers cut at, before and after the shape-table boundary.
+#[test]
+fn the_257th_distinct_shape_closes_the_shard() {
+    let spots = spots();
+    let spot = &spots[4];
+    assert_eq!(spot.keys.len(), 4);
+    let mut rng = Rng(7);
+    let patterns: Vec<Vec<Value>> = (0..300u64)
+        .map(|i| {
+            (0..4)
+                .map(|k| match Value::of_kind(&mut rng, i / 5u64.pow(k) % 5) {
+                    // Both values in each bool position.
+                    Value::Bool(_) => Value::Bool(i % 2 == 0),
+                    v => v,
+                })
+                .collect()
+        })
+        .collect();
+    for cut in [0, 1, 254, 255, 256, 257, 300] {
+        let (mut head, mut tail) = (Recorder::default(), Recorder::default());
+        head.begin_visit(3, "shapes");
+        for (i, values) in (0..).zip(&patterns) {
+            let into = if i < cut { &mut head } else { &mut tail };
+            into.instant(spot, 10 * i, values);
+        }
+        head.merge(tail);
+        head.check(&format!("cut {cut}"));
+    }
+}
+
+/// A bool's value lives in its event's shape, not its bytes: every
+/// pattern of three bools, beside the other types, reads back.
+#[test]
+fn bool_valued_shapes_read_back() {
+    let spots = spots();
+    let spot = &spots[3];
+    assert_eq!(spot.keys.len(), 3);
+    let mut rng = Rng(11);
+    let mut rec = Recorder::default();
+    rec.begin_visit(5, "bools");
+    for round in 0..4u64 {
+        for bits in 0..8u64 {
+            let values: Vec<Value> = (0..3).map(|k| Value::Bool(bits >> k & 1 == 1)).collect();
+            rec.instant(spot, round * 100 + bits, &values);
+            let mixed = [
+                Value::Bool(bits & 1 == 1),
+                Value::of_kind(&mut rng, bits % 3),
+                Value::Bool(bits & 2 == 0),
+            ];
+            rec.complete(spot, round * 100 + bits, bits, &mixed);
+        }
+    }
+    rec.check("bools");
+}
+
+/// Timestamps at the previous event's start, at its end, between them
+/// and behind both, near 0 and near `u64::MAX` — where a span's end
+/// wraps — each read back from whichever instant the writer chose.
+#[test]
+fn timestamps_at_the_previous_start_end_and_behind_read_back() {
+    let spots = spots();
+    let (req, hit) = (&spots[1], &spots[0]);
+    let v = [Value::U64(1)];
+    let mut rec = Recorder::default();
+    rec.begin_visit(9, "ts");
+    for base in [1_000_000, u64::MAX - 1_000, u64::MAX] {
+        rec.complete(req, base, 500_000, &v);
+        // Nested spans start at their parent's start and just after.
+        rec.complete(req, base, 20, &v);
+        rec.complete(req, base.wrapping_add(3), 7, &v);
+        // At the previous start, at its end, behind both.
+        rec.instant(hit, base.wrapping_add(3), &[]);
+        rec.complete(req, base, 1_000, &v);
+        rec.instant(hit, base.wrapping_add(1_000), &[]);
+        rec.instant(hit, base.wrapping_sub(1), &[]);
+        rec.complete(req, base.wrapping_sub(90_000), u64::MAX, &v);
+        rec.instant(hit, base.wrapping_sub(90_000), &[]);
+        rec.instant(hit, u64::MAX, &[]);
+        rec.instant(hit, 0, &[]);
+        rec.complete(req, u64::MAX, u64::MAX, &v);
+        rec.instant(hit, u64::MAX - 1, &[]);
+        rec.instant(hit, u64::MAX, &[]);
+    }
+    rec.check("timestamps");
 }

@@ -286,7 +286,11 @@ impl Dataset {
         } else {
             Rotation::Fixed
         };
-        universe.register_host(root_host.clone(), root_addrs.clone(), rotation);
+        // A failed site makes every draw a served one does, but stores
+        // no zone or certificate: no run looks its hosts up.
+        if !failed {
+            universe.register_host(root_host.clone(), root_addrs.clone(), rotation);
+        }
 
         // Shards; ones sharing the root's addresses share its set.
         const SHARD_LABELS: [&str; 5] = ["www", "static", "img", "cdn", "assets"];
@@ -300,7 +304,9 @@ impl Dataset {
             } else {
                 draw_addrs(universe, rng)
             };
-            universe.register_host(h.clone(), addrs, rotation);
+            if !failed {
+                universe.register_host(h.clone(), addrs, rotation);
+            }
             shard_hosts.push(h);
         }
 
@@ -341,7 +347,9 @@ impl Dataset {
             // A CN-only certificate (11,131 sites in the paper).
             cert.clear_sans();
         }
-        universe.set_cert(cert);
+        if !failed {
+            universe.set_cert(cert);
+        }
 
         // Request budget and third-party services.
         let n_requests = dist::sample_request_count(rng);
@@ -929,13 +937,42 @@ mod tests {
             check(&name(svc.host), PROVIDERS[svc.provider].asn);
         }
         for s in d.sites() {
-            for host in std::iter::once(&s.root_host).chain(s.shard_hosts.iter()) {
+            let own = std::iter::once(&s.root_host).chain(s.shard_hosts.iter());
+            for host in own.filter(|_| !s.failed) {
                 check(host, s.asn);
             }
             for svc in s.services.iter() {
                 check(&svc.host(), svc.asn());
             }
         }
+    }
+
+    /// A failed site draws what a served one does — its addresses, its
+    /// certificate's serial and CT entries — but stores no zone and no
+    /// certificate. The issuance and CT counts are the ones computed
+    /// while failed sites still stored both.
+    #[test]
+    fn failed_sites_store_no_zone_and_no_certificate() {
+        let d = small();
+        let u = &d.universe;
+        let failed: Vec<_> = d.sites().iter().filter(|s| s.failed).collect();
+        assert_eq!(failed.len(), 102);
+        for s in failed {
+            for host in std::iter::once(&s.root_host).chain(s.shard_hosts.iter()) {
+                assert_eq!(u.zones.registered(host), None, "{host}");
+                let answer = u.zones.resolve_shared(host, &mut Default::default());
+                assert!(answer.is_none(), "{host} resolves");
+                assert!(u.cert_for(host).is_none(), "{host} has a certificate");
+                assert_eq!(u.asn_of_host(host), 0, "{host}");
+            }
+        }
+        assert_eq!(u.certs_issued(), 589);
+        let per_operator = [
+            ("Google Argon", 589),
+            ("Cloudflare Nimbus", 589),
+            ("DigiCert Yeti", 589),
+        ];
+        assert_eq!(u.ct_logs.per_operator(), per_operator);
     }
 
     #[test]
@@ -1059,7 +1096,7 @@ mod tests {
         let zones = &d.universe.zones;
         let mut by_list = std::collections::HashMap::new();
         let (mut shared, mut own) = (0, std::collections::HashSet::new());
-        for s in d.sites() {
+        for s in d.successful_sites() {
             let root = zones.registered(&s.root_host).unwrap().as_ptr();
             for host in std::iter::once(&s.root_host).chain(s.shard_hosts.iter()) {
                 let set = zones.registered(host).unwrap();

@@ -16,8 +16,8 @@ repo=$(cd "$(dirname "$0")/.." && pwd)
 # small, names no BENCH file, PR or issue by number, and every
 # `DESIGN.md §N` citation elsewhere (CHANGES.md and ROADMAP.md are
 # history) names an existing `## N.` heading — and, as `§N "Title"`, a
-# `### Title` inside it. A citation may wrap across a line or a comment
-# leader.
+# `### Title` heading or a bold lead-in `**Title.**` inside it. A
+# citation may wrap across a line or a comment leader.
 docs_fail=0
 for limit in DESIGN.md:45000 README.md:17000; do
     size=$(wc -c < "$repo/${limit%%:*}")
@@ -41,6 +41,7 @@ if ! perl -e '
     while (<$d>) {
         $have{$n = $1} = 1 if /^## (\d+)\./;
         $have{"$n\t$1"} = 1 if defined $n && /^### (.+?)\s*$/;
+        $have{"$n\t$1"} = 1 if defined $n && /^\*\*(.+?)\.\*\*/;
     }
     my $bad = 0;
     for (@ARGV) {

@@ -688,10 +688,14 @@ fn wire_len_equals_the_label_walk_for_every_generated_name() {
             .chain(services)
         {
             check(&host);
+            if s.failed {
+                // A failed site stores no certificate.
+                continue;
+            }
             let cert = d
                 .universe
                 .cert_for(&host)
-                .expect("every site host has a cert");
+                .expect("every served site host has a cert");
             cert.san_names().for_each(|n| check(&n));
         }
     }
