@@ -1196,17 +1196,44 @@ mod tests {
 
     #[test]
     fn same_host_requests_reuse_connections() {
+        // Every successful page of the test world, loaded cold. A page
+        // whose hosts are each fetched in one credentials mode opens no
+        // more new h2 connections than it has distinct hosts. Pools are
+        // partitioned by that mode (a credentialed and a CORS-anonymous
+        // fetch of one host never share a connection), so a page that
+        // fetches a host in two modes may open one per (host, mode).
         let d = dataset();
-        let pl = load_first_page(BrowserKind::Chromium, &d);
-        // New H2 connections ≤ distinct hosts + races.
-        let distinct_hosts: std::collections::HashSet<_> =
-            pl.requests.iter().map(|r| r.host.clone()).collect();
-        let h2_new: u64 = pl
-            .requests
-            .iter()
-            .filter(|r| r.new_connection && r.protocol == Protocol::H2)
-            .count() as u64;
-        assert!(h2_new <= distinct_hosts.len() as u64);
+        let loader = PageLoader::new(BrowserKind::Chromium);
+        let (mut one_mode_pages, mut mixed_pages) = (0, 0);
+        for site in d.sites().iter().filter(|s| !s.failed) {
+            let page = d.page_for(site);
+            let mut env = UniverseEnv::new(&d);
+            env.flush_dns();
+            let pl = loader.load(&page, &mut env, &mut SimRng::seed_from_u64(99));
+            let hosts: std::collections::HashSet<_> = pl.requests.iter().map(|r| &r.host).collect();
+            let pairs: std::collections::HashSet<_> = pl
+                .requests
+                .iter()
+                .zip(&page.resources)
+                .map(|(r, res)| (&r.host, PoolPartition::from(res.fetch_mode)))
+                .collect();
+            let h2_new = pl
+                .requests
+                .iter()
+                .filter(|r| r.new_connection && r.protocol == Protocol::H2)
+                .count();
+            if pairs.len() == hosts.len() {
+                one_mode_pages += 1;
+                assert!(h2_new <= hosts.len(), "{}: {h2_new} new", site.root_host);
+            } else {
+                mixed_pages += 1;
+                assert!(h2_new <= pairs.len(), "{}: {h2_new} new", site.root_host);
+            }
+        }
+        assert!(
+            one_mode_pages >= 10 && mixed_pages >= 1,
+            "{one_mode_pages} / {mixed_pages}"
+        );
     }
 
     #[test]

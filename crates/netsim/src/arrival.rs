@@ -9,6 +9,7 @@
 //! `rate(t) / peak`, which yields an exact non-homogeneous Poisson
 //! process without any discretization of the rate curve.
 
+use crate::exact;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -67,8 +68,8 @@ impl ArrivalProcess {
         if self.amplitude == 0.0 {
             return 1.0;
         }
-        let phase = std::f64::consts::TAU * (t.as_micros() as f64 / self.period_us);
-        1.0 - self.amplitude / 2.0 * (1.0 + phase.cos())
+        let turns = t.as_micros() as f64 / self.period_us;
+        1.0 - self.amplitude / 2.0 * (1.0 + exact::cos_turns(turns))
     }
 
     /// Advance to and return the next arrival instant (thinning).

@@ -23,6 +23,8 @@
 //!   §6.7 non-compliant middlebox that tears down connections carrying
 //!   unknown HTTP/2 frame types.
 //! - [`rng`] — seeded RNG plumbing so all randomness is reproducible.
+//! - [`exact`] — `exp`, `ln`, `pow`, `cos 2πx` and the ziggurat tables
+//!   from exact IEEE operations, so a draw does not depend on libm.
 //! - [`hash`] — FNV-1a, SplitMix64 and the Fx hasher, the workspace's
 //!   one copy of each.
 //! - [`json`] — the one JSON token writer every exporter appends
@@ -35,6 +37,7 @@
 
 pub mod arrival;
 pub mod event;
+pub mod exact;
 pub mod fault;
 #[doc(hidden)]
 pub mod harness_compat;

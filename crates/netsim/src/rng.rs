@@ -9,6 +9,7 @@
 //! SplitMix64 expansion, so the repo carries no external RNG
 //! dependency and the streams are identical on every platform.
 
+use crate::exact;
 use crate::hash::splitmix64;
 
 /// A deterministic RNG with support for deriving independent
@@ -135,8 +136,32 @@ impl SimRng {
     /// Used for long-tailed latency jitter and inter-arrival times.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "mean must be positive");
-        let u: f64 = 1.0 - self.unit(); // avoid ln(0)
-        -mean * u.ln()
+        mean * self.standard_exponential()
+    }
+
+    /// The unit exponential by a 256-layer ziggurat (Marsaglia & Tsang
+    /// 2000): one `u64` picks a layer and a point in it, and 97.8% of
+    /// draws end there. The tail past `R ≈ 7.697` is `R` plus a fresh
+    /// unit exponential, which memorylessness makes exact.
+    fn standard_exponential(&mut self) -> f64 {
+        let zig = &exact::ZIG_EXP;
+        loop {
+            let bits = self.next_u64();
+            let i = (bits & 0xff) as usize;
+            // The top 52 bits as a uniform in (0, 1): [1, 2) − (1 − 2^-53).
+            let u =
+                f64::from_bits((bits >> 12) | 0x3ff0_0000_0000_0000) - (1.0 - f64::EPSILON / 2.0);
+            let x = u * zig.x[i];
+            if x < zig.x[i + 1] {
+                return x;
+            }
+            if i == 0 {
+                return exact::ZIG_EXP_R + self.standard_exponential();
+            }
+            if zig.f[i + 1] + (zig.f[i] - zig.f[i + 1]) * self.unit() < exact::exp(-x) {
+                return x;
+            }
+        }
     }
 
     /// A sample from a log-normal distribution parameterized by the
@@ -147,40 +172,73 @@ impl SimRng {
         assert!(median > 0.0, "median must be positive");
         assert!(sigma >= 0.0, "sigma must be non-negative");
         let z = self.standard_normal();
-        median * (sigma * z).exp()
+        median * exact::exp(sigma * z)
     }
 
-    /// Standard normal via Box–Muller.
+    /// The standard normal by a 256-layer ziggurat (Marsaglia & Tsang
+    /// 2000), both halves on one table: one `u64` picks a layer, a sign
+    /// and a point, and 98.5% of draws end there. Past `R ≈ 3.654` the
+    /// tail is sampled by Marsaglia's exact rejection from `R + Exp/R`.
     pub fn standard_normal(&mut self) -> f64 {
-        let u1: f64 = 1.0 - self.unit();
-        let u2: f64 = self.unit();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        let zig = &exact::ZIG_NORM;
+        loop {
+            let bits = self.next_u64();
+            let i = (bits & 0xff) as usize;
+            // The top 52 bits as a uniform in [−1, 1): [2, 4) − 3.
+            let u = f64::from_bits((bits >> 12) | 0x4000_0000_0000_0000) - 3.0;
+            let x = u * zig.x[i];
+            if x.abs() < zig.x[i + 1] {
+                return x;
+            }
+            if i == 0 {
+                let tail = self.normal_tail();
+                return if u < 0.0 { -tail } else { tail };
+            }
+            if zig.f[i + 1] + (zig.f[i] - zig.f[i + 1]) * self.unit() < exact::exp(-0.5 * x * x) {
+                return x;
+            }
+        }
+    }
+
+    /// `|z|` conditioned on `|z| > R`.
+    fn normal_tail(&mut self) -> f64 {
+        loop {
+            let x = self.standard_exponential() / exact::ZIG_NORM_R;
+            let y = self.standard_exponential();
+            if 2.0 * y >= x * x {
+                return exact::ZIG_NORM_R + x;
+            }
+        }
     }
 
     /// A Zipf-like rank draw over `[0, n)` with skew `s`: rank 0 is the
     /// most popular. Used for popularity-weighted choices (hostnames,
     /// services, providers).
+    ///
+    /// Inverse-CDF sampling of the continuous power law `x^−s` on
+    /// `[1, n]`, floored: `x = (n^(1−s)·u + 1 − u)^(1/(1−s))`, or `n^u`
+    /// at `s = 1`, and the rank is `⌊x⌋ − 1`. The ranks so drawn follow
+    /// `P(rank < k) = ((k+1)^(1−s) − 1) / (n^(1−s) − 1)` exactly (one
+    /// draw, O(1)), a stand-in for the discrete law `k^−s`, whose exact
+    /// inverse is O(n) a draw.
     pub fn zipf(&mut self, n: usize, s: f64) -> usize {
         assert!(n > 0, "empty range");
-        // Inverse-CDF on the truncated harmonic series would be exact
-        // but O(n); rejection from the continuous bounding curve is
-        // O(1) amortized and close enough for workload generation.
         if n == 1 {
             return 0;
         }
         let near_one = (s - 1.0).abs() < 1e-9;
-        let t = (n as f64).powf(1.0 - s);
+        let t = exact::pow(n as f64, 1.0 - s);
         loop {
             let u = self.unit();
-            // Continuous inverse-CDF over ranks [1, n]:
-            // x = (n^(1-s) * u + (1-u))^(1/(1-s)), so x ∈ [1, n].
             let x = if near_one {
-                (n as f64).powf(u)
+                exact::pow(n as f64, u)
             } else {
-                (t * u + (1.0 - u)).powf(1.0 / (1.0 - s))
+                exact::pow(t * u + (1.0 - u), 1.0 / (1.0 - s))
             };
-            // Rank 1 (most popular) maps to index 0.
-            let k = x.floor() as usize - 1;
+            // x ≥ 1 up to rounding, so the cast is `floor`; a value
+            // rounded below 1 wraps and is redrawn. Rank 1 (most
+            // popular) maps to index 0.
+            let k = (x as usize).wrapping_sub(1);
             if k < n {
                 return k;
             }
@@ -205,6 +263,7 @@ impl SimRng {
 mod tests {
     use super::*;
     use crate::hash::fnv1a64;
+    use crate::{ArrivalProcess, SimDuration};
 
     #[test]
     fn same_seed_same_stream() {
@@ -319,6 +378,247 @@ mod tests {
         }
         let xs = [1, 2, 3];
         assert!(xs.contains(r.choose(&xs)));
+    }
+
+    /// FNV-1a over the first 10⁴ outputs of one sampler, as bits.
+    fn digest(mut draw: impl FnMut() -> u64) -> u64 {
+        let bytes: Vec<u8> = (0..10_000).flat_map(|_| draw().to_le_bytes()).collect();
+        fnv1a64(&bytes)
+    }
+
+    #[test]
+    fn golden_draw_vector() {
+        // Every sampler's first 10⁴ draws under one seed, hashed. The
+        // samplers use exact IEEE operations only, so no libm, platform
+        // or Rust release can move these; a sampler change re-pins them
+        // in a commit of its own.
+        let rng = || SimRng::seed_from_u64(0x0516);
+        let mut r = rng();
+        let mut got = vec![digest(|| r.unit().to_bits())];
+        let mut r = rng();
+        got.push(digest(|| r.exponential(3.5).to_bits()));
+        let mut r = rng();
+        got.push(digest(|| r.standard_normal().to_bits()));
+        let mut r = rng();
+        got.push(digest(|| r.log_normal(81.0, 0.816).to_bits()));
+        for s in [1.1, 1.0, 0.8] {
+            let mut r = rng();
+            got.push(digest(|| r.zipf(1_940, s) as u64));
+        }
+        let period = SimDuration::from_secs(600);
+        let mut arrivals = ArrivalProcess::new(rng(), 250.0, 0.6, period);
+        got.push(digest(|| arrivals.next_arrival().as_micros()));
+        let want = [
+            0x0c15_0c55_6870_8dab, // unit
+            0xd2d5_01d7_8c50_34cb, // exponential
+            0x56fb_4b9a_fc7d_c72b, // standard_normal
+            0xd4ba_1948_cc2a_1ab9, // log_normal
+            0xf5a9_d0f4_bdbc_9247, // zipf, s = 1.1
+            0x2fec_30a4_83b5_9375, // zipf, s = 1 (the near-one branch)
+            0x4f4e_3099_5c0c_adf5, // zipf, s = 0.8
+            0x90de_101f_615a_706a, // ArrivalProcess::next_arrival
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
+    }
+
+    /// Moments and a Kolmogorov–Smirnov distance of one sampler.
+    struct Fit {
+        mean: f64,
+        var: f64,
+        ks: f64,
+    }
+
+    /// 10⁶ draws: sample mean and variance, and the KS distance of the
+    /// empirical CDF from `cdf`, a continuous law.
+    fn fit(mut draw: impl FnMut() -> f64, cdf: impl Fn(f64) -> f64) -> Fit {
+        let mut xs: Vec<f64> = (0..DRAWS).map(|_| draw()).collect();
+        let (mean, var) = moments(&xs);
+        xs.sort_by(f64::total_cmp);
+        let n = DRAWS as f64;
+        let ks = xs.iter().enumerate().fold(0.0f64, |d, (i, &x)| {
+            let f = cdf(x);
+            d.max((f - i as f64 / n).abs())
+                .max(((i + 1) as f64 / n - f).abs())
+        });
+        Fit { mean, var, ks }
+    }
+
+    fn moments(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
+        (mean, var)
+    }
+
+    const DRAWS: usize = 1_000_000;
+    /// The KS distance that 10⁶ draws from the right law exceed with
+    /// probability 0.1% (Kolmogorov's 1.95/√n).
+    const KS_999: f64 = 1.95e-3;
+
+    /// `P(Z ≤ x)`: Abramowitz & Stegun 7.1.26 for erfc, absolute error
+    /// below 1.5·10⁻⁷.
+    fn normal_cdf(x: f64) -> f64 {
+        let z = x.abs() / std::f64::consts::SQRT_2;
+        let t = 1.0 / (1.0 + 0.327_591_1 * z);
+        let poly = t
+            * (0.254_829_592
+                + t * (-0.284_496_736
+                    + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+        let tail = 0.5 * poly * (-z * z).exp();
+        if x < 0.0 {
+            tail
+        } else {
+            1.0 - tail
+        }
+    }
+
+    /// `P(Z > x)` for `x ≥ 3`, from the continued fraction for Mills'
+    /// ratio (relative error below 10⁻¹²).
+    fn normal_upper_tail(x: f64) -> f64 {
+        let mut c = x;
+        for k in (1..=400).rev() {
+            c = x + k as f64 / c;
+        }
+        (-0.5 * x * x).exp() / (c * (2.0 * std::f64::consts::PI).sqrt())
+    }
+
+    /// Each moment within five standard errors of its analytic value:
+    /// `var_of_var` is the variance of one draw's squared deviation.
+    fn assert_fit(name: &str, got: &Fit, mean: f64, var: f64, var_of_var: f64) {
+        let n = DRAWS as f64;
+        let mean_bound = 5.0 * (var / n).sqrt();
+        let var_bound = 5.0 * (var_of_var / n).sqrt();
+        assert!(
+            (got.mean - mean).abs() < mean_bound,
+            "{name}: mean {} vs {mean}",
+            got.mean
+        );
+        assert!(
+            (got.var - var).abs() < var_bound,
+            "{name}: var {} vs {var}",
+            got.var
+        );
+        assert!(got.ks < KS_999, "{name}: KS distance {}", got.ks);
+    }
+
+    #[test]
+    fn standard_normal_fits_its_law() {
+        let mut r = SimRng::seed_from_u64(11);
+        let got = fit(|| r.standard_normal(), normal_cdf);
+        assert_fit("normal", &got, 0.0, 1.0, 2.0);
+    }
+
+    #[test]
+    fn exponential_fits_its_law() {
+        let mut r = SimRng::seed_from_u64(12);
+        let m = 2.5;
+        let got = fit(|| r.exponential(m), |x| 1.0 - (-x / m).exp());
+        // Var((X − μ)²) = μ₄ − σ⁴ = 9m⁴ − m⁴.
+        assert_fit("exponential", &got, m, m * m, 8.0 * m.powi(4));
+    }
+
+    #[test]
+    fn log_normal_fits_its_law() {
+        let mut r = SimRng::seed_from_u64(13);
+        let (med, sigma) = (81.0, 0.816);
+        let got = fit(
+            || r.log_normal(med, sigma),
+            |x| normal_cdf((x / med).ln() / sigma),
+        );
+        // Raw moments E[Xᵏ] = medᵏ·e^(k²σ²/2), then central ones.
+        let raw = |k: f64| med.powf(k) * (k * k * sigma * sigma / 2.0).exp();
+        let mean = raw(1.0);
+        let var = raw(2.0) - mean * mean;
+        let m4 =
+            raw(4.0) - 4.0 * mean * raw(3.0) + 6.0 * mean * mean * raw(2.0) - 3.0 * mean.powi(4);
+        assert_fit("log-normal", &got, mean, var, m4 - var * var);
+    }
+
+    #[test]
+    fn zipf_fits_its_law() {
+        // P(rank < k) = ((k+1)^(1−s) − 1)/(n^(1−s) − 1), or
+        // ln(k+1)/ln n at s = 1: the law the doc states.
+        for (seed, n, s) in [(14, 1_940, 1.1), (15, 1_940, 1.0), (16, 200, 0.8)] {
+            let cdf = |k: f64| {
+                let x = k + 2.0;
+                if s == 1.0 {
+                    x.ln() / (n as f64).ln()
+                } else {
+                    (x.powf(1.0 - s) - 1.0) / ((n as f64).powf(1.0 - s) - 1.0)
+                }
+                .min(1.0)
+            };
+            let pmf = |k: usize| cdf(k as f64) - if k == 0 { 0.0 } else { cdf(k as f64 - 1.0) };
+            let mean: f64 = (0..n).map(|k| k as f64 * pmf(k)).sum();
+            let var: f64 = (0..n).map(|k| (k as f64 - mean).powi(2) * pmf(k)).sum();
+            let m4: f64 = (0..n).map(|k| (k as f64 - mean).powi(4) * pmf(k)).sum();
+            // A step law: the KS distance is the largest gap at a rank.
+            let mut r = SimRng::seed_from_u64(seed);
+            let mut counts = vec![0usize; n];
+            let xs: Vec<f64> = (0..DRAWS)
+                .map(|_| {
+                    let k = r.zipf(n, s);
+                    counts[k] += 1;
+                    k as f64
+                })
+                .collect();
+            let (mean_got, var_got) = moments(&xs);
+            let mut below = 0;
+            let ks = (0..n).fold(0.0f64, |d, k| {
+                below += counts[k];
+                d.max((below as f64 / DRAWS as f64 - cdf(k as f64)).abs())
+            });
+            let got = Fit {
+                mean: mean_got,
+                var: var_got,
+                ks,
+            };
+            assert_fit(&format!("zipf({n}, {s})"), &got, mean, var, m4 - var * var);
+        }
+    }
+
+    #[test]
+    fn ziggurat_tails_fit_their_laws() {
+        // How often a draw lands past the base layer's edge, within five
+        // standard errors, and the KS distance of what lands there from
+        // the conditional law at its own 0.1% critical value.
+        let ks_tail = |mut xs: Vec<f64>, cdf: &dyn Fn(f64) -> f64| {
+            xs.sort_by(f64::total_cmp);
+            let n = xs.len() as f64;
+            let d = xs.iter().enumerate().fold(0.0f64, |d, (i, &x)| {
+                let f = cdf(x);
+                d.max((f - i as f64 / n).abs())
+                    .max(((i + 1) as f64 / n - f).abs())
+            });
+            assert!(d < 1.95 / n.sqrt(), "tail KS distance {d} over {n} draws");
+        };
+        let (rn, re) = (exact::ZIG_NORM_R, exact::ZIG_EXP_R);
+        let mut r = SimRng::seed_from_u64(17);
+        let beyond: Vec<f64> = (0..DRAWS)
+            .map(|_| r.standard_normal().abs())
+            .filter(|&z| z > rn)
+            .collect();
+        let expect = DRAWS as f64 * 2.0 * normal_upper_tail(rn);
+        assert!(
+            (beyond.len() as f64 - expect).abs() < 5.0 * expect.sqrt(),
+            "{} normal tail draws vs {expect}",
+            beyond.len()
+        );
+        let cond = |x: f64| 1.0 - normal_upper_tail(x) / normal_upper_tail(rn);
+        ks_tail(beyond, &cond);
+        ks_tail((0..100_000).map(|_| r.normal_tail()).collect(), &cond);
+
+        let beyond: Vec<f64> = (0..DRAWS)
+            .map(|_| r.exponential(1.0))
+            .filter(|&x| x > re)
+            .collect();
+        let expect = DRAWS as f64 * (-re).exp();
+        assert!(
+            (beyond.len() as f64 - expect).abs() < 5.0 * expect.sqrt(),
+            "{} exponential tail draws vs {expect}",
+            beyond.len()
+        );
+        ks_tail(beyond, &|x| 1.0 - (re - x).exp());
     }
 
     #[test]

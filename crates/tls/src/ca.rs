@@ -202,7 +202,7 @@ impl CertificateAuthority {
         }
         self.next_serial += 1;
         self.issued += 1;
-        ct.log(&cert);
+        ct.submit(&cert);
         Ok(cert)
     }
 }

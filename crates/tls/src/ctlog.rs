@@ -80,7 +80,7 @@ impl CtLogSet {
 
     /// Submit a certificate to every log in the set (real CAs submit
     /// to several logs to gather enough SCTs).
-    pub fn log(&mut self, cert: &Certificate) {
+    pub fn submit(&mut self, cert: &Certificate) {
         for l in &mut self.logs {
             l.append(cert);
         }
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn set_submits_to_all_operators() {
         let mut set = CtLogSet::default_operators();
-        set.log(&cert(1));
+        set.submit(&cert(1));
         assert_eq!(set.total_entries(), 3);
         for (_, n) in set.per_operator() {
             assert_eq!(n, 1);

@@ -5,7 +5,7 @@
 //! inside tolerance bands of the paper's numbers (EXPERIMENTS.md
 //! records the final values).
 
-use origin_netsim::SimRng;
+use origin_netsim::{exact, SimRng};
 use origin_web::Protocol;
 
 /// The most subrequests a page is generated with.
@@ -32,7 +32,7 @@ pub fn sample_as_count(rng: &mut SimRng, request_count: u32) -> u32 {
     }
     // Bigger pages touch more ASes; couple the median mildly to the
     // request count around the global median of 81.
-    let scale = (request_count as f64 / 81.0).powf(0.35);
+    let scale = exact::pow(request_count as f64 / 81.0, 0.35);
     let x = rng.log_normal(6.6 * scale, 0.62);
     (x.round() as u32).clamp(3, 140)
 }

@@ -68,6 +68,17 @@ if nontest "${lib[@]}" | grep -v 'crates/netsim/src/hash\.rs:' |
     exit 1
 fi
 
+# One home for transcendentals: every random draw is computed from
+# exact IEEE operations (DESIGN.md §6), so outside its tests no library
+# source calls the platform's libm (`ln`, `exp`, `powf`, `powi`, `cos`,
+# `sin`, `log*` and their siblings) but `origin_netsim::exact`.
+libm='(ln|ln_1p|exp|exp2|exp_m1|powf|powi|cos|sin|tan|log|log2|log10)'
+if nontest "${lib[@]}" | grep -v 'crates/netsim/src/exact\.rs:' |
+    grep -E "\\.$libm\\(|\\bf64::$libm\\b" >&2; then
+    echo "FAIL: a libm call outside crates/netsim/src/exact.rs (use origin_netsim::exact)" >&2
+    exit 1
+fi
+
 # The world keeps only what a run reads: a host's AS is read off its
 # addresses (no hostname → u32 map in the universe), a CT log is its
 # operator's entry count (no per-entry `Vec` field) and a certificate's
