@@ -34,7 +34,7 @@
 //! owned-`String`, `Vec`-of-args buffer it replaced allocated ~1,750
 //! times per traced visit. What it adds (3.2 a visit, 5.1 since a
 //! closing shard is trimmed to its length, 6 since it also holds a
-//! shape table) is the shard that closes every 1,024 events and the
+//! shape table) is the shard that closes every 4,096 events and the
 //! pre-sized one that replaces it. The same loop with `Some(&mut tracer)`
 //! must stay within [`MAX_TRACED_EXTRA_ALLOCS_PER_VISIT`] of the
 //! untraced count.

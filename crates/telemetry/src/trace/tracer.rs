@@ -18,11 +18,13 @@ static LOADER: Site = Site::new("loader", "meta", &[]);
 static CONN: Site = Site::new("conn", "meta", &[]);
 
 /// Events a shard holds before the next visit opens a new one. A
-/// bounded shard's stream is an allocation of a few KiB, which the
-/// allocator hands back warm; one stream doubling through a whole
+/// bounded shard's stream is an allocation of some tens of KiB, which
+/// the allocator hands back warm; one stream doubling through a whole
 /// crawl is mapped afresh, and page-faulted in, on every run (+2–8% on
-/// `crawl-mixed` when it was tried).
-const SHARD_EVENTS: usize = 1024;
+/// `crawl-mixed` when it was tried). Each shard stores its own shapes
+/// and strings, so a shard of 1,024 events spent 1.06 bytes an event on
+/// its tables where one of 4,096 spends 0.67.
+const SHARD_EVENTS: usize = 4096;
 
 /// One tracer's own stretch of the event stream: one byte stream in
 /// which each event is a shape byte, a few varints and its untagged
@@ -462,19 +464,19 @@ mod tests {
     #[test]
     fn closed_shards_give_back_their_spare_capacity() {
         let mut t = Tracer::new();
-        for pid in 0..400 {
+        for pid in 0..1_600 {
             record_visit(&mut t, pid);
         }
         assert!(t.merged.len() >= 2, "begin_visit closed full shards");
         assert_closed_shards_are_trimmed(&t);
         let mut other = Tracer::new();
-        for pid in 400..450 {
+        for pid in 1_600..1_650 {
             record_visit(&mut other, pid);
         }
         t.merge(other);
         assert_closed_shards_are_trimmed(&t);
         let pids: Vec<u64> = t.events().map(|e| e.pid()).step_by(6).collect();
-        assert_eq!(pids, (0..450).collect::<Vec<_>>());
+        assert_eq!(pids, (0..1_650).collect::<Vec<_>>());
     }
 
     #[test]

@@ -495,7 +495,7 @@ fn recorded_streams_read_back_as_the_model() {
             ..Recorder::default()
         };
         let (mut whole, mut part) = (recorder(), recorder());
-        let steps = 500 + rng.below(4_000);
+        let steps = 2_000 + rng.below(16_000);
         for _ in 0..steps {
             match rng.below(200) {
                 0 => whole.merge(std::mem::replace(&mut part, recorder())),
