@@ -956,7 +956,7 @@ mod tests {
         let d = small();
         let u = &d.universe;
         let failed: Vec<_> = d.sites().iter().filter(|s| s.failed).collect();
-        assert_eq!(failed.len(), 102);
+        assert_eq!(failed.len(), 103);
         for s in failed {
             for host in std::iter::once(&s.root_host).chain(s.shard_hosts.iter()) {
                 assert_eq!(u.zones.registered(host), None, "{host}");
@@ -966,11 +966,11 @@ mod tests {
                 assert_eq!(u.asn_of_host(host), 0, "{host}");
             }
         }
-        assert_eq!(u.certs_issued(), 589);
+        assert_eq!(u.certs_issued(), 577);
         let per_operator = [
-            ("Google Argon", 589),
-            ("Cloudflare Nimbus", 589),
-            ("DigiCert Yeti", 589),
+            ("Google Argon", 577),
+            ("Cloudflare Nimbus", 577),
+            ("DigiCert Yeti", 577),
         ];
         assert_eq!(u.ct_logs.per_operator(), per_operator);
     }
@@ -1144,10 +1144,10 @@ mod tests {
                 rehomed += u32::from(path != "/" && !path.starts_with(&format!("/{label}/")));
             }
         }
-        assert_eq!((legacy_pages, rehomed), (75, 1696));
+        assert_eq!((legacy_pages, rehomed), (77, 1927));
         assert_eq!(
             origin_netsim::hash::fnv1a64(text.as_bytes()),
-            0x6ee1_4df9_9aed_021f
+            0x203f_4b5f_a0c0_ef1d
         );
     }
 

@@ -145,13 +145,13 @@ pair trm@.out --sites 500 --threads @ --only t1 --legacy-share 0.25 --h3-share 0
 check trm1.json '[.traceEvents[] | select(.ph == "X") | (.ts == (.ts | floor)) and (.dur == (.dur | floor))] | length > 0 and all' \
     '[.traceEvents[] | select(.ph == "s") | .id] as $s | [.traceEvents[] | select(.ph == "f") | .id] as $f | ($s | length > 0) and ($s | sort) == ($f | sort)'
 
-# Trace artifacts: rank 3 alone, then kept by the 1/4 sampler under a
+# Trace artifacts: rank 2 alone, then kept by the 1/4 sampler under a
 # quarter-legacy (h1 spans) and a full-h3 universe (QUIC handshake
 # spans, per-request h3 instants).
-run /dev/null trace --site 3 --out trace_site3.json
+run /dev/null trace --site 2 --out trace_site2.json
 run /dev/null --sites 500 --threads 8 --legacy-share 0.25 --trace trace_mixed.json --sample 1/4 --only t3
 run /dev/null --sites 500 --threads 8 --h3-share 1 --trace trace_h3.json --sample 1/4 --only t3
-check trace_site3.json '.traceEvents | length > 0'
+check trace_site2.json '.traceEvents | length > 0'
 check trace_mixed.json '.traceEvents | length > 0'
 check trace_h3.json '.traceEvents | length > 0' '[.traceEvents[] | select(.name == "quic.handshake")] | length > 0' \
     '[.traceEvents[] | select(.name == "h3.request")] | length > 0'

@@ -6,8 +6,8 @@
 #   reports/repro_full.log        reference stderr (progress + wire checks)
 #   reports/series.json           raw figure series for the same run
 #   reports/metrics_baseline.json deterministic work counters gated by CI
-#   reports/trace_site3.json      reference Perfetto span trace of the
-#                                 rank-3 visit (EXPERIMENTS.md tracing)
+#   reports/trace_site2.json      reference Perfetto span trace of the
+#                                 rank-2 visit (EXPERIMENTS.md tracing)
 #   reports/faults_reference.json resilience report for the reference
 #                                 fault profile (EXPERIMENTS.md faults)
 #   reports/redundancy_reference.json
@@ -62,9 +62,9 @@ trap 'rm -f "$tmp"' EXIT
 "$repro" --sites 500 --metrics "$tmp" >/dev/null 2>&1
 jq -S 'del(.runtime_ms)' "$tmp" >reports/metrics_baseline.json
 
-echo "refresh: reference span trace (rank-3 visit)…" >&2
-"$repro" trace --site 3 --out reports/trace_site3.json 2>/dev/null
-jq -e '.traceEvents | length > 0' reports/trace_site3.json >/dev/null
+echo "refresh: reference span trace (rank-2 visit)…" >&2
+"$repro" trace --site 2 --out reports/trace_site2.json 2>/dev/null
+jq -e '.traceEvents | length > 0' reports/trace_site2.json >/dev/null
 
 echo "refresh: resilience report (reference fault profile)…" >&2
 "$repro" --sites 2000 --faults drop=0.01,h421=0.005,middlebox=0.1 \
