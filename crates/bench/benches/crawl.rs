@@ -195,7 +195,8 @@ fn crawl_stages_pass(spec: &CrawlSpec) -> [f64; 6] {
 /// thread, 2,000 ranks. Two rows: the pure-h2 `crawl-small` universe,
 /// and the `crawl-mixed` configuration of `BENCHMARK.json` (h1 and h3
 /// machines, fault recovery, every telemetry sink), whose `load` cell
-/// is where a protocol-machine change shows.
+/// is where a protocol-machine change shows. A third row times
+/// `generate` alone at 20,000 ranks.
 fn bench_crawl_stages(c: &mut Criterion) {
     let pure = CrawlSpec::new(2_000, 0x0516);
     let mixed = CrawlSpec {
@@ -228,6 +229,22 @@ fn bench_crawl_stages(c: &mut Criterion) {
                 .collect();
             println!("{row} µs/site: {}", cells.join(" · "));
         }
+    }
+    // Generation alone at crawl-large's 20,000 ranks (the default
+    // world), where the world outgrows cache: its best pass.
+    let large = DatasetConfig::default();
+    let mut best = f64::INFINITY;
+    g.sample_size(12);
+    g.bench_function("generate_20000", |b| {
+        b.iter(|| {
+            let start = Instant::now();
+            let dataset = Dataset::generate(large);
+            best = best.min(start.elapsed().as_secs_f64() * 1e6 / f64::from(large.sites));
+            dataset
+        })
+    });
+    if best.is_finite() {
+        println!("crawl_stages 20000 µs/site: generate {best:.1}");
     }
     g.finish();
 }

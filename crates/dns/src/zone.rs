@@ -41,6 +41,11 @@ impl ZoneSet {
         }
     }
 
+    /// Reserve room for `additional` more exact entries.
+    pub fn reserve(&mut self, additional: usize) {
+        self.exact.reserve(additional);
+    }
+
     /// Number of registered entries (exact + wildcard).
     pub fn len(&self) -> usize {
         self.exact.len() + self.wildcard.len()

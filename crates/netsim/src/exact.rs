@@ -524,9 +524,10 @@ mod tests {
 
     #[test]
     fn pow_is_within_one_ulp_of_std() {
-        // zipf raises n ≤ 2,000 to 1 − s and to a uniform, and a base
-        // in [n^(1−s), 1] to 1/(1 − s) (as large as −50 at s = 1.02);
-        // the AS count raises requests/81 to 0.35.
+        // zipf raises n ≤ 20,000 to 1 − s and to a uniform, and a base
+        // in [n^(1−s), 1] to 1/(1 − s) (a `Zipf` law keeps its table up
+        // to |1/(1 − s)| = 64, s = 1 ± 1/64); the AS count raises
+        // requests/81 to 0.35.
         let mut worst_seen = (0, 0.0, 0.0);
         let mut check = |x: f64, y: f64| {
             let (ours, std) = (pow(x, y), x.powf(y));
@@ -535,17 +536,18 @@ mod tests {
                 worst_seen = (u, x, y);
             }
         };
-        for s in [0.5, 0.8, 0.9, 1.02, 1.05, 1.1, 1.2, 1.5, 1.8, 2.0] {
-            for n in (1..=2_000).step_by(7) {
+        let edge = [1.0 - 1.0 / 64.0, 1.0 + 1.0 / 64.0];
+        for s in [0.5, 0.8, 0.9, 1.02, 1.05, 1.1, 1.2, 1.5, 1.8, 2.0].into_iter().chain(edge) {
+            for n in (1..=20_000).step_by(7) {
                 check(n as f64, 1.0 - s);
             }
             let inv = 1.0 / (1.0 - s);
-            let t = 2_000f64.powf(1.0 - s);
+            let t = 20_000f64.powf(1.0 - s);
             for base in sweep(t.min(1.0), t.max(1.0), 20_000) {
                 check(base, inv);
             }
         }
-        for n in [2.0, 7.0, 64.0, 361.0, 1_940.0] {
+        for n in [2.0, 7.0, 64.0, 361.0, 1_940.0, 12_716.0] {
             for u in sweep(0.0, 1.0, 10_000) {
                 check(n, u);
             }

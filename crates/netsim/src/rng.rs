@@ -211,35 +211,15 @@ impl SimRng {
         }
     }
 
-    /// A Zipf-like rank draw over `[0, n)` with skew `s`: rank 0 is the
-    /// most popular. Used for popularity-weighted choices (hostnames,
-    /// services, providers).
-    ///
-    /// Inverse-CDF sampling of the continuous power law `x^−s` on
-    /// `[1, n]`, floored: `x = (n^(1−s)·u + 1 − u)^(1/(1−s))`, or `n^u`
-    /// at `s = 1`, and the rank is `⌊x⌋ − 1`. The ranks so drawn follow
-    /// `P(rank < k) = ((k+1)^(1−s) − 1) / (n^(1−s) − 1)` exactly (one
-    /// draw, O(1)), a stand-in for the discrete law `k^−s`, whose exact
-    /// inverse is O(n) a draw.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "empty range");
-        if n == 1 {
+    /// A rank from `law` (see [`Zipf`]): rank 0 is the most popular.
+    /// Consumes no draw when the law has one rank.
+    pub fn zipf(&mut self, law: &Zipf) -> usize {
+        assert!(law.n > 0, "empty range");
+        if law.n == 1 {
             return 0;
         }
-        let near_one = (s - 1.0).abs() < 1e-9;
-        let t = exact::pow(n as f64, 1.0 - s);
         loop {
-            let u = self.unit();
-            let x = if near_one {
-                exact::pow(n as f64, u)
-            } else {
-                exact::pow(t * u + (1.0 - u), 1.0 / (1.0 - s))
-            };
-            // x ≥ 1 up to rounding, so the cast is `floor`; a value
-            // rounded below 1 wraps and is redrawn. Rank 1 (most
-            // popular) maps to index 0.
-            let k = (x as usize).wrapping_sub(1);
-            if k < n {
+            if let Some(k) = law.rank(self.next_u64() >> 11) {
                 return k;
             }
         }
@@ -256,6 +236,167 @@ impl SimRng {
     /// Choose one element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.index(xs.len())]
+    }
+}
+
+/// Half-width, in units of `m = u·2^53`, of the band around each cut
+/// of a [`Zipf`] law inside which a draw evaluates the formula. It is
+/// 16 times the largest error bound a law may have and keep its table;
+/// every law the crawl and serve build is bounded by under 200 units.
+/// A draw falls in a band with probability about `n·2^-32`.
+const GUARD: u64 = 1 << 20;
+
+/// A Zipf-like rank law over `[0, n)` with skew `s`, built once and
+/// drawn by [`SimRng::zipf`]. Used for popularity-weighted choices
+/// (services, SAN counts, the sites a serve session visits).
+///
+/// The law is inverse-CDF sampling of the continuous power law `x^−s`
+/// on `[1, n]`, floored: `x = (n^(1−s)·u + 1 − u)^(1/(1−s))`, or `n^u`
+/// at `s = 1`, and the rank is `⌊x⌋ − 1`; a rank that rounds out of
+/// range is redrawn. The ranks so drawn follow
+/// `P(rank < k) = ((k+1)^(1−s) − 1) / (n^(1−s) − 1)`, a stand-in for
+/// the discrete law `k^−s`. Its support is `[0, n−1)`: `u < 1` keeps
+/// `x` below `n`, so rank `n − 1` is drawn only where rounding lands
+/// `x` on `n`.
+///
+/// A draw does not evaluate that formula. The law keeps the exact
+/// inverse: the cut `m_c = ⌈u*·2^53⌉` where the rank steps up to
+/// `c − 1`, from the closed form `u* = (c^(1−s) − 1)/(n^(1−s) − 1)`
+/// (`ln c / ln n` at `s = 1`), and a guide table over the top bits of
+/// `m` (Chen & Asau 1974). A draw takes the 53 bits `m` that
+/// [`SimRng::unit`] would scale by `2^-53`, finds its interval with one
+/// lookup and a short scan, and returns its index. Within [`GUARD`] of
+/// a cut, where the formula's rounding may fall on either side, the
+/// draw evaluates the formula on the same `u` instead, so every draw
+/// equals the formula's, bit for bit. A law whose cuts cannot be
+/// placed that closely (a skew within 1/64 of 1, where `n^(1−s) − 1`
+/// cancels and the formula's power leaves `exact::pow`'s range) keeps
+/// no table and always evaluates the formula.
+pub struct Zipf {
+    n: usize,
+    /// `n^(1−s)` and `1/(1−s)` as the formula uses them, and whether it
+    /// takes the `n^u` form.
+    t: f64,
+    inv: f64,
+    near_one: bool,
+    /// `cuts[k]` is the first `m` of rank `k` (`cuts[0] = 0`,
+    /// `cuts[n−1] = 2^53`); empty when the law keeps no table.
+    cuts: Box<[u64]>,
+    /// `guide[g]` is the rank whose interval holds `m = g << shift`.
+    guide: Box<[u32]>,
+    shift: u32,
+}
+
+impl Zipf {
+    /// The law over `[0, n)` with skew `s`. Drawing from a law with
+    /// `n = 0` panics.
+    pub fn new(n: usize, s: f64) -> Zipf {
+        let mut law = Zipf {
+            n,
+            t: exact::pow(n as f64, 1.0 - s),
+            inv: 1.0 / (1.0 - s),
+            near_one: (s - 1.0).abs() < 1e-9,
+            cuts: Box::default(),
+            guide: Box::default(),
+            shift: 0,
+        };
+        if n >= 2 && n <= u32::MAX as usize && law.error_bound(s) < (GUARD / 16) as f64 {
+            law.build_table(s);
+        }
+        law
+    }
+
+    /// How far, in units of `m`, a computed cut and the formula's own
+    /// step can sit from the exact step of the function the formula
+    /// rounds, with a factor of two to spare. One unit of `m` is one
+    /// unit roundoff `ε = 2^-53` of `u`, and `exact::pow` and
+    /// `exact::ln` are within an ulp (2ε) — `pow` for powers up to
+    /// `|1/(1−s)| = 64` only, so a law beyond that has no bound. At
+    /// `s = 1`, `n^u` is off by 4ε, which moves the step by that over
+    /// `ln n`, and `ln c / ln n` by 6ε. Otherwise the base `t·u + 1 − u`
+    /// is off by 3ε, which the power `1/(1−s)` amplifies and the slope
+    /// `(t − 1)/(1 − s)` takes back, and the cut's `c^(1−s) − 1` is off
+    /// by 5ε of `max(1, t)` plus `1/(1−s)`'s own rounding times
+    /// `|(1−s)·ln n|`; in `u`, both scale by `a = max(1, t)/|t − 1|`.
+    /// The ceiling adds a unit.
+    fn error_bound(&self, s: f64) -> f64 {
+        let ln_n = exact::ln(self.n as f64);
+        let units = if self.near_one {
+            4.0 / ln_n + 7.0
+        } else if self.inv.abs() > 64.0 {
+            f64::INFINITY
+        } else {
+            let q = (1.0 - s).abs();
+            let a = self.t.max(1.0) / (self.t - 1.0).abs();
+            a * (8.0 + 4.0 * q + q * ln_n) + 4.0
+        };
+        2.0 * units
+    }
+
+    fn build_table(&mut self, s: f64) {
+        let n = self.n;
+        let scale = (1u64 << 53) as f64;
+        let ln_n = exact::ln(n as f64);
+        let mut cuts = Vec::with_capacity(n);
+        cuts.push(0);
+        for c in 2..n {
+            let c = c as f64;
+            let u = if self.near_one {
+                exact::ln(c) / ln_n
+            } else {
+                (exact::pow(c, 1.0 - s) - 1.0) / (self.t - 1.0)
+            };
+            // ⌈u·2^53⌉: the product is exact and below 2^53.
+            let v = u * scale;
+            let m = v as u64;
+            cuts.push(if (m as f64) < v { m + 1 } else { m });
+        }
+        cuts.push(1 << 53);
+        if cuts.windows(2).any(|w| w[0] >= w[1]) {
+            return;
+        }
+        let bits = n.next_power_of_two().trailing_zeros();
+        self.shift = 53 - bits;
+        let mut k = 0;
+        self.guide = (0..1u64 << bits)
+            .map(|g| {
+                while cuts[k + 1] <= g << self.shift {
+                    k += 1;
+                }
+                k as u32
+            })
+            .collect();
+        self.cuts = cuts.into();
+    }
+
+    /// The rank `u = m·2^-53` draws, or `None` where the formula rounds
+    /// out of range and the draw is redrawn.
+    fn rank(&self, m: u64) -> Option<usize> {
+        if !self.cuts.is_empty() {
+            let mut k = self.guide[(m >> self.shift) as usize] as usize;
+            while self.cuts[k + 1] <= m {
+                k += 1;
+            }
+            if m - self.cuts[k] > GUARD && self.cuts[k + 1] - m > GUARD {
+                return Some(k);
+            }
+        }
+        self.formula(m)
+    }
+
+    /// [`Zipf::rank`] by the formula alone.
+    fn formula(&self, m: u64) -> Option<usize> {
+        let u = m as f64 * (1.0 / (1u64 << 53) as f64);
+        let x = if self.near_one {
+            exact::pow(self.n as f64, u)
+        } else {
+            exact::pow(self.t * u + (1.0 - u), self.inv)
+        };
+        // x ≥ 1 up to rounding, so the cast is `floor`; a value rounded
+        // below 1 wraps and is redrawn. Rank 1 (most popular) maps to
+        // index 0.
+        let k = (x as usize).wrapping_sub(1);
+        (k < self.n).then_some(k)
     }
 }
 
@@ -344,8 +485,9 @@ mod tests {
     fn zipf_is_skewed_and_in_range() {
         let mut r = SimRng::seed_from_u64(5);
         let mut counts = [0usize; 10];
+        let law = Zipf::new(10, 1.1);
         for _ in 0..10_000 {
-            let k = r.zipf(10, 1.1);
+            let k = r.zipf(&law);
             counts[k] += 1;
         }
         assert!(counts[0] > counts[4]);
@@ -355,7 +497,9 @@ mod tests {
     #[test]
     fn zipf_single_element() {
         let mut r = SimRng::seed_from_u64(6);
-        assert_eq!(r.zipf(1, 1.2), 0);
+        assert_eq!(r.zipf(&Zipf::new(1, 1.2)), 0);
+        // A one-rank law consumes no draw.
+        assert_eq!(r.next_u64(), SimRng::seed_from_u64(6).next_u64());
     }
 
     #[test]
@@ -402,8 +546,8 @@ mod tests {
         let mut r = rng();
         got.push(digest(|| r.log_normal(81.0, 0.816).to_bits()));
         for s in [1.1, 1.0, 0.8] {
-            let mut r = rng();
-            got.push(digest(|| r.zipf(1_940, s) as u64));
+            let (mut r, law) = (rng(), Zipf::new(1_940, s));
+            got.push(digest(|| r.zipf(&law) as u64));
         }
         let period = SimDuration::from_secs(600);
         let mut arrivals = ArrivalProcess::new(rng(), 250.0, 0.6, period);
@@ -537,8 +681,22 @@ mod tests {
     #[test]
     fn zipf_fits_its_law() {
         // P(rank < k) = ((k+1)^(1−s) − 1)/(n^(1−s) − 1), or
-        // ln(k+1)/ln n at s = 1: the law the doc states.
-        for (seed, n, s) in [(14, 1_940, 1.1), (15, 1_940, 1.0), (16, 200, 0.8)] {
+        // ln(k+1)/ln n at s = 1: the law the doc states. Three shapes of
+        // the golden vector's kind, then every shape webgen draws:
+        // named and tail services, the SAN-count tail, and the extra
+        // services over a page's k candidates.
+        let laws = [
+            (14, 1_940, 1.1),
+            (15, 1_940, 1.0),
+            (16, 200, 0.8),
+            (18, 24, 1.05),
+            (19, 360, 1.02),
+            (20, 1_940, 1.8),
+            (21, 3, 0.8),
+            (22, 7, 0.8),
+            (23, 24, 0.8),
+        ];
+        for (seed, n, s) in laws {
             let cdf = |k: f64| {
                 let x = k + 2.0;
                 if s == 1.0 {
@@ -553,11 +711,11 @@ mod tests {
             let var: f64 = (0..n).map(|k| (k as f64 - mean).powi(2) * pmf(k)).sum();
             let m4: f64 = (0..n).map(|k| (k as f64 - mean).powi(4) * pmf(k)).sum();
             // A step law: the KS distance is the largest gap at a rank.
-            let mut r = SimRng::seed_from_u64(seed);
+            let (mut r, law) = (SimRng::seed_from_u64(seed), Zipf::new(n, s));
             let mut counts = vec![0usize; n];
             let xs: Vec<f64> = (0..DRAWS)
                 .map(|_| {
-                    let k = r.zipf(n, s);
+                    let k = r.zipf(&law);
                     counts[k] += 1;
                     k as f64
                 })
@@ -574,6 +732,147 @@ mod tests {
                 ks,
             };
             assert_fit(&format!("zipf({n}, {s})"), &got, mean, var, m4 - var * var);
+        }
+        // Over two candidates the law puts all its mass on rank 0: rank
+        // n − 1 is drawn only where rounding lands x on n.
+        let (mut r, law) = (SimRng::seed_from_u64(24), Zipf::new(2, 0.8));
+        assert!((0..DRAWS).all(|_| r.zipf(&law) == 0));
+    }
+
+    /// `(n, s)` of every law a run builds: webgen's named services, tail
+    /// services and SAN-count tail, its extra services over each
+    /// candidate count k, serve's sites at the 20,000-rank reference
+    /// world, and the golden vector's three.
+    fn production_laws() -> Vec<(usize, f64)> {
+        let mut laws = vec![
+            (24, 1.05),
+            (360, 1.02),
+            (1_940, 1.8),
+            (SERVE_SITES, 1.1),
+            (1_940, 1.1),
+            (1_940, 1.0),
+            (1_940, 0.8),
+        ];
+        laws.extend((1..=24).map(|k| (k, 0.8)));
+        laws
+    }
+
+    /// Successful sites of `repro serve`'s default 20,000-rank world.
+    const SERVE_SITES: usize = 12_716;
+
+    /// The formula's rank at `u = m·2^-53`, written out as
+    /// `SimRng::zipf` evaluated it on every draw before laws kept a
+    /// table; `None` is a redraw.
+    fn formula_rank(n: usize, s: f64, m: u64) -> Option<usize> {
+        let u = m as f64 / (1u64 << 53) as f64;
+        let x = if (s - 1.0).abs() < 1e-9 {
+            exact::pow(n as f64, u)
+        } else {
+            exact::pow(
+                exact::pow(n as f64, 1.0 - s) * u + (1.0 - u),
+                1.0 / (1.0 - s),
+            )
+        };
+        let k = (x as usize).wrapping_sub(1);
+        (k < n).then_some(k)
+    }
+
+    #[test]
+    fn every_production_law_keeps_a_table() {
+        let serve_worlds = (1..=40).map(|i| (i * 500, 1.1));
+        // A one-rank law needs none: it returns 0 without a draw.
+        let laws = production_laws().into_iter().chain(serve_worlds);
+        for (n, s) in laws.filter(|&(n, _)| n >= 2) {
+            let law = Zipf::new(n, s);
+            let bound = law.error_bound(s);
+            assert_eq!(law.cuts.len(), n, "zipf({n}, {s}) keeps no table");
+            assert!(bound < 200.0, "zipf({n}, {s}) error bound {bound}");
+        }
+        // Within 1/64 of s = 1 (but not at it) a law keeps no table and
+        // draws by the formula alone.
+        assert_eq!(Zipf::new(2, 1.0 + 1.0 / 64.0).cuts.len(), 2);
+        let law = Zipf::new(1_940, 1.01);
+        assert!(law.cuts.is_empty() && law.guide.is_empty());
+        let (mut a, mut b) = (SimRng::seed_from_u64(25), SimRng::seed_from_u64(25));
+        for _ in 0..10_000 {
+            let want = loop {
+                if let Some(k) = formula_rank(1_940, 1.01, b.next_u64() >> 11) {
+                    break k;
+                }
+            };
+            assert_eq!(a.zipf(&law), want);
+        }
+    }
+
+    #[test]
+    fn zipf_draws_equal_the_formula() {
+        // 10⁶ draws of each shape a run builds (every candidate count
+        // of webgen's extras is swept at its cuts below), on one stream
+        // each: a redraw the table missed would shift every later draw.
+        let shapes = [
+            (24, 1.05),
+            (360, 1.02),
+            (1_940, 1.8),
+            (24, 0.8),
+            (SERVE_SITES, 1.1),
+            (1_940, 1.1),
+            (1_940, 1.0),
+            (1_940, 0.8),
+        ];
+        for (i, (n, s)) in shapes.into_iter().enumerate() {
+            let law = Zipf::new(n, s);
+            let mut r = SimRng::seed_from_u64(30 + i as u64);
+            let mut formula = SimRng::seed_from_u64(30 + i as u64);
+            for d in 0..DRAWS {
+                let want = loop {
+                    if let Some(k) = formula_rank(n, s, formula.next_u64() >> 11) {
+                        break k;
+                    }
+                };
+                assert_eq!(r.zipf(&law), want, "zipf({n}, {s}), draw {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_cuts_sit_on_the_closed_form() {
+        // Each cut is ⌈u*·2^53⌉ of its closed form; the formula steps
+        // within the law's error bound of it; and a draw at the cut's
+        // edges — inside the band, just outside it, and a few units
+        // either side of the cut itself — equals the formula's.
+        let edge = [(2, 1.0 + 1.0 / 64.0), (1_940, 1.0 - 1.0 / 64.0), (2_000, 0.5)];
+        let laws = production_laws().into_iter().chain(edge);
+        for (n, s) in laws.filter(|&(n, _)| n >= 2) {
+            let law = Zipf::new(n, s);
+            let bound = law.error_bound(s) as u64;
+            let at = |m: u64| (law.rank(m), formula_rank(n, s, m));
+            for (k, &cut) in law.cuts.iter().enumerate().take(n - 1) {
+                let c = (k + 1) as f64;
+                let u = if (s - 1.0).abs() < 1e-9 {
+                    exact::ln(c) / exact::ln(n as f64)
+                } else {
+                    (exact::pow(c, 1.0 - s) - 1.0) / (exact::pow(n as f64, 1.0 - s) - 1.0)
+                };
+                let v = u * (1u64 << 53) as f64;
+                let want = v as u64 + u64::from((v as u64 as f64) < v);
+                assert_eq!(cut, if k == 0 { 0 } else { want }, "zipf({n}, {s}) cut {k}");
+                if k > 0 {
+                    assert_eq!(formula_rank(n, s, cut - bound - 1), Some(k - 1));
+                }
+                assert_eq!(formula_rank(n, s, cut + bound), Some(k), "zipf({n}, {s}) cut {k}");
+                let edges = [GUARD + 1, GUARD, GUARD - 1, 8, 3, 2, 1, 0];
+                let probes = edges
+                    .iter()
+                    .flat_map(|&d| [cut.wrapping_sub(d), cut + d])
+                    .filter(|&m| m < 1 << 53);
+                for m in probes {
+                    let (got, want) = at(m);
+                    assert_eq!(got, want, "zipf({n}, {s}) at m = {m}, cut {k} = {cut}");
+                }
+            }
+            for m in (1 << 53) - GUARD - 2..(1 << 53) - GUARD + 2 {
+                assert_eq!(at(m).0, at(m).1, "zipf({n}, {s}) at m = {m}");
+            }
         }
     }
 

@@ -25,6 +25,7 @@
 //! is `O(sites) + O(windows) + O(active sessions)`.
 
 use origin_netsim::hash::splitmix64;
+use origin_netsim::rng::Zipf;
 use origin_netsim::{fold_chunks, json, EventQueue, SimDuration, SimRng, SimTime};
 use origin_telemetry::metrics::Registry;
 use origin_telemetry::obs::{Timeline, VisitObs};
@@ -272,6 +273,7 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
     let mut next_id: u64 = 0;
     let mut visit_keys: Vec<u32> = Vec::with_capacity(64);
     let mut obs = VisitObs::default();
+    let site_law = Zipf::new(plans.len(), ZIPF_S);
 
     queue.schedule(arrivals.next_arrival(), Ev::Arrival);
     while let Some((now, ev)) = queue.next() {
@@ -322,7 +324,7 @@ fn run_shard(cfg: &ServeConfig, plans: &[SitePlan], shard: usize) -> ShardOut {
                     .sweep_idle(now, cfg.idle_timeout, &mut out.churn);
                 let site_idx = match session.site {
                     Some(prev) if session.rng.chance(REVISIT_BIAS) => prev,
-                    _ => session.rng.zipf(plans.len(), ZIPF_S) as u32,
+                    _ => session.rng.zipf(&site_law) as u32,
                 };
                 session.site = Some(site_idx);
                 let plan = &plans[site_idx as usize];

@@ -9,6 +9,7 @@ use origin_dns::name::name;
 use origin_dns::record::Rotation;
 use origin_dns::DnsName;
 use origin_netsim::hash::splitmix64_finalize;
+use origin_netsim::rng::Zipf;
 use origin_netsim::SimRng;
 use origin_tls::KnownIssuer;
 use origin_web::{ContentType, FetchMode, Page, PathSpec, Protocol, Resource};
@@ -105,9 +106,14 @@ impl ServiceRef {
                 .chain((0..TAIL_SERVICE_COUNT).map(|i| name(&tail_service_host(i))))
                 .collect()
         });
+        hosts[self.catalogue_index()].clone()
+    }
+
+    /// Its place in the catalogue: the named services, then the tail.
+    fn catalogue_index(self) -> usize {
         match self {
-            ServiceRef::Named(i) => hosts[i as usize].clone(),
-            ServiceRef::Tail(i) => hosts[SERVICES.len() + i as usize].clone(),
+            ServiceRef::Named(i) => i as usize,
+            ServiceRef::Tail(i) => SERVICES.len() + i as usize,
         }
     }
 
@@ -198,8 +204,12 @@ impl Dataset {
     pub fn generate(config: DatasetConfig) -> Dataset {
         let rng = SimRng::seed_from_u64(config.seed);
         let mut universe = Universe::new(&mut rng.derive("universe"));
+        universe.reserve_sites(config.sites);
         let mut site_rng = rng.derive("sites");
         let mut scratch = GenScratch::default();
+        // CDN-fronted sites share VIP pairs: about 0.6 a rank at 2,000
+        // ranks, levelling off near 5,000 pairs.
+        scratch.vip_sets.reserve((config.sites as usize / 2).min(4_096));
         let mut sites = Vec::with_capacity(config.sites as usize);
         for rank in 1..=config.sites {
             let cfg = Self::generate_site(rank, config, &mut universe, &mut site_rng, &mut scratch);
@@ -311,7 +321,7 @@ impl Dataset {
         }
 
         // Certificate with a Table 8-matched SAN count.
-        let target_sans = dist::sample_existing_san_count(rng) as usize;
+        let target_sans = dist::sample_existing_san_count(rng, &scratch.san_tail) as usize;
         let mut issuer = match provider {
             Some(i) => PROVIDERS[i].issuer,
             None => sample_tail_issuer(rng),
@@ -755,9 +765,9 @@ fn sample_tail_issuer(rng: &mut SimRng) -> KnownIssuer {
 }
 
 /// Buffers [`Dataset::generate`] reuses from rank to rank: name text,
-/// SANs, a page's picked services with their ASes and candidates, and
-/// the address set of every provider VIP pair drawn so far.
-#[derive(Default)]
+/// SANs, a page's picked services with their ASes and candidates, the
+/// address set of every provider VIP pair drawn so far, and the rank
+/// laws its draws use.
 struct GenScratch {
     text: String,
     sans: Vec<DnsName>,
@@ -765,6 +775,42 @@ struct GenScratch {
     services: Vec<ServiceRef>,
     ases: origin_netsim::hash::FxHashSet<u32>,
     candidates: Vec<u16>,
+    /// The named and tail service laws, and the extra-service law over
+    /// each candidate count `k` at index `k`.
+    named: Zipf,
+    tail: Zipf,
+    extras: Box<[Zipf]>,
+    /// [`dist::sample_existing_san_count`]'s tail.
+    san_tail: Zipf,
+}
+
+impl Default for GenScratch {
+    fn default() -> Self {
+        GenScratch {
+            text: String::new(),
+            sans: Vec::new(),
+            vip_sets: Default::default(),
+            services: Vec::new(),
+            ases: Default::default(),
+            candidates: Vec::new(),
+            named: Zipf::new(SERVICES.len(), 1.05),
+            tail: Zipf::new(TAIL_SERVICE_COUNT as usize, 1.02),
+            extras: (0..=SERVICES.len()).map(|k| Zipf::new(k, 0.8)).collect(),
+            san_tail: dist::san_tail_law(),
+        }
+    }
+}
+
+/// Bits of a set over the whole service catalogue.
+const CATALOGUE_WORDS: usize = (SERVICES.len() + TAIL_SERVICE_COUNT as usize).div_ceil(64);
+
+/// Add `s` to `set`; false if it was already there.
+fn insert(set: &mut [u64; CATALOGUE_WORDS], s: ServiceRef) -> bool {
+    let i = s.catalogue_index();
+    let (word, bit) = (&mut set[i / 64], 1 << (i % 64));
+    let fresh = *word & bit == 0;
+    *word |= bit;
+    fresh
 }
 
 /// Parse a formatted name, formatting it in `text`'s reused buffer.
@@ -782,20 +828,24 @@ fn pick_services(rng: &mut SimRng, target_as: u32, scratch: &mut GenScratch) {
         services,
         ases,
         candidates,
+        named,
+        tail,
+        extras: extra_laws,
         ..
     } = scratch;
     let needed = target_as.saturating_sub(1);
     services.clear();
     ases.clear();
+    let mut picked = [0; CATALOGUE_WORDS];
     let mut guard = 0;
     while (ases.len() as u32) < needed && guard < needed * 10 + 50 {
         guard += 1;
         let s = if rng.chance(0.55) {
-            ServiceRef::Named(rng.zipf(SERVICES.len(), 1.05) as u16)
+            ServiceRef::Named(rng.zipf(named) as u16)
         } else {
-            ServiceRef::Tail(rng.zipf(TAIL_SERVICE_COUNT as usize, 1.02) as u16)
+            ServiceRef::Tail(rng.zipf(tail) as u16)
         };
-        if services.contains(&s) {
+        if !insert(&mut picked, s) {
             continue;
         }
         services.push(s);
@@ -817,8 +867,8 @@ fn pick_services(rng: &mut SimRng, target_as: u32, scratch: &mut GenScratch) {
             let mut guard = 0;
             while guard < extras * 8 {
                 guard += 1;
-                let s = ServiceRef::Named(candidates[rng.zipf(candidates.len(), 0.8)]);
-                if services.contains(&s) {
+                let s = ServiceRef::Named(candidates[rng.zipf(&extra_laws[candidates.len()])]);
+                if !insert(&mut picked, s) {
                     continue;
                 }
                 services.push(s);

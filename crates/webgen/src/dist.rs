@@ -5,6 +5,7 @@
 //! inside tolerance bands of the paper's numbers (EXPERIMENTS.md
 //! records the final values).
 
+use origin_netsim::rng::Zipf;
 use origin_netsim::{exact, SimRng};
 use origin_web::Protocol;
 
@@ -53,8 +54,9 @@ pub fn sample_shard_count(rng: &mut SimRng) -> u32 {
 
 /// Existing certificate SAN-entry counts (Table 8 "Measured" column,
 /// normalized to its top-10 plus a long tail). Returns the number of
-/// DNS SAN entries in the site's current certificate.
-pub fn sample_existing_san_count(rng: &mut SimRng) -> u32 {
+/// DNS SAN entries in the site's current certificate. `tail` is
+/// [`san_tail_law`].
+pub fn sample_existing_san_count(rng: &mut SimRng, tail: &Zipf) -> u32 {
     // (count, probability) from Table 8 counts / 315,796, with the
     // remaining ~4.8% spread over a tail reaching the >250 regime
     // (230 sites above 250 in the paper).
@@ -79,7 +81,12 @@ pub fn sample_existing_san_count(rng: &mut SimRng) -> u32 {
     }
     // Long tail: 11 .. ~2000, Zipf-flavored, ≲0.1% above 250 (the
     // paper saw 230/315,796 sites above 250).
-    rng.zipf(1940, 1.8) as u32 + 11
+    rng.zipf(tail) as u32 + 11
+}
+
+/// The rank law of [`sample_existing_san_count`]'s long tail.
+pub fn san_tail_law() -> Zipf {
+    Zipf::new(1940, 1.8)
 }
 
 /// Protocol negotiated for requests to a host. Request-level marginals
@@ -167,9 +174,9 @@ mod tests {
 
     #[test]
     fn san_count_top_is_two() {
-        let mut r = rng();
+        let (mut r, tail) = (rng(), san_tail_law());
         let xs: Vec<u32> = (0..50_000)
-            .map(|_| sample_existing_san_count(&mut r))
+            .map(|_| sample_existing_san_count(&mut r, &tail))
             .collect();
         let twos = xs.iter().filter(|&&x| x == 2).count() as f64 / xs.len() as f64;
         assert!((0.43..=0.48).contains(&twos), "P(2)={twos}");
